@@ -222,6 +222,14 @@ fn pair_hosts(tree: &FatTree, connections: usize) -> Vec<(NodeId, NodeId)> {
 /// and, by the conservative engine's contract, of the cell *minus*
 /// `regions` (see [`verify_worldgen`]).
 pub fn run_fabric(cell: &FabricCell) -> FabricRun {
+    // simlint: allow(panic-surface, reason = "cell validation before any simulation work")
+    assert!(
+        cell.connections >= 1,
+        "fabric cell k={} seed={} {}: needs at least one connection",
+        cell.k,
+        cell.seed,
+        cell.selector.label()
+    );
     let tree = FatTree::build(&FatTreeConfig {
         k: cell.k,
         seed: cell.seed,
@@ -254,7 +262,7 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
     );
 
     let mut sim = Simulator::new(tree.topology.clone(), routing, cell.seed);
-    // simlint: allow(panic-surface, reason = "connections >= 1 asserted above, so placements is non-empty")
+    // simlint: allow(panic-surface, reason = "connections >= 1 is asserted on entry and pair_hosts returns one pair per connection, so placements is non-empty")
     let mut capture = CaptureConfig::receiver_side(placements[0].1);
     for (_, dst, _, _, _) in placements.iter().skip(1) {
         capture = capture.add_node(*dst);
@@ -391,7 +399,7 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
     }
 
     let mut sim = Simulator::new(net.topology.clone(), routing, cell.seed);
-    // simlint: allow(panic-surface, reason = "pairs >= 1 asserted above, so dsts is non-empty")
+    // simlint: allow(panic-surface, reason = "TrafficNet::build asserts pairs > 0 and creates one destination per pair, so dsts is non-empty")
     let mut capture = CaptureConfig::receiver_side(net.dsts[0]);
     for &d in net.dsts.iter().skip(1) {
         capture = capture.add_node(d);
@@ -1076,6 +1084,15 @@ mod tests {
         assert_eq!(a.conns.len(), 8);
         assert!(a.conns.iter().all(|c| c.delivered > 0));
         assert!((0.0..=1.0).contains(&a.collision_rate));
+    }
+
+    #[test]
+    #[should_panic(expected = "fabric cell k=4 seed=0 ecmp: needs at least one connection")]
+    fn fabric_cell_without_connections_is_rejected_by_name() {
+        run_fabric(&FabricCell {
+            connections: 0,
+            ..FabricCell::table(0, SubflowSelector::Ecmp)
+        });
     }
 
     #[test]
