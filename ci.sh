@@ -70,6 +70,12 @@ echo "==> simulator scenario-suite benchmark (wheel vs reference heap + region s
 ./target/release/bench_sim --gate > BENCH_sim.json
 cat BENCH_sim.json
 
+echo "==> horizon-independence gate (paper net, LIA, 30 s then 120 s: VmHWM growth <= 2 MB)"
+# The measurement path streams (DESIGN.md par 14): a run holds O(bins) of
+# capture state, so a 4x longer run must not need more memory. A buffered
+# capture would add ~40 MB here.
+./target/release/horizon_gate
+
 echo "==> fluid-model smoke (paper topology, all laws)"
 ./target/release/fluid_table --smoke
 

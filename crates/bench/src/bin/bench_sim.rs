@@ -52,6 +52,7 @@
 //! Timings are machine-dependent: the JSON is regenerated by CI as a
 //! reference point, **not** byte-compared.
 
+use bench::peak_rss_bytes;
 use overlap_core::bigchain::DualChainNet;
 use overlap_core::prelude::*;
 use overlap_core::{
@@ -59,15 +60,6 @@ use overlap_core::{
 };
 use simbase::SimDuration;
 use std::time::Instant;
-
-/// Peak resident set size of this process, from `/proc/self/status`
-/// (`VmHWM`, reported in KiB). `None` off Linux.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib * 1024)
-}
 
 struct EngineRun {
     engine: &'static str,

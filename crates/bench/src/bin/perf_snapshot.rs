@@ -14,19 +14,11 @@
 //! 4 virtual seconds, seed 1; full-workspace simlint pass — so numbers are
 //! comparable across commits on the same machine.
 
+use bench::peak_rss_bytes;
 use overlap_core::prelude::*;
 use std::time::Instant;
 use xtask::baseline::Baseline;
 use xtask::lint;
-
-/// Peak resident set size of this process, from `/proc/self/status`
-/// (`VmHWM`, reported in KiB). `None` off Linux.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib * 1024)
-}
 
 fn workspace_root() -> std::path::PathBuf {
     let mut dir = std::env::current_dir().expect("cwd");

@@ -815,6 +815,19 @@ mod tests {
     }
 
     #[test]
+    fn base_scenario_checkpoint_holds_no_capture_records() {
+        // The default study fails the link at 4 s; the sweep checkpoints
+        // 1 ns before. The frozen prefix has delivered thousands of packets
+        // and carries none of them: its measurement state is the sink's.
+        let cfg = FailoverConfig::default();
+        let tc = SimTime::from_nanos(cfg.t_down.as_nanos() - 1);
+        let ckpt =
+            failover_base_scenario(&FailoverSetup::paper(), CcAlgo::Lia, 1, &cfg).checkpoint_at(tc);
+        assert_eq!(ckpt.time(), tc);
+        assert_eq!(ckpt.buffered_captures(), 0);
+    }
+
+    #[test]
     fn outage_sweep_is_deterministic() {
         let cfg = FailoverConfig {
             algos: vec![CcAlgo::Cubic],

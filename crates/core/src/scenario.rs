@@ -16,7 +16,7 @@ use netsim::{
 };
 use simbase::Bandwidth;
 use simbase::{SimDuration, SimTime};
-use simtrace::{ConvergenceReport, SamplerConfig, ThroughputSampler, TimeSeries};
+use simtrace::{ConvergenceReport, SamplerConfig, TimeSeries, TraceSink};
 use tcpsim::AppSource;
 
 /// A complete experiment configuration.
@@ -191,7 +191,7 @@ impl Scenario {
         } else {
             built.sim.run_until(end);
         }
-        self.collect(&built, lp)
+        self.collect(built, lp)
     }
 
     /// Run the common prefix of a family of fault variants and snapshot it.
@@ -227,7 +227,6 @@ impl Scenario {
             snapshot: built.sim.checkpoint(),
             sender_id: built.sender_id,
             receiver_id: built.receiver_id,
-            dst: built.dst,
         }
     }
 
@@ -278,7 +277,18 @@ impl Scenario {
             #[cfg(feature = "ref-heap")]
             QueueEngine::RefHeap => sim.use_reference_heap(),
         }
-        sim.set_capture(CaptureConfig::receiver_side(dst));
+        // The measurement path streams: each capture record is hashed,
+        // checked and binned per tag (the tshark step) as it is emitted,
+        // so a run holds O(bins) of capture state, not O(packets). Every
+        // registered tag is pre-seeded so a fully starved path still shows
+        // up as an (all-zero) series in per-path reports.
+        let sink = TraceSink::new().with_sampler(
+            SamplerConfig::tshark_like(dst, self.sample_bin, SimTime::ZERO + self.duration)
+                .with_tags((0..self.paths.len()).map(Self::path_tag)),
+        );
+        #[cfg(feature = "check")]
+        let sink = sink.with_invariants(simtrace::default_invariants());
+        sim.set_capture_sink(CaptureConfig::receiver_side(dst), Box::new(sink));
         sim.set_forward_jitter(self.forward_jitter);
         sim.install_faults(&self.faults);
         let mptcp_cfg = MptcpConfig {
@@ -321,30 +331,30 @@ impl Scenario {
             sim,
             sender_id,
             receiver_id,
-            dst,
         }
     }
 
     /// Fold a finished simulation into a [`RunResult`] (the tshark step,
     /// convergence analysis, and endpoint-state extraction).
-    fn collect(&self, built: &BuiltSim, lp: lpsolve::MaxThroughput) -> RunResult {
+    fn collect(&self, built: BuiltSim, lp: lpsolve::MaxThroughput) -> RunResult {
         let BuiltSim {
-            sim,
+            mut sim,
             sender_id,
             receiver_id,
-            dst,
         } = built;
-        let (sender_id, receiver_id, dst) = (*sender_id, *receiver_id, *dst);
         let end = SimTime::ZERO + self.duration;
 
+        let sink = sim
+            .sink_mut::<TraceSink>()
+            // simlint: allow(unwrap, reason = "build_sim installed a TraceSink and nothing replaces it")
+            .expect("scenario simulators stream into a TraceSink");
         // Order-sensitive digest of the full capture stream: two runs of
         // the same scenario + seed must produce the same hash (the
         // double-run harness in [`crate::determinism`] relies on this).
-        let trace_hash = simtrace::TraceHasher::hash_records(sim.captures());
+        let trace_hash = sink.hash();
         #[cfg(feature = "check")]
         {
-            let violations =
-                simtrace::check_trace(sim.captures(), &mut simtrace::default_invariants());
+            let violations = sink.finish_checks();
             assert!(
                 violations.is_empty(),
                 "trace invariants violated:\n{}",
@@ -355,15 +365,10 @@ impl Scenario {
                     .join("\n")
             );
         }
-
-        // tshark step: bin receiver-side deliveries per tag. Every
-        // registered tag is pre-seeded so a fully starved path still shows
-        // up as an (all-zero) series in per-path reports.
-        let sampler = ThroughputSampler::from_records(
-            sim.captures(),
-            &SamplerConfig::tshark_like(dst, self.sample_bin, end)
-                .with_tags((0..self.paths.len()).map(Self::path_tag)),
-        );
+        let sampler = sink
+            .sampler()
+            // simlint: allow(unwrap, reason = "build_sim configures the sink with a sampler")
+            .expect("scenario sink samples");
         let per_path: Vec<TimeSeries> = (0..self.paths.len())
             .map(|i| {
                 let tag = Self::path_tag(i);
@@ -455,13 +460,13 @@ struct BuiltSim {
     sim: Simulator,
     sender_id: AgentId,
     receiver_id: AgentId,
-    dst: NodeId,
 }
 
 /// A frozen scenario prefix that fault variants branch from.
 ///
 /// Produced by [`Scenario::checkpoint_at`]. Holds a versioned
-/// [`SimSnapshot`] of the simulator after the common (fault-free) prefix;
+/// [`SimSnapshot`] of the simulator after the common (fault-free) prefix
+/// (including the streaming capture sink's O(bins) state so far);
 /// each [`ScenarioCheckpoint::branch_run`] restores a fresh deep copy,
 /// installs one fault schedule, and runs to the scenario end. The
 /// checkpoint is reusable: branching does not consume it.
@@ -471,7 +476,6 @@ pub struct ScenarioCheckpoint {
     snapshot: SimSnapshot,
     sender_id: AgentId,
     receiver_id: AgentId,
-    dst: NodeId,
 }
 
 impl ScenarioCheckpoint {
@@ -483,6 +487,12 @@ impl ScenarioCheckpoint {
     /// The base scenario the prefix was built from.
     pub fn scenario(&self) -> &Scenario {
         &self.scenario
+    }
+
+    /// Capture records held by the frozen prefix. Zero: the prefix's
+    /// measurement state is the streaming sink's hash, seen-set and bins.
+    pub fn buffered_captures(&self) -> usize {
+        self.snapshot.buffered_captures()
     }
 
     /// Branch one fault variant from the frozen prefix and run it to the
@@ -513,9 +523,8 @@ impl ScenarioCheckpoint {
             sim,
             sender_id: self.sender_id,
             receiver_id: self.receiver_id,
-            dst: self.dst,
         };
-        self.scenario.collect(&built, lp)
+        self.scenario.collect(built, lp)
     }
 }
 
@@ -651,6 +660,7 @@ mod tests {
         .with_timing(SimDuration::from_secs(3), SimDuration::from_millis(100));
         let ckpt = base.checkpoint_at(SimTime::from_millis(1500));
         assert_eq!(ckpt.time(), SimTime::from_millis(1500));
+        assert_eq!(ckpt.buffered_captures(), 0, "the prefix streams");
         let variants = [
             FaultSchedule::new().outage(
                 link,
@@ -675,6 +685,51 @@ mod tests {
             assert_eq!(branched.drops, cold.drops);
             assert_eq!(branched.total.values(), cold.total.values());
             assert_eq!(branched.data_delivered, cold.data_delivered);
+        }
+    }
+
+    #[test]
+    fn streamed_run_equals_buffered_run_for_every_algorithm() {
+        // The streaming sink against the buffer-then-post-process path it
+        // replaced: same simulator, same seed, records kept in the
+        // buffering sink and run through the buffered helpers afterwards.
+        for algo in [
+            CcAlgo::Cubic,
+            CcAlgo::Lia,
+            CcAlgo::Olia,
+            CcAlgo::Balia,
+            CcAlgo::WVegas,
+        ] {
+            let scenario = paper_scenario(algo)
+                .with_timing(SimDuration::from_secs(2), SimDuration::from_millis(100));
+            let streamed = scenario.run();
+
+            let mut built = scenario.build_sim();
+            let dst = mptcpsim::common_destination(&scenario.paths);
+            built.sim.set_capture_sink(
+                CaptureConfig::receiver_side(dst),
+                Box::<netsim::BufferSink>::default(),
+            );
+            let end = SimTime::ZERO + scenario.duration;
+            built.sim.run_until(end);
+            let records = built.sim.captures();
+            assert!(!records.is_empty());
+            assert_eq!(
+                streamed.trace_hash,
+                simtrace::TraceHasher::hash_records(records),
+                "{algo:?}"
+            );
+            assert!(simtrace::check_trace(records, &mut simtrace::default_invariants()).is_empty());
+            let sampler = simtrace::ThroughputSampler::from_records(
+                records,
+                &SamplerConfig::tshark_like(dst, scenario.sample_bin, end)
+                    .with_tags((0..scenario.paths.len()).map(Scenario::path_tag)),
+            );
+            for (i, series) in streamed.per_path.iter().enumerate() {
+                let buffered = sampler.tag(Scenario::path_tag(i)).expect("seeded tag");
+                assert_eq!(series.values(), buffered.values(), "{algo:?} path {i}");
+            }
+            assert_eq!(streamed.events, built.sim.stats().events);
         }
     }
 

@@ -35,8 +35,9 @@ use crate::runner::{execute_jobs, RunnerConfig};
 use crate::scenario::Scenario;
 use fluidsim::{solve, FluidLaw, FluidModel};
 use mptcpsim::{install_subflows, CcAlgo, MptcpConfig, MptcpReceiverAgent, MptcpSenderAgent};
-use netsim::{AgentId, CaptureConfig, CaptureKind, NodeId, RoutingTables, Simulator, Tag};
+use netsim::{AgentId, CaptureConfig, NodeId, RoutingTables, Simulator, Tag};
 use simbase::{SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar};
+use simtrace::{SamplerConfig, TraceSink};
 use std::fmt::Write as _;
 use tcpsim::AppSource;
 use worldgen::{
@@ -216,6 +217,13 @@ fn pair_hosts(tree: &FatTree, connections: usize) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
+/// The streaming sink a worldgen simulator was built with.
+fn streamed(sim: &Simulator) -> &TraceSink {
+    sim.sink::<TraceSink>()
+        // simlint: allow(unwrap, reason = "every simulator in this module is built with a TraceSink and nothing replaces it")
+        .expect("worldgen simulators stream into a TraceSink")
+}
+
 /// Execute one fabric cell: build the tree, place every connection's
 /// subflows, pin them with tag routes, run all connections concurrently,
 /// and read back per-connection goodput. Pure function of the cell —
@@ -267,7 +275,7 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
     for (_, dst, _, _, _) in placements.iter().skip(1) {
         capture = capture.add_node(*dst);
     }
-    sim.set_capture(capture);
+    sim.set_capture_sink(capture, Box::<TraceSink>::default());
 
     let mut receiver_ids: Vec<AgentId> = Vec::with_capacity(placements.len());
     for (src, dst, _, _, subflows) in &placements {
@@ -318,7 +326,7 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
         cell: cell.clone(),
         conns,
         collision_rate: rate,
-        trace_hash: simtrace::TraceHasher::hash_records(sim.captures()),
+        trace_hash: streamed(&sim).hash(),
         events: sim.stats().events,
         drops: sim.stats().packets_dropped,
     }
@@ -404,7 +412,7 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
     for &d in net.dsts.iter().skip(1) {
         capture = capture.add_node(d);
     }
-    sim.set_capture(capture);
+    sim.set_capture_sink(capture, Box::<TraceSink>::default());
 
     let end = SimTime::ZERO + cell.duration;
     let mut receiver_ids = Vec::with_capacity(cell.pairs);
@@ -468,7 +476,7 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         delivered,
         offered: program.total_bytes(),
         goodput_mbps: delivered as f64 * 8.0 / cell.duration.as_secs_f64() / 1e6,
-        trace_hash: simtrace::TraceHasher::hash_records(sim.captures()),
+        trace_hash: streamed(&sim).hash(),
         events: sim.stats().events,
     }
 }
@@ -504,7 +512,15 @@ pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
         let mut routing = RoutingTables::new(&net.topology);
         let subflows = install_subflows(&mut routing, &net.paths(), 1, 5000);
         let mut sim = Simulator::new(net.topology.clone(), routing, seed);
-        sim.set_capture(CaptureConfig::receiver_side(net.server));
+        // Hash plus one whole-run bin per tag: the wifi/cell split is a
+        // per-tag total of every delivery at the server, up to and
+        // including the deadline instant, ACK-sized segments included.
+        let whole_run = duration + SimDuration::from_nanos(1);
+        let sink = TraceSink::new().with_sampler(SamplerConfig {
+            data_only: false,
+            ..SamplerConfig::tshark_like(net.server, whole_run, SimTime::ZERO + whole_run)
+        });
+        sim.set_capture_sink(CaptureConfig::receiver_side(net.server), Box::new(sink));
         if with_faults {
             sim.install_faults(&profile.compile(&net, &net_cfg));
         }
@@ -530,18 +546,13 @@ pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
             // simlint: allow(unwrap, reason = "agent installed as MptcpReceiverAgent above")
             .expect("receiver agent")
             .data_delivered();
-        let (mut wifi, mut cell) = (0u64, 0u64);
-        for rec in sim.captures() {
-            if rec.kind == CaptureKind::Delivered && rec.node == net.server {
-                if rec.pkt.tag == Tag(1) {
-                    wifi += rec.pkt.wire_size as u64;
-                } else if rec.pkt.tag == Tag(2) {
-                    cell += rec.pkt.wire_size as u64;
-                }
-            }
-        }
-        let hash = simtrace::TraceHasher::hash_records(sim.captures());
-        (delivered, wifi, cell, hash)
+        let sink = streamed(&sim);
+        (
+            delivered,
+            sink.tag_bytes(Tag(1)),
+            sink.tag_bytes(Tag(2)),
+            sink.hash(),
+        )
     };
     let (static_bytes, _, _, _) = run(false);
     let (mobile_bytes, wifi_bytes, cell_bytes, trace_hash) = run(true);

@@ -92,12 +92,10 @@ impl Agent for MptcpReceiverAgent {
         let seg = match TcpSegment::decode(&pkt.payload) {
             Ok(seg) => seg,
             Err(e) => {
-                ctx.log.log(
-                    ctx.now(),
-                    LogLevel::Warn,
-                    "mptcp.receiver",
-                    format!("bad segment: {e}"),
-                );
+                ctx.log
+                    .log_with(ctx.now(), LogLevel::Warn, "mptcp.receiver", || {
+                        format!("bad segment: {e}")
+                    });
                 return;
             }
         };

@@ -461,12 +461,10 @@ impl Agent for MptcpSenderAgent {
         let seg = match TcpSegment::decode(&pkt.payload) {
             Ok(seg) => seg,
             Err(e) => {
-                ctx.log.log(
-                    ctx.now(),
-                    LogLevel::Warn,
-                    "mptcp.sender",
-                    format!("bad segment: {e}"),
-                );
+                ctx.log
+                    .log_with(ctx.now(), LogLevel::Warn, "mptcp.sender", || {
+                        format!("bad segment: {e}")
+                    });
                 return;
             }
         };
@@ -479,12 +477,10 @@ impl Agent for MptcpSenderAgent {
             .iter()
             .position(|s| s.cfg.src_port == seg.dst_port)
         else {
-            ctx.log.log(
-                ctx.now(),
-                LogLevel::Warn,
-                "mptcp.sender",
-                format!("ACK for unknown subflow port {}", seg.dst_port),
-            );
+            ctx.log
+                .log_with(ctx.now(), LogLevel::Warn, "mptcp.sender", || {
+                    format!("ACK for unknown subflow port {}", seg.dst_port)
+                });
             return;
         };
         self.subs[i].sender.on_ack(ctx.now(), &seg);

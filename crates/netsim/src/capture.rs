@@ -2,12 +2,14 @@
 //!
 //! The paper measures throughput by capturing at the destination with tshark
 //! and filtering by tag. [`CaptureConfig`] selects which nodes and which
-//! event kinds to record; the simulator appends a [`CaptureRecord`] per
-//! matching event. `simtrace` turns the record stream into per-tag
-//! throughput time series.
+//! event kinds to record; the simulator hands a [`CaptureRecord`] per
+//! matching event to the installed [`CaptureSink`]. `simtrace` provides the
+//! streaming sink that hashes, checks and bins the record stream as it is
+//! emitted; [`BufferSink`] keeps the records for export and debugging.
 
 use crate::packet::{LinkId, NodeId, PacketMeta};
 use simbase::SimTime;
+use std::any::Any;
 use std::collections::BTreeSet;
 
 /// What happened to the packet at the capture point.
@@ -25,6 +27,19 @@ pub enum CaptureKind {
     Unroutable,
 }
 
+impl CaptureKind {
+    /// This kind's bit in [`CaptureConfig`]'s kind mask.
+    const fn bit(self) -> u8 {
+        match self {
+            CaptureKind::Sent => 1,
+            CaptureKind::Forwarded => 1 << 1,
+            CaptureKind::Delivered => 1 << 2,
+            CaptureKind::Dropped => 1 << 3,
+            CaptureKind::Unroutable => 1 << 4,
+        }
+    }
+}
+
 /// One capture record.
 #[derive(Debug, Clone)]
 pub struct CaptureRecord {
@@ -40,13 +55,64 @@ pub struct CaptureRecord {
     pub pkt: PacketMeta,
 }
 
+/// Where capture records go.
+///
+/// The simulator hands every record that passes its [`CaptureConfig`] to the
+/// one installed sink, exactly once and in canonical emission order (the
+/// order a serial run executes events in — a partitioned run replays its
+/// merged stream, so the sink cannot tell the difference). The sink is part
+/// of the simulator's deterministic state: [`crate::Simulator::checkpoint`]
+/// and [`crate::Simulator::restore`] deep-copy it through
+/// [`CaptureSink::clone_sink`]. A sink only observes; nothing it computes
+/// feeds back into the run.
+///
+/// `Any` so the installer can read its results back out of the simulator by
+/// concrete type ([`crate::Simulator::sink`], [`crate::Simulator::sink_mut`]).
+pub trait CaptureSink: Any + Send {
+    /// Consume one record.
+    fn record(&mut self, rec: &CaptureRecord);
+
+    /// Deep-copy the sink's accumulated state (checkpoint/restore).
+    fn clone_sink(&self) -> Box<dyn CaptureSink>;
+}
+
+/// The buffering sink: keeps every record, O(packets) memory. Installed by
+/// [`crate::Simulator::set_capture`] for tests, export and debugging;
+/// measurement runs install a streaming sink instead.
+#[derive(Debug, Clone, Default)]
+pub struct BufferSink {
+    records: Vec<CaptureRecord>,
+}
+
+impl BufferSink {
+    /// Records received so far, in emission order.
+    pub fn records(&self) -> &[CaptureRecord] {
+        &self.records
+    }
+
+    /// Take ownership of the records, leaving the buffer empty.
+    pub fn take_records(&mut self) -> Vec<CaptureRecord> {
+        std::mem::take(&mut self.records)
+    }
+}
+
+impl CaptureSink for BufferSink {
+    fn record(&mut self, rec: &CaptureRecord) {
+        self.records.push(rec.clone());
+    }
+
+    fn clone_sink(&self) -> Box<dyn CaptureSink> {
+        Box::new(self.clone())
+    }
+}
+
 /// Which events to record.
 #[derive(Debug, Clone)]
 pub struct CaptureConfig {
     /// Nodes to capture at; `None` = all nodes.
     nodes: Option<BTreeSet<NodeId>>,
-    /// Kinds to capture.
-    kinds: BTreeSet<CaptureKind>,
+    /// Kinds to capture, one [`CaptureKind::bit`] each.
+    kinds: u8,
     /// Master switch.
     enabled: bool,
 }
@@ -57,7 +123,7 @@ impl Default for CaptureConfig {
     fn default() -> Self {
         CaptureConfig {
             nodes: None,
-            kinds: BTreeSet::new(),
+            kinds: 0,
             enabled: false,
         }
     }
@@ -72,37 +138,31 @@ impl CaptureConfig {
     /// The paper's setup: record deliveries at the destination host (plus
     /// drops anywhere, which are cheap and invaluable for debugging).
     pub fn receiver_side(dst: NodeId) -> Self {
-        let mut kinds = BTreeSet::new();
-        kinds.insert(CaptureKind::Delivered);
-        kinds.insert(CaptureKind::Dropped);
-        kinds.insert(CaptureKind::Unroutable);
         CaptureConfig {
             nodes: Some(BTreeSet::from([dst])),
-            kinds,
+            kinds: CaptureKind::Delivered.bit()
+                | CaptureKind::Dropped.bit()
+                | CaptureKind::Unroutable.bit(),
             enabled: true,
         }
     }
 
     /// Record every kind at every node (tests, small runs).
     pub fn everything() -> Self {
-        let kinds = [
-            CaptureKind::Sent,
-            CaptureKind::Forwarded,
-            CaptureKind::Delivered,
-            CaptureKind::Dropped,
-            CaptureKind::Unroutable,
-        ]
-        .into_iter()
-        .collect();
         CaptureConfig {
             nodes: None,
-            kinds,
+            kinds: CaptureKind::Sent.bit()
+                | CaptureKind::Forwarded.bit()
+                | CaptureKind::Delivered.bit()
+                | CaptureKind::Dropped.bit()
+                | CaptureKind::Unroutable.bit(),
             enabled: true,
         }
     }
 
-    /// Also capture at `node` (clears the "all nodes" wildcard if present
-    /// only when it was explicitly restricted before).
+    /// Also capture at `node`. An explicit node set grows by one; the
+    /// "all nodes" wildcard is *replaced* by the set `{node}`, so adding a
+    /// node to an unrestricted config restricts it to that node.
     pub fn add_node(mut self, node: NodeId) -> Self {
         match &mut self.nodes {
             Some(set) => {
@@ -118,7 +178,7 @@ impl CaptureConfig {
 
     /// Also capture events of `kind`.
     pub fn add_kind(mut self, kind: CaptureKind) -> Self {
-        self.kinds.insert(kind);
+        self.kinds |= kind.bit();
         self.enabled = true;
         self
     }
@@ -129,7 +189,7 @@ impl CaptureConfig {
     /// filter (they occur at interior nodes the receiver-side filter would
     /// exclude, and losing them silently would make debugging miserable).
     pub fn wants(&self, node: NodeId, kind: CaptureKind) -> bool {
-        if !self.enabled || !self.kinds.contains(&kind) {
+        if !self.enabled || self.kinds & kind.bit() == 0 {
             return false;
         }
         if matches!(kind, CaptureKind::Dropped | CaptureKind::Unroutable) {

@@ -39,7 +39,7 @@ pub mod topology;
 pub mod traffic;
 
 pub use agent::{Agent, AgentId, Ctx, Effect};
-pub use capture::{CaptureConfig, CaptureKind, CaptureRecord};
+pub use capture::{BufferSink, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
 pub use faults::{FaultAction, FaultSchedule};
 pub use packet::{Dir, Ecn, LinkId, NodeId, Packet, PacketMeta, Protocol, Tag, IP_HEADER_BYTES};
 pub use partition::{partition_from_map, partition_topology, static_delay_floors, Partition};

@@ -26,7 +26,7 @@
 //! still produce a byte-identical trace.
 
 use crate::agent::{Agent, AgentId, Ctx, Effect};
-use crate::capture::{CaptureConfig, CaptureKind, CaptureRecord};
+use crate::capture::{BufferSink, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
 use crate::faults::{FaultAction, FaultSchedule};
 use crate::packet::{Dir, LinkId, NodeId, Packet, PacketMeta};
 use crate::queue::{EnqueueResult, Queue};
@@ -34,8 +34,10 @@ use crate::routing::RoutingTables;
 use crate::stats::{LinkDirStats, SimStats};
 use crate::topology::Topology;
 use simbase::{
-    EventLog, EventQueue, LogLevel, SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar,
+    EventLog, EventQueue, LogLevel, ScheduledEvent, SimDuration, SimRng, SimTime, SplitMix64,
+    Xoshiro256StarStar,
 };
+use std::any::Any;
 
 mod parallel;
 
@@ -180,15 +182,9 @@ pub struct Simulator {
     /// Simulation-wide event log (agents write through `Ctx`).
     pub log: EventLog,
     capture_cfg: CaptureConfig,
-    captures: Vec<CaptureRecord>,
-    /// Per-record provenance stamp `(event key, intra-event index)`,
-    /// parallel to `captures`: the canonical position of the record in the
-    /// run, used to merge region capture streams into serial order.
-    capture_ord: Vec<(u64, u32)>,
-    /// Canonical key of the event currently being executed.
-    cur_key: u64,
-    /// Capture records emitted so far by the current event.
-    cur_sub: u32,
+    /// Where records passing `capture_cfg` go (see [`CaptureSink`]). Part of
+    /// the deterministic state: checkpoints deep-copy it.
+    sink: Option<Box<dyn CaptureSink>>,
     stats: SimStats,
     link_stats: Vec<[LinkDirStats; 2]>,
     /// Packets currently inside the network (queued, serializing, flying).
@@ -286,10 +282,7 @@ impl Simulator {
             fault_seq: 0,
             log: EventLog::new(LogLevel::Warn),
             capture_cfg: CaptureConfig::off(),
-            captures: Vec::new(),
-            capture_ord: Vec::new(),
-            cur_key: 0,
-            cur_sub: 0,
+            sink: None,
             stats: SimStats::default(),
             link_stats: Vec::new(),
             in_flight: 0,
@@ -312,9 +305,33 @@ impl Simulator {
         self
     }
 
-    /// Set the capture configuration (before or during a run).
+    /// Set the capture configuration (before or during a run). Unless a
+    /// sink is already installed, records are kept in a [`BufferSink`] and
+    /// read back with [`Simulator::captures`] — O(packets) memory, meant for
+    /// tests, export and debugging.
     pub fn set_capture(&mut self, cfg: CaptureConfig) {
         self.capture_cfg = cfg;
+        if self.sink.is_none() {
+            self.sink = Some(Box::<BufferSink>::default());
+        }
+    }
+
+    /// Set the capture configuration and stream matching records into
+    /// `sink` instead of buffering them (see [`CaptureSink`] for the
+    /// contract). Replaces any sink installed before.
+    pub fn set_capture_sink(&mut self, cfg: CaptureConfig, sink: Box<dyn CaptureSink>) {
+        self.capture_cfg = cfg;
+        self.sink = Some(sink);
+    }
+
+    /// The installed capture sink, if it is a `T`.
+    pub fn sink<T: CaptureSink>(&self) -> Option<&T> {
+        (self.sink.as_deref()? as &dyn Any).downcast_ref()
+    }
+
+    /// The installed capture sink, mutably, if it is a `T`.
+    pub fn sink_mut<T: CaptureSink>(&mut self) -> Option<&mut T> {
+        (self.sink.as_deref_mut()? as &mut dyn Any).downcast_mut()
     }
 
     /// Add up to `jitter` of uniform random delay to every packet's
@@ -419,15 +436,18 @@ impl Simulator {
         pkt
     }
 
-    /// Capture records collected so far.
+    /// Capture records buffered so far: everything captured since
+    /// [`Simulator::set_capture`], or nothing when a streaming sink is
+    /// installed instead of the buffer.
     pub fn captures(&self) -> &[CaptureRecord] {
-        &self.captures
+        self.sink::<BufferSink>().map_or(&[], BufferSink::records)
     }
 
-    /// Take ownership of the capture records (clears the buffer).
+    /// Take ownership of the buffered capture records (clears the buffer).
     pub fn take_captures(&mut self) -> Vec<CaptureRecord> {
-        self.capture_ord.clear();
-        std::mem::take(&mut self.captures)
+        self.sink_mut::<BufferSink>()
+            .map(BufferSink::take_records)
+            .unwrap_or_default()
     }
 
     /// Packets currently inside the network.
@@ -475,9 +495,9 @@ impl Simulator {
     /// The snapshot is a deep copy: the event queue (pending entries,
     /// cancellation-token table, and lifetime push/cancel counters), every
     /// agent (via [`Agent::clone_boxed`]), per-entity RNG streams, link
-    /// transmitters and queues, the wire pool, capture records, and all
-    /// statistics. Because the execution is a pure function of that state
-    /// (see the module docs on schedule-independent ordering), a restored
+    /// transmitters and queues, the wire pool, the capture sink (via
+    /// [`CaptureSink::clone_sink`]), and all statistics. Because the
+    /// execution is a pure function of that state (see the module docs on schedule-independent ordering), a restored
     /// simulator replays the identical event sequence — trace hashes of a
     /// branched continuation match a cold run byte-for-byte.
     ///
@@ -537,10 +557,7 @@ impl Simulator {
             fault_seq: self.fault_seq,
             log: self.log.clone(),
             capture_cfg: self.capture_cfg.clone(),
-            captures: self.captures.clone(),
-            capture_ord: self.capture_ord.clone(),
-            cur_key: self.cur_key,
-            cur_sub: self.cur_sub,
+            sink: self.sink.as_deref().map(CaptureSink::clone_sink),
             stats: self.stats,
             link_stats: self.link_stats.clone(),
             in_flight: self.in_flight,
@@ -651,6 +668,12 @@ impl Simulator {
         let Some(ev) = self.events.pop() else {
             return false;
         };
+        self.execute(ev);
+        true
+    }
+
+    /// Execute one popped event.
+    fn execute(&mut self, ev: ScheduledEvent<Event>) {
         // Event-time monotonicity: a hard assert under the `check` feature
         // (a backwards clock silently corrupts every downstream series),
         // a debug assert otherwise.
@@ -664,10 +687,6 @@ impl Simulator {
         #[cfg(not(feature = "check"))]
         debug_assert!(ev.time >= self.now, "time went backwards");
         self.now = ev.time;
-        // The popped seq is the event's canonical key; stamp any capture
-        // records this event emits with it.
-        self.cur_key = ev.seq;
-        self.cur_sub = 0;
         self.stats.events += 1;
         match ev.event {
             Event::StartAgent(id) => self.dispatch(id, AgentCall::Start),
@@ -698,7 +717,6 @@ impl Simulator {
             }
             Event::Fault(action) => self.apply_fault(*action),
         }
-        true
     }
 
     /// Apply one fault action to the live network (see [`crate::faults`]
@@ -709,43 +727,31 @@ impl Simulator {
             FaultAction::LinkUp(link) => {
                 self.links[link.0 as usize].up = true;
                 self.log
-                    .log(self.now, LogLevel::Info, "sim", format!("{link:?} up"));
+                    .log_with(self.now, LogLevel::Info, "sim", || format!("{link:?} up"));
             }
             FaultAction::SetCapacity(link, cap) => {
                 self.topo.set_link_capacity(link, cap);
-                self.log.log(
-                    self.now,
-                    LogLevel::Info,
-                    "sim",
-                    format!("{link:?} capacity -> {} bps", cap.as_bps()),
-                );
+                self.log.log_with(self.now, LogLevel::Info, "sim", || {
+                    format!("{link:?} capacity -> {} bps", cap.as_bps())
+                });
             }
             FaultAction::SetDelay(link, delay) => {
                 self.topo.set_link_delay(link, delay);
-                self.log.log(
-                    self.now,
-                    LogLevel::Info,
-                    "sim",
-                    format!("{link:?} delay -> {delay}"),
-                );
+                self.log.log_with(self.now, LogLevel::Info, "sim", || {
+                    format!("{link:?} delay -> {delay}")
+                });
             }
             FaultAction::SetLoss(link, rate) => {
                 self.topo.set_link_loss(link, rate);
-                self.log.log(
-                    self.now,
-                    LogLevel::Info,
-                    "sim",
-                    format!("{link:?} loss -> {rate}"),
-                );
+                self.log.log_with(self.now, LogLevel::Info, "sim", || {
+                    format!("{link:?} loss -> {rate}")
+                });
             }
             FaultAction::SetQueue(link, cfg) => {
                 self.topo.set_link_queue(link, cfg);
-                self.log.log(
-                    self.now,
-                    LogLevel::Info,
-                    "sim",
-                    format!("{link:?} queue reconfigured"),
-                );
+                self.log.log_with(self.now, LogLevel::Info, "sim", || {
+                    format!("{link:?} queue reconfigured")
+                });
                 // Rebuild both directions' queues: re-offer the buffered
                 // packets to the new queue in FIFO order; packets the new
                 // (possibly smaller) queue refuses are accounted as drops,
@@ -784,7 +790,7 @@ impl Simulator {
 
     fn on_link_down(&mut self, link: LinkId) {
         self.log
-            .log(self.now, LogLevel::Info, "sim", format!("{link:?} down"));
+            .log_with(self.now, LogLevel::Info, "sim", || format!("{link:?} down"));
         let mut lost_sizes: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
         {
             let rt = &mut self.links[link.0 as usize];
@@ -934,12 +940,9 @@ impl Simulator {
             None => {
                 self.stats.packets_unroutable += 1;
                 self.in_flight -= 1;
-                self.log.log(
-                    self.now,
-                    LogLevel::Warn,
-                    "sim",
-                    format!("no route for {pkt:?} at {node:?}"),
-                );
+                self.log.log_with(self.now, LogLevel::Warn, "sim", || {
+                    format!("no route for {pkt:?} at {node:?}")
+                });
                 self.record(node, CaptureKind::Unroutable, None, &pkt);
             }
         }
@@ -980,15 +983,12 @@ impl Simulator {
                     self.stats.packets_dropped += 1;
                     self.in_flight -= 1;
                     self.dir_stats(link, dir).on_drop(meta.wire_size);
-                    self.log.log(
-                        self.now,
-                        LogLevel::Debug,
-                        "sim",
+                    self.log.log_with(self.now, LogLevel::Debug, "sim", || {
                         format!(
                             "drop({reason:?}) pkt#{} on {link:?}/{dir:?} at {from:?}",
                             meta.id
-                        ),
-                    );
+                        )
+                    });
                     if self.capture_cfg.wants(from, CaptureKind::Dropped) {
                         self.record_meta(from, CaptureKind::Dropped, Some(link), meta);
                     }
@@ -1101,9 +1101,9 @@ impl Simulator {
         }
     }
 
-    /// Append one capture record, stamped with its canonical position
-    /// `(current event key, intra-event index)` so region capture streams
-    /// merge back into exact serial order.
+    /// Hand one capture record to the installed sink. This is the only
+    /// place records are emitted, so the sink sees each exactly once, in
+    /// execution order.
     fn record_meta(
         &mut self,
         node: NodeId,
@@ -1111,22 +1111,23 @@ impl Simulator {
         link: Option<LinkId>,
         pkt: PacketMeta,
     ) {
-        self.captures.push(CaptureRecord {
-            time: self.now,
-            node,
-            kind,
-            link,
-            pkt,
-        });
-        self.capture_ord.push((self.cur_key, self.cur_sub));
-        self.cur_sub += 1;
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.record(&CaptureRecord {
+                time: self.now,
+                node,
+                kind,
+                link,
+                pkt,
+            });
+        }
     }
 }
 
 /// Snapshot format version. Bumped whenever the captured state set changes
 /// meaning (restore refuses a mismatched snapshot rather than silently
-/// resuming from partial state).
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// resuming from partial state). v2: capture state is the installed
+/// [`CaptureSink`], not a record buffer with per-record order stamps.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A versioned, self-contained copy of a simulator's full deterministic
 /// state at one instant, produced by [`Simulator::checkpoint`].
@@ -1149,6 +1150,12 @@ impl SimSnapshot {
     /// Simulated time at which the snapshot was taken.
     pub fn time(&self) -> SimTime {
         self.sim.now
+    }
+
+    /// Capture records held in the snapshot: zero unless the simulator was
+    /// buffering ([`Simulator::set_capture`] without a streaming sink).
+    pub fn buffered_captures(&self) -> usize {
+        self.sim.captures().len()
     }
 }
 
@@ -1192,5 +1199,103 @@ mod wire_pool_tests {
     #[should_panic(expected = "wire pool exceeded u32::MAX slots")]
     fn slot_index_overflow_is_a_hard_error() {
         let _ = wire_slot_index(u32::MAX as usize + 1);
+    }
+}
+
+#[cfg(test)]
+mod sink_tests {
+    use super::*;
+    use crate::queue::QueueConfig;
+    use crate::traffic::{CbrSource, DatagramSink};
+    use crate::Tag;
+    use simbase::Bandwidth;
+
+    /// A streaming sink that keeps only a count and the last timestamp.
+    #[derive(Clone, Default)]
+    struct Counter {
+        records: u64,
+        last: SimTime,
+    }
+
+    impl CaptureSink for Counter {
+        fn record(&mut self, rec: &CaptureRecord) {
+            assert!(rec.time >= self.last, "records arrive in time order");
+            self.records += 1;
+            self.last = rec.time;
+        }
+        fn clone_sink(&self) -> Box<dyn CaptureSink> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// a — b at 10 Mbps with a 20 Mbps CBR source: deliveries and drops.
+    fn cbr_sim() -> Simulator {
+        let mut t = Topology::new();
+        let a = t.add_node("a");
+        let b = t.add_node("b");
+        t.add_link(
+            a,
+            b,
+            Bandwidth::from_mbps(10),
+            SimDuration::from_millis(1),
+            QueueConfig::DropTailPackets(4),
+        );
+        let mut rt = RoutingTables::new(&t);
+        rt.install_all_default_routes(&t);
+        let mut sim = Simulator::new(t, rt, 3);
+        sim.add_agent(
+            a,
+            Box::new(CbrSource::new(b, Tag::NONE, Bandwidth::from_mbps(20), 1000)),
+            SimTime::ZERO,
+        );
+        sim.add_agent(b, Box::new(DatagramSink::default()), SimTime::ZERO);
+        sim
+    }
+
+    #[test]
+    fn streaming_sink_sees_what_the_buffer_would_hold() {
+        let mut buffered = cbr_sim();
+        buffered.set_capture(CaptureConfig::everything());
+        buffered.run_until(SimTime::from_millis(50));
+        assert!(!buffered.captures().is_empty());
+
+        let mut streamed = cbr_sim();
+        streamed.set_capture_sink(CaptureConfig::everything(), Box::<Counter>::default());
+        streamed.run_until(SimTime::from_millis(50));
+        assert!(streamed.captures().is_empty(), "nothing is buffered");
+        let counter = streamed.sink::<Counter>().expect("installed sink");
+        assert_eq!(counter.records, buffered.captures().len() as u64);
+        assert_eq!(
+            Some(counter.last),
+            buffered.captures().last().map(|r| r.time)
+        );
+        assert_eq!(streamed.stats().events, buffered.stats().events);
+    }
+
+    #[test]
+    fn checkpoint_deep_copies_the_sink() {
+        let mut sim = cbr_sim();
+        sim.set_capture_sink(CaptureConfig::everything(), Box::<Counter>::default());
+        sim.run_until(SimTime::from_millis(20));
+        let snap = sim.checkpoint();
+        assert_eq!(snap.buffered_captures(), 0);
+        let at_snapshot = sim.sink::<Counter>().expect("installed sink").records;
+        sim.run_until(SimTime::from_millis(40));
+        let end = sim.sink::<Counter>().expect("installed sink").records;
+        assert!(end > at_snapshot);
+
+        let mut branch = Simulator::restore(&snap);
+        let restored = branch.sink::<Counter>().expect("restored sink").records;
+        assert_eq!(restored, at_snapshot, "the snapshot's sink did not advance");
+        branch.run_until(SimTime::from_millis(40));
+        assert_eq!(branch.sink::<Counter>().expect("sink").records, end);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot version mismatch")]
+    fn v1_tagged_snapshot_is_refused() {
+        let mut snap = cbr_sim().checkpoint();
+        snap.version = 1;
+        let _ = Simulator::restore(&snap);
     }
 }

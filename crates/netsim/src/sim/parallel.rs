@@ -29,14 +29,15 @@
 //! A parallel run consumes the schedule: events still pending at the
 //! deadline remain parked in the (discarded) region queues, so the
 //! simulator cannot be stepped further afterwards. All end-of-run
-//! accounting (stats, captures, link state, agent state) is merged back
-//! exactly; only the event log's interleaving of *equal-time* records may
+//! accounting (stats, link state, agent state) is merged back exactly, and
+//! the capture stream is replayed into the parent's sink in serial order
+//! (see [`RegionCapture`]); only the event log's interleaving of *equal-time* records may
 //! differ from a serial run, and a duplicated fault action logs once per
 //! endpoint region.
 
 use super::{Event, Simulator};
 use crate::agent::AgentId;
-use crate::capture::CaptureRecord;
+use crate::capture::{CaptureRecord, CaptureSink};
 use crate::faults::FaultAction;
 use crate::packet::{Dir, LinkId, Packet};
 use crate::partition::{partition_from_map, partition_topology, static_delay_floors, Partition};
@@ -61,6 +62,35 @@ pub(crate) enum RegionMsg {
     /// The sender finished window `k` and flushed every arrival it will
     /// ever produce for windows `≤ k + 1`.
     Horizon(u64),
+}
+
+/// A region's private capture sink: buffers the region's records, each
+/// stamped with its canonical position `(time, event key, intra-event
+/// index)`. Live keys are unique per timestamp, so the stamps are a total
+/// order over the whole run: the merge sorts the regions' buffers by stamp
+/// and replays the result into the parent's sink, which therefore sees
+/// exactly the serial emission sequence. Buffer-and-replay (rather than
+/// sharing the parent's sink) because an order-sensitive sink cannot take
+/// records from concurrently executing regions.
+#[derive(Clone, Default)]
+struct RegionCapture {
+    /// Canonical key of the event the region is executing.
+    key: u64,
+    /// Records emitted so far by that event.
+    sub: u32,
+    records: Vec<((SimTime, u64, u32), CaptureRecord)>,
+}
+
+impl CaptureSink for RegionCapture {
+    fn record(&mut self, rec: &CaptureRecord) {
+        self.records
+            .push(((rec.time, self.key, self.sub), rec.clone()));
+        self.sub += 1;
+    }
+
+    fn clone_sink(&self) -> Box<dyn CaptureSink> {
+        Box::new(self.clone())
+    }
 }
 
 impl Simulator {
@@ -247,6 +277,9 @@ impl Simulator {
         }
         sim.node_agent = self.node_agent.clone();
         sim.capture_cfg = self.capture_cfg.clone();
+        if self.sink.is_some() {
+            sim.sink = Some(Box::<RegionCapture>::default());
+        }
         sim.forward_jitter = self.forward_jitter;
         sim.log = EventLog::new(self.log.min_level());
         sim.region = region;
@@ -275,11 +308,15 @@ impl Simulator {
             }
             let end = (k as u128 + 1) * window_ns as u128;
             let bound = SimTime::from_nanos((end - 1).min(deadline.as_nanos() as u128) as u64);
-            while let Some(t) = self.events.peek_time() {
-                if t > bound {
-                    break;
+            while self.events.peek_time().is_some_and(|t| t <= bound) {
+                let Some(ev) = self.events.pop() else { break };
+                // The popped seq is the event's canonical key; the records
+                // this event emits are stamped with it.
+                if let Some(buf) = self.sink_mut::<RegionCapture>() {
+                    buf.key = ev.seq;
+                    buf.sub = 0;
                 }
-                self.step();
+                self.execute(ev);
             }
             self.flush_outbox(outbound, k);
         }
@@ -341,8 +378,9 @@ impl Simulator {
     /// Fold the finished regions back into `self`, reproducing exactly the
     /// state a serial run would have left: stats and counters sum (minus
     /// duplicated fault copies), per-direction link state comes from the
-    /// direction's owner, and captures interleave by their canonical
-    /// `(time, event key, intra-event index)` stamps.
+    /// direction's owner, and the regions' capture buffers replay into
+    /// `self`'s sink in canonical `(time, event key, intra-event index)`
+    /// order.
     fn merge_regions(
         &mut self,
         mut regions: Vec<Simulator>,
@@ -413,22 +451,18 @@ impl Simulator {
             self.topo.set_link_queue(l, spec.queue);
         }
 
-        // Captures merge into exact serial order: every record was stamped
-        // with (event canonical key, intra-event index), and live keys are
-        // unique per timestamp, so (time, key, sub) is a total order.
+        // Captures replay in exact serial order (see `RegionCapture`).
         let mut tagged: Vec<((SimTime, u64, u32), CaptureRecord)> = Vec::new();
         for sim in &mut regions {
-            let recs = std::mem::take(&mut sim.captures);
-            let ords = std::mem::take(&mut sim.capture_ord);
-            debug_assert_eq!(recs.len(), ords.len());
-            for (rec, (key, sub)) in recs.into_iter().zip(ords) {
-                tagged.push(((rec.time, key, sub), rec));
+            if let Some(buf) = sim.sink_mut::<RegionCapture>() {
+                tagged.append(&mut buf.records);
             }
         }
         tagged.sort_unstable_by_key(|entry| entry.0);
-        for ((_, key, sub), rec) in tagged {
-            self.captures.push(rec);
-            self.capture_ord.push((key, sub));
+        if let Some(sink) = self.sink.as_deref_mut() {
+            for (_, rec) in &tagged {
+                sink.record(rec);
+            }
         }
 
         // Logs merge chronologically (stable within a region; equal-time

@@ -96,6 +96,12 @@ impl EventLog {
         self.min_level
     }
 
+    /// Would a record at `level` pass the filter? Callers on hot paths
+    /// check this (or use [`EventLog::log_with`]) before building a message.
+    pub fn enabled(&self, level: LogLevel) -> bool {
+        level >= self.min_level
+    }
+
     /// Record a message if it passes the level filter.
     pub fn log(
         &mut self,
@@ -104,7 +110,20 @@ impl EventLog {
         component: &str,
         message: impl Into<String>,
     ) {
-        if level < self.min_level {
+        self.log_with(time, level, component, || message.into());
+    }
+
+    /// Like [`EventLog::log`], but the message is only built if the record
+    /// is kept: a filtered-out or over-capacity record never runs `message`,
+    /// so a `format!` on a per-packet path costs nothing at the default level.
+    pub fn log_with(
+        &mut self,
+        time: SimTime,
+        level: LogLevel,
+        component: &str,
+        message: impl FnOnce() -> String,
+    ) {
+        if !self.enabled(level) {
             return;
         }
         if let Some(cap) = self.capacity {
@@ -117,7 +136,7 @@ impl EventLog {
             time,
             level,
             component: component.to_string(),
-            message: message.into(),
+            message: message(),
         });
     }
 
@@ -179,6 +198,20 @@ mod tests {
         log.log(SimTime::ZERO, LogLevel::Info, "x", "kept");
         log.log(SimTime::ZERO, LogLevel::Warn, "x", "kept");
         assert_eq!(log.records().len(), 2);
+    }
+
+    #[test]
+    fn below_level_message_closure_is_never_invoked() {
+        let mut log = EventLog::new(LogLevel::Warn);
+        assert!(!log.enabled(LogLevel::Debug));
+        assert!(log.enabled(LogLevel::Warn));
+        log.log_with(SimTime::ZERO, LogLevel::Debug, "x", || {
+            unreachable!("a filtered-out record must not build its message")
+        });
+        assert!(log.records().is_empty());
+        log.log_with(SimTime::ZERO, LogLevel::Warn, "x", || "kept".to_string());
+        assert_eq!(log.records().len(), 1);
+        assert_eq!(log.records()[0].message, "kept");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   field of every record. Two runs are "the same" iff their hashes match;
 //!   a single reordered, altered or missing record changes the digest.
 //! * [`Invariant`] — a streaming check over the record sequence.
-//!   [`check_trace`] runs a set of invariants over a full capture and
-//!   returns every violation found.
+//!   [`crate::TraceSink`] feeds a suite record by record as the simulator
+//!   emits them; [`check_trace`] feeds it a buffered capture.
 //! * Built-ins: [`MonotonicTime`] (capture timestamps never go backwards),
 //!   [`UniqueDelivery`] (no packet id is delivered twice — queues and links
 //!   must not duplicate traffic), [`SaneSizes`] (a packet's virtual payload
@@ -24,7 +24,7 @@
 
 use netsim::{CaptureKind, CaptureRecord, Ecn, Protocol};
 use simbase::SimTime;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A violated invariant: which check failed, when, and why.
@@ -48,8 +48,11 @@ impl fmt::Display for InvariantViolation {
 /// A streaming check over a capture-record sequence.
 ///
 /// Implementations see every record once, in order, then get a final
-/// [`on_end`](Invariant::on_end) call for whole-trace conditions.
-pub trait Invariant {
+/// [`on_end`](Invariant::on_end) call for whole-trace conditions. `Send` and
+/// [`clone_box`](Invariant::clone_box) because a suite lives inside the
+/// simulator's capture sink, which moves with the simulator and is
+/// deep-copied by checkpoints.
+pub trait Invariant: Send {
     /// Stable identifier, used in violation reports.
     fn name(&self) -> &'static str;
 
@@ -60,12 +63,15 @@ pub trait Invariant {
     fn on_end(&mut self) -> Option<InvariantViolation> {
         None
     }
+
+    /// Deep-copy the check with its accumulated state.
+    fn clone_box(&self) -> Box<dyn Invariant>;
 }
 
 /// Capture timestamps must be non-decreasing: the simulator appends records
 /// as events execute, so a backwards step means the event loop itself ran
 /// out of order.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MonotonicTime {
     last: Option<SimTime>,
 }
@@ -90,14 +96,44 @@ impl Invariant for MonotonicTime {
         self.last = Some(self.last.map_or(rec.time, |p| p.max(rec.time)));
         out
     }
+
+    fn clone_box(&self) -> Box<dyn Invariant> {
+        Box::new(self.clone())
+    }
 }
 
 /// Each packet id is delivered at most once: links and queues may drop or
 /// delay packets but never clone them, so a duplicate delivery means the
 /// forwarding plane manufactured traffic.
-#[derive(Debug, Default)]
+///
+/// Packet ids are `(agent << 40) + n`, so the ids an agent's packets are
+/// delivered under are contiguous up to drops. The seen-set is therefore a
+/// coalescing interval set whose size is O(holes) — one interval per
+/// agent plus one per packet lost and not yet "filled in", not one entry
+/// per delivery.
+#[derive(Debug, Clone, Default)]
 pub struct UniqueDelivery {
-    seen: BTreeSet<u64>,
+    /// Disjoint, non-adjacent inclusive id intervals: `start → end`.
+    seen: BTreeMap<u64, u64>,
+}
+
+impl UniqueDelivery {
+    /// Add `id` to the set; false if it was already present.
+    fn insert(&mut self, id: u64) -> bool {
+        let below = self.seen.range(..=id).next_back().map(|(&s, &e)| (s, e));
+        if below.is_some_and(|(_, end)| id <= end) {
+            return false;
+        }
+        // Extend the interval ending just below `id`, or start a new one...
+        let start = match below {
+            Some((start, end)) if end.checked_add(1) == Some(id) => start,
+            _ => id,
+        };
+        // ...and swallow the interval starting just above it.
+        let above = id.checked_add(1).and_then(|next| self.seen.remove(&next));
+        self.seen.insert(start, above.unwrap_or(id));
+        true
+    }
 }
 
 impl Invariant for UniqueDelivery {
@@ -109,7 +145,7 @@ impl Invariant for UniqueDelivery {
         if rec.kind != CaptureKind::Delivered {
             return None;
         }
-        if self.seen.insert(rec.pkt.id) {
+        if self.insert(rec.pkt.id) {
             None
         } else {
             Some(InvariantViolation {
@@ -119,11 +155,15 @@ impl Invariant for UniqueDelivery {
             })
         }
     }
+
+    fn clone_box(&self) -> Box<dyn Invariant> {
+        Box::new(self.clone())
+    }
 }
 
 /// A packet's virtual payload length can never exceed its on-wire size:
 /// wire size = payload + headers, and headers are non-negative.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SaneSizes;
 
 impl Invariant for SaneSizes {
@@ -145,6 +185,10 @@ impl Invariant for SaneSizes {
             None
         }
     }
+
+    fn clone_box(&self) -> Box<dyn Invariant> {
+        Box::new(self.clone())
+    }
 }
 
 /// The default invariant suite for a full-capture trace.
@@ -156,6 +200,33 @@ pub fn default_invariants() -> Vec<Box<dyn Invariant>> {
     ]
 }
 
+/// Feed one record to every invariant, appending any violations to `out`.
+pub(crate) fn check_record(
+    // simlint: allow(panic-surface, reason = "a slice type in a signature, not an index expression")
+    invariants: &mut [Box<dyn Invariant>],
+    rec: &CaptureRecord,
+    out: &mut Vec<InvariantViolation>,
+) {
+    for inv in invariants.iter_mut() {
+        if let Some(v) = inv.on_record(rec) {
+            out.push(v);
+        }
+    }
+}
+
+/// Run every invariant's end-of-trace check, appending any violations.
+pub(crate) fn check_end(
+    // simlint: allow(panic-surface, reason = "a slice type in a signature, not an index expression")
+    invariants: &mut [Box<dyn Invariant>],
+    out: &mut Vec<InvariantViolation>,
+) {
+    for inv in invariants.iter_mut() {
+        if let Some(v) = inv.on_end() {
+            out.push(v);
+        }
+    }
+}
+
 /// Run `invariants` over `records` and collect every violation, in record
 /// order (end-of-trace findings last).
 pub fn check_trace(
@@ -164,17 +235,9 @@ pub fn check_trace(
 ) -> Vec<InvariantViolation> {
     let mut out = Vec::new();
     for rec in records {
-        for inv in invariants.iter_mut() {
-            if let Some(v) = inv.on_record(rec) {
-                out.push(v);
-            }
-        }
+        check_record(invariants, rec, &mut out);
     }
-    for inv in invariants.iter_mut() {
-        if let Some(v) = inv.on_end() {
-            out.push(v);
-        }
-    }
+    check_end(invariants, &mut out);
     out
 }
 
@@ -377,6 +440,51 @@ mod tests {
         assert_eq!(v[0].invariant, "unique-delivery");
     }
 
+    fn deliveries(ids: &[u64]) -> (Vec<bool>, UniqueDelivery) {
+        let mut inv = UniqueDelivery::default();
+        let fresh = ids
+            .iter()
+            .map(|&id| inv.on_record(&rec(1, CaptureKind::Delivered, id)).is_none())
+            .collect();
+        (fresh, inv)
+    }
+
+    #[test]
+    fn unique_delivery_in_order_ids_coalesce_to_one_interval() {
+        let (fresh, inv) = deliveries(&[10, 11, 12, 13]);
+        assert_eq!(fresh, [true; 4]);
+        assert_eq!(inv.seen.iter().collect::<Vec<_>>(), [(&10, &13)]);
+    }
+
+    #[test]
+    fn unique_delivery_out_of_order_ids_merge_when_the_hole_fills() {
+        let (fresh, inv) = deliveries(&[5, 7, 9, 8]);
+        assert_eq!(fresh, [true; 4]);
+        assert_eq!(inv.seen.iter().collect::<Vec<_>>(), [(&5, &5), (&7, &9)]);
+        let (fresh, inv) = deliveries(&[5, 7, 6]);
+        assert_eq!(fresh, [true; 3]);
+        assert_eq!(inv.seen.iter().collect::<Vec<_>>(), [(&5, &7)]);
+    }
+
+    #[test]
+    fn unique_delivery_flags_duplicate_inside_an_interval() {
+        let (fresh, inv) = deliveries(&[1, 2, 3, 4, 5, 3]);
+        assert_eq!(fresh, [true, true, true, true, true, false]);
+        assert_eq!(inv.seen.iter().collect::<Vec<_>>(), [(&1, &5)]);
+    }
+
+    #[test]
+    fn unique_delivery_flags_duplicate_at_an_interval_edge() {
+        let (fresh, _) = deliveries(&[4, 5, 6, 4, 6, 7, 3]);
+        assert_eq!(fresh, [true, true, true, false, false, true, true]);
+        let (fresh, inv) = deliveries(&[u64::MAX, u64::MAX - 1, u64::MAX, 0, 0]);
+        assert_eq!(fresh, [true, true, false, true, false]);
+        assert_eq!(
+            inv.seen.iter().collect::<Vec<_>>(),
+            [(&0, &0), (&(u64::MAX - 1), &u64::MAX)]
+        );
+    }
+
     #[test]
     fn sane_sizes_flags_payload_exceeding_wire() {
         let mut bad = rec(1, CaptureKind::Sent, 1);
@@ -394,5 +502,35 @@ mod tests {
             rec(3, CaptureKind::Delivered, 1),
         ];
         assert!(check_trace(&trace, &mut default_invariants()).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    proptest! {
+        /// The interval set gives the verdict a plain set of every delivered
+        /// id gives, delivery by delivery.
+        #[test]
+        fn interval_set_matches_btreeset_oracle(
+            ids in proptest::collection::vec((0u64..3, 0u64..40), 0..200)
+        ) {
+            let mut set = UniqueDelivery::default();
+            let mut oracle = BTreeSet::new();
+            for (agent, n) in ids {
+                let id = (agent << 40) + n;
+                prop_assert_eq!(set.insert(id), oracle.insert(id));
+            }
+            // Disjoint and non-adjacent: as coalesced as it can be.
+            let spans: Vec<(u64, u64)> = set.seen.iter().map(|(&s, &e)| (s, e)).collect();
+            for w in spans.windows(2) {
+                prop_assert!(w[0].1 + 1 < w[1].0);
+            }
+            let covered: u64 = spans.iter().map(|(s, e)| e - s + 1).sum();
+            prop_assert_eq!(covered, oracle.len() as u64);
+        }
     }
 }

@@ -11,6 +11,8 @@
 //!   reproductions render directly in the console).
 //! * [`invariant`] — trace-level invariant checks and the order-sensitive
 //!   trace hash behind the double-run determinism harness.
+//! * [`sink`] — the streaming capture sink that runs hash, invariants and
+//!   sampler on each record as the simulator emits it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,10 +21,12 @@ pub mod export;
 pub mod invariant;
 pub mod sampler;
 pub mod series;
+pub mod sink;
 pub mod summary;
 
 pub use export::{ascii_chart, to_csv, ChartOptions};
 pub use invariant::{check_trace, default_invariants, Invariant, InvariantViolation, TraceHasher};
-pub use sampler::{SamplerConfig, ThroughputSampler};
+pub use sampler::{SamplerConfig, TagBins, ThroughputSampler};
 pub use series::TimeSeries;
+pub use sink::TraceSink;
 pub use summary::{jain_fairness, ConvergenceReport};

@@ -51,56 +51,65 @@ impl SamplerConfig {
     }
 }
 
-/// Per-tag throughput series extracted from a capture.
+/// The streaming half of the sampler: per-tag byte counts per bin, fed one
+/// record at a time. Memory is O(tags × bins) however many packets pass.
 #[derive(Debug, Clone)]
-pub struct ThroughputSampler {
-    /// One series per tag, keyed by tag value, labelled `"tag N"`.
-    pub per_tag: BTreeMap<Tag, TimeSeries>,
-    /// Element-wise total across tags.
-    pub total: TimeSeries,
-    /// Packets counted.
-    pub packets: u64,
-    /// Wire bytes counted.
-    pub bytes: u64,
+pub struct TagBins {
+    cfg: SamplerConfig,
+    nbins: usize,
+    bytes_per_tag: BTreeMap<Tag, Vec<u64>>,
+    packets: u64,
+    bytes: u64,
 }
 
-impl ThroughputSampler {
-    /// Bin `records` according to `cfg`.
-    pub fn from_records(records: &[CaptureRecord], cfg: &SamplerConfig) -> Self {
+impl TagBins {
+    /// Empty bins for `cfg`, with every `ensure_tags` entry pre-seeded.
+    pub fn new(cfg: SamplerConfig) -> Self {
         let nbins = (cfg.horizon.as_nanos()).div_ceil(cfg.bin.as_nanos()).max(1) as usize;
-        let mut bytes_per_tag: BTreeMap<Tag, Vec<u64>> = BTreeMap::new();
-        for &tag in &cfg.ensure_tags {
-            bytes_per_tag
-                .entry(tag)
-                .or_insert_with(|| vec![0u64; nbins]);
+        let bytes_per_tag = cfg
+            .ensure_tags
+            .iter()
+            .map(|&tag| (tag, vec![0u64; nbins]))
+            .collect();
+        TagBins {
+            cfg,
+            nbins,
+            bytes_per_tag,
+            packets: 0,
+            bytes: 0,
         }
-        let mut packets = 0u64;
-        let mut bytes = 0u64;
+    }
 
-        for r in records {
-            if r.kind != CaptureKind::Delivered {
-                continue;
-            }
-            if let Some(node) = cfg.at_node {
-                if r.node != node {
-                    continue;
-                }
-            }
-            if cfg.data_only && r.pkt.data_len == 0 {
-                continue;
-            }
-            if r.time >= cfg.horizon {
-                continue;
-            }
-            let bin = (r.time.as_nanos() / cfg.bin.as_nanos()) as usize;
-            let entry = bytes_per_tag
-                .entry(r.pkt.tag)
-                .or_insert_with(|| vec![0u64; nbins]);
-            entry[bin] += r.pkt.wire_size as u64;
-            packets += 1;
-            bytes += r.pkt.wire_size as u64;
+    /// Count one record if it passes the configured filters.
+    pub fn record(&mut self, r: &CaptureRecord) {
+        let cfg = &self.cfg;
+        if r.kind != CaptureKind::Delivered
+            || cfg.at_node.is_some_and(|node| r.node != node)
+            || (cfg.data_only && r.pkt.data_len == 0)
+            || r.time >= cfg.horizon
+        {
+            return;
         }
+        let bin = (r.time.as_nanos() / cfg.bin.as_nanos()) as usize;
+        let entry = self
+            .bytes_per_tag
+            .entry(r.pkt.tag)
+            .or_insert_with(|| vec![0u64; self.nbins]);
+        entry[bin] += r.pkt.wire_size as u64;
+        self.packets += 1;
+        self.bytes += r.pkt.wire_size as u64;
+    }
 
+    /// Wire bytes counted for `tag` over the whole horizon.
+    pub fn tag_bytes(&self, tag: Tag) -> u64 {
+        self.bytes_per_tag
+            .get(&tag)
+            .map_or(0, |bins| bins.iter().sum())
+    }
+
+    /// Scale the byte counts to Mbps series.
+    pub fn finish(&self) -> ThroughputSampler {
+        let (cfg, nbins) = (&self.cfg, self.nbins);
         let bin_secs = cfg.bin.as_secs_f64();
         // When the horizon is not a whole number of bins, the final bin only
         // covers `horizon mod bin` of time. Dividing its bytes by the full
@@ -116,13 +125,14 @@ impl ThroughputSampler {
             let width = if i + 1 == nbins { last_secs } else { bin_secs };
             (b as f64) * 8.0 / width / 1e6
         };
-        let per_tag: BTreeMap<Tag, TimeSeries> = bytes_per_tag
-            .into_iter()
-            .map(|(tag, bins)| {
+        let per_tag: BTreeMap<Tag, TimeSeries> = self
+            .bytes_per_tag
+            .iter()
+            .map(|(&tag, bins)| {
                 let vals: Vec<f64> = bins
-                    .into_iter()
+                    .iter()
                     .enumerate()
-                    .map(|(i, b)| to_mbps(i, b))
+                    .map(|(i, &b)| to_mbps(i, b))
                     .collect();
                 (
                     tag,
@@ -141,9 +151,33 @@ impl ThroughputSampler {
         ThroughputSampler {
             per_tag,
             total,
-            packets,
-            bytes,
+            packets: self.packets,
+            bytes: self.bytes,
         }
+    }
+}
+
+/// Per-tag throughput series extracted from a capture.
+#[derive(Debug, Clone)]
+pub struct ThroughputSampler {
+    /// One series per tag, keyed by tag value, labelled `"tag N"`.
+    pub per_tag: BTreeMap<Tag, TimeSeries>,
+    /// Element-wise total across tags.
+    pub total: TimeSeries,
+    /// Packets counted.
+    pub packets: u64,
+    /// Wire bytes counted.
+    pub bytes: u64,
+}
+
+impl ThroughputSampler {
+    /// Bin a buffered capture according to `cfg`.
+    pub fn from_records(records: &[CaptureRecord], cfg: &SamplerConfig) -> Self {
+        let mut bins = TagBins::new(cfg.clone());
+        for r in records {
+            bins.record(r);
+        }
+        bins.finish()
     }
 
     /// The series for one tag, if present.

@@ -126,12 +126,10 @@ impl Agent for TcpSenderAgent {
         let seg = match TcpSegment::decode(&pkt.payload) {
             Ok(seg) => seg,
             Err(e) => {
-                ctx.log.log(
-                    ctx.now(),
-                    LogLevel::Warn,
-                    "tcp.sender",
-                    format!("bad segment: {e}"),
-                );
+                ctx.log
+                    .log_with(ctx.now(), LogLevel::Warn, "tcp.sender", || {
+                        format!("bad segment: {e}")
+                    });
                 return;
             }
         };
@@ -230,12 +228,10 @@ impl Agent for TcpReceiverAgent {
         let seg = match TcpSegment::decode(&pkt.payload) {
             Ok(seg) => seg,
             Err(e) => {
-                ctx.log.log(
-                    ctx.now(),
-                    LogLevel::Warn,
-                    "tcp.receiver",
-                    format!("bad segment: {e}"),
-                );
+                ctx.log
+                    .log_with(ctx.now(), LogLevel::Warn, "tcp.receiver", || {
+                        format!("bad segment: {e}")
+                    });
                 return;
             }
         };
