@@ -13,9 +13,8 @@
 //! `--smoke` runs a reduced scope (one fabric seed, a 30-connection
 //! traffic program, one mobility algorithm, one cross-check connection)
 //! with the same gates — ECMP overlap-class goodput ordering, max-disjoint
-//! structural contract, serial-vs-2-region trace-hash identity on both a
-//! fabric and a traffic cell, the fluid tolerance band — and exits. CI
-//! uses it as the fast worldgen sanity check.
+//! structural contract, the fluid tolerance band — and exits. CI uses it
+//! as the fast worldgen sanity check.
 
 use overlap_core::prelude::*;
 use overlap_core::worldexp::{verify_worldgen, worldgen_report};

@@ -12,8 +12,6 @@
 //!   table, plus sweeps used by the benchmark binaries.
 //! * [`randomnet`] — generalized overlapping topologies (every pair of
 //!   paths shares one bottleneck) for beyond-the-paper experiments.
-//! * [`bigchain`] — the dual router-chain network: a large, pinned,
-//!   shardable scenario for the parallel engine's region-scaling bench.
 //! * [`runner`] — the deterministic parallel sweep engine: declarative
 //!   cartesian-product specs fanned across a worker pool, results in spec
 //!   order, LP ground truth memoized.
@@ -51,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bigchain;
 pub mod determinism;
 pub mod experiments;
 pub mod failover;
@@ -64,7 +61,6 @@ pub mod scenario;
 pub mod store;
 pub mod worldexp;
 
-pub use bigchain::DualChainNet;
 pub use determinism::{assert_deterministic, compare_runs, double_run, DeterminismReport};
 pub use experiments::{
     fig2a, fig2b, fig2b_long, fig2c, results_table, results_table_with, results_table_with_store,
@@ -85,7 +81,7 @@ pub use runner::{
     execute_jobs, parallel_matches_serial, run_scenarios, run_scenarios_with_store, run_sweep,
     run_sweep_with_store, RunnerConfig, SweepCell, SweepOutcome, SweepSpec, TopologySpec,
 };
-pub use scenario::{CrossTraffic, QueueEngine, RunResult, Scenario, ScenarioCheckpoint};
+pub use scenario::{CrossTraffic, RunResult, Scenario, ScenarioCheckpoint};
 pub use store::{run_via_store, RunStore, StoreStats};
 pub use worldexp::{
     crosscheck_rows, render_worldgen, run_fabric, run_mobility, run_traffic, verify_worldgen,
@@ -113,7 +109,7 @@ pub mod prelude {
         parallel_matches_serial, run_scenarios, run_sweep, RunnerConfig, SweepCell, SweepOutcome,
         SweepSpec, TopologySpec,
     };
-    pub use crate::scenario::{CrossTraffic, QueueEngine, RunResult, Scenario, ScenarioCheckpoint};
+    pub use crate::scenario::{CrossTraffic, RunResult, Scenario, ScenarioCheckpoint};
     pub use crate::store::{run_via_store, RunStore, StoreStats};
     pub use crate::worldexp::{
         run_fabric, run_mobility, run_traffic, worldgen_report, worldgen_table_document,

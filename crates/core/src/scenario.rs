@@ -58,31 +58,6 @@ pub struct Scenario {
     /// topology). Installed into the simulator's event queue, so a faulted
     /// run is exactly as deterministic as an unfaulted one.
     pub faults: FaultSchedule,
-    /// Event-queue backend. Results are engine-independent by contract
-    /// (trace hashes must match; see `engine_diff` tests and `bench_sim`).
-    pub engine: QueueEngine,
-    /// Parallel regions to shard the simulation across (1 = serial, the
-    /// default). Results are region-count-independent by contract: the
-    /// conservative engine produces byte-identical traces for any count
-    /// (see the `parallel_regions` tests and `bench_sim`).
-    pub regions: usize,
-    /// Explicit node→region map, overriding `regions` and the greedy
-    /// partitioner — for experiments that force a particular cut (e.g.
-    /// through a shared bottleneck). `None` (the default) partitions
-    /// greedily when `regions > 1`.
-    pub region_map: Option<Vec<u32>>,
-}
-
-/// Which event-queue backend executes the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueEngine {
-    /// The hierarchical timing wheel — the production engine.
-    #[default]
-    Wheel,
-    /// The original binary-heap reference, kept for differential testing
-    /// and benchmarking (needs the `ref-heap` cargo feature).
-    #[cfg(feature = "ref-heap")]
-    RefHeap,
 }
 
 /// A constant-bit-rate background flow between two agent-free nodes.
@@ -119,9 +94,6 @@ impl Scenario {
             forward_jitter: SimDuration::from_micros(20),
             background: Vec::new(),
             faults: FaultSchedule::new(),
-            engine: QueueEngine::default(),
-            regions: 1,
-            region_map: None,
         }
     }
 
@@ -134,19 +106,6 @@ impl Scenario {
     /// Builder-style override of the congestion-control algorithm.
     pub fn with_algo(mut self, algo: CcAlgo) -> Self {
         self.algo = algo;
-        self
-    }
-
-    /// Builder-style override of the parallel region count.
-    pub fn with_regions(mut self, regions: usize) -> Self {
-        self.regions = regions;
-        self
-    }
-
-    /// Builder-style override of the node→region map (see
-    /// [`Scenario::region_map`]).
-    pub fn with_region_map(mut self, map: Vec<u32>) -> Self {
-        self.region_map = Some(map);
         self
     }
 
@@ -183,14 +142,7 @@ impl Scenario {
     pub fn run_with_lp_cache(&self, lp_cache: Option<&lpsolve::LpCache>) -> RunResult {
         let lp = self.solve_lp(lp_cache);
         let mut built = self.build_sim();
-        let end = SimTime::ZERO + self.duration;
-        if let Some(map) = &self.region_map {
-            built.sim.run_parallel_with_map(end, map);
-        } else if self.regions > 1 {
-            built.sim.run_parallel(end, self.regions);
-        } else {
-            built.sim.run_until(end);
-        }
+        built.sim.run_until(SimTime::ZERO + self.duration);
         self.collect(built, lp)
     }
 
@@ -204,17 +156,11 @@ impl Scenario {
     ///
     /// The base scenario must not schedule faults of its own (branch faults
     /// carry the same queue keys a cold run would assign, which requires
-    /// the prefix's fault counter to be untouched) and must be serial
-    /// (`regions == 1`, no region map): partitioned regions cannot
-    /// checkpoint.
+    /// the prefix's fault counter to be untouched).
     pub fn checkpoint_at(&self, t: SimTime) -> ScenarioCheckpoint {
         assert!(
             self.faults.is_empty(),
             "checkpoint base scenario must not schedule faults; pass them to branch_run"
-        );
-        assert!(
-            self.regions == 1 && self.region_map.is_none(),
-            "checkpointing requires the serial engine"
         );
         assert!(
             t <= SimTime::ZERO + self.duration,
@@ -272,11 +218,6 @@ impl Scenario {
             .collect();
 
         let mut sim = Simulator::new(self.topology.clone(), routing, self.seed);
-        match self.engine {
-            QueueEngine::Wheel => {}
-            #[cfg(feature = "ref-heap")]
-            QueueEngine::RefHeap => sim.use_reference_heap(),
-        }
         // The measurement path streams: each capture record is hashed,
         // checked and binned per tag (the tshark step) as it is emitted,
         // so a run holds O(bins) of capture state, not O(packets). Every

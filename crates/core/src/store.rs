@@ -6,9 +6,9 @@
 //! the result changed. [`RunStore`] closes that loop: each [`Scenario`] is
 //! reduced to a canonical 64-bit [digest](Scenario::digest) over every
 //! input that can influence its [`RunResult`] (topology, paths, algorithm,
-//! seeds, fault schedule, engine configuration — the same "key pins every
-//! input" discipline as [`lpsolve::LpCache`]), and finished results are
-//! persisted under that digest. A warm store answers a repeat run without
+//! seeds, fault schedule — the same "key pins every input" discipline as
+//! [`lpsolve::LpCache`]), and finished results are persisted under that
+//! digest. A warm store answers a repeat run without
 //! simulating *or* solving the LP, and — because a run is a pure function
 //! of its scenario — a hit is byte-identical to what a cold run would have
 //! produced, trace hash included.
@@ -25,7 +25,7 @@
 //! [`RunStore::from_env`] resolves. Library tests and the determinism
 //! harness run storeless.
 
-use crate::scenario::{QueueEngine, RunResult, Scenario};
+use crate::scenario::{RunResult, Scenario};
 use lpsolve::{LinearProgram, LpCache, MaxThroughput, Sense};
 use mptcpsim::{CcAlgo, SchedulerKind};
 use netsim::{FaultAction, LinkId, QueueConfig};
@@ -40,8 +40,9 @@ use tcpsim::{AppSource, SenderStats};
 
 /// Version folded into every digest. Bump whenever the canonical encoding
 /// below changes meaning, so digests from older encodings can never alias
-/// new ones.
-pub const DIGEST_VERSION: u32 = 1;
+/// new ones. v2: the engine, region-count and region-map fields are gone
+/// from [`Scenario`] and from the encoding.
+pub const DIGEST_VERSION: u32 = 2;
 
 /// On-disk record format version. Bump on any codec change; records with
 /// another version are ignored (a miss), not migrated.
@@ -172,7 +173,7 @@ impl Scenario {
     /// topology (nodes, link capacities/delays/losses/queues), paths,
     /// default path, congestion control, scheduler, timing, seed,
     /// application model, SACK/ECN flags, convergence parameters, jitter,
-    /// cross traffic, fault schedule, and engine/region configuration.
+    /// cross traffic, and fault schedule.
     ///
     /// Two scenarios with equal digests run identically (a run is a pure
     /// function of these inputs), which is what lets [`RunStore`] answer a
@@ -257,23 +258,6 @@ impl Scenario {
         for (at, action) in self.faults.entries() {
             h.time(*at);
             h.fault(action);
-        }
-
-        h.u8(match self.engine {
-            QueueEngine::Wheel => 0,
-            #[cfg(feature = "ref-heap")]
-            QueueEngine::RefHeap => 1,
-        });
-        h.u64(self.regions as u64);
-        match &self.region_map {
-            None => h.u8(0),
-            Some(map) => {
-                h.u8(1);
-                h.u64(map.len() as u64);
-                for &r in map {
-                    h.u32(r);
-                }
-            }
         }
 
         h.finish()
@@ -1086,6 +1070,25 @@ mod tests {
         assert_eq!(reopened.len(), 1);
         let hit = reopened.get(digest).expect("hit after reopen");
         assert_results_identical(&result, &hit);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn record_under_a_v1_key_is_a_miss_not_an_error() {
+        // `paper_scenario().digest()` as `DIGEST_VERSION` 1 computed it.
+        const V1_KEY: u64 = 0xcd9d_5cfc_41f9_c615;
+        let store = tmp_store("v1-key");
+        let scenario = paper_scenario();
+        assert_ne!(scenario.digest(), V1_KEY, "the version feeds the digest");
+        let result = scenario.run();
+        store.put(V1_KEY, &result).expect("put");
+
+        // Nothing asks for the old key any more: the run simulates, lands
+        // under its v2 key, and the stale record just sits there.
+        let rerun = run_via_store(&scenario, Some(&store), None);
+        assert_eq!((store.stats().hits, store.stats().misses), (0, 1));
+        assert_eq!(store.len(), 2);
+        assert_results_identical(&result, &rerun);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

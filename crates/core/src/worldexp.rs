@@ -28,7 +28,7 @@
 //! worker pool ([`crate::runner::execute_jobs`]), [`render_worldgen`]
 //! turns it into the checked-in `results/worldgen_table.txt`, and
 //! [`verify_worldgen`] asserts the acceptance gates (overlap ordering,
-//! serial-vs-region trace-hash identity, fluid band).
+//! fluid band).
 
 use crate::fluidcheck::fluid_config;
 use crate::runner::{execute_jobs, RunnerConfig};
@@ -88,13 +88,11 @@ pub struct FabricCell {
     pub algo: CcAlgo,
     /// Run length.
     pub duration: SimDuration,
-    /// Conservative-parallel regions (`1` = serial reference).
-    pub regions: usize,
 }
 
 impl FabricCell {
     /// The table's default cell: k=4, 8 connections (every host busy),
-    /// LIA, 400 ms, serial.
+    /// LIA, 400 ms.
     pub fn table(seed: u64, selector: SubflowSelector) -> FabricCell {
         FabricCell {
             k: 4,
@@ -103,7 +101,6 @@ impl FabricCell {
             selector,
             algo: CcAlgo::Lia,
             duration: SimDuration::from_millis(400),
-            regions: 1,
         }
     }
 }
@@ -226,9 +223,7 @@ fn streamed(sim: &Simulator) -> &TraceSink {
 
 /// Execute one fabric cell: build the tree, place every connection's
 /// subflows, pin them with tag routes, run all connections concurrently,
-/// and read back per-connection goodput. Pure function of the cell —
-/// and, by the conservative engine's contract, of the cell *minus*
-/// `regions` (see [`verify_worldgen`]).
+/// and read back per-connection goodput. Pure function of the cell.
 pub fn run_fabric(cell: &FabricCell) -> FabricRun {
     // simlint: allow(panic-surface, reason = "cell validation before any simulation work")
     assert!(
@@ -291,12 +286,7 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
         ));
     }
 
-    let end = SimTime::ZERO + cell.duration;
-    if cell.regions > 1 {
-        sim.run_parallel(end, cell.regions);
-    } else {
-        sim.run_until(end);
-    }
+    sim.run_until(SimTime::ZERO + cell.duration);
 
     let secs = cell.duration.as_secs_f64();
     let conns = placements
@@ -345,13 +335,11 @@ pub struct TrafficCell {
     pub arrival_rate_hz: f64,
     /// Run length (arrivals beyond it simply never complete much).
     pub duration: SimDuration,
-    /// Conservative-parallel regions (`1` = serial reference).
-    pub regions: usize,
 }
 
 impl TrafficCell {
     /// The table's default cell: 100 pairs arriving at 200/s over a 2-relay
-    /// substrate, LIA, 1 s, serial.
+    /// substrate, LIA, 1 s.
     pub fn table(pairs: usize, seed: u64) -> TrafficCell {
         TrafficCell {
             pairs,
@@ -359,7 +347,6 @@ impl TrafficCell {
             algo: CcAlgo::Lia,
             arrival_rate_hz: 200.0,
             duration: SimDuration::from_secs(1),
-            regions: 1,
         }
     }
 }
@@ -446,11 +433,7 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         ));
     }
 
-    if cell.regions > 1 {
-        sim.run_parallel(end, cell.regions);
-    } else {
-        sim.run_until(end);
-    }
+    sim.run_until(end);
 
     let mut delivered = 0u64;
     let mut finished = 0usize;
@@ -648,8 +631,6 @@ pub struct WorldgenConfig {
     pub crosscheck_conns: usize,
     /// Packet-side duration of each cross-check run.
     pub crosscheck_duration: SimDuration,
-    /// Region count for the serial-vs-parallel identity gate.
-    pub identity_regions: usize,
 }
 
 impl WorldgenConfig {
@@ -661,7 +642,6 @@ impl WorldgenConfig {
             mobility_algos: vec![CcAlgo::Lia, CcAlgo::Olia],
             crosscheck_conns: 3,
             crosscheck_duration: SimDuration::from_secs(2),
-            identity_regions: 2,
         }
     }
 
@@ -674,7 +654,6 @@ impl WorldgenConfig {
             mobility_algos: vec![CcAlgo::Lia],
             crosscheck_conns: 1,
             crosscheck_duration: SimDuration::from_secs(1),
-            identity_regions: 2,
         }
     }
 }
@@ -693,8 +672,6 @@ pub struct WorldgenReport {
     pub mobility: Vec<MobilityRun>,
     /// Fluid cross-check rows.
     pub crosscheck: Vec<WorldCrossRow>,
-    /// `(label, serial hash, parallel hash)` identity gates.
-    pub identity: Vec<(String, u64, u64)>,
 }
 
 impl WorldgenReport {
@@ -726,8 +703,7 @@ impl WorldgenReport {
 
 /// Run the full batch on the sweep runner's worker pool. Every job is a
 /// pure function of its cell, so the fan-out inherits the runner's
-/// worker-count independence; the identity gates additionally re-run two
-/// cells under the conservative parallel engine and record both hashes.
+/// worker-count independence.
 pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> WorldgenReport {
     let fabric_cells: Vec<FabricCell> = wcfg
         .fabric_seeds
@@ -745,34 +721,21 @@ pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> Worldgen
         .map(|&pairs| TrafficCell::table(pairs, 1))
         .collect();
 
-    // One flat job list → one pool pass: fabric cells, then fabric
-    // identity re-runs (parallel engine), then traffic, then traffic
-    // identity, then mobility. Results are reassembled by index below.
+    // One flat job list → one pool pass: fabric cells, then traffic, then
+    // mobility. Results come back in job order and are split by kind below.
     #[derive(Debug)]
     enum JobResult {
         Fabric(Box<FabricRun>),
         Traffic(Box<TrafficRun>),
         Mobility(Box<MobilityRun>),
     }
-    let identity_fabric = FabricCell {
-        regions: wcfg.identity_regions,
-        // simlint: allow(panic-surface, reason = "WorldgenConfig always carries at least one fabric seed")
-        ..fabric_cells[0].clone()
-    };
-    let identity_traffic = TrafficCell {
-        regions: wcfg.identity_regions,
-        // simlint: allow(panic-surface, reason = "WorldgenConfig always carries at least one traffic population")
-        ..traffic_cells[0].clone()
-    };
     enum Job<'a> {
         Fabric(&'a FabricCell),
         Traffic(&'a TrafficCell),
         Mobility(CcAlgo),
     }
     let mut jobs: Vec<Job> = fabric_cells.iter().map(Job::Fabric).collect();
-    jobs.push(Job::Fabric(&identity_fabric));
     jobs.extend(traffic_cells.iter().map(Job::Traffic));
-    jobs.push(Job::Traffic(&identity_traffic));
     jobs.extend(wcfg.mobility_algos.iter().map(|&a| Job::Mobility(a)));
 
     let workers = runner.effective_workers(jobs.len());
@@ -793,31 +756,6 @@ pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> Worldgen
             JobResult::Mobility(run) => mobility.push(*run),
         }
     }
-    // Split off the identity re-runs (they were appended after their
-    // serial counterparts).
-    let fabric_parallel = fabric.remove(fabric_cells.len());
-    let traffic_parallel = traffic.remove(traffic_cells.len());
-    let identity = vec![
-        (
-            format!(
-                "fabric k={} seed={} serial vs {} regions",
-                identity_fabric.k, identity_fabric.seed, identity_fabric.regions
-            ),
-            // simlint: allow(panic-surface, reason = "one serial run per fabric cell remains after the identity split")
-            fabric[0].trace_hash,
-            fabric_parallel.trace_hash,
-        ),
-        (
-            format!(
-                "traffic pairs={} serial vs {} regions",
-                identity_traffic.pairs, identity_traffic.regions
-            ),
-            // simlint: allow(panic-surface, reason = "one serial run per traffic cell remains after the identity split")
-            traffic[0].trace_hash,
-            traffic_parallel.trace_hash,
-        ),
-    ];
-
     let crosscheck = crosscheck_rows(
         wcfg.fabric_seeds.start,
         wcfg.crosscheck_conns,
@@ -830,19 +768,16 @@ pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> Worldgen
         traffic,
         mobility,
         crosscheck,
-        identity,
     }
 }
 
 /// Assert the acceptance gates on a report:
 ///
-/// 1. Serial and region-parallel executions produced identical trace
-///    hashes (both gates).
-/// 2. Pooled over the ECMP cells, disjoint-class connections achieved at
+/// 1. Pooled over the ECMP cells, disjoint-class connections achieved at
 ///    least the goodput of identical-class connections — overlap costs,
 ///    never pays (partial sits between, not asserted: with two samples per
 ///    seed it is noisy).
-/// 3. The max-disjoint selector's structural contract: no connection in a
+/// 2. The max-disjoint selector's structural contract: no connection in a
 ///    max-disjoint cell has partially-overlapping subflows (every pair is
 ///    either fully fabric-disjoint or — on a same-edge host pair with a
 ///    single route — identical). Whether max-disjoint *wins* is a finding
@@ -850,13 +785,9 @@ pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> Worldgen
 ///    occupancy, ECMP's global randomization spreads the fleet over more
 ///    (aggregation, core) combinations than greedy per-connection
 ///    disjointness does, and wins on both aggregate and fairness here.
-/// 4. Every fluid cross-check ratio lies inside [`FLUID_BAND`].
-/// 5. Mobility goodput is positive and below the fault-free baseline.
+/// 3. Every fluid cross-check ratio lies inside [`FLUID_BAND`].
+/// 4. Mobility goodput is positive and below the fault-free baseline.
 pub fn verify_worldgen(report: &WorldgenReport) {
-    for (label, serial, parallel) in &report.identity {
-        // simlint: allow(panic-surface, reason = "acceptance gate; aborting with the failing cell named is the contract")
-        assert_eq!(serial, parallel, "{label}: trace hashes must be identical");
-    }
     let (n_dis, dis) = report.ecmp_bucket(0);
     let (n_idn, idn) = report.ecmp_bucket(2);
     if n_dis > 0 && n_idn > 0 {
@@ -1052,12 +983,22 @@ pub fn render_worldgen(report: &WorldgenReport) -> String {
     }
     let _ = writeln!(w);
 
+    // Absolute trace hashes of the first fabric and traffic cells: ci.sh
+    // byte-compares the checked-in table, so any change to packet-level
+    // behaviour on either substrate shows up as a diff in these two lines.
     let _ = writeln!(w, "S5  Determinism gates");
-    for (label, serial, parallel) in &report.identity {
+    if let Some(r) = report.fabric.first() {
         let _ = writeln!(
             w,
-            "    {label}: {serial:#018x} vs {parallel:#018x}: {}",
-            verdict(serial == parallel)
+            "    fabric k={} seed={} trace hash {:#018x}",
+            r.cell.k, r.cell.seed, r.trace_hash
+        );
+    }
+    if let Some(r) = report.traffic.first() {
+        let _ = writeln!(
+            w,
+            "    traffic pairs={} trace hash {:#018x}",
+            r.cell.pairs, r.trace_hash
         );
     }
     out
@@ -1125,18 +1066,6 @@ mod tests {
         // ECMP by chance places some subflow pairs on shared fabric links;
         // across the whole cell that shows up as nonzero overlap classes.
         assert!(e.conns.iter().any(|c| class_bucket(&c.class) > 0));
-    }
-
-    #[test]
-    fn fabric_serial_matches_two_regions() {
-        let cell = FabricCell {
-            duration: SimDuration::from_millis(150),
-            ..FabricCell::table(1, SubflowSelector::Ecmp)
-        };
-        let serial = run_fabric(&cell);
-        let parallel = run_fabric(&FabricCell { regions: 2, ..cell });
-        assert_eq!(serial.trace_hash, parallel.trace_hash);
-        assert_eq!(serial.events, parallel.events);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!
 //! Architecturally each subflow owns a [`CoupledCc`] implementing
 //! `tcpsim::CongestionControl`; the coupled algorithms read their siblings'
-//! windows and RTTs through a shared [`CoupleState`] (an `Arc<Mutex<_>>`, so
-//! a connection's subflows stay coupled when the simulator shards a run
-//! across region threads; the lock is only ever contended by subflows of
-//! one agent, which live on one thread). Slow start, loss response, and RTO
+//! windows and RTTs through a shared [`CoupleState`] (an `Arc<Mutex<_>>`
+//! because `netsim::Agent` is `Send`; the lock is only ever taken by
+//! subflows of one agent, which live on one thread, so it is never
+//! contended). Slow start, loss response, and RTO
 //! handling are per-subflow and standard (as in the Linux MPTCP
 //! implementation); only the congestion-avoidance *increase* is coupled.
 

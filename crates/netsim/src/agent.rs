@@ -25,8 +25,8 @@ impl fmt::Debug for AgentId {
 
 /// An endpoint protocol stack attached to a node.
 ///
-/// `Send` because a partitioned run moves each agent (whole) onto its
-/// region's worker thread; agents are never shared between threads.
+/// `Send` so that a whole [`crate::Simulator`], or a snapshot of one, can
+/// move to a worker thread; agents are never shared between threads.
 pub trait Agent: Send {
     /// Called once at the agent's configured start time.
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -93,7 +93,7 @@ pub struct Ctx<'a> {
     /// Deterministic RNG stream. The simulator hands each agent its own
     /// stream (derived from the run seed and the agent id), so an agent's
     /// draws depend only on its own call sequence — never on how agent
-    /// callbacks interleave across the network or across regions.
+    /// callbacks interleave across the network.
     pub rng: &'a mut Xoshiro256StarStar,
     /// The simulation-wide event log.
     pub log: &'a mut EventLog,

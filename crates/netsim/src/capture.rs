@@ -58,9 +58,8 @@ pub struct CaptureRecord {
 /// Where capture records go.
 ///
 /// The simulator hands every record that passes its [`CaptureConfig`] to the
-/// one installed sink, exactly once and in canonical emission order (the
-/// order a serial run executes events in — a partitioned run replays its
-/// merged stream, so the sink cannot tell the difference). The sink is part
+/// one installed sink, exactly once and in the order the run executes
+/// events, which is canonical `(time, key)` order. The sink is part
 /// of the simulator's deterministic state: [`crate::Simulator::checkpoint`]
 /// and [`crate::Simulator::restore`] deep-copy it through
 /// [`CaptureSink::clone_sink`]. A sink only observes; nothing it computes

@@ -28,7 +28,6 @@ pub mod agent;
 pub mod capture;
 pub mod faults;
 pub mod packet;
-pub mod partition;
 pub mod paths;
 pub mod payload;
 pub mod queue;
@@ -42,7 +41,6 @@ pub use agent::{Agent, AgentId, Ctx, Effect};
 pub use capture::{BufferSink, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
 pub use faults::{FaultAction, FaultSchedule};
 pub use packet::{Dir, Ecn, LinkId, NodeId, Packet, PacketMeta, Protocol, Tag, IP_HEADER_BYTES};
-pub use partition::{partition_from_map, partition_topology, static_delay_floors, Partition};
 pub use paths::{
     all_simple_paths, k_shortest_paths, shortest_path, Path, PathError, SharingAnalysis,
 };

@@ -22,8 +22,9 @@
 //! stream (one per link direction, one per agent) rather than a global
 //! generator. Both choices make the execution a pure function of the event
 //! set — independent of the order events happened to be scheduled in — which
-//! is what lets [`Simulator::run_parallel`] shard a run across regions and
-//! still produce a byte-identical trace.
+//! is what lets a branch install its faults after [`Simulator::restore`]
+//! (late, where a cold run pushed them at build time) and still replay the
+//! cold run byte for byte.
 
 use crate::agent::{Agent, AgentId, Ctx, Effect};
 use crate::capture::{BufferSink, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
@@ -38,8 +39,6 @@ use simbase::{
     Xoshiro256StarStar,
 };
 use std::any::Any;
-
-mod parallel;
 
 /// Canonical event-ordering keys.
 ///
@@ -151,8 +150,7 @@ const STREAM_DIR: u64 = 2 << 32;
 
 /// Per-agent packet ids live in the upper bits: agent `a`'s packets are
 /// `(a << PACKET_ID_SHIFT) + n`. 2^40 packets per agent is unreachable in
-/// practice, and the namespacing keeps ids identical however a run is
-/// partitioned.
+/// practice, and the namespacing makes an id a function of its sender alone.
 const PACKET_ID_SHIFT: u32 = 40;
 
 /// The packet-level network simulator.
@@ -188,9 +186,7 @@ pub struct Simulator {
     stats: SimStats,
     link_stats: Vec<[LinkDirStats; 2]>,
     /// Packets currently inside the network (queued, serializing, flying).
-    /// Signed: a region of a partitioned run can deliver more packets than
-    /// it sourced; only the sum over regions must be non-negative.
-    in_flight: i64,
+    in_flight: u64,
     /// Pending timers per agent: `(agent token, queue cancellation token)`
     /// pairs, linear-scanned (an agent arms a handful of timers at most).
     /// Arming an already-armed `(agent, token)` cancels the old deadline
@@ -209,19 +205,6 @@ pub struct Simulator {
     /// propagation leg (models kernel/switch processing noise; zero by
     /// default so timing tests stay exact).
     forward_jitter: SimDuration,
-    /// Adjustments folded in by a parallel run's merge step: region queues
-    /// did the real scheduling, and duplicated fault copies must not be
-    /// double-counted. Zero on the serial path.
-    extra_scheduled: i64,
-    extra_cancelled: u64,
-    /// This simulator's region id in a partitioned run (0 when serial).
-    region: u32,
-    /// Region of every node when running as one region of a partitioned
-    /// simulation; `None` on the (default) serial path.
-    node_region: Option<Vec<u32>>,
-    /// Cross-region arrivals produced this window, one buffer per peer
-    /// region (empty and unused when serial).
-    outbox: Vec<Vec<parallel::RegionMsg>>,
 }
 
 impl Simulator {
@@ -291,11 +274,6 @@ impl Simulator {
             wire_free: Vec::new(),
             effect_bufs: Vec::new(),
             forward_jitter: SimDuration::ZERO,
-            extra_scheduled: 0,
-            extra_cancelled: 0,
-            region: 0,
-            node_region: None,
-            outbox: Vec::new(),
         }
         .with_link_stats(link_stats)
     }
@@ -358,7 +336,12 @@ impl Simulator {
         self.agents.push(Some(agent));
         self.agent_node.push(node);
         self.timer_keys.push(Vec::new());
-        self.push_agent_tables(id);
+        self.agent_rngs
+            .push(Xoshiro256StarStar::new(SplitMix64::derive(
+                self.seed,
+                STREAM_AGENT | id.0 as u64,
+            )));
+        self.agent_packet_seq.push((id.0 as u64) << PACKET_ID_SHIFT);
         self.node_agent[node.0 as usize] = Some(id);
         self.events.push_keyed(
             start,
@@ -366,17 +349,6 @@ impl Simulator {
             Event::StartAgent(id),
         );
         id
-    }
-
-    /// Derive agent `id`'s RNG stream and packet-id namespace (shared by
-    /// `add_agent` and region construction, which must agree exactly).
-    fn push_agent_tables(&mut self, id: AgentId) {
-        self.agent_rngs
-            .push(Xoshiro256StarStar::new(SplitMix64::derive(
-                self.seed,
-                STREAM_AGENT | id.0 as u64,
-            )));
-        self.agent_packet_seq.push((id.0 as u64) << PACKET_ID_SHIFT);
     }
 
     /// Current simulated time.
@@ -452,33 +424,18 @@ impl Simulator {
 
     /// Packets currently inside the network.
     pub fn packets_in_flight(&self) -> u64 {
-        // simlint: allow(unwrap, reason = "a negative global in-flight count is a conservation bug; fail loudly")
-        u64::try_from(self.in_flight).expect("negative in-flight packet count")
+        self.in_flight
     }
 
     /// Events scheduled over the run and not cancelled (the live share).
     pub fn events_scheduled(&self) -> u64 {
-        let n = self.events.total_pushed() as i64 + self.extra_scheduled;
-        debug_assert!(n >= 0, "negative scheduled-event count after merge");
-        n.max(0) as u64
+        self.events.total_pushed()
     }
 
     /// Events cancelled before firing — the dead-event count the old lazy
     /// timer guards would have popped and ignored.
     pub fn events_cancelled(&self) -> u64 {
-        self.events.total_cancelled() + self.extra_cancelled
-    }
-
-    /// Swap the event queue for the original binary-heap reference backend
-    /// (differential testing / benchmarking). Must be called before any
-    /// agents or faults are scheduled.
-    #[cfg(feature = "ref-heap")]
-    pub fn use_reference_heap(&mut self) {
-        assert!(
-            self.events.is_empty(),
-            "backend switch after events were scheduled"
-        );
-        self.events = EventQueue::new_reference_heap();
+        self.events.total_cancelled()
     }
 
     /// Borrow an agent back out of the simulator (after a run) to inspect
@@ -500,15 +457,7 @@ impl Simulator {
     /// execution is a pure function of that state (see the module docs on schedule-independent ordering), a restored
     /// simulator replays the identical event sequence — trace hashes of a
     /// branched continuation match a cold run byte-for-byte.
-    ///
-    /// Only the serial path can checkpoint: panics if this simulator is a
-    /// region of a partitioned run (checkpoint before `run_parallel`, or
-    /// use the serial engine for the prefix).
     pub fn checkpoint(&self) -> SimSnapshot {
-        assert!(
-            self.node_region.is_none() && self.outbox.iter().all(Vec::is_empty),
-            "checkpoint of a partitioned region is not supported"
-        );
         SimSnapshot {
             version: SNAPSHOT_VERSION,
             sim: self.deep_clone(),
@@ -567,11 +516,6 @@ impl Simulator {
             // Scratch buffers are always empty between events.
             effect_bufs: Vec::new(),
             forward_jitter: self.forward_jitter,
-            extra_scheduled: self.extra_scheduled,
-            extra_cancelled: self.extra_cancelled,
-            region: self.region,
-            node_region: None,
-            outbox: Vec::new(),
         }
     }
 
@@ -650,7 +594,7 @@ impl Simulator {
     #[cfg(feature = "check")]
     fn check_conservation(&self) {
         assert!(
-            self.in_flight >= 0 && self.stats.conserved(self.in_flight as u64),
+            self.stats.conserved(self.in_flight),
             "packet conservation violated: sent={} delivered={} dropped={} unroutable={} in_flight={}",
             self.stats.packets_sent,
             self.stats.packets_delivered,
@@ -1009,10 +953,6 @@ impl Simulator {
         let delay = spec.delay;
         let capacity = spec.capacity;
         let loss_rate = spec.loss_rate;
-        let far_end = match dir {
-            Dir::AtoB => spec.b,
-            Dir::BtoA => spec.a,
-        };
         let state = &mut self.links[link.0 as usize].dirs[dir.index()]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and every per-link table holds exactly two directions")
                                                                         // A link-down event may have aborted the serialization this event
                                                                         // belongs to: the abort bumped the direction's epoch, so a stale
@@ -1042,32 +982,16 @@ impl Simulator {
             let seq = &mut self.arrive_seq[link.0 as usize][dir.index()]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and every per-link table holds exactly two directions")
             let key = order::pack(order::CLASS_ARRIVE, order::dir_entity(link, dir), *seq);
             *seq += 1;
-            let at = self.now + delay + jitter;
-            match self.peer_region(far_end) {
-                None => {
-                    let wire_slot = self.wire_put(pkt);
-                    self.events.push_keyed(
-                        at,
-                        key,
-                        Event::Arrive {
-                            link,
-                            dir,
-                            wire_slot,
-                        },
-                    );
-                }
-                // The far end lives in another region: hand the arrival
-                // off; it lands in the owner's queue under the same
-                // (time, key) it would have had here.
-                // simlint: allow(panic-surface, reason = "peer_region returns a region id below the partition's count, and the outbox has one slot per region")
-                Some(peer) => self.outbox[peer as usize].push(parallel::RegionMsg::Arrive {
-                    time: at,
-                    key,
+            let wire_slot = self.wire_put(pkt);
+            self.events.push_keyed(
+                self.now + delay + jitter,
+                key,
+                Event::Arrive {
                     link,
                     dir,
-                    pkt: Box::new(pkt),
-                }),
-            }
+                    wire_slot,
+                },
+            );
         }
 
         // Start the next packet, if any (the AQM may head-drop on the way).
@@ -1085,14 +1009,6 @@ impl Simulator {
             state.transmitting = Some((next, tx_time));
             self.push_tx_done(link, dir, epoch, self.now + tx_time);
         }
-    }
-
-    /// If `node` belongs to another region of a partitioned run, its
-    /// region id; `None` when `node` is ours (always, on the serial path).
-    fn peer_region(&self, node: NodeId) -> Option<u32> {
-        let map = self.node_region.as_ref()?;
-        let r = map[node.0 as usize]; // simlint: allow(panic-surface, reason = "the region map is built with one entry per topology node")
-        (r != self.region).then_some(r)
     }
 
     fn record(&mut self, node: NodeId, kind: CaptureKind, link: Option<LinkId>, pkt: &Packet) {
@@ -1182,6 +1098,23 @@ enum AgentCall {
 fn wire_slot_index(len: usize) -> u32 {
     // simlint: allow(unwrap, reason = "aliasing wire slots corrupts the run; fail loudly at the 2^32 boundary")
     u32::try_from(len).expect("wire pool exceeded u32::MAX slots")
+}
+
+#[cfg(test)]
+mod order_tests {
+    use super::order;
+
+    #[test]
+    fn canonical_keys_are_disjoint_across_classes() {
+        // A canonical key's class field dominates, so faults at an instant
+        // precede starts, which precede packet events, which precede timers.
+        let f = order::pack(order::CLASS_FAULT, 0, u64::MAX >> 28);
+        let s = order::pack(order::CLASS_START, (1 << 25) - 1, 0);
+        let x = order::pack(order::CLASS_TX_DONE, 0, 0);
+        let a = order::pack(order::CLASS_ARRIVE, 0, 0);
+        let t = order::pack(order::CLASS_TIMER, 0, 0);
+        assert!(f < s && s < x && x < a && a < t);
+    }
 }
 
 #[cfg(test)]

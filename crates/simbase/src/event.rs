@@ -7,12 +7,15 @@
 //! internal data structure. That property is what makes a seeded run
 //! bit-identical.
 //!
-//! Callers that need an ordering independent of *push order* — e.g. a
-//! partitioned simulator whose regions push the same events in different
-//! interleavings — can supply the sequence themselves via
-//! [`EventQueue::push_keyed`]. Keyed and counter-sequenced pushes may be
-//! mixed, but a caller doing so is responsible for the combined `(time,
-//! seq)` ordering making sense; the queue only promises to sort by it.
+//! Callers that need an ordering independent of *push order* can supply the
+//! sequence themselves via [`EventQueue::push_keyed`]. With keys derived
+//! from what an event *is* (which link direction, which timer) the pop
+//! sequence — and so the whole execution — is a pure function of the event
+//! set: the simulator relies on this to schedule a branch's faults after a
+//! checkpoint and still replay the run that scheduled them up front.
+//! Keyed and counter-sequenced pushes may be mixed, but a caller doing so
+//! is responsible for the combined `(time, seq)` ordering making sense; the
+//! queue only promises to sort by it.
 //! Two *live* entries must never share an equal `(time, key)` pair — the
 //! backends do not define a stable order between duplicates (a cancelled
 //! duplicate is fine: reaping is order-insensitive).
@@ -31,9 +34,9 @@
 //! pending run — exactly the order a binary heap would produce. The
 //! coarse granule keeps the microsecond-scale delays that dominate a
 //! packet simulation at levels 0–1 instead of cascading through three or
-//! four. A `#[cfg(test)]`/`ref-heap`-gated reference heap backend
-//! (`EventQueue::new_reference_heap`) preserves the original `BinaryHeap`
-//! implementation for differential testing.
+//! four. The original `BinaryHeap` implementation survives as a
+//! `#[cfg(test)]` backend (`EventQueue::new_reference_heap`): the oracle of
+//! this module's differential tests, not a selectable engine.
 //!
 //! # Cancellation
 //!
@@ -332,12 +335,12 @@ impl<E> Wheel<E> {
     }
 }
 
-/// Queue backend: the timing wheel in production, plus the original binary
-/// heap kept as a differential-testing reference.
+/// Queue backend: the timing wheel, plus (in test builds only) the original
+/// binary heap kept as the differential-testing oracle.
 #[derive(Debug, Clone)]
 enum Backend<E> {
     Wheel(Wheel<E>),
-    #[cfg(any(test, feature = "ref-heap"))]
+    #[cfg(test)]
     Heap(BinaryHeap<Entry<E>>),
 }
 
@@ -345,7 +348,7 @@ impl<E> Backend<E> {
     fn push(&mut self, e: Entry<E>) {
         match self {
             Backend::Wheel(w) => w.push(e),
-            #[cfg(any(test, feature = "ref-heap"))]
+            #[cfg(test)]
             Backend::Heap(h) => h.push(e),
         }
     }
@@ -353,7 +356,7 @@ impl<E> Backend<E> {
     fn pop_entry(&mut self) -> Option<Entry<E>> {
         match self {
             Backend::Wheel(w) => w.pop_entry(),
-            #[cfg(any(test, feature = "ref-heap"))]
+            #[cfg(test)]
             Backend::Heap(h) => h.pop(),
         }
     }
@@ -361,7 +364,7 @@ impl<E> Backend<E> {
     fn peek_entry(&mut self) -> Option<&Entry<E>> {
         match self {
             Backend::Wheel(w) => w.peek_entry(),
-            #[cfg(any(test, feature = "ref-heap"))]
+            #[cfg(test)]
             Backend::Heap(h) => h.peek(), // min of the inverted-Ord heap
         }
     }
@@ -369,7 +372,7 @@ impl<E> Backend<E> {
     fn clear(&mut self) {
         match self {
             Backend::Wheel(w) => w.clear(),
-            #[cfg(any(test, feature = "ref-heap"))]
+            #[cfg(test)]
             Backend::Heap(h) => h.clear(),
         }
     }
@@ -423,9 +426,9 @@ impl<E> EventQueue<E> {
         Self::with_backend(Backend::Wheel(Wheel::new()))
     }
 
-    /// Create an empty queue on the original binary-heap backend. Kept
-    /// only as a differential-testing reference for the timing wheel.
-    #[cfg(any(test, feature = "ref-heap"))]
+    /// Create an empty queue on the original binary-heap backend: the
+    /// oracle the timing wheel is tested against.
+    #[cfg(test)]
     pub fn new_reference_heap() -> Self {
         Self::with_backend(Backend::Heap(BinaryHeap::new()))
     }
@@ -458,8 +461,8 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` at `time` with a caller-supplied tie-break key in
     /// place of the insertion counter. Events at equal times pop in key
-    /// order, regardless of push order — the property a partitioned
-    /// simulator needs so that every partition produces the same schedule.
+    /// order, regardless of push order, so the schedule depends only on
+    /// which events exist, not on when each was pushed.
     pub fn push_keyed(&mut self, time: SimTime, key: u64, event: E) {
         self.push_entry(time, key, event, 0);
     }
@@ -844,6 +847,112 @@ mod tests {
             2 => raw % (1 << 40),              // mid range
             _ => u64::MAX - (raw % 1024),      // far future / top level
         }
+    }
+
+    /// Run `f` on both backends; they must agree on its result and on
+    /// every counter afterwards.
+    fn on_both<R: PartialEq + std::fmt::Debug>(
+        wheel: &mut EventQueue<u32>,
+        heap: &mut EventQueue<u32>,
+        f: impl Fn(&mut EventQueue<u32>) -> R,
+    ) -> R {
+        let (a, b) = (f(wheel), f(heap));
+        assert_eq!(a, b, "backends disagree on an operation's result");
+        assert_eq!(
+            (wheel.len(), wheel.total_pushed(), wheel.total_cancelled()),
+            (heap.len(), heap.total_pushed(), heap.total_cancelled()),
+        );
+        a
+    }
+
+    #[test]
+    fn simulator_shaped_stream_replays_identically() {
+        // What a packet simulation feeds the queue, replayed on both
+        // backends: per-link-direction TxDone/Arrive pushes under canonical
+        // `[class:3][entity:25][local:36]` keys at ns-to-ms gaps ahead of a
+        // monotonic clock (a few fixed packet sizes and link delays, so
+        // equal-time ties between keys are common and arrive in arbitrary
+        // key order), per-agent RTO timers re-armed (cancel + keyed
+        // cancellable push) often enough that ~6 % of everything pushed dies
+        // unfired, and a few live deadlines minutes to hours out that sit at
+        // wheel levels 3-5 and cascade down when the queue drains.
+        use crate::rng::{SimRng, SplitMix64};
+        const OPS: usize = 120_000;
+        const DIRS: usize = 12;
+        const AGENTS: usize = 4;
+        let key =
+            |class: u64, entity: usize, local: u64| (class << 61) | ((entity as u64) << 36) | local;
+        // `run_until`'s step: peek, then pop.
+        let step = |q: &mut EventQueue<u32>| {
+            let front = q.peek_time();
+            let e = q.pop().map(|e| (e.time, e.seq, e.event));
+            assert_eq!(front, e.map(|e| e.0), "peek disagrees with pop");
+            e
+        };
+
+        let mut rng = SplitMix64::new(0x5eed);
+        let (mut wheel, mut heap) = (EventQueue::new(), EventQueue::new_reference_heap());
+        let mut now = 0u64;
+        let mut epoch = [0u64; DIRS];
+        let mut arrivals = [0u64; DIRS];
+        // Each agent's pending RTO token (0 = never armed: cancel refuses).
+        let mut rto = [0u64; AGENTS];
+        let mut far_future = 0u64;
+
+        for i in 0..OPS {
+            let dir = rng.next_below(DIRS as u64) as usize;
+            match rng.next_below(100) {
+                0..=47 => {
+                    if let Some((t, _, _)) = on_both(&mut wheel, &mut heap, step) {
+                        now = t.as_nanos();
+                    }
+                }
+                48..=73 => {
+                    // Serialization of a 40 / 540 / 1500 B packet at 100 Mbps.
+                    epoch[dir] += 1;
+                    let tx = [3_200, 43_200, 120_000][rng.next_below(3) as usize];
+                    let at = SimTime::from_nanos(now + tx);
+                    let k = key(2, dir, epoch[dir]);
+                    on_both(&mut wheel, &mut heap, |q| q.push_keyed(at, k, 2));
+                }
+                74..=96 => {
+                    // Propagation over a 50 us / 1 ms / 5 ms / 10 ms link.
+                    arrivals[dir] += 1;
+                    let delay = [50_000, 1_000_000, 5_000_000, 10_000_000][dir % 4];
+                    let at = SimTime::from_nanos(now + delay);
+                    let k = key(3, dir, arrivals[dir]);
+                    on_both(&mut wheel, &mut heap, |q| q.push_keyed(at, k, 3));
+                }
+                _ if i % 40 == 0 => {
+                    // Keepalive-style deadline 1 min .. 3 h out, never
+                    // cancelled: it waits at wheel levels 3-5 for the drain.
+                    far_future += 1;
+                    let after = rng.next_range(60_000_000_000, 10_800_000_000_000);
+                    let at = SimTime::from_nanos(now + after);
+                    let k = key(4, AGENTS, far_future);
+                    on_both(&mut wheel, &mut heap, |q| q.push_keyed(at, k, 5));
+                }
+                _ => {
+                    // RTO re-arm, 200 ms .. 1 s out.
+                    let agent = dir % AGENTS;
+                    let at = SimTime::from_nanos(now + rng.next_range(200_000_000, 1_000_000_000));
+                    let (k, old) = (key(4, agent, 0), rto[agent]);
+                    rto[agent] = on_both(&mut wheel, &mut heap, |q| {
+                        q.cancel(old);
+                        q.push_keyed_cancellable(at, k, 4)
+                    });
+                }
+            }
+        }
+        assert!(far_future >= 3, "stream holds live far-future deadlines");
+        let dead = wheel.total_cancelled() as f64
+            / (wheel.total_pushed() + wheel.total_cancelled()) as f64;
+        assert!(
+            (0.05..0.07).contains(&dead),
+            "dead fraction {dead:.3} is no longer simulator-like"
+        );
+        // Drain: the far-future deadlines cascade down through the levels.
+        while on_both(&mut wheel, &mut heap, step).is_some() {}
     }
 
     proptest! {

@@ -7,8 +7,9 @@
 //!   saturating/checked arithmetic, so a run is bit-for-bit reproducible.
 //! * [`EventQueue`] — a hierarchical-timing-wheel event queue with
 //!   deterministic FIFO tie-breaking for events scheduled at the same
-//!   instant and first-class cancellation tokens (a `ref-heap`-gated
-//!   binary-heap reference backend supports differential testing).
+//!   instant, caller-keyed ties where the order must not depend on push
+//!   order, and first-class cancellation tokens (a test-only binary-heap
+//!   backend is the oracle of its differential tests).
 //! * [`Bandwidth`] / [`ByteSize`] — strongly typed units so "40" can never be
 //!   silently read as megabits when bytes were meant, plus exact
 //!   transmission-time computation in integer arithmetic.

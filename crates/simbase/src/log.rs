@@ -167,8 +167,8 @@ impl EventLog {
     }
 
     /// Append an already-built record, bypassing the level filter — the
-    /// record passed a filter when it was first logged. Used to merge
-    /// per-region logs of a partitioned run back into one chronology.
+    /// record passed a filter when it was first logged. With
+    /// [`EventLog::take_records`], moves records from one log to another.
     pub fn push_record(&mut self, rec: LogRecord) {
         if let Some(cap) = self.capacity {
             if self.records.len() >= cap {

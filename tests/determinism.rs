@@ -88,3 +88,37 @@ fn algorithms_produce_distinct_traces() {
     hashes.dedup();
     assert_eq!(hashes.len(), 5, "all five algorithms must trace distinctly");
 }
+
+#[test]
+fn golden_trace_hashes() {
+    // Absolute pins, so a change that moves every run the same way (which
+    // the double-run tests above cannot see) still fails. A new value here
+    // means packet-level behaviour changed: re-pin only on purpose.
+    use mptcp_overlap::overlap_core::{failover_scenario, FailoverConfig, FailoverSetup};
+
+    let net = PaperNetwork::new();
+    let paper = Scenario {
+        default_path: net.default_path,
+        ..Scenario::new(net.topology, net.paths)
+    }
+    .with_timing(SimDuration::from_secs(10), SimDuration::from_millis(100))
+    .run();
+    assert_eq!(
+        (paper.trace_hash, paper.events),
+        (0x23fc_d194_88ef_5725, 897_576),
+        "paper topology, CUBIC, minRTT, 10 s, seed 1"
+    );
+
+    let failover = failover_scenario(
+        &FailoverSetup::paper(),
+        CcAlgo::Lia,
+        1,
+        &FailoverConfig::default(),
+    )
+    .run();
+    assert_eq!(
+        (failover.trace_hash, failover.events),
+        (0x9b93_02a6_66cb_82bf, 1_255_159),
+        "paper topology, LIA, default-path outage 4 s - 12 s, 16 s, seed 1"
+    );
+}
