@@ -17,6 +17,14 @@ cargo run -p xtask --offline --quiet -- simlint --baseline results/simlint_basel
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> one world builder (only crates/core/src/world.rs may construct a simulator or an MPTCP sender)"
+# (`if`, not `!`: sh's -e ignores a negated pipeline.)
+if grep -rn "Simulator::new\|MptcpSenderAgent::new" crates/core/src examples/*.rs |
+    grep -v "^crates/core/src/world.rs:"; then
+    echo "build it through overlap_core::World instead" >&2
+    exit 1
+fi
+
 echo "==> sweep-runner smoke test (release, serial vs pooled must match)"
 cargo build --release --offline -q -p bench
 OVERLAP_WORKERS=1 ./target/release/table1_results 3 2 2>/dev/null >/tmp/sweep_serial.txt
@@ -89,6 +97,10 @@ cmp /tmp/failover_table_regen.txt results/failover_table.txt || {
     exit 1
 }
 rm -f /tmp/failover_table_regen.txt
+
+echo "==> example smoke (the two examples that drive a World by hand must run to exit 0)"
+cargo run --release --offline --quiet --example failover >/dev/null
+cargo run --release --offline --quiet --example cwnd_dynamics >/dev/null
 
 echo "==> perfbench smoke (the benchmark still builds against the crates and its checks pass)"
 # examples/perfbench is a package of its own (BENCHMARK.json runs it), so

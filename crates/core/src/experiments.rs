@@ -6,7 +6,7 @@
 //! | E2 | Fig. 2a — per-flow rate, CUBIC, 100 ms bins, 4 s | [`fig2a`] |
 //! | E3 | Fig. 2b — per-flow rate, OLIA, 100 ms bins, 4 s | [`fig2b`], [`fig2b_long`] |
 //! | E4 | Fig. 2c — sawtooth detail, 10 ms bins, 0.5 s | [`fig2c`] |
-//! | E5 | Results §3 — which algorithms find the optimum | [`results_table`] |
+//! | E5 | Results §3 — which algorithms find the optimum | [`results_table_with`] |
 
 use crate::paper::{PaperNetwork, PaperNetworkConfig};
 use crate::runner::{run_sweep_with_store, RunnerConfig, SweepSpec};
@@ -88,24 +88,11 @@ pub struct ResultsRow {
 /// CUBIC rows ≈ converged everywhere; LIA rows ≈ never; OLIA ≈ only with
 /// Path 2 default (and slowly).
 ///
-/// Runs execute on the parallel sweep runner with the worker count from
-/// [`RunnerConfig::from_env`] (`OVERLAP_WORKERS`, default: all cores);
-/// rows are identical for any worker count. Use [`results_table_with`] to
-/// control execution explicitly.
-pub fn results_table(
-    algos: &[CcAlgo],
-    seeds: std::ops::Range<u64>,
-    duration: SimDuration,
-) -> Vec<ResultsRow> {
-    results_table_with(algos, seeds, duration, &RunnerConfig::from_env())
-}
-
-/// [`results_table`] with explicit execution parameters. The sweep is the
-/// cartesian product algo × default path (0..3) × seed over the paper
-/// network, executed by [`crate::runner::run_sweep`]; per-cell results are
-/// aggregated per (algo, default path) row in spec order, so rows — and
-/// every per-run `trace_hash` behind them — are byte-identical whether
-/// `cfg` says 1 worker or N.
+/// The sweep is the cartesian product algo × default path (0..3) × seed
+/// over the paper network, executed by [`crate::runner::run_sweep`];
+/// per-cell results are aggregated per (algo, default path) row in spec
+/// order, so rows — and every per-run `trace_hash` behind them — are
+/// byte-identical whether `cfg` says 1 worker or N.
 pub fn results_table_with(
     algos: &[CcAlgo],
     seeds: std::ops::Range<u64>,
@@ -230,10 +217,11 @@ mod tests {
 
     #[test]
     fn empty_seed_range_yields_zero_rows_not_nan() {
-        let rows = results_table(
+        let rows = results_table_with(
             &[CcAlgo::Cubic, CcAlgo::Lia],
             0..0,
             SimDuration::from_secs(1),
+            &RunnerConfig::serial(),
         );
         assert_eq!(rows.len(), 6, "one row per (algo, default path) cell");
         for r in &rows {

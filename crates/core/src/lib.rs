@@ -6,6 +6,8 @@
 //!
 //! * [`paper`] — the Figure-1 six-node network with three pairwise-
 //!   overlapping paths (both constraint variants; see DESIGN.md §2).
+//! * [`world`] — the one simulator builder every packet run below goes
+//!   through: streaming sink, typed endpoint handles, checkpoint/restore.
 //! * [`scenario`] — one configured run: tag routing, MPTCP endpoints,
 //!   deterministic simulation, tshark-style sampling, LP ground truth.
 //! * [`experiments`] — the catalog: Figure 2a/2b/2c and the Results-section
@@ -59,12 +61,13 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod store;
+pub mod world;
 pub mod worldexp;
 
 pub use determinism::{assert_deterministic, compare_runs, double_run, DeterminismReport};
 pub use experiments::{
-    fig2a, fig2b, fig2b_long, fig2c, results_table, results_table_with, results_table_with_store,
-    ResultsRow, FIG2_SEED,
+    fig2a, fig2b, fig2b_long, fig2c, results_table_with, results_table_with_store, ResultsRow,
+    FIG2_SEED,
 };
 pub use failover::{
     exclusive_link, failover_base_scenario, failover_scenario, failover_table_document,
@@ -78,11 +81,12 @@ pub use fluidcheck::{
 pub use paper::{ConstraintVariant, PaperNetwork, PaperNetworkConfig};
 pub use randomnet::{RandomOverlapConfig, RandomOverlapNet};
 pub use runner::{
-    execute_jobs, parallel_matches_serial, run_scenarios, run_scenarios_with_store, run_sweep,
-    run_sweep_with_store, RunnerConfig, SweepCell, SweepOutcome, SweepSpec, TopologySpec,
+    execute_jobs, parallel_matches_serial, run_scenarios, run_sweep, run_sweep_with_store,
+    RunnerConfig, SweepCell, SweepOutcome, SweepSpec, TopologySpec,
 };
 pub use scenario::{CrossTraffic, RunResult, Scenario, ScenarioCheckpoint};
 pub use store::{run_via_store, RunStore, StoreStats};
+pub use world::{ReceiverId, SenderId, World, WorldCheckpoint};
 pub use worldexp::{
     crosscheck_rows, render_worldgen, run_fabric, run_mobility, run_traffic, verify_worldgen,
     worldgen_report, worldgen_table_document, FabricCell, FabricRun, MobilityRun, SubflowSelector,
@@ -92,8 +96,7 @@ pub use worldexp::{
 /// The most frequently used types, re-exported for glob import.
 pub mod prelude {
     pub use crate::experiments::{
-        fig2a, fig2b, fig2b_long, fig2c, results_table, results_table_with,
-        results_table_with_store, ResultsRow,
+        fig2a, fig2b, fig2b_long, fig2c, results_table_with, results_table_with_store, ResultsRow,
     };
     pub use crate::failover::{
         failover_table_document, run_failover, FailoverConfig, FailoverOutcome, FailoverSetup,
@@ -111,6 +114,7 @@ pub mod prelude {
     };
     pub use crate::scenario::{CrossTraffic, RunResult, Scenario, ScenarioCheckpoint};
     pub use crate::store::{run_via_store, RunStore, StoreStats};
+    pub use crate::world::World;
     pub use crate::worldexp::{
         run_fabric, run_mobility, run_traffic, worldgen_report, worldgen_table_document,
         FabricCell, SubflowSelector, TrafficCell, WorldgenConfig,

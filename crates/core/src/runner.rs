@@ -301,19 +301,11 @@ pub fn run_sweep_with_store(
 /// same as [`run_sweep`]'s, and an LP cache is shared across the batch.
 /// Consults the `OVERLAP_STORE` run store exactly like [`run_sweep`].
 pub fn run_scenarios(scenarios: &[Scenario], cfg: &RunnerConfig) -> Vec<RunResult> {
-    run_scenarios_with_store(scenarios, cfg, RunStore::from_env().as_ref())
-}
-
-/// [`run_scenarios`] against an explicit (or explicitly absent) store.
-pub fn run_scenarios_with_store(
-    scenarios: &[Scenario],
-    cfg: &RunnerConfig,
-    store: Option<&RunStore>,
-) -> Vec<RunResult> {
+    let store = RunStore::from_env();
     let lp_cache = LpCache::new();
     let workers = cfg.effective_workers(scenarios.len());
     execute_jobs(scenarios.len(), workers, cfg.progress, |i| {
-        run_via_store(&scenarios[i], store, Some(&lp_cache))
+        run_via_store(&scenarios[i], store.as_ref(), Some(&lp_cache))
     })
 }
 

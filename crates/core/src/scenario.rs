@@ -2,18 +2,14 @@
 //!
 //! [`Scenario`] packages everything one measurement run needs — topology,
 //! paths, congestion control, scheduler, duration, sampling — and
-//! [`Scenario::run`] executes it: install tag routes (the paper's modified
-//! ndiffports), attach the MPTCP endpoints, run the deterministic
-//! simulation, sample the receiver-side capture per tag (the tshark step),
-//! and fold in the LP ground truth.
+//! [`Scenario::run`] executes it as a one-connection [`World`]: install tag
+//! routes (the paper's modified ndiffports), attach the MPTCP endpoints,
+//! run the deterministic simulation, sample the receiver-side capture per
+//! tag (the tshark step), and fold in the LP ground truth.
 
-use mptcpsim::{
-    CcAlgo, MptcpConfig, MptcpReceiverAgent, MptcpSenderAgent, SchedulerKind, SubflowConfig,
-};
-use netsim::{
-    AgentId, CaptureConfig, CbrSource, DatagramSink, FaultSchedule, NodeId, Path, RoutingTables,
-    SimSnapshot, Simulator, Tag, Topology,
-};
+use crate::world::{ReceiverId, SenderId, World, WorldCheckpoint};
+use mptcpsim::{common_destination, install_subflows, CcAlgo, MptcpConfig, SchedulerKind};
+use netsim::{FaultSchedule, NodeId, Path, RoutingTables, Topology};
 use simbase::Bandwidth;
 use simbase::{SimDuration, SimTime};
 use simtrace::{ConvergenceReport, SamplerConfig, TimeSeries, TraceSink};
@@ -127,11 +123,6 @@ impl Scenario {
         self.run_with_lp_cache(None)
     }
 
-    /// The canonical routing tag of path `i` (1-based: `Tag(0)` is NONE).
-    fn path_tag(i: usize) -> Tag {
-        Tag(1 + i as u16) // simlint: allow(truncating-cast, reason = "path counts are tiny (the paper uses three); u16 is not a real bound")
-    }
-
     /// Execute the scenario, resolving the LP ground truth through `cache`
     /// when one is given. Sweeps over many (algo, seed, default-path) cells
     /// share one topology family, so the runner threads a shared
@@ -141,9 +132,9 @@ impl Scenario {
     /// pins every input of the solve.
     pub fn run_with_lp_cache(&self, lp_cache: Option<&lpsolve::LpCache>) -> RunResult {
         let lp = self.solve_lp(lp_cache);
-        let mut built = self.build_sim();
-        built.sim.run_until(SimTime::ZERO + self.duration);
-        self.collect(built, lp)
+        let (mut world, conn) = self.build_world();
+        world.run_until(SimTime::ZERO + self.duration);
+        self.collect(world, conn, lp)
     }
 
     /// Run the common prefix of a family of fault variants and snapshot it.
@@ -166,13 +157,12 @@ impl Scenario {
             t <= SimTime::ZERO + self.duration,
             "checkpoint time {t} beyond scenario end"
         );
-        let mut built = self.build_sim();
-        built.sim.run_until(t);
+        let (mut world, conn) = self.build_world();
+        world.run_until(t);
         ScenarioCheckpoint {
             scenario: self.clone(),
-            snapshot: built.sim.checkpoint(),
-            sender_id: built.sender_id,
-            receiver_id: built.receiver_id,
+            world: world.checkpoint(),
+            conn,
         }
     }
 
@@ -184,54 +174,57 @@ impl Scenario {
         }
     }
 
-    /// Construct the simulator, routing, and endpoint agents — everything
-    /// up to (but not including) running the event loop.
-    fn build_sim(&self) -> BuiltSim {
-        assert!(!self.paths.is_empty(), "need at least one path"); // simlint: allow(panic-surface, reason = "argument validation before the simulation starts")
-                                                                   // simlint: allow(panic-surface, reason = "argument validation before the simulation starts")
+    /// Check the scenario describes one runnable connection and return its
+    /// endpoints `(src, dst)`.
+    fn endpoints(&self) -> (NodeId, NodeId) {
+        // simlint: allow(panic-surface, reason = "argument validation before the simulation starts")
+        assert!(!self.paths.is_empty(), "need at least one path");
+        // simlint: allow(panic-surface, reason = "argument validation before the simulation starts")
         assert!(
             self.default_path < self.paths.len(),
             "default_path out of range"
         );
-        let src = self.paths[0].src(); // simlint: allow(panic-surface, reason = "non-empty is asserted two lines up")
-        let dst = mptcpsim::common_destination(&self.paths);
+        let src = self.paths[0].src(); // simlint: allow(panic-surface, reason = "non-empty is asserted above")
+        assert!(
+            self.paths.iter().all(|p| p.src() == src),
+            "paths must share a source"
+        );
+        let dst = common_destination(&self.paths);
+        for bg in &self.background {
+            assert!(
+                [bg.from, bg.to].iter().all(|n| *n != src && *n != dst),
+                "cross traffic cannot share MPTCP hosts"
+            );
+        }
+        (src, dst)
+    }
+
+    /// Construct the world — routing, sink and agents — up to (but not
+    /// including) running the event loop.
+    fn build_world(&self) -> (World, Conn) {
+        let (src, dst) = self.endpoints();
 
         // Routing: tag i+1 pins path i, installed bidirectionally.
         let mut routing = RoutingTables::new(&self.topology);
-        for (i, p) in self.paths.iter().enumerate() {
-            routing.install_path(p, Self::path_tag(i));
-        }
+        let mut subflows = install_subflows(&mut routing, &self.paths, 1, 5000);
         for bg in &self.background {
             routing.install_default_routes_to(&self.topology, bg.to);
         }
 
-        // Subflows in default-first order, keeping each path's canonical tag.
-        let mut order: Vec<usize> = (0..self.paths.len()).collect();
-        order.swap(0, self.default_path);
-        let subflows: Vec<SubflowConfig> = order
-            .iter()
-            .map(|&ci| SubflowConfig {
-                tag: Self::path_tag(ci),
-                src_port: 5000 + ci as u16, // simlint: allow(truncating-cast, reason = "path counts are tiny (the paper uses three); u16 is not a real bound")
-                dst_port: 6000 + ci as u16, // simlint: allow(truncating-cast, reason = "path counts are tiny (the paper uses three); u16 is not a real bound")
-            })
-            .collect();
-
-        let mut sim = Simulator::new(self.topology.clone(), routing, self.seed);
         // The measurement path streams: each capture record is hashed,
         // checked and binned per tag (the tshark step) as it is emitted,
         // so a run holds O(bins) of capture state, not O(packets). Every
-        // registered tag is pre-seeded so a fully starved path still shows
-        // up as an (all-zero) series in per-path reports.
+        // path's tag is pre-seeded so a fully starved path still shows up
+        // as an (all-zero) series in per-path reports.
         let sink = TraceSink::new().with_sampler(
             SamplerConfig::tshark_like(dst, self.sample_bin, SimTime::ZERO + self.duration)
-                .with_tags((0..self.paths.len()).map(Self::path_tag)),
+                .with_tags(subflows.iter().map(|s| s.tag)),
         );
         #[cfg(feature = "check")]
         let sink = sink.with_invariants(simtrace::default_invariants());
-        sim.set_capture_sink(CaptureConfig::receiver_side(dst), Box::new(sink));
-        sim.set_forward_jitter(self.forward_jitter);
-        sim.install_faults(&self.faults);
+
+        // Subflows in default-first order, each keeping its path's tag.
+        subflows.swap(0, self.default_path);
         let mptcp_cfg = MptcpConfig {
             algo: self.algo,
             scheduler: self.scheduler,
@@ -240,55 +233,31 @@ impl Scenario {
             ecn: self.ecn,
             ..MptcpConfig::bulk(dst, subflows)
         };
-        let sender_id = sim.add_agent(
-            src,
-            Box::new(MptcpSenderAgent::new(mptcp_cfg)),
-            SimTime::ZERO,
-        );
+
+        // Agent order is part of the hash contract (see `World`): sender,
+        // every cross-traffic source/sink pair, then the receiver.
+        let mut world = World::new(self.topology.clone(), routing, self.seed, sink);
+        world.set_forward_jitter(self.forward_jitter);
+        world.install_faults(&self.faults);
+        let sender = world.add_sender(src, mptcp_cfg, SimTime::ZERO);
         for bg in &self.background {
-            assert!(
-                bg.from != src && bg.from != dst,
-                "cross traffic cannot share MPTCP hosts"
-            );
-            assert!(
-                bg.to != src && bg.to != dst,
-                "cross traffic cannot share MPTCP hosts"
-            );
-            sim.add_agent(
-                bg.from,
-                Box::new(CbrSource::new(bg.to, Tag::NONE, bg.rate, bg.packet_bytes)),
-                SimTime::ZERO,
-            );
-            sim.add_agent(bg.to, Box::new(DatagramSink::default()), SimTime::ZERO);
+            world.background(bg.from, bg.to, bg.rate, bg.packet_bytes);
         }
-        let receiver = MptcpReceiverAgent::default();
-        let receiver = if self.sack {
-            receiver
-        } else {
-            receiver.without_sack()
-        };
-        let receiver_id = sim.add_agent(dst, Box::new(receiver), SimTime::ZERO);
-        BuiltSim {
-            sim,
-            sender_id,
-            receiver_id,
-        }
+        let receiver = world.add_receiver(dst, self.sack);
+        (world, (sender, receiver))
     }
 
     /// Fold a finished simulation into a [`RunResult`] (the tshark step,
     /// convergence analysis, and endpoint-state extraction).
-    fn collect(&self, built: BuiltSim, lp: lpsolve::MaxThroughput) -> RunResult {
-        let BuiltSim {
-            mut sim,
-            sender_id,
-            receiver_id,
-        } = built;
+    fn collect(
+        &self,
+        mut world: World,
+        (sender, receiver): Conn,
+        lp: lpsolve::MaxThroughput,
+    ) -> RunResult {
         let end = SimTime::ZERO + self.duration;
 
-        let sink = sim
-            .sink_mut::<TraceSink>()
-            // simlint: allow(unwrap, reason = "build_sim installed a TraceSink and nothing replaces it")
-            .expect("scenario simulators stream into a TraceSink");
+        let sink = world.sink_mut();
         // Order-sensitive digest of the full capture stream: two runs of
         // the same scenario + seed must produce the same hash (the
         // double-run harness in [`crate::determinism`] relies on this).
@@ -306,19 +275,16 @@ impl Scenario {
                     .join("\n")
             );
         }
-        let sampler = sink
+        // One series per tag, in tag order. The sampler was seeded with
+        // the path tags (ascending in path order) and only this connection
+        // delivers at `dst`, so that is one series per path, in path order.
+        let per_path: Vec<TimeSeries> = sink
             .sampler()
-            // simlint: allow(unwrap, reason = "build_sim configures the sink with a sampler")
-            .expect("scenario sink samples");
-        let per_path: Vec<TimeSeries> = (0..self.paths.len())
-            .map(|i| {
-                let tag = Self::path_tag(i);
-                let mut s = sampler
-                    .tag(tag)
-                    // simlint: allow(unwrap, reason = "every path tag was pre-seeded into the sampler above")
-                    .expect("pre-seeded tag series")
-                    .clone();
-                s.label = format!("Path {}", i + 1);
+            .into_iter()
+            .flat_map(|sampler| sampler.per_tag.into_values())
+            .zip(1..)
+            .map(|(mut s, n)| {
+                s.label = format!("Path {n}");
                 s
             })
             .collect();
@@ -359,22 +325,13 @@ impl Scenario {
             }
         }
 
-        // Pull endpoint state out of the simulator for the record.
-        let sender = sim
-            .agent(sender_id)
-            .as_any()
-            .and_then(|a| a.downcast_ref::<MptcpSenderAgent>())
-            // simlint: allow(unwrap, reason = "agent installed as MptcpSenderAgent earlier in this fn")
-            .expect("sender agent");
+        // Pull endpoint state out of the world for the record.
+        let sender = world.sender(sender);
         let subflow_stats: Vec<tcpsim::SenderStats> = (0..sender.subflow_count())
             .map(|i| *sender.subflow_sender(i).stats())
             .collect();
-        let receiver = sim
-            .agent(receiver_id)
-            .as_any()
-            .and_then(|a| a.downcast_ref::<MptcpReceiverAgent>())
-            // simlint: allow(unwrap, reason = "agent installed as MptcpReceiverAgent earlier in this fn")
-            .expect("receiver agent");
+        let receiver = world.receiver(receiver);
+        let sim = world.sim();
 
         RunResult {
             per_path,
@@ -395,18 +352,13 @@ impl Scenario {
     }
 }
 
-/// A constructed-but-not-yet-run simulation: the simulator plus the
-/// handles [`Scenario::collect`] needs afterwards.
-struct BuiltSim {
-    sim: Simulator,
-    sender_id: AgentId,
-    receiver_id: AgentId,
-}
+/// The scenario's one connection.
+type Conn = (SenderId, ReceiverId);
 
 /// A frozen scenario prefix that fault variants branch from.
 ///
-/// Produced by [`Scenario::checkpoint_at`]. Holds a versioned
-/// [`SimSnapshot`] of the simulator after the common (fault-free) prefix
+/// Produced by [`Scenario::checkpoint_at`]. Holds the scenario and a
+/// [`WorldCheckpoint`] of its world after the common (fault-free) prefix
 /// (including the streaming capture sink's O(bins) state so far);
 /// each [`ScenarioCheckpoint::branch_run`] restores a fresh deep copy,
 /// installs one fault schedule, and runs to the scenario end. The
@@ -414,15 +366,14 @@ struct BuiltSim {
 #[derive(Debug)]
 pub struct ScenarioCheckpoint {
     scenario: Scenario,
-    snapshot: SimSnapshot,
-    sender_id: AgentId,
-    receiver_id: AgentId,
+    world: WorldCheckpoint,
+    conn: Conn,
 }
 
 impl ScenarioCheckpoint {
     /// The simulation time the prefix was frozen at.
     pub fn time(&self) -> SimTime {
-        self.snapshot.time()
+        self.world.time()
     }
 
     /// The base scenario the prefix was built from.
@@ -433,7 +384,7 @@ impl ScenarioCheckpoint {
     /// Capture records held by the frozen prefix. Zero: the prefix's
     /// measurement state is the streaming sink's hash, seen-set and bins.
     pub fn buffered_captures(&self) -> usize {
-        self.snapshot.buffered_captures()
+        self.world.buffered_captures()
     }
 
     /// Branch one fault variant from the frozen prefix and run it to the
@@ -457,15 +408,10 @@ impl ScenarioCheckpoint {
             );
         }
         let lp = self.scenario.solve_lp(lp_cache);
-        let mut sim = Simulator::restore(&self.snapshot);
-        sim.install_faults(faults);
-        sim.run_until(SimTime::ZERO + self.scenario.duration);
-        let built = BuiltSim {
-            sim,
-            sender_id: self.sender_id,
-            receiver_id: self.receiver_id,
-        };
-        self.scenario.collect(built, lp)
+        let mut world = World::restore(&self.world);
+        world.install_faults(faults);
+        world.run_until(SimTime::ZERO + self.scenario.duration);
+        self.scenario.collect(world, self.conn, lp)
     }
 }
 
@@ -645,15 +591,15 @@ mod tests {
                 .with_timing(SimDuration::from_secs(2), SimDuration::from_millis(100));
             let streamed = scenario.run();
 
-            let mut built = scenario.build_sim();
-            let dst = mptcpsim::common_destination(&scenario.paths);
-            built.sim.set_capture_sink(
-                CaptureConfig::receiver_side(dst),
+            let (mut world, _) = scenario.build_world();
+            let dst = common_destination(&scenario.paths);
+            world.sim_mut().set_capture_sink(
+                netsim::CaptureConfig::receiver_side(dst),
                 Box::<netsim::BufferSink>::default(),
             );
             let end = SimTime::ZERO + scenario.duration;
-            built.sim.run_until(end);
-            let records = built.sim.captures();
+            world.run_until(end);
+            let records = world.sim().captures();
             assert!(!records.is_empty());
             assert_eq!(
                 streamed.trace_hash,
@@ -661,16 +607,17 @@ mod tests {
                 "{algo:?}"
             );
             assert!(simtrace::check_trace(records, &mut simtrace::default_invariants()).is_empty());
+            let path_tag = |i: usize| netsim::Tag(1 + i as u16);
             let sampler = simtrace::ThroughputSampler::from_records(
                 records,
                 &SamplerConfig::tshark_like(dst, scenario.sample_bin, end)
-                    .with_tags((0..scenario.paths.len()).map(Scenario::path_tag)),
+                    .with_tags((0..scenario.paths.len()).map(path_tag)),
             );
             for (i, series) in streamed.per_path.iter().enumerate() {
-                let buffered = sampler.tag(Scenario::path_tag(i)).expect("seeded tag");
+                let buffered = sampler.tag(path_tag(i)).expect("seeded tag");
                 assert_eq!(series.values(), buffered.values(), "{algo:?} path {i}");
             }
-            assert_eq!(streamed.events, built.sim.stats().events);
+            assert_eq!(streamed.events, world.sim().stats().events);
         }
     }
 
@@ -695,6 +642,18 @@ mod tests {
             SimTime::from_millis(1500),
         );
         let _ = ckpt.branch_run(&faults, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "paths must share a source")]
+    fn paths_from_different_sources_are_rejected() {
+        // Path 1 shortened to start at v1: same destination, other source.
+        // Its subflow would be pinned to a route the sender is not on.
+        let net = PaperNetwork::new();
+        let mut paths = net.paths;
+        let tail: Vec<NodeId> = paths[0].nodes()[1..].to_vec();
+        paths[0] = Path::from_nodes(&net.topology, &tail).unwrap();
+        let _ = Scenario::new(net.topology, paths).run();
     }
 
     #[test]

@@ -33,9 +33,10 @@
 use crate::fluidcheck::fluid_config;
 use crate::runner::{execute_jobs, RunnerConfig};
 use crate::scenario::Scenario;
+use crate::world::{ReceiverId, World};
 use fluidsim::{solve, FluidLaw, FluidModel};
-use mptcpsim::{install_subflows, CcAlgo, MptcpConfig, MptcpReceiverAgent, MptcpSenderAgent};
-use netsim::{AgentId, CaptureConfig, NodeId, RoutingTables, Simulator, Tag};
+use mptcpsim::{install_subflows, CcAlgo, MptcpConfig};
+use netsim::{NodeId, RoutingTables, Tag};
 use simbase::{SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar};
 use simtrace::{SamplerConfig, TraceSink};
 use std::fmt::Write as _;
@@ -214,13 +215,6 @@ fn pair_hosts(tree: &FatTree, connections: usize) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// The streaming sink a worldgen simulator was built with.
-fn streamed(sim: &Simulator) -> &TraceSink {
-    sim.sink::<TraceSink>()
-        // simlint: allow(unwrap, reason = "every simulator in this module is built with a TraceSink and nothing replaces it")
-        .expect("worldgen simulators stream into a TraceSink")
-}
-
 /// Execute one fabric cell: build the tree, place every connection's
 /// subflows, pin them with tag routes, run all connections concurrently,
 /// and read back per-connection goodput. Pure function of the cell.
@@ -264,43 +258,27 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
             .collect::<Vec<_>>(),
     );
 
-    let mut sim = Simulator::new(tree.topology.clone(), routing, cell.seed);
-    // simlint: allow(panic-surface, reason = "connections >= 1 is asserted on entry and pair_hosts returns one pair per connection, so placements is non-empty")
-    let mut capture = CaptureConfig::receiver_side(placements[0].1);
-    for (_, dst, _, _, _) in placements.iter().skip(1) {
-        capture = capture.add_node(*dst);
-    }
-    sim.set_capture_sink(capture, Box::<TraceSink>::default());
+    let mut world = World::new(tree.topology.clone(), routing, cell.seed, TraceSink::new());
+    let receivers: Vec<ReceiverId> = placements
+        .iter()
+        .map(|(src, dst, _, _, subflows)| {
+            let cfg = MptcpConfig {
+                algo: cell.algo,
+                ..MptcpConfig::bulk(*dst, subflows.clone())
+            };
+            world.connect(*src, cfg, SimTime::ZERO).1
+        })
+        .collect();
 
-    let mut receiver_ids: Vec<AgentId> = Vec::with_capacity(placements.len());
-    for (src, dst, _, _, subflows) in &placements {
-        let cfg = MptcpConfig {
-            algo: cell.algo,
-            ..MptcpConfig::bulk(*dst, subflows.clone())
-        };
-        sim.add_agent(*src, Box::new(MptcpSenderAgent::new(cfg)), SimTime::ZERO);
-        receiver_ids.push(sim.add_agent(
-            *dst,
-            Box::new(MptcpReceiverAgent::default()),
-            SimTime::ZERO,
-        ));
-    }
-
-    sim.run_until(SimTime::ZERO + cell.duration);
+    world.run_until(SimTime::ZERO + cell.duration);
 
     let secs = cell.duration.as_secs_f64();
     let conns = placements
         .iter()
-        .zip(&receiver_ids)
+        .zip(&receivers)
         .enumerate()
         .map(|(index, ((src, dst, _, class, _), &rid))| {
-            let delivered = sim
-                .agent(rid)
-                .as_any()
-                .and_then(|a| a.downcast_ref::<MptcpReceiverAgent>())
-                // simlint: allow(unwrap, reason = "agent installed as MptcpReceiverAgent above")
-                .expect("receiver agent")
-                .data_delivered();
+            let delivered = world.receiver(rid).data_delivered();
             ConnReport {
                 index,
                 src: *src,
@@ -316,9 +294,9 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
         cell: cell.clone(),
         conns,
         collision_rate: rate,
-        trace_hash: streamed(&sim).hash(),
-        events: sim.stats().events,
-        drops: sim.stats().packets_dropped,
+        trace_hash: world.sink().hash(),
+        events: world.sim().stats().events,
+        drops: world.sim().stats().packets_dropped,
     }
 }
 
@@ -393,16 +371,9 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         subflow_cfgs.push(install_subflows(&mut routing, &net.paths(i), 1, 5000));
     }
 
-    let mut sim = Simulator::new(net.topology.clone(), routing, cell.seed);
-    // simlint: allow(panic-surface, reason = "TrafficNet::build asserts pairs > 0 and creates one destination per pair, so dsts is non-empty")
-    let mut capture = CaptureConfig::receiver_side(net.dsts[0]);
-    for &d in net.dsts.iter().skip(1) {
-        capture = capture.add_node(d);
-    }
-    sim.set_capture_sink(capture, Box::<TraceSink>::default());
-
+    let mut world = World::new(net.topology.clone(), routing, cell.seed, TraceSink::new());
     let end = SimTime::ZERO + cell.duration;
-    let mut receiver_ids = Vec::with_capacity(cell.pairs);
+    let mut receivers = Vec::with_capacity(cell.pairs);
     let mut started = 0usize;
     for (i, conn) in program.connections.iter().enumerate() {
         // Receivers exist from t=0; each sender agent starts at its
@@ -419,34 +390,18 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
             // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net and subflow_cfgs were built for the same count")
             ..MptcpConfig::bulk(net.dsts[i], subflow_cfgs[i].clone())
         };
-        sim.add_agent(
-            // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net was built for the same count")
-            net.srcs[i],
-            Box::new(MptcpSenderAgent::new(cfg)),
-            conn.start,
-        );
-        receiver_ids.push(sim.add_agent(
-            // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net was built for the same count")
-            net.dsts[i],
-            Box::new(MptcpReceiverAgent::default()),
-            SimTime::ZERO,
-        ));
+        // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net was built for the same count")
+        receivers.push(world.connect(net.srcs[i], cfg, conn.start).1);
     }
 
-    sim.run_until(end);
+    world.run_until(end);
 
     let mut delivered = 0u64;
     let mut finished = 0usize;
-    for (i, &rid) in receiver_ids.iter().enumerate() {
-        let got = sim
-            .agent(rid)
-            .as_any()
-            .and_then(|a| a.downcast_ref::<MptcpReceiverAgent>())
-            // simlint: allow(unwrap, reason = "agent installed as MptcpReceiverAgent above")
-            .expect("receiver agent")
-            .data_delivered();
+    for (i, &rid) in receivers.iter().enumerate() {
+        let got = world.receiver(rid).data_delivered();
         delivered += got;
-        // simlint: allow(panic-surface, reason = "receiver_ids and connections are index-aligned by the loop above")
+        // simlint: allow(panic-surface, reason = "receivers and connections are index-aligned by the loop above")
         if got >= program.connections[i].size_bytes {
             finished += 1;
         }
@@ -459,8 +414,8 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         delivered,
         offered: program.total_bytes(),
         goodput_mbps: delivered as f64 * 8.0 / cell.duration.as_secs_f64() / 1e6,
-        trace_hash: streamed(&sim).hash(),
-        events: sim.stats().events,
+        trace_hash: world.sink().hash(),
+        events: world.sim().stats().events,
     }
 }
 
@@ -494,7 +449,6 @@ pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
         let net = MobileNet::build(&net_cfg);
         let mut routing = RoutingTables::new(&net.topology);
         let subflows = install_subflows(&mut routing, &net.paths(), 1, 5000);
-        let mut sim = Simulator::new(net.topology.clone(), routing, seed);
         // Hash plus one whole-run bin per tag: the wifi/cell split is a
         // per-tag total of every delivery at the server, up to and
         // including the deadline instant, ACK-sized segments included.
@@ -503,35 +457,19 @@ pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
             data_only: false,
             ..SamplerConfig::tshark_like(net.server, whole_run, SimTime::ZERO + whole_run)
         });
-        sim.set_capture_sink(CaptureConfig::receiver_side(net.server), Box::new(sink));
+        let mut world = World::new(net.topology.clone(), routing, seed, sink);
         if with_faults {
-            sim.install_faults(&profile.compile(&net, &net_cfg));
+            world.install_faults(&profile.compile(&net, &net_cfg));
         }
         let cfg = MptcpConfig {
             algo,
             ..MptcpConfig::bulk(net.server, subflows)
         };
-        sim.add_agent(
-            net.client,
-            Box::new(MptcpSenderAgent::new(cfg)),
-            SimTime::ZERO,
-        );
-        let rid = sim.add_agent(
-            net.server,
-            Box::new(MptcpReceiverAgent::default()),
-            SimTime::ZERO,
-        );
-        sim.run_until(SimTime::ZERO + duration);
-        let delivered = sim
-            .agent(rid)
-            .as_any()
-            .and_then(|a| a.downcast_ref::<MptcpReceiverAgent>())
-            // simlint: allow(unwrap, reason = "agent installed as MptcpReceiverAgent above")
-            .expect("receiver agent")
-            .data_delivered();
-        let sink = streamed(&sim);
+        let (_, rid) = world.connect(net.client, cfg, SimTime::ZERO);
+        world.run_until(SimTime::ZERO + duration);
+        let sink = world.sink();
         (
-            delivered,
+            world.receiver(rid).data_delivered(),
             sink.tag_bytes(Tag(1)),
             sink.tag_bytes(Tag(2)),
             sink.hash(),

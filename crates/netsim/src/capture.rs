@@ -88,11 +88,6 @@ impl BufferSink {
     pub fn records(&self) -> &[CaptureRecord] {
         &self.records
     }
-
-    /// Take ownership of the records, leaving the buffer empty.
-    pub fn take_records(&mut self) -> Vec<CaptureRecord> {
-        std::mem::take(&mut self.records)
-    }
 }
 
 impl CaptureSink for BufferSink {
@@ -137,13 +132,16 @@ impl CaptureConfig {
     /// The paper's setup: record deliveries at the destination host (plus
     /// drops anywhere, which are cheap and invaluable for debugging).
     pub fn receiver_side(dst: NodeId) -> Self {
-        CaptureConfig {
-            nodes: Some(BTreeSet::from([dst])),
-            kinds: CaptureKind::Delivered.bit()
-                | CaptureKind::Dropped.bit()
-                | CaptureKind::Unroutable.bit(),
-            enabled: true,
-        }
+        Self::off().and_receiver_side(dst)
+    }
+
+    /// Also capture receiver-side at `dst` (many-receiver worlds grow one
+    /// configuration a receiver at a time).
+    pub fn and_receiver_side(self, dst: NodeId) -> Self {
+        self.add_node(dst)
+            .add_kind(CaptureKind::Delivered)
+            .add_kind(CaptureKind::Dropped)
+            .add_kind(CaptureKind::Unroutable)
     }
 
     /// Record every kind at every node (tests, small runs).

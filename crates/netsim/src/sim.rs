@@ -302,6 +302,12 @@ impl Simulator {
         self.sink = Some(sink);
     }
 
+    /// Also capture receiver-side at `node`, in place and keeping the sink
+    /// (see [`CaptureConfig::and_receiver_side`]).
+    pub fn capture_receiver_side(&mut self, node: NodeId) {
+        self.capture_cfg = std::mem::take(&mut self.capture_cfg).and_receiver_side(node);
+    }
+
     /// The installed capture sink, if it is a `T`.
     pub fn sink<T: CaptureSink>(&self) -> Option<&T> {
         (self.sink.as_deref()? as &dyn Any).downcast_ref()
@@ -318,11 +324,6 @@ impl Simulator {
     /// between flows and makes distinct seeds produce distinct runs.
     pub fn set_forward_jitter(&mut self, jitter: SimDuration) {
         self.forward_jitter = jitter;
-    }
-
-    /// Set the log verbosity.
-    pub fn set_log_level(&mut self, level: LogLevel) {
-        self.log = EventLog::new(level);
     }
 
     /// Attach an agent to `node`, starting at `start`. One agent per node.
@@ -413,13 +414,6 @@ impl Simulator {
     /// installed instead of the buffer.
     pub fn captures(&self) -> &[CaptureRecord] {
         self.sink::<BufferSink>().map_or(&[], BufferSink::records)
-    }
-
-    /// Take ownership of the buffered capture records (clears the buffer).
-    pub fn take_captures(&mut self) -> Vec<CaptureRecord> {
-        self.sink_mut::<BufferSink>()
-            .map(BufferSink::take_records)
-            .unwrap_or_default()
     }
 
     /// Packets currently inside the network.

@@ -160,25 +160,6 @@ impl EventLog {
         self.dropped
     }
 
-    /// Take ownership of the retained records, leaving the log empty (the
-    /// level filter and capacity bound stay configured).
-    pub fn take_records(&mut self) -> Vec<LogRecord> {
-        std::mem::take(&mut self.records)
-    }
-
-    /// Append an already-built record, bypassing the level filter — the
-    /// record passed a filter when it was first logged. With
-    /// [`EventLog::take_records`], moves records from one log to another.
-    pub fn push_record(&mut self, rec: LogRecord) {
-        if let Some(cap) = self.capacity {
-            if self.records.len() >= cap {
-                self.dropped += 1;
-                return;
-            }
-        }
-        self.records.push(rec);
-    }
-
     /// Forget everything (between experiment repetitions).
     pub fn clear(&mut self) {
         self.records.clear();
@@ -244,20 +225,6 @@ mod tests {
             message: "rto backoff".into(),
         };
         assert_eq!(format!("{rec}"), "[5.000ms WARN tcp] rto backoff");
-    }
-
-    #[test]
-    fn take_and_push_move_records_across_logs() {
-        let mut a = EventLog::new(LogLevel::Info);
-        a.log(SimTime::ZERO, LogLevel::Info, "c", "kept");
-        let mut b = EventLog::new(LogLevel::Warn);
-        for rec in a.take_records() {
-            // Below b's own filter, but push_record trusts the original one.
-            b.push_record(rec);
-        }
-        assert!(a.records().is_empty());
-        assert_eq!(b.records().len(), 1);
-        assert_eq!(b.records()[0].message, "kept");
     }
 
     #[test]

@@ -8,10 +8,8 @@
 //!
 //! Run: `cargo run --example cwnd_dynamics --release`
 
-use mptcp_overlap::mptcpsim::{
-    common_destination, install_subflows, CcAlgo, MptcpConfig, MptcpReceiverAgent, MptcpSenderAgent,
-};
-use mptcp_overlap::netsim::{CaptureConfig, RoutingTables, Simulator};
+use mptcp_overlap::mptcpsim::{common_destination, install_subflows, CcAlgo, MptcpConfig};
+use mptcp_overlap::netsim::RoutingTables;
 use mptcp_overlap::prelude::*;
 use mptcp_overlap::simtrace;
 
@@ -19,31 +17,20 @@ fn main() {
     for algo in [CcAlgo::Cubic, CcAlgo::Lia] {
         let net = PaperNetwork::new();
         let mut rt = RoutingTables::new(&net.topology);
-        let subflows = install_subflows(&mut rt, &net.paths, 1, 5000);
-        // Reorder: default path (Path 2) first, keeping canonical tags.
-        let mut subflows = subflows;
+        // Default path (Path 2) first, keeping canonical tags.
+        let mut subflows = install_subflows(&mut rt, &net.paths, 1, 5000);
         subflows.swap(0, net.default_path);
         let dst = common_destination(&net.paths);
-        let mut sim = Simulator::new(net.topology.clone(), rt, 42);
-        sim.set_capture(CaptureConfig::off());
-        sim.set_forward_jitter(SimDuration::from_micros(20));
+        let mut world = World::new(net.topology.clone(), rt, 42, simtrace::TraceSink::new());
+        world.set_forward_jitter(SimDuration::from_micros(20));
         let cfg = MptcpConfig {
             algo,
             cwnd_trace_interval: Some(SimDuration::from_millis(50)),
             ..MptcpConfig::bulk(dst, subflows)
         };
-        let sender_id = sim.add_agent(net.src, Box::new(MptcpSenderAgent::new(cfg)), SimTime::ZERO);
-        sim.add_agent(dst, Box::new(MptcpReceiverAgent::default()), SimTime::ZERO);
-        let end = SimTime::from_secs(10);
-        sim.run_until(end);
-
-        let sender = sim
-            .agent(sender_id)
-            .as_any()
-            .unwrap()
-            .downcast_ref::<MptcpSenderAgent>()
-            .unwrap();
-        let trace = sender.cwnd_trace();
+        let (sender, _) = world.connect(net.src, cfg, SimTime::ZERO);
+        world.run_until(SimTime::from_secs(10));
+        let trace = world.sender(sender).cwnd_trace();
 
         // Build one cwnd series (in packets) per subflow.
         let nbins = 200; // 10 s / 50 ms

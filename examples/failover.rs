@@ -9,14 +9,10 @@
 //!
 //! Run: `cargo run --example failover --release`
 
-use mptcp_overlap::mptcpsim::{
-    common_destination, install_subflows, MptcpConfig, MptcpReceiverAgent, MptcpSenderAgent,
-};
-use mptcp_overlap::netsim::{
-    CaptureConfig, Path, QueueConfig, RoutingTables, Simulator, Tag, Topology,
-};
+use mptcp_overlap::mptcpsim::{common_destination, install_subflows, MptcpConfig};
+use mptcp_overlap::netsim::{FaultSchedule, RoutingTables, Tag};
 use mptcp_overlap::prelude::*;
-use mptcp_overlap::simtrace::{SamplerConfig, ThroughputSampler};
+use mptcp_overlap::simtrace::{SamplerConfig, TraceSink};
 
 fn main() {
     let mut topo = Topology::new();
@@ -37,27 +33,26 @@ fn main() {
     let mut rt = RoutingTables::new(&topo);
     let subflows = install_subflows(&mut rt, &paths, 1, 5000);
     let dst = common_destination(&paths);
-    let mut sim = Simulator::new(topo, rt, 21);
-    sim.set_capture(CaptureConfig::receiver_side(dst));
-    sim.set_forward_jitter(SimDuration::from_micros(20));
-    let sender_id = sim.add_agent(
-        s,
-        Box::new(MptcpSenderAgent::new(MptcpConfig::bulk(dst, subflows))),
-        SimTime::ZERO,
-    );
-    sim.add_agent(dst, Box::new(MptcpReceiverAgent::default()), SimTime::ZERO);
+    let end = SimTime::from_secs(10);
+    let sink = TraceSink::new().with_sampler(SamplerConfig::tshark_like(
+        dst,
+        SimDuration::from_millis(250),
+        end,
+    ));
+    let mut world = World::new(topo, rt, 21, sink);
+    world.set_forward_jitter(SimDuration::from_micros(20));
+    let (sender, _) = world.connect(s, MptcpConfig::bulk(dst, subflows), SimTime::ZERO);
 
     // The failure script.
-    sim.schedule_link_down(fast_access, SimTime::from_secs(2));
-    sim.schedule_link_up(fast_access, SimTime::from_secs(6));
+    world.install_faults(&FaultSchedule::new().outage(
+        fast_access,
+        SimTime::from_secs(2),
+        SimTime::from_secs(6),
+    ));
 
-    let end = SimTime::from_secs(10);
-    sim.run_until(end);
+    world.run_until(end);
 
-    let sampler = ThroughputSampler::from_records(
-        sim.captures(),
-        &SamplerConfig::tshark_like(dst, SimDuration::from_millis(250), end),
-    );
+    let sampler = world.sink().sampler().expect("the sink samples");
     println!("t[s]   path1   path2   total   (link down at 2 s, up at 6 s)");
     let p1s = sampler.tag(Tag(1));
     let p2s = sampler.tag(Tag(2));
@@ -69,15 +64,9 @@ fn main() {
         println!("{t:>4.2}  {v1:>6.1}  {v2:>6.1}  {:>6.1}  {bar}", v1 + v2);
     }
 
-    let sender = sim
-        .agent(sender_id)
-        .as_any()
-        .unwrap()
-        .downcast_ref::<MptcpSenderAgent>()
-        .unwrap();
     println!(
         "\nbytes reinjected onto the surviving subflow: {}",
-        sender.stats().bytes_reinjected
+        world.sender(sender).stats().bytes_reinjected
     );
     println!(
         "a single-path TCP connection on path 1 would have been dead for 4 seconds;\n\

@@ -94,7 +94,9 @@ fn golden_trace_hashes() {
     // Absolute pins, so a change that moves every run the same way (which
     // the double-run tests above cannot see) still fails. A new value here
     // means packet-level behaviour changed: re-pin only on purpose.
-    use mptcp_overlap::overlap_core::{failover_scenario, FailoverConfig, FailoverSetup};
+    use mptcp_overlap::overlap_core::{
+        failover_scenario, run_mobility, CrossTraffic, FailoverConfig, FailoverSetup,
+    };
 
     let net = PaperNetwork::new();
     let paper = Scenario {
@@ -120,5 +122,33 @@ fn golden_trace_hashes() {
         (failover.trace_hash, failover.events),
         (0x9b93_02a6_66cb_82bf, 1_255_159),
         "paper topology, LIA, default-path outage 4 s - 12 s, 16 s, seed 1"
+    );
+
+    // The one shape that puts other agents between sender and receiver:
+    // a CBR source/sink pair takes agent ids 1 and 2, the receiver id 3.
+    let net = PaperNetwork::new();
+    let node = |name| net.topology.node_by_name(name).unwrap();
+    let crossed = Scenario {
+        default_path: net.default_path,
+        background: vec![CrossTraffic {
+            from: node("v4"),
+            to: node("v2"),
+            rate: Bandwidth::from_mbps(10),
+            packet_bytes: 1000,
+        }],
+        ..Scenario::new(net.topology.clone(), net.paths.clone())
+    }
+    .with_timing(SimDuration::from_secs(2), SimDuration::from_millis(100))
+    .run();
+    assert_eq!(
+        (crossed.trace_hash, crossed.events),
+        (0x5da3_e113_0430_eb15, 162_267),
+        "paper topology, CUBIC, 10 Mbps CBR v4 -> v2, 2 s, seed 1"
+    );
+
+    assert_eq!(
+        run_mobility(CcAlgo::Lia, 1).trace_hash,
+        0xe49e_0564_fef4_b1a7,
+        "wifi + cellular, LIA, default mobility profile, seed 1"
     );
 }

@@ -2,11 +2,11 @@
 //! topology, loss pattern, and seed.
 
 use mptcp_overlap::mptcpsim::{
-    common_destination, install_subflows, CcAlgo, MptcpConfig, MptcpReceiverAgent,
-    MptcpSenderAgent, SchedulerKind,
+    common_destination, install_subflows, CcAlgo, MptcpConfig, SchedulerKind,
 };
-use mptcp_overlap::netsim::{CaptureConfig, Path, QueueConfig, RoutingTables, Simulator, Topology};
+use mptcp_overlap::netsim::RoutingTables;
 use mptcp_overlap::prelude::*;
+use mptcp_overlap::simtrace::TraceSink;
 use mptcp_overlap::tcpsim::AppSource;
 use proptest::prelude::*;
 
@@ -81,34 +81,31 @@ proptest! {
         let subflows = install_subflows(&mut rt, &paths, 1, 5000);
         let src = paths[0].src();
         let dst = common_destination(&paths);
-        let mut sim = Simulator::new(topo, rt, seed);
-        sim.set_capture(CaptureConfig::off());
-        sim.set_forward_jitter(SimDuration::from_micros(20));
+        let mut world = World::new(topo, rt, seed, TraceSink::new());
+        world.set_forward_jitter(SimDuration::from_micros(20));
         let cfg = MptcpConfig {
             algo,
             scheduler: SchedulerKind::MinRtt,
             app: AppSource::Fixed(total_bytes),
             ..MptcpConfig::bulk(dst, subflows)
         };
-        let sender_id = sim.add_agent(src, Box::new(MptcpSenderAgent::new(cfg)), SimTime::ZERO);
-        let receiver_id = sim.add_agent(dst, Box::new(MptcpReceiverAgent::default()), SimTime::ZERO);
-        sim.run_until(SimTime::from_secs(60));
+        let (sender, receiver) = world.connect(src, cfg, SimTime::ZERO);
+        world.run_until(SimTime::from_secs(60));
 
-        let receiver = sim.agent(receiver_id).as_any().unwrap()
-            .downcast_ref::<MptcpReceiverAgent>().unwrap();
+        let receiver = world.receiver(receiver);
         prop_assert_eq!(receiver.data_delivered(), total_bytes,
             "in-order stream must complete");
         prop_assert_eq!(receiver.reorder_buffer_bytes(), 0);
-        let sender = sim.agent(sender_id).as_any().unwrap()
-            .downcast_ref::<MptcpSenderAgent>().unwrap();
+        let sender = world.sender(sender);
         prop_assert!(sender.is_complete());
         prop_assert_eq!(sender.stats().data_acked, total_bytes);
         // Conservation at packet level too.
-        sim.run_to_completion();
-        prop_assert!(sim.stats().conserved(0),
+        world.run_to_completion();
+        let stats = world.sim().stats();
+        prop_assert!(stats.conserved(0),
             "sent={} delivered={} dropped={} unroutable={}",
-            sim.stats().packets_sent, sim.stats().packets_delivered,
-            sim.stats().packets_dropped, sim.stats().packets_unroutable);
+            stats.packets_sent, stats.packets_delivered,
+            stats.packets_dropped, stats.packets_unroutable);
     }
 
     /// The measured throughput of any run is feasible for the max-throughput
