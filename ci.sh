@@ -56,7 +56,7 @@ cmp /tmp/store_cold.txt /tmp/store_warm.txt || {
 }
 rm -rf "$STORE_DIR" /tmp/store_cold.txt /tmp/store_warm.txt /tmp/store_cold.log /tmp/store_warm.log
 
-echo "==> horizon-independence gate (paper net, LIA, 30 s then 120 s: VmHWM growth <= 2 MB)"
+echo "==> horizon-independence gate (paper net, LIA, 30 s then 120 s: VmHWM growth <= 512 KB)"
 # The measurement path streams (DESIGN.md par 14): a run holds O(bins) of
 # capture state, so a 4x longer run must not need more memory. A buffered
 # capture would add ~40 MB here.

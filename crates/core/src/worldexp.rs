@@ -239,6 +239,7 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
     // connection owns a distinct host pair, so the routes cannot collide.
     let mut routing = tree.routing.clone();
     let mut placements = Vec::with_capacity(pairs.len());
+    let mut subflow_cfgs = Vec::with_capacity(pairs.len());
     for (i, &(src, dst)) in pairs.iter().enumerate() {
         let conn_seed = SplitMix64::derive(cell.seed, STREAM_CONN | i as u64);
         let paths = match cell.selector {
@@ -247,24 +248,27 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
         };
         // simlint: allow(panic-surface, reason = "both selectors return exactly 2 paths")
         let class = tree.classify_pair(&paths[0], &paths[1]);
-        let subflows = install_subflows(&mut routing, &paths, 1, 5000);
-        placements.push((src, dst, paths, class, subflows));
+        subflow_cfgs.push(install_subflows(&mut routing, &paths, 1, 5000));
+        placements.push((src, dst, paths, class));
     }
     let rate = collision_rate(
         &tree,
         &placements
             .iter()
-            .map(|(_, _, p, _, _)| p.clone())
+            .map(|(_, _, p, _)| p.clone())
             .collect::<Vec<_>>(),
     );
 
-    let mut world = World::new(tree.topology.clone(), routing, cell.seed, TraceSink::new());
+    // Everything that reads the tree is computed; the world takes its
+    // topology, and each connection its subflow list, by move.
+    let mut world = World::new(tree.topology, routing, cell.seed, TraceSink::new());
     let receivers: Vec<ReceiverId> = placements
         .iter()
-        .map(|(src, dst, _, _, subflows)| {
+        .zip(subflow_cfgs)
+        .map(|((src, dst, _, _), subflows)| {
             let cfg = MptcpConfig {
                 algo: cell.algo,
-                ..MptcpConfig::bulk(*dst, subflows.clone())
+                ..MptcpConfig::bulk(*dst, subflows)
             };
             world.connect(*src, cfg, SimTime::ZERO).1
         })
@@ -277,7 +281,7 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
         .iter()
         .zip(&receivers)
         .enumerate()
-        .map(|(index, ((src, dst, _, class, _), &rid))| {
+        .map(|(index, ((src, dst, _, class), &rid))| {
             let delivered = world.receiver(rid).data_delivered();
             ConnReport {
                 index,
@@ -371,11 +375,14 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         subflow_cfgs.push(install_subflows(&mut routing, &net.paths(i), 1, 5000));
     }
 
-    let mut world = World::new(net.topology.clone(), routing, cell.seed, TraceSink::new());
+    // Paths and subflow configs are computed; the world takes the topology
+    // (and below each connection its subflow list) by move, so the run
+    // holds one copy of each.
+    let mut world = World::new(net.topology, routing, cell.seed, TraceSink::new());
     let end = SimTime::ZERO + cell.duration;
     let mut receivers = Vec::with_capacity(cell.pairs);
     let mut started = 0usize;
-    for (i, conn) in program.connections.iter().enumerate() {
+    for ((i, conn), subflows) in program.connections.iter().enumerate().zip(subflow_cfgs) {
         // Receivers exist from t=0; each sender agent starts at its
         // connection's arrival time (the agent-start event *is* the
         // arrival). Arrivals past the deadline still get agents — they
@@ -387,8 +394,8 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         let cfg = MptcpConfig {
             algo: cell.algo,
             app: AppSource::Fixed(conn.size_bytes),
-            // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net and subflow_cfgs were built for the same count")
-            ..MptcpConfig::bulk(net.dsts[i], subflow_cfgs[i].clone())
+            // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net was built for the same count")
+            ..MptcpConfig::bulk(net.dsts[i], subflows)
         };
         // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net was built for the same count")
         receivers.push(world.connect(net.srcs[i], cfg, conn.start).1);
@@ -457,9 +464,10 @@ pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
             data_only: false,
             ..SamplerConfig::tshark_like(net.server, whole_run, SimTime::ZERO + whole_run)
         });
-        let mut world = World::new(net.topology.clone(), routing, seed, sink);
-        if with_faults {
-            world.install_faults(&profile.compile(&net, &net_cfg));
+        let faults = with_faults.then(|| profile.compile(&net, &net_cfg));
+        let mut world = World::new(net.topology, routing, seed, sink);
+        if let Some(faults) = &faults {
+            world.install_faults(faults);
         }
         let cfg = MptcpConfig {
             algo,

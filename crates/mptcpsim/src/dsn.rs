@@ -8,7 +8,7 @@
 //! connection-level reassembly on the receive side (duplicate-tolerant,
 //! which is what makes the redundant scheduler work for free).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A set of disjoint half-open `u64` intervals with a distinguished
 /// "delivered prefix" (everything below `next`).
@@ -87,6 +87,11 @@ impl IntervalSet {
                     self.next = e;
                 }
             }
+            if self.ranges.is_empty() {
+                // An emptied B-tree keeps its root leaf; a reordering
+                // episode that is over should cost nothing.
+                self.ranges = BTreeMap::new();
+            }
         } else {
             self.ranges.insert(start, end);
         }
@@ -152,18 +157,20 @@ impl Mapping {
     }
 }
 
-/// The ordered mapping list for one subflow (send side).
+/// The unacknowledged mappings of one subflow (send side), oldest first.
 ///
 /// The scheduler appends mappings with strictly increasing, contiguous
 /// subflow offsets (that is how data is pushed into the subflow's sender);
 /// DSN ranges are arbitrary (interleaved across subflows, or duplicated by
-/// the redundant scheduler).
+/// the redundant scheduler). Cumulative ACKs pop them from the front, so
+/// the table holds what is in flight and nothing behind the window — an
+/// idle subflow's table holds no allocation at all (DESIGN.md "Footprint").
 #[derive(Debug, Clone, Default)]
 pub struct MappingTable {
-    maps: Vec<Mapping>,
-    /// Index of the first mapping that may still be needed (mappings whose
-    /// data is fully acknowledged are pruned lazily).
-    low: usize,
+    maps: VecDeque<Mapping>,
+    /// Subflow offset the next mapping must start at (`None` until the
+    /// first push). Outlives the mappings themselves, which `prune` drops.
+    end: Option<u64>,
 }
 
 impl MappingTable {
@@ -175,40 +182,43 @@ impl MappingTable {
     /// Append a mapping. The subflow offset must continue exactly where the
     /// previous mapping ended.
     pub fn push(&mut self, m: Mapping) {
-        if let Some(last) = self.maps.last() {
-            assert_eq!(m.subflow_start, last.subflow_end(), "mapping gap");
+        if let Some(end) = self.end {
+            assert_eq!(m.subflow_start, end, "mapping gap");
         }
         assert!(m.len > 0, "empty mapping");
-        self.maps.push(m);
+        self.end = Some(m.subflow_end());
+        self.maps.push_back(m);
     }
 
     /// Total subflow bytes mapped so far.
     pub fn mapped_end(&self) -> u64 {
-        self.maps.last().map(|m| m.subflow_end()).unwrap_or(0)
+        self.end.unwrap_or(0)
     }
 
     /// Split the subflow range `[offset, offset+len)` into
-    /// `(dsn, piece_len)` pieces, one per mapping it crosses. Panics if any
-    /// part of the range is unmapped (a scheduler bug).
-    pub fn lookup(&self, offset: u64, len: u32) -> Vec<(u64, u32)> {
-        let mut out = Vec::with_capacity(1);
-        let mut cur = offset;
-        let end = offset + len as u64;
-        let live = self.maps.get(self.low..).unwrap_or(&[]);
-        // Binary search for the mapping containing `cur`.
-        let mut idx = match live.binary_search_by(|m| {
-            if m.subflow_end() <= cur {
+    /// `(dsn, piece_len)` pieces, one per mapping it crosses, without
+    /// allocating. Panics if any part of the range is unmapped (a scheduler
+    /// bug): at once if `offset` is, while iterating if a later byte is.
+    pub fn lookup(&self, offset: u64, len: u32) -> impl Iterator<Item = (u64, u32)> + '_ {
+        let end = offset + u64::from(len);
+        // Binary search for the mapping containing `offset`.
+        let mut idx = match self.maps.binary_search_by(|m| {
+            if m.subflow_end() <= offset {
                 std::cmp::Ordering::Less
-            } else if m.subflow_start > cur {
+            } else if m.subflow_start > offset {
                 std::cmp::Ordering::Greater
             } else {
                 std::cmp::Ordering::Equal
             }
         }) {
-            Ok(i) => self.low + i,
-            Err(_) => panic!("offset {cur} not mapped"),
+            Ok(i) => i,
+            Err(_) => panic!("offset {offset} not mapped"),
         };
-        while cur < end {
+        let mut cur = offset;
+        std::iter::from_fn(move || {
+            if cur >= end {
+                return None;
+            }
             let m = self
                 .maps
                 .get(idx)
@@ -220,11 +230,10 @@ impl MappingTable {
             // cur >= offset), so the conversion cannot actually truncate;
             // the fallback clamps to the full requested length.
             let piece_len = u32::try_from(piece_end - cur).unwrap_or(len);
-            out.push((dsn, piece_len));
             cur = piece_end;
             idx += 1;
-        }
-        out
+            Some((dsn, piece_len))
+        })
     }
 
     /// Drop mappings entirely below `acked_subflow_offset` (no longer
@@ -232,51 +241,49 @@ impl MappingTable {
     pub fn prune(&mut self, acked_subflow_offset: u64) {
         while self
             .maps
-            .get(self.low)
+            .front()
             .is_some_and(|m| m.subflow_end() <= acked_subflow_offset)
         {
-            self.low += 1;
+            self.maps.pop_front();
         }
-        // Physically compact occasionally to bound memory.
-        if self.low > 1024 {
-            self.maps.drain(..self.low);
-            self.low = 0;
+        if self.maps.is_empty() {
+            self.maps = VecDeque::new();
         }
     }
 
-    /// Mappings currently retained (diagnostics).
+    /// Mappings currently retained: those not yet fully acknowledged.
     pub fn live_mappings(&self) -> usize {
-        self.maps.len() - self.low
+        self.maps.len()
     }
 
     /// Iterate the (clipped) mapping pieces covering subflow offsets at or
     /// above `offset` — the data a failed subflow still owes the
     /// connection, used by failover reinjection.
     pub fn live_after(&self, offset: u64) -> impl Iterator<Item = Mapping> + '_ {
-        self.maps
-            .get(self.low..)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(move |m| {
-                if m.subflow_end() <= offset {
-                    None
-                } else if m.subflow_start >= offset {
-                    Some(*m)
-                } else {
-                    let skip = offset - m.subflow_start;
-                    Some(Mapping {
-                        subflow_start: offset,
-                        dsn_start: m.dsn_start + skip,
-                        len: m.len - skip,
-                    })
-                }
-            })
+        self.maps.iter().filter_map(move |m| {
+            if m.subflow_end() <= offset {
+                None
+            } else if m.subflow_start >= offset {
+                Some(*m)
+            } else {
+                let skip = offset - m.subflow_start;
+                Some(Mapping {
+                    subflow_start: offset,
+                    dsn_start: m.dsn_start + skip,
+                    len: m.len - skip,
+                })
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pieces(t: &MappingTable, offset: u64, len: u32) -> Vec<(u64, u32)> {
+        t.lookup(offset, len).collect()
+    }
 
     #[test]
     fn interval_in_order_delivery() {
@@ -374,10 +381,10 @@ mod tests {
         });
         assert_eq!(t.mapped_end(), 2920);
         // Inside the first mapping.
-        assert_eq!(t.lookup(0, 1460), vec![(1000, 1460)]);
-        assert_eq!(t.lookup(100, 100), vec![(1100, 100)]);
+        assert_eq!(pieces(&t, 0, 1460), vec![(1000, 1460)]);
+        assert_eq!(pieces(&t, 100, 100), vec![(1100, 100)]);
         // Crossing the boundary splits.
-        assert_eq!(t.lookup(1400, 120), vec![(2400, 60), (5000, 60)]);
+        assert_eq!(pieces(&t, 1400, 120), vec![(2400, 60), (5000, 60)]);
     }
 
     #[test]
@@ -392,7 +399,7 @@ mod tests {
         }
         t.prune(450);
         assert_eq!(t.live_mappings(), 6); // [400,500) still needed
-        assert_eq!(t.lookup(450, 50), vec![(4050, 50)]);
+        assert_eq!(pieces(&t, 450, 50), vec![(4050, 50)]);
         t.prune(1000);
         assert_eq!(t.live_mappings(), 0);
     }
@@ -455,6 +462,95 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "runs past mappings")]
+    fn lookup_past_the_last_mapping_panics() {
+        let mut t = MappingTable::new();
+        t.push(Mapping {
+            subflow_start: 0,
+            dsn_start: 0,
+            len: 100,
+        });
+        let _ = pieces(&t, 50, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "offset 399 not mapped")]
+    fn lookup_across_a_pruned_boundary_panics() {
+        let mut t = MappingTable::new();
+        for i in 0..10u64 {
+            t.push(Mapping {
+                subflow_start: i * 100,
+                dsn_start: i * 1000,
+                len: 100,
+            });
+        }
+        t.prune(450);
+        // [399, 401) starts in a mapping the ACK released.
+        let _ = t.lookup(399, 2);
+    }
+
+    #[test]
+    fn table_holds_exactly_the_unacked_mappings() {
+        // A 10 000-mapping walk: push a window's worth ahead, ACK behind it
+        // at uneven strides (mid-mapping, on a boundary, several at once).
+        const N: u64 = 10_000;
+        const LEN: u64 = 1460;
+        let mut t = MappingTable::new();
+        let (mut pushed, mut acked) = (0u64, 0u64);
+        let mut step = 0u64;
+        while acked < N * LEN {
+            for _ in 0..(step % 7 + 1) {
+                if pushed < N {
+                    t.push(Mapping {
+                        subflow_start: pushed * LEN,
+                        dsn_start: pushed * 3 * LEN,
+                        len: LEN,
+                    });
+                    pushed += 1;
+                }
+            }
+            acked = (acked + (step % 5) * 977).min(pushed * LEN);
+            t.prune(acked);
+            let unacked = pushed - acked / LEN;
+            assert_eq!(t.live_mappings() as u64, unacked);
+            assert_eq!(t.mapped_end(), pushed * LEN);
+            if unacked > 0 {
+                // The first live byte still resolves, clipped like before.
+                let first = t.live_after(acked).next().unwrap();
+                assert_eq!(first.subflow_start, acked);
+                assert_eq!(first.dsn_start, (acked / LEN) * 3 * LEN + acked % LEN);
+                assert_eq!(
+                    pieces(&t, acked, 1)[0].0,
+                    first.dsn_start,
+                    "lookup and live_after disagree at {acked}"
+                );
+            }
+            step += 1;
+        }
+        assert_eq!(t.live_mappings(), 0);
+        assert_eq!(t.maps.capacity(), 0, "an idle table holds no allocation");
+        // The offset chain survives the table emptying.
+        assert_eq!(t.mapped_end(), N * LEN);
+    }
+
+    #[test]
+    #[should_panic(expected = "mapping gap")]
+    fn mapping_gap_is_caught_after_everything_was_acked() {
+        let mut t = MappingTable::new();
+        t.push(Mapping {
+            subflow_start: 0,
+            dsn_start: 0,
+            len: 100,
+        });
+        t.prune(100);
+        t.push(Mapping {
+            subflow_start: 150,
+            dsn_start: 100,
+            len: 100,
+        });
+    }
+
+    #[test]
     fn redundant_mappings_share_dsn() {
         // Two subflow tables mapping different subflow bytes to the SAME dsn
         // range (the redundant scheduler), reassembled once.
@@ -471,9 +567,9 @@ mod tests {
             len: 1000,
         });
         let mut conn = IntervalSet::new();
-        let (d1, l1) = t1.lookup(0, 1000)[0];
+        let (d1, l1) = pieces(&t1, 0, 1000)[0];
         assert_eq!(conn.insert(d1, d1 + l1 as u64), 1000);
-        let (d2, l2) = t2.lookup(0, 1000)[0];
+        let (d2, l2) = pieces(&t2, 0, 1000)[0];
         assert_eq!(
             conn.insert(d2, d2 + l2 as u64),
             0,

@@ -10,7 +10,6 @@
 use crate::dsn::IntervalSet;
 use netsim::{Agent, Ctx, NodeId, Packet, Protocol, Tag};
 use simbase::LogLevel;
-use std::collections::BTreeMap;
 use tcpsim::wire::{DssOption, TcpSegment};
 use tcpsim::{ReceiverConfig, TcpReceiver};
 
@@ -33,10 +32,12 @@ pub struct MptcpReceiverAgent {
     window: u32,
     /// Generate SACK blocks on subflow ACKs.
     sack: bool,
-    /// Per-subflow receivers, keyed by the peer's source port. BTreeMap:
-    /// any traversal (stats, teardown) must be in port order, never in a
-    /// per-process hash order (simlint: hash-iter).
-    subs: BTreeMap<u16, TcpReceiver>,
+    /// Per-subflow receivers, keyed by the peer's source port and kept
+    /// sorted by it: any traversal (stats, teardown) is in port order,
+    /// never in a per-process hash order (simlint: hash-iter). A connection
+    /// has a handful of subflows, so a sorted `Vec` searched by bisection is
+    /// the whole map; a B-tree would spend a 1.9 KB leaf on two entries.
+    subs: Vec<(u16, TcpReceiver)>,
     /// Connection-level DSN reassembly.
     conn: IntervalSet,
     stats: MptcpReceiverStats,
@@ -54,7 +55,7 @@ impl MptcpReceiverAgent {
         MptcpReceiverAgent {
             window,
             sack: true,
-            subs: BTreeMap::new(),
+            subs: Vec::new(),
             conn: IntervalSet::new(),
             stats: MptcpReceiverStats::default(),
         }
@@ -99,17 +100,23 @@ impl Agent for MptcpReceiverAgent {
                 return;
             }
         };
-        let window = self.window;
-        let sack = self.sack;
-        let sub = self.subs.entry(seg.src_port).or_insert_with(|| {
-            TcpReceiver::new(ReceiverConfig {
-                src_port: seg.dst_port,
-                dst_port: seg.src_port,
-                window,
-                sack,
-                ..Default::default()
-            })
-        });
+        let at = match self.subs.binary_search_by_key(&seg.src_port, |s| s.0) {
+            Ok(at) => at,
+            Err(at) => {
+                let receiver = TcpReceiver::new(ReceiverConfig {
+                    src_port: seg.dst_port,
+                    dst_port: seg.src_port,
+                    window: self.window,
+                    sack: self.sack,
+                    ..Default::default()
+                });
+                // Exact fit: a connection has as many receivers as subflows
+                // ever joined, not the next power of two.
+                self.subs.reserve_exact(1);
+                self.subs.insert(at, (seg.src_port, receiver));
+                at
+            }
+        };
         self.stats.segments += 1;
 
         // Connection-level reassembly from the DSS mapping.
@@ -123,6 +130,8 @@ impl Agent for MptcpReceiverAgent {
 
         // Subflow-level ACK, carrying the data ACK.
         let ce = pkt.ecn == netsim::packet::Ecn::Ce;
+        // simlint: allow(panic-surface, reason = "`at` is where the search found, or this call inserted, the subflow")
+        let sub = &mut self.subs[at].1;
         if let Some(mut ack) = sub.on_data_ecn(ctx.now(), &seg, pkt.data_len, ce) {
             ack.dss = Some(DssOption {
                 data_ack: Some(self.conn.next_expected()),
@@ -199,4 +208,77 @@ pub fn common_destination(paths: &[netsim::Path]) -> NodeId {
         "paths must share a destination"
     );
     dst
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::{AgentId, Effect};
+    use simbase::{EventLog, SimTime, Xoshiro256StarStar};
+    use tcpsim::SeqNum;
+
+    #[test]
+    fn subflows_stay_sorted_by_port_whatever_order_they_join_in() {
+        let mut agent = MptcpReceiverAgent::default();
+        let mut rng = Xoshiro256StarStar::new(1);
+        let mut log = EventLog::new(LogLevel::Warn);
+        let mut effects = Vec::new();
+        let mut next_id = 0;
+        // One 100-byte segment per subflow, then a second on the first one.
+        for (i, port) in [5002u16, 5000, 5001, 5002].into_iter().enumerate() {
+            let seg = TcpSegment {
+                src_port: port,
+                dst_port: port + 1000,
+                seq: SeqNum::from_offset(
+                    ReceiverConfig::default().peer_isn,
+                    if i == 3 { 100 } else { 0 },
+                ),
+                dss: Some(DssOption {
+                    data_ack: None,
+                    dsn: Some(i as u64 * 100),
+                    subflow_seq: 0,
+                    data_len: 100,
+                }),
+                ..Default::default()
+            };
+            let pkt = Packet {
+                id: i as u64,
+                src: NodeId(0),
+                dst: NodeId(1),
+                tag: Tag(1),
+                protocol: Protocol::Tcp,
+                payload: seg.encode(),
+                data_len: 100,
+                flow_hash: u64::from(port),
+                ecn: netsim::packet::Ecn::NotEct,
+            };
+            let mut ctx = Ctx::new(
+                SimTime::from_millis(i as u64),
+                NodeId(1),
+                AgentId(0),
+                &mut rng,
+                &mut log,
+                &mut effects,
+                &mut next_id,
+            );
+            agent.on_packet(&mut ctx, pkt);
+        }
+        assert_eq!(agent.subflow_count(), 3);
+        let ports: Vec<u16> = agent.subs.iter().map(|s| s.0).collect();
+        assert_eq!(ports, [5000, 5001, 5002]);
+        // Each subflow's receiver took its own bytes; the second segment on
+        // 5002 found the receiver the first one created.
+        let delivered: Vec<u64> = agent.subs.iter().map(|s| s.1.delivered()).collect();
+        assert_eq!(delivered, [100, 100, 200]);
+        assert_eq!(agent.data_delivered(), 400);
+        // One ACK per segment, each from its own subflow's port pair.
+        let acks: Vec<u16> = effects
+            .iter()
+            .map(|e| match e {
+                Effect::Send(p) => TcpSegment::decode(&p.payload).unwrap().dst_port,
+                other => panic!("unexpected effect {other:?}"),
+            })
+            .collect();
+        assert_eq!(acks, [5002, 5000, 5001, 5002]);
+    }
 }

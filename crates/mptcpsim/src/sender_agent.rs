@@ -164,6 +164,10 @@ pub struct MptcpSenderAgent {
     pending_reinject: std::collections::VecDeque<(u64, u64)>,
     /// Congestion-state samples (when tracing is enabled).
     cwnd_trace: Vec<CwndSample>,
+    /// `pump`'s view of the active subflows, rebuilt before every
+    /// scheduling decision in this one buffer (sized for every subflow at
+    /// construction, so the send path never allocates for it).
+    snapshots: Vec<SubflowSnapshot>,
     stats: MptcpSenderStats,
 }
 
@@ -174,7 +178,7 @@ impl MptcpSenderAgent {
         let coupling = Coupling::new();
         let scheduler = cfg.scheduler.build();
         let initial_cwnd = cfg.initial_cwnd_segments as u64 * cfg.mss as u64;
-        let subs = cfg
+        let subs: Vec<Sub> = cfg
             .subflows
             .iter()
             .map(|sc| {
@@ -208,6 +212,7 @@ impl MptcpSenderAgent {
         };
         MptcpSenderAgent {
             cfg,
+            snapshots: Vec::with_capacity(subs.len()),
             subs,
             scheduler,
             coupling,
@@ -317,10 +322,9 @@ impl MptcpSenderAgent {
         for i in 0..self.subs.len() {
             let now = ctx.now();
             while let Some(tx) = self.subs[i].sender.poll_segment(now) {
-                let pieces = self.subs[i].maps.lookup(tx.offset, tx.len);
                 let mut done: u32 = 0;
                 let ecn = if self.cfg.ecn { Ecn::Ect } else { Ecn::NotEct };
-                for (dsn, piece_len) in pieces {
+                for (dsn, piece_len) in self.subs[i].maps.lookup(tx.offset, tx.len) {
                     let mut seg = tx.seg.clone();
                     seg.seq = tx.seg.seq.wrapping_add(done);
                     // The wire subflow sequence wraps modulo 2^32 like any
@@ -351,15 +355,18 @@ impl MptcpSenderAgent {
 
     /// Allocate chunks while any subflow has space, then drain.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
+        let mut snapshots = std::mem::take(&mut self.snapshots);
         loop {
             self.drain(ctx);
             if self.remaining == Some(0) {
                 break;
             }
-            let snapshots: Vec<SubflowSnapshot> = (0..self.subs.len())
-                .filter(|&i| self.subs[i].active)
-                .map(|i| self.snapshot(i))
-                .collect();
+            snapshots.clear();
+            snapshots.extend(
+                (0..self.subs.len())
+                    .filter(|&i| self.subs[i].active)
+                    .map(|i| self.snapshot(i)),
+            );
             if !snapshots.iter().any(|s| s.eligible) {
                 break;
             }
@@ -403,6 +410,7 @@ impl MptcpSenderAgent {
                 }
             }
         }
+        self.snapshots = snapshots;
         self.rearm(ctx);
     }
 

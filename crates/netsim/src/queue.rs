@@ -9,6 +9,7 @@
 use crate::packet::Packet;
 use simbase::rng::SimRng;
 use simbase::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Why a queue refused a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,9 +109,15 @@ impl Default for QueueConfig {
 }
 
 /// Drop-tail FIFO, bounded by packets or bytes.
+///
+/// The buffer is sized by what is queued: the dequeue that empties it gives
+/// its allocation back (DESIGN.md "Footprint"). A packet meeting an idle
+/// transmitter never enters the queue, so this costs one allocation per
+/// burst, and an access link that queued one initial window does not keep
+/// 16 packets' worth of buffer for the rest of the run.
 #[derive(Debug, Clone)]
 pub struct DropTail {
-    buf: std::collections::VecDeque<Packet>,
+    buf: VecDeque<Packet>,
     bytes: u64,
     max_packets: usize,
     max_bytes: u64,
@@ -163,6 +170,9 @@ impl Queue for DropTail {
         let pkt = self.buf.pop_front();
         if let Some(p) = &pkt {
             self.bytes -= p.wire_size() as u64;
+            if self.buf.is_empty() {
+                self.buf = VecDeque::new();
+            }
         }
         Dequeued {
             pkt,
@@ -222,7 +232,8 @@ impl Default for RedConfig {
 }
 
 /// Random Early Detection queue (gentle variant not implemented; classic
-/// linear ramp between `min_thresh` and `max_thresh`).
+/// linear ramp between `min_thresh` and `max_thresh`). Buffers in a
+/// [`DropTail`], so an emptied RED queue holds no allocation either.
 #[derive(Debug, Clone)]
 pub struct Red {
     inner: DropTail,
@@ -360,7 +371,8 @@ impl Default for CoDelConfig {
 #[derive(Debug, Clone)]
 pub struct CoDel {
     cfg: CoDelConfig,
-    buf: std::collections::VecDeque<(Packet, SimTime)>,
+    /// Released when a pop empties it, like [`DropTail`]'s.
+    buf: VecDeque<(Packet, SimTime)>,
     bytes: u64,
     /// When the sojourn time first exceeded target (None = below target).
     first_above: Option<SimTime>,
@@ -397,6 +409,9 @@ impl CoDel {
     fn pop(&mut self) -> Option<(Packet, SimTime)> {
         let e = self.buf.pop_front()?;
         self.bytes -= e.0.wire_size() as u64;
+        if self.buf.is_empty() {
+            self.buf = VecDeque::new();
+        }
         Some(e)
     }
 
@@ -835,6 +850,101 @@ mod tests {
         }
         assert_eq!(seen, 30);
         assert_eq!(q.len_bytes(), 0);
+    }
+
+    /// Everything a queue shows the simulator for one op sequence: per
+    /// dequeue the delivered id, the head-dropped ids and the byte count
+    /// left behind; per enqueue whether the packet was admitted.
+    fn drive(
+        q: &mut dyn Queue,
+        rng: &mut Xoshiro256StarStar,
+        ids: std::ops::Range<u64>,
+        start: SimTime,
+        gap: SimDuration,
+    ) -> Vec<(Option<u64>, Vec<u64>, u64)> {
+        let mut seen = Vec::new();
+        for id in ids {
+            let admitted = matches!(q.enqueue(start, pkt(id, 1000), rng), EnqueueResult::Queued);
+            seen.push((admitted.then_some(id), Vec::new(), q.len_bytes()));
+        }
+        let mut now = start;
+        while !q.is_empty() {
+            now += gap;
+            let d = q.dequeue(now);
+            let dropped = d.dropped.iter().map(|p| p.id).collect();
+            seen.push((d.pkt.map(|p| p.id), dropped, q.len_bytes()));
+        }
+        seen
+    }
+
+    /// Fill, drain to empty (slowly enough that an AQM acts), then check
+    /// that the emptied queue — and a checkpoint of it — carries on exactly
+    /// like one that kept its buffer: same admissions, FIFO deliveries,
+    /// head drops and byte counts, with the AQM state the first burst left.
+    fn emptied_queue_carries_on(q: &mut dyn Queue) {
+        let mut rng = Xoshiro256StarStar::new(9);
+        let ms = SimDuration::from_millis;
+        let first = drive(q, &mut rng, 0..48, SimTime::ZERO, ms(10));
+        assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
+        assert!(first.len() > 48, "the first burst was queued and drained");
+
+        let mut twin = q.clone_boxed();
+        let mut twin_rng = rng.clone();
+        let t = SimTime::from_secs(1);
+        let second = drive(q, &mut rng, 100..148, t, ms(10));
+        assert_eq!(
+            second,
+            drive(twin.as_mut(), &mut twin_rng, 100..148, t, ms(10))
+        );
+        assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
+        // FIFO: whatever leaves (delivered or head-dropped) leaves in
+        // arrival order, and every admitted packet leaves.
+        let (enq, deq) = second.split_at(48);
+        let admitted: Vec<u64> = enq.iter().filter_map(|s| s.0).collect();
+        let left: Vec<u64> = deq
+            .iter()
+            .flat_map(|s| s.1.iter().copied().chain(s.0))
+            .collect();
+        assert_eq!(left, admitted);
+        assert!(!admitted.is_empty());
+    }
+
+    #[test]
+    fn droptail_releases_its_buffer_when_emptied_and_carries_on() {
+        let mut q = DropTail::packets(32);
+        emptied_queue_carries_on(&mut q);
+        assert_eq!(q.buf.capacity(), 0);
+        // Byte-bounded too, and a dequeue of the empty queue is a no-op.
+        let mut q = DropTail::bytes(20_000);
+        emptied_queue_carries_on(&mut q);
+        assert_eq!(q.buf.capacity(), 0);
+        assert!(q.dequeue(SimTime::ZERO).pkt.is_none());
+        assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn red_releases_its_buffer_when_emptied_and_carries_on() {
+        let mut q = Red::new(RedConfig {
+            weight: 0.5,
+            min_thresh: 2.0,
+            max_thresh: 8.0,
+            max_p: 0.5,
+            ..Default::default()
+        });
+        emptied_queue_carries_on(&mut q);
+        assert_eq!(q.inner.buf.capacity(), 0);
+        assert!(q.idle_since.is_some(), "the idle clock runs while empty");
+    }
+
+    #[test]
+    fn codel_releases_its_buffer_when_emptied_and_carries_on() {
+        let mut q = CoDel::new(CoDelConfig::default());
+        emptied_queue_carries_on(&mut q);
+        assert_eq!(q.buf.capacity(), 0);
+        // 48 packets drained at 10 ms apiece sojourn far above target: the
+        // sojourn state machine dropped from the head in both bursts, and
+        // the second episode started from the first one's count.
+        assert!(q.count > 1, "count {} carried no episode over", q.count);
     }
 
     #[test]

@@ -135,6 +135,15 @@ const GRANULARITY_BITS: u32 = 16;
 /// Levels needed to cover the 48 timestamp bits above the granule
 /// (48 / 6 = 8).
 const LEVELS: usize = (64 - GRANULARITY_BITS as usize).div_ceil(SLOT_BITS as usize);
+/// Levels whose buckets keep their allocation when they drain. A level-0 or
+/// level-1 slot refills every ~4 ms / ~268 ms rotation with the packet
+/// events that dominate a run, so recycling it is what keeps steady-state
+/// operation allocation-free. A slot at level 2 and above settles at most
+/// once per 268 ms of simulated time and holds whatever timers happened to
+/// land in that window; its high-water allocation (tens of KB of RTO timers
+/// in a many-connection cell) would otherwise sit idle for the rest of the
+/// run (DESIGN.md "Footprint").
+const RECYCLED_LEVELS: usize = 2;
 
 /// The hierarchical timing wheel backend.
 ///
@@ -157,8 +166,9 @@ struct Wheel<E> {
     /// Per-level slot-occupancy bitmaps (bit `s` = slot `s` non-empty).
     occupied: [u64; LEVELS],
     /// `LEVELS × SLOTS` buckets, flattened; unsorted within a bucket.
-    /// Bucket vectors are recycled in place, so steady-state operation
-    /// does not allocate.
+    /// Bucket vectors below [`RECYCLED_LEVELS`] are recycled in place, so
+    /// steady-state operation does not allocate; higher ones are freed
+    /// when they drain.
     slots: Vec<Vec<Entry<E>>>,
     pending: VecDeque<Entry<E>>,
     early: BinaryHeap<Entry<E>>,
@@ -326,8 +336,11 @@ impl<E> Wheel<E> {
                     self.push(e);
                 }
             }
-            // Hand the drained vector's allocation back to the bucket.
-            *self.bucket(level, slot) = v;
+            // Hand the drained vector's allocation back to a hot bucket; a
+            // cold one is freed here.
+            if level < RECYCLED_LEVELS {
+                *self.bucket(level, slot) = v;
+            }
             if !self.pending.is_empty() {
                 return true;
             }
@@ -407,11 +420,17 @@ pub struct EventQueue<E> {
     cancelled: u64,
     /// Events currently scheduled (pushed, not yet popped or cancelled).
     live: u64,
-    /// State per issued token, indexed by `token - 1` (tokens are issued
-    /// sequentially from 1; 0 marks non-cancellable entries). A flat byte
-    /// table: O(1) on the hot pop/cancel paths, one byte per cancellable
-    /// push over the queue's lifetime.
-    token_state: Vec<TokenState>,
+    /// State of the tokens that can still change, indexed by
+    /// `token - 1 - token_base` (tokens are issued sequentially from 1; 0
+    /// marks non-cancellable entries). A flat byte window: O(1) on the hot
+    /// pop/cancel paths. Its front is never `Spent` — a token that fires or
+    /// is reaped at the front slides the window past every terminal state
+    /// behind it — so the table holds one byte per push since the oldest
+    /// token still pending, not per push over the queue's lifetime. A
+    /// long-lived pending token only delays the slide.
+    token_state: VecDeque<TokenState>,
+    /// Tokens that have slid out of `token_state`: all `Spent`.
+    token_base: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -440,7 +459,8 @@ impl<E> EventQueue<E> {
             pushed: 0,
             cancelled: 0,
             live: 0,
-            token_state: Vec::new(),
+            token_state: VecDeque::new(),
+            token_base: 0,
         }
     }
 
@@ -453,8 +473,7 @@ impl<E> EventQueue<E> {
     /// (`EventQueue::cancel`) accepts. Tokens are unique over the queue's
     /// lifetime and never zero.
     pub fn push_cancellable(&mut self, time: SimTime, event: E) -> u64 {
-        self.token_state.push(TokenState::Live);
-        let token = self.token_state.len() as u64;
+        let token = self.issue_token();
         self.push_token(time, event, token);
         token
     }
@@ -470,10 +489,38 @@ impl<E> EventQueue<E> {
     /// Keyed push (see [`EventQueue::push_keyed`]) that returns a
     /// cancellation token, like [`EventQueue::push_cancellable`].
     pub fn push_keyed_cancellable(&mut self, time: SimTime, key: u64, event: E) -> u64 {
-        self.token_state.push(TokenState::Live);
-        let token = self.token_state.len() as u64;
+        let token = self.issue_token();
         self.push_entry(time, key, event, token);
         token
+    }
+
+    fn issue_token(&mut self) -> u64 {
+        self.token_state.push_back(TokenState::Live);
+        self.token_base + self.token_state.len() as u64
+    }
+
+    /// The state of `token`, unless it is 0 or has slid out of the window
+    /// (then it is `Spent`).
+    fn token_slot(&mut self, token: u64) -> Option<&mut TokenState> {
+        let i = token.checked_sub(1)?.checked_sub(self.token_base)?;
+        self.token_state.get_mut(usize::try_from(i).ok()?)
+    }
+
+    /// Mark the token of an entry that left the backend `Spent` and slide
+    /// the window past the terminal prefix. Returns whether the entry had
+    /// been cancelled (a token outside the window cannot belong to a
+    /// backend entry; it reads as cancelled, so the entry is reaped).
+    fn spend_token(&mut self, token: u64) -> bool {
+        let Some(s) = self.token_slot(token) else {
+            return true;
+        };
+        let cancelled = *s == TokenState::Cancelled;
+        *s = TokenState::Spent;
+        while self.token_state.front() == Some(&TokenState::Spent) {
+            self.token_state.pop_front();
+            self.token_base += 1;
+        }
+        cancelled
     }
 
     fn push_token(&mut self, time: SimTime, event: E, token: u64) {
@@ -497,10 +544,7 @@ impl<E> EventQueue<E> {
     /// event was still pending (it will now never pop), `false` if it
     /// already popped or was already cancelled.
     pub fn cancel(&mut self, token: u64) -> bool {
-        let state = token
-            .checked_sub(1)
-            .and_then(|i| self.token_state.get_mut(i as usize));
-        match state {
+        match self.token_slot(token) {
             Some(s @ TokenState::Live) => {
                 *s = TokenState::Cancelled;
                 self.cancelled += 1;
@@ -515,16 +559,8 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         loop {
             let e = self.backend.pop_entry()?;
-            if e.token != 0 {
-                // Tokens are issued by this queue, so the index is in range.
-                let Some(s) = self.token_state.get_mut((e.token - 1) as usize) else {
-                    continue;
-                };
-                if *s == TokenState::Cancelled {
-                    *s = TokenState::Spent;
-                    continue; // cancelled: reap silently
-                }
-                *s = TokenState::Spent;
+            if e.token != 0 && self.spend_token(e.token) {
+                continue; // cancelled: reap silently
             }
             self.live -= 1;
             return Some(ScheduledEvent {
@@ -546,16 +582,12 @@ impl<E> EventQueue<E> {
                 let e = self.backend.peek_entry()?;
                 (e.time, e.token)
             };
-            let cancelled = token != 0
-                && self
-                    .token_state
-                    .get((token - 1) as usize)
-                    .is_some_and(|s| *s == TokenState::Cancelled);
-            if cancelled {
+            if self
+                .token_slot(token)
+                .is_some_and(|s| *s == TokenState::Cancelled)
+            {
                 // Cancelled: reap the buried entry and look again.
-                if let Some(s) = self.token_state.get_mut((token - 1) as usize) {
-                    *s = TokenState::Spent;
-                }
+                self.spend_token(token);
                 let _ = self.backend.pop_entry();
                 continue;
             }
@@ -591,12 +623,10 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.backend.clear();
         self.live = 0;
-        // Dropped entries can no longer fire or be cancelled.
-        for s in &mut self.token_state {
-            if *s == TokenState::Live {
-                *s = TokenState::Spent;
-            }
-        }
+        // Dropped entries can no longer fire or be cancelled: every token
+        // issued so far is spent, so the window slides past all of them.
+        self.token_base += self.token_state.len() as u64;
+        self.token_state = VecDeque::new();
     }
 }
 
@@ -836,6 +866,105 @@ mod tests {
         // The queue is fully usable after clear.
         q.push(SimTime::from_millis(3), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
+    }
+
+    #[test]
+    fn token_window_slides_past_fired_and_reaped_tokens() {
+        let mut q = EventQueue::new();
+        let tokens: Vec<u64> = (0..1000u64)
+            .map(|i| q.push_cancellable(SimTime::from_micros(i), i))
+            .collect();
+        assert_eq!(tokens, (1..=1000).collect::<Vec<u64>>());
+        // Every third one is cancelled; the rest fire.
+        for t in tokens.iter().step_by(3) {
+            assert!(q.cancel(*t));
+        }
+        assert_eq!(q.token_state.len(), 1000, "nothing has surfaced yet");
+        while q.pop().is_some() {}
+        assert_eq!((q.token_state.len(), q.token_base), (0, 1000));
+        // Below the window: spent, whatever it was.
+        assert!(tokens.iter().all(|&t| !q.cancel(t)));
+        assert!(!q.cancel(0));
+        // Numbering continues where it left off.
+        let next = q.push_cancellable(SimTime::from_secs(1), 0);
+        assert_eq!(next, 1001);
+        assert!(q.cancel(next));
+        assert_eq!((q.total_pushed(), q.total_cancelled()), (666, 335));
+    }
+
+    #[test]
+    fn a_long_lived_token_delays_the_slide_but_never_breaks_it() {
+        let mut q = EventQueue::new();
+        let deadline = q.push_cancellable(SimTime::from_secs(3600), 0u64);
+        for i in 1..=10_000u64 {
+            let t = q.push_cancellable(SimTime::from_micros(i), i);
+            if i % 2 == 0 {
+                // Reaped by the peek that looks past it.
+                q.cancel(t);
+                assert_eq!(q.peek_time(), Some(SimTime::from_secs(3600)));
+            } else {
+                assert_eq!(q.pop().map(|e| e.event), Some(i));
+            }
+        }
+        // The hour-out deadline pins the front; everything behind it is
+        // spent but still indexed.
+        assert_eq!((q.token_state.len(), q.token_base), (10_001, 0));
+        let copy = q.clone();
+        assert!(q.cancel(deadline));
+        assert_eq!(q.pop().map(|e| e.event), None, "reaped, not fired");
+        assert_eq!((q.token_state.len(), q.token_base), (0, 10_001));
+        // The clone took the window with it and is independent.
+        let mut copy = copy;
+        assert_eq!(copy.pop().map(|e| e.event), Some(0));
+        assert!(!copy.cancel(deadline));
+        assert_eq!((copy.token_state.len(), copy.token_base), (0, 10_001));
+    }
+
+    #[test]
+    fn clear_spends_every_token() {
+        let mut q = EventQueue::new();
+        let a = q.push_cancellable(SimTime::from_millis(1), ());
+        let b = q.push_cancellable(SimTime::from_millis(2), ());
+        q.clear();
+        assert!(!q.cancel(a) && !q.cancel(b));
+        assert_eq!((q.token_state.len(), q.token_base), (0, 2));
+        let c = q.push_cancellable(SimTime::from_millis(3), ());
+        assert_eq!(c, 3);
+        assert!(q.cancel(c));
+        assert_eq!(q.pop().map(|e| e.event), None);
+    }
+
+    fn bucket_capacity(q: &EventQueue<u32>, level: usize, slot: usize) -> usize {
+        match &q.backend {
+            Backend::Wheel(w) => w.slots[level * SLOTS + slot].capacity(),
+            Backend::Heap(_) => unreachable!("wheel queues only"),
+        }
+    }
+
+    #[test]
+    fn cold_buckets_free_their_allocation_and_hot_ones_keep_it() {
+        const N: u32 = 10_000;
+        let mut q = EventQueue::new();
+        // Level 2, slot 3: the digit at bits 28..34 is the highest one in
+        // which these times differ from a cursor at zero.
+        for i in 0..N {
+            q.push(SimTime::from_nanos((3 << 28) + u64::from(i)), i);
+        }
+        assert!(bucket_capacity(&q, 2, 3) >= N as usize);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, (0..N).collect::<Vec<u32>>());
+        assert_eq!(bucket_capacity(&q, 2, 3), 0, "a drained level-2 bucket");
+
+        // Level 0, slot 5 of the block the cursor now stands in.
+        let base = (3u64 << 28) + (5 << 16);
+        for i in 0..N {
+            q.push(SimTime::from_nanos(base + u64::from(i)), i);
+        }
+        while q.pop().is_some() {}
+        assert!(
+            bucket_capacity(&q, 0, 5) >= N as usize,
+            "a drained level-0 bucket is recycled"
+        );
     }
 
     /// Shape a raw u64 into an "interesting" time: same-slot collisions,

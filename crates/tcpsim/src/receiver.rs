@@ -192,6 +192,11 @@ impl TcpReceiver {
                 self.rcv_nxt = e;
             }
         }
+        if self.ooo.is_empty() {
+            // An emptied B-tree keeps its root leaf; a closed hole should
+            // cost nothing (DESIGN.md "Footprint").
+            self.ooo = BTreeMap::new();
+        }
 
         self.try_consume_fin();
 

@@ -451,6 +451,11 @@ impl TcpSender {
                 break;
             }
         }
+        if self.scoreboard.is_empty() {
+            // An emptied B-tree keeps its root leaf; a finished recovery
+            // should cost nothing (DESIGN.md "Footprint").
+            self.scoreboard = Default::default();
+        }
     }
 
     fn tsval(now: SimTime) -> u32 {

@@ -1,0 +1,182 @@
+//! Footprint gate: a connection that has finished costs (almost) nothing.
+//!
+//! A counting global allocator (live bytes, peak live bytes, allocator
+//! calls) around one 400-pair heavy-tailed traffic cell at a sustainable
+//! rate, run to a horizon by which every connection has finished. The
+//! counts are exact for a given build — no clocks, no `/proc` — so the
+//! assertions below are about what the packet path *holds* and how often it
+//! asks the allocator, not how fast it runs (DESIGN.md "Footprint").
+//!
+//! One `#[test]` only: the allocator is process-global, and a second test
+//! on another harness thread would be counted into this one's numbers.
+
+// The workspace lint is `deny`, not `forbid`: a `GlobalAlloc` impl cannot be
+// written without `unsafe`, and this test crate is the only place one lives.
+#![allow(unsafe_code)]
+
+use mptcp_overlap::mptcpsim::{install_subflows, MptcpConfig};
+use mptcp_overlap::netsim::RoutingTables;
+use mptcp_overlap::overlap_core::{run_traffic, TrafficCell, World};
+use mptcp_overlap::prelude::*;
+use mptcp_overlap::simtrace::TraceSink;
+use mptcp_overlap::tcpsim::AppSource;
+use mptcp_overlap::worldgen::{TrafficConfig, TrafficNet, TrafficNetConfig, TrafficProgram};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// `System`, counting. Statistics only publish themselves, so `Relaxed`.
+struct Counting;
+
+impl Counting {
+    fn grew(bytes: usize) {
+        let live = LIVE.fetch_add(bytes as u64, Relaxed) + bytes as u64;
+        PEAK.fetch_max(live, Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters never touch the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        Self::grew(layout.size());
+        // SAFETY: the caller's obligations are `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Relaxed);
+        Self::grew(new_size);
+        // SAFETY: as `dealloc`; `new_size` is the caller's to get right.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const PAIRS: usize = 400;
+
+/// The cell: churn-4k's arrival rate on a tenth of its pairs (arrivals end
+/// near 1.6 s; the 200 Mbps substrate carries the ~140 Mbps offered), run
+/// to 4 s so every connection is long finished.
+fn cell(pairs: usize) -> TrafficCell {
+    TrafficCell {
+        arrival_rate_hz: 250.0,
+        duration: SimDuration::from_secs(4),
+        ..TrafficCell::table(pairs, 1)
+    }
+}
+
+/// Bytes each further finished connection may leave behind in the world
+/// (parent: 7 692; change: 825).
+const RETAINED_PER_CONNECTION: u64 = 1024;
+/// Peak live heap of `run_traffic(&cell(PAIRS))` (parent: 6 750 556; change: 3 781 600).
+const PEAK_BUDGET_BYTES: u64 = 4_500_000;
+/// Allocator calls `run_traffic(&cell(PAIRS))` made at the parent commit,
+/// in the dev and the release profile alike (change: 32 855).
+const PARENT_ALLOCATOR_CALLS: u64 = 94_095;
+/// `run_traffic(&cell(PAIRS)).trace_hash` at the parent commit.
+const PARENT_TRACE_HASH: u64 = 0x9258_65b6_04ae_1d32;
+
+/// `run_traffic`'s world for `cell`, assembled by hand so the heap can be
+/// read between assembly and run and again before teardown: how much the
+/// run left behind, and the trace hash it produced.
+fn retained_by(cell: &TrafficCell) -> (u64, u64) {
+    let program = TrafficProgram::generate(&TrafficConfig {
+        connections: cell.pairs,
+        arrival_rate_hz: cell.arrival_rate_hz,
+        seed: cell.seed,
+        ..TrafficConfig::default()
+    });
+    let net = TrafficNet::build(&TrafficNetConfig {
+        pairs: cell.pairs,
+        ..TrafficNetConfig::default()
+    });
+    let mut routing = RoutingTables::new(&net.topology);
+    let subflows: Vec<_> = (0..cell.pairs)
+        .map(|i| install_subflows(&mut routing, &net.paths(i), 1, 5000))
+        .collect();
+    let mut world = World::new(net.topology, routing, cell.seed, TraceSink::new());
+    let mut receivers = Vec::with_capacity(cell.pairs);
+    for ((conn, subflows), (&src, &dst)) in program
+        .connections
+        .iter()
+        .zip(subflows)
+        .zip(net.srcs.iter().zip(&net.dsts))
+    {
+        let cfg = MptcpConfig {
+            algo: cell.algo,
+            app: AppSource::Fixed(conn.size_bytes),
+            ..MptcpConfig::bulk(dst, subflows)
+        };
+        receivers.push(world.connect(src, cfg, conn.start).1);
+    }
+    let at_start = LIVE.load(Relaxed);
+    world.run_until(SimTime::ZERO + cell.duration);
+    let at_end = LIVE.load(Relaxed);
+    for (conn, &rid) in program.connections.iter().zip(&receivers) {
+        assert_eq!(
+            world.receiver(rid).data_delivered(),
+            conn.size_bytes,
+            "the horizon must outlast every flow"
+        );
+    }
+    (at_end.saturating_sub(at_start), world.sink().hash())
+}
+
+#[test]
+fn a_finished_connection_costs_nothing() {
+    // The library's own run of the cell: hash, peak and allocator calls.
+    let (base, calls_before) = (LIVE.load(Relaxed), CALLS.load(Relaxed));
+    PEAK.store(base, Relaxed);
+    let run = run_traffic(&cell(PAIRS));
+    let peak = PEAK.load(Relaxed) - base;
+    let calls = CALLS.load(Relaxed) - calls_before;
+    assert_eq!(run.finished, PAIRS, "the horizon must outlast every flow");
+
+    // What the run leaves behind, at this size and at half of it. Both
+    // cells arrive at the same rate, so the engine is equally warm in both
+    // (the wheel's recycled level-0/1 buckets hold 1.37 MB at 200, 400 and
+    // 800 pairs alike) and the difference is what the extra connections,
+    // all finished, still cost.
+    let (retained, hash) = retained_by(&cell(PAIRS));
+    assert_eq!(
+        hash, run.trace_hash,
+        "retained_by no longer builds run_traffic's world"
+    );
+    let (retained_half, _) = retained_by(&cell(PAIRS / 2));
+    let each = retained.saturating_sub(retained_half) / (PAIRS / 2) as u64;
+
+    println!(
+        "footprint: a finished connection retains {each} B \
+         ({retained} B after {PAIRS}, {retained_half} B after {}), \
+         peak live {peak} B, {calls} allocator calls, hash {:#018x}",
+        PAIRS / 2,
+        run.trace_hash
+    );
+    assert_eq!(run.trace_hash, PARENT_TRACE_HASH);
+    assert!(
+        each <= RETAINED_PER_CONNECTION,
+        "{each} B still held per finished connection (limit {RETAINED_PER_CONNECTION} B)"
+    );
+    assert!(
+        peak <= PEAK_BUDGET_BYTES,
+        "peak live heap {peak} B is over the {PEAK_BUDGET_BYTES} B budget"
+    );
+    assert!(
+        calls * 2 < PARENT_ALLOCATOR_CALLS,
+        "{calls} allocator calls, parent made {PARENT_ALLOCATOR_CALLS}"
+    );
+}
