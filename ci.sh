@@ -56,7 +56,7 @@ cmp /tmp/store_cold.txt /tmp/store_warm.txt || {
 }
 rm -rf "$STORE_DIR" /tmp/store_cold.txt /tmp/store_warm.txt /tmp/store_cold.log /tmp/store_warm.log
 
-echo "==> horizon-independence gate (paper net, LIA, 30 s then 120 s: VmHWM growth <= 512 KB)"
+echo "==> horizon-independence gate (paper net, LIA, 30 s then 120 s: VmHWM growth <= 256 KB)"
 # The measurement path streams (DESIGN.md par 14): a run holds O(bins) of
 # capture state, so a 4x longer run must not need more memory. A buffered
 # capture would add ~40 MB here.
@@ -111,6 +111,21 @@ cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.t
 grep -Eq '"correct": ?true' /tmp/perfbench_smoke.json || {
     echo "perfbench smoke did not report correct:true; last line was:" >&2
     cat /tmp/perfbench_smoke.json >&2
+    exit 1
+}
+# fabric-ecmp as well, with a memory ceiling: peak RSS repeats to ±0.1 MB on
+# one host (it is 7.9 MB here; it was 14.0 MB while every wheel bucket kept
+# its own high-water allocation), so unlike wall-clock it can be gated.
+cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \
+    --workload fabric-ecmp --seed 1 --seconds 1 --trace 0 | tail -n 1 >/tmp/perfbench_smoke.json
+grep -Eq '"correct": ?true' /tmp/perfbench_smoke.json || {
+    echo "perfbench fabric-ecmp smoke did not report correct:true; last line was:" >&2
+    cat /tmp/perfbench_smoke.json >&2
+    exit 1
+}
+RSS_MB=$(sed -E 's/.*"peak_rss_mb": ?\{"value": ?([0-9.]+).*/\1/' /tmp/perfbench_smoke.json)
+awk -v rss="$RSS_MB" 'BEGIN { exit !(rss > 0 && rss <= 10) }' || {
+    echo "perfbench fabric-ecmp smoke: peak_rss_mb = $RSS_MB (limit 10)" >&2
     exit 1
 }
 rm -f /tmp/perfbench_smoke.json

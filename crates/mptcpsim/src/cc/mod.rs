@@ -18,9 +18,12 @@
 //! windows and RTTs through a shared [`CoupleState`] (an `Arc<Mutex<_>>`
 //! because `netsim::Agent` is `Send`; the lock is only ever taken by
 //! subflows of one agent, which live on one thread, so it is never
-//! contended). Slow start, loss response, and RTO
-//! handling are per-subflow and standard (as in the Linux MPTCP
-//! implementation); only the congestion-avoidance *increase* is coupled.
+//! contended). A controller is the only writer of its own window, so it
+//! keeps a copy (`OwnWindow`) and answers `cwnd()` / `ssthresh()` — asked
+//! on every scheduling decision — without the lock. Slow start, loss
+//! response, and RTO handling are per-subflow and standard (as in the Linux
+//! MPTCP implementation); only the congestion-avoidance *increase* is
+//! coupled.
 
 pub mod balia;
 pub mod lia;
@@ -115,6 +118,61 @@ impl SubState {
     }
 }
 
+/// A coupled controller's own copy of the two fields of its [`SubState`]
+/// that the sender reads on every scheduling decision. The controller is
+/// the only writer of `subs[idx].{cwnd, ssthresh}`, so it refreshes this
+/// wherever it writes them and answers `cwnd()` / `ssthresh()` from here
+/// without taking the coupling lock; siblings still read the shared entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OwnWindow {
+    cwnd: f64,
+    ssthresh: f64,
+}
+
+impl OwnWindow {
+    pub(crate) fn of(sub: &SubState) -> Self {
+        OwnWindow {
+            cwnd: sub.cwnd,
+            ssthresh: sub.ssthresh,
+        }
+    }
+
+    /// The copy of subflow `idx`'s entry in `shared`.
+    pub(crate) fn load(shared: &Arc<Mutex<CoupleState>>, idx: usize) -> Self {
+        Self::of(&lock_state(shared).subs[idx])
+    }
+
+    /// Still what the shared entry says? (`debug_assert`ed on every read:
+    /// a second writer would make the lock-free answer stale.)
+    fn mirrors(&self, shared: &Arc<Mutex<CoupleState>>, idx: usize) -> bool {
+        let now = Self::load(shared, idx);
+        (self.cwnd.to_bits(), self.ssthresh.to_bits())
+            == (now.cwnd.to_bits(), now.ssthresh.to_bits())
+    }
+
+    /// `CongestionControl::cwnd`: never below one segment.
+    pub(crate) fn cwnd(&self, shared: &Arc<Mutex<CoupleState>>, idx: usize, mss: u32) -> u64 {
+        debug_assert!(
+            self.mirrors(shared, idx),
+            "subflow {idx}'s window has a second writer"
+        );
+        self.cwnd.max(mss as f64) as u64
+    }
+
+    /// `CongestionControl::ssthresh`: `u64::MAX` while still infinite.
+    pub(crate) fn ssthresh(&self, shared: &Arc<Mutex<CoupleState>>, idx: usize) -> u64 {
+        debug_assert!(
+            self.mirrors(shared, idx),
+            "subflow {idx}'s window has a second writer"
+        );
+        if self.ssthresh.is_finite() {
+            self.ssthresh as u64
+        } else {
+            u64::MAX
+        }
+    }
+}
+
 /// Shared coupling state for one MPTCP connection.
 #[derive(Debug, Clone, Default)]
 pub struct CoupleState {
@@ -157,8 +215,8 @@ impl Coupling {
     /// Deep copy: a new `Coupling` over an independent copy of the shared
     /// state. Note that `#[derive(Clone)]` on `Coupling` is a *shallow*
     /// handle clone (that is what subflow controllers want); checkpointing
-    /// must use this instead and then re-bind each controller via
-    /// [`CongestionControl::as_any_mut`].
+    /// must use this instead and then re-bind each controller with the
+    /// copy's `rebind`.
     pub fn deep_clone(&self) -> Coupling {
         let snapshot = lock_state(&self.state).clone();
         Coupling {
@@ -166,10 +224,25 @@ impl Coupling {
         }
     }
 
-    /// The underlying shared-state handle (for re-binding cloned
-    /// controllers).
-    pub(crate) fn arc(&self) -> Arc<Mutex<CoupleState>> {
-        self.state.clone()
+    /// Re-point `cc` — a controller [`Coupling::make_cc`] built, or a clone
+    /// of one — at this coupling's state (after a checkpoint deep copy).
+    pub(crate) fn rebind(&self, cc: &mut dyn CongestionControl) {
+        let cc = cc
+            .as_any_mut()
+            .expect("mptcp subflow controller lacks as_any_mut"); // simlint: allow(unwrap, reason = "every controller this crate installs implements as_any_mut; a None is a snapshot-layer wiring bug worth aborting on")
+        let shared = self.state.clone();
+        if let Some(m) = cc.downcast_mut::<Mirrored<Cubic>>() {
+            m.rebase(shared);
+        } else if let Some(m) = cc.downcast_mut::<Mirrored<Reno>>() {
+            m.rebase(shared);
+        } else if let Some(m) = cc.downcast_mut::<CoupledCc>() {
+            m.rebase(shared);
+        } else if let Some(m) = cc.downcast_mut::<wvegas::WVegasCc>() {
+            m.rebase(shared);
+        } else {
+            // simlint: allow(panic-surface, reason = "make_cc builds exactly these four types; anything else is a snapshot-layer wiring bug worth aborting on")
+            panic!("unknown mptcp subflow controller type");
+        }
     }
 
     /// Read access to the shared state (for reports).
@@ -198,6 +271,7 @@ impl Coupling {
             )),
             CcAlgo::WVegas => Box::new(wvegas::WVegasCc::new(self.state.clone(), idx, mss)),
             CcAlgo::Lia | CcAlgo::Olia | CcAlgo::Balia => Box::new(CoupledCc {
+                own: OwnWindow::load(&self.state, idx),
                 shared: self.state.clone(),
                 idx,
                 algo,
@@ -241,7 +315,7 @@ impl<C: CongestionControl> Mirrored<C> {
 
     /// Re-point this controller at a different shared-state `Arc` (used
     /// after a checkpoint deep copy).
-    pub(crate) fn rebase(&mut self, shared: Arc<Mutex<CoupleState>>) {
+    fn rebase(&mut self, shared: Arc<Mutex<CoupleState>>) {
         self.shared = shared;
     }
 
@@ -324,12 +398,14 @@ pub struct CoupledCc {
     idx: usize,
     algo: CcAlgo,
     mss: u32,
+    own: OwnWindow,
 }
 
 impl CoupledCc {
     /// Re-point this controller at a different shared-state `Arc` (used
-    /// after a checkpoint deep copy).
-    pub(crate) fn rebase(&mut self, shared: Arc<Mutex<CoupleState>>) {
+    /// after a checkpoint deep copy) and take its window from there.
+    fn rebase(&mut self, shared: Arc<Mutex<CoupleState>>) {
+        self.own = OwnWindow::load(&shared, self.idx);
         self.shared = shared;
     }
 }
@@ -350,6 +426,7 @@ impl CongestionControl for CoupledCc {
             if sub.cwnd > sub.ssthresh {
                 sub.cwnd = sub.ssthresh + sub.mss;
             }
+            self.own = OwnWindow::of(sub);
             return;
         }
 
@@ -361,6 +438,7 @@ impl CongestionControl for CoupledCc {
         };
         let sub = &mut st.subs[self.idx];
         sub.cwnd = (sub.cwnd + increase).max(min_cwnd(self.mss));
+        self.own = OwnWindow::of(sub);
     }
 
     fn on_loss_event(&mut self, ctx: &LossContext) {
@@ -380,6 +458,7 @@ impl CongestionControl for CoupledCc {
         };
         sub.ssthresh = target;
         sub.cwnd = target;
+        self.own = OwnWindow::of(sub);
     }
 
     fn on_rto(&mut self, ctx: &LossContext) {
@@ -389,21 +468,15 @@ impl CongestionControl for CoupledCc {
         sub.bytes_since_loss = 0.0;
         sub.ssthresh = (ctx.flight_size as f64 / 2.0).max(min_cwnd(self.mss));
         sub.cwnd = self.mss as f64;
+        self.own = OwnWindow::of(sub);
     }
 
     fn cwnd(&self) -> u64 {
-        let st = lock_state(&self.shared);
-        st.subs[self.idx].cwnd.max(self.mss as f64) as u64
+        self.own.cwnd(&self.shared, self.idx, self.mss)
     }
 
     fn ssthresh(&self) -> u64 {
-        let st = lock_state(&self.shared);
-        let v = st.subs[self.idx].ssthresh;
-        if v.is_finite() {
-            v as u64
-        } else {
-            u64::MAX
-        }
+        self.own.ssthresh(&self.shared, self.idx)
     }
 
     fn name(&self) -> &'static str {
@@ -437,9 +510,13 @@ pub(crate) mod testutil {
             let cc = coupling.make_cc(algo, (w_mss * MSS as f64) as u64, MSS);
             ccs.push(cc);
             let idx = ccs.len() - 1;
-            let mut st = lock_state(&coupling.state);
-            st.subs[idx].srtt = rtt_ms / 1000.0;
-            st.subs[idx].ssthresh = 1.0; // force congestion avoidance
+            {
+                let mut st = lock_state(&coupling.state);
+                st.subs[idx].srtt = rtt_ms / 1000.0;
+                st.subs[idx].ssthresh = 1.0; // force congestion avoidance
+            }
+            // The controller did not make that write: have it re-read.
+            coupling.rebind(ccs[idx].as_mut());
         }
         (coupling, ccs)
     }
@@ -520,6 +597,64 @@ mod tests {
         assert!((st.total_cwnd() - (w1 + w2)).abs() < 1e-6);
         assert!((st.sum_rate() - (w1 / 0.01 + w2 / 0.02)).abs() < 1e-3);
         assert!((st.max_w_over_rtt2() - (w1 / 0.0001).max(w2 / 0.0004)).abs() < 1e-3);
+    }
+
+    #[test]
+    fn lock_free_reads_track_every_write_and_survive_a_rebase() {
+        let loss = |flight: u64| tcpsim::cc::LossContext {
+            now: SimTime::from_millis(2),
+            flight_size: flight,
+            mss: MSS,
+        };
+        for algo in [CcAlgo::Lia, CcAlgo::Olia, CcAlgo::Balia, CcAlgo::WVegas] {
+            // Slow start on subflow 0, congestion avoidance on subflow 1.
+            let coupling = Coupling::new();
+            let mut ccs = vec![
+                coupling.make_cc(algo, 10 * MSS as u64, MSS),
+                coupling.make_cc(algo, 10 * MSS as u64, MSS),
+            ];
+            let agrees = |ccs: &[Box<dyn CongestionControl>], coupling: &Coupling| {
+                for (i, cc) in ccs.iter().enumerate() {
+                    let sub = coupling.state().subs[i].clone();
+                    assert_eq!(
+                        cc.cwnd(),
+                        sub.cwnd.max(MSS as f64) as u64,
+                        "{algo:?} cwnd {i}"
+                    );
+                    let ssthresh = if sub.ssthresh.is_finite() {
+                        sub.ssthresh as u64
+                    } else {
+                        u64::MAX
+                    };
+                    assert_eq!(cc.ssthresh(), ssthresh, "{algo:?} ssthresh {i}");
+                }
+            };
+            agrees(&ccs, &coupling);
+            ccs[1].on_loss_event(&loss(10 * MSS as u64));
+            agrees(&ccs, &coupling);
+            for ms in 0..50 {
+                let mut ctx = ack_ctx(MSS as u64, 10);
+                ctx.now = SimTime::from_millis(10 * ms);
+                ccs[0].on_ack(&ctx);
+                ccs[1].on_ack(&ctx);
+                agrees(&ccs, &coupling);
+            }
+            ccs[0].on_rto(&loss(20 * MSS as u64));
+            agrees(&ccs, &coupling);
+
+            // A checkpoint: clones re-bound to a deep copy carry their
+            // windows along and then evolve apart from the originals.
+            let copy = coupling.deep_clone();
+            let mut clones: Vec<_> = ccs.iter().map(|cc| cc.clone_boxed()).collect();
+            for cc in &mut clones {
+                copy.rebind(cc.as_mut());
+            }
+            agrees(&clones, &copy);
+            clones[1].on_rto(&loss(20 * MSS as u64));
+            agrees(&clones, &copy);
+            agrees(&ccs, &coupling);
+            assert_ne!(clones[1].cwnd(), ccs[1].cwnd());
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! mechanics whose target band is re-weighted from the shared state once
 //! per RTT.
 
-use super::{lock_state, CoupleState, SubState};
+use super::{lock_state, CoupleState, OwnWindow, SubState};
 use simbase::SimTime;
 use std::sync::{Arc, Mutex};
 
@@ -50,6 +50,7 @@ pub struct WVegasCc {
     mss: u32,
     /// Next instant an adjustment decision is allowed (once per RTT).
     next_adjust: SimTime,
+    own: OwnWindow,
 }
 
 impl WVegasCc {
@@ -57,6 +58,7 @@ impl WVegasCc {
     /// already exist).
     pub fn new(shared: Arc<Mutex<CoupleState>>, idx: usize, mss: u32) -> Self {
         WVegasCc {
+            own: OwnWindow::load(&shared, idx),
             shared,
             idx,
             mss,
@@ -65,8 +67,9 @@ impl WVegasCc {
     }
 
     /// Re-point this controller at a different shared-state `Arc` (used
-    /// after a checkpoint deep copy).
+    /// after a checkpoint deep copy) and take its window from there.
     pub(crate) fn rebase(&mut self, shared: Arc<Mutex<CoupleState>>) {
+        self.own = OwnWindow::load(&shared, self.idx);
         self.shared = shared;
     }
 
@@ -99,28 +102,31 @@ impl CongestionControl for WVegasCc {
             }
         }
 
-        if sub.cwnd < sub.ssthresh {
-            // Vegas slow start: half-rate growth, exit on queue buildup.
-            if let Some(diff) = Self::diff_packets(sub, ctx) {
-                if diff > 1.0 {
-                    sub.ssthresh = sub.cwnd;
-                    return;
+        'window: {
+            if sub.cwnd < sub.ssthresh {
+                // Vegas slow start: half-rate growth, exit on queue buildup.
+                if let Some(diff) = Self::diff_packets(sub, ctx) {
+                    if diff > 1.0 {
+                        sub.ssthresh = sub.cwnd;
+                        break 'window;
+                    }
                 }
+                sub.cwnd += ctx.bytes_acked as f64 / 2.0;
+                break 'window;
             }
-            sub.cwnd += ctx.bytes_acked as f64 / 2.0;
-            return;
-        }
-        if !adjust_now {
-            return;
-        }
-        // Weighted band: alpha_r .. alpha_r + 2 packets.
-        match Self::diff_packets(sub, ctx) {
-            Some(diff) if diff < alpha => sub.cwnd += mss,
-            Some(diff) if diff > alpha + 2.0 => {
-                sub.cwnd = (sub.cwnd - mss).max(min_cwnd(self.mss));
+            if !adjust_now {
+                break 'window;
             }
-            _ => {}
+            // Weighted band: alpha_r .. alpha_r + 2 packets.
+            match Self::diff_packets(sub, ctx) {
+                Some(diff) if diff < alpha => sub.cwnd += mss,
+                Some(diff) if diff > alpha + 2.0 => {
+                    sub.cwnd = (sub.cwnd - mss).max(min_cwnd(self.mss));
+                }
+                _ => {}
+            }
         }
+        self.own = OwnWindow::of(sub);
     }
 
     fn on_loss_event(&mut self, ctx: &LossContext) {
@@ -131,6 +137,7 @@ impl CongestionControl for WVegasCc {
         let target = (ctx.flight_size as f64 / 2.0).max(min_cwnd(ctx.mss));
         sub.ssthresh = target;
         sub.cwnd = target;
+        self.own = OwnWindow::of(sub);
     }
 
     fn on_rto(&mut self, ctx: &LossContext) {
@@ -140,21 +147,15 @@ impl CongestionControl for WVegasCc {
         sub.bytes_since_loss = 0.0;
         sub.ssthresh = (ctx.flight_size as f64 / 2.0).max(min_cwnd(ctx.mss));
         sub.cwnd = ctx.mss as f64;
+        self.own = OwnWindow::of(sub);
     }
 
     fn cwnd(&self) -> u64 {
-        let st = lock_state(&self.shared);
-        st.subs[self.idx].cwnd.max(self.mss as f64) as u64
+        self.own.cwnd(&self.shared, self.idx, self.mss)
     }
 
     fn ssthresh(&self) -> u64 {
-        let st = lock_state(&self.shared);
-        let v = st.subs[self.idx].ssthresh;
-        if v.is_finite() {
-            v as u64
-        } else {
-            u64::MAX
-        }
+        self.own.ssthresh(&self.shared, self.idx)
     }
 
     fn name(&self) -> &'static str {

@@ -571,24 +571,8 @@ impl Agent for MptcpSenderAgent {
         // original cannot influence each other.
         let mut copy = self.clone();
         copy.coupling = self.coupling.deep_clone();
-        let shared = copy.coupling.arc();
         for sub in &mut copy.subs {
-            let cc = sub
-                .sender
-                .cc_mut()
-                .as_any_mut()
-                .expect("mptcp subflow controller lacks as_any_mut"); // simlint: allow(unwrap, reason = "every controller this crate installs implements as_any_mut; a None is a snapshot-layer wiring bug worth aborting on")
-            if let Some(m) = cc.downcast_mut::<crate::cc::Mirrored<tcpsim::cc::Cubic>>() {
-                m.rebase(shared.clone());
-            } else if let Some(m) = cc.downcast_mut::<crate::cc::Mirrored<tcpsim::cc::Reno>>() {
-                m.rebase(shared.clone());
-            } else if let Some(m) = cc.downcast_mut::<crate::cc::CoupledCc>() {
-                m.rebase(shared.clone());
-            } else if let Some(m) = cc.downcast_mut::<crate::cc::wvegas::WVegasCc>() {
-                m.rebase(shared.clone());
-            } else {
-                panic!("unknown mptcp subflow controller type");
-            }
+            copy.coupling.rebind(sub.sender.cc_mut());
         }
         Box::new(copy)
     }

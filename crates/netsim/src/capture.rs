@@ -10,7 +10,6 @@
 use crate::packet::{LinkId, NodeId, PacketMeta};
 use simbase::SimTime;
 use std::any::Any;
-use std::collections::BTreeSet;
 
 /// What happened to the packet at the capture point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -103,8 +102,11 @@ impl CaptureSink for BufferSink {
 /// Which events to record.
 #[derive(Debug, Clone)]
 pub struct CaptureConfig {
-    /// Nodes to capture at; `None` = all nodes.
-    nodes: Option<BTreeSet<NodeId>>,
+    /// Nodes to capture at, as a bitset indexed by `NodeId` (bit `n % 64`
+    /// of word `n / 64`); `None` = all nodes. `wants` runs on every send,
+    /// hop and delivery, and a many-receiver world filters on thousands of
+    /// nodes: one shift and mask, where an ordered set walked a tree.
+    nodes: Option<Vec<u64>>,
     /// Kinds to capture, one [`CaptureKind::bit`] each.
     kinds: u8,
     /// Master switch.
@@ -161,13 +163,13 @@ impl CaptureConfig {
     /// "all nodes" wildcard is *replaced* by the set `{node}`, so adding a
     /// node to an unrestricted config restricts it to that node.
     pub fn add_node(mut self, node: NodeId) -> Self {
-        match &mut self.nodes {
-            Some(set) => {
-                set.insert(node);
-            }
-            None => {
-                self.nodes = Some(BTreeSet::from([node]));
-            }
+        let set = self.nodes.get_or_insert_with(Vec::new);
+        let (word, bit) = (node.0 as usize / 64, node.0 % 64);
+        if set.len() <= word {
+            set.resize(word + 1, 0);
+        }
+        if let Some(w) = set.get_mut(word) {
+            *w |= 1 << bit;
         }
         self.enabled = true;
         self
@@ -194,7 +196,9 @@ impl CaptureConfig {
         }
         match &self.nodes {
             None => true,
-            Some(set) => set.contains(&node),
+            Some(set) => set
+                .get(node.0 as usize / 64)
+                .is_some_and(|w| w >> (node.0 % 64) & 1 == 1),
         }
     }
 }
@@ -235,6 +239,29 @@ mod tests {
         ] {
             assert!(c.wants(NodeId(9), kind));
         }
+    }
+
+    #[test]
+    fn node_filter_holds_exactly_the_nodes_added() {
+        // Word boundaries, a sparse high id, and ids past the last word.
+        let added = [0u32, 63, 64, 127, 4_000, 70_001];
+        let c = added
+            .iter()
+            .fold(CaptureConfig::off().add_kind(CaptureKind::Sent), |c, &n| {
+                c.add_node(NodeId(n))
+            });
+        for n in (0..200).chain(3_990..4_010).chain(69_990..70_200) {
+            assert_eq!(
+                c.wants(NodeId(n), CaptureKind::Sent),
+                added.contains(&n),
+                "node {n}"
+            );
+        }
+        assert!(!c.wants(NodeId(u32::MAX), CaptureKind::Sent));
+        // The wildcard is replaced by the first node added, not widened.
+        let one = CaptureConfig::everything().add_node(NodeId(65));
+        assert!(one.wants(NodeId(65), CaptureKind::Forwarded));
+        assert!(!one.wants(NodeId(1), CaptureKind::Forwarded));
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! [`Simulator`] owns the topology, routing tables, per-link runtime state
 //! (transmitter + queue per direction), registered agents, statistics, and
-//! the event queue. One event loop iteration pops the earliest event and:
+//! the event queue. One event loop iteration pops the earliest event and
+//! reads what it is from the class of its canonical key (see [`order`]):
 //!
-//! * `Arrive` — a packet finished its propagation delay; deliver it to the
+//! * Arrive — a packet finished its propagation delay; deliver it to the
 //!   local agent (if it is the destination) or forward it.
-//! * `TxDone` — a transmitter finished serializing a packet; start the
+//! * TxDone — a transmitter finished serializing a packet; start the
 //!   propagation leg and pull the next packet from the queue.
-//! * `Timer` / `StartAgent` — dispatch to the owning agent.
+//! * Timer / Start — dispatch to the owning agent.
+//! * Fault — apply a scheduled network mutation (see [`crate::faults`]).
 //!
 //! The link model is store-and-forward with full-duplex directions: each
 //! direction has an independent transmitter and drop-tail/RED queue.
@@ -81,38 +83,63 @@ pub(crate) mod order {
         (class << (ENTITY_BITS + LOCAL_BITS)) | (entity << LOCAL_BITS) | local
     }
 
+    /// The `(class, entity, local)` a key was packed from. The key is the
+    /// event: `execute` reads every field it needs back out of it.
+    pub fn unpack(key: u64) -> (u64, u64, u64) {
+        (
+            key >> (ENTITY_BITS + LOCAL_BITS),
+            (key >> LOCAL_BITS) & ((1 << ENTITY_BITS) - 1),
+            key & ((1 << LOCAL_BITS) - 1),
+        )
+    }
+
+    /// The agent an entity index names.
+    pub fn entity_agent(entity: u64) -> crate::agent::AgentId {
+        // simlint: allow(truncating-cast, reason = "entity < 2^25 by pack's assert")
+        crate::agent::AgentId(entity as u32)
+    }
+
     /// The entity index of one link direction.
     pub fn dir_entity(link: crate::packet::LinkId, dir: crate::packet::Dir) -> u64 {
         (link.0 as u64) * 2 + dir.index() as u64
     }
+
+    /// The link direction an entity index names (inverse of [`dir_entity`]).
+    pub fn entity_dir(entity: u64) -> (crate::packet::LinkId, crate::packet::Dir) {
+        let dir = if entity & 1 == 0 {
+            crate::packet::Dir::AtoB
+        } else {
+            crate::packet::Dir::BtoA
+        };
+        // simlint: allow(truncating-cast, reason = "entity < 2^25 by pack's assert, so entity / 2 fits a u32 LinkId")
+        (crate::packet::LinkId((entity >> 1) as u32), dir)
+    }
 }
 
-/// Simulator events.
+/// What a queue entry carries beyond its canonical key (see [`order`]).
+///
+/// The key already says which agent starts, which `(agent, token)` timer
+/// fires, which direction's transmission epoch completed and which fault
+/// install index applies, so those events store nothing; only an arrival
+/// needs a payload. That keeps a queue entry at 32 bytes, and every
+/// event-queue move (bucket push, cascade, settle sort) at that size.
 #[derive(Debug, Clone)]
 enum Event {
-    /// Fire an agent's start hook.
-    StartAgent(AgentId),
-    /// Deliver a one-shot timer to an agent.
-    Timer { agent: AgentId, token: u64 },
-    /// A transmitter finished serializing its current packet. The epoch
-    /// pins the event to the transmission that scheduled it: aborting a
-    /// serialization (link failure) bumps the direction's epoch, so a
-    /// stale TxDone cannot complete a *different* packet started later.
-    TxDone { link: LinkId, dir: Dir, epoch: u64 },
-    /// A packet finished propagating and arrives at the far end. The
-    /// packet itself sits in the simulator's wire pool — a full [`Packet`]
-    /// embeds its inline payload (~112 bytes), and keeping queue entries
-    /// small makes every event-queue move a fraction of the cost.
-    Arrive {
-        link: LinkId,
-        dir: Dir,
-        wire_slot: u32,
-    },
-    /// Apply a scheduled network mutation (see [`crate::faults`]). Boxed:
-    /// faults are rare, and the variant would otherwise dominate the
-    /// event's size (it embeds a full queue configuration).
-    Fault(Box<FaultAction>),
+    /// A start, timer, TxDone or fault: fully described by its key. For a
+    /// TxDone the key's `local` is the transmission epoch, which pins the
+    /// event to the serialization that scheduled it: aborting one (link
+    /// failure) bumps the direction's epoch, so a stale TxDone cannot
+    /// complete a *different* packet started later.
+    Keyed,
+    /// A packet finished propagating and arrives at the far end of the
+    /// key's link direction. The packet itself sits in the simulator's
+    /// wire pool — a full [`Packet`] embeds its inline payload (~112
+    /// bytes).
+    Arrive { wire_slot: u32 },
 }
+
+// simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter Event fails the build, not a run")
+const _: () = assert!(EventQueue::<Event>::ENTRY_BYTES == 32);
 
 /// Runtime state for one direction of a link.
 #[derive(Clone)]
@@ -175,8 +202,11 @@ pub struct Simulator {
     /// Per-link-direction count of arrivals scheduled — the `local` part of
     /// each `Arrive` event's canonical key.
     arrive_seq: Vec<[u64; 2]>,
-    /// Faults installed so far — the `local` part of fault keys.
-    fault_seq: u64,
+    /// Scheduled faults by install index — the `local` part of a fault
+    /// event's key. An entry is taken when its event fires; the index of
+    /// the next install is the table's length. Part of the snapshot, so a
+    /// fault installed after [`Simulator::restore`] continues the numbering.
+    faults: Vec<Option<Box<FaultAction>>>,
     /// Simulation-wide event log (agents write through `Ctx`).
     pub log: EventLog,
     capture_cfg: CaptureConfig,
@@ -262,7 +292,7 @@ impl Simulator {
             dir_rngs,
             agent_packet_seq: Vec::new(),
             arrive_seq,
-            fault_seq: 0,
+            faults: Vec::new(),
             log: EventLog::new(LogLevel::Warn),
             capture_cfg: CaptureConfig::off(),
             sink: None,
@@ -347,7 +377,7 @@ impl Simulator {
         self.events.push_keyed(
             start,
             order::pack(order::CLASS_START, id.0 as u64, 0),
-            Event::StartAgent(id),
+            Event::Keyed,
         );
         id
     }
@@ -497,7 +527,7 @@ impl Simulator {
             dir_rngs: self.dir_rngs.clone(),
             agent_packet_seq: self.agent_packet_seq.clone(),
             arrive_seq: self.arrive_seq.clone(),
-            fault_seq: self.fault_seq,
+            faults: self.faults.clone(),
             log: self.log.clone(),
             capture_cfg: self.capture_cfg.clone(),
             sink: self.sink.as_deref().map(CaptureSink::clone_sink),
@@ -539,10 +569,9 @@ impl Simulator {
             }
             _ => {}
         }
-        let key = order::pack(order::CLASS_FAULT, 0, self.fault_seq);
-        self.fault_seq += 1;
-        self.events
-            .push_keyed(at, key, Event::Fault(Box::new(action)));
+        let key = order::pack(order::CLASS_FAULT, 0, self.faults.len() as u64);
+        self.faults.push(Some(Box::new(action)));
+        self.events.push_keyed(at, key, Event::Keyed);
     }
 
     /// Install every entry of a [`FaultSchedule`] as simulator events.
@@ -565,11 +594,8 @@ impl Simulator {
     /// Events exactly at the deadline are processed; the clock never
     /// advances past it.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.events.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
+        while let Some(ev) = self.events.pop_at_or_before(deadline) {
+            self.execute(ev);
         }
         self.now = self.now.max(deadline);
         self.check_conservation();
@@ -626,9 +652,13 @@ impl Simulator {
         debug_assert!(ev.time >= self.now, "time went backwards");
         self.now = ev.time;
         self.stats.events += 1;
-        match ev.event {
-            Event::StartAgent(id) => self.dispatch(id, AgentCall::Start),
-            Event::Timer { agent, token } => {
+        let (class, entity, local) = order::unpack(ev.seq);
+        match (class, ev.event) {
+            (order::CLASS_START, Event::Keyed) => {
+                self.dispatch(order::entity_agent(entity), AgentCall::Start);
+            }
+            (order::CLASS_TIMER, Event::Keyed) => {
+                let (agent, token) = (order::entity_agent(entity), local);
                 // Replacement semantics guarantee at most one live event per
                 // (agent, token); popping it retires the table entry.
                 if let Some(keys) = self.timer_keys.get_mut(agent.0 as usize) {
@@ -639,12 +669,12 @@ impl Simulator {
                 self.stats.timers_fired += 1;
                 self.dispatch(agent, AgentCall::Timer(token));
             }
-            Event::TxDone { link, dir, epoch } => self.on_tx_done(link, dir, epoch),
-            Event::Arrive {
-                link,
-                dir,
-                wire_slot,
-            } => {
+            (order::CLASS_TX_DONE, Event::Keyed) => {
+                let (link, dir) = order::entity_dir(entity);
+                self.on_tx_done(link, dir, local);
+            }
+            (order::CLASS_ARRIVE, Event::Arrive { wire_slot }) => {
+                let (link, dir) = order::entity_dir(entity);
                 let pkt = self.wire_take(wire_slot);
                 let spec = self.topo.link(link);
                 let node = match dir {
@@ -653,7 +683,16 @@ impl Simulator {
                 };
                 self.handle_packet_at(node, pkt);
             }
-            Event::Fault(action) => self.apply_fault(*action),
+            (order::CLASS_FAULT, Event::Keyed) => {
+                let action = usize::try_from(local)
+                    .ok()
+                    .and_then(|i| self.faults.get_mut(i)?.take())
+                    // simlint: allow(unwrap, reason = "a fault key's index is the table slot schedule_fault filled; it fires once")
+                    .expect("fault event without a scheduled action");
+                self.apply_fault(*action);
+            }
+            // simlint: allow(panic-surface, reason = "every push site pairs its key class with its payload; a mismatch is a corrupted queue and must not run on")
+            (class, event) => unreachable!("event {event:?} under key class {class}"),
         }
     }
 
@@ -816,9 +855,7 @@ impl Simulator {
                     // small enumerations plus per-subflow offsets well
                     // below that.
                     let key = order::pack(order::CLASS_TIMER, agent.0 as u64, token);
-                    let cancel =
-                        self.events
-                            .push_keyed_cancellable(at, key, Event::Timer { agent, token });
+                    let cancel = self.events.push_keyed_cancellable(at, key, Event::Keyed);
                     // Re-arming replaces: revoke the superseded deadline so
                     // it can never fire stale.
                     let old = self
@@ -938,8 +975,7 @@ impl Simulator {
     /// Schedule a serialization-complete event with its canonical key.
     fn push_tx_done(&mut self, link: LinkId, dir: Dir, epoch: u64, at: SimTime) {
         let key = order::pack(order::CLASS_TX_DONE, order::dir_entity(link, dir), epoch);
-        self.events
-            .push_keyed(at, key, Event::TxDone { link, dir, epoch });
+        self.events.push_keyed(at, key, Event::Keyed);
     }
 
     fn on_tx_done(&mut self, link: LinkId, dir: Dir, epoch: u64) {
@@ -977,15 +1013,8 @@ impl Simulator {
             let key = order::pack(order::CLASS_ARRIVE, order::dir_entity(link, dir), *seq);
             *seq += 1;
             let wire_slot = self.wire_put(pkt);
-            self.events.push_keyed(
-                self.now + delay + jitter,
-                key,
-                Event::Arrive {
-                    link,
-                    dir,
-                    wire_slot,
-                },
-            );
+            self.events
+                .push_keyed(self.now + delay + jitter, key, Event::Arrive { wire_slot });
         }
 
         // Start the next packet, if any (the AQM may head-drop on the way).
@@ -1037,7 +1066,9 @@ impl Simulator {
 /// meaning (restore refuses a mismatched snapshot rather than silently
 /// resuming from partial state). v2: capture state is the installed
 /// [`CaptureSink`], not a record buffer with per-record order stamps.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// v3: scheduled fault actions live in the simulator's fault table, keyed by
+/// install index, not inside their queue entries.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A versioned, self-contained copy of a simulator's full deterministic
 /// state at one instant, produced by [`Simulator::checkpoint`].
@@ -1108,6 +1139,37 @@ mod order_tests {
         let a = order::pack(order::CLASS_ARRIVE, 0, 0);
         let t = order::pack(order::CLASS_TIMER, 0, 0);
         assert!(f < s && s < x && x < a && a < t);
+    }
+
+    #[test]
+    fn entity_indices_round_trip() {
+        use crate::packet::{Dir, LinkId};
+        for link in [0, 1, 77, (1 << 24) - 1] {
+            for dir in [Dir::AtoB, Dir::BtoA] {
+                let entity = order::dir_entity(LinkId(link), dir);
+                assert_eq!(order::entity_dir(entity), (LinkId(link), dir));
+            }
+        }
+        assert_eq!(order::entity_agent((1 << 25) - 1).0, (1 << 25) - 1);
+    }
+
+    proptest::proptest! {
+        // The key is the event: every field `execute` reads back must be
+        // the one the scheduler packed, over the whole of each field's range.
+        #[test]
+        fn unpack_inverts_pack(
+            class in 0u64..8,
+            entity in 0u64..1 << 25,
+            local in 0u64..1 << 36,
+            edge in 0usize..4,
+        ) {
+            let entity = [entity, 0, (1 << 25) - 1, entity][edge];
+            let local = [local, 0, local, (1 << 36) - 1][edge];
+            proptest::prop_assert_eq!(
+                order::unpack(order::pack(class, entity, local)),
+                (class, entity, local)
+            );
+        }
     }
 }
 
@@ -1216,6 +1278,53 @@ mod sink_tests {
         assert_eq!(restored, at_snapshot, "the snapshot's sink did not advance");
         branch.run_until(SimTime::from_millis(40));
         assert_eq!(branch.sink::<Counter>().expect("sink").records, end);
+    }
+
+    #[test]
+    fn a_fault_installed_after_restore_applies_at_its_key() {
+        let link = LinkId(0);
+        let (down, up, down_again) = (
+            SimTime::from_millis(10),
+            SimTime::from_millis(15),
+            SimTime::from_millis(30),
+        );
+        let outcome = |sim: &Simulator| {
+            let s = sim.stats();
+            (
+                (s.events, s.packets_sent, s.packets_delivered),
+                (s.packets_dropped, sim.packets_in_flight()),
+                (sim.link_is_up(link), sim.events_scheduled()),
+            )
+        };
+
+        let mut cold = cbr_sim();
+        cold.schedule_link_down(link, down);
+        cold.schedule_link_up(link, up);
+        cold.schedule_link_down(link, down_again);
+        cold.run_until(SimTime::from_millis(40));
+        assert!(!cold.link_is_up(link));
+
+        // The branch point sits between the first two faults: one table
+        // entry is spent, one is pending, and the third is installed on
+        // the restored simulator, where it must take the next index.
+        let mut warm = cbr_sim();
+        warm.schedule_link_down(link, down);
+        warm.schedule_link_up(link, up);
+        warm.run_until(SimTime::from_millis(12));
+        let snap = warm.checkpoint();
+        let mut branch = Simulator::restore(&snap);
+        branch.schedule_link_down(link, down_again);
+        branch.run_until(SimTime::from_millis(40));
+        assert_eq!(outcome(&branch), outcome(&cold));
+
+        // The snapshot is reusable and the original is untouched by the
+        // branch's install: without the third fault the link stays up.
+        warm.run_until(SimTime::from_millis(40));
+        assert!(warm.link_is_up(link));
+        let mut second = Simulator::restore(&snap);
+        second.schedule_link_down(link, down_again);
+        second.run_until(SimTime::from_millis(40));
+        assert_eq!(outcome(&second), outcome(&cold));
     }
 
     #[test]

@@ -34,9 +34,13 @@
 //! pending run — exactly the order a binary heap would produce. The
 //! coarse granule keeps the microsecond-scale delays that dominate a
 //! packet simulation at levels 0–1 instead of cascading through three or
-//! four. The original `BinaryHeap` implementation survives as a
-//! `#[cfg(test)]` backend (`EventQueue::new_reference_heap`): the oracle of
-//! this module's differential tests, not a selectable engine.
+//! four. A slot's bucket is a chain of fixed-size chunks drawn from one
+//! pool the wheel owns, and a settled slot's chunks go straight back to
+//! it: the queue's memory follows how many events are pending at once,
+//! not how full each of the 512 buckets once was. The original
+//! `BinaryHeap` implementation survives as a `#[cfg(test)]` backend
+//! (`EventQueue::new_reference_heap`): the oracle of this module's
+//! differential tests, not a selectable engine.
 //!
 //! # Cancellation
 //!
@@ -135,15 +139,49 @@ const GRANULARITY_BITS: u32 = 16;
 /// Levels needed to cover the 48 timestamp bits above the granule
 /// (48 / 6 = 8).
 const LEVELS: usize = (64 - GRANULARITY_BITS as usize).div_ceil(SLOT_BITS as usize);
-/// Levels whose buckets keep their allocation when they drain. A level-0 or
-/// level-1 slot refills every ~4 ms / ~268 ms rotation with the packet
-/// events that dominate a run, so recycling it is what keeps steady-state
-/// operation allocation-free. A slot at level 2 and above settles at most
-/// once per 268 ms of simulated time and holds whatever timers happened to
-/// land in that window; its high-water allocation (tens of KB of RTO timers
-/// in a many-connection cell) would otherwise sit idle for the rest of the
-/// run (DESIGN.md "Footprint").
-const RECYCLED_LEVELS: usize = 2;
+/// Entries per bucket chunk. A bucket is a chain of these; the partial tail
+/// of each occupied bucket is the only slack the wheel carries, so the
+/// chunk is small (2 KB of 32-byte simulator entries) next to the hundreds
+/// to thousands of entries a busy level-0/1 slot holds.
+const CHUNK_ENTRIES: usize = 64;
+/// "No chunk": the end of a chain, an empty bucket, an empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One fixed-capacity piece of a bucket (or of the free list).
+#[derive(Debug)]
+struct Chunk<E> {
+    /// At most [`CHUNK_ENTRIES`], allocated once at that capacity: a chunk
+    /// is never pushed beyond it, so it never regrows or copies.
+    entries: Vec<Entry<E>>,
+    /// The next chunk of the same chain, or [`NIL`].
+    next: u32,
+}
+
+impl<E: Clone> Clone for Chunk<E> {
+    /// `Vec::clone` allocates exactly `len`; a chunk must keep its fixed
+    /// capacity, or the copy (a checkpoint) would regrow on its next push.
+    fn clone(&self) -> Self {
+        let mut entries = Vec::with_capacity(CHUNK_ENTRIES);
+        entries.extend_from_slice(&self.entries);
+        Chunk {
+            entries,
+            next: self.next,
+        }
+    }
+}
+
+/// A bucket: the first and last chunk of its chain ([`NIL`] when empty).
+/// Pushes append to `last`; settling walks from `first`.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    first: u32,
+    last: u32,
+}
+
+const EMPTY_BUCKET: Bucket = Bucket {
+    first: NIL,
+    last: NIL,
+};
 
 /// The hierarchical timing wheel backend.
 ///
@@ -160,16 +198,24 @@ const RECYCLED_LEVELS: usize = 2;
 /// * `early` holds entries pushed for times before `cur` (legal for
 ///   callers outside a monotonic simulator loop); its times precede every
 ///   pending or wheel-resident time, so it drains before everything else.
+/// * Every chunk is on exactly one chain: a bucket's, or the free list's
+///   (then it is empty). A bucket's bit in `occupied` is set exactly when
+///   its chain is non-empty.
 #[derive(Debug, Clone)]
 struct Wheel<E> {
     cur: u64,
     /// Per-level slot-occupancy bitmaps (bit `s` = slot `s` non-empty).
     occupied: [u64; LEVELS],
     /// `LEVELS × SLOTS` buckets, flattened; unsorted within a bucket.
-    /// Bucket vectors below [`RECYCLED_LEVELS`] are recycled in place, so
-    /// steady-state operation does not allocate; higher ones are freed
-    /// when they drain.
-    slots: Vec<Vec<Entry<E>>>,
+    buckets: Vec<Bucket>,
+    /// The one pool every bucket draws its chunks from. A settled bucket's
+    /// chunks go back to the free list, whichever level it was at, so the
+    /// pool grows to the peak number of entries *pending at once* (plus one
+    /// partial chunk per occupied bucket) and no bucket keeps a private
+    /// high-water allocation.
+    chunks: Vec<Chunk<E>>,
+    /// Head of the free list, chained through [`Chunk::next`].
+    free: u32,
     pending: VecDeque<Entry<E>>,
     early: BinaryHeap<Entry<E>>,
 }
@@ -179,20 +225,16 @@ impl<E> Wheel<E> {
         Wheel {
             cur: 0,
             occupied: [0; LEVELS],
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            buckets: vec![EMPTY_BUCKET; LEVELS * SLOTS],
+            chunks: Vec::new(),
+            free: NIL,
             pending: VecDeque::new(),
             early: BinaryHeap::new(),
         }
     }
 
     fn clear(&mut self) {
-        self.cur = 0;
-        self.occupied = [0; LEVELS];
-        for s in &mut self.slots {
-            s.clear();
-        }
-        self.pending.clear();
-        self.early.clear();
+        *self = Wheel::new();
     }
 
     /// The 6-bit digit of `t` at `level` (above the granularity bits).
@@ -201,8 +243,63 @@ impl<E> Wheel<E> {
     }
 
     /// The bucket for (`level`, `slot`).
-    fn bucket(&mut self, level: usize, slot: usize) -> &mut Vec<Entry<E>> {
-        &mut self.slots[level * SLOTS + slot] // simlint: allow(panic-surface, reason = "level < LEVELS and slot < SLOTS by construction; slots is sized LEVELS*SLOTS at new() and never shrinks")
+    fn bucket(&mut self, level: usize, slot: usize) -> &mut Bucket {
+        &mut self.buckets[level * SLOTS + slot] // simlint: allow(panic-surface, reason = "level < LEVELS and slot < SLOTS by construction; buckets is sized LEVELS*SLOTS at new() and never shrinks")
+    }
+
+    /// The chunk at pool index `c`.
+    fn chunk(&mut self, c: u32) -> &mut Chunk<E> {
+        &mut self.chunks[c as usize] // simlint: allow(panic-surface, reason = "chunk indices are issued by take_chunk and chunks never shrinks; NIL is checked before every lookup")
+    }
+
+    /// An empty chunk: the head of the free list, or a new one.
+    fn take_chunk(&mut self) -> u32 {
+        let c = self.free;
+        if c != NIL {
+            let chunk = self.chunk(c);
+            debug_assert!(chunk.entries.is_empty());
+            self.free = std::mem::replace(&mut chunk.next, NIL);
+            return c;
+        }
+        let c = u32::try_from(self.chunks.len())
+            .ok()
+            .filter(|&c| c != NIL)
+            // simlint: allow(unwrap, reason = "2^32 chunks are 2^38 pending entries; aliasing two chains would corrupt the schedule, so fail loudly")
+            .expect("wheel chunk pool exceeded u32 indices");
+        self.chunks.push(Chunk {
+            entries: Vec::with_capacity(CHUNK_ENTRIES),
+            next: NIL,
+        });
+        c
+    }
+
+    /// Put a drained chunk on the free list.
+    fn release_chunk(&mut self, c: u32) {
+        let free = self.free;
+        let chunk = self.chunk(c);
+        debug_assert!(chunk.entries.is_empty());
+        chunk.next = free;
+        self.free = c;
+    }
+
+    /// Append `e` to the bucket for (`level`, `slot`).
+    fn bucket_push(&mut self, level: usize, slot: usize, e: Entry<E>) {
+        let last = self.bucket(level, slot).last;
+        if last != NIL {
+            let tail = &mut self.chunk(last).entries;
+            if tail.len() < CHUNK_ENTRIES {
+                tail.push(e);
+                return;
+            }
+        }
+        let c = self.take_chunk();
+        self.chunk(c).entries.push(e);
+        if last == NIL {
+            *self.bucket(level, slot) = Bucket { first: c, last: c };
+        } else {
+            self.chunk(last).next = c;
+            self.bucket(level, slot).last = c;
+        }
     }
 
     fn push(&mut self, e: Entry<E>) {
@@ -234,19 +331,29 @@ impl<E> Wheel<E> {
             if let Some(bits) = self.occupied.get_mut(level) {
                 *bits |= 1u64 << slot;
             }
-            self.bucket(level, slot).push(e);
+            self.bucket_push(level, slot, e);
         }
     }
 
-    /// Pop the earliest entry: `early`, then `pending`, then settle the
-    /// next occupied wheel slot.
-    fn pop_entry(&mut self) -> Option<Entry<E>> {
+    /// Pop the earliest entry if it is due at or before `deadline`:
+    /// `early`, then `pending`, then settle the next occupied wheel slot.
+    /// One walk answers both "is anything due?" and "what is it?" — the
+    /// simulator's run loop asks exactly that once per event.
+    fn pop_entry_at_or_before(&mut self, deadline: SimTime) -> Option<Entry<E>> {
         loop {
-            if let Some(e) = self.early.pop() {
-                return Some(e);
+            if let Some(e) = self.early.peek() {
+                return if e.time <= deadline {
+                    self.early.pop()
+                } else {
+                    None
+                };
             }
-            if let Some(e) = self.pending.pop_front() {
-                return Some(e);
+            if let Some(e) = self.pending.front() {
+                return if e.time <= deadline {
+                    self.pending.pop_front()
+                } else {
+                    None
+                };
             }
             if !self.advance() {
                 return None;
@@ -254,14 +361,13 @@ impl<E> Wheel<E> {
         }
     }
 
-    /// Borrow the entry `pop_entry` would return next, settling slots as
-    /// needed but removing nothing. O(1) once the front is settled — this
-    /// is the hot path of `run_until`, which peeks before every step.
+    /// Borrow the entry `pop_entry_at_or_before` would consider next,
+    /// settling slots as needed but removing nothing.
     fn peek_entry(&mut self) -> Option<&Entry<E>> {
         if self.early.is_empty() && self.pending.is_empty() && !self.advance() {
             return None;
         }
-        // Mirror pop_entry's order: `early` drains before `pending`.
+        // Mirror the pop order: `early` drains before `pending`.
         if self.early.is_empty() {
             self.pending.front()
         } else {
@@ -302,7 +408,7 @@ impl<E> Wheel<E> {
             if let Some(bits) = self.occupied.get_mut(level) {
                 *bits &= !(1u64 << slot);
             }
-            let mut v = std::mem::take(self.bucket(level, slot));
+            let mut next = std::mem::replace(self.bucket(level, slot), EMPTY_BUCKET).first;
             if level == 0 {
                 // A bottom slot covers one 2^16 ns window within the
                 // cursor's level-1 block: jump there and sort its entries
@@ -310,12 +416,21 @@ impl<E> Wheel<E> {
                 let block = GRANULARITY_BITS + SLOT_BITS;
                 let base = ((self.cur >> block) << block) | ((slot as u64) << GRANULARITY_BITS);
                 debug_assert!(base > self.cur);
-                debug_assert!(v
+                self.cur = base;
+                while next != NIL {
+                    let c = next;
+                    let chunk = &mut self.chunks[c as usize]; // simlint: allow(panic-surface, reason = "a chain links only indices take_chunk issued; chunks never shrinks")
+                    next = chunk.next;
+                    self.pending.extend(chunk.entries.drain(..));
+                    self.release_chunk(c);
+                }
+                debug_assert!(self
+                    .pending
                     .iter()
                     .all(|e| e.time.as_nanos() >> GRANULARITY_BITS == base >> GRANULARITY_BITS));
-                self.cur = base;
-                v.sort_unstable_by_key(|e| (e.time, e.seq));
-                self.pending.extend(v.drain(..));
+                self.pending
+                    .make_contiguous()
+                    .sort_unstable_by_key(|e| (e.time, e.seq));
             } else {
                 // Cascade: jump the cursor to this slot's base time and
                 // re-distribute. Every entry shares bits ≥ 16 + 6·(level+1)
@@ -332,14 +447,22 @@ impl<E> Wheel<E> {
                 let w = base | ((slot as u64) << shift);
                 debug_assert!(w > self.cur);
                 self.cur = w;
-                for e in v.drain(..) {
-                    self.push(e);
+                while next != NIL {
+                    let c = next;
+                    // Lift the chunk's storage out while its entries are
+                    // re-pushed (a push may take chunks from the pool), then
+                    // hand it back and free the chunk before the next one:
+                    // a cascade needs one spare chunk per bucket it fills,
+                    // not a second copy of the slot.
+                    let mut entries = std::mem::take(&mut self.chunk(c).entries);
+                    for e in entries.drain(..) {
+                        self.push(e);
+                    }
+                    let chunk = self.chunk(c);
+                    chunk.entries = entries;
+                    next = chunk.next;
+                    self.release_chunk(c);
                 }
-            }
-            // Hand the drained vector's allocation back to a hot bucket; a
-            // cold one is freed here.
-            if level < RECYCLED_LEVELS {
-                *self.bucket(level, slot) = v;
             }
             if !self.pending.is_empty() {
                 return true;
@@ -366,11 +489,17 @@ impl<E> Backend<E> {
         }
     }
 
-    fn pop_entry(&mut self) -> Option<Entry<E>> {
+    fn pop_entry_at_or_before(&mut self, deadline: SimTime) -> Option<Entry<E>> {
         match self {
-            Backend::Wheel(w) => w.pop_entry(),
+            Backend::Wheel(w) => w.pop_entry_at_or_before(deadline),
             #[cfg(test)]
-            Backend::Heap(h) => h.pop(),
+            Backend::Heap(h) => {
+                if h.peek()?.time <= deadline {
+                    h.pop()
+                } else {
+                    None
+                }
+            }
         }
     }
 
@@ -440,6 +569,12 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one queued event occupies: time, sequence key and cancellation
+    /// token (8 each) plus the payload. Every push, cascade and settle sort
+    /// moves this much, so a caller with a hot queue keeps `E` small and
+    /// can pin the total with a `const` assertion.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
+
     /// Create an empty queue (timing-wheel backend).
     pub fn new() -> Self {
         Self::with_backend(Backend::Wheel(Wheel::new()))
@@ -506,21 +641,31 @@ impl<E> EventQueue<E> {
         self.token_state.get_mut(usize::try_from(i).ok()?)
     }
 
-    /// Mark the token of an entry that left the backend `Spent` and slide
-    /// the window past the terminal prefix. Returns whether the entry had
-    /// been cancelled (a token outside the window cannot belong to a
-    /// backend entry; it reads as cancelled, so the entry is reaped).
-    fn spend_token(&mut self, token: u64) -> bool {
-        let Some(s) = self.token_slot(token) else {
+    /// The one liveness rule: does the backend entry carrying `token` fire?
+    /// Token 0 (not cancellable) always does; otherwise only a `Live`
+    /// token does. A token that has slid out of the window is `Spent`, so
+    /// its entry is dead — `peek_time`, `pop` and `pop_at_or_before` all
+    /// ask here, and therefore agree on which entry is the front.
+    fn fires(&self, token: u64) -> bool {
+        let Some(i) = token.checked_sub(1) else {
             return true;
         };
-        let cancelled = *s == TokenState::Cancelled;
+        i.checked_sub(self.token_base)
+            .and_then(|i| self.token_state.get(usize::try_from(i).ok()?))
+            .is_some_and(|s| *s == TokenState::Live)
+    }
+
+    /// Mark the token of an entry that left the backend `Spent` and slide
+    /// the window past the terminal prefix.
+    fn spend_token(&mut self, token: u64) {
+        let Some(s) = self.token_slot(token) else {
+            return;
+        };
         *s = TokenState::Spent;
         while self.token_state.front() == Some(&TokenState::Spent) {
             self.token_state.pop_front();
             self.token_base += 1;
         }
-        cancelled
     }
 
     fn push_token(&mut self, time: SimTime, event: E, token: u64) {
@@ -557,10 +702,21 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest live event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+        self.pop_at_or_before(SimTime::MAX)
+    }
+
+    /// Remove and return the earliest live event if it is due at or before
+    /// `deadline`; `None` leaves everything later queued. A run loop's
+    /// "peek, compare, pop" in one walk of the queue's front.
+    pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<ScheduledEvent<E>> {
         loop {
-            let e = self.backend.pop_entry()?;
-            if e.token != 0 && self.spend_token(e.token) {
-                continue; // cancelled: reap silently
+            let e = self.backend.pop_entry_at_or_before(deadline)?;
+            if e.token != 0 {
+                let fires = self.fires(e.token);
+                self.spend_token(e.token);
+                if !fires {
+                    continue; // cancelled: reap silently
+                }
             }
             self.live -= 1;
             return Some(ScheduledEvent {
@@ -582,16 +738,12 @@ impl<E> EventQueue<E> {
                 let e = self.backend.peek_entry()?;
                 (e.time, e.token)
             };
-            if self
-                .token_slot(token)
-                .is_some_and(|s| *s == TokenState::Cancelled)
-            {
-                // Cancelled: reap the buried entry and look again.
-                self.spend_token(token);
-                let _ = self.backend.pop_entry();
-                continue;
+            if self.fires(token) {
+                return Some(time);
             }
-            return Some(time);
+            // Cancelled: reap the buried entry and look again.
+            self.spend_token(token);
+            let _ = self.backend.pop_entry_at_or_before(time);
         }
     }
 
@@ -934,37 +1086,160 @@ mod tests {
         assert_eq!(q.pop().map(|e| e.event), None);
     }
 
-    fn bucket_capacity(q: &EventQueue<u32>, level: usize, slot: usize) -> usize {
+    fn pool_chunks(q: &EventQueue<u32>) -> usize {
         match &q.backend {
-            Backend::Wheel(w) => w.slots[level * SLOTS + slot].capacity(),
+            Backend::Wheel(w) => w.chunks.len(),
             Backend::Heap(_) => unreachable!("wheel queues only"),
         }
     }
 
     #[test]
-    fn cold_buckets_free_their_allocation_and_hot_ones_keep_it() {
+    fn buckets_share_one_pool_sized_by_what_is_pending() {
         const N: u32 = 10_000;
         let mut q = EventQueue::new();
-        // Level 2, slot 3: the digit at bits 28..34 is the highest one in
-        // which these times differ from a cursor at zero.
-        for i in 0..N {
-            q.push(SimTime::from_nanos((3 << 28) + u64::from(i)), i);
+        let mut peak_after_first = 0;
+        // Fill and drain 64 level-1 slots in turn (bits 22..28 name the
+        // slot; the entries spread over its 64 bottom slots, so each drain
+        // is a cascade and 64 level-0 settles).
+        for k in 1..=64u64 {
+            for i in 0..N {
+                q.push(SimTime::from_nanos((k << 22) + u64::from(i) * 400), i);
+            }
+            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+            assert_eq!(order, (0..N).collect::<Vec<u32>>());
+            if k == 1 {
+                peak_after_first = pool_chunks(&q);
+            }
         }
-        assert!(bucket_capacity(&q, 2, 3) >= N as usize);
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, (0..N).collect::<Vec<u32>>());
-        assert_eq!(bucket_capacity(&q, 2, 3), 0, "a drained level-2 bucket");
-
-        // Level 0, slot 5 of the block the cursor now stands in.
-        let base = (3u64 << 28) + (5 << 16);
+        // One slot's worth plus a partial chunk per bottom bucket the
+        // cascade fills — and the 63 later slots reused exactly those.
+        let one_slot = N as usize / CHUNK_ENTRIES;
+        assert!(
+            (one_slot..=one_slot + 2 * SLOTS).contains(&peak_after_first),
+            "{peak_after_first} chunks for {N} pending entries"
+        );
+        assert_eq!(
+            pool_chunks(&q),
+            peak_after_first,
+            "a later slot grew the pool"
+        );
+        // A far-future (level 5) bucket draws from the same pool and hands
+        // its chunks back too.
         for i in 0..N {
-            q.push(SimTime::from_nanos(base + u64::from(i)), i);
+            q.push(SimTime::from_nanos((9 << 46) + u64::from(i)), i);
         }
         while q.pop().is_some() {}
-        assert!(
-            bucket_capacity(&q, 0, 5) >= N as usize,
-            "a drained level-0 bucket is recycled"
-        );
+        assert_eq!(pool_chunks(&q), peak_after_first);
+    }
+
+    #[test]
+    fn a_cloned_part_filled_wheel_pops_the_same_sequence() {
+        let mut q = EventQueue::new();
+        // Level 0, 1, 2 and 4 buckets with full and partial chunks, a
+        // cancelled entry among them, and a cursor that has moved.
+        for i in 0..1000u32 {
+            let t = match i % 4 {
+                0 => 70_000 + u64::from(i),
+                1 => (3 << 22) + u64::from(i) * 1_000,
+                2 => (5 << 28) + u64::from(i),
+                _ => (2 << 40) + u64::from(i) * 77,
+            };
+            q.push(SimTime::from_nanos(t), i);
+        }
+        let dead = q.push_cancellable(SimTime::from_nanos(3 << 22), 5000);
+        for _ in 0..100 {
+            assert!(q.pop().is_some());
+        }
+        let mut copy = q.clone();
+        assert!(q.cancel(dead) && copy.cancel(dead));
+        // The copy's chunks keep their fixed capacity: refilling a partial
+        // tail must not regrow it.
+        for i in 0..200u32 {
+            let t = SimTime::from_nanos((3 << 22) + 999_000 + u64::from(i));
+            q.push(t, 2000 + i);
+            copy.push(t, 2000 + i);
+        }
+        if let Backend::Wheel(w) = &copy.backend {
+            assert!(w
+                .chunks
+                .iter()
+                .all(|c| c.entries.capacity() == CHUNK_ENTRIES));
+        }
+        loop {
+            let a = q.pop().map(|e| (e.time, e.seq, e.event));
+            let b = copy.pop().map(|e| (e.time, e.seq, e.event));
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        assert_eq!(q.total_pushed(), copy.total_pushed());
+    }
+
+    #[test]
+    fn peek_and_pop_agree_across_cancel_rearm_and_pop() {
+        use crate::rng::{SimRng, SplitMix64};
+        for mut q in [EventQueue::new(), EventQueue::new_reference_heap()] {
+            let mut rng = SplitMix64::new(0xfeed);
+            let mut now = 0u64;
+            // Four re-armable timers (0 = never armed) over a stream of
+            // plain events; re-arming cancels, so fronts are often dead.
+            let mut timers = [0u64; 4];
+            for i in 0..20_000u32 {
+                match rng.next_below(10) {
+                    0..=2 => {
+                        let at = now + rng.next_range(1, 300_000);
+                        q.push(SimTime::from_nanos(at), i);
+                    }
+                    3..=5 => {
+                        let t = rng.next_below(4) as usize;
+                        q.cancel(timers[t]);
+                        let at = now + rng.next_range(1, 5_000_000);
+                        timers[t] = q.push_cancellable(SimTime::from_nanos(at), i);
+                    }
+                    6 => {
+                        q.cancel(timers[rng.next_below(4) as usize]);
+                    }
+                    7 => {
+                        // A deadline pop takes the front exactly when the
+                        // front is due.
+                        let deadline = SimTime::from_nanos(now + rng.next_range(0, 200_000));
+                        let front = q.peek_time();
+                        let got = q.pop_at_or_before(deadline).map(|e| e.time);
+                        assert_eq!(got, front.filter(|t| *t <= deadline));
+                        now = got.map_or(now, SimTime::as_nanos);
+                    }
+                    _ => {
+                        let front = q.peek_time();
+                        let got = q.pop().map(|e| e.time);
+                        assert_eq!(front, got, "peek disagrees with pop");
+                        now = got.map_or(now, SimTime::as_nanos);
+                    }
+                }
+            }
+            while let Some(front) = q.peek_time() {
+                assert_eq!(q.pop().map(|e| e.time), Some(front));
+            }
+            assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    fn an_entry_whose_token_left_the_window_is_dead_to_peek_and_pop_alike() {
+        for mut q in [EventQueue::new(), EventQueue::new_reference_heap()] {
+            q.push_cancellable(SimTime::from_millis(1), "stale");
+            q.push(SimTime::from_millis(2), "live");
+            // Forge what no sequence of calls produces: the window has slid
+            // past a token whose entry is still buried. Every reader must
+            // apply the same rule to it (out of the window = spent = dead).
+            q.token_state.clear();
+            q.token_base = 1;
+            let (mut popped, mut bounded) = (q.clone(), q.clone());
+            assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
+            assert_eq!(popped.pop().map(|e| e.event), Some("live"));
+            let due = bounded.pop_at_or_before(SimTime::from_millis(5));
+            assert_eq!(due.map(|e| e.event), Some("live"));
+        }
     }
 
     /// Shape a raw u64 into an "interesting" time: same-slot collisions,
