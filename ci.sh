@@ -25,6 +25,12 @@ if grep -rn "Simulator::new\|MptcpSenderAgent::new" crates/core/src examples/*.r
     exit 1
 fi
 
+echo "==> nothing deleted comes back (event log, coupling mutex, check feature, uncoupled-CC wrapper)"
+if grep -rn 'EventLog\|Arc<Mutex\|feature = "check"\|Mirrored<' crates/; then
+    echo "deleted in PR 20 (DESIGN.md par 9.2, par 6): count into SimStats or an agent counter, share through Rc<RefCell>, keep checks unconditional" >&2
+    exit 1
+fi
+
 echo "==> sweep-runner smoke test (release, serial vs pooled must match)"
 cargo build --release --offline -q -p bench
 OVERLAP_WORKERS=1 ./target/release/table1_results 3 2 2>/dev/null >/tmp/sweep_serial.txt
@@ -65,38 +71,24 @@ echo "==> horizon-independence gate (paper net, LIA, 30 s then 120 s: VmHWM grow
 echo "==> fluid-model smoke (paper topology, all laws)"
 ./target/release/fluid_table --smoke
 
-echo "==> fluid_table.txt byte-diff regeneration check"
-./target/release/fluid_table 2>/dev/null >/tmp/fluid_table_regen.txt
-cmp /tmp/fluid_table_regen.txt results/fluid_table.txt || {
-    echo "results/fluid_table.txt is stale: regenerate with" >&2
-    echo "  cargo run -p bench --bin fluid_table --release > results/fluid_table.txt" >&2
-    exit 1
-}
-rm -f /tmp/fluid_table_regen.txt
-
 echo "==> worldgen smoke (fat-tree ECMP, traffic, mobility, fluid band)"
 ./target/release/worldgen_table --smoke
-
-echo "==> worldgen_table.txt byte-diff regeneration check (S5 pins two absolute trace hashes)"
-./target/release/worldgen_table 2>/dev/null >/tmp/worldgen_table_regen.txt
-cmp /tmp/worldgen_table_regen.txt results/worldgen_table.txt || {
-    echo "results/worldgen_table.txt is stale: regenerate with" >&2
-    echo "  cargo run -p bench --bin worldgen_table --release > results/worldgen_table.txt" >&2
-    exit 1
-}
-rm -f /tmp/worldgen_table_regen.txt
 
 echo "==> failover smoke (fault injection, recovery gates, 1-vs-4-worker hashes)"
 ./target/release/failover_table --smoke
 
-echo "==> failover_table.txt byte-diff regeneration check"
-./target/release/failover_table 2>/dev/null >/tmp/failover_table_regen.txt
-cmp /tmp/failover_table_regen.txt results/failover_table.txt || {
-    echo "results/failover_table.txt is stale: regenerate with" >&2
-    echo "  cargo run -p bench --bin failover_table --release > results/failover_table.txt" >&2
-    exit 1
-}
-rm -f /tmp/failover_table_regen.txt
+echo "==> results/*.txt byte-diff regeneration check (three tables, the paper's Figures 1c and 2a-c)"
+# worldgen_table's S5 pins two absolute trace hashes; fig2a is the paper's
+# headline CUBIC run.
+for bin in fluid_table worldgen_table failover_table fig1c fig2a fig2b fig2c; do
+    ./target/release/$bin 2>/dev/null >/tmp/results_regen.txt
+    cmp /tmp/results_regen.txt results/$bin.txt || {
+        echo "results/$bin.txt is stale: regenerate with" >&2
+        echo "  cargo run -p bench --bin $bin --release > results/$bin.txt" >&2
+        exit 1
+    }
+done
+rm -f /tmp/results_regen.txt
 
 echo "==> example smoke (the two examples that drive a World by hand must run to exit 0)"
 cargo run --release --offline --quiet --example failover >/dev/null

@@ -220,7 +220,6 @@ impl Scenario {
             SamplerConfig::tshark_like(dst, self.sample_bin, SimTime::ZERO + self.duration)
                 .with_tags(subflows.iter().map(|s| s.tag)),
         );
-        #[cfg(feature = "check")]
         let sink = sink.with_invariants(simtrace::default_invariants());
 
         // Subflows in default-first order, each keeping its path's tag.
@@ -262,19 +261,16 @@ impl Scenario {
         // the same scenario + seed must produce the same hash (the
         // double-run harness in [`crate::determinism`] relies on this).
         let trace_hash = sink.hash();
-        #[cfg(feature = "check")]
-        {
-            let violations = sink.finish_checks();
-            assert!(
-                violations.is_empty(),
-                "trace invariants violated:\n{}",
-                violations
-                    .iter()
-                    .map(|v| format!("  {v}"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-        }
+        let violations = sink.finish_checks();
+        assert!(
+            violations.is_empty(),
+            "trace invariants violated:\n{}",
+            violations
+                .iter()
+                .map(|v| format!("  {v}"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
         // One series per tag, in tag order. The sampler was seeded with
         // the path tags (ascending in path order) and only this connection
         // delivers at `dst`, so that is one series per path, in path order.
@@ -314,7 +310,6 @@ impl Scenario {
 
         // Rates are bytes-over-time: negative or non-finite values can only
         // come from arithmetic bugs in the sampler, never from the network.
-        #[cfg(feature = "check")]
         for s in &per_path {
             for (i, &v) in s.values().iter().enumerate() {
                 assert!(
@@ -534,44 +529,47 @@ mod tests {
         // A checkpoint taken mid-run, branched with a fault schedule, must
         // be indistinguishable from a cold run that carried the same faults
         // from time zero — trace hash, event counters, and every sampled
-        // series bin.
-        let net = PaperNetwork::new();
-        let s = net.topology.node_by_name("s").unwrap();
-        let v4 = net.topology.node_by_name("v4").unwrap();
-        let link = net.topology.link_between(s, v4).unwrap();
-        let base = Scenario {
-            default_path: net.default_path,
-            ..Scenario::new(net.topology, net.paths)
-        }
-        .with_algo(CcAlgo::Lia)
-        .with_timing(SimDuration::from_secs(3), SimDuration::from_millis(100));
-        let ckpt = base.checkpoint_at(SimTime::from_millis(1500));
-        assert_eq!(ckpt.time(), SimTime::from_millis(1500));
-        assert_eq!(ckpt.buffered_captures(), 0, "the prefix streams");
-        let variants = [
-            FaultSchedule::new().outage(
-                link,
-                SimTime::from_millis(1800),
-                SimTime::from_millis(2300),
-            ),
-            FaultSchedule::new().loss_burst(
-                link,
-                SimTime::from_millis(1600),
-                SimTime::from_millis(2000),
-                0.3,
-            ),
-            FaultSchedule::new(),
-        ];
-        for faults in &variants {
-            let branched = ckpt.branch_run(faults, None);
-            let cold = base.clone().with_faults(faults.clone()).run();
-            assert_eq!(branched.trace_hash, cold.trace_hash, "{faults:?}");
-            assert_eq!(branched.events, cold.events);
-            assert_eq!(branched.events_scheduled, cold.events_scheduled);
-            assert_eq!(branched.events_cancelled, cold.events_cancelled);
-            assert_eq!(branched.drops, cold.drops);
-            assert_eq!(branched.total.values(), cold.total.values());
-            assert_eq!(branched.data_delivered, cold.data_delivered);
+        // series bin. LIA's cloned controllers re-bind to a copy of the
+        // coupling state; CUBIC's are bare and carry all their state along.
+        for algo in [CcAlgo::Lia, CcAlgo::Cubic] {
+            let net = PaperNetwork::new();
+            let s = net.topology.node_by_name("s").unwrap();
+            let v4 = net.topology.node_by_name("v4").unwrap();
+            let link = net.topology.link_between(s, v4).unwrap();
+            let base = Scenario {
+                default_path: net.default_path,
+                ..Scenario::new(net.topology, net.paths)
+            }
+            .with_algo(algo)
+            .with_timing(SimDuration::from_secs(3), SimDuration::from_millis(100));
+            let ckpt = base.checkpoint_at(SimTime::from_millis(1500));
+            assert_eq!(ckpt.time(), SimTime::from_millis(1500));
+            assert_eq!(ckpt.buffered_captures(), 0, "the prefix streams");
+            let variants = [
+                FaultSchedule::new().outage(
+                    link,
+                    SimTime::from_millis(1800),
+                    SimTime::from_millis(2300),
+                ),
+                FaultSchedule::new().loss_burst(
+                    link,
+                    SimTime::from_millis(1600),
+                    SimTime::from_millis(2000),
+                    0.3,
+                ),
+                FaultSchedule::new(),
+            ];
+            for faults in &variants {
+                let branched = ckpt.branch_run(faults, None);
+                let cold = base.clone().with_faults(faults.clone()).run();
+                assert_eq!(branched.trace_hash, cold.trace_hash, "{algo:?} {faults:?}");
+                assert_eq!(branched.events, cold.events);
+                assert_eq!(branched.events_scheduled, cold.events_scheduled);
+                assert_eq!(branched.events_cancelled, cold.events_cancelled);
+                assert_eq!(branched.drops, cold.drops);
+                assert_eq!(branched.total.values(), cold.total.values());
+                assert_eq!(branched.data_delivered, cold.data_delivered);
+            }
         }
     }
 

@@ -4,8 +4,9 @@
 //! interface:
 //!
 //! * **Uncoupled** — each subflow runs a standalone algorithm (CUBIC in the
-//!   paper's headline experiment, Reno as an ablation). No state is shared;
-//!   each subflow competes like an independent TCP connection.
+//!   paper's headline experiment, Reno as an ablation). No state is shared:
+//!   each subflow gets a bare `tcpsim` controller and competes like an
+//!   independent TCP connection, as in the kernel the paper ran.
 //! * **LIA** (RFC 6356) — the Linked Increases Algorithm couples the
 //!   *increase* across subflows through the `alpha` aggressiveness factor.
 //! * **OLIA** (Khalili et al.) — the Opportunistic LIA adds per-path
@@ -13,14 +14,17 @@
 //!   paths.
 //! * **BALIA** and **wVegas** — extensions beyond the paper's set.
 //!
-//! Architecturally each subflow owns a [`CoupledCc`] implementing
+//! Architecturally each coupled subflow owns a [`CoupledCc`] implementing
 //! `tcpsim::CongestionControl`; the coupled algorithms read their siblings'
-//! windows and RTTs through a shared [`CoupleState`] (an `Arc<Mutex<_>>`
-//! because `netsim::Agent` is `Send`; the lock is only ever taken by
-//! subflows of one agent, which live on one thread, so it is never
-//! contended). A controller is the only writer of its own window, so it
+//! windows and RTTs through a shared [`CoupleState`]. It is an
+//! `Rc<RefCell<_>>`: a connection and all its subflow controllers live in
+//! one agent on one thread, and the `Rc` makes the compiler hold that —
+//! an agent carrying one cannot be sent to another thread (`netsim::Agent`
+//! has no `Send` bound). Each callback borrows the cell for its own
+//! duration and calls no other controller meanwhile, so a borrow never
+//! meets another. A controller is the only writer of its own window, so it
 //! keeps a copy (`OwnWindow`) and answers `cwnd()` / `ssthresh()` — asked
-//! on every scheduling decision — without the lock. Slow start, loss
+//! on every scheduling decision — without touching the cell. Slow start, loss
 //! response, and RTO handling are per-subflow and standard (as in the Linux
 //! MPTCP implementation); only the congestion-avoidance *increase* is
 //! coupled.
@@ -30,20 +34,10 @@ pub mod lia;
 pub mod olia;
 pub mod wvegas;
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use tcpsim::cc::{min_cwnd, AckContext, CongestionControl, Cubic, LossContext, Reno};
-
-/// Lock the shared coupling state. The mutex is uncontended by design —
-/// every subflow of a connection runs on the connection's thread — so a
-/// poisoned lock means a sibling subflow panicked mid-update and the
-/// coupled state is unusable.
-pub(crate) fn lock_state(
-    state: &Arc<Mutex<CoupleState>>,
-) -> std::sync::MutexGuard<'_, CoupleState> {
-    // simlint: allow(unwrap, reason = "poisoned coupling state cannot be recovered; propagate the sibling's panic")
-    state.lock().expect("coupling state poisoned")
-}
 
 /// Which congestion-control configuration an MPTCP connection runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,7 +116,7 @@ impl SubState {
 /// that the sender reads on every scheduling decision. The controller is
 /// the only writer of `subs[idx].{cwnd, ssthresh}`, so it refreshes this
 /// wherever it writes them and answers `cwnd()` / `ssthresh()` from here
-/// without taking the coupling lock; siblings still read the shared entry.
+/// without borrowing the coupling state; siblings still read the shared entry.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OwnWindow {
     cwnd: f64,
@@ -138,20 +132,20 @@ impl OwnWindow {
     }
 
     /// The copy of subflow `idx`'s entry in `shared`.
-    pub(crate) fn load(shared: &Arc<Mutex<CoupleState>>, idx: usize) -> Self {
-        Self::of(&lock_state(shared).subs[idx])
+    pub(crate) fn load(shared: &Rc<RefCell<CoupleState>>, idx: usize) -> Self {
+        Self::of(&shared.borrow().subs[idx])
     }
 
     /// Still what the shared entry says? (`debug_assert`ed on every read:
-    /// a second writer would make the lock-free answer stale.)
-    fn mirrors(&self, shared: &Arc<Mutex<CoupleState>>, idx: usize) -> bool {
+    /// a second writer would make the borrow-free answer stale.)
+    fn mirrors(&self, shared: &Rc<RefCell<CoupleState>>, idx: usize) -> bool {
         let now = Self::load(shared, idx);
         (self.cwnd.to_bits(), self.ssthresh.to_bits())
             == (now.cwnd.to_bits(), now.ssthresh.to_bits())
     }
 
     /// `CongestionControl::cwnd`: never below one segment.
-    pub(crate) fn cwnd(&self, shared: &Arc<Mutex<CoupleState>>, idx: usize, mss: u32) -> u64 {
+    pub(crate) fn cwnd(&self, shared: &Rc<RefCell<CoupleState>>, idx: usize, mss: u32) -> u64 {
         debug_assert!(
             self.mirrors(shared, idx),
             "subflow {idx}'s window has a second writer"
@@ -160,7 +154,7 @@ impl OwnWindow {
     }
 
     /// `CongestionControl::ssthresh`: `u64::MAX` while still infinite.
-    pub(crate) fn ssthresh(&self, shared: &Arc<Mutex<CoupleState>>, idx: usize) -> u64 {
+    pub(crate) fn ssthresh(&self, shared: &Rc<RefCell<CoupleState>>, idx: usize) -> u64 {
         debug_assert!(
             self.mirrors(shared, idx),
             "subflow {idx}'s window has a second writer"
@@ -203,7 +197,7 @@ impl CoupleState {
 /// Handle used to create per-subflow controllers sharing one state.
 #[derive(Debug, Clone, Default)]
 pub struct Coupling {
-    state: Arc<Mutex<CoupleState>>,
+    state: Rc<RefCell<CoupleState>>,
 }
 
 impl Coupling {
@@ -218,172 +212,82 @@ impl Coupling {
     /// must use this instead and then re-bind each controller with the
     /// copy's `rebind`.
     pub fn deep_clone(&self) -> Coupling {
-        let snapshot = lock_state(&self.state).clone();
+        let snapshot = self.state.borrow().clone();
         Coupling {
-            state: Arc::new(Mutex::new(snapshot)),
+            state: Rc::new(RefCell::new(snapshot)),
         }
     }
 
-    /// Re-point `cc` — a controller [`Coupling::make_cc`] built, or a clone
-    /// of one — at this coupling's state (after a checkpoint deep copy).
+    /// Re-point `cc` — a controller [`Coupling::make_cc`] built for a
+    /// coupled algorithm, or a clone of one — at this coupling's state
+    /// (after a checkpoint deep copy). Uncoupled controllers hold no
+    /// shared state and are not re-bound.
     pub(crate) fn rebind(&self, cc: &mut dyn CongestionControl) {
         let cc = cc
             .as_any_mut()
             .expect("mptcp subflow controller lacks as_any_mut"); // simlint: allow(unwrap, reason = "every controller this crate installs implements as_any_mut; a None is a snapshot-layer wiring bug worth aborting on")
         let shared = self.state.clone();
-        if let Some(m) = cc.downcast_mut::<Mirrored<Cubic>>() {
-            m.rebase(shared);
-        } else if let Some(m) = cc.downcast_mut::<Mirrored<Reno>>() {
-            m.rebase(shared);
-        } else if let Some(m) = cc.downcast_mut::<CoupledCc>() {
+        if let Some(m) = cc.downcast_mut::<CoupledCc>() {
             m.rebase(shared);
         } else if let Some(m) = cc.downcast_mut::<wvegas::WVegasCc>() {
             m.rebase(shared);
         } else {
-            // simlint: allow(panic-surface, reason = "make_cc builds exactly these four types; anything else is a snapshot-layer wiring bug worth aborting on")
+            // simlint: allow(panic-surface, reason = "make_cc builds exactly these two coupled types; anything else is a snapshot-layer wiring bug worth aborting on")
             panic!("unknown mptcp subflow controller type");
         }
     }
 
-    /// Read access to the shared state (for reports).
-    pub fn state(&self) -> std::sync::MutexGuard<'_, CoupleState> {
-        lock_state(&self.state)
+    /// Build the controller for the next subflow. Must be called in subflow
+    /// id order (0, 1, 2, …). An uncoupled algorithm gets a bare `tcpsim`
+    /// controller and no entry in the shared state.
+    pub fn make_cc(&self, algo: CcAlgo, initial_cwnd: u64, mss: u32) -> Box<dyn CongestionControl> {
+        match algo {
+            CcAlgo::Cubic => Box::new(Cubic::new(initial_cwnd, mss)),
+            CcAlgo::RenoUncoupled => Box::new(Reno::new(initial_cwnd, mss)),
+            CcAlgo::WVegas => {
+                let idx = self.push_sub(initial_cwnd, mss);
+                Box::new(wvegas::WVegasCc::new(self.state.clone(), idx, mss))
+            }
+            CcAlgo::Lia | CcAlgo::Olia | CcAlgo::Balia => {
+                let idx = self.push_sub(initial_cwnd, mss);
+                Box::new(CoupledCc {
+                    own: OwnWindow::load(&self.state, idx),
+                    shared: self.state.clone(),
+                    idx,
+                    algo,
+                    mss,
+                })
+            }
+        }
     }
 
-    /// Build the controller for the next subflow. Must be called in subflow
-    /// id order (0, 1, 2, …).
-    pub fn make_cc(&self, algo: CcAlgo, initial_cwnd: u64, mss: u32) -> Box<dyn CongestionControl> {
-        let idx = {
-            let mut st = lock_state(&self.state);
-            st.subs.push(SubState::new(initial_cwnd, mss));
-            st.subs.len() - 1
-        };
-        match algo {
-            CcAlgo::Cubic => Box::new(Mirrored::new(
-                Cubic::new(initial_cwnd, mss),
-                self.state.clone(),
-                idx,
-            )),
-            CcAlgo::RenoUncoupled => Box::new(Mirrored::new(
-                Reno::new(initial_cwnd, mss),
-                self.state.clone(),
-                idx,
-            )),
-            CcAlgo::WVegas => Box::new(wvegas::WVegasCc::new(self.state.clone(), idx, mss)),
-            CcAlgo::Lia | CcAlgo::Olia | CcAlgo::Balia => Box::new(CoupledCc {
-                own: OwnWindow::load(&self.state, idx),
-                shared: self.state.clone(),
-                idx,
-                algo,
-                mss,
-            }),
-        }
+    /// Add the next subflow's entry to the shared state; returns its index.
+    fn push_sub(&self, initial_cwnd: u64, mss: u32) -> usize {
+        let mut st = self.state.borrow_mut();
+        st.subs.push(SubState::new(initial_cwnd, mss));
+        st.subs.len() - 1
     }
 }
 
 #[cfg(test)]
 impl Coupling {
+    /// Test helper: read the shared state.
+    pub(crate) fn state(&self) -> std::cell::Ref<'_, CoupleState> {
+        self.state.borrow()
+    }
+
     /// Test helper: set the "bytes since last loss" estimate directly.
     pub(crate) fn set_l_for_test(&self, idx: usize, l: f64) {
-        let mut st = lock_state(&self.state);
+        let mut st = self.state.borrow_mut();
         st.subs[idx].bytes_since_loss = l;
         st.subs[idx].bytes_between_losses = 0.0;
     }
 
     /// Test helper: set both loss-interval estimates.
     pub(crate) fn set_intervals_for_test(&self, idx: usize, since: f64, between: f64) {
-        let mut st = lock_state(&self.state);
+        let mut st = self.state.borrow_mut();
         st.subs[idx].bytes_since_loss = since;
         st.subs[idx].bytes_between_losses = between;
-    }
-}
-
-/// Wrapper for uncoupled algorithms that mirrors cwnd/rtt into the shared
-/// state so reports (and wVegas weighting) can observe every subflow
-/// uniformly.
-#[derive(Debug, Clone)]
-pub(crate) struct Mirrored<C: CongestionControl> {
-    inner: C,
-    shared: Arc<Mutex<CoupleState>>,
-    idx: usize,
-}
-
-impl<C: CongestionControl> Mirrored<C> {
-    fn new(inner: C, shared: Arc<Mutex<CoupleState>>, idx: usize) -> Self {
-        Mirrored { inner, shared, idx }
-    }
-
-    /// Re-point this controller at a different shared-state `Arc` (used
-    /// after a checkpoint deep copy).
-    fn rebase(&mut self, shared: Arc<Mutex<CoupleState>>) {
-        self.shared = shared;
-    }
-
-    fn mirror(&self) {
-        let mut st = lock_state(&self.shared);
-        let sub = &mut st.subs[self.idx];
-        sub.cwnd = self.inner.cwnd() as f64;
-        sub.ssthresh = if self.inner.ssthresh() == u64::MAX {
-            f64::INFINITY
-        } else {
-            self.inner.ssthresh() as f64
-        };
-    }
-}
-
-impl<C: CongestionControl + Clone + 'static> CongestionControl for Mirrored<C> {
-    fn on_ack(&mut self, ctx: &AckContext) {
-        if let Some(srtt) = ctx.srtt {
-            lock_state(&self.shared).subs[self.idx].srtt = srtt.as_secs_f64().max(1e-6);
-        }
-        {
-            let mut st = lock_state(&self.shared);
-            st.subs[self.idx].bytes_since_loss += ctx.bytes_acked as f64;
-        }
-        self.inner.on_ack(ctx);
-        self.mirror();
-    }
-
-    fn on_loss_event(&mut self, ctx: &LossContext) {
-        {
-            let mut st = lock_state(&self.shared);
-            let sub = &mut st.subs[self.idx];
-            sub.bytes_between_losses = sub.bytes_since_loss;
-            sub.bytes_since_loss = 0.0;
-        }
-        self.inner.on_loss_event(ctx);
-        self.mirror();
-    }
-
-    fn on_rto(&mut self, ctx: &LossContext) {
-        {
-            let mut st = lock_state(&self.shared);
-            let sub = &mut st.subs[self.idx];
-            sub.bytes_between_losses = sub.bytes_since_loss;
-            sub.bytes_since_loss = 0.0;
-        }
-        self.inner.on_rto(ctx);
-        self.mirror();
-    }
-
-    fn cwnd(&self) -> u64 {
-        self.inner.cwnd()
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.inner.ssthresh()
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn clone_boxed(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -391,10 +295,10 @@ impl<C: CongestionControl + Clone + 'static> CongestionControl for Mirrored<C> {
 /// congestion-avoidance increase per [`CcAlgo`].
 ///
 /// `Clone` is a *shallow* copy — the clone shares the same `CoupleState`
-/// `Arc`; checkpointing re-binds it via [`CoupledCc::rebase`].
+/// `Rc`; checkpointing re-binds it via [`CoupledCc::rebase`].
 #[derive(Debug, Clone)]
 pub struct CoupledCc {
-    shared: Arc<Mutex<CoupleState>>,
+    shared: Rc<RefCell<CoupleState>>,
     idx: usize,
     algo: CcAlgo,
     mss: u32,
@@ -402,9 +306,9 @@ pub struct CoupledCc {
 }
 
 impl CoupledCc {
-    /// Re-point this controller at a different shared-state `Arc` (used
+    /// Re-point this controller at a different shared-state `Rc` (used
     /// after a checkpoint deep copy) and take its window from there.
-    fn rebase(&mut self, shared: Arc<Mutex<CoupleState>>) {
+    fn rebase(&mut self, shared: Rc<RefCell<CoupleState>>) {
         self.own = OwnWindow::load(&shared, self.idx);
         self.shared = shared;
     }
@@ -412,7 +316,7 @@ impl CoupledCc {
 
 impl CongestionControl for CoupledCc {
     fn on_ack(&mut self, ctx: &AckContext) {
-        let mut st = lock_state(&self.shared);
+        let mut st = self.shared.borrow_mut();
         if let Some(srtt) = ctx.srtt {
             st.subs[self.idx].srtt = srtt.as_secs_f64().max(1e-6);
         }
@@ -434,7 +338,7 @@ impl CongestionControl for CoupledCc {
             CcAlgo::Lia => lia::increase(&st, self.idx, ctx.bytes_acked as f64),
             CcAlgo::Olia => olia::increase(&st, self.idx, ctx.bytes_acked as f64),
             CcAlgo::Balia => balia::increase(&st, self.idx, ctx.bytes_acked as f64),
-            _ => unreachable!("uncoupled algorithms use Mirrored"),
+            _ => unreachable!("make_cc builds a CoupledCc for LIA, OLIA and BALIA only"),
         };
         let sub = &mut st.subs[self.idx];
         sub.cwnd = (sub.cwnd + increase).max(min_cwnd(self.mss));
@@ -442,7 +346,7 @@ impl CongestionControl for CoupledCc {
     }
 
     fn on_loss_event(&mut self, ctx: &LossContext) {
-        let mut st = lock_state(&self.shared);
+        let mut st = self.shared.borrow_mut();
         let decrease = match self.algo {
             CcAlgo::Balia => balia::decrease(&st, self.idx),
             // LIA and OLIA halve the subflow window (RFC 6356 §3; the
@@ -462,7 +366,7 @@ impl CongestionControl for CoupledCc {
     }
 
     fn on_rto(&mut self, ctx: &LossContext) {
-        let mut st = lock_state(&self.shared);
+        let mut st = self.shared.borrow_mut();
         let sub = &mut st.subs[self.idx];
         sub.bytes_between_losses = sub.bytes_since_loss;
         sub.bytes_since_loss = 0.0;
@@ -511,7 +415,7 @@ pub(crate) mod testutil {
             ccs.push(cc);
             let idx = ccs.len() - 1;
             {
-                let mut st = lock_state(&coupling.state);
+                let mut st = coupling.state.borrow_mut();
                 st.subs[idx].srtt = rtt_ms / 1000.0;
                 st.subs[idx].ssthresh = 1.0; // force congestion avoidance
             }
@@ -549,18 +453,6 @@ mod tests {
         assert!(CcAlgo::Lia.is_coupled());
         assert!(CcAlgo::Olia.is_coupled());
         assert!(CcAlgo::Balia.is_coupled());
-    }
-
-    #[test]
-    fn mirrored_uncoupled_state_visible_in_shared() {
-        let coupling = Coupling::new();
-        let mut cc = coupling.make_cc(CcAlgo::Cubic, 10 * MSS as u64, MSS);
-        cc.on_ack(&ack_ctx(MSS as u64, 10));
-        let st = coupling.state();
-        assert_eq!(st.subs.len(), 1);
-        assert!(st.subs[0].cwnd > 10.0 * MSS as f64);
-        assert!((st.subs[0].srtt - 0.01).abs() < 1e-9);
-        assert!(st.subs[0].bytes_since_loss > 0.0);
     }
 
     #[test]

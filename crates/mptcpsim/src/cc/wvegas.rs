@@ -15,9 +15,10 @@
 //! mechanics whose target band is re-weighted from the shared state once
 //! per RTT.
 
-use super::{lock_state, CoupleState, OwnWindow, SubState};
+use super::{CoupleState, OwnWindow, SubState};
 use simbase::SimTime;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use tcpsim::cc::{min_cwnd, AckContext, CongestionControl, LossContext};
 
@@ -42,10 +43,10 @@ pub fn weighted_alpha(st: &CoupleState, idx: usize) -> f64 {
 /// The coupled weighted-Vegas controller for one subflow.
 ///
 /// `Clone` is a *shallow* copy — the clone shares the same `CoupleState`
-/// `Arc`; checkpointing re-binds it via [`WVegasCc::rebase`].
+/// `Rc`; checkpointing re-binds it via [`WVegasCc::rebase`].
 #[derive(Debug, Clone)]
 pub struct WVegasCc {
-    shared: Arc<Mutex<CoupleState>>,
+    shared: Rc<RefCell<CoupleState>>,
     idx: usize,
     mss: u32,
     /// Next instant an adjustment decision is allowed (once per RTT).
@@ -56,7 +57,7 @@ pub struct WVegasCc {
 impl WVegasCc {
     /// Create the controller for subflow `idx` (the shared entry must
     /// already exist).
-    pub fn new(shared: Arc<Mutex<CoupleState>>, idx: usize, mss: u32) -> Self {
+    pub fn new(shared: Rc<RefCell<CoupleState>>, idx: usize, mss: u32) -> Self {
         WVegasCc {
             own: OwnWindow::load(&shared, idx),
             shared,
@@ -66,9 +67,9 @@ impl WVegasCc {
         }
     }
 
-    /// Re-point this controller at a different shared-state `Arc` (used
+    /// Re-point this controller at a different shared-state `Rc` (used
     /// after a checkpoint deep copy) and take its window from there.
-    pub(crate) fn rebase(&mut self, shared: Arc<Mutex<CoupleState>>) {
+    pub(crate) fn rebase(&mut self, shared: Rc<RefCell<CoupleState>>) {
         self.own = OwnWindow::load(&shared, self.idx);
         self.shared = shared;
     }
@@ -86,7 +87,7 @@ impl WVegasCc {
 
 impl CongestionControl for WVegasCc {
     fn on_ack(&mut self, ctx: &AckContext) {
-        let mut st = lock_state(&self.shared);
+        let mut st = self.shared.borrow_mut();
         if let Some(srtt) = ctx.srtt {
             st.subs[self.idx].srtt = srtt.as_secs_f64().max(1e-6);
         }
@@ -130,7 +131,7 @@ impl CongestionControl for WVegasCc {
     }
 
     fn on_loss_event(&mut self, ctx: &LossContext) {
-        let mut st = lock_state(&self.shared);
+        let mut st = self.shared.borrow_mut();
         let sub = &mut st.subs[self.idx];
         sub.bytes_between_losses = sub.bytes_since_loss;
         sub.bytes_since_loss = 0.0;
@@ -141,7 +142,7 @@ impl CongestionControl for WVegasCc {
     }
 
     fn on_rto(&mut self, ctx: &LossContext) {
-        let mut st = lock_state(&self.shared);
+        let mut st = self.shared.borrow_mut();
         let sub = &mut st.subs[self.idx];
         sub.bytes_between_losses = sub.bytes_since_loss;
         sub.bytes_since_loss = 0.0;

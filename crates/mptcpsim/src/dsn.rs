@@ -49,7 +49,6 @@ impl IntervalSet {
         if end <= start || end <= self.next {
             return 0; // empty or entirely old
         }
-        #[cfg(feature = "check")]
         let prev_next = self.next;
         let mut start = start.max(self.next);
         let mut end = end;
@@ -95,17 +94,15 @@ impl IntervalSet {
         } else {
             self.ranges.insert(start, end);
         }
-        #[cfg(feature = "check")]
         self.check_invariants(prev_next);
         new_bytes
     }
 
-    /// DSN reassembly invariants (`check` feature), verified after every
-    /// insertion: the delivered prefix is monotone (connection-level data
-    /// is never "un-delivered") and the buffered out-of-order ranges are
-    /// non-empty, pairwise disjoint, non-adjacent, and strictly above the
-    /// prefix — anything else means the merge logic corrupted the set.
-    #[cfg(feature = "check")]
+    /// DSN reassembly invariants, verified after every insertion: the
+    /// delivered prefix is monotone (connection-level data is never
+    /// "un-delivered") and the buffered out-of-order ranges are non-empty,
+    /// pairwise disjoint, non-adjacent, and strictly above the prefix —
+    /// anything else means the merge logic corrupted the set.
     fn check_invariants(&self, prev_next: u64) {
         assert!(
             self.next >= prev_next,
@@ -321,7 +318,7 @@ mod tests {
     fn interval_empty_insert_is_a_noop() {
         // Regression: an empty interval above the delivered prefix used to
         // be stored as an empty out-of-order range, corrupting the set
-        // (caught by the `check` feature's invariants).
+        // (caught by `check_invariants`).
         let mut s = IntervalSet::new();
         assert_eq!(s.insert(5, 5), 0);
         assert_eq!(s.pending_ranges(), 0);

@@ -9,7 +9,6 @@
 
 use crate::dsn::IntervalSet;
 use netsim::{Agent, Ctx, NodeId, Packet, Protocol, Tag};
-use simbase::LogLevel;
 use tcpsim::wire::{DssOption, TcpSegment};
 use tcpsim::{ReceiverConfig, TcpReceiver};
 
@@ -41,6 +40,7 @@ pub struct MptcpReceiverAgent {
     /// Connection-level DSN reassembly.
     conn: IntervalSet,
     stats: MptcpReceiverStats,
+    rx_malformed: u64,
 }
 
 impl Default for MptcpReceiverAgent {
@@ -58,6 +58,7 @@ impl MptcpReceiverAgent {
             subs: Vec::new(),
             conn: IntervalSet::new(),
             stats: MptcpReceiverStats::default(),
+            rx_malformed: 0,
         }
     }
 
@@ -70,6 +71,11 @@ impl MptcpReceiverAgent {
     /// Connection-level statistics.
     pub fn stats(&self) -> &MptcpReceiverStats {
         &self.stats
+    }
+
+    /// Packets dropped on arrival because their payload did not decode.
+    pub fn rx_malformed(&self) -> u64 {
+        self.rx_malformed
     }
 
     /// The connection-level in-order delivery point (next expected DSN).
@@ -90,15 +96,9 @@ impl MptcpReceiverAgent {
 
 impl Agent for MptcpReceiverAgent {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let seg = match TcpSegment::decode(&pkt.payload) {
-            Ok(seg) => seg,
-            Err(e) => {
-                ctx.log
-                    .log_with(ctx.now(), LogLevel::Warn, "mptcp.receiver", || {
-                        format!("bad segment: {e}")
-                    });
-                return;
-            }
+        let Ok(seg) = TcpSegment::decode(&pkt.payload) else {
+            self.rx_malformed += 1;
+            return;
         };
         let at = match self.subs.binary_search_by_key(&seg.src_port, |s| s.0) {
             Ok(at) => at,
@@ -214,14 +214,13 @@ pub fn common_destination(paths: &[netsim::Path]) -> NodeId {
 mod tests {
     use super::*;
     use netsim::{AgentId, Effect};
-    use simbase::{EventLog, SimTime, Xoshiro256StarStar};
+    use simbase::{SimTime, Xoshiro256StarStar};
     use tcpsim::SeqNum;
 
     #[test]
     fn subflows_stay_sorted_by_port_whatever_order_they_join_in() {
         let mut agent = MptcpReceiverAgent::default();
         let mut rng = Xoshiro256StarStar::new(1);
-        let mut log = EventLog::new(LogLevel::Warn);
         let mut effects = Vec::new();
         let mut next_id = 0;
         // One 100-byte segment per subflow, then a second on the first one.
@@ -257,7 +256,6 @@ mod tests {
                 NodeId(1),
                 AgentId(0),
                 &mut rng,
-                &mut log,
                 &mut effects,
                 &mut next_id,
             );

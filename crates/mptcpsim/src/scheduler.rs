@@ -38,7 +38,7 @@ pub enum Assignment {
 /// calling `assign` with no eligible subflow, but a fault can fail every
 /// subflow between snapshot and assignment, so implementations must return
 /// [`Assignment::None`] (not panic) for an empty eligible set.
-pub trait Scheduler: std::fmt::Debug + Send {
+pub trait Scheduler: std::fmt::Debug {
     /// Decide who gets the next chunk.
     fn assign(&mut self, subs: &[SubflowSnapshot]) -> Assignment;
 

@@ -21,7 +21,7 @@ use crate::dsn::{Mapping, MappingTable};
 use crate::scheduler::{Assignment, Scheduler, SchedulerKind, SubflowSnapshot};
 use netsim::packet::Ecn;
 use netsim::{Agent, Ctx, NodeId, Packet, Protocol, Tag};
-use simbase::{LogLevel, SimDuration, SimRng, SimTime};
+use simbase::{SimDuration, SimRng, SimTime};
 use tcpsim::wire::{DssOption, TcpSegment};
 use tcpsim::{flow_hash, AppSource, TcpConfig, TcpSender};
 
@@ -146,8 +146,8 @@ struct Sub {
 /// The MPTCP sender agent.
 ///
 /// Note on `Clone`: the derived clone is *shallow* with respect to the
-/// coupled congestion state — every subflow controller of the clone still
-/// points at the original's `CoupleState` `Arc`. Checkpointing must go
+/// coupled congestion state — every coupled subflow controller of the clone
+/// still points at the original's `CoupleState`. Checkpointing must go
 /// through [`Agent::clone_boxed`], which deep-copies that state and
 /// re-binds each controller.
 #[derive(Clone)]
@@ -169,6 +169,7 @@ pub struct MptcpSenderAgent {
     /// construction, so the send path never allocates for it).
     snapshots: Vec<SubflowSnapshot>,
     stats: MptcpSenderStats,
+    rx_malformed: u64,
 }
 
 impl MptcpSenderAgent {
@@ -221,6 +222,7 @@ impl MptcpSenderAgent {
             pending_reinject: Default::default(),
             cwnd_trace: Vec::new(),
             stats: MptcpSenderStats::default(),
+            rx_malformed: 0,
         }
     }
 
@@ -234,9 +236,10 @@ impl MptcpSenderAgent {
         &self.cwnd_trace
     }
 
-    /// Shared coupling state (windows/RTTs per subflow) for reports.
-    pub fn coupling(&self) -> &Coupling {
-        &self.coupling
+    /// Packets dropped on arrival because their payload did not decode or
+    /// acknowledged a port no subflow of this connection owns.
+    pub fn rx_malformed(&self) -> u64 {
+        self.rx_malformed
     }
 
     /// The underlying TCP sender of subflow `i` (inspection).
@@ -466,15 +469,9 @@ impl Agent for MptcpSenderAgent {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let seg = match TcpSegment::decode(&pkt.payload) {
-            Ok(seg) => seg,
-            Err(e) => {
-                ctx.log
-                    .log_with(ctx.now(), LogLevel::Warn, "mptcp.sender", || {
-                        format!("bad segment: {e}")
-                    });
-                return;
-            }
+        let Ok(seg) = TcpSegment::decode(&pkt.payload) else {
+            self.rx_malformed += 1;
+            return;
         };
         if !seg.flags.ack {
             return;
@@ -485,10 +482,7 @@ impl Agent for MptcpSenderAgent {
             .iter()
             .position(|s| s.cfg.src_port == seg.dst_port)
         else {
-            ctx.log
-                .log_with(ctx.now(), LogLevel::Warn, "mptcp.sender", || {
-                    format!("ACK for unknown subflow port {}", seg.dst_port)
-                });
+            self.rx_malformed += 1;
             return;
         };
         self.subs[i].sender.on_ack(ctx.now(), &seg);
@@ -566,13 +560,16 @@ impl Agent for MptcpSenderAgent {
 
     fn clone_boxed(&self) -> Box<dyn Agent> {
         // A shallow clone still shares the coupled congestion state with
-        // the original through each subflow controller's Arc. Deep-copy
-        // that state and re-bind every controller so the branch and the
-        // original cannot influence each other.
+        // the original through each coupled subflow controller. Deep-copy
+        // that state and re-bind those controllers so the branch and the
+        // original cannot influence each other; uncoupled controllers own
+        // all their state and were cloned whole.
         let mut copy = self.clone();
         copy.coupling = self.coupling.deep_clone();
-        for sub in &mut copy.subs {
-            copy.coupling.rebind(sub.sender.cc_mut());
+        if self.cfg.algo.is_coupled() {
+            for sub in &mut copy.subs {
+                copy.coupling.rebind(sub.sender.cc_mut());
+            }
         }
         Box::new(copy)
     }

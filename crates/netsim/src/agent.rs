@@ -6,11 +6,12 @@
 //! [`Ctx`]. Effects are applied by the simulator after the callback returns,
 //! which keeps the borrow structure simple and makes agent behaviour
 //! testable in isolation (hand an agent a `Ctx` backed by plain vectors and
-//! inspect what it asked for).
+//! inspect what it asked for). Agents are single-threaded by construction:
+//! the trait carries no `Send` bound (see [`Agent`]).
 
 use crate::packet::{Ecn, NodeId, Packet, Protocol, Tag};
 use crate::payload::Payload;
-use simbase::{EventLog, SimDuration, SimTime, Xoshiro256StarStar};
+use simbase::{SimDuration, SimTime, Xoshiro256StarStar};
 use std::fmt;
 
 /// Index of a registered agent.
@@ -25,9 +26,11 @@ impl fmt::Debug for AgentId {
 
 /// An endpoint protocol stack attached to a node.
 ///
-/// `Send` so that a whole [`crate::Simulator`], or a snapshot of one, can
-/// move to a worker thread; agents are never shared between threads.
-pub trait Agent: Send {
+/// Not `Send`: a [`crate::Simulator`] and every checkpoint of it live and
+/// die on the thread that built them (sweep workers build their jobs
+/// themselves), so an agent may hold thread-local shared state such as an
+/// `Rc<RefCell<_>>`, and the compiler rejects moving one across threads.
+pub trait Agent {
     /// Called once at the agent's configured start time.
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let _ = ctx;
@@ -45,7 +48,7 @@ pub trait Agent: Send {
     /// deadline on any timer; that keeps them testable standalone.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64);
 
-    /// Diagnostic name used in logs.
+    /// Diagnostic name (used in panic messages).
     fn name(&self) -> String {
         "agent".to_string()
     }
@@ -95,8 +98,6 @@ pub struct Ctx<'a> {
     /// draws depend only on its own call sequence — never on how agent
     /// callbacks interleave across the network.
     pub rng: &'a mut Xoshiro256StarStar,
-    /// The simulation-wide event log.
-    pub log: &'a mut EventLog,
     effects: &'a mut Vec<Effect>,
     next_packet_id: &'a mut u64,
 }
@@ -109,7 +110,6 @@ impl<'a> Ctx<'a> {
         node: NodeId,
         agent: AgentId,
         rng: &'a mut Xoshiro256StarStar,
-        log: &'a mut EventLog,
         effects: &'a mut Vec<Effect>,
         next_packet_id: &'a mut u64,
     ) -> Self {
@@ -118,7 +118,6 @@ impl<'a> Ctx<'a> {
             node,
             agent,
             rng,
-            log,
             effects,
             next_packet_id,
         }
@@ -214,11 +213,9 @@ impl<'a> Ctx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simbase::LogLevel;
 
     fn with_ctx<R>(f: impl FnOnce(&mut Ctx<'_>) -> R) -> (R, Vec<Effect>, u64) {
         let mut rng = Xoshiro256StarStar::new(1);
-        let mut log = EventLog::new(LogLevel::Trace);
         let mut effects = Vec::new();
         let mut next_id = 7;
         let r = {
@@ -227,7 +224,6 @@ mod tests {
                 NodeId(2),
                 AgentId(0),
                 &mut rng,
-                &mut log,
                 &mut effects,
                 &mut next_id,
             );

@@ -66,7 +66,7 @@ pub struct CaptureRecord {
 ///
 /// `Any` so the installer can read its results back out of the simulator by
 /// concrete type ([`crate::Simulator::sink`], [`crate::Simulator::sink_mut`]).
-pub trait CaptureSink: Any + Send {
+pub trait CaptureSink: Any {
     /// Consume one record.
     fn record(&mut self, rec: &CaptureRecord);
 

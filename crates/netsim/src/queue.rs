@@ -44,7 +44,7 @@ pub struct Dequeued {
 /// Implementations must be FIFO — TCP's fast-retransmit logic depends on
 /// in-order delivery within a path, and the paper's tag routing guarantees
 /// one path per tag.
-pub trait Queue: std::fmt::Debug + Send {
+pub trait Queue: std::fmt::Debug {
     /// Offer `pkt` to the queue at time `now`. `rng` is provided for
     /// randomized AQM.
     fn enqueue(&mut self, now: SimTime, pkt: Packet, rng: &mut dyn SimRng) -> EnqueueResult;

@@ -37,8 +37,7 @@ use crate::routing::RoutingTables;
 use crate::stats::{LinkDirStats, SimStats};
 use crate::topology::Topology;
 use simbase::{
-    EventLog, EventQueue, LogLevel, ScheduledEvent, SimDuration, SimRng, SimTime, SplitMix64,
-    Xoshiro256StarStar,
+    EventQueue, ScheduledEvent, SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar,
 };
 use std::any::Any;
 
@@ -207,8 +206,6 @@ pub struct Simulator {
     /// the next install is the table's length. Part of the snapshot, so a
     /// fault installed after [`Simulator::restore`] continues the numbering.
     faults: Vec<Option<Box<FaultAction>>>,
-    /// Simulation-wide event log (agents write through `Ctx`).
-    pub log: EventLog,
     capture_cfg: CaptureConfig,
     /// Where records passing `capture_cfg` go (see [`CaptureSink`]). Part of
     /// the deterministic state: checkpoints deep-copy it.
@@ -293,7 +290,6 @@ impl Simulator {
             agent_packet_seq: Vec::new(),
             arrive_seq,
             faults: Vec::new(),
-            log: EventLog::new(LogLevel::Warn),
             capture_cfg: CaptureConfig::off(),
             sink: None,
             stats: SimStats::default(),
@@ -528,7 +524,6 @@ impl Simulator {
             agent_packet_seq: self.agent_packet_seq.clone(),
             arrive_seq: self.arrive_seq.clone(),
             faults: self.faults.clone(),
-            log: self.log.clone(),
             capture_cfg: self.capture_cfg.clone(),
             sink: self.sink.as_deref().map(CaptureSink::clone_sink),
             stats: self.stats,
@@ -607,11 +602,10 @@ impl Simulator {
         self.check_conservation();
     }
 
-    /// Packet conservation (`check` feature): everything sent must be
-    /// delivered, dropped, unroutable, or still sitting in a queue / on a
-    /// wire. A mismatch means the forwarding plane lost or duplicated a
-    /// packet without accounting for it.
-    #[cfg(feature = "check")]
+    /// Packet conservation: everything sent must be delivered, dropped,
+    /// unroutable, or still sitting in a queue / on a wire. A mismatch means
+    /// the forwarding plane lost or duplicated a packet without accounting
+    /// for it.
     fn check_conservation(&self) {
         assert!(
             self.stats.conserved(self.in_flight),
@@ -624,9 +618,6 @@ impl Simulator {
         );
     }
 
-    #[cfg(not(feature = "check"))]
-    fn check_conservation(&self) {}
-
     /// Process a single event. Returns false if the queue was empty.
     pub fn step(&mut self) -> bool {
         let Some(ev) = self.events.pop() else {
@@ -638,18 +629,14 @@ impl Simulator {
 
     /// Execute one popped event.
     fn execute(&mut self, ev: ScheduledEvent<Event>) {
-        // Event-time monotonicity: a hard assert under the `check` feature
-        // (a backwards clock silently corrupts every downstream series),
-        // a debug assert otherwise.
-        #[cfg(feature = "check")]
+        // Event-time monotonicity: a hard assert in every build (a backwards
+        // clock silently corrupts every downstream series).
         assert!(
             ev.time >= self.now,
             "time went backwards: event at {} < now {}",
             ev.time,
             self.now
         );
-        #[cfg(not(feature = "check"))]
-        debug_assert!(ev.time >= self.now, "time went backwards");
         self.now = ev.time;
         self.stats.events += 1;
         let (class, entity, local) = order::unpack(ev.seq);
@@ -703,32 +690,18 @@ impl Simulator {
             FaultAction::LinkDown(link) => self.on_link_down(link),
             FaultAction::LinkUp(link) => {
                 self.links[link.0 as usize].up = true;
-                self.log
-                    .log_with(self.now, LogLevel::Info, "sim", || format!("{link:?} up"));
             }
             FaultAction::SetCapacity(link, cap) => {
                 self.topo.set_link_capacity(link, cap);
-                self.log.log_with(self.now, LogLevel::Info, "sim", || {
-                    format!("{link:?} capacity -> {} bps", cap.as_bps())
-                });
             }
             FaultAction::SetDelay(link, delay) => {
                 self.topo.set_link_delay(link, delay);
-                self.log.log_with(self.now, LogLevel::Info, "sim", || {
-                    format!("{link:?} delay -> {delay}")
-                });
             }
             FaultAction::SetLoss(link, rate) => {
                 self.topo.set_link_loss(link, rate);
-                self.log.log_with(self.now, LogLevel::Info, "sim", || {
-                    format!("{link:?} loss -> {rate}")
-                });
             }
             FaultAction::SetQueue(link, cfg) => {
                 self.topo.set_link_queue(link, cfg);
-                self.log.log_with(self.now, LogLevel::Info, "sim", || {
-                    format!("{link:?} queue reconfigured")
-                });
                 // Rebuild both directions' queues: re-offer the buffered
                 // packets to the new queue in FIFO order; packets the new
                 // (possibly smaller) queue refuses are accounted as drops,
@@ -766,8 +739,6 @@ impl Simulator {
     }
 
     fn on_link_down(&mut self, link: LinkId) {
-        self.log
-            .log_with(self.now, LogLevel::Info, "sim", || format!("{link:?} down"));
         let mut lost_sizes: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
         {
             let rt = &mut self.links[link.0 as usize];
@@ -823,7 +794,6 @@ impl Simulator {
                 node,
                 id,
                 &mut self.agent_rngs[id.0 as usize],
-                &mut self.log,
                 &mut effects,
                 &mut self.agent_packet_seq[id.0 as usize],
             );
@@ -915,9 +885,6 @@ impl Simulator {
             None => {
                 self.stats.packets_unroutable += 1;
                 self.in_flight -= 1;
-                self.log.log_with(self.now, LogLevel::Warn, "sim", || {
-                    format!("no route for {pkt:?} at {node:?}")
-                });
                 self.record(node, CaptureKind::Unroutable, None, &pkt);
             }
         }
@@ -954,16 +921,10 @@ impl Simulator {
                     let (p, b) = (state.queue.len_packets(), state.queue.len_bytes());
                     self.dir_stats(link, dir).observe_queue(p, b);
                 }
-                EnqueueResult::Dropped(reason) => {
+                EnqueueResult::Dropped(_) => {
                     self.stats.packets_dropped += 1;
                     self.in_flight -= 1;
                     self.dir_stats(link, dir).on_drop(meta.wire_size);
-                    self.log.log_with(self.now, LogLevel::Debug, "sim", || {
-                        format!(
-                            "drop({reason:?}) pkt#{} on {link:?}/{dir:?} at {from:?}",
-                            meta.id
-                        )
-                    });
                     if self.capture_cfg.wants(from, CaptureKind::Dropped) {
                         self.record_meta(from, CaptureKind::Dropped, Some(link), meta);
                     }

@@ -15,8 +15,6 @@
 //!   transmission-time computation in integer arithmetic.
 //! * [`SplitMix64`] / [`Xoshiro256StarStar`] — tiny, seedable, portable PRNGs
 //!   (no platform entropy) so every simulation is replayable from its seed.
-//! * [`EventLog`] — an optional, levelled trace ring for debugging protocol
-//!   state machines.
 //!
 //! Everything here is `no_std`-shaped in spirit (no I/O, no threads, no
 //! clocks); the simulator above it supplies all effects.
@@ -25,13 +23,11 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod log;
 pub mod rng;
 pub mod time;
 pub mod units;
 
 pub use event::{EventQueue, ScheduledEvent};
-pub use log::{EventLog, LogLevel, LogRecord};
 pub use rng::{SimRng, SplitMix64, Xoshiro256StarStar};
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, ByteSize};

@@ -17,10 +17,10 @@
 //!   must not duplicate traffic), [`SaneSizes`] (a packet's virtual payload
 //!   never exceeds its wire size).
 //!
-//! The sim crates additionally enforce cheap local invariants inline behind
-//! their default-on `check` feature (event-time monotonicity and packet
-//! conservation in `netsim`, `cwnd >= 1 MSS` in `tcpsim`, DSN monotonicity
-//! in `mptcpsim`); this module is the trace-level, cross-crate complement.
+//! The sim crates additionally enforce cheap local invariants inline, in
+//! every build (event-time monotonicity and packet conservation in
+//! `netsim`, `cwnd >= 1 MSS` in `tcpsim`, DSN monotonicity in `mptcpsim`);
+//! this module is the trace-level, cross-crate complement.
 
 use netsim::{CaptureKind, CaptureRecord, Ecn, Protocol};
 use simbase::SimTime;
@@ -48,11 +48,10 @@ impl fmt::Display for InvariantViolation {
 /// A streaming check over a capture-record sequence.
 ///
 /// Implementations see every record once, in order, then get a final
-/// [`on_end`](Invariant::on_end) call for whole-trace conditions. `Send` and
+/// [`on_end`](Invariant::on_end) call for whole-trace conditions.
 /// [`clone_box`](Invariant::clone_box) because a suite lives inside the
-/// simulator's capture sink, which moves with the simulator and is
-/// deep-copied by checkpoints.
-pub trait Invariant: Send {
+/// simulator's capture sink, which checkpoints deep-copy.
+pub trait Invariant {
     /// Stable identifier, used in violation reports.
     fn name(&self) -> &'static str;
 

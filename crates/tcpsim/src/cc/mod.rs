@@ -53,7 +53,7 @@ pub struct LossContext {
 }
 
 /// A congestion-control algorithm instance (one per TCP flow / subflow).
-pub trait CongestionControl: std::fmt::Debug + Send {
+pub trait CongestionControl: std::fmt::Debug {
     /// An ACK advanced the left window edge.
     fn on_ack(&mut self, ctx: &AckContext);
 

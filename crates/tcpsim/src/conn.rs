@@ -12,7 +12,7 @@ use crate::sender::{TcpConfig, TcpSender};
 use crate::wire::TcpSegment;
 use netsim::packet::Ecn;
 use netsim::{Agent, Ctx, NodeId, Packet, Protocol, Tag};
-use simbase::{LogLevel, SimTime};
+use simbase::SimTime;
 
 /// Timer tokens used by the TCP agents.
 const TOKEN_RTO: u64 = 1;
@@ -36,6 +36,7 @@ pub struct TcpSenderAgent {
     /// event in the queue, so this exists only to skip redundant re-arms
     /// when the engine's deadline has not moved.
     armed: Option<SimTime>,
+    rx_malformed: u64,
 }
 
 impl TcpSenderAgent {
@@ -55,12 +56,18 @@ impl TcpSenderAgent {
             tag,
             flow_hash: fh,
             armed: None,
+            rx_malformed: 0,
         }
     }
 
     /// Access the underlying engine (post-run inspection).
     pub fn sender(&self) -> &TcpSender {
         &self.sender
+    }
+
+    /// Packets dropped on arrival because their payload did not decode.
+    pub fn rx_malformed(&self) -> u64 {
+        self.rx_malformed
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
@@ -123,15 +130,9 @@ impl Agent for TcpSenderAgent {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let seg = match TcpSegment::decode(&pkt.payload) {
-            Ok(seg) => seg,
-            Err(e) => {
-                ctx.log
-                    .log_with(ctx.now(), LogLevel::Warn, "tcp.sender", || {
-                        format!("bad segment: {e}")
-                    });
-                return;
-            }
+        let Ok(seg) = TcpSegment::decode(&pkt.payload) else {
+            self.rx_malformed += 1;
+            return;
         };
         if seg.flags.ack {
             self.sender.on_ack(ctx.now(), &seg);
@@ -185,6 +186,7 @@ pub struct TcpReceiverAgent {
     peer: Option<NodeId>,
     /// Memo of the armed delayed-ACK deadline (see [`TcpSenderAgent`]).
     armed: Option<SimTime>,
+    rx_malformed: u64,
 }
 
 impl TcpReceiverAgent {
@@ -197,12 +199,18 @@ impl TcpReceiverAgent {
             flow_hash: fh,
             peer: None,
             armed: None,
+            rx_malformed: 0,
         }
     }
 
     /// Access the underlying engine (post-run inspection).
     pub fn receiver(&self) -> &TcpReceiver {
         &self.receiver
+    }
+
+    /// Packets dropped on arrival because their payload did not decode.
+    pub fn rx_malformed(&self) -> u64 {
+        self.rx_malformed
     }
 
     fn rearm(&mut self, ctx: &mut Ctx<'_>) {
@@ -225,15 +233,9 @@ impl TcpReceiverAgent {
 
 impl Agent for TcpReceiverAgent {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let seg = match TcpSegment::decode(&pkt.payload) {
-            Ok(seg) => seg,
-            Err(e) => {
-                ctx.log
-                    .log_with(ctx.now(), LogLevel::Warn, "tcp.receiver", || {
-                        format!("bad segment: {e}")
-                    });
-                return;
-            }
+        let Ok(seg) = TcpSegment::decode(&pkt.payload) else {
+            self.rx_malformed += 1;
+            return;
         };
         self.peer = Some(pkt.src);
         let ce = pkt.ecn == Ecn::Ce;

@@ -763,11 +763,10 @@ impl TcpSender {
         result
     }
 
-    /// Congestion-window floor (`check` feature): no CC algorithm may
-    /// report a window below one segment — the send loop could then never
-    /// admit a full-sized segment and the flow would deadlock. Called after
-    /// every CC callback (ack, loss, RTO).
-    #[cfg(feature = "check")]
+    /// Congestion-window floor: no CC algorithm may report a window below
+    /// one segment — the send loop could then never admit a full-sized
+    /// segment and the flow would deadlock. Called after every CC callback
+    /// (ack, loss, RTO).
     fn check_cwnd_floor(&self) {
         assert!(
             self.cc.cwnd() >= u64::from(self.cfg.mss),
@@ -777,9 +776,6 @@ impl TcpSender {
             self.cfg.mss,
         );
     }
-
-    #[cfg(not(feature = "check"))]
-    fn check_cwnd_floor(&self) {}
 
     fn enter_sack_recovery(&mut self, now: SimTime) {
         let flight = self.flight_size();

@@ -9,8 +9,8 @@
 //!    trace hashes between a serial and a 4-worker batch execution;
 //! 2. packet conservation holds across a down→up cycle — the fault makes
 //!    the run lossy (the dead link drops its queue and in-flight packet)
-//!    but every byte is still accounted delivered-or-dropped, enforced by
-//!    the simulator's `check` feature during the run;
+//!    but every byte is still accounted delivered-or-dropped, asserted by
+//!    the simulator at the end of every run;
 //! 3. the LP optimum recomputed on each surviving constraint set matches
 //!    the hand-derived values for the paper's Figure-1 network.
 
@@ -62,9 +62,9 @@ fn faulted_runs_are_trace_identical_across_worker_counts() {
 
 #[test]
 fn outage_cycle_conserves_packets_and_still_delivers() {
-    // The `check` feature (default-on) asserts sent == delivered + dropped
-    // + in-flight at run end; this test exercises that accounting across
-    // the abort-transmission and queue-drop paths of a down→up cycle.
+    // The simulator asserts sent == delivered + dropped + in-flight at run
+    // end; this test exercises that accounting across the abort-transmission
+    // and queue-drop paths of a down→up cycle.
     let a = faulted_scenario(CcAlgo::Lia, 3).run();
     let b = faulted_scenario(CcAlgo::Lia, 3).run();
     assert_eq!(a.trace_hash, b.trace_hash, "faulted run must be replayable");

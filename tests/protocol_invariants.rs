@@ -2,12 +2,19 @@
 //! topology, loss pattern, and seed.
 
 use mptcp_overlap::mptcpsim::{
-    common_destination, install_subflows, CcAlgo, MptcpConfig, SchedulerKind,
+    common_destination, install_subflows, CcAlgo, MptcpConfig, MptcpReceiverAgent,
+    MptcpSenderAgent, SchedulerKind, SubflowConfig,
 };
-use mptcp_overlap::netsim::RoutingTables;
+use mptcp_overlap::netsim::{
+    Agent, AgentId, Ctx, Ecn, Effect, NodeId, Packet, Payload, Protocol, RoutingTables, Tag,
+};
 use mptcp_overlap::prelude::*;
+use mptcp_overlap::simbase::Xoshiro256StarStar;
 use mptcp_overlap::simtrace::TraceSink;
-use mptcp_overlap::tcpsim::AppSource;
+use mptcp_overlap::tcpsim::{
+    AppSource, Cubic, ReceiverConfig, TcpConfig, TcpFlags, TcpReceiverAgent, TcpSegment,
+    TcpSenderAgent,
+};
 use proptest::prelude::*;
 
 /// Build a two-disjoint-path network with arbitrary small capacities,
@@ -56,6 +63,37 @@ fn two_path_net(
     let p1 = Path::from_nodes(&t, &[s, a, d]).unwrap();
     let p2 = Path::from_nodes(&t, &[s, b, d]).unwrap();
     (t, vec![p1, p2])
+}
+
+/// Hand `agent` one packet carrying `payload` through a bare [`Ctx`];
+/// returns how many effects it asked for.
+fn offer(agent: &mut dyn Agent, payload: &[u8]) -> usize {
+    let mut rng = Xoshiro256StarStar::new(1);
+    let mut effects: Vec<Effect> = Vec::new();
+    let mut next_id = 0;
+    let mut ctx = Ctx::new(
+        SimTime::from_millis(1),
+        NodeId(1),
+        AgentId(0),
+        &mut rng,
+        &mut effects,
+        &mut next_id,
+    );
+    agent.on_packet(
+        &mut ctx,
+        Packet {
+            id: 0,
+            src: NodeId(0),
+            dst: NodeId(1),
+            tag: Tag(1),
+            protocol: Protocol::Tcp,
+            payload: Payload::from_slice(payload),
+            data_len: 0,
+            flow_hash: 0,
+            ecn: Ecn::NotEct,
+        },
+    );
+    effects.len()
 }
 
 proptest! {
@@ -128,6 +166,58 @@ proptest! {
         for v in r.total.values() {
             prop_assert!(*v <= (cap1 + cap2) as f64 * 1.05 + 1.0, "bin {v}");
         }
+    }
+
+    /// A packet whose payload does not decode — or, at the MPTCP sender,
+    /// acknowledges a port none of its subflows owns — is counted in
+    /// `rx_malformed` and asks the network for nothing. (Arbitrary bytes
+    /// that do decode are out of scope here: ROADMAP item 5.)
+    #[test]
+    fn malformed_packets_are_counted_and_have_no_effect(
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 1..24),
+        stray_port in 0u16..5000,
+    ) {
+        let subflow = |i: u16| SubflowConfig {
+            tag: Tag(1 + i),
+            src_port: 5000 + 2 * i,
+            dst_port: 5001 + 2 * i,
+        };
+        let mut tcp_tx = TcpSenderAgent::new(
+            TcpConfig::default(),
+            Box::new(Cubic::new(14_600, 1460)),
+            AppSource::Unlimited,
+            NodeId(0),
+            Tag(1),
+        );
+        let mut tcp_rx = TcpReceiverAgent::new(ReceiverConfig::default(), Tag(1));
+        let mut mp_tx =
+            MptcpSenderAgent::new(MptcpConfig::bulk(NodeId(0), vec![subflow(0), subflow(1)]));
+        let mut mp_rx = MptcpReceiverAgent::default();
+
+        let mut offered = 0;
+        for payload in payloads.iter().filter(|p| TcpSegment::decode(p).is_err()) {
+            offered += 1;
+            let effects = [
+                offer(&mut tcp_tx, payload),
+                offer(&mut tcp_rx, payload),
+                offer(&mut mp_tx, payload),
+                offer(&mut mp_rx, payload),
+            ];
+            prop_assert_eq!(effects, [0; 4], "{:?}", payload);
+        }
+        prop_assert_eq!(tcp_tx.rx_malformed(), offered);
+        prop_assert_eq!(tcp_rx.rx_malformed(), offered);
+        prop_assert_eq!(mp_tx.rx_malformed(), offered);
+        prop_assert_eq!(mp_rx.rx_malformed(), offered);
+
+        let stray_ack = TcpSegment {
+            dst_port: stray_port,
+            flags: TcpFlags { ack: true, ..Default::default() },
+            ..Default::default()
+        }
+        .encode();
+        prop_assert_eq!(offer(&mut mp_tx, stray_ack.as_slice()), 0);
+        prop_assert_eq!(mp_tx.rx_malformed(), offered + 1);
     }
 }
 
