@@ -77,14 +77,21 @@ echo "==> worldgen smoke (fat-tree ECMP, traffic, mobility, fluid band)"
 echo "==> failover smoke (fault injection, recovery gates, 1-vs-4-worker hashes)"
 ./target/release/failover_table --smoke
 
-echo "==> results/*.txt byte-diff regeneration check (three tables, the paper's Figures 1c and 2a-c)"
+echo "==> results/*.txt byte-diff regeneration check (five tables, the paper's Figures 1c and 2a-c)"
 # worldgen_table's S5 pins two absolute trace hashes; fig2a is the paper's
-# headline CUBIC run.
-for bin in fluid_table worldgen_table failover_table fig1c fig2a fig2b fig2c; do
+# headline CUBIC run. table1_results (5 seeds x 30 s, its defaults) prints
+# table1.txt and table2_sweep prints table2.txt: the paper's Results-section
+# table and the ablations, ~25 s each on two cores.
+for bin in fluid_table worldgen_table failover_table fig1c fig2a fig2b fig2c table1_results table2_sweep; do
+    case $bin in
+    table1_results) out=table1 ;;
+    table2_sweep) out=table2 ;;
+    *) out=$bin ;;
+    esac
     ./target/release/$bin 2>/dev/null >/tmp/results_regen.txt
-    cmp /tmp/results_regen.txt results/$bin.txt || {
-        echo "results/$bin.txt is stale: regenerate with" >&2
-        echo "  cargo run -p bench --bin $bin --release > results/$bin.txt" >&2
+    cmp /tmp/results_regen.txt results/$out.txt || {
+        echo "results/$out.txt is stale: regenerate with" >&2
+        echo "  cargo run -p bench --bin $bin --release > results/$out.txt" >&2
         exit 1
     }
 done
