@@ -127,6 +127,35 @@ awk -v rss="$RSS_MB" 'BEGIN { exit !(rss > 0 && rss <= 10) }' || {
     echo "perfbench fabric-ecmp smoke: peak_rss_mb = $RSS_MB (limit 10)" >&2
     exit 1
 }
-rm -f /tmp/perfbench_smoke.json
+# churn-4k too: its peak RSS is the world at rest (4 000 pairs assembled, most
+# of them finished) and repeats to 0.03 MB, so it has a ceiling (it reads
+# 22.9-23.0 MB; 27.2 MB before link directions held packet handles and a
+# finished connection released its RTT filters). And its simulated columns
+# must be the ones results/perf_trajectory.json records for this workload
+# and seed in its last row: a change that moves sim.events or the trace
+# digest either adds a row saying so or is a bug.
+cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \
+    --workload churn-4k --seed 1 --seconds 1 --trace 0 >/tmp/perfbench_smoke.txt
+tail -n 1 /tmp/perfbench_smoke.txt >/tmp/perfbench_smoke.json
+grep -Eq '"correct": ?true' /tmp/perfbench_smoke.json || {
+    echo "perfbench churn-4k smoke did not report correct:true; last line was:" >&2
+    cat /tmp/perfbench_smoke.json >&2
+    exit 1
+}
+RSS_MB=$(sed -E 's/.*"peak_rss_mb": ?\{"value": ?([0-9.]+).*/\1/' /tmp/perfbench_smoke.json)
+awk -v rss="$RSS_MB" 'BEGIN { exit !(rss > 0 && rss <= 25) }' || {
+    echo "perfbench churn-4k smoke: peak_rss_mb = $RSS_MB (limit 25)" >&2
+    exit 1
+}
+ROW=$(grep '"workload": "churn-4k", "seed": 1,' results/perf_trajectory.json | tail -n 1)
+for column in sim.events sim.trace_digest; do
+    want=$(printf '%s\n' "$ROW" | sed -E "s/.*\"$column\": \"?([0-9a-f]+)\"?.*/\1/")
+    got=$(awk -v c="$column" '$1 == c { print $2 }' /tmp/perfbench_smoke.txt)
+    [ -n "$want" ] && [ "$want" = "$got" ] || {
+        echo "perfbench churn-4k smoke: $column = $got, results/perf_trajectory.json's last row says $want" >&2
+        exit 1
+    }
+done
+rm -f /tmp/perfbench_smoke.json /tmp/perfbench_smoke.txt
 
 echo "CI OK"

@@ -14,7 +14,7 @@
 use mptcpsim::{MptcpConfig, MptcpReceiverAgent, MptcpSenderAgent};
 use netsim::{
     AgentId, CaptureConfig, CbrSource, DatagramSink, FaultSchedule, NodeId, RoutingTables,
-    SimSnapshot, Simulator, Tag, Topology,
+    SimCounters, SimSnapshot, Simulator, Tag, Topology,
 };
 use simbase::{Bandwidth, SimDuration, SimTime};
 use simtrace::TraceSink;
@@ -123,9 +123,15 @@ impl World {
         self.sim.run_to_completion();
     }
 
-    /// The simulator, for its counters.
+    /// The simulator, for its statistics.
     pub fn sim(&self) -> &Simulator {
         &self.sim
+    }
+
+    /// How much work the run has done so far, layer by layer (event queue,
+    /// forwarding, agent dispatches): walk [`SimCounters::entries`].
+    pub fn counters(&self) -> SimCounters {
+        self.sim.counters()
     }
 
     /// The simulator itself, for tests that swap the sink.

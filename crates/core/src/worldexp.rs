@@ -36,7 +36,7 @@ use crate::scenario::Scenario;
 use crate::world::{ReceiverId, World};
 use fluidsim::{solve, FluidLaw, FluidModel};
 use mptcpsim::{install_subflows, CcAlgo, MptcpConfig};
-use netsim::{NodeId, RoutingTables, Tag};
+use netsim::{NodeId, RoutingTables, SimCounters, Tag};
 use simbase::{SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar};
 use simtrace::{SamplerConfig, TraceSink};
 use std::fmt::Write as _;
@@ -139,6 +139,8 @@ pub struct FabricRun {
     pub events: u64,
     /// Queue drops across the fabric.
     pub drops: u64,
+    /// How much work the run did, layer by layer (never in `trace_hash`).
+    pub counters: SimCounters,
 }
 
 impl FabricRun {
@@ -301,6 +303,7 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
         trace_hash: world.sink().hash(),
         events: world.sim().stats().events,
         drops: world.sim().stats().packets_dropped,
+        counters: world.counters(),
     }
 }
 
@@ -352,6 +355,8 @@ pub struct TrafficRun {
     pub trace_hash: u64,
     /// Events processed.
     pub events: u64,
+    /// How much work the run did, layer by layer (never in `trace_hash`).
+    pub counters: SimCounters,
 }
 
 /// Execute one heavy-tailed traffic cell: generate the program, build the
@@ -423,6 +428,7 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         goodput_mbps: delivered as f64 * 8.0 / cell.duration.as_secs_f64() / 1e6,
         trace_hash: world.sink().hash(),
         events: world.sim().stats().events,
+        counters: world.counters(),
     }
 }
 

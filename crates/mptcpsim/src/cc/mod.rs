@@ -264,6 +264,9 @@ impl Coupling {
     /// Add the next subflow's entry to the shared state; returns its index.
     fn push_sub(&self, initial_cwnd: u64, mss: u32) -> usize {
         let mut st = self.state.borrow_mut();
+        // Exact fit: a connection has as many entries as subflows, not the
+        // next power of two (DESIGN.md "Footprint").
+        st.subs.reserve_exact(1);
         st.subs.push(SubState::new(initial_cwnd, mss));
         st.subs.len() - 1
     }

@@ -73,7 +73,9 @@ impl MptcpReceiverAgent {
         &self.stats
     }
 
-    /// Packets dropped on arrival because their payload did not decode.
+    /// Packets dropped on arrival because their payload did not decode, or
+    /// decoded to a subflow sequence number from before the start of its
+    /// stream or a DSS mapping running past the end of the DSN space.
     pub fn rx_malformed(&self) -> u64 {
         self.rx_malformed
     }
@@ -100,8 +102,29 @@ impl Agent for MptcpReceiverAgent {
             self.rx_malformed += 1;
             return;
         };
+        // A DSS mapping that runs past the end of the DSN space is wild
+        // input, like a sequence number from before the start of its
+        // subflow's stream (below): counted, and nothing else happens.
+        let mapping = match seg
+            .dss
+            .as_ref()
+            .and_then(|dss| Some((dss.dsn?, dss.data_len)))
+        {
+            None => None,
+            Some((dsn, len)) => {
+                let Some(end) = dsn.checked_add(len as u64) else {
+                    self.rx_malformed += 1;
+                    return;
+                };
+                Some((dsn, end))
+            }
+        };
         let at = match self.subs.binary_search_by_key(&seg.src_port, |s| s.0) {
-            Ok(at) => at,
+            Ok(at) if self.subs[at].1.stream_offset(seg.seq).is_some() => at, // simlint: allow(panic-surface, reason = "`at` is where the search found the subflow")
+            Ok(_) => {
+                self.rx_malformed += 1;
+                return;
+            }
             Err(at) => {
                 let receiver = TcpReceiver::new(ReceiverConfig {
                     src_port: seg.dst_port,
@@ -110,6 +133,10 @@ impl Agent for MptcpReceiverAgent {
                     sack: self.sack,
                     ..Default::default()
                 });
+                if receiver.stream_offset(seg.seq).is_none() {
+                    self.rx_malformed += 1;
+                    return;
+                }
                 // Exact fit: a connection has as many receivers as subflows
                 // ever joined, not the next power of two.
                 self.subs.reserve_exact(1);
@@ -120,11 +147,9 @@ impl Agent for MptcpReceiverAgent {
         self.stats.segments += 1;
 
         // Connection-level reassembly from the DSS mapping.
-        if let Some(dss) = &seg.dss {
-            if let Some(dsn) = dss.dsn {
-                let new = self.conn.insert(dsn, dsn + dss.data_len as u64);
-                self.stats.duplicate_bytes += dss.data_len as u64 - new;
-            }
+        if let Some((dsn, end)) = mapping {
+            let new = self.conn.insert(dsn, end);
+            self.stats.duplicate_bytes += (end - dsn) - new;
         }
         self.stats.bytes_in_order = self.conn.next_expected();
 

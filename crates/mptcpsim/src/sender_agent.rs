@@ -166,7 +166,8 @@ pub struct MptcpSenderAgent {
     cwnd_trace: Vec<CwndSample>,
     /// `pump`'s view of the active subflows, rebuilt before every
     /// scheduling decision in this one buffer (sized for every subflow at
-    /// construction, so the send path never allocates for it).
+    /// construction, so the send path never allocates for it; released
+    /// when the connection completes).
     snapshots: Vec<SubflowSnapshot>,
     stats: MptcpSenderStats,
     rx_malformed: u64,
@@ -236,8 +237,9 @@ impl MptcpSenderAgent {
         &self.cwnd_trace
     }
 
-    /// Packets dropped on arrival because their payload did not decode or
-    /// acknowledged a port no subflow of this connection owns.
+    /// Packets dropped on arrival because their payload did not decode,
+    /// acknowledged a port no subflow of this connection owns, or carried
+    /// an acknowledgement number from before the start of the stream.
     pub fn rx_malformed(&self) -> u64 {
         self.rx_malformed
     }
@@ -415,6 +417,23 @@ impl MptcpSenderAgent {
         }
         self.snapshots = snapshots;
         self.rearm(ctx);
+        if self.is_complete() {
+            self.release_finished();
+        }
+    }
+
+    /// The transfer is complete — nothing left to schedule, nothing in
+    /// flight, and `pump` stops before its scheduling step from now on — so
+    /// give back what only a live connection reads: each subflow's
+    /// [`TcpSender::release_finished`] and the scheduling scratch. Counters
+    /// and every `subflow_sender(i)` stay readable. Called after every
+    /// `pump` of a complete connection (a late duplicate ACK can put an RTT
+    /// sample back); all of it is a no-op the second time.
+    fn release_finished(&mut self) {
+        for sub in &mut self.subs {
+            sub.sender.release_finished();
+        }
+        self.snapshots = Vec::new();
     }
 
     fn rearm(&mut self, ctx: &mut Ctx<'_>) {
@@ -477,23 +496,26 @@ impl Agent for MptcpSenderAgent {
             return;
         }
         // Demultiplex: the ACK's destination port is our subflow's port.
-        let Some(i) = self
+        let Some(sub) = self
             .subs
-            .iter()
-            .position(|s| s.cfg.src_port == seg.dst_port)
+            .iter_mut()
+            .find(|s| s.cfg.src_port == seg.dst_port)
+            .filter(|s| s.sender.ack_offset(seg.ack).is_some())
         else {
             self.rx_malformed += 1;
             return;
         };
-        self.subs[i].sender.on_ack(ctx.now(), &seg);
+        sub.sender.on_ack(ctx.now(), &seg);
         // Any ACK proves the path alive again.
-        if self.subs[i].failed && self.subs[i].sender.rtt().backoff() == 0 {
-            self.subs[i].failed = false;
+        if sub.failed && sub.sender.rtt().backoff() == 0 {
+            sub.failed = false;
         }
-        let una = self.subs[i].sender.snd_una();
-        self.subs[i].maps.prune(una);
+        let una = sub.sender.snd_una();
+        sub.maps.prune(una);
         if let Some(dss) = &seg.dss {
-            if let Some(da) = dss.data_ack {
+            // A data ACK beyond what was ever scheduled is wild input;
+            // believing it would hide live data from reinjection.
+            if let Some(da) = dss.data_ack.filter(|&da| da <= self.dsn_next) {
                 self.stats.data_acked = self.stats.data_acked.max(da);
             }
         }

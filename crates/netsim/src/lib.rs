@@ -12,6 +12,7 @@
 //! * [`paths`] — path enumeration and overlap analysis.
 //! * [`routing`] — per-node FIBs: tag routes, defaults, ECMP groups.
 //! * [`queue`] — drop-tail and RED output queues.
+//! * [`slab`] — where packets in the network live; the rest carries handles.
 //! * [`agent`] — the sans-IO endpoint interface protocol stacks implement.
 //! * [`sim`] — the event loop tying it all together.
 //! * [`faults`] — declarative timed network mutations (failover etc.).
@@ -33,6 +34,7 @@ pub mod payload;
 pub mod queue;
 pub mod routing;
 pub mod sim;
+pub mod slab;
 pub mod stats;
 pub mod topology;
 pub mod traffic;
@@ -46,12 +48,13 @@ pub use paths::{
 };
 pub use payload::{Payload, PayloadWriter, INLINE_CAP};
 pub use queue::{
-    CoDel, CoDelConfig, Dequeued, DropReason, DropTail, EnqueueResult, Queue, QueueConfig, Red,
-    RedConfig,
+    CoDel, CoDelConfig, Dequeued, DropReason, DropTail, EnqueueResult, Queue, QueueConfig, Queued,
+    Red, RedConfig,
 };
 pub use routing::{ecmp_select, Fib, RoutingTables};
 pub use sim::{SimSnapshot, Simulator, SNAPSHOT_VERSION};
-pub use stats::{LinkDirStats, SimStats};
+pub use slab::{PacketHandle, PacketSlab};
+pub use stats::{LinkDirStats, SimCounters, SimStats};
 pub use topology::{LinkSpec, NodeInfo, Topology};
 pub use traffic::{CbrSource, DatagramSink, OnOffSource};
 

@@ -5,8 +5,16 @@
 //! drops at the three shared bottleneck links are the *only* congestion
 //! signal in the reproduced experiments, exactly as in the Mininet setup
 //! (tc/netem drop-tail). A RED variant is provided for ablations.
+//!
+//! A queue buffers [`PacketHandle`]s, not packets: the packet stays in the
+//! simulator's [`PacketSlab`] from send to delivery, and a queue entry is
+//! the handle plus the wire size (and, for CoDel, the enqueue time) — what
+//! admission, byte accounting and the transmitter need without touching the
+//! packet again. The queue never frees a slot: whoever is handed a refused
+//! or head-dropped entry does.
 
-use crate::packet::Packet;
+use crate::packet::Ecn;
+use crate::slab::{PacketHandle, PacketSlab};
 use simbase::rng::SimRng;
 use simbase::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -29,14 +37,25 @@ pub enum EnqueueResult {
     Dropped(DropReason),
 }
 
+/// One buffered packet: its slab handle and the bytes it occupies on the
+/// wire (fixed at enqueue; nothing on the path resizes a packet).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Queued {
+    /// The packet's slot in the simulator's [`PacketSlab`].
+    pub pkt: PacketHandle,
+    /// [`crate::Packet::wire_size`] of that packet.
+    pub wire_size: u32,
+}
+
 /// The outcome of a dequeue: the packet to transmit (if any) plus packets
-/// the queue decided to drop at dequeue time (CoDel's head drops).
+/// the queue decided to drop at dequeue time (CoDel's head drops). The
+/// caller owns every handle returned here, dropped ones included.
 #[derive(Debug, Default)]
 pub struct Dequeued {
     /// The packet to serialize next.
-    pub pkt: Option<Packet>,
+    pub pkt: Option<Queued>,
     /// Packets discarded by the AQM while finding `pkt`.
-    pub dropped: Vec<Packet>,
+    pub dropped: Vec<Queued>,
 }
 
 /// A FIFO output queue with an admission policy.
@@ -45,9 +64,16 @@ pub struct Dequeued {
 /// in-order delivery within a path, and the paper's tag routing guarantees
 /// one path per tag.
 pub trait Queue: std::fmt::Debug {
-    /// Offer `pkt` to the queue at time `now`. `rng` is provided for
-    /// randomized AQM.
-    fn enqueue(&mut self, now: SimTime, pkt: Packet, rng: &mut dyn SimRng) -> EnqueueResult;
+    /// Offer `entry`, whose packet lives in `slab`, to the queue at time
+    /// `now`. `rng` is provided for randomized AQM; an ECN-marking AQM sets
+    /// CE on the packet in place. A refused handle stays the caller's.
+    fn enqueue(
+        &mut self,
+        now: SimTime,
+        entry: Queued,
+        slab: &mut PacketSlab,
+        rng: &mut dyn SimRng,
+    ) -> EnqueueResult;
 
     /// Remove the next packet to transmit at time `now`. Head-dropping AQMs
     /// (CoDel) may also return packets they discarded while deciding.
@@ -64,8 +90,8 @@ pub trait Queue: std::fmt::Debug {
         self.len_packets() == 0
     }
 
-    /// Deep-copy the queue (buffered packets and AQM state) for simulator
-    /// checkpointing.
+    /// Deep-copy the queue (buffered handles and AQM state) for simulator
+    /// checkpointing; the handles name the same slots in the copied slab.
     fn clone_boxed(&self) -> Box<dyn Queue>;
 }
 
@@ -117,7 +143,7 @@ impl Default for QueueConfig {
 /// 16 packets' worth of buffer for the rest of the run.
 #[derive(Debug, Clone)]
 pub struct DropTail {
-    buf: VecDeque<Packet>,
+    buf: VecDeque<Queued>,
     bytes: u64,
     max_packets: usize,
     max_bytes: u64,
@@ -148,8 +174,14 @@ impl DropTail {
 }
 
 impl Queue for DropTail {
-    fn enqueue(&mut self, _now: SimTime, pkt: Packet, _rng: &mut dyn SimRng) -> EnqueueResult {
-        let size = pkt.wire_size() as u64;
+    fn enqueue(
+        &mut self,
+        _now: SimTime,
+        entry: Queued,
+        _slab: &mut PacketSlab,
+        _rng: &mut dyn SimRng,
+    ) -> EnqueueResult {
+        let size = entry.wire_size as u64;
         // bfifo semantics: an empty buffer always admits its head packet,
         // even one whose wire size alone exceeds `max_bytes` — rejecting it
         // would blackhole that flow permanently, since the same packet
@@ -162,14 +194,14 @@ impl Queue for DropTail {
             return EnqueueResult::Dropped(DropReason::TailDrop);
         }
         self.bytes += size;
-        self.buf.push_back(pkt);
+        self.buf.push_back(entry);
         EnqueueResult::Queued
     }
 
     fn dequeue(&mut self, _now: SimTime) -> Dequeued {
         let pkt = self.buf.pop_front();
         if let Some(p) = &pkt {
-            self.bytes -= p.wire_size() as u64;
+            self.bytes -= p.wire_size as u64;
             if self.buf.is_empty() {
                 self.buf = VecDeque::new();
             }
@@ -268,7 +300,13 @@ impl Red {
 }
 
 impl Queue for Red {
-    fn enqueue(&mut self, now: SimTime, mut pkt: Packet, rng: &mut dyn SimRng) -> EnqueueResult {
+    fn enqueue(
+        &mut self,
+        now: SimTime,
+        entry: Queued,
+        slab: &mut PacketSlab,
+        rng: &mut dyn SimRng,
+    ) -> EnqueueResult {
         // Idle-time compensation (Floyd & Jacobson 1993, §4): while the
         // buffer sat empty the EWMA saw no samples, so a stale-high `avg`
         // would spuriously early-drop the first packets of a fresh burst.
@@ -303,9 +341,10 @@ impl Queue for Red {
             self.count = -1;
         }
         if signal {
-            if self.cfg.ecn_marking && pkt.ecn == crate::packet::Ecn::Ect {
+            let packet = slab.get_mut(entry.pkt);
+            if self.cfg.ecn_marking && packet.ecn == Ecn::Ect {
                 // Mark instead of dropping (RFC 3168).
-                pkt.ecn = crate::packet::Ecn::Ce;
+                packet.ecn = Ecn::Ce;
             } else {
                 if self.inner.is_empty() {
                     // The buffer stays empty: the idle period continues.
@@ -314,7 +353,7 @@ impl Queue for Red {
                 return EnqueueResult::Dropped(DropReason::EarlyDrop);
             }
         }
-        match self.inner.enqueue(now, pkt, rng) {
+        match self.inner.enqueue(now, entry, slab, rng) {
             EnqueueResult::Queued => EnqueueResult::Queued,
             EnqueueResult::Dropped(_) => {
                 self.count = 0;
@@ -371,8 +410,9 @@ impl Default for CoDelConfig {
 #[derive(Debug, Clone)]
 pub struct CoDel {
     cfg: CoDelConfig,
-    /// Released when a pop empties it, like [`DropTail`]'s.
-    buf: VecDeque<(Packet, SimTime)>,
+    /// Entries with their enqueue times. Released when a pop empties it,
+    /// like [`DropTail`]'s.
+    buf: VecDeque<(Queued, SimTime)>,
     bytes: u64,
     /// When the sojourn time first exceeded target (None = below target).
     first_above: Option<SimTime>,
@@ -406,9 +446,9 @@ impl CoDel {
             .mul_f64(1.0 / (self.count.max(1) as f64).sqrt())
     }
 
-    fn pop(&mut self) -> Option<(Packet, SimTime)> {
+    fn pop(&mut self) -> Option<(Queued, SimTime)> {
         let e = self.buf.pop_front()?;
-        self.bytes -= e.0.wire_size() as u64;
+        self.bytes -= e.0.wire_size as u64;
         if self.buf.is_empty() {
             self.buf = VecDeque::new();
         }
@@ -434,12 +474,18 @@ impl CoDel {
 }
 
 impl Queue for CoDel {
-    fn enqueue(&mut self, now: SimTime, pkt: Packet, _rng: &mut dyn SimRng) -> EnqueueResult {
+    fn enqueue(
+        &mut self,
+        now: SimTime,
+        entry: Queued,
+        _slab: &mut PacketSlab,
+        _rng: &mut dyn SimRng,
+    ) -> EnqueueResult {
         if self.buf.len() >= self.cfg.max_packets {
             return EnqueueResult::Dropped(DropReason::TailDrop);
         }
-        self.bytes += pkt.wire_size() as u64;
-        self.buf.push_back((pkt, now));
+        self.bytes += entry.wire_size as u64;
+        self.buf.push_back((entry, now));
         EnqueueResult::Queued
     }
 
@@ -510,9 +556,47 @@ impl Queue for CoDel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{NodeId, Protocol, Tag};
+    use crate::packet::{NodeId, Packet, Protocol, Tag};
     use crate::payload::Payload;
     use simbase::rng::Xoshiro256StarStar;
+
+    /// What the simulator does around a queue: the slab the handles point
+    /// into, and freeing the slot of whatever the queue refuses or drops.
+    #[derive(Clone)]
+    struct Net {
+        slab: PacketSlab,
+        rng: Xoshiro256StarStar,
+    }
+
+    impl Net {
+        fn new(seed: u64) -> Self {
+            Net {
+                slab: PacketSlab::default(),
+                rng: Xoshiro256StarStar::new(seed),
+            }
+        }
+
+        /// Put `p` in the slab and offer it; a refused packet's slot is
+        /// freed, as the simulator does.
+        fn offer(&mut self, q: &mut dyn Queue, now: SimTime, p: Packet) -> EnqueueResult {
+            let wire_size = p.wire_size();
+            let h = self.slab.insert(p);
+            let entry = Queued { pkt: h, wire_size };
+            let r = q.enqueue(now, entry, &mut self.slab, &mut self.rng);
+            if matches!(r, EnqueueResult::Dropped(_)) {
+                let _ = self.slab.take(h);
+            }
+            r
+        }
+
+        /// Dequeue, moving every returned packet out of the slab:
+        /// `(delivered, head-dropped)`.
+        fn pull(&mut self, q: &mut dyn Queue, now: SimTime) -> (Option<Packet>, Vec<Packet>) {
+            let d = q.dequeue(now);
+            let dropped = d.dropped.iter().map(|e| self.slab.take(e.pkt)).collect();
+            (d.pkt.map(|e| self.slab.take(e.pkt)), dropped)
+        }
+    }
 
     fn pkt(id: u64, data_len: u32) -> Packet {
         Packet {
@@ -530,31 +614,31 @@ mod tests {
 
     #[test]
     fn droptail_is_fifo() {
-        let mut rng = Xoshiro256StarStar::new(1);
+        let mut net = Net::new(1);
         let mut q = DropTail::packets(10);
         for i in 0..5 {
             assert!(matches!(
-                q.enqueue(SimTime::ZERO, pkt(i, 100), &mut rng),
+                net.offer(&mut q, SimTime::ZERO, pkt(i, 100)),
                 EnqueueResult::Queued
             ));
         }
         let order: Vec<u64> =
-            std::iter::from_fn(|| q.dequeue(SimTime::ZERO).pkt.map(|p| p.id)).collect();
+            std::iter::from_fn(|| net.pull(&mut q, SimTime::ZERO).0.map(|p| p.id)).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn droptail_packet_bound_drops_excess() {
-        let mut rng = Xoshiro256StarStar::new(1);
+        let mut net = Net::new(1);
         let mut q = DropTail::packets(3);
         for i in 0..3 {
             assert!(matches!(
-                q.enqueue(SimTime::ZERO, pkt(i, 0), &mut rng),
+                net.offer(&mut q, SimTime::ZERO, pkt(i, 0)),
                 EnqueueResult::Queued
             ));
         }
         assert!(matches!(
-            q.enqueue(SimTime::ZERO, pkt(3, 0), &mut rng),
+            net.offer(&mut q, SimTime::ZERO, pkt(3, 0)),
             EnqueueResult::Dropped(DropReason::TailDrop)
         ));
         assert_eq!(q.len_packets(), 3);
@@ -562,26 +646,26 @@ mod tests {
 
     #[test]
     fn droptail_byte_bound_counts_wire_size() {
-        let mut rng = Xoshiro256StarStar::new(1);
+        let mut net = Net::new(1);
         // Each pkt: 20 (IP) + 0 (hdr) + 100 data = 120 wire bytes.
         let mut q = DropTail::bytes(300);
         assert!(matches!(
-            q.enqueue(SimTime::ZERO, pkt(0, 100), &mut rng),
+            net.offer(&mut q, SimTime::ZERO, pkt(0, 100)),
             EnqueueResult::Queued
         ));
         assert!(matches!(
-            q.enqueue(SimTime::ZERO, pkt(1, 100), &mut rng),
+            net.offer(&mut q, SimTime::ZERO, pkt(1, 100)),
             EnqueueResult::Queued
         ));
         assert_eq!(q.len_bytes(), 240);
         // Third packet would exceed 300 bytes.
         assert!(matches!(
-            q.enqueue(SimTime::ZERO, pkt(2, 100), &mut rng),
+            net.offer(&mut q, SimTime::ZERO, pkt(2, 100)),
             EnqueueResult::Dropped(_)
         ));
         // But a tiny packet still fits (20 bytes wire).
         assert!(matches!(
-            q.enqueue(SimTime::ZERO, pkt(3, 0), &mut rng),
+            net.offer(&mut q, SimTime::ZERO, pkt(3, 0)),
             EnqueueResult::Queued
         ));
         assert_eq!(q.len_bytes(), 260);
@@ -589,12 +673,12 @@ mod tests {
 
     #[test]
     fn droptail_byte_accounting_balances() {
-        let mut rng = Xoshiro256StarStar::new(1);
+        let mut net = Net::new(1);
         let mut q = DropTail::bytes(10_000);
         for i in 0..10 {
-            let _ = q.enqueue(SimTime::ZERO, pkt(i, (i as u32) * 10), &mut rng);
+            let _ = net.offer(&mut q, SimTime::ZERO, pkt(i, (i as u32) * 10));
         }
-        while q.dequeue(SimTime::ZERO).pkt.is_some() {}
+        while net.pull(&mut q, SimTime::ZERO).0.is_some() {}
         assert_eq!(q.len_bytes(), 0);
         assert_eq!(q.len_packets(), 0);
         assert!(q.is_empty());
@@ -606,27 +690,27 @@ mod tests {
         // wire size exceeded max_bytes even when empty, permanently
         // blackholing the flow (every retransmission hit the same wall).
         // bfifo semantics: the head packet of an empty buffer is admitted.
-        let mut rng = Xoshiro256StarStar::new(1);
+        let mut net = Net::new(1);
         let mut q = DropTail::bytes(100);
         // 1000 data + 20 IP = 1020 wire bytes > 100-byte bound.
         assert!(matches!(
-            q.enqueue(SimTime::ZERO, pkt(0, 1000), &mut rng),
+            net.offer(&mut q, SimTime::ZERO, pkt(0, 1000)),
             EnqueueResult::Queued
         ));
         assert_eq!(q.len_bytes(), 1020);
         // The bound still applies once the buffer is occupied.
         assert!(matches!(
-            q.enqueue(SimTime::ZERO, pkt(1, 1000), &mut rng),
+            net.offer(&mut q, SimTime::ZERO, pkt(1, 1000)),
             EnqueueResult::Dropped(DropReason::TailDrop)
         ));
         assert!(matches!(
-            q.enqueue(SimTime::ZERO, pkt(2, 0), &mut rng),
+            net.offer(&mut q, SimTime::ZERO, pkt(2, 0)),
             EnqueueResult::Dropped(DropReason::TailDrop)
         ));
         // Draining re-opens the head slot: the flow makes progress.
-        assert_eq!(q.dequeue(SimTime::ZERO).pkt.unwrap().id, 0);
+        assert_eq!(net.pull(&mut q, SimTime::ZERO).0.unwrap().id, 0);
         assert!(matches!(
-            q.enqueue(SimTime::ZERO, pkt(3, 1000), &mut rng),
+            net.offer(&mut q, SimTime::ZERO, pkt(3, 1000)),
             EnqueueResult::Queued
         ));
     }
@@ -638,7 +722,7 @@ mod tests {
         // period. With Floyd & Jacobson's idle-time compensation the
         // average is decayed by (1-w)^(idle / mean_pkt_time) at the next
         // enqueue.
-        let mut rng = Xoshiro256StarStar::new(5);
+        let mut net = Net::new(5);
         let cfg = RedConfig {
             weight: 0.5,
             min_thresh: 2.0,
@@ -650,12 +734,12 @@ mod tests {
         let mut q = Red::new(cfg);
         // Build pressure: a standing queue pushes avg above min_thresh.
         for i in 0..20 {
-            let _ = q.enqueue(SimTime::ZERO, pkt(i, 1000), &mut rng);
+            let _ = net.offer(&mut q, SimTime::ZERO, pkt(i, 1000));
         }
         assert!(q.avg_queue() > cfg.min_thresh);
         // Drain completely at t=0; the queue then idles for a full second
         // (~8300 mean packet times at the default 120 us).
-        while q.dequeue(SimTime::ZERO).pkt.is_some() {}
+        while net.pull(&mut q, SimTime::ZERO).0.is_some() {}
         let after_idle = SimTime::from_secs(1);
         // The first post-idle packets must be admitted, not early-dropped
         // off the stale average. (With weight 0.5 the decayed avg needs
@@ -665,7 +749,7 @@ mod tests {
         for i in 100..103 {
             assert!(
                 matches!(
-                    q.enqueue(after_idle, pkt(i, 1000), &mut rng),
+                    net.offer(&mut q, after_idle, pkt(i, 1000)),
                     EnqueueResult::Queued
                 ),
                 "post-idle packet {i} was dropped with avg={}",
@@ -683,7 +767,7 @@ mod tests {
     fn red_short_idle_decays_partially() {
         // A short gap decays avg a little, not to zero: after m mean packet
         // times the average shrinks by exactly (1-w)^m.
-        let mut rng = Xoshiro256StarStar::new(5);
+        let mut net = Net::new(5);
         let cfg = RedConfig {
             weight: 0.5,
             min_thresh: 20.0,
@@ -692,14 +776,14 @@ mod tests {
         };
         let mut q = Red::new(cfg);
         for i in 0..10 {
-            let _ = q.enqueue(SimTime::ZERO, pkt(i, 1000), &mut rng);
+            let _ = net.offer(&mut q, SimTime::ZERO, pkt(i, 1000));
         }
         let before = q.avg_queue();
-        while q.dequeue(SimTime::ZERO).pkt.is_some() {}
+        while net.pull(&mut q, SimTime::ZERO).0.is_some() {}
         // Idle exactly two mean packet times, then take one zero-length
         // sample: avg = before * (1-w)^2 * (1-w).
         let t = SimTime::from_micros(240);
-        let _ = q.enqueue(t, pkt(100, 1000), &mut rng);
+        let _ = net.offer(&mut q, t, pkt(100, 1000));
         let expected = before * 0.5f64.powi(2) * 0.5;
         assert!(
             (q.avg_queue() - expected).abs() < 1e-12,
@@ -710,21 +794,21 @@ mod tests {
 
     #[test]
     fn red_empty_queue_never_drops() {
-        let mut rng = Xoshiro256StarStar::new(5);
+        let mut net = Net::new(5);
         let mut q = Red::new(RedConfig::default());
         for i in 0..4 {
             assert!(matches!(
-                q.enqueue(SimTime::ZERO, pkt(i, 1000), &mut rng),
+                net.offer(&mut q, SimTime::ZERO, pkt(i, 1000)),
                 EnqueueResult::Queued
             ));
-            q.dequeue(SimTime::ZERO);
+            net.pull(&mut q, SimTime::ZERO);
         }
         assert!(q.avg_queue() < 1.0);
     }
 
     #[test]
     fn red_sustained_overload_drops_early() {
-        let mut rng = Xoshiro256StarStar::new(5);
+        let mut net = Net::new(5);
         let cfg = RedConfig {
             weight: 0.5,
             min_thresh: 2.0,
@@ -736,7 +820,7 @@ mod tests {
         let mut q = Red::new(cfg);
         let mut early = 0;
         for i in 0..200 {
-            match q.enqueue(SimTime::ZERO, pkt(i, 1000), &mut rng) {
+            match net.offer(&mut q, SimTime::ZERO, pkt(i, 1000)) {
                 EnqueueResult::Dropped(DropReason::EarlyDrop) => early += 1,
                 EnqueueResult::Dropped(DropReason::TailDrop) => {}
                 EnqueueResult::Queued => {}
@@ -771,28 +855,28 @@ mod tests {
 
     #[test]
     fn codel_passes_traffic_below_target() {
-        let mut rng = Xoshiro256StarStar::new(1);
+        let mut net = Net::new(1);
         let mut q = CoDel::new(CoDelConfig::default());
         // Short sojourns: enqueue at t, dequeue 1 ms later (< 5 ms target).
         for i in 0..50u64 {
             let t = SimTime::from_millis(i * 2);
             assert!(matches!(
-                q.enqueue(t, stamped(i), &mut rng),
+                net.offer(&mut q, t, stamped(i)),
                 EnqueueResult::Queued
             ));
-            let d = q.dequeue(t + SimDuration::from_millis(1));
-            assert!(d.dropped.is_empty());
-            assert_eq!(d.pkt.unwrap().id, i);
+            let (out, dropped) = net.pull(&mut q, t + SimDuration::from_millis(1));
+            assert!(dropped.is_empty());
+            assert_eq!(out.unwrap().id, i);
         }
     }
 
     #[test]
     fn codel_head_drops_under_standing_queue() {
-        let mut rng = Xoshiro256StarStar::new(1);
+        let mut net = Net::new(1);
         let mut q = CoDel::new(CoDelConfig::default());
         // Build a standing queue: 200 packets at t=0.
         for i in 0..200u64 {
-            let _ = q.enqueue(SimTime::ZERO, stamped(i), &mut rng);
+            let _ = net.offer(&mut q, SimTime::ZERO, stamped(i));
         }
         // Dequeue slowly: sojourn far above target for far longer than the
         // interval -> CoDel must start dropping from the head.
@@ -800,11 +884,14 @@ mod tests {
         let mut delivered = 0;
         for step in 0..200u64 {
             let now = SimTime::from_millis(200 + step * 10);
-            let d = q.dequeue(now);
-            dropped += d.dropped.len();
-            if d.pkt.is_some() {
+            let (out, head_dropped) = net.pull(&mut q, now);
+            dropped += head_dropped.len();
+            if out.is_some() {
                 delivered += 1;
             }
+            // Every slot is either still buffered or was handed back: a
+            // head drop the caller was not told about would leak its slot.
+            assert_eq!(net.slab.live(), q.len_packets() as u64);
             if q.is_empty() {
                 break;
             }
@@ -812,41 +899,42 @@ mod tests {
         assert!(dropped > 0, "CoDel must drop under persistent delay");
         assert!(delivered > 0, "but it must not starve the link");
         assert_eq!(dropped + delivered, 200);
+        assert_eq!(net.slab.live(), 0, "head drops freed their slots");
     }
 
     #[test]
     fn codel_recovers_after_queue_drains() {
-        let mut rng = Xoshiro256StarStar::new(1);
+        let mut net = Net::new(1);
         let mut q = CoDel::new(CoDelConfig::default());
         for i in 0..100u64 {
-            let _ = q.enqueue(SimTime::ZERO, stamped(i), &mut rng);
+            let _ = net.offer(&mut q, SimTime::ZERO, stamped(i));
         }
         let mut t = SimTime::from_millis(200);
         while !q.is_empty() {
-            let _ = q.dequeue(t);
+            let _ = net.pull(&mut q, t);
             t += SimDuration::from_millis(5);
         }
         // Fresh, fast traffic afterwards is untouched.
         for i in 0..20u64 {
             let now = t + SimDuration::from_millis(i);
-            let _ = q.enqueue(now, stamped(1000 + i), &mut rng);
-            let d = q.dequeue(now);
-            assert!(d.dropped.is_empty(), "no drops after recovery");
-            assert!(d.pkt.is_some());
+            let _ = net.offer(&mut q, now, stamped(1000 + i));
+            let (out, dropped) = net.pull(&mut q, now);
+            assert!(dropped.is_empty(), "no drops after recovery");
+            assert!(out.is_some());
         }
     }
 
     #[test]
     fn codel_byte_accounting_balances() {
-        let mut rng = Xoshiro256StarStar::new(1);
+        let mut net = Net::new(1);
         let mut q = CoDel::new(CoDelConfig::default());
         for i in 0..30u64 {
-            let _ = q.enqueue(SimTime::ZERO, stamped(i), &mut rng);
+            let _ = net.offer(&mut q, SimTime::ZERO, stamped(i));
         }
         let mut seen = 0;
         while q.len_packets() > 0 {
-            let d = q.dequeue(SimTime::from_secs(1));
-            seen += d.dropped.len() + d.pkt.is_some() as usize;
+            let (out, dropped) = net.pull(&mut q, SimTime::from_secs(1));
+            seen += dropped.len() + out.is_some() as usize;
         }
         assert_eq!(seen, 30);
         assert_eq!(q.len_bytes(), 0);
@@ -857,22 +945,22 @@ mod tests {
     /// left behind; per enqueue whether the packet was admitted.
     fn drive(
         q: &mut dyn Queue,
-        rng: &mut Xoshiro256StarStar,
+        net: &mut Net,
         ids: std::ops::Range<u64>,
         start: SimTime,
         gap: SimDuration,
     ) -> Vec<(Option<u64>, Vec<u64>, u64)> {
         let mut seen = Vec::new();
         for id in ids {
-            let admitted = matches!(q.enqueue(start, pkt(id, 1000), rng), EnqueueResult::Queued);
+            let admitted = matches!(net.offer(q, start, pkt(id, 1000)), EnqueueResult::Queued);
             seen.push((admitted.then_some(id), Vec::new(), q.len_bytes()));
         }
         let mut now = start;
         while !q.is_empty() {
             now += gap;
-            let d = q.dequeue(now);
-            let dropped = d.dropped.iter().map(|p| p.id).collect();
-            seen.push((d.pkt.map(|p| p.id), dropped, q.len_bytes()));
+            let (out, dropped) = net.pull(q, now);
+            let dropped = dropped.iter().map(|p| p.id).collect();
+            seen.push((out.map(|p| p.id), dropped, q.len_bytes()));
         }
         seen
     }
@@ -882,21 +970,22 @@ mod tests {
     /// like one that kept its buffer: same admissions, FIFO deliveries,
     /// head drops and byte counts, with the AQM state the first burst left.
     fn emptied_queue_carries_on(q: &mut dyn Queue) {
-        let mut rng = Xoshiro256StarStar::new(9);
+        let mut net = Net::new(9);
         let ms = SimDuration::from_millis;
-        let first = drive(q, &mut rng, 0..48, SimTime::ZERO, ms(10));
+        let first = drive(q, &mut net, 0..48, SimTime::ZERO, ms(10));
         assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
         assert!(first.len() > 48, "the first burst was queued and drained");
 
         let mut twin = q.clone_boxed();
-        let mut twin_rng = rng.clone();
+        let mut twin_net = net.clone();
         let t = SimTime::from_secs(1);
-        let second = drive(q, &mut rng, 100..148, t, ms(10));
+        let second = drive(q, &mut net, 100..148, t, ms(10));
         assert_eq!(
             second,
-            drive(twin.as_mut(), &mut twin_rng, 100..148, t, ms(10))
+            drive(twin.as_mut(), &mut twin_net, 100..148, t, ms(10))
         );
         assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
+        assert_eq!(net.slab.live(), 0, "every slot came back");
         // FIFO: whatever leaves (delivered or head-dropped) leaves in
         // arrival order, and every admitted packet leaves.
         let (enq, deq) = second.split_at(48);
@@ -950,7 +1039,7 @@ mod tests {
     #[test]
     fn red_marks_instead_of_dropping_ect_packets() {
         use crate::packet::Ecn;
-        let mut rng = Xoshiro256StarStar::new(5);
+        let mut net = Net::new(5);
         let cfg = RedConfig {
             weight: 0.5,
             min_thresh: 2.0,
@@ -967,14 +1056,16 @@ mod tests {
             let mut p = pkt(i, 1000);
             p.ecn = Ecn::Ect;
             if let EnqueueResult::Dropped(DropReason::EarlyDrop) =
-                q.enqueue(SimTime::ZERO, p, &mut rng)
+                net.offer(&mut q, SimTime::ZERO, p)
             {
                 dropped += 1;
             }
         }
+        // The mark is on the slab's packet — the one delivery will read —
+        // not on a copy the queue keeps.
         let mut marked = 0;
         while let Some(out) = q.dequeue(SimTime::ZERO).pkt {
-            if out.ecn == Ecn::Ce {
+            if net.slab.take(out.pkt).ecn == Ecn::Ce {
                 marked += 1;
             }
         }

@@ -1,8 +1,9 @@
 //! The discrete-event simulator.
 //!
-//! [`Simulator`] owns the topology, routing tables, per-link runtime state
-//! (transmitter + queue per direction), registered agents, statistics, and
-//! the event queue. One event loop iteration pops the earliest event and
+//! [`Simulator`] owns the topology, routing tables, one runtime record per
+//! link direction (transmitter, queue, RNG stream, counters), the slab every
+//! in-network packet lives in, registered agents, statistics, and the event
+//! queue. One event loop iteration pops the earliest event and
 //! reads what it is from the class of its canonical key (see [`order`]):
 //!
 //! * Arrive — a packet finished its propagation delay; deliver it to the
@@ -32,9 +33,10 @@ use crate::agent::{Agent, AgentId, Ctx, Effect};
 use crate::capture::{BufferSink, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
 use crate::faults::{FaultAction, FaultSchedule};
 use crate::packet::{Dir, LinkId, NodeId, Packet, PacketMeta};
-use crate::queue::{EnqueueResult, Queue};
+use crate::queue::{EnqueueResult, Queue, Queued};
 use crate::routing::RoutingTables;
-use crate::stats::{LinkDirStats, SimStats};
+use crate::slab::{PacketHandle, PacketSlab};
+use crate::stats::{LinkDirStats, SimCounters, SimStats};
 use crate::topology::Topology;
 use simbase::{
     EventQueue, ScheduledEvent, SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar,
@@ -131,41 +133,70 @@ enum Event {
     /// complete a *different* packet started later.
     Keyed,
     /// A packet finished propagating and arrives at the far end of the
-    /// key's link direction. The packet itself sits in the simulator's
-    /// wire pool — a full [`Packet`] embeds its inline payload (~112
+    /// key's link direction. The packet itself stays in the simulator's
+    /// [`PacketSlab`] — a full [`Packet`] embeds its inline payload (104
     /// bytes).
-    Arrive { wire_slot: u32 },
+    Arrive { pkt: PacketHandle },
 }
 
 // simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter Event fails the build, not a run")
 const _: () = assert!(EventQueue::<Event>::ENTRY_BYTES == 32);
 
-/// Runtime state for one direction of a link.
+/// A packet being serialized.
+#[derive(Clone, Copy)]
+struct Transmission {
+    entry: Queued,
+    /// Fixed when the transmission started: a capacity fault mid-flight
+    /// must not retroactively change this packet's accounting.
+    tx_time: SimDuration,
+}
+
+/// Everything a hop reads or writes about one direction of a link, in one
+/// record (`Simulator::dirs`, indexed by [`order::dir_entity`] — the entity
+/// field of the direction's `TxDone` and `Arrive` keys). The link's *spec*
+/// (endpoints, capacity, delay, loss rate, queue config) stays in the
+/// [`Topology`], so a fault has one place to change it.
 #[derive(Clone)]
 struct DirState {
-    /// The packet currently being serialized plus its serialization time
-    /// (fixed when the transmission started: a capacity fault mid-flight
-    /// must not retroactively change this packet's accounting).
-    transmitting: Option<(Packet, SimDuration)>,
+    /// The packet currently being serialized, if any.
+    transmitting: Option<Transmission>,
     /// Incremented whenever a serialization is aborted; pending `TxDone`
     /// events from before the abort carry the old epoch and are ignored.
     epoch: u64,
     /// Output queue behind the transmitter.
     queue: Box<dyn Queue>,
+    /// This direction's RNG stream (queue AQM draws, corruption loss,
+    /// forwarding jitter).
+    rng: Xoshiro256StarStar,
+    /// Arrivals scheduled so far — the `local` part of each `Arrive`
+    /// event's canonical key.
+    arrive_seq: u64,
+    stats: LinkDirStats,
+    /// Administrative state of the link (both of its directions agree);
+    /// packets offered to a down link are dropped.
+    up: bool,
 }
 
+// simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter per-direction record fails the build, not a run")
+const _: () = assert!(std::mem::size_of::<DirState>() <= 144);
+
 impl DirState {
-    fn is_busy(&self) -> bool {
-        self.transmitting.is_some()
+    fn new(queue: Box<dyn Queue>, rng: Xoshiro256StarStar) -> Self {
+        DirState {
+            transmitting: None,
+            epoch: 0,
+            queue,
+            rng,
+            arrive_seq: 0,
+            stats: LinkDirStats::default(),
+            up: true,
+        }
     }
 }
 
-/// Runtime state for one duplex link: `dirs[Dir::index()]`.
-#[derive(Clone)]
-struct LinkRuntime {
-    dirs: [DirState; 2],
-    /// Administrative state; packets offered to a down link are dropped.
-    up: bool,
+/// Where `link`'s `dir` lives in `Simulator::dirs`.
+fn dir_index(link: LinkId, dir: Dir) -> usize {
+    order::dir_entity(link, dir) as usize
 }
 
 /// RNG stream labels for [`SplitMix64::derive`]: one independent stream
@@ -183,7 +214,12 @@ const PACKET_ID_SHIFT: u32 = 40;
 pub struct Simulator {
     topo: Topology,
     routing: RoutingTables,
-    links: Vec<LinkRuntime>,
+    /// One record per link direction, indexed by [`dir_index`].
+    dirs: Vec<DirState>,
+    /// Every packet inside the network, from `Effect::Send` until delivery,
+    /// drop or unroutable. Queues, transmitters and `Arrive` events hold
+    /// handles into it.
+    slab: PacketSlab,
     agents: Vec<Option<Box<dyn Agent>>>,
     agent_node: Vec<NodeId>,
     node_agent: Vec<Option<AgentId>>,
@@ -193,14 +229,8 @@ pub struct Simulator {
     seed: u64,
     /// Per-agent RNG streams (handed to `Ctx::rng`).
     agent_rngs: Vec<Xoshiro256StarStar>,
-    /// Per-link-direction RNG streams (queue AQM draws, corruption loss,
-    /// forwarding jitter), indexed like `links`.
-    dir_rngs: Vec<[Xoshiro256StarStar; 2]>,
     /// Per-agent packet-id counters (see `PACKET_ID_SHIFT`).
     agent_packet_seq: Vec<u64>,
-    /// Per-link-direction count of arrivals scheduled — the `local` part of
-    /// each `Arrive` event's canonical key.
-    arrive_seq: Vec<[u64; 2]>,
     /// Scheduled faults by install index — the `local` part of a fault
     /// event's key. An entry is taken when its event fires; the index of
     /// the next install is the table's length. Part of the snapshot, so a
@@ -211,20 +241,21 @@ pub struct Simulator {
     /// the deterministic state: checkpoints deep-copy it.
     sink: Option<Box<dyn CaptureSink>>,
     stats: SimStats,
-    link_stats: Vec<[LinkDirStats; 2]>,
+    /// Packets handed to an output link, and how many of them met a busy
+    /// transmitter and were buffered (see [`SimCounters`]).
+    hops: u64,
+    link_enqueues: u64,
+    /// `on_start` dispatches.
+    starts: u64,
     /// Packets currently inside the network (queued, serializing, flying).
     in_flight: u64,
     /// Pending timers per agent: `(agent token, queue cancellation token)`
     /// pairs, linear-scanned (an agent arms a handful of timers at most).
     /// Arming an already-armed `(agent, token)` cancels the old deadline
-    /// (replacement semantics: a stale deadline can never fire).
+    /// (replacement semantics: a stale deadline can never fire). A table
+    /// left empty by a dispatch gives its allocation back: an agent with
+    /// nothing armed (a finished connection) keeps nothing here.
     timer_keys: Vec<Vec<(u64, u64)>>,
-    /// Packets in propagation, indexed by `Event::Arrive::wire_slot`.
-    /// Slots are recycled through `wire_free`, so steady-state forwarding
-    /// allocates nothing.
-    wire_pool: Vec<Option<Packet>>,
-    /// Vacant `wire_pool` indices.
-    wire_free: Vec<u32>,
     /// Recycled effect buffers (one per live dispatch depth); dispatching
     /// an agent in steady state allocates nothing.
     effect_bufs: Vec<Vec<Effect>>,
@@ -237,48 +268,24 @@ pub struct Simulator {
 impl Simulator {
     /// Build a simulator over a topology with a deterministic seed.
     pub fn new(topo: Topology, routing: RoutingTables, seed: u64) -> Self {
-        let links = topo
+        // `dir_entity` order: link-major, A→B before B→A.
+        let dirs = topo
             .link_ids()
-            .map(|l| {
-                let spec = topo.link(l);
-                LinkRuntime {
-                    dirs: [
-                        DirState {
-                            transmitting: None,
-                            epoch: 0,
-                            queue: spec.queue.build(),
-                        },
-                        DirState {
-                            transmitting: None,
-                            epoch: 0,
-                            queue: spec.queue.build(),
-                        },
-                    ],
-                    up: true,
-                }
+            .flat_map(|l| [(l, Dir::AtoB), (l, Dir::BtoA)])
+            .map(|(l, d)| {
+                let stream = STREAM_DIR | order::dir_entity(l, d);
+                DirState::new(
+                    topo.link(l).queue.build(),
+                    Xoshiro256StarStar::new(SplitMix64::derive(seed, stream)),
+                )
             })
-            .collect();
-        let link_stats = topo
-            .link_ids()
-            .map(|_| [LinkDirStats::default(); 2])
             .collect();
         let node_agent = vec![None; topo.node_count()];
-        let dir_rngs = topo
-            .link_ids()
-            .map(|l| {
-                [Dir::AtoB, Dir::BtoA].map(|d| {
-                    Xoshiro256StarStar::new(SplitMix64::derive(
-                        seed,
-                        STREAM_DIR | order::dir_entity(l, d),
-                    ))
-                })
-            })
-            .collect();
-        let arrive_seq = topo.link_ids().map(|_| [0u64; 2]).collect();
         Simulator {
             topo,
             routing,
-            links,
+            dirs,
+            slab: PacketSlab::default(),
             agents: Vec::new(),
             agent_node: Vec::new(),
             node_agent,
@@ -286,27 +293,19 @@ impl Simulator {
             now: SimTime::ZERO,
             seed,
             agent_rngs: Vec::new(),
-            dir_rngs,
             agent_packet_seq: Vec::new(),
-            arrive_seq,
             faults: Vec::new(),
             capture_cfg: CaptureConfig::off(),
             sink: None,
             stats: SimStats::default(),
-            link_stats: Vec::new(),
+            hops: 0,
+            link_enqueues: 0,
+            starts: 0,
             in_flight: 0,
             timer_keys: Vec::new(),
-            wire_pool: Vec::new(),
-            wire_free: Vec::new(),
             effect_bufs: Vec::new(),
             forward_jitter: SimDuration::ZERO,
         }
-        .with_link_stats(link_stats)
-    }
-
-    fn with_link_stats(mut self, ls: Vec<[LinkDirStats; 2]>) -> Self {
-        self.link_stats = ls;
-        self
     }
 
     /// Set the capture configuration (before or during a run). Unless a
@@ -400,39 +399,35 @@ impl Simulator {
 
     /// Counters for one direction of a link.
     pub fn link_stats(&self, link: LinkId, dir: Dir) -> &LinkDirStats {
-        &self.link_stats[link.0 as usize][dir.index()] // simlint: allow(panic-surface, reason = "LinkId is topology-issued and every per-link table holds exactly two directions")
+        &self.dirs[dir_index(link, dir)].stats // simlint: allow(panic-surface, reason = "LinkId is topology-issued and dirs holds two records per topology link")
     }
 
-    /// Mutable counters for one direction of a link — the single indexing
-    /// site for all per-link stat updates (`link` comes from the topology,
-    /// so the bound holds by construction).
-    fn dir_stats(&mut self, link: LinkId, dir: Dir) -> &mut LinkDirStats {
-        &mut self.link_stats[link.0 as usize][dir.index()] // simlint: allow(panic-surface, reason = "LinkId is topology-issued and every per-link table holds exactly two directions")
-    }
-
-    /// Park a propagating packet in the wire pool, returning its slot.
-    fn wire_put(&mut self, pkt: Packet) -> u32 {
-        if let Some(i) = self.wire_free.pop() {
-            if let Some(slot) = self.wire_pool.get_mut(i as usize) {
-                *slot = Some(pkt);
-                return i;
-            }
+    /// The work counters of this run so far (see [`SimCounters`]).
+    pub fn counters(&self) -> SimCounters {
+        SimCounters {
+            queue_pushes: self.events.total_pushed() + self.events.total_cancelled(),
+            queue_pops: self.events.total_popped(),
+            queue_cancels: self.events.total_cancelled(),
+            queue_cascaded: self.events.total_cascaded(),
+            queue_pool_chunks: self.events.pool_chunks() as u64,
+            hops: self.hops,
+            link_enqueues: self.link_enqueues,
+            link_drops: self.stats.packets_dropped,
+            slab_high_water: self.slab.high_water(),
+            on_start: self.starts,
+            on_timer: self.stats.timers_fired,
+            on_packet: self.stats.packets_delivered,
         }
-        let i = wire_slot_index(self.wire_pool.len());
-        self.wire_pool.push(Some(pkt));
-        i
     }
 
-    /// Retrieve a propagating packet by slot, vacating it for reuse.
-    fn wire_take(&mut self, i: u32) -> Packet {
-        let pkt = self
-            .wire_pool
-            .get_mut(i as usize)
-            .and_then(Option::take)
-            // simlint: allow(unwrap, reason = "an Arrive event's slot is filled at push and vacated exactly once, here")
-            .expect("arrival references a vacant wire slot");
-        self.wire_free.push(i);
-        pkt
+    /// Account one packet lost at link direction `i` and vacate its slot.
+    /// The single site for drop bookkeeping, so the slab, `in_flight` and
+    /// the drop counters cannot drift apart.
+    fn drop_at(&mut self, i: usize, lost: Queued) -> Packet {
+        self.stats.packets_dropped += 1;
+        self.in_flight -= 1;
+        self.dirs[i].stats.on_drop(lost.wire_size); // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId, or an event key's entity built from one")
+        self.slab.take(lost.pkt)
     }
 
     /// Capture records buffered so far: everything captured since
@@ -472,7 +467,8 @@ impl Simulator {
     /// The snapshot is a deep copy: the event queue (pending entries,
     /// cancellation-token table, and lifetime push/cancel counters), every
     /// agent (via [`Agent::clone_boxed`]), per-entity RNG streams, link
-    /// transmitters and queues, the wire pool, the capture sink (via
+    /// transmitters and queues with the packet slab their handles point
+    /// into, the capture sink (via
     /// [`CaptureSink::clone_sink`]), and all statistics. Because the
     /// execution is a pure function of that state (see the module docs on schedule-independent ordering), a restored
     /// simulator replays the identical event sequence — trace hashes of a
@@ -512,7 +508,8 @@ impl Simulator {
         Simulator {
             topo: self.topo.clone(),
             routing: self.routing.clone(),
-            links: self.links.clone(),
+            dirs: self.dirs.clone(),
+            slab: self.slab.clone(),
             agents,
             agent_node: self.agent_node.clone(),
             node_agent: self.node_agent.clone(),
@@ -520,18 +517,16 @@ impl Simulator {
             now: self.now,
             seed: self.seed,
             agent_rngs: self.agent_rngs.clone(),
-            dir_rngs: self.dir_rngs.clone(),
             agent_packet_seq: self.agent_packet_seq.clone(),
-            arrive_seq: self.arrive_seq.clone(),
             faults: self.faults.clone(),
             capture_cfg: self.capture_cfg.clone(),
             sink: self.sink.as_deref().map(CaptureSink::clone_sink),
             stats: self.stats,
-            link_stats: self.link_stats.clone(),
+            hops: self.hops,
+            link_enqueues: self.link_enqueues,
+            starts: self.starts,
             in_flight: self.in_flight,
             timer_keys: self.timer_keys.clone(),
-            wire_pool: self.wire_pool.clone(),
-            wire_free: self.wire_free.clone(),
             // Scratch buffers are always empty between events.
             effect_bufs: Vec::new(),
             forward_jitter: self.forward_jitter,
@@ -554,7 +549,7 @@ impl Simulator {
     /// at install time, not minutes into a run.
     pub fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
         let link = action.link();
-        assert!((link.0 as usize) < self.links.len(), "unknown link");
+        assert!((link.0 as usize) < self.topo.link_count(), "unknown link");
         match &action {
             FaultAction::SetCapacity(_, cap) => {
                 assert!(cap.as_bps() > 0, "zero-capacity fault");
@@ -582,7 +577,7 @@ impl Simulator {
 
     /// Is the link administratively up?
     pub fn link_is_up(&self, link: LinkId) -> bool {
-        self.links[link.0 as usize].up
+        self.dirs[dir_index(link, Dir::AtoB)].up
     }
 
     /// Run until the event queue is exhausted or `deadline` is reached.
@@ -605,8 +600,16 @@ impl Simulator {
     /// Packet conservation: everything sent must be delivered, dropped,
     /// unroutable, or still sitting in a queue / on a wire. A mismatch means
     /// the forwarding plane lost or duplicated a packet without accounting
-    /// for it.
+    /// for it. And every packet in the network is exactly one slab slot: a
+    /// handle dropped without `take` (a leak) or taken twice shows up here.
     fn check_conservation(&self) {
+        assert_eq!(
+            self.slab.live(),
+            self.in_flight,
+            "packet slab holds {} packets with {} in flight",
+            self.slab.live(),
+            self.in_flight,
+        );
         assert!(
             self.stats.conserved(self.in_flight),
             "packet conservation violated: sent={} delivered={} dropped={} unroutable={} in_flight={}",
@@ -642,6 +645,7 @@ impl Simulator {
         let (class, entity, local) = order::unpack(ev.seq);
         match (class, ev.event) {
             (order::CLASS_START, Event::Keyed) => {
+                self.starts += 1;
                 self.dispatch(order::entity_agent(entity), AgentCall::Start);
             }
             (order::CLASS_TIMER, Event::Keyed) => {
@@ -660,9 +664,8 @@ impl Simulator {
                 let (link, dir) = order::entity_dir(entity);
                 self.on_tx_done(link, dir, local);
             }
-            (order::CLASS_ARRIVE, Event::Arrive { wire_slot }) => {
+            (order::CLASS_ARRIVE, Event::Arrive { pkt }) => {
                 let (link, dir) = order::entity_dir(entity);
-                let pkt = self.wire_take(wire_slot);
                 let spec = self.topo.link(link);
                 let node = match dir {
                     Dir::AtoB => spec.b,
@@ -689,7 +692,9 @@ impl Simulator {
         match action {
             FaultAction::LinkDown(link) => self.on_link_down(link),
             FaultAction::LinkUp(link) => {
-                self.links[link.0 as usize].up = true;
+                for dir in [Dir::AtoB, Dir::BtoA] {
+                    self.dirs[dir_index(link, dir)].up = true;
+                }
             }
             FaultAction::SetCapacity(link, cap) => {
                 self.topo.set_link_capacity(link, cap);
@@ -707,31 +712,26 @@ impl Simulator {
                 // (possibly smaller) queue refuses are accounted as drops,
                 // as are head-drops surfaced while draining the old AQM.
                 for dir in [Dir::AtoB, Dir::BtoA] {
-                    let state = &mut self.links[link.0 as usize].dirs[dir.index()];
-                    let mut old = std::mem::replace(&mut state.queue, cfg.build());
-                    let mut lost_bytes: Vec<u32> = Vec::new();
+                    let i = dir_index(link, dir);
+                    let mut old = std::mem::replace(&mut self.dirs[i].queue, cfg.build());
                     loop {
                         let deq = old.dequeue(self.now);
                         let had_any = deq.pkt.is_some() || !deq.dropped.is_empty();
-                        lost_bytes.extend(deq.dropped.iter().map(|p| p.wire_size()));
-                        if let Some(pkt) = deq.pkt {
-                            let size = pkt.wire_size();
-                            let state = &mut self.links[link.0 as usize].dirs[dir.index()];
-                            let rng = &mut self.dir_rngs[link.0 as usize][dir.index()];
+                        let mut lost = deq.dropped;
+                        if let Some(entry) = deq.pkt {
+                            let d = &mut self.dirs[i];
                             if let EnqueueResult::Dropped(_) =
-                                state.queue.enqueue(self.now, pkt, rng)
+                                d.queue.enqueue(self.now, entry, &mut self.slab, &mut d.rng)
                             {
-                                lost_bytes.push(size);
+                                lost.push(entry);
                             }
+                        }
+                        for entry in lost {
+                            self.drop_at(i, entry);
                         }
                         if !had_any {
                             break;
                         }
-                    }
-                    for size in lost_bytes {
-                        self.stats.packets_dropped += 1;
-                        self.in_flight -= 1;
-                        self.dir_stats(link, dir).on_drop(size);
                     }
                 }
             }
@@ -739,38 +739,29 @@ impl Simulator {
     }
 
     fn on_link_down(&mut self, link: LinkId) {
-        let mut lost_sizes: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
-        {
-            let rt = &mut self.links[link.0 as usize];
-            rt.up = false;
-            for (state, sizes) in rt.dirs.iter_mut().zip(lost_sizes.iter_mut()) {
-                // The packet being serialized is lost on the wire. Bump the
-                // epoch so the pending TxDone for the aborted serialization
-                // is recognized as stale even if a fresh transmission starts
-                // on this direction before it fires.
-                if let Some((pkt, _tx_time)) = state.transmitting.take() {
-                    state.epoch += 1;
-                    sizes.push(pkt.wire_size());
-                }
-                // Buffered packets are lost with the interface.
-                loop {
-                    let deq = state.queue.dequeue(self.now);
-                    let mut lost = deq.dropped;
-                    if let Some(p) = deq.pkt {
-                        lost.push(p);
-                    }
-                    if lost.is_empty() {
-                        break;
-                    }
-                    sizes.extend(lost.iter().map(Packet::wire_size));
-                }
+        for dir in [Dir::AtoB, Dir::BtoA] {
+            let i = dir_index(link, dir);
+            let state = &mut self.dirs[i];
+            state.up = false;
+            // The packet being serialized is lost on the wire. Bump the
+            // epoch so the pending TxDone for the aborted serialization
+            // is recognized as stale even if a fresh transmission starts
+            // on this direction before it fires.
+            if let Some(tx) = state.transmitting.take() {
+                state.epoch += 1;
+                self.drop_at(i, tx.entry);
             }
-        }
-        for (dir, sizes) in [Dir::AtoB, Dir::BtoA].into_iter().zip(lost_sizes) {
-            for size in sizes {
-                self.stats.packets_dropped += 1;
-                self.in_flight -= 1;
-                self.dir_stats(link, dir).on_drop(size);
+            // Buffered packets are lost with the interface.
+            loop {
+                let deq = self.dirs[i].queue.dequeue(self.now);
+                let mut lost = deq.dropped;
+                lost.extend(deq.pkt);
+                if lost.is_empty() {
+                    break;
+                }
+                for entry in lost {
+                    self.drop_at(i, entry);
+                }
             }
         }
         // A stale TxDone for the dropped transmission may still fire; it
@@ -807,6 +798,13 @@ impl Simulator {
         self.apply_effects(node, &mut effects);
         debug_assert!(effects.is_empty());
         self.effect_bufs.push(effects);
+        // Timers fire, re-arm and cancel only around a dispatch of their
+        // agent, so this is the one place its table can have become empty.
+        if let Some(keys) = self.timer_keys.get_mut(id.0 as usize) {
+            if keys.is_empty() {
+                *keys = Vec::new();
+            }
+        }
     }
 
     fn apply_effects(&mut self, node: NodeId, effects: &mut Vec<Effect>) {
@@ -815,7 +813,8 @@ impl Simulator {
                 Effect::Send(pkt) => {
                     self.stats.packets_sent += 1;
                     self.in_flight += 1;
-                    self.record(node, CaptureKind::Sent, None, &pkt);
+                    let pkt = self.slab.insert(pkt);
+                    self.record(node, CaptureKind::Sent, None, pkt);
                     self.handle_packet_at(node, pkt);
                 }
                 Effect::SetTimer { at, token } => {
@@ -862,70 +861,86 @@ impl Simulator {
     }
 
     /// A packet is present at `node`: deliver or forward.
-    fn handle_packet_at(&mut self, node: NodeId, pkt: Packet) {
+    fn handle_packet_at(&mut self, node: NodeId, h: PacketHandle) {
+        let pkt = self.slab.get(h);
         if pkt.dst == node {
             if let Some(agent) = self.node_agent[node.0 as usize] {
                 self.stats.packets_delivered += 1;
                 self.in_flight -= 1;
-                self.record(node, CaptureKind::Delivered, None, &pkt);
+                self.record(node, CaptureKind::Delivered, None, h);
+                // The one read-out: the packet leaves the slab for its agent.
+                let pkt = self.slab.take(h);
                 self.dispatch(agent, AgentCall::Packet(pkt));
             } else {
                 // Destination host has no stack; treat as unroutable.
-                self.stats.packets_unroutable += 1;
-                self.in_flight -= 1;
-                self.record(node, CaptureKind::Unroutable, None, &pkt);
+                self.unroutable_at(node, h);
             }
             return;
         }
-        match self.routing.fib(node).route(&pkt) {
+        match self.routing.fib(node).route(pkt) {
             Some(out_link) => {
-                self.record(node, CaptureKind::Forwarded, Some(out_link), &pkt);
-                self.transmit_or_enqueue(node, out_link, pkt);
+                self.hops += 1;
+                self.record(node, CaptureKind::Forwarded, Some(out_link), h);
+                self.transmit_or_enqueue(node, out_link, h);
             }
-            None => {
-                self.stats.packets_unroutable += 1;
-                self.in_flight -= 1;
-                self.record(node, CaptureKind::Unroutable, None, &pkt);
-            }
+            None => self.unroutable_at(node, h),
         }
     }
 
-    /// Offer `pkt` to `link`'s transmitter in the direction leaving `from`.
-    fn transmit_or_enqueue(&mut self, from: NodeId, link: LinkId, pkt: Packet) {
+    /// No route (or no stack) for the packet at `node`: count it, let it go.
+    fn unroutable_at(&mut self, node: NodeId, h: PacketHandle) {
+        self.stats.packets_unroutable += 1;
+        self.in_flight -= 1;
+        self.record(node, CaptureKind::Unroutable, None, h);
+        self.slab.take(h);
+    }
+
+    /// Offer the packet to `link`'s transmitter in the direction leaving
+    /// `from`.
+    fn transmit_or_enqueue(&mut self, from: NodeId, link: LinkId, h: PacketHandle) {
         let spec = self.topo.link(link);
         let dir = if from == spec.a { Dir::AtoB } else { Dir::BtoA };
         debug_assert!(spec.touches(from), "forwarding onto a detached link");
         let capacity = spec.capacity;
-        if !self.links[link.0 as usize].up {
+        let i = dir_index(link, dir);
+        let entry = Queued {
+            pkt: h,
+            wire_size: self.slab.get(h).wire_size(),
+        };
+        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and dirs holds two records per topology link")
+        if !state.up {
             // Interface down: the packet is lost at this hop.
-            self.stats.packets_dropped += 1;
-            self.in_flight -= 1;
-            self.dir_stats(link, dir).on_drop(pkt.wire_size());
+            let lost = self.drop_at(i, entry);
             if self.capture_cfg.wants(from, CaptureKind::Dropped) {
-                self.record_meta(from, CaptureKind::Dropped, Some(link), pkt.meta());
+                self.record_meta(from, CaptureKind::Dropped, Some(link), lost.meta());
             }
             return;
         }
-        let state = &mut self.links[link.0 as usize].dirs[dir.index()];
 
-        if !state.is_busy() {
-            let tx_time = capacity.tx_time(pkt.wire_size() as u64);
+        if state.transmitting.is_none() {
+            let tx_time = capacity.tx_time(entry.wire_size as u64);
             let epoch = state.epoch;
-            state.transmitting = Some((pkt, tx_time));
+            state.transmitting = Some(Transmission { entry, tx_time });
             self.push_tx_done(link, dir, epoch, self.now + tx_time);
         } else {
-            let meta = pkt.meta();
-            let rng = &mut self.dir_rngs[link.0 as usize][dir.index()]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and every per-link table holds exactly two directions")
-            match state.queue.enqueue(self.now, pkt, rng) {
+            // As offered: an AQM that marks a packet it then refuses must
+            // not change what the drop record says was offered.
+            let offered = self
+                .capture_cfg
+                .wants(from, CaptureKind::Dropped)
+                .then(|| self.slab.get(h).meta());
+            match state
+                .queue
+                .enqueue(self.now, entry, &mut self.slab, &mut state.rng)
+            {
                 EnqueueResult::Queued => {
+                    self.link_enqueues += 1;
                     let (p, b) = (state.queue.len_packets(), state.queue.len_bytes());
-                    self.dir_stats(link, dir).observe_queue(p, b);
+                    state.stats.observe_queue(p, b);
                 }
                 EnqueueResult::Dropped(_) => {
-                    self.stats.packets_dropped += 1;
-                    self.in_flight -= 1;
-                    self.dir_stats(link, dir).on_drop(meta.wire_size);
-                    if self.capture_cfg.wants(from, CaptureKind::Dropped) {
+                    self.drop_at(i, entry);
+                    if let Some(meta) = offered {
                         self.record_meta(from, CaptureKind::Dropped, Some(link), meta);
                     }
                 }
@@ -944,60 +959,62 @@ impl Simulator {
         let delay = spec.delay;
         let capacity = spec.capacity;
         let loss_rate = spec.loss_rate;
-        let state = &mut self.links[link.0 as usize].dirs[dir.index()]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and every per-link table holds exactly two directions")
-                                                                        // A link-down event may have aborted the serialization this event
-                                                                        // belongs to: the abort bumped the direction's epoch, so a stale
-                                                                        // event (old epoch, or no transmission at all) is ignored.
+        let i = dir_index(link, dir);
+        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "the entity of a TxDone key is the dir_index the transmission was started at")
+
+        // A link-down event may have aborted the serialization this event
+        // belongs to: the abort bumped the direction's epoch, so a stale
+        // event (old epoch, or no transmission at all) is ignored.
         if epoch != state.epoch {
             return;
         }
-        let Some((pkt, tx_time)) = state.transmitting.take() else {
+        let Some(tx) = state.transmitting.take() else {
             return;
         };
         // `tx_time` was fixed when the serialization started; a capacity
         // fault mid-transmission does not retroactively change it.
-        self.dir_stats(link, dir).on_tx(pkt.wire_size(), tx_time);
-        let rng = &mut self.dir_rngs[link.0 as usize][dir.index()]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and every per-link table holds exactly two directions")
-                                                                    // Wireless-style random corruption loss (after serialization).
-        let corrupted = loss_rate > 0.0 && rng.chance(loss_rate);
+        state.stats.on_tx(tx.entry.wire_size, tx.tx_time);
+        // Wireless-style random corruption loss (after serialization).
+        let corrupted = loss_rate > 0.0 && state.rng.chance(loss_rate);
         let jitter = if self.forward_jitter.is_zero() {
             SimDuration::ZERO
         } else {
-            SimDuration::from_nanos(rng.next_below(self.forward_jitter.as_nanos() + 1))
+            SimDuration::from_nanos(state.rng.next_below(self.forward_jitter.as_nanos() + 1))
         };
         if corrupted {
-            self.stats.packets_dropped += 1;
-            self.in_flight -= 1;
-            self.dir_stats(link, dir).on_drop(pkt.wire_size());
+            self.drop_at(i, tx.entry);
         } else {
-            let seq = &mut self.arrive_seq[link.0 as usize][dir.index()]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and every per-link table holds exactly two directions")
-            let key = order::pack(order::CLASS_ARRIVE, order::dir_entity(link, dir), *seq);
-            *seq += 1;
-            let wire_slot = self.wire_put(pkt);
+            let key = order::pack(
+                order::CLASS_ARRIVE,
+                order::dir_entity(link, dir),
+                state.arrive_seq,
+            );
+            state.arrive_seq += 1;
+            let arrive = Event::Arrive { pkt: tx.entry.pkt };
             self.events
-                .push_keyed(self.now + delay + jitter, key, Event::Arrive { wire_slot });
+                .push_keyed(self.now + delay + jitter, key, arrive);
         }
 
         // Start the next packet, if any (the AQM may head-drop on the way).
-        let state = &mut self.links[link.0 as usize].dirs[dir.index()]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and every per-link table holds exactly two directions")
-        let deq = state.queue.dequeue(self.now);
+        let deq = self.dirs[i].queue.dequeue(self.now); // simlint: allow(panic-surface, reason = "the entity of a TxDone key is the dir_index the transmission was started at")
         for dropped in deq.dropped {
-            self.stats.packets_dropped += 1;
-            self.in_flight -= 1;
-            self.dir_stats(link, dir).on_drop(dropped.wire_size());
+            self.drop_at(i, dropped);
         }
         if let Some(next) = deq.pkt {
-            let tx_time = capacity.tx_time(next.wire_size() as u64);
-            let state = &mut self.links[link.0 as usize].dirs[dir.index()]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and every per-link table holds exactly two directions")
+            let tx_time = capacity.tx_time(next.wire_size as u64);
+            let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "the entity of a TxDone key is the dir_index the transmission was started at")
             let epoch = state.epoch;
-            state.transmitting = Some((next, tx_time));
+            state.transmitting = Some(Transmission {
+                entry: next,
+                tx_time,
+            });
             self.push_tx_done(link, dir, epoch, self.now + tx_time);
         }
     }
 
-    fn record(&mut self, node: NodeId, kind: CaptureKind, link: Option<LinkId>, pkt: &Packet) {
+    fn record(&mut self, node: NodeId, kind: CaptureKind, link: Option<LinkId>, h: PacketHandle) {
         if self.capture_cfg.wants(node, kind) {
-            self.record_meta(node, kind, link, pkt.meta());
+            self.record_meta(node, kind, link, self.slab.get(h).meta());
         }
     }
 
@@ -1029,7 +1046,10 @@ impl Simulator {
 /// [`CaptureSink`], not a record buffer with per-record order stamps.
 /// v3: scheduled fault actions live in the simulator's fault table, keyed by
 /// install index, not inside their queue entries.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// v4: packets in the network live in the [`PacketSlab`]; queues,
+/// transmitters and `Arrive` events hold handles into it, so a snapshot
+/// without the slab would restore dangling handles.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// A versioned, self-contained copy of a simulator's full deterministic
 /// state at one instant, produced by [`Simulator::checkpoint`].
@@ -1078,14 +1098,6 @@ enum AgentCall {
     Packet(Packet),
 }
 
-/// The wire-pool slot index for a pool currently `len` entries long.
-/// Overflowing `u32` would alias two live slots and silently cross-deliver
-/// packets, so it is a hard error, not a saturation.
-fn wire_slot_index(len: usize) -> u32 {
-    // simlint: allow(unwrap, reason = "aliasing wire slots corrupts the run; fail loudly at the 2^32 boundary")
-    u32::try_from(len).expect("wire pool exceeded u32::MAX slots")
-}
-
 #[cfg(test)]
 mod order_tests {
     use super::order;
@@ -1131,24 +1143,6 @@ mod order_tests {
                 (class, entity, local)
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod wire_pool_tests {
-    use super::wire_slot_index;
-
-    #[test]
-    fn slot_index_is_exact_below_the_boundary() {
-        assert_eq!(wire_slot_index(0), 0);
-        assert_eq!(wire_slot_index(123), 123);
-        assert_eq!(wire_slot_index(u32::MAX as usize), u32::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "wire pool exceeded u32::MAX slots")]
-    fn slot_index_overflow_is_a_hard_error() {
-        let _ = wire_slot_index(u32::MAX as usize + 1);
     }
 }
 
@@ -1286,6 +1280,131 @@ mod sink_tests {
         second.schedule_link_down(link, down_again);
         second.run_until(SimTime::from_millis(40));
         assert_eq!(outcome(&second), outcome(&cold));
+    }
+
+    /// `cbr_sim` at 10 ms: the source offers twice what the link carries,
+    /// so the transmitter is busy, the 4-packet queue is full and a few
+    /// packets are propagating. Returns `(slab.live, packets_dropped)`.
+    fn congested(sim: &mut Simulator) -> (u64, u64) {
+        sim.run_until(SimTime::from_millis(10));
+        let out = &sim.dirs[dir_index(LinkId(0), Dir::AtoB)];
+        assert!(out.transmitting.is_some());
+        assert_eq!(out.queue.len_packets(), 4);
+        assert!(sim.slab.live() > 5, "and some are on the wire");
+        assert_eq!(sim.slab.live(), sim.in_flight);
+        (sim.slab.live(), sim.stats.packets_dropped)
+    }
+
+    #[test]
+    fn link_down_mid_serialization_frees_exactly_the_lost_slots() {
+        let mut sim = cbr_sim();
+        let (live, dropped) = congested(&mut sim);
+        // Down and straight back up: the next CBR packet starts a fresh
+        // serialization while the aborted one's TxDone is still queued.
+        sim.schedule_link_down(LinkId(0), sim.now());
+        sim.schedule_link_up(LinkId(0), sim.now());
+        assert!(sim.step(), "the link-down fault");
+        // The serializing packet and the four buffered ones are gone; the
+        // ones already on the wire keep their slots.
+        assert_eq!(sim.slab.live(), live - 5);
+        assert_eq!(sim.in_flight, live - 5);
+        assert_eq!(sim.stats.packets_dropped, dropped + 5);
+        let out = &sim.dirs[dir_index(LinkId(0), Dir::AtoB)];
+        assert!(out.transmitting.is_none() && out.queue.is_empty());
+        assert_eq!(out.epoch, 1);
+
+        // run_until checks `slab.live() == in_flight` on its way out: the
+        // stale TxDone neither freed a slot twice nor completed the fresh
+        // transmission early (every completed one took its full 816 us).
+        let delivered = sim.stats.packets_delivered;
+        sim.run_until(SimTime::from_millis(30));
+        assert!(sim.stats.packets_delivered > delivered);
+        let out = sim.link_stats(LinkId(0), Dir::AtoB);
+        assert_eq!(
+            out.busy_time,
+            SimDuration::from_micros(816) * out.tx_packets
+        );
+        assert_eq!(sim.dirs[dir_index(LinkId(0), Dir::AtoB)].epoch, 1);
+    }
+
+    #[test]
+    fn set_queue_frees_what_the_new_queue_refuses() {
+        let mut sim = cbr_sim();
+        let (live, dropped) = congested(&mut sim);
+        sim.schedule_fault(
+            sim.now(),
+            FaultAction::SetQueue(LinkId(0), QueueConfig::DropTailPackets(1)),
+        );
+        assert!(sim.step(), "the queue fault");
+        // Four buffered packets re-offered to a one-packet queue: the head
+        // stays (FIFO), three slots come back; the transmitter is untouched.
+        assert_eq!(sim.slab.live(), live - 3);
+        assert_eq!(sim.in_flight, live - 3);
+        assert_eq!(sim.stats.packets_dropped, dropped + 3);
+        let out = &sim.dirs[dir_index(LinkId(0), Dir::AtoB)];
+        assert!(out.transmitting.is_some());
+        assert_eq!(out.queue.len_packets(), 1);
+        sim.run_until(SimTime::from_millis(30));
+    }
+
+    #[test]
+    fn a_mid_flight_checkpoint_replays_byte_for_byte() {
+        // Everything captured, buffered: the record stream is the run.
+        let trace = |sim: &Simulator| format!("{:?}", sim.captures());
+        let end = SimTime::from_millis(40);
+        let mut cold = cbr_sim();
+        cold.set_capture(CaptureConfig::everything());
+        cold.run_until(end);
+
+        // Frozen with a packet half serialized, a full queue of handles
+        // and packets on the wire: the snapshot must carry the slab they
+        // all point into.
+        let mut warm = cbr_sim();
+        warm.set_capture(CaptureConfig::everything());
+        let (live, _) = congested(&mut warm);
+        let snap = warm.checkpoint();
+        assert_eq!(snap.version(), 4);
+        assert_eq!(SNAPSHOT_VERSION, 4);
+        assert_eq!(snap.sim.slab.live(), live);
+
+        // The original moving on (its slots are freed and reused) must not
+        // reach into the snapshot's slab.
+        warm.run_until(end);
+        assert_eq!(trace(&warm), trace(&cold));
+        for _ in 0..2 {
+            let mut branch = Simulator::restore(&snap);
+            assert_eq!(branch.slab.live(), live);
+            branch.run_until(end);
+            assert_eq!(trace(&branch), trace(&cold));
+            assert_eq!(branch.counters(), cold.counters());
+            assert_eq!(branch.slab.live(), cold.slab.live());
+        }
+    }
+
+    #[test]
+    fn counters_add_up() {
+        let mut sim = cbr_sim();
+        sim.run_until(SimTime::from_millis(40));
+        let c = sim.counters();
+        let s = sim.stats();
+        // One start per agent; one pop per executed event; every packet
+        // sent took the one hop, where it was transmitted at once, buffered
+        // or refused.
+        assert_eq!(c.on_start, 2);
+        assert_eq!(c.queue_pops, s.events);
+        assert_eq!(c.queue_pushes - c.queue_cancels, sim.events_scheduled());
+        assert_eq!(c.hops, s.packets_sent);
+        assert_eq!(c.on_packet, s.packets_delivered);
+        assert_eq!(c.on_timer, s.timers_fired);
+        assert_eq!(c.link_drops, s.packets_dropped);
+        assert!(c.link_enqueues > 0 && c.link_enqueues + c.link_drops < c.hops);
+        // At most: one serializing, four buffered, and the 1 ms wire's
+        // worth of 816 us packets.
+        assert!((6..=8).contains(&c.slab_high_water), "{c:?}");
+        assert!(c.queue_pool_chunks >= 1);
+        let names: Vec<_> = c.entries().map(|(name, _)| name).collect();
+        assert_eq!(names.len(), 12);
+        assert!(names.contains(&"netsim.slab_high_water"));
     }
 
     #[test]

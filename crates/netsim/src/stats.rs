@@ -94,6 +94,64 @@ impl SimStats {
     }
 }
 
+/// How much work a run did, layer by layer: plain `u64` adds on the paths
+/// they count, always on, never part of the trace hash or of any table.
+/// [`crate::Simulator::counters`] assembles one; a reader walks
+/// [`SimCounters::entries`] and needs no per-field code.
+///
+/// Deterministic for a given world and seed, so two builds that disagree on
+/// a counter did different work — a layout claim can be stated as a
+/// counter diff before anyone times anything.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimCounters {
+    /// Events pushed onto the event queue, cancelled ones included.
+    pub queue_pushes: u64,
+    /// Events popped and executed.
+    pub queue_pops: u64,
+    /// Events cancelled before they fired (re-armed or revoked timers).
+    pub queue_cancels: u64,
+    /// Entries the timing wheel re-distributed to a lower level.
+    pub queue_cascaded: u64,
+    /// High-water mark of the wheel's chunk pool (64 entries per chunk).
+    pub queue_pool_chunks: u64,
+    /// Packets handed to an output link (one per forwarding decision).
+    pub hops: u64,
+    /// Packets that met a busy transmitter and were buffered.
+    pub link_enqueues: u64,
+    /// Packets lost at a link: refused or head-dropped by its queue,
+    /// offered to a down interface, corrupted, or flushed by a fault.
+    pub link_drops: u64,
+    /// Most packets inside the network at once (packet-slab slots).
+    pub slab_high_water: u64,
+    /// `Agent::on_start` dispatches.
+    pub on_start: u64,
+    /// `Agent::on_timer` dispatches.
+    pub on_timer: u64,
+    /// `Agent::on_packet` dispatches (one per delivered packet).
+    pub on_packet: u64,
+}
+
+impl SimCounters {
+    /// Every counter as a `(name, value)` pair, in declaration order.
+    pub fn entries(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        [
+            ("queue.pushes", self.queue_pushes),
+            ("queue.pops", self.queue_pops),
+            ("queue.cancels", self.queue_cancels),
+            ("queue.cascaded", self.queue_cascaded),
+            ("queue.pool_chunks_high_water", self.queue_pool_chunks),
+            ("netsim.hops", self.hops),
+            ("netsim.link_enqueues", self.link_enqueues),
+            ("netsim.link_drops", self.link_drops),
+            ("netsim.slab_high_water", self.slab_high_water),
+            ("netsim.on_start", self.on_start),
+            ("netsim.on_timer", self.on_timer),
+            ("netsim.on_packet", self.on_packet),
+        ]
+        .into_iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

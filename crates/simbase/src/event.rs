@@ -218,6 +218,9 @@ struct Wheel<E> {
     free: u32,
     pending: VecDeque<Entry<E>>,
     early: BinaryHeap<Entry<E>>,
+    /// Entries a cascade moved to a lower level, over the wheel's lifetime:
+    /// the work a push does again because its event was far away.
+    cascaded: u64,
 }
 
 impl<E> Wheel<E> {
@@ -230,11 +233,16 @@ impl<E> Wheel<E> {
             free: NIL,
             pending: VecDeque::new(),
             early: BinaryHeap::new(),
+            cascaded: 0,
         }
     }
 
+    /// Drop every entry (and the pool); the lifetime counter stays.
     fn clear(&mut self) {
-        *self = Wheel::new();
+        *self = Wheel {
+            cascaded: self.cascaded,
+            ..Wheel::new()
+        };
     }
 
     /// The 6-bit digit of `t` at `level` (above the granularity bits).
@@ -455,6 +463,7 @@ impl<E> Wheel<E> {
                     // a cascade needs one spare chunk per bucket it fills,
                     // not a second copy of the slot.
                     let mut entries = std::mem::take(&mut self.chunk(c).entries);
+                    self.cascaded += entries.len() as u64;
                     for e in entries.drain(..) {
                         self.push(e);
                     }
@@ -547,6 +556,8 @@ pub struct EventQueue<E> {
     pushed: u64,
     /// Events cancelled before they fired.
     cancelled: u64,
+    /// Events handed out by `pop` / `pop_at_or_before`.
+    popped: u64,
     /// Events currently scheduled (pushed, not yet popped or cancelled).
     live: u64,
     /// State of the tokens that can still change, indexed by
@@ -593,6 +604,7 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             pushed: 0,
             cancelled: 0,
+            popped: 0,
             live: 0,
             token_state: VecDeque::new(),
             token_base: 0,
@@ -719,6 +731,7 @@ impl<E> EventQueue<E> {
                 }
             }
             self.live -= 1;
+            self.popped += 1;
             return Some(ScheduledEvent {
                 time: e.time,
                 seq: e.seq,
@@ -769,6 +782,34 @@ impl<E> EventQueue<E> {
     /// `total_pushed() + total_cancelled()`).
     pub fn total_cancelled(&self) -> u64 {
         self.cancelled
+    }
+
+    /// Events popped over the queue's lifetime (cancelled entries reaped on
+    /// the way are not pops).
+    pub fn total_popped(&self) -> u64 {
+        self.popped
+    }
+
+    /// Entries the timing wheel re-distributed to a lower level over the
+    /// queue's lifetime — each is one extra bucket push for an event that
+    /// was scheduled far ahead.
+    pub fn total_cascaded(&self) -> u64 {
+        match &self.backend {
+            Backend::Wheel(w) => w.cascaded,
+            #[cfg(test)]
+            Backend::Heap(_) => 0,
+        }
+    }
+
+    /// Chunks in the wheel's pool. The pool only grows (until `clear`), so
+    /// this is its high-water mark: the most entries ever pending at once, in units of
+    /// 64 (plus one partial chunk per bucket occupied at the time).
+    pub fn pool_chunks(&self) -> usize {
+        match &self.backend {
+            Backend::Wheel(w) => w.chunks.len(),
+            #[cfg(test)]
+            Backend::Heap(_) => 0,
+        }
     }
 
     /// Drop all pending events. Lifetime counters are preserved.
@@ -1086,13 +1127,6 @@ mod tests {
         assert_eq!(q.pop().map(|e| e.event), None);
     }
 
-    fn pool_chunks(q: &EventQueue<u32>) -> usize {
-        match &q.backend {
-            Backend::Wheel(w) => w.chunks.len(),
-            Backend::Heap(_) => unreachable!("wheel queues only"),
-        }
-    }
-
     #[test]
     fn buckets_share_one_pool_sized_by_what_is_pending() {
         const N: u32 = 10_000;
@@ -1108,7 +1142,7 @@ mod tests {
             let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
             assert_eq!(order, (0..N).collect::<Vec<u32>>());
             if k == 1 {
-                peak_after_first = pool_chunks(&q);
+                peak_after_first = q.pool_chunks();
             }
         }
         // One slot's worth plus a partial chunk per bottom bucket the
@@ -1119,7 +1153,7 @@ mod tests {
             "{peak_after_first} chunks for {N} pending entries"
         );
         assert_eq!(
-            pool_chunks(&q),
+            q.pool_chunks(),
             peak_after_first,
             "a later slot grew the pool"
         );
@@ -1129,7 +1163,7 @@ mod tests {
             q.push(SimTime::from_nanos((9 << 46) + u64::from(i)), i);
         }
         while q.pop().is_some() {}
-        assert_eq!(pool_chunks(&q), peak_after_first);
+        assert_eq!(q.pool_chunks(), peak_after_first);
     }
 
     #[test]

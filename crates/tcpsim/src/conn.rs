@@ -65,7 +65,9 @@ impl TcpSenderAgent {
         &self.sender
     }
 
-    /// Packets dropped on arrival because their payload did not decode.
+    /// Packets dropped on arrival because their payload did not decode, or
+    /// decoded to an acknowledgement number from before the start of the
+    /// stream.
     pub fn rx_malformed(&self) -> u64 {
         self.rx_malformed
     }
@@ -135,6 +137,10 @@ impl Agent for TcpSenderAgent {
             return;
         };
         if seg.flags.ack {
+            if self.sender.ack_offset(seg.ack).is_none() {
+                self.rx_malformed += 1;
+                return;
+            }
             self.sender.on_ack(ctx.now(), &seg);
         }
         self.pump(ctx);
@@ -208,7 +214,8 @@ impl TcpReceiverAgent {
         &self.receiver
     }
 
-    /// Packets dropped on arrival because their payload did not decode.
+    /// Packets dropped on arrival because their payload did not decode, or
+    /// decoded to a sequence number from before the start of the stream.
     pub fn rx_malformed(&self) -> u64 {
         self.rx_malformed
     }
@@ -237,6 +244,10 @@ impl Agent for TcpReceiverAgent {
             self.rx_malformed += 1;
             return;
         };
+        if self.receiver.stream_offset(seg.seq).is_none() {
+            self.rx_malformed += 1;
+            return;
+        }
         self.peer = Some(pkt.src);
         let ce = pkt.ecn == Ecn::Ce;
         if let Some(ack) = self.receiver.on_data_ecn(ctx.now(), &seg, pkt.data_len, ce) {

@@ -122,6 +122,13 @@ impl TcpReceiver {
         self.fin_received
     }
 
+    /// The stream offset the wire sequence number `seq` names, or `None`
+    /// if it lies before the start of the stream (wild input: an agent
+    /// counts the packet as malformed instead of calling `on_data`).
+    pub fn stream_offset(&self, seq: SeqNum) -> Option<u64> {
+        seq.expand(self.cfg.peer_isn, self.rcv_nxt)
+    }
+
     /// Handle an arriving data segment (`data_len` from the packet).
     /// Returns the ACK to transmit now, if any.
     pub fn on_data(&mut self, now: SimTime, seg: &TcpSegment, data_len: u32) -> Option<TcpSegment> {
@@ -130,7 +137,9 @@ impl TcpReceiver {
 
     /// Like [`Self::on_data`], with the network-layer CE mark of the
     /// carrying packet (RFC 3168): a CE mark latches ECN-Echo onto every
-    /// outgoing ACK until the sender responds with CWR.
+    /// outgoing ACK until the sender responds with CWR. A segment whose
+    /// sequence number [`TcpReceiver::stream_offset`] cannot place is
+    /// ignored whole: no state changes, no ACK.
     pub fn on_data_ecn(
         &mut self,
         now: SimTime,
@@ -138,6 +147,7 @@ impl TcpReceiver {
         data_len: u32,
         ce: bool,
     ) -> Option<TcpSegment> {
+        let start = self.stream_offset(seg.seq)?;
         if ce {
             self.ece_pending = true;
         }
@@ -145,12 +155,10 @@ impl TcpReceiver {
             self.ece_pending = false;
         }
         self.stats.segments_received += 1;
-        if seg.flags.fin {
-            let start = seg.seq.expand(self.cfg.peer_isn, self.rcv_nxt);
-            self.fin_at = Some(start + data_len as u64);
-        }
-        let start = seg.seq.expand(self.cfg.peer_isn, self.rcv_nxt);
         let end = start + data_len as u64;
+        if seg.flags.fin {
+            self.fin_at = Some(end);
+        }
 
         if let Some(ts) = &seg.ts {
             // Echo rule (RFC 7323): echo the tsval of the segment that
@@ -355,7 +363,9 @@ mod tests {
     }
 
     fn ack_offset(cfg: &ReceiverConfig, ack: &TcpSegment) -> u64 {
-        ack.ack.expand(cfg.peer_isn, 0)
+        ack.ack
+            .expand(cfg.peer_isn, 0)
+            .expect("an ACK this receiver built")
     }
 
     #[test]

@@ -127,6 +127,14 @@ impl RttEstimator {
         self.min_filter.front().map(|&(_, r)| r)
     }
 
+    /// Forget the windowed-minimum samples and give their buffer back
+    /// ([`RttEstimator::min_rtt`] is `None` until the next sample). For a
+    /// finished connection: the filter is the one part of the estimator
+    /// that owns an allocation.
+    pub fn release_min_filter(&mut self) {
+        self.min_filter = std::collections::VecDeque::new();
+    }
+
     /// Current mean deviation estimate.
     pub fn rttvar(&self) -> SimDuration {
         self.rttvar
@@ -267,6 +275,21 @@ mod tests {
         // 25 ms one (taken at 0.2 s) is still inside the 2 s window.
         sample(&mut e, 2_150, MS(60));
         assert_eq!(e.min_rtt(), Some(MS(25)));
+    }
+
+    #[test]
+    fn a_released_filter_holds_nothing_and_relearns() {
+        let mut e = RttEstimator::default();
+        sample(&mut e, 0, MS(30));
+        sample(&mut e, 10, MS(40));
+        e.release_min_filter();
+        assert_eq!(e.min_filter.capacity(), 0);
+        assert_eq!(e.min_rtt(), None);
+        // Everything that is not the filter is untouched.
+        assert_eq!(e.latest(), Some(MS(40)));
+        assert!(e.srtt().is_some());
+        sample(&mut e, 20, MS(35));
+        assert_eq!(e.min_rtt(), Some(MS(35)));
     }
 
     #[test]

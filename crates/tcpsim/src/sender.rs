@@ -306,6 +306,19 @@ impl TcpSender {
         &self.rtt
     }
 
+    /// The connection this sender belongs to has finished (everything sent
+    /// is acknowledged and nothing more will be): give back what only a
+    /// live sender reads. Today that is the RTT estimator's windowed-minimum
+    /// filter — `rtt().min_rtt()` is `None` afterwards. Nothing can observe
+    /// that: `min_rtt` feeds [`AckContext`] only when an ACK newly
+    /// acknowledges data, and a finished sender has none in flight.
+    /// Counters, `srtt` and the RTO stay. Idempotent; a late duplicate ACK
+    /// may put one sample back, and the owner calls this again.
+    pub fn release_finished(&mut self) {
+        debug_assert_eq!(self.flight_size(), 0, "released with data in flight");
+        self.rtt.release_min_filter();
+    }
+
     /// Counters.
     pub fn stats(&self) -> &SenderStats {
         &self.stats
@@ -621,10 +634,21 @@ impl TcpSender {
         })
     }
 
-    /// Process an incoming (pure) ACK segment.
+    /// The stream offset the wire acknowledgement number `ack` names, or
+    /// `None` if it lies before the start of the stream (wild input: an
+    /// agent counts the packet as malformed instead of calling `on_ack`).
+    pub fn ack_offset(&self, ack: SeqNum) -> Option<u64> {
+        ack.expand(self.cfg.isn, self.snd_una)
+    }
+
+    /// Process an incoming (pure) ACK segment. One whose acknowledgement
+    /// number [`TcpSender::ack_offset`] cannot place is ignored whole.
     pub fn on_ack(&mut self, now: SimTime, seg: &TcpSegment) -> AckResult {
         debug_assert!(seg.flags.ack, "non-ACK segment fed to sender");
         let mut result = AckResult::default();
+        let Some(ack_offset) = self.ack_offset(seg.ack) else {
+            return result;
+        };
         self.peer_window = seg.window as u64;
 
         // RTT sample from the echoed timestamp.
@@ -640,7 +664,6 @@ impl TcpSender {
             }
         }
 
-        let ack_offset = seg.ack.expand(self.cfg.isn, self.snd_una);
         if ack_offset > self.snd_nxt {
             // ACK for data never sent; ignore (corrupted/reordered beyond reason).
             return result;
@@ -665,8 +688,11 @@ impl TcpSender {
         // Ingest SACK blocks into the scoreboard.
         if self.cfg.sack {
             for (l, r) in &seg.sack {
-                let ls = l.expand(self.cfg.isn, self.snd_una);
-                let rs = r.expand(self.cfg.isn, self.snd_una);
+                // A block edge before the start of the stream is wild
+                // input; the block is skipped like an empty one.
+                let (Some(ls), Some(rs)) = (self.ack_offset(*l), self.ack_offset(*r)) else {
+                    continue;
+                };
                 if rs > ls {
                     self.insert_sack_block(ls, rs);
                 }

@@ -49,14 +49,16 @@ impl SeqNum {
         SeqNum(isn.0.wrapping_add(low))
     }
 
-    /// Recover the absolute stream offset of this wire number, assuming it
-    /// lies within ±2^31 of the absolute offset `near` (always true for a
-    /// live connection: the window is far smaller than 2 GiB).
-    pub fn expand(self, isn: SeqNum, near: u64) -> u64 {
+    /// Recover the absolute stream offset of this wire number: the offset
+    /// within ±2^31 of `near` that maps onto it (a live connection's window
+    /// is far smaller than 2 GiB, so that is the one the peer meant).
+    /// `None` when that offset would lie before the start of the stream —
+    /// a number no peer that started at `isn` can have sent, which only
+    /// wild wire input produces; callers drop such a segment.
+    pub fn expand(self, isn: SeqNum, near: u64) -> Option<u64> {
         let near_wire = SeqNum::from_offset(isn, near);
         let delta = self.distance(near_wire) as i64;
         near.checked_add_signed(delta)
-            .expect("sequence offset underflow") // simlint: allow(unwrap, reason = "caller contract above: wire seq within 2^31 of near")
     }
 }
 
@@ -100,9 +102,9 @@ mod tests {
         let isn = SeqNum(1000);
         for off in [0u64, 1, 1460, 123_456] {
             let wire = SeqNum::from_offset(isn, off);
-            assert_eq!(wire.expand(isn, off), off);
+            assert_eq!(wire.expand(isn, off), Some(off));
             // Works as long as the hint is within 2 GiB.
-            assert_eq!(wire.expand(isn, off.saturating_sub(10_000)), off);
+            assert_eq!(wire.expand(isn, off.saturating_sub(10_000)), Some(off));
         }
     }
 
@@ -112,8 +114,8 @@ mod tests {
         // Stream offsets beyond 4 GiB wrap the wire number but expand fine.
         let off = (1u64 << 32) + 777;
         let wire = SeqNum::from_offset(isn, off);
-        assert_eq!(wire.expand(isn, off - 1000), off);
-        assert_eq!(wire.expand(isn, off + 1000), off);
+        assert_eq!(wire.expand(isn, off - 1000), Some(off));
+        assert_eq!(wire.expand(isn, off + 1000), Some(off));
     }
 
     #[test]
@@ -123,7 +125,24 @@ mod tests {
         let wire = SeqNum::from_offset(isn, off);
         // An ACK for offset 10_000 arriving when snd_una is anywhere nearby.
         for near in [9_000u64, 10_000, 11_000] {
-            assert_eq!(wire.expand(isn, near), off);
+            assert_eq!(wire.expand(isn, near), Some(off));
+        }
+    }
+
+    #[test]
+    fn expand_is_total() {
+        // A wire number "before" the ISN, offered while the stream is still
+        // near its start, names an offset below zero: no such byte exists.
+        let isn = SeqNum(1000);
+        assert_eq!(SeqNum(999).expand(isn, 0), None);
+        assert_eq!(SeqNum(1000).wrapping_sub(1 << 31).expand(isn, 0), None);
+        assert_eq!(SeqNum(0).expand(isn, 500), None);
+        // The same numbers are fine once the stream has advanced past them.
+        assert_eq!(SeqNum(999).expand(isn, 1 << 32), Some((1 << 32) - 1));
+        // And nothing overflows at the far end either.
+        for wire in [0, 1, u32::MAX / 2, u32::MAX] {
+            let _ = SeqNum(wire).expand(isn, u64::MAX);
+            let _ = SeqNum(wire).expand(isn, u64::MAX - (1 << 31));
         }
     }
 }

@@ -35,24 +35,38 @@ fn cell(pairs: usize) -> TrafficCell {
     }
 }
 
-/// Bytes each further finished connection may leave behind in the world
-/// (7 692 before PR 17, 825 after; 940 with the wheel's chunk pool, some
-/// 195 B of it the engine's: the larger cell's pool peaks 13 chunks higher
-/// and its settled run doubled once more).
-const RETAINED_PER_CONNECTION: u64 = 1024;
-/// Peak live heap of `run_traffic(&cell(PAIRS))` (6 750 556 before PR 17,
-/// 3 781 600 after, 2 611 888 with the wheel's chunk pool).
-const PEAK_BUDGET_BYTES: u64 = 3_000_000;
-/// Allocator calls `run_traffic(&cell(PAIRS))` made at the parent commit,
-/// in the dev and the release profile alike (change: 32 855).
+/// Bytes each further finished connection may leave behind in the world:
+/// the measured value + 10 % (7 692 before PR 17, 825 after; 940 with the
+/// wheel's chunk pool, some 195 B of it the engine's: the larger cell's pool
+/// peaks 13 chunks higher and its settled run doubled once more; 328 since
+/// a finished sender releases its RTT min-filters and scheduling scratch
+/// and an emptied timer table its buffer).
+const RETAINED_PER_CONNECTION: u64 = 361;
+/// Peak live heap of `run_traffic(&cell(PAIRS))`: the measured value + 5 %
+/// (6 750 556 before PR 17, 3 781 600 after, 2 618 288 with the wheel's
+/// chunk pool, 2 260 128 with one 144-byte record per link direction and
+/// packets in a slab).
+const PEAK_BUDGET_BYTES: u64 = 2_373_000;
+/// Heap bytes each further pair adds to a world that is assembled and has
+/// not run an event yet — topology, FIBs, the simulator's per-direction
+/// records, two agents — everything `assembled_and_retained_by` allocates
+/// up to that point, traffic program and handles included: the measured
+/// value + 5 % (4 681 at the parent of the per-direction record, 4 217
+/// with it and an exact-fit coupling state).
+const ASSEMBLED_PER_PAIR: u64 = 4_428;
+/// Allocator calls `run_traffic(&cell(PAIRS))` made at PR 17's parent
+/// commit, in the dev and the release profile alike (PR 17: 32 855; today
+/// 32 482).
 const PARENT_ALLOCATOR_CALLS: u64 = 94_095;
 /// `run_traffic(&cell(PAIRS)).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0x9258_65b6_04ae_1d32;
 
 /// `run_traffic`'s world for `cell`, assembled by hand so the heap can be
-/// read between assembly and run and again before teardown: how much the
+/// read before assembly, between assembly and run, and again before
+/// teardown: how much the world weighs before its first event, how much the
 /// run left behind, and the trace hash it produced.
-fn retained_by(cell: &TrafficCell) -> (u64, u64) {
+fn assembled_and_retained_by(cell: &TrafficCell) -> (u64, u64, u64) {
+    let at_entry = LIVE.load(Relaxed);
     let program = TrafficProgram::generate(&TrafficConfig {
         connections: cell.pairs,
         arrival_rate_hz: cell.arrival_rate_hz,
@@ -92,7 +106,11 @@ fn retained_by(cell: &TrafficCell) -> (u64, u64) {
             "the horizon must outlast every flow"
         );
     }
-    (at_end.saturating_sub(at_start), world.sink().hash())
+    (
+        at_start - at_entry,
+        at_end.saturating_sub(at_start),
+        world.sink().hash(),
+    )
 }
 
 #[test]
@@ -110,18 +128,22 @@ fn a_finished_connection_costs_nothing() {
     // both (the wheel's chunk pool is sized by the most events ever pending
     // at once, which the arrival rate sets, not the pair count) and the
     // difference is what the extra connections, all finished, still cost.
-    let (retained, hash) = retained_by(&cell(PAIRS));
+    let (assembled, retained, hash) = assembled_and_retained_by(&cell(PAIRS));
     assert_eq!(
         hash, run.trace_hash,
-        "retained_by no longer builds run_traffic's world"
+        "assembled_and_retained_by no longer builds run_traffic's world"
     );
-    let (retained_half, _) = retained_by(&cell(PAIRS / 2));
+    let (assembled_half, retained_half, _) = assembled_and_retained_by(&cell(PAIRS / 2));
     let each = retained.saturating_sub(retained_half) / (PAIRS / 2) as u64;
+    let each_assembled = (assembled - assembled_half) / (PAIRS / 2) as u64;
 
     println!(
         "footprint: a finished connection retains {each} B \
          ({retained} B after {PAIRS}, {retained_half} B after {}), \
+         a pair assembled and not yet run weighs {each_assembled} B \
+         ({assembled} B for {PAIRS}, {assembled_half} B for {}), \
          peak live {peak} B, {calls} allocator calls, hash {:#018x}",
+        PAIRS / 2,
         PAIRS / 2,
         run.trace_hash
     );
@@ -129,6 +151,10 @@ fn a_finished_connection_costs_nothing() {
     assert!(
         each <= RETAINED_PER_CONNECTION,
         "{each} B still held per finished connection (limit {RETAINED_PER_CONNECTION} B)"
+    );
+    assert!(
+        each_assembled <= ASSEMBLED_PER_PAIR,
+        "{each_assembled} B per assembled pair (limit {ASSEMBLED_PER_PAIR} B)"
     );
     assert!(
         peak <= PEAK_BUDGET_BYTES,
