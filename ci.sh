@@ -31,6 +31,13 @@ if grep -rn 'EventLog\|Arc<Mutex\|feature = "check"\|Mirrored<' crates/; then
     exit 1
 fi
 
+echo "==> one range container, routes by destination (no B-tree range map in tcpsim/mptcpsim, no per-node exact-route table)"
+if grep -rn 'BTreeMap<u64, u64>' crates/tcpsim/src crates/mptcpsim/src ||
+    grep -rn 'ExactRoutes' crates/netsim/src; then
+    echo "replaced in PR 23 (DESIGN.md par 4, par 6, par 15): keep byte ranges in tcpsim::RangeSet and tagged routes in netsim::RoutingTables' route sets" >&2
+    exit 1
+fi
+
 echo "==> sweep-runner smoke test (release, serial vs pooled must match)"
 cargo build --release --offline -q -p bench
 OVERLAP_WORKERS=1 ./target/release/table1_results 3 2 2>/dev/null >/tmp/sweep_serial.txt
@@ -127,34 +134,40 @@ awk -v rss="$RSS_MB" 'BEGIN { exit !(rss > 0 && rss <= 10) }' || {
     echo "perfbench fabric-ecmp smoke: peak_rss_mb = $RSS_MB (limit 10)" >&2
     exit 1
 }
-# churn-4k too: its peak RSS is the world at rest (4 000 pairs assembled, most
-# of them finished) and repeats to 0.03 MB, so it has a ceiling (it reads
-# 22.9-23.0 MB; 27.2 MB before link directions held packet handles and a
-# finished connection released its RTT filters). And its simulated columns
-# must be the ones results/perf_trajectory.json records for this workload
-# and seed in its last row: a change that moves sim.events or the trace
-# digest either adds a row saying so or is a bug.
-cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \
-    --workload churn-4k --seed 1 --seconds 1 --trace 0 >/tmp/perfbench_smoke.txt
-tail -n 1 /tmp/perfbench_smoke.txt >/tmp/perfbench_smoke.json
-grep -Eq '"correct": ?true' /tmp/perfbench_smoke.json || {
-    echo "perfbench churn-4k smoke did not report correct:true; last line was:" >&2
-    cat /tmp/perfbench_smoke.json >&2
-    exit 1
-}
-RSS_MB=$(sed -E 's/.*"peak_rss_mb": ?\{"value": ?([0-9.]+).*/\1/' /tmp/perfbench_smoke.json)
-awk -v rss="$RSS_MB" 'BEGIN { exit !(rss > 0 && rss <= 25) }' || {
-    echo "perfbench churn-4k smoke: peak_rss_mb = $RSS_MB (limit 25)" >&2
-    exit 1
-}
-ROW=$(grep '"workload": "churn-4k", "seed": 1,' results/perf_trajectory.json | tail -n 1)
-for column in sim.events sim.trace_digest; do
-    want=$(printf '%s\n' "$ROW" | sed -E "s/.*\"$column\": \"?([0-9a-f]+)\"?.*/\1/")
-    got=$(awk -v c="$column" '$1 == c { print $2 }' /tmp/perfbench_smoke.txt)
-    [ -n "$want" ] && [ "$want" = "$got" ] || {
-        echo "perfbench churn-4k smoke: $column = $got, results/perf_trajectory.json's last row says $want" >&2
+# churn-4k and overload-4k too: their peak RSS is the world at rest (4 000
+# pairs assembled; on churn-4k most of them finished, on overload-4k most of
+# them mid-recovery) and repeats to 0.1 MB, so each has a ceiling (churn-4k
+# reads 21.0-21.2 MB; 22.9-23.0 MB while every node owned a route table;
+# overload-4k reads 25.8-26.0 MB; 29.1 MB while SACK scoreboards and
+# reassembly sets were B-trees). And their simulated columns must be the ones
+# results/perf_trajectory.json records for the workload and seed in its last
+# row: a change that moves sim.events or the trace digest either adds a row
+# saying so or is a bug.
+for smoke in churn-4k:22 overload-4k:27; do
+    workload=${smoke%:*}
+    limit=${smoke#*:}
+    cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 >/tmp/perfbench_smoke.txt
+    tail -n 1 /tmp/perfbench_smoke.txt >/tmp/perfbench_smoke.json
+    grep -Eq '"correct": ?true' /tmp/perfbench_smoke.json || {
+        echo "perfbench $workload smoke did not report correct:true; last line was:" >&2
+        cat /tmp/perfbench_smoke.json >&2
         exit 1
     }
+    RSS_MB=$(sed -E 's/.*"peak_rss_mb": ?\{"value": ?([0-9.]+).*/\1/' /tmp/perfbench_smoke.json)
+    awk -v rss="$RSS_MB" -v limit="$limit" 'BEGIN { exit !(rss > 0 && rss <= limit) }' || {
+        echo "perfbench $workload smoke: peak_rss_mb = $RSS_MB (limit $limit)" >&2
+        exit 1
+    }
+    ROW=$(grep "\"workload\": \"$workload\", \"seed\": 1," results/perf_trajectory.json | tail -n 1)
+    for column in sim.events sim.trace_digest; do
+        want=$(printf '%s\n' "$ROW" | sed -E "s/.*\"$column\": \"?([0-9a-f]+)\"?.*/\1/")
+        got=$(awk -v c="$column" '$1 == c { print $2 }' /tmp/perfbench_smoke.txt)
+        [ -n "$want" ] && [ "$want" = "$got" ] || {
+            echo "perfbench $workload smoke: $column = $got, results/perf_trajectory.json's last row says $want" >&2
+            exit 1
+        }
+    done
 done
 rm -f /tmp/perfbench_smoke.json /tmp/perfbench_smoke.txt
 

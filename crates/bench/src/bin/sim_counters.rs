@@ -16,7 +16,7 @@ use overlap_core::{run_fabric, run_traffic, FabricCell, SubflowSelector, Traffic
 use simbase::SimDuration;
 
 /// One line per counter, summed over a workload's cells. High-water marks
-/// are per cell, so they report their maximum instead.
+/// and maxima are per cell, so they report their maximum instead.
 fn report(workload: &str, events: u64, delivered: u64, counters: &[SimCounters]) {
     println!("== {workload}");
     println!("  {:<32} {events}", "sim.events");
@@ -28,7 +28,7 @@ fn report(workload: &str, events: u64, delivered: u64, counters: &[SimCounters])
                 totals.push((name, 0));
             }
             let total = &mut totals[i].1;
-            *total = if name.ends_with("high_water") {
+            *total = if name.ends_with("high_water") || name.ends_with("max_len") {
                 (*total).max(value)
             } else {
                 *total + value

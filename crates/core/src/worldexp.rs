@@ -1032,6 +1032,30 @@ mod tests {
         assert!(run.delivered > 0);
         let again = run_traffic(&cell);
         assert_eq!(run.trace_hash, again.trace_hash);
+        assert_eq!(run.counters, again.counters);
+    }
+
+    #[test]
+    fn an_overloaded_cell_counts_its_protocol_work() {
+        // 2 000 arrivals/s on a substrate that carries a fraction of them:
+        // losses, SACK recovery and timeouts, all of it counted by the
+        // agents and read once, here.
+        let run = run_traffic(&TrafficCell {
+            arrival_rate_hz: 2000.0,
+            duration: SimDuration::from_millis(500),
+            ..TrafficCell::table(200, 3)
+        });
+        let c = run.counters;
+        // Two four-hop paths per pair, one route set per path direction.
+        assert_eq!(c.route_sets, 200 * 2 * 2);
+        assert!(c.link_drops > 0, "the cell must overload: {c:?}");
+        assert!(c.tcp_retransmits > 0 && c.tcp_retransmits < c.tcp_segments_sent);
+        assert!(c.tcp_sack_blocks > 0);
+        assert!((1..=64).contains(&c.range_set_max_len), "{c:?}");
+        // Every data packet on the wire is one scheduled chunk's segment
+        // or a retransmission of one; nothing here was malformed.
+        assert!(c.scheduler_picks > 0 && c.scheduler_picks <= c.tcp_segments_sent);
+        assert_eq!(c.rx_malformed, 0);
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //! connection-level reassembly on the receive side (duplicate-tolerant,
 //! which is what makes the redundant scheduler work for free).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use tcpsim::RangeSet;
 
 /// A set of disjoint half-open `u64` intervals with a distinguished
 /// "delivered prefix" (everything below `next`).
 #[derive(Debug, Clone, Default)]
 pub struct IntervalSet {
     next: u64,
-    /// Out-of-order ranges strictly above `next`: start → end.
-    ranges: BTreeMap<u64, u64>,
+    /// Out-of-order ranges strictly above `next`.
+    ranges: RangeSet,
 }
 
 impl IntervalSet {
@@ -37,7 +38,12 @@ impl IntervalSet {
 
     /// Total bytes buffered out of order.
     pub fn pending_bytes(&self) -> u64 {
-        self.ranges.iter().map(|(s, e)| e - s).sum()
+        self.ranges.bytes()
+    }
+
+    /// The most out-of-order ranges ever buffered at once.
+    pub fn max_pending_ranges(&self) -> usize {
+        self.ranges.max_len()
     }
 
     /// Insert `[start, end)`. Returns the number of *new* bytes this
@@ -45,55 +51,24 @@ impl IntervalSet {
     pub fn insert(&mut self, start: u64, end: u64) -> u64 {
         debug_assert!(start <= end, "inverted interval");
         // Empty (or inverted) intervals contribute nothing; rejecting them
-        // here also keeps empty ranges out of the out-of-order map.
+        // here also keeps empty ranges out of the out-of-order set.
         if end <= start || end <= self.next {
             return 0; // empty or entirely old
         }
         let prev_next = self.next;
-        let mut start = start.max(self.next);
-        let mut end = end;
-        let mut new_bytes = end - start;
-
-        // Merge with overlapping/adjacent stored ranges.
-        if let Some((&s, &e)) = self.ranges.range(..=start).next_back() {
-            if e >= start {
-                // Overlaps from the left.
-                new_bytes = new_bytes.saturating_sub(e.min(end).saturating_sub(start));
-                start = s;
-                end = end.max(e);
-                self.ranges.remove(&s);
-            }
-        }
-        let overlapping: Vec<u64> = self.ranges.range(start..=end).map(|(&s, _)| s).collect();
-        for s in overlapping {
-            let Some(e) = self.ranges.remove(&s) else {
-                continue;
-            };
-            new_bytes =
-                new_bytes.saturating_sub(e.min(end).saturating_sub(s.max(start)).min(e - s));
-            end = end.max(e);
-        }
-
-        if start <= self.next {
-            self.next = end.max(self.next);
-            // Absorb newly contiguous ranges.
-            while let Some((&s, &e)) = self.ranges.first_key_value() {
-                if s > self.next {
-                    break;
-                }
-                self.ranges.pop_first();
-                if e > self.next {
-                    self.next = e;
-                }
-            }
-            if self.ranges.is_empty() {
-                // An emptied B-tree keeps its root leaf; a reordering
-                // episode that is over should cost nothing.
-                self.ranges = BTreeMap::new();
-            }
+        let start = start.max(self.next);
+        let new_bytes = if start == self.next && self.ranges.is_empty() {
+            // In order with nothing buffered: the range set is not touched
+            // (an insert-then-absorb would allocate its buffer and free it).
+            self.next = end;
+            end - start
         } else {
-            self.ranges.insert(start, end);
-        }
+            let ((merged_start, _), new_bytes) = self.ranges.insert(start, end);
+            if merged_start <= self.next {
+                self.next = self.ranges.absorb_prefix(self.next);
+            }
+            new_bytes
+        };
         self.check_invariants(prev_next);
         new_bytes
     }
@@ -109,14 +84,9 @@ impl IntervalSet {
             "DSN delivered prefix went backwards: {prev_next} -> {}",
             self.next
         );
-        let mut hi = self.next;
-        for (&s, &e) in &self.ranges {
+        self.ranges.check_invariants(self.next);
+        for &(s, e) in self.ranges.as_slice() {
             assert!(e > s, "empty out-of-order range [{s},{e})");
-            assert!(
-                s > hi,
-                "range [{s},{e}) overlaps or touches prefix/previous range ending at {hi}"
-            );
-            hi = e;
         }
     }
 
@@ -128,10 +98,7 @@ impl IntervalSet {
         if start < self.next {
             return self.contains(self.next, end);
         }
-        match self.ranges.range(..=start).next_back() {
-            Some((_, &e)) => e >= end,
-            None => false,
-        }
+        self.ranges.floor(start).is_some_and(|(_, e)| e >= end)
     }
 }
 

@@ -8,7 +8,7 @@
 //! are absorbed by the interval set.
 
 use crate::dsn::IntervalSet;
-use netsim::{Agent, Ctx, NodeId, Packet, Protocol, Tag};
+use netsim::{Agent, Ctx, NodeId, Packet, Protocol, SimCounters, Tag};
 use tcpsim::wire::{DssOption, TcpSegment};
 use tcpsim::{ReceiverConfig, TcpReceiver};
 
@@ -187,6 +187,16 @@ impl Agent for MptcpReceiverAgent {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
+    }
+
+    fn count(&self, counters: &mut SimCounters) {
+        let most = self
+            .subs
+            .iter()
+            .map(|(_, sub)| sub.max_ooo_ranges())
+            .fold(self.conn.max_pending_ranges(), usize::max);
+        counters.range_set_max_len = counters.range_set_max_len.max(most as u64);
+        counters.rx_malformed += self.rx_malformed;
     }
 
     fn clone_boxed(&self) -> Box<dyn Agent> {

@@ -20,7 +20,7 @@ use crate::cc::{CcAlgo, Coupling};
 use crate::dsn::{Mapping, MappingTable};
 use crate::scheduler::{Assignment, Scheduler, SchedulerKind, SubflowSnapshot};
 use netsim::packet::Ecn;
-use netsim::{Agent, Ctx, NodeId, Packet, Protocol, Tag};
+use netsim::{Agent, Ctx, NodeId, Packet, Protocol, SimCounters, Tag};
 use simbase::{SimDuration, SimRng, SimTime};
 use tcpsim::wire::{DssOption, TcpSegment};
 use tcpsim::{flow_hash, AppSource, TcpConfig, TcpSender};
@@ -578,6 +578,14 @@ impl Agent for MptcpSenderAgent {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
+    }
+
+    fn count(&self, counters: &mut SimCounters) {
+        for sub in &self.subs {
+            sub.sender.count(counters);
+        }
+        counters.scheduler_picks += self.stats.chunks_assigned;
+        counters.rx_malformed += self.rx_malformed;
     }
 
     fn clone_boxed(&self) -> Box<dyn Agent> {

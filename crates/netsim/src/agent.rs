@@ -11,6 +11,7 @@
 
 use crate::packet::{Ecn, NodeId, Packet, Protocol, Tag};
 use crate::payload::Payload;
+use crate::stats::SimCounters;
 use simbase::{SimDuration, SimTime, Xoshiro256StarStar};
 use std::fmt;
 
@@ -56,6 +57,13 @@ pub trait Agent {
     /// Downcast hook for post-run inspection (return `Some(self)`).
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
+    }
+
+    /// Add this agent's share to the run's work counters: sums for counts,
+    /// the maximum for high-water marks. Called when the counters are read
+    /// ([`crate::Simulator::counters`]), never per event.
+    fn count(&self, counters: &mut SimCounters) {
+        let _ = counters;
     }
 
     /// Deep-copy this agent for a simulator checkpoint.

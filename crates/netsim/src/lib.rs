@@ -51,7 +51,7 @@ pub use queue::{
     CoDel, CoDelConfig, Dequeued, DropReason, DropTail, EnqueueResult, Queue, QueueConfig, Queued,
     Red, RedConfig,
 };
-pub use routing::{ecmp_select, Fib, RoutingTables};
+pub use routing::{ecmp_select, RoutingTables};
 pub use sim::{SimSnapshot, Simulator, SNAPSHOT_VERSION};
 pub use slab::{PacketHandle, PacketSlab};
 pub use stats::{LinkDirStats, SimCounters, SimStats};

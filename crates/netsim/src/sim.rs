@@ -404,7 +404,7 @@ impl Simulator {
 
     /// The work counters of this run so far (see [`SimCounters`]).
     pub fn counters(&self) -> SimCounters {
-        SimCounters {
+        let mut counters = SimCounters {
             queue_pushes: self.events.total_pushed() + self.events.total_cancelled(),
             queue_pops: self.events.total_popped(),
             queue_cancels: self.events.total_cancelled(),
@@ -417,7 +417,13 @@ impl Simulator {
             on_start: self.starts,
             on_timer: self.stats.timers_fired,
             on_packet: self.stats.packets_delivered,
+            route_sets: self.routing.route_sets() as u64,
+            ..SimCounters::default()
+        };
+        for agent in self.agents.iter().flatten() {
+            agent.count(&mut counters);
         }
+        counters
     }
 
     /// Account one packet lost at link direction `i` and vacate its slot.
@@ -877,7 +883,7 @@ impl Simulator {
             }
             return;
         }
-        match self.routing.fib(node).route(pkt) {
+        match self.routing.route(node, pkt) {
             Some(out_link) => {
                 self.hops += 1;
                 self.record(node, CaptureKind::Forwarded, Some(out_link), h);
@@ -1403,8 +1409,10 @@ mod sink_tests {
         assert!((6..=8).contains(&c.slab_high_water), "{c:?}");
         assert!(c.queue_pool_chunks >= 1);
         let names: Vec<_> = c.entries().map(|(name, _)| name).collect();
-        assert_eq!(names.len(), 12);
+        assert_eq!(names.len(), 20);
         assert!(names.contains(&"netsim.slab_high_water"));
+        // Untagged CBR over default routes: no route set, no TCP anywhere.
+        assert_eq!((c.route_sets, c.tcp_segments_sent), (0, 0));
     }
 
     #[test]

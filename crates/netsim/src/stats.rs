@@ -129,6 +129,26 @@ pub struct SimCounters {
     pub on_timer: u64,
     /// `Agent::on_packet` dispatches (one per delivered packet).
     pub on_packet: u64,
+    /// Route sets the tagged routes of the whole network occupy.
+    pub route_sets: u64,
+    /// Data segments TCP senders emitted, retransmissions included. This
+    /// and the counters below are the agents' own: each adds its share
+    /// through [`crate::Agent::count`] when the counters are read.
+    pub tcp_segments_sent: u64,
+    /// Of those, retransmissions.
+    pub tcp_retransmits: u64,
+    /// Retransmission timeouts.
+    pub tcp_rtos: u64,
+    /// SACK blocks senders entered into their scoreboards.
+    pub tcp_sack_blocks: u64,
+    /// Most ranges any one SACK scoreboard, out-of-order buffer or DSN
+    /// reassembly set ever held — what says whether a sorted vector is
+    /// still the right container for them.
+    pub range_set_max_len: u64,
+    /// Subflows the MPTCP schedulers picked, one per chunk copy assigned.
+    pub scheduler_picks: u64,
+    /// Packets MPTCP endpoints counted as malformed and dropped on arrival.
+    pub rx_malformed: u64,
 }
 
 impl SimCounters {
@@ -147,6 +167,14 @@ impl SimCounters {
             ("netsim.on_start", self.on_start),
             ("netsim.on_timer", self.on_timer),
             ("netsim.on_packet", self.on_packet),
+            ("netsim.route_sets", self.route_sets),
+            ("tcpsim.segments_sent", self.tcp_segments_sent),
+            ("tcpsim.retransmits", self.tcp_retransmits),
+            ("tcpsim.rtos", self.tcp_rtos),
+            ("tcpsim.sack_blocks", self.tcp_sack_blocks),
+            ("tcpsim.range_set_max_len", self.range_set_max_len),
+            ("mptcpsim.scheduler_picks", self.scheduler_picks),
+            ("mptcpsim.rx_malformed", self.rx_malformed),
         ]
         .into_iter()
     }

@@ -183,11 +183,20 @@ impl Topology {
         &self.adj[n.0 as usize]
     }
 
-    /// The first link between `a` and `b`, if any.
+    /// The first link between `a` and `b` (the one created earliest), if
+    /// any. Scans the shorter of the two adjacency lists: both are in
+    /// link-creation order, so the first link to the other endpoint is the
+    /// same link from either end — and a host hanging off a gateway with
+    /// thousands of neighbours is found from the host's side.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.adj[a.0 as usize]
+        let (from, to) = if self.neighbors(a).len() <= self.neighbors(b).len() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        self.neighbors(from)
             .iter()
-            .find(|(nbr, _)| *nbr == b)
+            .find(|(nbr, _)| *nbr == to)
             .map(|(_, l)| *l)
     }
 
@@ -381,6 +390,42 @@ mod tests {
         );
         assert_ne!(l1, l2);
         assert_eq!(t.neighbors(a).len(), 2);
+    }
+
+    #[test]
+    fn link_between_is_the_earliest_link_from_either_end() {
+        // Two pairs of parallel links on a multigraph, each pair's second
+        // link created after unrelated ones: hub -- x, where x's list is
+        // the shorter one, and hub -- y, where hub's is.
+        let mut t = Topology::new();
+        let hub = t.add_node("hub");
+        let x = t.add_node("x");
+        let y = t.add_node("y");
+        let link = |t: &mut Topology, a, b| {
+            t.add_link(
+                a,
+                b,
+                Bandwidth::from_mbps(1),
+                SimDuration::ZERO,
+                QueueConfig::default(),
+            )
+        };
+        let hub_y = link(&mut t, y, hub);
+        let hub_x = link(&mut t, hub, x);
+        for i in 0..8 {
+            let leaf = t.add_node(format!("leaf{i}"));
+            link(&mut t, if i < 2 { hub } else { y }, leaf);
+        }
+        assert_ne!(link(&mut t, x, hub), hub_x);
+        assert_ne!(link(&mut t, hub, y), hub_y);
+        assert!(t.neighbors(x).len() < t.neighbors(hub).len());
+        assert!(t.neighbors(hub).len() < t.neighbors(y).len());
+        for (a, b, first) in [(hub, x, hub_x), (hub, y, hub_y)] {
+            assert_eq!(t.link_between(a, b), Some(first));
+            assert_eq!(t.link_between(b, a), Some(first));
+        }
+        assert_eq!(t.link_between(x, y), None);
+        assert_eq!(t.link_between(y, x), None);
     }
 
     #[test]

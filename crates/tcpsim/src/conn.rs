@@ -11,7 +11,7 @@ use crate::receiver::{ReceiverConfig, TcpReceiver};
 use crate::sender::{TcpConfig, TcpSender};
 use crate::wire::TcpSegment;
 use netsim::packet::Ecn;
-use netsim::{Agent, Ctx, NodeId, Packet, Protocol, Tag};
+use netsim::{Agent, Ctx, NodeId, Packet, Protocol, SimCounters, Tag};
 use simbase::SimTime;
 
 /// Timer tokens used by the TCP agents.
@@ -176,6 +176,10 @@ impl Agent for TcpSenderAgent {
         Some(self)
     }
 
+    fn count(&self, counters: &mut SimCounters) {
+        self.sender.count(counters);
+    }
+
     fn clone_boxed(&self) -> Box<dyn Agent> {
         Box::new(self.clone())
     }
@@ -293,6 +297,12 @@ impl Agent for TcpReceiverAgent {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
+    }
+
+    fn count(&self, counters: &mut SimCounters) {
+        counters.range_set_max_len = counters
+            .range_set_max_len
+            .max(self.receiver.max_ooo_ranges() as u64);
     }
 
     fn clone_boxed(&self) -> Box<dyn Agent> {

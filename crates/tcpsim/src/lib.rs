@@ -8,6 +8,8 @@
 //! * [`cc`] — pluggable congestion control: Reno, CUBIC (RFC 8312), Vegas.
 //! * [`sender`] / [`receiver`] — sans-IO state machines: fast retransmit,
 //!   NewReno recovery, RTO go-back-N, out-of-order reassembly, delayed ACK.
+//! * [`ranges`] — the sorted-vector range set behind the SACK scoreboard,
+//!   the out-of-order buffer and `mptcpsim`'s DSN reassembly.
 //! * [`conn`] — agents bridging the engines onto `netsim`.
 //! * [`app`] — traffic models (unlimited/iperf, fixed, paced).
 //!
@@ -21,6 +23,7 @@
 pub mod app;
 pub mod cc;
 pub mod conn;
+pub mod ranges;
 pub mod receiver;
 pub mod rtt;
 pub mod sender;
@@ -30,6 +33,7 @@ pub mod wire;
 pub use app::AppSource;
 pub use cc::{AckContext, CongestionControl, Cubic, LossContext, Reno, Vegas};
 pub use conn::{flow_hash, TcpReceiverAgent, TcpSenderAgent};
+pub use ranges::RangeSet;
 pub use receiver::{ReceiverConfig, ReceiverStats, TcpReceiver};
 pub use rtt::RttEstimator;
 pub use sender::{AckResult, SegmentTx, SenderStats, TcpConfig, TcpSender};

@@ -7,10 +7,10 @@
 //! ablations). Like the sender it performs no I/O: `on_data` returns the
 //! ACK segment the caller should transmit.
 
+use crate::ranges::RangeSet;
 use crate::seq::SeqNum;
 use crate::wire::{SackList, TcpFlags, TcpSegment, Timestamps, MAX_SACK_BLOCKS};
 use simbase::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Receiver configuration.
 #[derive(Debug, Clone)]
@@ -63,9 +63,8 @@ pub struct TcpReceiver {
     cfg: ReceiverConfig,
     /// Next in-order stream offset expected.
     rcv_nxt: u64,
-    /// Out-of-order ranges, keyed by start offset (non-overlapping,
-    /// non-adjacent after normalization).
-    ooo: BTreeMap<u64, u64>,
+    /// Out-of-order ranges above `rcv_nxt`.
+    ooo: RangeSet,
     /// Pending delayed ACK state: segments since last ACK + deadline.
     pending_acks: u32,
     ack_deadline: Option<SimTime>,
@@ -90,7 +89,7 @@ impl TcpReceiver {
         TcpReceiver {
             cfg,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
+            ooo: RangeSet::new(),
             pending_acks: 0,
             ack_deadline: None,
             last_tsval: 0,
@@ -115,6 +114,11 @@ impl TcpReceiver {
     /// Counters.
     pub fn stats(&self) -> &ReceiverStats {
         &self.stats
+    }
+
+    /// The most out-of-order ranges ever buffered at once.
+    pub fn max_ooo_ranges(&self) -> usize {
+        self.ooo.max_len()
     }
 
     /// True once the peer's FIN and all preceding data were delivered.
@@ -183,28 +187,14 @@ impl TcpReceiver {
             // A hole: buffer and send an immediate duplicate ACK (fast
             // retransmit depends on these never being delayed).
             self.stats.out_of_order_segments += 1;
-            let merged = self.insert_ooo(start, end);
+            let (merged, _) = self.ooo.insert(start, end);
             self.recent_block = Some(merged);
             return Some(self.make_ack(now));
         }
 
         // In-order (possibly overlapping) data: advance and absorb any
         // out-of-order ranges that are now contiguous.
-        self.rcv_nxt = end;
-        while let Some((&s, &e)) = self.ooo.first_key_value() {
-            if s > self.rcv_nxt {
-                break;
-            }
-            self.ooo.pop_first();
-            if e > self.rcv_nxt {
-                self.rcv_nxt = e;
-            }
-        }
-        if self.ooo.is_empty() {
-            // An emptied B-tree keeps its root leaf; a closed hole should
-            // cost nothing (DESIGN.md "Footprint").
-            self.ooo = BTreeMap::new();
-        }
+        self.rcv_nxt = self.ooo.absorb_prefix(end);
 
         self.try_consume_fin();
 
@@ -290,14 +280,13 @@ impl TcpReceiver {
         // The recent range may have merged; report its current extent.
         let recent = self.recent_block.and_then(|(s, _)| {
             self.ooo
-                .range(..=s)
-                .next_back()
-                .and_then(|(&cs, &ce)| (ce > s && cs > self.rcv_nxt).then_some((cs, ce)))
+                .floor(s)
+                .filter(|&(cs, ce)| ce > s && cs > self.rcv_nxt)
         });
         let limit = MAX_SACK_BLOCKS - usize::from(recent.is_some());
         let mut others = [(0u64, 0u64); MAX_SACK_BLOCKS];
         let mut n = 0;
-        for (&s, &e) in self.ooo.iter().rev() {
+        for &(s, e) in self.ooo.as_slice().iter().rev() {
             if n >= limit {
                 break;
             }
@@ -317,27 +306,6 @@ impl TcpReceiver {
             blocks.push(to_wire(cs, ce));
         }
         blocks
-    }
-
-    fn insert_ooo(&mut self, mut start: u64, mut end: u64) -> (u64, u64) {
-        // Merge with any overlapping or adjacent ranges.
-        // Candidates: the last range starting at or before `start`, and all
-        // ranges starting within (start, end].
-        if let Some((&s, &e)) = self.ooo.range(..=start).next_back() {
-            if e >= start {
-                start = s;
-                end = end.max(e);
-                self.ooo.remove(&s);
-            }
-        }
-        let overlapping: Vec<u64> = self.ooo.range(start..=end).map(|(&s, _)| s).collect();
-        for s in overlapping {
-            if let Some(e) = self.ooo.remove(&s) {
-                end = end.max(e);
-            }
-        }
-        self.ooo.insert(start, end);
-        (start, end)
     }
 }
 

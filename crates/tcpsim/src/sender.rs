@@ -24,9 +24,11 @@
 //! supplied by the application, not buffers.
 
 use crate::cc::{AckContext, CongestionControl, LossContext};
+use crate::ranges::RangeSet;
 use crate::rtt::RttEstimator;
 use crate::seq::SeqNum;
 use crate::wire::{SackList, TcpFlags, TcpSegment, Timestamps};
+use netsim::SimCounters;
 use simbase::{SimDuration, SimTime};
 
 /// Static configuration of a TCP flow endpoint.
@@ -170,7 +172,7 @@ pub struct TcpSender {
     /// Offsets queued for retransmission.
     rtx_pending: std::collections::VecDeque<u64>,
     /// SACK scoreboard: received ranges above `snd_una` (stream offsets).
-    scoreboard: std::collections::BTreeMap<u64, u64>,
+    scoreboard: RangeSet,
     /// Highest offset retransmitted during the current SACK recovery.
     high_rtx: u64,
     rto_deadline: Option<SimTime>,
@@ -188,6 +190,9 @@ pub struct TcpSender {
     /// Most recent tsval received from the peer (echoed in our segments).
     peer_tsval: u32,
     stats: SenderStats,
+    /// SACK blocks entered into the scoreboard (a work counter; not part
+    /// of [`SenderStats`], which is a stored record).
+    sack_blocks: u64,
 }
 
 impl TcpSender {
@@ -218,6 +223,7 @@ impl TcpSender {
             fin_sent: false,
             peer_tsval: 0,
             stats: SenderStats::default(),
+            sack_blocks: 0,
         }
     }
 
@@ -324,6 +330,17 @@ impl TcpSender {
         &self.stats
     }
 
+    /// Add this sender's share to the run's work counters.
+    pub fn count(&self, counters: &mut SimCounters) {
+        counters.tcp_segments_sent += self.stats.segments_sent;
+        counters.tcp_retransmits += self.stats.retransmits;
+        counters.tcp_rtos += self.stats.rtos;
+        counters.tcp_sack_blocks += self.sack_blocks;
+        counters.range_set_max_len = counters
+            .range_set_max_len
+            .max(self.scoreboard.max_len() as u64);
+    }
+
     /// True while in a loss-recovery episode.
     pub fn in_recovery(&self) -> bool {
         self.recovery.is_some()
@@ -336,15 +353,15 @@ impl TcpSender {
 
     /// Bytes above `snd_una` currently SACKed.
     pub fn sacked_bytes(&self) -> u64 {
-        self.scoreboard.iter().map(|(s, e)| e - s).sum()
+        self.scoreboard.bytes()
     }
 
     /// End of the highest SACKed range (or `snd_una` if none).
     pub fn highest_sacked(&self) -> u64 {
         self.scoreboard
-            .last_key_value()
-            .map(|(_, &e)| e)
-            .unwrap_or(self.snd_una)
+            .as_slice()
+            .last()
+            .map_or(self.snd_una, |&(_, e)| e)
     }
 
     /// RFC 6675-style pipe estimate: bytes believed in the network —
@@ -372,7 +389,7 @@ impl TcpSender {
         };
         let mut lost = 0u64;
         let mut cursor = self.snd_una.max(self.high_rtx);
-        for (&rs, &re) in self.scoreboard.iter() {
+        for &(rs, re) in self.scoreboard.as_slice() {
             if re <= cursor {
                 continue;
             }
@@ -397,7 +414,7 @@ impl TcpSender {
         }
         loop {
             // Skip SACKed ranges covering the cursor.
-            if let Some((&rs, &re)) = self.scoreboard.range(..=cursor).next_back() {
+            if let Some((rs, re)) = self.scoreboard.floor(cursor) {
                 if re > cursor {
                     debug_assert!(rs <= cursor);
                     cursor = re;
@@ -410,10 +427,8 @@ impl TcpSender {
             // The hole runs until the next SACKed range (or `highest`).
             let hole_end = self
                 .scoreboard
-                .range(cursor..)
-                .next()
-                .map(|(&rs, _)| rs)
-                .unwrap_or(highest)
+                .first_at_or_after(cursor)
+                .map_or(highest, |(rs, _)| rs)
                 .min(highest);
             debug_assert!(hole_end > cursor);
             // Deemed lost only with DupThresh worth of SACKed data above.
@@ -427,47 +442,12 @@ impl TcpSender {
         }
     }
 
-    fn insert_sack_block(&mut self, mut start: u64, mut end: u64) {
-        start = start.max(self.snd_una);
-        end = end.min(self.snd_nxt);
-        if start >= end {
-            return;
-        }
-        if let Some((&rs, &re)) = self.scoreboard.range(..=start).next_back() {
-            if re >= start {
-                start = rs;
-                end = end.max(re);
-                self.scoreboard.remove(&rs);
-            }
-        }
-        let overlapping: Vec<u64> = self
-            .scoreboard
-            .range(start..=end)
-            .map(|(&rs, _)| rs)
-            .collect();
-        for rs in overlapping {
-            if let Some(re) = self.scoreboard.remove(&rs) {
-                end = end.max(re);
-            }
-        }
-        self.scoreboard.insert(start, end);
-    }
-
-    fn prune_scoreboard(&mut self) {
-        while let Some((&rs, &re)) = self.scoreboard.first_key_value() {
-            if re <= self.snd_una {
-                self.scoreboard.remove(&rs);
-            } else if rs < self.snd_una {
-                self.scoreboard.remove(&rs);
-                self.scoreboard.insert(self.snd_una, re);
-            } else {
-                break;
-            }
-        }
-        if self.scoreboard.is_empty() {
-            // An emptied B-tree keeps its root leaf; a finished recovery
-            // should cost nothing (DESIGN.md "Footprint").
-            self.scoreboard = Default::default();
+    /// Record one SACK block, clipped to what is outstanding.
+    fn insert_sack_block(&mut self, start: u64, end: u64) {
+        let (start, end) = (start.max(self.snd_una), end.min(self.snd_nxt));
+        if start < end {
+            self.sack_blocks += 1;
+            self.scoreboard.insert(start, end);
         }
     }
 
@@ -707,7 +687,7 @@ impl TcpSender {
             self.stats.bytes_acked += newly;
             result.newly_acked = newly;
             if self.cfg.sack {
-                self.prune_scoreboard();
+                self.scoreboard.trim_below(self.snd_una);
                 self.high_rtx = self.high_rtx.max(self.snd_una);
             }
 

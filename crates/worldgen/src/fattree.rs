@@ -215,14 +215,14 @@ impl FatTree {
         SplitMix64::derive(self.seed, crate::STREAM_ECMP_SWITCH | node.0 as u64)
     }
 
-    /// Program the FIBs: per-destination-host down routes (exact) and
+    /// Program the routing tables: per-destination-host down routes and
     /// seeded ECMP groups up.
     fn install_routes(&mut self) {
         let half = self.k / 2;
         // Seed every switch's hash first.
         for &sw in self.edge.iter().chain(&self.agg) {
             let seed = self.switch_seed(sw);
-            self.routing.fib_mut(sw).set_ecmp_seed(seed);
+            self.routing.set_ecmp_seed(sw, seed);
         }
         for hi in 0..self.hosts.len() {
             let dst = self.host_at(hi);
@@ -236,7 +236,7 @@ impl FatTree {
                 }
                 let (sp, se, _sh) = self.host_coords(si);
                 let l = self.access_link(src, self.edge_at(sp, se));
-                self.routing.fib_mut(src).set_default_route(dst, l);
+                self.routing.set_default_route(src, dst, l);
             }
             // Edge switches: deliver locally, hash up otherwise.
             for p in 0..self.k {
@@ -244,12 +244,12 @@ impl FatTree {
                     let sw = self.edge_at(p, e);
                     if sw == dst_edge {
                         let l = self.access_link(dst, sw);
-                        self.routing.fib_mut(sw).set_default_route(dst, l);
+                        self.routing.set_default_route(sw, dst, l);
                     } else {
                         let ups: Vec<LinkId> = (0..half)
                             .map(|a| self.fabric_link(sw, self.agg_at(p, a)))
                             .collect();
-                        self.routing.fib_mut(sw).set_ecmp_group(dst, ups);
+                        self.routing.set_ecmp_group(sw, dst, ups);
                     }
                 }
             }
@@ -259,12 +259,12 @@ impl FatTree {
                     let sw = self.agg_at(p, a);
                     if p == dp {
                         let l = self.fabric_link(dst_edge, sw);
-                        self.routing.fib_mut(sw).set_default_route(dst, l);
+                        self.routing.set_default_route(sw, dst, l);
                     } else {
                         let ups: Vec<LinkId> = (0..half)
                             .map(|c| self.fabric_link(sw, self.core_at(a, c)))
                             .collect();
-                        self.routing.fib_mut(sw).set_ecmp_group(dst, ups);
+                        self.routing.set_ecmp_group(sw, dst, ups);
                     }
                 }
             }
@@ -273,7 +273,7 @@ impl FatTree {
                 for c in 0..half {
                     let sw = self.core_at(g, c);
                     let l = self.fabric_link(self.agg_at(dp, g), sw);
-                    self.routing.fib_mut(sw).set_default_route(dst, l);
+                    self.routing.set_default_route(sw, dst, l);
                 }
             }
         }
@@ -334,7 +334,8 @@ impl FatTree {
 
     /// The exact path ECMP forwards a flow with `flow_hash` along, from
     /// `src` to `dst`, by walking the programmed FIBs with the runtime
-    /// selection function ([`netsim::ecmp_select`] via [`netsim::Fib::route`]).
+    /// selection function ([`netsim::ecmp_select`] via
+    /// [`netsim::RoutingTables::route`]).
     pub fn ecmp_path(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Path {
         // simlint: allow(panic-surface, reason = "argument validation before any walking")
         assert_ne!(src, dst, "a path needs distinct endpoints");
@@ -358,8 +359,7 @@ impl FatTree {
             }
             let link = self
                 .routing
-                .fib(cur)
-                .route(&probe)
+                .route(cur, &probe)
                 // simlint: allow(unwrap, reason = "install_routes programmed every (switch, host) entry; a miss is a construction bug")
                 .expect("fat-tree FIBs cover every host destination");
             cur = self.topology.link(link).other_end(cur);
@@ -596,8 +596,7 @@ mod tests {
         let edge = t.edge[0];
         let group: Vec<LinkId> = t
             .routing
-            .fib(edge)
-            .ecmp_group(dst)
+            .ecmp_group(edge, dst)
             .expect("edge switch has an ECMP group for a remote host")
             .to_vec();
         let seed = t.switch_seed(edge);
@@ -636,6 +635,44 @@ mod tests {
             let pb = b.ecmp_path(b.hosts[2], b.hosts[11], flow);
             assert_eq!(pa.links(), pb.links());
         }
+    }
+
+    #[test]
+    fn a_six_hop_tagged_path_resolves_at_every_node_in_both_directions() {
+        // An inter-pod path is six hops: two route sets per direction
+        // (netsim keeps four hops per set), and the tag outranks the
+        // ECMP groups and default routes every switch on the way has.
+        let t = tree(4, 11);
+        let (src, dst) = (t.hosts[0], t.hosts[15]);
+        let path = t.equal_cost_path(src, dst, 1, 0);
+        assert_eq!(path.links().len(), 6);
+        let mut routing = t.routing.clone();
+        assert_eq!(routing.route_sets(), 0, "the fabric itself routes untagged");
+        routing.install_path(&path, Tag(9));
+        assert_eq!(routing.route_sets(), 4);
+        let towards = |to: NodeId| Packet {
+            id: 0,
+            src: if to == dst { src } else { dst },
+            dst: to,
+            tag: Tag(9),
+            protocol: Protocol::Raw,
+            payload: Payload::empty(),
+            data_len: 0,
+            flow_hash: 77,
+            ecn: Ecn::NotEct,
+        };
+        let (nodes, links) = (path.nodes(), path.links());
+        for (i, &link) in links.iter().enumerate() {
+            assert_eq!(routing.route(nodes[i], &towards(dst)), Some(link));
+            assert_eq!(routing.route(nodes[i + 1], &towards(src)), Some(link));
+        }
+        // A switch off the path still hashes: the tag means nothing there.
+        let other_agg = t.agg[0];
+        assert!(!nodes.contains(&other_agg));
+        assert_eq!(
+            routing.route(other_agg, &towards(dst)),
+            t.routing.route(other_agg, &towards(dst))
+        );
     }
 
     #[test]

@@ -45,19 +45,24 @@ const RETAINED_PER_CONNECTION: u64 = 361;
 /// Peak live heap of `run_traffic(&cell(PAIRS))`: the measured value + 5 %
 /// (6 750 556 before PR 17, 3 781 600 after, 2 618 288 with the wheel's
 /// chunk pool, 2 260 128 with one 144-byte record per link direction and
-/// packets in a slab).
-const PEAK_BUDGET_BYTES: u64 = 2_373_000;
+/// packets in a slab, 2 048 160 with tagged routes stored by destination
+/// and SACK / reassembly ranges in sorted vectors).
+const PEAK_BUDGET_BYTES: u64 = 2_150_000;
 /// Heap bytes each further pair adds to a world that is assembled and has
-/// not run an event yet — topology, FIBs, the simulator's per-direction
+/// not run an event yet — topology, routes, the simulator's per-direction
 /// records, two agents — everything `assembled_and_retained_by` allocates
 /// up to that point, traffic program and handles included: the measured
 /// value + 5 % (4 681 at the parent of the per-direction record, 4 217
-/// with it and an exact-fit coupling state).
-const ASSEMBLED_PER_PAIR: u64 = 4_428;
+/// with it and an exact-fit coupling state, 3 698 with four 40-byte route
+/// sets per pair in place of its share of five hash tables).
+const ASSEMBLED_PER_PAIR: u64 = 3_883;
 /// Allocator calls `run_traffic(&cell(PAIRS))` made at PR 17's parent
-/// commit, in the dev and the release profile alike (PR 17: 32 855; today
-/// 32 482).
+/// commit, in the dev and the release profile alike (PR 17: 32 855).
 const PARENT_ALLOCATOR_CALLS: u64 = 94_095;
+/// ... and while the scoreboards and reassembly sets were B-trees (PR 21).
+/// Sorted vectors make 30 467; going back over this by more than 1 % means
+/// a container on the packet path started asking the allocator again.
+const BTREE_ALLOCATOR_CALLS: u64 = 32_482;
 /// `run_traffic(&cell(PAIRS)).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0x9258_65b6_04ae_1d32;
 
@@ -163,5 +168,9 @@ fn a_finished_connection_costs_nothing() {
     assert!(
         calls * 2 < PARENT_ALLOCATOR_CALLS,
         "{calls} allocator calls, parent made {PARENT_ALLOCATOR_CALLS}"
+    );
+    assert!(
+        calls * 100 <= BTREE_ALLOCATOR_CALLS * 101,
+        "{calls} allocator calls, {BTREE_ALLOCATOR_CALLS} with B-tree range sets"
     );
 }
