@@ -31,10 +31,11 @@ if grep -rn 'EventLog\|Arc<Mutex\|feature = "check"\|Mirrored<' crates/; then
     exit 1
 fi
 
-echo "==> one range container, routes by destination (no B-tree range map in tcpsim/mptcpsim, no per-node exact-route table)"
+echo "==> one range container, routes by destination (no B-tree range map in tcpsim/mptcpsim, no per-node exact-route table, no per-node B-tree of untagged routes)"
 if grep -rn 'BTreeMap<u64, u64>' crates/tcpsim/src crates/mptcpsim/src ||
-    grep -rn 'ExactRoutes' crates/netsim/src; then
-    echo "replaced in PR 23 (DESIGN.md par 4, par 6, par 15): keep byte ranges in tcpsim::RangeSet and tagged routes in netsim::RoutingTables' route sets" >&2
+    grep -rn 'ExactRoutes' crates/netsim/src ||
+    grep -n 'BTreeMap<NodeId' crates/netsim/src/routing.rs; then
+    echo "replaced (DESIGN.md par 4, par 6, par 15): keep byte ranges in tcpsim::RangeSet, tagged routes in netsim::RoutingTables' route sets and untagged routes in its destination-sorted rows" >&2
     exit 1
 fi
 
@@ -143,14 +144,15 @@ echo "==> perfbench smoke (the benchmark still builds against the crates and its
 # a row saying so or is a bug.
 # fabric-ecmp, churn-4k and overload-4k also have a memory ceiling: peak RSS
 # repeats to 0.1-0.2 MB on one host, so unlike wall-clock it can be gated.
-# fabric-ecmp reads 7.8-8.0 MB (14.0 MB while every wheel bucket kept its own
+# fabric-ecmp reads 5.8-6.0 MB (7.8-8.0 MB while untagged routes were per-node
+# B-trees held twice, 14.0 MB while every wheel bucket kept its own
 # high-water allocation); churn-4k and overload-4k are the world at rest
 # (4 000 pairs assembled; on churn-4k most of them finished, on overload-4k
 # most of them mid-recovery): churn-4k reads 20.7-20.8 MB (21.0-21.2 MB with
 # boxed drop-tail queues, 22.9-23.0 MB while every node owned a route table),
 # overload-4k 25.5-25.6 MB (25.8-26.0 MB with boxed queues, 29.1 MB while SACK
 # scoreboards and reassembly sets were B-trees). 0 means no ceiling.
-for smoke in paper-bulk:0 fabric-ecmp:10 churn-4k:22 overload-4k:27; do
+for smoke in paper-bulk:0 fabric-ecmp:7 churn-4k:22 overload-4k:27; do
     workload=${smoke%:*}
     limit=${smoke#*:}
     cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \

@@ -236,12 +236,9 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
     });
     let pairs = pair_hosts(&tree, cell.connections);
 
-    // Place subflows and pin them. Tag values restart at 1 for every
-    // connection: FIB entries are keyed (destination, tag), and every
-    // connection owns a distinct host pair, so the routes cannot collide.
-    let mut routing = tree.routing.clone();
+    // Place every connection's subflows first: ECMP placement reads the
+    // tree's untagged routes.
     let mut placements = Vec::with_capacity(pairs.len());
-    let mut subflow_cfgs = Vec::with_capacity(pairs.len());
     for (i, &(src, dst)) in pairs.iter().enumerate() {
         let conn_seed = SplitMix64::derive(cell.seed, STREAM_CONN | i as u64);
         let paths = match cell.selector {
@@ -250,7 +247,6 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
         };
         // simlint: allow(panic-surface, reason = "both selectors return exactly 2 paths")
         let class = tree.classify_pair(&paths[0], &paths[1]);
-        subflow_cfgs.push(install_subflows(&mut routing, &paths, 1, 5000));
         placements.push((src, dst, paths, class));
     }
     let rate = collision_rate(
@@ -261,8 +257,15 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
             .collect::<Vec<_>>(),
     );
 
-    // Everything that reads the tree is computed; the world takes its
-    // topology, and each connection its subflow list, by move.
+    // Then pin them in the same tables, moved out of the tree so that the
+    // world's are the only copy. Tag values restart at 1 for every
+    // connection: FIB entries are keyed (destination, tag), and every
+    // connection owns a distinct host pair, so the routes cannot collide.
+    let mut routing = tree.routing;
+    let subflow_cfgs: Vec<_> = placements
+        .iter()
+        .map(|(_, _, paths, _)| install_subflows(&mut routing, paths, 1, 5000))
+        .collect();
     let mut world = World::new(tree.topology, routing, cell.seed, TraceSink::new());
     let receivers: Vec<ReceiverId> = placements
         .iter()

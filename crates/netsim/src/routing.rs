@@ -38,14 +38,15 @@
 //!   chain. A four-hop path (the traffic substrate's) is one set per
 //!   direction; a six-hop fat-tree path is two.
 //!
-//! Untagged state (default routes, ECMP groups, the ECMP seed) stays per
-//! node, allocated only for nodes that have any: a traffic cell's 8 000
-//! hosts route by tag alone and own nothing here.
+//! Untagged state stays per node, allocated only for nodes that have any: a
+//! traffic cell's 8 000 hosts route by tag alone and own nothing here. A
+//! node's default routes and ECMP groups are one row of 12-byte
+//! [`UntaggedRoute`]s sorted by destination, and the groups are interned: a
+//! fat-tree switch's uplink set is stored once, not once per remote host.
 
 use crate::packet::{LinkId, NodeId, Packet, Tag};
 use crate::paths::{shortest_path, Path};
 use crate::topology::Topology;
-use std::collections::BTreeMap;
 
 /// The ECMP member index for a flow: Fibonacci hash of the flow key mixed
 /// with the switch's seed. Seed 0 reproduces the historical unseeded hash
@@ -103,17 +104,17 @@ impl RouteSet {
     }
 }
 
-/// What a node knows about untagged traffic.
-///
-/// `BTreeMap`s so that iteration (diagnostics, future dump/export) is in
-/// key order and the structure is deterministic across processes —
-/// `HashMap`'s per-process seed would make any traversal order a hidden
-/// source of nondeterminism (enforced by simlint's `hash-iter` rule).
-#[derive(Debug, Clone, Default)]
-struct Untagged {
-    default_route: BTreeMap<NodeId, LinkId>,
-    ecmp: BTreeMap<NodeId, Vec<LinkId>>,
-    ecmp_seed: u64,
+/// No link has this id: an entry without a default route holds it.
+const NO_LINK: LinkId = LinkId(u32::MAX);
+
+/// A node's untagged route towards one destination.
+#[derive(Debug, Clone, Copy)]
+struct UntaggedRoute {
+    dst: NodeId,
+    /// The default route, or [`NO_LINK`].
+    default: LinkId,
+    /// Index into `RoutingTables::groups` of the ECMP group, or [`NIL`].
+    group: u32,
 }
 
 /// The forwarding state of a whole topology (see the module docs).
@@ -122,9 +123,13 @@ pub struct RoutingTables {
     /// Per destination: index into `sets` of its first route set.
     head: Vec<u32>,
     sets: Vec<RouteSet>,
-    /// Per node, reaching as far as the highest node that has any: `None`
-    /// until the node gets a default route, an ECMP group or a seed.
-    untagged: Vec<Option<Box<Untagged>>>,
+    /// Per node, reaching as far as the highest node that has any: its
+    /// untagged routes, sorted by destination.
+    untagged: Vec<Vec<UntaggedRoute>>,
+    /// Per node, reaching as far as the highest seeded one: its ECMP seed.
+    ecmp_seeds: Vec<u64>,
+    /// Every distinct ECMP group installed, each once.
+    groups: Vec<Box<[LinkId]>>,
 }
 
 impl RoutingTables {
@@ -138,7 +143,7 @@ impl RoutingTables {
         RoutingTables {
             head: vec![NIL; topo.node_count()],
             sets: Vec::with_capacity(2 * topo.node_count()),
-            untagged: Vec::new(),
+            ..RoutingTables::default()
         }
     }
 
@@ -196,13 +201,40 @@ impl RoutingTables {
         }
     }
 
-    /// `node`'s untagged state, allocated on first use.
-    fn untagged_mut(&mut self, node: NodeId) -> &mut Untagged {
-        slot(&mut self.untagged, node, None).get_or_insert_with(Box::default)
+    /// `node`'s entry towards `dst`, inserted empty on first use.
+    fn untagged_route_mut(&mut self, node: NodeId, dst: NodeId) -> &mut UntaggedRoute {
+        let routes = slot(&mut self.untagged, node, Vec::new());
+        let i = match routes.binary_search_by_key(&dst, |r| r.dst) {
+            Ok(i) => i,
+            Err(i) => {
+                let empty = UntaggedRoute {
+                    dst,
+                    default: NO_LINK,
+                    group: NIL,
+                };
+                routes.insert(i, empty);
+                i
+            }
+        };
+        &mut routes[i] // simlint: allow(panic-surface, reason = "i was found or inserted just above")
     }
 
-    fn untagged(&self, node: NodeId) -> Option<&Untagged> {
-        self.untagged.get(node.0 as usize)?.as_deref()
+    fn untagged_route(&self, node: NodeId, dst: NodeId) -> Option<&UntaggedRoute> {
+        let routes = self.untagged.get(node.0 as usize)?;
+        routes.get(routes.binary_search_by_key(&dst, |r| r.dst).ok()?)
+    }
+
+    /// The index of the group holding exactly `outs`, interning it if new.
+    /// Newest first: a fat-tree installs each switch's one group towards
+    /// every destination in a row, so the search ends at the first look.
+    fn intern(&mut self, outs: &[LinkId]) -> u32 {
+        let found = self.groups.iter().rposition(|g| **g == *outs);
+        let i = found.unwrap_or_else(|| {
+            self.groups.push(outs.into());
+            self.groups.len() - 1
+        });
+        // simlint: allow(unwrap, reason = "id allocation: 2^32 ECMP groups is out of scope by design, like 2^32 nodes")
+        u32::try_from(i).expect("ECMP group index fits u32")
     }
 
     /// Set `node`'s ECMP hash seed (see [`ecmp_select`]). Distinct seeds
@@ -210,29 +242,31 @@ impl RoutingTables {
     /// every switch in a layered fabric would make correlated choices and
     /// ECMP collisions would be systematically under- or over-counted.
     pub fn set_ecmp_seed(&mut self, node: NodeId, seed: u64) {
-        self.untagged_mut(node).ecmp_seed = seed;
+        *slot(&mut self.ecmp_seeds, node, 0) = seed;
     }
 
     /// `node`'s ECMP hash seed (0 unless set).
     pub fn ecmp_seed(&self, node: NodeId) -> u64 {
-        self.untagged(node).map_or(0, |u| u.ecmp_seed)
+        self.ecmp_seeds.get(node.0 as usize).copied().unwrap_or(0)
     }
 
     /// `node`'s ECMP group towards `dst`, if one is installed.
     pub fn ecmp_group(&self, node: NodeId, dst: NodeId) -> Option<&[LinkId]> {
-        self.untagged(node)?.ecmp.get(&dst).map(Vec::as_slice)
+        let group = self.untagged_route(node, dst)?.group;
+        self.groups.get(group as usize).map(|links| &**links)
     }
 
-    /// Install `node`'s default route towards `dst`.
+    /// Install `node`'s default route towards `dst` (replaces any previous).
     pub fn set_default_route(&mut self, node: NodeId, dst: NodeId, out: LinkId) {
-        self.untagged_mut(node).default_route.insert(dst, out);
+        self.untagged_route_mut(node, dst).default = out;
     }
 
     /// Install `node`'s ECMP group towards `dst` (replaces any previous
     /// group).
-    pub fn set_ecmp_group(&mut self, node: NodeId, dst: NodeId, outs: Vec<LinkId>) {
+    pub fn set_ecmp_group(&mut self, node: NodeId, dst: NodeId, outs: &[LinkId]) {
         assert!(!outs.is_empty(), "empty ECMP group");
-        self.untagged_mut(node).ecmp.insert(dst, outs);
+        let group = self.intern(outs);
+        self.untagged_route_mut(node, dst).group = group;
     }
 
     /// Route a packet standing at `node`: exact tag route, then ECMP hash,
@@ -249,15 +283,14 @@ impl RoutingTables {
                 at = set.next;
             }
         }
-        let untagged = self.untagged(node)?;
-        if let Some(group) = untagged.ecmp.get(&pkt.dst) {
+        let route = self.untagged_route(node, pkt.dst)?;
+        if let Some(group) = self.groups.get(route.group as usize) {
             // Deterministic flow hash -> group member. Fibonacci hashing
             // spreads consecutive flow keys across members.
-            return group
-                .get(ecmp_select(pkt.flow_hash, untagged.ecmp_seed, group.len()))
-                .copied();
+            let member = ecmp_select(pkt.flow_hash, self.ecmp_seed(node), group.len());
+            return group.get(member).copied();
         }
-        untagged.default_route.get(&pkt.dst).copied()
+        (route.default != NO_LINK).then_some(route.default)
     }
 
     /// Number of exact tag routes installed at `node`. Diagnostics: scans
@@ -273,6 +306,16 @@ impl RoutingTables {
     /// of the whole network cost.
     pub fn route_sets(&self) -> usize {
         self.sets.len()
+    }
+
+    /// Number of `(node, destination)` untagged route entries (12 B each).
+    pub fn untagged_routes(&self) -> usize {
+        self.untagged.iter().map(Vec::len).sum()
+    }
+
+    /// Number of distinct ECMP groups stored.
+    pub fn ecmp_groups(&self) -> usize {
+        self.groups.len()
     }
 
     /// Install tag routes for `path` under `tag`, forward **and** reverse,
@@ -328,6 +371,7 @@ mod tests {
     use crate::payload::Payload;
     use crate::queue::QueueConfig;
     use simbase::{Bandwidth, SimDuration};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn pkt(dst: NodeId, tag: Tag, flow_hash: u64) -> Packet {
         Packet {
@@ -419,7 +463,7 @@ mod tests {
     fn ecmp_is_deterministic_per_flow_and_spreads() {
         let (t, s, _u, _v, d) = diamond();
         let mut rt = RoutingTables::new(&t);
-        rt.set_ecmp_group(s, d, vec![LinkId(0), LinkId(2)]);
+        rt.set_ecmp_group(s, d, &[LinkId(0), LinkId(2)]);
         let mut counts = [0usize; 2];
         for flow in 0..100 {
             let l1 = rt.route(s, &pkt(d, Tag::NONE, flow)).unwrap();
@@ -450,7 +494,7 @@ mod tests {
         // exist to break); each individually stays deterministic.
         let (t, s, _u, _v, d) = diamond();
         let mut rt = RoutingTables::new(&t);
-        rt.set_ecmp_group(s, d, vec![LinkId(0), LinkId(2)]);
+        rt.set_ecmp_group(s, d, &[LinkId(0), LinkId(2)]);
         rt.set_ecmp_seed(s, 0x1234_5678_9ABC_DEF0);
         assert_eq!(rt.ecmp_seed(s), 0x1234_5678_9ABC_DEF0);
         let mut differs = 0;
@@ -620,13 +664,77 @@ mod tests {
                         2 => {
                             // ECMP outranks the default route.
                             rt.set_default_route(node, dst, LinkId(7001));
-                            rt.set_ecmp_group(node, dst, vec![LinkId(7002)]);
+                            rt.set_ecmp_group(node, dst, &[LinkId(7002)]);
                         }
                         _ => {}
                     }
                     for tag in 0..5u16 {
                         let want = oracle.get(&(node.0, dst.0, tag)).copied().or(below);
                         proptest::prop_assert_eq!(rt.route(node, &pkt(dst, Tag(tag), 9)), want);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        // The untagged rows against `BTreeMap` oracles: random default
+        // routes, ECMP groups (drawn from a few, so interning is exercised)
+        // and seeds over few nodes and destinations, so overwrites are
+        // common; then every (node, dst) looked up through `route` for an
+        // untagged packet and a tag miss, `ecmp_group` and `ecmp_seed`.
+        #[test]
+        fn untagged_routes_match_a_btreemap_oracle(
+            ops in proptest::collection::vec(
+                (0u8..3, 0u32..6, 0u32..9, 0u32..1000, 0usize..4),
+                0..200,
+            ),
+            flow_hash in proptest::prelude::any::<u64>(),
+        ) {
+            let groups: [&[LinkId]; 4] = [
+                &[LinkId(1)],
+                &[LinkId(1), LinkId(2)],
+                &[LinkId(2), LinkId(1)],
+                &[LinkId(3), LinkId(4), LinkId(5), LinkId(6)],
+            ];
+            let mut rt = RoutingTables::default();
+            let mut defaults: BTreeMap<(u32, u32), LinkId> = BTreeMap::new();
+            let mut ecmp: BTreeMap<(u32, u32), &[LinkId]> = BTreeMap::new();
+            let mut seeds: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut interned = BTreeSet::new();
+            for &(op, node, dst, link, group) in &ops {
+                match op {
+                    0 => {
+                        rt.set_default_route(NodeId(node), NodeId(dst), LinkId(link));
+                        defaults.insert((node, dst), LinkId(link));
+                    }
+                    1 => {
+                        rt.set_ecmp_group(NodeId(node), NodeId(dst), groups[group]);
+                        ecmp.insert((node, dst), groups[group]);
+                        interned.insert(groups[group]);
+                    }
+                    _ => {
+                        rt.set_ecmp_seed(NodeId(node), u64::from(link) << 20);
+                        seeds.insert(node, u64::from(link) << 20);
+                    }
+                }
+            }
+            let keys: BTreeSet<_> = defaults.keys().chain(ecmp.keys()).collect();
+            proptest::prop_assert_eq!(rt.untagged_routes(), keys.len());
+            proptest::prop_assert_eq!(rt.ecmp_groups(), interned.len());
+            for node in 0..7u32 {
+                let seed = seeds.get(&node).copied().unwrap_or(0);
+                proptest::prop_assert_eq!(rt.ecmp_seed(NodeId(node)), seed);
+                for dst in 0..10u32 {
+                    let group = ecmp.get(&(node, dst)).copied();
+                    proptest::prop_assert_eq!(rt.ecmp_group(NodeId(node), NodeId(dst)), group);
+                    let want = match group {
+                        Some(g) => Some(g[ecmp_select(flow_hash, seed, g.len())]),
+                        None => defaults.get(&(node, dst)).copied(),
+                    };
+                    for tag in [Tag::NONE, Tag(5)] {
+                        let got = rt.route(NodeId(node), &pkt(NodeId(dst), tag, flow_hash));
+                        proptest::prop_assert_eq!(got, want);
                     }
                 }
             }

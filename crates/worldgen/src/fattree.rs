@@ -216,73 +216,65 @@ impl FatTree {
     }
 
     /// Program the routing tables: per-destination-host down routes and
-    /// seeded ECMP groups up.
+    /// seeded ECMP groups up. Node by node, so that each switch builds the
+    /// uplink list it hashes over once and every row fills in destination
+    /// order.
     fn install_routes(&mut self) {
         let half = self.k / 2;
-        // Seed every switch's hash first.
-        for &sw in self.edge.iter().chain(&self.agg) {
-            let seed = self.switch_seed(sw);
-            self.routing.set_ecmp_seed(sw, seed);
-        }
-        for hi in 0..self.hosts.len() {
-            let dst = self.host_at(hi);
-            let (dp, de, _dh) = self.host_coords(hi);
-            let dst_edge = self.edge_at(dp, de);
-
-            // Hosts: single access link towards everything.
-            for (si, &src) in self.hosts.iter().enumerate() {
-                if si == hi {
-                    continue;
-                }
-                let (sp, se, _sh) = self.host_coords(si);
-                let l = self.access_link(src, self.edge_at(sp, se));
+        let hosts = &self.hosts;
+        // Hosts: single access link towards everything.
+        for (si, &src) in hosts.iter().enumerate() {
+            let (sp, se, _sh) = self.host_coords(si);
+            let l = self.access_link(src, self.edge_at(sp, se));
+            for &dst in hosts.iter().filter(|&&dst| dst != src) {
                 self.routing.set_default_route(src, dst, l);
             }
-            // Edge switches: deliver locally, hash up otherwise.
-            for p in 0..self.k {
-                for e in 0..half {
-                    let sw = self.edge_at(p, e);
-                    if sw == dst_edge {
+        }
+        for p in 0..self.k {
+            for i in 0..half {
+                // Edge switch: deliver locally, hash up otherwise.
+                let sw = self.edge_at(p, i);
+                self.routing.set_ecmp_seed(sw, self.switch_seed(sw));
+                let ups: Vec<LinkId> = (0..half)
+                    .map(|a| self.fabric_link(sw, self.agg_at(p, a)))
+                    .collect();
+                for (hi, &dst) in hosts.iter().enumerate() {
+                    let (dp, de, _dh) = self.host_coords(hi);
+                    if (dp, de) == (p, i) {
                         let l = self.access_link(dst, sw);
                         self.routing.set_default_route(sw, dst, l);
                     } else {
-                        let ups: Vec<LinkId> = (0..half)
-                            .map(|a| self.fabric_link(sw, self.agg_at(p, a)))
-                            .collect();
-                        self.routing.set_ecmp_group(sw, dst, ups);
+                        self.routing.set_ecmp_group(sw, dst, &ups);
                     }
                 }
-            }
-            // Aggregation switches: down inside the pod, hash to core across.
-            for p in 0..self.k {
-                for a in 0..half {
-                    let sw = self.agg_at(p, a);
-                    if p == dp {
-                        let l = self.fabric_link(dst_edge, sw);
+                // Aggregation switch: down inside the pod, hash to core across.
+                let sw = self.agg_at(p, i);
+                self.routing.set_ecmp_seed(sw, self.switch_seed(sw));
+                let ups: Vec<LinkId> = (0..half)
+                    .map(|c| self.fabric_link(sw, self.core_at(i, c)))
+                    .collect();
+                for (hi, &dst) in hosts.iter().enumerate() {
+                    let (dp, de, _dh) = self.host_coords(hi);
+                    if dp == p {
+                        let l = self.fabric_link(self.edge_at(dp, de), sw);
                         self.routing.set_default_route(sw, dst, l);
                     } else {
-                        let ups: Vec<LinkId> = (0..half)
-                            .map(|c| self.fabric_link(sw, self.core_at(a, c)))
-                            .collect();
-                        self.routing.set_ecmp_group(sw, dst, ups);
+                        self.routing.set_ecmp_group(sw, dst, &ups);
                     }
                 }
             }
-            // Core switches: one down link into the destination pod.
-            for g in 0..half {
-                for c in 0..half {
-                    let sw = self.core_at(g, c);
+        }
+        // Core switches: one down link into the destination pod.
+        for g in 0..half {
+            for c in 0..half {
+                let sw = self.core_at(g, c);
+                for (hi, &dst) in hosts.iter().enumerate() {
+                    let (dp, _de, _dh) = self.host_coords(hi);
                     let l = self.fabric_link(self.agg_at(dp, g), sw);
                     self.routing.set_default_route(sw, dst, l);
                 }
             }
         }
-    }
-
-    /// `hosts[i]` — callers hold an index from `host_index`/`host_coords`.
-    fn host_at(&self, i: usize) -> NodeId {
-        // simlint: allow(panic-surface, reason = "host indices are validated or loop-bounded by the caller")
-        self.hosts[i]
     }
 
     /// The edge switch at (pod `p`, position `e`).
