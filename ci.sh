@@ -18,8 +18,12 @@ echo "==> cargo test"
 cargo test --workspace --offline -q
 
 echo "==> one world builder (only crates/core/src/world.rs may construct a simulator or an MPTCP sender)"
-# (`if`, not `!`: sh's -e ignores a negated pipeline.)
-if grep -rn "Simulator::new\|MptcpSenderAgent::new" crates/core/src examples/*.rs |
+# (`if`, not `!`: sh's -e ignores a negated pipeline.) Repo-root tests build
+# simulators through World too; they may still drive a bare agent via Ctx::new.
+if {
+    grep -rn "Simulator::new\|MptcpSenderAgent::new" crates/core/src examples/*.rs
+    grep -rn "Simulator::new" tests/*.rs
+} |
     grep -v "^crates/core/src/world.rs:"; then
     echo "build it through overlap_core::World instead" >&2
     exit 1
@@ -39,9 +43,13 @@ if grep -rn 'BTreeMap<u64, u64>' crates/tcpsim/src crates/mptcpsim/src ||
     exit 1
 fi
 
-echo "==> closed sets stay values (link queues, subflow schedulers, trace invariants)"
+echo "==> closed sets stay values (link queues, subflow schedulers, trace invariants, one kind of endpoint)"
 if grep -rnE 'dyn (Queue|Scheduler|Invariant)\b|fn clone_box\b' crates/; then
     echo "replaced in PR 25 (DESIGN.md par 4): netsim::Queue and mptcpsim::SchedulerKind are enums, simtrace::Invariants is one struct; add a variant, not a trait object" >&2
+    exit 1
+fi
+if grep -rnE 'TcpSenderAgent|TcpReceiverAgent|AppSource::Paced|delayed_ack|cwnd_trace' crates/ tests/ examples/*.rs; then
+    echo "deleted (DESIGN.md par 3): a single-path flow is a one-subflow MPTCP connection; sample a sender's state from outside with World::run_until" >&2
     exit 1
 fi
 

@@ -407,7 +407,6 @@ impl Put for AppSource {
         match self {
             AppSource::Unlimited => 0u8.put(out),
             AppSource::Fixed(n) => (1u8, n).put(out),
-            AppSource::Paced { chunk, interval } => (2u8, chunk, interval).put(out),
         }
     }
 }

@@ -29,9 +29,7 @@ pub use receiver_agent::{
     common_destination, install_subflows, MptcpReceiverAgent, MptcpReceiverStats,
 };
 pub use scheduler::{Assignment, SchedulerKind, SubflowSnapshot};
-pub use sender_agent::{
-    CwndSample, MptcpConfig, MptcpSenderAgent, MptcpSenderStats, SubflowConfig,
-};
+pub use sender_agent::{MptcpConfig, MptcpSenderAgent, MptcpSenderStats, SubflowConfig};
 
 #[cfg(test)]
 mod e2e_tests {

@@ -23,7 +23,16 @@ use netsim::packet::Ecn;
 use netsim::{Agent, Ctx, NodeId, Packet, Protocol, SimCounters, Tag};
 use simbase::{SimDuration, SimRng, SimTime};
 use tcpsim::wire::{DssOption, TcpSegment};
-use tcpsim::{flow_hash, AppSource, TcpConfig, TcpSender};
+use tcpsim::{AppSource, TcpConfig, TcpSender};
+
+/// Failover: after this many consecutive RTO backoffs on a subflow, its
+/// unacknowledged DSN ranges are reinjected on the other subflows.
+const REINJECT_AFTER_BACKOFFS: u32 = 2;
+
+/// A stable flow hash from a subflow's port pair (for ECMP and traces).
+fn flow_hash(src_port: u16, dst_port: u16) -> u64 {
+    ((src_port as u64) << 16 | dst_port as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
 
 /// Per-subflow configuration: the tag pins the route; the ports identify
 /// the subflow (ndiffports-style).
@@ -53,8 +62,6 @@ pub struct MptcpConfig {
     pub app: AppSource,
     /// MSS per subflow, bytes.
     pub mss: u32,
-    /// Initial window per subflow, in segments.
-    pub initial_cwnd_segments: u32,
     /// SACK-based loss recovery on every subflow (Linux default: on).
     pub sack: bool,
     /// ECN on every subflow (requires ECN-marking queues to matter).
@@ -62,33 +69,9 @@ pub struct MptcpConfig {
     /// Delay before each non-initial subflow joins (the MP_JOIN handshake
     /// takes about one RTT in a real connection). Subflow 0 starts at once.
     pub join_delay: SimDuration,
-    /// Failover: after this many consecutive RTO backoffs on a subflow,
-    /// reinject its unacknowledged DSN ranges on the other subflows
-    /// (0 disables reinjection).
-    pub reinject_after_backoffs: u32,
     /// Additional uniform random jitter on each join (models handshake
     /// timing noise; gives distinct seeds distinct trajectories).
     pub join_jitter: SimDuration,
-    /// Sample every subflow's congestion state at this interval (for cwnd
-    /// dynamics plots); `None` disables tracing.
-    pub cwnd_trace_interval: Option<SimDuration>,
-}
-
-/// One sample of a subflow's congestion state.
-#[derive(Debug, Clone, Copy)]
-pub struct CwndSample {
-    /// Sample time.
-    pub time: SimTime,
-    /// Subflow index (creation order: 0 = default path's subflow).
-    pub subflow: usize,
-    /// Congestion window, bytes.
-    pub cwnd: u64,
-    /// Slow-start threshold, bytes (`u64::MAX` = still unlimited).
-    pub ssthresh: u64,
-    /// Smoothed RTT, if sampled.
-    pub srtt: Option<SimDuration>,
-    /// Bytes in flight.
-    pub flight: u64,
 }
 
 impl MptcpConfig {
@@ -102,13 +85,10 @@ impl MptcpConfig {
             scheduler: SchedulerKind::MinRtt,
             app: AppSource::Unlimited,
             mss: 1460,
-            initial_cwnd_segments: 10,
             sack: true,
             ecn: false,
             join_delay: SimDuration::from_millis(100),
             join_jitter: SimDuration::from_millis(20),
-            reinject_after_backoffs: 2,
-            cwnd_trace_interval: None,
         }
     }
 }
@@ -163,8 +143,6 @@ pub struct MptcpSenderAgent {
     remaining: Option<u64>,
     /// DSN ranges awaiting reinjection on a healthy subflow.
     pending_reinject: std::collections::VecDeque<(u64, u64)>,
-    /// Congestion-state samples (when tracing is enabled).
-    cwnd_trace: Vec<CwndSample>,
     /// `pump`'s view of the active subflows, rebuilt before every
     /// scheduling decision in this one buffer (sized for every subflow at
     /// construction, so the send path never allocates for it; released
@@ -179,7 +157,7 @@ impl MptcpSenderAgent {
     pub fn new(cfg: MptcpConfig) -> Self {
         assert!(!cfg.subflows.is_empty(), "need at least one subflow");
         let coupling = Coupling::new();
-        let initial_cwnd = cfg.initial_cwnd_segments as u64 * cfg.mss as u64;
+        let initial_cwnd = tcpsim::cc::initial_window(cfg.mss);
         let subs: Vec<Sub> = cfg
             .subflows
             .iter()
@@ -208,9 +186,6 @@ impl MptcpSenderAgent {
         let remaining = match cfg.app {
             AppSource::Unlimited => None,
             AppSource::Fixed(n) => Some(n),
-            AppSource::Paced { .. } => {
-                unimplemented!("paced sources are single-path only; use AppSource::Unlimited")
-            }
         };
         MptcpSenderAgent {
             cfg,
@@ -221,7 +196,6 @@ impl MptcpSenderAgent {
             dsn_next: 0,
             remaining,
             pending_reinject: Default::default(),
-            cwnd_trace: Vec::new(),
             stats: MptcpSenderStats::default(),
             rx_malformed: 0,
         }
@@ -230,11 +204,6 @@ impl MptcpSenderAgent {
     /// Connection-level statistics.
     pub fn stats(&self) -> &MptcpSenderStats {
         &self.stats
-    }
-
-    /// Congestion-state samples (empty unless tracing was enabled).
-    pub fn cwnd_trace(&self) -> &[CwndSample] {
-        &self.cwnd_trace
     }
 
     /// Packets dropped on arrival because their payload did not decode,
@@ -462,8 +431,6 @@ impl MptcpSenderAgent {
 
 /// Timer-token namespace for subflow activations (below this are RTOs).
 const TOKEN_JOIN_BASE: u64 = 1 << 32;
-/// Timer token for periodic cwnd sampling.
-const TOKEN_TRACE: u64 = 1 << 33;
 
 impl Agent for MptcpSenderAgent {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -480,9 +447,6 @@ impl Agent for MptcpSenderAgent {
             let delay =
                 self.cfg.join_delay.saturating_mul(i as u64) + SimDuration::from_nanos(jitter_ns);
             ctx.set_timer_after(delay, TOKEN_JOIN_BASE + i as u64);
-        }
-        if let Some(iv) = self.cfg.cwnd_trace_interval {
-            ctx.set_timer_after(iv, TOKEN_TRACE);
         }
         self.pump(ctx);
     }
@@ -523,22 +487,6 @@ impl Agent for MptcpSenderAgent {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == TOKEN_TRACE {
-            for (i, sub) in self.subs.iter().enumerate() {
-                self.cwnd_trace.push(CwndSample {
-                    time: ctx.now(),
-                    subflow: i,
-                    cwnd: sub.sender.cc().cwnd(),
-                    ssthresh: sub.sender.cc().ssthresh(),
-                    srtt: sub.sender.rtt().srtt(),
-                    flight: sub.sender.flight_size(),
-                });
-            }
-            if let Some(iv) = self.cfg.cwnd_trace_interval {
-                ctx.set_timer_after(iv, TOKEN_TRACE);
-            }
-            return;
-        }
         if token >= TOKEN_JOIN_BASE {
             let i = (token - TOKEN_JOIN_BASE) as usize;
             if let Some(sub) = self.subs.get_mut(i) {
@@ -560,8 +508,7 @@ impl Agent for MptcpSenderAgent {
             );
             sub.armed = None;
             sub.sender.on_timer(ctx.now());
-            let threshold = self.cfg.reinject_after_backoffs;
-            if threshold > 0 && n_subs > 1 && sub.sender.rtt().backoff() >= threshold {
+            if n_subs > 1 && sub.sender.rtt().backoff() >= REINJECT_AFTER_BACKOFFS {
                 self.fail_and_reinject(i);
             }
             self.pump(ctx);

@@ -1,10 +1,7 @@
 //! Application traffic models.
 //!
 //! The paper uses iperf — an unlimited greedy source. [`AppSource`] also
-//! provides bounded transfers (for flow-completion experiments) and a paced
-//! constant-bit-rate source (for background-traffic ablations).
-
-use simbase::{Bandwidth, SimDuration};
+//! provides bounded transfers (for flow-completion experiments).
 
 /// What the application above a TCP sender does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,54 +10,4 @@ pub enum AppSource {
     Unlimited,
     /// Send exactly this many bytes, then stop.
     Fixed(u64),
-    /// Offer `chunk` bytes every `interval` (CBR over TCP).
-    Paced {
-        /// Bytes pushed per interval.
-        chunk: u64,
-        /// Push interval.
-        interval: SimDuration,
-    },
-}
-
-impl AppSource {
-    /// A paced source approximating `rate`, pushing one chunk per 10 ms.
-    pub fn paced_at(rate: Bandwidth) -> AppSource {
-        let interval = SimDuration::from_millis(10);
-        AppSource::Paced {
-            chunk: rate.bytes_in(interval).max(1),
-            interval,
-        }
-    }
-
-    /// Total bytes this source will ever produce (`None` = unbounded).
-    pub fn total_bytes(&self) -> Option<u64> {
-        match self {
-            AppSource::Fixed(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paced_at_matches_rate() {
-        let src = AppSource::paced_at(Bandwidth::from_mbps(8));
-        match src {
-            AppSource::Paced { chunk, interval } => {
-                // 8 Mbps = 1 MB/s -> 10 KB per 10 ms.
-                assert_eq!(chunk, 10_000);
-                assert_eq!(interval, SimDuration::from_millis(10));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn totals() {
-        assert_eq!(AppSource::Unlimited.total_bytes(), None);
-        assert_eq!(AppSource::Fixed(42).total_bytes(), Some(42));
-    }
 }

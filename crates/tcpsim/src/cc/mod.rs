@@ -3,9 +3,9 @@
 //! The sender separates *reliability* (what to retransmit) from *rate
 //! control* (how much may be in flight); this module owns the latter. The
 //! interface is deliberately event-based — `on_ack`, `on_loss_event`,
-//! `on_rto` — because both the standalone algorithms here (Reno, CUBIC,
-//! Vegas) and the MPTCP *coupled* algorithms in `mptcpsim::cc` (LIA, OLIA,
-//! BALIA) fit it: a coupled algorithm is just a `CongestionControl` whose
+//! `on_rto` — because both the standalone algorithms here (Reno, CUBIC)
+//! and the MPTCP *coupled* algorithms in `mptcpsim::cc` (LIA, OLIA, BALIA,
+//! wVegas) fit it: a coupled algorithm is just a `CongestionControl` whose
 //! increase rule reads shared state from its sibling subflows.
 //!
 //! All windows are in **bytes** at the interface (fractional growth is kept
@@ -14,11 +14,9 @@
 
 pub mod cubic;
 pub mod reno;
-pub mod vegas;
 
 pub use cubic::Cubic;
 pub use reno::Reno;
-pub use vegas::Vegas;
 
 use simbase::{SimDuration, SimTime};
 

@@ -3,14 +3,14 @@
 //! Tracks the in-order delivery point (`rcv_nxt`), buffers out-of-order
 //! ranges, and generates an ACK for every arriving data segment ("quickack"
 //! behaviour — appropriate for bulk-throughput experiments and what makes
-//! duplicate-ACK loss detection fast; a delayed-ACK mode is available for
-//! ablations). Like the sender it performs no I/O: `on_data` returns the
-//! ACK segment the caller should transmit.
+//! duplicate-ACK loss detection fast). Like the sender it performs no I/O:
+//! `on_data` returns the ACK segment the caller should transmit, so the
+//! receiver never needs a timer.
 
 use crate::ranges::RangeSet;
 use crate::seq::SeqNum;
 use crate::wire::{SackList, TcpFlags, TcpSegment, Timestamps, MAX_SACK_BLOCKS};
-use simbase::{SimDuration, SimTime};
+use simbase::SimTime;
 
 /// Receiver configuration.
 #[derive(Debug, Clone)]
@@ -23,9 +23,6 @@ pub struct ReceiverConfig {
     pub dst_port: u16,
     /// Advertised receive window in bytes.
     pub window: u32,
-    /// If set, coalesce ACKs: at most one ACK per two segments or per this
-    /// timeout, whichever first (classic delayed ACK).
-    pub delayed_ack: Option<SimDuration>,
     /// Generate SACK blocks (RFC 2018). On by default, as in every modern
     /// stack; turn off for the NewReno-only ablation.
     pub sack: bool,
@@ -38,7 +35,6 @@ impl Default for ReceiverConfig {
             src_port: 5001,
             dst_port: 5000,
             window: 4 << 20,
-            delayed_ack: None,
             sack: true,
         }
     }
@@ -65,9 +61,6 @@ pub struct TcpReceiver {
     rcv_nxt: u64,
     /// Out-of-order ranges above `rcv_nxt`.
     ooo: RangeSet,
-    /// Pending delayed ACK state: segments since last ACK + deadline.
-    pending_acks: u32,
-    ack_deadline: Option<SimTime>,
     /// tsval of the most recent segment that advanced the window (echoed).
     last_tsval: u32,
     /// The out-of-order range that most recently grew (reported as the
@@ -90,8 +83,6 @@ impl TcpReceiver {
             cfg,
             rcv_nxt: 0,
             ooo: RangeSet::new(),
-            pending_acks: 0,
-            ack_deadline: None,
             last_tsval: 0,
             recent_block: None,
             ece_pending: false,
@@ -134,7 +125,8 @@ impl TcpReceiver {
     }
 
     /// Handle an arriving data segment (`data_len` from the packet).
-    /// Returns the ACK to transmit now, if any.
+    /// Returns the ACK to transmit now: every segment is acknowledged, and
+    /// `None` means the segment was ignored (see [`Self::on_data_ecn`]).
     pub fn on_data(&mut self, now: SimTime, seg: &TcpSegment, data_len: u32) -> Option<TcpSegment> {
         self.on_data_ecn(now, seg, data_len, false)
     }
@@ -197,33 +189,7 @@ impl TcpReceiver {
         self.rcv_nxt = self.ooo.absorb_prefix(end);
 
         self.try_consume_fin();
-
-        // Delayed-ACK policy.
-        match self.cfg.delayed_ack {
-            None => Some(self.make_ack(now)),
-            Some(timeout) => {
-                self.pending_acks += 1;
-                if self.pending_acks >= 2 || !self.ooo.is_empty() {
-                    Some(self.make_ack(now))
-                } else {
-                    self.ack_deadline = Some(now + timeout);
-                    None
-                }
-            }
-        }
-    }
-
-    /// The next time `on_timer` needs to be called (delayed-ACK flush).
-    pub fn next_timer(&self) -> Option<SimTime> {
-        self.ack_deadline
-    }
-
-    /// Flush a pending delayed ACK if its deadline has passed.
-    pub fn on_timer(&mut self, now: SimTime) -> Option<TcpSegment> {
-        match self.ack_deadline {
-            Some(d) if now >= d && self.pending_acks > 0 => Some(self.make_ack(now)),
-            _ => None,
-        }
+        Some(self.make_ack(now))
     }
 
     /// If the FIN's position equals the delivery point, consume its phantom
@@ -238,8 +204,6 @@ impl TcpReceiver {
     }
 
     fn make_ack(&mut self, now: SimTime) -> TcpSegment {
-        self.pending_acks = 0;
-        self.ack_deadline = None;
         self.stats.acks_sent += 1;
         TcpSegment {
             src_port: self.cfg.src_port,
@@ -420,51 +384,6 @@ mod tests {
             .on_data(t, &data_seg(&cfg, MSS / 2, 1), MSS as u32)
             .unwrap();
         assert_eq!(ack_offset(&cfg, &ack), MSS / 2 + MSS);
-    }
-
-    #[test]
-    fn delayed_ack_coalesces_pairs() {
-        let cfg = ReceiverConfig {
-            delayed_ack: Some(SimDuration::from_millis(40)),
-            ..Default::default()
-        };
-        let mut r = TcpReceiver::new(cfg.clone());
-        let t = SimTime::ZERO;
-        // First segment: held.
-        assert!(r.on_data(t, &data_seg(&cfg, 0, 1), MSS as u32).is_none());
-        assert!(r.next_timer().is_some());
-        // Second segment: flushed.
-        let ack = r.on_data(t, &data_seg(&cfg, MSS, 1), MSS as u32).unwrap();
-        assert_eq!(ack_offset(&cfg, &ack), 2 * MSS);
-        assert!(r.next_timer().is_none());
-    }
-
-    #[test]
-    fn delayed_ack_timer_flushes_singleton() {
-        let cfg = ReceiverConfig {
-            delayed_ack: Some(SimDuration::from_millis(40)),
-            ..Default::default()
-        };
-        let mut r = TcpReceiver::new(cfg.clone());
-        assert!(r
-            .on_data(SimTime::ZERO, &data_seg(&cfg, 0, 1), MSS as u32)
-            .is_none());
-        let deadline = r.next_timer().unwrap();
-        assert!(r.on_timer(deadline - SimDuration::from_nanos(1)).is_none());
-        let ack = r.on_timer(deadline).expect("flush");
-        assert_eq!(ack_offset(&cfg, &ack), MSS);
-    }
-
-    #[test]
-    fn delayed_ack_disabled_for_out_of_order() {
-        let cfg = ReceiverConfig {
-            delayed_ack: Some(SimDuration::from_millis(40)),
-            ..Default::default()
-        };
-        let mut r = TcpReceiver::new(cfg.clone());
-        // Out-of-order segment must ACK immediately despite delayed mode.
-        let ack = r.on_data(SimTime::ZERO, &data_seg(&cfg, 2 * MSS, 1), MSS as u32);
-        assert!(ack.is_some());
     }
 
     #[test]

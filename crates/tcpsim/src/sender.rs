@@ -4,8 +4,8 @@
 //! TCP connection: it decides *which bytes may be sent now*
 //! ([`TcpSender::poll_segment`]), reacts to ACKs ([`TcpSender::on_ack`]) and
 //! timer expiry ([`TcpSender::on_timer`]), and exposes the next deadline it
-//! needs ([`TcpSender::next_timer`]). It performs no I/O: the caller (a
-//! plain-TCP agent, or the MPTCP subflow wrapper) moves segments and arms
+//! needs ([`TcpSender::next_timer`]). It performs no I/O: the caller (the
+//! MPTCP sender agent, one engine per subflow) moves segments and arms
 //! timers. This mirrors smoltcp's design and makes the machine fully
 //! testable without a network.
 //!
@@ -14,8 +14,8 @@
 //! * cumulative ACKs, duplicate-ACK counting, **fast retransmit** after 3
 //!   dup-ACKs, **NewReno fast recovery** with window inflation and partial-
 //!   ACK retransmission (RFC 6582);
-//! * **RTO** per RFC 6298 with exponential backoff, go-back-N recovery
-//!   driven by partial ACKs;
+//! * **RTO** per RFC 6298 with exponential backoff (200 ms floor, 60 s
+//!   ceiling), go-back-N recovery driven by partial ACKs;
 //! * RTT sampling from timestamps (Karn-safe);
 //! * pluggable [`CongestionControl`];
 //! * flow control against the peer's advertised window.
@@ -46,24 +46,14 @@ pub struct TcpConfig {
     pub initial_cwnd: u64,
     /// Peer receive window assumed before the first ACK arrives.
     pub assumed_peer_window: u64,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupack_threshold: u32,
     /// Use SACK-based loss recovery (RFC 6675-style scoreboard). On by
     /// default, matching the Linux kernel the paper ran on; off = plain
     /// NewReno (ablation).
     pub sack: bool,
-    /// Tail loss probe (RFC 8985 / Linux TLP): after ~2 smoothed RTTs of
-    /// silence with data in flight, retransmit the tail segment so a lost
-    /// burst tail is detected by SACK/dup-ACK instead of a 200 ms+ RTO.
-    pub tlp: bool,
     /// ECN (RFC 3168): mark data packets ECT and treat ECN-Echo as a
     /// congestion signal (one window reduction per RTT). Off by default,
     /// like stock Linux for outgoing connections.
     pub ecn: bool,
-    /// Minimum retransmission timeout (Linux: 200 ms).
-    pub min_rto: SimDuration,
-    /// Maximum retransmission timeout.
-    pub max_rto: SimDuration,
 }
 
 impl Default for TcpConfig {
@@ -75,15 +65,18 @@ impl Default for TcpConfig {
             dst_port: 5001,
             initial_cwnd: crate::cc::initial_window(1460),
             assumed_peer_window: 4 << 20,
-            dupack_threshold: 3,
             sack: true,
-            tlp: true,
             ecn: false,
-            min_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(60),
         }
     }
 }
+
+/// Duplicate-ACK threshold for fast retransmit (RFC 5681).
+const DUPACK_THRESHOLD: u32 = 3;
+/// Minimum retransmission timeout (Linux: 200 ms).
+const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// Maximum retransmission timeout.
+const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 
 /// Why the sender is in a recovery episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,7 +191,7 @@ pub struct TcpSender {
 impl TcpSender {
     /// Create a sender with the given congestion controller.
     pub fn new(cfg: TcpConfig, cc: Box<dyn CongestionControl>) -> Self {
-        let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
+        let rtt = RttEstimator::new(MIN_RTO, MAX_RTO);
         let peer_window = cfg.assumed_peer_window;
         TcpSender {
             cfg,
@@ -375,7 +368,7 @@ impl TcpSender {
     /// The reordering allowance before a hole counts as lost:
     /// DupThresh segments of SACKed data above it (RFC 6675 IsLost).
     fn loss_threshold(&self) -> u64 {
-        self.cfg.dupack_threshold as u64 * self.cfg.mss as u64
+        DUPACK_THRESHOLD as u64 * self.cfg.mss as u64
     }
 
     /// Bytes in deemed-lost holes that have not been retransmitted yet.
@@ -760,7 +753,7 @@ impl TcpSender {
             }
             Some(_) => {}
             None => {
-                if self.dup_acks == self.cfg.dupack_threshold {
+                if self.dup_acks == DUPACK_THRESHOLD {
                     self.enter_fast_recovery(now);
                     result.entered_recovery = true;
                 }
@@ -816,7 +809,7 @@ impl TcpSender {
         // Retransmit the presumed-lost head segment.
         self.rtx_pending.push_back(self.snd_una);
         // Inflation for the threshold dup ACKs already seen.
-        self.inflation = self.cfg.dupack_threshold as u64 * self.cfg.mss as u64;
+        self.inflation = DUPACK_THRESHOLD as u64 * self.cfg.mss as u64;
     }
 
     /// Next deadline this sender needs a timer callback for.
@@ -877,12 +870,10 @@ impl TcpSender {
         self.rto_deadline = Some(now + self.rtt.rto());
     }
 
-    /// (Re-)arm the tail loss probe ~2 SRTT out (only meaningful with data
-    /// in flight and outside recovery).
+    /// (Re-)arm the tail loss probe (RFC 8985 / Linux TLP) ~2 SRTT out, so
+    /// a lost burst tail is detected by SACK/dup-ACK instead of a 200 ms+
+    /// RTO (only meaningful with data in flight and outside recovery).
     fn arm_tlp(&mut self, now: SimTime) {
-        if !self.cfg.tlp {
-            return;
-        }
         if self.flight_size() == 0 || self.recovery.is_some() {
             self.tlp_deadline = None;
             return;

@@ -25,24 +25,24 @@ fn main() {
         world.set_forward_jitter(SimDuration::from_micros(20));
         let cfg = MptcpConfig {
             algo,
-            cwnd_trace_interval: Some(SimDuration::from_millis(50)),
             ..MptcpConfig::bulk(dst, subflows)
         };
         let (sender, _) = world.connect(net.src, cfg, SimTime::ZERO);
-        world.run_until(SimTime::from_secs(10));
-        let trace = world.sender(sender).cwnd_trace();
 
-        // Build one cwnd series (in packets) per subflow.
-        let nbins = 200; // 10 s / 50 ms
-        let mut series = Vec::new();
-        for sf in 0..3 {
-            let mut vals = vec![0.0; nbins];
-            for s in trace.iter().filter(|s| s.subflow == sf) {
-                let bin = (s.time.as_nanos() / 50_000_000) as usize;
-                if bin < nbins {
-                    vals[bin] = s.cwnd as f64 / 1460.0;
-                }
+        // Sample every subflow's window (in packets) each 50 ms for 10 s:
+        // run to the bin's instant, then read the sender's state.
+        let nbins = 200;
+        let mut cwnds = vec![vec![0.0; nbins]; 3];
+        for bin in 1..nbins {
+            world.run_until(SimTime::from_millis(50 * bin as u64));
+            let sender = world.sender(sender);
+            for (sf, vals) in cwnds.iter_mut().enumerate() {
+                vals[bin] = sender.subflow_sender(sf).cc().cwnd() as f64 / 1460.0;
             }
+        }
+
+        let mut series = Vec::new();
+        for (sf, vals) in cwnds.into_iter().enumerate() {
             // Subflow order is default-first; map back to path labels.
             let path = if sf == 0 {
                 2

@@ -40,15 +40,18 @@ fn cell(pairs: usize) -> TrafficCell {
 /// wheel's chunk pool, some 195 B of it the engine's: the larger cell's pool
 /// peaks 13 chunks higher and its settled run doubled once more; 328 since
 /// a finished sender releases its RTT min-filters and scheduling scratch
-/// and an emptied timer table its buffer).
-const RETAINED_PER_CONNECTION: u64 = 361;
+/// and an emptied timer table its buffer; 300 with a 136-byte subflow
+/// receiver, now that it keeps no delayed-ACK state).
+const RETAINED_PER_CONNECTION: u64 = 315;
 /// Peak live heap of `run_traffic(&cell(PAIRS))`: the measured value + 5 %
 /// (6 750 556 before PR 17, 3 781 600 after, 2 618 288 with the wheel's
 /// chunk pool, 2 260 128 with one 144-byte record per link direction and
 /// packets in a slab, 2 048 160 with tagged routes stored by destination
 /// and SACK / reassembly ranges in sorted vectors; 2 030 560 at PR 25's
-/// parent, 2 004 848 with drop-tail queues held inline).
-const PEAK_BUDGET_BYTES: u64 = 2_105_100;
+/// parent, 2 004 848 with drop-tail queues held inline, 1 944 808 once
+/// subflow senders, receivers and the MPTCP sender kept no one-value
+/// options).
+const PEAK_BUDGET_BYTES: u64 = 2_042_100;
 /// Heap bytes each further pair adds to a world that is assembled and has
 /// not run an event yet — topology, routes, the simulator's per-direction
 /// records, two agents — everything `assembled_and_retained_by` allocates
@@ -57,8 +60,9 @@ const PEAK_BUDGET_BYTES: u64 = 2_105_100;
 /// with it and an exact-fit coupling state, 3 698 with four 40-byte route
 /// sets per pair in place of its share of five hash tables; 3 653 at PR 25's
 /// parent, 3 589 with each link direction's drop-tail queue inline instead
-/// of boxed).
-const ASSEMBLED_PER_PAIR: u64 = 3_769;
+/// of boxed, 3 485 with the MPTCP sender 56 bytes and each subflow sender
+/// 24 bytes smaller).
+const ASSEMBLED_PER_PAIR: u64 = 3_660;
 /// Allocator calls `run_traffic(&cell(PAIRS))` made at PR 17's parent
 /// commit, in the dev and the release profile alike (PR 17: 32 855).
 const PARENT_ALLOCATOR_CALLS: u64 = 94_095;

@@ -12,10 +12,7 @@ use mptcp_overlap::prelude::*;
 use mptcp_overlap::simbase::Xoshiro256StarStar;
 use mptcp_overlap::simtrace::TraceSink;
 use mptcp_overlap::tcpsim::wire::SackList;
-use mptcp_overlap::tcpsim::{
-    AppSource, Cubic, DssOption, ReceiverConfig, SeqNum, TcpConfig, TcpFlags, TcpReceiverAgent,
-    TcpSegment, TcpSenderAgent, Timestamps,
-};
+use mptcp_overlap::tcpsim::{AppSource, DssOption, SeqNum, TcpFlags, TcpSegment, Timestamps};
 use proptest::prelude::*;
 
 /// Build a two-disjoint-path network with arbitrary small capacities,
@@ -261,14 +258,6 @@ proptest! {
             src_port: 5000 + 2 * i,
             dst_port: 5001 + 2 * i,
         };
-        let mut tcp_tx = TcpSenderAgent::new(
-            TcpConfig::default(),
-            Box::new(Cubic::new(14_600, 1460)),
-            AppSource::Unlimited,
-            NodeId(0),
-            Tag(1),
-        );
-        let mut tcp_rx = TcpReceiverAgent::new(ReceiverConfig::default(), Tag(1));
         let mut mp_tx =
             MptcpSenderAgent::new(MptcpConfig::bulk(NodeId(0), vec![subflow(0), subflow(1)]));
         let mut mp_rx = MptcpReceiverAgent::default();
@@ -276,16 +265,9 @@ proptest! {
         let mut offered = 0;
         for payload in payloads.iter().filter(|p| TcpSegment::decode(p).is_err()) {
             offered += 1;
-            let effects = [
-                offer(&mut tcp_tx, payload),
-                offer(&mut tcp_rx, payload),
-                offer(&mut mp_tx, payload),
-                offer(&mut mp_rx, payload),
-            ];
-            prop_assert_eq!(effects, [0; 4], "{:?}", payload);
+            let effects = [offer(&mut mp_tx, payload), offer(&mut mp_rx, payload)];
+            prop_assert_eq!(effects, [0; 2], "{:?}", payload);
         }
-        prop_assert_eq!(tcp_tx.rx_malformed(), offered);
-        prop_assert_eq!(tcp_rx.rx_malformed(), offered);
         prop_assert_eq!(mp_tx.rx_malformed(), offered);
         prop_assert_eq!(mp_rx.rx_malformed(), offered);
 
@@ -304,8 +286,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Segments that *do* decode but promise nothing about their sequence,
-    /// acknowledgement, SACK or DSS numbers, offered in any order to all
-    /// four agents (the senders started, so they have data in flight):
+    /// acknowledgement, SACK or DSS numbers, offered in any order to both
+    /// MPTCP agents (the sender started, so it has data in flight):
     /// nothing panics; a number from before the start of its stream, or a
     /// DSS mapping running off the end of the DSN space, is counted in
     /// `rx_malformed` and has no effect; nothing else is counted; and no
@@ -319,21 +301,12 @@ proptest! {
             src_port: 5000 + 2 * i,
             dst_port: 5001 + 2 * i,
         };
-        let mut tcp_tx = TcpSenderAgent::new(
-            TcpConfig::default(),
-            Box::new(Cubic::new(14_600, 1460)),
-            AppSource::Unlimited,
-            NodeId(0),
-            Tag(1),
-        );
-        let mut tcp_rx = TcpReceiverAgent::new(ReceiverConfig::default(), Tag(1));
         let mut mp_tx = MptcpSenderAgent::new(MptcpConfig {
             join_delay: SimDuration::ZERO,
             join_jitter: SimDuration::ZERO,
             ..MptcpConfig::bulk(NodeId(0), vec![subflow(0), subflow(1)])
         });
         let mut mp_rx = MptcpReceiverAgent::default();
-        prop_assert!(drive(|ctx| tcp_tx.on_start(ctx)) > 0);
         prop_assert!(drive(|ctx| mp_tx.on_start(ctx)) > 0);
 
         let mut carried = 0u64;
@@ -345,36 +318,23 @@ proptest! {
             let seg = TcpSegment::decode(payload).expect("an encoded segment decodes");
             carried += u64::from(*data_len) + u64::from(seg.dss.map_or(0, |d| d.data_len));
 
-            // Plain TCP sender: an ACK from before the stream is wild.
-            let wild = seg.flags.ack && tcp_tx.sender().ack_offset(seg.ack).is_none();
-            let (before, una) = (tcp_tx.rx_malformed(), tcp_tx.sender().snd_una());
-            let effects = offer_data(&mut tcp_tx, payload, *data_len);
-            prop_assert_eq!(tcp_tx.rx_malformed() - before, u64::from(wild), "{:?}", seg);
-            if wild {
-                prop_assert_eq!((effects, tcp_tx.sender().snd_una()), (0, una));
-            }
-            prop_assert!(tcp_tx.sender().snd_una() <= tcp_tx.sender().snd_nxt());
-
-            // Plain TCP receiver: a sequence number from before the stream.
-            let wild = tcp_rx.receiver().stream_offset(seg.seq).is_none();
-            let (before, delivered) = (tcp_rx.rx_malformed(), tcp_rx.receiver().delivered());
-            let effects = offer_data(&mut tcp_rx, payload, *data_len);
-            prop_assert_eq!(tcp_rx.rx_malformed() - before, u64::from(wild), "{:?}", seg);
-            if wild {
-                prop_assert_eq!((effects, tcp_rx.receiver().delivered()), (0, delivered));
-            }
-            prop_assert!(tcp_rx.receiver().delivered() <= carried + 1, "FIN is one phantom byte");
-
             // MPTCP sender: a stray port, or a wild ACK on the subflow the
             // port names. A data ACK beyond what was scheduled is ignored.
             let owner = (0..mp_tx.subflow_count())
                 .find(|&i| mp_tx.subflow_sender(i).config().src_port == seg.dst_port);
             let wild = seg.flags.ack
                 && owner.is_none_or(|i| mp_tx.subflow_sender(i).ack_offset(seg.ack).is_none());
-            let before = mp_tx.rx_malformed();
+            let una = |tx: &MptcpSenderAgent| owner.map(|i| tx.subflow_sender(i).snd_una());
+            let (before, una_before) = (mp_tx.rx_malformed(), una(&mp_tx));
             let effects = offer_data(&mut mp_tx, payload, *data_len);
             prop_assert_eq!(mp_tx.rx_malformed() - before, u64::from(wild), "{:?}", seg);
-            prop_assert!(!wild || effects == 0);
+            if wild {
+                prop_assert_eq!((effects, una(&mp_tx)), (0, una_before));
+            }
+            for i in 0..mp_tx.subflow_count() {
+                let sub = mp_tx.subflow_sender(i);
+                prop_assert!(sub.snd_una() <= sub.snd_nxt());
+            }
             prop_assert!(mp_tx.stats().data_acked <= mp_tx.stats().bytes_scheduled);
 
             // MPTCP receiver: counted packets change nothing; the rest may
@@ -416,15 +376,10 @@ fn a_sequence_number_before_the_stream_is_counted_not_a_panic() {
         ..Default::default()
     }
     .encode();
-    let mut tcp_rx = TcpReceiverAgent::new(ReceiverConfig::default(), Tag(1));
     let mut mp_rx = MptcpReceiverAgent::default();
-    assert_eq!(offer_data(&mut tcp_rx, seg.as_slice(), 100), 0);
     assert_eq!(offer_data(&mut mp_rx, seg.as_slice(), 100), 0);
-    assert_eq!((tcp_rx.rx_malformed(), mp_rx.rx_malformed()), (1, 1));
-    assert_eq!(
-        (tcp_rx.receiver().delivered(), mp_rx.data_delivered()),
-        (0, 0)
-    );
+    assert_eq!(mp_rx.rx_malformed(), 1);
+    assert_eq!(mp_rx.data_delivered(), 0);
     assert_eq!(mp_rx.subflow_count(), 0, "no subflow is opened for it");
 }
 
