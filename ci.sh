@@ -35,11 +35,18 @@ if grep -rn 'EventLog\|Arc<Mutex\|feature = "check"\|Mirrored<' crates/; then
     exit 1
 fi
 
-echo "==> one range container, routes by destination (no B-tree range map in tcpsim/mptcpsim, no per-node exact-route table, no per-node B-tree of untagged routes)"
-if grep -rn 'BTreeMap<u64, u64>' crates/tcpsim/src crates/mptcpsim/src ||
+echo "==> one range container, routes by destination (no B-tree range map in tcpsim/mptcpsim/simtrace, no per-node exact-route table, no per-node B-tree of untagged routes)"
+if grep -rn 'BTreeMap<u64, u64>' crates/tcpsim/src crates/mptcpsim/src crates/simtrace/src ||
     grep -rn 'ExactRoutes' crates/netsim/src ||
     grep -n 'BTreeMap<NodeId' crates/netsim/src/routing.rs; then
-    echo "replaced (DESIGN.md par 4, par 6, par 15): keep byte ranges in tcpsim::RangeSet, tagged routes in netsim::RoutingTables' route sets and untagged routes in its destination-sorted rows" >&2
+    echo "replaced (DESIGN.md par 4, par 6, par 15): keep byte ranges in tcpsim::RangeSet, delivered ids in simtrace::Invariants' sorted vector, tagged routes in netsim::RoutingTables' route sets and untagged routes in its destination-sorted rows" >&2
+    exit 1
+fi
+
+echo "==> one header encoding (tcpsim's wire codec writes and reads each field once, at fixed offsets)"
+if grep -rn 'PayloadWriter' crates/ ||
+    grep -nE 'put_u8|get_u32|bytes::Buf' crates/tcpsim/src/wire.rs; then
+    echo "replaced (DESIGN.md par 4 tcpsim, Wire realism): encode into one [u8; INLINE_CAP] with to_be_bytes and Payload::from_array, decode through first_chunk / split_first_chunk; the byte-at-a-time codec lives on only as the test oracle in crates/tcpsim/src/wire/tests/reference.rs" >&2
     exit 1
 fi
 

@@ -46,7 +46,7 @@ pub use packet::{Dir, Ecn, LinkId, NodeId, Packet, PacketMeta, Protocol, Tag, IP
 pub use paths::{
     all_simple_paths, k_shortest_paths, shortest_path, Path, PathError, SharingAnalysis,
 };
-pub use payload::{Payload, PayloadWriter, INLINE_CAP};
+pub use payload::{Payload, INLINE_CAP};
 pub use queue::{
     CoDel, CoDelConfig, Dequeued, DropReason, DropTail, EnqueueResult, Queue, QueueConfig, Queued,
     Red, RedConfig,

@@ -8,10 +8,9 @@
 //! than [`INLINE_CAP`] bytes (only possible for exotic test traffic) fall
 //! back to a shared [`Bytes`] buffer transparently.
 //!
-//! [`PayloadWriter`] is the matching builder: a fixed-capacity cursor that
-//! implements [`bytes::BufMut`], so wire codecs write big-endian fields
-//! exactly as they would into a `BytesMut` and then [`PayloadWriter::finish`]
-//! into a [`Payload`] without ever allocating.
+//! A wire codec that knows its header fits builds it in place: it writes
+//! fields into a zeroed `[u8; INLINE_CAP]` and hands the array over with
+//! [`Payload::from_array`], without another copy or an allocation.
 
 use bytes::Bytes;
 use std::fmt;
@@ -57,6 +56,15 @@ impl Payload {
             }
             _ => Payload(Repr::Heap(Bytes::copy_from_slice(s))),
         }
+    }
+
+    /// The inline payload holding the first `len` bytes of `buf` (a `len`
+    /// past [`INLINE_CAP`] is clamped to it). The array is kept as it is:
+    /// an encoder that wrote its fields into `buf` hands it over whole.
+    #[inline]
+    pub fn from_array(buf: [u8; INLINE_CAP], len: usize) -> Payload {
+        let len = u8::try_from(len.min(INLINE_CAP)).unwrap_or(u8::MAX);
+        Payload(Repr::Inline { len, buf })
     }
 
     /// The payload bytes.
@@ -154,97 +162,9 @@ impl fmt::Debug for Payload {
     }
 }
 
-/// A fixed-capacity big-endian write cursor producing a [`Payload`].
-///
-/// Capacity is [`INLINE_CAP`] bytes; writes past the end are discarded (and
-/// trip a debug assertion). Callers encoding bounded structures — like the
-/// TCP header, whose data-offset field caps it at 60 bytes — can therefore
-/// write unconditionally and [`finish`](PayloadWriter::finish) into an
-/// always-inline payload.
-pub struct PayloadWriter {
-    buf: [u8; INLINE_CAP],
-    len: usize,
-}
-
-impl PayloadWriter {
-    /// A fresh, empty writer.
-    pub fn new() -> PayloadWriter {
-        PayloadWriter {
-            buf: [0; INLINE_CAP],
-            len: 0,
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The bytes written so far.
-    pub fn as_slice(&self) -> &[u8] {
-        self.buf.get(..self.len).unwrap_or(&[])
-    }
-
-    /// Append a slice. A write that would exceed the capacity is dropped
-    /// whole (debug builds assert; encoders are expected to stay within
-    /// their protocol's own length limits, which are all under the cap).
-    pub fn put_slice(&mut self, s: &[u8]) {
-        let end = self.len + s.len();
-        match self.buf.get_mut(self.len..end) {
-            Some(dst) => {
-                dst.copy_from_slice(s);
-                self.len = end;
-            }
-            None => {
-                debug_assert!(
-                    false,
-                    "payload writer overflow: {} + {} > {INLINE_CAP}",
-                    self.len,
-                    s.len()
-                );
-            }
-        }
-    }
-
-    /// Consume the writer, producing an (inline) payload.
-    pub fn finish(self) -> Payload {
-        Payload::from_slice(self.as_slice())
-    }
-}
-
-impl Default for PayloadWriter {
-    fn default() -> PayloadWriter {
-        PayloadWriter::new()
-    }
-}
-
-impl bytes::BufMut for PayloadWriter {
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    fn put_u16(&mut self, v: u16) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BufMut;
 
     #[test]
     fn empty_is_inline_and_zero_length() {
@@ -305,42 +225,18 @@ mod tests {
     }
 
     #[test]
-    fn writer_builds_big_endian_inline_payloads() {
-        let mut w = PayloadWriter::new();
-        assert!(w.is_empty());
-        w.put_u8(7);
-        w.put_u16(0xBEEF);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(0x0102_0304_0506_0708);
-        w.put_slice(&[1, 2]);
-        assert_eq!(w.len(), 17);
-        assert_eq!(
-            w.as_slice(),
-            &[7, 0xBE, 0xEF, 0xDE, 0xAD, 0xBE, 0xEF, 1, 2, 3, 4, 5, 6, 7, 8, 1, 2]
-        );
-        let p = w.finish();
+    fn from_array_keeps_the_prefix_inline() {
+        let mut buf = [0u8; INLINE_CAP];
+        buf[..3].copy_from_slice(&[7, 0xBE, 0xEF]);
+        let p = Payload::from_array(buf, 3);
         assert!(p.is_inline());
-        assert_eq!(p.len(), 17);
-    }
-
-    #[test]
-    fn writer_can_fill_to_capacity() {
-        let mut w = PayloadWriter::new();
-        w.put_slice(&[0xAA; INLINE_CAP]);
-        assert_eq!(w.len(), INLINE_CAP);
-        let p = w.finish();
-        assert!(p.is_inline());
-        assert_eq!(p.len(), INLINE_CAP);
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "payload writer overflow"))]
-    fn writer_overflow_is_rejected() {
-        let mut w = PayloadWriter::new();
-        w.put_slice(&[0; INLINE_CAP]);
-        w.put_slice(&[1]);
-        // Release builds drop the overflowing write instead of panicking.
-        assert_eq!(w.len(), INLINE_CAP);
+        assert_eq!(p.as_slice(), &[7, 0xBE, 0xEF]);
+        assert_eq!(p, Payload::from_slice(&[7, 0xBE, 0xEF]));
+        let full = Payload::from_array([0xAA; INLINE_CAP], INLINE_CAP);
+        assert_eq!(full.as_slice(), &[0xAA; INLINE_CAP]);
+        // A length past the array is clamped to it, never read past it.
+        let clamped = Payload::from_array([1; INLINE_CAP], INLINE_CAP + 1);
+        assert_eq!(clamped.as_slice(), &[1; INLINE_CAP]);
     }
 
     #[test]

@@ -10,6 +10,10 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
+/// Bits per byte times nanoseconds per second: `bytes * NS_BITS_PER_BYTE /
+/// bps` is a transmission time in nanoseconds.
+const NS_BITS_PER_BYTE: u64 = 8 * 1_000_000_000;
+
 /// A link or flow rate in bits per second.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct Bandwidth(u64);
@@ -52,11 +56,22 @@ impl Bandwidth {
     ///
     /// Exact integer arithmetic: `ns = bytes * 8 * 1e9 / bps`, rounded up so
     /// a packet never finishes "early" (rounding down could let a link carry
-    /// fractionally more than its capacity over long windows).
+    /// fractionally more than its capacity over long windows). The product
+    /// fits a `u64` up to 2.3 GB, so a packet divides in 64 bits; only
+    /// larger sizes take the 128-bit path.
     pub fn tx_time(self, bytes: u64) -> SimDuration {
         assert!(self.0 > 0, "tx_time on a zero-capacity link");
-        let bits = (bytes as u128) * 8 * 1_000_000_000u128;
-        let ns = bits.div_ceil(self.0 as u128);
+        match bytes.checked_mul(NS_BITS_PER_BYTE) {
+            Some(bits) => SimDuration::from_nanos(bits.div_ceil(self.0)),
+            None => self.tx_time_wide(bytes),
+        }
+    }
+
+    /// [`Bandwidth::tx_time`] in 128 bits, for sizes whose product
+    /// overflows a `u64`.
+    fn tx_time_wide(self, bytes: u64) -> SimDuration {
+        let bits = u128::from(bytes) * u128::from(NS_BITS_PER_BYTE);
+        let ns = bits.div_ceil(u128::from(self.0));
         SimDuration::from_nanos(u64::try_from(ns).expect("tx time overflow")) // simlint: allow(unwrap, reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap")
     }
 
@@ -191,6 +206,23 @@ mod tests {
     }
 
     #[test]
+    fn tx_time_takes_the_wide_path_past_u64() {
+        // The product first overflows a u64 one byte past this size.
+        let edge = u64::MAX / NS_BITS_PER_BYTE;
+        assert!(edge.checked_mul(NS_BITS_PER_BYTE).is_some());
+        assert!((edge + 1).checked_mul(NS_BITS_PER_BYTE).is_none());
+        let bw = Bandwidth::from_gbps(100);
+        assert_eq!(bw.tx_time(edge).as_nanos(), 184_467_441);
+        assert_eq!(bw.tx_time(edge + 1).as_nanos(), 184_467_441);
+    }
+
+    #[test]
+    #[should_panic(expected = "tx time overflow")]
+    fn tx_time_overflow_panics() {
+        let _ = Bandwidth::from_bps(1).tx_time(u64::MAX);
+    }
+
+    #[test]
     #[should_panic(expected = "zero-capacity")]
     fn tx_time_on_dead_link_panics() {
         let _ = Bandwidth::ZERO.tx_time(1);
@@ -219,5 +251,38 @@ mod tests {
         assert_eq!(format!("{}", Bandwidth::from_bps(999)), "999bps");
         assert_eq!(format!("{}", ByteSize::from_kib(64)), "64KiB");
         assert_eq!(format!("{}", ByteSize::from_bytes(100)), "100B");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Both paths of `tx_time` give the exact rounded-up quotient over
+        /// the whole `bytes` x `bps` range: sizes at every scale and within
+        /// 512 bytes of the size where the product stops fitting a `u64`,
+        /// rates from 1 bps to `u64::MAX`.
+        #[test]
+        fn tx_time_paths_agree(
+            raw_bytes in any::<u64>(),
+            bytes_shift in 0u32..64,
+            near_edge in any::<bool>(),
+            delta in 0u64..1024,
+            raw_bps in any::<u64>(),
+            bps_shift in 0u32..64,
+        ) {
+            let edge = u64::MAX / NS_BITS_PER_BYTE;
+            let bytes = if near_edge { edge - 512 + delta } else { raw_bytes >> bytes_shift };
+            let bw = Bandwidth::from_bps((raw_bps >> bps_shift).max(1));
+            let exact = (u128::from(bytes) * 8_000_000_000).div_ceil(u128::from(bw.as_bps()));
+            if let Ok(ns) = u64::try_from(exact) {
+                prop_assert_eq!(bw.tx_time(bytes).as_nanos(), ns);
+                prop_assert_eq!(bw.tx_time_wide(bytes).as_nanos(), ns);
+            }
+        }
     }
 }

@@ -23,7 +23,6 @@
 
 use netsim::{CaptureKind, CaptureRecord, Ecn, Protocol};
 use simbase::{Fnv64, SimTime};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A violated invariant: which check failed, when, and why.
@@ -61,7 +60,9 @@ impl fmt::Display for InvariantViolation {
 /// delivered under are contiguous up to drops. The delivered set is
 /// therefore a coalescing interval set whose size is O(holes) — one
 /// interval per agent plus one per packet lost and not yet "filled in", not
-/// one entry per delivery.
+/// one entry per delivery. It is a sorted vector: a delivery finds its
+/// neighbours by binary search and, in the common in-order case, extends
+/// one interval in place.
 ///
 /// A value, because the suite lives inside the simulator's capture sink,
 /// which checkpoints deep-copy.
@@ -69,9 +70,9 @@ impl fmt::Display for InvariantViolation {
 pub struct Invariants {
     /// Latest capture time seen.
     last: Option<SimTime>,
-    /// Delivered ids: disjoint, non-adjacent inclusive intervals,
-    /// `start → end`.
-    seen: BTreeMap<u64, u64>,
+    /// Delivered ids: disjoint, non-adjacent inclusive intervals
+    /// `(start, end)`, sorted by start.
+    seen: Vec<(u64, u64)>,
 }
 
 impl Invariants {
@@ -113,18 +114,34 @@ impl Invariants {
 
     /// Add `id` to the delivered set; false if it was already present.
     fn insert_delivered(&mut self, id: u64) -> bool {
-        let below = self.seen.range(..=id).next_back().map(|(&s, &e)| (s, e));
-        if below.is_some_and(|(_, end)| id <= end) {
+        // Intervals before `at` start at or below `id`, so only the last of
+        // them can hold it or end just below it, and only the one at `at`
+        // can start just above it.
+        let at = self.seen.partition_point(|&(start, _)| start <= id);
+        let below_at = at.checked_sub(1);
+        let below_end = below_at.and_then(|b| self.seen.get(b)).map(|&(_, end)| end);
+        if below_end.is_some_and(|end| id <= end) {
             return false;
         }
-        // Extend the interval ending just below `id`, or start a new one...
-        let start = match below {
-            Some((start, end)) if end.checked_add(1) == Some(id) => start,
-            _ => id,
-        };
-        // ...and swallow the interval starting just above it.
-        let above = id.checked_add(1).and_then(|next| self.seen.remove(&next));
-        self.seen.insert(start, above.unwrap_or(id));
+        // The neighbours end below `id` and start above it: no overflow.
+        let joins_below = below_end.is_some_and(|end| end + 1 == id);
+        let joins_above = self.seen.get(at).is_some_and(|&(start, _)| start - 1 == id);
+        match (joins_below, joins_above) {
+            // Extend the interval ending just below `id`, swallowing the one
+            // starting just above it if `id` was the hole between them.
+            (true, above) => {
+                let end = if above { self.seen.remove(at).1 } else { id };
+                if let Some(below) = below_at.and_then(|b| self.seen.get_mut(b)) {
+                    below.1 = end;
+                }
+            }
+            (false, true) => {
+                if let Some(above) = self.seen.get_mut(at) {
+                    above.0 = id;
+                }
+            }
+            (false, false) => self.seen.insert(at, (id, id)),
+        }
         true
     }
 }
@@ -234,7 +251,7 @@ mod tests {
     use super::*;
     use netsim::{LinkId, NodeId, PacketMeta, Tag};
 
-    fn rec(t_ns: u64, kind: CaptureKind, id: u64) -> CaptureRecord {
+    pub(super) fn rec(t_ns: u64, kind: CaptureKind, id: u64) -> CaptureRecord {
         CaptureRecord {
             time: SimTime::from_nanos(t_ns),
             node: NodeId(3),
@@ -353,24 +370,24 @@ mod tests {
     fn unique_delivery_in_order_ids_coalesce_to_one_interval() {
         let (fresh, inv) = deliveries(&[10, 11, 12, 13]);
         assert_eq!(fresh, [true; 4]);
-        assert_eq!(inv.seen.iter().collect::<Vec<_>>(), [(&10, &13)]);
+        assert_eq!(inv.seen, [(10, 13)]);
     }
 
     #[test]
     fn unique_delivery_out_of_order_ids_merge_when_the_hole_fills() {
         let (fresh, inv) = deliveries(&[5, 7, 9, 8]);
         assert_eq!(fresh, [true; 4]);
-        assert_eq!(inv.seen.iter().collect::<Vec<_>>(), [(&5, &5), (&7, &9)]);
+        assert_eq!(inv.seen, [(5, 5), (7, 9)]);
         let (fresh, inv) = deliveries(&[5, 7, 6]);
         assert_eq!(fresh, [true; 3]);
-        assert_eq!(inv.seen.iter().collect::<Vec<_>>(), [(&5, &7)]);
+        assert_eq!(inv.seen, [(5, 7)]);
     }
 
     #[test]
     fn unique_delivery_flags_duplicate_inside_an_interval() {
         let (fresh, inv) = deliveries(&[1, 2, 3, 4, 5, 3]);
         assert_eq!(fresh, [true, true, true, true, true, false]);
-        assert_eq!(inv.seen.iter().collect::<Vec<_>>(), [(&1, &5)]);
+        assert_eq!(inv.seen, [(1, 5)]);
     }
 
     #[test]
@@ -379,10 +396,7 @@ mod tests {
         assert_eq!(fresh, [true, true, true, false, false, true, true]);
         let (fresh, inv) = deliveries(&[u64::MAX, u64::MAX - 1, u64::MAX, 0, 0]);
         assert_eq!(fresh, [true, true, false, true, false]);
-        assert_eq!(
-            inv.seen.iter().collect::<Vec<_>>(),
-            [(&0, &0), (&(u64::MAX - 1), &u64::MAX)]
-        );
+        assert_eq!(inv.seen, [(0, 0), (u64::MAX - 1, u64::MAX)]);
     }
 
     #[test]
@@ -407,11 +421,33 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::rec;
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Start → end: the representation the sorted vector replaced.
+    type Model = BTreeMap<Id, Id>;
+    type Id = u64;
+
+    /// The B-tree insert the sorted vector replaced, kept as the reference.
+    fn model_insert(seen: &mut Model, id: u64) -> bool {
+        let below = seen.range(..=id).next_back().map(|(&s, &e)| (s, e));
+        if below.is_some_and(|(_, end)| id <= end) {
+            return false;
+        }
+        let start = match below {
+            Some((start, end)) if end.checked_add(1) == Some(id) => start,
+            _ => id,
+        };
+        let above = id.checked_add(1).and_then(|next| seen.remove(&next));
+        seen.insert(start, above.unwrap_or(id));
+        true
+    }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
         /// The interval set gives the verdict a plain set of every delivered
         /// id gives, delivery by delivery.
         #[test]
@@ -425,12 +461,47 @@ mod proptests {
                 prop_assert_eq!(set.insert_delivered(id), oracle.insert(id));
             }
             // Disjoint and non-adjacent: as coalesced as it can be.
-            let spans: Vec<(u64, u64)> = set.seen.iter().map(|(&s, &e)| (s, e)).collect();
-            for w in spans.windows(2) {
+            for w in set.seen.windows(2) {
                 prop_assert!(w[0].1 + 1 < w[1].0);
             }
-            let covered: u64 = spans.iter().map(|(s, e)| e - s + 1).sum();
+            let covered: u64 = set.seen.iter().map(|(s, e)| e - s + 1).sum();
             prop_assert_eq!(covered, oracle.len() as u64);
+        }
+
+        /// Over id streams with in-order runs, gaps, holes filled late and
+        /// repeats, and forwarded copies of the same ids between them, the
+        /// suite reports exactly the violations the B-tree set gave, and
+        /// holds the same intervals.
+        #[test]
+        fn delivered_set_matches_the_btreemap_it_replaced(
+            steps in proptest::collection::vec((0usize..3, 0u8..8, 1u64..5, 0u8..4), 0..300)
+        ) {
+            let mut inv = Invariants::default();
+            let mut model = Model::new();
+            let mut next = [0u64; 3];
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (t, (agent, op, k, kind)) in steps.into_iter().enumerate() {
+                let n = match op {
+                    0..=4 => next[agent],
+                    5 => next[agent] + k,
+                    6 => next[agent].saturating_sub(k),
+                    _ => next[agent].saturating_sub(1),
+                };
+                next[agent] = next[agent].max(n + 1);
+                let id = ((agent as u64) << 40) + n;
+                let kind = if kind == 0 { CaptureKind::Forwarded } else { CaptureKind::Delivered };
+                let r = rec(t as u64, kind, id);
+                inv.on_record(&r, &mut got);
+                if kind == CaptureKind::Delivered && !model_insert(&mut model, id) {
+                    want.push(InvariantViolation {
+                        invariant: "unique-delivery",
+                        time: r.time,
+                        detail: format!("packet {id} delivered more than once"),
+                    });
+                }
+            }
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(inv.seen, model.into_iter().collect::<Vec<_>>());
         }
     }
 }
