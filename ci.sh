@@ -55,8 +55,8 @@ if grep -rnE 'dyn (Queue|Scheduler|Invariant)\b|fn clone_box\b' crates/; then
     echo "replaced in PR 25 (DESIGN.md par 4): netsim::Queue and mptcpsim::SchedulerKind are enums, simtrace::Invariants is one struct; add a variant, not a trait object" >&2
     exit 1
 fi
-if grep -rnE 'TcpSenderAgent|TcpReceiverAgent|AppSource::Paced|delayed_ack|cwnd_trace' crates/ tests/ examples/*.rs; then
-    echo "deleted (DESIGN.md par 3): a single-path flow is a one-subflow MPTCP connection; sample a sender's state from outside with World::run_until" >&2
+if grep -rnE 'TcpSenderAgent|TcpReceiverAgent|AppSource::Paced|delayed_ack|cwnd_trace|fn close\b|fin_received|without_hystart|without_fast_convergence|with_min_rtt_window|peer_isn|join_jitter|schedule_link_down' crates/ tests/ examples/*.rs; then
+    echo "deleted (DESIGN.md par 3, par 8): a single-path flow is a one-subflow MPTCP connection; sample a sender's state from outside with World::run_until; a subflow never closes, its ISN, MSS, RTO clamps, join timing and CUBIC's switches are constants, and faults go in through install_faults" >&2
     exit 1
 fi
 

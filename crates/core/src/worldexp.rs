@@ -38,7 +38,7 @@ use fluidsim::{solve, FluidLaw, FluidModel};
 use mptcpsim::{install_subflows, CcAlgo, MptcpConfig};
 use netsim::{NodeId, RoutingTables, SimCounters, Tag};
 use simbase::{SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar};
-use simtrace::{SamplerConfig, TraceSink};
+use simtrace::{jain_fairness, SamplerConfig, TraceSink};
 use std::fmt::Write as _;
 use tcpsim::AppSource;
 use worldgen::{
@@ -154,17 +154,8 @@ impl FabricRun {
     /// second lens on the ECMP-vs-max-disjoint comparison besides the
     /// aggregate.
     pub fn jain_fairness(&self) -> f64 {
-        let sum: f64 = self.conns.iter().map(|c| c.goodput_mbps).sum();
-        let sq: f64 = self
-            .conns
-            .iter()
-            .map(|c| c.goodput_mbps * c.goodput_mbps)
-            .sum();
-        if sq <= 0.0 {
-            1.0
-        } else {
-            sum * sum / (self.conns.len() as f64 * sq)
-        }
+        let goodputs: Vec<f64> = self.conns.iter().map(|c| c.goodput_mbps).collect();
+        jain_fairness(&goodputs)
     }
 
     /// `(count, mean goodput Mbps)` of the connections in one overlap

@@ -386,10 +386,6 @@ impl CongestionControl for CoupledCc {
         self.own.ssthresh(&self.shared, self.idx)
     }
 
-    fn name(&self) -> &'static str {
-        self.algo.name()
-    }
-
     fn clone_boxed(&self) -> Box<dyn CongestionControl> {
         Box::new(self.clone())
     }

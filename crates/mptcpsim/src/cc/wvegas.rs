@@ -159,10 +159,6 @@ impl CongestionControl for WVegasCc {
         self.own.ssthresh(&self.shared, self.idx)
     }
 
-    fn name(&self) -> &'static str {
-        "wVegas"
-    }
-
     fn clone_boxed(&self) -> Box<dyn CongestionControl> {
         Box::new(self.clone())
     }

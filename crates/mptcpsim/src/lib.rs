@@ -36,8 +36,8 @@ mod e2e_tests {
     //! End-to-end MPTCP tests over the simulator.
     use super::*;
     use netsim::{
-        CaptureConfig, CaptureKind, NodeId, Path, QueueConfig, RoutingTables, Simulator, Tag,
-        Topology,
+        CaptureConfig, CaptureKind, FaultAction, FaultSchedule, NodeId, Path, QueueConfig,
+        RoutingTables, Simulator, Tag, Topology,
     };
     use simbase::{Bandwidth, SimDuration, SimTime};
     use tcpsim::AppSource;
@@ -342,8 +342,9 @@ mod e2e_tests {
             AppSource::Fixed(total_bytes),
             9,
         );
-        rig.sim
-            .schedule_link_down(dead_link, SimTime::from_millis(500));
+        rig.sim.install_faults(
+            &FaultSchedule::new().at(SimTime::from_millis(500), FaultAction::LinkDown(dead_link)),
+        );
         rig.sim.run_until(SimTime::from_secs(60));
 
         let receiver = rig
@@ -385,9 +386,11 @@ mod e2e_tests {
             AppSource::Unlimited,
             10,
         );
-        rig.sim
-            .schedule_link_down(dead_link, SimTime::from_millis(500));
-        rig.sim.schedule_link_up(dead_link, SimTime::from_secs(2));
+        rig.sim.install_faults(&FaultSchedule::new().outage(
+            dead_link,
+            SimTime::from_millis(500),
+            SimTime::from_secs(2),
+        ));
         rig.sim.run_until(SimTime::from_secs(8));
         let rates = wire_mbps_by_tag(
             &rig.sim,

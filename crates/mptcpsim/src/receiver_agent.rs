@@ -131,7 +131,6 @@ impl Agent for MptcpReceiverAgent {
                     dst_port: seg.src_port,
                     window: self.window,
                     sack: self.sack,
-                    ..Default::default()
                 });
                 if receiver.stream_offset(seg.seq).is_none() {
                     self.rx_malformed += 1;
@@ -263,10 +262,7 @@ mod tests {
             let seg = TcpSegment {
                 src_port: port,
                 dst_port: port + 1000,
-                seq: SeqNum::from_offset(
-                    ReceiverConfig::default().peer_isn,
-                    if i == 3 { 100 } else { 0 },
-                ),
+                seq: SeqNum::from_offset(tcpsim::ISN, if i == 3 { 100 } else { 0 }),
                 dss: Some(DssOption {
                     data_ack: None,
                     dsn: Some(i as u64 * 100),

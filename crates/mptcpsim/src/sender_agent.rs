@@ -23,11 +23,18 @@ use netsim::packet::Ecn;
 use netsim::{Agent, Ctx, NodeId, Packet, Protocol, SimCounters, Tag};
 use simbase::{SimDuration, SimRng, SimTime};
 use tcpsim::wire::{DssOption, TcpSegment};
-use tcpsim::{AppSource, TcpConfig, TcpSender};
+use tcpsim::{AppSource, TcpConfig, TcpSender, MSS};
 
 /// Failover: after this many consecutive RTO backoffs on a subflow, its
 /// unacknowledged DSN ranges are reinjected on the other subflows.
 const REINJECT_AFTER_BACKOFFS: u32 = 2;
+
+/// Delay before each non-initial subflow joins (the MP_JOIN handshake takes
+/// about one RTT in a real connection). Subflow 0 starts at once.
+const JOIN_DELAY: SimDuration = SimDuration::from_millis(100);
+/// Additional uniform random jitter on each join (models handshake timing
+/// noise; gives distinct seeds distinct trajectories).
+const JOIN_JITTER: SimDuration = SimDuration::from_millis(20);
 
 /// A stable flow hash from a subflow's port pair (for ECMP and traces).
 fn flow_hash(src_port: u16, dst_port: u16) -> u64 {
@@ -60,18 +67,10 @@ pub struct MptcpConfig {
     pub scheduler: SchedulerKind,
     /// Application model (`Unlimited` = iperf, `Fixed(n)` = bounded).
     pub app: AppSource,
-    /// MSS per subflow, bytes.
-    pub mss: u32,
     /// SACK-based loss recovery on every subflow (Linux default: on).
     pub sack: bool,
     /// ECN on every subflow (requires ECN-marking queues to matter).
     pub ecn: bool,
-    /// Delay before each non-initial subflow joins (the MP_JOIN handshake
-    /// takes about one RTT in a real connection). Subflow 0 starts at once.
-    pub join_delay: SimDuration,
-    /// Additional uniform random jitter on each join (models handshake
-    /// timing noise; gives distinct seeds distinct trajectories).
-    pub join_jitter: SimDuration,
 }
 
 impl MptcpConfig {
@@ -84,11 +83,8 @@ impl MptcpConfig {
             algo: CcAlgo::Cubic,
             scheduler: SchedulerKind::MinRtt,
             app: AppSource::Unlimited,
-            mss: 1460,
             sack: true,
             ecn: false,
-            join_delay: SimDuration::from_millis(100),
-            join_jitter: SimDuration::from_millis(20),
         }
     }
 }
@@ -157,21 +153,18 @@ impl MptcpSenderAgent {
     pub fn new(cfg: MptcpConfig) -> Self {
         assert!(!cfg.subflows.is_empty(), "need at least one subflow");
         let coupling = Coupling::new();
-        let initial_cwnd = tcpsim::cc::initial_window(cfg.mss);
         let subs: Vec<Sub> = cfg
             .subflows
             .iter()
             .map(|sc| {
                 let tcp_cfg = TcpConfig {
-                    mss: cfg.mss,
                     src_port: sc.src_port,
                     dst_port: sc.dst_port,
-                    initial_cwnd,
                     sack: cfg.sack,
                     ecn: cfg.ecn,
                     ..Default::default()
                 };
-                let cc = coupling.make_cc(cfg.algo, initial_cwnd, cfg.mss);
+                let cc = coupling.make_cc(cfg.algo, tcp_cfg.initial_cwnd, tcp_cfg.mss);
                 Sub {
                     cfg: sc.clone(),
                     sender: TcpSender::new(tcp_cfg, cc),
@@ -347,11 +340,11 @@ impl MptcpSenderAgent {
             // Failover reinjections take priority over fresh data.
             let reinject = self.pending_reinject.front().copied();
             let (dsn, chunk, is_reinject) = match reinject {
-                Some((dsn, len)) => (dsn, len.min(self.cfg.mss as u64), true),
+                Some((dsn, len)) => (dsn, len.min(u64::from(MSS)), true),
                 None => {
                     let chunk = match self.remaining {
-                        None => self.cfg.mss as u64,
-                        Some(rem) => rem.min(self.cfg.mss as u64),
+                        None => u64::from(MSS),
+                        Some(rem) => rem.min(u64::from(MSS)),
                     };
                     (self.dsn_next, chunk, false)
                 }
@@ -439,13 +432,8 @@ impl Agent for MptcpSenderAgent {
         // real connection address advertisement and joins are sequential.
         self.subs[0].active = true;
         for i in 1..self.subs.len() {
-            let jitter_ns = if self.cfg.join_jitter.is_zero() {
-                0
-            } else {
-                ctx.rng.next_below(self.cfg.join_jitter.as_nanos() + 1)
-            };
-            let delay =
-                self.cfg.join_delay.saturating_mul(i as u64) + SimDuration::from_nanos(jitter_ns);
+            let jitter_ns = ctx.rng.next_below(JOIN_JITTER.as_nanos() + 1);
+            let delay = JOIN_DELAY.saturating_mul(i as u64) + SimDuration::from_nanos(jitter_ns);
             ctx.set_timer_after(delay, TOKEN_JOIN_BASE + i as u64);
         }
         self.pump(ctx);

@@ -541,18 +541,6 @@ impl Simulator {
         }
     }
 
-    /// Schedule an administrative link failure (both directions). Packets
-    /// queued or in serialization are lost; packets already propagating
-    /// deliver (they have left the interface).
-    pub fn schedule_link_down(&mut self, link: LinkId, at: SimTime) {
-        self.schedule_fault(at, FaultAction::LinkDown(link));
-    }
-
-    /// Schedule a link recovery.
-    pub fn schedule_link_up(&mut self, link: LinkId, at: SimTime) {
-        self.schedule_fault(at, FaultAction::LinkUp(link));
-    }
-
     /// Schedule one fault action. Validated eagerly so a bad schedule fails
     /// at install time, not minutes into a run.
     pub fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
@@ -1261,9 +1249,9 @@ mod sink_tests {
         };
 
         let mut cold = cbr_sim();
-        cold.schedule_link_down(link, down);
-        cold.schedule_link_up(link, up);
-        cold.schedule_link_down(link, down_again);
+        cold.schedule_fault(down, FaultAction::LinkDown(link));
+        cold.schedule_fault(up, FaultAction::LinkUp(link));
+        cold.schedule_fault(down_again, FaultAction::LinkDown(link));
         cold.run_until(SimTime::from_millis(40));
         assert!(!cold.link_is_up(link));
 
@@ -1271,12 +1259,12 @@ mod sink_tests {
         // entry is spent, one is pending, and the third is installed on
         // the restored simulator, where it must take the next index.
         let mut warm = cbr_sim();
-        warm.schedule_link_down(link, down);
-        warm.schedule_link_up(link, up);
+        warm.schedule_fault(down, FaultAction::LinkDown(link));
+        warm.schedule_fault(up, FaultAction::LinkUp(link));
         warm.run_until(SimTime::from_millis(12));
         let snap = warm.checkpoint();
         let mut branch = Simulator::restore(&snap);
-        branch.schedule_link_down(link, down_again);
+        branch.schedule_fault(down_again, FaultAction::LinkDown(link));
         branch.run_until(SimTime::from_millis(40));
         assert_eq!(outcome(&branch), outcome(&cold));
 
@@ -1285,7 +1273,7 @@ mod sink_tests {
         warm.run_until(SimTime::from_millis(40));
         assert!(warm.link_is_up(link));
         let mut second = Simulator::restore(&snap);
-        second.schedule_link_down(link, down_again);
+        second.schedule_fault(down_again, FaultAction::LinkDown(link));
         second.run_until(SimTime::from_millis(40));
         assert_eq!(outcome(&second), outcome(&cold));
     }
@@ -1309,8 +1297,8 @@ mod sink_tests {
         let (live, dropped) = congested(&mut sim);
         // Down and straight back up: the next CBR packet starts a fresh
         // serialization while the aborted one's TxDone is still queued.
-        sim.schedule_link_down(LinkId(0), sim.now());
-        sim.schedule_link_up(LinkId(0), sim.now());
+        sim.schedule_fault(sim.now(), FaultAction::LinkDown(LinkId(0)));
+        sim.schedule_fault(sim.now(), FaultAction::LinkUp(LinkId(0)));
         assert!(sim.step(), "the link-down fault");
         // The serializing packet and the four buffered ones are gone; the
         // ones already on the wire keep their slots.

@@ -4,14 +4,14 @@
 //! need a quantitative definition to be reproducible:
 //!
 //! * *"capable of finding the optimal throughput"* — [`ConvergenceReport`]:
-//!   the first time the total rate reaches and **holds** within a tolerance
-//!   band of the LP optimum.
+//!   the first time from which the total rate **holds** within a tolerance
+//!   band of the LP optimum to the end of the run.
 //! * *"the throughput was unstable for short periods"* — the coefficient of
 //!   variation after convergence.
 //! * how fairly the optimum splits across paths — [`jain_fairness`].
 
 use crate::series::TimeSeries;
-use simbase::{SimDuration, SimTime};
+use simbase::SimTime;
 
 /// Convergence analysis of a rate series against a target.
 #[derive(Debug, Clone)]
@@ -33,68 +33,16 @@ pub struct ConvergenceReport {
 }
 
 impl ConvergenceReport {
-    /// Analyze `series` against `target`.
-    ///
-    /// Convergence: the first bin index `i` such that every bin in
-    /// `[t_i, t_i + hold)` is ≥ `(1 - tolerance) · target`. (No upper-bound
-    /// check: physical capacity already caps the rate; overshoot beyond the
-    /// LP optimum is impossible in a valid run.)
-    pub fn analyze(series: &TimeSeries, target: f64, tolerance: f64, hold: SimDuration) -> Self {
-        assert!(target > 0.0, "target must be positive");
-        assert!((0.0..1.0).contains(&tolerance), "tolerance in [0,1)");
-        let floor = (1.0 - tolerance) * target;
-        let bin = series.bin();
-        let hold_bins = (hold.as_nanos().div_ceil(bin.as_nanos())).max(1) as usize;
-        let vals = series.values();
-
-        let mut converged_at = None;
-        'outer: for i in 0..vals.len() {
-            if i + hold_bins > vals.len() {
-                break;
-            }
-            for &v in &vals[i..i + hold_bins] {
-                if v < floor {
-                    continue 'outer;
-                }
-            }
-            converged_at = Some(series.start() + bin * (i as u64));
-            break;
-        }
-
-        let end = series.start() + bin * (vals.len() as u64);
-        let steady_from = match converged_at {
-            Some(t) => t,
-            None => {
-                // Final quarter of the measurement.
-                series.start() + bin * ((vals.len() * 3 / 4) as u64)
-            }
-        };
-        let steady_mean = series.mean_over(steady_from, end);
-        let steady_cov = series.cov_over(steady_from, end);
-        ConvergenceReport {
-            target,
-            tolerance,
-            converged_at,
-            steady_mean,
-            steady_cov,
-            efficiency: steady_mean / target,
-        }
-    }
-
-    /// Did the series reach the target band and hold it?
-    pub fn reached_optimum(&self) -> bool {
-        self.converged_at.is_some()
-    }
-
     /// Sustained-convergence analysis: smooth the series with a centered
     /// moving average of `smooth_bins`, then find the earliest time from
     /// which **every** smoothed bin to the end of the measurement stays at
-    /// or above `(1 - tolerance) · target`. Unlike [`Self::analyze`], a
-    /// transient excursion into the band (e.g. a slow-start overshoot
-    /// draining queues at link rate) does not count: convergence must hold
-    /// to the end of the window. At least `min_tail_bins` bins must remain
-    /// after the convergence point, so "converged in the last instant"
-    /// does not count either.
+    /// or above `(1 - tolerance) · target`. A transient excursion into the
+    /// band (e.g. a slow-start overshoot draining queues at link rate) does
+    /// not count: convergence must hold to the end of the window. At least
+    /// `min_tail_bins` bins must remain after the convergence point, so
+    /// "converged in the last instant" does not count either. (No upper
+    /// bound: physical capacity already caps the rate; overshoot beyond the
+    /// LP optimum is impossible in a valid run.)
     pub fn analyze_sustained(
         series: &TimeSeries,
         target: f64,
@@ -168,6 +116,7 @@ pub fn jain_fairness(rates: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simbase::SimDuration;
 
     fn series(vals: &[f64]) -> TimeSeries {
         TimeSeries::new(
@@ -181,20 +130,18 @@ mod tests {
     #[test]
     fn immediate_convergence() {
         let s = series(&[90.0; 20]);
-        let r = ConvergenceReport::analyze(&s, 90.0, 0.1, SimDuration::from_millis(500));
+        let r = ConvergenceReport::analyze_sustained(&s, 90.0, 0.1, 1, 5);
         assert_eq!(r.converged_at, Some(SimTime::ZERO));
         assert!((r.steady_mean - 90.0).abs() < 1e-9);
         assert_eq!(r.steady_cov, 0.0);
         assert!((r.efficiency - 1.0).abs() < 1e-9);
-        assert!(r.reached_optimum());
     }
 
     #[test]
     fn never_converges() {
         let s = series(&[60.0; 20]);
-        let r = ConvergenceReport::analyze(&s, 90.0, 0.1, SimDuration::from_millis(500));
+        let r = ConvergenceReport::analyze_sustained(&s, 90.0, 0.1, 1, 5);
         assert_eq!(r.converged_at, None);
-        assert!(!r.reached_optimum());
         // Steady stats from the final quarter.
         assert!((r.steady_mean - 60.0).abs() < 1e-9);
         assert!((r.efficiency - 60.0 / 90.0).abs() < 1e-9);
@@ -202,21 +149,13 @@ mod tests {
 
     #[test]
     fn transient_dip_delays_convergence() {
-        // Climbs, holds, dips below the band at bin 6, then stays up.
+        // Climbs, holds, dips below the band at bin 6, then stays up: the
+        // dip, not the first entry into the band, bounds the steady suffix.
         let mut vals = vec![50.0, 70.0, 85.0, 85.0, 85.0, 85.0, 70.0];
         vals.extend(vec![85.0; 13]);
         let s = series(&vals);
-        // hold = 5 bins; the run [2..7) contains the dip at 6 -> fails;
-        // the first clean run starts at bin 7.
-        let r = ConvergenceReport::analyze(&s, 90.0, 0.1, SimDuration::from_millis(500));
+        let r = ConvergenceReport::analyze_sustained(&s, 90.0, 0.1, 1, 5);
         assert_eq!(r.converged_at, Some(SimTime::from_millis(700)));
-    }
-
-    #[test]
-    fn hold_longer_than_series_never_converges() {
-        let s = series(&[90.0; 5]);
-        let r = ConvergenceReport::analyze(&s, 90.0, 0.1, SimDuration::from_secs(10));
-        assert_eq!(r.converged_at, None);
     }
 
     #[test]
@@ -227,27 +166,23 @@ mod tests {
             unstable_vals.push(if i % 2 == 0 { 85.0 } else { 95.0 });
         }
         let unstable = series(&unstable_vals);
-        let hold = SimDuration::from_millis(300);
-        let rs = ConvergenceReport::analyze(&stable, 90.0, 0.1, hold);
-        let ru = ConvergenceReport::analyze(&unstable, 90.0, 0.1, hold);
+        let rs = ConvergenceReport::analyze_sustained(&stable, 90.0, 0.1, 1, 3);
+        let ru = ConvergenceReport::analyze_sustained(&unstable, 90.0, 0.1, 1, 3);
         assert!(ru.steady_cov > rs.steady_cov);
         assert!(
-            ru.reached_optimum(),
+            ru.converged_at.is_some(),
             "oscillation inside the band still converges"
         );
     }
 
     #[test]
     fn sustained_ignores_transient_band_entry() {
-        // Spike into the band at bins 2-4, then collapse, then settle high.
+        // Spike into the band at bins 2-4, then collapse, then settle high:
+        // convergence waits for the stable suffix.
         let mut vals = vec![20.0, 50.0, 88.0, 90.0, 88.0, 40.0, 50.0];
         vals.extend(vec![86.0; 13]);
         let s = series(&vals);
-        let classic = ConvergenceReport::analyze(&s, 90.0, 0.1, SimDuration::from_millis(300));
         let sustained = ConvergenceReport::analyze_sustained(&s, 90.0, 0.1, 1, 5);
-        // The classic detector is fooled by the spike...
-        assert_eq!(classic.converged_at, Some(SimTime::from_millis(200)));
-        // ...the sustained one waits for the stable suffix.
         assert_eq!(sustained.converged_at, Some(SimTime::from_millis(700)));
     }
 
@@ -267,7 +202,6 @@ mod tests {
         let s = series(&[85.0; 20]);
         let r = ConvergenceReport::analyze_sustained(&s, 90.0, 0.1, 3, 5);
         assert_eq!(r.converged_at, Some(SimTime::ZERO));
-        assert!(r.reached_optimum());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! * window growth `W(t) = C·(t − K)³ + W_max` around the last loss point,
 //! * multiplicative decrease by `β = 0.7`,
-//! * fast convergence (release capacity when a flow's max shrinks),
+//! * fast convergence (release capacity when a flow's max shrinks) and
+//!   HyStart's delay-increase exit from slow start, both always on as in
+//!   Linux,
 //! * the TCP-friendly region (never slower than an equivalent Reno flow).
 //!
 //! Internal arithmetic is in MSS units and seconds, as in the RFC's
@@ -35,12 +37,6 @@ pub struct Cubic {
     epoch_start: Option<SimTime>,
     /// Reno-equivalent window estimate for the TCP-friendly region.
     w_est: f64,
-    /// Enable fast convergence (on by default, as in Linux).
-    fast_convergence: bool,
-    /// HyStart delay detection (on by default, as in Linux): leave slow
-    /// start when the RTT has risen markedly above its floor, *before*
-    /// overflowing the bottleneck queue.
-    hystart: bool,
 }
 
 impl Cubic {
@@ -54,21 +50,7 @@ impl Cubic {
             k: 0.0,
             epoch_start: None,
             w_est: 0.0,
-            fast_convergence: true,
-            hystart: true,
         }
-    }
-
-    /// Disable fast convergence (ablation).
-    pub fn without_fast_convergence(mut self) -> Self {
-        self.fast_convergence = false;
-        self
-    }
-
-    /// Disable HyStart (ablation).
-    pub fn without_hystart(mut self) -> Self {
-        self.hystart = false;
-        self
     }
 
     fn mss_f(&self) -> f64 {
@@ -96,7 +78,7 @@ impl Cubic {
     fn reduce(&mut self, now: SimTime) {
         let _ = now;
         self.epoch_start = None;
-        if self.fast_convergence && self.cwnd < self.w_max {
+        if self.cwnd < self.w_max {
             // The flow's ceiling is shrinking: release capacity faster so
             // competing (new) flows can take it — RFC 8312 §4.6.
             self.w_max = self.cwnd * (2.0 - BETA) / 2.0;
@@ -112,9 +94,10 @@ impl CongestionControl for Cubic {
     fn on_ack(&mut self, ctx: &AckContext) {
         let acked_mss = ctx.bytes_acked as f64 / self.mss_f();
         if self.cwnd < self.ssthresh {
-            // HyStart (delay-increase half): queueing delay building up is
-            // the signal to stop doubling before the queue overflows.
-            if self.hystart && self.cwnd >= 16.0 {
+            // HyStart (delay-increase half, on as in Linux): queueing delay
+            // building up is the signal to stop doubling before the queue
+            // overflows.
+            if self.cwnd >= 16.0 {
                 if let (Some(latest), Some(min)) = (ctx.latest_rtt, ctx.min_rtt) {
                     let eta = (min.as_secs_f64() / 8.0).clamp(0.004, 0.016);
                     if latest.as_secs_f64() >= min.as_secs_f64() + eta {
@@ -183,10 +166,6 @@ impl CongestionControl for Cubic {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
-
     fn clone_boxed(&self) -> Box<dyn CongestionControl> {
         Box::new(self.clone())
     }
@@ -194,7 +173,7 @@ impl CongestionControl for Cubic {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{loss, run_rtts, MSS};
+    use super::super::testutil::{in_slow_start, loss, run_rtts, MSS};
     use super::*;
 
     #[test]
@@ -203,31 +182,20 @@ mod tests {
         let w0 = cc.cwnd();
         run_rtts(&mut cc, 0, 10, 1);
         assert_eq!(cc.cwnd(), 2 * w0);
-        assert!(cc.in_slow_start());
+        assert!(in_slow_start(&cc));
     }
 
     #[test]
     fn hystart_exits_slow_start_on_delay_increase() {
         let mut cc = Cubic::new(32 * MSS as u64, MSS);
-        assert!(cc.in_slow_start());
+        assert!(in_slow_start(&cc));
         // RTT has risen from a 10 ms floor to 20 ms: queue is building.
         let mut c = super::super::testutil::ack(0, MSS as u64, 32 * MSS as u64);
         c.latest_rtt = Some(SimDuration::from_millis(20));
         c.min_rtt = Some(SimDuration::from_millis(10));
         cc.on_ack(&c);
-        assert!(!cc.in_slow_start(), "hystart must cap ssthresh at cwnd");
+        assert!(!in_slow_start(&cc), "hystart must cap ssthresh at cwnd");
         assert_eq!(cc.ssthresh(), 32 * MSS as u64);
-    }
-
-    #[test]
-    fn hystart_disabled_keeps_doubling() {
-        let mut cc = Cubic::new(32 * MSS as u64, MSS).without_hystart();
-        let mut c = super::super::testutil::ack(0, MSS as u64, 32 * MSS as u64);
-        c.latest_rtt = Some(SimDuration::from_millis(20));
-        c.min_rtt = Some(SimDuration::from_millis(10));
-        cc.on_ack(&c);
-        assert!(cc.in_slow_start());
-        assert_eq!(cc.cwnd(), 33 * MSS as u64);
     }
 
     #[test]
@@ -238,7 +206,7 @@ mod tests {
         let after = cc.cwnd();
         let ratio = after as f64 / before as f64;
         assert!((ratio - BETA).abs() < 0.02, "ratio {ratio}");
-        assert!(!cc.in_slow_start());
+        assert!(!in_slow_start(&cc));
     }
 
     /// Drive the algorithm one full window of ACKs per round at a given
@@ -301,23 +269,27 @@ mod tests {
 
     #[test]
     fn fast_convergence_shrinks_w_max_on_consecutive_losses() {
-        let mut with_fc = Cubic::new(100 * MSS as u64, MSS);
-        let mut without_fc = Cubic::new(100 * MSS as u64, MSS).without_fast_convergence();
-        for cc in [&mut with_fc, &mut without_fc] {
-            cc.on_loss_event(&loss(0, 100 * MSS as u64));
-            // Second loss below the previous w_max.
-            cc.on_loss_event(&loss(10, cc.cwnd()));
+        // `twice` loses at 100 MSS and again at the 70 MSS it fell to, below
+        // its previous w_max. `once` starts at those same 70 MSS and loses
+        // there for the first time, so its ceiling is the plain w_max = 70.
+        let mut twice = Cubic::new(100 * MSS as u64, MSS);
+        twice.on_loss_event(&loss(0, 100 * MSS as u64));
+        let w = twice.cwnd();
+        assert_eq!(w, 70 * MSS as u64);
+        let mut once = Cubic::new(w, MSS);
+        for cc in [&mut twice, &mut once] {
+            cc.on_loss_event(&loss(10, w));
         }
-        // Same cwnd after the double loss...
-        assert_eq!(with_fc.cwnd(), without_fc.cwnd());
+        // Same cwnd after the last loss...
+        assert_eq!(twice.cwnd(), once.cwnd());
         // ...but fast convergence set a lower ceiling: growing for the same
         // wall-clock time reaches a lower window (long RTT so the cubic
         // curve, not the TCP-friendly region, drives growth).
-        let w_fc = run_rtts_at(&mut with_fc, 20, 100, 30);
-        let w_nofc = run_rtts_at(&mut without_fc, 20, 100, 30);
+        let w_fc = run_rtts_at(&mut twice, 20, 100, 30);
+        let w_once = run_rtts_at(&mut once, 20, 100, 30);
         assert!(
-            w_fc < w_nofc,
-            "fast convergence must cap lower: {w_fc} vs {w_nofc}"
+            w_fc < w_once,
+            "fast convergence must cap lower: {w_fc} vs {w_once}"
         );
     }
 

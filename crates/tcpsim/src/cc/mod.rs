@@ -67,14 +67,6 @@ pub trait CongestionControl: std::fmt::Debug {
     /// Current slow-start threshold in bytes.
     fn ssthresh(&self) -> u64;
 
-    /// True while in slow start.
-    fn in_slow_start(&self) -> bool {
-        self.cwnd() < self.ssthresh()
-    }
-
-    /// Algorithm name for reports.
-    fn name(&self) -> &'static str;
-
     /// Deep-copy this algorithm's state into a fresh boxed instance.
     ///
     /// Required for simulator checkpointing: a snapshot must own an
@@ -128,6 +120,11 @@ pub(crate) mod testutil {
             flight_size: flight,
             mss: MSS,
         }
+    }
+
+    /// True while in slow start.
+    pub fn in_slow_start(cc: &dyn CongestionControl) -> bool {
+        cc.cwnd() < cc.ssthresh()
     }
 
     pub fn loss(now_ms: u64, flight: u64) -> LossContext {

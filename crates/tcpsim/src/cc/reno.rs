@@ -73,10 +73,6 @@ impl CongestionControl for Reno {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "reno"
-    }
-
     fn clone_boxed(&self) -> Box<dyn CongestionControl> {
         Box::new(self.clone())
     }
@@ -84,7 +80,7 @@ impl CongestionControl for Reno {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{ack, loss, run_rtts, MSS};
+    use super::super::testutil::{ack, in_slow_start, loss, run_rtts, MSS};
     use super::*;
 
     #[test]
@@ -95,7 +91,7 @@ mod tests {
         assert_eq!(cc.cwnd(), 2 * w0);
         run_rtts(&mut cc, 10, 10, 1);
         assert_eq!(cc.cwnd(), 4 * w0);
-        assert!(cc.in_slow_start());
+        assert!(in_slow_start(&cc));
     }
 
     #[test]
@@ -104,7 +100,7 @@ mod tests {
         // Force CA by taking a loss first.
         cc.on_loss_event(&loss(0, 20 * MSS as u64));
         let w = cc.cwnd();
-        assert!(!cc.in_slow_start());
+        assert!(!in_slow_start(&cc));
         run_rtts(&mut cc, 0, 10, 1);
         let grown = cc.cwnd() - w;
         // One MSS per RTT, within rounding.
@@ -130,7 +126,7 @@ mod tests {
         // cwnd() floors at one MSS externally.
         assert_eq!(cc.cwnd(), MSS as u64);
         assert_eq!(cc.ssthresh(), 20 * MSS as u64);
-        assert!(cc.in_slow_start());
+        assert!(in_slow_start(&cc));
     }
 
     #[test]

@@ -8,15 +8,13 @@
 //! receiver never needs a timer.
 
 use crate::ranges::RangeSet;
-use crate::seq::SeqNum;
+use crate::seq::{SeqNum, ISN};
 use crate::wire::{SackList, TcpFlags, TcpSegment, Timestamps, MAX_SACK_BLOCKS};
 use simbase::SimTime;
 
 /// Receiver configuration.
 #[derive(Debug, Clone)]
 pub struct ReceiverConfig {
-    /// Peer's initial sequence number.
-    pub peer_isn: SeqNum,
     /// Our port.
     pub src_port: u16,
     /// Peer's port.
@@ -31,7 +29,6 @@ pub struct ReceiverConfig {
 impl Default for ReceiverConfig {
     fn default() -> Self {
         ReceiverConfig {
-            peer_isn: SeqNum(1),
             src_port: 5001,
             dst_port: 5000,
             window: 4 << 20,
@@ -69,10 +66,6 @@ pub struct TcpReceiver {
     /// ECN: echo ECE on every ACK until the sender answers with CWR
     /// (RFC 3168 §6.1.3).
     ece_pending: bool,
-    /// Stream offset of the peer's FIN phantom byte, once seen.
-    fin_at: Option<u64>,
-    /// The FIN has been consumed (everything before it delivered).
-    fin_received: bool,
     stats: ReceiverStats,
 }
 
@@ -86,8 +79,6 @@ impl TcpReceiver {
             last_tsval: 0,
             recent_block: None,
             ece_pending: false,
-            fin_at: None,
-            fin_received: false,
             stats: ReceiverStats::default(),
         }
     }
@@ -112,16 +103,11 @@ impl TcpReceiver {
         self.ooo.max_len()
     }
 
-    /// True once the peer's FIN and all preceding data were delivered.
-    pub fn fin_received(&self) -> bool {
-        self.fin_received
-    }
-
     /// The stream offset the wire sequence number `seq` names, or `None`
     /// if it lies before the start of the stream (wild input: an agent
     /// counts the packet as malformed instead of calling `on_data`).
     pub fn stream_offset(&self, seq: SeqNum) -> Option<u64> {
-        seq.expand(self.cfg.peer_isn, self.rcv_nxt)
+        seq.expand(ISN, self.rcv_nxt)
     }
 
     /// Handle an arriving data segment (`data_len` from the packet).
@@ -152,9 +138,6 @@ impl TcpReceiver {
         }
         self.stats.segments_received += 1;
         let end = start + data_len as u64;
-        if seg.flags.fin {
-            self.fin_at = Some(end);
-        }
 
         if let Some(ts) = &seg.ts {
             // Echo rule (RFC 7323): echo the tsval of the segment that
@@ -165,10 +148,8 @@ impl TcpReceiver {
         }
 
         if end <= self.rcv_nxt {
-            // Entirely old (or zero-length FIN) data: possibly consume the
-            // FIN, then ACK immediately (it may be a retransmission probing
-            // a lost ACK).
-            self.try_consume_fin();
+            // Entirely old (or zero-length) data: ACK immediately (it may be
+            // a retransmission probing a lost ACK).
             if end < self.rcv_nxt || data_len > 0 {
                 self.stats.duplicate_segments += 1;
             }
@@ -187,20 +168,7 @@ impl TcpReceiver {
         // In-order (possibly overlapping) data: advance and absorb any
         // out-of-order ranges that are now contiguous.
         self.rcv_nxt = self.ooo.absorb_prefix(end);
-
-        self.try_consume_fin();
         Some(self.make_ack(now))
-    }
-
-    /// If the FIN's position equals the delivery point, consume its phantom
-    /// byte so the cumulative ACK covers it.
-    fn try_consume_fin(&mut self) {
-        if let Some(f) = self.fin_at {
-            if !self.fin_received && f == self.rcv_nxt {
-                self.rcv_nxt += 1;
-                self.fin_received = true;
-            }
-        }
     }
 
     fn make_ack(&mut self, now: SimTime) -> TcpSegment {
@@ -209,7 +177,7 @@ impl TcpReceiver {
             src_port: self.cfg.src_port,
             dst_port: self.cfg.dst_port,
             seq: SeqNum(0),
-            ack: SeqNum::from_offset(self.cfg.peer_isn, self.rcv_nxt),
+            ack: SeqNum::from_offset(ISN, self.rcv_nxt),
             flags: TcpFlags {
                 ece: self.ece_pending,
                 ..TcpFlags::ACK
@@ -235,12 +203,7 @@ impl TcpReceiver {
         if !self.cfg.sack || self.ooo.is_empty() {
             return SackList::new();
         }
-        let to_wire = |s: u64, e: u64| {
-            (
-                SeqNum::from_offset(self.cfg.peer_isn, s),
-                SeqNum::from_offset(self.cfg.peer_isn, e),
-            )
-        };
+        let to_wire = |s: u64, e: u64| (SeqNum::from_offset(ISN, s), SeqNum::from_offset(ISN, e));
         // The recent range may have merged; report its current extent.
         let recent = self.recent_block.and_then(|(s, _)| {
             self.ooo
@@ -283,7 +246,7 @@ mod tests {
         TcpSegment {
             src_port: cfg.dst_port,
             dst_port: cfg.src_port,
-            seq: SeqNum::from_offset(cfg.peer_isn, offset),
+            seq: SeqNum::from_offset(ISN, offset),
             ack: SeqNum(0),
             flags: TcpFlags::default(),
             window: 0,
@@ -294,10 +257,8 @@ mod tests {
         }
     }
 
-    fn ack_offset(cfg: &ReceiverConfig, ack: &TcpSegment) -> u64 {
-        ack.ack
-            .expand(cfg.peer_isn, 0)
-            .expect("an ACK this receiver built")
+    fn ack_offset(ack: &TcpSegment) -> u64 {
+        ack.ack.expand(ISN, 0).expect("an ACK this receiver built")
     }
 
     #[test]
@@ -312,7 +273,7 @@ mod tests {
                     MSS as u32,
                 )
                 .expect("quickack");
-            assert_eq!(ack_offset(&cfg, &ack), (i + 1) * MSS);
+            assert_eq!(ack_offset(&ack), (i + 1) * MSS);
             assert_eq!(ack.ts.unwrap().tsecr, 100 + i as u32);
         }
         assert_eq!(r.delivered(), 5 * MSS);
@@ -331,13 +292,13 @@ mod tests {
             let ack = r
                 .on_data(t, &data_seg(&cfg, i * MSS, 1), MSS as u32)
                 .unwrap();
-            assert_eq!(ack_offset(&cfg, &ack), MSS, "dup ACK at the hole");
+            assert_eq!(ack_offset(&ack), MSS, "dup ACK at the hole");
         }
         assert_eq!(r.stats().out_of_order_segments, 3);
         assert_eq!(r.ooo_ranges(), 1); // merged into one contiguous range
                                        // The retransmission fills the hole: cumulative ACK jumps.
         let ack = r.on_data(t, &data_seg(&cfg, MSS, 1), MSS as u32).unwrap();
-        assert_eq!(ack_offset(&cfg, &ack), 5 * MSS);
+        assert_eq!(ack_offset(&ack), 5 * MSS);
         assert_eq!(r.ooo_ranges(), 0);
     }
 
@@ -357,9 +318,9 @@ mod tests {
         assert_eq!(r.ooo_ranges(), 1, "3 bridges 2..3 and 4..5");
         // Fill 0 then 1.
         let ack = r.on_data(t, &data_seg(&cfg, 0, 1), MSS as u32).unwrap();
-        assert_eq!(ack_offset(&cfg, &ack), MSS);
+        assert_eq!(ack_offset(&ack), MSS);
         let ack = r.on_data(t, &data_seg(&cfg, MSS, 1), MSS as u32).unwrap();
-        assert_eq!(ack_offset(&cfg, &ack), 5 * MSS);
+        assert_eq!(ack_offset(&ack), 5 * MSS);
     }
 
     #[test]
@@ -369,7 +330,7 @@ mod tests {
         let t = SimTime::ZERO;
         r.on_data(t, &data_seg(&cfg, 0, 1), MSS as u32).unwrap();
         let ack = r.on_data(t, &data_seg(&cfg, 0, 2), MSS as u32).unwrap();
-        assert_eq!(ack_offset(&cfg, &ack), MSS);
+        assert_eq!(ack_offset(&ack), MSS);
         assert_eq!(r.stats().duplicate_segments, 1);
     }
 
@@ -383,7 +344,7 @@ mod tests {
         let ack = r
             .on_data(t, &data_seg(&cfg, MSS / 2, 1), MSS as u32)
             .unwrap();
-        assert_eq!(ack_offset(&cfg, &ack), MSS / 2 + MSS);
+        assert_eq!(ack_offset(&ack), MSS / 2 + MSS);
     }
 
     #[test]
@@ -443,8 +404,8 @@ mod tests {
         let ack = last_ack.expect("dup ACK");
         assert_eq!(ack.sack.len(), MAX_SACK_BLOCKS);
         let newest = (
-            SeqNum::from_offset(cfg.peer_isn, 8 * MSS),
-            SeqNum::from_offset(cfg.peer_isn, 9 * MSS),
+            SeqNum::from_offset(ISN, 8 * MSS),
+            SeqNum::from_offset(ISN, 9 * MSS),
         );
         // Chronological list order puts the newest block last; the encoder
         // reverses, so it leads on the wire.
@@ -467,37 +428,5 @@ mod tests {
         assert_eq!(ack.window, 100);
         let wire = TcpSegment::decode(&ack.encode()).unwrap();
         assert_eq!(wire.window, 128, "clamped up to one granule, not zero");
-    }
-
-    #[test]
-    fn fin_in_order_is_consumed_and_acked() {
-        let cfg = ReceiverConfig::default();
-        let mut r = TcpReceiver::new(cfg.clone());
-        let t = SimTime::ZERO;
-        r.on_data(t, &data_seg(&cfg, 0, 1), MSS as u32).unwrap();
-        // Pure FIN at offset MSS.
-        let mut fin = data_seg(&cfg, MSS, 1);
-        fin.flags.fin = true;
-        let ack = r.on_data(t, &fin, 0).unwrap();
-        assert!(r.fin_received());
-        // The ACK covers the phantom byte.
-        assert_eq!(ack_offset(&cfg, &ack), MSS + 1);
-        assert_eq!(r.delivered(), MSS + 1);
-    }
-
-    #[test]
-    fn out_of_order_fin_waits_for_the_hole() {
-        let cfg = ReceiverConfig::default();
-        let mut r = TcpReceiver::new(cfg.clone());
-        let t = SimTime::ZERO;
-        // Data+FIN for segment 1 arrives before segment 0.
-        let mut fin = data_seg(&cfg, MSS, 1);
-        fin.flags.fin = true;
-        r.on_data(t, &fin, MSS as u32).unwrap();
-        assert!(!r.fin_received());
-        // The hole fills: data + FIN consumed together.
-        let ack = r.on_data(t, &data_seg(&cfg, 0, 1), MSS as u32).unwrap();
-        assert!(r.fin_received());
-        assert_eq!(ack_offset(&cfg, &ack), 2 * MSS + 1);
     }
 }

@@ -4,26 +4,30 @@
 //! ACK a valid sample even during retransmission (Karn's problem does not
 //! arise with timestamps). The RTO follows the classic
 //! `SRTT + max(G, 4·RTTVAR)` recipe with exponential backoff, clamped to
-//! `[min_rto, max_rto]` — Linux uses a 200 ms floor, which matters at the
-//! paper's millisecond RTTs, so that is our default too.
+//! `[MIN_RTO, MAX_RTO]` — Linux's 200 ms floor, which matters at the
+//! paper's millisecond RTTs, and a 60 s ceiling.
 //!
 //! The base-RTT estimate is a *windowed* minimum (Linux `minmax`-style):
 //! a lifetime minimum would go stale forever after a fault-induced reroute
 //! raises the propagation delay, feeding delay-based controllers (wVegas)
 //! a base RTT the path can no longer achieve and making them see permanent
-//! phantom queueing. Samples older than [`RttEstimator::min_rtt_window`]
-//! are expired from the filter.
+//! phantom queueing. Samples older than [`MIN_RTT_WINDOW`] are expired
+//! from the filter.
 
 use simbase::{SimDuration, SimTime};
 
-/// Default horizon for the windowed minimum RTT: long enough to survive
+/// Horizon of the windowed minimum RTT: long enough to survive
 /// queue-draining lulls at the paper's millisecond RTTs, short enough to
 /// re-learn the base RTT within seconds of a reroute (Linux's TCP min_rtt
 /// filter uses 10 s).
-pub const DEFAULT_MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
+pub const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
+/// Minimum retransmission timeout (Linux: 200 ms).
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// Maximum retransmission timeout.
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 
-/// Smoothed RTT state and RTO computation.
-#[derive(Debug, Clone)]
+/// Smoothed RTT state and RTO computation; `default()` has no samples yet.
+#[derive(Debug, Clone, Default)]
 pub struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
@@ -33,48 +37,11 @@ pub struct RttEstimator {
     /// `(sample_time, rtt)` kept ascending in both fields, so the front is
     /// always the minimum over the window and the back the newest sample.
     min_filter: std::collections::VecDeque<(SimTime, SimDuration)>,
-    /// Horizon of the windowed minimum.
-    min_rtt_window: SimDuration,
     /// Current backoff multiplier (power of two).
     backoff: u32,
-    min_rto: SimDuration,
-    max_rto: SimDuration,
-}
-
-impl Default for RttEstimator {
-    fn default() -> Self {
-        Self::new(SimDuration::from_millis(200), SimDuration::from_secs(60))
-    }
 }
 
 impl RttEstimator {
-    /// Create with explicit RTO clamps.
-    pub fn new(min_rto: SimDuration, max_rto: SimDuration) -> Self {
-        assert!(min_rto <= max_rto);
-        RttEstimator {
-            srtt: None,
-            rttvar: SimDuration::ZERO,
-            latest: None,
-            min_filter: std::collections::VecDeque::new(),
-            min_rtt_window: DEFAULT_MIN_RTT_WINDOW,
-            backoff: 0,
-            min_rto,
-            max_rto,
-        }
-    }
-
-    /// Set the windowed-minimum horizon (builder style).
-    pub fn with_min_rtt_window(mut self, window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "min_rtt window must be positive");
-        self.min_rtt_window = window;
-        self
-    }
-
-    /// The configured windowed-minimum horizon.
-    pub fn min_rtt_window(&self) -> SimDuration {
-        self.min_rtt_window
-    }
-
     /// Incorporate a sample taken at `now` (RFC 6298 §2) and reset
     /// backoff — a valid sample proves the path is alive.
     pub fn on_sample(&mut self, now: SimTime, rtt: SimDuration) {
@@ -86,7 +53,7 @@ impl RttEstimator {
         while self
             .min_filter
             .front()
-            .is_some_and(|&(t, _)| now.saturating_since(t) > self.min_rtt_window)
+            .is_some_and(|&(t, _)| now.saturating_since(t) > MIN_RTT_WINDOW)
         {
             self.min_filter.pop_front();
         }
@@ -120,7 +87,7 @@ impl RttEstimator {
         self.latest
     }
 
-    /// Minimum RTT over the configured window (base RTT). Unlike a lifetime
+    /// Minimum RTT over the last [`MIN_RTT_WINDOW`] (base RTT). Unlike a lifetime
     /// minimum, this re-learns the base RTT after a reroute: pre-fault
     /// samples age out of the filter.
     pub fn min_rtt(&self) -> Option<SimDuration> {
@@ -148,7 +115,7 @@ impl RttEstimator {
             Some(srtt) => srtt + (self.rttvar * 4).max(SimDuration::from_millis(1)),
         };
         let backed_off = base.saturating_mul(1u64 << self.backoff.min(16));
-        backed_off.clamp(self.min_rto, self.max_rto)
+        backed_off.clamp(MIN_RTO, MAX_RTO)
     }
 
     /// Double the RTO after a timeout (RFC 6298 §5.5).
@@ -222,13 +189,14 @@ mod tests {
 
     #[test]
     fn rto_clamps_to_bounds() {
-        let mut e = RttEstimator::new(MS(200), SimDuration::from_secs(2));
+        let mut e = RttEstimator::default();
         sample(&mut e, 0, MS(1)); // tiny RTT -> floor
         assert_eq!(e.rto(), MS(200));
+        // 3 ms backed off 2^16 times is 197 s: the ceiling holds it at 60 s.
         for _ in 0..20 {
             e.on_timeout();
         }
-        assert_eq!(e.rto(), SimDuration::from_secs(2));
+        assert_eq!(e.rto(), SimDuration::from_secs(60));
     }
 
     #[test]
@@ -247,17 +215,17 @@ mod tests {
         // fault-induced reroute onto a longer path the base RTT stayed
         // stale forever and delay-based CC saw phantom queueing. With the
         // windowed filter the pre-reroute sample ages out.
-        let mut e = RttEstimator::default().with_min_rtt_window(SimDuration::from_secs(2));
+        let mut e = RttEstimator::default();
         sample(&mut e, 0, MS(10)); // short path
         assert_eq!(e.min_rtt(), Some(MS(10)));
         // Reroute: every sample now takes the 40 ms path.
         sample(&mut e, 500, MS(40));
         assert_eq!(e.min_rtt(), Some(MS(10)), "still inside the window");
-        sample(&mut e, 2_600, MS(40));
+        sample(&mut e, 10_600, MS(40));
         assert_eq!(
             e.min_rtt(),
             Some(MS(40)),
-            "the 10 ms sample is past the 2 s horizon and must expire"
+            "the 10 ms sample is past the 10 s horizon and must expire"
         );
     }
 
@@ -265,15 +233,15 @@ mod tests {
     fn min_rtt_window_keeps_minimum_among_live_samples() {
         // The filter must return the smallest *unexpired* sample, not just
         // the latest: a recent low reading survives later higher ones.
-        let mut e = RttEstimator::default().with_min_rtt_window(SimDuration::from_secs(2));
+        let mut e = RttEstimator::default();
         sample(&mut e, 0, MS(30));
         sample(&mut e, 100, MS(12));
         sample(&mut e, 200, MS(25));
         sample(&mut e, 300, MS(50));
         assert_eq!(e.min_rtt(), Some(MS(12)));
-        // At 2.15 s the 12 ms sample (taken at 0.1 s) is expired but the
-        // 25 ms one (taken at 0.2 s) is still inside the 2 s window.
-        sample(&mut e, 2_150, MS(60));
+        // At 10.15 s the 12 ms sample (taken at 0.1 s) is expired but the
+        // 25 ms one (taken at 0.2 s) is still inside the 10 s window.
+        sample(&mut e, 10_150, MS(60));
         assert_eq!(e.min_rtt(), Some(MS(25)));
     }
 
@@ -294,13 +262,12 @@ mod tests {
 
     #[test]
     fn default_window_matches_linux_style_horizon() {
-        let e = RttEstimator::default();
-        assert_eq!(e.min_rtt_window(), SimDuration::from_secs(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "min_rtt window must be positive")]
-    fn zero_window_rejected() {
-        let _ = RttEstimator::default().with_min_rtt_window(SimDuration::ZERO);
+        // A sample exactly 10 s old is still in the window; one older is not.
+        let mut e = RttEstimator::default();
+        sample(&mut e, 0, MS(10));
+        sample(&mut e, 10_000, MS(40));
+        assert_eq!(e.min_rtt(), Some(MS(10)));
+        sample(&mut e, 10_001, MS(40));
+        assert_eq!(e.min_rtt(), Some(MS(40)));
     }
 }

@@ -15,7 +15,7 @@
 //!   dup-ACKs, **NewReno fast recovery** with window inflation and partial-
 //!   ACK retransmission (RFC 6582);
 //! * **RTO** per RFC 6298 with exponential backoff (200 ms floor, 60 s
-//!   ceiling), go-back-N recovery driven by partial ACKs;
+//!   ceiling, [`crate::rtt`]), go-back-N recovery driven by partial ACKs;
 //! * RTT sampling from timestamps (Karn-safe);
 //! * pluggable [`CongestionControl`];
 //! * flow control against the peer's advertised window.
@@ -26,18 +26,20 @@
 use crate::cc::{AckContext, CongestionControl, LossContext};
 use crate::ranges::RangeSet;
 use crate::rtt::RttEstimator;
-use crate::seq::SeqNum;
+use crate::seq::{SeqNum, ISN};
 use crate::wire::{SackList, TcpFlags, TcpSegment, Timestamps};
 use netsim::SimCounters;
 use simbase::{SimDuration, SimTime};
+
+/// The maximum segment (payload) size of every subflow, in bytes: an
+/// Ethernet MTU less the IP and TCP headers.
+pub const MSS: u32 = 1460;
 
 /// Static configuration of a TCP flow endpoint.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Maximum segment (payload) size in bytes.
     pub mss: u32,
-    /// Initial sequence number on the wire.
-    pub isn: SeqNum,
     /// Our port (identifies the subflow under ndiffports).
     pub src_port: u16,
     /// Peer port.
@@ -59,11 +61,10 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 1460,
-            isn: SeqNum(1),
+            mss: MSS,
             src_port: 5000,
             dst_port: 5001,
-            initial_cwnd: crate::cc::initial_window(1460),
+            initial_cwnd: crate::cc::initial_window(MSS),
             assumed_peer_window: 4 << 20,
             sack: true,
             ecn: false,
@@ -73,10 +74,6 @@ impl Default for TcpConfig {
 
 /// Duplicate-ACK threshold for fast retransmit (RFC 5681).
 const DUPACK_THRESHOLD: u32 = 3;
-/// Minimum retransmission timeout (Linux: 200 ms).
-const MIN_RTO: SimDuration = SimDuration::from_millis(200);
-/// Maximum retransmission timeout.
-const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 
 /// Why the sender is in a recovery episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,10 +173,6 @@ pub struct TcpSender {
     /// reduction per RTT), and CWR must be set on the next data segment.
     ecn_cwr_until: SimTime,
     ecn_send_cwr: bool,
-    /// Half-close: the application is done; a FIN follows the last data
-    /// byte (occupying one phantom sequence number, as in real TCP).
-    close_requested: bool,
-    fin_sent: bool,
     /// Most recent tsval received from the peer (echoed in our segments).
     peer_tsval: u32,
     stats: SenderStats,
@@ -191,12 +184,11 @@ pub struct TcpSender {
 impl TcpSender {
     /// Create a sender with the given congestion controller.
     pub fn new(cfg: TcpConfig, cc: Box<dyn CongestionControl>) -> Self {
-        let rtt = RttEstimator::new(MIN_RTO, MAX_RTO);
         let peer_window = cfg.assumed_peer_window;
         TcpSender {
             cfg,
             cc,
-            rtt,
+            rtt: RttEstimator::default(),
             snd_una: 0,
             snd_nxt: 0,
             available: 0,
@@ -212,8 +204,6 @@ impl TcpSender {
             tlp_deadline: None,
             ecn_cwr_until: SimTime::ZERO,
             ecn_send_cwr: false,
-            close_requested: false,
-            fin_sent: false,
             peer_tsval: 0,
             stats: SenderStats::default(),
             sack_blocks: 0,
@@ -227,35 +217,7 @@ impl TcpSender {
 
     /// Supply `bytes` of application data.
     pub fn push_app_data(&mut self, bytes: u64) {
-        assert!(!self.close_requested, "push after close");
         self.available += bytes;
-    }
-
-    /// Half-close the connection: after the remaining data drains, a FIN is
-    /// sent (and retransmitted until acknowledged). Only meaningful for
-    /// bounded sources.
-    pub fn close(&mut self) {
-        assert!(!self.unlimited, "cannot close an unlimited source");
-        self.close_requested = true;
-    }
-
-    /// The stream offset the FIN occupies (the phantom byte after the last
-    /// data byte), once `close` has been requested.
-    fn fin_offset(&self) -> Option<u64> {
-        if !self.close_requested {
-            return None;
-        }
-        if self.fin_sent {
-            // snd_nxt already includes the phantom byte.
-            Some(self.snd_nxt - 1)
-        } else {
-            Some(self.snd_nxt + self.available)
-        }
-    }
-
-    /// True once the peer has acknowledged everything including the FIN.
-    pub fn is_closed(&self) -> bool {
-        self.close_requested && self.fin_sent && self.snd_una == self.snd_nxt
     }
 
     /// Application bytes not yet handed to the network.
@@ -444,16 +406,12 @@ impl TcpSender {
         }
     }
 
-    fn tsval(now: SimTime) -> u32 {
-        Timestamps::tsval_at(now)
-    }
-
     fn make_segment(&mut self, now: SimTime, offset: u64) -> TcpSegment {
         let cwr = std::mem::take(&mut self.ecn_send_cwr);
         TcpSegment {
             src_port: self.cfg.src_port,
             dst_port: self.cfg.dst_port,
-            seq: SeqNum::from_offset(self.cfg.isn, offset),
+            seq: SeqNum::from_offset(ISN, offset),
             ack: SeqNum(0),
             flags: TcpFlags {
                 cwr,
@@ -461,7 +419,7 @@ impl TcpSender {
             },
             window: 0, // sender side advertises nothing useful in one-way flows
             ts: Some(Timestamps {
-                tsval: Self::tsval(now),
+                tsval: Timestamps::tsval_at(now),
                 tsecr: self.peer_tsval,
             }),
             mss: None,
@@ -490,21 +448,6 @@ impl TcpSender {
         while let Some(off) = self.rtx_pending.pop_front() {
             if off < self.snd_una {
                 continue; // already acked while queued
-            }
-            // A retransmission covering the FIN's phantom byte resends the
-            // FIN segment itself.
-            if self.fin_sent && Some(off) == self.fin_offset() {
-                self.stats.segments_sent += 1;
-                self.stats.retransmits += 1;
-                self.arm_rto(now);
-                let mut seg = self.make_segment(now, off);
-                seg.flags.fin = true;
-                return Some(SegmentTx {
-                    offset: off,
-                    len: 0,
-                    seg,
-                    is_retransmission: true,
-                });
             }
             // Both bounds are clamped to `mss`, so neither conversion can
             // truncate.
@@ -561,23 +504,6 @@ impl TcpSender {
         let room = window - used;
         let len = self.segment_len_at(self.snd_nxt);
         if len == 0 {
-            // Data exhausted: emit the FIN once (it ignores the congestion
-            // window, like a real stack's zero-length FIN).
-            if self.close_requested && !self.fin_sent {
-                let offset = self.snd_nxt;
-                self.snd_nxt += 1; // the FIN's phantom byte
-                self.fin_sent = true;
-                self.stats.segments_sent += 1;
-                self.arm_rto_if_unarmed(now);
-                let mut seg = self.make_segment(now, offset);
-                seg.flags.fin = true;
-                return Some(SegmentTx {
-                    offset,
-                    len: 0,
-                    seg,
-                    is_retransmission: false,
-                });
-            }
             return None;
         }
         if room < len as u64 {
@@ -611,7 +537,7 @@ impl TcpSender {
     /// `None` if it lies before the start of the stream (wild input: an
     /// agent counts the packet as malformed instead of calling `on_ack`).
     pub fn ack_offset(&self, ack: SeqNum) -> Option<u64> {
-        ack.expand(self.cfg.isn, self.snd_una)
+        ack.expand(ISN, self.snd_una)
     }
 
     /// Process an incoming (pure) ACK segment. One whose acknowledgement
@@ -628,7 +554,7 @@ impl TcpSender {
         if let Some(ts) = &seg.ts {
             self.peer_tsval = ts.tsval;
             if ts.tsecr != 0 {
-                let sample_us = Self::tsval(now).wrapping_sub(ts.tsecr);
+                let sample_us = Timestamps::tsval_at(now).wrapping_sub(ts.tsecr);
                 // Reject absurd samples from clock wrap (> 1 hour).
                 if sample_us < 3_600_000_000 {
                     self.rtt
@@ -769,8 +695,7 @@ impl TcpSender {
     fn check_cwnd_floor(&self) {
         assert!(
             self.cc.cwnd() >= u64::from(self.cfg.mss),
-            "{}: cwnd {} below 1 MSS ({}) after CC update",
-            self.cc.name(),
+            "cwnd {} below 1 MSS ({}) after CC update",
             self.cc.cwnd(),
             self.cfg.mss,
         );
@@ -907,12 +832,12 @@ mod tests {
         s
     }
 
-    fn ack_seg(s: &TcpSender, offset: u64, tsecr: u32) -> TcpSegment {
+    fn ack_seg(offset: u64, tsecr: u32) -> TcpSegment {
         TcpSegment {
             src_port: 5001,
             dst_port: 5000,
             seq: SeqNum(0),
-            ack: SeqNum::from_offset(s.config().isn, offset),
+            ack: SeqNum::from_offset(ISN, offset),
             flags: TcpFlags::ACK,
             window: 4 << 20,
             ts: Some(Timestamps { tsval: 1, tsecr }),
@@ -949,7 +874,7 @@ mod tests {
         let segs = drain(&mut s, t0);
         let tsval = segs[0].seg.ts.unwrap().tsval;
         let t1 = SimTime::from_millis(11);
-        let r = s.on_ack(t1, &ack_seg(&s, 2 * MSS as u64, tsval));
+        let r = s.on_ack(t1, &ack_seg(2 * MSS as u64, tsval));
         assert_eq!(r.newly_acked, 2 * MSS as u64);
         // Slow start: cwnd grew by the acked amount; 2 freed + 2 grown = 4.
         let more = drain(&mut s, t1);
@@ -971,7 +896,7 @@ mod tests {
         assert_eq!(s.app_backlog(), 0);
         // Everything acked -> timer disarmed.
         let total = 3 * MSS as u64 + 100;
-        s.on_ack(SimTime::from_millis(5), &ack_seg(&s, total, 0));
+        s.on_ack(SimTime::from_millis(5), &ack_seg(total, 0));
         assert_eq!(s.flight_size(), 0);
         assert!(s.next_timer().is_none());
     }
@@ -982,14 +907,14 @@ mod tests {
         let t0 = SimTime::ZERO;
         let _ = drain(&mut s, t0);
         // Ack first segment to establish snd_una = 1 MSS.
-        s.on_ack(SimTime::from_millis(10), &ack_seg(&s, MSS as u64, 0));
+        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0));
         let _ = drain(&mut s, SimTime::from_millis(10));
         let cwnd_before = s.cc().cwnd();
 
         // Segment at offset MSS is lost: three dup ACKs arrive.
         let t = SimTime::from_millis(20);
         for i in 0..3 {
-            let r = s.on_ack(t, &ack_seg(&s, MSS as u64, 0));
+            let r = s.on_ack(t, &ack_seg(MSS as u64, 0));
             assert_eq!(r.newly_acked, 0);
             assert_eq!(r.entered_recovery, i == 2);
         }
@@ -1008,16 +933,16 @@ mod tests {
         let mut s = sender();
         let t0 = SimTime::ZERO;
         let _ = drain(&mut s, t0);
-        s.on_ack(SimTime::from_millis(10), &ack_seg(&s, MSS as u64, 0));
+        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0));
         let _ = drain(&mut s, SimTime::from_millis(10));
         let recover_point = s.snd_nxt();
         let t = SimTime::from_millis(20);
         for _ in 0..3 {
-            s.on_ack(t, &ack_seg(&s, MSS as u64, 0));
+            s.on_ack(t, &ack_seg(MSS as u64, 0));
         }
         let _rtx = s.poll_segment(t);
         // Full cumulative ACK arrives.
-        let r = s.on_ack(SimTime::from_millis(30), &ack_seg(&s, recover_point, 0));
+        let r = s.on_ack(SimTime::from_millis(30), &ack_seg(recover_point, 0));
         assert!(r.exited_recovery);
         assert!(!s.in_recovery());
         assert_eq!(s.send_window(), s.cc().cwnd()); // inflation gone
@@ -1028,15 +953,15 @@ mod tests {
         let mut s = sender();
         let t0 = SimTime::ZERO;
         let _ = drain(&mut s, t0);
-        s.on_ack(SimTime::from_millis(10), &ack_seg(&s, MSS as u64, 0));
+        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0));
         let _ = drain(&mut s, SimTime::from_millis(10));
         let t = SimTime::from_millis(20);
         for _ in 0..3 {
-            s.on_ack(t, &ack_seg(&s, MSS as u64, 0));
+            s.on_ack(t, &ack_seg(MSS as u64, 0));
         }
         let _rtx = s.poll_segment(t).unwrap();
         // Partial ACK: advances but not past recover.
-        let r = s.on_ack(SimTime::from_millis(30), &ack_seg(&s, 3 * MSS as u64, 0));
+        let r = s.on_ack(SimTime::from_millis(30), &ack_seg(3 * MSS as u64, 0));
         assert_eq!(r.newly_acked, 2 * MSS as u64);
         assert!(!r.exited_recovery);
         assert!(s.in_recovery());
@@ -1060,21 +985,21 @@ mod tests {
         let mut s = TcpSender::new(cfg, cc);
         s.set_unlimited();
         let _ = drain(&mut s, SimTime::ZERO);
-        s.on_ack(SimTime::from_millis(10), &ack_seg(&s, MSS as u64, 0));
+        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0));
         let _ = drain(&mut s, SimTime::from_millis(10));
         let t = SimTime::from_millis(20);
         for _ in 0..3 {
-            s.on_ack(t, &ack_seg(&s, MSS as u64, 0));
+            s.on_ack(t, &ack_seg(MSS as u64, 0));
         }
         let w0 = s.send_window();
         for _ in 0..2 {
-            s.on_ack(t, &ack_seg(&s, MSS as u64, 0));
+            s.on_ack(t, &ack_seg(MSS as u64, 0));
         }
         assert_eq!(s.send_window(), w0 + 2 * MSS as u64);
         // Many more dup ACKs: the inflation saturates at cwnd (window is
         // then exactly 2x cwnd), preventing unbounded flight growth.
         for _ in 0..100 {
-            s.on_ack(t, &ack_seg(&s, MSS as u64, 0));
+            s.on_ack(t, &ack_seg(MSS as u64, 0));
         }
         assert_eq!(s.send_window(), 2 * s.cc().cwnd());
     }
@@ -1112,7 +1037,7 @@ mod tests {
         let small_window = 4480; // 3 * 1460 = 4380 -> round to 4480
         let seg = TcpSegment {
             flags: TcpFlags::ACK,
-            ack: SeqNum::from_offset(s.config().isn, 0),
+            ack: SeqNum::from_offset(ISN, 0),
             window: small_window,
             ..Default::default()
         };
@@ -1144,9 +1069,6 @@ mod tests {
             fn ssthresh(&self) -> u64 {
                 u64::MAX
             }
-            fn name(&self) -> &'static str {
-                "huge"
-            }
             fn clone_boxed(&self) -> Box<dyn CongestionControl> {
                 Box::new(self.clone())
             }
@@ -1170,10 +1092,10 @@ mod tests {
         let _ = drain(&mut s, SimTime::ZERO);
         let t = SimTime::from_millis(20);
         for _ in 0..3 {
-            s.on_ack(t, &ack_seg(&s, 0, 0));
+            s.on_ack(t, &ack_seg(0, 0));
         }
         // Before polling the retransmission, the lost segment gets acked.
-        s.on_ack(SimTime::from_millis(25), &ack_seg(&s, 10 * MSS as u64, 0));
+        s.on_ack(SimTime::from_millis(25), &ack_seg(10 * MSS as u64, 0));
         // The queued rtx for offset 0 must be skipped, yielding new data.
         let seg = s.poll_segment(SimTime::from_millis(25)).unwrap();
         assert!(!seg.is_retransmission);
@@ -1184,7 +1106,7 @@ mod tests {
     fn ack_beyond_snd_nxt_is_ignored() {
         let mut s = sender();
         let _ = drain(&mut s, SimTime::ZERO);
-        let bogus = ack_seg(&s, 100 * MSS as u64, 0);
+        let bogus = ack_seg(100 * MSS as u64, 0);
         let r = s.on_ack(SimTime::from_millis(1), &bogus);
         assert_eq!(r.newly_acked, 0);
         assert_eq!(s.snd_una(), 0);
@@ -1196,7 +1118,7 @@ mod tests {
         let _ = drain(&mut s, SimTime::ZERO);
         let t = SimTime::from_millis(20);
         for _ in 0..3 {
-            s.on_ack(t, &ack_seg(&s, 0, 0));
+            s.on_ack(t, &ack_seg(0, 0));
         }
         let _ = s.poll_segment(t).unwrap();
         assert_eq!(s.stats().retransmits, 1);
@@ -1215,23 +1137,23 @@ mod tests {
         let t0 = SimTime::from_millis(1);
         let _ = drain(&mut s, t0);
         // Establish an RTT sample.
-        s.on_ack(SimTime::from_millis(11), &ack_seg(&s, MSS as u64, 1));
+        s.on_ack(SimTime::from_millis(11), &ack_seg(MSS as u64, 1));
         let w0 = s.cc().cwnd();
         // ECE arrives: one reduction.
-        let mut e = ack_seg(&s, 2 * MSS as u64, 0);
+        let mut e = ack_seg(2 * MSS as u64, 0);
         e.flags.ece = true;
         s.on_ack(SimTime::from_millis(12), &e);
         let w1 = s.cc().cwnd();
         assert!(w1 < w0, "ECE must shrink the window: {w0} -> {w1}");
         assert_eq!(s.stats().ecn_reductions, 1);
         // A second ECE within the same RTT is ignored.
-        let mut e2 = ack_seg(&s, 3 * MSS as u64, 0);
+        let mut e2 = ack_seg(3 * MSS as u64, 0);
         e2.flags.ece = true;
         s.on_ack(SimTime::from_millis(13), &e2);
         assert_eq!(s.stats().ecn_reductions, 1);
         // Free the window (cwnd was halved below the flight size), then the
         // next data segment carries CWR exactly once.
-        s.on_ack(SimTime::from_millis(14), &ack_seg(&s, 9 * MSS as u64, 0));
+        s.on_ack(SimTime::from_millis(14), &ack_seg(9 * MSS as u64, 0));
         let seg1 = s
             .poll_segment(SimTime::from_millis(14))
             .expect("window reopened");
@@ -1247,68 +1169,10 @@ mod tests {
         let mut s = sender(); // default config: ecn off
         let _ = drain(&mut s, SimTime::ZERO);
         let w0 = s.cc().cwnd();
-        let mut e = ack_seg(&s, MSS as u64, 0);
+        let mut e = ack_seg(MSS as u64, 0);
         e.flags.ece = true;
         s.on_ack(SimTime::from_millis(5), &e);
         assert!(s.cc().cwnd() >= w0);
         assert_eq!(s.stats().ecn_reductions, 0);
-    }
-
-    #[test]
-    fn close_sends_fin_after_data_and_completes() {
-        let cfg = TcpConfig::default();
-        let cc = Box::new(Reno::new(cfg.initial_cwnd, cfg.mss));
-        let mut s = TcpSender::new(cfg, cc);
-        s.push_app_data(2 * MSS as u64);
-        s.close();
-        let segs = drain(&mut s, SimTime::ZERO);
-        assert_eq!(segs.len(), 3, "two data segments + FIN");
-        assert!(!segs[0].seg.flags.fin);
-        assert!(segs[2].seg.flags.fin);
-        assert_eq!(segs[2].len, 0);
-        assert_eq!(segs[2].offset, 2 * MSS as u64);
-        assert!(!s.is_closed());
-        // ACK covering data + phantom byte completes the close.
-        s.on_ack(
-            SimTime::from_millis(10),
-            &ack_seg(&s, 2 * MSS as u64 + 1, 0),
-        );
-        assert!(s.is_closed());
-        assert_eq!(s.flight_size(), 0);
-        assert!(s.next_timer().is_none() || s.flight_size() == 0);
-    }
-
-    #[test]
-    fn lost_fin_is_retransmitted_on_rto() {
-        let cfg = TcpConfig::default();
-        let cc = Box::new(Reno::new(cfg.initial_cwnd, cfg.mss));
-        let mut s = TcpSender::new(cfg, cc);
-        s.push_app_data(MSS as u64);
-        s.close();
-        let segs = drain(&mut s, SimTime::ZERO);
-        assert!(segs[1].seg.flags.fin);
-        // Data acked, FIN lost.
-        s.on_ack(SimTime::from_millis(10), &ack_seg(&s, MSS as u64, 0));
-        assert!(!s.is_closed());
-        let deadline = s.next_timer().expect("RTO armed for the FIN");
-        s.on_timer(deadline);
-        let rtx = s.poll_segment(deadline).expect("FIN retransmission");
-        assert!(rtx.seg.flags.fin);
-        assert!(rtx.is_retransmission);
-        s.on_ack(
-            deadline + SimDuration::from_millis(5),
-            &ack_seg(&s, MSS as u64 + 1, 0),
-        );
-        assert!(s.is_closed());
-    }
-
-    #[test]
-    #[should_panic(expected = "push after close")]
-    fn push_after_close_panics() {
-        let cfg = TcpConfig::default();
-        let cc = Box::new(Reno::new(cfg.initial_cwnd, cfg.mss));
-        let mut s = TcpSender::new(cfg, cc);
-        s.close();
-        s.push_app_data(1);
     }
 }

@@ -13,6 +13,11 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SeqNum(pub u32);
 
+/// The initial sequence number of every subflow. The sender numbers its
+/// stream from it and the receiver places segments against it, so one
+/// constant keeps the two ends from disagreeing.
+pub const ISN: SeqNum = SeqNum(1);
+
 impl SeqNum {
     /// Add a byte count, wrapping.
     pub fn wrapping_add(self, n: u32) -> SeqNum {

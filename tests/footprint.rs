@@ -36,13 +36,14 @@ fn cell(pairs: usize) -> TrafficCell {
 }
 
 /// Bytes each further finished connection may leave behind in the world:
-/// the measured value + 10 % (7 692 before PR 17, 825 after; 940 with the
+/// the measured value + 5 % (7 692 before PR 17, 825 after; 940 with the
 /// wheel's chunk pool, some 195 B of it the engine's: the larger cell's pool
 /// peaks 13 chunks higher and its settled run doubled once more; 328 since
 /// a finished sender releases its RTT min-filters and scheduling scratch
 /// and an emptied timer table its buffer; 300 with a 136-byte subflow
-/// receiver, now that it keeps no delayed-ACK state).
-const RETAINED_PER_CONNECTION: u64 = 315;
+/// receiver, now that it keeps no delayed-ACK state; 282 with it 16 bytes
+/// smaller again, now that it tracks no FIN).
+const RETAINED_PER_CONNECTION: u64 = 296;
 /// Peak live heap of `run_traffic(&cell(PAIRS))`: the measured value + 5 %
 /// (6 750 556 before PR 17, 3 781 600 after, 2 618 288 with the wheel's
 /// chunk pool, 2 260 128 with one 144-byte record per link direction and
@@ -50,8 +51,9 @@ const RETAINED_PER_CONNECTION: u64 = 315;
 /// and SACK / reassembly ranges in sorted vectors; 2 030 560 at PR 25's
 /// parent, 2 004 848 with drop-tail queues held inline, 1 944 808 once
 /// subflow senders, receivers and the MPTCP sender kept no one-value
-/// options).
-const PEAK_BUDGET_BYTES: u64 = 2_042_100;
+/// options, 1 909 448 once they kept no FIN state, RTO clamps or join
+/// timing either).
+const PEAK_BUDGET_BYTES: u64 = 2_005_000;
 /// Heap bytes each further pair adds to a world that is assembled and has
 /// not run an event yet — topology, routes, the simulator's per-direction
 /// records, two agents — everything `assembled_and_retained_by` allocates
@@ -61,8 +63,8 @@ const PEAK_BUDGET_BYTES: u64 = 2_042_100;
 /// sets per pair in place of its share of five hash tables; 3 653 at PR 25's
 /// parent, 3 589 with each link direction's drop-tail queue inline instead
 /// of boxed, 3 485 with the MPTCP sender 56 bytes and each subflow sender
-/// 24 bytes smaller).
-const ASSEMBLED_PER_PAIR: u64 = 3_660;
+/// 24 bytes smaller, 3 413 with both 24 bytes smaller again).
+const ASSEMBLED_PER_PAIR: u64 = 3_584;
 /// Allocator calls `run_traffic(&cell(PAIRS))` made at PR 17's parent
 /// commit, in the dev and the release profile alike (PR 17: 32 855).
 const PARENT_ALLOCATOR_CALLS: u64 = 94_095;

@@ -63,14 +63,14 @@ fn two_path_net(
     (t, vec![p1, p2])
 }
 
-/// Run one agent callback through a bare [`Ctx`]; returns how many effects
-/// it asked for.
-fn drive(call: impl FnOnce(&mut Ctx<'_>)) -> usize {
+/// Run one agent callback through a bare [`Ctx`] at `now`; returns the
+/// effects it asked for.
+fn effects_at(now: SimTime, call: impl FnOnce(&mut Ctx<'_>)) -> Vec<Effect> {
     let mut rng = Xoshiro256StarStar::new(1);
     let mut effects: Vec<Effect> = Vec::new();
     let mut next_id = 0;
     let mut ctx = Ctx::new(
-        SimTime::from_millis(1),
+        now,
         NodeId(1),
         AgentId(0),
         &mut rng,
@@ -78,7 +78,12 @@ fn drive(call: impl FnOnce(&mut Ctx<'_>)) -> usize {
         &mut next_id,
     );
     call(&mut ctx);
-    effects.len()
+    effects
+}
+
+/// [`effects_at`] 1 ms into the run; returns how many effects it asked for.
+fn drive(call: impl FnOnce(&mut Ctx<'_>)) -> usize {
+    effects_at(SimTime::from_millis(1), call).len()
 }
 
 /// Hand `agent` one packet carrying `payload` and `data_len` virtual bytes;
@@ -287,7 +292,8 @@ proptest! {
 
     /// Segments that *do* decode but promise nothing about their sequence,
     /// acknowledgement, SACK or DSS numbers, offered in any order to both
-    /// MPTCP agents (the sender started, so it has data in flight):
+    /// MPTCP agents (the sender started and both its subflows joined, so
+    /// each has data in flight):
     /// nothing panics; a number from before the start of its stream, or a
     /// DSS mapping running off the end of the DSN space, is counted in
     /// `rx_malformed` and has no effect; nothing else is counted; and no
@@ -301,13 +307,24 @@ proptest! {
             src_port: 5000 + 2 * i,
             dst_port: 5001 + 2 * i,
         };
-        let mut mp_tx = MptcpSenderAgent::new(MptcpConfig {
-            join_delay: SimDuration::ZERO,
-            join_jitter: SimDuration::ZERO,
-            ..MptcpConfig::bulk(NodeId(0), vec![subflow(0), subflow(1)])
-        });
+        let mut mp_tx =
+            MptcpSenderAgent::new(MptcpConfig::bulk(NodeId(0), vec![subflow(0), subflow(1)]));
         let mut mp_rx = MptcpReceiverAgent::default();
-        prop_assert!(drive(|ctx| mp_tx.on_start(ctx)) > 0);
+        // Fire the join timers `on_start` arms, each at its deadline. The
+        // other timers it arms are the subflows' RTOs, whose tokens are the
+        // subflow indices; those stay pending.
+        let started = effects_at(SimTime::from_millis(1), |ctx| mp_tx.on_start(ctx));
+        prop_assert!(!started.is_empty());
+        for effect in started {
+            if let Effect::SetTimer { at, token } = effect {
+                if token >= mp_tx.subflow_count() as u64 {
+                    effects_at(at, |ctx| mp_tx.on_timer(ctx, token));
+                }
+            }
+        }
+        for i in 0..mp_tx.subflow_count() {
+            prop_assert!(mp_tx.subflow_sender(i).snd_nxt() > 0, "subflow {} joined", i);
+        }
 
         let mut carried = 0u64;
         for (seg, data_len) in &segments {
