@@ -60,6 +60,12 @@ if grep -rnE 'TcpSenderAgent|TcpReceiverAgent|AppSource::Paced|delayed_ack|cwnd_
     exit 1
 fi
 
+echo "==> nothing deleted comes back (one-value setting structs, table smoke modes)"
+if grep -rnE 'MobileNetConfig|MobilityProfile|FluidConfig|FluidParams|WorldgenConfig|fn fluid_config|--smoke' crates/ tests/ examples/*.rs; then
+    echo "deleted (DESIGN.md par 4, par 9.4, par 12): a setting no run varies is a named constant next to the code that reads it, fluidsim::solve takes only a horizon, and the table bins assert their gates while they print" >&2
+    exit 1
+fi
+
 echo "==> sweep-runner smoke test (release, serial vs pooled must match)"
 cargo build --release --offline -q -p bench
 OVERLAP_WORKERS=1 ./target/release/table1_results 3 2 2>/dev/null >/tmp/sweep_serial.txt
@@ -116,15 +122,6 @@ echo "==> horizon-independence gate (paper net, LIA, 30 s then 120 s: VmHWM grow
 # capture would add ~40 MB here.
 ./target/release/horizon_gate
 
-echo "==> fluid-model smoke (paper topology, all laws)"
-./target/release/fluid_table --smoke
-
-echo "==> worldgen smoke (fat-tree ECMP, traffic, mobility, fluid band)"
-./target/release/worldgen_table --smoke
-
-echo "==> failover smoke (fault injection, recovery gates, 1-vs-4-worker hashes)"
-./target/release/failover_table --smoke
-
 echo "==> results/*.txt byte-diff regeneration check (five tables, the paper's Figures 1c and 2a-c)"
 # worldgen_table's S5 pins two absolute trace hashes; fig2a is the paper's
 # headline CUBIC run. table1_results (5 seeds x 30 s, its defaults) prints
@@ -152,7 +149,7 @@ done
 
 echo "==> perfbench smoke (the benchmark still builds against the crates and its checks pass)"
 # examples/perfbench is a package of its own (BENCHMARK.json runs it), so
-# nothing above compiles it. One short rep of each of four workloads; the last
+# nothing above compiles it. One short rep of each of five workloads; the last
 # stdout line is the result document. Every smoke's simulated columns must be
 # the ones results/perf_trajectory.json records for the workload and seed in
 # its last row: a change that moves sim.events or the trace digest either adds
@@ -166,8 +163,10 @@ echo "==> perfbench smoke (the benchmark still builds against the crates and its
 # most of them mid-recovery): churn-4k reads 20.7-20.8 MB (21.0-21.2 MB with
 # boxed drop-tail queues, 22.9-23.0 MB while every node owned a route table),
 # overload-4k 25.5-25.6 MB (25.8-26.0 MB with boxed queues, 29.1 MB while SACK
-# scoreboards and reassembly sets were B-trees). 0 means no ceiling.
-for smoke in paper-bulk:0 fabric-ecmp:7 churn-4k:22 overload-4k:27; do
+# scoreboards and reassembly sets were B-trees). regen-service (~35 s on two
+# cores) is table regeneration end to end: runner, store, faults,
+# checkpoint/branch and a fluid solve. 0 means no ceiling.
+for smoke in paper-bulk:0 fabric-ecmp:7 churn-4k:22 overload-4k:27 regen-service:0; do
     workload=${smoke%:*}
     limit=${smoke#*:}
     cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \

@@ -1,78 +1,17 @@
 //! The fluid ⇄ packet ⇄ LP cross-validation table.
 //!
-//! Default mode prints the complete `results/fluid_table.txt` document to
-//! stdout (progress to stderr). The document is byte-identical across
-//! machines and worker counts; regenerate the checked-in copy with
+//! Prints the complete `results/fluid_table.txt` document to stdout
+//! (progress to stderr). The document is byte-identical across machines and
+//! worker counts; regenerate the checked-in copy with
 //!
 //! ```text
 //! cargo run -p bench --bin fluid_table --release > results/fluid_table.txt
 //! ```
-//!
-//! `--smoke` runs only the fluid side on the paper topology — every law,
-//! the acceptance gates (OLIA/Balia within 5% of the 90 Mbps LP optimum,
-//! LIA strictly suboptimal, bit-identical double solve) asserted — and
-//! exits. CI uses it as the fast fluid sanity check.
 
 use overlap_core::prelude::*;
 use std::time::Instant;
 
-fn smoke() {
-    let started = Instant::now();
-    println!("fluid smoke: paper topology (Consistent, Path 2 default), all laws");
-    let mut lia_total = 0.0;
-    let mut best_coupled: f64 = 0.0;
-    for law in FluidLaw::ALL {
-        let run = fluid_paper_run(ConstraintVariant::Consistent, 1, law);
-        let again = fluid_paper_run(ConstraintVariant::Consistent, 1, law);
-        assert_eq!(
-            run.digest,
-            again.digest,
-            "{}: double solve must be bit-identical",
-            law.name()
-        );
-        assert!(
-            run.settled(),
-            "{}: expected a settled outcome, got {:?}",
-            law.name(),
-            run.outcome
-        );
-        println!(
-            "  {:7} total {:6.2} Mbps ({:5.1}% of LP 90) in {:.1} virtual s",
-            law.name(),
-            run.total_mbps,
-            100.0 * run.total_mbps / 90.0,
-            run.convergence_time_s.unwrap_or(f64::NAN),
-        );
-        match law {
-            FluidLaw::Lia => lia_total = run.total_mbps,
-            FluidLaw::Olia | FluidLaw::Balia => {
-                assert!(
-                    run.total_mbps >= 0.95 * 90.0,
-                    "{}: {:.2} Mbps misses the 5% acceptance band",
-                    law.name(),
-                    run.total_mbps
-                );
-                best_coupled = best_coupled.max(run.total_mbps);
-            }
-            _ => {}
-        }
-    }
-    assert!(
-        lia_total < best_coupled,
-        "LIA ({lia_total:.2}) must trail the optimum-reaching laws ({best_coupled:.2})"
-    );
-    println!(
-        "fluid smoke passed in {:.2}s",
-        started.elapsed().as_secs_f64()
-    );
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
     let cfg = RunnerConfig::from_env().with_progress(true);
     let started = Instant::now();
     print!("{}", fluid_table_document(&cfg));

@@ -21,21 +21,16 @@
 use crate::paper::{ConstraintVariant, PaperNetwork, PaperNetworkConfig};
 use crate::randomnet::{RandomOverlapConfig, RandomOverlapNet};
 use crate::runner::{run_sweep, RunnerConfig, SweepSpec, TopologySpec};
-use fluidsim::{solve, FluidConfig, FluidLaw, FluidModel, FluidRun};
+use fluidsim::{solve, FluidLaw, FluidModel, FluidRun};
 use mptcpsim::CcAlgo;
 use simbase::SimDuration;
 use std::fmt::Write as _;
 
-/// The harness's canonical fluid configuration. The only departure from
-/// `FluidConfig::default()` is a longer horizon: OLIA's α term moves
-/// window between paths at O(mss/w) per RTT, so its equilibria on the
-/// paper topology need several hundred virtual seconds to settle.
-pub fn fluid_config() -> FluidConfig {
-    FluidConfig {
-        max_time: 800.0,
-        ..FluidConfig::default()
-    }
-}
+/// The horizon of every fluid solve behind a table, virtual seconds.
+/// OLIA's α term moves window between paths at O(mss/w) per RTT, so its
+/// equilibria on the paper topology need several hundred virtual seconds
+/// to settle.
+pub const FLUID_HORIZON_S: f64 = 800.0;
 
 /// Solve the fluid model for one paper-network configuration.
 pub fn fluid_paper_run(variant: ConstraintVariant, default_path: usize, law: FluidLaw) -> FluidRun {
@@ -45,7 +40,7 @@ pub fn fluid_paper_run(variant: ConstraintVariant, default_path: usize, law: Flu
         ..Default::default()
     });
     let model = FluidModel::from_topology(&net.topology, &net.paths);
-    solve(&model, law, &fluid_config())
+    solve(&model, law, FLUID_HORIZON_S)
 }
 
 /// One (algorithm × default path) cell of the cross-validation table.
@@ -158,7 +153,6 @@ pub fn random_cross_table(
         sample_bin: SimDuration::from_millis(100),
     };
     let outcome = run_sweep(&spec, cfg);
-    let fcfg = fluid_config();
     let mut rows = Vec::with_capacity(outcome.cells.len());
     for (cell, result) in outcome.cells.iter().zip(&outcome.results) {
         let net = RandomOverlapNet::generate(&RandomOverlapConfig {
@@ -168,7 +162,7 @@ pub fn random_cross_table(
         let model = FluidModel::from_topology(&net.topology, &net.paths);
         let law =
             FluidLaw::from_algo(cell.algo).expect("random cross-table algos must have a fluid law"); // simlint: allow(unwrap, reason = "documented precondition; caller passes coupled loss-based algos only")
-        let fluid = solve(&model, law, &fcfg);
+        let fluid = solve(&model, law, FLUID_HORIZON_S);
         rows.push(RandomCrossRow {
             seed: cell.seed,
             algo: cell.algo,
@@ -334,7 +328,7 @@ pub fn fluid_table_document(cfg: &RunnerConfig) -> String {
     let _ = writeln!(
         out,
         "fluid side: RK4 at 0.5 ms steps, horizon {} s; wVegas has no fluid law (delay-based).",
-        fluid_config().max_time
+        FLUID_HORIZON_S
     );
     let _ = writeln!(
         out,

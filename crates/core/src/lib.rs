@@ -75,8 +75,8 @@ pub use failover::{
     FailoverConfig, FailoverOutcome, FailoverRow, FailoverSetup, OutageSweep, OutageVariantCell,
 };
 pub use fluidcheck::{
-    fluid_config, fluid_paper_run, fluid_table_document, paper_cross_table, random_cross_table,
-    CrossRow, RandomCrossRow,
+    fluid_paper_run, fluid_table_document, paper_cross_table, random_cross_table, CrossRow,
+    RandomCrossRow, FLUID_HORIZON_S,
 };
 pub use paper::{ConstraintVariant, PaperNetwork, PaperNetworkConfig};
 pub use randomnet::{RandomOverlapConfig, RandomOverlapNet};
@@ -90,7 +90,7 @@ pub use world::{ReceiverId, SenderId, World, WorldCheckpoint};
 pub use worldexp::{
     crosscheck_rows, render_worldgen, run_fabric, run_mobility, run_traffic, verify_worldgen,
     worldgen_report, worldgen_table_document, FabricCell, FabricRun, MobilityRun, SubflowSelector,
-    TrafficCell, TrafficRun, WorldCrossRow, WorldgenConfig, WorldgenReport,
+    TrafficCell, TrafficRun, WorldCrossRow, WorldgenReport,
 };
 
 /// The most frequently used types, re-exported for glob import.
@@ -102,8 +102,8 @@ pub mod prelude {
         failover_table_document, run_failover, FailoverConfig, FailoverOutcome, FailoverSetup,
     };
     pub use crate::fluidcheck::{
-        fluid_config, fluid_paper_run, fluid_table_document, paper_cross_table, random_cross_table,
-        CrossRow, RandomCrossRow,
+        fluid_paper_run, fluid_table_document, paper_cross_table, random_cross_table, CrossRow,
+        RandomCrossRow, FLUID_HORIZON_S,
     };
     pub use crate::paper::{ConstraintVariant, PaperNetwork, PaperNetworkConfig};
     pub use crate::randomnet::{RandomOverlapConfig, RandomOverlapNet};
@@ -117,11 +117,9 @@ pub mod prelude {
     pub use crate::world::World;
     pub use crate::worldexp::{
         run_fabric, run_mobility, run_traffic, worldgen_report, worldgen_table_document,
-        FabricCell, SubflowSelector, TrafficCell, WorldgenConfig,
+        FabricCell, SubflowSelector, TrafficCell,
     };
-    pub use fluidsim::{
-        solve, FluidConfig, FluidLaw, FluidModel, FluidOutcome, FluidParams, FluidRun,
-    };
+    pub use fluidsim::{solve, FluidLaw, FluidModel, FluidOutcome, FluidRun};
     pub use mptcpsim::{CcAlgo, SchedulerKind};
     pub use netsim::{Path, QueueConfig, Topology};
     pub use simbase::{Bandwidth, SimDuration, SimTime};

@@ -34,6 +34,12 @@ pub enum ConstraintVariant {
     AsPrinted,
 }
 
+/// Per-link one-way propagation delay.
+const LINK_DELAY: SimDuration = SimDuration::from_millis(2);
+/// Delay of the default path's exclusive links: below `LINK_DELAY`, so
+/// that path really has the lowest RTT.
+const FAST_DELAY: SimDuration = SimDuration::from_micros(200);
+
 /// Construction parameters for the paper network.
 #[derive(Debug, Clone)]
 pub struct PaperNetworkConfig {
@@ -43,11 +49,6 @@ pub struct PaperNetworkConfig {
     /// used first by the minRTT scheduler. The paper's headline setup is
     /// Path 2, i.e. index 1.
     pub default_path: usize,
-    /// Per-link one-way propagation delay.
-    pub link_delay: SimDuration,
-    /// Delay used for the default path's exclusive links (must be smaller
-    /// than `link_delay` so that path really has the lowest RTT).
-    pub fast_delay: SimDuration,
     /// Output queue per link direction.
     pub queue: QueueConfig,
 }
@@ -57,8 +58,6 @@ impl Default for PaperNetworkConfig {
         PaperNetworkConfig {
             variant: ConstraintVariant::Consistent,
             default_path: 1,
-            link_delay: SimDuration::from_millis(2),
-            fast_delay: SimDuration::from_micros(200),
             queue: QueueConfig::DropTailPackets(32),
         }
     }
@@ -88,7 +87,6 @@ impl PaperNetwork {
     /// Build with explicit parameters.
     pub fn build(cfg: &PaperNetworkConfig) -> Self {
         assert!(cfg.default_path < 3, "default_path must be 0, 1 or 2");
-        assert!(cfg.fast_delay < cfg.link_delay, "fast links must be faster");
         let mut t = Topology::new();
         let s = t.add_node("s");
         let v1 = t.add_node("v1");
@@ -104,9 +102,9 @@ impl PaperNetwork {
         //   P1: v1-v4, v2-d     P2: v1-v3     P3: s-v4, v2-v3
         let fast = |path: usize, cfg: &PaperNetworkConfig| {
             if cfg.default_path == path {
-                cfg.fast_delay
+                FAST_DELAY
             } else {
-                cfg.link_delay
+                LINK_DELAY
             }
         };
 
@@ -119,7 +117,7 @@ impl PaperNetwork {
         };
 
         let q = cfg.queue;
-        let dl = cfg.link_delay;
+        let dl = LINK_DELAY;
         // Shared links (always the base delay: they belong to two paths).
         t.add_link(s, v1, bw(40), dl, q); // b12: P1 & P2
         t.add_link(v4, v2, bw(cap_b13), dl, q); // b13: P1 & P3

@@ -16,6 +16,14 @@
 use netsim::{LinkId, NodeId, Path, QueueConfig, Topology};
 use simbase::{Bandwidth, SimDuration, SimRng, Xoshiro256StarStar};
 
+/// Private (non-shared) link capacity, Mbps: above any bottleneck
+/// capacity a config may draw, so only the shared links constrain.
+const PRIVATE_CAPACITY: u64 = 200;
+/// Per-link one-way delay.
+const LINK_DELAY: SimDuration = SimDuration::from_millis(1);
+/// Queue configuration for every link.
+const QUEUE: QueueConfig = QueueConfig::DropTailPackets(64);
+
 /// Parameters for the generator.
 #[derive(Debug, Clone)]
 pub struct RandomOverlapConfig {
@@ -23,13 +31,6 @@ pub struct RandomOverlapConfig {
     pub paths: usize,
     /// Bottleneck capacities drawn uniformly from this range (Mbps).
     pub capacity_range: (u64, u64),
-    /// Private (non-shared) link capacity (Mbps); must exceed the maximum
-    /// bottleneck capacity so only the shared links constrain.
-    pub private_capacity: u64,
-    /// Per-link one-way delay.
-    pub link_delay: SimDuration,
-    /// Queue configuration for every link.
-    pub queue: QueueConfig,
     /// Generator seed.
     pub seed: u64,
 }
@@ -39,9 +40,6 @@ impl Default for RandomOverlapConfig {
         RandomOverlapConfig {
             paths: 3,
             capacity_range: (20, 100),
-            private_capacity: 200,
-            link_delay: SimDuration::from_millis(1),
-            queue: QueueConfig::DropTailPackets(64),
             seed: 1,
         }
     }
@@ -68,7 +66,7 @@ impl RandomOverlapNet {
         assert!(cfg.paths >= 2, "need at least two paths");
         assert!(cfg.capacity_range.0 <= cfg.capacity_range.1);
         assert!(
-            cfg.private_capacity > cfg.capacity_range.1,
+            PRIVATE_CAPACITY > cfg.capacity_range.1,
             "private links must not constrain"
         );
         let n = cfg.paths;
@@ -86,7 +84,7 @@ impl RandomOverlapNet {
                 let u = t.add_node(format!("u{i}{j}"));
                 let v = t.add_node(format!("v{i}{j}"));
                 let cap = rng.next_range(cfg.capacity_range.0, cfg.capacity_range.1);
-                let l = t.add_link(u, v, Bandwidth::from_mbps(cap), cfg.link_delay, cfg.queue);
+                let l = t.add_link(u, v, Bandwidth::from_mbps(cap), LINK_DELAY, QUEUE);
                 pair_nodes.insert((i, j), (u, v));
                 pair_links.insert((i, j), l);
                 bottlenecks.push((i, j, cap));
@@ -94,7 +92,7 @@ impl RandomOverlapNet {
         }
 
         // Stitch each path through its bottlenecks with private links.
-        let private = Bandwidth::from_mbps(cfg.private_capacity);
+        let private = Bandwidth::from_mbps(PRIVATE_CAPACITY);
         let mut paths = Vec::with_capacity(n);
         for i in 0..n {
             let partners: Vec<usize> = (0..n).filter(|&j| j != i).collect();
@@ -104,11 +102,11 @@ impl RandomOverlapNet {
                 let key = (i.min(j), i.max(j));
                 let (u, v) = pair_nodes[&key];
                 // Private connector cur -> u (a fresh link per path).
-                links.push(t.add_link(cur, u, private, cfg.link_delay, cfg.queue));
+                links.push(t.add_link(cur, u, private, LINK_DELAY, QUEUE));
                 links.push(pair_links[&key]);
                 cur = v;
             }
-            links.push(t.add_link(cur, d, private, cfg.link_delay, cfg.queue));
+            links.push(t.add_link(cur, d, private, LINK_DELAY, QUEUE));
             // simlint: allow(unwrap, reason = "generator emits fresh nodes per hop, so the walk is simple by construction")
             let path = Path::from_links(&t, s, &links).expect("generated path is simple");
             paths.push(path);

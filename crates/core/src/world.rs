@@ -199,10 +199,7 @@ mod tests {
     /// Two connections on disjoint host pairs of the shared-bottleneck
     /// substrate, each moving its own `sizes[i]` bytes.
     fn two_connections(sizes: [u64; 2]) -> (World, [(SenderId, ReceiverId); 2]) {
-        let net = TrafficNet::build(&TrafficNetConfig {
-            pairs: 2,
-            ..TrafficNetConfig::default()
-        });
+        let net = TrafficNet::build(&TrafficNetConfig { pairs: 2 });
         let mut routing = RoutingTables::new(&net.topology);
         let cfgs = [0, 1].map(|i| MptcpConfig {
             app: AppSource::Fixed(sizes[i]),

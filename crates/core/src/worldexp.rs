@@ -30,7 +30,7 @@
 //! [`verify_worldgen`] asserts the acceptance gates (overlap ordering,
 //! fluid band).
 
-use crate::fluidcheck::fluid_config;
+use crate::fluidcheck::FLUID_HORIZON_S;
 use crate::runner::{execute_jobs, RunnerConfig};
 use crate::scenario::Scenario;
 use crate::world::{ReceiverId, World};
@@ -41,9 +41,10 @@ use simbase::{SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar};
 use simtrace::{jain_fairness, SamplerConfig, TraceSink};
 use std::fmt::Write as _;
 use tcpsim::AppSource;
+use worldgen::mobility::{WALK_CYCLES, WALK_SPAN};
 use worldgen::{
-    collision_rate, FatTree, FatTreeConfig, MobileNet, MobileNetConfig, MobilityProfile, PairClass,
-    TrafficConfig, TrafficNet, TrafficNetConfig, TrafficProgram,
+    collision_rate, FatTree, FatTreeConfig, MobileNet, PairClass, TrafficConfig, TrafficNet,
+    TrafficNetConfig, TrafficProgram,
 };
 
 /// Stream label for per-connection seeds inside a fabric cell (mixed with
@@ -223,7 +224,6 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
     let tree = FatTree::build(&FatTreeConfig {
         k: cell.k,
         seed: cell.seed,
-        ..FatTreeConfig::default()
     });
     let pairs = pair_hosts(&tree, cell.connections);
 
@@ -361,12 +361,8 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         connections: cell.pairs,
         arrival_rate_hz: cell.arrival_rate_hz,
         seed: cell.seed,
-        ..TrafficConfig::default()
     });
-    let net = TrafficNet::build(&TrafficNetConfig {
-        pairs: cell.pairs,
-        ..TrafficNetConfig::default()
-    });
+    let net = TrafficNet::build(&TrafficNetConfig { pairs: cell.pairs });
 
     let mut routing = RoutingTables::new(&net.topology);
     let mut subflow_cfgs = Vec::with_capacity(cell.pairs);
@@ -446,14 +442,12 @@ pub struct MobilityRun {
     pub trace_hash: u64,
 }
 
-/// Execute one wifi+cellular mobility comparison for `algo` with the
-/// default profile and `seed`.
+/// Execute one wifi+cellular mobility comparison for `algo` and `seed`
+/// over the whole walk ([`WALK_SPAN`]).
 pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
-    let net_cfg = MobileNetConfig::default();
-    let profile = MobilityProfile::default();
-    let duration = profile.span();
+    let duration = WALK_SPAN;
     let run = |with_faults: bool| {
-        let net = MobileNet::build(&net_cfg);
+        let net = MobileNet::build();
         let mut routing = RoutingTables::new(&net.topology);
         let subflows = install_subflows(&mut routing, &net.paths(), 1, 5000);
         // Hash plus one whole-run bin per tag: the wifi/cell split is a
@@ -464,7 +458,7 @@ pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
             data_only: false,
             ..SamplerConfig::tshark_like(net.server, whole_run, SimTime::ZERO + whole_run)
         });
-        let faults = with_faults.then(|| profile.compile(&net, &net_cfg));
+        let faults = with_faults.then(|| net.schedule());
         let mut world = World::new(net.topology, routing, seed, sink);
         if let Some(faults) = &faults {
             world.install_faults(faults);
@@ -492,7 +486,7 @@ pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
         mobile_mbps: mobile_bytes as f64 * 8.0 / secs / 1e6,
         wifi_bytes,
         cell_bytes,
-        handovers: profile.cycles,
+        handovers: WALK_CYCLES,
         trace_hash,
     }
 }
@@ -553,7 +547,7 @@ pub fn crosscheck_rows(seed: u64, count: usize, duration: SimDuration) -> Vec<Wo
                 .with_timing(duration, SimDuration::from_millis(100))
                 .run();
             let model = FluidModel::from_topology(&tree.topology, &paths);
-            let fluid = solve(&model, law, &fluid_config());
+            let fluid = solve(&model, law, FLUID_HORIZON_S);
             WorldCrossRow {
                 conn: i,
                 class,
@@ -564,57 +558,26 @@ pub fn crosscheck_rows(seed: u64, count: usize, duration: SimDuration) -> Vec<Wo
         .collect()
 }
 
-/// Scope of a [`worldgen_report`] batch.
-#[derive(Debug, Clone)]
-pub struct WorldgenConfig {
-    /// Fabric seeds (each seed runs once per selector).
-    pub fabric_seeds: std::ops::Range<u64>,
-    /// Traffic program sizes (pairs axis).
-    pub traffic_pairs: Vec<usize>,
-    /// Mobility algorithms.
-    pub mobility_algos: Vec<CcAlgo>,
-    /// Fluid cross-check sample size (solo connections).
-    pub crosscheck_conns: usize,
-    /// Packet-side duration of each cross-check run.
-    pub crosscheck_duration: SimDuration,
-}
-
-impl WorldgenConfig {
-    /// The checked-in table's scope.
-    pub fn table() -> WorldgenConfig {
-        WorldgenConfig {
-            fabric_seeds: 0..3,
-            traffic_pairs: vec![100],
-            mobility_algos: vec![CcAlgo::Lia, CcAlgo::Olia],
-            crosscheck_conns: 3,
-            crosscheck_duration: SimDuration::from_secs(2),
-        }
-    }
-
-    /// A fast scope for `--smoke` and CI: one seed, a small program, one
-    /// mobility algorithm, one cross-check connection.
-    pub fn smoke() -> WorldgenConfig {
-        WorldgenConfig {
-            fabric_seeds: 0..1,
-            traffic_pairs: vec![30],
-            mobility_algos: vec![CcAlgo::Lia],
-            crosscheck_conns: 1,
-            crosscheck_duration: SimDuration::from_secs(1),
-        }
-    }
-}
+/// Fabric seeds of the worldgen table; each seed runs once per selector.
+const FABRIC_SEEDS: std::ops::Range<u64> = 0..3;
+/// Host pairs of the worldgen table's traffic program.
+const TRAFFIC_PAIRS: usize = 100;
+/// Algorithms of the worldgen table's mobility comparison.
+const MOBILITY_ALGOS: [CcAlgo; 2] = [CcAlgo::Lia, CcAlgo::Olia];
+/// Solo connections in the fluid cross-check.
+const CROSSCHECK_CONNS: usize = 3;
+/// Packet-side duration of each cross-check run.
+const CROSSCHECK_DURATION: SimDuration = SimDuration::from_secs(2);
 
 /// Everything the worldgen table aggregates.
 #[derive(Debug)]
 pub struct WorldgenReport {
-    /// Scope that produced the report.
-    pub config: WorldgenConfig,
     /// Fabric runs: for each seed, the ECMP cell then the max-disjoint
     /// cell (seed-major order).
     pub fabric: Vec<FabricRun>,
-    /// Traffic runs, in `traffic_pairs` order.
+    /// Traffic runs (one, of the table's program size).
     pub traffic: Vec<TrafficRun>,
-    /// Mobility comparisons, in `mobility_algos` order.
+    /// Mobility comparisons, LIA then OLIA.
     pub mobility: Vec<MobilityRun>,
     /// Fluid cross-check rows.
     pub crosscheck: Vec<WorldCrossRow>,
@@ -647,13 +610,11 @@ impl WorldgenReport {
     }
 }
 
-/// Run the full batch on the sweep runner's worker pool. Every job is a
-/// pure function of its cell, so the fan-out inherits the runner's
+/// Run the table's batch on the sweep runner's worker pool. Every job is
+/// a pure function of its cell, so the fan-out inherits the runner's
 /// worker-count independence.
-pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> WorldgenReport {
-    let fabric_cells: Vec<FabricCell> = wcfg
-        .fabric_seeds
-        .clone()
+pub fn worldgen_report(runner: &RunnerConfig) -> WorldgenReport {
+    let fabric_cells: Vec<FabricCell> = FABRIC_SEEDS
         .flat_map(|seed| {
             [
                 FabricCell::table(seed, SubflowSelector::Ecmp),
@@ -661,11 +622,7 @@ pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> Worldgen
             ]
         })
         .collect();
-    let traffic_cells: Vec<TrafficCell> = wcfg
-        .traffic_pairs
-        .iter()
-        .map(|&pairs| TrafficCell::table(pairs, 1))
-        .collect();
+    let traffic_cell = TrafficCell::table(TRAFFIC_PAIRS, 1);
 
     // One flat job list → one pool pass: fabric cells, then traffic, then
     // mobility. Results come back in job order and are split by kind below.
@@ -681,8 +638,8 @@ pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> Worldgen
         Mobility(CcAlgo),
     }
     let mut jobs: Vec<Job> = fabric_cells.iter().map(Job::Fabric).collect();
-    jobs.extend(traffic_cells.iter().map(Job::Traffic));
-    jobs.extend(wcfg.mobility_algos.iter().map(|&a| Job::Mobility(a)));
+    jobs.push(Job::Traffic(&traffic_cell));
+    jobs.extend(MOBILITY_ALGOS.map(Job::Mobility));
 
     let workers = runner.effective_workers(jobs.len());
     // simlint: allow(panic-surface, reason = "execute_jobs hands out indices below jobs.len()")
@@ -702,14 +659,9 @@ pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> Worldgen
             JobResult::Mobility(run) => mobility.push(*run),
         }
     }
-    let crosscheck = crosscheck_rows(
-        wcfg.fabric_seeds.start,
-        wcfg.crosscheck_conns,
-        wcfg.crosscheck_duration,
-    );
+    let crosscheck = crosscheck_rows(FABRIC_SEEDS.start, CROSSCHECK_CONNS, CROSSCHECK_DURATION);
 
     WorldgenReport {
-        config: wcfg.clone(),
         fabric,
         traffic,
         mobility,
@@ -784,7 +736,7 @@ pub fn verify_worldgen(report: &WorldgenReport) {
 }
 
 /// Render a report as the checked-in document. Pure function of the
-/// report; the report is a pure function of its configs — so the document
+/// report; the report is a pure function of its cells — so the document
 /// regenerates byte-identically on any machine and worker count.
 pub fn render_worldgen(report: &WorldgenReport) -> String {
     let mut out = String::new();
@@ -961,7 +913,7 @@ fn verdict(ok: bool) -> &'static str {
 /// The full pipeline behind `results/worldgen_table.txt`: table-scope
 /// report on `cfg`'s worker pool, gates verified, document rendered.
 pub fn worldgen_table_document(cfg: &RunnerConfig) -> String {
-    let report = worldgen_report(&WorldgenConfig::table(), cfg);
+    let report = worldgen_report(cfg);
     verify_worldgen(&report);
     render_worldgen(&report)
 }

@@ -22,42 +22,25 @@ use crate::law::FluidLaw;
 use crate::model::FluidModel;
 use mptcpsim::cc::{CoupleState, SubState};
 
-/// Numeric knobs of the drift field.
-#[derive(Debug, Clone, Copy)]
-pub struct FluidParams {
-    /// Price adaptation gain, 1/s: `dp_l/dt = γ (y_l − c_l)/c_l`.
-    pub gamma: f64,
-    /// Segment size in bytes (the unit of every window-update law).
-    pub mss: f64,
-    /// Path-loss cap: `q_r` saturates here so the loss term cannot exceed
-    /// certainty even while prices overshoot during transients.
-    pub q_cap: f64,
-    /// Loss floor used for OLIA's per-epoch byte estimate `l_r = mss/q_r`
-    /// on a (so far) lossless path.
-    pub q_floor: f64,
-    /// Window floor in MSS units (a TCP window never vanishes).
-    pub min_window_mss: f64,
-}
+/// Price adaptation gain, 1/s: `dp_l/dt = γ (y_l − c_l)/c_l`.
+const GAMMA: f64 = 2.0;
+/// Segment size in bytes (the unit of every window-update law).
+pub(crate) const MSS: f64 = 1460.0;
+/// Path-loss cap: `q_r` saturates here so the loss term cannot exceed
+/// certainty even while prices overshoot during transients.
+const Q_CAP: f64 = 0.5;
+/// Loss floor used for OLIA's per-epoch byte estimate `l_r = mss/q_r` on
+/// a (so far) lossless path.
+const Q_FLOOR: f64 = 1e-9;
+/// Window floor in bytes: one segment (a TCP window never vanishes).
+const MIN_WINDOW: f64 = MSS;
 
-impl Default for FluidParams {
-    fn default() -> Self {
-        FluidParams {
-            gamma: 2.0,
-            mss: 1460.0,
-            q_cap: 0.5,
-            q_floor: 1e-9,
-            min_window_mss: 1.0,
-        }
-    }
-}
-
-/// The drift field for one (model, law, params) triple. Owns scratch
+/// The drift field for one (model, law) pair. Owns scratch
 /// buffers so slope evaluations allocate nothing.
 #[derive(Debug)]
 pub struct Dynamics<'a> {
     model: &'a FluidModel,
     law: FluidLaw,
-    params: FluidParams,
     couple: CoupleState,
     q: Vec<f64>,
     rates: Vec<f64>,
@@ -65,14 +48,14 @@ pub struct Dynamics<'a> {
 
 impl<'a> Dynamics<'a> {
     /// A drift field over `model` under `law`.
-    pub fn new(model: &'a FluidModel, law: FluidLaw, params: FluidParams) -> Self {
+    pub fn new(model: &'a FluidModel, law: FluidLaw) -> Self {
         let n = model.n_paths();
         let subs = (0..n)
             .map(|r| SubState {
-                cwnd: params.mss,
+                cwnd: MSS,
                 ssthresh: 0.0,
                 srtt: model.rtts[r],
-                mss: params.mss,
+                mss: MSS,
                 bytes_since_loss: 0.0,
                 bytes_between_losses: 0.0,
             })
@@ -80,7 +63,6 @@ impl<'a> Dynamics<'a> {
         Dynamics {
             model,
             law,
-            params,
             couple: CoupleState { subs },
             q: vec![0.0; n],
             rates: vec![0.0; n],
@@ -90,16 +72,6 @@ impl<'a> Dynamics<'a> {
     /// State dimension: paths + links.
     pub fn dim(&self) -> usize {
         self.model.n_paths() + self.model.n_links()
-    }
-
-    /// The numeric knobs in use.
-    pub fn params(&self) -> &FluidParams {
-        &self.params
-    }
-
-    /// Window floor in bytes.
-    pub fn min_window(&self) -> f64 {
-        self.params.min_window_mss * self.params.mss
     }
 
     /// Per-path rates `x_r = w_r / rtt_r` (bytes/s) of a state vector.
@@ -115,20 +87,18 @@ impl<'a> Dynamics<'a> {
         let n = self.model.n_paths();
         let m = self.model.n_links();
         let (w, p) = y.split_at(n);
-        let params = self.params;
 
         // Path loss from link prices, saturated.
         self.model.path_loss(p, &mut self.q);
         for q in self.q.iter_mut() {
-            *q = q.clamp(0.0, params.q_cap);
+            *q = q.clamp(0.0, Q_CAP);
         }
 
         // Coupling snapshot: the laws read windows, RTTs and (for OLIA)
         // loss-epoch estimates exactly as the packet controllers do.
-        let min_w = self.min_window();
         for (r, sub) in self.couple.subs.iter_mut().enumerate() {
-            sub.cwnd = w[r].max(min_w);
-            sub.bytes_since_loss = params.mss / self.q[r].max(params.q_floor);
+            sub.cwnd = w[r].max(MIN_WINDOW);
+            sub.bytes_since_loss = MSS / self.q[r].max(Q_FLOOR);
             sub.bytes_between_losses = 0.0;
             self.rates[r] = sub.cwnd / self.model.rtts[r];
         }
@@ -138,10 +108,10 @@ impl<'a> Dynamics<'a> {
             let q_r = self.q[r];
             let inc = self.law.ack_increase(&self.couple, r);
             let dec = self.law.loss_decrease(&self.couple, r);
-            let acks_per_s = self.rates[r] / params.mss;
+            let acks_per_s = self.rates[r] / MSS;
             let mut drift = acks_per_s * ((1.0 - q_r) * inc - q_r * dec);
-            // Projection at the window floor: no drift below min_window.
-            if w[r] <= min_w && drift < 0.0 {
+            // Projection at the window floor: no drift below MIN_WINDOW.
+            if w[r] <= MIN_WINDOW && drift < 0.0 {
                 drift = 0.0;
             }
             dy[r] = drift;
@@ -150,7 +120,7 @@ impl<'a> Dynamics<'a> {
         // Price drift: relative dual gradient, projected at zero.
         for (l, spec) in self.model.links.iter().enumerate() {
             let load: f64 = spec.users.iter().map(|&r| self.rates[r]).sum();
-            let mut drift = params.gamma * (load - spec.capacity) / spec.capacity;
+            let mut drift = GAMMA * (load - spec.capacity) / spec.capacity;
             if p[l] <= 0.0 && drift < 0.0 {
                 drift = 0.0;
             }
@@ -163,12 +133,11 @@ impl<'a> Dynamics<'a> {
     /// windows at or above the floor, prices in `[0, q_cap]`.
     pub fn clamp(&self, y: &mut [f64]) {
         let n = self.model.n_paths();
-        let min_w = self.min_window();
         for w in y[..n].iter_mut() {
-            *w = w.max(min_w);
+            *w = w.max(MIN_WINDOW);
         }
         for p in y[n..].iter_mut() {
-            *p = p.clamp(0.0, self.params.q_cap);
+            *p = p.clamp(0.0, Q_CAP);
         }
     }
 }
@@ -197,14 +166,13 @@ mod tests {
     #[test]
     fn lossless_reno_grows_one_mss_per_rtt() {
         let model = single_link();
-        let mut dyn_ = Dynamics::new(&model, FluidLaw::Reno, FluidParams::default());
-        let mss = dyn_.params().mss;
-        let y = vec![10.0 * mss, 0.0];
+        let mut dyn_ = Dynamics::new(&model, FluidLaw::Reno);
+        let y = vec![10.0 * MSS, 0.0];
         let mut dy = vec![0.0; 2];
         dyn_.eval(&y, &mut dy);
         // dw/dt = (x/mss)·(mss²/w) = mss/rtt: one MSS per RTT.
         let rtt = model.rtts[0];
-        assert!((dy[0] - mss / rtt).abs() < 1e-6, "dw = {}", dy[0]);
+        assert!((dy[0] - MSS / rtt).abs() < 1e-6, "dw = {}", dy[0]);
         // Link underloaded and price at zero: projected, no drift.
         assert_eq!(dy[1], 0.0);
     }
@@ -212,13 +180,13 @@ mod tests {
     #[test]
     fn overload_raises_price_underload_sheds_it() {
         let model = single_link();
-        let mut dyn_ = Dynamics::new(&model, FluidLaw::Reno, FluidParams::default());
+        let mut dyn_ = Dynamics::new(&model, FluidLaw::Reno);
         let rtt = model.rtts[0];
         let cap = model.links[0].capacity;
         // Window sized to 2× capacity.
         let mut dy = vec![0.0; 2];
         dyn_.eval(&[2.0 * cap * rtt, 0.0], &mut dy);
-        assert!((dy[1] - dyn_.params().gamma).abs() < 1e-9, "dp = {}", dy[1]);
+        assert!((dy[1] - GAMMA).abs() < 1e-9, "dp = {}", dy[1]);
         // Half capacity with positive price: price decays.
         dyn_.eval(&[0.5 * cap * rtt, 0.01], &mut dy);
         assert!(dy[1] < 0.0);
@@ -227,31 +195,30 @@ mod tests {
     #[test]
     fn loss_shrinks_the_window_in_expectation() {
         let model = single_link();
-        let mut dyn_ = Dynamics::new(&model, FluidLaw::Reno, FluidParams::default());
-        let mss = dyn_.params().mss;
+        let mut dyn_ = Dynamics::new(&model, FluidLaw::Reno);
         // Large window under heavy loss: the decrease term dominates.
         let mut dy = vec![0.0; 2];
-        dyn_.eval(&[100.0 * mss, 0.05], &mut dy);
+        dyn_.eval(&[100.0 * MSS, 0.05], &mut dy);
         assert!(dy[0] < 0.0, "dw = {}", dy[0]);
     }
 
     #[test]
     fn clamp_projects_into_the_box() {
         let model = single_link();
-        let dyn_ = Dynamics::new(&model, FluidLaw::Lia, FluidParams::default());
+        let dyn_ = Dynamics::new(&model, FluidLaw::Lia);
         let mut y = vec![-5.0, 3.0];
         dyn_.clamp(&mut y);
-        assert_eq!(y[0], dyn_.min_window());
-        assert_eq!(y[1], dyn_.params().q_cap);
+        assert_eq!(y[0], MIN_WINDOW);
+        assert_eq!(y[1], Q_CAP);
     }
 
     #[test]
     fn window_floor_blocks_negative_drift() {
         let model = single_link();
-        let mut dyn_ = Dynamics::new(&model, FluidLaw::Reno, FluidParams::default());
+        let mut dyn_ = Dynamics::new(&model, FluidLaw::Reno);
         let mut dy = vec![0.0; 2];
         // At the floor under certain loss the window cannot shrink further.
-        dyn_.eval(&[dyn_.min_window(), 0.4], &mut dy);
+        dyn_.eval(&[MIN_WINDOW, 0.4], &mut dy);
         assert!(dy[0] >= 0.0);
     }
 }

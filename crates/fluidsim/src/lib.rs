@@ -23,7 +23,7 @@
 //!
 //! The integrator is a fixed-step classic RK4 over virtual time: no wall
 //! clock, no hash iteration, no randomness — a solve is a pure function of
-//! (topology, paths, law, config) and reproduces bit-identically, which
+//! (topology, paths, law, horizon) and reproduces bit-identically, which
 //! [`FluidRun::digest`] pins down.
 //!
 //! * [`model`] — [`FluidModel`]: capacities, path–link incidence and RTTs
@@ -43,8 +43,8 @@ pub mod model;
 pub mod ode;
 pub mod run;
 
-pub use dynamics::{Dynamics, FluidParams};
+pub use dynamics::Dynamics;
 pub use law::FluidLaw;
 pub use model::{FluidLink, FluidModel};
 pub use ode::Rk4;
-pub use run::{solve, FluidConfig, FluidOutcome, FluidRun};
+pub use run::{solve, FluidOutcome, FluidRun};

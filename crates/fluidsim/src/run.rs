@@ -4,7 +4,7 @@
 //! three detectors:
 //!
 //! * **Equilibrium** — the scaled window drift (MSS per RTT) stays below
-//!   [`FluidConfig::settle_tol`] for [`FluidConfig::hold`] seconds, or the
+//!   `SETTLE_TOL` for `HOLD` seconds, or the
 //!   windowed rate means stop moving with negligible in-window amplitude.
 //! * **Limit cycle** — windowed means stop moving while the in-window
 //!   amplitude stays macroscopic: the state orbits instead of settling
@@ -18,7 +18,7 @@
 //! where the two overlap: per-path rates, aggregate, convergence time,
 //! plus a bit-exact digest for double-run determinism checks.
 
-use crate::dynamics::{Dynamics, FluidParams};
+use crate::dynamics::{Dynamics, MSS};
 use crate::law::FluidLaw;
 use crate::model::FluidModel;
 use crate::ode::Rk4;
@@ -32,7 +32,7 @@ pub enum FluidOutcome {
     /// Rates orbit a stable mean without settling (sliding-mode chatter or
     /// a true cycle); reported rates are cycle averages.
     LimitCycle,
-    /// `max_time` elapsed with the state still moving.
+    /// The horizon elapsed with the state still moving.
     NoConvergence,
     /// The state left the feasible region or became non-finite.
     Divergent,
@@ -50,51 +50,26 @@ impl FluidOutcome {
     }
 }
 
-/// Integration and detection parameters.
-#[derive(Debug, Clone)]
-pub struct FluidConfig {
-    /// RK4 step, seconds.
-    pub step: f64,
-    /// Integration horizon, virtual seconds.
-    pub max_time: f64,
-    /// Equilibrium tolerance on the window drift, MSS per RTT. Must sit
-    /// below OLIA's α-transfer rate (~`mss/(n·w)` ≈ 0.01) or a slow
-    /// rebalancing phase would be mistaken for a fixed point.
-    pub settle_tol: f64,
-    /// How long the drift must stay below tolerance, seconds.
-    pub hold: f64,
-    /// Averaging window for the mean-stability detector, seconds.
-    pub window: f64,
-    /// Consecutive stable windows required.
-    pub stable_windows: usize,
-    /// Relative movement of the windowed mean that still counts as stable.
-    pub cycle_tol: f64,
-    /// Relative in-window amplitude above which a stable mean is a cycle,
-    /// not an equilibrium.
-    pub amp_tol: f64,
-    /// Initial window per subflow, MSS units (IW10 by default, like the
-    /// packet simulator's senders).
-    pub initial_window_mss: f64,
-    /// Drift-field knobs.
-    pub params: FluidParams,
-}
-
-impl Default for FluidConfig {
-    fn default() -> Self {
-        FluidConfig {
-            step: 5e-4,
-            max_time: 180.0,
-            settle_tol: 2e-3,
-            hold: 5.0,
-            window: 4.0,
-            stable_windows: 3,
-            cycle_tol: 2e-3,
-            amp_tol: 1e-2,
-            initial_window_mss: 10.0,
-            params: FluidParams::default(),
-        }
-    }
-}
+/// RK4 step, seconds.
+const STEP: f64 = 5e-4;
+/// Equilibrium tolerance on the window drift, MSS per RTT. Must sit below
+/// OLIA's α-transfer rate (~`mss/(n·w)` ≈ 0.01) or a slow rebalancing
+/// phase would be mistaken for a fixed point.
+const SETTLE_TOL: f64 = 2e-3;
+/// How long the drift must stay below tolerance, seconds.
+const HOLD: f64 = 5.0;
+/// Averaging window for the mean-stability detector, seconds.
+const WINDOW: f64 = 4.0;
+/// Consecutive stable windows required.
+const STABLE_WINDOWS: usize = 3;
+/// Relative movement of the windowed mean that still counts as stable.
+const CYCLE_TOL: f64 = 2e-3;
+/// Relative in-window amplitude above which a stable mean is a cycle, not
+/// an equilibrium.
+const AMP_TOL: f64 = 1e-2;
+/// Initial window per subflow, MSS units (IW10, like the packet
+/// simulator's senders).
+const INITIAL_WINDOW_MSS: f64 = 10.0;
 
 /// The result of one fluid integration — the ODE analogue of a packet
 /// `RunResult`.
@@ -118,7 +93,7 @@ pub struct FluidRun {
     /// RK4 steps taken.
     pub steps: u64,
     /// Bit-exact FNV-1a digest of everything above: two solves of the same
-    /// (model, law, config) must agree exactly.
+    /// (model, law, horizon) must agree exactly.
     pub digest: u64,
 }
 
@@ -140,23 +115,24 @@ impl FluidRun {
 
 const BYTES_PER_SEC_TO_MBPS: f64 = 8.0 / 1e6;
 
-/// Integrate `law` over `model` until a detector fires or the horizon is
-/// reached. Deterministic: bit-identical results for identical inputs.
-pub fn solve(model: &FluidModel, law: FluidLaw, cfg: &FluidConfig) -> FluidRun {
+/// Integrate `law` over `model` until a detector fires or `horizon_s`
+/// virtual seconds have passed. Deterministic: bit-identical results for
+/// identical inputs.
+pub fn solve(model: &FluidModel, law: FluidLaw, horizon_s: f64) -> FluidRun {
     let n = model.n_paths();
-    let mut dynamics = Dynamics::new(model, law, cfg.params);
+    let mut dynamics = Dynamics::new(model, law);
     let dim = dynamics.dim();
     let mut rk = Rk4::new(dim);
 
     let mut y = vec![0.0; dim];
     for w in y[..n].iter_mut() {
-        *w = cfg.initial_window_mss * cfg.params.mss;
+        *w = INITIAL_WINDOW_MSS * MSS;
     }
 
-    let h = cfg.step;
-    let steps_total = (cfg.max_time / h).ceil() as u64;
-    let hold_steps = ((cfg.hold / h).ceil() as u64).max(1);
-    let win_steps = ((cfg.window / h).ceil() as u64).max(1);
+    let h = STEP;
+    let steps_total = (horizon_s / h).ceil() as u64;
+    let hold_steps = ((HOLD / h).ceil() as u64).max(1);
+    let win_steps = ((WINDOW / h).ceil() as u64).max(1);
     let divergence_bound = 50.0 * model.capacity_sum();
 
     let mut dy = vec![0.0; dim];
@@ -192,16 +168,16 @@ pub fn solve(model: &FluidModel, law: FluidLaw, cfg: &FluidConfig) -> FluidRun {
 
         // Equilibrium: scaled drift below tolerance, held.
         let norm = (0..n)
-            .map(|r| dy[r].abs() * model.rtts[r] / cfg.params.mss)
+            .map(|r| dy[r].abs() * model.rtts[r] / MSS)
             .fold(0.0, f64::max);
-        if norm < cfg.settle_tol {
+        if norm < SETTLE_TOL {
             streak += 1;
         } else {
             streak = 0;
         }
         if streak >= hold_steps {
             outcome = FluidOutcome::Equilibrium;
-            conv = Some((t - cfg.hold).max(0.0));
+            conv = Some((t - HOLD).max(0.0));
             report = Some(rates.clone());
             break;
         }
@@ -227,19 +203,19 @@ pub fn solve(model: &FluidModel, law: FluidLaw, cfg: &FluidConfig) -> FluidRun {
                     .zip(prev.iter())
                     .map(|(a, b)| (a - b).abs())
                     .fold(0.0, f64::max);
-                if delta <= cfg.cycle_tol * mean_total.max(1.0) {
+                if delta <= CYCLE_TOL * mean_total.max(1.0) {
                     stable += 1;
                 } else {
                     stable = 0;
                 }
             }
-            if stable >= cfg.stable_windows {
-                outcome = if amp > cfg.amp_tol {
+            if stable >= STABLE_WINDOWS {
+                outcome = if amp > AMP_TOL {
                     FluidOutcome::LimitCycle
                 } else {
                     FluidOutcome::Equilibrium
                 };
-                conv = Some((t - cfg.window * (cfg.stable_windows as f64 + 1.0)).max(0.0));
+                conv = Some((t - WINDOW * (STABLE_WINDOWS as f64 + 1.0)).max(0.0));
                 report = Some(mean);
                 break;
             }
@@ -295,6 +271,9 @@ mod tests {
     use netsim::{Path, QueueConfig, Topology};
     use simbase::{Bandwidth, SimDuration};
 
+    /// Long enough for every law to settle on these small networks.
+    const HORIZON_S: f64 = 180.0;
+
     /// One 40 Mbps link, one path.
     fn single_link() -> FluidModel {
         let mut t = Topology::new();
@@ -334,7 +313,7 @@ mod tests {
     #[test]
     fn single_path_reno_fills_the_link() {
         let model = single_link();
-        let run = solve(&model, FluidLaw::Reno, &FluidConfig::default());
+        let run = solve(&model, FluidLaw::Reno, HORIZON_S);
         assert!(run.settled(), "outcome {:?}", run.outcome);
         assert!(
             (run.total_mbps - 40.0).abs() < 40.0 * 0.03,
@@ -348,7 +327,7 @@ mod tests {
     fn every_law_fills_a_single_link() {
         let model = single_link();
         for law in FluidLaw::ALL {
-            let run = solve(&model, law, &FluidConfig::default());
+            let run = solve(&model, law, HORIZON_S);
             assert!(run.settled(), "{}: {:?}", law.name(), run.outcome);
             assert!(
                 (run.total_mbps - 40.0).abs() < 40.0 * 0.05,
@@ -363,7 +342,7 @@ mod tests {
     fn shared_bottleneck_is_filled_not_exceeded() {
         let model = shared_bottleneck();
         for law in [FluidLaw::Lia, FluidLaw::Olia, FluidLaw::Balia] {
-            let run = solve(&model, law, &FluidConfig::default());
+            let run = solve(&model, law, HORIZON_S);
             assert!(run.settled(), "{}: {:?}", law.name(), run.outcome);
             assert!(
                 (run.total_mbps - 60.0).abs() < 60.0 * 0.05,
@@ -381,8 +360,8 @@ mod tests {
     fn double_solve_is_bit_identical() {
         let model = shared_bottleneck();
         for law in FluidLaw::ALL {
-            let a = solve(&model, law, &FluidConfig::default());
-            let b = solve(&model, law, &FluidConfig::default());
+            let a = solve(&model, law, HORIZON_S);
+            let b = solve(&model, law, HORIZON_S);
             assert_eq!(a.digest, b.digest, "{}", law.name());
             assert_eq!(a.steps, b.steps);
             for (x, y) in a.per_path_mbps.iter().zip(&b.per_path_mbps) {
@@ -394,11 +373,7 @@ mod tests {
     #[test]
     fn horizon_too_short_reports_no_convergence() {
         let model = single_link();
-        let cfg = FluidConfig {
-            max_time: 0.05,
-            ..Default::default()
-        };
-        let run = solve(&model, FluidLaw::Reno, &cfg);
+        let run = solve(&model, FluidLaw::Reno, 0.05);
         assert_eq!(run.outcome, FluidOutcome::NoConvergence);
         assert!(run.convergence_time_s.is_none());
         // Rates are still reported (the freshest partial-window mean).
@@ -411,7 +386,7 @@ mod tests {
         let model = shared_bottleneck();
         let mut digests: Vec<u64> = FluidLaw::ALL
             .iter()
-            .map(|&law| solve(&model, law, &FluidConfig::default()).digest)
+            .map(|&law| solve(&model, law, HORIZON_S).digest)
             .collect();
         digests.sort_unstable();
         digests.dedup();

@@ -20,39 +20,33 @@ use netsim::{
 };
 use simbase::{Bandwidth, SimDuration, SplitMix64};
 
+/// Capacity of every link (classic fat-trees are single-speed; full
+/// bisection bandwidth means overlap, not oversubscription, is what costs
+/// throughput).
+const LINK_BW: Bandwidth = Bandwidth::from_mbps(20);
+/// Propagation delay of host↔edge links. The delays are scaled up from real
+/// datacenter microseconds into the millisecond regime where a
+/// 1460-byte-MSS TCP keeps a multi-packet bandwidth-delay product and the
+/// fluid ODE oracle is numerically trustworthy — path *ratios* (the overlap
+/// story) are preserved, absolute RTTs are not the claim.
+const HOST_DELAY: SimDuration = SimDuration::from_micros(250);
+/// Propagation delay of fabric (edge↔agg, agg↔core) links.
+const FABRIC_DELAY: SimDuration = SimDuration::from_micros(500);
+/// Output queue of every link.
+const QUEUE: QueueConfig = QueueConfig::DropTailPackets(32);
+
 /// Parameters of a k-ary fat-tree.
 #[derive(Debug, Clone)]
 pub struct FatTreeConfig {
     /// Arity: pods = `k`, hosts = `k³/4`. Must be even and ≥ 2.
     pub k: usize,
-    /// Capacity of every link (classic fat-trees are single-speed; full
-    /// bisection bandwidth means overlap, not oversubscription, is what
-    /// costs throughput).
-    pub link_bw: Bandwidth,
-    /// Propagation delay of host↔edge links. The defaults are scaled up
-    /// from real datacenter microseconds into the millisecond regime where
-    /// a 1460-byte-MSS TCP keeps a multi-packet bandwidth-delay product
-    /// and the fluid ODE oracle is numerically trustworthy — path *ratios*
-    /// (the overlap story) are preserved, absolute RTTs are not the claim.
-    pub host_delay: SimDuration,
-    /// Propagation delay of fabric (edge↔agg, agg↔core) links.
-    pub fabric_delay: SimDuration,
-    /// Output queue of every link.
-    pub queue: QueueConfig,
     /// Master seed: per-switch ECMP hash seeds derive from it.
     pub seed: u64,
 }
 
 impl Default for FatTreeConfig {
     fn default() -> Self {
-        FatTreeConfig {
-            k: 4,
-            link_bw: Bandwidth::from_mbps(20),
-            host_delay: SimDuration::from_micros(250),
-            fabric_delay: SimDuration::from_micros(500),
-            queue: QueueConfig::DropTailPackets(32),
-            seed: 1,
-        }
+        FatTreeConfig { k: 4, seed: 1 }
     }
 }
 
@@ -158,39 +152,21 @@ impl FatTree {
         for p in 0..k {
             for e in 0..half {
                 for h in 0..half {
-                    topo.add_link(
-                        host_at(p, e, h),
-                        edge_at(p, e),
-                        cfg.link_bw,
-                        cfg.host_delay,
-                        cfg.queue,
-                    );
+                    topo.add_link(host_at(p, e, h), edge_at(p, e), LINK_BW, HOST_DELAY, QUEUE);
                 }
             }
         }
         for p in 0..k {
             for e in 0..half {
                 for a in 0..half {
-                    topo.add_link(
-                        edge_at(p, e),
-                        agg_at(p, a),
-                        cfg.link_bw,
-                        cfg.fabric_delay,
-                        cfg.queue,
-                    );
+                    topo.add_link(edge_at(p, e), agg_at(p, a), LINK_BW, FABRIC_DELAY, QUEUE);
                 }
             }
         }
         for p in 0..k {
             for a in 0..half {
                 for c in 0..half {
-                    topo.add_link(
-                        agg_at(p, a),
-                        core_at(a, c),
-                        cfg.link_bw,
-                        cfg.fabric_delay,
-                        cfg.queue,
-                    );
+                    topo.add_link(agg_at(p, a), core_at(a, c), LINK_BW, FABRIC_DELAY, QUEUE);
                 }
             }
         }
@@ -521,11 +497,7 @@ mod tests {
     use netsim::ecmp_select;
 
     fn tree(k: usize, seed: u64) -> FatTree {
-        FatTree::build(&FatTreeConfig {
-            k,
-            seed,
-            ..FatTreeConfig::default()
-        })
+        FatTree::build(&FatTreeConfig { k, seed })
     }
 
     #[test]
@@ -700,7 +672,7 @@ mod proptests {
         #[test]
         fn fat_trees_are_well_formed(k_half in 1usize..5, seed in 0u64..1000) {
             let k = 2 * k_half;
-            let cfg = FatTreeConfig { k, seed, ..FatTreeConfig::default() };
+            let cfg = FatTreeConfig { k, seed };
             let t = FatTree::build(&cfg);
             prop_assert_eq!(t.hosts.len(), k * k * k / 4);
             prop_assert_eq!(t.topology.link_count(), 3 * k * k * k / 4);

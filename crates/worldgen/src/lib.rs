@@ -16,16 +16,17 @@
 //!   start times and transfer sizes on the deterministic event loop, plus
 //!   a shared-bottleneck substrate sized for hundreds-to-thousands of
 //!   concurrent connections.
-//! * [`mobility`] — wifi+cellular handover profiles compiled into
-//!   [`netsim::FaultSchedule`]s: periodic RSSI-style capacity/delay ramps
-//!   and hard handover as link down/up.
+//! * [`mobility`] — a wifi+cellular network whose walk-away-and-back
+//!   handover pattern compiles into a [`netsim::FaultSchedule`]: periodic
+//!   RSSI-style capacity/delay ramps and hard handover as link down/up.
 //!
 //! ## Determinism contract
 //!
-//! A generator's output is a pure function of its config (seed included).
-//! No wall clock, no global RNG, no iteration over hash containers: two
-//! calls with equal configs yield byte-identical topologies, paths, and
-//! schedules, on any machine and any thread count. Randomness comes from
+//! A generator's output is a pure function of its seed and size inputs;
+//! link speeds, delays, queues and size distributions are named constants
+//! in each module. No wall clock, no global RNG, no iteration over hash
+//! containers: two calls with equal inputs yield byte-identical
+//! topologies, paths, and schedules, on any machine and any thread count. Randomness comes from
 //! [`simbase::SplitMix64::derive`] with documented stream labels, so
 //! adding a draw to one stream never shifts any other stream. DESIGN.md
 //! §12 states the contract; the proptests in this crate enforce it.
@@ -38,7 +39,7 @@ pub mod mobility;
 pub mod traffic;
 
 pub use fattree::{collision_rate, FatTree, FatTreeConfig, PairClass};
-pub use mobility::{MobileNet, MobileNetConfig, MobilityProfile};
+pub use mobility::MobileNet;
 pub use traffic::{Connection, TrafficConfig, TrafficNet, TrafficNetConfig, TrafficProgram};
 
 /// Stream label for per-switch ECMP hash seeds (mixed with the node id).

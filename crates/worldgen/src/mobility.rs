@@ -11,7 +11,7 @@
 //! wifi-offload story is tested, and the paper's overlap question gets a
 //! twist: during the outage *every* byte shares the cellular path.
 //!
-//! [`MobilityProfile::compile`] turns a profile into a
+//! [`MobileNet::schedule`] turns the walk into a
 //! [`netsim::FaultSchedule`] — plain data, applied by the simulator's
 //! fault pump at exact nanosecond times, so a mobility run is as
 //! reproducible as a static one.
@@ -19,38 +19,36 @@
 use netsim::{FaultAction, FaultSchedule, NodeId, Path, QueueConfig, Topology};
 use simbase::{Bandwidth, SimDuration, SimTime};
 
-/// Parameters of the two-access (wifi + cellular) network.
-#[derive(Debug, Clone)]
-pub struct MobileNetConfig {
-    /// Wifi access capacity at the association point (peak RSSI).
-    pub wifi_bw: Bandwidth,
-    /// Cellular access capacity (constant; the thin, reliable leg).
-    pub cell_bw: Bandwidth,
-    /// Wifi one-way delay at peak.
-    pub wifi_delay: SimDuration,
-    /// Cellular one-way delay (typically several times wifi).
-    pub cell_delay: SimDuration,
-    /// Shared wired backhaul capacity from both gateways to the server.
-    pub backhaul_bw: Bandwidth,
-    /// Backhaul one-way delay.
-    pub backhaul_delay: SimDuration,
-    /// Output queue of every link.
-    pub queue: QueueConfig,
-}
+/// Wifi access capacity at the association point (peak RSSI).
+pub const WIFI_BW: Bandwidth = Bandwidth::from_mbps(40);
+/// Cellular access capacity (constant; the thin, reliable leg).
+pub const CELL_BW: Bandwidth = Bandwidth::from_mbps(10);
+/// Wifi one-way delay at peak.
+const WIFI_DELAY: SimDuration = SimDuration::from_millis(5);
+/// Cellular one-way delay (several times wifi).
+const CELL_DELAY: SimDuration = SimDuration::from_millis(25);
+/// Shared wired backhaul capacity from both gateways to the server.
+const BACKHAUL_BW: Bandwidth = Bandwidth::from_mbps(100);
+/// Backhaul one-way delay.
+const BACKHAUL_DELAY: SimDuration = SimDuration::from_millis(10);
+/// Output queue of every link.
+const QUEUE: QueueConfig = QueueConfig::DropTailPackets(32);
 
-impl Default for MobileNetConfig {
-    fn default() -> Self {
-        MobileNetConfig {
-            wifi_bw: Bandwidth::from_mbps(40),
-            cell_bw: Bandwidth::from_mbps(10),
-            wifi_delay: SimDuration::from_millis(5),
-            cell_delay: SimDuration::from_millis(25),
-            backhaul_bw: Bandwidth::from_mbps(100),
-            backhaul_delay: SimDuration::from_millis(10),
-            queue: QueueConfig::DropTailPackets(32),
-        }
-    }
-}
+/// Length of one walk cycle.
+pub const WALK_PERIOD: SimDuration = SimDuration::from_secs(4);
+/// Number of walk cycles the schedule emits.
+pub const WALK_CYCLES: usize = 2;
+/// Total simulated time the walk spans.
+pub const WALK_SPAN: SimDuration =
+    SimDuration::from_nanos(WALK_PERIOD.as_nanos() * WALK_CYCLES as u64);
+/// RSSI steps per ramp.
+const RAMP_STEPS: usize = 4;
+/// Wifi capacity at the farthest attached point, as a fraction of peak.
+const WIFI_FLOOR_FRACTION: f64 = 0.25;
+/// Wifi one-way delay at the farthest attached point.
+const FAR_DELAY: SimDuration = SimDuration::from_millis(20);
+/// Length of the hard handover outage.
+const HANDOVER_OUTAGE: SimDuration = SimDuration::from_millis(400);
 
 /// The built client—(AP | BS)—server network.
 #[derive(Debug, Clone)]
@@ -73,16 +71,16 @@ pub struct MobileNet {
 
 impl MobileNet {
     /// Build the network: `client — ap — server` and `client — bs — server`.
-    pub fn build(cfg: &MobileNetConfig) -> MobileNet {
+    pub fn build() -> MobileNet {
         let mut topo = Topology::new();
         let client = topo.add_node("client");
         let ap = topo.add_node("ap");
         let bs = topo.add_node("bs");
         let server = topo.add_node("server");
-        let wifi_access = topo.add_link(client, ap, cfg.wifi_bw, cfg.wifi_delay, cfg.queue);
-        let cell_access = topo.add_link(client, bs, cfg.cell_bw, cfg.cell_delay, cfg.queue);
-        topo.add_link(ap, server, cfg.backhaul_bw, cfg.backhaul_delay, cfg.queue);
-        topo.add_link(bs, server, cfg.backhaul_bw, cfg.backhaul_delay, cfg.queue);
+        let wifi_access = topo.add_link(client, ap, WIFI_BW, WIFI_DELAY, QUEUE);
+        let cell_access = topo.add_link(client, bs, CELL_BW, CELL_DELAY, QUEUE);
+        topo.add_link(ap, server, BACKHAUL_BW, BACKHAUL_DELAY, QUEUE);
+        topo.add_link(bs, server, BACKHAUL_BW, BACKHAUL_DELAY, QUEUE);
         MobileNet {
             topology: topo,
             client,
@@ -105,69 +103,30 @@ impl MobileNet {
             })
             .collect()
     }
-}
 
-/// A periodic walk-away-and-back mobility pattern for the wifi leg.
-///
-/// Each period: the client walks away from the AP (capacity ramps down,
-/// delay ramps up, in `ramp_steps` RSSI-like steps over the first 40% of
-/// the period), the association breaks (hard outage of `handover_outage`
-/// starting at 45%), and the client walks back (mirror-image ramp up over
-/// the final 40%). The cellular leg is untouched.
-#[derive(Debug, Clone)]
-pub struct MobilityProfile {
-    /// Length of one walk cycle.
-    pub period: SimDuration,
-    /// Number of cycles to emit.
-    pub cycles: usize,
-    /// RSSI steps per ramp (≥1).
-    pub ramp_steps: usize,
-    /// Wifi capacity at the farthest attached point, as a fraction of peak
-    /// (in `(0, 1]`).
-    pub wifi_floor_fraction: f64,
-    /// Wifi one-way delay at the farthest attached point.
-    pub far_delay: SimDuration,
-    /// Length of the hard handover outage.
-    pub handover_outage: SimDuration,
-}
-
-impl Default for MobilityProfile {
-    fn default() -> Self {
-        MobilityProfile {
-            period: SimDuration::from_secs(4),
-            cycles: 2,
-            ramp_steps: 4,
-            wifi_floor_fraction: 0.25,
-            far_delay: SimDuration::from_millis(20),
-            handover_outage: SimDuration::from_millis(400),
-        }
-    }
-}
-
-impl MobilityProfile {
-    /// Compile the profile against a built network into a fault schedule.
-    /// Pure function of `(self, net.wifi_access, net config)`: equal inputs
-    /// yield equal schedules, entry for entry.
-    pub fn compile(&self, net: &MobileNet, cfg: &MobileNetConfig) -> FaultSchedule {
-        // simlint: allow(panic-surface, reason = "profile validation before any emission")
-        assert!(
-            self.ramp_steps >= 1
-                && self.wifi_floor_fraction > 0.0
-                && self.wifi_floor_fraction <= 1.0,
-            "profile needs >=1 ramp step and a floor fraction in (0, 1]"
-        );
-        let link = net.wifi_access;
-        let peak_bw = cfg.wifi_bw.as_bps() as f64;
-        let floor_bw = peak_bw * self.wifi_floor_fraction;
-        let peak_delay = cfg.wifi_delay.as_nanos() as f64;
-        let far_delay = self.far_delay.as_nanos() as f64;
+    /// The walk-away-and-back pattern of the wifi leg, as a fault
+    /// schedule. Pure function of `wifi_access`: two calls yield equal
+    /// schedules, entry for entry.
+    ///
+    /// Each of the [`WALK_CYCLES`] periods: the client walks away from the
+    /// AP (capacity ramps down, delay ramps up, in `RAMP_STEPS` RSSI-like
+    /// steps over the first 40% of the period), the association breaks (a
+    /// hard outage of `HANDOVER_OUTAGE` starting at 45%), and the client
+    /// walks back (mirror-image ramp up over the final 40%). The cellular
+    /// leg is untouched.
+    pub fn schedule(&self) -> FaultSchedule {
+        let link = self.wifi_access;
+        let peak_bw = WIFI_BW.as_bps() as f64;
+        let floor_bw = peak_bw * WIFI_FLOOR_FRACTION;
+        let peak_delay = WIFI_DELAY.as_nanos() as f64;
+        let far_delay = FAR_DELAY.as_nanos() as f64;
         let mut sched = FaultSchedule::new();
-        for cycle in 0..self.cycles {
-            let base = SimTime::ZERO + self.period.saturating_mul(cycle as u64);
-            let step_len = self.period.mul_f64(0.4 / self.ramp_steps as f64);
-            // Walk away: step 1..=ramp_steps lerps peak -> floor.
-            for s in 1..=self.ramp_steps {
-                let frac = s as f64 / self.ramp_steps as f64;
+        for cycle in 0..WALK_CYCLES {
+            let base = SimTime::ZERO + WALK_PERIOD.saturating_mul(cycle as u64);
+            let step_len = WALK_PERIOD.mul_f64(0.4 / RAMP_STEPS as f64);
+            // Walk away: step 1..=RAMP_STEPS lerps peak -> floor.
+            for s in 1..=RAMP_STEPS {
+                let frac = s as f64 / RAMP_STEPS as f64;
                 let t = base + step_len.saturating_mul(s as u64);
                 sched.push(
                     t,
@@ -179,14 +138,14 @@ impl MobilityProfile {
                 );
             }
             // Hard handover: association breaks, then re-attaches.
-            let down = base + self.period.mul_f64(0.45);
+            let down = base + WALK_PERIOD.mul_f64(0.45);
             sched.push(down, FaultAction::LinkDown(link));
-            sched.push(down + self.handover_outage, FaultAction::LinkUp(link));
+            sched.push(down + HANDOVER_OUTAGE, FaultAction::LinkUp(link));
             // Walk back: mirror ramp, ending at peak just before the cycle
             // boundary.
-            for s in 1..=self.ramp_steps {
-                let frac = 1.0 - s as f64 / self.ramp_steps as f64;
-                let t = base + self.period.mul_f64(0.6) + step_len.saturating_mul(s as u64);
+            for s in 1..=RAMP_STEPS {
+                let frac = 1.0 - s as f64 / RAMP_STEPS as f64;
+                let t = base + WALK_PERIOD.mul_f64(0.6) + step_len.saturating_mul(s as u64);
                 sched.push(
                     t,
                     FaultAction::SetCapacity(link, lerp_bw(peak_bw, floor_bw, frac)),
@@ -198,11 +157,6 @@ impl MobilityProfile {
             }
         }
         sched
-    }
-
-    /// Total simulated time the profile spans.
-    pub fn span(&self) -> SimDuration {
-        self.period.saturating_mul(self.cycles as u64)
     }
 }
 
@@ -222,8 +176,7 @@ mod tests {
 
     #[test]
     fn network_has_two_disjoint_access_paths() {
-        let cfg = MobileNetConfig::default();
-        let net = MobileNet::build(&cfg);
+        let net = MobileNet::build();
         assert_eq!(net.topology.node_count(), 4);
         assert_eq!(net.topology.link_count(), 4);
         let paths = net.paths();
@@ -233,16 +186,14 @@ mod tests {
 
     #[test]
     fn compiled_schedule_is_periodic_and_touches_only_wifi() {
-        let cfg = MobileNetConfig::default();
-        let net = MobileNet::build(&cfg);
-        let profile = MobilityProfile::default();
-        let sched = profile.compile(&net, &cfg);
-        // Per cycle: 2 ramps x ramp_steps x 2 actions + down + up.
-        let per_cycle = 2 * profile.ramp_steps * 2 + 2;
-        assert_eq!(sched.len(), per_cycle * profile.cycles);
+        let net = MobileNet::build();
+        let sched = net.schedule();
+        // Per cycle: 2 ramps x RAMP_STEPS x 2 actions + down + up.
+        let per_cycle = 2 * RAMP_STEPS * 2 + 2;
+        assert_eq!(sched.len(), per_cycle * WALK_CYCLES);
         for (t, action) in sched.entries() {
             assert_eq!(action.link(), net.wifi_access);
-            assert!(*t <= SimTime::ZERO + profile.span());
+            assert!(*t <= SimTime::ZERO + WALK_SPAN);
         }
         // Entries are time-ordered as emitted.
         for w in sched.entries().windows(2) {
@@ -254,18 +205,12 @@ mod tests {
             .iter()
             .filter(|(_, a)| matches!(a, FaultAction::LinkDown(_)))
             .count();
-        assert_eq!(downs, profile.cycles);
+        assert_eq!(downs, WALK_CYCLES);
     }
 
     #[test]
     fn ramp_floor_matches_the_configured_fraction() {
-        let cfg = MobileNetConfig::default();
-        let net = MobileNet::build(&cfg);
-        let profile = MobilityProfile {
-            wifi_floor_fraction: 0.5,
-            ..MobilityProfile::default()
-        };
-        let sched = profile.compile(&net, &cfg);
+        let sched = MobileNet::build().schedule();
         let min_bw = sched
             .entries()
             .iter()
@@ -275,7 +220,9 @@ mod tests {
             })
             .min()
             .expect("schedule has capacity actions");
-        assert_eq!(min_bw, cfg.wifi_bw.as_bps() / 2);
+        // A quarter of the 40 Mbps peak.
+        assert_eq!(min_bw, 10_000_000);
+        assert_eq!(min_bw, WIFI_BW.as_bps() / 4);
         // The walk-back ramp ends at peak capacity.
         let last_bw = sched
             .entries()
@@ -286,16 +233,12 @@ mod tests {
                 _ => None,
             })
             .expect("schedule has capacity actions");
-        assert_eq!(last_bw, cfg.wifi_bw.as_bps());
+        assert_eq!(last_bw, WIFI_BW.as_bps());
     }
 
     #[test]
-    fn compile_is_a_pure_function() {
-        let cfg = MobileNetConfig::default();
-        let net = MobileNet::build(&cfg);
-        let profile = MobilityProfile::default();
-        let a = profile.compile(&net, &cfg);
-        let b = profile.compile(&net, &cfg);
-        assert_eq!(a.entries(), b.entries());
+    fn schedule_is_a_pure_function() {
+        let net = MobileNet::build();
+        assert_eq!(net.schedule().entries(), net.schedule().entries());
     }
 }

@@ -9,7 +9,7 @@
 //! the simulator's event loop.
 //!
 //! [`TrafficNet`] is the matching substrate: `n` source/destination host
-//! pairs around a pair of gateways joined through `relays` parallel relay
+//! pairs around a pair of gateways joined through `RELAYS` parallel relay
 //! nodes. Every connection gets one path per relay (its MPTCP subflows)
 //! and *all* connections compete for the same relay bottlenecks — the
 //! shared-bottleneck regime where coupled congestion control must not beat
@@ -18,6 +18,15 @@
 use netsim::{NodeId, Path, QueueConfig, Topology};
 use simbase::{Bandwidth, SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar};
 
+/// Pareto tail index α of the flow sizes (smaller = heavier tail; web
+/// flows ≈ 1.1–1.5).
+const PARETO_SHAPE: f64 = 1.3;
+/// Pareto scale: the minimum flow size, bytes.
+const PARETO_SCALE_BYTES: u64 = 20_000;
+/// Upper truncation of the size distribution (keeps a single draw from
+/// dominating a bounded-duration run), bytes.
+const MAX_BYTES: u64 = 5_000_000;
+
 /// Parameters of a heavy-tailed traffic program.
 #[derive(Debug, Clone)]
 pub struct TrafficConfig {
@@ -25,13 +34,6 @@ pub struct TrafficConfig {
     pub connections: usize,
     /// Poisson arrival rate, connections per second.
     pub arrival_rate_hz: f64,
-    /// Pareto tail index α (smaller = heavier tail; web flows ≈ 1.1–1.5).
-    pub pareto_shape: f64,
-    /// Pareto scale: the minimum flow size, bytes.
-    pub pareto_scale_bytes: u64,
-    /// Upper truncation of the size distribution (keeps a single draw from
-    /// dominating a bounded-duration run), bytes.
-    pub max_bytes: u64,
     /// Master seed; arrivals and sizes derive independent streams from it.
     pub seed: u64,
 }
@@ -41,9 +43,6 @@ impl Default for TrafficConfig {
         TrafficConfig {
             connections: 100,
             arrival_rate_hz: 200.0,
-            pareto_shape: 1.3,
-            pareto_scale_bytes: 20_000,
-            max_bytes: 5_000_000,
             seed: 1,
         }
     }
@@ -73,8 +72,8 @@ impl TrafficProgram {
     pub fn generate(cfg: &TrafficConfig) -> TrafficProgram {
         // simlint: allow(panic-surface, reason = "config validation before any draw")
         assert!(
-            cfg.arrival_rate_hz > 0.0 && cfg.pareto_shape > 0.0 && cfg.pareto_scale_bytes > 0,
-            "traffic config must have positive rate, shape, and scale"
+            cfg.arrival_rate_hz > 0.0,
+            "traffic config must have a positive arrival rate"
         );
         let mut arrivals =
             Xoshiro256StarStar::new(SplitMix64::derive(cfg.seed, crate::STREAM_ARRIVAL));
@@ -88,8 +87,8 @@ impl TrafficProgram {
             // rounding makes the schedule's byte encoding exact.
             t_ns = t_ns.saturating_add((gap_s * 1e9).round() as u64);
             let u = 1.0 - sizes.next_f64(); // (0, 1]
-            let pareto = cfg.pareto_scale_bytes as f64 * u.powf(-1.0 / cfg.pareto_shape);
-            let size_bytes = (pareto.round() as u64).clamp(cfg.pareto_scale_bytes, cfg.max_bytes);
+            let pareto = PARETO_SCALE_BYTES as f64 * u.powf(-1.0 / PARETO_SHAPE);
+            let size_bytes = (pareto.round() as u64).clamp(PARETO_SCALE_BYTES, MAX_BYTES);
             connections.push(Connection {
                 index,
                 start: SimTime::from_nanos(t_ns),
@@ -119,37 +118,30 @@ impl TrafficProgram {
     }
 }
 
+/// Parallel relay nodes between the gateways — each relay is one MPTCP
+/// subflow path, and one shared bottleneck.
+const RELAYS: usize = 2;
+/// Capacity of each gateway↔relay bottleneck link.
+const BOTTLENECK_BW: Bandwidth = Bandwidth::from_mbps(100);
+/// Capacity of host access links (generous: hosts are not the story).
+const ACCESS_BW: Bandwidth = Bandwidth::from_mbps(50);
+/// Propagation delay of each bottleneck link.
+const BOTTLENECK_DELAY: SimDuration = SimDuration::from_millis(5);
+/// Propagation delay of each access link.
+const ACCESS_DELAY: SimDuration = SimDuration::from_millis(1);
+/// Output queue of every link.
+const QUEUE: QueueConfig = QueueConfig::DropTailPackets(64);
+
 /// Parameters of the shared-bottleneck substrate.
 #[derive(Debug, Clone)]
 pub struct TrafficNetConfig {
     /// Host pairs (one per connection).
     pub pairs: usize,
-    /// Parallel relay nodes between the gateways — each relay is one MPTCP
-    /// subflow path, and one shared bottleneck.
-    pub relays: usize,
-    /// Capacity of each gateway↔relay bottleneck link.
-    pub bottleneck_bw: Bandwidth,
-    /// Capacity of host access links (generous: hosts are not the story).
-    pub access_bw: Bandwidth,
-    /// Propagation delay of each bottleneck link.
-    pub bottleneck_delay: SimDuration,
-    /// Propagation delay of each access link.
-    pub access_delay: SimDuration,
-    /// Output queue of every link.
-    pub queue: QueueConfig,
 }
 
 impl Default for TrafficNetConfig {
     fn default() -> Self {
-        TrafficNetConfig {
-            pairs: 100,
-            relays: 2,
-            bottleneck_bw: Bandwidth::from_mbps(100),
-            access_bw: Bandwidth::from_mbps(50),
-            bottleneck_delay: SimDuration::from_millis(5),
-            access_delay: SimDuration::from_millis(1),
-            queue: QueueConfig::DropTailPackets(64),
-        }
+        TrafficNetConfig { pairs: 100 }
     }
 }
 
@@ -174,27 +166,24 @@ impl TrafficNet {
     /// Build the substrate: `srcs[i] — gw_a — relay_j — gw_b — dsts[i]`.
     pub fn build(cfg: &TrafficNetConfig) -> TrafficNet {
         // simlint: allow(panic-surface, reason = "config validation before any construction")
-        assert!(
-            cfg.pairs > 0 && cfg.relays > 0,
-            "need at least one pair and one relay"
-        );
+        assert!(cfg.pairs > 0, "need at least one pair");
         let mut topo = Topology::new();
         let gw_a = topo.add_node("gwA");
         let gw_b = topo.add_node("gwB");
-        let relays: Vec<NodeId> = (0..cfg.relays)
+        let relays: Vec<NodeId> = (0..RELAYS)
             .map(|j| topo.add_node(format!("r{j}")))
             .collect();
         for &r in &relays {
-            topo.add_link(gw_a, r, cfg.bottleneck_bw, cfg.bottleneck_delay, cfg.queue);
-            topo.add_link(r, gw_b, cfg.bottleneck_bw, cfg.bottleneck_delay, cfg.queue);
+            topo.add_link(gw_a, r, BOTTLENECK_BW, BOTTLENECK_DELAY, QUEUE);
+            topo.add_link(r, gw_b, BOTTLENECK_BW, BOTTLENECK_DELAY, QUEUE);
         }
         let mut srcs = Vec::with_capacity(cfg.pairs);
         let mut dsts = Vec::with_capacity(cfg.pairs);
         for i in 0..cfg.pairs {
             let s = topo.add_node(format!("s{i}"));
             let d = topo.add_node(format!("d{i}"));
-            topo.add_link(s, gw_a, cfg.access_bw, cfg.access_delay, cfg.queue);
-            topo.add_link(gw_b, d, cfg.access_bw, cfg.access_delay, cfg.queue);
+            topo.add_link(s, gw_a, ACCESS_BW, ACCESS_DELAY, QUEUE);
+            topo.add_link(gw_b, d, ACCESS_BW, ACCESS_DELAY, QUEUE);
             srcs.push(s);
             dsts.push(d);
         }
@@ -244,8 +233,8 @@ mod tests {
             assert!(w[0].start <= w[1].start, "arrivals must be ordered");
         }
         for c in &p.connections {
-            assert!(c.size_bytes >= cfg.pareto_scale_bytes);
-            assert!(c.size_bytes <= cfg.max_bytes);
+            assert!(c.size_bytes >= PARETO_SCALE_BYTES);
+            assert!(c.size_bytes <= MAX_BYTES);
         }
         // Heavy tail: the top decile carries more bytes than the bottom half.
         let mut sizes: Vec<u64> = p.connections.iter().map(|c| c.size_bytes).collect();
@@ -273,11 +262,7 @@ mod tests {
 
     #[test]
     fn substrate_paths_share_only_the_bottlenecks() {
-        let net = TrafficNet::build(&TrafficNetConfig {
-            pairs: 10,
-            relays: 2,
-            ..TrafficNetConfig::default()
-        });
+        let net = TrafficNet::build(&TrafficNetConfig { pairs: 10 });
         assert_eq!(net.topology.node_count(), 2 + 2 + 20);
         assert_eq!(net.topology.link_count(), 4 + 20);
         let p0 = net.paths(0);
@@ -308,14 +293,11 @@ mod proptests {
             n in 1usize..200,
             seed in 0u64..10_000,
             rate in 1.0f64..5_000.0,
-            shape in 0.8f64..3.0,
         ) {
             let cfg = TrafficConfig {
                 connections: n,
                 arrival_rate_hz: rate,
-                pareto_shape: shape,
                 seed,
-                ..TrafficConfig::default()
             };
             let a = TrafficProgram::generate(&cfg);
             let b = TrafficProgram::generate(&cfg);
@@ -325,7 +307,7 @@ mod proptests {
                 prop_assert!(w[0].start <= w[1].start);
             }
             for c in &a.connections {
-                prop_assert!((cfg.pareto_scale_bytes..=cfg.max_bytes).contains(&c.size_bytes));
+                prop_assert!((PARETO_SCALE_BYTES..=MAX_BYTES).contains(&c.size_bytes));
             }
         }
     }

@@ -2,10 +2,10 @@
 //! connected through **Wi-Fi and cellular at the same time** — two fully
 //! disjoint paths with very different bandwidth and delay.
 //!
-//! Built on the `worldgen` scenario library: `MobileNet` is the seeded
-//! wifi+cellular substrate and `MobilityProfile` compiles a walk-away /
-//! walk-back pattern into a deterministic fault schedule (Wi-Fi capacity
-//! ramps down, a hard handover outage, ramp back up). Two views:
+//! Built on the `worldgen` scenario library: `MobileNet` is the
+//! wifi+cellular substrate and `MobileNet::schedule` compiles its
+//! walk-away / walk-back pattern into a deterministic fault schedule (Wi-Fi
+//! capacity ramps down, a hard handover outage, ramp back up). Two views:
 //!
 //!  1. static — with disjoint paths there is no coupling constraint, the
 //!     LP optimum is the sum of the two access capacities, and every
@@ -16,31 +16,27 @@
 //! Run: `cargo run --example wifi_cellular --release`
 
 use mptcp_overlap::prelude::*;
-use mptcp_overlap::worldgen::{MobileNet, MobileNetConfig, MobilityProfile};
+use mptcp_overlap::worldgen::mobility::{CELL_BW, WALK_CYCLES, WALK_PERIOD, WALK_SPAN, WIFI_BW};
+use mptcp_overlap::worldgen::MobileNet;
 
 fn main() {
-    let cfg = MobileNetConfig::default();
-    let net = MobileNet::build(&cfg);
-    let profile = MobilityProfile::default();
+    let net = MobileNet::build();
     println!(
         "Wi-Fi {} + cellular {} (disjoint paths), {} walk cycles of {:.0} s\n",
-        cfg.wifi_bw,
-        cfg.cell_bw,
-        profile.cycles,
-        profile.period.as_secs_f64(),
+        WIFI_BW,
+        CELL_BW,
+        WALK_CYCLES,
+        WALK_PERIOD.as_secs_f64(),
     );
 
     // Static view: the easy case the paper contrasts against. The LP is
     // trivial (sum of access bottlenecks) and the coupled algorithms
     // should reach it.
-    println!(
-        "static (no mobility), {:.0} s:",
-        profile.span().as_secs_f64()
-    );
+    println!("static (no mobility), {:.0} s:", WALK_SPAN.as_secs_f64());
     for algo in [CcAlgo::Cubic, CcAlgo::Lia, CcAlgo::Olia] {
         let result = Scenario::new(net.topology.clone(), net.paths())
             .with_algo(algo)
-            .with_timing(profile.span(), SimDuration::from_millis(100))
+            .with_timing(WALK_SPAN, SimDuration::from_millis(100))
             .run();
         println!(
             "  {:<6} Wi-Fi {:>5.1} Mbps + cell {:>5.1} Mbps = {:>5.1} / {:.0} Mbps  ({:.0}%)",
@@ -55,10 +51,7 @@ fn main() {
 
     // Mobile view: the same substrate under the compiled fault schedule.
     // `run_mobility` pairs each mobile run with its fault-free twin.
-    println!(
-        "\nunder the mobility schedule ({} hard handovers):",
-        profile.cycles
-    );
+    println!("\nunder the mobility schedule ({WALK_CYCLES} hard handovers):");
     for algo in [CcAlgo::Lia, CcAlgo::Olia] {
         let run = run_mobility(algo, 1);
         let total = (run.wifi_bytes + run.cell_bytes).max(1) as f64;

@@ -85,12 +85,8 @@ fn assembled_and_retained_by(cell: &TrafficCell) -> (u64, u64, u64) {
         connections: cell.pairs,
         arrival_rate_hz: cell.arrival_rate_hz,
         seed: cell.seed,
-        ..TrafficConfig::default()
     });
-    let net = TrafficNet::build(&TrafficNetConfig {
-        pairs: cell.pairs,
-        ..TrafficNetConfig::default()
-    });
+    let net = TrafficNet::build(&TrafficNetConfig { pairs: cell.pairs });
     let mut routing = RoutingTables::new(&net.topology);
     let subflows: Vec<_> = (0..cell.pairs)
         .map(|i| install_subflows(&mut routing, &net.paths(i), 1, 5000))
