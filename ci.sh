@@ -66,6 +66,12 @@ if grep -rnE 'MobileNetConfig|MobilityProfile|FluidConfig|FluidParams|WorldgenCo
     exit 1
 fi
 
+echo "==> nothing deleted comes back (path enumeration, loss and queue faults, byte drop-tail, AQM setting structs, LP senses)"
+if grep -rnE 'all_simple_paths|k_shortest_paths|pairwise_bottlenecks|SetLoss|SetQueue|set_link_queue|loss_burst|capacity_dip|DropTailBytes|RedConfig|CoDelConfig|Sense::|LpOutcome::Infeasible' crates/ tests/ examples/*.rs; then
+    echo "deleted (DESIGN.md par 4): every path is hand-built or placed, faults are outages and capacity/delay changes, drop-tail counts packets, RED and CoDel run at fixed constants (RED's one setting is ecn_marking), and every LP row is a <= capacity row solved in one phase" >&2
+    exit 1
+fi
+
 echo "==> sweep-runner smoke test (release, serial vs pooled must match)"
 cargo build --release --offline -q -p bench
 OVERLAP_WORKERS=1 ./target/release/table1_results 3 2 2>/dev/null >/tmp/sweep_serial.txt

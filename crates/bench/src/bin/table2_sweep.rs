@@ -75,19 +75,11 @@ fn main() {
 
     println!("\n--- AQM / ECN ablation (CUBIC, paper network, 15 s) ---");
     {
-        use netsim::{CoDelConfig, RedConfig};
         let cases: Vec<(&str, QueueConfig, bool)> = vec![
             ("droptail-32", QueueConfig::DropTailPackets(32), false),
-            ("red", QueueConfig::Red(RedConfig::default()), false),
-            (
-                "red+ecn",
-                QueueConfig::Red(RedConfig {
-                    ecn_marking: true,
-                    ..Default::default()
-                }),
-                true,
-            ),
-            ("codel", QueueConfig::CoDel(CoDelConfig::default()), false),
+            ("red", QueueConfig::Red { ecn_marking: false }, false),
+            ("red+ecn", QueueConfig::Red { ecn_marking: true }, true),
+            ("codel", QueueConfig::CoDel, false),
         ];
         for (name, queue, ecn) in cases {
             let net = PaperNetwork::build(&overlap_core::PaperNetworkConfig {
@@ -116,6 +108,14 @@ fn main() {
         let net = PaperNetwork::new();
         let v4 = net.topology.node_by_name("v4").unwrap();
         let v2 = net.topology.node_by_name("v2").unwrap();
+        // The cross traffic takes its rate off the v4-v2 link, which the
+        // b13 constraint models: the adjusted optimum is the LP over the
+        // capacity left.
+        let mut residual = net.topology.clone();
+        let v4_v2 = residual.link_between(v4, v2).unwrap();
+        let left = residual.link(v4_v2).capacity.as_bps() - Bandwidth::from_mbps(bg_mbps).as_bps();
+        residual.set_link_capacity(v4_v2, Bandwidth::from_bps(left));
+        let adjusted = lpsolve::solve_max_throughput(&residual, &net.paths).total_mbps;
         let background = if bg_mbps == 0 {
             vec![]
         } else {
@@ -133,12 +133,6 @@ fn main() {
         }
         .with_timing(SimDuration::from_secs(15), SimDuration::from_millis(100))
         .run();
-        // The cross traffic shrinks the b13 constraint: adjusted optimum.
-        let adjusted = 90.0 - bg_mbps as f64 / 2.0 * 0.0 - {
-            // With x1+x3 <= 60 - bg, total = (40 + (60-bg) + 80)/2 while
-            // x2 stays feasible; clamp at the analytic value.
-            (bg_mbps as f64) / 2.0
-        };
         println!(
             "bg {bg_mbps:>2} Mbps: steady {:>5.1} Mbps (adjusted optimum {:.1})",
             r.steady_total_mbps(),

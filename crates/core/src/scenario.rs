@@ -535,12 +535,9 @@ mod tests {
         // dropped, so the copy carries RED's average and CoDel's dropping
         // state in use (and round-robin's rotation).
         use crate::paper::PaperNetworkConfig;
-        use netsim::{CoDelConfig, QueueConfig, RedConfig};
-        let red_ecn = QueueConfig::Red(RedConfig {
-            ecn_marking: true,
-            ..Default::default()
-        });
-        let codel = QueueConfig::CoDel(CoDelConfig::default());
+        use netsim::{FaultAction, QueueConfig};
+        let red_ecn = QueueConfig::Red { ecn_marking: true };
+        let codel = QueueConfig::CoDel;
         let drop_tail = PaperNetworkConfig::default().queue;
         for (algo, scheduler, queue) in [
             (CcAlgo::Lia, SchedulerKind::MinRtt, drop_tail),
@@ -555,6 +552,7 @@ mod tests {
             let s = net.topology.node_by_name("s").unwrap();
             let v4 = net.topology.node_by_name("v4").unwrap();
             let link = net.topology.link_between(s, v4).unwrap();
+            let capacity = net.topology.link(link).capacity;
             let base = Scenario {
                 default_path: net.default_path,
                 scheduler,
@@ -581,12 +579,15 @@ mod tests {
                     SimTime::from_millis(1800),
                     SimTime::from_millis(2300),
                 ),
-                FaultSchedule::new().loss_burst(
-                    link,
-                    SimTime::from_millis(1600),
-                    SimTime::from_millis(2000),
-                    0.3,
-                ),
+                FaultSchedule::new()
+                    .at(
+                        SimTime::from_millis(1600),
+                        FaultAction::SetCapacity(link, Bandwidth::from_mbps(5)),
+                    )
+                    .at(
+                        SimTime::from_millis(2000),
+                        FaultAction::SetCapacity(link, capacity),
+                    ),
                 FaultSchedule::new(),
             ];
             for faults in &variants {

@@ -36,11 +36,11 @@
 //! harness run storeless.
 
 use crate::scenario::{CrossTraffic, RunResult, Scenario};
-use lpsolve::{Constraint, LinearProgram, LpCache, MaxThroughput, Sense};
+use lpsolve::{Constraint, LinearProgram, LpCache, MaxThroughput};
 use mptcpsim::{CcAlgo, SchedulerKind};
 use netsim::{
-    CoDelConfig, FaultAction, FaultSchedule, LinkId, LinkSpec, NodeId, Path as NetPath,
-    QueueConfig, RedConfig, Topology,
+    CoDel, FaultAction, FaultSchedule, LinkId, LinkSpec, NodeId, Path as NetPath, QueueConfig, Red,
+    Topology,
 };
 use simbase::{Bandwidth, Fnv64, SimDuration, SimTime};
 use simtrace::{ConvergenceReport, TimeSeries};
@@ -340,8 +340,6 @@ codec! { put
         sack, ecn, tolerance, hold, forward_jitter, background, faults }
     CrossTraffic { from, to, rate, packet_bytes }
     LinkSpec { a, b, capacity, delay, loss_rate, queue }
-    RedConfig { max_packets, min_thresh, max_thresh, max_p, weight, ecn_marking, mean_pkt_time }
-    CoDelConfig { max_packets, target, interval }
 }
 
 impl Put for Topology {
@@ -399,7 +397,6 @@ macro_rules! tags {
 tags! {
     CcAlgo { Cubic = 0, RenoUncoupled = 1, Lia = 2, Olia = 3, Balia = 4, WVegas = 5 }
     SchedulerKind { MinRtt = 0, RoundRobin = 1, Redundant = 2 }
-    Sense { Le = 0, Eq = 1, Ge = 2 }
 }
 
 impl Put for AppSource {
@@ -411,18 +408,29 @@ impl Put for AppSource {
     }
 }
 
+/// The AQMs' fixed parameters follow their tags: they are inputs of the
+/// run, so changing one of the constants moves the digest. Their order keeps
+/// every digest what it was when they were settings, and tag 1 stays unused
+/// so no new queue can alias a stored byte-bounded drop-tail scenario.
 impl Put for QueueConfig {
     fn put(&self, out: &mut Vec<u8>) {
-        match self {
+        match *self {
             QueueConfig::DropTailPackets(n) => (0u8, n).put(out),
-            QueueConfig::DropTailBytes(b) => (1u8, b).put(out),
-            QueueConfig::Red(c) => (2u8, c).put(out),
-            QueueConfig::CoDel(c) => (3u8, c).put(out),
+            QueueConfig::Red { ecn_marking } => {
+                (2u8, Red::MAX_PACKETS, Red::MIN_THRESH).put(out);
+                (Red::MAX_THRESH, Red::MAX_P, Red::WEIGHT).put(out);
+                (ecn_marking, Red::MEAN_PKT_TIME).put(out);
+            }
+            QueueConfig::CoDel => {
+                (3u8, CoDel::MAX_PACKETS).put(out);
+                (CoDel::TARGET, CoDel::INTERVAL).put(out);
+            }
         }
     }
 }
 
-/// The link comes first, ahead of the tag.
+/// The link comes first, ahead of the tag. Tags 4 and 5 stay unused, so no
+/// new action can alias a stored scenario's loss-rate or queue change.
 impl Put for FaultAction {
     fn put(&self, out: &mut Vec<u8>) {
         self.link().put(out);
@@ -431,8 +439,6 @@ impl Put for FaultAction {
             FaultAction::LinkUp(_) => 1u8.put(out),
             FaultAction::SetCapacity(_, bw) => (2u8, bw).put(out),
             FaultAction::SetDelay(_, d) => (3u8, d).put(out),
-            FaultAction::SetLoss(_, rate) => (4u8, rate).put(out),
-            FaultAction::SetQueue(_, q) => (5u8, q).put(out),
         }
     }
 }
@@ -449,7 +455,33 @@ codec! {
     ConvergenceReport { target, tolerance, converged_at, steady_mean, steady_cov, efficiency }
     SenderStats { segments_sent, retransmits, loss_events, rtos, tlp_probes, ecn_reductions,
         bytes_acked }
-    Constraint { coeffs, sense, rhs, label }
+}
+
+/// Every row is `≤`, but a record keeps the sense byte it has carried since
+/// format 1, always `0` (the `≤` tag). Anything else, and a right-hand
+/// side the builder would refuse, is an unreadable record, not a panic.
+impl Put for Constraint {
+    fn put(&self, out: &mut Vec<u8>) {
+        (&self.coeffs, 0u8, self.rhs).put(out);
+        self.label.put(out);
+    }
+}
+
+impl Get for Constraint {
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let (coeffs, sense, rhs) = <(Vec<f64>, u8, f64)>::get(d)?;
+        if sense != 0 {
+            return Err(CodecError::Invalid("constraint sense"));
+        }
+        if !(rhs.is_finite() && rhs >= 0.0) {
+            return Err(CodecError::Invalid("rhs"));
+        }
+        Ok(Constraint {
+            coeffs,
+            rhs,
+            label: String::get(d)?,
+        })
+    }
 }
 
 impl Put for TimeSeries {
@@ -496,11 +528,8 @@ impl Get for LinearProgram {
             if c.coeffs.len() != lp.num_vars() || c.coeffs.iter().any(|x| !x.is_finite()) {
                 return Err(CodecError::Invalid("constraint coefficients"));
             }
-            if !c.rhs.is_finite() {
-                return Err(CodecError::Invalid("rhs"));
-            }
             let terms: Vec<(usize, f64)> = c.coeffs.into_iter().enumerate().collect();
-            lp.add_constraint(c.label, &terms, c.sense, c.rhs);
+            lp.add_constraint(c.label, &terms, c.rhs);
         }
         Ok(lp)
     }
@@ -1017,70 +1046,113 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    /// Absolute digests of a paper, a failover (every fault kind but
-    /// `SetQueue`) and an AQM-ablation scenario (RED+ECN links, round-robin,
-    /// `SetQueue` faults to CoDel and byte drop-tail), taken at PR 25's
-    /// parent, when the digest was still hashed field by field. A change
-    /// that moves one turns every stored record into a miss: it must come
-    /// with a `DIGEST_VERSION` bump and new pins.
+    /// FIXTURE with its LP's first row's sense byte and right-hand side
+    /// overwritten and the checksum recomputed, so only the values can
+    /// make the record unreadable.
+    fn fixture_with_first_row(sense: u8, rhs: f64) -> Vec<u8> {
+        let result = decode_record(FIXTURE_DIGEST, FIXTURE).expect("decode");
+        let row = &result.lp.lp.constraints()[0];
+        let mut encoded = Vec::new();
+        (&row.coeffs, 0u8, row.rhs).put(&mut encoded);
+        let at = FIXTURE
+            .windows(encoded.len())
+            .position(|w| w == encoded)
+            .expect("the first row's bytes are in the record")
+            + encoded.len()
+            - 9;
+        let mut bytes = FIXTURE[..FIXTURE.len() - 8].to_vec();
+        bytes[at] = sense;
+        bytes[at + 1..at + 9].copy_from_slice(&rhs.to_bits().to_be_bytes());
+        let checksum = fnv1a(&bytes);
+        checksum.put(&mut bytes);
+        bytes
+    }
+
+    /// A `≥` row or a negative capacity would trip the LP builder's
+    /// assertion: the decoder refuses both first, and the store reports an
+    /// unreadable miss.
+    #[test]
+    fn a_record_the_builder_would_refuse_is_an_unreadable_miss() {
+        assert!(
+            fixture_with_first_row(0, 40.0) == FIXTURE,
+            "the paper's first row"
+        );
+        let store = tmp_store("refused-row");
+        for (bytes, what) in [
+            (fixture_with_first_row(1, 40.0), "constraint sense"),
+            (fixture_with_first_row(0, -1.0), "rhs"),
+        ] {
+            assert!(matches!(
+                decode_record(FIXTURE_DIGEST, &bytes),
+                Err(CodecError::Invalid(w)) if w == what
+            ));
+            std::fs::write(store.record_path(FIXTURE_DIGEST), &bytes).expect("write");
+            assert!(store.get(FIXTURE_DIGEST).is_none(), "{what}");
+        }
+        assert_eq!((store.stats().hits, store.stats().misses), (0, 2));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Absolute digests of a paper, a failover (every fault kind), an
+    /// AQM-ablation (RED+ECN links, round-robin, ECN) and a CoDel scenario.
+    /// The paper pin was taken at PR 25's parent, when the digest was still
+    /// hashed field by field; the other three were computed by the encoder
+    /// that still had the byte drop-tail, the loss and queue faults and the
+    /// AQM setting structs, on scenarios that use none of them, so they pin
+    /// that every remaining kind encodes as it did. A change that moves one
+    /// turns every stored record into a miss: it must come with a
+    /// `DIGEST_VERSION` bump and new pins.
     #[test]
     fn digests_are_pinned() {
         use crate::failover::{failover_scenario, FailoverConfig, FailoverSetup};
         use crate::paper::PaperNetworkConfig;
-        use netsim::{CoDelConfig, RedConfig};
         let setup = FailoverSetup::paper();
         let link = setup.dead_link;
         let failover = failover_scenario(&setup, CcAlgo::Lia, 1, &FailoverConfig::default());
         let faults = failover
             .faults
             .clone()
-            .loss_burst(link, SimTime::from_secs(1), SimTime::from_secs(2), 0.01)
-            .capacity_dip(
-                link,
+            .at(
                 SimTime::from_secs(2),
+                FaultAction::SetCapacity(link, Bandwidth::from_mbps(5)),
+            )
+            .at(
                 SimTime::from_secs(3),
-                Bandwidth::from_mbps(5),
-                Bandwidth::from_mbps(40),
+                FaultAction::SetCapacity(link, Bandwidth::from_mbps(40)),
             )
             .at(
                 SimTime::from_secs(3),
                 FaultAction::SetDelay(link, SimDuration::from_millis(3)),
             );
         let failover = failover.with_faults(faults);
-        let net = PaperNetwork::build(&PaperNetworkConfig {
-            queue: QueueConfig::Red(RedConfig {
-                ecn_marking: true,
+        let aqm = |queue| {
+            let net = PaperNetwork::build(&PaperNetworkConfig {
+                queue,
                 ..Default::default()
-            }),
-            ..Default::default()
-        });
+            });
+            Scenario {
+                default_path: net.default_path,
+                ..Scenario::new(net.topology, net.paths)
+            }
+        };
         let ablation = Scenario {
-            default_path: net.default_path,
             scheduler: SchedulerKind::RoundRobin,
             ecn: true,
-            ..Scenario::new(net.topology, net.paths)
-        }
-        .with_faults(
-            FaultSchedule::new()
-                .at(
-                    SimTime::from_secs(1),
-                    FaultAction::SetQueue(link, QueueConfig::CoDel(CoDelConfig::default())),
-                )
-                .at(
-                    SimTime::from_secs(2),
-                    FaultAction::SetQueue(link, QueueConfig::DropTailBytes(30_000)),
-                ),
-        );
+            ..aqm(QueueConfig::Red { ecn_marking: true })
+        };
+        let codel = aqm(QueueConfig::CoDel);
         assert_eq!(
             [
                 paper_scenario().digest(),
                 failover.digest(),
-                ablation.digest()
+                ablation.digest(),
+                codel.digest()
             ],
             [
                 0xd466_21c8_48c9_3cab,
-                0xa323_a400_eceb_6f34,
-                0xb501_ae0c_48b9_6350
+                0x23fc_de2b_fe01_106b,
+                0x5331_059f_92cb_85bd,
+                0x457a_8c15_f699_4ccb
             ]
         );
     }

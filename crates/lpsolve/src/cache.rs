@@ -12,10 +12,10 @@
 //! affect results: for a given key the cached value is the exact
 //! [`MaxThroughput`] an uncached solve would have produced, because the
 //! key pins every input of the solve (variables, objective, constraint
-//! coefficients/senses/rhs, labels, and link bindings).
+//! coefficients/rhs, labels, and link bindings).
 
 use crate::flow::{max_throughput_lp, solve_max_throughput, MaxThroughput};
-use crate::model::{LinearProgram, Sense};
+use crate::model::LinearProgram;
 use netsim::{LinkId, Path, Topology};
 use simbase::Bandwidth;
 use std::collections::BTreeMap;
@@ -101,7 +101,7 @@ impl LpCache {
 ///
 /// Two problems share a key iff an uncached solve would return the same
 /// [`MaxThroughput`] for both: same variable count and objective, and the
-/// same multiset of constraints (coefficients, sense, rhs, label, link id,
+/// same multiset of constraints (coefficients, rhs, label, link id,
 /// capacity). Constraints are sorted by their encoding so the key does not
 /// depend on topology construction order; floats are encoded via
 /// `f64::to_bits` so no tolerance or float comparison is involved.
@@ -123,11 +123,6 @@ pub fn canonical_key(
             row.extend_from_slice(&(vi as u64).to_be_bytes());
             row.extend_from_slice(&coeff.to_bits().to_be_bytes());
         }
-        row.push(match c.sense {
-            Sense::Le => 0,
-            Sense::Eq => 1,
-            Sense::Ge => 2,
-        });
         row.extend_from_slice(&c.rhs.to_bits().to_be_bytes());
         row.extend_from_slice(c.label.as_bytes());
         row.push(0);

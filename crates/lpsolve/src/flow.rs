@@ -7,7 +7,7 @@
 //! LP is built from the *same* `netsim::Topology` object the packets flow
 //! through, the baseline can never drift from the simulated network.
 
-use crate::model::{LinearProgram, Sense};
+use crate::model::LinearProgram;
 use crate::num::F64_EPS;
 use crate::simplex::{solve, LpOutcome};
 use netsim::{LinkId, Path, SharingAnalysis, Topology};
@@ -49,7 +49,7 @@ pub fn max_throughput_lp(
         let terms: Vec<(usize, f64)> = users.iter().map(|&u| (u, 1.0)).collect();
         let a = topo.node(topo.link(*link).a).name.clone();
         let b = topo.node(topo.link(*link).b).name.clone();
-        lp.add_constraint(format!("{a}-{b}"), &terms, Sense::Le, cap.as_mbps_f64());
+        lp.add_constraint(format!("{a}-{b}"), &terms, cap.as_mbps_f64());
         link_constraints.push((*link, users.clone(), cap));
     }
     (lp, link_constraints)
@@ -57,9 +57,8 @@ pub fn max_throughput_lp(
 
 /// Solve the max-throughput problem.
 ///
-/// Panics if the LP is infeasible or unbounded — impossible for a
-/// well-formed capacity problem (0 is always feasible; every variable is
-/// capped by its path's links).
+/// Panics if the LP is unbounded — impossible for a well-formed capacity
+/// problem (every variable is capped by its path's links).
 pub fn solve_max_throughput(topo: &Topology, paths: &[Path]) -> MaxThroughput {
     assert!(!paths.is_empty(), "need at least one path");
     let (lp, link_constraints) = max_throughput_lp(topo, paths);
@@ -79,7 +78,6 @@ pub fn solve_max_throughput(topo: &Topology, paths: &[Path]) -> MaxThroughput {
                 link_constraints,
             }
         }
-        LpOutcome::Infeasible => unreachable!("capacity LP is always feasible at 0"),
         LpOutcome::Unbounded => {
             unreachable!("every path crosses at least one finite-capacity link")
         }

@@ -4,10 +4,12 @@
 //! maximize `x1 + x2 + x3` under per-link capacity constraints. This crate
 //! provides:
 //!
-//! * [`model`] — an explicit LP builder (`maximize c·x`, `x ≥ 0`).
-//! * [`simplex`] — a two-phase dense simplex with Bland's rule, generic
-//!   over the arithmetic ([`num::LpNum`]): fast `f64` for experiments and
-//!   exact [`num::Rational`] for cross-validation in tests.
+//! * [`model`] — an explicit packing-LP builder (`maximize c·x`, `x ≥ 0`,
+//!   `≤` rows with non-negative capacities).
+//! * [`simplex`] — a one-phase dense simplex with Bland's rule, started
+//!   from the slack basis (feasible because `x = 0` is), generic over the
+//!   arithmetic ([`num::LpNum`]): fast `f64` for experiments and exact
+//!   [`num::Rational`] for cross-validation in tests.
 //! * [`flow`] — automatic extraction of the max-throughput LP from a
 //!   `netsim` topology + path set, plus the greedy-fill baseline the paper
 //!   contrasts against, and tight-constraint (bottleneck) reporting.
@@ -25,7 +27,7 @@ pub mod simplex;
 
 pub use cache::{LpCache, LpCacheStats};
 pub use flow::{max_throughput_lp, solve_max_throughput, MaxThroughput};
-pub use model::{Constraint, LinearProgram, Sense};
+pub use model::{Constraint, LinearProgram};
 pub use num::{LpNum, Rational, F64_EPS};
 pub use simplex::{solve, LpOutcome};
 
@@ -45,7 +47,7 @@ mod proptests {
             lp.add_var(format!("x{i}"), 1.0);
         }
         for i in 0..n {
-            lp.add_constraint(format!("box{i}"), &[(i, 1.0)], Sense::Le, 100.0);
+            lp.add_constraint(format!("box{i}"), &[(i, 1.0)], 100.0);
         }
         for (ri, (mask, cap)) in rows.into_iter().enumerate() {
             let terms: Vec<(usize, f64)> = mask
@@ -55,7 +57,7 @@ mod proptests {
                 .map(|(i, _)| (i, 1.0))
                 .collect();
             if !terms.is_empty() {
-                lp.add_constraint(format!("c{ri}"), &terms, Sense::Le, cap as f64 % 97.0 + 1.0);
+                lp.add_constraint(format!("c{ri}"), &terms, cap as f64 % 97.0 + 1.0);
             }
         }
         lp

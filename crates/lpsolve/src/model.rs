@@ -1,41 +1,19 @@
 //! Linear program model builder.
 //!
-//! A thin, explicit representation: maximize `c·x` subject to linear
-//! constraints with `≤ / = / ≥` senses and `x ≥ 0`. The throughput problems
-//! in this workspace are tiny (a variable per path, a constraint per link),
-//! so clarity beats sparsity.
+//! A thin, explicit representation of a packing LP: maximize `c·x` subject
+//! to `a·x ≤ b` rows with `b ≥ 0`, and `x ≥ 0`. Every LP in this workspace
+//! is a capacity problem of that shape (a variable per path, a `≤` row per
+//! link), so `x = 0` is always feasible; the problems are tiny, so clarity
+//! beats sparsity.
 
 use std::fmt;
 
-/// Constraint sense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sense {
-    /// `a·x ≤ b`
-    Le,
-    /// `a·x = b`
-    Eq,
-    /// `a·x ≥ b`
-    Ge,
-}
-
-impl fmt::Display for Sense {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Sense::Le => "<=",
-            Sense::Eq => "=",
-            Sense::Ge => ">=",
-        })
-    }
-}
-
-/// One linear constraint `coeffs · x (sense) rhs`.
+/// One linear constraint `coeffs · x ≤ rhs`.
 #[derive(Debug, Clone)]
 pub struct Constraint {
     /// Coefficient per variable (dense; length = variable count).
     pub coeffs: Vec<f64>,
-    /// The sense.
-    pub sense: Sense,
-    /// Right-hand side.
+    /// Right-hand side: finite and `≥ 0`.
     pub rhs: f64,
     /// Optional label (e.g. the link this capacity constraint models).
     pub label: String,
@@ -68,15 +46,15 @@ impl LinearProgram {
         self.var_names.len() - 1
     }
 
-    /// Add a constraint given sparse `(var, coeff)` terms.
+    /// Add the constraint `Σ coeff·x[var] ≤ rhs` given sparse
+    /// `(var, coeff)` terms. `rhs` must be finite and `≥ 0`: a capacity.
     pub fn add_constraint(
         &mut self,
         label: impl Into<String>,
         terms: &[(usize, f64)],
-        sense: Sense,
         rhs: f64,
     ) -> usize {
-        assert!(rhs.is_finite());
+        assert!(rhs.is_finite() && rhs >= 0.0, "rhs {rhs} is not a capacity");
         let mut coeffs = vec![0.0; self.var_names.len()];
         for &(v, c) in terms {
             assert!(v < coeffs.len(), "unknown variable {v}");
@@ -85,7 +63,6 @@ impl LinearProgram {
         }
         self.constraints.push(Constraint {
             coeffs,
-            sense,
             rhs,
             label: label.into(),
         });
@@ -130,11 +107,7 @@ impl LinearProgram {
         }
         self.constraints.iter().all(|c| {
             let lhs: f64 = c.coeffs.iter().zip(x).map(|(a, v)| a * v).sum();
-            match c.sense {
-                Sense::Le => lhs <= c.rhs + tol,
-                Sense::Eq => (lhs - c.rhs).abs() <= tol,
-                Sense::Ge => lhs >= c.rhs - tol,
-            }
+            lhs <= c.rhs + tol
         })
     }
 
@@ -145,15 +118,12 @@ impl LinearProgram {
         self.constraints[i].rhs += delta;
     }
 
-    /// The slack `rhs - lhs` of constraint `i` at point `x` (negated for
-    /// `≥` so that 0 always means tight and positive always means loose).
+    /// The slack `rhs - lhs` of constraint `i` at point `x`: 0 means
+    /// tight, positive means loose.
     pub fn slack(&self, i: usize, x: &[f64]) -> f64 {
         let c = &self.constraints[i];
         let lhs: f64 = c.coeffs.iter().zip(x).map(|(a, v)| a * v).sum();
-        match c.sense {
-            Sense::Le | Sense::Eq => c.rhs - lhs,
-            Sense::Ge => lhs - c.rhs,
-        }
+        c.rhs - lhs
     }
 }
 
@@ -186,7 +156,7 @@ impl fmt::Display for LinearProgram {
                     write!(f, "{}·{}", a, self.var_names[i])?;
                 }
             }
-            writeln!(f, " {} {}", c.sense, c.rhs)?;
+            writeln!(f, " <= {}", c.rhs)?;
         }
         Ok(())
     }
@@ -201,9 +171,9 @@ mod tests {
         let x1 = lp.add_var("x1", 1.0);
         let x2 = lp.add_var("x2", 1.0);
         let x3 = lp.add_var("x3", 1.0);
-        lp.add_constraint("s-v1", &[(x1, 1.0), (x2, 1.0)], Sense::Le, 40.0);
-        lp.add_constraint("v4-v2", &[(x1, 1.0), (x3, 1.0)], Sense::Le, 60.0);
-        lp.add_constraint("v3-d", &[(x2, 1.0), (x3, 1.0)], Sense::Le, 80.0);
+        lp.add_constraint("s-v1", &[(x1, 1.0), (x2, 1.0)], 40.0);
+        lp.add_constraint("v4-v2", &[(x1, 1.0), (x3, 1.0)], 60.0);
+        lp.add_constraint("v3-d", &[(x2, 1.0), (x3, 1.0)], 80.0);
         lp
     }
 
@@ -246,23 +216,11 @@ mod tests {
     fn late_variables_extend_constraints() {
         let mut lp = LinearProgram::new();
         let a = lp.add_var("a", 1.0);
-        lp.add_constraint("c0", &[(a, 1.0)], Sense::Le, 5.0);
+        lp.add_constraint("c0", &[(a, 1.0)], 5.0);
         let b = lp.add_var("b", 2.0);
-        lp.add_constraint("c1", &[(a, 1.0), (b, 1.0)], Sense::Le, 7.0);
+        lp.add_constraint("c1", &[(a, 1.0), (b, 1.0)], 7.0);
         assert_eq!(lp.constraints()[0].coeffs.len(), 2);
         assert_eq!(lp.constraints()[0].coeffs[1], 0.0);
-    }
-
-    #[test]
-    fn ge_and_eq_senses() {
-        let mut lp = LinearProgram::new();
-        let a = lp.add_var("a", 1.0);
-        lp.add_constraint("min", &[(a, 1.0)], Sense::Ge, 2.0);
-        lp.add_constraint("pin", &[(a, 1.0)], Sense::Eq, 3.0);
-        assert!(lp.is_feasible(&[3.0], 1e-9));
-        assert!(!lp.is_feasible(&[2.0], 1e-9));
-        assert!(!lp.is_feasible(&[1.0], 1e-9));
-        assert!(lp.slack(0, &[3.0]) > 0.0);
     }
 
     #[test]
@@ -274,10 +232,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "is not a capacity")]
+    fn negative_rhs_is_refused() {
+        let mut lp = LinearProgram::new();
+        let a = lp.add_var("a", 1.0);
+        lp.add_constraint("c", &[(a, -1.0)], -2.0);
+    }
+
+    #[test]
     fn duplicate_terms_accumulate() {
         let mut lp = LinearProgram::new();
         let a = lp.add_var("a", 1.0);
-        lp.add_constraint("c", &[(a, 1.0), (a, 2.0)], Sense::Le, 6.0);
+        lp.add_constraint("c", &[(a, 1.0), (a, 2.0)], 6.0);
         assert_eq!(lp.constraints()[0].coeffs[0], 3.0);
     }
 }

@@ -1,16 +1,16 @@
-//! Two-phase dense simplex with Bland's anti-cycling rule.
+//! Dense simplex with Bland's anti-cycling rule, for packing LPs.
 //!
 //! Generic over [`LpNum`], so the identical pivot code runs in `f64` and in
 //! exact rational arithmetic. The problems here are tiny (tens of variables
 //! and constraints), so a dense tableau with Bland's rule — slow but
 //! provably terminating — is the right engineering trade.
 //!
-//! Normal form handled internally: `x ≥ 0`; each `≤` row gets a slack, each
-//! `≥` row a surplus plus an artificial, each `=` row an artificial; phase 1
-//! minimizes the artificial sum to find a basic feasible solution, phase 2
-//! optimizes the real objective.
+//! Every row is `a·x ≤ b` with `b ≥ 0` (the [`LinearProgram`] builder
+//! enforces it), so each row's `+1` slack is a feasible starting basis at
+//! `x = 0` and one phase suffices: no artificial columns, no row flips, and
+//! no infeasible outcome. Columns are `[originals | slacks]`.
 
-use crate::model::{LinearProgram, Sense};
+use crate::model::LinearProgram;
 use crate::num::LpNum;
 
 /// The outcome of solving an LP.
@@ -23,8 +23,6 @@ pub enum LpOutcome<T> {
         /// Primal solution (original variables only).
         x: Vec<T>,
     },
-    /// No feasible point.
-    Infeasible,
     /// The objective is unbounded above.
     Unbounded,
 }
@@ -72,15 +70,14 @@ impl<T: LpNum> Tableau<T> {
         self.basis[row] = col;
     }
 
-    /// Run the simplex loop on the current objective row, allowing only
-    /// columns `< col_limit` to enter (phase 2 excludes artificials).
-    /// Bland's rule: entering = lowest-index column with positive reduced
-    /// cost; leaving = lowest ratio, ties by lowest basic-variable index.
-    /// Returns false if unbounded.
-    fn optimize(&mut self, col_limit: usize) -> bool {
+    /// Run the simplex loop on the objective row. Bland's rule: entering =
+    /// lowest-index column with positive reduced cost; leaving = lowest
+    /// ratio, ties by lowest basic-variable index. Returns false if
+    /// unbounded.
+    fn optimize(&mut self) -> bool {
         loop {
             // Entering column (maximization: positive coefficient in obj).
-            let Some(col) = (0..col_limit).find(|&c| self.obj[c].gt_zero()) else {
+            let Some(col) = (0..self.n).find(|&c| self.obj[c].gt_zero()) else {
                 return true; // optimal
             };
             // Ratio test.
@@ -113,159 +110,36 @@ impl<T: LpNum> Tableau<T> {
 pub fn solve<T: LpNum>(lp: &LinearProgram) -> LpOutcome<T> {
     let m = lp.num_constraints();
     let nv = lp.num_vars();
+    let n = nv + m;
 
-    // Column layout: [original 0..nv | slack/surplus | artificials].
-    let mut n = nv;
-    let mut slack_col = vec![None; m];
-    for (i, c) in lp.constraints().iter().enumerate() {
-        match c.sense {
-            Sense::Le | Sense::Ge => {
-                slack_col[i] = Some(n);
-                n += 1;
+    // Row i: its coefficients, a +1 in slack column nv + i, which starts
+    // basic, and the RHS.
+    let rows = lp
+        .constraints()
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let mut row = vec![T::zero(); n + 1];
+            for (j, &a) in c.coeffs.iter().enumerate() {
+                row[j] = T::from_f64(a);
             }
-            Sense::Eq => {}
-        }
+            row[nv + i] = T::one();
+            row[n] = T::from_f64(c.rhs);
+            row
+        })
+        .collect();
+    // The slacks cost nothing, so the starting basis needs no pricing out.
+    let mut obj = vec![T::zero(); n + 1];
+    for (j, &cj) in lp.objective().iter().enumerate() {
+        obj[j] = T::from_f64(cj);
     }
-    let art_start = n;
-    // Every row gets an artificial if it needs one: Ge and Eq always; Le
-    // only if rhs < 0 (after which we flip the row; our builder keeps rhs
-    // finite but possibly negative).
-    let mut art_col = vec![None; m];
-    for (i, c) in lp.constraints().iter().enumerate() {
-        let needs_art = match c.sense {
-            Sense::Le => c.rhs < 0.0,
-            // Ge rows always need one: after sign normalization the surplus
-            // column has the wrong sign to serve as a starting basis.
-            Sense::Ge | Sense::Eq => true,
-        };
-        if needs_art {
-            art_col[i] = Some(n);
-            n += 1;
-        }
-    }
-
-    let mut rows: Vec<Vec<T>> = Vec::with_capacity(m);
-    let mut basis = vec![0usize; m];
-    for (i, c) in lp.constraints().iter().enumerate() {
-        let mut row: Vec<T> = vec![T::zero(); n + 1];
-        // Row sign normalization so RHS >= 0.
-        let flip = c.rhs < 0.0;
-        let sgn = if flip { -1.0 } else { 1.0 };
-        for (j, &a) in c.coeffs.iter().enumerate() {
-            row[j] = T::from_f64(sgn * a);
-        }
-        row[n] = T::from_f64(sgn * c.rhs);
-        // Slack/surplus sign: Le gets +1 (or -1 if flipped), Ge gets -1
-        // (or +1 if flipped).
-        if let Some(sc) = slack_col[i] {
-            let coeff = match (c.sense, flip) {
-                (Sense::Le, false) | (Sense::Ge, true) => T::one(),
-                (Sense::Le, true) | (Sense::Ge, false) => T::one().neg(),
-                (Sense::Eq, _) => unreachable!(),
-            };
-            row[sc] = coeff;
-        }
-        rows.push(row);
-        basis[i] = usize::MAX; // assigned below
-    }
-
-    // Decide the initial basis: a slack with +1 coefficient can be basic
-    // directly; otherwise use the artificial.
-    let mut art_needed = vec![false; m];
-    for i in 0..m {
-        if let Some(sc) = slack_col[i] {
-            if rows[i][sc] == T::one() {
-                basis[i] = sc;
-                continue;
-            }
-        }
-        art_needed[i] = true;
-    }
-    // (Re)assign artificial columns compactly for the rows that need them.
-    let mut next_art = art_start;
-    // First wipe optimistic assignments from the sizing pass and recount.
-    for i in 0..m {
-        art_col[i] = None;
-        if art_needed[i] {
-            art_col[i] = Some(next_art);
-            next_art += 1;
-        }
-    }
-    let n = next_art; // final column count
-    for (i, row) in rows.iter_mut().enumerate() {
-        // Resize row to n+1, moving the RHS into the last slot.
-        let rhs = row.pop().unwrap_or_else(T::zero); // every row carries an RHS
-        row.resize(n, T::zero());
-        row.push(rhs);
-        if let Some(ac) = art_col[i] {
-            row[ac] = T::one();
-            basis[i] = ac;
-        }
-    }
-
     let mut tab = Tableau {
         rows,
-        obj: vec![T::zero(); n + 1],
-        basis,
+        obj,
+        basis: (nv..n).collect(),
         n,
     };
-
-    // Phase 1: maximize -(sum of artificials).
-    if (art_start..n).next().is_some() {
-        for c in art_start..n {
-            tab.obj[c] = T::one().neg();
-        }
-        // Price out basic artificials (their rows currently contain them
-        // with coefficient 1).
-        for r in 0..m {
-            if tab.basis[r] >= art_start {
-                for c in 0..=n {
-                    let delta = tab.rows[r][c].clone();
-                    tab.obj[c] = tab.obj[c].add(&delta);
-                }
-            }
-        }
-        if !tab.optimize(n) {
-            // Phase-1 objective is bounded by construction; treat as bug.
-            unreachable!("phase 1 cannot be unbounded");
-        }
-        // Feasible iff the artificial sum is zero: obj value = -sum.
-        if !tab.obj[n].near_zero() {
-            return LpOutcome::Infeasible;
-        }
-        // Drive any artificials remaining in the basis out (degenerate).
-        for r in 0..m {
-            if tab.basis[r] >= art_start {
-                if let Some(col) = (0..art_start).find(|&c| !tab.rows[r][c].near_zero()) {
-                    tab.pivot(r, col);
-                }
-                // If the whole row is zero the constraint was redundant;
-                // leaving the artificial basic at value 0 is harmless.
-            }
-        }
-    }
-
-    // Phase 2: the real objective, with artificial columns frozen at zero.
-    for c in 0..=n {
-        tab.obj[c] = T::zero();
-    }
-    for (j, &cj) in lp.objective().iter().enumerate() {
-        tab.obj[j] = T::from_f64(cj);
-    }
-    // Price out the basic variables.
-    for r in 0..m {
-        let b = tab.basis[r];
-        let factor = tab.obj[b].clone();
-        if factor.near_zero() {
-            continue;
-        }
-        for c in 0..=n {
-            let delta = factor.mul(&tab.rows[r][c]);
-            tab.obj[c] = tab.obj[c].sub(&delta);
-        }
-    }
-    // Artificial columns are excluded from entering, so they stay at zero.
-    if !tab.optimize(art_start) {
+    if !tab.optimize() {
         return LpOutcome::Unbounded;
     }
 
@@ -277,8 +151,7 @@ pub fn solve<T: LpNum>(lp: &LinearProgram) -> LpOutcome<T> {
             x[b] = tab.rows[r][n].clone();
         }
     }
-    // Objective value: -obj[n] after pricing (obj row holds z - c·x form);
-    // recompute directly from x for robustness.
+    // Recompute the objective directly from x for robustness.
     let mut objective = T::zero();
     for (j, &cj) in lp.objective().iter().enumerate() {
         objective = objective.add(&T::from_f64(cj).mul(&x[j]));
@@ -315,9 +188,9 @@ mod tests {
         let x1 = lp.add_var("x1", 1.0);
         let x2 = lp.add_var("x2", 1.0);
         let x3 = lp.add_var("x3", 1.0);
-        lp.add_constraint("b12", &[(x1, 1.0), (x2, 1.0)], Sense::Le, 40.0);
-        lp.add_constraint("b13", &[(x1, 1.0), (x3, 1.0)], Sense::Le, 60.0);
-        lp.add_constraint("b23", &[(x2, 1.0), (x3, 1.0)], Sense::Le, 80.0);
+        lp.add_constraint("b12", &[(x1, 1.0), (x2, 1.0)], 40.0);
+        lp.add_constraint("b13", &[(x1, 1.0), (x3, 1.0)], 60.0);
+        lp.add_constraint("b23", &[(x2, 1.0), (x3, 1.0)], 80.0);
         assert_optimal_f64(&lp, 90.0, Some(&[10.0, 30.0, 50.0]));
         // Exact arithmetic agrees.
         match solve::<Rational>(&lp) {
@@ -343,9 +216,9 @@ mod tests {
         let x1 = lp.add_var("x1", 1.0);
         let x2 = lp.add_var("x2", 1.0);
         let x3 = lp.add_var("x3", 1.0);
-        lp.add_constraint("b12", &[(x1, 1.0), (x2, 1.0)], Sense::Le, 40.0);
-        lp.add_constraint("b23", &[(x2, 1.0), (x3, 1.0)], Sense::Le, 60.0);
-        lp.add_constraint("b13", &[(x1, 1.0), (x3, 1.0)], Sense::Le, 80.0);
+        lp.add_constraint("b12", &[(x1, 1.0), (x2, 1.0)], 40.0);
+        lp.add_constraint("b23", &[(x2, 1.0), (x3, 1.0)], 60.0);
+        lp.add_constraint("b13", &[(x1, 1.0), (x3, 1.0)], 80.0);
         assert_optimal_f64(&lp, 90.0, Some(&[30.0, 10.0, 50.0]));
     }
 
@@ -353,7 +226,7 @@ mod tests {
     fn single_variable_box() {
         let mut lp = LinearProgram::new();
         let x = lp.add_var("x", 3.0);
-        lp.add_constraint("cap", &[(x, 1.0)], Sense::Le, 7.0);
+        lp.add_constraint("cap", &[(x, 1.0)], 7.0);
         assert_optimal_f64(&lp, 21.0, Some(&[7.0]));
     }
 
@@ -362,58 +235,19 @@ mod tests {
         let mut lp = LinearProgram::new();
         let x = lp.add_var("x", 1.0);
         let y = lp.add_var("y", 0.0);
-        lp.add_constraint("only-y", &[(y, 1.0)], Sense::Le, 5.0);
+        lp.add_constraint("only-y", &[(y, 1.0)], 5.0);
         let _ = x;
         assert_eq!(solve::<f64>(&lp), LpOutcome::Unbounded);
-    }
-
-    #[test]
-    fn infeasible_detected() {
-        let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 1.0);
-        lp.add_constraint("lo", &[(x, 1.0)], Sense::Ge, 10.0);
-        lp.add_constraint("hi", &[(x, 1.0)], Sense::Le, 5.0);
-        assert_eq!(solve::<f64>(&lp), LpOutcome::Infeasible);
-    }
-
-    #[test]
-    fn equality_constraints_work() {
-        let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 1.0);
-        lp.add_constraint("pin", &[(x, 1.0)], Sense::Eq, 3.0);
-        lp.add_constraint("cap", &[(x, 1.0), (y, 1.0)], Sense::Le, 10.0);
-        assert_optimal_f64(&lp, 10.0, Some(&[3.0, 7.0]));
-    }
-
-    #[test]
-    fn ge_constraints_force_lower_bounds() {
-        // minimize-ish: maximize -x with x >= 4  ->  x = 4.
-        let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", -1.0);
-        lp.add_constraint("lo", &[(x, 1.0)], Sense::Ge, 4.0);
-        lp.add_constraint("hi", &[(x, 1.0)], Sense::Le, 100.0);
-        assert_optimal_f64(&lp, -4.0, Some(&[4.0]));
     }
 
     #[test]
     fn degenerate_redundant_constraints() {
         let mut lp = LinearProgram::new();
         let x = lp.add_var("x", 1.0);
-        lp.add_constraint("a", &[(x, 1.0)], Sense::Le, 5.0);
-        lp.add_constraint("b", &[(x, 1.0)], Sense::Le, 5.0);
-        lp.add_constraint("c", &[(x, 2.0)], Sense::Le, 10.0);
+        lp.add_constraint("a", &[(x, 1.0)], 5.0);
+        lp.add_constraint("b", &[(x, 1.0)], 5.0);
+        lp.add_constraint("c", &[(x, 2.0)], 10.0);
         assert_optimal_f64(&lp, 5.0, Some(&[5.0]));
-    }
-
-    #[test]
-    fn negative_rhs_row_is_normalized() {
-        // -x <= -2  ==  x >= 2.
-        let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", -1.0);
-        lp.add_constraint("lo", &[(x, -1.0)], Sense::Le, -2.0);
-        lp.add_constraint("hi", &[(x, 1.0)], Sense::Le, 9.0);
-        assert_optimal_f64(&lp, -2.0, Some(&[2.0]));
     }
 
     #[test]
@@ -431,12 +265,7 @@ mod tests {
                 terms.push((xj, 2.0 * 10f64.powi((i - j) as i32)));
             }
             terms.push((xs[i], 1.0));
-            lp.add_constraint(
-                format!("c{i}"),
-                &terms,
-                Sense::Le,
-                100f64.powi(i as i32 + 1),
-            );
+            lp.add_constraint(format!("c{i}"), &terms, 100f64.powi(i as i32 + 1));
         }
         match solve::<f64>(&lp) {
             LpOutcome::Optimal { objective, .. } => {

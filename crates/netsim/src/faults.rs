@@ -4,8 +4,7 @@
 //! conditions change; a static topology never exercises that machinery.
 //! This module declares those changes as data: a [`FaultSchedule`] is a
 //! list of `(time, action)` entries — link failures and recoveries,
-//! capacity and delay renegotiations, loss bursts, queue reconfiguration —
-//! that [`crate::sim::Simulator::install_faults`] turns into ordinary
+//! capacity and delay renegotiations — that [`crate::sim::Simulator::install_faults`] turns into ordinary
 //! simulator events. Faults therefore flow through the same deterministic
 //! `(time, seq)` event queue as every packet: no wall clock, no threads,
 //! and a faulted run is exactly as reproducible as an unfaulted one (the
@@ -21,19 +20,19 @@
 //!   deliver — they have left the interface.
 //! * **LinkUp** restores forwarding; endpoints recover on their own (RTO
 //!   probes, subflow revival) exactly as real stacks do.
-//! * **SetCapacity / SetDelay / SetLoss** change the link parameters for
+//! * **SetCapacity / SetDelay** change the link parameters for
 //!   *subsequent* transmissions; a packet already being serialized keeps
 //!   the timing it started with.
-//! * **SetQueue** rebuilds both directions' output queues under the new
-//!   configuration, re-offering buffered packets in FIFO order (packets
-//!   the new queue refuses are accounted as drops).
+//!
+//! These are the four kinds a run schedules: failover's [`FaultSchedule::outage`]
+//! and the mobility walk's hand-offs. A link's static corruption loss is
+//! topology ([`crate::Topology::set_link_loss`]), not a fault.
 
 use crate::packet::LinkId;
-use crate::queue::QueueConfig;
 use simbase::{Bandwidth, SimDuration, SimTime};
 
 /// One timed mutation of the running network.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Administratively take a link down (both directions).
     LinkDown(LinkId),
@@ -44,13 +43,6 @@ pub enum FaultAction {
     SetCapacity(LinkId, Bandwidth),
     /// Change a link's one-way propagation delay.
     SetDelay(LinkId, SimDuration),
-    /// Change a link's independent per-packet corruption-loss probability
-    /// (in `[0, 1]`; `1.0` blackholes the link without dropping its queue).
-    SetLoss(LinkId, f64),
-    /// Replace a link's queue configuration. Both directions' queues are
-    /// rebuilt; already-buffered packets are re-offered to the new queue in
-    /// FIFO order and any the new queue refuses are accounted as drops.
-    SetQueue(LinkId, QueueConfig),
 }
 
 impl FaultAction {
@@ -60,9 +52,7 @@ impl FaultAction {
             FaultAction::LinkDown(l)
             | FaultAction::LinkUp(l)
             | FaultAction::SetCapacity(l, _)
-            | FaultAction::SetDelay(l, _)
-            | FaultAction::SetLoss(l, _)
-            | FaultAction::SetQueue(l, _) => l,
+            | FaultAction::SetDelay(l, _) => l,
         }
     }
 }
@@ -74,7 +64,7 @@ impl FaultAction {
 /// identical event sequences. Entries may be declared in any order; the
 /// simulator's event queue orders them by `(time, insertion)` exactly like
 /// every other event.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     entries: Vec<(SimTime, FaultAction)>,
 }
@@ -117,29 +107,6 @@ impl FaultSchedule {
         self.at(from, FaultAction::LinkDown(link))
             .at(to, FaultAction::LinkUp(link))
     }
-
-    /// A loss burst: the link's corruption-loss probability is `rate` over
-    /// `[from, to)` and returns to zero afterwards.
-    pub fn loss_burst(self, link: LinkId, from: SimTime, to: SimTime, rate: f64) -> Self {
-        assert!(from < to, "burst must end after it starts");
-        self.at(from, FaultAction::SetLoss(link, rate))
-            .at(to, FaultAction::SetLoss(link, 0.0))
-    }
-
-    /// A capacity renegotiation window: the link runs at `during` between
-    /// `from` and `to`, then returns to `after`.
-    pub fn capacity_dip(
-        self,
-        link: LinkId,
-        from: SimTime,
-        to: SimTime,
-        during: Bandwidth,
-        after: Bandwidth,
-    ) -> Self {
-        assert!(from < to, "dip must end after it starts");
-        self.at(from, FaultAction::SetCapacity(link, during))
-            .at(to, FaultAction::SetCapacity(link, after))
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +117,10 @@ mod tests {
     fn builder_accumulates_entries_in_order() {
         let s = FaultSchedule::new()
             .at(SimTime::from_secs(1), FaultAction::LinkDown(LinkId(3)))
-            .at(SimTime::from_secs(2), FaultAction::SetLoss(LinkId(0), 0.25));
+            .at(
+                SimTime::from_secs(2),
+                FaultAction::SetDelay(LinkId(0), SimDuration::from_millis(25)),
+            );
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
         assert_eq!(
@@ -170,32 +140,6 @@ mod tests {
                 (SimTime::from_secs(4), FaultAction::LinkDown(LinkId(5))),
                 (SimTime::from_secs(8), FaultAction::LinkUp(LinkId(5))),
             ]
-        );
-    }
-
-    #[test]
-    fn loss_burst_restores_zero() {
-        let s = FaultSchedule::new().loss_burst(
-            LinkId(1),
-            SimTime::from_millis(100),
-            SimTime::from_millis(300),
-            0.4,
-        );
-        assert_eq!(s.entries()[1].1, FaultAction::SetLoss(LinkId(1), 0.0));
-    }
-
-    #[test]
-    fn capacity_dip_restores_after_rate() {
-        let s = FaultSchedule::new().capacity_dip(
-            LinkId(2),
-            SimTime::from_secs(1),
-            SimTime::from_secs(2),
-            Bandwidth::from_mbps(10),
-            Bandwidth::from_mbps(100),
-        );
-        assert_eq!(
-            s.entries()[1].1,
-            FaultAction::SetCapacity(LinkId(2), Bandwidth::from_mbps(100))
         );
     }
 

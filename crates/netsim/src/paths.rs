@@ -1,9 +1,10 @@
-//! Paths through a topology, path enumeration, and overlap analysis.
+//! Paths through a topology and overlap analysis.
 //!
 //! The paper's core object is a *set of partially overlapping paths*: the
 //! pairwise shared links become coupling constraints on per-path throughput.
-//! [`Path`] is a validated node/link walk; [`all_simple_paths`] and
-//! [`k_shortest_paths`] (Yen's algorithm) enumerate candidates; and
+//! [`Path`] is a validated node/link walk, built by hand from nodes or links
+//! (every experiment picks its paths; nothing here enumerates them);
+//! [`shortest_path`] is the delay-shortest walk default routes follow; and
 //! [`SharingAnalysis`] extracts exactly which links are shared by which
 //! subsets of paths — the input to `lpsolve`'s constraint generation.
 
@@ -158,77 +159,9 @@ impl Path {
     }
 }
 
-/// All simple paths from `src` to `dst` with at most `max_hops` links,
-/// in lexicographic DFS order (deterministic). Exponential in general —
-/// intended for the small evaluation topologies.
-pub fn all_simple_paths(topo: &Topology, src: NodeId, dst: NodeId, max_hops: usize) -> Vec<Path> {
-    let mut out = Vec::new();
-    let mut node_stack = vec![src];
-    let mut link_stack: Vec<LinkId> = Vec::new();
-    let mut visited: BTreeSet<NodeId> = BTreeSet::from([src]);
-
-    fn dfs(
-        topo: &Topology,
-        dst: NodeId,
-        max_hops: usize,
-        node_stack: &mut Vec<NodeId>,
-        link_stack: &mut Vec<LinkId>,
-        visited: &mut BTreeSet<NodeId>,
-        out: &mut Vec<Path>,
-    ) {
-        let Some(&cur) = node_stack.last() else {
-            return; // dfs is only entered with src already on the stack
-        };
-        if cur == dst {
-            out.push(Path {
-                nodes: node_stack.clone(),
-                links: link_stack.clone(),
-            });
-            return;
-        }
-        if link_stack.len() == max_hops {
-            return;
-        }
-        for &(nbr, link) in topo.neighbors(cur) {
-            if visited.contains(&nbr) {
-                continue;
-            }
-            visited.insert(nbr);
-            node_stack.push(nbr);
-            link_stack.push(link);
-            dfs(topo, dst, max_hops, node_stack, link_stack, visited, out);
-            link_stack.pop();
-            node_stack.pop();
-            visited.remove(&nbr);
-        }
-    }
-
-    dfs(
-        topo,
-        dst,
-        max_hops,
-        &mut node_stack,
-        &mut link_stack,
-        &mut visited,
-        &mut out,
-    );
-    out
-}
-
 /// Dijkstra shortest path by cumulative delay, with deterministic
 /// tie-breaking (lower node id wins). Returns `None` if unreachable.
 pub fn shortest_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
-    shortest_path_avoiding(topo, src, dst, &BTreeSet::new(), &BTreeSet::new())
-}
-
-/// Dijkstra that ignores a set of links and nodes (Yen's spur computation).
-fn shortest_path_avoiding(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    banned_links: &BTreeSet<LinkId>,
-    banned_nodes: &BTreeSet<NodeId>,
-) -> Option<Path> {
     #[derive(PartialEq, Eq)]
     struct Entry(u64, NodeId); // (dist_ns, node), min-heap via Reverse ordering
     impl Ord for Entry {
@@ -242,9 +175,6 @@ fn shortest_path_avoiding(
         }
     }
 
-    if banned_nodes.contains(&src) || banned_nodes.contains(&dst) {
-        return None;
-    }
     let n = topo.node_count();
     let mut dist = vec![u64::MAX; n];
     let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
@@ -260,9 +190,6 @@ fn shortest_path_avoiding(
             break;
         }
         for &(v, link) in topo.neighbors(u) {
-            if banned_links.contains(&link) || banned_nodes.contains(&v) {
-                continue;
-            }
             // Cost: delay in ns, +1 so zero-delay links still count a hop
             // (keeps Dijkstra's tie-breaking meaningful on uniform graphs).
             let w = topo.link(link).delay.as_nanos().saturating_add(1);
@@ -294,64 +221,6 @@ fn shortest_path_avoiding(
     Some(Path { nodes, links })
 }
 
-/// Yen's algorithm: the k shortest loop-free paths by delay. Deterministic.
-pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-    let mut result: Vec<Path> = Vec::new();
-    let Some(first) = shortest_path(topo, src, dst) else {
-        return result;
-    };
-    result.push(first);
-    // Candidates ordered by (delay_ns, hop_count, node sequence) for
-    // deterministic selection.
-    let mut candidates: Vec<Path> = Vec::new();
-
-    while result.len() < k {
-        let Some(last) = result.last().cloned() else {
-            break; // result starts non-empty; defensive for the lint contract
-        };
-        for i in 0..last.links.len() {
-            let spur_node = last.nodes[i];
-            let root_nodes = &last.nodes[..=i];
-            let root_links = &last.links[..i];
-
-            let mut banned_links = BTreeSet::new();
-            for p in &result {
-                if p.nodes.len() > i && p.nodes[..=i] == *root_nodes {
-                    if let Some(&l) = p.links.get(i) {
-                        banned_links.insert(l);
-                    }
-                }
-            }
-            let banned_nodes: BTreeSet<NodeId> = root_nodes[..i].iter().copied().collect();
-
-            if let Some(spur) =
-                shortest_path_avoiding(topo, spur_node, dst, &banned_links, &banned_nodes)
-            {
-                let mut nodes = root_nodes.to_vec();
-                nodes.extend_from_slice(&spur.nodes[1..]);
-                let mut links = root_links.to_vec();
-                links.extend_from_slice(&spur.links);
-                let total = Path { nodes, links };
-                if !result.contains(&total) && !candidates.contains(&total) {
-                    candidates.push(total);
-                }
-            }
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        candidates.sort_by_key(|p| {
-            (
-                p.one_way_delay(topo).as_nanos(),
-                p.hop_count(),
-                p.nodes.iter().map(|n| n.0).collect::<Vec<_>>(),
-            )
-        });
-        result.push(candidates.remove(0));
-    }
-    result
-}
-
 /// Which links are shared by which paths: the structural core of the paper.
 #[derive(Debug, Clone)]
 pub struct SharingAnalysis {
@@ -372,36 +241,6 @@ impl SharingAnalysis {
         }
         let link_users: Vec<(LinkId, Vec<usize>)> = map.into_iter().collect();
         SharingAnalysis { link_users }
-    }
-
-    /// Links used by two or more paths, with their user sets.
-    pub fn shared(&self) -> impl Iterator<Item = &(LinkId, Vec<usize>)> {
-        self.link_users.iter().filter(|(_, users)| users.len() >= 2)
-    }
-
-    /// For each unordered path pair `(i, j)` that shares at least one link:
-    /// the tightest shared-link capacity — the coefficient of the paper's
-    /// `x_i + x_j ≤ c` constraints.
-    pub fn pairwise_bottlenecks(&self, topo: &Topology) -> Vec<(usize, usize, LinkId, Bandwidth)> {
-        let mut best: BTreeMap<(usize, usize), (LinkId, Bandwidth)> = BTreeMap::new();
-        for (link, users) in self.shared() {
-            let cap = topo.link(*link).capacity;
-            for ai in 0..users.len() {
-                for bi in ai + 1..users.len() {
-                    let key = (users[ai], users[bi]);
-                    match best.get(&key) {
-                        Some((_, c)) if *c <= cap => {}
-                        _ => {
-                            best.insert(key, (*link, cap));
-                        }
-                    }
-                }
-            }
-        }
-        // BTreeMap iterates in (i, j) order: no sort needed.
-        best.into_iter()
-            .map(|((i, j), (l, c))| (i, j, l, c))
-            .collect()
     }
 }
 
@@ -463,28 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn all_simple_paths_finds_all_three() {
-        let (t, s, d) = diamond();
-        let paths = all_simple_paths(&t, s, d, 4);
-        assert_eq!(paths.len(), 3);
-        for p in &paths {
-            assert_eq!(p.src(), s);
-            assert_eq!(p.dst(), d);
-        }
-        // Determinism: same call twice gives identical order.
-        let again = all_simple_paths(&t, s, d, 4);
-        assert_eq!(paths, again);
-    }
-
-    #[test]
-    fn max_hops_prunes() {
-        let (t, s, d) = diamond();
-        let paths = all_simple_paths(&t, s, d, 1);
-        assert_eq!(paths.len(), 1); // only the direct link
-        assert_eq!(paths[0].hop_count(), 1);
-    }
-
-    #[test]
     fn shortest_path_picks_min_delay() {
         let (t, s, d) = diamond();
         let p = shortest_path(&t, s, d).unwrap();
@@ -500,34 +317,17 @@ mod tests {
     }
 
     #[test]
-    fn k_shortest_orders_by_delay() {
-        let (t, s, d) = diamond();
-        let ps = k_shortest_paths(&t, s, d, 3);
-        assert_eq!(ps.len(), 3);
-        assert_eq!(ps[0].display(&t), "s -> u -> d");
-        assert_eq!(ps[1].display(&t), "s -> v -> d");
-        assert_eq!(ps[2].display(&t), "s -> d");
-        let d0 = ps[0].one_way_delay(&t);
-        let d1 = ps[1].one_way_delay(&t);
-        let d2 = ps[2].one_way_delay(&t);
-        assert!(d0 <= d1 && d1 <= d2);
-    }
-
-    #[test]
-    fn k_shortest_handles_k_larger_than_path_count() {
-        let (t, s, d) = diamond();
-        let ps = k_shortest_paths(&t, s, d, 10);
-        assert_eq!(ps.len(), 3);
-    }
-
-    #[test]
     fn sharing_analysis_disjoint_paths() {
         let (t, s, d) = diamond();
-        let ps = k_shortest_paths(&t, s, d, 2);
+        let u = t.node_by_name("u").unwrap();
+        let v = t.node_by_name("v").unwrap();
+        let ps = [
+            Path::from_nodes(&t, &[s, u, d]).unwrap(),
+            Path::from_nodes(&t, &[s, v, d]).unwrap(),
+        ];
         let an = SharingAnalysis::new(&ps);
-        assert_eq!(an.shared().count(), 0);
+        assert!(an.link_users.iter().all(|(_, users)| users.len() == 1));
         assert!(ps[0].is_link_disjoint(&ps[1]));
-        assert!(an.pairwise_bottlenecks(&t).is_empty());
     }
 
     #[test]
@@ -551,7 +351,7 @@ mod tests {
         assert_eq!(p1.shared_links(&p2), vec![shared]);
 
         let an = SharingAnalysis::new(&[p1, p2]);
-        let bn = an.pairwise_bottlenecks(&t);
-        assert_eq!(bn, vec![(0, 1, shared, bw(40))]);
+        assert_eq!(an.link_users[0], (shared, vec![0, 1]));
+        assert_eq!(an.link_users.len(), 5);
     }
 }

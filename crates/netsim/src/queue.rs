@@ -4,7 +4,9 @@
 //! it is offered to the queue, which decides to buffer or drop it. Tail
 //! drops at the three shared bottleneck links are the *only* congestion
 //! signal in the reproduced experiments, exactly as in the Mininet setup
-//! (tc/netem drop-tail). A RED variant is provided for ablations.
+//! (tc/netem drop-tail), bounded by packet count. RED (optionally
+//! ECN-marking) and CoDel are provided for the AQM ablations, each at one
+//! fixed parameter set.
 //!
 //! A queue buffers [`PacketHandle`]s, not packets: the packet stays in the
 //! simulator's [`PacketSlab`] from send to delivery, and a queue entry is
@@ -60,9 +62,9 @@ pub struct Dequeued {
 
 /// A link direction's FIFO output queue: one of the three disciplines the
 /// experiments use, held by value so a simulator checkpoint copies it with
-/// `Clone`. RED (144 B) and CoDel (96 B) are boxed because they are rare
+/// `Clone`. RED (88 B) and CoDel (72 B) are boxed because they are rare
 /// (AQM ablations only) and big: inline, every link direction would pay
-/// for them. Drop-tail (56 B) is inline, so the enum is no larger than it.
+/// for them. Drop-tail (48 B) is inline, so the enum is no larger than it.
 ///
 /// Every discipline is FIFO — TCP's fast-retransmit logic depends on
 /// in-order delivery within a path, and the paper's tag routing guarantees
@@ -135,19 +137,24 @@ impl Queue {
 }
 
 // simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter queue fails the build, not a run")
-const _: () = assert!(std::mem::size_of::<Queue>() <= 56);
+const _: () = assert!(std::mem::size_of::<Queue>() <= 48);
 
-/// Configuration for a link's output queue, chosen per link.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Configuration for a link's output queue, chosen per link. The AQMs'
+/// parameters are fixed (see [`Red`] and [`CoDel`]): no experiment varies
+/// them, so only RED's ECN switch is a setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueConfig {
     /// Classic drop-tail bounded by packet count (Linux `txqueuelen` style).
     DropTailPackets(usize),
-    /// Drop-tail bounded by bytes.
-    DropTailBytes(u64),
-    /// Random Early Detection.
-    Red(RedConfig),
-    /// CoDel (Controlled Delay, RFC 8289): sojourn-time-based head drops.
-    CoDel(CoDelConfig),
+    /// Random Early Detection at [`Red`]'s fixed parameters.
+    Red {
+        /// Mark ECN-capable packets (set CE) instead of early-dropping them
+        /// (RFC 3168 §5): the AQM signal without the loss.
+        ecn_marking: bool,
+    },
+    /// CoDel (Controlled Delay, RFC 8289) at its RFC defaults: sojourn-time
+    /// based head drops.
+    CoDel,
 }
 
 impl QueueConfig {
@@ -155,9 +162,8 @@ impl QueueConfig {
     pub fn build(&self) -> Queue {
         match *self {
             QueueConfig::DropTailPackets(n) => Queue::DropTail(DropTail::packets(n)),
-            QueueConfig::DropTailBytes(b) => Queue::DropTail(DropTail::bytes(b)),
-            QueueConfig::Red(cfg) => Queue::Red(Box::new(Red::new(cfg))),
-            QueueConfig::CoDel(cfg) => Queue::CoDel(Box::new(CoDel::new(cfg))),
+            QueueConfig::Red { ecn_marking } => Queue::Red(Box::new(Red::new(ecn_marking))),
+            QueueConfig::CoDel => Queue::CoDel(Box::new(CoDel::new())),
         }
     }
 }
@@ -170,7 +176,7 @@ impl Default for QueueConfig {
     }
 }
 
-/// Drop-tail FIFO, bounded by packets or bytes.
+/// Drop-tail FIFO, bounded by packet count.
 ///
 /// The buffer is sized by what is queued: the dequeue that empties it gives
 /// its allocation back (DESIGN.md "Footprint"). A packet meeting an idle
@@ -182,7 +188,6 @@ pub struct DropTail {
     buf: VecDeque<Queued>,
     bytes: u64,
     max_packets: usize,
-    max_bytes: u64,
 }
 
 impl DropTail {
@@ -193,35 +198,14 @@ impl DropTail {
             buf: Default::default(),
             bytes: 0,
             max_packets,
-            max_bytes: u64::MAX,
-        }
-    }
-
-    /// Bound by byte count.
-    pub fn bytes(max_bytes: u64) -> Self {
-        assert!(max_bytes > 0, "queue must hold at least one byte");
-        DropTail {
-            buf: Default::default(),
-            bytes: 0,
-            max_packets: usize::MAX,
-            max_bytes,
         }
     }
 
     fn enqueue(&mut self, entry: Queued) -> EnqueueResult {
-        let size = entry.wire_size as u64;
-        // bfifo semantics: an empty buffer always admits its head packet,
-        // even one whose wire size alone exceeds `max_bytes` — rejecting it
-        // would blackhole that flow permanently, since the same packet
-        // would be refused on every retransmission. (Linux bfifo likewise
-        // admits while the backlog is under the limit, so the head packet
-        // of an empty queue always gets through.)
-        let over_bound =
-            self.buf.len() + 1 > self.max_packets || self.bytes + size > self.max_bytes;
-        if over_bound && !self.buf.is_empty() {
+        if self.buf.len() >= self.max_packets {
             return EnqueueResult::Dropped(DropReason::TailDrop);
         }
-        self.bytes += size;
+        self.bytes += entry.wire_size as u64;
         self.buf.push_back(entry);
         EnqueueResult::Queued
     }
@@ -236,51 +220,18 @@ impl DropTail {
     }
 }
 
-/// RED (Floyd & Jacobson 1993) parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RedConfig {
-    /// Hard capacity in packets.
-    pub max_packets: usize,
-    /// Average-queue threshold below which nothing is dropped.
-    pub min_thresh: f64,
-    /// Average-queue threshold above which everything is dropped.
-    pub max_thresh: f64,
-    /// Drop probability at `max_thresh`.
-    pub max_p: f64,
-    /// EWMA weight for the average queue estimate.
-    pub weight: f64,
-    /// Mark ECN-capable packets (set CE) instead of early-dropping them
-    /// (RFC 3168 §5): the AQM signal without the loss.
-    pub ecn_marking: bool,
-    /// Typical transmission time of one packet, used for Floyd & Jacobson's
-    /// idle-time compensation: after the queue has been empty for `idle`,
-    /// the average is decayed as if `m = idle / mean_pkt_time` zero-length
-    /// samples had been taken (`avg *= (1 - weight)^m`).
-    pub mean_pkt_time: SimDuration,
-}
-
-impl Default for RedConfig {
-    fn default() -> Self {
-        RedConfig {
-            max_packets: 64,
-            min_thresh: 5.0,
-            max_thresh: 32.0,
-            max_p: 0.1,
-            weight: 0.002,
-            ecn_marking: false,
-            // 1500 B at 100 Mbps.
-            mean_pkt_time: SimDuration::from_micros(120),
-        }
-    }
-}
-
 /// Random Early Detection queue (gentle variant not implemented; classic
-/// linear ramp between `min_thresh` and `max_thresh`). Buffers in a
-/// [`DropTail`], so an emptied RED queue holds no allocation either.
+/// linear ramp between [`MIN_THRESH`](Self::MIN_THRESH) and
+/// [`MAX_THRESH`](Self::MAX_THRESH)). Buffers in a [`DropTail`], so an
+/// emptied RED queue holds no allocation either.
+///
+/// The parameters are constants, not settings: no experiment varies them.
+/// They are public only because they are inputs of a run, which a scenario
+/// digest must cover.
 #[derive(Debug, Clone)]
 pub struct Red {
     inner: DropTail,
-    cfg: RedConfig,
+    ecn_marking: bool,
     avg: f64,
     /// Packets since the last drop (sharpens inter-drop spacing as in the
     /// original paper's `count` term).
@@ -290,23 +241,38 @@ pub struct Red {
     idle_since: Option<SimTime>,
 }
 
+// simlint: allow(panic-surface, reason = "evaluated at compile time: bad RED constants fail the build, not a run")
+const _: () = assert!(
+    Red::MIN_THRESH < Red::MAX_THRESH && 0.0 <= Red::MAX_P && Red::MAX_P <= 1.0,
+    "RED thresholds inverted or max_p out of range"
+);
+
 impl Red {
-    /// Create a RED queue with the given parameters.
-    pub fn new(cfg: RedConfig) -> Self {
-        assert!(cfg.min_thresh < cfg.max_thresh, "RED thresholds inverted");
-        assert!((0.0..=1.0).contains(&cfg.max_p), "max_p out of range");
+    /// Hard capacity in packets.
+    pub const MAX_PACKETS: usize = 64;
+    /// Average-queue threshold below which nothing is dropped.
+    pub const MIN_THRESH: f64 = 5.0;
+    /// Average-queue threshold above which everything is dropped.
+    pub const MAX_THRESH: f64 = 32.0;
+    /// Drop probability at `MAX_THRESH`.
+    pub const MAX_P: f64 = 0.1;
+    /// EWMA weight for the average queue estimate.
+    pub const WEIGHT: f64 = 0.002;
+    /// Typical transmission time of one packet (1500 B at 100 Mbps), used
+    /// for Floyd & Jacobson's idle-time compensation: after the queue has
+    /// been empty for `idle`, the average is decayed as if
+    /// `m = idle / MEAN_PKT_TIME` zero-length samples had been taken
+    /// (`avg *= (1 - WEIGHT)^m`).
+    pub const MEAN_PKT_TIME: SimDuration = SimDuration::from_micros(120);
+
+    fn new(ecn_marking: bool) -> Self {
         Red {
-            inner: DropTail::packets(cfg.max_packets),
-            cfg,
+            inner: DropTail::packets(Self::MAX_PACKETS),
+            ecn_marking,
             avg: 0.0,
             count: -1,
             idle_since: None,
         }
-    }
-
-    /// Current average-queue estimate (for tests/instrumentation).
-    pub fn avg_queue(&self) -> f64 {
-        self.avg
     }
 
     fn enqueue(
@@ -320,27 +286,26 @@ impl Red {
         // buffer sat empty the EWMA saw no samples, so a stale-high `avg`
         // would spuriously early-drop the first packets of a fresh burst.
         // Decay it as if the idle period had contributed zero-length
-        // samples every `mean_pkt_time`.
+        // samples every `MEAN_PKT_TIME`.
         if let Some(idle_from) = self.idle_since.take() {
             let idle = now.saturating_since(idle_from);
             if self.avg > 0.0 && !idle.is_zero() {
-                let m = idle.as_nanos() as f64 / self.cfg.mean_pkt_time.as_nanos().max(1) as f64;
-                self.avg *= (1.0 - self.cfg.weight).powf(m);
+                let m = idle.as_nanos() as f64 / Self::MEAN_PKT_TIME.as_nanos() as f64;
+                self.avg *= (1.0 - Self::WEIGHT).powf(m);
             }
         }
         // Update the EWMA of the instantaneous queue length.
-        self.avg =
-            (1.0 - self.cfg.weight) * self.avg + self.cfg.weight * self.inner.buf.len() as f64;
+        self.avg = (1.0 - Self::WEIGHT) * self.avg + Self::WEIGHT * self.inner.buf.len() as f64;
 
         // Decide whether the AQM wants to signal congestion on this packet.
         let mut signal = false;
-        if self.avg >= self.cfg.max_thresh {
+        if self.avg >= Self::MAX_THRESH {
             self.count = 0;
             signal = true;
-        } else if self.avg > self.cfg.min_thresh {
+        } else if self.avg > Self::MIN_THRESH {
             self.count += 1;
-            let pb = self.cfg.max_p * (self.avg - self.cfg.min_thresh)
-                / (self.cfg.max_thresh - self.cfg.min_thresh);
+            let pb =
+                Self::MAX_P * (self.avg - Self::MIN_THRESH) / (Self::MAX_THRESH - Self::MIN_THRESH);
             let pa = (pb / (1.0 - (self.count as f64) * pb).max(1e-9)).clamp(0.0, 1.0);
             if rng.chance(pa) {
                 self.count = 0;
@@ -351,7 +316,7 @@ impl Red {
         }
         if signal {
             let packet = slab.get_mut(entry.pkt);
-            if self.cfg.ecn_marking && packet.ecn == Ecn::Ect {
+            if self.ecn_marking && packet.ecn == Ecn::Ect {
                 // Mark instead of dropping (RFC 3168).
                 packet.ecn = Ecn::Ce;
             } else {
@@ -380,33 +345,13 @@ impl Red {
     }
 }
 
-/// CoDel parameters (RFC 8289 defaults).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoDelConfig {
-    /// Hard capacity in packets (a backstop; CoDel itself is unbounded).
-    pub max_packets: usize,
-    /// Acceptable standing sojourn time.
-    pub target: SimDuration,
-    /// Sliding window in which the sojourn must fall below target.
-    pub interval: SimDuration,
-}
-
-impl Default for CoDelConfig {
-    fn default() -> Self {
-        CoDelConfig {
-            max_packets: 1000,
-            target: SimDuration::from_millis(5),
-            interval: SimDuration::from_millis(100),
-        }
-    }
-}
-
 /// CoDel (Nichols & Jacobson): drop from the *head* when packets have been
-/// sojourning above `target` for at least `interval`, with drop spacing
-/// shrinking as `interval / sqrt(count)` while the condition persists.
+/// sojourning above [`TARGET`](Self::TARGET) for at least
+/// [`INTERVAL`](Self::INTERVAL), with drop spacing shrinking as
+/// `INTERVAL / sqrt(count)` while the condition persists. Its parameters
+/// are RFC 8289's defaults, constants like [`Red`]'s.
 #[derive(Debug, Clone)]
 pub struct CoDel {
-    cfg: CoDelConfig,
     /// Entries with their enqueue times. Released when a pop empties it,
     /// like [`DropTail`]'s.
     buf: VecDeque<(Queued, SimTime)>,
@@ -422,11 +367,15 @@ pub struct CoDel {
 }
 
 impl CoDel {
-    /// Create a CoDel queue.
-    pub fn new(cfg: CoDelConfig) -> Self {
-        assert!(cfg.max_packets > 0);
+    /// Hard capacity in packets (a backstop; CoDel itself is unbounded).
+    pub const MAX_PACKETS: usize = 1000;
+    /// Acceptable standing sojourn time.
+    pub const TARGET: SimDuration = SimDuration::from_millis(5);
+    /// Sliding window in which the sojourn must fall below target.
+    pub const INTERVAL: SimDuration = SimDuration::from_millis(100);
+
+    fn new() -> Self {
         CoDel {
-            cfg,
             buf: Default::default(),
             bytes: 0,
             first_above: None,
@@ -437,10 +386,7 @@ impl CoDel {
     }
 
     fn control_law(&self, t: SimTime) -> SimTime {
-        t + self
-            .cfg
-            .interval
-            .mul_f64(1.0 / (self.count.max(1) as f64).sqrt())
+        t + Self::INTERVAL.mul_f64(1.0 / (self.count.max(1) as f64).sqrt())
     }
 
     fn pop(&mut self) -> Option<(Queued, SimTime)> {
@@ -456,13 +402,13 @@ impl CoDel {
     /// machine? Updates `first_above`.
     fn ok_to_drop(&mut self, enq: SimTime, now: SimTime) -> bool {
         let sojourn = now.saturating_since(enq);
-        if sojourn < self.cfg.target || self.bytes <= 1500 {
+        if sojourn < Self::TARGET || self.bytes <= 1500 {
             self.first_above = None;
             return false;
         }
         match self.first_above {
             None => {
-                self.first_above = Some(now + self.cfg.interval);
+                self.first_above = Some(now + Self::INTERVAL);
                 false
             }
             Some(t) => now >= t,
@@ -470,7 +416,7 @@ impl CoDel {
     }
 
     fn enqueue(&mut self, now: SimTime, entry: Queued) -> EnqueueResult {
-        if self.buf.len() >= self.cfg.max_packets {
+        if self.buf.len() >= Self::MAX_PACKETS {
             return EnqueueResult::Dropped(DropReason::TailDrop);
         }
         self.bytes += entry.wire_size as u64;
@@ -580,7 +526,7 @@ mod tests {
             let Queue::Red(red) = self else {
                 unreachable!("not a RED queue")
             };
-            red.avg_queue()
+            red.avg
         }
     }
 
@@ -631,36 +577,32 @@ mod tests {
     }
 
     #[test]
-    fn droptail_byte_bound_counts_wire_size() {
+    fn droptail_counts_wire_bytes() {
         let mut net = Net::new(1);
         // Each pkt: 20 (IP) + 0 (hdr) + 100 data = 120 wire bytes.
-        let mut q = QueueConfig::DropTailBytes(300).build();
-        assert!(matches!(
-            net.offer(&mut q, SimTime::ZERO, pkt(0, 100)),
-            EnqueueResult::Queued
-        ));
-        assert!(matches!(
-            net.offer(&mut q, SimTime::ZERO, pkt(1, 100)),
-            EnqueueResult::Queued
-        ));
+        let mut q = QueueConfig::DropTailPackets(3).build();
+        for i in 0..2 {
+            assert!(matches!(
+                net.offer(&mut q, SimTime::ZERO, pkt(i, 100)),
+                EnqueueResult::Queued
+            ));
+        }
         assert_eq!(q.len_bytes(), 240);
-        // Third packet would exceed 300 bytes.
+        // A tiny packet counts its 20 header bytes.
         assert!(matches!(
-            net.offer(&mut q, SimTime::ZERO, pkt(2, 100)),
-            EnqueueResult::Dropped(_)
-        ));
-        // But a tiny packet still fits (20 bytes wire).
-        assert!(matches!(
-            net.offer(&mut q, SimTime::ZERO, pkt(3, 0)),
+            net.offer(&mut q, SimTime::ZERO, pkt(2, 0)),
             EnqueueResult::Queued
         ));
+        assert_eq!(q.len_bytes(), 260);
+        // A refused packet adds nothing.
+        let _ = net.offer(&mut q, SimTime::ZERO, pkt(3, 100));
         assert_eq!(q.len_bytes(), 260);
     }
 
     #[test]
     fn droptail_byte_accounting_balances() {
         let mut net = Net::new(1);
-        let mut q = QueueConfig::DropTailBytes(10_000).build();
+        let mut q = QueueConfig::DropTailPackets(100).build();
         for i in 0..10 {
             let _ = net.offer(&mut q, SimTime::ZERO, pkt(i, (i as u32) * 10));
         }
@@ -670,35 +612,18 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    #[test]
-    fn droptail_bytes_admits_oversized_head_when_empty() {
-        // Regression: a byte-bounded queue used to reject any packet whose
-        // wire size exceeded max_bytes even when empty, permanently
-        // blackholing the flow (every retransmission hit the same wall).
-        // bfifo semantics: the head packet of an empty buffer is admitted.
-        let mut net = Net::new(1);
-        let mut q = QueueConfig::DropTailBytes(100).build();
-        // 1000 data + 20 IP = 1020 wire bytes > 100-byte bound.
-        assert!(matches!(
-            net.offer(&mut q, SimTime::ZERO, pkt(0, 1000)),
-            EnqueueResult::Queued
-        ));
-        assert_eq!(q.len_bytes(), 1020);
-        // The bound still applies once the buffer is occupied.
-        assert!(matches!(
-            net.offer(&mut q, SimTime::ZERO, pkt(1, 1000)),
-            EnqueueResult::Dropped(DropReason::TailDrop)
-        ));
-        assert!(matches!(
-            net.offer(&mut q, SimTime::ZERO, pkt(2, 0)),
-            EnqueueResult::Dropped(DropReason::TailDrop)
-        ));
-        // Draining re-opens the head slot: the flow makes progress.
-        assert_eq!(net.pull(&mut q, SimTime::ZERO).0.unwrap().id, 0);
-        assert!(matches!(
-            net.offer(&mut q, SimTime::ZERO, pkt(3, 1000)),
-            EnqueueResult::Queued
-        ));
+    /// RED under sustained overload at time zero: `n` packets offered back
+    /// to back with no service, so the buffer fills to `Red::MAX_PACKETS`
+    /// and the average climbs toward it. Returns the early drops.
+    fn red_overload(net: &mut Net, q: &mut Queue, n: u64) -> usize {
+        (0..n)
+            .filter(|&i| {
+                matches!(
+                    net.offer(q, SimTime::ZERO, pkt(i, 1000)),
+                    EnqueueResult::Dropped(DropReason::EarlyDrop)
+                )
+            })
+            .count()
     }
 
     #[test]
@@ -709,30 +634,18 @@ mod tests {
         // average is decayed by (1-w)^(idle / mean_pkt_time) at the next
         // enqueue.
         let mut net = Net::new(5);
-        let cfg = RedConfig {
-            weight: 0.5,
-            min_thresh: 2.0,
-            max_thresh: 8.0,
-            max_p: 0.5,
-            max_packets: 64,
-            ..Default::default()
-        };
-        let mut q = QueueConfig::Red(cfg).build();
+        let mut q = QueueConfig::Red { ecn_marking: false }.build();
         // Build pressure: a standing queue pushes avg above min_thresh.
-        for i in 0..20 {
-            let _ = net.offer(&mut q, SimTime::ZERO, pkt(i, 1000));
-        }
-        assert!(q.avg_queue() > cfg.min_thresh);
+        red_overload(&mut net, &mut q, 200);
+        assert!(q.avg_queue() > Red::MIN_THRESH);
         // Drain completely at t=0; the queue then idles for a full second
-        // (~8300 mean packet times at the default 120 us).
+        // (~8300 mean packet times at 120 us).
         while net.pull(&mut q, SimTime::ZERO).0.is_some() {}
         let after_idle = SimTime::from_secs(1);
         // The first post-idle packets must be admitted, not early-dropped
-        // off the stale average. (With weight 0.5 the decayed avg needs
-        // four+ instantaneous samples to climb back over min_thresh, so
-        // three packets are deterministically safe — and with the old code
-        // avg would still be > min_thresh and eligible for early drop.)
-        for i in 100..103 {
+        // off the stale average: with the old code avg would still be
+        // > min_thresh and eligible for early drop.
+        for i in 1000..1010 {
             assert!(
                 matches!(
                     net.offer(&mut q, after_idle, pkt(i, 1000)),
@@ -743,7 +656,7 @@ mod tests {
             );
         }
         assert!(
-            q.avg_queue() < cfg.min_thresh,
+            q.avg_queue() < Red::MIN_THRESH,
             "idle decay must pull avg back under min_thresh, got {}",
             q.avg_queue()
         );
@@ -754,25 +667,21 @@ mod tests {
         // A short gap decays avg a little, not to zero: after m mean packet
         // times the average shrinks by exactly (1-w)^m.
         let mut net = Net::new(5);
-        let cfg = RedConfig {
-            weight: 0.5,
-            min_thresh: 20.0,
-            max_thresh: 40.0,
-            ..Default::default()
-        };
-        let mut q = QueueConfig::Red(cfg).build();
+        let mut q = QueueConfig::Red { ecn_marking: false }.build();
         for i in 0..10 {
             let _ = net.offer(&mut q, SimTime::ZERO, pkt(i, 1000));
         }
         let before = q.avg_queue();
+        assert!(before > 0.0);
         while net.pull(&mut q, SimTime::ZERO).0.is_some() {}
         // Idle exactly two mean packet times, then take one zero-length
         // sample: avg = before * (1-w)^2 * (1-w).
-        let t = SimTime::from_micros(240);
+        let t = SimTime::ZERO + Red::MEAN_PKT_TIME * 2;
         let _ = net.offer(&mut q, t, pkt(100, 1000));
-        let expected = before * 0.5f64.powi(2) * 0.5;
+        let keep = 1.0 - Red::WEIGHT;
+        let expected = before * keep.powi(2) * keep;
         assert!(
-            (q.avg_queue() - expected).abs() < 1e-12,
+            (q.avg_queue() - expected).abs() < 1e-15,
             "expected {expected}, got {}",
             q.avg_queue()
         );
@@ -781,7 +690,7 @@ mod tests {
     #[test]
     fn red_empty_queue_never_drops() {
         let mut net = Net::new(5);
-        let mut q = QueueConfig::Red(RedConfig::default()).build();
+        let mut q = QueueConfig::Red { ecn_marking: false }.build();
         for i in 0..4 {
             assert!(matches!(
                 net.offer(&mut q, SimTime::ZERO, pkt(i, 1000)),
@@ -795,44 +704,19 @@ mod tests {
     #[test]
     fn red_sustained_overload_drops_early() {
         let mut net = Net::new(5);
-        let cfg = RedConfig {
-            weight: 0.5,
-            min_thresh: 2.0,
-            max_thresh: 8.0,
-            max_p: 0.5,
-            max_packets: 64,
-            ..Default::default()
-        };
-        let mut q = QueueConfig::Red(cfg).build();
-        let mut early = 0;
-        for i in 0..200 {
-            match net.offer(&mut q, SimTime::ZERO, pkt(i, 1000)) {
-                EnqueueResult::Dropped(DropReason::EarlyDrop) => early += 1,
-                EnqueueResult::Dropped(DropReason::TailDrop) => {}
-                EnqueueResult::Queued => {}
-            }
-        }
+        let mut q = QueueConfig::Red { ecn_marking: false }.build();
+        let early = red_overload(&mut net, &mut q, 400);
         assert!(early > 0, "RED should drop early under sustained overload");
     }
 
     #[test]
     fn queue_config_builds_right_impl() {
         let q = QueueConfig::DropTailPackets(4).build();
-        assert_eq!(q.len_packets(), 0);
-        let q = QueueConfig::DropTailBytes(1000).build();
-        assert!(q.is_empty());
-        let q = QueueConfig::Red(RedConfig::default()).build();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "thresholds inverted")]
-    fn red_validates_thresholds() {
-        let _ = Red::new(RedConfig {
-            min_thresh: 10.0,
-            max_thresh: 5.0,
-            ..Default::default()
-        });
+        assert!(matches!(q, Queue::DropTail(_)) && q.is_empty());
+        let q = QueueConfig::Red { ecn_marking: true }.build();
+        assert!(matches!(&q, Queue::Red(red) if red.ecn_marking) && q.is_empty());
+        let q = QueueConfig::CoDel.build();
+        assert!(matches!(q, Queue::CoDel(_)) && q.is_empty());
     }
 
     fn stamped(id: u64) -> Packet {
@@ -842,7 +726,7 @@ mod tests {
     #[test]
     fn codel_passes_traffic_below_target() {
         let mut net = Net::new(1);
-        let mut q = QueueConfig::CoDel(CoDelConfig::default()).build();
+        let mut q = QueueConfig::CoDel.build();
         // Short sojourns: enqueue at t, dequeue 1 ms later (< 5 ms target).
         for i in 0..50u64 {
             let t = SimTime::from_millis(i * 2);
@@ -859,7 +743,7 @@ mod tests {
     #[test]
     fn codel_head_drops_under_standing_queue() {
         let mut net = Net::new(1);
-        let mut q = QueueConfig::CoDel(CoDelConfig::default()).build();
+        let mut q = QueueConfig::CoDel.build();
         // Build a standing queue: 200 packets at t=0.
         for i in 0..200u64 {
             let _ = net.offer(&mut q, SimTime::ZERO, stamped(i));
@@ -891,7 +775,7 @@ mod tests {
     #[test]
     fn codel_recovers_after_queue_drains() {
         let mut net = Net::new(1);
-        let mut q = QueueConfig::CoDel(CoDelConfig::default()).build();
+        let mut q = QueueConfig::CoDel.build();
         for i in 0..100u64 {
             let _ = net.offer(&mut q, SimTime::ZERO, stamped(i));
         }
@@ -913,7 +797,7 @@ mod tests {
     #[test]
     fn codel_byte_accounting_balances() {
         let mut net = Net::new(1);
-        let mut q = QueueConfig::CoDel(CoDelConfig::default()).build();
+        let mut q = QueueConfig::CoDel.build();
         for i in 0..30u64 {
             let _ = net.offer(&mut q, SimTime::ZERO, stamped(i));
         }
@@ -989,27 +873,14 @@ mod tests {
             unreachable!()
         };
         assert_eq!(dt.buf.capacity(), 0);
-        // Byte-bounded too, and a dequeue of the empty queue is a no-op.
-        let mut q = QueueConfig::DropTailBytes(20_000).build();
-        emptied_queue_carries_on(&mut q);
-        let Queue::DropTail(dt) = &q else {
-            unreachable!()
-        };
-        assert_eq!(dt.buf.capacity(), 0);
+        // A dequeue of the empty queue is a no-op.
         assert!(q.dequeue(SimTime::ZERO).pkt.is_none());
         assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
     }
 
     #[test]
     fn red_releases_its_buffer_when_emptied_and_carries_on() {
-        let mut q = QueueConfig::Red(RedConfig {
-            weight: 0.5,
-            min_thresh: 2.0,
-            max_thresh: 8.0,
-            max_p: 0.5,
-            ..Default::default()
-        })
-        .build();
+        let mut q = QueueConfig::Red { ecn_marking: false }.build();
         emptied_queue_carries_on(&mut q);
         let Queue::Red(q) = &q else { unreachable!() };
         assert_eq!(q.inner.buf.capacity(), 0);
@@ -1018,7 +889,7 @@ mod tests {
 
     #[test]
     fn codel_releases_its_buffer_when_emptied_and_carries_on() {
-        let mut q = QueueConfig::CoDel(CoDelConfig::default()).build();
+        let mut q = QueueConfig::CoDel.build();
         emptied_queue_carries_on(&mut q);
         let Queue::CoDel(q) = &q else { unreachable!() };
         assert_eq!(q.buf.capacity(), 0);
@@ -1032,35 +903,28 @@ mod tests {
     fn red_marks_instead_of_dropping_ect_packets() {
         use crate::packet::Ecn;
         let mut net = Net::new(5);
-        let cfg = RedConfig {
-            weight: 0.5,
-            min_thresh: 2.0,
-            max_thresh: 8.0,
-            max_p: 0.5,
-            max_packets: 64,
-            ecn_marking: true,
-            mean_pkt_time: SimDuration::from_micros(120),
+        let mut q = QueueConfig::Red { ecn_marking: true }.build();
+        let ect = |i| Packet {
+            ecn: Ecn::Ect,
+            ..pkt(i, 1000)
         };
-        let mut q = QueueConfig::Red(cfg).build();
+        // A standing queue of 40 ECT packets that the link serves at the
+        // rate they arrive: no tail drop, and the average climbs past
+        // min_thresh so RED signals on some of the arrivals.
         let mut dropped = 0;
-        // Build sustained pressure: enqueue 40 ECT packets back to back.
-        for i in 0..40 {
-            let mut p = pkt(i, 1000);
-            p.ecn = Ecn::Ect;
-            if let EnqueueResult::Dropped(DropReason::EarlyDrop) =
-                net.offer(&mut q, SimTime::ZERO, p)
-            {
+        let mut marked = 0;
+        for i in 0..400 {
+            if let EnqueueResult::Dropped(_) = net.offer(&mut q, SimTime::ZERO, ect(i)) {
                 dropped += 1;
             }
-        }
-        // The mark is on the slab's packet — the one delivery will read —
-        // not on a copy the queue keeps.
-        let mut marked = 0;
-        while let Some(out) = q.dequeue(SimTime::ZERO).pkt {
-            if net.slab.take(out.pkt).ecn == Ecn::Ce {
-                marked += 1;
+            // The mark is on the slab's packet — the one delivery will
+            // read — not on a copy the queue keeps.
+            if q.len_packets() > 40 {
+                let out = q.dequeue(SimTime::ZERO).pkt.unwrap();
+                marked += usize::from(net.slab.take(out.pkt).ecn == Ecn::Ce);
             }
         }
+        assert!(q.avg_queue() > Red::MIN_THRESH);
         assert!(marked > 0, "ECT packets must be CE-marked under pressure");
         assert_eq!(dropped, 0, "marking replaces early drops for ECT traffic");
     }

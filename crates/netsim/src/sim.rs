@@ -178,7 +178,7 @@ struct DirState {
 }
 
 // simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter per-direction record fails the build, not a run")
-const _: () = assert!(std::mem::size_of::<DirState>() <= 184);
+const _: () = assert!(std::mem::size_of::<DirState>() <= 176);
 
 impl DirState {
     fn new(queue: Queue, rng: Xoshiro256StarStar) -> Self {
@@ -235,7 +235,7 @@ pub struct Simulator {
     /// event's key. An entry is taken when its event fires; the index of
     /// the next install is the table's length. Part of the snapshot, so a
     /// fault installed after [`Simulator::restore`] continues the numbering.
-    faults: Vec<Option<Box<FaultAction>>>,
+    faults: Vec<Option<FaultAction>>,
     capture_cfg: CaptureConfig,
     /// Where records passing `capture_cfg` go (see [`CaptureSink`]). Part of
     /// the deterministic state: checkpoints deep-copy it.
@@ -546,17 +546,11 @@ impl Simulator {
     pub fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
         let link = action.link();
         assert!((link.0 as usize) < self.topo.link_count(), "unknown link");
-        match &action {
-            FaultAction::SetCapacity(_, cap) => {
-                assert!(cap.as_bps() > 0, "zero-capacity fault");
-            }
-            FaultAction::SetLoss(_, rate) => {
-                assert!((0.0..=1.0).contains(rate), "loss rate in [0, 1]");
-            }
-            _ => {}
+        if let FaultAction::SetCapacity(_, cap) = action {
+            assert!(cap.as_bps() > 0, "zero-capacity fault");
         }
         let key = order::pack(order::CLASS_FAULT, 0, self.faults.len() as u64);
-        self.faults.push(Some(Box::new(action)));
+        self.faults.push(Some(action));
         self.events.push_keyed(at, key, Event::Keyed);
     }
 
@@ -567,7 +561,7 @@ impl Simulator {
     /// run is a pure function of (topology, agents, schedule, seed).
     pub fn install_faults(&mut self, schedule: &FaultSchedule) {
         for (at, action) in schedule.entries() {
-            self.schedule_fault(*at, action.clone());
+            self.schedule_fault(*at, *action);
         }
     }
 
@@ -675,7 +669,7 @@ impl Simulator {
                     .and_then(|i| self.faults.get_mut(i)?.take())
                     // simlint: allow(unwrap, reason = "a fault key's index is the table slot schedule_fault filled; it fires once")
                     .expect("fault event without a scheduled action");
-                self.apply_fault(*action);
+                self.apply_fault(action);
             }
             // simlint: allow(panic-surface, reason = "every push site pairs its key class with its payload; a mismatch is a corrupted queue and must not run on")
             (class, event) => unreachable!("event {event:?} under key class {class}"),
@@ -697,39 +691,6 @@ impl Simulator {
             }
             FaultAction::SetDelay(link, delay) => {
                 self.topo.set_link_delay(link, delay);
-            }
-            FaultAction::SetLoss(link, rate) => {
-                self.topo.set_link_loss(link, rate);
-            }
-            FaultAction::SetQueue(link, cfg) => {
-                self.topo.set_link_queue(link, cfg);
-                // Rebuild both directions' queues: re-offer the buffered
-                // packets to the new queue in FIFO order; packets the new
-                // (possibly smaller) queue refuses are accounted as drops,
-                // as are head-drops surfaced while draining the old AQM.
-                for dir in [Dir::AtoB, Dir::BtoA] {
-                    let i = dir_index(link, dir);
-                    let mut old = std::mem::replace(&mut self.dirs[i].queue, cfg.build());
-                    loop {
-                        let deq = old.dequeue(self.now);
-                        let had_any = deq.pkt.is_some() || !deq.dropped.is_empty();
-                        let mut lost = deq.dropped;
-                        if let Some(entry) = deq.pkt {
-                            let d = &mut self.dirs[i];
-                            if let EnqueueResult::Dropped(_) =
-                                d.queue.enqueue(self.now, entry, &mut self.slab, &mut d.rng)
-                            {
-                                lost.push(entry);
-                            }
-                        }
-                        for entry in lost {
-                            self.drop_at(i, entry);
-                        }
-                        if !had_any {
-                            break;
-                        }
-                    }
-                }
             }
         }
     }
@@ -1321,26 +1282,6 @@ mod sink_tests {
             SimDuration::from_micros(816) * out.tx_packets
         );
         assert_eq!(sim.dirs[dir_index(LinkId(0), Dir::AtoB)].epoch, 1);
-    }
-
-    #[test]
-    fn set_queue_frees_what_the_new_queue_refuses() {
-        let mut sim = cbr_sim();
-        let (live, dropped) = congested(&mut sim);
-        sim.schedule_fault(
-            sim.now(),
-            FaultAction::SetQueue(LinkId(0), QueueConfig::DropTailPackets(1)),
-        );
-        assert!(sim.step(), "the queue fault");
-        // Four buffered packets re-offered to a one-packet queue: the head
-        // stays (FIFO), three slots come back; the transmitter is untouched.
-        assert_eq!(sim.slab.live(), live - 3);
-        assert_eq!(sim.in_flight, live - 3);
-        assert_eq!(sim.stats.packets_dropped, dropped + 3);
-        let out = &sim.dirs[dir_index(LinkId(0), Dir::AtoB)];
-        assert!(out.transmitting.is_some());
-        assert_eq!(out.queue.len_packets(), 1);
-        sim.run_until(SimTime::from_millis(30));
     }
 
     #[test]

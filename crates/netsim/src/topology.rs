@@ -166,13 +166,6 @@ impl Topology {
         self.links[l.0 as usize].delay = delay;
     }
 
-    /// Replace a link's queue configuration. Only the *spec* changes here;
-    /// the simulator owns the runtime queues and rebuilds them when this is
-    /// applied as a fault.
-    pub fn set_link_queue(&mut self, l: LinkId, queue: QueueConfig) {
-        self.links[l.0 as usize].queue = queue;
-    }
-
     /// Look a node up by name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.by_name.get(name).copied()

@@ -52,8 +52,9 @@ const RETAINED_PER_CONNECTION: u64 = 296;
 /// parent, 2 004 848 with drop-tail queues held inline, 1 944 808 once
 /// subflow senders, receivers and the MPTCP sender kept no one-value
 /// options, 1 909 448 once they kept no FIN state, RTO clamps or join
-/// timing either).
-const PEAK_BUDGET_BYTES: u64 = 2_005_000;
+/// timing either, 1 855 624 with 176-byte link-direction records and
+/// 48-byte drop-tail queues, which carry no byte bound).
+const PEAK_BUDGET_BYTES: u64 = 1_948_500;
 /// Heap bytes each further pair adds to a world that is assembled and has
 /// not run an event yet — topology, routes, the simulator's per-direction
 /// records, two agents — everything `assembled_and_retained_by` allocates
@@ -63,8 +64,9 @@ const PEAK_BUDGET_BYTES: u64 = 2_005_000;
 /// sets per pair in place of its share of five hash tables; 3 653 at PR 25's
 /// parent, 3 589 with each link direction's drop-tail queue inline instead
 /// of boxed, 3 485 with the MPTCP sender 56 bytes and each subflow sender
-/// 24 bytes smaller, 3 413 with both 24 bytes smaller again).
-const ASSEMBLED_PER_PAIR: u64 = 3_584;
+/// 24 bytes smaller, 3 413 with both 24 bytes smaller again, 3 279 with
+/// each link direction's record 8 bytes smaller).
+const ASSEMBLED_PER_PAIR: u64 = 3_443;
 /// Allocator calls `run_traffic(&cell(PAIRS))` made at PR 17's parent
 /// commit, in the dev and the release profile alike (PR 17: 32 855).
 const PARENT_ALLOCATOR_CALLS: u64 = 94_095;

@@ -5,7 +5,7 @@
 //! a two-connection [`World`]).
 
 use mptcp_overlap::mptcpsim::{install_subflows, MptcpConfig};
-use mptcp_overlap::netsim::{RedConfig, RoutingTables, Tag};
+use mptcp_overlap::netsim::{RoutingTables, Tag};
 use mptcp_overlap::prelude::*;
 use mptcp_overlap::simtrace::{SamplerConfig, TraceSink};
 
@@ -103,10 +103,7 @@ fn fast_retransmit_recovers_without_an_rto() {
 fn ecn_marking_replaces_most_losses() {
     // Same RED bottleneck, with and without ECN: the ECN flow should see
     // far fewer drops at comparable throughput.
-    let red = QueueConfig::Red(RedConfig {
-        ecn_marking: true,
-        ..Default::default()
-    });
+    let red = QueueConfig::Red { ecn_marking: true };
     let (marked, mbps_ecn) = one_path(10, red, CcAlgo::Cubic, true, 4);
     let (plain, mbps_plain) = one_path(10, red, CcAlgo::Cubic, false, 4);
     assert!(mbps_ecn > 8.0, "ECN flow throughput {mbps_ecn:.1}");
