@@ -148,6 +148,24 @@ for bin in fluid_table worldgen_table failover_table fig1c fig2a fig2b fig2c tab
 done
 rm -f /tmp/results_regen.txt
 
+echo "==> queue traffic gate (sim_counters 1: queue pushes, pops and elided TxDones equal the trajectory's last row)"
+# The work counters are deterministic, so the event queue's traffic is gated
+# exactly, not timed: a change that moves it adds a perf_trajectory.json row
+# per workload saying so.
+./target/release/sim_counters 1 >/tmp/sim_counters.txt
+for workload in fabric-ecmp churn-4k overload-4k; do
+    ROW=$(grep "\"workload\": \"$workload\", \"seed\": 1," results/perf_trajectory.json | tail -n 1)
+    for counter in queue.pushes queue.pops netsim.tx_done_elided; do
+        want=$(printf '%s\n' "$ROW" | sed -nE "s/.*\"$counter\": ([0-9]+).*/\1/p")
+        got=$(awk -v w="== $workload" -v c="$counter" '$0 == w { on = 1; next } /^==/ { on = 0 } on && $1 == c { print $2 }' /tmp/sim_counters.txt)
+        [ -n "$want" ] && [ "$want" = "$got" ] || {
+            echo "sim_counters $workload: $counter = $got, results/perf_trajectory.json's last row says $want" >&2
+            exit 1
+        }
+    done
+done
+rm -f /tmp/sim_counters.txt
+
 echo "==> example smoke (every example in README's table must run to exit 0)"
 for example in failover cwnd_dynamics quickstart paper_figure2 scheduler_comparison datacenter_ecmp wifi_cellular; do
     cargo run --release --offline --quiet --example "$example" >/dev/null

@@ -28,6 +28,39 @@
 //! is what lets a branch install its faults after [`Simulator::restore`]
 //! (late, where a cold run pushed them at build time) and still replay the
 //! cold run byte for byte.
+//!
+//! # Queue entries that stand for no decision
+//!
+//! The model's events are the ones above; the queue holds fewer of them.
+//!
+//! * A transmission that starts on an idle drop-tail direction of a lossless
+//!   link *completes at its start*: such a direction's RNG stream draws only
+//!   forwarding jitter, once per transmission in transmission order, so the
+//!   jitter is drawn and the Arrive pushed (same key, same time) when the
+//!   packet starts. Its TxDone would only have found an empty queue, so
+//!   none is queued unless a packet queues behind it (or a link-down aborts
+//!   it): the transmitter still counts as busy until the completion instant,
+//!   in the canonical order (a fault or start at that instant sees it busy).
+//!   Only a transmission that completes by the deadline of the run that
+//!   starts it does so: its TxDone is counted in `stats.events` and its
+//!   `on_tx` applied at once, since the run will pass the instant before
+//!   anyone can look. One that spans the deadline, or starts in a `step`,
+//!   queues its TxDone, so a checkpoint never holds a completion that is
+//!   not yet accounted. A link-down at or before the instant revokes the
+//!   queued Arrive, takes the completion back out of the accounting, queues
+//!   the TxDone (stale, still counted) and carries the drawn jitter to the
+//!   direction's next completion; a delay fault queues the Arrive again
+//!   with the new delay. RED draws at enqueue, RED and CoDel act on an
+//!   empty dequeue and a lossy link draws for corruption, so those
+//!   directions queue every TxDone.
+//! * A timer re-armed to a later deadline, or cancelled, keeps its one queue
+//!   entry. When the entry pops early it is pushed again at the current
+//!   deadline under the same key, or dropped if the timer was cancelled;
+//!   such a pop is no event and does not move the clock. Only a re-arm to
+//!   before the queued entry cancels it and queues the new deadline.
+//!
+//! [`Simulator::events_scheduled`] / [`Simulator::events_cancelled`] count
+//! the model's schedule; [`SimCounters`]' `queue.*` count the queue's work.
 
 use crate::agent::{Agent, AgentId, Ctx, Effect};
 use crate::capture::{BufferSink, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
@@ -57,10 +90,16 @@ use std::any::Any;
 ///   timer token (Timer), or a fault-schedule install index (Fault).
 ///
 /// Every *live* key is unique at its timestamp: arrival counters and fault
-/// indices never repeat, an agent re-arming a timer token cancels the old
-/// event first, and a direction serializes at most one packet at a time
+/// indices never repeat (an Arrive a fault moves is pushed again under the
+/// next counter value, which keeps its order among the direction's other
+/// arrivals); an `(agent, token)` timer has one live entry — a re-arm to a
+/// later deadline or a cancel keeps it, a re-arm to an earlier one cancels
+/// it first, and an early pop pushes it again only after it left the
+/// queue; and a direction serializes at most one packet at a time
 /// (serialization takes ≥ 1 ns, so equal-time TxDones on one direction
-/// cannot both be live).
+/// cannot both be live: one that completed at its start gets its TxDone
+/// queued at most once, by the first packet queued behind it or by the
+/// link-down that aborts it).
 pub(crate) mod order {
     /// Network mutations apply before anything else at the same instant.
     pub const CLASS_FAULT: u64 = 0;
@@ -142,15 +181,6 @@ enum Event {
 // simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter Event fails the build, not a run")
 const _: () = assert!(EventQueue::<Event>::ENTRY_BYTES == 32);
 
-/// A packet being serialized.
-#[derive(Clone, Copy)]
-struct Transmission {
-    entry: Queued,
-    /// Fixed when the transmission started: a capacity fault mid-flight
-    /// must not retroactively change this packet's accounting.
-    tx_time: SimDuration,
-}
-
 /// Everything a hop reads or writes about one direction of a link, in one
 /// record (`Simulator::dirs`, indexed by [`order::dir_entity`] — the entity
 /// field of the direction's `TxDone` and `Arrive` keys). The link's *spec*
@@ -158,11 +188,32 @@ struct Transmission {
 /// [`Topology`], so a fault has one place to change it.
 #[derive(Clone)]
 struct DirState {
-    /// The packet currently being serialized, if any.
-    transmitting: Option<Transmission>,
+    /// The packet being serialized, if any (its wire size is read from the
+    /// slab). For an early transmission (see `tx_early`), kept until its
+    /// completion instant has passed: until then the transmitter is busy.
+    tx: Option<PacketHandle>,
+    /// Forwarding jitter drawn ahead of a completion, in ns: the early
+    /// transmission's own, or — while `jitter_carried` — the draw of an
+    /// early transmission a link-down aborted, which the direction's next
+    /// completion takes instead of drawing (the stream draws as if the
+    /// aborted one never had).
+    jitter_ns: u32,
     /// Incremented whenever a serialization is aborted; pending `TxDone`
     /// events from before the abort carry the old epoch and are ignored.
-    epoch: u64,
+    epoch: u32,
+    /// Serialization time of `tx`, fixed when it started: a capacity fault
+    /// mid-flight must not retroactively change this packet's accounting.
+    tx_time: SimDuration,
+    /// When `tx` completes.
+    tx_done: SimTime,
+    /// Administrative state of the link (both of its directions agree);
+    /// packets offered to a down link are dropped.
+    up: bool,
+    /// `tx` completed at its start: its Arrive is queued, and a TxDone is
+    /// queued only once a packet waits behind it (then the queue is
+    /// non-empty) or a link-down aborts it.
+    tx_early: bool,
+    jitter_carried: bool,
     /// Output queue behind the transmitter.
     queue: Queue,
     /// This direction's RNG stream (queue AQM draws, corruption loss,
@@ -172,9 +223,6 @@ struct DirState {
     /// event's canonical key.
     arrive_seq: u64,
     stats: LinkDirStats,
-    /// Administrative state of the link (both of its directions agree);
-    /// packets offered to a down link are dropped.
-    up: bool,
 }
 
 // simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter per-direction record fails the build, not a run")
@@ -183,14 +231,51 @@ const _: () = assert!(std::mem::size_of::<DirState>() <= 176);
 impl DirState {
     fn new(queue: Queue, rng: Xoshiro256StarStar) -> Self {
         DirState {
-            transmitting: None,
+            tx: None,
+            jitter_ns: 0,
             epoch: 0,
+            tx_time: SimDuration::ZERO,
+            tx_done: SimTime::ZERO,
+            up: true,
+            tx_early: false,
+            jitter_carried: false,
             queue,
             rng,
             arrive_seq: 0,
             stats: LinkDirStats::default(),
-            up: true,
         }
+    }
+}
+
+/// One `(agent, token)` timer and its one queue entry.
+#[derive(Clone, Copy)]
+struct TimerSlot {
+    /// The agent's token, with [`TimerSlot::CANCELLED`] set once the timer
+    /// is cancelled.
+    token: u64,
+    /// The armed deadline (the last one, once cancelled).
+    deadline: SimTime,
+    /// Time of the queue entry: at or before `deadline`. A re-arm to a
+    /// later time leaves the entry where it is; when it pops early it is
+    /// pushed again at `deadline`.
+    queued: SimTime,
+    /// The entry's cancellation token, for a re-arm to before `queued`.
+    cancel: u64,
+}
+
+// simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter timer slot fails the build, not a run")
+const _: () = assert!(std::mem::size_of::<TimerSlot>() == 32);
+
+impl TimerSlot {
+    /// Free in every token: `order::pack` refuses tokens from 2^36 on.
+    const CANCELLED: u64 = 1 << 63;
+
+    fn is(&self, token: u64) -> bool {
+        self.token & !Self::CANCELLED == token
+    }
+
+    fn cancelled(&self) -> bool {
+        self.token & Self::CANCELLED != 0
     }
 }
 
@@ -249,13 +334,30 @@ pub struct Simulator {
     starts: u64,
     /// Packets currently inside the network (queued, serializing, flying).
     in_flight: u64,
-    /// Pending timers per agent: `(agent token, queue cancellation token)`
-    /// pairs, linear-scanned (an agent arms a handful of timers at most).
-    /// Arming an already-armed `(agent, token)` cancels the old deadline
-    /// (replacement semantics: a stale deadline can never fire). A table
-    /// left empty by a dispatch gives its allocation back: an agent with
-    /// nothing armed (a finished connection) keeps nothing here.
-    timer_keys: Vec<Vec<(u64, u64)>>,
+    /// Timers per agent whose queue entry has not popped yet, linear-scanned
+    /// (an agent arms a handful of timers at most). Arming an already-armed
+    /// `(agent, token)` replaces its deadline (a stale deadline can never
+    /// fire). A table left empty gives its allocation back: an agent with
+    /// nothing armed or queued (a finished connection) keeps nothing here.
+    timer_keys: Vec<Vec<TimerSlot>>,
+    /// Keys of queued Arrives a fault revoked (an aborted or re-delayed
+    /// early transmission's); almost always empty.
+    revoked: Vec<u64>,
+    /// The deadline of the run in progress: only a transmission that
+    /// completes by then may complete at its start, so its completion is
+    /// accounted by the time the run returns.
+    horizon: SimTime,
+    /// Class of the event being executed: orders an offer at a completion
+    /// instant against the TxDone it stands in for.
+    class: u64,
+    /// The model's pushes: every event the schedule holds, whether or not
+    /// it took a queue entry (see [`Simulator::events_scheduled`]).
+    scheduled: u64,
+    /// TxDones counted in `stats.events` that never took a queue entry.
+    tx_done_elided: u64,
+    /// Queue pops that were no event: a timer entry popped before its
+    /// deadline or after its cancel, or an Arrive a fault revoked.
+    timer_moves: u64,
     /// Recycled effect buffers (one per live dispatch depth); dispatching
     /// an agent in steady state allocates nothing.
     effect_bufs: Vec<Vec<Effect>>,
@@ -303,6 +405,12 @@ impl Simulator {
             starts: 0,
             in_flight: 0,
             timer_keys: Vec::new(),
+            revoked: Vec::new(),
+            horizon: SimTime::ZERO,
+            class: order::CLASS_FAULT,
+            scheduled: 0,
+            tx_done_elided: 0,
+            timer_moves: 0,
             effect_bufs: Vec::new(),
             forward_jitter: SimDuration::ZERO,
         }
@@ -347,7 +455,15 @@ impl Simulator {
     /// propagation leg. Models the OS-scheduling noise of a software
     /// testbed (the paper's Mininet); breaks drop-phase synchronisation
     /// between flows and makes distinct seeds produce distinct runs.
+    ///
+    /// Set it before the run (a direction may hold a draw made ahead of its
+    /// completion), below `u32::MAX` ns.
     pub fn set_forward_jitter(&mut self, jitter: SimDuration) {
+        // simlint: allow(panic-surface, reason = "a set-up error, refused before any packet is sent")
+        assert!(
+            jitter.as_nanos() < u64::from(u32::MAX),
+            "forward jitter {jitter} exceeds u32::MAX ns"
+        );
         self.forward_jitter = jitter;
     }
 
@@ -369,6 +485,7 @@ impl Simulator {
             )));
         self.agent_packet_seq.push((id.0 as u64) << PACKET_ID_SHIFT);
         self.node_agent[node.0 as usize] = Some(id);
+        self.scheduled += 1;
         self.events.push_keyed(
             start,
             order::pack(order::CLASS_START, id.0 as u64, 0),
@@ -410,6 +527,8 @@ impl Simulator {
             queue_cancels: self.events.total_cancelled(),
             queue_cascaded: self.events.total_cascaded(),
             queue_pool_chunks: self.events.pool_chunks() as u64,
+            tx_done_elided: self.tx_done_elided,
+            timer_moves: self.timer_moves,
             hops: self.hops,
             link_enqueues: self.link_enqueues,
             link_drops: self.stats.packets_dropped,
@@ -450,15 +569,18 @@ impl Simulator {
         self.in_flight
     }
 
-    /// Events scheduled over the run and not cancelled (the live share).
+    /// Events the model scheduled over the run and did not cancel (the live
+    /// share): every start, fault, TxDone, Arrive and timer deadline, whether
+    /// or not it took a queue entry of its own (see the module docs).
     pub fn events_scheduled(&self) -> u64 {
-        self.events.total_pushed()
+        self.scheduled - self.stats.timers_cancelled
     }
 
-    /// Events cancelled before firing — the dead-event count the old lazy
-    /// timer guards would have popped and ignored.
+    /// Timer deadlines the model cancelled before they fired: superseded by
+    /// a re-arm or revoked. Such a deadline never runs, whether or not its
+    /// queue entry is still waiting to be dropped.
     pub fn events_cancelled(&self) -> u64 {
-        self.events.total_cancelled()
+        self.stats.timers_cancelled
     }
 
     /// Borrow an agent back out of the simulator (after a run) to inspect
@@ -535,6 +657,12 @@ impl Simulator {
             starts: self.starts,
             in_flight: self.in_flight,
             timer_keys: self.timer_keys.clone(),
+            revoked: self.revoked.clone(),
+            horizon: self.horizon,
+            class: self.class,
+            scheduled: self.scheduled,
+            tx_done_elided: self.tx_done_elided,
+            timer_moves: self.timer_moves,
             // Scratch buffers are always empty between events.
             effect_bufs: Vec::new(),
             forward_jitter: self.forward_jitter,
@@ -551,6 +679,7 @@ impl Simulator {
         }
         let key = order::pack(order::CLASS_FAULT, 0, self.faults.len() as u64);
         self.faults.push(Some(action));
+        self.scheduled += 1;
         self.events.push_keyed(at, key, Event::Keyed);
     }
 
@@ -574,17 +703,23 @@ impl Simulator {
     /// Events exactly at the deadline are processed; the clock never
     /// advances past it.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(ev) = self.events.pop_at_or_before(deadline) {
-            self.execute(ev);
-        }
+        self.run(deadline);
         self.now = self.now.max(deadline);
         self.check_conservation();
     }
 
     /// Run until no events remain (terminating workloads only).
     pub fn run_to_completion(&mut self) {
-        while self.step() {}
+        self.run(SimTime::MAX);
         self.check_conservation();
+    }
+
+    /// Execute every event due at or before `deadline`.
+    fn run(&mut self, deadline: SimTime) {
+        self.horizon = deadline;
+        while let Some(ev) = self.events.pop_at_or_before(deadline) {
+            self.execute(ev);
+        }
     }
 
     /// Packet conservation: everything sent must be delivered, dropped,
@@ -611,17 +746,34 @@ impl Simulator {
         );
     }
 
-    /// Process a single event. Returns false if the queue was empty.
+    /// Process a single event. Returns false if the queue was empty. Queue
+    /// entries that are no event (see the module docs) are passed over, and
+    /// no transmission a step starts completes at its start: a step runs
+    /// no further than its own event.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.events.pop() else {
-            return false;
-        };
-        self.execute(ev);
-        true
+        self.horizon = SimTime::ZERO;
+        while let Some(ev) = self.events.pop() {
+            if self.execute(ev) {
+                return true;
+            }
+        }
+        false
     }
 
-    /// Execute one popped event.
-    fn execute(&mut self, ev: ScheduledEvent<Event>) {
+    /// Execute one popped queue entry. Returns false for an entry that was
+    /// no event — a timer entry popped before its deadline or after its
+    /// cancel, or a revoked Arrive — which neither counts nor moves the clock.
+    fn execute(&mut self, ev: ScheduledEvent<Event>) -> bool {
+        let (class, entity, local) = order::unpack(ev.seq);
+        let stale = match class {
+            order::CLASS_TIMER => !self.timer_due(order::entity_agent(entity), local, ev.time),
+            order::CLASS_ARRIVE => !self.revoked.is_empty() && self.take_revoked(ev.seq),
+            _ => false,
+        };
+        if stale {
+            self.timer_moves += 1;
+            return false;
+        }
         // Event-time monotonicity: a hard assert in every build (a backwards
         // clock silently corrupts every downstream series).
         assert!(
@@ -631,24 +783,16 @@ impl Simulator {
             self.now
         );
         self.now = ev.time;
+        self.class = class;
         self.stats.events += 1;
-        let (class, entity, local) = order::unpack(ev.seq);
         match (class, ev.event) {
             (order::CLASS_START, Event::Keyed) => {
                 self.starts += 1;
                 self.dispatch(order::entity_agent(entity), AgentCall::Start);
             }
             (order::CLASS_TIMER, Event::Keyed) => {
-                let (agent, token) = (order::entity_agent(entity), local);
-                // Replacement semantics guarantee at most one live event per
-                // (agent, token); popping it retires the table entry.
-                if let Some(keys) = self.timer_keys.get_mut(agent.0 as usize) {
-                    if let Some(i) = keys.iter().position(|&(t, _)| t == token) {
-                        keys.swap_remove(i);
-                    }
-                }
                 self.stats.timers_fired += 1;
-                self.dispatch(agent, AgentCall::Timer(token));
+                self.dispatch(order::entity_agent(entity), AgentCall::Timer(local));
             }
             (order::CLASS_TX_DONE, Event::Keyed) => {
                 let (link, dir) = order::entity_dir(entity);
@@ -674,6 +818,48 @@ impl Simulator {
             // simlint: allow(panic-surface, reason = "every push site pairs its key class with its payload; a mismatch is a corrupted queue and must not run on")
             (class, event) => unreachable!("event {event:?} under key class {class}"),
         }
+        true
+    }
+
+    /// The queue entry of `agent`'s timer `token` popped at `at`. True if
+    /// the timer is due: its slot retires and it fires. Otherwise the entry
+    /// is pushed again at the re-armed deadline, or dropped with its slot if
+    /// the timer was cancelled.
+    fn timer_due(&mut self, agent: AgentId, token: u64, at: SimTime) -> bool {
+        let Some(keys) = self.timer_keys.get_mut(agent.0 as usize) else {
+            return false;
+        };
+        let Some((i, slot)) = keys.iter_mut().enumerate().find(|(_, slot)| slot.is(token)) else {
+            return false;
+        };
+        // At most one slot per token, retired here when its entry pops: a
+        // dispatch gives an emptied table back, so does a dropped entry.
+        if slot.cancelled() {
+            keys.swap_remove(i);
+            if keys.is_empty() {
+                *keys = Vec::new();
+            }
+            return false;
+        }
+        if slot.deadline > at {
+            let key = order::pack(order::CLASS_TIMER, agent.0 as u64, token);
+            slot.cancel = self
+                .events
+                .push_keyed_cancellable(slot.deadline, key, Event::Keyed);
+            slot.queued = slot.deadline;
+            return false;
+        }
+        keys.swap_remove(i);
+        true
+    }
+
+    /// Take `key` out of the revoked Arrives, if a fault put it there.
+    fn take_revoked(&mut self, key: u64) -> bool {
+        let Some(i) = self.revoked.iter().position(|&k| k == key) else {
+            return false;
+        };
+        self.revoked.swap_remove(i);
+        true
     }
 
     /// Apply one fault action to the live network (see [`crate::faults`]
@@ -690,7 +876,25 @@ impl Simulator {
                 self.topo.set_link_capacity(link, cap);
             }
             FaultAction::SetDelay(link, delay) => {
+                let old = self.topo.link(link).delay;
                 self.topo.set_link_delay(link, delay);
+                // An early transmission still serializing has its Arrive
+                // queued with the old delay, where its TxDone would read the
+                // new one: revoke it and queue it again.
+                // simlint: allow(panic-surface, reason = "iterates a two-element array literal; nothing is indexed")
+                for dir in [Dir::AtoB, Dir::BtoA] {
+                    let i = dir_index(link, dir);
+                    let state = &self.dirs[i]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and dirs holds two records per topology link")
+                    match state.tx {
+                        Some(h) if delay != old && state.tx_early && !self.idle(i) => {
+                            let jitter = SimDuration::from_nanos(u64::from(state.jitter_ns));
+                            let at = state.tx_done + delay + jitter;
+                            self.revoke_arrive(i);
+                            self.push_arrive(i, h, at);
+                        }
+                        _ => {}
+                    }
+                }
             }
         }
     }
@@ -698,16 +902,14 @@ impl Simulator {
     fn on_link_down(&mut self, link: LinkId) {
         for dir in [Dir::AtoB, Dir::BtoA] {
             let i = dir_index(link, dir);
+            // The packet being serialized is lost on the wire.
+            if !self.idle(i) {
+                self.abort_tx(i);
+            }
             let state = &mut self.dirs[i];
             state.up = false;
-            // The packet being serialized is lost on the wire. Bump the
-            // epoch so the pending TxDone for the aborted serialization
-            // is recognized as stale even if a fresh transmission starts
-            // on this direction before it fires.
-            if let Some(tx) = state.transmitting.take() {
-                state.epoch += 1;
-                self.drop_at(i, tx.entry);
-            }
+            // What is left is an early transmission that already completed.
+            state.tx = None;
             // Buffered packets are lost with the interface.
             loop {
                 let deq = self.dirs[i].queue.dequeue(self.now);
@@ -721,8 +923,43 @@ impl Simulator {
                 }
             }
         }
-        // A stale TxDone for the dropped transmission may still fire; it
-        // carries the pre-abort epoch and is ignored (see on_tx_done).
+    }
+
+    /// Lose direction `i`'s serializing packet. Bump the epoch so the
+    /// pending TxDone for the aborted serialization is recognized as stale
+    /// even if a fresh transmission starts on this direction before it
+    /// fires: it still runs (and counts) at its instant, and is ignored
+    /// (see `on_tx_done`). An early transmission is undone: its Arrive is
+    /// revoked, its `on_tx` and Arrive leave the accounting, its jitter
+    /// draw is carried to the next completion, and its TxDone is queued
+    /// (unless a packet behind it already queued it).
+    fn abort_tx(&mut self, i: usize) {
+        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        let Some(h) = state.tx.take() else {
+            return;
+        };
+        let wire_size = self.slab.get(h).wire_size();
+        if state.tx_early {
+            state.jitter_carried = !self.forward_jitter.is_zero();
+            state.stats.tx_packets -= 1;
+            state.stats.tx_bytes -= u64::from(wire_size);
+            state.stats.busy_time -= state.tx_time;
+            self.scheduled -= 1;
+            if state.queue.is_empty() {
+                self.queue_late_tx_done(i);
+            }
+            self.revoke_arrive(i);
+        }
+        self.dirs[i].epoch += 1; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        self.drop_at(i, Queued { pkt: h, wire_size });
+    }
+
+    /// Revoke the queued Arrive of direction `i`'s early transmission: the
+    /// direction's latest.
+    fn revoke_arrive(&mut self, i: usize) {
+        let seq = self.dirs[i].arrive_seq - 1; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        self.revoked
+            .push(order::pack(order::CLASS_ARRIVE, i as u64, seq));
     }
 
     // ---- internals ----
@@ -755,8 +992,9 @@ impl Simulator {
         self.apply_effects(node, &mut effects);
         debug_assert!(effects.is_empty());
         self.effect_bufs.push(effects);
-        // Timers fire, re-arm and cancel only around a dispatch of their
-        // agent, so this is the one place its table can have become empty.
+        // Timers fire and re-arm only around a dispatch of their agent, so
+        // besides a dropped entry (`timer_due`) this is the one place its
+        // table can have become empty.
         if let Some(keys) = self.timer_keys.get_mut(id.0 as usize) {
             if keys.is_empty() {
                 *keys = Vec::new();
@@ -781,36 +1019,49 @@ impl Simulator {
                     // small enumerations plus per-subflow offsets well
                     // below that.
                     let key = order::pack(order::CLASS_TIMER, agent.0 as u64, token);
-                    let cancel = self.events.push_keyed_cancellable(at, key, Event::Keyed);
-                    // Re-arming replaces: revoke the superseded deadline so
-                    // it can never fire stale.
-                    let old = self
-                        .timer_keys
-                        .get_mut(agent.0 as usize)
-                        .and_then(|keys| match keys.iter_mut().find(|(t, _)| *t == token) {
-                            Some(entry) => Some(std::mem::replace(&mut entry.1, cancel)),
-                            None => {
-                                keys.push((token, cancel));
-                                None
+                    self.scheduled += 1;
+                    let Some(keys) = self.timer_keys.get_mut(agent.0 as usize) else {
+                        continue;
+                    };
+                    match keys.iter_mut().find(|slot| slot.is(token)) {
+                        Some(slot) => {
+                            // Re-arming replaces: the superseded deadline
+                            // can never fire. A later one keeps the queue
+                            // entry, which moves when it pops early.
+                            if !slot.cancelled() {
+                                self.stats.timers_cancelled += 1;
                             }
-                        });
-                    if let Some(old) = old {
-                        if self.events.cancel(old) {
-                            self.stats.timers_cancelled += 1;
+                            if at < slot.queued {
+                                self.events.cancel(slot.cancel);
+                                slot.cancel =
+                                    self.events.push_keyed_cancellable(at, key, Event::Keyed);
+                                slot.queued = at;
+                            }
+                            slot.token = token;
+                            slot.deadline = at;
+                        }
+                        None => {
+                            let cancel = self.events.push_keyed_cancellable(at, key, Event::Keyed);
+                            keys.push(TimerSlot {
+                                token,
+                                deadline: at,
+                                queued: at,
+                                cancel,
+                            });
                         }
                     }
                 }
                 Effect::CancelTimer { token } => {
                     // simlint: allow(unwrap, reason = "effects originate from an agent installed at this node")
                     let agent = self.node_agent[node.0 as usize].expect("timer from unknown agent");
-                    let old = self.timer_keys.get_mut(agent.0 as usize).and_then(|keys| {
-                        let i = keys.iter().position(|&(t, _)| t == token)?;
-                        Some(keys.swap_remove(i).1)
+                    // The entry stays queued and is dropped when it pops.
+                    let slot = self.timer_keys.get_mut(agent.0 as usize).and_then(|keys| {
+                        keys.iter_mut()
+                            .find(|slot| slot.is(token) && !slot.cancelled())
                     });
-                    if let Some(old) = old {
-                        if self.events.cancel(old) {
-                            self.stats.timers_cancelled += 1;
-                        }
+                    if let Some(slot) = slot {
+                        slot.token |= TimerSlot::CANCELLED;
+                        self.stats.timers_cancelled += 1;
                     }
                 }
             }
@@ -852,18 +1103,29 @@ impl Simulator {
         self.slab.take(h);
     }
 
+    /// Is direction `i`'s transmitter free? An early transmission holds it
+    /// until its completion instant has passed in the canonical order: at
+    /// the instant itself it follows faults and starts and precedes
+    /// arrivals and timers.
+    fn idle(&self, i: usize) -> bool {
+        let state = &self.dirs[i]; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId, or an event key's entity built from one")
+        let done = state.tx_done;
+        let passed = done < self.now || (done == self.now && self.class > order::CLASS_TX_DONE);
+        state.tx.is_none() || (state.tx_early && passed)
+    }
+
     /// Offer the packet to `link`'s transmitter in the direction leaving
     /// `from`.
     fn transmit_or_enqueue(&mut self, from: NodeId, link: LinkId, h: PacketHandle) {
         let spec = self.topo.link(link);
         let dir = if from == spec.a { Dir::AtoB } else { Dir::BtoA };
         debug_assert!(spec.touches(from), "forwarding onto a detached link");
-        let capacity = spec.capacity;
         let i = dir_index(link, dir);
         let entry = Queued {
             pkt: h,
             wire_size: self.slab.get(h).wire_size(),
         };
+        let idle = self.idle(i);
         let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and dirs holds two records per topology link")
         if !state.up {
             // Interface down: the packet is lost at this hop.
@@ -874,11 +1136,8 @@ impl Simulator {
             return;
         }
 
-        if state.transmitting.is_none() {
-            let tx_time = capacity.tx_time(entry.wire_size as u64);
-            let epoch = state.epoch;
-            state.transmitting = Some(Transmission { entry, tx_time });
-            self.push_tx_done(link, dir, epoch, self.now + tx_time);
+        if idle {
+            self.start_tx(link, dir, entry);
         } else {
             // As offered: an AQM that marks a packet it then refuses must
             // not change what the drop record says was offered.
@@ -894,6 +1153,11 @@ impl Simulator {
                     self.link_enqueues += 1;
                     let (p, b) = (state.queue.len_packets(), state.queue.len_bytes());
                     state.stats.observe_queue(p, b);
+                    // The first packet behind an early transmission needs
+                    // the TxDone that will start it.
+                    if state.tx_early && p == 1 {
+                        self.queue_late_tx_done(i);
+                    }
                 }
                 EnqueueResult::Dropped(_) => {
                     self.drop_at(i, entry);
@@ -905,51 +1169,117 @@ impl Simulator {
         }
     }
 
-    /// Schedule a serialization-complete event with its canonical key.
-    fn push_tx_done(&mut self, link: LinkId, dir: Dir, epoch: u64, at: SimTime) {
-        let key = order::pack(order::CLASS_TX_DONE, order::dir_entity(link, dir), epoch);
+    /// Start serializing `entry` on `link`'s `dir`, now. On an idle
+    /// drop-tail direction of a lossless link, and by the run's deadline, it
+    /// completes at its start (see the module docs): the jitter is drawn
+    /// and the Arrive pushed as its TxDone would have, and the TxDone,
+    /// `on_tx` and the Arrive are accounted now. Otherwise its TxDone is
+    /// queued.
+    fn start_tx(&mut self, link: LinkId, dir: Dir, entry: Queued) {
+        let spec = self.topo.link(link);
+        let (delay, lossy) = (spec.delay, spec.loss_rate > 0.0);
+        let tx_time = spec.capacity.tx_time(u64::from(entry.wire_size));
+        let done = self.now + tx_time;
+        let i = dir_index(link, dir);
+        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and dirs holds two records per topology link")
+        state.tx = Some(entry.pkt);
+        state.tx_time = tx_time;
+        state.tx_done = done;
+        state.tx_early = !lossy
+            && matches!(state.queue, Queue::DropTail(_))
+            && state.queue.is_empty()
+            && done <= self.horizon;
+        self.scheduled += 1;
+        if !state.tx_early {
+            let epoch = state.epoch;
+            self.push_tx_done(i, epoch, done);
+            return;
+        }
+        state.stats.on_tx(entry.wire_size, tx_time);
+        self.scheduled += 1;
+        self.stats.events += 1;
+        self.tx_done_elided += 1;
+        let jitter = self.draw_jitter(i);
+        self.dirs[i].jitter_ns = jitter; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and dirs holds two records per topology link")
+        let at = done + delay + SimDuration::from_nanos(u64::from(jitter));
+        self.push_arrive(i, entry.pkt, at);
+    }
+
+    /// Queue the TxDone of direction `i`'s early transmission after all: a
+    /// packet waits behind it, or a link-down aborts it. It counts in
+    /// `stats.events` when it pops, no longer as elided.
+    fn queue_late_tx_done(&mut self, i: usize) {
+        let state = &self.dirs[i]; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        let (epoch, done) = (state.epoch, state.tx_done);
+        self.stats.events -= 1;
+        self.tx_done_elided -= 1;
+        self.push_tx_done(i, epoch, done);
+    }
+
+    /// The next forwarding jitter of direction `i`, in ns: a draw carried
+    /// over from an aborted early transmission, or a fresh one.
+    fn draw_jitter(&mut self, i: usize) -> u32 {
+        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        if std::mem::take(&mut state.jitter_carried) {
+            return state.jitter_ns;
+        }
+        if self.forward_jitter.is_zero() {
+            return 0;
+        }
+        // simlint: allow(truncating-cast, reason = "the draw is at most forward_jitter, which set_forward_jitter keeps below u32::MAX ns")
+        state.rng.next_below(self.forward_jitter.as_nanos() + 1) as u32
+    }
+
+    /// Schedule a serialization-complete event of direction `i` with its
+    /// canonical key.
+    fn push_tx_done(&mut self, i: usize, epoch: u32, at: SimTime) {
+        let key = order::pack(order::CLASS_TX_DONE, i as u64, u64::from(epoch));
         self.events.push_keyed(at, key, Event::Keyed);
+    }
+
+    /// Queue `h`'s arrival at the far end of direction `i` under the
+    /// direction's next arrival key.
+    fn push_arrive(&mut self, i: usize, h: PacketHandle, at: SimTime) {
+        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        let key = order::pack(order::CLASS_ARRIVE, i as u64, state.arrive_seq);
+        state.arrive_seq += 1;
+        self.events.push_keyed(at, key, Event::Arrive { pkt: h });
     }
 
     fn on_tx_done(&mut self, link: LinkId, dir: Dir, epoch: u64) {
         let spec = self.topo.link(link);
-        let delay = spec.delay;
-        let capacity = spec.capacity;
-        let loss_rate = spec.loss_rate;
+        let (delay, loss_rate) = (spec.delay, spec.loss_rate);
         let i = dir_index(link, dir);
         let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "the entity of a TxDone key is the dir_index the transmission was started at")
 
         // A link-down event may have aborted the serialization this event
         // belongs to: the abort bumped the direction's epoch, so a stale
         // event (old epoch, or no transmission at all) is ignored.
-        if epoch != state.epoch {
+        if epoch != u64::from(state.epoch) {
             return;
         }
-        let Some(tx) = state.transmitting.take() else {
+        let Some(h) = state.tx.take() else {
             return;
         };
-        // `tx_time` was fixed when the serialization started; a capacity
-        // fault mid-transmission does not retroactively change it.
-        state.stats.on_tx(tx.entry.wire_size, tx.tx_time);
-        // Wireless-style random corruption loss (after serialization).
-        let corrupted = loss_rate > 0.0 && state.rng.chance(loss_rate);
-        let jitter = if self.forward_jitter.is_zero() {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(state.rng.next_below(self.forward_jitter.as_nanos() + 1))
-        };
-        if corrupted {
-            self.drop_at(i, tx.entry);
-        } else {
-            let key = order::pack(
-                order::CLASS_ARRIVE,
-                order::dir_entity(link, dir),
-                state.arrive_seq,
-            );
-            state.arrive_seq += 1;
-            let arrive = Event::Arrive { pkt: tx.entry.pkt };
-            self.events
-                .push_keyed(self.now + delay + jitter, key, arrive);
+        // An early transmission completed at its start; its TxDone only
+        // starts the packet queued behind it.
+        if !state.tx_early {
+            // `tx_time` was fixed when the serialization started; a capacity
+            // fault mid-transmission does not retroactively change it.
+            let entry = Queued {
+                pkt: h,
+                wire_size: self.slab.get(h).wire_size(),
+            };
+            state.stats.on_tx(entry.wire_size, state.tx_time);
+            // Wireless-style random corruption loss (after serialization).
+            let corrupted = loss_rate > 0.0 && state.rng.chance(loss_rate);
+            let jitter = SimDuration::from_nanos(u64::from(self.draw_jitter(i)));
+            if corrupted {
+                self.drop_at(i, entry);
+            } else {
+                self.scheduled += 1;
+                self.push_arrive(i, h, self.now + delay + jitter);
+            }
         }
 
         // Start the next packet, if any (the AQM may head-drop on the way).
@@ -958,14 +1288,7 @@ impl Simulator {
             self.drop_at(i, dropped);
         }
         if let Some(next) = deq.pkt {
-            let tx_time = capacity.tx_time(next.wire_size as u64);
-            let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "the entity of a TxDone key is the dir_index the transmission was started at")
-            let epoch = state.epoch;
-            state.transmitting = Some(Transmission {
-                entry: next,
-                tx_time,
-            });
-            self.push_tx_done(link, dir, epoch, self.now + tx_time);
+            self.start_tx(link, dir, next);
         }
     }
 
@@ -1245,7 +1568,7 @@ mod sink_tests {
     fn congested(sim: &mut Simulator) -> (u64, u64) {
         sim.run_until(SimTime::from_millis(10));
         let out = &sim.dirs[dir_index(LinkId(0), Dir::AtoB)];
-        assert!(out.transmitting.is_some());
+        assert!(out.tx.is_some());
         assert_eq!(out.queue.len_packets(), 4);
         assert!(sim.slab.live() > 5, "and some are on the wire");
         assert_eq!(sim.slab.live(), sim.in_flight);
@@ -1267,7 +1590,7 @@ mod sink_tests {
         assert_eq!(sim.in_flight, live - 5);
         assert_eq!(sim.stats.packets_dropped, dropped + 5);
         let out = &sim.dirs[dir_index(LinkId(0), Dir::AtoB)];
-        assert!(out.transmitting.is_none() && out.queue.is_empty());
+        assert!(out.tx.is_none() && out.queue.is_empty());
         assert_eq!(out.epoch, 1);
 
         // run_until checks `slab.live() == in_flight` on its way out: the
@@ -1324,12 +1647,18 @@ mod sink_tests {
         sim.run_until(SimTime::from_millis(40));
         let c = sim.counters();
         let s = sim.stats();
-        // One start per agent; one pop per executed event; every packet
+        // One start per agent; every event ran from a queue entry or as an
+        // elided TxDone, and every queue entry popped ran an event or moved;
+        // the model's schedule is the queue's pushes and the TxDones that
+        // took none (no timer here is re-armed or cancelled); every packet
         // sent took the one hop, where it was transmitted at once, buffered
         // or refused.
         assert_eq!(c.on_start, 2);
-        assert_eq!(c.queue_pops, s.events);
-        assert_eq!(c.queue_pushes - c.queue_cancels, sim.events_scheduled());
+        assert_eq!(c.queue_pops - c.timer_moves + c.tx_done_elided, s.events);
+        assert_eq!(
+            c.queue_pushes - c.queue_cancels - c.timer_moves + c.tx_done_elided,
+            sim.events_scheduled()
+        );
         assert_eq!(c.hops, s.packets_sent);
         assert_eq!(c.on_packet, s.packets_delivered);
         assert_eq!(c.on_timer, s.timers_fired);
@@ -1340,8 +1669,9 @@ mod sink_tests {
         assert!((6..=8).contains(&c.slab_high_water), "{c:?}");
         assert!(c.queue_pool_chunks >= 1);
         let names: Vec<_> = c.entries().map(|(name, _)| name).collect();
-        assert_eq!(names.len(), 22);
+        assert_eq!(names.len(), 24);
         assert!(names.contains(&"netsim.slab_high_water"));
+        assert!(names.contains(&"netsim.tx_done_elided") && names.contains(&"netsim.timer_moves"));
         // Untagged CBR over default routes: no route set, no ECMP group, no
         // TCP anywhere; one default route each way.
         assert_eq!((c.route_sets, c.tcp_segments_sent), (0, 0));

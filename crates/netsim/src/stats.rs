@@ -104,16 +104,27 @@ impl SimStats {
 /// counter diff before anyone times anything.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCounters {
-    /// Events pushed onto the event queue, cancelled ones included.
+    /// Entries pushed onto the event queue, cancelled ones included.
     pub queue_pushes: u64,
-    /// Events popped and executed.
+    /// Entries popped: every queued event that ran, and the entries of
+    /// `timer_moves`.
     pub queue_pops: u64,
-    /// Events cancelled before they fired (re-armed or revoked timers).
+    /// Entries cancelled before they popped (timers re-armed to before
+    /// their queued entry).
     pub queue_cancels: u64,
     /// Entries the timing wheel re-distributed to a lower level.
     pub queue_cascaded: u64,
     /// High-water mark of the wheel's chunk pool (64 entries per chunk).
     pub queue_pool_chunks: u64,
+    /// TxDone events that ran without a queue entry: transmissions that
+    /// completed at their start, with no packet queued behind them.
+    /// `queue_pops - timer_moves + tx_done_elided` is the simulator's
+    /// `stats.events`.
+    pub tx_done_elided: u64,
+    /// Queue pops that were no event: a timer entry popped before its
+    /// re-armed deadline (pushed again there) or after its cancel
+    /// (dropped), or an Arrive a fault revoked.
+    pub timer_moves: u64,
     /// Packets handed to an output link (one per forwarding decision).
     pub hops: u64,
     /// Packets that met a busy transmitter and were buffered.
@@ -164,6 +175,8 @@ impl SimCounters {
             ("queue.cancels", self.queue_cancels),
             ("queue.cascaded", self.queue_cascaded),
             ("queue.pool_chunks_high_water", self.queue_pool_chunks),
+            ("netsim.tx_done_elided", self.tx_done_elided),
+            ("netsim.timer_moves", self.timer_moves),
             ("netsim.hops", self.hops),
             ("netsim.link_enqueues", self.link_enqueues),
             ("netsim.link_drops", self.link_drops),
