@@ -1,18 +1,76 @@
 #!/usr/bin/env sh
-# Full local CI gate: formatting, clippy, simlint, tests.
+# Full local CI gate: formatting, the lint chain, tests, output gates.
 # Run from the repository root. Fails fast on the first broken stage.
 set -eu
+
+# Every stage's temporary files live in one private directory, removed on exit,
+# so two runs at once never share a file.
+TMP=$(mktemp -d "${TMPDIR:-/tmp}/overlap-ci.XXXXXX")
+trap 'rm -rf "$TMP"' EXIT
+trap 'exit 130' INT TERM
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (deny warnings)"
-cargo clippy --workspace --all-targets --offline -- -D warnings
+# The lint chain (DESIGN.md par 9.1). clippy.toml says what the disallowed-*
+# lints match; the root Cargo.toml's [workspace.lints] sets every level, at
+# the strictness production code gets. Pass 1 lints every target with
+# warnings denied but relaxes the production-only lints below, so tests,
+# examples, benches and the tooling crates may unwrap, index, assert and
+# spawn. Pass 2 lints the simulation crates' libraries and binaries at the
+# table's levels: a denied lint fails, and the ratchet holds the warned
+# lints' findings to a per-(lint, file) count in results/simlint_baseline.json.
+PRODUCTION_ONLY="-A clippy::unwrap_used -A clippy::expect_used -A clippy::disallowed_methods
+    -A clippy::disallowed_macros -A clippy::cast_possible_truncation -A clippy::indexing_slicing
+    -A clippy::integer_division_remainder_used -A clippy::panic -A clippy::unreachable"
 
-echo "==> simlint (token-level source analysis, ratcheted baseline)"
-# Fails on any NEW finding, any dead pragma, and any stale baseline entry
-# (the ratchet may only shrink). See DESIGN.md "Source lint".
-cargo run -p xtask --offline --quiet -- simlint --baseline results/simlint_baseline.json
+echo "==> clippy pass 1 (every target, warnings denied)"
+cargo clippy --workspace --all-targets --offline -- -D warnings $PRODUCTION_ONLY
+
+echo "==> clippy pass 2 + ratchet (simulation crates' lib and bins; the baseline may only shrink)"
+# cargo's own exit status is not read here: the ratchet fails on every error
+# in the stream, and on a stream that does not end in build-finished.
+cargo clippy --workspace --exclude bench --exclude xtask --lib --bins --offline --quiet \
+    --message-format=json >"$TMP/pass2.json" || :
+cargo run -p xtask --offline --quiet -- ratchet --baseline results/simlint_baseline.json <"$TMP/pass2.json"
+
+echo "==> simlint (the token rules clippy cannot say: float-eq, unit-mixing, float-accum, dead pragmas)"
+cargo run -p xtask --offline --quiet -- simlint
+
+echo "==> the lint chain bites (crates/xtask/fixtures/chain: one marked violation per rule)"
+# The fixture is a package outside the workspace, so it gets the workspace's
+# lint levels as flags read from the root Cargo.toml; clippy finds the root
+# clippy.toml itself. Exactly the marked set of (line, level, lint) must fire.
+FIXTURE=crates/xtask/fixtures/chain
+LEVELS=$(awk '/^\[workspace\.lints\.rust\]/ { p = ""; on = 1; next }
+    /^\[workspace\.lints\.clippy\]/ { p = "clippy::"; on = 1; next }
+    /^\[/ { on = 0 }
+    on && $2 == "=" { gsub(/"/, "", $3); printf " --%s %s%s", $3, p, $1 }' Cargo.toml)
+cargo clippy --manifest-path "$FIXTURE/Cargo.toml" --offline --quiet --message-format=json \
+    --target-dir target/lint-fixture -- $LEVELS >"$TMP/fixture.json" 2>/dev/null || :
+{
+    cargo run -p xtask --offline --quiet -- ratchet <"$TMP/fixture.json" || :
+    cargo run -p xtask --offline --quiet -- simlint "$FIXTURE/src/lib.rs" || :
+} | sed -nE 's/^[^ ]*lib\.rs:([0-9]+):[0-9]+: ((error|warning)?\[[^]]*\]).*/\1 \2/p' | sort >"$TMP/fired"
+awk '{ i = index($0, "//~"); if (i) { n = split(substr($0, i + 3), w, " "); for (k = 1; k <= n; k++) print NR, w[k] } }' \
+    "$FIXTURE/src/lib.rs" | sort >"$TMP/marked"
+diff "$TMP/marked" "$TMP/fired" || {
+    echo "the lint chain no longer fires exactly as $FIXTURE/src/lib.rs marks (< marked, > fired)" >&2
+    exit 1
+}
+
+echo "==> every crate root forbids unsafe code"
+if grep -L '^#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs crates/*/src/main.rs src/lib.rs | grep .; then
+    echo "add #![forbid(unsafe_code)] to the crate roots above" >&2
+    exit 1
+fi
+
+echo "==> perfbench stays deterministic (its own package, so neither clippy pass reaches it)"
+if grep -rnw -e HashMap -e HashSet examples/perfbench/src ||
+    grep -rnw -e Instant -e SystemTime examples/perfbench/src | grep -v '^examples/perfbench/src/clock.rs:'; then
+    echo "perfbench: no hash collections, and wall-clock time only in clock.rs" >&2
+    exit 1
+fi
 
 echo "==> cargo test"
 cargo test --workspace --offline -q
@@ -74,30 +132,30 @@ fi
 
 echo "==> sweep-runner smoke test (release, serial vs pooled must match)"
 cargo build --release --offline -q -p bench
-OVERLAP_WORKERS=1 ./target/release/table1_results 3 2 2>/dev/null >/tmp/sweep_serial.txt
-OVERLAP_WORKERS=4 ./target/release/table1_results 3 2 2>/dev/null >/tmp/sweep_pooled.txt
-cmp /tmp/sweep_serial.txt /tmp/sweep_pooled.txt || {
+OVERLAP_WORKERS=1 ./target/release/table1_results 3 2 2>/dev/null >"$TMP/sweep_serial.txt"
+OVERLAP_WORKERS=4 ./target/release/table1_results 3 2 2>/dev/null >"$TMP/sweep_pooled.txt"
+cmp "$TMP/sweep_serial.txt" "$TMP/sweep_pooled.txt" || {
     echo "sweep runner output differs between 1 and 4 workers" >&2
     exit 1
 }
-rm -f /tmp/sweep_serial.txt /tmp/sweep_pooled.txt
 
 echo "==> warm run-store smoke (second pass must be 100% hits, zero simulations; damaged records are misses)"
 # Content-addressed run store (DESIGN.md par 13): the same table generated
 # twice against one OVERLAP_STORE directory. The cold pass simulates and
 # persists; the warm pass must answer every cell from disk (stderr reports
 # simulations=0) and produce byte-identical stdout.
-STORE_DIR=$(mktemp -d /tmp/overlap-store-ci.XXXXXX)
+STORE_DIR="$TMP/store"
+mkdir "$STORE_DIR"
 OVERLAP_STORE="$STORE_DIR" ./target/release/table1_results 3 2 \
-    >/tmp/store_cold.txt 2>/tmp/store_cold.log
+    >"$TMP/store_cold.txt" 2>"$TMP/store_cold.log"
 OVERLAP_STORE="$STORE_DIR" ./target/release/table1_results 3 2 \
-    >/tmp/store_warm.txt 2>/tmp/store_warm.log
-grep 'store: hits=45 simulations=0 ' /tmp/store_warm.log >/dev/null || {
+    >"$TMP/store_warm.txt" 2>"$TMP/store_warm.log"
+grep 'store: hits=45 simulations=0 ' "$TMP/store_warm.log" >/dev/null || {
     echo "warm store pass still simulated; stderr was:" >&2
-    cat /tmp/store_warm.log >&2
+    cat "$TMP/store_warm.log" >&2
     exit 1
 }
-cmp /tmp/store_cold.txt /tmp/store_warm.txt || {
+cmp "$TMP/store_cold.txt" "$TMP/store_warm.txt" || {
     echo "warm store pass produced different output than the cold pass" >&2
     exit 1
 }
@@ -108,19 +166,17 @@ set -- "$STORE_DIR"/*.run
 printf '\377' | dd of="$1" bs=1 seek=16 conv=notrunc 2>/dev/null
 truncate -s -1 "$2"
 OVERLAP_STORE="$STORE_DIR" ./target/release/table1_results 3 2 \
-    >/tmp/store_bad.txt 2>/tmp/store_bad.log
-grep 'store: hits=43 simulations=2 ' /tmp/store_bad.log >/dev/null &&
-    [ "$(grep -c 'unreadable' /tmp/store_bad.log)" -eq 2 ] || {
+    >"$TMP/store_bad.txt" 2>"$TMP/store_bad.log"
+grep 'store: hits=43 simulations=2 ' "$TMP/store_bad.log" >/dev/null &&
+    [ "$(grep -c 'unreadable' "$TMP/store_bad.log")" -eq 2 ] || {
     echo "damaged records were not two warned misses; stderr was:" >&2
-    cat /tmp/store_bad.log >&2
+    cat "$TMP/store_bad.log" >&2
     exit 1
 }
-cmp /tmp/store_cold.txt /tmp/store_bad.txt || {
+cmp "$TMP/store_cold.txt" "$TMP/store_bad.txt" || {
     echo "store pass over damaged records produced different output than the cold pass" >&2
     exit 1
 }
-rm -rf "$STORE_DIR" /tmp/store_cold.txt /tmp/store_warm.txt /tmp/store_bad.txt \
-    /tmp/store_cold.log /tmp/store_warm.log /tmp/store_bad.log
 
 echo "==> horizon-independence gate (paper net, LIA, 30 s then 120 s: VmHWM growth <= 256 KB)"
 # The measurement path streams (DESIGN.md par 14): a run holds O(bins) of
@@ -139,32 +195,30 @@ for bin in fluid_table worldgen_table failover_table fig1c fig2a fig2b fig2c tab
     table2_sweep) out=table2 ;;
     *) out=$bin ;;
     esac
-    ./target/release/$bin 2>/dev/null >/tmp/results_regen.txt
-    cmp /tmp/results_regen.txt results/$out.txt || {
+    ./target/release/$bin 2>/dev/null >"$TMP/results_regen.txt"
+    cmp "$TMP/results_regen.txt" results/$out.txt || {
         echo "results/$out.txt is stale: regenerate with" >&2
         echo "  cargo run -p bench --bin $bin --release > results/$out.txt" >&2
         exit 1
     }
 done
-rm -f /tmp/results_regen.txt
 
 echo "==> queue traffic gate (sim_counters 1: queue pushes, pops and elided TxDones equal the trajectory's last row)"
 # The work counters are deterministic, so the event queue's traffic is gated
 # exactly, not timed: a change that moves it adds a perf_trajectory.json row
 # per workload saying so.
-./target/release/sim_counters 1 >/tmp/sim_counters.txt
+./target/release/sim_counters 1 >"$TMP/sim_counters.txt"
 for workload in fabric-ecmp churn-4k overload-4k; do
     ROW=$(grep "\"workload\": \"$workload\", \"seed\": 1," results/perf_trajectory.json | tail -n 1)
     for counter in queue.pushes queue.pops netsim.tx_done_elided; do
         want=$(printf '%s\n' "$ROW" | sed -nE "s/.*\"$counter\": ([0-9]+).*/\1/p")
-        got=$(awk -v w="== $workload" -v c="$counter" '$0 == w { on = 1; next } /^==/ { on = 0 } on && $1 == c { print $2 }' /tmp/sim_counters.txt)
+        got=$(awk -v w="== $workload" -v c="$counter" '$0 == w { on = 1; next } /^==/ { on = 0 } on && $1 == c { print $2 }' "$TMP/sim_counters.txt")
         [ -n "$want" ] && [ "$want" = "$got" ] || {
             echo "sim_counters $workload: $counter = $got, results/perf_trajectory.json's last row says $want" >&2
             exit 1
         }
     done
 done
-rm -f /tmp/sim_counters.txt
 
 echo "==> example smoke (every example in README's table must run to exit 0)"
 for example in failover cwnd_dynamics quickstart paper_figure2 scheduler_comparison datacenter_ecmp wifi_cellular; do
@@ -194,14 +248,14 @@ for smoke in paper-bulk:0 fabric-ecmp:7 churn-4k:22 overload-4k:27 regen-service
     workload=${smoke%:*}
     limit=${smoke#*:}
     cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 >/tmp/perfbench_smoke.txt
-    tail -n 1 /tmp/perfbench_smoke.txt >/tmp/perfbench_smoke.json
-    grep -Eq '"correct": ?true' /tmp/perfbench_smoke.json || {
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 >"$TMP/perfbench_smoke.txt"
+    tail -n 1 "$TMP/perfbench_smoke.txt" >"$TMP/perfbench_smoke.json"
+    grep -Eq '"correct": ?true' "$TMP/perfbench_smoke.json" || {
         echo "perfbench $workload smoke did not report correct:true; last line was:" >&2
-        cat /tmp/perfbench_smoke.json >&2
+        cat "$TMP/perfbench_smoke.json" >&2
         exit 1
     }
-    RSS_MB=$(sed -E 's/.*"peak_rss_mb": ?\{"value": ?([0-9.]+).*/\1/' /tmp/perfbench_smoke.json)
+    RSS_MB=$(sed -E 's/.*"peak_rss_mb": ?\{"value": ?([0-9.]+).*/\1/' "$TMP/perfbench_smoke.json")
     awk -v rss="$RSS_MB" -v limit="$limit" 'BEGIN { exit !(rss > 0 && (limit == 0 || rss <= limit)) }' || {
         echo "perfbench $workload smoke: peak_rss_mb = $RSS_MB (limit $limit)" >&2
         exit 1
@@ -209,13 +263,12 @@ for smoke in paper-bulk:0 fabric-ecmp:7 churn-4k:22 overload-4k:27 regen-service
     ROW=$(grep "\"workload\": \"$workload\", \"seed\": 1," results/perf_trajectory.json | tail -n 1)
     for column in sim.events sim.trace_digest; do
         want=$(printf '%s\n' "$ROW" | sed -E "s/.*\"$column\": \"?([0-9a-f]+)\"?.*/\1/")
-        got=$(awk -v c="$column" '$1 == c { print $2 }' /tmp/perfbench_smoke.txt)
+        got=$(awk -v c="$column" '$1 == c { print $2 }' "$TMP/perfbench_smoke.txt")
         [ -n "$want" ] && [ "$want" = "$got" ] || {
             echo "perfbench $workload smoke: $column = $got, results/perf_trajectory.json's last row says $want" >&2
             exit 1
         }
     done
 done
-rm -f /tmp/perfbench_smoke.json /tmp/perfbench_smoke.txt
 
 echo "CI OK"

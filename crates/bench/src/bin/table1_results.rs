@@ -18,7 +18,6 @@
 
 use mptcpsim::CcAlgo;
 use overlap_core::prelude::*;
-use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -39,7 +38,11 @@ fn main() {
         }
     );
     let store = RunStore::from_env();
-    let started = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall time is reported on stderr and never reaches a run"
+    )]
+    let started = std::time::Instant::now();
     let rows = results_table_with_store(
         &[
             CcAlgo::Cubic,

@@ -84,6 +84,10 @@ impl FailoverConfig {
 /// The first link exclusive to `paths[target]` — a link no other path
 /// crosses, so taking it down kills exactly that path. Panics if the path
 /// is fully shared (every link carried by some other path).
+#[expect(
+    clippy::expect_used,
+    reason = "paper paths are pairwise-overlapping, never nested; documented panic"
+)]
 pub fn exclusive_link(paths: &[Path], target: usize) -> LinkId {
     *paths[target]
         .links()
@@ -94,7 +98,7 @@ pub fn exclusive_link(paths: &[Path], target: usize) -> LinkId {
                 .enumerate()
                 .all(|(i, p)| i == target || !p.links().contains(l))
         })
-        .expect("target path has no exclusive link") // simlint: allow(unwrap, reason = "paper paths are pairwise-overlapping, never nested; documented panic")
+        .expect("target path has no exclusive link")
 }
 
 /// The static facts of a failover experiment on the paper network: which
@@ -564,8 +568,12 @@ pub fn failover_table_document(runner: &RunnerConfig) -> String {
     let floor = 0.9 * outcome.setup.post_lp_mbps;
     for c in &outcome.cells {
         if matches!(c.algo, CcAlgo::Cubic | CcAlgo::Lia | CcAlgo::Olia) {
-            // simlint: allow(panic-surface, reason = "acceptance gate; aborting with the failing cell named is the contract")
-            assert!(
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "acceptance gate; aborting with the failing cell named is the contract"
+            )]
+            {
+                assert!(
                 c.recovery_s.is_some() && c.post_fault_mbps >= floor,
                 "{} seed {}: recovery {:?}, {:.2} Mbps after the failure (gate: recovered, >= {floor:.2})",
                 c.algo.name(),
@@ -573,6 +581,7 @@ pub fn failover_table_document(runner: &RunnerConfig) -> String {
                 c.recovery_s,
                 c.post_fault_mbps
             );
+            }
         }
     }
     let mut out = String::new();

@@ -160,8 +160,12 @@ pub fn random_cross_table(
             ..base.clone()
         });
         let model = FluidModel::from_topology(&net.topology, &net.paths);
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition; caller passes coupled loss-based algos only"
+        )]
         let law =
-            FluidLaw::from_algo(cell.algo).expect("random cross-table algos must have a fluid law"); // simlint: allow(unwrap, reason = "documented precondition; caller passes coupled loss-based algos only")
+            FluidLaw::from_algo(cell.algo).expect("random cross-table algos must have a fluid law");
         let fluid = solve(&model, law, FLUID_HORIZON_S);
         rows.push(RandomCrossRow {
             seed: cell.seed,

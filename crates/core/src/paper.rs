@@ -129,9 +129,21 @@ impl PaperNetwork {
         t.add_link(s, v4, bw(100), fast(2, cfg), q); // P3
         t.add_link(v2, v3, bw(100), fast(2, cfg), q); // P3
 
-        let p1 = Path::from_nodes(&t, &[s, v1, v4, v2, d]).expect("path 1"); // simlint: allow(unwrap, reason = "hard-coded Figure-1 walk; failure means the topology constants are wrong")
-        let p2 = Path::from_nodes(&t, &[s, v1, v3, d]).expect("path 2"); // simlint: allow(unwrap, reason = "hard-coded Figure-1 walk; failure means the topology constants are wrong")
-        let p3 = Path::from_nodes(&t, &[s, v4, v2, v3, d]).expect("path 3"); // simlint: allow(unwrap, reason = "hard-coded Figure-1 walk; failure means the topology constants are wrong")
+        #[expect(
+            clippy::expect_used,
+            reason = "hard-coded Figure-1 walk; failure means the topology constants are wrong"
+        )]
+        let p1 = Path::from_nodes(&t, &[s, v1, v4, v2, d]).expect("path 1");
+        #[expect(
+            clippy::expect_used,
+            reason = "hard-coded Figure-1 walk; failure means the topology constants are wrong"
+        )]
+        let p2 = Path::from_nodes(&t, &[s, v1, v3, d]).expect("path 2");
+        #[expect(
+            clippy::expect_used,
+            reason = "hard-coded Figure-1 walk; failure means the topology constants are wrong"
+        )]
+        let p3 = Path::from_nodes(&t, &[s, v4, v2, v3, d]).expect("path 3");
 
         PaperNetwork {
             topology: t,

@@ -107,7 +107,10 @@ impl RandomOverlapNet {
                 cur = v;
             }
             links.push(t.add_link(cur, d, private, LINK_DELAY, QUEUE));
-            // simlint: allow(unwrap, reason = "generator emits fresh nodes per hop, so the walk is simple by construction")
+            #[expect(
+                clippy::expect_used,
+                reason = "generator emits fresh nodes per hop, so the walk is simple by construction"
+            )]
             let path = Path::from_links(&t, s, &links).expect("generated path is simple");
             paths.push(path);
         }

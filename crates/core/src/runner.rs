@@ -227,7 +227,10 @@ impl RunnerConfig {
     /// Resolve `workers` against the host and the job count.
     pub fn effective_workers(&self, jobs: usize) -> usize {
         let requested = if self.workers == 0 {
-            // simlint: allow(thread, reason = "host capability query; does not influence any run's result, only how many run at once")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "host capability query; does not influence any run's result, only how many run at once"
+            )]
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             self.workers
@@ -387,13 +390,19 @@ where
     } else {
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, R)>();
-        // simlint: allow(thread, reason = "fan-out of pure Scenario::run jobs; results re-ordered by index below, see parallel_matches_serial")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "fan-out of pure Scenario::run jobs; results re-ordered by index below, see parallel_matches_serial"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
                 let next = &next;
                 let job = &job;
-                // simlint: allow(thread, reason = "worker owns no shared mutable state beyond the claimed-index counter and the result channel")
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "worker owns no shared mutable state beyond the claimed-index counter and the result channel"
+                )]
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= total {
@@ -416,8 +425,8 @@ where
     slots
         .into_iter()
         .map(|slot| {
+            #[expect(clippy::expect_used, reason = "a panicked job re-raises out of thread::scope before this point; surviving slots are all filled")]
             slot
-                // simlint: allow(unwrap, reason = "a panicked job re-raises out of thread::scope before this point; surviving slots are all filled")
                 .expect("every job completed")
         })
         .collect()
@@ -429,7 +438,10 @@ struct ProgressMeter {
     total: usize,
     done: usize,
     enabled: bool,
-    // simlint: allow(wall-clock, reason = "progress/ETA display only; no simulation input depends on it")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "progress/ETA display only; no simulation input depends on it"
+    )]
     started: std::time::Instant,
 }
 
@@ -439,7 +451,10 @@ impl ProgressMeter {
             total,
             done: 0,
             enabled,
-            // simlint: allow(wall-clock, reason = "progress/ETA display only; no simulation input depends on it")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "progress/ETA display only; no simulation input depends on it"
+            )]
             started: std::time::Instant::now(),
         }
     }

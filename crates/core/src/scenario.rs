@@ -177,14 +177,25 @@ impl Scenario {
     /// Check the scenario describes one runnable connection and return its
     /// endpoints `(src, dst)`.
     fn endpoints(&self) -> (NodeId, NodeId) {
-        // simlint: allow(panic-surface, reason = "argument validation before the simulation starts")
-        assert!(!self.paths.is_empty(), "need at least one path");
-        // simlint: allow(panic-surface, reason = "argument validation before the simulation starts")
-        assert!(
-            self.default_path < self.paths.len(),
-            "default_path out of range"
-        );
-        let src = self.paths[0].src(); // simlint: allow(panic-surface, reason = "non-empty is asserted above")
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "argument validation before the simulation starts"
+        )]
+        {
+            assert!(!self.paths.is_empty(), "need at least one path");
+        }
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "argument validation before the simulation starts"
+        )]
+        {
+            assert!(
+                self.default_path < self.paths.len(),
+                "default_path out of range"
+            );
+        }
+        #[expect(clippy::indexing_slicing, reason = "non-empty is asserted above")]
+        let src = self.paths[0].src();
         assert!(
             self.paths.iter().all(|p| p.src() == src),
             "paths must share a source"

@@ -239,7 +239,6 @@ impl Get for String {
     }
 }
 
-// simlint: allow(panic-surface, reason = "`[T]` here is the slice type, not an index")
 impl<T: Put> Put for [T] {
     fn put(&self, out: &mut Vec<u8>) {
         self.len().put(out);

@@ -142,37 +142,47 @@ impl World {
 
     /// Endpoint state of a sender.
     pub fn sender(&self, id: SenderId) -> &MptcpSenderAgent {
+        #[expect(
+            clippy::expect_used,
+            reason = "a SenderId is only issued by add_sender, for the agent it installed"
+        )]
         self.sim
             .agent(id.0)
             .as_any()
             .and_then(|a| a.downcast_ref::<MptcpSenderAgent>())
-            // simlint: allow(unwrap, reason = "a SenderId is only issued by add_sender, for the agent it installed")
             .expect("SenderId names an MptcpSenderAgent")
     }
 
     /// Endpoint state of a receiver.
     pub fn receiver(&self, id: ReceiverId) -> &MptcpReceiverAgent {
+        #[expect(
+            clippy::expect_used,
+            reason = "a ReceiverId is only issued by add_receiver, for the agent it installed"
+        )]
         self.sim
             .agent(id.0)
             .as_any()
             .and_then(|a| a.downcast_ref::<MptcpReceiverAgent>())
-            // simlint: allow(unwrap, reason = "a ReceiverId is only issued by add_receiver, for the agent it installed")
             .expect("ReceiverId names an MptcpReceiverAgent")
     }
 
     /// The measurement sink.
     pub fn sink(&self) -> &TraceSink {
-        self.sim
-            .sink()
-            // simlint: allow(unwrap, reason = "new installs a TraceSink and nothing outside tests can replace it")
-            .expect("a world streams into a TraceSink")
+        #[expect(
+            clippy::expect_used,
+            reason = "new installs a TraceSink and nothing outside tests can replace it"
+        )]
+        self.sim.sink().expect("a world streams into a TraceSink")
     }
 
     /// The measurement sink, mutably (end-of-run invariant checks).
     pub fn sink_mut(&mut self) -> &mut TraceSink {
+        #[expect(
+            clippy::expect_used,
+            reason = "new installs a TraceSink and nothing outside tests can replace it"
+        )]
         self.sim
             .sink_mut()
-            // simlint: allow(unwrap, reason = "new installs a TraceSink and nothing outside tests can replace it")
             .expect("a world streams into a TraceSink")
     }
 

@@ -190,21 +190,29 @@ pub fn class_bucket(class: &PairClass) -> usize {
 /// host list (stream [`worldgen::STREAM_PAIRING`]), then consecutive pairs.
 /// Pure function of `(tree.seed, hosts)`.
 fn pair_hosts(tree: &FatTree, connections: usize) -> Vec<(NodeId, NodeId)> {
-    // simlint: allow(panic-surface, reason = "cell validation before any simulation work")
-    assert!(
-        2 * connections <= tree.hosts.len(),
-        "{connections} connections need {} hosts, fabric has {}",
-        2 * connections,
-        tree.hosts.len()
-    );
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "cell validation before any simulation work"
+    )]
+    {
+        assert!(
+            2 * connections <= tree.hosts.len(),
+            "{connections} connections need {} hosts, fabric has {}",
+            2 * connections,
+            tree.hosts.len()
+        );
+    }
     let mut hosts = tree.hosts.clone();
     let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(tree.seed, worldgen::STREAM_PAIRING));
     for i in (1..hosts.len()).rev() {
         let j = rng.next_below(i as u64 + 1) as usize;
         hosts.swap(i, j);
     }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "2 * connections <= hosts asserted above"
+    )]
     (0..connections)
-        // simlint: allow(panic-surface, reason = "2 * connections <= hosts asserted above")
         .map(|c| (hosts[2 * c], hosts[2 * c + 1]))
         .collect()
 }
@@ -213,14 +221,19 @@ fn pair_hosts(tree: &FatTree, connections: usize) -> Vec<(NodeId, NodeId)> {
 /// subflows, pin them with tag routes, run all connections concurrently,
 /// and read back per-connection goodput. Pure function of the cell.
 pub fn run_fabric(cell: &FabricCell) -> FabricRun {
-    // simlint: allow(panic-surface, reason = "cell validation before any simulation work")
-    assert!(
-        cell.connections >= 1,
-        "fabric cell k={} seed={} {}: needs at least one connection",
-        cell.k,
-        cell.seed,
-        cell.selector.label()
-    );
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "cell validation before any simulation work"
+    )]
+    {
+        assert!(
+            cell.connections >= 1,
+            "fabric cell k={} seed={} {}: needs at least one connection",
+            cell.k,
+            cell.seed,
+            cell.selector.label()
+        );
+    }
     let tree = FatTree::build(&FatTreeConfig {
         k: cell.k,
         seed: cell.seed,
@@ -236,7 +249,10 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
             SubflowSelector::Ecmp => tree.ecmp_subflow_paths(src, dst, conn_seed, 2),
             SubflowSelector::MaxDisjoint => tree.max_disjoint_paths(src, dst, 2),
         };
-        // simlint: allow(panic-surface, reason = "both selectors return exactly 2 paths")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "both selectors return exactly 2 paths"
+        )]
         let class = tree.classify_pair(&paths[0], &paths[1]);
         placements.push((src, dst, paths, class));
     }
@@ -386,13 +402,19 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         if conn.start < end {
             started += 1;
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i enumerates the program's pairs; net was built for the same count"
+        )]
         let cfg = MptcpConfig {
             algo: cell.algo,
             app: AppSource::Fixed(conn.size_bytes),
-            // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net was built for the same count")
             ..MptcpConfig::bulk(net.dsts[i], subflows)
         };
-        // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net was built for the same count")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i enumerates the program's pairs; net was built for the same count"
+        )]
         receivers.push(world.connect(net.srcs[i], cfg, conn.start).1);
     }
 
@@ -403,7 +425,10 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
     for (i, &rid) in receivers.iter().enumerate() {
         let got = world.receiver(rid).data_delivered();
         delivered += got;
-        // simlint: allow(panic-surface, reason = "receivers and connections are index-aligned by the loop above")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "receivers and connections are index-aligned by the loop above"
+        )]
         if got >= program.connections[i].size_bytes {
             finished += 1;
         }
@@ -508,7 +533,6 @@ pub struct WorldCrossRow {
 impl WorldCrossRow {
     /// sim ÷ fluid.
     pub fn ratio(&self) -> f64 {
-        // simlint: allow(panic-surface, reason = "f64 division; a zero fluid rate yields inf/NaN, which fails the band gate rather than panicking")
         self.sim_mbps / self.fluid_mbps
     }
 }
@@ -530,16 +554,18 @@ pub fn crosscheck_rows(seed: u64, count: usize, duration: SimDuration) -> Vec<Wo
         ..FatTreeConfig::default()
     });
     let pairs = pair_hosts(&tree, count);
-    let law = FluidLaw::from_algo(CcAlgo::Lia)
-        // simlint: allow(unwrap, reason = "LIA has a fluid law by construction")
-        .expect("LIA has a fluid law");
+    #[expect(clippy::expect_used, reason = "LIA has a fluid law by construction")]
+    let law = FluidLaw::from_algo(CcAlgo::Lia).expect("LIA has a fluid law");
     pairs
         .iter()
         .enumerate()
         .map(|(i, &(src, dst))| {
             let conn_seed = SplitMix64::derive(seed, STREAM_CONN | i as u64);
             let paths = tree.ecmp_subflow_paths(src, dst, conn_seed, 2);
-            // simlint: allow(panic-surface, reason = "ecmp_subflow_paths returns exactly 2 paths")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "ecmp_subflow_paths returns exactly 2 paths"
+            )]
             let class = tree.classify_pair(&paths[0], &paths[1]);
             let result = Scenario::new(tree.topology.clone(), paths.clone())
                 .with_algo(CcAlgo::Lia)
@@ -642,7 +668,10 @@ pub fn worldgen_report(runner: &RunnerConfig) -> WorldgenReport {
     jobs.extend(MOBILITY_ALGOS.map(Job::Mobility));
 
     let workers = runner.effective_workers(jobs.len());
-    // simlint: allow(panic-surface, reason = "execute_jobs hands out indices below jobs.len()")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "execute_jobs hands out indices below jobs.len()"
+    )]
     let mut results = execute_jobs(jobs.len(), workers, runner.progress, |i| match &jobs[i] {
         Job::Fabric(cell) => JobResult::Fabric(Box::new(run_fabric(cell))),
         Job::Traffic(cell) => JobResult::Traffic(Box::new(run_traffic(cell))),
@@ -685,18 +714,20 @@ pub fn worldgen_report(runner: &RunnerConfig) -> WorldgenReport {
 ///    disjointness does, and wins on both aggregate and fairness here.
 /// 3. Every fluid cross-check ratio lies inside [`FLUID_BAND`].
 /// 4. Mobility goodput is positive and below the fault-free baseline.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "acceptance gate; aborting with the failing cell named is the contract"
+)]
 pub fn verify_worldgen(report: &WorldgenReport) {
     let (n_dis, dis) = report.ecmp_bucket(0);
     let (n_idn, idn) = report.ecmp_bucket(2);
     if n_dis > 0 && n_idn > 0 {
-        // simlint: allow(panic-surface, reason = "acceptance gate; aborting with the failing cell named is the contract")
         assert!(
             dis >= idn,
             "disjoint-class mean {dis:.2} Mbps must be >= identical-class mean {idn:.2} Mbps"
         );
     }
     for d in report.fabric_for(SubflowSelector::MaxDisjoint) {
-        // simlint: allow(panic-surface, reason = "acceptance gate; aborting with the failing cell named is the contract")
         assert!(
             d.conns
                 .iter()
@@ -707,7 +738,6 @@ pub fn verify_worldgen(report: &WorldgenReport) {
     }
     for row in &report.crosscheck {
         let r = row.ratio();
-        // simlint: allow(panic-surface, reason = "acceptance gate; aborting with the failing cell named is the contract")
         assert!(
             (FLUID_BAND.0..=FLUID_BAND.1).contains(&r),
             "cross-check conn {} ({}): sim/fluid ratio {r:.3} outside [{}, {}]",
@@ -718,7 +748,6 @@ pub fn verify_worldgen(report: &WorldgenReport) {
         );
     }
     for m in &report.mobility {
-        // simlint: allow(panic-surface, reason = "acceptance gate; aborting with the failing cell named is the contract")
         assert!(
             m.mobile_mbps > 0.0 && m.mobile_mbps <= m.static_mbps,
             "{:?}: mobility goodput {:.2} must be positive and <= static {:.2}",
@@ -726,7 +755,6 @@ pub fn verify_worldgen(report: &WorldgenReport) {
             m.mobile_mbps,
             m.static_mbps
         );
-        // simlint: allow(panic-surface, reason = "acceptance gate; aborting with the failing cell named is the contract")
         assert!(
             m.cell_bytes > 0,
             "{:?}: the cellular subflow must carry bytes during handover",
@@ -849,7 +877,6 @@ pub fn render_worldgen(report: &WorldgenReport) -> String {
             format!("{:?}", m.algo),
             m.static_mbps,
             m.mobile_mbps,
-            // simlint: allow(panic-surface, reason = "f64 division; verify_worldgen already rejected a zero static rate")
             m.mobile_mbps / m.static_mbps * 100.0,
             m.wifi_bytes as f64 / 1e6,
             m.cell_bytes as f64 / 1e6,

@@ -142,8 +142,16 @@ impl fmt::Display for Rational {
 impl PartialOrd for Rational {
     fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
         // Cross-multiply; denominators are positive in canonical form.
-        let lhs = self.num.checked_mul(o.den).expect("rational overflow"); // simlint: allow(unwrap, reason = "exact arithmetic cannot continue after overflow; fail loudly")
-        let rhs = o.num.checked_mul(self.den).expect("rational overflow"); // simlint: allow(unwrap, reason = "exact arithmetic cannot continue after overflow; fail loudly")
+        #[expect(
+            clippy::expect_used,
+            reason = "exact arithmetic cannot continue after overflow; fail loudly"
+        )]
+        let lhs = self.num.checked_mul(o.den).expect("rational overflow");
+        #[expect(
+            clippy::expect_used,
+            reason = "exact arithmetic cannot continue after overflow; fail loudly"
+        )]
+        let rhs = o.num.checked_mul(self.den).expect("rational overflow");
         lhs.partial_cmp(&rhs)
     }
 }
@@ -156,12 +164,20 @@ impl LpNum for Rational {
         Rational::from_int(1)
     }
     fn add(&self, o: &Self) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "exact arithmetic cannot continue after overflow; fail loudly"
+        )]
         let num = self
             .num
             .checked_mul(o.den)
             .and_then(|a| o.num.checked_mul(self.den).and_then(|b| a.checked_add(b)))
-            .expect("rational overflow"); // simlint: allow(unwrap, reason = "exact arithmetic cannot continue after overflow; fail loudly")
-        let den = self.den.checked_mul(o.den).expect("rational overflow"); // simlint: allow(unwrap, reason = "exact arithmetic cannot continue after overflow; fail loudly")
+            .expect("rational overflow");
+        #[expect(
+            clippy::expect_used,
+            reason = "exact arithmetic cannot continue after overflow; fail loudly"
+        )]
+        let den = self.den.checked_mul(o.den).expect("rational overflow");
         Rational::new(num, den)
     }
     fn sub(&self, o: &Self) -> Self {
@@ -171,12 +187,20 @@ impl LpNum for Rational {
         // Cross-reduce first to keep magnitudes small.
         let g1 = gcd(self.num, o.den).max(1);
         let g2 = gcd(o.num, self.den).max(1);
+        #[expect(
+            clippy::expect_used,
+            reason = "exact arithmetic cannot continue after overflow; fail loudly"
+        )]
         let num = (self.num / g1)
             .checked_mul(o.num / g2)
-            .expect("rational overflow"); // simlint: allow(unwrap, reason = "exact arithmetic cannot continue after overflow; fail loudly")
+            .expect("rational overflow");
+        #[expect(
+            clippy::expect_used,
+            reason = "exact arithmetic cannot continue after overflow; fail loudly"
+        )]
         let den = (self.den / g2)
             .checked_mul(o.den / g1)
-            .expect("rational overflow"); // simlint: allow(unwrap, reason = "exact arithmetic cannot continue after overflow; fail loudly")
+            .expect("rational overflow");
         Rational::new(num, den)
     }
     fn div(&self, o: &Self) -> Self {

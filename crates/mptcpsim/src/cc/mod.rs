@@ -223,17 +223,26 @@ impl Coupling {
     /// (after a checkpoint deep copy). Uncoupled controllers hold no
     /// shared state and are not re-bound.
     pub(crate) fn rebind(&self, cc: &mut dyn CongestionControl) {
+        #[expect(
+            clippy::expect_used,
+            reason = "every controller this crate installs implements as_any_mut; a None is a snapshot-layer wiring bug worth aborting on"
+        )]
         let cc = cc
             .as_any_mut()
-            .expect("mptcp subflow controller lacks as_any_mut"); // simlint: allow(unwrap, reason = "every controller this crate installs implements as_any_mut; a None is a snapshot-layer wiring bug worth aborting on")
+            .expect("mptcp subflow controller lacks as_any_mut");
         let shared = self.state.clone();
         if let Some(m) = cc.downcast_mut::<CoupledCc>() {
             m.rebase(shared);
         } else if let Some(m) = cc.downcast_mut::<wvegas::WVegasCc>() {
             m.rebase(shared);
         } else {
-            // simlint: allow(panic-surface, reason = "make_cc builds exactly these two coupled types; anything else is a snapshot-layer wiring bug worth aborting on")
-            panic!("unknown mptcp subflow controller type");
+            #[expect(
+                clippy::panic,
+                reason = "make_cc builds exactly these two coupled types; anything else is a snapshot-layer wiring bug worth aborting on"
+            )]
+            {
+                panic!("unknown mptcp subflow controller type");
+            }
         }
     }
 

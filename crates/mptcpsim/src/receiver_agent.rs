@@ -120,7 +120,11 @@ impl Agent for MptcpReceiverAgent {
             }
         };
         let at = match self.subs.binary_search_by_key(&seg.src_port, |s| s.0) {
-            Ok(at) if self.subs[at].1.stream_offset(seg.seq).is_some() => at, // simlint: allow(panic-surface, reason = "`at` is where the search found the subflow")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`at` is where the search found the subflow"
+            )]
+            Ok(at) if self.subs[at].1.stream_offset(seg.seq).is_some() => at,
             Ok(_) => {
                 self.rx_malformed += 1;
                 return;
@@ -154,7 +158,10 @@ impl Agent for MptcpReceiverAgent {
 
         // Subflow-level ACK, carrying the data ACK.
         let ce = pkt.ecn == netsim::packet::Ecn::Ce;
-        // simlint: allow(panic-surface, reason = "`at` is where the search found, or this call inserted, the subflow")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`at` is where the search found, or this call inserted, the subflow"
+        )]
         let sub = &mut self.subs[at].1;
         if let Some(mut ack) = sub.on_data_ecn(ctx.now(), &seg, pkt.data_len, ce) {
             ack.dss = Some(DssOption {

@@ -147,7 +147,6 @@ impl<'a> Ctx<'a> {
     }
 
     /// Send a packet from this node. Returns the assigned packet id.
-    #[allow(clippy::too_many_arguments)]
     pub fn send(
         &mut self,
         dst: NodeId,
@@ -170,7 +169,10 @@ impl<'a> Ctx<'a> {
 
     /// Send a packet with an explicit ECN codepoint (ECN-capable senders
     /// mark data packets ECT so queues can mark instead of drop).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per header field the network reads"
+    )]
     pub fn send_ecn(
         &mut self,
         dst: NodeId,

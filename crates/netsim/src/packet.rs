@@ -120,7 +120,10 @@ impl Packet {
     /// Total bytes this packet occupies on the wire:
     /// IP-like overhead + encoded transport header + virtual payload.
     pub fn wire_size(&self) -> u32 {
-        // simlint: allow(unwrap, reason = "a transport header beyond u32::MAX bytes is a stack bug; truncating it would silently shrink serialization times")
+        #[expect(
+            clippy::expect_used,
+            reason = "a transport header beyond u32::MAX bytes is a stack bug; truncating it would silently shrink serialization times"
+        )]
         let header = u32::try_from(self.payload.len()).expect("transport header exceeds u32::MAX");
         IP_HEADER_BYTES + header + self.data_len
     }

@@ -136,7 +136,10 @@ impl Queue {
     }
 }
 
-// simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter queue fails the build, not a run")
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter queue fails the build, not a run"
+)]
 const _: () = assert!(std::mem::size_of::<Queue>() <= 48);
 
 /// Configuration for a link's output queue, chosen per link. The AQMs'
@@ -241,7 +244,10 @@ pub struct Red {
     idle_since: Option<SimTime>,
 }
 
-// simlint: allow(panic-surface, reason = "evaluated at compile time: bad RED constants fail the build, not a run")
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: bad RED constants fail the build, not a run"
+)]
 const _: () = assert!(
     Red::MIN_THRESH < Red::MAX_THRESH && 0.0 <= Red::MAX_P && Red::MAX_P <= 1.0,
     "RED thresholds inverted or max_p out of range"

@@ -90,7 +90,10 @@ struct RouteSet {
     links: [LinkId; SET_HOPS],
 }
 
-// simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter route set fails the build, not a run")
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter route set fails the build, not a run"
+)]
 const _: () = assert!(std::mem::size_of::<RouteSet>() == 40);
 
 impl RouteSet {
@@ -176,7 +179,10 @@ impl RoutingTables {
         let at = match roomy {
             Some(at) => at,
             None => {
-                // simlint: allow(unwrap, reason = "id allocation: 2^32 route sets is out of scope by design, like 2^32 nodes")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "id allocation: 2^32 route sets is out of scope by design, like 2^32 nodes"
+                )]
                 let new = u32::try_from(self.sets.len()).expect("route set index fits u32");
                 self.sets.push(RouteSet {
                     tag,
@@ -216,7 +222,11 @@ impl RoutingTables {
                 i
             }
         };
-        &mut routes[i] // simlint: allow(panic-surface, reason = "i was found or inserted just above")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i was found or inserted just above"
+        )]
+        &mut routes[i]
     }
 
     fn untagged_route(&self, node: NodeId, dst: NodeId) -> Option<&UntaggedRoute> {
@@ -233,7 +243,10 @@ impl RoutingTables {
             self.groups.push(outs.into());
             self.groups.len() - 1
         });
-        // simlint: allow(unwrap, reason = "id allocation: 2^32 ECMP groups is out of scope by design, like 2^32 nodes")
+        #[expect(
+            clippy::expect_used,
+            reason = "id allocation: 2^32 ECMP groups is out of scope by design, like 2^32 nodes"
+        )]
         u32::try_from(i).expect("ECMP group index fits u32")
     }
 
@@ -361,7 +374,11 @@ fn slot<T: Clone>(table: &mut Vec<T>, node: NodeId, fill: T) -> &mut T {
     if i >= table.len() {
         table.resize(i + 1, fill);
     }
-    &mut table[i] // simlint: allow(panic-surface, reason = "the resize above made i a valid index")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the resize above made i a valid index"
+    )]
+    &mut table[i]
 }
 
 #[cfg(test)]

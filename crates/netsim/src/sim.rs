@@ -135,7 +135,10 @@ pub(crate) mod order {
 
     /// The agent an entity index names.
     pub fn entity_agent(entity: u64) -> crate::agent::AgentId {
-        // simlint: allow(truncating-cast, reason = "entity < 2^25 by pack's assert")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "entity < 2^25 by pack's assert"
+        )]
         crate::agent::AgentId(entity as u32)
     }
 
@@ -151,7 +154,10 @@ pub(crate) mod order {
         } else {
             crate::packet::Dir::BtoA
         };
-        // simlint: allow(truncating-cast, reason = "entity < 2^25 by pack's assert, so entity / 2 fits a u32 LinkId")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "entity < 2^25 by pack's assert, so entity / 2 fits a u32 LinkId"
+        )]
         (crate::packet::LinkId((entity >> 1) as u32), dir)
     }
 }
@@ -178,7 +184,10 @@ enum Event {
     Arrive { pkt: PacketHandle },
 }
 
-// simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter Event fails the build, not a run")
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter Event fails the build, not a run"
+)]
 const _: () = assert!(EventQueue::<Event>::ENTRY_BYTES == 32);
 
 /// Everything a hop reads or writes about one direction of a link, in one
@@ -225,7 +234,10 @@ struct DirState {
     stats: LinkDirStats,
 }
 
-// simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter per-direction record fails the build, not a run")
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter per-direction record fails the build, not a run"
+)]
 const _: () = assert!(std::mem::size_of::<DirState>() <= 176);
 
 impl DirState {
@@ -263,7 +275,10 @@ struct TimerSlot {
     cancel: u64,
 }
 
-// simlint: allow(panic-surface, reason = "evaluated at compile time: a fatter timer slot fails the build, not a run")
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter timer slot fails the build, not a run"
+)]
 const _: () = assert!(std::mem::size_of::<TimerSlot>() == 32);
 
 impl TimerSlot {
@@ -459,11 +474,16 @@ impl Simulator {
     /// Set it before the run (a direction may hold a draw made ahead of its
     /// completion), below `u32::MAX` ns.
     pub fn set_forward_jitter(&mut self, jitter: SimDuration) {
-        // simlint: allow(panic-surface, reason = "a set-up error, refused before any packet is sent")
-        assert!(
-            jitter.as_nanos() < u64::from(u32::MAX),
-            "forward jitter {jitter} exceeds u32::MAX ns"
-        );
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "a set-up error, refused before any packet is sent"
+        )]
+        {
+            assert!(
+                jitter.as_nanos() < u64::from(u32::MAX),
+                "forward jitter {jitter} exceeds u32::MAX ns"
+            );
+        }
         self.forward_jitter = jitter;
     }
 
@@ -516,7 +536,11 @@ impl Simulator {
 
     /// Counters for one direction of a link.
     pub fn link_stats(&self, link: LinkId, dir: Dir) -> &LinkDirStats {
-        &self.dirs[dir_index(link, dir)].stats // simlint: allow(panic-surface, reason = "LinkId is topology-issued and dirs holds two records per topology link")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "LinkId is topology-issued and dirs holds two records per topology link"
+        )]
+        &self.dirs[dir_index(link, dir)].stats
     }
 
     /// The work counters of this run so far (see [`SimCounters`]).
@@ -553,7 +577,11 @@ impl Simulator {
     fn drop_at(&mut self, i: usize, lost: Queued) -> Packet {
         self.stats.packets_dropped += 1;
         self.in_flight -= 1;
-        self.dirs[i].stats.on_drop(lost.wire_size); // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId, or an event key's entity built from one")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is dir_index of a topology-issued LinkId, or an event key's entity built from one"
+        )]
+        self.dirs[i].stats.on_drop(lost.wire_size);
         self.slab.take(lost.pkt)
     }
 
@@ -586,9 +614,13 @@ impl Simulator {
     /// Borrow an agent back out of the simulator (after a run) to inspect
     /// endpoint state. Panics if the id is stale.
     pub fn agent(&self, id: AgentId) -> &dyn Agent {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented API contract: stale AgentId is a caller bug"
+        )]
         self.agents[id.0 as usize]
             .as_deref()
-            .expect("agent is being dispatched") // simlint: allow(unwrap, reason = "documented API contract: stale AgentId is a caller bug")
+            .expect("agent is being dispatched")
     }
 
     /// Capture the complete deterministic state of this simulator as a
@@ -630,7 +662,10 @@ impl Simulator {
             .map(|slot| {
                 // Between events every slot is occupied; a vacant slot means
                 // we are inside a dispatch, where checkpointing is unsound.
-                // simlint: allow(unwrap, reason = "checkpoint mid-dispatch would lose the dispatched agent; fail loudly")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "checkpoint mid-dispatch would lose the dispatched agent; fail loudly"
+                )]
                 let agent = slot.as_deref().expect("checkpoint during agent dispatch");
                 Some(agent.clone_boxed())
             })
@@ -808,14 +843,20 @@ impl Simulator {
                 self.handle_packet_at(node, pkt);
             }
             (order::CLASS_FAULT, Event::Keyed) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a fault key's index is the table slot schedule_fault filled; it fires once"
+                )]
                 let action = usize::try_from(local)
                     .ok()
                     .and_then(|i| self.faults.get_mut(i)?.take())
-                    // simlint: allow(unwrap, reason = "a fault key's index is the table slot schedule_fault filled; it fires once")
                     .expect("fault event without a scheduled action");
                 self.apply_fault(action);
             }
-            // simlint: allow(panic-surface, reason = "every push site pairs its key class with its payload; a mismatch is a corrupted queue and must not run on")
+            #[expect(
+                clippy::unreachable,
+                reason = "every push site pairs its key class with its payload; a mismatch is a corrupted queue and must not run on"
+            )]
             (class, event) => unreachable!("event {event:?} under key class {class}"),
         }
         true
@@ -881,10 +922,13 @@ impl Simulator {
                 // An early transmission still serializing has its Arrive
                 // queued with the old delay, where its TxDone would read the
                 // new one: revoke it and queue it again.
-                // simlint: allow(panic-surface, reason = "iterates a two-element array literal; nothing is indexed")
                 for dir in [Dir::AtoB, Dir::BtoA] {
                     let i = dir_index(link, dir);
-                    let state = &self.dirs[i]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and dirs holds two records per topology link")
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "LinkId is topology-issued and dirs holds two records per topology link"
+                    )]
+                    let state = &self.dirs[i];
                     match state.tx {
                         Some(h) if delay != old && state.tx_early && !self.idle(i) => {
                             let jitter = SimDuration::from_nanos(u64::from(state.jitter_ns));
@@ -934,7 +978,11 @@ impl Simulator {
     /// draw is carried to the next completion, and its TxDone is queued
     /// (unless a packet behind it already queued it).
     fn abort_tx(&mut self, i: usize) {
-        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is dir_index of a topology-issued LinkId"
+        )]
+        let state = &mut self.dirs[i];
         let Some(h) = state.tx.take() else {
             return;
         };
@@ -950,14 +998,24 @@ impl Simulator {
             }
             self.revoke_arrive(i);
         }
-        self.dirs[i].epoch += 1; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is dir_index of a topology-issued LinkId"
+        )]
+        {
+            self.dirs[i].epoch += 1;
+        }
         self.drop_at(i, Queued { pkt: h, wire_size });
     }
 
     /// Revoke the queued Arrive of direction `i`'s early transmission: the
     /// direction's latest.
     fn revoke_arrive(&mut self, i: usize) {
-        let seq = self.dirs[i].arrive_seq - 1; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is dir_index of a topology-issued LinkId"
+        )]
+        let seq = self.dirs[i].arrive_seq - 1;
         self.revoked
             .push(order::pack(order::CLASS_ARRIVE, i as u64, seq));
     }
@@ -965,9 +1023,13 @@ impl Simulator {
     // ---- internals ----
 
     fn dispatch(&mut self, id: AgentId, call: AgentCall) {
+        #[expect(
+            clippy::expect_used,
+            reason = "slot is only vacated inside this non-reentrant fn"
+        )]
         let mut agent = self.agents[id.0 as usize]
             .take()
-            .expect("re-entrant agent dispatch"); // simlint: allow(unwrap, reason = "slot is only vacated inside this non-reentrant fn")
+            .expect("re-entrant agent dispatch");
         let node = self.agent_node[id.0 as usize];
         // Recycle an effect buffer: dispatch recurses through apply_effects
         // (Send → handle_packet_at → dispatch), so each nesting depth holds
@@ -1013,7 +1075,10 @@ impl Simulator {
                     self.handle_packet_at(node, pkt);
                 }
                 Effect::SetTimer { at, token } => {
-                    // simlint: allow(unwrap, reason = "effects originate from an agent installed at this node")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "effects originate from an agent installed at this node"
+                    )]
                     let agent = self.node_agent[node.0 as usize].expect("timer from unknown agent");
                     // `order::pack` rejects tokens over 2^36; agents use
                     // small enumerations plus per-subflow offsets well
@@ -1052,7 +1117,10 @@ impl Simulator {
                     }
                 }
                 Effect::CancelTimer { token } => {
-                    // simlint: allow(unwrap, reason = "effects originate from an agent installed at this node")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "effects originate from an agent installed at this node"
+                    )]
                     let agent = self.node_agent[node.0 as usize].expect("timer from unknown agent");
                     // The entry stays queued and is dropped when it pops.
                     let slot = self.timer_keys.get_mut(agent.0 as usize).and_then(|keys| {
@@ -1108,7 +1176,11 @@ impl Simulator {
     /// the instant itself it follows faults and starts and precedes
     /// arrivals and timers.
     fn idle(&self, i: usize) -> bool {
-        let state = &self.dirs[i]; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId, or an event key's entity built from one")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is dir_index of a topology-issued LinkId, or an event key's entity built from one"
+        )]
+        let state = &self.dirs[i];
         let done = state.tx_done;
         let passed = done < self.now || (done == self.now && self.class > order::CLASS_TX_DONE);
         state.tx.is_none() || (state.tx_early && passed)
@@ -1126,7 +1198,11 @@ impl Simulator {
             wire_size: self.slab.get(h).wire_size(),
         };
         let idle = self.idle(i);
-        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and dirs holds two records per topology link")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "LinkId is topology-issued and dirs holds two records per topology link"
+        )]
+        let state = &mut self.dirs[i];
         if !state.up {
             // Interface down: the packet is lost at this hop.
             let lost = self.drop_at(i, entry);
@@ -1181,7 +1257,11 @@ impl Simulator {
         let tx_time = spec.capacity.tx_time(u64::from(entry.wire_size));
         let done = self.now + tx_time;
         let i = dir_index(link, dir);
-        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and dirs holds two records per topology link")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "LinkId is topology-issued and dirs holds two records per topology link"
+        )]
+        let state = &mut self.dirs[i];
         state.tx = Some(entry.pkt);
         state.tx_time = tx_time;
         state.tx_done = done;
@@ -1200,7 +1280,13 @@ impl Simulator {
         self.stats.events += 1;
         self.tx_done_elided += 1;
         let jitter = self.draw_jitter(i);
-        self.dirs[i].jitter_ns = jitter; // simlint: allow(panic-surface, reason = "LinkId is topology-issued and dirs holds two records per topology link")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "LinkId is topology-issued and dirs holds two records per topology link"
+        )]
+        {
+            self.dirs[i].jitter_ns = jitter;
+        }
         let at = done + delay + SimDuration::from_nanos(u64::from(jitter));
         self.push_arrive(i, entry.pkt, at);
     }
@@ -1209,7 +1295,11 @@ impl Simulator {
     /// packet waits behind it, or a link-down aborts it. It counts in
     /// `stats.events` when it pops, no longer as elided.
     fn queue_late_tx_done(&mut self, i: usize) {
-        let state = &self.dirs[i]; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is dir_index of a topology-issued LinkId"
+        )]
+        let state = &self.dirs[i];
         let (epoch, done) = (state.epoch, state.tx_done);
         self.stats.events -= 1;
         self.tx_done_elided -= 1;
@@ -1218,15 +1308,22 @@ impl Simulator {
 
     /// The next forwarding jitter of direction `i`, in ns: a draw carried
     /// over from an aborted early transmission, or a fresh one.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the draw is at most forward_jitter, which set_forward_jitter keeps below u32::MAX ns"
+    )]
     fn draw_jitter(&mut self, i: usize) -> u32 {
-        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is dir_index of a topology-issued LinkId"
+        )]
+        let state = &mut self.dirs[i];
         if std::mem::take(&mut state.jitter_carried) {
             return state.jitter_ns;
         }
         if self.forward_jitter.is_zero() {
             return 0;
         }
-        // simlint: allow(truncating-cast, reason = "the draw is at most forward_jitter, which set_forward_jitter keeps below u32::MAX ns")
         state.rng.next_below(self.forward_jitter.as_nanos() + 1) as u32
     }
 
@@ -1240,7 +1337,11 @@ impl Simulator {
     /// Queue `h`'s arrival at the far end of direction `i` under the
     /// direction's next arrival key.
     fn push_arrive(&mut self, i: usize, h: PacketHandle, at: SimTime) {
-        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "i is dir_index of a topology-issued LinkId")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is dir_index of a topology-issued LinkId"
+        )]
+        let state = &mut self.dirs[i];
         let key = order::pack(order::CLASS_ARRIVE, i as u64, state.arrive_seq);
         state.arrive_seq += 1;
         self.events.push_keyed(at, key, Event::Arrive { pkt: h });
@@ -1250,7 +1351,11 @@ impl Simulator {
         let spec = self.topo.link(link);
         let (delay, loss_rate) = (spec.delay, spec.loss_rate);
         let i = dir_index(link, dir);
-        let state = &mut self.dirs[i]; // simlint: allow(panic-surface, reason = "the entity of a TxDone key is the dir_index the transmission was started at")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the entity of a TxDone key is the dir_index the transmission was started at"
+        )]
+        let state = &mut self.dirs[i];
 
         // A link-down event may have aborted the serialization this event
         // belongs to: the abort bumped the direction's epoch, so a stale
@@ -1283,7 +1388,11 @@ impl Simulator {
         }
 
         // Start the next packet, if any (the AQM may head-drop on the way).
-        let deq = self.dirs[i].queue.dequeue(self.now); // simlint: allow(panic-surface, reason = "the entity of a TxDone key is the dir_index the transmission was started at")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the entity of a TxDone key is the dir_index the transmission was started at"
+        )]
+        let deq = self.dirs[i].queue.dequeue(self.now);
         for dropped in deq.dropped {
             self.drop_at(i, dropped);
         }

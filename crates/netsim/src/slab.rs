@@ -29,10 +29,13 @@ impl PacketHandle {
     /// `u32` would alias two live slots and silently cross-deliver packets,
     /// so it is a hard error, not a saturation.
     fn last_of(len: usize) -> PacketHandle {
+        #[expect(
+            clippy::expect_used,
+            reason = "aliasing packet slots corrupts the run; fail loudly at the 2^32 boundary"
+        )]
         let h = u32::try_from(len)
             .ok()
             .and_then(NonZeroU32::new)
-            // simlint: allow(unwrap, reason = "aliasing packet slots corrupts the run; fail loudly at the 2^32 boundary")
             .expect("packet slab exceeded u32::MAX slots");
         PacketHandle(h)
     }
@@ -62,30 +65,39 @@ impl PacketSlab {
 
     /// The packet `h` names.
     pub fn get(&self, h: PacketHandle) -> &Packet {
+        #[expect(
+            clippy::expect_used,
+            reason = "a handle is held by exactly one queue entry, transmitter or Arrive event, and its slot is vacated only by the take that consumes that holder"
+        )]
         self.slots
             .get(h.index())
             .and_then(Option::as_ref)
-            // simlint: allow(unwrap, reason = "a handle is held by exactly one queue entry, transmitter or Arrive event, and its slot is vacated only by the take that consumes that holder")
             .expect("packet handle names a vacant slot")
     }
 
     /// The packet `h` names, mutably (an AQM setting its CE mark).
     pub fn get_mut(&mut self, h: PacketHandle) -> &mut Packet {
+        #[expect(
+            clippy::expect_used,
+            reason = "a handle is held by exactly one queue entry, transmitter or Arrive event, and its slot is vacated only by the take that consumes that holder"
+        )]
         self.slots
             .get_mut(h.index())
             .and_then(Option::as_mut)
-            // simlint: allow(unwrap, reason = "a handle is held by exactly one queue entry, transmitter or Arrive event, and its slot is vacated only by the take that consumes that holder")
             .expect("packet handle names a vacant slot")
     }
 
     /// Move the packet out (delivery) or let it go (drop), vacating the
     /// slot for reuse. `h` is dead afterwards.
     pub fn take(&mut self, h: PacketHandle) -> Packet {
+        #[expect(
+            clippy::expect_used,
+            reason = "a handle is held by exactly one queue entry, transmitter or Arrive event, and its slot is vacated only by the take that consumes that holder"
+        )]
         let pkt = self
             .slots
             .get_mut(h.index())
             .and_then(Option::take)
-            // simlint: allow(unwrap, reason = "a handle is held by exactly one queue entry, transmitter or Arrive event, and its slot is vacated only by the take that consumes that holder")
             .expect("packet handle names a vacant slot");
         self.free.push(h);
         pkt

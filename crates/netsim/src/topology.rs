@@ -81,7 +81,11 @@ impl Topology {
             !self.by_name.contains_key(&name),
             "duplicate node name {name:?}"
         );
-        let id = NodeId(self.nodes.len() as u32); // simlint: allow(truncating-cast, reason = "id allocation: a topology with 2^32 nodes is out of scope by design")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "id allocation: a topology with 2^32 nodes is out of scope by design"
+        )]
+        let id = NodeId(self.nodes.len() as u32);
         self.by_name.insert(name.clone(), id);
         self.nodes.push(NodeInfo { name });
         self.adj.push(Vec::new());
@@ -101,7 +105,11 @@ impl Topology {
         assert!((a.0 as usize) < self.nodes.len(), "unknown node {a:?}");
         assert!((b.0 as usize) < self.nodes.len(), "unknown node {b:?}");
         assert!(capacity.as_bps() > 0, "zero-capacity link");
-        let id = LinkId(self.links.len() as u32); // simlint: allow(truncating-cast, reason = "id allocation: a topology with 2^32 links is out of scope by design")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "id allocation: a topology with 2^32 links is out of scope by design"
+        )]
+        let id = LinkId(self.links.len() as u32);
         self.links.push(LinkSpec {
             a,
             b,
@@ -127,12 +135,20 @@ impl Topology {
 
     /// All node ids, in creation order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId) // simlint: allow(truncating-cast, reason = "node ids were allocated as u32, so the count fits")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "node ids were allocated as u32, so the count fits"
+        )]
+        (0..self.nodes.len() as u32).map(NodeId)
     }
 
     /// All link ids, in creation order.
     pub fn link_ids(&self) -> impl Iterator<Item = LinkId> {
-        (0..self.links.len() as u32).map(LinkId) // simlint: allow(truncating-cast, reason = "link ids were allocated as u32, so the count fits")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "link ids were allocated as u32, so the count fits"
+        )]
+        (0..self.links.len() as u32).map(LinkId)
     }
 
     /// Node metadata.

@@ -252,12 +252,20 @@ impl<E> Wheel<E> {
 
     /// The bucket for (`level`, `slot`).
     fn bucket(&mut self, level: usize, slot: usize) -> &mut Bucket {
-        &mut self.buckets[level * SLOTS + slot] // simlint: allow(panic-surface, reason = "level < LEVELS and slot < SLOTS by construction; buckets is sized LEVELS*SLOTS at new() and never shrinks")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "level < LEVELS and slot < SLOTS by construction; buckets is sized LEVELS*SLOTS at new() and never shrinks"
+        )]
+        &mut self.buckets[level * SLOTS + slot]
     }
 
     /// The chunk at pool index `c`.
     fn chunk(&mut self, c: u32) -> &mut Chunk<E> {
-        &mut self.chunks[c as usize] // simlint: allow(panic-surface, reason = "chunk indices are issued by take_chunk and chunks never shrinks; NIL is checked before every lookup")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "chunk indices are issued by take_chunk and chunks never shrinks; NIL is checked before every lookup"
+        )]
+        &mut self.chunks[c as usize]
     }
 
     /// An empty chunk: the head of the free list, or a new one.
@@ -269,10 +277,13 @@ impl<E> Wheel<E> {
             self.free = std::mem::replace(&mut chunk.next, NIL);
             return c;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "2^32 chunks are 2^38 pending entries; aliasing two chains would corrupt the schedule, so fail loudly"
+        )]
         let c = u32::try_from(self.chunks.len())
             .ok()
             .filter(|&c| c != NIL)
-            // simlint: allow(unwrap, reason = "2^32 chunks are 2^38 pending entries; aliasing two chains would corrupt the schedule, so fail loudly")
             .expect("wheel chunk pool exceeded u32 indices");
         self.chunks.push(Chunk {
             entries: Vec::with_capacity(CHUNK_ENTRIES),
@@ -332,7 +343,10 @@ impl<E> Wheel<E> {
             // cursor's (all higher bits agree and t > cur), which is the
             // wheel ordering invariant.
             let high = 63 - (self.cur ^ t).leading_zeros();
-            // simlint: allow(panic-surface, reason = "SLOT_BITS is a nonzero constant")
+            #[expect(
+                clippy::integer_division_remainder_used,
+                reason = "SLOT_BITS is a nonzero constant"
+            )]
             let level = ((high - GRANULARITY_BITS) / SLOT_BITS) as usize;
             let slot = Self::digit(t, level);
             debug_assert!(slot > Self::digit(self.cur, level));
@@ -427,7 +441,11 @@ impl<E> Wheel<E> {
                 self.cur = base;
                 while next != NIL {
                     let c = next;
-                    let chunk = &mut self.chunks[c as usize]; // simlint: allow(panic-surface, reason = "a chain links only indices take_chunk issued; chunks never shrinks")
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "a chain links only indices take_chunk issued; chunks never shrinks"
+                    )]
+                    let chunk = &mut self.chunks[c as usize];
                     next = chunk.next;
                     self.pending.extend(chunk.entries.drain(..));
                     self.release_chunk(c);

@@ -206,7 +206,11 @@ impl SimDuration {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow")) // simlint: allow(unwrap, reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap")
+        #[expect(
+            clippy::expect_used,
+            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
+        )]
+        SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
@@ -219,10 +223,14 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
     fn sub(self, rhs: SimTime) -> SimDuration {
+        #[expect(
+            clippy::expect_used,
+            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
+        )]
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                .expect("SimTime subtraction underflow"), // simlint: allow(unwrap, reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap")
+                .expect("SimTime subtraction underflow"),
         )
     }
 }
@@ -230,14 +238,22 @@ impl Sub<SimTime> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
     fn sub(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow")) // simlint: allow(unwrap, reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap")
+        #[expect(
+            clippy::expect_used,
+            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
+        )]
+        SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
     }
 }
 
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow")) // simlint: allow(unwrap, reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap")
+        #[expect(
+            clippy::expect_used,
+            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
+        )]
+        SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
 
@@ -250,7 +266,11 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
     fn sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.checked_sub(rhs.0).expect("SimDuration underflow")) // simlint: allow(unwrap, reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap")
+        #[expect(
+            clippy::expect_used,
+            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
+        )]
+        SimDuration(self.0.checked_sub(rhs.0).expect("SimDuration underflow"))
     }
 }
 
@@ -263,7 +283,11 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow")) // simlint: allow(unwrap, reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap")
+        #[expect(
+            clippy::expect_used,
+            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
+        )]
+        SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }
 }
 

@@ -72,13 +72,21 @@ impl Bandwidth {
     fn tx_time_wide(self, bytes: u64) -> SimDuration {
         let bits = u128::from(bytes) * u128::from(NS_BITS_PER_BYTE);
         let ns = bits.div_ceil(u128::from(self.0));
-        SimDuration::from_nanos(u64::try_from(ns).expect("tx time overflow")) // simlint: allow(unwrap, reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap")
+        #[expect(
+            clippy::expect_used,
+            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
+        )]
+        SimDuration::from_nanos(u64::try_from(ns).expect("tx time overflow"))
     }
 
     /// The number of whole bytes this rate carries in `window`.
     pub fn bytes_in(self, window: SimDuration) -> u64 {
         let bits = (self.0 as u128) * (window.as_nanos() as u128) / 1_000_000_000u128;
-        u64::try_from(bits / 8).expect("byte count overflow") // simlint: allow(unwrap, reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap")
+        #[expect(
+            clippy::expect_used,
+            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
+        )]
+        u64::try_from(bits / 8).expect("byte count overflow")
     }
 }
 
@@ -140,7 +148,11 @@ impl ByteSize {
 impl Add for ByteSize {
     type Output = ByteSize;
     fn add(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.checked_add(rhs.0).expect("ByteSize overflow")) // simlint: allow(unwrap, reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap")
+        #[expect(
+            clippy::expect_used,
+            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
+        )]
+        ByteSize(self.0.checked_add(rhs.0).expect("ByteSize overflow"))
     }
 }
 
@@ -153,7 +165,11 @@ impl AddAssign for ByteSize {
 impl Sub for ByteSize {
     type Output = ByteSize;
     fn sub(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.checked_sub(rhs.0).expect("ByteSize underflow")) // simlint: allow(unwrap, reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap")
+        #[expect(
+            clippy::expect_used,
+            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
+        )]
+        ByteSize(self.0.checked_sub(rhs.0).expect("ByteSize underflow"))
     }
 }
 

@@ -79,9 +79,10 @@ pub fn ascii_chart(series: &[&TimeSeries], opts: &ChartOptions) -> String {
         if n == 0 {
             continue;
         }
-        // Indexing by col is intentional: the target row differs per column,
-        // so there is no slice to iterate over.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "the target row differs per column, so there is no slice to iterate over"
+        )]
         for col in 0..width {
             let lo = col * n / width;
             let hi = (((col + 1) * n).div_ceil(width)).min(n).max(lo + 1);

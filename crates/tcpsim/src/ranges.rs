@@ -151,13 +151,16 @@ impl RangeSet {
     /// Verify the representation: ranges ascending, disjoint, non-adjacent
     /// and strictly above `floor`, and the cached byte total exact.
     /// Anything else means a merge corrupted the set.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "representation invariant: a corrupted range set must not keep reassembling, \
+                  and a stale byte total would mis-size the pipe"
+    )]
     pub fn check_invariants(&self, floor: u64) {
         let mut hi = floor;
         let mut bytes = 0;
         for &(s, e) in &self.ranges {
-            // simlint: allow(panic-surface, reason = "representation invariant: a corrupted range set must not keep reassembling")
             assert!(e >= s, "inverted range [{s},{e})");
-            // simlint: allow(panic-surface, reason = "representation invariant: a corrupted range set must not keep reassembling")
             assert!(
                 s > hi,
                 "range [{s},{e}) overlaps or touches prefix/previous range ending at {hi}"
@@ -165,7 +168,6 @@ impl RangeSet {
             hi = e;
             bytes += e - s;
         }
-        // simlint: allow(panic-surface, reason = "representation invariant: a stale byte total would mis-size the pipe")
         assert_eq!(bytes, self.bytes, "cached byte total drifted");
     }
 }

@@ -100,12 +100,17 @@ pub struct FatTree {
 impl FatTree {
     /// Build the fabric and program its routing tables.
     pub fn build(cfg: &FatTreeConfig) -> FatTree {
-        // simlint: allow(panic-surface, reason = "config validation before any construction")
-        assert!(
-            cfg.k >= 2 && cfg.k.is_multiple_of(2),
-            "fat-tree arity must be even and >= 2, got {}",
-            cfg.k
-        );
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "config validation before any construction"
+        )]
+        {
+            assert!(
+                cfg.k >= 2 && cfg.k.is_multiple_of(2),
+                "fat-tree arity must be even and >= 2, got {}",
+                cfg.k
+            );
+        }
         let k = cfg.k;
         let half = k / 2;
         let mut topo = Topology::new();
@@ -141,13 +146,25 @@ impl FatTree {
         // Links: host access, then edge↔agg, then agg↔core. The closures
         // name the (pod, position) → id coordinate maps the vectors were
         // just filled in.
-        // simlint: allow(panic-surface, reason = "loop coordinates stay inside the vector filled above")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "loop coordinates stay inside the vector filled above"
+        )]
         let host_at = |p: usize, e: usize, h: usize| hosts[(p * half + e) * half + h];
-        // simlint: allow(panic-surface, reason = "loop coordinates stay inside the vector filled above")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "loop coordinates stay inside the vector filled above"
+        )]
         let edge_at = |p: usize, e: usize| edge[p * half + e];
-        // simlint: allow(panic-surface, reason = "loop coordinates stay inside the vector filled above")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "loop coordinates stay inside the vector filled above"
+        )]
         let agg_at = |p: usize, a: usize| agg[p * half + a];
-        // simlint: allow(panic-surface, reason = "loop coordinates stay inside the vector filled above")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "loop coordinates stay inside the vector filled above"
+        )]
         let core_at = |g: usize, c: usize| core[g * half + c];
         for p in 0..k {
             for e in 0..half {
@@ -255,47 +272,69 @@ impl FatTree {
 
     /// The edge switch at (pod `p`, position `e`).
     fn edge_at(&self, p: usize, e: usize) -> NodeId {
-        // simlint: allow(panic-surface, reason = "coordinates are < k and < k/2 wherever they originate")
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::integer_division_remainder_used,
+            reason = "coordinates are < k and < k/2 wherever they originate"
+        )]
         self.edge[p * (self.k / 2) + e]
     }
 
     /// The aggregation switch at (pod `p`, position `a`).
     fn agg_at(&self, p: usize, a: usize) -> NodeId {
-        // simlint: allow(panic-surface, reason = "coordinates are < k and < k/2 wherever they originate")
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::integer_division_remainder_used,
+            reason = "coordinates are < k and < k/2 wherever they originate"
+        )]
         self.agg[p * (self.k / 2) + a]
     }
 
     /// The core switch at (group `g`, column `c`).
     fn core_at(&self, g: usize, c: usize) -> NodeId {
-        // simlint: allow(panic-surface, reason = "coordinates are < k/2 wherever they originate")
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::integer_division_remainder_used,
+            reason = "coordinates are < k/2 wherever they originate"
+        )]
         self.core[g * (self.k / 2) + c]
     }
 
     /// (pod, edge, host) coordinates of `hosts[i]`.
     pub fn host_coords(&self, i: usize) -> (usize, usize, usize) {
         let half = self.k / 2;
-        // simlint: allow(panic-surface, reason = "half = k/2 >= 1, asserted even and >= 2 at build")
+        #[expect(
+            clippy::integer_division_remainder_used,
+            reason = "half = k/2 >= 1, asserted even and >= 2 at build"
+        )]
         (i / (half * half), (i / half) % half, i % half)
     }
 
     fn access_link(&self, host: NodeId, edge: NodeId) -> LinkId {
+        #[expect(
+            clippy::expect_used,
+            reason = "the builder created this link; absence is a construction bug"
+        )]
         self.topology
             .link_between(host, edge)
-            // simlint: allow(unwrap, reason = "the builder created this link; absence is a construction bug")
             .expect("host access link")
     }
 
     fn fabric_link(&self, a: NodeId, b: NodeId) -> LinkId {
-        self.topology
-            .link_between(a, b)
-            // simlint: allow(unwrap, reason = "the builder created this link; absence is a construction bug")
-            .expect("fabric link")
+        #[expect(
+            clippy::expect_used,
+            reason = "the builder created this link; absence is a construction bug"
+        )]
+        self.topology.link_between(a, b).expect("fabric link")
     }
 
     /// Does `l` touch a host (access link)? Fabric links never do.
     pub fn is_access_link(&self, l: LinkId) -> bool {
         let spec = self.topology.link(l);
-        // simlint: allow(truncating-cast, reason = "node ids are u32; the host count fits by construction")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "node ids are u32; the host count fits by construction"
+        )]
         let n_hosts = self.hosts.len() as u32;
         spec.a.0 < n_hosts || spec.b.0 < n_hosts
     }
@@ -305,8 +344,13 @@ impl FatTree {
     /// selection function ([`netsim::ecmp_select`] via
     /// [`netsim::RoutingTables::route`]).
     pub fn ecmp_path(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Path {
-        // simlint: allow(panic-surface, reason = "argument validation before any walking")
-        assert_ne!(src, dst, "a path needs distinct endpoints");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "argument validation before any walking"
+        )]
+        {
+            assert_ne!(src, dst, "a path needs distinct endpoints");
+        }
         let probe = Packet {
             id: 0,
             src,
@@ -325,19 +369,29 @@ impl FatTree {
             if cur == dst {
                 break;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "install_routes programmed every (switch, host) entry; a miss is a construction bug"
+            )]
             let link = self
                 .routing
                 .route(cur, &probe)
-                // simlint: allow(unwrap, reason = "install_routes programmed every (switch, host) entry; a miss is a construction bug")
                 .expect("fat-tree FIBs cover every host destination");
             cur = self.topology.link(link).other_end(cur);
             nodes.push(cur);
         }
-        // simlint: allow(panic-surface, reason = "loop bound is the tree diameter; not reaching dst is a construction bug")
-        assert_eq!(cur, dst, "ECMP walk did not reach the destination");
-        Path::from_nodes(&self.topology, &nodes)
-            // simlint: allow(unwrap, reason = "nodes were collected along existing links")
-            .expect("walked nodes form a path")
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "loop bound is the tree diameter; not reaching dst is a construction bug"
+        )]
+        {
+            assert_eq!(cur, dst, "ECMP walk did not reach the destination");
+        }
+        #[expect(
+            clippy::expect_used,
+            reason = "nodes were collected along existing links"
+        )]
+        Path::from_nodes(&self.topology, &nodes).expect("walked nodes form a path")
     }
 
     /// The flow hash of subflow `sf` of a connection: derived from the
@@ -378,12 +432,21 @@ impl FatTree {
     pub fn max_disjoint_paths(&self, src: NodeId, dst: NodeId, n: usize) -> Vec<Path> {
         let half = self.k / 2;
         let (si, di) = (self.host_index(src), self.host_index(dst));
-        // simlint: allow(panic-surface, reason = "half = k/2 >= 1, asserted even and >= 2 at build")
+        #[expect(
+            clippy::integer_division_remainder_used,
+            reason = "half = k/2 >= 1, asserted even and >= 2 at build"
+        )]
         let oa = (7 * si + di) % half;
-        // simlint: allow(panic-surface, reason = "half = k/2 >= 1, asserted even and >= 2 at build")
+        #[expect(
+            clippy::integer_division_remainder_used,
+            reason = "half = k/2 >= 1, asserted even and >= 2 at build"
+        )]
         let oc = (si + 7 * di) % half;
+        #[expect(
+            clippy::integer_division_remainder_used,
+            reason = "half = k/2 >= 1, asserted even and >= 2 at build"
+        )]
         (0..n)
-            // simlint: allow(panic-surface, reason = "half = k/2 >= 1, asserted even and >= 2 at build")
             .map(|sf| self.equal_cost_path(src, dst, (sf + oa) % half, (sf + oc) % half))
             .collect()
     }
@@ -393,8 +456,13 @@ impl FatTree {
     /// layer). Enumerating `a × c` enumerates all equal-cost paths.
     pub fn equal_cost_path(&self, src: NodeId, dst: NodeId, a: usize, c: usize) -> Path {
         let half = self.k / 2;
-        // simlint: allow(panic-surface, reason = "argument validation before any construction")
-        assert!(a < half && c < half, "path selector out of range");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "argument validation before any construction"
+        )]
+        {
+            assert!(a < half && c < half, "path selector out of range");
+        }
         let si = self.host_index(src);
         let di = self.host_index(dst);
         let (sp, se, _) = self.host_coords(si);
@@ -416,16 +484,23 @@ impl FatTree {
                 dst,
             ]
         };
-        Path::from_nodes(&self.topology, &nodes)
-            // simlint: allow(unwrap, reason = "node sequence follows links the builder created")
-            .expect("equal-cost node sequence forms a path")
+        #[expect(
+            clippy::expect_used,
+            reason = "node sequence follows links the builder created"
+        )]
+        Path::from_nodes(&self.topology, &nodes).expect("equal-cost node sequence forms a path")
     }
 
     /// Index of a host node in `hosts`.
     pub fn host_index(&self, host: NodeId) -> usize {
         let i = host.0 as usize;
-        // simlint: allow(panic-surface, reason = "argument validation; hosts occupy the low node ids by construction")
-        assert!(i < self.hosts.len(), "{host:?} is not a host");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "argument validation; hosts occupy the low node ids by construction"
+        )]
+        {
+            assert!(i < self.hosts.len(), "{host:?} is not a host");
+        }
         i
     }
 

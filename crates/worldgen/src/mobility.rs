@@ -97,8 +97,11 @@ impl MobileNet {
         [self.ap, self.bs]
             .iter()
             .map(|&mid| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the builder created exactly these links"
+                )]
                 Path::from_nodes(&self.topology, &[self.client, mid, self.server])
-                    // simlint: allow(unwrap, reason = "the builder created exactly these links")
                     .expect("access path")
             })
             .collect()

@@ -70,11 +70,16 @@ impl TrafficProgram {
     /// Draw a program. Pure function of the config: equal configs yield
     /// equal programs, byte for byte (see [`TrafficProgram::schedule_bytes`]).
     pub fn generate(cfg: &TrafficConfig) -> TrafficProgram {
-        // simlint: allow(panic-surface, reason = "config validation before any draw")
-        assert!(
-            cfg.arrival_rate_hz > 0.0,
-            "traffic config must have a positive arrival rate"
-        );
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "config validation before any draw"
+        )]
+        {
+            assert!(
+                cfg.arrival_rate_hz > 0.0,
+                "traffic config must have a positive arrival rate"
+            );
+        }
         let mut arrivals =
             Xoshiro256StarStar::new(SplitMix64::derive(cfg.seed, crate::STREAM_ARRIVAL));
         let mut sizes = Xoshiro256StarStar::new(SplitMix64::derive(cfg.seed, crate::STREAM_SIZE));
@@ -105,7 +110,11 @@ impl TrafficProgram {
     pub fn schedule_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.connections.len() * 20);
         for c in &self.connections {
-            out.extend_from_slice(&(c.index as u32).to_le_bytes()); // simlint: allow(truncating-cast, reason = "connection counts are far below u32::MAX")
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "connection counts are far below u32::MAX"
+            )]
+            out.extend_from_slice(&(c.index as u32).to_le_bytes());
             out.extend_from_slice(&c.start.as_nanos().to_le_bytes());
             out.extend_from_slice(&c.size_bytes.to_le_bytes());
         }
@@ -165,8 +174,13 @@ pub struct TrafficNet {
 impl TrafficNet {
     /// Build the substrate: `srcs[i] — gw_a — relay_j — gw_b — dsts[i]`.
     pub fn build(cfg: &TrafficNetConfig) -> TrafficNet {
-        // simlint: allow(panic-surface, reason = "config validation before any construction")
-        assert!(cfg.pairs > 0, "need at least one pair");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "config validation before any construction"
+        )]
+        {
+            assert!(cfg.pairs > 0, "need at least one pair");
+        }
         let mut topo = Topology::new();
         let gw_a = topo.add_node("gwA");
         let gw_b = topo.add_node("gwB");
@@ -199,17 +213,25 @@ impl TrafficNet {
 
     /// Connection `i`'s subflow paths: one through each relay.
     pub fn paths(&self, i: usize) -> Vec<Path> {
-        // simlint: allow(panic-surface, reason = "argument validation before any construction")
-        assert!(i < self.srcs.len(), "pair index {i} out of range");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "argument validation before any construction"
+        )]
+        {
+            assert!(i < self.srcs.len(), "pair index {i} out of range");
+        }
         self.relays
             .iter()
             .map(|&r| {
+                #[expect(clippy::indexing_slicing, reason = "index asserted in range above")]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the builder created exactly these links"
+                )]
                 Path::from_nodes(
                     &self.topology,
-                    // simlint: allow(panic-surface, reason = "index asserted in range above")
                     &[self.srcs[i], self.gw_a, r, self.gw_b, self.dsts[i]],
                 )
-                // simlint: allow(unwrap, reason = "the builder created exactly these links")
                 .expect("substrate path")
             })
             .collect()

@@ -1,531 +1,240 @@
-//! Source scanning for simlint: a token-level view of each file.
+//! A token-level view of a source file for simlint's token rules.
 //!
-//! Rust is not fully parsed; instead each file is scanned once into a
-//! token stream — identifiers, numeric literals with their suffixes,
-//! operators, delimiters, lifetimes, and (blanked) string/char literals —
-//! with per-token spans. Comments and literal *contents* never become
-//! tokens, so rules can match exact token sequences without tripping on
-//! prose, doc attributes, or identifiers that merely contain a rule's
-//! needle (`unwrapped`, `InstantaneousRate`, …).
-//!
-//! Three side channels are extracted while scanning:
-//!
-//! * `simlint: allow(...)` pragmas found in line comments,
-//! * the set of lines inside `#[cfg(test)]` items (tracked by matching the
-//!   braces of the item that follows the attribute), and
-//! * a delimiter match map (`(`↔`)`, `[`↔`]`, `{`↔`}`) so rules can skip
-//!   or inspect whole groups.
-//!
-//! The scanner is deliberately conservative: when in doubt it keeps text
-//! in the token stream (a false positive is visible and suppressible; a
-//! silent false negative is not).
+//! Rust is not parsed: each file is scanned once into identifiers, numbers
+//! (float or integer), operators and delimiters, each with its line and
+//! column. Comments and literal contents never become tokens, so a rule
+//! never fires on prose, a doc attribute or a string. Scanning also collects
+//! the `// simlint: allow(...)` pragmas, the lines inside `#[cfg(test)]`
+//! items and a delimiter match map.
 
-/// A parsed `// simlint: allow(rule, reason = "...")` pragma.
+/// A `// simlint: allow(rule, reason = "...")` pragma. An empty reason
+/// makes it inert; a `standalone` one (no code on its line) covers the next
+/// line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowPragma {
-    /// 1-based line the pragma appears on.
+pub struct Pragma {
     pub line: usize,
-    /// Rule id being allowed, e.g. `"unwrap"`.
     pub rule: String,
-    /// The justification string; empty means the pragma is malformed.
     pub reason: String,
-    /// True if the pragma's line has no code, so it covers the next line.
     pub standalone: bool,
 }
 
-/// Half-open character span of one token within one line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// 1-based line number.
-    pub line: usize,
-    /// 0-based starting character column.
-    pub col: usize,
-    /// 0-based column one past the last character.
-    pub end_col: usize,
-}
-
-/// Token classification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
-    /// Identifier or keyword (`foo`, `as`, `for`, …).
+pub enum Kind {
     Ident,
-    /// Lifetime (`'a`), without the quote in `text`.
-    Lifetime,
-    /// Integer literal; `suffix` is `Some("u32")` for `7u32`.
-    Int { suffix: Option<String> },
-    /// Float literal (has a `.`, an exponent, or an `f32`/`f64` suffix).
-    Float { suffix: Option<String> },
-    /// String literal (raw or not); contents are not retained.
-    StrLit,
-    /// Char or byte-char literal; contents are not retained.
-    CharLit,
-    /// Operator or punctuation (multi-char ops are single tokens: `==`,
-    /// `::`, `+=`, `..=`, …).
+    Int,
+    /// A `.`, an exponent or an `f32` / `f64` suffix.
+    Float,
+    /// A string, char or byte literal, or a lifetime.
+    Lit,
+    /// One token per operator, `+=` and `..=` included.
     Op,
-    /// Opening delimiter: `(`, `[`, or `{`.
     Open,
-    /// Closing delimiter: `)`, `]`, or `}`.
     Close,
 }
 
-/// One lexed token.
+/// A token at its 1-based line and 0-based column. A string literal's text
+/// is its opening quote only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
-    /// Classification.
-    pub kind: TokenKind,
-    /// Exact source text (literal contents blanked for strings/chars).
+    pub kind: Kind,
     pub text: String,
-    /// Location.
-    pub span: Span,
+    pub line: usize,
+    pub col: usize,
 }
 
 impl Token {
-    /// The token's text when it is an identifier, else `None`.
-    pub fn ident(&self) -> Option<&str> {
-        match self.kind {
-            TokenKind::Ident => Some(&self.text),
-            _ => None,
-        }
-    }
-
-    /// True if this is the identifier `name`.
-    pub fn is_ident(&self, name: &str) -> bool {
-        self.kind == TokenKind::Ident && self.text == name
-    }
-
-    /// True if this is the operator `op`.
-    pub fn is_op(&self, op: &str) -> bool {
-        self.kind == TokenKind::Op && self.text == op
-    }
-
-    /// True if this is the opening delimiter `c`.
-    pub fn is_open(&self, c: char) -> bool {
-        self.kind == TokenKind::Open && self.text.starts_with(c)
-    }
-
-    /// True if this is the closing delimiter `c`.
-    pub fn is_close(&self, c: char) -> bool {
-        self.kind == TokenKind::Close && self.text.starts_with(c)
+    pub fn is(&self, kind: Kind, text: &str) -> bool {
+        self.kind == kind && self.text == text
     }
 }
 
-/// Result of scanning one file.
 #[derive(Debug, Default)]
 pub struct SourceView {
-    /// Raw lines, for excerpts in reports.
-    pub raw_lines: Vec<String>,
-    /// The file's token stream, in source order.
     pub tokens: Vec<Token>,
-    /// `match_of[i]` is the index of the delimiter token matching token
-    /// `i` (`Open`→`Close` and back); `None` for non-delimiters and
-    /// unbalanced delimiters.
+    /// The index of the delimiter matching token `i`, if it is one.
     pub match_of: Vec<Option<usize>>,
-    /// Allow pragmas, in file order.
-    pub pragmas: Vec<AllowPragma>,
-    /// `in_test[i]` is true when 0-based line `i` is inside a `#[cfg(test)]` item.
-    pub in_test: Vec<bool>,
+    pub pragmas: Vec<Pragma>,
+    /// The (first, last) lines of each `#[cfg(test)]` item.
+    pub tests: Vec<(usize, usize)>,
 }
 
 impl SourceView {
-    /// True if 1-based `line` is inside a `#[cfg(test)]` region.
     pub fn line_in_test(&self, line: usize) -> bool {
-        self.in_test.get(line - 1).copied().unwrap_or(false)
-    }
-
-    /// Whether a violation of `rule` on 1-based `line` is suppressed by a
-    /// well-formed pragma on the same line or a standalone pragma just
-    /// above. The `dead-pragma` rule itself cannot be suppressed (a stale
-    /// pragma must be deleted, not allowed).
-    pub fn allowed(&self, rule: &str, line: usize) -> bool {
-        if rule == "dead-pragma" {
-            return false;
-        }
-        self.pragmas.iter().any(|p| {
-            p.rule == rule
-                && !p.reason.is_empty()
-                && (p.line == line || (p.standalone && p.line + 1 == line))
-        })
+        self.tests.iter().any(|&(a, b)| (a..=b).contains(&line))
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Code,
-    /// Inside a (nestable) block comment, at the given depth.
-    BlockComment(u32),
-    /// Inside a string literal; `Some(n)` = raw string with `n` hashes.
-    Str(Option<u32>),
-}
-
-/// Scan a file's text into a [`SourceView`].
+/// Scan a file's text.
 pub fn scan(text: &str) -> SourceView {
-    let mut view = SourceView::default();
-    let mut mode = Mode::Code;
-    let mut pragma_lines: Vec<(String, usize)> = Vec::new();
-
-    for (line0, raw_line) in text.lines().enumerate() {
-        let line = line0 + 1;
-        view.raw_lines.push(raw_line.to_string());
-        let chars: Vec<char> = raw_line.chars().collect();
-        let mut i = 0usize;
-        while i < chars.len() {
-            match mode {
-                Mode::BlockComment(depth) => match (chars[i], chars.get(i + 1)) {
-                    ('*', Some('/')) => {
-                        mode = if depth == 1 {
-                            Mode::Code
-                        } else {
-                            Mode::BlockComment(depth - 1)
-                        };
-                        i += 2;
-                    }
-                    ('/', Some('*')) => {
-                        mode = Mode::BlockComment(depth + 1);
-                        i += 2;
-                    }
-                    _ => i += 1,
-                },
-                Mode::Str(raw) => match raw {
-                    None => match (chars[i], chars.get(i + 1)) {
-                        ('\\', Some(_)) => i += 2,
-                        ('"', _) => {
-                            mode = Mode::Code;
-                            i += 1;
-                        }
-                        _ => i += 1,
-                    },
-                    Some(hashes) => {
-                        if chars[i] == '"' && hashes_follow(&chars, i + 1, hashes) {
-                            mode = Mode::Code;
-                            i += 1 + hashes as usize;
-                        } else {
-                            i += 1;
-                        }
-                    }
-                },
-                Mode::Code => {
-                    let c = chars[i];
-                    let next = chars.get(i + 1).copied();
-                    if c.is_whitespace() {
-                        i += 1;
-                        continue;
-                    }
-                    // Comments. Doc comments (`///`, `//!`) are prose — a
-                    // pragma mentioned there is documentation, not a
-                    // suppression — so only plain `//` comments are
-                    // collected for pragma parsing.
-                    if c == '/' && next == Some('/') {
-                        let is_doc = matches!(chars.get(i + 2), Some('/') | Some('!'))
-                            && chars.get(i + 3) != Some(&'/');
-                        if !is_doc {
-                            pragma_lines.push((chars[i..].iter().collect(), line));
-                        }
-                        break;
-                    }
-                    if c == '/' && next == Some('*') {
-                        mode = Mode::BlockComment(1);
-                        i += 2;
-                        continue;
-                    }
-                    // Raw strings: r"...", r#"..."#, br"...", br#"..."#.
-                    if (c == 'r' && is_raw_string_start(&chars, i))
-                        || (c == 'b'
-                            && next == Some('r')
-                            && is_raw_string_start_at(&chars, i + 1)
-                            && !prev_is_ident_char(&chars, i))
-                    {
-                        let r_at = if c == 'r' { i } else { i + 1 };
-                        let hashes = count_hashes(&chars, r_at + 1);
-                        push(&mut view, TokenKind::StrLit, "\"\"", line, i, i + 1);
-                        mode = Mode::Str(Some(hashes));
-                        i = r_at + 2 + hashes as usize; // r, hashes, opening quote
-                        continue;
-                    }
-                    // Byte strings and byte chars.
-                    if c == 'b' && next == Some('"') && !prev_is_ident_char(&chars, i) {
-                        push(&mut view, TokenKind::StrLit, "\"\"", line, i, i + 2);
-                        mode = Mode::Str(None);
-                        i += 2;
-                        continue;
-                    }
-                    if c == 'b'
-                        && next == Some('\'')
-                        && !prev_is_ident_char(&chars, i)
-                        && is_char_literal(&chars, i + 1)
-                    {
-                        let end = consume_char_literal(&chars, i + 1);
-                        push(&mut view, TokenKind::CharLit, "' '", line, i, end);
-                        i = end;
-                        continue;
-                    }
-                    if c == '"' {
-                        push(&mut view, TokenKind::StrLit, "\"\"", line, i, i + 1);
-                        mode = Mode::Str(None);
-                        i += 1;
-                        continue;
-                    }
-                    if c == '\'' {
-                        if is_char_literal(&chars, i) {
-                            let end = consume_char_literal(&chars, i);
-                            push(&mut view, TokenKind::CharLit, "' '", line, i, end);
-                            i = end;
-                        } else {
-                            // Lifetime: quote + identifier, no closing quote.
-                            let mut j = i + 1;
-                            while j < chars.len() && is_ident_char(chars[j]) {
-                                j += 1;
-                            }
-                            let name: String = chars[i + 1..j].iter().collect();
-                            push(&mut view, TokenKind::Lifetime, &name, line, i, j);
-                            i = j;
-                        }
-                        continue;
-                    }
-                    if c.is_ascii_digit() {
-                        i = lex_number(&mut view, &chars, i, line);
-                        continue;
-                    }
-                    if is_ident_start(c) {
-                        let mut j = i + 1;
-                        while j < chars.len() && is_ident_char(chars[j]) {
-                            j += 1;
-                        }
-                        let text: String = chars[i..j].iter().collect();
-                        push(&mut view, TokenKind::Ident, &text, line, i, j);
-                        i = j;
-                        continue;
-                    }
-                    if matches!(c, '(' | '[' | '{') {
-                        push(&mut view, TokenKind::Open, &c.to_string(), line, i, i + 1);
-                        i += 1;
-                        continue;
-                    }
-                    if matches!(c, ')' | ']' | '}') {
-                        push(&mut view, TokenKind::Close, &c.to_string(), line, i, i + 1);
-                        i += 1;
-                        continue;
-                    }
-                    // Operators, longest-match first.
-                    let rest: String = chars[i..chars.len().min(i + 3)].iter().collect();
-                    let op_len = op_length(&rest);
-                    let text: String = chars[i..i + op_len].iter().collect();
-                    push(&mut view, TokenKind::Op, &text, line, i, i + op_len);
-                    i += op_len;
-                }
+    let mut v = SourceView::default();
+    let mut comments = Vec::new();
+    // Carried across lines: the depth of an open block comment, and the
+    // closing hash count of an open string.
+    let (mut depth, mut in_str) = (0, None);
+    for (line, raw) in (1..).zip(text.lines()) {
+        let c: Vec<char> = raw.chars().collect();
+        let mut i = 0;
+        while i < c.len() {
+            let (ch, next) = (c[i], c.get(i + 1).copied());
+            if depth > 0 {
+                let step = match (ch, next) {
+                    ('*', Some('/')) => Some(-1),
+                    ('/', Some('*')) => Some(1),
+                    _ => None,
+                };
+                depth += step.unwrap_or(0);
+                i += if step.is_some() { 2 } else { 1 };
+                continue;
             }
+            if let Some(hashes) = in_str {
+                let closes = ch == '"' && (1..=hashes).all(|k| c.get(i + k) == Some(&'#'));
+                let escape = usize::from(ch == '\\');
+                i += 1 + if closes { hashes } else { escape };
+                if closes {
+                    in_str = None;
+                }
+                continue;
+            }
+            let mut push = |kind, end: usize| {
+                let text = c[i..end].iter().collect();
+                v.tokens.push(Token {
+                    kind,
+                    text,
+                    line,
+                    col: i,
+                });
+                end
+            };
+            i = if ch.is_whitespace() {
+                i + 1
+            } else if ch == '/' && next == Some('/') {
+                // Doc comments are prose: only plain comments carry pragmas.
+                let doc = matches!(c.get(i + 2), Some('/' | '!')) && c.get(i + 3) != Some(&'/');
+                if !doc {
+                    comments.push((c[i..].iter().collect::<String>(), line));
+                }
+                break;
+            } else if ch == '/' && next == Some('*') {
+                depth = 1;
+                i + 2
+            } else if let Some((hashes, quote)) = string_start(&c, i) {
+                in_str = Some(hashes);
+                push(Kind::Lit, quote + 1)
+            } else if ch == '\'' || (ch == 'b' && next == Some('\'')) {
+                push(Kind::Lit, quote_end(&c, i + usize::from(ch == 'b')))
+            } else if ch.is_ascii_digit() {
+                let (end, float) = number_end(&c, i);
+                push(if float { Kind::Float } else { Kind::Int }, end)
+            } else if is_ident_char(ch) {
+                push(Kind::Ident, ident_end(&c, i))
+            } else if "([{".contains(ch) {
+                push(Kind::Open, i + 1)
+            } else if ")]}".contains(ch) {
+                push(Kind::Close, i + 1)
+            } else {
+                push(Kind::Op, i + op_len(&c[i..]))
+            };
         }
     }
-
-    // Pragmas: a pragma is standalone when its line carries no code tokens.
-    for (comment, line) in pragma_lines {
-        let has_code = view.tokens.iter().any(|t| t.span.line == line);
-        if let Some(p) = parse_pragma(&comment, line, !has_code) {
-            view.pragmas.push(p);
+    for (comment, line) in comments {
+        let standalone = !v.tokens.iter().any(|t| t.line == line);
+        v.pragmas.extend(parse_pragma(&comment, line, standalone));
+    }
+    v.match_of = vec![None; v.tokens.len()];
+    let mut open = Vec::new();
+    for (i, t) in v.tokens.iter().enumerate() {
+        if t.kind == Kind::Open {
+            open.push(i);
+        } else if let Some(o) = open.pop_if(|_| t.kind == Kind::Close) {
+            (v.match_of[o], v.match_of[i]) = (Some(i), Some(o));
         }
     }
-
-    view.match_of = match_delimiters(&view.tokens);
-    view.in_test = mark_test_regions(&view);
-    view
-}
-
-fn push(view: &mut SourceView, kind: TokenKind, text: &str, line: usize, col: usize, end: usize) {
-    view.tokens.push(Token {
-        kind,
-        text: text.to_string(),
-        span: Span {
-            line,
-            col,
-            end_col: end,
-        },
-    });
-}
-
-fn is_ident_start(c: char) -> bool {
-    c.is_alphabetic() || c == '_'
+    v.tests = test_items(&v);
+    v
 }
 
 fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-fn prev_is_ident_char(chars: &[char], i: usize) -> bool {
-    i > 0 && is_ident_char(chars[i - 1])
+/// One past the run of characters from `i` that `f` accepts.
+fn run(c: &[char], i: usize, f: impl Fn(char) -> bool) -> usize {
+    i + c[i.min(c.len())..].iter().take_while(|&&x| f(x)).count()
 }
 
-/// Lex a numeric literal starting at `chars[i]`; returns the index one past
-/// it. Handles `0x`/`0o`/`0b` prefixes, `_` separators, decimal points
-/// (but not ranges `1..` or method calls `1.max(2)`), exponents
-/// (`1e-3`), and type suffixes (`1e-3f64`, `7u32`).
-fn lex_number(view: &mut SourceView, chars: &[char], start: usize, line: usize) -> usize {
-    let mut i = start;
-    let mut is_float = false;
-    if chars[i] == '0' && matches!(chars.get(i + 1), Some('x') | Some('o') | Some('b')) {
-        i += 2;
-        while i < chars.len() && (chars[i].is_ascii_hexdigit() || chars[i] == '_') {
-            i += 1;
-        }
-    } else {
-        while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '_') {
-            i += 1;
-        }
-        // Fractional part: `1.5`, or a trailing `1.` — but not `1..2`
-        // (range) and not `1.max(2)` (method call on an integer).
-        if i < chars.len() && chars[i] == '.' {
-            match chars.get(i + 1) {
-                Some(d) if d.is_ascii_digit() => {
-                    is_float = true;
-                    i += 1;
-                    while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '_') {
-                        i += 1;
-                    }
-                }
-                Some('.') => {}
-                Some(c) if is_ident_start(*c) => {}
-                _ => {
-                    is_float = true;
-                    i += 1;
-                }
-            }
-        }
-        // Exponent: `e`/`E` followed by optional sign and digits.
-        if i < chars.len() && matches!(chars[i], 'e' | 'E') {
-            let sign = matches!(chars.get(i + 1), Some('+') | Some('-'));
-            let digit_at = if sign { i + 2 } else { i + 1 };
-            if chars.get(digit_at).is_some_and(|c| c.is_ascii_digit()) {
-                is_float = true;
-                i = digit_at + 1;
-                while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '_') {
-                    i += 1;
-                }
-            }
-        }
-    }
-    // Type suffix.
-    let suffix_start = i;
-    while i < chars.len() && is_ident_char(chars[i]) {
-        i += 1;
-    }
-    let suffix: Option<String> = if i > suffix_start {
-        Some(chars[suffix_start..i].iter().collect())
-    } else {
-        None
-    };
-    if matches!(suffix.as_deref(), Some("f32") | Some("f64")) {
-        is_float = true;
-    }
-    let text: String = chars[start..i].iter().collect();
-    let kind = if is_float {
-        TokenKind::Float { suffix }
-    } else {
-        TokenKind::Int { suffix }
-    };
-    push(view, kind, &text, line, start, i);
-    i
+fn ident_end(c: &[char], i: usize) -> usize {
+    run(c, i, is_ident_char)
 }
 
-/// Longest operator at the head of `rest` (which holds at most 3 chars).
-fn op_length(rest: &str) -> usize {
-    const THREE: &[&str] = &["<<=", ">>=", "..=", "..."];
-    const TWO: &[&str] = &[
-        "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "%=", "^=",
-        "|=", "&=", "<<", ">>", "..",
+/// A string literal opening at `i` (`"`, `b"`, `r#"`, `br"`, ...): its
+/// closing hash count and the index of its opening quote. A raw identifier
+/// (`r#match`) is not one.
+fn string_start(c: &[char], i: usize) -> Option<(usize, usize)> {
+    let j = i + usize::from(c[i] == 'b');
+    let raw = c.get(j) == Some(&'r');
+    let j = j + usize::from(raw);
+    let hashes = run(c, j, |x| x == '#') - j;
+    let quote = c.get(j + hashes) == Some(&'"') && (raw || hashes == 0);
+    quote.then_some((hashes, j + hashes))
+}
+
+/// One past the char literal whose quote is at `q`, or past the name of a
+/// lifetime (`'a` has no closing quote).
+fn quote_end(c: &[char], q: usize) -> usize {
+    let name = c.get(q + 1).is_some_and(|&x| is_ident_char(x));
+    if name && c.get(q + 2) != Some(&'\'') {
+        return ident_end(c, q + 1);
+    }
+    let mut j = q + 1;
+    while j < c.len() && c[j] != '\'' {
+        j += if c[j] == '\\' { 2 } else { 1 };
+    }
+    (j + 1).min(c.len())
+}
+
+/// One past the number at `i`, and whether it is a float. `1..2` (a range),
+/// `1.max(2)` (a method call) and `0x1e5` are integers; `1.`, `1e-3` and
+/// `2f64` are floats.
+fn number_end(c: &[char], i: usize) -> (usize, bool) {
+    let digits = |i| run(c, i, |x| x.is_ascii_digit() || x == '_');
+    let (mut i, mut float) = (digits(i), false);
+    match (c.get(i), c.get(i + 1)) {
+        (Some('.'), Some(d)) if d.is_ascii_digit() => (i, float) = (digits(i + 1), true),
+        (Some('.'), Some(&x)) if x == '.' || is_ident_char(x) => {}
+        (Some('.'), _) => (i, float) = (i + 1, true),
+        _ => {}
+    }
+    let sign = usize::from(matches!(c.get(i + 1), Some('+' | '-')));
+    let exponent = c.get(i + 1 + sign).is_some_and(char::is_ascii_digit);
+    if matches!(c.get(i), Some('e' | 'E')) && exponent {
+        (i, float) = (digits(i + 1 + sign), true);
+    }
+    let end = ident_end(c, i);
+    let suffix: String = c[i..end].iter().collect();
+    (end, float || suffix == "f32" || suffix == "f64")
+}
+
+/// The length of the longest operator at the head of `rest`.
+fn op_len(rest: &[char]) -> usize {
+    const OPS: &[&str] = &[
+        "<<=", ">>=", "..=", "...", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "+=",
+        "-=", "*=", "/=", "%=", "^=", "|=", "&=", "<<", ">>", "..",
     ];
-    for op in THREE {
-        if rest.starts_with(op) {
-            return 3;
-        }
-    }
-    for op in TWO {
-        if rest.starts_with(op) {
-            return 2;
-        }
-    }
-    1
-}
-
-fn is_raw_string_start(chars: &[char], i: usize) -> bool {
-    // `r"` or `r#...#"` — and the `r` must not be part of a longer identifier.
-    !prev_is_ident_char(chars, i) && is_raw_string_start_at(chars, i)
-}
-
-/// `chars[i]` is `r` and a raw string opens here (ignoring what precedes).
-/// Raw identifiers (`r#match`) do not qualify: the hashes must end in `"`.
-fn is_raw_string_start_at(chars: &[char], i: usize) -> bool {
-    if chars.get(i) != Some(&'r') {
-        return false;
-    }
-    let mut j = i + 1;
-    while chars.get(j) == Some(&'#') {
-        j += 1;
-    }
-    chars.get(j) == Some(&'"')
-}
-
-fn count_hashes(chars: &[char], mut i: usize) -> u32 {
-    let mut n = 0;
-    while chars.get(i) == Some(&'#') {
-        n += 1;
-        i += 1;
-    }
-    n
-}
-
-fn hashes_follow(chars: &[char], mut i: usize, n: u32) -> bool {
-    for _ in 0..n {
-        if chars.get(i) != Some(&'#') {
-            return false;
-        }
-        i += 1;
-    }
-    true
-}
-
-/// Distinguish `'a'` (char literal) from `'a` (lifetime): a lifetime is a
-/// quote followed by an identifier NOT closed by another quote.
-fn is_char_literal(chars: &[char], i: usize) -> bool {
-    match chars.get(i + 1) {
-        Some('\\') => true,
-        Some(c) if is_ident_char(*c) => chars.get(i + 2) == Some(&'\''),
-        Some(_) => true, // punctuation char literal like '(' or ' '
-        None => false,
-    }
-}
-
-/// From the opening quote at `i`, return the index one past the closing
-/// quote (or end of line — a char literal cannot span lines).
-fn consume_char_literal(chars: &[char], i: usize) -> usize {
-    let mut j = i + 1;
-    while j < chars.len() {
-        match chars[j] {
-            '\\' => j += 2,
-            '\'' => return j + 1,
-            _ => j += 1,
-        }
-    }
-    chars.len()
+    let head: String = rest.iter().take(3).collect();
+    let op = OPS.iter().find(|op| head.starts_with(*op));
+    op.map_or(1, |op| op.len())
 }
 
 /// Parse `simlint: allow(rule, reason = "...")` out of a line comment.
-fn parse_pragma(comment: &str, line: usize, standalone: bool) -> Option<AllowPragma> {
-    let at = comment.find("simlint:")?;
-    let rest = comment[at + "simlint:".len()..].trim_start();
-    let rest = rest.strip_prefix("allow(")?;
-    let close = rest.rfind(')')?;
-    let inner = &rest[..close];
-    let (rule, reason) = match inner.split_once(',') {
-        Some((r, rest)) => {
-            let rest = rest.trim_start();
-            let reason = rest
-                .strip_prefix("reason")
-                .and_then(|s| s.trim_start().strip_prefix('='))
-                .map(|s| s.trim().trim_matches('"').to_string())
-                .unwrap_or_default();
-            (r.trim().to_string(), reason)
-        }
-        None => (inner.trim().to_string(), String::new()),
-    };
-    Some(AllowPragma {
+fn parse_pragma(comment: &str, line: usize, standalone: bool) -> Option<Pragma> {
+    let (_, rest) = comment.split_once("simlint:")?;
+    let inner = rest.trim_start().strip_prefix("allow(")?;
+    let inner = &inner[..inner.rfind(')')?];
+    let (rule, reason) = inner.split_once(',').unwrap_or((inner, ""));
+    let reason = reason.trim().strip_prefix("reason").map(str::trim_start);
+    let reason = reason.and_then(|r| r.strip_prefix('=')).unwrap_or("");
+    let (rule, reason) = (rule.trim().into(), reason.trim().trim_matches('"').into());
+    Some(Pragma {
         line,
         rule,
         reason,
@@ -533,287 +242,72 @@ fn parse_pragma(comment: &str, line: usize, standalone: bool) -> Option<AllowPra
     })
 }
 
-/// Pair up delimiter tokens. Mismatched kinds are paired anyway (defensive:
-/// macro-heavy code can confuse a token-level scan, and an approximate map
-/// beats none), unbalanced ones map to `None`.
-fn match_delimiters(tokens: &[Token]) -> Vec<Option<usize>> {
-    let mut map = vec![None; tokens.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        match t.kind {
-            TokenKind::Open => stack.push(i),
-            TokenKind::Close => {
-                if let Some(open) = stack.pop() {
-                    map[open] = Some(i);
-                    map[i] = Some(open);
-                }
-            }
-            _ => {}
-        }
-    }
-    map
-}
-
-/// Mark lines covered by `#[cfg(test)]` items by brace-matching the item
-/// that follows each attribute (token-level: `#` `[` `cfg` `(` `test` …).
-fn mark_test_regions(view: &SourceView) -> Vec<bool> {
-    let mut in_test = vec![false; view.raw_lines.len()];
-    let toks = &view.tokens;
-    let mut i = 0usize;
+/// The line span of each `#[cfg(test)]` item: from the attribute through
+/// the brace that closes the item's body, or its `;`.
+fn test_items(v: &SourceView) -> Vec<(usize, usize)> {
+    let toks = &v.tokens;
+    let mut items = Vec::new();
+    let mut i = 0;
     while i + 4 < toks.len() {
-        let is_cfg_test = toks[i].is_op("#")
-            && toks[i + 1].is_open('[')
-            && toks[i + 2].is_ident("cfg")
-            && toks[i + 3].is_open('(')
-            && toks[i + 4].is_ident("test");
-        if !is_cfg_test {
+        let attr = ["#", "[", "cfg", "(", "test"];
+        if !toks[i..i + 5].iter().zip(attr).all(|(t, a)| t.text == a) {
             i += 1;
             continue;
         }
-        let attr_end = view.match_of[i + 1].unwrap_or(i + 4);
-        let start_line = toks[i].span.line;
-        // Find where the item that follows the attribute ends: at the
-        // matching brace of its body, or at a `;` for braceless items
-        // (`#[cfg(test)] use foo;`).
-        let mut end_line = view.raw_lines.len();
-        let mut j = attr_end + 1;
-        while j < toks.len() {
-            if toks[j].is_open('{') {
-                let close = view.match_of[j].unwrap_or(toks.len() - 1);
-                end_line = toks[close].span.line;
-                i = close + 1;
-                break;
-            }
-            if toks[j].is_op(";") {
-                end_line = toks[j].span.line;
-                i = j + 1;
-                break;
-            }
-            j += 1;
+        let mut end = v.match_of[i + 1].unwrap_or(i + 4);
+        let item_ends = |t: &Token| t.is(Kind::Open, "{") || t.is(Kind::Op, ";");
+        while end + 1 < toks.len() && !item_ends(&toks[end]) {
+            end += 1;
         }
-        if j >= toks.len() {
-            i = j;
-        }
-        for flag in in_test
-            .iter_mut()
-            .take(end_line)
-            .skip(start_line.saturating_sub(1))
-        {
-            *flag = true;
-        }
+        end = v.match_of[end].unwrap_or(end);
+        items.push((toks[i].line, toks[end].line));
+        i = end + 1;
     }
-    in_test
+    items
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<(TokenKind, String)> {
-        scan(src)
-            .tokens
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
-    }
-
-    fn texts(src: &str) -> Vec<String> {
-        scan(src).tokens.into_iter().map(|t| t.text).collect()
+    fn texts(src: &str, kind: Option<Kind>) -> String {
+        let toks = scan(src).tokens.into_iter();
+        let toks = toks.filter(|t| kind.is_none_or(|k| t.kind == k));
+        toks.map(|t| t.text).collect::<Vec<_>>().join(" ")
     }
 
     #[test]
-    fn strips_comments_and_strings() {
-        let toks = texts("let x = \"HashMap\"; // HashMap in comment\nlet y = 'I';\n");
-        assert!(!toks.iter().any(|t| t.contains("HashMap")));
-        assert!(toks.iter().any(|t| t == "let"));
-        assert!(!toks.iter().any(|t| t.contains('I')));
+    fn tokens() {
+        let src = "let x = \"a == 1.0\"; // t += dt\nlet s = r#\"y\nz\"#; /* a /* b */ c */ \
+                   f::<'a>('I', b'y'); a += b ..= c <<= d;";
+        let want = "let x = \" ; let s = r#\" ; f :: < 'a > ( 'I' , b'y' ) ; a += b ..= c <<= d ;";
+        assert_eq!(texts(src, None), want);
+        let floats = "a(1e-3f64, 2.5, 1., 2E-7, 2f64, 0..10, 1.max(2), 0x1e5, t.0, 1_000)";
+        assert_eq!(texts(floats, Some(Kind::Float)), "1e-3f64 2.5 1. 2E-7 2f64");
     }
 
     #[test]
-    fn keeps_code_around_raw_strings() {
-        let toks = texts("let s = r#\"Instant::now()\"#; foo();\n");
-        assert!(!toks.iter().any(|t| t.contains("Instant")));
-        assert!(toks.iter().any(|t| t == "foo"));
-    }
-
-    #[test]
-    fn multiline_raw_strings_resume_code_after_close() {
-        let src = "let s = r#\"no Instant\nstill string HashMap\nend\"#; after();\n";
-        let toks = texts(src);
-        assert!(!toks.iter().any(|t| t.contains("Instant")));
-        assert!(!toks.iter().any(|t| t.contains("HashMap")));
-        assert!(toks.iter().any(|t| t == "after"));
-    }
-
-    #[test]
-    fn lifetimes_are_not_char_literals() {
-        let v = scan("fn f<'a>(x: &'a str) -> &'a str { x }\n");
-        let lifetimes: Vec<_> = v
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokenKind::Lifetime)
-            .collect();
-        assert_eq!(lifetimes.len(), 3);
-        assert!(lifetimes.iter().all(|t| t.text == "a"));
-        assert!(v.tokens.iter().any(|t| t.is_ident("str")));
-    }
-
-    #[test]
-    fn char_literals_and_byte_chars_are_blanked() {
-        let v = scan("let a = 'x'; let b = b'y'; let c = '\\n';\n");
-        let chars: Vec<_> = v
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokenKind::CharLit)
-            .collect();
-        assert_eq!(chars.len(), 3);
-        assert!(!v.tokens.iter().any(|t| t.text.contains('x')));
-    }
-
-    #[test]
-    fn block_comments_nest_and_span_lines() {
-        let toks = texts("a(); /* outer /* inner */ still comment\nstill */ b();\n");
-        assert!(toks.iter().any(|t| t == "a"));
-        assert!(!toks.iter().any(|t| t.contains("still")));
-        assert!(toks.iter().any(|t| t == "b"));
-    }
-
-    #[test]
-    fn numeric_literals_with_suffixes() {
-        let toks = kinds("let a = 1e-3f64; let b = 0x1Fu32; let c = 1_000usize; let d = 2.5;\n");
-        assert!(toks.contains(&(
-            TokenKind::Float {
-                suffix: Some("f64".into())
-            },
-            "1e-3f64".into()
-        )));
-        assert!(toks.contains(&(
-            TokenKind::Int {
-                suffix: Some("u32".into())
-            },
-            "0x1Fu32".into()
-        )));
-        assert!(toks.contains(&(
-            TokenKind::Int {
-                suffix: Some("usize".into())
-            },
-            "1_000usize".into()
-        )));
-        assert!(toks.contains(&(TokenKind::Float { suffix: None }, "2.5".into())));
-    }
-
-    #[test]
-    fn ranges_and_method_calls_are_not_floats() {
-        let toks = kinds("for i in 0..10 { x = 1.max(2); }\n");
-        assert!(toks.contains(&(TokenKind::Int { suffix: None }, "0".into())));
-        assert!(toks.contains(&(TokenKind::Int { suffix: None }, "10".into())));
-        assert!(toks.contains(&(TokenKind::Op, "..".into())));
-        assert!(toks.contains(&(TokenKind::Int { suffix: None }, "1".into())));
-        assert!(toks.contains(&(TokenKind::Ident, "max".into())));
-        assert!(!toks
-            .iter()
-            .any(|(k, _)| matches!(k, TokenKind::Float { .. })));
-    }
-
-    #[test]
-    fn trailing_dot_float_and_exponents() {
-        let toks = kinds("let a = 1.; let b = 1.5e3; let c = 2E-7;\n");
-        let floats: Vec<_> = toks
-            .iter()
-            .filter(|(k, _)| matches!(k, TokenKind::Float { .. }))
-            .map(|(_, t)| t.clone())
-            .collect();
-        assert_eq!(floats, vec!["1.", "1.5e3", "2E-7"]);
-    }
-
-    #[test]
-    fn multi_char_operators_are_single_tokens() {
-        let toks = texts("a += b; c ..= d; e <<= f; g == h; i != j; k :: l;\n");
-        for op in ["+=", "..=", "<<=", "==", "!=", "::"] {
-            assert!(toks.iter().any(|t| t == op), "missing {op}");
-        }
-    }
-
-    #[test]
-    fn as_casts_split_across_lines_stay_adjacent_tokens() {
-        let v = scan("let x = some_long_expression\n    as u32;\n");
-        let idx = v.tokens.iter().position(|t| t.is_ident("as")).unwrap();
-        assert!(v.tokens[idx + 1].is_ident("u32"));
-        assert_eq!(v.tokens[idx].span.line, 2);
-    }
-
-    #[test]
-    fn delimiter_matching() {
-        let v = scan("f(a[i], g(b));\n");
-        let open_paren = v.tokens.iter().position(|t| t.is_open('(')).unwrap();
-        let close = v.match_of[open_paren].unwrap();
-        assert!(v.tokens[close].is_close(')'));
-        assert_eq!(v.match_of[close], Some(open_paren));
-        let open_bracket = v.tokens.iter().position(|t| t.is_open('[')).unwrap();
-        assert!(v.tokens[v.match_of[open_bracket].unwrap()].is_close(']'));
-    }
-
-    #[test]
-    fn spans_are_line_and_column_accurate() {
-        let v = scan("let x = 7;\nlet yy = 88;\n");
-        let seven = v.tokens.iter().find(|t| t.text == "7").unwrap();
-        assert_eq!(
-            (seven.span.line, seven.span.col, seven.span.end_col),
-            (1, 8, 9)
-        );
-        let yy = v.tokens.iter().find(|t| t.text == "yy").unwrap();
-        assert_eq!((yy.span.line, yy.span.col, yy.span.end_col), (2, 4, 6));
-    }
-
-    #[test]
-    fn parses_pragmas() {
+    fn pragmas_delimiters_and_test_items() {
         let v = scan(
-            "x.unwrap(); // simlint: allow(unwrap, reason = \"bounded above\")\n\
-             // simlint: allow(hash-iter, reason = \"order irrelevant\")\n\
-             y();\n\
-             z(); // simlint: allow(unwrap)\n",
+            "x == 1.0; // simlint: allow(float-eq, reason = \"sentinel\")\n\
+             // simlint: allow(unit-mixing, reason = \"r\")\n\
+             /// simlint: allow(float-eq, reason = \"docs are prose\")\n\
+             f(a[i]); // simlint: allow(float-accum)\n\
+             #[cfg(test)]\n#[derive(Debug)]\nmod t {\n}\nfn b() {}\n#[cfg(test)] use x;\n",
         );
-        assert!(v.allowed("unwrap", 1));
-        assert!(
-            v.allowed("hash-iter", 3),
-            "standalone pragma covers next line"
+        let pragma = |p: &Pragma| format!("{}:{}:{}:{}", p.line, p.rule, p.reason, p.standalone);
+        let pragmas: Vec<String> = v.pragmas.iter().map(pragma).collect();
+        let want = [
+            "1:float-eq:sentinel:false",
+            "2:unit-mixing:r:true",
+            "4:float-accum::false",
+        ];
+        assert_eq!(pragmas, want);
+        let f = v.tokens.iter().position(|t| t.text == "f").unwrap();
+        assert_eq!(
+            (v.match_of[f + 1], v.match_of[f + 3]),
+            (Some(f + 6), Some(f + 5))
         );
-        assert!(!v.allowed("hash-iter", 1));
-        assert!(!v.allowed("unwrap", 4), "pragma without reason is inert");
-    }
-
-    #[test]
-    fn cfg_test_regions_are_marked() {
-        let src = "fn prod() {}\n#[cfg(test)]\nmod tests {\n  fn t() {}\n}\nfn after() {}\n";
-        let v = scan(src);
-        assert!(!v.line_in_test(1));
-        assert!(v.line_in_test(2));
-        assert!(v.line_in_test(4));
-        assert!(v.line_in_test(5));
-        assert!(!v.line_in_test(6));
-    }
-
-    #[test]
-    fn cfg_test_on_single_item() {
-        let src = "#[cfg(test)] use foo::Bar;\nfn prod() {}\n";
-        let v = scan(src);
-        assert!(v.line_in_test(1));
-        assert!(!v.line_in_test(2));
-    }
-
-    #[test]
-    fn cfg_test_with_intervening_attributes() {
-        let src = "#[cfg(test)]\n#[derive(Debug)]\nstruct T {\n  x: u32,\n}\nfn prod() {}\n";
-        let v = scan(src);
-        assert!(v.line_in_test(3));
-        assert!(v.line_in_test(5));
-        assert!(!v.line_in_test(6));
-    }
-
-    #[test]
-    fn unterminated_char_mode_does_not_eat_the_file() {
-        // Defensive: a stray quote must not blank the rest of the file.
-        let v = scan("let a = 'x; after();\nInstant::now();\n");
-        assert!(v.tokens.iter().any(|t| t.is_ident("Instant")));
+        assert_eq!(v.tests, [(5, 8), (10, 10)]);
     }
 }

@@ -1,223 +1,137 @@
-//! Workspace automation binary (`cargo xtask <command>`, via the alias in
-//! `.cargo/config.toml`, or `cargo run -p xtask -- <command>`).
+//! Workspace automation (`cargo xtask <command>`, through the alias in
+//! `.cargo/config.toml`): the two checks of the lint chain that clippy
+//! cannot run itself (DESIGN.md §9.1).
 //!
-//! Commands:
+//! * `simlint [paths...]` (alias `lint`): the token rules (float-eq,
+//!   unit-mixing, float-accum, dead-pragma) over the workspace sources, or
+//!   over the given files.
+//! * `ratchet [--baseline <path>] [--update-baseline <path>]`: read a
+//!   `cargo clippy --message-format=json` stream on stdin, fail on any
+//!   error, and hold the warnings per (lint, file) to the baseline. Without
+//!   `--baseline` every warning is new, unless `--update-baseline` rewrites
+//!   the baseline to what the stream holds.
 //!
-//! * `simlint` (alias `lint`) — run the token-level determinism & invariant
-//!   analysis pass over the workspace sources (or over explicit paths).
-//!
-//!   * `--json` — emit the stable schema-v1 JSON report.
-//!   * `--baseline <path>` — compare ratcheted rules (panic-surface,
-//!     truncating-cast) against the checked-in baseline; only *new*
-//!     findings and *stale* baseline entries fail.
-//!   * `--update-baseline <path>` — rewrite the baseline to pin exactly
-//!     the current ratcheted findings (use only to shrink it).
-//!   * `--explain <rule>` — print a rule's rationale and canonical fix.
-//!
-//!   Exits 0 when clean, 1 on new findings or stale baseline entries,
-//!   2 on usage errors.
+//! Exit status: 0 clean, 1 findings, 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
 
+mod json;
+mod lexer;
+mod ratchet;
+mod rules;
+
+use std::io::Read;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::baseline::Baseline;
-use xtask::{lint, rules};
+const USAGE: &str = "usage: cargo xtask simlint [paths...]\n       \
+                     cargo xtask ratchet [--baseline <path>] [--update-baseline <path>] < clippy.json";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("simlint") | Some("lint") => lint_command(&args[1..]),
-        Some(other) => {
-            eprintln!("xtask: unknown command `{other}`");
-            usage();
-            ExitCode::from(2)
+    let result = match args.first().map(String::as_str) {
+        Some("simlint" | "lint") => simlint(&args[1..]),
+        Some("ratchet") => ratchet(&args[1..]),
+        Some("--help" | "-h") => {
+            println!("{USAGE}");
+            Ok(true)
         }
-        None => {
-            usage();
+        _ => Err(USAGE.to_string()),
+    };
+    match result {
+        Ok(clean) => ExitCode::from(u8::from(!clean)),
+        Err(e) => {
+            eprintln!("xtask: {e}");
             ExitCode::from(2)
         }
     }
 }
 
-fn usage() {
-    eprintln!(
-        "usage: cargo xtask simlint [--json] [--baseline <path>] [--update-baseline <path>] \
-         [--explain <rule>] [paths...]"
-    );
+/// The nearest ancestor whose `Cargo.toml` has a `[workspace]` table.
+fn workspace_root() -> Result<PathBuf, String> {
+    let mut dir = std::env::current_dir().map_err(|e| e.to_string())?;
+    while !std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|m| m.contains("[workspace]"))
+    {
+        if !dir.pop() {
+            return Err("no Cargo.toml with a [workspace] table above here".to_string());
+        }
+    }
+    Ok(dir)
 }
 
-fn lint_command(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut baseline_path: Option<std::path::PathBuf> = None;
-    let mut update_path: Option<std::path::PathBuf> = None;
-    let mut paths: Vec<std::path::PathBuf> = Vec::new();
+fn simlint(args: &[String]) -> Result<bool, String> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        return Err(format!("unknown flag `{flag}`\n{USAGE}"));
+    }
+    let root = workspace_root()?;
+    let paths = match args {
+        [] => rules::workspace_files(&root),
+        _ => args.iter().map(|a| root.join(a)).collect(),
+    };
+    let mut findings = 0;
+    for path in &paths {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let rel = path.strip_prefix(&root).unwrap_or(path).to_string_lossy();
+        for (rule, line, col, message) in rules::check(&rel, &text) {
+            println!("{rel}:{line}:{}: [{rule}] {message}", col + 1);
+            findings += 1;
+        }
+    }
+    println!("simlint: {} file(s), {findings} finding(s)", paths.len());
+    Ok(findings == 0)
+}
+
+fn ratchet(args: &[String]) -> Result<bool, String> {
+    let root = workspace_root()?;
+    let (mut baseline, mut update) = (None, None);
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(p.into()),
-                None => {
-                    eprintln!("xtask simlint: --baseline needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--update-baseline" => match it.next() {
-                Some(p) => update_path = Some(p.into()),
-                None => {
-                    eprintln!("xtask simlint: --update-baseline needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--explain" => {
-                return match it.next() {
-                    Some(rule) => explain(rule),
-                    None => {
-                        eprintln!(
-                            "xtask simlint: --explain needs a rule id (one of: {})",
-                            rule_ids().join(", ")
-                        );
-                        ExitCode::from(2)
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                usage();
-                println!();
-                println!("Rules ([ratchet] = compared against the checked-in baseline):");
-                for rule in rules::RULES {
-                    let tag = match rule.severity {
-                        rules::Severity::Deny => "",
-                        rules::Severity::Ratchet => " [ratchet]",
-                    };
-                    println!("  {:<16}{tag} {}", rule.id, rule.summary);
-                }
-                println!();
-                println!("Suppress a finding on its line (or the line above) with:");
-                println!("  // simlint: allow(<rule>, reason = \"...\")");
-                println!("Details: cargo xtask simlint --explain <rule>");
-                return ExitCode::SUCCESS;
-            }
-            flag if flag.starts_with('-') => {
-                eprintln!("xtask simlint: unknown flag `{flag}`");
-                return ExitCode::from(2);
-            }
-            p => paths.push(p.into()),
-        }
+        let slot = match a.as_str() {
+            "--baseline" => &mut baseline,
+            "--update-baseline" => &mut update,
+            _ => return Err(format!("unknown argument `{a}`\n{USAGE}")),
+        };
+        *slot = Some(root.join(it.next().ok_or(format!("{a} needs a path"))?));
     }
-
-    let root = match workspace_root() {
-        Some(r) => r,
-        None => {
-            eprintln!(
-                "xtask simlint: could not locate workspace root (no Cargo.toml with [workspace] found)"
-            );
-            return ExitCode::from(2);
-        }
+    let mut stream = String::new();
+    std::io::stdin()
+        .read_to_string(&mut stream)
+        .map_err(|e| e.to_string())?;
+    let build = ratchet::read(&stream)?;
+    let no_end = "no build-finished message: pipe in `cargo clippy --message-format=json`";
+    let success = build.finished.ok_or(no_end)?;
+    let counts = build.counts();
+    let io = |p: &PathBuf, e: std::io::Error| format!("{}: {e}", p.display());
+    let base = match (&baseline, &update) {
+        (Some(p), _) => ratchet::parse(&std::fs::read_to_string(p).map_err(|e| io(p, e))?)?,
+        (None, Some(_)) => counts.clone(),
+        (None, None) => ratchet::Counts::new(),
     };
-    if paths.is_empty() {
-        paths = lint::workspace_source_files(&root);
+    if let Some(p) = &update {
+        std::fs::write(p, ratchet::to_json(&counts)).map_err(|e| io(p, e))?;
     }
-
-    let baseline = match &baseline_path {
-        Some(p) => match Baseline::load(&root.join(p)) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("xtask simlint: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => Baseline::default(),
-    };
-
-    let report = lint::run_with_baseline(&root, &paths, &baseline);
-
-    if let Some(p) = update_path {
-        let b = Baseline::from_findings(&report.violations);
-        let abs = root.join(&p);
-        if let Err(e) = std::fs::write(&abs, b.to_json()) {
-            eprintln!("xtask simlint: cannot write {}: {e}", abs.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "simlint: wrote {} entries to {}",
-            b.entries.len(),
-            p.display()
-        );
+    let errors: Vec<String> = build.errors().map(ratchet::Diagnostic::render).collect();
+    errors.iter().for_each(|e| println!("{e}"));
+    if !success && errors.is_empty() {
+        println!("ratchet: cargo reports a failed build with no error diagnostic; run it by hand");
     }
-
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        for v in &report.violations {
-            println!("{}", v.display(&root));
-        }
-        for e in &report.stale {
-            println!(
-                "{}: [stale-baseline] {} records {} finding(s) but the code produces {}; \
-                 shrink the baseline (see DESIGN.md)",
-                e.path, e.rule, e.recorded, e.actual
-            );
-        }
-        let new = report.new_findings().count();
-        println!(
-            "simlint: {} file(s) checked, {} finding(s) ({} new, {} baselined), {} stale baseline entr{}",
-            report.files_checked,
-            report.violations.len(),
-            new,
-            report.violations.len() - new,
-            report.stale.len(),
-            if report.stale.len() == 1 { "y" } else { "ies" }
-        );
+    let (new, stale) = ratchet::compare(&base, &counts);
+    for ((lint, path), was, now) in &new {
+        println!("{path}: [{lint}] {now} finding(s), the baseline allows {was}:");
+        let key = |d: &&ratchet::Diagnostic| (&d.code, &d.path) == (lint, path);
+        build
+            .diagnostics
+            .iter()
+            .filter(key)
+            .for_each(|d| println!("{}", d.render()));
     }
-    if report.failed() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    for ((lint, path), was, now) in &stale {
+        println!("{path}: [{lint}] the baseline allows {was}, the code has {now}: shrink it");
     }
-}
-
-fn rule_ids() -> Vec<&'static str> {
-    rules::RULES.iter().map(|r| r.id).collect()
-}
-
-fn explain(rule_id: &str) -> ExitCode {
-    match rules::rule_info(rule_id) {
-        Some(r) => {
-            println!("{} [{}]", r.id, r.severity.as_str());
-            println!("  {}", r.summary);
-            println!();
-            println!("Why:");
-            println!("  {}", r.rationale);
-            println!();
-            println!("Fix:");
-            println!("  {}", r.fix);
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!(
-                "xtask simlint: unknown rule `{rule_id}` (one of: {})",
-                rule_ids().join(", ")
-            );
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Find the workspace root: walk up from the current directory looking for a
-/// `Cargo.toml` containing a `[workspace]` table.
-fn workspace_root() -> Option<std::path::PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
+    let total: usize = counts.values().sum();
+    let (keys, over, under) = (counts.len(), new.len(), stale.len());
+    println!(
+        "ratchet: {total} finding(s), {keys} (lint, file) entries, {over} over, {under} stale"
+    );
+    Ok(success && errors.is_empty() && new.is_empty() && stale.is_empty())
 }

@@ -1,1412 +1,279 @@
-//! The simlint rule set, evaluated over the lexer's token stream.
+//! simlint's token rules: what clippy cannot say (DESIGN.md §9.1).
 //!
-//! Each rule matches exact token sequences (no substring scanning), so an
-//! identifier like `unwrapped` or a path inside a doc attribute can never
-//! trip a rule. Rules are scoped per crate kind: simulation crates must
-//! stay on virtual time and deterministic iteration order; protocol and
-//! numeric crates must not panic on untrusted input; quantity arithmetic
-//! must not mix units. Suppress a finding with
-//! `// simlint: allow(<rule>, reason = "...")` on the same line, or on its
-//! own line directly above.
+//! * `float-eq`: `==` / `!=` against a float literal. Clippy's `float_cmp`
+//!   exempts comparisons with zero; this rule does not.
+//! * `unit-mixing`: `+`, `-` or a comparison between identifiers whose
+//!   suffixes name different dimensions (`_s` time, `_bytes` data, `_mbps`
+//!   rate), though both are often the same `f64` type.
+//! * `float-accum`: `t += dt` into a simulated-time name inside a loop,
+//!   which drifts by O(n·ulp).
+//! * `dead-pragma`: a `// simlint: allow(rule, reason = "...")` that names
+//!   no rule above, has no reason, or suppresses nothing.
 //!
-//! [`check_file`] returns *raw* findings (pragmas not yet applied);
-//! [`finalize`] applies pragma suppression and derives `dead-pragma`
-//! findings from pragmas that no longer suppress anything. The split keeps
-//! the pragma inventory honest: a pragma is alive only if its rule would
-//! fire on its line without it.
+//! A pragma covers its own line, or the next one when it stands alone.
+//! `tests/`, `benches/`, `examples/` and `#[cfg(test)]` items are exempt
+//! from the three rules; the tooling sources (`crates/bench`,
+//! `crates/xtask/src`) from all but `float-eq`.
 
-use crate::lexer::{SourceView, Token, TokenKind};
+use std::path::{Path, PathBuf};
 
-/// Where a file lives, which determines which rules apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrateKind {
-    /// Event-driven simulation code: `simbase`, `netsim`, `simtrace`,
-    /// `overlap-core`, and the root facade. Determinism rules apply.
-    Sim,
-    /// Protocol state machines: `tcpsim`, `mptcpsim`. Determinism rules plus
-    /// the panic rules apply.
-    Protocol,
-    /// Numeric code (`lpsolve`, `fluidsim`): determinism + panic rules
-    /// apply; it feeds expected values into the simulation.
-    Numeric,
-    /// Figure binaries and xtask itself: only portability-neutral rules
-    /// (float-eq, forbid-unsafe via crate-root scan, dead-pragma).
-    Tooling,
+use crate::lexer::{scan, Kind, Pragma, SourceView, Token};
+
+/// A finding: its rule, 1-based line, 0-based column and message.
+pub type Finding = (&'static str, usize, usize, String);
+
+/// The sources simlint scans, sorted: `crates/`, `src/`, `tests/` and
+/// `examples/`, without `target` and `vendor` directories, `fixtures`
+/// (which break rules on purpose) and `examples/perfbench` (a package of its
+/// own, which `ci.sh` greps).
+pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
+    let skip = ["target", "vendor", "fixtures", "perfbench"];
+    let tops = ["crates", "src", "tests", "examples"];
+    let mut dirs: Vec<PathBuf> = tops.iter().map(|d| root.join(d)).collect();
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+        for path in entries.map(|e| e.path()) {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if path.is_dir() && !skip.contains(&name) {
+                dirs.push(path);
+            } else if name.ends_with(".rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
 }
 
-impl CrateKind {
-    /// Classify a workspace-relative path.
-    pub fn classify(rel_path: &str) -> CrateKind {
-        let p = rel_path.replace('\\', "/");
-        if p.starts_with("crates/tcpsim/") || p.starts_with("crates/mptcpsim/") {
-            CrateKind::Protocol
-        } else if p.starts_with("crates/lpsolve/") || p.starts_with("crates/fluidsim/") {
-            CrateKind::Numeric
-        } else if p.starts_with("crates/bench/") || p.starts_with("crates/xtask/") {
-            CrateKind::Tooling
+/// Lint one file's text under its workspace-relative path.
+pub fn check(path: &str, text: &str) -> Vec<Finding> {
+    let v = scan(text);
+    let p = path.replace('\\', "/");
+    let in_dir = |d: &str| p.starts_with(&format!("{d}/")) || p.contains(&format!("/{d}/"));
+    let relaxed = ["tests", "benches", "examples"].into_iter().any(in_dir);
+    let tooling = p.starts_with("crates/bench/") || p.starts_with("crates/xtask/src/");
+    let raw = raw_findings(&v, relaxed, tooling);
+    let covers = |p: &Pragma, (rule, line, ..): &Finding| {
+        let last = p.line + usize::from(p.standalone);
+        p.rule == *rule && !p.reason.is_empty() && (p.line..=last).contains(line)
+    };
+    let live = |f: &&Finding| !v.pragmas.iter().any(|p| covers(p, f));
+    let mut out: Vec<Finding> = raw.iter().filter(live).cloned().collect();
+    for p in &v.pragmas {
+        let why = if !["float-eq", "unit-mixing", "float-accum"].contains(&&*p.rule) {
+            "is not a simlint rule (float-eq, unit-mixing, float-accum)"
+        } else if p.reason.is_empty() {
+            "has no reason"
+        } else if !raw.iter().any(|f| covers(p, f)) {
+            "does not fire here: delete the pragma"
         } else {
-            // simbase, netsim, simtrace, core, root src/, tests/, examples/.
-            CrateKind::Sim
+            continue;
+        };
+        let message = format!("the pragma for `{}` {why}", p.rule);
+        out.push(("dead-pragma", p.line, 0, message));
+    }
+    out.sort_by_key(|&(_, line, col, _)| (line, col));
+    out
+}
+
+/// Findings before pragmas apply.
+fn raw_findings(v: &SourceView, relaxed: bool, tooling: bool) -> Vec<Finding> {
+    let toks = &v.tokens;
+    let mut out = Vec::new();
+    let mut push = |rule, t: &Token, message| out.push((rule, t.line, t.col, message));
+    let exempt = |t: &Token| relaxed || v.line_in_test(t.line);
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind != Kind::Op || exempt(t) {
+            continue;
+        }
+        let prev = i.checked_sub(1).map(|j| &toks[j]);
+        let negated = toks.get(i + 1).is_some_and(|n| n.is(Kind::Op, "-"));
+        let rhs = toks.get(i + 1 + usize::from(negated));
+        let float = |t: Option<&Token>| t.is_some_and(|t| t.kind == Kind::Float);
+        if (t.text == "==" || t.text == "!=") && (float(prev) || float(rhs)) {
+            let msg = "float compared with a literal: use a tolerance";
+            push("float-eq", t, msg.to_string());
+        }
+        let binary = prev.is_some_and(|p| !matches!(p.kind, Kind::Op | Kind::Open));
+        let mixing = ["+", "-", "+=", "-=", "<", ">", "<=", ">=", "==", "!="];
+        if tooling || !binary || !mixing.contains(&&*t.text) {
+            continue;
+        }
+        if let (Some((lu, ln)), Some((ru, rn))) = (operand(v, i, false), operand(v, i, true)) {
+            if lu != ru {
+                let msg = format!("`{ln}` ({lu}) {} `{rn}` ({ru}) mixes units", t.text);
+                push("unit-mixing", t, msg);
+            }
         }
     }
-}
-
-/// True for files under `tests/`, `benches/`, or `examples/` directories.
-/// The determinism-critical rules (wall-clock, hash-iter) still apply
-/// there — even test code must not let wall time or hash order influence a
-/// simulation — but the panic/quantity rules are relaxed: tests and
-/// examples may unwrap, index, and thread freely.
-pub fn is_relaxed_path(rel_path: &str) -> bool {
-    let p = rel_path.replace('\\', "/");
-    for dir in ["tests", "benches", "examples"] {
-        if p.starts_with(&format!("{dir}/")) || p.contains(&format!("/{dir}/")) {
-            return true;
+    if tooling {
+        return out;
+    }
+    // float-accum: from each `for` / `while` / `loop`, its first `{` through
+    // the matching brace is a loop body.
+    let mut seen = Vec::new();
+    for (k, kw) in toks.iter().enumerate() {
+        let after_path = k > 0 && matches!(&*toks[k - 1].text, "." | "::");
+        let is_loop = kw.kind == Kind::Ident && matches!(&*kw.text, "for" | "while" | "loop");
+        let body = (k + 1..toks.len()).find(|&j| toks[j].is(Kind::Open, "{"));
+        let Some(open) = body.filter(|_| is_loop && !after_path) else {
+            continue;
+        };
+        let close = v.match_of[open].unwrap_or(open);
+        for (i, t) in toks.iter().enumerate().take(close).skip(open) {
+            if !t.is(Kind::Op, "+=") || exempt(t) || seen.contains(&i) {
+                continue;
+            }
+            if let Some(name) = accum_target(v, i).filter(|n| is_sim_time(n)) {
+                seen.push(i);
+                let msg = format!("`{name} += …` in a loop drifts; derive it from the step index");
+                push("float-accum", t, msg);
+            }
         }
     }
-    false
+    out
 }
 
-/// Whether findings are compared against the ratchet baseline
-/// (`results/simlint_baseline.json`) instead of being hard errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Every finding fails the lint unless pragma-suppressed.
-    Deny,
-    /// Findings are tolerated up to the per-(rule, file) count recorded in
-    /// the checked-in baseline; only *new* findings fail, and the count may
-    /// only decrease.
-    Ratchet,
-}
-
-impl Severity {
-    /// Stable string used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Ratchet => "ratchet",
-        }
-    }
-}
-
-/// Whether a finding is covered by the ratchet baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BaselineStatus {
-    /// Not covered: fails the lint.
-    #[default]
-    New,
-    /// Covered by the checked-in baseline: reported but tolerated.
-    Baselined,
-}
-
-impl BaselineStatus {
-    /// Stable string used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BaselineStatus::New => "new",
-            BaselineStatus::Baselined => "baselined",
-        }
-    }
-}
-
-/// A single finding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Rule id, e.g. `"wall-clock"`.
-    pub rule: &'static str,
-    /// Workspace-relative file path.
-    pub file: String,
-    /// 1-based line number.
-    pub line: usize,
-    /// 0-based starting character column of the offending token(s).
-    pub col: usize,
-    /// 0-based column one past the offending token(s).
-    pub end_col: usize,
-    /// Human-oriented explanation.
-    pub message: String,
-    /// Ratchet-baseline coverage (set by the driver when a baseline is in
-    /// use; findings start out `New`).
-    pub status: BaselineStatus,
-}
-
-/// Static description of one rule, for `--help`, `--explain`, and docs.
-pub struct RuleInfo {
-    /// Stable id used in pragmas, JSON output, and the baseline.
-    pub id: &'static str,
-    /// One-line summary.
-    pub summary: &'static str,
-    /// Why the rule exists (shown by `--explain`).
-    pub rationale: &'static str,
-    /// The canonical fix (shown by `--explain`).
-    pub fix: &'static str,
-    /// Hard error or ratcheted against the baseline.
-    pub severity: Severity,
-}
-
-/// All rules, in reporting order.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "wall-clock",
-        summary:
-            "no std::time::{Instant, SystemTime} in simulation/protocol crates (virtual time only)",
-        rationale: "A deterministic simulation is a pure function of its inputs; reading the \
-                    host clock makes results depend on machine load and breaks byte-identical \
-                    reruns. Applies everywhere outside tooling sources, tests and benches \
-                    included — even a test must not let wall time steer the simulation.",
-        fix: "Use virtual time (simbase::SimTime / SimDuration). Host-side profiling belongs \
-              in crates/bench with an allow-pragma explaining that the measurement never \
-              feeds back into simulated state.",
-        severity: Severity::Deny,
-    },
-    RuleInfo {
-        id: "hash-iter",
-        summary:
-            "no HashMap/HashSet in event-ordering code; use BTreeMap/BTreeSet or sort explicitly",
-        rationale: "std hash-map iteration order is unspecified and randomized per process; \
-                    any event ordering, report, or digest derived from it differs between \
-                    runs. The PR-1 determinism sweep replaced every hash collection for \
-                    exactly this reason.",
-        fix: "Use BTreeMap/BTreeSet, or collect and sort before iterating. If order provably \
-              never escapes (pure membership), say so in an allow-pragma.",
-        severity: Severity::Deny,
-    },
-    RuleInfo {
-        id: "float-eq",
-        summary: "no == / != against floating-point literals; compare with an explicit tolerance",
-        rationale: "Floating-point equality is almost never the intended predicate: rounding \
-                    differences that are invisible in printed output flip the comparison and \
-                    change control flow between otherwise-identical runs.",
-        fix: "Compare with an explicit tolerance, e.g. (a - b).abs() < tol. Exact sentinel \
-              values (0.0 used as \"unset\") deserve an allow-pragma naming the sentinel.",
-        severity: Severity::Deny,
-    },
-    RuleInfo {
-        id: "unwrap",
-        summary: "no unwrap()/expect() in sim/protocol/numeric crates outside #[cfg(test)]",
-        rationale: "A panic mid-simulation tears down the whole sweep and hides the state \
-                    that led there. Every unwrap is a claim that the None/Err case is \
-                    impossible — that claim belongs in writing.",
-        fix: "Handle the None/Err case, or document impossibility with an allow-pragma whose \
-              reason states the invariant that guarantees it.",
-        severity: Severity::Deny,
-    },
-    RuleInfo {
-        id: "thread",
-        summary: "no thread spawning in simulation/protocol/numeric crates; the event loop is \
-                  single-threaded — concurrency needs a reasoned allow-pragma arguing it cannot \
-                  change any run's result (see overlap_core::runner)",
-        rationale: "Thread interleaving is scheduler-dependent; any result that depends on it \
-                    differs between machines and runs. The sweep runner shows the sanctioned \
-                    shape: parallelism across independent runs, results reassembled in a \
-                    deterministic order.",
-        fix: "Keep per-run code single-threaded. For cross-run parallelism, document in an \
-              allow-pragma why no output byte can depend on thread timing.",
-        severity: Severity::Deny,
-    },
-    RuleInfo {
-        id: "unit-mixing",
-        summary: "no +, -, or comparison between identifiers with conflicting unit suffixes \
-                  (_s/_ms/_secs vs _bytes/_pkts vs _mbps/_bps)",
-        rationale: "Seconds, bytes, and rates live in the same f64/u64 types, so the compiler \
-                    cannot catch `horizon_s + window_bytes`. The PR-2 sampler partial-bin bug \
-                    and both fluid-model erratum corners were quantity confusions of exactly \
-                    this shape; kernel MPTCP studies hit the same class in coupled-law \
-                    arithmetic.",
-        fix: "Convert explicitly so both operands share a unit (and a suffix), or use the \
-              typed wrappers in simbase::units. Multiplication/division across units is fine \
-              (bytes / secs is a rate); addition and comparison are not.",
-        severity: Severity::Deny,
-    },
-    RuleInfo {
-        id: "truncating-cast",
-        summary: "no float→integer or wide→narrow `as` casts in sim/protocol/numeric crates \
-                  without an allow-pragma (ratcheted)",
-        rationale: "`as` silently truncates: floats round toward zero (and saturate), wide \
-                    integers drop high bits. A sequence number, byte count, or scaled time \
-                    that quietly wraps corrupts the simulation without a panic — the worst \
-                    failure mode for a reproducibility claim.",
-        fix: "Use TryFrom/try_into with an explicit expect-invariant, round floats \
-              explicitly (.round(), .floor()) before converting, or prove the range and add \
-              an allow-pragma stating the bound. Pre-existing casts are pinned by the ratchet \
-              baseline; new ones must justify themselves.",
-        severity: Severity::Ratchet,
-    },
-    RuleInfo {
-        id: "float-accum",
-        summary: "no `+=` accumulation into simulated-time variables inside loops; use the \
-                  rescale idiom (t = t0 + step as f64 * h) or Kahan compensation",
-        rationale: "Accumulating `t += dt` across millions of iterations drifts by O(n·ulp), \
-                    and the drift differs between otherwise-equivalent loop structures — the \
-                    fluid integrator and sampler derive time from the step index for exactly \
-                    this reason. Drifting simulated time desynchronizes the two ground truths.",
-        fix: "Derive time from the loop index: t = t0 + (step as f64) * h. Where true \
-              accumulation is required, use Kahan compensation and say so in an allow-pragma.",
-        severity: Severity::Deny,
-    },
-    RuleInfo {
-        id: "panic-surface",
-        summary: "indexing/slicing, non-constant integer division, and panic!/assert! in \
-                  sim/protocol/numeric crates (ratcheted)",
-        rationale: "Every index, slice, variable divisor, and assert is a place the \
-                    simulation can die mid-sweep. The inventory is pinned by the ratchet \
-                    baseline: it may only shrink, so hot-path refactors (timing wheel, \
-                    parallel DES) cannot quietly widen the panic surface.",
-        fix: "Prefer get()/get_mut(), checked_div/div_ceil, and Result-returning paths in new \
-              code. Deliberate invariant checks are fine — the baseline pins the current \
-              count, and an allow-pragma with the invariant removes a finding permanently.",
-        severity: Severity::Ratchet,
-    },
-    RuleInfo {
-        id: "dead-pragma",
-        summary: "every `// simlint: allow(...)` must name a known rule, carry a reason, and \
-                  actually suppress a finding on its line",
-        rationale: "A pragma that no longer fires is a license waiting to hide a future \
-                    regression, and it misrepresents the audited-exception inventory that \
-                    the docs and baseline workflow rely on.",
-        fix: "Delete the stale pragma (or fix its rule id / add the missing reason). This \
-              rule cannot itself be suppressed.",
-        severity: Severity::Deny,
-    },
-    RuleInfo {
-        id: "forbid-unsafe",
-        summary: "every workspace crate root must carry #![forbid(unsafe_code)]",
-        rationale: "Unsafe code can introduce UB-dependent nondeterminism that no lint or \
-                    test catches; the workspace-level deny is re-asserted per crate root so \
-                    a crate cannot opt out locally.",
-        fix: "Add #![forbid(unsafe_code)] to the crate root.",
-        severity: Severity::Deny,
-    },
-];
-
-/// Look up a rule's static description.
-pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
-    RULES.iter().find(|r| r.id == id)
-}
-
-/// The rule's severity (Deny for unknown ids, defensively).
-pub fn rule_severity(id: &str) -> Severity {
-    rule_info(id).map_or(Severity::Deny, |r| r.severity)
-}
-
-/// Dimension classes for the unit-mixing rule. Granularity is deliberately
-/// the *dimension*, not the unit: `x_ms + y_s * 1000.0` mixes time units
-/// but usually carries an explicit conversion factor, while
-/// `x_ms + y_bytes` can never be right.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Unit {
-    Time,
-    Data,
-    Rate,
-}
-
-impl Unit {
-    fn name(self) -> &'static str {
-        match self {
-            Unit::Time => "time",
-            Unit::Data => "data",
-            Unit::Rate => "rate",
-        }
-    }
-}
-
-/// Unit class of an identifier, from its last `_`-separated segment.
-/// Short, collision-prone segments (`s`, `ms`, …) only count in suffix
-/// position (`elapsed_s`), never as whole identifiers.
-fn unit_of(ident: &str) -> Option<Unit> {
+/// The dimension an identifier's last `_` segment names. Short segments
+/// (`s`, `ms`, ...) count only as suffixes (`elapsed_s`), never alone.
+fn unit_of(ident: &str) -> Option<&'static str> {
     let seg = ident.rsplit('_').next().unwrap_or(ident);
     let suffixed = ident.len() > seg.len();
-    let s = seg.to_ascii_lowercase();
-    match s.as_str() {
-        "s" | "ms" | "us" | "ns" | "sec" if suffixed => Some(Unit::Time),
-        "secs" | "millis" | "micros" | "nanos" => Some(Unit::Time),
-        "byte" | "bit" | "pkt" | "seg" if suffixed => Some(Unit::Data),
-        "bytes" | "bits" | "pkts" | "packets" | "segs" => Some(Unit::Data),
-        "bps" | "kbps" | "mbps" | "gbps" | "pps" => Some(Unit::Rate),
+    match seg.to_ascii_lowercase().as_str() {
+        "s" | "ms" | "us" | "ns" | "sec" if suffixed => Some("time"),
+        "secs" | "millis" | "micros" | "nanos" => Some("time"),
+        "byte" | "bit" | "pkt" | "seg" if suffixed => Some("data"),
+        "bytes" | "bits" | "pkts" | "packets" | "segs" => Some("data"),
+        "bps" | "kbps" | "mbps" | "gbps" | "pps" => Some("rate"),
         _ => None,
     }
 }
 
-const NARROW_TARGETS: &[&str] = &["u8", "i8", "u16", "i16", "u32", "i32", "f32"];
-const WIDE_INT_TARGETS: &[&str] = &["u64", "i64", "u128", "i128", "usize", "isize"];
-const PANIC_MACROS: &[&str] = &[
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-];
-
-/// Run all rules over one file, returning *raw* findings — pragma
-/// suppression is applied afterwards by [`finalize`].
-pub fn check_file(rel_path: &str, view: &SourceView) -> Vec<Violation> {
-    let kind = CrateKind::classify(rel_path);
-    let relaxed = is_relaxed_path(rel_path);
-    let toks = &view.tokens;
-    let mut out = Vec::new();
-
-    let mut push = |rule: &'static str, span: crate::lexer::Span, message: String| {
-        out.push(Violation {
-            rule,
-            file: rel_path.to_string(),
-            line: span.line,
-            col: span.col,
-            end_col: span.end_col,
-            message,
-            status: BaselineStatus::New,
-        });
-    };
-
-    // Per-line dedup for the thread rule (several patterns can hit one line).
-    let mut thread_hit_lines: Vec<usize> = Vec::new();
-
-    for (i, t) in toks.iter().enumerate() {
-        let line = t.span.line;
-        let in_test = relaxed || view.line_in_test(line);
-
-        // wall-clock: everywhere but tooling sources; tests, benches, and
-        // examples included — wall time must never steer a simulation.
-        if kind != CrateKind::Tooling || relaxed {
-            if let Some(id) = t.ident() {
-                if id == "Instant" || id == "SystemTime" {
-                    push(
-                        "wall-clock",
-                        t.span,
-                        format!(
-                            "`{id}` is wall-clock time; simulation code must use virtual \
-                             time (simbase::SimTime)"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // hash-iter: same coverage as wall-clock (determinism-critical, so
-        // test code is NOT exempt — a test that iterates a HashMap asserts
-        // on an unspecified order).
-        if kind != CrateKind::Tooling || relaxed {
-            if let Some(id) = t.ident() {
-                if id == "HashMap" || id == "HashSet" {
-                    push(
-                        "hash-iter",
-                        t.span,
-                        format!(
-                            "`{id}` iteration order is unspecified and per-process; use \
-                             BTreeMap/BTreeSet or sort before iterating"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // float-eq: non-test code, all crate kinds.
-        if !in_test && t.kind == TokenKind::Op && (t.text == "==" || t.text == "!=") {
-            let lhs_float = i > 0 && matches!(toks[i - 1].kind, TokenKind::Float { .. });
-            let rhs = toks.get(i + 1).is_some_and(|n| {
-                if n.is_op("-") {
-                    toks.get(i + 2)
-                        .is_some_and(|m| matches!(m.kind, TokenKind::Float { .. }))
-                } else {
-                    matches!(n.kind, TokenKind::Float { .. })
-                }
-            });
-            if lhs_float || rhs {
-                let lit = if lhs_float {
-                    &toks[i - 1].text
-                } else if toks[i + 1].is_op("-") {
-                    &toks[i + 2].text
-                } else {
-                    &toks[i + 1].text
-                };
-                push(
-                    "float-eq",
-                    t.span,
-                    format!(
-                        "floating-point `{}` against `{lit}`; use an epsilon comparison \
-                         (e.g. (a - b).abs() < tol)",
-                        t.text
-                    ),
-                );
-            }
-        }
-
-        // unwrap: sim/protocol/numeric, non-test code. Token-accurate:
-        // `.unwrap(` / `.expect(` as a call, never `unwrap_or`, never an
-        // identifier that merely contains the word.
-        if kind != CrateKind::Tooling && !in_test && t.is_op(".") {
-            if let (Some(name), Some(open)) = (toks.get(i + 1), toks.get(i + 2)) {
-                if open.is_open('(') && (name.is_ident("unwrap") || name.is_ident("expect")) {
-                    push(
-                        "unwrap",
-                        name.span,
-                        format!(
-                            "`{}` can panic mid-simulation; handle the None/Err case or \
-                             document impossibility with an allow pragma",
-                            name.text
-                        ),
-                    );
-                }
-            }
-        }
-
-        // thread: spawning APIs outside tooling/tests.
-        if kind != CrateKind::Tooling && !in_test {
-            let pat: Option<&str> = if t.is_ident("std")
-                && toks.get(i + 1).is_some_and(|n| n.is_op("::"))
-                && toks.get(i + 2).is_some_and(|n| n.is_ident("thread"))
-            {
-                Some("std::thread")
-            } else if t.is_ident("thread")
-                && toks.get(i + 1).is_some_and(|n| n.is_op("::"))
-                && toks
-                    .get(i + 2)
-                    .is_some_and(|n| n.is_ident("spawn") || n.is_ident("scope"))
-            {
-                Some("thread::spawn")
-            } else if t.is_op(".")
-                && toks.get(i + 1).is_some_and(|n| n.is_ident("spawn"))
-                && toks.get(i + 2).is_some_and(|n| n.is_open('('))
-            {
-                Some(".spawn(")
-            } else if t.is_ident("rayon") {
-                Some("rayon")
-            } else {
-                None
-            };
-            if let Some(pat) = pat {
-                if !thread_hit_lines.contains(&line) {
-                    thread_hit_lines.push(line);
-                    push(
-                        "thread",
-                        t.span,
-                        format!(
-                            "`{pat}` introduces scheduling nondeterminism; justify with an \
-                             allow-pragma why results cannot depend on thread interleaving"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // unit-mixing: sim/protocol/numeric, non-test code.
-        if kind != CrateKind::Tooling && !in_test && t.kind == TokenKind::Op {
-            let checked = matches!(
-                t.text.as_str(),
-                "+" | "-" | "+=" | "-=" | "<" | ">" | "<=" | ">=" | "==" | "!="
-            );
-            // Exclude unary +/-: preceded by nothing, an operator, or an
-            // opening delimiter.
-            let binary = i > 0 && !matches!(toks[i - 1].kind, TokenKind::Op | TokenKind::Open);
-            if checked && binary {
-                let lhs = operand_unit_left(toks, &view.match_of, i);
-                let rhs = operand_unit_right(toks, &view.match_of, i);
-                if let (Some((lu, ln)), Some((ru, rn))) = (lhs, rhs) {
-                    if lu != ru {
-                        push(
-                            "unit-mixing",
-                            t.span,
-                            format!(
-                                "`{ln}` ({}) {} `{rn}` ({}) mixes units; convert one side \
-                                 explicitly so both share a dimension",
-                                lu.name(),
-                                t.text,
-                                ru.name()
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-
-        // truncating-cast: sim/protocol/numeric, non-test code.
-        if kind != CrateKind::Tooling && !in_test && t.is_ident("as") && i > 0 {
-            let operand = matches!(
-                toks[i - 1].kind,
-                TokenKind::Ident
-                    | TokenKind::Int { .. }
-                    | TokenKind::Float { .. }
-                    | TokenKind::Close
-            );
-            if operand && !in_use_statement(toks, i) {
-                if let Some(target) = toks.get(i + 1).and_then(Token::ident) {
-                    let span = crate::lexer::Span {
-                        line: t.span.line,
-                        col: t.span.col,
-                        end_col: toks[i + 1].span.end_col,
-                    };
-                    if NARROW_TARGETS.contains(&target) {
-                        push(
-                            "truncating-cast",
-                            span,
-                            format!(
-                                "`as {target}` narrows and can silently truncate; prove the \
-                                 range (try_from / an allow-pragma) or widen the type"
-                            ),
-                        );
-                    } else if WIDE_INT_TARGETS.contains(&target)
-                        && float_source(toks, &view.match_of, i)
-                    {
-                        push(
-                            "truncating-cast",
-                            span,
-                            format!(
-                                "float-to-integer `as {target}` truncates toward zero; round \
-                                 explicitly (.round()/.floor()) and justify the range"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-
-        // panic-surface: sim/protocol/numeric, non-test code (ratcheted).
-        if kind != CrateKind::Tooling && !in_test {
-            // panic!/assert!/unreachable! macros (debug_assert* excluded:
-            // compiled out of release sweeps, and the invariant layer is
-            // built on them deliberately).
-            if t.kind == TokenKind::Ident
-                && PANIC_MACROS.contains(&t.text.as_str())
-                && toks.get(i + 1).is_some_and(|n| n.is_op("!"))
-            {
-                push(
-                    "panic-surface",
-                    t.span,
-                    format!(
-                        "`{}!` is a mid-simulation abort; prefer a Result path, or keep it \
-                         as a documented invariant (the ratchet pins the count)",
-                        t.text
-                    ),
-                );
-            }
-            // Indexing/slicing: `expr[...]` — an Open('[') directly after
-            // an identifier or a closing delimiter. Array literals
-            // (`[0; n]`), attributes (`#[...]`), and types (`: [u8; 4]`)
-            // are preceded by operators and never match.
-            if t.is_open('[')
-                && i > 0
-                && matches!(toks[i - 1].kind, TokenKind::Ident | TokenKind::Close)
-            {
-                push(
-                    "panic-surface",
-                    t.span,
-                    "indexing/slicing panics when out of range; prefer get()/get_mut() or \
-                     document the bound"
-                        .to_string(),
-                );
-            }
-            // Non-constant division: `/` or `%` with a non-literal divisor
-            // and no visible float context (float division yields inf/NaN,
-            // not a panic — it has its own guards).
-            if t.kind == TokenKind::Op
-                && (t.text == "/" || t.text == "%")
-                && i > 0
-                && divisor_can_be_zero(toks, &view.match_of, i)
-            {
-                push(
-                    "panic-surface",
-                    t.span,
-                    format!(
-                        "`{}` by a non-constant divisor panics on zero (integer); guard the \
-                         divisor or use checked_div/div_ceil",
-                        t.text
-                    ),
-                );
-            }
-        }
-    }
-
-    // float-accum: `+=` into a simulated-time variable inside a loop body.
-    if kind != CrateKind::Tooling {
-        for (start, end) in loop_regions(toks, &view.match_of) {
-            for i in start..end {
-                let t = &toks[i];
-                if !t.is_op("+=") {
-                    continue;
-                }
-                if relaxed || view.line_in_test(t.span.line) {
-                    continue;
-                }
-                if let Some(name) = accum_target_name(toks, &view.match_of, i) {
-                    if is_sim_time_name(&name) {
-                        push(
-                            "float-accum",
-                            t.span,
-                            format!(
-                                "accumulating simulated time `{name} += …` in a loop drifts \
-                                 by O(n·ulp); derive it from the step index \
-                                 (t = t0 + step as f64 * h) or use Kahan compensation"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    out
-}
-
-/// Apply pragma suppression to raw findings and derive `dead-pragma`
-/// findings for pragmas that are malformed, name unknown rules, or no
-/// longer suppress anything.
-pub fn finalize(rel_path: &str, view: &SourceView, raw: Vec<Violation>) -> Vec<Violation> {
-    let mut out: Vec<Violation> = raw
-        .iter()
-        .filter(|v| !view.allowed(v.rule, v.line))
-        .cloned()
-        .collect();
-
-    for p in &view.pragmas {
-        let covered = |line: usize| line == p.line || (p.standalone && line == p.line + 1);
-        if rule_info(&p.rule).is_none() {
-            out.push(Violation {
-                rule: "dead-pragma",
-                file: rel_path.to_string(),
-                line: p.line,
-                col: 0,
-                end_col: 0,
-                message: format!(
-                    "pragma allows unknown rule `{}`; see `--explain` for the rule list",
-                    p.rule
-                ),
-                status: BaselineStatus::New,
-            });
-        } else if p.reason.is_empty() {
-            out.push(Violation {
-                rule: "dead-pragma",
-                file: rel_path.to_string(),
-                line: p.line,
-                col: 0,
-                end_col: 0,
-                message: format!(
-                    "pragma for `{}` has no reason and suppresses nothing; add \
-                     `reason = \"...\"` or delete it",
-                    p.rule
-                ),
-                status: BaselineStatus::New,
-            });
-        } else if !raw.iter().any(|v| v.rule == p.rule && covered(v.line)) {
-            out.push(Violation {
-                rule: "dead-pragma",
-                file: rel_path.to_string(),
-                line: p.line,
-                col: 0,
-                end_col: 0,
-                message: format!(
-                    "`{}` no longer fires on this line; delete the stale pragma",
-                    p.rule
-                ),
-                status: BaselineStatus::New,
-            });
-        }
-    }
-    out
-}
-
-/// Check a crate root (`lib.rs`/`main.rs`) for the `forbid(unsafe_code)`
-/// attribute, as the token sequence `#` `!` `[` `forbid` `(` `unsafe_code`.
-pub fn check_crate_root(rel_path: &str, view: &SourceView) -> Vec<Violation> {
-    let toks = &view.tokens;
-    let has = toks.windows(6).any(|w| {
-        w[0].is_op("#")
-            && w[1].is_op("!")
-            && w[2].is_open('[')
-            && w[3].is_ident("forbid")
-            && w[4].is_open('(')
-            && w[5].is_ident("unsafe_code")
-    });
-    if has {
-        Vec::new()
+/// Walk one operand chain (`self.cfg.bin_secs`, `x.as_nanos()`, `buf[i]`)
+/// away from the operator at `op` to its first unit-suffixed identifier.
+/// Groups are jumped over, never entered: leftwards a parenthesized
+/// operand, rightwards call arguments and indexes. Unary prefixes are
+/// skipped.
+fn operand(v: &SourceView, op: usize, right: bool) -> Option<(&'static str, String)> {
+    let toks = &v.tokens;
+    let unary = |t: &&Token| t.kind == Kind::Op && matches!(&*t.text, "-" | "!" | "&" | "*");
+    let mut j = if right {
+        op + 1 + toks[op + 1..].iter().take_while(unary).count()
     } else {
-        vec![Violation {
-            rule: "forbid-unsafe",
-            file: rel_path.to_string(),
-            line: 1,
-            col: 0,
-            end_col: 0,
-            message: "crate root must declare #![forbid(unsafe_code)]".to_string(),
-            status: BaselineStatus::New,
-        }]
-    }
-}
-
-/// Walk left from the operator at `op_idx` through one operand chain
-/// (`self.cfg.bin_secs`, `x.as_nanos()`, `buf[i]`), returning the first
-/// unit-suffixed identifier found. Parenthesized sub-expressions are
-/// jumped over, not entered: their dimension is unknowable here.
-fn operand_unit_left(
-    toks: &[Token],
-    match_of: &[Option<usize>],
-    op_idx: usize,
-) -> Option<(Unit, String)> {
-    let mut j = op_idx.checked_sub(1)?;
-    for _ in 0..64 {
-        match &toks[j].kind {
-            TokenKind::Close => {
-                let open = match_of[j]?;
-                j = open.checked_sub(1)?;
-            }
-            TokenKind::Ident => {
-                if let Some(u) = unit_of(&toks[j].text) {
-                    return Some((u, toks[j].text.clone()));
-                }
-                j = j.checked_sub(1)?;
-            }
-            TokenKind::Op if toks[j].text == "." || toks[j].text == "::" => {
-                j = j.checked_sub(1)?;
-            }
-            TokenKind::Int { .. } => {
-                // Tuple field access like `pair.0`.
-                j = j.checked_sub(1)?;
-            }
-            _ => return None,
-        }
-    }
-    None
-}
-
-/// Walk right from the operator at `op_idx` through one operand chain,
-/// returning the first unit-suffixed identifier found.
-fn operand_unit_right(
-    toks: &[Token],
-    match_of: &[Option<usize>],
-    op_idx: usize,
-) -> Option<(Unit, String)> {
-    let mut j = op_idx + 1;
-    // Skip unary prefixes.
-    while toks
-        .get(j)
-        .is_some_and(|t| t.is_op("-") || t.is_op("!") || t.is_op("&") || t.is_op("*"))
-    {
-        j += 1;
-    }
+        op.checked_sub(1)?
+    };
     for _ in 0..64 {
         let t = toks.get(j)?;
-        match &t.kind {
-            TokenKind::Ident => {
-                if let Some(u) = unit_of(&t.text) {
-                    return Some((u, t.text.clone()));
-                }
-                j += 1;
-            }
-            TokenKind::Op if t.text == "." || t.text == "::" => j += 1,
-            TokenKind::Open => {
-                // Skip over call arguments / index expressions.
-                j = match_of[j]? + 1;
-            }
-            TokenKind::Int { .. } => j += 1,
+        let unit = unit_of(&t.text).filter(|_| t.kind == Kind::Ident);
+        match t.kind {
+            _ if unit.is_some() => return unit.map(|u| (u, t.text.clone())),
+            Kind::Ident | Kind::Int => {}
+            Kind::Op if t.text == "." || t.text == "::" => {}
+            Kind::Close if !right => j = v.match_of[j]?,
+            Kind::Open if right => j = v.match_of[j]?,
             _ => return None,
         }
+        j = if right { j + 1 } else { j.checked_sub(1)? };
     }
     None
 }
 
-/// True if the `as` at `as_idx` sits inside a `use`/`extern crate`
-/// statement (`use foo as bar;`), which is a rename, not a cast.
-fn in_use_statement(toks: &[Token], as_idx: usize) -> bool {
-    let mut j = as_idx;
-    for _ in 0..64 {
-        let Some(prev) = j.checked_sub(1) else {
-            return false;
-        };
-        let t = &toks[prev];
-        if t.is_op(";") || t.is_open('{') || t.is_close('}') {
-            return false;
-        }
-        if t.is_ident("use") || t.is_ident("crate") && prev > 0 && toks[prev - 1].is_ident("extern")
-        {
-            return true;
-        }
-        j = prev;
-    }
-    false
-}
-
-/// True when the cast source just left of the `as` at `as_idx` is visibly
-/// floating-point: a float literal, an `f64`/`f32` type token (cast
-/// chains like `x as f64 as usize`), or a parenthesized group containing
-/// either.
-fn float_source(toks: &[Token], match_of: &[Option<usize>], as_idx: usize) -> bool {
-    let prev = &toks[as_idx - 1];
-    match &prev.kind {
-        TokenKind::Float { .. } => true,
-        TokenKind::Ident => prev.text == "f64" || prev.text == "f32",
-        TokenKind::Close => {
-            let Some(open) = match_of[as_idx - 1] else {
-                return false;
-            };
-            toks[open..as_idx - 1].iter().any(|t| {
-                matches!(t.kind, TokenKind::Float { .. }) || t.is_ident("f64") || t.is_ident("f32")
-            })
-        }
-        _ => false,
-    }
-}
-
-/// For the division at `op_idx`: true when the divisor is non-constant and
-/// nothing in the immediate context marks the arithmetic as float.
-fn divisor_can_be_zero(toks: &[Token], match_of: &[Option<usize>], op_idx: usize) -> bool {
-    // `/=` and `%=` are separate tokens; `op_idx` is a bare `/` or `%`.
-    let Some(rhs) = toks.get(op_idx + 1) else {
-        return false;
-    };
-    // Constant divisors cannot be zero at runtime (a literal 0 divisor is
-    // a compile error).
-    if matches!(rhs.kind, TokenKind::Int { .. } | TokenKind::Float { .. }) {
-        return false;
-    }
-    if !matches!(rhs.kind, TokenKind::Ident | TokenKind::Open) {
-        return false;
-    }
-    // Visible float context on either side disarms the integer-division
-    // check: float division yields inf/NaN instead of panicking.
-    let lhs = &toks[op_idx - 1];
-    let lhs_float = match &lhs.kind {
-        TokenKind::Float { .. } => true,
-        TokenKind::Ident => lhs.text.ends_with("f64") || lhs.text.ends_with("f32"),
-        TokenKind::Close => match_of[op_idx - 1].is_some_and(|open| {
-            toks[open..op_idx - 1].iter().any(|t| {
-                matches!(t.kind, TokenKind::Float { .. })
-                    || t.is_ident("f64")
-                    || t.is_ident("f32")
-                    || t.text.ends_with("_f64")
-                    || t.text.ends_with("_f32")
-            })
-        }),
-        _ => false,
-    };
-    if lhs_float {
-        return false;
-    }
-    // Right side: an ident chain ending in a float conversion
-    // (`x.as_secs_f64()`), or a group containing float markers.
-    let mut j = op_idx + 1;
+/// The assigned identifier of the compound assignment at `op`.
+fn accum_target(v: &SourceView, op: usize) -> Option<String> {
+    let mut j = op.checked_sub(1)?;
     for _ in 0..16 {
-        let Some(t) = toks.get(j) else { break };
-        match &t.kind {
-            TokenKind::Ident => {
-                if t.text.ends_with("f64") || t.text.ends_with("f32") {
-                    return false;
-                }
-                j += 1;
-            }
-            TokenKind::Op if t.text == "." || t.text == "::" => j += 1,
-            TokenKind::Float { .. } => return false,
-            TokenKind::Open => {
-                if let Some(close) = match_of[j] {
-                    if toks[j..close].iter().any(|t| {
-                        matches!(t.kind, TokenKind::Float { .. })
-                            || t.text.ends_with("f64")
-                            || t.text.ends_with("f32")
-                    }) {
-                        return false;
-                    }
-                    j = close + 1;
-                } else {
-                    break;
-                }
-            }
-            _ => break,
-        }
-    }
-    true
-}
-
-/// Token-index ranges of loop bodies: from each `for`/`while`/`loop`
-/// keyword, the first following `{` through its match. A closure in the
-/// loop header can start the region early; that over-approximates toward
-/// flagging, which is the conservative direction here.
-fn loop_regions(toks: &[Token], match_of: &[Option<usize>]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        let is_kw = (t.is_ident("for") || t.is_ident("while") || t.is_ident("loop"))
-            && (i == 0 || !(toks[i - 1].is_op(".") || toks[i - 1].is_op("::")));
-        if !is_kw {
-            continue;
-        }
-        if let Some(open) = (i + 1..toks.len()).find(|&j| toks[j].is_open('{')) {
-            if let Some(close) = match_of[open] {
-                out.push((open, close));
-            }
-        }
-    }
-    out
-}
-
-/// The assigned-to identifier of a compound assignment: nearest identifier
-/// left of the `+=`.
-fn accum_target_name(toks: &[Token], match_of: &[Option<usize>], op_idx: usize) -> Option<String> {
-    let mut j = op_idx.checked_sub(1)?;
-    for _ in 0..16 {
-        match &toks[j].kind {
-            TokenKind::Ident => return Some(toks[j].text.clone()),
-            TokenKind::Close => j = match_of[j]?.checked_sub(1)?,
-            TokenKind::Op if toks[j].text == "." || toks[j].text == "::" => j = j.checked_sub(1)?,
-            TokenKind::Int { .. } => j = j.checked_sub(1)?,
+        let t = &v.tokens[j];
+        match t.kind {
+            Kind::Ident => return Some(t.text.clone()),
+            Kind::Close => j = v.match_of[j]?,
+            Kind::Int => {}
+            Kind::Op if t.text == "." || t.text == "::" => {}
             _ => return None,
         }
+        j = j.checked_sub(1)?;
     }
     None
 }
 
-/// Identifiers that, by workspace convention, carry simulated time as
-/// float seconds. `_ms`/`_ns` variables are integer tick counts here and
-/// `*_time` fields are SimDuration (exact integer nanos) — both are exempt.
-fn is_sim_time_name(name: &str) -> bool {
-    if matches!(name, "t" | "time" | "now" | "elapsed" | "clock") {
-        return true;
-    }
+/// Names that carry simulated time as float seconds by workspace
+/// convention. `_ms` / `_ns` names are integer ticks and `*_time` fields are
+/// `SimDuration`s (exact integer nanoseconds): both are exempt.
+fn is_sim_time(name: &str) -> bool {
     let seg = name.rsplit('_').next().unwrap_or(name);
-    name.len() > seg.len() && matches!(seg, "s" | "sec" | "secs")
+    let suffix = name.len() > seg.len() && matches!(seg, "s" | "sec" | "secs");
+    suffix || matches!(name, "t" | "time" | "now" | "elapsed" | "clock")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::scan;
 
-    /// Raw findings with pragmas applied — the shape the driver uses.
-    fn check(path: &str, src: &str) -> Vec<Violation> {
-        let view = scan(src);
-        let raw = check_file(path, &view);
-        finalize(path, &view, raw)
-    }
-
-    /// Rules only, ignoring dead-pragma bookkeeping.
-    fn check_rules(path: &str, src: &str) -> Vec<Violation> {
-        check(path, src)
-            .into_iter()
-            .filter(|v| v.rule != "dead-pragma")
-            .collect()
+    fn rules(path: &str, src: &str) -> String {
+        let found: Vec<&str> = check(path, src).into_iter().map(|f| f.0).collect();
+        found.join(" ")
     }
 
     #[test]
-    fn crate_classification_covers_the_workspace() {
-        assert_eq!(
-            CrateKind::classify("crates/tcpsim/src/a.rs"),
-            CrateKind::Protocol
-        );
-        assert_eq!(
-            CrateKind::classify("crates/mptcpsim/src/a.rs"),
-            CrateKind::Protocol
-        );
-        assert_eq!(
-            CrateKind::classify("crates/lpsolve/src/a.rs"),
-            CrateKind::Numeric
-        );
-        assert_eq!(
-            CrateKind::classify("crates/fluidsim/src/ode.rs"),
-            CrateKind::Numeric
-        );
-        assert_eq!(
-            CrateKind::classify("crates/bench/src/bin/x.rs"),
-            CrateKind::Tooling
-        );
-        assert_eq!(
-            CrateKind::classify("crates/xtask/src/main.rs"),
-            CrateKind::Tooling
-        );
-        assert_eq!(
-            CrateKind::classify("crates/netsim/src/sim.rs"),
-            CrateKind::Sim
-        );
-        // The fault layer mutates the event-driven simulation mid-run and
-        // must obey the full determinism ruleset.
-        assert_eq!(
-            CrateKind::classify("crates/netsim/src/faults.rs"),
-            CrateKind::Sim
-        );
-        assert_eq!(
-            CrateKind::classify("crates/core/src/runner.rs"),
-            CrateKind::Sim
-        );
-        assert_eq!(CrateKind::classify("tests/determinism.rs"), CrateKind::Sim);
-        // Relaxed directories: panic/quantity rules off, determinism on.
-        assert!(is_relaxed_path("tests/determinism.rs"));
-        assert!(is_relaxed_path("examples/quickstart.rs"));
-        assert!(is_relaxed_path("crates/bench/benches/lp.rs"));
-        assert!(is_relaxed_path("crates/netsim/tests/x.rs"));
-        assert!(!is_relaxed_path("crates/netsim/src/sim.rs"));
-    }
-
-    #[test]
-    fn fluidsim_is_linted_as_numeric_code() {
-        // unwrap and float-eq rules bite in the new crate's non-test code …
-        let v = check_rules("crates/fluidsim/src/run.rs", "let x = v.pop().unwrap();\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "unwrap");
-        let v = check_rules("crates/fluidsim/src/dynamics.rs", "if q == 0.5 { x(); }\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "float-eq");
-        // … and wall-clock is forbidden (the integrator has no real time).
-        let v = check_rules("crates/fluidsim/src/ode.rs", "let t = Instant::now();\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "wall-clock");
-    }
-
-    #[test]
-    fn wall_clock_flagged_in_sim_crates() {
-        let v = check_rules("crates/netsim/src/sim.rs", "let t = Instant::now();\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "wall-clock");
-        assert!(
-            check_rules("crates/netsim/src/sim.rs", "use std::time::SystemTime;\n")
-                .iter()
-                .any(|v| v.rule == "wall-clock")
-        );
-        // Tooling sources may measure wall time …
-        assert!(check_rules("crates/bench/src/bin/x.rs", "let t = Instant::now();\n").is_empty());
-        // … but bench *benches* and tests/ may not (coverage extension).
-        assert!(!check_rules("crates/bench/benches/lp.rs", "let t = Instant::now();\n").is_empty());
-        assert!(!check_rules("tests/determinism.rs", "Instant::now();\n").is_empty());
-        assert!(!check_rules("examples/quickstart.rs", "SystemTime::now();\n").is_empty());
-    }
-
-    #[test]
-    fn wall_clock_allow_pragma() {
-        let src =
-            "let t = Instant::now(); // simlint: allow(wall-clock, reason = \"host profiling\")\n";
-        assert!(check("crates/netsim/src/sim.rs", src).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_not_fooled_by_identifier_substrings() {
-        // Token accuracy: idents merely containing the needle do not fire.
-        let src = "let InstantaneousRate = 3; fn unwrapped() {} type MySystemTimeLike = u8;\n";
-        assert!(check_rules("crates/netsim/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn hash_iter_flagged_including_tests() {
-        let v = check_rules(
-            "crates/netsim/src/routing.rs",
-            "use std::collections::HashMap;\nfn f(m: &HashMap<u32, u32>) {}\n",
-        );
-        assert_eq!(v.iter().filter(|v| v.rule == "hash-iter").count(), 2);
-        // Determinism coverage extension: hash collections are flagged in
-        // test code too — a test iterating a HashMap asserts on an
-        // unspecified order.
-        let src = "#[cfg(test)]\nmod tests {\n use std::collections::HashSet;\n}\n";
-        assert_eq!(check_rules("crates/netsim/src/routing.rs", src).len(), 1);
-        assert!(!check_rules("tests/determinism.rs", "HashMap::new();\n").is_empty());
-        // BTreeMap is the sanctioned alternative.
-        assert!(check_rules(
-            "crates/netsim/src/routing.rs",
-            "use std::collections::BTreeMap;\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn hash_iter_word_boundaries() {
-        assert!(check_rules("crates/netsim/src/x.rs", "struct MyHashMapLike;\n").is_empty());
-    }
-
-    #[test]
-    fn float_eq_flagged() {
-        let v = check_rules(
-            "crates/lpsolve/src/model.rs",
-            "if coeff == 0.0 { skip(); }\n",
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "float-eq");
-        assert!(
-            !check_rules("crates/lpsolve/src/model.rs", "if x != 1.5f64 { y(); }\n").is_empty()
-        );
-        assert!(!check_rules("crates/lpsolve/src/model.rs", "if x == -1.5 { y(); }\n").is_empty());
-        // Integer comparisons and ranges are fine.
-        assert!(check_rules("crates/lpsolve/src/model.rs", "if n == 0 { y(); }\n").is_empty());
-        assert!(check_rules("crates/lpsolve/src/model.rs", "for i in 0..10 { }\n").is_empty());
-        assert!(check_rules("crates/lpsolve/src/model.rs", "if a <= 1.0 { }\n").is_empty());
-    }
-
-    #[test]
-    fn float_eq_allow_pragma() {
-        let src = "// simlint: allow(float-eq, reason = \"exact sentinel\")\nif x == 0.0 { }\n";
-        assert!(check("crates/lpsolve/src/model.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_flagged_in_protocol_crates() {
-        let v = check_rules("crates/tcpsim/src/sender.rs", "let x = q.pop().unwrap();\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "unwrap");
-        assert!(!check_rules(
-            "crates/mptcpsim/src/dsn.rs",
-            "map.get(&k).expect(\"present\");\n"
-        )
-        .is_empty());
-        // unwrap_or / unwrap_or_else are fine (no panic).
-        assert!(check_rules(
-            "crates/tcpsim/src/sender.rs",
-            "q.pop().unwrap_or_default(); x.unwrap_or(0);\n"
-        )
-        .is_empty());
-        // Test modules and tests/ files are exempt.
-        let src = "#[cfg(test)]\nmod tests {\n fn t() { x.unwrap(); }\n}\n";
-        assert!(check_rules("crates/tcpsim/src/sender.rs", src).is_empty());
-        assert!(check_rules("tests/protocol_invariants.rs", "x.unwrap();\n")
-            .iter()
-            .all(|v| v.rule != "unwrap"));
-    }
-
-    #[test]
-    fn thread_flagged_in_sim_crates() {
-        let v = check_rules(
-            "crates/netsim/src/sim.rs",
-            "let h = std::thread::spawn(f);\n",
-        );
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "thread");
-        assert!(!check_rules("crates/core/src/runner.rs", "scope.spawn(|| run());\n").is_empty());
-        // Tooling crates (bench bins, xtask) may thread freely.
-        assert!(check_rules("crates/bench/src/bin/x.rs", "std::thread::spawn(f);\n").is_empty());
-        // Test code is exempt.
-        let src = "#[cfg(test)]\nmod tests {\n fn t() { std::thread::scope(|s| {}); }\n}\n";
-        assert!(check_rules("crates/netsim/src/sim.rs", src).is_empty());
-    }
-
-    #[test]
-    fn thread_allow_pragma() {
-        let src = "// simlint: allow(thread, reason = \"results re-ordered by index\")\n\
-                   std::thread::scope(|scope| {});\n";
-        assert!(check("crates/core/src/runner.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_allow_pragma() {
-        let src = "q.pop().unwrap() // simlint: allow(unwrap, reason = \"len checked above\")\n";
-        assert!(check("crates/tcpsim/src/sender.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unit_mixing_flags_conflicting_dimensions() {
-        for (src, what) in [
-            ("let x = horizon_s + window_bytes;\n", "time + data"),
-            ("let x = tx_bytes - rate_mbps;\n", "data - rate"),
-            ("if elapsed_s < goodput_mbps { f(); }\n", "time < rate"),
-            ("total_pkts += idle_secs;\n", "data += time"),
-            ("let y = self.cfg.bin_secs + pkt.wire_bytes;\n", "fields"),
-        ] {
-            let v = check_rules("crates/netsim/src/traffic.rs", src);
-            assert_eq!(v.len(), 1, "{what}: {v:?}");
-            assert_eq!(v[0].rule, "unit-mixing", "{what}");
+    fn rules_fire_where_they_should() {
+        // Each case is the rules that must fire, then a source linted as
+        // simulation code.
+        let cases = [
+            ("float-eq", "if c == 0.0 {}"),
+            ("float-eq", "if x != 1.5f64 {}"),
+            ("float-eq", "if x == -1.5 {}"),
+            ("float-eq", "if 2. == y {}"),
+            (
+                "",
+                "if n == 0 {} for i in 0..10 {} if a <= 1.0 {} s == \"1.0\";",
+            ),
+            ("", "#[cfg(test)]\nmod t {\n fn f() { x == 1.0; }\n}\n"),
+            ("unit-mixing", "let x = horizon_s + window_bytes;"),
+            ("unit-mixing", "let x = tx_bytes - rate_mbps;"),
+            ("unit-mixing", "if elapsed_s < goodput_mbps {}"),
+            ("unit-mixing", "total_pkts += idle_secs;"),
+            ("unit-mixing", "let y = self.cfg.bin_secs + pkt.wire_bytes;"),
+            ("unit-mixing", "let y = f(a).b_secs + x.get(1)[0].n_bytes;"),
+            ("", "let x = horizon_s + window_s + t_ms * 1000.0;"),
+            ("", "let r = tx_bytes as f64 / elapsed_s;"),
+            ("", "let x = count + tx_bytes + s + 1;"),
+            ("", "let x = dur.as_secs() + lag_s; let y = -horizon_s;"),
+            ("float-accum", "while go {\n t += dt;\n}\n"),
+            ("float-accum", "for _ in 0..n { self.elapsed_s += h; }"),
+            ("float-accum", "loop { for x in y { t += dt; } }"),
+            ("", "t += dt; x.for_each(|_| {}); t += 1.0;"),
+            (
+                "",
+                "for _ in 0..n { total_bytes += b; self.busy_time += d; }",
+            ),
+            (
+                "",
+                "// simlint: allow(float-eq, reason = \"sentinel\")\nif x == 0.0 {}\n",
+            ),
+            (
+                "",
+                "t_s + n_bytes; // simlint: allow(unit-mixing, reason = \"r\")",
+            ),
+            (
+                "dead-pragma",
+                "let x = 3; // simlint: allow(float-eq, reason = \"none\")",
+            ),
+            (
+                "dead-pragma float-eq",
+                "x == 1.0; // simlint: allow(float-eq)",
+            ),
+            (
+                "dead-pragma",
+                "x.unwrap(); // simlint: allow(no-such-rule, reason = \"r\")",
+            ),
+        ];
+        for (want, src) in cases {
+            assert_eq!(rules("crates/netsim/src/x.rs", src), want, "{src}");
         }
-    }
-
-    #[test]
-    fn unit_mixing_allows_sane_arithmetic() {
-        for src in [
-            // Same dimension: explicit conversions carry factors.
-            "let x = horizon_s + window_s;\n",
-            "let x = t_ms + dt_s * 1000.0;\n",
-            // Multiplication/division across dimensions forms new units.
-            "let r = tx_bytes as f64 / elapsed_s;\n",
-            "let b = rate_mbps * window_s;\n",
-            // No unit suffix on one side.
-            "let x = count + tx_bytes;\n",
-            "let y = s + 1;\n",
-            // Method-call conversions share the dimension.
-            "let x = dur.as_secs() + lag_s;\n",
-        ] {
-            let v: Vec<_> = check_rules("crates/netsim/src/traffic.rs", src)
-                .into_iter()
-                .filter(|v| v.rule == "unit-mixing")
-                .collect();
-            assert!(v.is_empty(), "{src}: {v:?}");
-        }
-    }
-
-    #[test]
-    fn unit_mixing_allow_pragma() {
-        let src = "// simlint: allow(unit-mixing, reason = \"bytes reused as ticks here\")\n\
-                   let x = horizon_s + window_bytes;\n";
-        assert!(check("crates/netsim/src/traffic.rs", src).is_empty());
-    }
-
-    #[test]
-    fn truncating_cast_flags_narrowing_and_float_casts() {
-        let v = check_rules("crates/netsim/src/packet.rs", "let n = len as u32;\n");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "truncating-cast");
-        assert!(!check_rules("crates/tcpsim/src/seq.rs", "let x = big as i16;\n").is_empty());
-        assert!(!check_rules("crates/fluidsim/src/run.rs", "let x = y as f32;\n").is_empty());
-        // Visible float → wide integer.
-        assert!(
-            !check_rules("crates/netsim/src/sim.rs", "let ns = (x * 1e9) as u64;\n").is_empty()
+        assert_eq!(
+            rules("crates/xtask/src/main.rs", "x == 1.0; a_s + b_bytes"),
+            "float-eq"
         );
-        assert!(
-            !check_rules("crates/netsim/src/sim.rs", "let n = y as f64 as usize;\n").is_empty()
-        );
-        // Cast split across lines still matches (file-level token stream).
-        assert!(!check_rules(
-            "crates/netsim/src/sim.rs",
-            "let n = long_expression_value\n    as u32;\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn truncating_cast_allows_widening_and_tooling() {
-        for src in [
-            "let x = small as u64;\n",       // widening (not visibly float)
-            "let x = n as usize;\n",         // index casts
-            "let x = r as f64;\n",           // int → float is exact to 2^53
-            "use std::fmt::Debug as Dbg;\n", // rename, not a cast
-        ] {
-            let v: Vec<_> = check_rules("crates/netsim/src/sim.rs", src)
-                .into_iter()
-                .filter(|v| v.rule == "truncating-cast")
-                .collect();
-            assert!(v.is_empty(), "{src}: {v:?}");
-        }
-        // Tooling and tests are out of scope.
-        assert!(check_rules("crates/bench/src/bin/x.rs", "let n = len as u32;\n").is_empty());
-        assert!(check_rules("tests/determinism.rs", "let n = len as u32;\n").is_empty());
-    }
-
-    #[test]
-    fn truncating_cast_allow_pragma() {
-        let src = "let id = nodes as u32; // simlint: allow(truncating-cast, reason = \"node count < 2^32 by construction\")\n";
-        assert!(check("crates/netsim/src/topology.rs", src).is_empty());
-    }
-
-    #[test]
-    fn float_accum_flags_time_accumulation_in_loops() {
-        let src = "while running {\n    t += dt;\n}\n";
-        let v = check_rules("crates/fluidsim/src/run.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "float-accum");
-        let src = "for _ in 0..n {\n    self.elapsed_s += h;\n}\n";
-        assert!(!check_rules("crates/core/src/runner.rs", src).is_empty());
-    }
-
-    #[test]
-    fn float_accum_ignores_non_time_and_non_loop() {
-        for src in [
-            "t += dt;\n",                               // not in a loop
-            "for _ in 0..n { total_bytes += b; }\n",    // not time
-            "for _ in 0..n { sum += x; }\n",            // generic accumulator
-            "for _ in 0..n { self.busy_time += d; }\n", // SimDuration field (integer nanos)
-        ] {
-            let v: Vec<_> = check_rules("crates/netsim/src/sim.rs", src)
-                .into_iter()
-                .filter(|v| v.rule == "float-accum")
-                .collect();
-            assert!(v.is_empty(), "{src}: {v:?}");
-        }
-    }
-
-    #[test]
-    fn float_accum_allow_pragma() {
-        let src = "while running {\n    // simlint: allow(float-accum, reason = \"Kahan-compensated below\")\n    t += dt;\n}\n";
-        assert!(check("crates/fluidsim/src/run.rs", src).is_empty());
-    }
-
-    #[test]
-    fn panic_surface_flags_macros_indexing_and_division() {
-        let v = check_rules("crates/netsim/src/sim.rs", "panic!(\"boom\");\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "panic-surface");
-        assert!(!check_rules("crates/netsim/src/sim.rs", "assert!(x < y);\n").is_empty());
-        assert!(!check_rules("crates/netsim/src/sim.rs", "let x = dist[i];\n").is_empty());
-        assert!(!check_rules("crates/netsim/src/sim.rs", "let x = f(a)[0];\n").is_empty());
-        assert!(!check_rules("crates/netsim/src/sim.rs", "let x = a / b;\n").is_empty());
-        assert!(!check_rules("crates/netsim/src/sim.rs", "let x = a % n;\n").is_empty());
-    }
-
-    #[test]
-    fn panic_surface_skips_safe_shapes() {
-        for src in [
-            "debug_assert!(x < y);\n",              // compiled out of release
-            "let a = [0u8; 4];\n",                  // array literal
-            "#[derive(Debug)]\nstruct X;\n",        // attribute brackets
-            "let x = a / 2;\n",                     // constant divisor
-            "let x = b % 8;\n",                     // constant divisor
-            "let r = bytes as f64 / 1e6;\n",        // float division
-            "let r = (x as f64) / elapsed;\n",      // float via cast group
-            "let r = total / dur.as_secs_f64();\n", // float via conversion call
-            "let v = vec![0; n];\n",                // macro bang before bracket
-            "let g = x.get(i);\n",                  // the sanctioned accessor
-        ] {
-            let v: Vec<_> = check_rules("crates/netsim/src/sim.rs", src)
-                .into_iter()
-                .filter(|v| v.rule == "panic-surface")
-                .collect();
-            assert!(v.is_empty(), "{src}: {v:?}");
-        }
-        // Tooling and tests are out of scope.
-        assert!(check_rules("crates/xtask/src/main.rs", "let x = v[0];\n").is_empty());
-        assert!(check_rules("tests/determinism.rs", "assert_eq!(a, b);\n").is_empty());
-    }
-
-    #[test]
-    fn panic_surface_allow_pragma() {
-        let src = "let x = dist[i]; // simlint: allow(panic-surface, reason = \"i < len by loop bound\")\n";
-        assert!(check("crates/netsim/src/paths.rs", src).is_empty());
-    }
-
-    #[test]
-    fn dead_pragma_detection() {
-        // A pragma whose rule does not fire on its line is dead.
-        let src = "let x = 3; // simlint: allow(unwrap, reason = \"nothing here\")\n";
-        let v = check("crates/tcpsim/src/sender.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "dead-pragma");
-        // Unknown rule ids and missing reasons are flagged too.
-        let v = check(
-            "crates/tcpsim/src/sender.rs",
-            "x.unwrap(); // simlint: allow(unwrp, reason = \"typo\")\n",
-        );
-        assert!(v.iter().any(|v| v.rule == "dead-pragma"));
-        let v = check(
-            "crates/tcpsim/src/sender.rs",
-            "x.unwrap(); // simlint: allow(unwrap)\n",
-        );
-        assert!(v.iter().any(|v| v.rule == "dead-pragma"));
-        // A live pragma produces nothing.
-        let src = "x.unwrap(); // simlint: allow(unwrap, reason = \"len checked\")\n";
-        assert!(check("crates/tcpsim/src/sender.rs", src).is_empty());
-        // Standalone pragmas cover the next line and stay alive through it.
-        let src = "// simlint: allow(unwrap, reason = \"len checked\")\nx.unwrap();\n";
-        assert!(check("crates/tcpsim/src/sender.rs", src).is_empty());
-    }
-
-    #[test]
-    fn forbid_unsafe_rule() {
-        let ok = scan("#![forbid(unsafe_code)]\nfn main() {}\n");
-        assert!(check_crate_root("crates/bench/src/lib.rs", &ok).is_empty());
-        let bad = scan("fn main() {}\n");
-        let v = check_crate_root("crates/bench/src/lib.rs", &bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "forbid-unsafe");
-    }
-
-    #[test]
-    fn strings_and_comments_do_not_trip_rules() {
-        let src = "let s = \"HashMap Instant .unwrap()\"; // HashMap Instant == 1.0\n";
-        assert!(check_rules("crates/netsim/src/x.rs", src).is_empty());
-        // Doc attributes carry paths in strings; blanked like any literal.
-        let src = "#[doc = \"std::time::Instant based\"]\nfn f() {}\n";
-        assert!(check_rules("crates/netsim/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn findings_carry_spans() {
-        let v = check_rules("crates/netsim/src/sim.rs", "let t = Instant::now();\n");
-        assert_eq!(v[0].line, 1);
-        assert_eq!(v[0].col, 8);
-        assert_eq!(v[0].end_col, 15);
-    }
-
-    #[test]
-    fn every_rule_has_explain_material() {
-        for r in RULES {
-            assert!(!r.rationale.is_empty(), "{} missing rationale", r.id);
-            assert!(!r.fix.is_empty(), "{} missing fix", r.id);
-        }
-        assert_eq!(rule_severity("panic-surface"), Severity::Ratchet);
-        assert_eq!(rule_severity("truncating-cast"), Severity::Ratchet);
-        assert_eq!(rule_severity("wall-clock"), Severity::Deny);
+        assert_eq!(rules("tests/a.rs", "x == 1.0"), "");
     }
 }

@@ -5,9 +5,11 @@
 //! counted into the first one's numbers. The counts are exact for a given
 //! build: no clocks, no `/proc`.
 
-// The workspace lint is `deny`, not `forbid`: a `GlobalAlloc` impl cannot be
-// written without `unsafe`, and these test crates are the only place one lives.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "a GlobalAlloc impl cannot be written without unsafe, and these test crates are the \
+              only place one lives; so the workspace lint is deny, not forbid"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
