@@ -87,48 +87,34 @@ if {
     exit 1
 fi
 
-echo "==> nothing deleted comes back (event log, coupling mutex, check feature, uncoupled-CC wrapper)"
-if grep -rn 'EventLog\|Arc<Mutex\|feature = "check"\|Mirrored<' crates/; then
-    echo "deleted in PR 20 (DESIGN.md par 9.2, par 6): count into SimStats or an agent counter, share through Rc<RefCell>, keep checks unconditional" >&2
-    exit 1
-fi
-
-echo "==> one range container, routes by destination (no B-tree range map in tcpsim/mptcpsim/simtrace, no per-node exact-route table, no per-node B-tree of untagged routes)"
-if grep -rn 'BTreeMap<u64, u64>' crates/tcpsim/src crates/mptcpsim/src crates/simtrace/src ||
-    grep -rn 'ExactRoutes' crates/netsim/src ||
-    grep -n 'BTreeMap<NodeId' crates/netsim/src/routing.rs; then
-    echo "replaced (DESIGN.md par 4, par 6, par 15): keep byte ranges in tcpsim::RangeSet, delivered ids in simtrace::Invariants' sorted vector, tagged routes in netsim::RoutingTables' route sets and untagged routes in its destination-sorted rows" >&2
-    exit 1
-fi
-
-echo "==> one header encoding (tcpsim's wire codec writes and reads each field once, at fixed offsets)"
-if grep -rn 'PayloadWriter' crates/ ||
-    grep -nE 'put_u8|get_u32|bytes::Buf' crates/tcpsim/src/wire.rs; then
-    echo "replaced (DESIGN.md par 4 tcpsim, Wire realism): encode into one [u8; INLINE_CAP] with to_be_bytes and Payload::from_array, decode through first_chunk / split_first_chunk; the byte-at-a-time codec lives on only as the test oracle in crates/tcpsim/src/wire/tests/reference.rs" >&2
-    exit 1
-fi
-
-echo "==> closed sets stay values (link queues, subflow schedulers, trace invariants, one kind of endpoint)"
-if grep -rnE 'dyn (Queue|Scheduler|Invariant)\b|fn clone_box\b' crates/; then
-    echo "replaced in PR 25 (DESIGN.md par 4): netsim::Queue and mptcpsim::SchedulerKind are enums, simtrace::Invariants is one struct; add a variant, not a trait object" >&2
-    exit 1
-fi
-if grep -rnE 'TcpSenderAgent|TcpReceiverAgent|AppSource::Paced|delayed_ack|cwnd_trace|fn close\b|fin_received|without_hystart|without_fast_convergence|with_min_rtt_window|peer_isn|join_jitter|schedule_link_down' crates/ tests/ examples/*.rs; then
-    echo "deleted (DESIGN.md par 3, par 8): a single-path flow is a one-subflow MPTCP connection; sample a sender's state from outside with World::run_until; a subflow never closes, its ISN, MSS, RTO clamps, join timing and CUBIC's switches are constants, and faults go in through install_faults" >&2
-    exit 1
-fi
-
-echo "==> nothing deleted comes back (one-value setting structs, table smoke modes)"
-if grep -rnE 'MobileNetConfig|MobilityProfile|FluidConfig|FluidParams|WorldgenConfig|fn fluid_config|--smoke' crates/ tests/ examples/*.rs; then
-    echo "deleted (DESIGN.md par 4, par 9.4, par 12): a setting no run varies is a named constant next to the code that reads it, fluidsim::solve takes only a horizon, and the table bins assert their gates while they print" >&2
-    exit 1
-fi
-
-echo "==> nothing deleted comes back (path enumeration, loss and queue faults, byte drop-tail, AQM setting structs, LP senses)"
-if grep -rnE 'all_simple_paths|k_shortest_paths|pairwise_bottlenecks|SetLoss|SetQueue|set_link_queue|loss_burst|capacity_dip|DropTailBytes|RedConfig|CoDelConfig|Sense::|LpOutcome::Infeasible' crates/ tests/ examples/*.rs; then
-    echo "deleted (DESIGN.md par 4): every path is hand-built or placed, faults are outages and capacity/delay changes, drop-tail counts packets, RED and CoDel run at fixed constants (RED's one setting is ecn_marking), and every LP row is a <= capacity row solved in one phase" >&2
-    exit 1
-fi
+echo "==> nothing deleted comes back (each line below: paths | extended regex | where its replacement is documented)"
+# One hit anywhere fails the stage, after every line has been searched. The
+# paths are word-split and globbed on purpose.
+DELETED=0
+while IFS= read -r line; do
+    paths=${line%% | *}
+    rest=${line#* | }
+    pattern=${rest%% | *}
+    message=${rest#* | }
+    # shellcheck disable=SC2086
+    if grep -rnE -e "$pattern" $paths; then
+        echo "$message" >&2
+        DELETED=1
+    fi
+done <<'EOF'
+crates/ | EventLog|Arc<Mutex|feature = "check"|Mirrored< | deleted in PR 20 (DESIGN.md par 9.2, par 6): count into SimStats or an agent counter, share through Rc<RefCell>, keep checks unconditional
+crates/tcpsim/src crates/mptcpsim/src crates/simtrace/src | BTreeMap<u64, u64> | replaced (DESIGN.md par 4): keep byte ranges in tcpsim::RangeSet and delivered ids in simtrace::Invariants' sorted vector
+crates/netsim/src | ExactRoutes | replaced (DESIGN.md par 6, par 15): no per-node exact-route table; tagged routes live in netsim::RoutingTables' route sets
+crates/netsim/src/routing.rs | BTreeMap<NodeId | replaced (DESIGN.md par 15): no per-node B-tree of untagged routes; they live in netsim::RoutingTables' destination-sorted rows
+crates/ | PayloadWriter | replaced (DESIGN.md par 4 tcpsim, Wire realism): encode into one [u8; INLINE_CAP] with to_be_bytes and Payload::from_array
+crates/tcpsim/src/wire.rs | put_u8|get_u32|bytes::Buf | replaced (DESIGN.md par 4 tcpsim, Wire realism): decode through first_chunk / split_first_chunk; the byte-at-a-time codec lives on only as the test oracle in crates/tcpsim/src/wire/tests/reference.rs
+crates/ | dyn (Queue|Scheduler|Invariant)\b|fn clone_box\b | replaced in PR 25 (DESIGN.md par 4): netsim::Queue and mptcpsim::SchedulerKind are enums, simtrace::Invariants is one struct; add a variant, not a trait object
+crates/ tests/ examples/*.rs | TcpSenderAgent|TcpReceiverAgent|AppSource::Paced|delayed_ack|cwnd_trace|fn close\b|fin_received|without_hystart|without_fast_convergence|with_min_rtt_window|peer_isn|join_jitter|schedule_link_down | deleted (DESIGN.md par 3, par 8): a single-path flow is a one-subflow MPTCP connection; sample a sender's state from outside with World::run_until; a subflow never closes, its ISN, MSS, RTO clamps, join timing and CUBIC's switches are constants, and faults go in through install_faults
+crates/ tests/ examples/*.rs | MobileNetConfig|MobilityProfile|FluidConfig|FluidParams|WorldgenConfig|fn fluid_config|--smoke | deleted (DESIGN.md par 4, par 9.4, par 12): a setting no run varies is a named constant next to the code that reads it, fluidsim::solve takes only a horizon, and the table bins assert their gates while they print
+crates/ tests/ examples/*.rs | all_simple_paths|k_shortest_paths|pairwise_bottlenecks|SetLoss|SetQueue|set_link_queue|loss_burst|capacity_dip|DropTailBytes|RedConfig|CoDelConfig|Sense::|LpOutcome::Infeasible | deleted (DESIGN.md par 4): every path is hand-built or placed, faults are outages and capacity/delay changes, drop-tail counts packets, RED and CoDel run at fixed constants (RED's one setting is ecn_marking), and every LP row is a <= capacity row solved in one phase
+crates/ tests/ examples/*.rs | set_ecmp_group|set_ecmp_seed|ecmp_groups|ByteSize | deleted in PR 39 (DESIGN.md par 4, par 6, par 12.2): no packet is hashed; the fat tree places a subflow by arithmetic (worldgen::fattree's ecmp_select) and pins it by tag, netsim's FIB keeps tag and default routes only, and simbase's one unit type is Bandwidth
+EOF
+[ "$DELETED" -eq 0 ] || exit 1
 
 echo "==> sweep-runner smoke test (release, serial vs pooled must match)"
 cargo build --release --offline -q -p bench
@@ -234,9 +220,10 @@ echo "==> perfbench smoke (the benchmark still builds against the crates and its
 # a row saying so or is a bug.
 # fabric-ecmp, churn-4k and overload-4k also have a memory ceiling: peak RSS
 # repeats to 0.1-0.2 MB on one host, so unlike wall-clock it can be gated.
-# fabric-ecmp reads 5.8-6.0 MB (7.8-8.0 MB while untagged routes were per-node
-# B-trees held twice, 14.0 MB while every wheel bucket kept its own
-# high-water allocation); churn-4k and overload-4k are the world at rest
+# fabric-ecmp reads 4.9-5.0 MB (5.3-5.4 MB while the fabric kept ECMP groups
+# and default routes, 7.8-8.0 MB while untagged routes were per-node B-trees
+# held twice, 14.0 MB while every wheel bucket kept its own high-water
+# allocation); churn-4k and overload-4k are the world at rest
 # (4 000 pairs assembled; on churn-4k most of them finished, on overload-4k
 # most of them mid-recovery): churn-4k reads 20.7-20.8 MB (21.0-21.2 MB with
 # boxed drop-tail queues, 22.9-23.0 MB while every node owned a route table),

@@ -59,10 +59,7 @@ fn traffic(workload: &str, seed: u64, cells: u64, arrival_rate_hz: f64, secs: u6
 }
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let seed: u64 = bench::arg(1, "sim_counters [seed]").unwrap_or(1);
     println!("sim_counters: seed {seed}");
     let fabric = run_fabric(&FabricCell {
         k: 8,

@@ -16,14 +16,16 @@
 //! stderr reports hits/misses — a fully warm store regenerates the table
 //! with `simulations=0` and byte-identical stdout.
 
+use bench::arg;
 use mptcpsim::CcAlgo;
 use overlap_core::prelude::*;
 
+const USAGE: &str = "table1_results [seeds] [secs] [workers]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seeds: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(5);
-    let secs: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(30);
-    let cfg = match args.get(3).and_then(|s| s.parse::<usize>().ok()) {
+    let seeds: u64 = arg(1, USAGE).unwrap_or(5);
+    let secs: u64 = arg(2, USAGE).unwrap_or(30);
+    let cfg = match arg::<usize>(3, USAGE) {
         Some(workers) => RunnerConfig {
             workers,
             progress: true,

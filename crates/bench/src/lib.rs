@@ -2,6 +2,22 @@
 
 #![forbid(unsafe_code)]
 
+use std::str::FromStr;
+
+/// Positional argument `i`, parsed: `None` when it is absent. One that is
+/// present but does not parse prints `usage` to stderr and exits with
+/// status 2, before anything runs.
+pub fn arg<T: FromStr>(i: usize, usage: &str) -> Option<T> {
+    let raw = std::env::args().nth(i)?;
+    match raw.parse() {
+        Ok(value) => Some(value),
+        Err(_) => {
+            eprintln!("usage: {usage}");
+            std::process::exit(2)
+        }
+    }
+}
+
 /// Peak resident set size of this process, from `/proc/self/status`
 /// (`VmHWM`, reported in KiB). `None` off Linux.
 pub fn peak_rss_bytes() -> Option<u64> {

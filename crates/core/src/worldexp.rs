@@ -9,8 +9,8 @@
 //!   happens by chance, as in a real datacenter) or by the max-disjoint
 //!   selector (the Nakasan-style comparison point). Every connection's
 //!   subflow pair is classified with the paper's Table-1 taxonomy
-//!   ([`worldgen::PairClass`]) *before* the run, from the same FIBs the
-//!   simulator forwards with, so goodput can be regressed against overlap
+//!   ([`worldgen::PairClass`]) *before* the run, from the very paths its
+//!   subflows are pinned to, so goodput can be regressed against overlap
 //!   class.
 //! * [`run_traffic`] — a heavy-tailed [`worldgen::TrafficProgram`]
 //!   (Poisson arrivals, bounded-Pareto sizes) compiled onto the
@@ -240,8 +240,8 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
     });
     let pairs = pair_hosts(&tree, cell.connections);
 
-    // Place every connection's subflows first: ECMP placement reads the
-    // tree's untagged routes.
+    // Place every connection's subflows first: the collision rate needs
+    // them all.
     let mut placements = Vec::with_capacity(pairs.len());
     for (i, &(src, dst)) in pairs.iter().enumerate() {
         let conn_seed = SplitMix64::derive(cell.seed, STREAM_CONN | i as u64);
@@ -264,10 +264,10 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
             .collect::<Vec<_>>(),
     );
 
-    // Then pin them in the same tables, moved out of the tree so that the
-    // world's are the only copy. Tag values restart at 1 for every
-    // connection: FIB entries are keyed (destination, tag), and every
-    // connection owns a distinct host pair, so the routes cannot collide.
+    // Then pin them in the tree's empty tables, moved into the world. Tag
+    // values restart at 1 for every connection: tag routes are keyed
+    // (destination, tag), and every connection owns a distinct host pair,
+    // so the routes cannot collide.
     let mut routing = tree.routing;
     let subflow_cfgs: Vec<_> = placements
         .iter()

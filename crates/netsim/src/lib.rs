@@ -10,7 +10,7 @@
 //!
 //! * [`topology`] — the static network description (shared with `lpsolve`).
 //! * [`paths`] — hand-built paths, shortest-path routes and overlap analysis.
-//! * [`routing`] — per-node FIBs: tag routes, defaults, ECMP groups.
+//! * [`routing`] — forwarding state: tag routes, then default routes.
 //! * [`queue`] — drop-tail, RED and CoDel output queues.
 //! * [`slab`] — where packets in the network live; the rest carries handles.
 //! * [`agent`] — the sans-IO endpoint interface protocol stacks implement.
@@ -48,7 +48,7 @@ pub use payload::{Payload, INLINE_CAP};
 pub use queue::{
     CoDel, Dequeued, DropReason, DropTail, EnqueueResult, Queue, QueueConfig, Queued, Red,
 };
-pub use routing::{ecmp_select, RoutingTables};
+pub use routing::RoutingTables;
 pub use sim::{SimSnapshot, Simulator, SNAPSHOT_VERSION};
 pub use slab::{PacketHandle, PacketSlab};
 pub use stats::{LinkDirStats, SimCounters, SimStats};
@@ -907,7 +907,7 @@ mod proptests {
             topo.add_link(
                 a,
                 b,
-                Bandwidth::from_kbps(cap_kbps),
+                Bandwidth::from_bps(cap_kbps * 1_000),
                 SimDuration::from_micros(delay_us),
                 QueueConfig::DropTailPackets(queue),
             );
@@ -938,7 +938,7 @@ mod proptests {
             topo.add_link(
                 a,
                 b,
-                Bandwidth::from_kbps(cap_kbps),
+                Bandwidth::from_bps(cap_kbps * 1_000),
                 SimDuration::from_micros(100),
                 QueueConfig::DropTailPackets(16),
             );

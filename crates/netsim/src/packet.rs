@@ -55,7 +55,7 @@ impl Dir {
 pub struct Tag(pub u16);
 
 impl Tag {
-    /// The untagged value; follows default/ECMP routes.
+    /// The untagged value; follows default routes.
     pub const NONE: Tag = Tag(0);
 
     /// True if this is a real tag (non-zero).
@@ -110,7 +110,8 @@ pub struct Packet {
     pub payload: Payload,
     /// Bytes of *virtual* application data represented by this packet.
     pub data_len: u32,
-    /// ECMP flow key: a stable hash input identifying the 5-tuple-ish flow.
+    /// Flow key: a stable hash identifying the 5-tuple-ish flow. No route
+    /// reads it: a subflow's path is pinned by its tag.
     pub flow_hash: u64,
     /// ECN codepoint.
     pub ecn: Ecn,

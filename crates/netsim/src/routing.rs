@@ -4,12 +4,12 @@
 //!
 //! 1. **Exact tag route** `(node, destination, tag) → link` — the paper's
 //!    tagging mechanism: deterministic, per-tag forwarding.
-//! 2. **ECMP group** `(node, destination) → {links}` — hash of the packet's
-//!    flow key selects among equal-cost next hops (the alternative tagging
-//!    substrate mentioned in the paper, where tags are realized through
-//!    ECMP hashing).
-//! 3. **Default route** `(node, destination) → link` — shortest path, used
+//! 2. **Default route** `(node, destination) → link` — shortest path, used
 //!    by untagged traffic and as a fallback.
+//!
+//! No packet is hashed: where a generator models ECMP (`worldgen`'s fat
+//! tree), it picks a subflow's equal-cost path up front and pins it with a
+//! tag like any other path.
 //!
 //! [`RoutingTables::install_path`] writes tag routes for a path in both
 //! directions so that ACKs of a tagged subflow retrace the same path —
@@ -40,27 +40,12 @@
 //!
 //! Untagged state stays per node, allocated only for nodes that have any: a
 //! traffic cell's 8 000 hosts route by tag alone and own nothing here. A
-//! node's default routes and ECMP groups are one row of 12-byte
-//! [`UntaggedRoute`]s sorted by destination, and the groups are interned: a
-//! fat-tree switch's uplink set is stored once, not once per remote host.
+//! node's default routes are one row of 8-byte [`UntaggedRoute`]s sorted by
+//! destination.
 
 use crate::packet::{LinkId, NodeId, Packet, Tag};
 use crate::paths::{shortest_path, Path};
 use crate::topology::Topology;
-
-/// The ECMP member index for a flow: Fibonacci hash of the flow key mixed
-/// with the switch's seed. Seed 0 reproduces the historical unseeded hash
-/// (XOR with 0 is the identity), so existing topologies are unaffected.
-///
-/// This function is the *specification* of ECMP selection: generators that
-/// pre-compute the path a flow will take (e.g. `worldgen`'s fat-tree path
-/// extractor) call it with the same arguments the routing tables use at
-/// forwarding time, and the two must agree by construction.
-pub fn ecmp_select(flow_hash: u64, seed: u64, group_len: usize) -> usize {
-    debug_assert!(group_len > 0);
-    let h = (flow_hash ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (h >> 32) as usize % group_len
-}
 
 /// Hops one [`RouteSet`] holds inline.
 const SET_HOPS: usize = 4;
@@ -107,18 +92,18 @@ impl RouteSet {
     }
 }
 
-/// No link has this id: an entry without a default route holds it.
-const NO_LINK: LinkId = LinkId(u32::MAX);
-
-/// A node's untagged route towards one destination.
+/// A node's default route towards one destination.
 #[derive(Debug, Clone, Copy)]
 struct UntaggedRoute {
     dst: NodeId,
-    /// The default route, or [`NO_LINK`].
-    default: LinkId,
-    /// Index into `RoutingTables::groups` of the ECMP group, or [`NIL`].
-    group: u32,
+    link: LinkId,
 }
+
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter entry fails the build, not a run"
+)]
+const _: () = assert!(std::mem::size_of::<UntaggedRoute>() == 8);
 
 /// The forwarding state of a whole topology (see the module docs).
 #[derive(Debug, Clone, Default)]
@@ -129,10 +114,6 @@ pub struct RoutingTables {
     /// Per node, reaching as far as the highest node that has any: its
     /// untagged routes, sorted by destination.
     untagged: Vec<Vec<UntaggedRoute>>,
-    /// Per node, reaching as far as the highest seeded one: its ECMP seed.
-    ecmp_seeds: Vec<u64>,
-    /// Every distinct ECMP group installed, each once.
-    groups: Vec<Box<[LinkId]>>,
 }
 
 impl RoutingTables {
@@ -152,8 +133,8 @@ impl RoutingTables {
 
     /// Install an exact `(dst, tag)` route at `node`. Later installs
     /// overwrite. A route under [`Tag::NONE`] could never match a packet
-    /// ([`RoutingTables::route`] sends untagged traffic to the ECMP and
-    /// default tables), so it is not stored.
+    /// ([`RoutingTables::route`] sends untagged traffic to the default
+    /// routes), so it is not stored.
     pub fn set_tag_route(&mut self, node: NodeId, dst: NodeId, tag: Tag, out: LinkId) {
         if !tag.is_tagged() {
             return;
@@ -207,83 +188,21 @@ impl RoutingTables {
         }
     }
 
-    /// `node`'s entry towards `dst`, inserted empty on first use.
-    fn untagged_route_mut(&mut self, node: NodeId, dst: NodeId) -> &mut UntaggedRoute {
-        let routes = slot(&mut self.untagged, node, Vec::new());
-        let i = match routes.binary_search_by_key(&dst, |r| r.dst) {
-            Ok(i) => i,
-            Err(i) => {
-                let empty = UntaggedRoute {
-                    dst,
-                    default: NO_LINK,
-                    group: NIL,
-                };
-                routes.insert(i, empty);
-                i
-            }
-        };
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "i was found or inserted just above"
-        )]
-        &mut routes[i]
-    }
-
-    fn untagged_route(&self, node: NodeId, dst: NodeId) -> Option<&UntaggedRoute> {
-        let routes = self.untagged.get(node.0 as usize)?;
-        routes.get(routes.binary_search_by_key(&dst, |r| r.dst).ok()?)
-    }
-
-    /// The index of the group holding exactly `outs`, interning it if new.
-    /// Newest first: a fat-tree installs each switch's one group towards
-    /// every destination in a row, so the search ends at the first look.
-    fn intern(&mut self, outs: &[LinkId]) -> u32 {
-        let found = self.groups.iter().rposition(|g| **g == *outs);
-        let i = found.unwrap_or_else(|| {
-            self.groups.push(outs.into());
-            self.groups.len() - 1
-        });
-        #[expect(
-            clippy::expect_used,
-            reason = "id allocation: 2^32 ECMP groups is out of scope by design, like 2^32 nodes"
-        )]
-        u32::try_from(i).expect("ECMP group index fits u32")
-    }
-
-    /// Set `node`'s ECMP hash seed (see [`ecmp_select`]). Distinct seeds
-    /// per switch model independent hardware hash functions — without them,
-    /// every switch in a layered fabric would make correlated choices and
-    /// ECMP collisions would be systematically under- or over-counted.
-    pub fn set_ecmp_seed(&mut self, node: NodeId, seed: u64) {
-        *slot(&mut self.ecmp_seeds, node, 0) = seed;
-    }
-
-    /// `node`'s ECMP hash seed (0 unless set).
-    pub fn ecmp_seed(&self, node: NodeId) -> u64 {
-        self.ecmp_seeds.get(node.0 as usize).copied().unwrap_or(0)
-    }
-
-    /// `node`'s ECMP group towards `dst`, if one is installed.
-    pub fn ecmp_group(&self, node: NodeId, dst: NodeId) -> Option<&[LinkId]> {
-        let group = self.untagged_route(node, dst)?.group;
-        self.groups.get(group as usize).map(|links| &**links)
-    }
-
     /// Install `node`'s default route towards `dst` (replaces any previous).
     pub fn set_default_route(&mut self, node: NodeId, dst: NodeId, out: LinkId) {
-        self.untagged_route_mut(node, dst).default = out;
+        let routes = slot(&mut self.untagged, node, Vec::new());
+        let route = UntaggedRoute { dst, link: out };
+        match routes.binary_search_by_key(&dst, |r| r.dst) {
+            Ok(i) => {
+                if let Some(r) = routes.get_mut(i) {
+                    *r = route;
+                }
+            }
+            Err(i) => routes.insert(i, route),
+        }
     }
 
-    /// Install `node`'s ECMP group towards `dst` (replaces any previous
-    /// group).
-    pub fn set_ecmp_group(&mut self, node: NodeId, dst: NodeId, outs: &[LinkId]) {
-        assert!(!outs.is_empty(), "empty ECMP group");
-        let group = self.intern(outs);
-        self.untagged_route_mut(node, dst).group = group;
-    }
-
-    /// Route a packet standing at `node`: exact tag route, then ECMP hash,
-    /// then default.
+    /// Route a packet standing at `node`: exact tag route, then default.
     pub fn route(&self, node: NodeId, pkt: &Packet) -> Option<LinkId> {
         if pkt.tag.is_tagged() {
             let mut at = self.head.get(pkt.dst.0 as usize).copied().unwrap_or(NIL);
@@ -296,14 +215,9 @@ impl RoutingTables {
                 at = set.next;
             }
         }
-        let route = self.untagged_route(node, pkt.dst)?;
-        if let Some(group) = self.groups.get(route.group as usize) {
-            // Deterministic flow hash -> group member. Fibonacci hashing
-            // spreads consecutive flow keys across members.
-            let member = ecmp_select(pkt.flow_hash, self.ecmp_seed(node), group.len());
-            return group.get(member).copied();
-        }
-        (route.default != NO_LINK).then_some(route.default)
+        let routes = self.untagged.get(node.0 as usize)?;
+        let i = routes.binary_search_by_key(&pkt.dst, |r| r.dst).ok()?;
+        routes.get(i).map(|r| r.link)
     }
 
     /// Number of exact tag routes installed at `node`. Diagnostics: scans
@@ -321,14 +235,9 @@ impl RoutingTables {
         self.sets.len()
     }
 
-    /// Number of `(node, destination)` untagged route entries (12 B each).
+    /// Number of `(node, destination)` default route entries (8 B each).
     pub fn untagged_routes(&self) -> usize {
         self.untagged.iter().map(Vec::len).sum()
-    }
-
-    /// Number of distinct ECMP groups stored.
-    pub fn ecmp_groups(&self) -> usize {
-        self.groups.len()
     }
 
     /// Install tag routes for `path` under `tag`, forward **and** reverse,
@@ -388,7 +297,7 @@ mod tests {
     use crate::payload::Payload;
     use crate::queue::QueueConfig;
     use simbase::{Bandwidth, SimDuration};
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
 
     fn pkt(dst: NodeId, tag: Tag, flow_hash: u64) -> Packet {
         Packet {
@@ -474,59 +383,6 @@ mod tests {
         );
         let rt = RoutingTables::new(&t);
         assert_eq!(rt.route(a, &pkt(b, Tag::NONE, 0)), None);
-    }
-
-    #[test]
-    fn ecmp_is_deterministic_per_flow_and_spreads() {
-        let (t, s, _u, _v, d) = diamond();
-        let mut rt = RoutingTables::new(&t);
-        rt.set_ecmp_group(s, d, &[LinkId(0), LinkId(2)]);
-        let mut counts = [0usize; 2];
-        for flow in 0..100 {
-            let l1 = rt.route(s, &pkt(d, Tag::NONE, flow)).unwrap();
-            let l2 = rt.route(s, &pkt(d, Tag::NONE, flow)).unwrap();
-            assert_eq!(l1, l2, "same flow must hash to same member");
-            counts[if l1 == LinkId(0) { 0 } else { 1 }] += 1;
-        }
-        assert!(
-            counts[0] > 20 && counts[1] > 20,
-            "hash should spread: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn ecmp_seed_zero_reproduces_the_unseeded_hash() {
-        for flow in [0u64, 1, 7, 0xDEAD_BEEF, u64::MAX] {
-            for len in [1usize, 2, 3, 8] {
-                let h = flow.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                assert_eq!(ecmp_select(flow, 0, len), (h >> 32) as usize % len);
-            }
-        }
-    }
-
-    #[test]
-    fn ecmp_seeds_decorrelate_switch_choices() {
-        // Two switches with different seeds must not pick the same member
-        // index for every flow (that correlation is what per-switch seeds
-        // exist to break); each individually stays deterministic.
-        let (t, s, _u, _v, d) = diamond();
-        let mut rt = RoutingTables::new(&t);
-        rt.set_ecmp_group(s, d, &[LinkId(0), LinkId(2)]);
-        rt.set_ecmp_seed(s, 0x1234_5678_9ABC_DEF0);
-        assert_eq!(rt.ecmp_seed(s), 0x1234_5678_9ABC_DEF0);
-        let mut differs = 0;
-        for flow in 0..200u64 {
-            let seeded = ecmp_select(flow, 0x1234_5678_9ABC_DEF0, 2);
-            let unseeded = ecmp_select(flow, 0, 2);
-            if seeded != unseeded {
-                differs += 1;
-            }
-            // The FIB must apply its own seed.
-            let routed = rt.route(s, &pkt(d, Tag::NONE, flow)).unwrap();
-            let expect = [LinkId(0), LinkId(2)][seeded];
-            assert_eq!(routed, expect);
-        }
-        assert!(differs > 40, "seed changed only {differs}/200 choices");
     }
 
     #[test]
@@ -645,14 +501,14 @@ mod tests {
         // `(dst, tag)` collects more hops than one set holds), then every
         // (node, dst, tag) in range looked up through `route` — a present
         // key answers its latest link, an absent one falls through to the
-        // node's ECMP group, then its default route, then nothing.
+        // node's default route, then nothing.
         #[test]
         fn exact_routes_match_a_btreemap_oracle(
             installs in proptest::collection::vec(
                 (0u32..7, 0u32..12, 1u16..4, 0u32..1000),
                 0..300,
             ),
-            fallback in 0u8..3,
+            fallback in proptest::prelude::any::<bool>(),
         ) {
             let mut rt = RoutingTables::default();
             let mut oracle = BTreeMap::new();
@@ -669,21 +525,11 @@ mod tests {
             }
             let want_sets: usize = per_key.values().map(|n| n.div_ceil(SET_HOPS)).sum();
             proptest::prop_assert_eq!(rt.route_sets(), want_sets);
-            let below = match fallback {
-                0 => None,
-                1 => Some(LinkId(7001)),
-                _ => Some(LinkId(7002)),
-            };
+            let below = fallback.then_some(LinkId(7001));
             for node in (0..8u32).map(NodeId) {
                 for dst in (0..13u32).map(NodeId) {
-                    match fallback {
-                        1 => rt.set_default_route(node, dst, LinkId(7001)),
-                        2 => {
-                            // ECMP outranks the default route.
-                            rt.set_default_route(node, dst, LinkId(7001));
-                            rt.set_ecmp_group(node, dst, &[LinkId(7002)]);
-                        }
-                        _ => {}
+                    if fallback {
+                        rt.set_default_route(node, dst, LinkId(7001));
                     }
                     for tag in 0..5u16 {
                         let want = oracle.get(&(node.0, dst.0, tag)).copied().or(below);
@@ -695,62 +541,26 @@ mod tests {
     }
 
     proptest::proptest! {
-        // The untagged rows against `BTreeMap` oracles: random default
-        // routes, ECMP groups (drawn from a few, so interning is exercised)
-        // and seeds over few nodes and destinations, so overwrites are
+        // The default-route rows against a `BTreeMap` oracle: random
+        // installs over few nodes and destinations, so overwrites are
         // common; then every (node, dst) looked up through `route` for an
-        // untagged packet and a tag miss, `ecmp_group` and `ecmp_seed`.
+        // untagged packet and a tag miss.
         #[test]
         fn untagged_routes_match_a_btreemap_oracle(
-            ops in proptest::collection::vec(
-                (0u8..3, 0u32..6, 0u32..9, 0u32..1000, 0usize..4),
-                0..200,
-            ),
-            flow_hash in proptest::prelude::any::<u64>(),
+            installs in proptest::collection::vec((0u32..6, 0u32..9, 0u32..1000), 0..200),
         ) {
-            let groups: [&[LinkId]; 4] = [
-                &[LinkId(1)],
-                &[LinkId(1), LinkId(2)],
-                &[LinkId(2), LinkId(1)],
-                &[LinkId(3), LinkId(4), LinkId(5), LinkId(6)],
-            ];
             let mut rt = RoutingTables::default();
             let mut defaults: BTreeMap<(u32, u32), LinkId> = BTreeMap::new();
-            let mut ecmp: BTreeMap<(u32, u32), &[LinkId]> = BTreeMap::new();
-            let mut seeds: BTreeMap<u32, u64> = BTreeMap::new();
-            let mut interned = BTreeSet::new();
-            for &(op, node, dst, link, group) in &ops {
-                match op {
-                    0 => {
-                        rt.set_default_route(NodeId(node), NodeId(dst), LinkId(link));
-                        defaults.insert((node, dst), LinkId(link));
-                    }
-                    1 => {
-                        rt.set_ecmp_group(NodeId(node), NodeId(dst), groups[group]);
-                        ecmp.insert((node, dst), groups[group]);
-                        interned.insert(groups[group]);
-                    }
-                    _ => {
-                        rt.set_ecmp_seed(NodeId(node), u64::from(link) << 20);
-                        seeds.insert(node, u64::from(link) << 20);
-                    }
-                }
+            for &(node, dst, link) in &installs {
+                rt.set_default_route(NodeId(node), NodeId(dst), LinkId(link));
+                defaults.insert((node, dst), LinkId(link));
             }
-            let keys: BTreeSet<_> = defaults.keys().chain(ecmp.keys()).collect();
-            proptest::prop_assert_eq!(rt.untagged_routes(), keys.len());
-            proptest::prop_assert_eq!(rt.ecmp_groups(), interned.len());
+            proptest::prop_assert_eq!(rt.untagged_routes(), defaults.len());
             for node in 0..7u32 {
-                let seed = seeds.get(&node).copied().unwrap_or(0);
-                proptest::prop_assert_eq!(rt.ecmp_seed(NodeId(node)), seed);
                 for dst in 0..10u32 {
-                    let group = ecmp.get(&(node, dst)).copied();
-                    proptest::prop_assert_eq!(rt.ecmp_group(NodeId(node), NodeId(dst)), group);
-                    let want = match group {
-                        Some(g) => Some(g[ecmp_select(flow_hash, seed, g.len())]),
-                        None => defaults.get(&(node, dst)).copied(),
-                    };
+                    let want = defaults.get(&(node, dst)).copied();
                     for tag in [Tag::NONE, Tag(5)] {
-                        let got = rt.route(NodeId(node), &pkt(NodeId(dst), tag, flow_hash));
+                        let got = rt.route(NodeId(node), &pkt(NodeId(dst), tag, 9));
                         proptest::prop_assert_eq!(got, want);
                     }
                 }

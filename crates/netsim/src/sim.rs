@@ -562,7 +562,6 @@ impl Simulator {
             on_packet: self.stats.packets_delivered,
             route_sets: self.routing.route_sets() as u64,
             untagged_routes: self.routing.untagged_routes() as u64,
-            ecmp_groups: self.routing.ecmp_groups() as u64,
             ..SimCounters::default()
         };
         for agent in self.agents.iter().flatten() {
@@ -1778,13 +1777,13 @@ mod sink_tests {
         assert!((6..=8).contains(&c.slab_high_water), "{c:?}");
         assert!(c.queue_pool_chunks >= 1);
         let names: Vec<_> = c.entries().map(|(name, _)| name).collect();
-        assert_eq!(names.len(), 24);
+        assert_eq!(names.len(), 23);
         assert!(names.contains(&"netsim.slab_high_water"));
         assert!(names.contains(&"netsim.tx_done_elided") && names.contains(&"netsim.timer_moves"));
-        // Untagged CBR over default routes: no route set, no ECMP group, no
-        // TCP anywhere; one default route each way.
+        // Untagged CBR over default routes: no route set and no TCP
+        // anywhere; one default route each way.
         assert_eq!((c.route_sets, c.tcp_segments_sent), (0, 0));
-        assert_eq!((c.untagged_routes, c.ecmp_groups), (2, 0));
+        assert_eq!(c.untagged_routes, 2);
     }
 
     #[test]

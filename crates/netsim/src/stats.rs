@@ -142,10 +142,8 @@ pub struct SimCounters {
     pub on_packet: u64,
     /// Route sets the tagged routes of the whole network occupy.
     pub route_sets: u64,
-    /// `(node, destination)` entries of the untagged routes of the network.
+    /// `(node, destination)` entries of the default routes of the network.
     pub untagged_routes: u64,
-    /// Distinct ECMP groups those entries point at.
-    pub ecmp_groups: u64,
     /// Data segments TCP senders emitted, retransmissions included. This
     /// and the counters below are the agents' own: each adds its share
     /// through [`crate::Agent::count`] when the counters are read.
@@ -186,7 +184,6 @@ impl SimCounters {
             ("netsim.on_packet", self.on_packet),
             ("netsim.route_sets", self.route_sets),
             ("netsim.untagged_routes", self.untagged_routes),
-            ("netsim.ecmp_groups", self.ecmp_groups),
             ("tcpsim.segments_sent", self.tcp_segments_sent),
             ("tcpsim.retransmits", self.tcp_retransmits),
             ("tcpsim.rtos", self.tcp_rtos),

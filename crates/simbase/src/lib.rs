@@ -10,9 +10,9 @@
 //!   instant, caller-keyed ties where the order must not depend on push
 //!   order, and first-class cancellation tokens (a test-only binary-heap
 //!   backend is the oracle of its differential tests).
-//! * [`Bandwidth`] / [`ByteSize`] — strongly typed units so "40" can never be
-//!   silently read as megabits when bytes were meant, plus exact
-//!   transmission-time computation in integer arithmetic.
+//! * [`Bandwidth`] — a strongly typed rate so "40" can never be silently
+//!   read as megabits when bytes were meant, plus exact transmission-time
+//!   computation in integer arithmetic.
 //! * [`SplitMix64`] / [`Xoshiro256StarStar`] — tiny, seedable, portable PRNGs
 //!   (no platform entropy) so every simulation is replayable from its seed.
 //! * [`Fnv64`] — FNV-1a/64, the one stable hash behind trace hashes, fluid
@@ -34,4 +34,4 @@ pub use event::{EventQueue, ScheduledEvent};
 pub use fnv::Fnv64;
 pub use rng::{SimRng, SplitMix64, Xoshiro256StarStar};
 pub use time::{SimDuration, SimTime};
-pub use units::{Bandwidth, ByteSize};
+pub use units::Bandwidth;

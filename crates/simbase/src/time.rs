@@ -69,11 +69,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Checked addition of a duration (returns `None` on overflow).
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
@@ -136,11 +131,6 @@ impl SimDuration {
     /// Raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Duration in microseconds, truncated.
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Duration in milliseconds, truncated.
@@ -356,7 +346,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimDuration::from_secs(1).as_millis(), 1_000);
-        assert_eq!(SimDuration::from_millis(1).as_micros(), 1_000);
     }
 
     #[test]
@@ -389,7 +378,6 @@ mod tests {
         let b = SimTime::from_millis(2);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(b.saturating_since(a), SimDuration::from_millis(1));
-        assert_eq!(a.checked_since(b), None);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Strongly typed units for link capacities and data sizes.
+//! A strongly typed unit for link capacities.
 //!
 //! Link capacity, window sizes and sampler output all mix bits, bytes, and
-//! megabits-per-second; typed wrappers prevent the classic factor-of-8 bug.
+//! megabits-per-second; a typed wrapper prevents the classic factor-of-8 bug.
 //! Transmission times are computed in exact 128-bit integer arithmetic so
 //! that identical packets always serialize in identical simulated time.
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
 
 /// Bits per byte times nanoseconds per second: `bytes * NS_BITS_PER_BYTE /
 /// bps` is a transmission time in nanoseconds.
@@ -27,19 +26,9 @@ impl Bandwidth {
         Bandwidth(bps)
     }
 
-    /// Construct from kilobits per second (10^3 bits/s).
-    pub const fn from_kbps(kbps: u64) -> Self {
-        Bandwidth(kbps * 1_000)
-    }
-
     /// Construct from megabits per second (10^6 bits/s).
     pub const fn from_mbps(mbps: u64) -> Self {
         Bandwidth(mbps * 1_000_000)
-    }
-
-    /// Construct from gigabits per second (10^9 bits/s).
-    pub const fn from_gbps(gbps: u64) -> Self {
-        Bandwidth(gbps * 1_000_000_000)
     }
 
     /// The rate in bits per second.
@@ -78,16 +67,6 @@ impl Bandwidth {
         )]
         SimDuration::from_nanos(u64::try_from(ns).expect("tx time overflow"))
     }
-
-    /// The number of whole bytes this rate carries in `window`.
-    pub fn bytes_in(self, window: SimDuration) -> u64 {
-        let bits = (self.0 as u128) * (window.as_nanos() as u128) / 1_000_000_000u128;
-        #[expect(
-            clippy::expect_used,
-            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
-        )]
-        u64::try_from(bits / 8).expect("byte count overflow")
-    }
 }
 
 impl fmt::Debug for Bandwidth {
@@ -111,87 +90,6 @@ impl fmt::Display for Bandwidth {
     }
 }
 
-/// A size in bytes (queue limits, windows, transfer volumes).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-pub struct ByteSize(u64);
-
-impl ByteSize {
-    /// Zero bytes.
-    pub const ZERO: ByteSize = ByteSize(0);
-
-    /// Construct from a raw byte count.
-    pub const fn from_bytes(b: u64) -> Self {
-        ByteSize(b)
-    }
-
-    /// Construct from kibibytes (1024 bytes).
-    pub const fn from_kib(k: u64) -> Self {
-        ByteSize(k * 1024)
-    }
-
-    /// Construct from mebibytes.
-    pub const fn from_mib(m: u64) -> Self {
-        ByteSize(m * 1024 * 1024)
-    }
-
-    /// The raw byte count.
-    pub const fn as_bytes(self) -> u64 {
-        self.0
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: ByteSize) -> ByteSize {
-        ByteSize(self.0.saturating_sub(other.0))
-    }
-}
-
-impl Add for ByteSize {
-    type Output = ByteSize;
-    fn add(self, rhs: ByteSize) -> ByteSize {
-        #[expect(
-            clippy::expect_used,
-            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
-        )]
-        ByteSize(self.0.checked_add(rhs.0).expect("ByteSize overflow"))
-    }
-}
-
-impl AddAssign for ByteSize {
-    fn add_assign(&mut self, rhs: ByteSize) {
-        *self = *self + rhs;
-    }
-}
-
-impl Sub for ByteSize {
-    type Output = ByteSize;
-    fn sub(self, rhs: ByteSize) -> ByteSize {
-        #[expect(
-            clippy::expect_used,
-            reason = "checked arithmetic: overflow is a sim bug; fail loudly, never wrap"
-        )]
-        ByteSize(self.0.checked_sub(rhs.0).expect("ByteSize underflow"))
-    }
-}
-
-impl fmt::Debug for ByteSize {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(self, f)
-    }
-}
-
-impl fmt::Display for ByteSize {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let b = self.0;
-        if b >= 1024 * 1024 && b.is_multiple_of(1024 * 1024) {
-            write!(f, "{}MiB", b / (1024 * 1024))
-        } else if b >= 1024 && b.is_multiple_of(1024) {
-            write!(f, "{}KiB", b / 1024)
-        } else {
-            write!(f, "{b}B")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,8 +97,7 @@ mod tests {
     #[test]
     fn bandwidth_constructors_agree() {
         assert_eq!(Bandwidth::from_mbps(40).as_bps(), 40_000_000);
-        assert_eq!(Bandwidth::from_kbps(40_000), Bandwidth::from_mbps(40));
-        assert_eq!(Bandwidth::from_gbps(1).as_bps(), 1_000_000_000);
+        assert_eq!(Bandwidth::from_bps(40_000_000), Bandwidth::from_mbps(40));
         assert!((Bandwidth::from_mbps(40).as_mbps_f64() - 40.0).abs() < 1e-12);
     }
 
@@ -227,7 +124,7 @@ mod tests {
         let edge = u64::MAX / NS_BITS_PER_BYTE;
         assert!(edge.checked_mul(NS_BITS_PER_BYTE).is_some());
         assert!((edge + 1).checked_mul(NS_BITS_PER_BYTE).is_none());
-        let bw = Bandwidth::from_gbps(100);
+        let bw = Bandwidth::from_mbps(100_000);
         assert_eq!(bw.tx_time(edge).as_nanos(), 184_467_441);
         assert_eq!(bw.tx_time(edge + 1).as_nanos(), 184_467_441);
     }
@@ -245,28 +142,9 @@ mod tests {
     }
 
     #[test]
-    fn bytes_in_window_inverts_tx_time_approximately() {
-        let bw = Bandwidth::from_mbps(40);
-        let window = SimDuration::from_secs(1);
-        assert_eq!(bw.bytes_in(window), 5_000_000); // 40e6 bits = 5e6 bytes
-    }
-
-    #[test]
-    fn bytesize_arithmetic() {
-        let a = ByteSize::from_kib(2);
-        let b = ByteSize::from_bytes(48);
-        assert_eq!((a + b).as_bytes(), 2096);
-        assert_eq!((a - b).as_bytes(), 2000);
-        assert_eq!(b.saturating_sub(a), ByteSize::ZERO);
-        assert_eq!(ByteSize::from_mib(1).as_bytes(), 1_048_576);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(format!("{}", Bandwidth::from_mbps(40)), "40.000Mbps");
         assert_eq!(format!("{}", Bandwidth::from_bps(999)), "999bps");
-        assert_eq!(format!("{}", ByteSize::from_kib(64)), "64KiB");
-        assert_eq!(format!("{}", ByteSize::from_bytes(100)), "100B");
     }
 }
 

@@ -184,14 +184,6 @@ impl ThroughputSampler {
     pub fn tag(&self, tag: Tag) -> Option<&TimeSeries> {
         self.per_tag.get(&tag)
     }
-
-    /// Mean throughput per tag over `[from, to)`, in tag order.
-    pub fn mean_rates_over(&self, from: SimTime, to: SimTime) -> Vec<(Tag, f64)> {
-        self.per_tag
-            .iter()
-            .map(|(t, s)| (*t, s.mean_over(from, to)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -351,9 +343,7 @@ mod tests {
         assert_eq!(starved.len(), 10);
         assert_eq!(starved.mean(), 0.0);
         assert!(s.tag(Tag(1)).unwrap().values()[0] > 0.0);
-        let rates = s.mean_rates_over(SimTime::ZERO, SimTime::from_secs(1));
-        assert_eq!(rates.len(), 2, "both registered tags report a rate");
-        assert_eq!(rates[1], (Tag(2), 0.0));
+        assert_eq!(s.per_tag.len(), 2, "both registered tags keep a series");
     }
 
     #[test]
@@ -364,18 +354,5 @@ mod tests {
         assert_eq!(s.total.len(), 10);
         assert_eq!(s.total.mean(), 0.0);
         assert_eq!(s.packets, 0);
-    }
-
-    #[test]
-    fn mean_rates_over_window() {
-        let records = vec![
-            rec(10, 5, 1, 12_500, 12_000, CaptureKind::Delivered), // 1 Mbps in bin 0
-            rec(110, 5, 1, 25_000, 24_000, CaptureKind::Delivered), // 2 Mbps in bin 1
-        ];
-        let s = ThroughputSampler::from_records(&records, &cfg());
-        let rates = s.mean_rates_over(SimTime::ZERO, SimTime::from_millis(200));
-        assert_eq!(rates.len(), 1);
-        assert_eq!(rates[0].0, Tag(1));
-        assert!((rates[0].1 - 1.5).abs() < 1e-9);
     }
 }

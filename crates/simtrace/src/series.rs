@@ -122,27 +122,6 @@ impl TimeSeries {
         self.stddev_over(from, to) / mean
     }
 
-    /// The `q`-quantile (0 ≤ q ≤ 1) of the bin values over `[from, to)`,
-    /// by linear interpolation between order statistics. Useful for
-    /// tail-throughput reporting (p5 of the rate = the "bad 100 ms bins").
-    pub fn quantile_over(&self, from: SimTime, to: SimTime, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile in [0,1]");
-        let mut vals: Vec<f64> = self.window(from, to).collect();
-        if vals.is_empty() {
-            return 0.0;
-        }
-        vals.sort_by(f64::total_cmp);
-        let pos = q * (vals.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        if lo == hi {
-            vals[lo]
-        } else {
-            let frac = pos - lo as f64;
-            vals[lo] * (1.0 - frac) + vals[hi] * frac
-        }
-    }
-
     /// Centered moving average of width `k` bins (k odd recommended);
     /// returns a new series with the same shape.
     pub fn smoothed(&self, k: usize) -> TimeSeries {
@@ -246,28 +225,6 @@ mod tests {
         let sd = s.stddev_over(all.0, all.1);
         assert!((sd - (8.0f64)).abs() > 0.0); // nonzero
         assert!((s.cov_over(all.0, all.1) - sd / 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles_interpolate_order_statistics() {
-        let s = ts(&[10.0, 40.0, 20.0, 30.0]); // sorted: 10 20 30 40
-        let all = (SimTime::ZERO, SimTime::from_secs(1));
-        assert_eq!(s.quantile_over(all.0, all.1, 0.0), 10.0);
-        assert_eq!(s.quantile_over(all.0, all.1, 1.0), 40.0);
-        assert_eq!(s.quantile_over(all.0, all.1, 0.5), 25.0);
-        assert!((s.quantile_over(all.0, all.1, 0.25) - 17.5).abs() < 1e-12);
-        // Empty window.
-        assert_eq!(
-            s.quantile_over(SimTime::from_secs(5), SimTime::from_secs(6), 0.5),
-            0.0
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn quantile_rejects_out_of_range() {
-        let s = ts(&[1.0]);
-        let _ = s.quantile_over(SimTime::ZERO, SimTime::from_secs(1), 1.5);
     }
 
     #[test]

@@ -3,21 +3,22 @@
 //! The classic three-layer Clos: `k` pods, each with `k/2` edge and `k/2`
 //! aggregation switches, `(k/2)²` core switches, and `k³/4` hosts. Every
 //! inter-pod host pair has `(k/2)²` equal-cost shortest paths; which one a
-//! flow takes is decided hop by hop by ECMP hashing — and when two MPTCP
-//! subflows hash onto a shared fabric link, the overlap regime the paper
-//! studies appears at datacenter scale.
+//! flow takes is decided by ECMP hashing — and when two MPTCP subflows hash
+//! onto a shared fabric link, the overlap regime the paper studies appears
+//! at datacenter scale.
 //!
 //! Determinism: topology construction is pure arithmetic over the config;
 //! each switch's ECMP hash seed is derived from the config seed and the
-//! switch's node id ([`crate::STREAM_ECMP_SWITCH`]), so the fabric's entire
-//! forwarding function is a pure function of [`FatTreeConfig`]. The path
-//! extractor ([`FatTree::ecmp_path`]) walks the same FIBs with
-//! [`netsim::ecmp_select`] — the specification the runtime FIB uses — so an
-//! extracted path *is* the path the live simulator would forward over.
+//! switch's node id ([`crate::STREAM_ECMP_SWITCH`]), so where every flow
+//! goes is a pure function of [`FatTreeConfig`]. Placement is arithmetic
+//! too: on an up-down path only two switches choose — the source's edge
+//! switch picks an aggregation position and that aggregation switch a core
+//! column; every other hop is forced — so [`FatTree::ecmp_path`] hashes the
+//! flow at those two with `ecmp_select` and builds the path. No packet is
+//! hashed in flight: a subflow is pinned to its placed path by a tag, the
+//! way the paper pins its subflows.
 
-use netsim::{
-    Ecn, LinkId, NodeId, Packet, Path, Payload, Protocol, QueueConfig, RoutingTables, Tag, Topology,
-};
+use netsim::{LinkId, NodeId, Path, QueueConfig, RoutingTables, Topology};
 use simbase::{Bandwidth, SimDuration, SplitMix64};
 
 /// Capacity of every link (classic fat-trees are single-speed; full
@@ -34,6 +35,22 @@ const HOST_DELAY: SimDuration = SimDuration::from_micros(250);
 const FABRIC_DELAY: SimDuration = SimDuration::from_micros(500);
 /// Output queue of every link.
 const QUEUE: QueueConfig = QueueConfig::DropTailPackets(32);
+
+/// The ECMP member index for a flow: Fibonacci hash of the flow key mixed
+/// with the switch's seed. Seed 0 reproduces the historical unseeded hash
+/// (XOR with 0 is the identity).
+///
+/// This function is the *specification* of ECMP selection: a switch that
+/// hashes a flow onto one of its `group_len` equal-cost next hops takes
+/// member `ecmp_select(flow_hash, switch seed, group_len)`.
+#[expect(
+    clippy::integer_division_remainder_used,
+    reason = "group_len = k/2 >= 1, asserted even and >= 2 at build"
+)]
+fn ecmp_select(flow_hash: u64, seed: u64, group_len: usize) -> usize {
+    let h = (flow_hash ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (h >> 32) as usize % group_len
+}
 
 /// Parameters of a k-ary fat-tree.
 #[derive(Debug, Clone)]
@@ -74,13 +91,14 @@ impl PairClass {
     }
 }
 
-/// A built fat-tree: topology, ECMP-programmed routing tables, and the
-/// node-id layout needed to reason about it.
+/// A built fat-tree: topology, empty routing tables, and the node-id layout
+/// needed to reason about it.
 #[derive(Debug, Clone)]
 pub struct FatTree {
     /// The network.
     pub topology: Topology,
-    /// FIBs with default routes down and seeded ECMP groups up.
+    /// Empty tables for the fabric's nodes, for connections to pin their
+    /// subflows' tag routes in.
     pub routing: RoutingTables,
     /// Arity.
     pub k: usize,
@@ -98,7 +116,7 @@ pub struct FatTree {
 }
 
 impl FatTree {
-    /// Build the fabric and program its routing tables.
+    /// Build the fabric.
     pub fn build(cfg: &FatTreeConfig) -> FatTree {
         #[expect(
             clippy::disallowed_macros,
@@ -188,7 +206,7 @@ impl FatTree {
             }
         }
 
-        let mut tree = FatTree {
+        FatTree {
             routing: RoutingTables::new(&topo),
             topology: topo,
             k,
@@ -197,77 +215,13 @@ impl FatTree {
             edge,
             agg,
             core,
-        };
-        tree.install_routes();
-        tree
+        }
     }
 
     /// The ECMP hash seed of a switch: derived from the master seed and the
     /// node id, so every switch models an independent hardware hash.
     pub fn switch_seed(&self, node: NodeId) -> u64 {
         SplitMix64::derive(self.seed, crate::STREAM_ECMP_SWITCH | node.0 as u64)
-    }
-
-    /// Program the routing tables: per-destination-host down routes and
-    /// seeded ECMP groups up. Node by node, so that each switch builds the
-    /// uplink list it hashes over once and every row fills in destination
-    /// order.
-    fn install_routes(&mut self) {
-        let half = self.k / 2;
-        let hosts = &self.hosts;
-        // Hosts: single access link towards everything.
-        for (si, &src) in hosts.iter().enumerate() {
-            let (sp, se, _sh) = self.host_coords(si);
-            let l = self.access_link(src, self.edge_at(sp, se));
-            for &dst in hosts.iter().filter(|&&dst| dst != src) {
-                self.routing.set_default_route(src, dst, l);
-            }
-        }
-        for p in 0..self.k {
-            for i in 0..half {
-                // Edge switch: deliver locally, hash up otherwise.
-                let sw = self.edge_at(p, i);
-                self.routing.set_ecmp_seed(sw, self.switch_seed(sw));
-                let ups: Vec<LinkId> = (0..half)
-                    .map(|a| self.fabric_link(sw, self.agg_at(p, a)))
-                    .collect();
-                for (hi, &dst) in hosts.iter().enumerate() {
-                    let (dp, de, _dh) = self.host_coords(hi);
-                    if (dp, de) == (p, i) {
-                        let l = self.access_link(dst, sw);
-                        self.routing.set_default_route(sw, dst, l);
-                    } else {
-                        self.routing.set_ecmp_group(sw, dst, &ups);
-                    }
-                }
-                // Aggregation switch: down inside the pod, hash to core across.
-                let sw = self.agg_at(p, i);
-                self.routing.set_ecmp_seed(sw, self.switch_seed(sw));
-                let ups: Vec<LinkId> = (0..half)
-                    .map(|c| self.fabric_link(sw, self.core_at(i, c)))
-                    .collect();
-                for (hi, &dst) in hosts.iter().enumerate() {
-                    let (dp, de, _dh) = self.host_coords(hi);
-                    if dp == p {
-                        let l = self.fabric_link(self.edge_at(dp, de), sw);
-                        self.routing.set_default_route(sw, dst, l);
-                    } else {
-                        self.routing.set_ecmp_group(sw, dst, &ups);
-                    }
-                }
-            }
-        }
-        // Core switches: one down link into the destination pod.
-        for g in 0..half {
-            for c in 0..half {
-                let sw = self.core_at(g, c);
-                for (hi, &dst) in hosts.iter().enumerate() {
-                    let (dp, _de, _dh) = self.host_coords(hi);
-                    let l = self.fabric_link(self.agg_at(dp, g), sw);
-                    self.routing.set_default_route(sw, dst, l);
-                }
-            }
-        }
     }
 
     /// The edge switch at (pod `p`, position `e`).
@@ -310,24 +264,6 @@ impl FatTree {
         (i / (half * half), (i / half) % half, i % half)
     }
 
-    fn access_link(&self, host: NodeId, edge: NodeId) -> LinkId {
-        #[expect(
-            clippy::expect_used,
-            reason = "the builder created this link; absence is a construction bug"
-        )]
-        self.topology
-            .link_between(host, edge)
-            .expect("host access link")
-    }
-
-    fn fabric_link(&self, a: NodeId, b: NodeId) -> LinkId {
-        #[expect(
-            clippy::expect_used,
-            reason = "the builder created this link; absence is a construction bug"
-        )]
-        self.topology.link_between(a, b).expect("fabric link")
-    }
-
     /// Does `l` touch a host (access link)? Fabric links never do.
     pub fn is_access_link(&self, l: LinkId) -> bool {
         let spec = self.topology.link(l);
@@ -339,59 +275,24 @@ impl FatTree {
         spec.a.0 < n_hosts || spec.b.0 < n_hosts
     }
 
-    /// The exact path ECMP forwards a flow with `flow_hash` along, from
-    /// `src` to `dst`, by walking the programmed FIBs with the runtime
-    /// selection function ([`netsim::ecmp_select`] via
-    /// [`netsim::RoutingTables::route`]).
+    /// The path ECMP hashing gives a flow with `flow_hash` from `src` to
+    /// `dst`: the source's edge switch hashes it onto aggregation position
+    /// `a`, that aggregation switch hashes it onto core column `c`, each
+    /// with its own seed (`ecmp_select`), and [`FatTree::equal_cost_path`]
+    /// ignores whichever choice the pair never reaches.
     pub fn ecmp_path(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Path {
         #[expect(
             clippy::disallowed_macros,
-            reason = "argument validation before any walking"
+            reason = "argument validation before any placement"
         )]
         {
             assert_ne!(src, dst, "a path needs distinct endpoints");
         }
-        let probe = Packet {
-            id: 0,
-            src,
-            dst,
-            tag: Tag::NONE,
-            protocol: Protocol::Raw,
-            payload: Payload::empty(),
-            data_len: 0,
-            flow_hash,
-            ecn: Ecn::NotEct,
-        };
-        let mut nodes = vec![src];
-        let mut cur = src;
-        // host → edge → agg → core → agg → edge → host is the longest walk.
-        for _ in 0..6 {
-            if cur == dst {
-                break;
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "install_routes programmed every (switch, host) entry; a miss is a construction bug"
-            )]
-            let link = self
-                .routing
-                .route(cur, &probe)
-                .expect("fat-tree FIBs cover every host destination");
-            cur = self.topology.link(link).other_end(cur);
-            nodes.push(cur);
-        }
-        #[expect(
-            clippy::disallowed_macros,
-            reason = "loop bound is the tree diameter; not reaching dst is a construction bug"
-        )]
-        {
-            assert_eq!(cur, dst, "ECMP walk did not reach the destination");
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "nodes were collected along existing links"
-        )]
-        Path::from_nodes(&self.topology, &nodes).expect("walked nodes form a path")
+        let half = self.k / 2;
+        let (sp, se, _) = self.host_coords(self.host_index(src));
+        let a = ecmp_select(flow_hash, self.switch_seed(self.edge_at(sp, se)), half);
+        let c = ecmp_select(flow_hash, self.switch_seed(self.agg_at(sp, a)), half);
+        self.equal_cost_path(src, dst, a, c)
     }
 
     /// The flow hash of subflow `sf` of a connection: derived from the
@@ -569,7 +470,8 @@ pub fn collision_rate(tree: &FatTree, path_sets: &[Vec<Path>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::ecmp_select;
+    use netsim::{Ecn, Packet, Payload, Protocol, Tag};
+    use simbase::Fnv64;
 
     fn tree(k: usize, seed: u64) -> FatTree {
         FatTree::build(&FatTreeConfig { k, seed })
@@ -627,23 +529,84 @@ mod tests {
 
     #[test]
     fn first_hop_matches_the_published_spec_function() {
-        // The extractor walks real FIBs; the FIB implements ecmp_select.
-        // Check the chain end to end at the edge switch's uplink choice.
+        // The edge switch's uplink is member ecmp_select(flow, its seed, k/2)
+        // of its uplinks, in aggregation-position order; across pods the
+        // aggregation switch picks the core column the same way.
         let t = tree(4, 9);
         let src = t.hosts[0];
-        let dst = t.hosts[15]; // other pod: edge switch uses its ECMP group
+        let dst = t.hosts[15]; // other pod: both switches above src choose
         let edge = t.edge[0];
-        let group: Vec<LinkId> = t
-            .routing
-            .ecmp_group(edge, dst)
-            .expect("edge switch has an ECMP group for a remote host")
-            .to_vec();
         let seed = t.switch_seed(edge);
         for flow in 0..32u64 {
             let p = t.ecmp_path(src, dst, flow);
-            let uplink = p.links()[1]; // hop after the access link
-            assert_eq!(uplink, group[ecmp_select(flow, seed, group.len())]);
+            let a = ecmp_select(flow, seed, 2);
+            let agg = t.agg[a];
+            let c = ecmp_select(flow, t.switch_seed(agg), 2);
+            // Hops after the access link: up to the aggregation switch,
+            // then up to core (group a, column c).
+            assert_eq!(Some(p.links()[1]), t.topology.link_between(edge, agg));
+            let core = t.core[a * 2 + c];
+            assert_eq!(Some(p.links()[2]), t.topology.link_between(agg, core));
         }
+    }
+
+    #[test]
+    fn zero_seed_reproduces_the_unseeded_ecmp_hash() {
+        for flow in [0u64, 1, 7, 0xDEAD_BEEF, u64::MAX] {
+            for len in [1usize, 2, 3, 8] {
+                let h = flow.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                assert_eq!(ecmp_select(flow, 0, len), (h >> 32) as usize % len);
+            }
+        }
+    }
+
+    #[test]
+    fn ecmp_select_spreads_flows_and_seeds_decorrelate_it() {
+        // Consecutive flow keys spread over both members ...
+        let mut counts = [0usize; 2];
+        for flow in 0..100u64 {
+            counts[ecmp_select(flow, 0, 2)] += 1;
+        }
+        assert!(
+            counts[0] > 20 && counts[1] > 20,
+            "hash should spread: {counts:?}"
+        );
+        // ... and two switches with different seeds do not pick the same
+        // member for every flow (the correlation per-switch seeds break).
+        let differs = (0..200u64)
+            .filter(|&flow| ecmp_select(flow, 0x1234_5678_9ABC_DEF0, 2) != ecmp_select(flow, 0, 2))
+            .count();
+        assert!(differs > 40, "seed changed only {differs}/200 choices");
+    }
+
+    #[test]
+    fn ecmp_placement_is_pinned() {
+        // One FNV-1a digest over the links of every placement: all ordered
+        // host pairs of k = 4 and k = 8 fabrics, seeds 0-3, four flow
+        // hashes each (263 936 paths). The pin is what the fabric's ECMP
+        // forwarding tables gave when a probe packet walked them; the
+        // arithmetic placement must reproduce every path.
+        let mut h = Fnv64::new();
+        let mut placed = 0usize;
+        for k in [4usize, 8] {
+            for seed in 0..4u64 {
+                let t = tree(k, seed);
+                for &src in &t.hosts {
+                    for &dst in t.hosts.iter().filter(|&&dst| dst != src) {
+                        for flow in [0u64, 1, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
+                            let p = t.ecmp_path(src, dst, flow);
+                            h.write_u64(p.links().len() as u64);
+                            for l in p.links() {
+                                h.write_u64(u64::from(l.0));
+                            }
+                            placed += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(placed, 263_936);
+        assert_eq!(h.finish(), 0x1b8a_6c65_830b_6da5);
     }
 
     #[test]
@@ -679,14 +642,14 @@ mod tests {
     #[test]
     fn a_six_hop_tagged_path_resolves_at_every_node_in_both_directions() {
         // An inter-pod path is six hops: two route sets per direction
-        // (netsim keeps four hops per set), and the tag outranks the
-        // ECMP groups and default routes every switch on the way has.
+        // (netsim keeps four hops per set), into tables the fabric leaves
+        // empty.
         let t = tree(4, 11);
         let (src, dst) = (t.hosts[0], t.hosts[15]);
         let path = t.equal_cost_path(src, dst, 1, 0);
         assert_eq!(path.links().len(), 6);
         let mut routing = t.routing.clone();
-        assert_eq!(routing.route_sets(), 0, "the fabric itself routes untagged");
+        assert_eq!((routing.route_sets(), routing.untagged_routes()), (0, 0));
         routing.install_path(&path, Tag(9));
         assert_eq!(routing.route_sets(), 4);
         let towards = |to: NodeId| Packet {
@@ -705,13 +668,10 @@ mod tests {
             assert_eq!(routing.route(nodes[i], &towards(dst)), Some(link));
             assert_eq!(routing.route(nodes[i + 1], &towards(src)), Some(link));
         }
-        // A switch off the path still hashes: the tag means nothing there.
+        // A switch off the path has no route: the tag means nothing there.
         let other_agg = t.agg[0];
         assert!(!nodes.contains(&other_agg));
-        assert_eq!(
-            routing.route(other_agg, &towards(dst)),
-            t.routing.route(other_agg, &towards(dst))
-        );
+        assert_eq!(routing.route(other_agg, &towards(dst)), None);
     }
 
     #[test]
@@ -768,7 +728,7 @@ mod proptests {
                 prop_assert_eq!(seen.len(), k_half * k_half);
             }
 
-            // ECMP hash determinism: the same build yields the same walk.
+            // ECMP hash determinism: the same build yields the same path.
             let t2 = FatTree::build(&cfg);
             let src = t.hosts[0];
             let dst = t.hosts[t.hosts.len() / 2];
@@ -782,9 +742,8 @@ mod proptests {
             }
         }
 
-        /// The extractor's route matches the FIB hash choice at the edge:
-        /// changing only the flow hash can change the route; changing
-        /// nothing never does.
+        /// Placement is a pure function: changing only the flow hash can
+        /// change the route; changing nothing never does.
         #[test]
         fn extraction_is_a_pure_function(seed in 0u64..500, flow in 0u64..10_000) {
             let t = FatTree::build(&FatTreeConfig { seed, ..FatTreeConfig::default() });
