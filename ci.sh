@@ -220,18 +220,20 @@ echo "==> perfbench smoke (the benchmark still builds against the crates and its
 # a row saying so or is a bug.
 # fabric-ecmp, churn-4k and overload-4k also have a memory ceiling: peak RSS
 # repeats to 0.1-0.2 MB on one host, so unlike wall-clock it can be gated.
-# fabric-ecmp reads 4.9-5.0 MB (5.3-5.4 MB while the fabric kept ECMP groups
+# fabric-ecmp reads 5.0-5.1 MB (5.3-5.4 MB while the fabric kept ECMP groups
 # and default routes, 7.8-8.0 MB while untagged routes were per-node B-trees
 # held twice, 14.0 MB while every wheel bucket kept its own high-water
 # allocation); churn-4k and overload-4k are the world at rest
 # (4 000 pairs assembled; on churn-4k most of them finished, on overload-4k
-# most of them mid-recovery): churn-4k reads 20.7-20.8 MB (21.0-21.2 MB with
-# boxed drop-tail queues, 22.9-23.0 MB while every node owned a route table),
-# overload-4k 25.5-25.6 MB (25.8-26.0 MB with boxed queues, 29.1 MB while SACK
+# most of them mid-recovery): churn-4k reads 15.8 MB (19.1 MB while every
+# subflow sender was built whole at assembly and kept whole after it
+# finished, 21.0-21.2 MB with boxed drop-tail queues, 22.9-23.0 MB while
+# every node owned a route table), overload-4k 23.8-23.9 MB (24.0 MB with whole
+# subflow senders, 25.8-26.0 MB with boxed queues, 29.1 MB while SACK
 # scoreboards and reassembly sets were B-trees). regen-service (~35 s on two
 # cores) is table regeneration end to end: runner, store, faults,
 # checkpoint/branch and a fluid solve. 0 means no ceiling.
-for smoke in paper-bulk:0 fabric-ecmp:7 churn-4k:22 overload-4k:27 regen-service:0; do
+for smoke in paper-bulk:0 fabric-ecmp:7 churn-4k:16.8 overload-4k:27 regen-service:0; do
     workload=${smoke%:*}
     limit=${smoke#*:}
     cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \

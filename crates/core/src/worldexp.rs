@@ -1038,4 +1038,100 @@ mod tests {
         assert!(m.mobile_mbps <= m.static_mbps);
         assert!(m.cell_bytes > 0, "cellular must carry handover bytes");
     }
+
+    /// A 400-pair churn-shaped world (churn-4k's arrival rate on a tenth
+    /// of its pairs), assembled as `run_traffic` assembles it, with every
+    /// connection's handles.
+    fn churn_world() -> (World, Vec<(crate::world::SenderId, ReceiverId)>) {
+        let cell = TrafficCell {
+            arrival_rate_hz: 250.0,
+            ..TrafficCell::table(400, 1)
+        };
+        let program = TrafficProgram::generate(&TrafficConfig {
+            connections: cell.pairs,
+            arrival_rate_hz: cell.arrival_rate_hz,
+            seed: cell.seed,
+        });
+        let net = TrafficNet::build(&TrafficNetConfig { pairs: cell.pairs });
+        let mut routing = RoutingTables::new(&net.topology);
+        let subflows: Vec<_> = (0..cell.pairs)
+            .map(|i| install_subflows(&mut routing, &net.paths(i), 1, 5000))
+            .collect();
+        let mut world = World::new(net.topology, routing, cell.seed, TraceSink::new());
+        let conns = (program.connections.iter().zip(subflows))
+            .zip(net.srcs.iter().zip(&net.dsts))
+            .map(|((conn, subflows), (&src, &dst))| {
+                let cfg = MptcpConfig {
+                    algo: cell.algo,
+                    app: AppSource::Fixed(conn.size_bytes),
+                    ..MptcpConfig::bulk(dst, subflows)
+                };
+                world.connect(src, cfg, conn.start)
+            })
+            .collect();
+        (world, conns)
+    }
+
+    /// A checkpoint taken while some connections have not started (their
+    /// subflow senders dormant), some are transferring (live) and some
+    /// have finished (retired) resumes bit for bit, and so does the world
+    /// it was taken from: no state is shared between the two. Both match a
+    /// cold run's trace and counters, except that a run stopped at `mid`
+    /// queues the TxDone of every transmission spanning `mid` instead of
+    /// eliding it (the elision needs a completion by the run's deadline);
+    /// those are compared with a straight run that also stops at `mid`.
+    #[test]
+    fn a_checkpoint_across_dormant_live_and_retired_senders_resumes_bit_for_bit() {
+        let (mid, end) = (SimTime::from_millis(800), SimTime::from_secs(3));
+        let observe = |world: &World| (world.sink().hash(), world.counters());
+
+        let (cold_hash, cold) = {
+            let (mut world, _) = churn_world();
+            world.run_until(end);
+            observe(&world)
+        };
+        let (mut straight, _) = churn_world();
+        straight.run_until(mid);
+        straight.run_until(end);
+        let expected = observe(&straight);
+        drop(straight);
+        assert_eq!(expected.0, cold_hash);
+        let stepped = expected.1;
+        assert_eq!(
+            SimCounters {
+                queue_pushes: cold.queue_pushes,
+                queue_pops: cold.queue_pops,
+                tx_done_elided: cold.tx_done_elided,
+                ..stepped
+            },
+            cold,
+            "stopping at {mid} changed more than TxDone elision"
+        );
+        let queued = cold.tx_done_elided - stepped.tx_done_elided;
+        assert_eq!(stepped.queue_pushes - cold.queue_pushes, queued);
+        assert_eq!(stepped.queue_pops - cold.queue_pops, queued);
+
+        let (mut prefix, conns) = churn_world();
+        prefix.run_until(mid);
+        let [mut dormant, mut live, mut retired] = [0; 3];
+        for &(sender, _) in &conns {
+            let sender = prefix.sender(sender);
+            match (sender.subflow_sender(0).is_live(), sender.is_complete()) {
+                (true, _) => live += 1,
+                (false, true) => retired += 1,
+                (false, false) => dormant += 1,
+            }
+        }
+        assert!(
+            dormant > 0 && live > 0 && retired > 0,
+            "{dormant} dormant, {live} live, {retired} retired"
+        );
+        let frozen = prefix.checkpoint();
+
+        let mut resumed = World::restore(&frozen);
+        resumed.run_until(end);
+        assert_eq!(observe(&resumed), expected);
+        prefix.run_until(end);
+        assert_eq!(observe(&prefix), expected);
+    }
 }

@@ -31,12 +31,13 @@ pub struct MptcpReceiverAgent {
     window: u32,
     /// Generate SACK blocks on subflow ACKs.
     sack: bool,
-    /// Per-subflow receivers, keyed by the peer's source port and kept
-    /// sorted by it: any traversal (stats, teardown) is in port order,
-    /// never in a per-process hash order (simlint: hash-iter). A connection
-    /// has a handful of subflows, so a sorted `Vec` searched by bisection is
-    /// the whole map; a B-tree would spend a 1.9 KB leaf on two entries.
-    subs: Vec<(u16, TcpReceiver)>,
+    /// Per-subflow receivers, keyed by the peer's source port
+    /// ([`TcpReceiver::peer_port`]) and kept sorted by it: any traversal
+    /// (stats, teardown) is in port order, never in a per-process hash order
+    /// (simlint: hash-iter). A connection has a handful of subflows, so a
+    /// sorted `Vec` searched by bisection is the whole map; a B-tree would
+    /// spend a 1.9 KB leaf on two entries.
+    subs: Vec<TcpReceiver>,
     /// Connection-level DSN reassembly.
     conn: IntervalSet,
     stats: MptcpReceiverStats,
@@ -119,12 +120,15 @@ impl Agent for MptcpReceiverAgent {
                 Some((dsn, end))
             }
         };
-        let at = match self.subs.binary_search_by_key(&seg.src_port, |s| s.0) {
+        let at = match self
+            .subs
+            .binary_search_by_key(&seg.src_port, TcpReceiver::peer_port)
+        {
             #[expect(
                 clippy::indexing_slicing,
                 reason = "`at` is where the search found the subflow"
             )]
-            Ok(at) if self.subs[at].1.stream_offset(seg.seq).is_some() => at,
+            Ok(at) if self.subs[at].stream_offset(seg.seq).is_some() => at,
             Ok(_) => {
                 self.rx_malformed += 1;
                 return;
@@ -143,7 +147,7 @@ impl Agent for MptcpReceiverAgent {
                 // Exact fit: a connection has as many receivers as subflows
                 // ever joined, not the next power of two.
                 self.subs.reserve_exact(1);
-                self.subs.insert(at, (seg.src_port, receiver));
+                self.subs.insert(at, receiver);
                 at
             }
         };
@@ -162,7 +166,7 @@ impl Agent for MptcpReceiverAgent {
             clippy::indexing_slicing,
             reason = "`at` is where the search found, or this call inserted, the subflow"
         )]
-        let sub = &mut self.subs[at].1;
+        let sub = &mut self.subs[at];
         if let Some(mut ack) = sub.on_data_ecn(ctx.now(), &seg, pkt.data_len, ce) {
             ack.dss = Some(DssOption {
                 data_ack: Some(self.conn.next_expected()),
@@ -199,7 +203,7 @@ impl Agent for MptcpReceiverAgent {
         let most = self
             .subs
             .iter()
-            .map(|(_, sub)| sub.max_ooo_ranges())
+            .map(TcpReceiver::max_ooo_ranges)
             .fold(self.conn.max_pending_ranges(), usize::max);
         counters.range_set_max_len = counters.range_set_max_len.max(most as u64);
         counters.rx_malformed += self.rx_malformed;
@@ -300,11 +304,11 @@ mod tests {
             agent.on_packet(&mut ctx, pkt);
         }
         assert_eq!(agent.subflow_count(), 3);
-        let ports: Vec<u16> = agent.subs.iter().map(|s| s.0).collect();
+        let ports: Vec<u16> = agent.subs.iter().map(TcpReceiver::peer_port).collect();
         assert_eq!(ports, [5000, 5001, 5002]);
         // Each subflow's receiver took its own bytes; the second segment on
         // 5002 found the receiver the first one created.
-        let delivered: Vec<u64> = agent.subs.iter().map(|s| s.1.delivered()).collect();
+        let delivered: Vec<u64> = agent.subs.iter().map(TcpReceiver::delivered).collect();
         assert_eq!(delivered, [100, 100, 200]);
         assert_eq!(agent.data_delivered(), 400);
         // One ACK per segment, each from its own subflow's port pair.

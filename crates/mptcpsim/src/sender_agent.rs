@@ -1,9 +1,11 @@
 //! The MPTCP sender endpoint.
 //!
-//! One agent owns N subflows, each a full `tcpsim::TcpSender` pinned to a
+//! One agent owns N subflows, each a `tcpsim::TcpSender` pinned to a
 //! routing tag (the paper's modified `ndiffports` path manager: the number
 //! of subflows and the tag per subflow are explicit configuration). The
-//! connection-level machinery on top:
+//! subflow senders live only while the connection runs: assembled dormant,
+//! started together in `on_start`, retired to their counters when the
+//! transfer completes. The connection-level machinery on top:
 //!
 //! * a **scheduler** assigns MSS-sized DSN chunks to subflows with window
 //!   space (default: lowest-RTT, the Linux default scheduler);
@@ -12,7 +14,8 @@
 //!   (segments are split at mapping boundaries so one segment never mixes
 //!   two DSN ranges);
 //! * **coupled congestion control** (LIA/OLIA/BALIA) or uncoupled
-//!   CUBIC/Reno per subflow, built over one shared [`Coupling`];
+//!   CUBIC/Reno per subflow, built over one shared [`Coupling`] that lives
+//!   as long as the controllers do;
 //! * incoming ACKs are demultiplexed to subflows by destination port, and
 //!   connection-level data ACKs are tracked from the DSS option.
 
@@ -23,7 +26,7 @@ use netsim::packet::Ecn;
 use netsim::{Agent, Ctx, NodeId, Packet, Protocol, SimCounters, Tag};
 use simbase::{SimDuration, SimRng, SimTime};
 use tcpsim::wire::{DssOption, TcpSegment};
-use tcpsim::{AppSource, TcpConfig, TcpSender, MSS};
+use tcpsim::{AppSource, RttEstimator, TcpConfig, TcpSender, MSS};
 
 /// Failover: after this many consecutive RTO backoffs on a subflow, its
 /// unacknowledged DSN ranges are reinjected on the other subflows.
@@ -121,6 +124,18 @@ struct Sub {
 
 /// The MPTCP sender agent.
 ///
+/// A connection is in one of three states. Assembled by
+/// [`MptcpSenderAgent::new`] it is *dormant*: configuration, dormant
+/// subflow senders, the scheduling scratch and zero counters. `on_start`
+/// makes it *live*: it builds the [`Coupling`] and each subflow's
+/// controller (in subflow order, so the coupling's indices are subflow
+/// indices). When a transfer completes with ECN off it *retires*: every
+/// subflow sender keeps only its counters and sequence numbers, and the
+/// coupling and the scheduling scratch go.
+/// `subflow_count()` and every `subflow_sender(i).stats()` read the same in
+/// all three. With ECN on it stays live (a late ECN-Echo still counts; see
+/// `TcpSender::release_finished`).
+///
 /// Note on `Clone`: the derived clone is *shallow* with respect to the
 /// coupled congestion state — every coupled subflow controller of the clone
 /// still points at the original's `CoupleState`. Checkpointing must go
@@ -132,27 +147,30 @@ pub struct MptcpSenderAgent {
     subs: Vec<Sub>,
     /// Round-robin's last pick ([`SchedulerKind::assign`]).
     rotation: Option<usize>,
-    coupling: Coupling,
+    /// The live subflow controllers' shared state (`None` while dormant
+    /// and once every subflow has retired).
+    coupling: Option<Coupling>,
     /// Next connection-level DSN to assign.
     dsn_next: u64,
     /// Remaining application bytes (`None` = unlimited).
     remaining: Option<u64>,
     /// DSN ranges awaiting reinjection on a healthy subflow.
     pending_reinject: std::collections::VecDeque<(u64, u64)>,
-    /// `pump`'s view of the active subflows, rebuilt before every
-    /// scheduling decision in this one buffer (sized for every subflow at
-    /// construction, so the send path never allocates for it; released
-    /// when the connection completes).
+    /// `pump`'s view of the active subflows: built once per `pump`, then
+    /// refreshed for the subflows each scheduling decision assigned to, in
+    /// this one buffer (sized for every subflow at assembly, so the send
+    /// path never allocates for it; released when the connection
+    /// completes).
     snapshots: Vec<SubflowSnapshot>,
     stats: MptcpSenderStats,
     rx_malformed: u64,
 }
 
 impl MptcpSenderAgent {
-    /// Build the agent; subflow controllers share one coupling state.
+    /// Assemble the agent dormant: its subflow senders' live parts and
+    /// their shared coupling state are built when it starts.
     pub fn new(cfg: MptcpConfig) -> Self {
         assert!(!cfg.subflows.is_empty(), "need at least one subflow");
-        let coupling = Coupling::new();
         let subs: Vec<Sub> = cfg
             .subflows
             .iter()
@@ -164,10 +182,9 @@ impl MptcpSenderAgent {
                     ecn: cfg.ecn,
                     ..Default::default()
                 };
-                let cc = coupling.make_cc(cfg.algo, tcp_cfg.initial_cwnd, tcp_cfg.mss);
                 Sub {
                     cfg: sc.clone(),
-                    sender: TcpSender::new(tcp_cfg, cc),
+                    sender: TcpSender::dormant(tcp_cfg),
                     maps: MappingTable::new(),
                     flow_hash: flow_hash(sc.src_port, sc.dst_port),
                     armed: None,
@@ -185,7 +202,7 @@ impl MptcpSenderAgent {
             snapshots: Vec::with_capacity(subs.len()),
             subs,
             rotation: None,
-            coupling,
+            coupling: None,
             dsn_next: 0,
             remaining,
             pending_reinject: Default::default(),
@@ -206,7 +223,8 @@ impl MptcpSenderAgent {
         self.rx_malformed
     }
 
-    /// The underlying TCP sender of subflow `i` (inspection).
+    /// The underlying TCP sender of subflow `i` (inspection; dormant before
+    /// the connection starts, retired after it completes).
     pub fn subflow_sender(&self, i: usize) -> &TcpSender {
         &self.subs[i].sender
     }
@@ -264,8 +282,8 @@ impl MptcpSenderAgent {
         let s = &self.subs[i].sender;
         SubflowSnapshot {
             idx: i,
-            srtt: s.rtt().srtt(),
-            cwnd: s.cc().cwnd(),
+            srtt: s.rtt().and_then(RttEstimator::srtt),
+            cwnd: s.cc().map_or(0, |cc| cc.cwnd()),
             flight: s.flight_size(),
             eligible: self.eligible(i),
         }
@@ -283,60 +301,68 @@ impl MptcpSenderAgent {
         self.stats.chunks_assigned += 1;
     }
 
-    /// Drain every subflow's sendable segments into the network, attaching
+    /// Drain subflow `i`'s sendable segments into the network, attaching
     /// DSS options (splitting at mapping boundaries).
-    fn drain(&mut self, ctx: &mut Ctx<'_>) {
-        for i in 0..self.subs.len() {
-            let now = ctx.now();
-            while let Some(tx) = self.subs[i].sender.poll_segment(now) {
-                let mut done: u32 = 0;
-                let ecn = if self.cfg.ecn { Ecn::Ect } else { Ecn::NotEct };
-                for (dsn, piece_len) in self.subs[i].maps.lookup(tx.offset, tx.len) {
-                    let mut seg = tx.seg.clone();
-                    seg.seq = tx.seg.seq.wrapping_add(done);
-                    // The wire subflow sequence wraps modulo 2^32 like any
-                    // TCP sequence number (the mask makes that explicit);
-                    // piece lengths never exceed the MSS, so the u16
-                    // conversion cannot truncate.
-                    let sseq = (tx.offset + u64::from(done)) & u64::from(u32::MAX);
-                    seg.dss = Some(DssOption {
-                        data_ack: None,
-                        dsn: Some(dsn),
-                        subflow_seq: u32::try_from(sseq).unwrap_or(u32::MAX),
-                        data_len: u16::try_from(piece_len).unwrap_or(u16::MAX),
-                    });
-                    ctx.send_ecn(
-                        self.cfg.dst,
-                        self.subs[i].cfg.tag,
-                        Protocol::Tcp,
-                        seg.encode(),
-                        piece_len,
-                        self.subs[i].flow_hash,
-                        ecn,
-                    );
-                    done += piece_len;
-                }
+    fn drain(&mut self, ctx: &mut Ctx<'_>, i: usize) {
+        let now = ctx.now();
+        while let Some(tx) = self.subs[i].sender.poll_segment(now) {
+            let mut done: u32 = 0;
+            let ecn = if self.cfg.ecn { Ecn::Ect } else { Ecn::NotEct };
+            for (dsn, piece_len) in self.subs[i].maps.lookup(tx.offset, tx.len) {
+                let mut seg = tx.seg.clone();
+                seg.seq = tx.seg.seq.wrapping_add(done);
+                // The wire subflow sequence wraps modulo 2^32 like any
+                // TCP sequence number (the mask makes that explicit);
+                // piece lengths never exceed the MSS, so the u16
+                // conversion cannot truncate.
+                let sseq = (tx.offset + u64::from(done)) & u64::from(u32::MAX);
+                seg.dss = Some(DssOption {
+                    data_ack: None,
+                    dsn: Some(dsn),
+                    subflow_seq: u32::try_from(sseq).unwrap_or(u32::MAX),
+                    data_len: u16::try_from(piece_len).unwrap_or(u16::MAX),
+                });
+                ctx.send_ecn(
+                    self.cfg.dst,
+                    self.subs[i].cfg.tag,
+                    Protocol::Tcp,
+                    seg.encode(),
+                    piece_len,
+                    self.subs[i].flow_hash,
+                    ecn,
+                );
+                done += piece_len;
             }
         }
     }
 
-    /// Allocate chunks while any subflow has space, then drain.
+    /// Send what subflow `i` can of the chunk it was just given and refresh
+    /// its entry in `snapshots`. Nothing else changes state while `pump`
+    /// runs (effects are applied after the agent returns), so every other
+    /// subflow is still drained and its snapshot still current.
+    fn send_assigned(&mut self, ctx: &mut Ctx<'_>, snapshots: &mut [SubflowSnapshot], i: usize) {
+        self.drain(ctx, i);
+        if let Some(s) = snapshots.iter_mut().find(|s| s.idx == i) {
+            *s = self.snapshot(i);
+        }
+    }
+
+    /// Drain every subflow, then allocate chunks while any subflow has
+    /// space, draining each one a chunk went to.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
+        for i in 0..self.subs.len() {
+            self.drain(ctx, i);
+        }
         let mut snapshots = std::mem::take(&mut self.snapshots);
-        loop {
-            self.drain(ctx);
-            if self.remaining == Some(0) {
-                break;
-            }
-            snapshots.clear();
+        snapshots.clear();
+        if self.remaining != Some(0) {
             snapshots.extend(
                 (0..self.subs.len())
                     .filter(|&i| self.subs[i].active)
                     .map(|i| self.snapshot(i)),
             );
-            if !snapshots.iter().any(|s| s.eligible) {
-                break;
-            }
+        }
+        while self.remaining != Some(0) && snapshots.iter().any(|s| s.eligible) {
             // Failover reinjections take priority over fresh data.
             let reinject = self.pending_reinject.front().copied();
             let (dsn, chunk, is_reinject) = match reinject {
@@ -353,11 +379,18 @@ impl MptcpSenderAgent {
                 Assignment::None => break,
                 Assignment::One(i) => {
                     self.allocate_chunk_to(i, dsn, chunk);
+                    self.send_assigned(ctx, &mut snapshots, i);
                 }
                 Assignment::Replicate(list) => {
                     debug_assert!(!list.is_empty());
+                    // The list is in subflow order: allocating every copy
+                    // before sending any sends in the order a drain of
+                    // every subflow would.
                     for &i in &list {
                         self.allocate_chunk_to(i, dsn, chunk);
+                    }
+                    for &i in &list {
+                        self.send_assigned(ctx, &mut snapshots, i);
                     }
                 }
             }
@@ -386,14 +419,19 @@ impl MptcpSenderAgent {
 
     /// The transfer is complete — nothing left to schedule, nothing in
     /// flight, and `pump` stops before its scheduling step from now on — so
-    /// give back what only a live connection reads: each subflow's
-    /// [`TcpSender::release_finished`] and the scheduling scratch. Counters
-    /// and every `subflow_sender(i)` stay readable. Called after every
-    /// `pump` of a complete connection (a late duplicate ACK can put an RTT
-    /// sample back); all of it is a no-op the second time.
+    /// give back what only a live connection reads: each subflow's live
+    /// part ([`TcpSender::release_finished`]: the sender retires unless
+    /// ECN is on), the coupling once no controller is left, and the
+    /// scheduling scratch. Counters and every `subflow_sender(i)` stay
+    /// readable. Called after every `pump` of a complete connection (a late
+    /// duplicate ACK can put an RTT sample back into a sender that stays
+    /// live); all of it is a no-op the second time.
     fn release_finished(&mut self) {
         for sub in &mut self.subs {
             sub.sender.release_finished();
+        }
+        if !self.subs.iter().any(|s| s.sender.is_live()) {
+            self.coupling = None;
         }
         self.snapshots = Vec::new();
     }
@@ -427,6 +465,15 @@ const TOKEN_JOIN_BASE: u64 = 1 << 32;
 
 impl Agent for MptcpSenderAgent {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        // Every subflow sender goes live now, its controller built in
+        // subflow order (the coupling's indices are subflow indices).
+        let coupling = Coupling::for_connection(self.cfg.algo, self.subs.len());
+        for sub in &mut self.subs {
+            let tcp = sub.sender.config();
+            let cc = coupling.make_cc(self.cfg.algo, tcp.initial_cwnd, tcp.mss);
+            sub.sender.start(cc);
+        }
+        self.coupling = Some(coupling);
         // Subflow 0 is the initial subflow; the i-th additional subflow
         // joins after i MP_JOIN-like delays (staggered, plus jitter) — in a
         // real connection address advertisement and joins are sequential.
@@ -459,7 +506,7 @@ impl Agent for MptcpSenderAgent {
         };
         sub.sender.on_ack(ctx.now(), &seg);
         // Any ACK proves the path alive again.
-        if sub.failed && sub.sender.rtt().backoff() == 0 {
+        if sub.failed && sub.sender.rtt().is_some_and(|r| r.backoff() == 0) {
             sub.failed = false;
         }
         let una = sub.sender.snd_una();
@@ -496,7 +543,8 @@ impl Agent for MptcpSenderAgent {
             );
             sub.armed = None;
             sub.sender.on_timer(ctx.now());
-            if n_subs > 1 && sub.sender.rtt().backoff() >= REINJECT_AFTER_BACKOFFS {
+            let backoff = sub.sender.rtt().map_or(0, RttEstimator::backoff);
+            if n_subs > 1 && backoff >= REINJECT_AFTER_BACKOFFS {
                 self.fail_and_reinject(i);
             }
             self.pump(ctx);
@@ -528,14 +576,352 @@ impl Agent for MptcpSenderAgent {
         // the original through each coupled subflow controller. Deep-copy
         // that state and re-bind those controllers so the branch and the
         // original cannot influence each other; uncoupled controllers own
-        // all their state and were cloned whole.
+        // all their state and were cloned whole. A dormant or retired
+        // connection has no coupling and no controller.
         let mut copy = self.clone();
-        copy.coupling = self.coupling.deep_clone();
-        if self.cfg.algo.is_coupled() {
-            for sub in &mut copy.subs {
-                copy.coupling.rebind(sub.sender.cc_mut());
+        if let Some(coupling) = &self.coupling {
+            let coupling = coupling.deep_clone();
+            if self.cfg.algo.is_coupled() {
+                for cc in copy.subs.iter_mut().filter_map(|s| s.sender.cc_mut()) {
+                    coupling.rebind(cc);
+                }
             }
+            copy.coupling = Some(coupling);
         }
         Box::new(copy)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MptcpReceiverAgent;
+    use netsim::{AgentId, Effect};
+    use simbase::Xoshiro256StarStar;
+    use std::collections::BTreeMap;
+    use std::fmt::Write as _;
+    use tcpsim::wire::SackList;
+    use tcpsim::{SeqNum, TcpFlags, Timestamps, ISN};
+
+    const TX: NodeId = NodeId(0);
+    const RX: NodeId = NodeId(1);
+    /// Bytes the connection transfers.
+    const TOTAL: u64 = 1 << 20;
+    /// The scripted network loses the sender's `DROP`-th packet.
+    const DROP: u64 = 40;
+
+    fn subflow(i: u16) -> SubflowConfig {
+        SubflowConfig {
+            tag: Tag(1 + i),
+            src_port: 5000 + 2 * i,
+            dst_port: 5001 + 2 * i,
+        }
+    }
+
+    /// One-way delay of a subflow's path, by its tag.
+    fn delay(tag: Tag) -> SimDuration {
+        SimDuration::from_millis(if tag == Tag(1) { 20 } else { 30 })
+    }
+
+    /// Two hosts, a sender and a receiver agent, and a script for what lies
+    /// between: fixed per-path delays, one lost data packet, no data ACKs
+    /// (the receiver's DSS `data_ack` is stripped, so late ones have
+    /// something to raise). Every effect and what the sender reads after
+    /// each callback go into `log`.
+    struct Net {
+        tx: MptcpSenderAgent,
+        rx: MptcpReceiverAgent,
+        rngs: [Xoshiro256StarStar; 2],
+        ids: [u64; 2],
+        /// Packets in flight by arrival time and send order.
+        flying: BTreeMap<(SimTime, u64), Packet>,
+        sent: u64,
+        /// The sender's armed timers, token → deadline.
+        timers: BTreeMap<u64, SimTime>,
+        now: SimTime,
+        log: String,
+    }
+
+    fn effects_of(
+        now: SimTime,
+        node: NodeId,
+        rng: &mut Xoshiro256StarStar,
+        next_id: &mut u64,
+        call: impl FnOnce(&mut Ctx<'_>),
+    ) -> Vec<Effect> {
+        let mut effects = Vec::new();
+        let agent = AgentId(node.0);
+        call(&mut Ctx::new(now, node, agent, rng, &mut effects, next_id));
+        effects
+    }
+
+    impl Net {
+        fn new(ecn: bool) -> Net {
+            let cfg = MptcpConfig {
+                algo: crate::CcAlgo::Lia,
+                app: AppSource::Fixed(TOTAL),
+                ecn,
+                ..MptcpConfig::bulk(RX, vec![subflow(0), subflow(1)])
+            };
+            Net {
+                tx: MptcpSenderAgent::new(cfg),
+                rx: MptcpReceiverAgent::default(),
+                rngs: [Xoshiro256StarStar::new(7), Xoshiro256StarStar::new(8)],
+                ids: [0, 1 << 32],
+                flying: BTreeMap::new(),
+                sent: 0,
+                timers: BTreeMap::new(),
+                now: SimTime::ZERO,
+                log: String::new(),
+            }
+        }
+
+        /// Run one sender callback at `self.now` and apply its effects.
+        fn at_tx(&mut self, call: impl FnOnce(&mut MptcpSenderAgent, &mut Ctx<'_>)) {
+            let tx = &mut self.tx;
+            let fx = effects_of(self.now, TX, &mut self.rngs[0], &mut self.ids[0], |ctx| {
+                call(tx, ctx)
+            });
+            for effect in fx {
+                self.note(&effect);
+                match effect {
+                    Effect::Send(p) => {
+                        self.sent += 1;
+                        if self.sent != DROP {
+                            self.fly(p);
+                        }
+                    }
+                    Effect::SetTimer { at, token } => {
+                        self.timers.insert(token, at);
+                    }
+                    Effect::CancelTimer { token } => {
+                        self.timers.remove(&token);
+                    }
+                }
+            }
+            self.observe();
+        }
+
+        fn at_rx(&mut self, pkt: Packet) {
+            let rx = &mut self.rx;
+            let fx = effects_of(self.now, RX, &mut self.rngs[1], &mut self.ids[1], |ctx| {
+                rx.on_packet(ctx, pkt)
+            });
+            for effect in fx {
+                let Effect::Send(mut ack) = effect else {
+                    panic!("the receiver arms no timer");
+                };
+                let mut seg = TcpSegment::decode(&ack.payload).expect("the receiver's ACK");
+                seg.dss = None;
+                ack.payload = seg.encode();
+                self.fly(ack);
+            }
+        }
+
+        fn fly(&mut self, p: Packet) {
+            self.flying.insert((self.now + delay(p.tag), p.id), p);
+        }
+
+        fn note(&mut self, effect: &Effect) {
+            let _ = match effect {
+                Effect::Send(p) => writeln!(
+                    self.log,
+                    "send {} {:?}->{:?} tag {} {:?} {} B {:#x} {:02x?}",
+                    p.id,
+                    p.src,
+                    p.dst,
+                    p.tag.0,
+                    p.ecn,
+                    p.data_len,
+                    p.flow_hash,
+                    p.payload.as_slice()
+                ),
+                Effect::SetTimer { at, token } => writeln!(self.log, "timer {at:?} {token}"),
+                Effect::CancelTimer { token } => writeln!(self.log, "cancel {token}"),
+            };
+        }
+
+        /// What the sender reads now: its stats, every subflow sender's,
+        /// its counters and `rx_malformed`.
+        fn observe(&mut self) {
+            let mut counters = SimCounters::default();
+            self.tx.count(&mut counters);
+            let subs: Vec<_> = (0..self.tx.subflow_count())
+                .map(|i| *self.tx.subflow_sender(i).stats())
+                .collect();
+            let _ = writeln!(
+                self.log,
+                "{:?} {:?} {:?} {} {}",
+                self.tx.stats(),
+                subs,
+                counters,
+                self.tx.rx_malformed(),
+                self.tx.is_complete()
+            );
+        }
+
+        /// Start the sender and run until nothing is left to happen.
+        fn run(&mut self) {
+            self.at_tx(|tx, ctx| tx.on_start(ctx));
+            loop {
+                let pkt = self.flying.keys().next().copied();
+                let timer = self.timers.iter().map(|(&token, &at)| (at, token)).min();
+                match (pkt, timer) {
+                    // At one instant, packets go before timers.
+                    (Some((at, id)), t) if t.is_none_or(|(tat, _)| at <= tat) => {
+                        let p = self.flying.remove(&(at, id)).expect("the key just read");
+                        self.now = at;
+                        if p.dst == RX {
+                            self.at_rx(p);
+                        } else {
+                            self.at_tx(|tx, ctx| tx.on_packet(ctx, p));
+                        }
+                    }
+                    (_, Some((at, token))) => {
+                        self.timers.remove(&token);
+                        self.now = at;
+                        self.at_tx(|tx, ctx| tx.on_timer(ctx, token));
+                    }
+                    (_, None) => break,
+                }
+            }
+        }
+
+        /// Hand the sender `seg` from the receiver's host 1 ms later.
+        fn late(&mut self, seg: TcpSegment) {
+            self.now += SimDuration::from_millis(1);
+            let pkt = Packet {
+                id: 99,
+                src: RX,
+                dst: TX,
+                tag: Tag(1),
+                protocol: Protocol::Tcp,
+                payload: seg.encode(),
+                data_len: 0,
+                flow_hash: 0,
+                ecn: Ecn::NotEct,
+            };
+            self.at_tx(|tx, ctx| tx.on_packet(ctx, pkt));
+        }
+
+        /// An ACK of subflow `i` for stream offset `offset`.
+        fn ack(&self, i: usize, offset: u64) -> TcpSegment {
+            let sf = subflow(i as u16);
+            TcpSegment {
+                src_port: sf.dst_port,
+                dst_port: sf.src_port,
+                ack: SeqNum::from_offset(ISN, offset),
+                flags: TcpFlags::ACK,
+                window: 4 << 20,
+                ts: Some(Timestamps {
+                    tsval: 1,
+                    tsecr: Timestamps::tsval_at(self.now),
+                }),
+                ..Default::default()
+            }
+        }
+
+        fn digest(&self) -> u64 {
+            self.log.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        }
+    }
+
+    /// A transfer run to completion over the scripted network: both
+    /// subflows carried data, one segment was recovered, and every byte
+    /// arrived.
+    fn completed(ecn: bool) -> Net {
+        let mut net = Net::new(ecn);
+        net.run();
+        assert!(net.tx.is_complete());
+        assert_eq!(net.rx.data_delivered(), TOTAL);
+        assert_eq!(net.tx.stats().data_acked, 0, "data ACKs are stripped");
+        let sent = |i: usize| net.tx.subflow_sender(i).stats().segments_sent;
+        assert!(sent(0) > 0 && sent(1) > 0, "both subflows carried data");
+        let retransmits: u64 = (0..2)
+            .map(|i| net.tx.subflow_sender(i).stats().retransmits)
+            .sum();
+        assert!(retransmits > 0, "the lost segment was retransmitted");
+        net
+    }
+
+    /// A retired connection answers late ACKs exactly as the connection
+    /// answered them when its finished subflow senders stayed whole: the
+    /// same effects (none), stats, subflow stats, counters and
+    /// `rx_malformed`, down to the byte of `log`. The digests were computed
+    /// on the tree before subflow senders retired.
+    #[test]
+    fn a_retired_subflow_answers_late_acks_like_a_live_one() {
+        let mut net = completed(false);
+        for i in 0..2 {
+            assert!(!net.tx.subflow_sender(i).is_live(), "subflow {i} retired");
+        }
+        assert!(net.tx.coupling.is_none(), "the coupling went with them");
+        let end = [0, 1].map(|i| net.tx.subflow_sender(i).snd_nxt());
+        let malformed = net.tx.rx_malformed();
+
+        // A duplicate ACK, and one carrying SACK blocks below and above
+        // what was sent.
+        net.late(net.ack(0, end[0]));
+        let mut sack = SackList::new();
+        for (l, r) in [
+            (end[1] - 3000, end[1] - 1000),
+            (end[1] + 1000, end[1] + 2000),
+        ] {
+            sack.push((SeqNum::from_offset(ISN, l), SeqNum::from_offset(ISN, r)));
+        }
+        net.late(TcpSegment {
+            sack,
+            ..net.ack(1, end[1])
+        });
+        // Data ACKs: one above `data_acked` raises it, one beyond what was
+        // ever scheduled does not.
+        for data_ack in [TOTAL / 2, TOTAL + 1] {
+            let dss = Some(DssOption {
+                data_ack: Some(data_ack),
+                dsn: None,
+                subflow_seq: 0,
+                data_len: 0,
+            });
+            net.late(TcpSegment {
+                dss,
+                ..net.ack(0, end[0])
+            });
+        }
+        assert_eq!(net.tx.stats().data_acked, TOTAL / 2);
+        // A port no subflow owns, and an acknowledgement number from
+        // before the initial sequence number: both counted.
+        net.late(TcpSegment {
+            dst_port: 4242,
+            ..net.ack(0, end[0])
+        });
+        net.late(TcpSegment {
+            ack: SeqNum(ISN.0.wrapping_sub(100)),
+            ..net.ack(0, end[0])
+        });
+        assert_eq!(net.tx.rx_malformed(), malformed + 2);
+        assert_eq!(net.digest(), 0x6779_31c1_4312_efea);
+    }
+
+    /// With ECN on, a finished connection stays live: a late ECN-Echo still
+    /// counts one window reduction, as it did before senders retired.
+    #[test]
+    fn an_ecn_connection_stays_live_and_counts_a_late_ece() {
+        let mut net = completed(true);
+        for i in 0..2 {
+            assert!(net.tx.subflow_sender(i).is_live(), "subflow {i} stays live");
+        }
+        let end = net.tx.subflow_sender(0).snd_nxt();
+        let ece = TcpSegment {
+            flags: TcpFlags {
+                ece: true,
+                ..TcpFlags::ACK
+            },
+            ..net.ack(0, end)
+        };
+        net.late(ece);
+        assert_eq!(net.tx.subflow_sender(0).stats().ecn_reductions, 1);
+        assert_eq!(net.digest(), 0x2c3a_f6ad_c6c0_3461);
     }
 }

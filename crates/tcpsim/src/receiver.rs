@@ -60,9 +60,9 @@ pub struct TcpReceiver {
     ooo: RangeSet,
     /// tsval of the most recent segment that advanced the window (echoed).
     last_tsval: u32,
-    /// The out-of-order range that most recently grew (reported as the
-    /// first SACK block, per RFC 2018 §4).
-    recent_block: Option<(u64, u64)>,
+    /// Start of the out-of-order range that most recently grew (reported
+    /// as the first SACK block, per RFC 2018 §4).
+    recent_start: Option<u64>,
     /// ECN: echo ECE on every ACK until the sender answers with CWR
     /// (RFC 3168 §6.1.3).
     ece_pending: bool,
@@ -77,10 +77,15 @@ impl TcpReceiver {
             rcv_nxt: 0,
             ooo: RangeSet::new(),
             last_tsval: 0,
-            recent_block: None,
+            recent_start: None,
             ece_pending: false,
             stats: ReceiverStats::default(),
         }
+    }
+
+    /// The peer's port: the subflow this receiver serves.
+    pub fn peer_port(&self) -> u16 {
+        self.cfg.dst_port
     }
 
     /// Bytes delivered in order so far.
@@ -161,7 +166,7 @@ impl TcpReceiver {
             // retransmit depends on these never being delayed).
             self.stats.out_of_order_segments += 1;
             let (merged, _) = self.ooo.insert(start, end);
-            self.recent_block = Some(merged);
+            self.recent_start = Some(merged.0);
             return Some(self.make_ack(now));
         }
 
@@ -205,7 +210,7 @@ impl TcpReceiver {
         }
         let to_wire = |s: u64, e: u64| (SeqNum::from_offset(ISN, s), SeqNum::from_offset(ISN, e));
         // The recent range may have merged; report its current extent.
-        let recent = self.recent_block.and_then(|(s, _)| {
+        let recent = self.recent_start.and_then(|s| {
             self.ooo
                 .floor(s)
                 .filter(|&(cs, ce)| ce > s && cs > self.rcv_nxt)

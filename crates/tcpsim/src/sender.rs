@@ -137,18 +137,48 @@ pub struct SenderStats {
 
 /// The sender state machine. See the module docs.
 ///
+/// A sender is in one of three states, and only the second one sends:
+///
+/// * **dormant** ([`TcpSender::dormant`]): its configuration and zero
+///   counters, nothing else;
+/// * **live** ([`TcpSender::start`], or built live by [`TcpSender::new`]):
+///   a boxed part holds the controller, RTT estimator, application
+///   backlog, SACK scoreboard, retransmit queue, recovery, timer, TLP and
+///   ECN state;
+/// * **retired** ([`TcpSender::release_finished`] on a finished sender that
+///   no later ACK can move): the boxed part is gone again.
+///
+/// What stays inline in every state — configuration, [`SenderStats`], the
+/// SACK-block count, the scoreboard's high-water mark, `snd_una` and
+/// `snd_nxt` — answers every counter and sequence query; a dormant or
+/// retired sender polls no segment, needs no timer and absorbs ACKs.
+///
 /// `Clone` deep-copies the congestion controller via
 /// [`CongestionControl::clone_boxed`], so a cloned sender (simulator
 /// checkpoint) evolves independently of the original.
 #[derive(Debug, Clone)]
 pub struct TcpSender {
     cfg: TcpConfig,
-    cc: Box<dyn CongestionControl>,
-    rtt: RttEstimator,
+    stats: SenderStats,
+    /// SACK blocks entered into the scoreboard (a work counter; not part
+    /// of [`SenderStats`], which is a stored record).
+    sack_blocks: u64,
+    /// Most ranges the scoreboard held at once, kept here when the
+    /// scoreboard goes with the live part (a work counter).
+    scoreboard_max_len: usize,
     /// First unacknowledged stream offset.
     snd_una: u64,
     /// Next stream offset to send.
     snd_nxt: u64,
+    /// Present only while the sender is live.
+    live: Option<Box<Live>>,
+}
+
+/// What only a live [`TcpSender`] reads.
+#[derive(Debug, Clone)]
+struct Live {
+    cc: Box<dyn CongestionControl>,
+    rtt: RttEstimator,
     /// Bytes of application data available beyond `snd_nxt`.
     available: u64,
     /// If true, the application always has data (iperf model).
@@ -175,25 +205,41 @@ pub struct TcpSender {
     ecn_send_cwr: bool,
     /// Most recent tsval received from the peer (echoed in our segments).
     peer_tsval: u32,
-    stats: SenderStats,
-    /// SACK blocks entered into the scoreboard (a work counter; not part
-    /// of [`SenderStats`], which is a stored record).
-    sack_blocks: u64,
 }
 
 impl TcpSender {
-    /// Create a sender with the given congestion controller.
+    /// Create a live sender with the given congestion controller.
     pub fn new(cfg: TcpConfig, cc: Box<dyn CongestionControl>) -> Self {
-        let peer_window = cfg.assumed_peer_window;
+        let mut sender = Self::dormant(cfg);
+        sender.start(cc);
+        sender
+    }
+
+    /// Create a dormant sender: configuration and zero counters only,
+    /// until [`TcpSender::start`].
+    pub fn dormant(cfg: TcpConfig) -> Self {
         TcpSender {
             cfg,
-            cc,
-            rtt: RttEstimator::default(),
+            stats: SenderStats::default(),
+            sack_blocks: 0,
+            scoreboard_max_len: 0,
             snd_una: 0,
             snd_nxt: 0,
+            live: None,
+        }
+    }
+
+    /// Make a dormant sender live with the given congestion controller.
+    /// Called once, before anything else reaches the sender (debug builds
+    /// assert that it is not live yet).
+    pub fn start(&mut self, cc: Box<dyn CongestionControl>) {
+        debug_assert!(self.live.is_none(), "a sender starts once");
+        self.live = Some(Box::new(Live {
+            cc,
+            rtt: RttEstimator::default(),
             available: 0,
             unlimited: false,
-            peer_window,
+            peer_window: self.cfg.assumed_peer_window,
             dup_acks: 0,
             recovery: None,
             inflation: 0,
@@ -205,27 +251,46 @@ impl TcpSender {
             ecn_cwr_until: SimTime::ZERO,
             ecn_send_cwr: false,
             peer_tsval: 0,
-            stats: SenderStats::default(),
-            sack_blocks: 0,
+        }));
+    }
+
+    /// True between [`TcpSender::start`] and retirement.
+    pub fn is_live(&self) -> bool {
+        self.live.is_some()
+    }
+
+    /// Make the application source unlimited (bulk transfer). A setting of
+    /// the live part: only a live sender may be given it (debug builds
+    /// assert so; a release build ignores it otherwise).
+    pub fn set_unlimited(&mut self) {
+        debug_assert!(
+            self.live.is_some(),
+            "application data for a sender that is not live"
+        );
+        if let Some(l) = &mut self.live {
+            l.unlimited = true;
         }
     }
 
-    /// Make the application source unlimited (bulk transfer).
-    pub fn set_unlimited(&mut self) {
-        self.unlimited = true;
-    }
-
-    /// Supply `bytes` of application data.
+    /// Supply `bytes` of application data. Only a live sender sends, so
+    /// only a live sender may be given any (debug builds assert so; a
+    /// release build ignores it otherwise).
     pub fn push_app_data(&mut self, bytes: u64) {
-        self.available += bytes;
+        debug_assert!(
+            self.live.is_some(),
+            "application data for a sender that is not live"
+        );
+        if let Some(l) = &mut self.live {
+            l.available += bytes;
+        }
     }
 
-    /// Application bytes not yet handed to the network.
+    /// Application bytes not yet handed to the network (0 unless live).
     pub fn app_backlog(&self) -> u64 {
-        if self.unlimited {
-            u64::MAX
-        } else {
-            self.available
+        match &self.live {
+            Some(l) if l.unlimited => u64::MAX,
+            Some(l) => l.available,
+            None => 0,
         }
     }
 
@@ -244,40 +309,64 @@ impl TcpSender {
         self.snd_nxt
     }
 
-    /// Effective send window: min(cwnd + inflation, peer window).
+    /// Effective send window: min(cwnd + inflation, peer window); 0
+    /// unless live.
     pub fn send_window(&self) -> u64 {
-        (self.cc.cwnd() + self.inflation).min(self.peer_window)
+        self.live.as_ref().map_or(0, |l| Self::window_of(l))
     }
 
-    /// The congestion controller (for inspection).
-    pub fn cc(&self) -> &dyn CongestionControl {
-        self.cc.as_ref()
+    fn window_of(l: &Live) -> u64 {
+        (l.cc.cwnd() + l.inflation).min(l.peer_window)
     }
 
-    /// Mutable access to the congestion controller.
+    /// The congestion controller (for inspection), while live.
+    pub fn cc(&self) -> Option<&dyn CongestionControl> {
+        self.live.as_ref().map(|l| l.cc.as_ref())
+    }
+
+    /// Mutable access to the congestion controller, while live.
     ///
     /// Needed by `mptcpsim` to re-bind a cloned coupled controller to the
     /// clone's own shared-state handle after a checkpoint copy.
-    pub fn cc_mut(&mut self) -> &mut dyn CongestionControl {
-        self.cc.as_mut()
+    pub fn cc_mut(&mut self) -> Option<&mut dyn CongestionControl> {
+        match &mut self.live {
+            Some(l) => Some(l.cc.as_mut()),
+            None => None,
+        }
     }
 
-    /// The RTT estimator (for inspection).
-    pub fn rtt(&self) -> &RttEstimator {
-        &self.rtt
+    /// The RTT estimator (for inspection), while live.
+    pub fn rtt(&self) -> Option<&RttEstimator> {
+        self.live.as_ref().map(|l| &l.rtt)
     }
 
     /// The connection this sender belongs to has finished (everything sent
     /// is acknowledged and nothing more will be): give back what only a
-    /// live sender reads. Today that is the RTT estimator's windowed-minimum
-    /// filter — `rtt().min_rtt()` is `None` afterwards. Nothing can observe
-    /// that: `min_rtt` feeds [`AckContext`] only when an ACK newly
-    /// acknowledges data, and a finished sender has none in flight.
-    /// Counters, `srtt` and the RTO stay. Idempotent; a late duplicate ACK
-    /// may put one sample back, and the owner calls this again.
+    /// live sender reads.
+    ///
+    /// When no later ACK can change a counter — nothing in flight, nothing
+    /// queued, ECN off — that is the whole live part: the sender retires.
+    /// A late ACK then finds `snd_una == snd_nxt`, so its SACK blocks clamp
+    /// to nothing and it is neither new data nor a counted duplicate. With
+    /// ECN on, a late ECN-Echo still counts in `ecn_reductions` (at most
+    /// once per smoothed RTT), so the sender stays live and gives back only
+    /// the RTT estimator's windowed-minimum filter (`min_rtt()` is `None`
+    /// afterwards; it feeds [`AckContext`] only when an ACK newly
+    /// acknowledges data, and a finished sender has none in flight).
+    /// Idempotent; a late duplicate ACK may put one sample back, and the
+    /// owner calls this again.
     pub fn release_finished(&mut self) {
         debug_assert_eq!(self.flight_size(), 0, "released with data in flight");
-        self.rtt.release_min_filter();
+        let stays_live = self.cfg.ecn || self.app_backlog() > 0;
+        let Some(l) = &mut self.live else {
+            return;
+        };
+        if stays_live {
+            l.rtt.release_min_filter();
+        } else {
+            self.scoreboard_max_len = l.scoreboard.max_len();
+            self.live = None;
+        }
     }
 
     /// Counters.
@@ -291,14 +380,16 @@ impl TcpSender {
         counters.tcp_retransmits += self.stats.retransmits;
         counters.tcp_rtos += self.stats.rtos;
         counters.tcp_sack_blocks += self.sack_blocks;
-        counters.range_set_max_len = counters
-            .range_set_max_len
-            .max(self.scoreboard.max_len() as u64);
+        let max_len = self
+            .live
+            .as_ref()
+            .map_or(self.scoreboard_max_len, |l| l.scoreboard.max_len());
+        counters.range_set_max_len = counters.range_set_max_len.max(max_len as u64);
     }
 
     /// True while in a loss-recovery episode.
     pub fn in_recovery(&self) -> bool {
-        self.recovery.is_some()
+        self.live.as_ref().is_some_and(|l| l.recovery.is_some())
     }
 
     /// This sender's configuration.
@@ -306,14 +397,9 @@ impl TcpSender {
         &self.cfg
     }
 
-    /// Bytes above `snd_una` currently SACKed.
-    pub fn sacked_bytes(&self) -> u64 {
-        self.scoreboard.bytes()
-    }
-
     /// End of the highest SACKed range (or `snd_una` if none).
-    pub fn highest_sacked(&self) -> u64 {
-        self.scoreboard
+    fn highest_sacked(&self, l: &Live) -> u64 {
+        l.scoreboard
             .as_slice()
             .last()
             .map_or(self.snd_una, |&(_, e)| e)
@@ -321,10 +407,10 @@ impl TcpSender {
 
     /// RFC 6675-style pipe estimate: bytes believed in the network —
     /// flight minus SACKed bytes minus not-yet-retransmitted lost bytes.
-    pub fn pipe(&self) -> u64 {
+    fn pipe(&self, l: &Live) -> u64 {
         self.flight_size()
-            .saturating_sub(self.sacked_bytes())
-            .saturating_sub(self.lost_unrtx_bytes())
+            .saturating_sub(l.scoreboard.bytes())
+            .saturating_sub(self.lost_unrtx_bytes(l))
     }
 
     /// The reordering allowance before a hole counts as lost:
@@ -336,15 +422,15 @@ impl TcpSender {
     /// Bytes in deemed-lost holes that have not been retransmitted yet.
     /// A byte at offset `o` is deemed lost when at least `loss_threshold`
     /// bytes above it have been SACKed, i.e. `o + threshold <= highest`.
-    fn lost_unrtx_bytes(&self) -> u64 {
-        let highest = self.highest_sacked();
+    fn lost_unrtx_bytes(&self, l: &Live) -> u64 {
+        let highest = self.highest_sacked(l);
         let threshold = self.loss_threshold();
         let Some(lost_cutoff) = highest.checked_sub(threshold).map(|v| v + 1) else {
             return 0;
         };
         let mut lost = 0u64;
-        let mut cursor = self.snd_una.max(self.high_rtx);
-        for &(rs, re) in self.scoreboard.as_slice() {
+        let mut cursor = self.snd_una.max(l.high_rtx);
+        for &(rs, re) in l.scoreboard.as_slice() {
             if re <= cursor {
                 continue;
             }
@@ -361,15 +447,15 @@ impl TcpSender {
 
     /// The first deemed-lost, not-yet-retransmitted hole at or after
     /// `from`, clipped to one MSS.
-    fn first_lost_hole(&self, from: u64) -> Option<(u64, u32)> {
-        let highest = self.highest_sacked();
+    fn first_lost_hole(&self, l: &Live, from: u64) -> Option<(u64, u32)> {
+        let highest = self.highest_sacked(l);
         let mut cursor = from;
         if cursor >= highest {
             return None;
         }
         loop {
             // Skip SACKed ranges covering the cursor.
-            if let Some((rs, re)) = self.scoreboard.floor(cursor) {
+            if let Some((rs, re)) = l.scoreboard.floor(cursor) {
                 if re > cursor {
                     debug_assert!(rs <= cursor);
                     cursor = re;
@@ -380,7 +466,7 @@ impl TcpSender {
                 return None;
             }
             // The hole runs until the next SACKed range (or `highest`).
-            let hole_end = self
+            let hole_end = l
                 .scoreboard
                 .first_at_or_after(cursor)
                 .map_or(highest, |(rs, _)| rs)
@@ -398,16 +484,16 @@ impl TcpSender {
     }
 
     /// Record one SACK block, clipped to what is outstanding.
-    fn insert_sack_block(&mut self, start: u64, end: u64) {
+    fn insert_sack_block(&mut self, l: &mut Live, start: u64, end: u64) {
         let (start, end) = (start.max(self.snd_una), end.min(self.snd_nxt));
         if start < end {
             self.sack_blocks += 1;
-            self.scoreboard.insert(start, end);
+            l.scoreboard.insert(start, end);
         }
     }
 
-    fn make_segment(&mut self, now: SimTime, offset: u64) -> TcpSegment {
-        let cwr = std::mem::take(&mut self.ecn_send_cwr);
+    fn make_segment(&self, l: &mut Live, now: SimTime, offset: u64) -> TcpSegment {
+        let cwr = std::mem::take(&mut l.ecn_send_cwr);
         TcpSegment {
             src_port: self.cfg.src_port,
             dst_port: self.cfg.dst_port,
@@ -420,7 +506,7 @@ impl TcpSender {
             window: 0, // sender side advertises nothing useful in one-way flows
             ts: Some(Timestamps {
                 tsval: Timestamps::tsval_at(now),
-                tsecr: self.peer_tsval,
+                tsecr: l.peer_tsval,
             }),
             mss: None,
             sack: SackList::new(),
@@ -430,22 +516,30 @@ impl TcpSender {
 
     /// Length of the segment whose first byte is `offset` (MSS, except a
     /// possibly short tail for bounded transfers).
-    fn segment_len_at(&self, offset: u64) -> u32 {
+    fn segment_len_at(&self, l: &Live, offset: u64) -> u32 {
         let mss = self.cfg.mss as u64;
-        if self.unlimited {
+        if l.unlimited {
             return self.cfg.mss;
         }
         // Total stream length = snd_nxt + available.
-        let end = self.snd_nxt + self.available;
+        let end = self.snd_nxt + l.available;
         // Bounded by `mss`, so the conversion cannot truncate.
         u32::try_from((end - offset).min(mss)).unwrap_or(self.cfg.mss)
     }
 
     /// Produce the next segment to transmit, if any. Call repeatedly until
-    /// `None`. Retransmissions take priority over new data.
+    /// `None`. Retransmissions take priority over new data. A sender that
+    /// is not live has nothing to send.
     pub fn poll_segment(&mut self, now: SimTime) -> Option<SegmentTx> {
+        let mut l = self.live.take()?;
+        let tx = self.poll_live(&mut l, now);
+        self.live = Some(l);
+        tx
+    }
+
+    fn poll_live(&mut self, l: &mut Live, now: SimTime) -> Option<SegmentTx> {
         // 1. Pending retransmissions.
-        while let Some(off) = self.rtx_pending.pop_front() {
+        while let Some(off) = l.rtx_pending.pop_front() {
             if off < self.snd_una {
                 continue; // already acked while queued
             }
@@ -453,35 +547,35 @@ impl TcpSender {
             // truncate.
             let sent_len = u32::try_from((self.snd_nxt - off).min(u64::from(self.cfg.mss)))
                 .unwrap_or(self.cfg.mss);
-            let len = self.segment_len_at(off).min(sent_len);
+            let len = self.segment_len_at(l, off).min(sent_len);
             if len == 0 {
                 continue;
             }
             self.stats.segments_sent += 1;
             self.stats.retransmits += 1;
-            self.arm_rto(now);
+            Self::arm_rto(l, now);
             return Some(SegmentTx {
                 offset: off,
                 len,
-                seg: self.make_segment(now, off),
+                seg: self.make_segment(l, now, off),
                 is_retransmission: true,
             });
         }
 
         // 2. SACK-driven retransmissions during fast recovery: fill the
         // first deemed-lost hole, as long as the pipe has room (RFC 6675).
-        if self.cfg.sack && matches!(self.recovery, Some(r) if r.kind == RecoveryKind::Fast) {
-            let from = self.snd_una.max(self.high_rtx);
-            if let Some((off, len)) = self.first_lost_hole(from) {
-                if self.pipe() + len as u64 <= self.cc.cwnd() {
-                    self.high_rtx = off + len as u64;
+        if self.cfg.sack && matches!(l.recovery, Some(r) if r.kind == RecoveryKind::Fast) {
+            let from = self.snd_una.max(l.high_rtx);
+            if let Some((off, len)) = self.first_lost_hole(l, from) {
+                if self.pipe(l) + len as u64 <= l.cc.cwnd() {
+                    l.high_rtx = off + len as u64;
                     self.stats.segments_sent += 1;
                     self.stats.retransmits += 1;
-                    self.arm_rto(now);
+                    Self::arm_rto(l, now);
                     return Some(SegmentTx {
                         offset: off,
                         len,
-                        seg: self.make_segment(now, off),
+                        seg: self.make_segment(l, now, off),
                         is_retransmission: true,
                     });
                 }
@@ -494,15 +588,15 @@ impl TcpSender {
         let (used, window) = if self.cfg.sack {
             // Pipe-based accounting (SACKed and deemed-lost bytes do not
             // occupy the network); peer flow control still applies below.
-            (self.pipe(), self.cc.cwnd().min(self.peer_window))
+            (self.pipe(l), l.cc.cwnd().min(l.peer_window))
         } else {
-            (self.flight_size(), self.send_window())
+            (self.flight_size(), Self::window_of(l))
         };
         if used >= window {
             return None;
         }
         let room = window - used;
-        let len = self.segment_len_at(self.snd_nxt);
+        let len = self.segment_len_at(l, self.snd_nxt);
         if len == 0 {
             return None;
         }
@@ -514,21 +608,23 @@ impl TcpSender {
             // the low 32 bits of `room` happened to fall below one MSS.
             return None;
         }
-        if self.flight_size() + len as u64 > self.peer_window {
+        if self.flight_size() + len as u64 > l.peer_window {
             return None; // receive-buffer flow control
         }
         let offset = self.snd_nxt;
         self.snd_nxt += len as u64;
-        if !self.unlimited {
-            self.available -= len as u64;
+        if !l.unlimited {
+            l.available -= len as u64;
         }
         self.stats.segments_sent += 1;
-        self.arm_rto_if_unarmed(now);
-        self.arm_tlp(now);
+        if l.rto_deadline.is_none() {
+            Self::arm_rto(l, now);
+        }
+        self.arm_tlp(l, now);
         Some(SegmentTx {
             offset,
             len,
-            seg: self.make_segment(now, offset),
+            seg: self.make_segment(l, now, offset),
             is_retransmission: false,
         })
     }
@@ -541,23 +637,35 @@ impl TcpSender {
     }
 
     /// Process an incoming (pure) ACK segment. One whose acknowledgement
-    /// number [`TcpSender::ack_offset`] cannot place is ignored whole.
+    /// number [`TcpSender::ack_offset`] cannot place is ignored whole, and
+    /// so is every ACK to a sender that is not live (a dormant one has sent
+    /// nothing; a retired one is owed nothing and, with ECN off, could not
+    /// count a late ACK anywhere — see [`TcpSender::release_finished`]).
     pub fn on_ack(&mut self, now: SimTime, seg: &TcpSegment) -> AckResult {
         debug_assert!(seg.flags.ack, "non-ACK segment fed to sender");
+        let Some(mut l) = self.live.take() else {
+            return AckResult::default();
+        };
+        let result = self.ack_live(&mut l, now, seg);
+        self.live = Some(l);
+        result
+    }
+
+    fn ack_live(&mut self, l: &mut Live, now: SimTime, seg: &TcpSegment) -> AckResult {
         let mut result = AckResult::default();
         let Some(ack_offset) = self.ack_offset(seg.ack) else {
             return result;
         };
-        self.peer_window = seg.window as u64;
+        l.peer_window = seg.window as u64;
 
         // RTT sample from the echoed timestamp.
         if let Some(ts) = &seg.ts {
-            self.peer_tsval = ts.tsval;
+            l.peer_tsval = ts.tsval;
             if ts.tsecr != 0 {
                 let sample_us = Timestamps::tsval_at(now).wrapping_sub(ts.tsecr);
                 // Reject absurd samples from clock wrap (> 1 hour).
                 if sample_us < 3_600_000_000 {
-                    self.rtt
+                    l.rtt
                         .on_sample(now, SimDuration::from_micros(sample_us as u64));
                 }
             }
@@ -570,30 +678,30 @@ impl TcpSender {
 
         // ECN: an ECN-Echo is a congestion signal equivalent to a loss,
         // reacted to at most once per RTT (RFC 3168 §6.1.2).
-        if self.cfg.ecn && seg.flags.ece && now >= self.ecn_cwr_until {
+        if self.cfg.ecn && seg.flags.ece && now >= l.ecn_cwr_until {
             let flight = self.flight_size();
-            self.cc.on_loss_event(&LossContext {
+            l.cc.on_loss_event(&LossContext {
                 now,
                 flight_size: flight,
                 mss: self.cfg.mss,
             });
-            self.check_cwnd_floor();
+            self.check_cwnd_floor(l);
             self.stats.ecn_reductions += 1;
-            self.ecn_send_cwr = true;
-            let rtt = self.rtt.srtt().unwrap_or(SimDuration::from_millis(100));
-            self.ecn_cwr_until = now + rtt;
+            l.ecn_send_cwr = true;
+            let rtt = l.rtt.srtt().unwrap_or(SimDuration::from_millis(100));
+            l.ecn_cwr_until = now + rtt;
         }
 
         // Ingest SACK blocks into the scoreboard.
         if self.cfg.sack {
-            for (l, r) in &seg.sack {
+            for (lo, hi) in &seg.sack {
                 // A block edge before the start of the stream is wild
                 // input; the block is skipped like an empty one.
-                let (Some(ls), Some(rs)) = (self.ack_offset(*l), self.ack_offset(*r)) else {
+                let (Some(ls), Some(rs)) = (self.ack_offset(*lo), self.ack_offset(*hi)) else {
                     continue;
                 };
                 if rs > ls {
-                    self.insert_sack_block(ls, rs);
+                    self.insert_sack_block(l, ls, rs);
                 }
             }
         }
@@ -602,19 +710,19 @@ impl TcpSender {
             let flight_before = self.flight_size();
             let newly = ack_offset - self.snd_una;
             self.snd_una = ack_offset;
-            self.dup_acks = 0;
+            l.dup_acks = 0;
             self.stats.bytes_acked += newly;
             result.newly_acked = newly;
             if self.cfg.sack {
-                self.scoreboard.trim_below(self.snd_una);
-                self.high_rtx = self.high_rtx.max(self.snd_una);
+                l.scoreboard.trim_below(self.snd_una);
+                l.high_rtx = l.high_rtx.max(self.snd_una);
             }
 
-            match self.recovery {
+            match l.recovery {
                 Some(rec) if ack_offset >= rec.recover => {
                     // Full ACK: recovery complete.
-                    self.recovery = None;
-                    self.inflation = 0;
+                    l.recovery = None;
+                    l.inflation = 0;
                     result.exited_recovery = true;
                 }
                 Some(rec) => {
@@ -622,34 +730,33 @@ impl TcpSender {
                     // scoreboard drives retransmissions from poll_segment;
                     // without it, NewReno retransmits the hole directly and
                     // deflates the inflated window (RFC 6582).
-                    let sack_driven = self.cfg.sack
-                        && rec.kind == RecoveryKind::Fast
-                        && !self.scoreboard.is_empty();
+                    let sack_driven =
+                        self.cfg.sack && rec.kind == RecoveryKind::Fast && !l.scoreboard.is_empty();
                     if !sack_driven {
-                        self.rtx_pending.push_back(self.snd_una);
-                        self.inflation = self.inflation.saturating_sub(newly);
+                        l.rtx_pending.push_back(self.snd_una);
+                        l.inflation = l.inflation.saturating_sub(newly);
                     }
                 }
                 None => {
-                    self.cc.on_ack(&AckContext {
+                    l.cc.on_ack(&AckContext {
                         now,
                         bytes_acked: newly,
-                        srtt: self.rtt.srtt(),
-                        latest_rtt: self.rtt.latest(),
-                        min_rtt: self.rtt.min_rtt(),
+                        srtt: l.rtt.srtt(),
+                        latest_rtt: l.rtt.latest(),
+                        min_rtt: l.rtt.min_rtt(),
                         flight_size: flight_before,
                         mss: self.cfg.mss,
                     });
-                    self.check_cwnd_floor();
+                    self.check_cwnd_floor(l);
                 }
             }
 
             if self.flight_size() > 0 {
-                self.arm_rto(now);
+                Self::arm_rto(l, now);
             } else {
-                self.rto_deadline = None;
+                l.rto_deadline = None;
             }
-            self.arm_tlp(now);
+            self.arm_tlp(l, now);
             return result;
         }
 
@@ -657,30 +764,30 @@ impl TcpSender {
         if self.flight_size() == 0 {
             return result;
         }
-        self.dup_acks += 1;
+        l.dup_acks += 1;
 
         // SACK-based loss detection: a deemed-lost hole opens recovery.
-        if self.cfg.sack && !self.scoreboard.is_empty() {
-            if self.recovery.is_none() && self.first_lost_hole(self.snd_una).is_some() {
-                self.enter_sack_recovery(now);
+        if self.cfg.sack && !l.scoreboard.is_empty() {
+            if l.recovery.is_none() && self.first_lost_hole(l, self.snd_una).is_some() {
+                self.enter_sack_recovery(l, now);
                 result.entered_recovery = true;
             }
             return result;
         }
 
-        match &self.recovery {
+        match &l.recovery {
             Some(rec) if rec.kind == RecoveryKind::Fast => {
                 // Window inflation: each dup ACK signals a departed segment.
                 // Capped at cwnd: without SACK a recovery episode can last
                 // one RTT per lost segment, and uncapped inflation (the
                 // literal RFC 5681 rule) lets the flight grow without bound
                 // against a large advertised window.
-                self.inflation = (self.inflation + self.cfg.mss as u64).min(self.cc.cwnd());
+                l.inflation = (l.inflation + self.cfg.mss as u64).min(l.cc.cwnd());
             }
             Some(_) => {}
             None => {
-                if self.dup_acks == DUPACK_THRESHOLD {
-                    self.enter_fast_recovery(now);
+                if l.dup_acks == DUPACK_THRESHOLD {
+                    self.enter_fast_recovery(l, now);
                     result.entered_recovery = true;
                 }
             }
@@ -692,54 +799,56 @@ impl TcpSender {
     /// one segment — the send loop could then never admit a full-sized
     /// segment and the flow would deadlock. Called after every CC callback
     /// (ack, loss, RTO).
-    fn check_cwnd_floor(&self) {
+    fn check_cwnd_floor(&self, l: &Live) {
         assert!(
-            self.cc.cwnd() >= u64::from(self.cfg.mss),
+            l.cc.cwnd() >= u64::from(self.cfg.mss),
             "cwnd {} below 1 MSS ({}) after CC update",
-            self.cc.cwnd(),
+            l.cc.cwnd(),
             self.cfg.mss,
         );
     }
 
-    fn enter_sack_recovery(&mut self, now: SimTime) {
+    fn enter_sack_recovery(&mut self, l: &mut Live, now: SimTime) {
         let flight = self.flight_size();
-        self.cc.on_loss_event(&LossContext {
+        l.cc.on_loss_event(&LossContext {
             now,
             flight_size: flight,
             mss: self.cfg.mss,
         });
-        self.check_cwnd_floor();
+        self.check_cwnd_floor(l);
         self.stats.loss_events += 1;
-        self.recovery = Some(Recovery {
+        l.recovery = Some(Recovery {
             kind: RecoveryKind::Fast,
             recover: self.snd_nxt,
         });
-        self.high_rtx = self.snd_una;
-        self.inflation = 0;
+        l.high_rtx = self.snd_una;
+        l.inflation = 0;
     }
 
-    fn enter_fast_recovery(&mut self, now: SimTime) {
+    fn enter_fast_recovery(&mut self, l: &mut Live, now: SimTime) {
         let flight = self.flight_size();
-        self.cc.on_loss_event(&LossContext {
+        l.cc.on_loss_event(&LossContext {
             now,
             flight_size: flight,
             mss: self.cfg.mss,
         });
-        self.check_cwnd_floor();
+        self.check_cwnd_floor(l);
         self.stats.loss_events += 1;
-        self.recovery = Some(Recovery {
+        l.recovery = Some(Recovery {
             kind: RecoveryKind::Fast,
             recover: self.snd_nxt,
         });
         // Retransmit the presumed-lost head segment.
-        self.rtx_pending.push_back(self.snd_una);
+        l.rtx_pending.push_back(self.snd_una);
         // Inflation for the threshold dup ACKs already seen.
-        self.inflation = DUPACK_THRESHOLD as u64 * self.cfg.mss as u64;
+        l.inflation = DUPACK_THRESHOLD as u64 * self.cfg.mss as u64;
     }
 
-    /// Next deadline this sender needs a timer callback for.
+    /// Next deadline this sender needs a timer callback for (none unless
+    /// live).
     pub fn next_timer(&self) -> Option<SimTime> {
-        match (self.rto_deadline, self.tlp_deadline) {
+        let l = self.live.as_ref()?;
+        match (l.rto_deadline, l.tlp_deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -748,20 +857,28 @@ impl TcpSender {
     /// Timer callback. Safe to call spuriously; only acts if a deadline
     /// has actually passed.
     pub fn on_timer(&mut self, now: SimTime) {
+        let Some(mut l) = self.live.take() else {
+            return;
+        };
+        self.timer_live(&mut l, now);
+        self.live = Some(l);
+    }
+
+    fn timer_live(&mut self, l: &mut Live, now: SimTime) {
         // Tail loss probe: fires well before the RTO and retransmits the
         // tail segment once, converting a silent tail loss into SACK/dup-ACK
         // feedback.
-        if let Some(tlp) = self.tlp_deadline {
+        if let Some(tlp) = l.tlp_deadline {
             if now >= tlp {
-                self.tlp_deadline = None;
-                if self.flight_size() > 0 && self.recovery.is_none() {
+                l.tlp_deadline = None;
+                if self.flight_size() > 0 && l.recovery.is_none() {
                     self.stats.tlp_probes += 1;
                     let len = self.flight_size().min(self.cfg.mss as u64);
-                    self.rtx_pending.push_back(self.snd_nxt - len);
+                    l.rtx_pending.push_back(self.snd_nxt - len);
                 }
             }
         }
-        let Some(deadline) = self.rto_deadline else {
+        let Some(deadline) = l.rto_deadline else {
             return;
         };
         if now < deadline || self.flight_size() == 0 {
@@ -770,50 +887,44 @@ impl TcpSender {
         // Retransmission timeout.
         self.stats.rtos += 1;
         let flight = self.flight_size();
-        self.cc.on_rto(&LossContext {
+        l.cc.on_rto(&LossContext {
             now,
             flight_size: flight,
             mss: self.cfg.mss,
         });
-        self.check_cwnd_floor();
-        self.rtt.on_timeout();
-        self.dup_acks = 0;
-        self.inflation = 0;
-        self.recovery = Some(Recovery {
+        self.check_cwnd_floor(l);
+        l.rtt.on_timeout();
+        l.dup_acks = 0;
+        l.inflation = 0;
+        l.recovery = Some(Recovery {
             kind: RecoveryKind::Rto,
             recover: self.snd_nxt,
         });
-        self.rtx_pending.clear();
-        self.rtx_pending.push_back(self.snd_una);
+        l.rtx_pending.clear();
+        l.rtx_pending.push_back(self.snd_una);
         // RFC 6675 allows keeping the scoreboard across an RTO; we clear
         // the retransmission high-water mark so go-back-N starts fresh.
-        self.high_rtx = self.snd_una;
-        self.arm_rto(now);
+        l.high_rtx = self.snd_una;
+        Self::arm_rto(l, now);
     }
 
-    fn arm_rto(&mut self, now: SimTime) {
-        self.rto_deadline = Some(now + self.rtt.rto());
+    fn arm_rto(l: &mut Live, now: SimTime) {
+        l.rto_deadline = Some(now + l.rtt.rto());
     }
 
     /// (Re-)arm the tail loss probe (RFC 8985 / Linux TLP) ~2 SRTT out, so
     /// a lost burst tail is detected by SACK/dup-ACK instead of a 200 ms+
     /// RTO (only meaningful with data in flight and outside recovery).
-    fn arm_tlp(&mut self, now: SimTime) {
-        if self.flight_size() == 0 || self.recovery.is_some() {
-            self.tlp_deadline = None;
+    fn arm_tlp(&self, l: &mut Live, now: SimTime) {
+        if self.flight_size() == 0 || l.recovery.is_some() {
+            l.tlp_deadline = None;
             return;
         }
-        let Some(srtt) = self.rtt.srtt() else {
+        let Some(srtt) = l.rtt.srtt() else {
             return;
         };
         let pto = (srtt * 2 + SimDuration::from_millis(2)).max(SimDuration::from_millis(10));
-        self.tlp_deadline = Some(now + pto);
-    }
-
-    fn arm_rto_if_unarmed(&mut self, now: SimTime) {
-        if self.rto_deadline.is_none() {
-            self.arm_rto(now);
-        }
+        l.tlp_deadline = Some(now + pto);
     }
 }
 
@@ -845,6 +956,10 @@ mod tests {
             sack: SackList::new(),
             dss: None,
         }
+    }
+
+    fn cwnd(s: &TcpSender) -> u64 {
+        s.cc().map_or(0, |cc| cc.cwnd())
     }
 
     fn drain(s: &mut TcpSender, now: SimTime) -> Vec<SegmentTx> {
@@ -880,7 +995,7 @@ mod tests {
         let more = drain(&mut s, t1);
         assert_eq!(more.len(), 4);
         // RTT was sampled (10 ms).
-        let srtt = s.rtt().srtt().unwrap();
+        let srtt = s.rtt().and_then(|r| r.srtt()).unwrap();
         assert_eq!(srtt, SimDuration::from_millis(10));
     }
 
@@ -909,7 +1024,7 @@ mod tests {
         // Ack first segment to establish snd_una = 1 MSS.
         s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0));
         let _ = drain(&mut s, SimTime::from_millis(10));
-        let cwnd_before = s.cc().cwnd();
+        let cwnd_before = cwnd(&s);
 
         // Segment at offset MSS is lost: three dup ACKs arrive.
         let t = SimTime::from_millis(20);
@@ -920,7 +1035,7 @@ mod tests {
         }
         assert!(s.in_recovery());
         assert_eq!(s.stats().loss_events, 1);
-        assert!(s.cc().cwnd() < cwnd_before, "multiplicative decrease");
+        assert!(cwnd(&s) < cwnd_before, "multiplicative decrease");
 
         // The head segment is retransmitted first.
         let seg = s.poll_segment(t).expect("retransmission due");
@@ -945,7 +1060,7 @@ mod tests {
         let r = s.on_ack(SimTime::from_millis(30), &ack_seg(recover_point, 0));
         assert!(r.exited_recovery);
         assert!(!s.in_recovery());
-        assert_eq!(s.send_window(), s.cc().cwnd()); // inflation gone
+        assert_eq!(s.send_window(), cwnd(&s)); // inflation gone
     }
 
     #[test]
@@ -1001,7 +1116,7 @@ mod tests {
         for _ in 0..100 {
             s.on_ack(t, &ack_seg(MSS as u64, 0));
         }
-        assert_eq!(s.send_window(), 2 * s.cc().cwnd());
+        assert_eq!(s.send_window(), 2 * cwnd(&s));
     }
 
     #[test]
@@ -1016,7 +1131,7 @@ mod tests {
         s.on_timer(deadline);
         assert_eq!(s.stats().rtos, 1);
         assert!(s.in_recovery());
-        assert_eq!(s.cc().cwnd(), MSS as u64);
+        assert_eq!(cwnd(&s), MSS as u64);
         // Head-of-line retransmission is queued.
         let seg = s.poll_segment(deadline).unwrap();
         assert!(seg.is_retransmission);
@@ -1138,12 +1253,12 @@ mod tests {
         let _ = drain(&mut s, t0);
         // Establish an RTT sample.
         s.on_ack(SimTime::from_millis(11), &ack_seg(MSS as u64, 1));
-        let w0 = s.cc().cwnd();
+        let w0 = cwnd(&s);
         // ECE arrives: one reduction.
         let mut e = ack_seg(2 * MSS as u64, 0);
         e.flags.ece = true;
         s.on_ack(SimTime::from_millis(12), &e);
-        let w1 = s.cc().cwnd();
+        let w1 = cwnd(&s);
         assert!(w1 < w0, "ECE must shrink the window: {w0} -> {w1}");
         assert_eq!(s.stats().ecn_reductions, 1);
         // A second ECE within the same RTT is ignored.
@@ -1168,11 +1283,11 @@ mod tests {
     fn ece_ignored_when_ecn_disabled() {
         let mut s = sender(); // default config: ecn off
         let _ = drain(&mut s, SimTime::ZERO);
-        let w0 = s.cc().cwnd();
+        let w0 = cwnd(&s);
         let mut e = ack_seg(MSS as u64, 0);
         e.flags.ece = true;
         s.on_ack(SimTime::from_millis(5), &e);
-        assert!(s.cc().cwnd() >= w0);
+        assert!(cwnd(&s) >= w0);
         assert_eq!(s.stats().ecn_reductions, 0);
     }
 }

@@ -42,8 +42,18 @@ fn cell(pairs: usize) -> TrafficCell {
 /// a finished sender releases its RTT min-filters and scheduling scratch
 /// and an emptied timer table its buffer; 300 with a 136-byte subflow
 /// receiver, now that it keeps no delayed-ACK state; 282 with it 16 bytes
-/// smaller again, now that it tracks no FIN).
-const RETAINED_PER_CONNECTION: u64 = 296;
+/// smaller again, now that it tracks no FIN; 210 with subflow senders
+/// retired to their counters and 120-byte subflow receivers kept without a
+/// second copy of their port). The scheduling scratch is allocated at
+/// assembly and given back at completion, so it counts here as a credit;
+/// what a finished connection holds in all is `FINISHED_PER_PAIR`.
+const RETAINED_PER_CONNECTION: u64 = 221;
+/// What each further pair weighs from assembly to the horizon, finished:
+/// the measured sum of `ASSEMBLED_PER_PAIR`'s and `RETAINED_PER_CONNECTION`'s
+/// quantities + 5 % (2 753; 3 561 while every subflow sender was assembled
+/// whole and kept whole after it finished). Moving an allocation between
+/// assembly and the run moves the two parts, not this.
+const FINISHED_PER_PAIR: u64 = 2_890;
 /// Peak live heap of `run_traffic(&cell(PAIRS))`: the measured value + 5 %
 /// (6 750 556 before PR 17, 3 781 600 after, 2 618 288 with the wheel's
 /// chunk pool, 2 260 128 with one 144-byte record per link direction and
@@ -53,8 +63,9 @@ const RETAINED_PER_CONNECTION: u64 = 296;
 /// subflow senders, receivers and the MPTCP sender kept no one-value
 /// options, 1 909 448 once they kept no FIN state, RTO clamps or join
 /// timing either, 1 855 624 with 176-byte link-direction records and
-/// 48-byte drop-tail queues, which carry no byte bound).
-const PEAK_BUDGET_BYTES: u64 = 1_948_500;
+/// 48-byte drop-tail queues, which carry no byte bound, 1 596 344 with
+/// subflow senders that exist only while they run).
+const PEAK_BUDGET_BYTES: u64 = 1_676_100;
 /// Heap bytes each further pair adds to a world that is assembled and has
 /// not run an event yet — topology, routes, the simulator's per-direction
 /// records, two agents — everything `assembled_and_retained_by` allocates
@@ -65,8 +76,11 @@ const PEAK_BUDGET_BYTES: u64 = 1_948_500;
 /// parent, 3 589 with each link direction's drop-tail queue inline instead
 /// of boxed, 3 485 with the MPTCP sender 56 bytes and each subflow sender
 /// 24 bytes smaller, 3 413 with both 24 bytes smaller again, 3 279 with
-/// each link direction's record 8 bytes smaller).
-const ASSEMBLED_PER_PAIR: u64 = 3_443;
+/// each link direction's record 8 bytes smaller, 2 543 with each subflow
+/// sender assembled dormant — its configuration, counters and sequence
+/// numbers, 128 bytes — and its controller and the coupling built when the
+/// connection starts).
+const ASSEMBLED_PER_PAIR: u64 = 2_671;
 /// Allocator calls `run_traffic(&cell(PAIRS))` made at PR 17's parent
 /// commit, in the dev and the release profile alike (PR 17: 32 855).
 const PARENT_ALLOCATOR_CALLS: u64 = 94_095;
@@ -167,6 +181,11 @@ fn a_finished_connection_costs_nothing() {
     assert!(
         each_assembled <= ASSEMBLED_PER_PAIR,
         "{each_assembled} B per assembled pair (limit {ASSEMBLED_PER_PAIR} B)"
+    );
+    assert!(
+        each_assembled + each <= FINISHED_PER_PAIR,
+        "{} B per finished pair (limit {FINISHED_PER_PAIR} B)",
+        each_assembled + each
     );
     assert!(
         peak <= PEAK_BUDGET_BYTES,
