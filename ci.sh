@@ -113,6 +113,7 @@ crates/ tests/ examples/*.rs | TcpSenderAgent|TcpReceiverAgent|AppSource::Paced|
 crates/ tests/ examples/*.rs | MobileNetConfig|MobilityProfile|FluidConfig|FluidParams|WorldgenConfig|fn fluid_config|--smoke | deleted (DESIGN.md par 4, par 9.4, par 12): a setting no run varies is a named constant next to the code that reads it, fluidsim::solve takes only a horizon, and the table bins assert their gates while they print
 crates/ tests/ examples/*.rs | all_simple_paths|k_shortest_paths|pairwise_bottlenecks|SetLoss|SetQueue|set_link_queue|loss_burst|capacity_dip|DropTailBytes|RedConfig|CoDelConfig|Sense::|LpOutcome::Infeasible | deleted (DESIGN.md par 4): every path is hand-built or placed, faults are outages and capacity/delay changes, drop-tail counts packets, RED and CoDel run at fixed constants (RED's one setting is ecn_marking), and every LP row is a <= capacity row solved in one phase
 crates/ tests/ examples/*.rs | set_ecmp_group|set_ecmp_seed|ecmp_groups|ByteSize | deleted in PR 39 (DESIGN.md par 4, par 6, par 12.2): no packet is hashed; the fat tree places a subflow by arithmetic (worldgen::fattree's ecmp_select) and pins it by tag, netsim's FIB keeps tag and default routes only, and simbase's one unit type is Bandwidth
+crates/ tests/ examples/*.rs src/ | ConvergenceReport|analyze_sustained|converged_at|mean_convergence_s|converged_fraction|relax_constraint | deleted (DESIGN.md par 6, "Steady window"): a run's steady state is its second half, whether it reached the optimum is read off each LP-tight bottleneck's utilisation (MaxThroughput::utilisation), and shadow prices are the duals of one solve (LpOutcome::Optimal's duals)
 EOF
 [ "$DELETED" -eq 0 ] || exit 1
 
@@ -173,8 +174,11 @@ echo "==> horizon-independence gate (paper net, LIA, 30 s then 120 s: VmHWM grow
 echo "==> results/*.txt byte-diff regeneration check (five tables, the paper's Figures 1c and 2a-c)"
 # worldgen_table's S5 pins two absolute trace hashes; fig2a is the paper's
 # headline CUBIC run. table1_results (5 seeds x 30 s, its defaults) prints
-# table1.txt and table2_sweep prints table2.txt: the paper's Results-section
-# table and the ablations, ~25 s each on two cores.
+# table1.txt, the paper's Results-section table read over each run's second
+# half: per-path means, each LP-tight bottleneck's utilisation, the share of
+# seeds at x* (every such bottleneck >= 95 % busy) and nearer x* than the
+# default path's greedy corner. table2_sweep prints table2.txt, the
+# ablations. ~25 s each on two cores.
 for bin in fluid_table worldgen_table failover_table fig1c fig2a fig2b fig2c table1_results table2_sweep; do
     case $bin in
     table1_results) out=table1 ;;

@@ -48,9 +48,7 @@ fn main() {
         println!("\n");
         // The greedy baseline from each starting path.
         for start in 0..3 {
-            let mut order = vec![start];
-            order.extend((0..3).filter(|&i| i != start));
-            let g = lpsolve::MaxThroughput::greedy_fill(&net.topology, &net.paths, &order);
+            let g = net.greedy_corner(start);
             println!(
                 "greedy fill starting with Path {}: ({:.0}, {:.0}, {:.0}) = {:.0} Mbps",
                 start + 1,

@@ -1,9 +1,12 @@
 //! E5 — the Results-section claims as a table.
 //!
-//! CC algorithm x default path, several seeds each: did the run converge to
-//! the optimum band, how fast, how high, how stable. The paper's claims:
-//! CUBIC always reaches the optimum (then wobbles); LIA never; OLIA only
-//! for one default path, slowly (~20 s), then stably.
+//! CC algorithm x default path, several seeds each, read over each run's
+//! second half: the per-path split, how busy each bottleneck the LP optimum
+//! saturates is, whether every one of them is at least 95 % busy (at x*),
+//! whether the split is nearer x* than the default path's greedy corner,
+//! the total and its stability. The paper's claims: CUBIC always reaches the
+//! optimum (then wobbles); LIA never; OLIA only for one default path, slowly
+//! (~20 s), then stably.
 //!
 //! Runs execute on the parallel sweep runner; the table is byte-identical
 //! for any worker count.
@@ -60,7 +63,36 @@ fn main() {
     );
     let elapsed = started.elapsed().as_secs_f64();
     print!("{}", render_table(&rows));
-    println!("\nLP optimum: 90.0 Mbps; band = within 15% (sustained to end of run).");
+    let net = PaperNetwork::new();
+    let lp = net.lp_optimum();
+    let bottlenecks: Vec<String> = lp
+        .tight_links
+        .iter()
+        .map(|&l| {
+            let spec = net.topology.link(l);
+            let end = |n| net.topology.node(n).name.as_str();
+            format!(
+                "{}-{} ({:.0})",
+                end(spec.a),
+                end(spec.b),
+                spec.capacity.as_mbps_f64()
+            )
+        })
+        .collect();
+    println!(
+        "\nEvery column reads the second half of each run. LP optimum {:.1} Mbps at x* = ({}).\n\
+         util %: mean load of each bottleneck x* saturates, {} Mbps.\n\
+         at x*: seeds with every such bottleneck >= {:.0}% busy. nearer x*: seeds whose\n\
+         x1 / x2 / x3 is nearer x* than the default path's greedy corner (L1).",
+        lp.total_mbps,
+        lp.per_path_mbps
+            .iter()
+            .map(|x| format!("{x:.0}"))
+            .collect::<Vec<_>>()
+            .join(", "),
+        bottlenecks.join(" / "),
+        AT_OPTIMUM_UTILISATION * 100.0
+    );
     eprintln!("wall clock: {elapsed:.1}s");
     if let Some(store) = &store {
         let s = store.stats();

@@ -12,6 +12,7 @@ use crate::paper::{PaperNetwork, PaperNetworkConfig};
 use crate::runner::{run_sweep_with_store, RunnerConfig, SweepSpec};
 use crate::scenario::{RunResult, Scenario};
 use crate::store::RunStore;
+use lpsolve::MaxThroughput;
 use mptcpsim::CcAlgo;
 use simbase::SimDuration;
 
@@ -59,25 +60,46 @@ pub fn fig2c(seed: u64) -> RunResult {
         .run()
 }
 
-/// One row of the Results-section table (E5).
+/// How busy, as a share of its capacity, every bottleneck the LP optimum
+/// saturates must be over a run's second half for the run to count as at
+/// x*. Every greedy corner of the paper network leaves one of them at least
+/// 20 Mbps idle (at most 75 % busy), so no corner passes.
+pub const AT_OPTIMUM_UTILISATION: f64 = 0.95;
+
+/// The utilisation under `rates` of each bottleneck `lp`'s optimum
+/// saturates, in `lp.tight_links` order.
+pub fn tight_utilisation(lp: &MaxThroughput, rates: &[f64]) -> Vec<f64> {
+    lp.utilisation(rates)
+        .into_iter()
+        .filter(|(link, _)| lp.tight_links.contains(link))
+        .map(|(_, u)| u)
+        .collect()
+}
+
+/// One row of the Results-section table (E5). Every statistic reads each
+/// run's steady window, its second half.
 #[derive(Debug, Clone)]
 pub struct ResultsRow {
     /// Congestion control algorithm.
     pub algo: CcAlgo,
     /// Which path was the default (0-based).
     pub default_path: usize,
-    /// Fraction of seeds that reached and held the optimum band.
-    pub converged_fraction: f64,
-    /// Mean steady-state total throughput, Mbps.
+    /// Mean rate per path, Mbps.
+    pub mean_per_path_mbps: Vec<f64>,
+    /// Mean total throughput, Mbps.
     pub mean_total_mbps: f64,
     /// Mean efficiency (total / LP optimum).
     pub mean_efficiency: f64,
-    /// Mean convergence time in seconds **over converged runs only** —
-    /// runs that never reached the optimum band are excluded from this
-    /// mean, not counted as the full duration ([`Self::converged_fraction`]
-    /// says how many runs contribute). `None` when no run converged.
-    pub mean_convergence_s: Option<f64>,
-    /// Mean post-convergence coefficient of variation (instability).
+    /// Mean utilisation of each bottleneck the LP optimum saturates, in
+    /// `tight_links` order.
+    pub mean_utilisation: Vec<f64>,
+    /// Share of seeds with every such bottleneck at least
+    /// [`AT_OPTIMUM_UTILISATION`] busy.
+    pub at_optimum_fraction: f64,
+    /// Share of seeds whose per-path means are nearer x* than the default
+    /// path's greedy corner, by L1 distance.
+    pub nearer_optimum_fraction: f64,
+    /// Mean coefficient of variation of the total (instability).
     pub mean_cov: f64,
     /// Seeds evaluated.
     pub seeds: usize,
@@ -85,7 +107,7 @@ pub struct ResultsRow {
 
 /// E5: evaluate every (algorithm × default path) cell over `seeds` seeds
 /// with the given duration. The paper's qualitative claims map to:
-/// CUBIC rows ≈ converged everywhere; LIA rows ≈ never; OLIA ≈ only with
+/// CUBIC rows ≈ at x* everywhere; LIA rows ≈ never; OLIA ≈ only with
 /// Path 2 default (and slowly).
 ///
 /// The sweep is the cartesian product algo × default path (0..3) × seed
@@ -115,6 +137,7 @@ pub fn results_table_with_store(
 ) -> Vec<ResultsRow> {
     let spec = SweepSpec::paper(algos, seeds, duration);
     let outcome = run_sweep_with_store(&spec, cfg, store);
+    let net = PaperNetwork::new();
     let n = spec.seeds.len();
     let mut rows = Vec::with_capacity(algos.len() * spec.default_paths.len());
     for (ai, &algo) in algos.iter().enumerate() {
@@ -124,58 +147,50 @@ pub fn results_table_with_store(
                 algo,
                 default_path,
                 &outcome.results[base..base + n],
+                &net.greedy_corner(default_path),
             ));
         }
     }
     rows
 }
 
-/// Fold one (algo, default path) cell's per-seed results into a row.
-/// An empty seed range yields a well-defined all-zero row (`seeds: 0`)
-/// rather than NaN-poisoned means from a 0/0 division.
-fn summarize_row(algo: CcAlgo, default_path: usize, runs: &[RunResult]) -> ResultsRow {
-    let n = runs.len();
-    if n == 0 {
-        return ResultsRow {
-            algo,
-            default_path,
-            converged_fraction: 0.0,
-            mean_total_mbps: 0.0,
-            mean_efficiency: 0.0,
-            mean_convergence_s: None,
-            mean_cov: 0.0,
-            seeds: 0,
-        };
-    }
-    let mut converged = 0usize;
-    let mut total = 0.0;
-    let mut eff = 0.0;
-    let mut conv_times = Vec::new();
-    let mut cov = 0.0;
-    for result in runs {
-        total += result.steady_total_mbps();
-        eff += result.efficiency();
-        cov += result.convergence.steady_cov;
-        if let Some(t) = result.convergence.converged_at {
-            converged += 1;
-            conv_times.push(t.as_secs_f64());
+/// Fold one (algo, default path) cell's per-seed results into a row;
+/// `corner` is the default path's greedy corner. An empty seed range
+/// yields a well-defined all-zero row (`seeds: 0`) rather than
+/// NaN-poisoned means from a 0/0 division.
+fn summarize_row(
+    algo: CcAlgo,
+    default_path: usize,
+    runs: &[RunResult],
+    corner: &[f64],
+) -> ResultsRow {
+    let n = runs.len().max(1) as f64;
+    let mean = |f: &dyn Fn(&RunResult) -> f64| runs.iter().map(f).sum::<f64>() / n;
+    let share = |f: &dyn Fn(&RunResult) -> bool| runs.iter().filter(|r| f(r)).count() as f64 / n;
+    let mean_each = |f: &dyn Fn(&RunResult) -> Vec<f64>| {
+        let mut sums: Vec<f64> = Vec::new();
+        for values in runs.iter().map(f) {
+            sums.resize(sums.len().max(values.len()), 0.0);
+            sums.iter_mut().zip(values).for_each(|(s, v)| *s += v);
         }
-    }
+        sums.into_iter().map(|s| s / n).collect()
+    };
+    let l1 = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>();
+    let tight = |r: &RunResult| tight_utilisation(&r.lp, &r.per_path_steady_mbps);
     ResultsRow {
         algo,
         default_path,
-        converged_fraction: converged as f64 / n as f64,
-        mean_total_mbps: total / n as f64,
-        mean_efficiency: eff / n as f64,
-        // Converged runs only (see the field docs): an unconverged run has
-        // no convergence time, so it cannot contribute to this mean.
-        mean_convergence_s: if conv_times.is_empty() {
-            None
-        } else {
-            Some(conv_times.iter().sum::<f64>() / conv_times.len() as f64)
-        },
-        mean_cov: cov / n as f64,
-        seeds: n,
+        mean_per_path_mbps: mean_each(&|r| r.per_path_steady_mbps.clone()),
+        mean_total_mbps: mean(&|r| r.steady_total_mbps()),
+        mean_efficiency: mean(&|r| r.efficiency()),
+        mean_utilisation: mean_each(&tight),
+        at_optimum_fraction: share(&|r| tight(r).iter().all(|&u| u >= AT_OPTIMUM_UTILISATION)),
+        nearer_optimum_fraction: share(&|r| {
+            let x = &r.per_path_steady_mbps;
+            l1(x, &r.lp.per_path_mbps) < l1(x, corner)
+        }),
+        mean_cov: mean(&|r| r.steady_cov()),
+        seeds: runs.len(),
     }
 }
 
@@ -226,10 +241,11 @@ mod tests {
         assert_eq!(rows.len(), 6, "one row per (algo, default path) cell");
         for r in &rows {
             assert_eq!(r.seeds, 0);
-            assert_eq!(r.converged_fraction, 0.0);
+            assert_eq!(r.at_optimum_fraction, 0.0);
+            assert_eq!(r.nearer_optimum_fraction, 0.0);
             assert_eq!(r.mean_total_mbps, 0.0);
             assert_eq!(r.mean_efficiency, 0.0);
-            assert_eq!(r.mean_convergence_s, None);
+            assert!(r.mean_per_path_mbps.is_empty() && r.mean_utilisation.is_empty());
             assert!(r.mean_cov == 0.0 && !r.mean_cov.is_nan());
         }
         // The rendered table must also be NaN-free.
@@ -263,23 +279,32 @@ mod tests {
     }
 
     #[test]
-    fn mean_convergence_averages_converged_runs_only() {
-        use crate::scenario::RunResult;
-        // Synthetic check on the aggregation itself: two converged runs
-        // (1 s, 3 s) and one unconverged run must average to 2 s, not
-        // (1 + 3 + duration)/3 or (1 + 3 + 0)/3.
+    fn a_row_counts_seeds_at_and_nearer_the_optimum() {
+        // Synthetic check on the aggregation itself: one run at x*, one at
+        // the Path 2 greedy corner, one between them but nearer x*.
         let template = fig2c(FIG2_SEED); // any real result to clone shape from
-        let with_conv = |at: Option<f64>| -> RunResult {
+        let with_rates = |rates: [f64; 3]| -> RunResult {
             let mut r = template.clone();
-            r.convergence.converged_at = at.map(simbase::SimTime::from_secs_f64);
+            r.per_path_steady_mbps = rates.to_vec();
             r
         };
-        let runs = vec![with_conv(Some(1.0)), with_conv(None), with_conv(Some(3.0))];
-        let row = super::summarize_row(CcAlgo::Cubic, 0, &runs);
+        let corner = PaperNetwork::new().greedy_corner(1);
+        let runs = [
+            with_rates([10.0, 30.0, 50.0]),
+            with_rates([0.0, 40.0, 40.0]),
+            with_rates([7.0, 33.0, 47.0]),
+        ];
+        let row = super::summarize_row(CcAlgo::Cubic, 1, &runs, &corner);
         assert_eq!(row.seeds, 3);
-        assert!((row.converged_fraction - 2.0 / 3.0).abs() < 1e-12);
-        let mean = row.mean_convergence_s.expect("two runs converged");
-        assert!((mean - 2.0).abs() < 1e-9, "converged-only mean, got {mean}");
+        assert!((row.at_optimum_fraction - 1.0 / 3.0).abs() < 1e-12);
+        assert!((row.nearer_optimum_fraction - 2.0 / 3.0).abs() < 1e-12);
+        let want = [17.0 / 3.0, 103.0 / 3.0, 137.0 / 3.0];
+        for (got, want) in row.mean_per_path_mbps.iter().zip(want) {
+            assert!((got - want).abs() < 1e-9, "{:?}", row.mean_per_path_mbps);
+        }
+        // s-v1 is full in all three runs; v4-v2 carries 60, 40 and 54 of 60.
+        assert!((row.mean_utilisation[0] - 1.0).abs() < 1e-12);
+        assert!((row.mean_utilisation[1] - 154.0 / 180.0).abs() < 1e-12);
     }
 
     #[test]

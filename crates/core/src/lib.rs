@@ -66,8 +66,8 @@ pub mod worldexp;
 
 pub use determinism::{assert_deterministic, compare_runs, double_run, DeterminismReport};
 pub use experiments::{
-    fig2a, fig2b, fig2b_long, fig2c, results_table_with, results_table_with_store, ResultsRow,
-    FIG2_SEED,
+    fig2a, fig2b, fig2b_long, fig2c, results_table_with, results_table_with_store,
+    tight_utilisation, ResultsRow, AT_OPTIMUM_UTILISATION, FIG2_SEED,
 };
 pub use failover::{
     exclusive_link, failover_base_scenario, failover_scenario, failover_table_document,
@@ -96,7 +96,8 @@ pub use worldexp::{
 /// The most frequently used types, re-exported for glob import.
 pub mod prelude {
     pub use crate::experiments::{
-        fig2a, fig2b, fig2b_long, fig2c, results_table_with, results_table_with_store, ResultsRow,
+        fig2a, fig2b, fig2b_long, fig2c, results_table_with, results_table_with_store,
+        tight_utilisation, ResultsRow, AT_OPTIMUM_UTILISATION,
     };
     pub use crate::failover::{
         failover_table_document, run_failover, FailoverConfig, FailoverOutcome, FailoverSetup,

@@ -158,6 +158,16 @@ impl PaperNetwork {
     pub fn lp_optimum(&self) -> lpsolve::MaxThroughput {
         lpsolve::solve_max_throughput(&self.topology, &self.paths)
     }
+
+    /// The Pareto corner a greedy controller parks at when `first` is its
+    /// default path: `greedy_fill` from `first`, then the other paths in
+    /// index order (Figure 1c's "greedy fill starting with Path k").
+    pub fn greedy_corner(&self, first: usize) -> Vec<f64> {
+        let order: Vec<usize> = std::iter::once(first)
+            .chain((0..self.paths.len()).filter(|&i| i != first))
+            .collect();
+        lpsolve::MaxThroughput::greedy_fill(&self.topology, &self.paths, &order)
+    }
 }
 
 impl Default for PaperNetwork {
@@ -262,7 +272,7 @@ mod tests {
     fn greedy_fill_from_path2_leaves_30_mbps_unused() {
         // The Pareto trap the paper describes: x2=40 first, then x1=0, x3=40.
         let net = PaperNetwork::new();
-        let greedy = lpsolve::MaxThroughput::greedy_fill(&net.topology, &net.paths, &[1, 0, 2]);
+        let greedy = net.greedy_corner(1);
         assert_eq!(greedy, vec![0.0, 40.0, 40.0]);
         let total: f64 = greedy.iter().sum();
         assert!((total - 80.0).abs() < 1e-9);

@@ -205,6 +205,61 @@ mod tests {
         assert!((sol.total_mbps - 30.0).abs() < 1e-6);
     }
 
+    /// The tableau's prices are a dual solution that prices the optimum:
+    /// every price is `≥ 0`, every path's reduced cost `Σ_{l∈p} λ_l − 1` is
+    /// `≥ 0`, and `Σ_l λ_l c_l` is the optimal total (within 1e-6). This is
+    /// the identity that splits a run's deficit `OPT − T` into idle priced
+    /// capacity and over-priced allocation.
+    fn assert_strong_duality(what: &str, sol: &lpsolve::MaxThroughput) {
+        let prices = sol.shadow_prices();
+        assert_eq!(prices.len(), sol.link_constraints.len(), "{what}");
+        let mut priced_capacity = 0.0;
+        let mut path_price = vec![0.0; sol.per_path_mbps.len()];
+        for ((link, price), (l, users, cap)) in prices.iter().zip(&sol.link_constraints) {
+            assert_eq!(link, l, "{what}");
+            assert!(*price >= -1e-6, "{what}: {link:?} has price {price}");
+            priced_capacity += price * cap.as_mbps_f64();
+            for &p in users {
+                path_price[p] += price;
+            }
+        }
+        for (p, price) in path_price.iter().enumerate() {
+            let reduced = price - 1.0;
+            assert!(
+                reduced >= -1e-6,
+                "{what}: path {p} has reduced cost {reduced}"
+            );
+        }
+        assert!(
+            (priced_capacity - sol.total_mbps).abs() < 1e-6,
+            "{what}: Σ λc = {priced_capacity}, optimum {}",
+            sol.total_mbps
+        );
+    }
+
+    #[test]
+    fn lp_duals_satisfy_strong_duality_on_both_topology_families() {
+        use crate::paper::{ConstraintVariant, PaperNetwork, PaperNetworkConfig};
+        for variant in [ConstraintVariant::Consistent, ConstraintVariant::AsPrinted] {
+            let net = PaperNetwork::build(&PaperNetworkConfig {
+                variant,
+                ..Default::default()
+            });
+            assert_strong_duality(&format!("paper {variant:?}"), &net.lp_optimum());
+        }
+        // table2's random overlapping topologies: 3 and 4 paths, seeds 0..10.
+        for paths in [3, 4] {
+            for seed in 0..10 {
+                let net = RandomOverlapNet::generate(&RandomOverlapConfig {
+                    paths,
+                    seed,
+                    ..Default::default()
+                });
+                assert_strong_duality(&format!("{paths} paths, seed {seed}"), &net.lp_optimum());
+            }
+        }
+    }
+
     #[test]
     fn lp_never_exceeds_greedy_upper_bounds() {
         let net = RandomOverlapNet::generate(&RandomOverlapConfig {

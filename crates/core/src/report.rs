@@ -6,7 +6,7 @@ use simtrace::{ascii_chart, ChartOptions};
 use std::fmt::Write as _;
 
 /// Render one run as the paper renders Figure 2: per-path lines plus the
-/// total, with a summary block (LP optimum, measured, convergence).
+/// total, with a summary block (LP optimum, measured, bottleneck load).
 pub fn render_run(title: &str, result: &RunResult) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {title} ==");
@@ -35,7 +35,7 @@ pub fn render_run(title: &str, result: &RunResult) -> String {
     );
     let _ = writeln!(
         out,
-        "Measured steady state: {:.1} Mbps  (per path: {})  efficiency {:.0}%",
+        "Measured over the second half: {:.1} Mbps  (per path: {})  efficiency {:.0}%",
         result.steady_total_mbps(),
         result
             .per_path_steady_mbps
@@ -45,26 +45,22 @@ pub fn render_run(title: &str, result: &RunResult) -> String {
             .join(" / "),
         result.efficiency() * 100.0
     );
-    match result.convergence.converged_at {
-        Some(t) => {
-            let _ = writeln!(
-                out,
-                "Converged to within {:.0}% of optimum at t = {:.2} s (post-convergence CoV {:.3})",
-                result.convergence.tolerance * 100.0,
-                t.as_secs_f64(),
-                result.convergence.steady_cov
-            );
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "Did NOT reach the optimum band within the measurement window \
-                 (steady mean {:.1} Mbps = {:.0}% of optimum)",
-                result.convergence.steady_mean,
-                result.convergence.efficiency * 100.0
-            );
-        }
-    }
+    // The LP's rows are its link constraints, in `utilisation` order.
+    let tight: Vec<String> = result
+        .lp
+        .lp
+        .constraints()
+        .iter()
+        .zip(result.utilisation())
+        .filter(|(_, (link, _))| result.lp.tight_links.contains(link))
+        .map(|(row, (_, u))| format!("{} {:.0}%", row.label, u * 100.0))
+        .collect();
+    let _ = writeln!(
+        out,
+        "Tight bottlenecks busy: {}  CoV {:.3}",
+        tight.join("  "),
+        result.steady_cov()
+    );
     let _ = writeln!(
         out,
         "Drops: {}   duplicate DSN bytes: {}",
@@ -75,25 +71,41 @@ pub fn render_run(title: &str, result: &RunResult) -> String {
 
 /// Render the E5 results table.
 pub fn render_table(rows: &[ResultsRow]) -> String {
+    let slashed = |values: &[f64], precision: usize| {
+        values
+            .iter()
+            .map(|v| format!("{v:.precision$}"))
+            .collect::<Vec<_>>()
+            .join(" / ")
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<8} {:>12} {:>11} {:>12} {:>11} {:>12} {:>9}",
-        "algo", "default path", "converged", "total Mbps", "efficiency", "conv time s", "CoV"
+        "{:<8} {:>12} {:>20} {:>10} {:>10} {:>16} {:>6} {:>9} {:>6}",
+        "algo",
+        "default path",
+        "x1 / x2 / x3",
+        "total Mbps",
+        "efficiency",
+        "util %",
+        "at x*",
+        "nearer x*",
+        "CoV"
     );
-    let _ = writeln!(out, "{}", "-".repeat(80));
+    let _ = writeln!(out, "{}", "-".repeat(107));
     for r in rows {
+        let util: Vec<f64> = r.mean_utilisation.iter().map(|u| u * 100.0).collect();
         let _ = writeln!(
             out,
-            "{:<8} {:>12} {:>10.0}% {:>12.1} {:>10.0}% {:>12} {:>9.3}",
+            "{:<8} {:>12} {:>20} {:>10.1} {:>9.0}% {:>16} {:>5.0}% {:>8.0}% {:>6.3}",
             r.algo.name(),
             format!("Path {}", r.default_path + 1),
-            r.converged_fraction * 100.0,
+            slashed(&r.mean_per_path_mbps, 1),
             r.mean_total_mbps,
             r.mean_efficiency * 100.0,
-            r.mean_convergence_s
-                .map(|t| format!("{t:.2}"))
-                .unwrap_or_else(|| "—".to_string()),
+            slashed(&util, 0),
+            r.at_optimum_fraction * 100.0,
+            r.nearer_optimum_fraction * 100.0,
             r.mean_cov,
         );
     }
@@ -111,20 +123,24 @@ mod tests {
             ResultsRow {
                 algo: CcAlgo::Cubic,
                 default_path: 1,
-                converged_fraction: 1.0,
-                mean_total_mbps: 88.4,
-                mean_efficiency: 0.982,
-                mean_convergence_s: Some(1.25),
+                mean_per_path_mbps: vec![14.7, 24.6, 39.1],
+                mean_total_mbps: 78.4,
+                mean_efficiency: 0.871,
+                mean_utilisation: vec![0.98, 0.896, 0.797],
+                at_optimum_fraction: 0.2,
+                nearer_optimum_fraction: 1.0,
                 mean_cov: 0.041,
                 seeds: 5,
             },
             ResultsRow {
                 algo: CcAlgo::Lia,
                 default_path: 0,
-                converged_fraction: 0.0,
-                mean_total_mbps: 71.0,
-                mean_efficiency: 0.79,
-                mean_convergence_s: None,
+                mean_per_path_mbps: vec![12.5, 26.9, 35.9],
+                mean_total_mbps: 75.3,
+                mean_efficiency: 0.837,
+                mean_utilisation: vec![0.99, 0.81, 0.78],
+                at_optimum_fraction: 0.0,
+                nearer_optimum_fraction: 0.6,
                 mean_cov: 0.02,
                 seeds: 5,
             },
@@ -132,7 +148,8 @@ mod tests {
         let s = render_table(&rows);
         assert!(s.contains("CUBIC"), "{s}");
         assert!(s.contains("Path 2"));
-        assert!(s.contains("1.25"));
-        assert!(s.contains('—'), "unconverged rows render a dash");
+        assert!(s.contains("14.7 / 24.6 / 39.1"), "{s}");
+        assert!(s.contains("98 / 90 / 80"), "{s}");
+        assert!(s.contains(" 20%      100%"), "{s}");
     }
 }

@@ -9,10 +9,10 @@
 
 use crate::world::{ReceiverId, SenderId, World, WorldCheckpoint};
 use mptcpsim::{common_destination, install_subflows, CcAlgo, MptcpConfig, SchedulerKind};
-use netsim::{FaultSchedule, NodeId, Path, RoutingTables, Topology};
+use netsim::{FaultSchedule, LinkId, NodeId, Path, RoutingTables, Topology};
 use simbase::Bandwidth;
 use simbase::{SimDuration, SimTime};
-use simtrace::{ConvergenceReport, SamplerConfig, TimeSeries, TraceSink};
+use simtrace::{SamplerConfig, TimeSeries, TraceSink};
 use tcpsim::AppSource;
 
 /// A complete experiment configuration.
@@ -41,10 +41,6 @@ pub struct Scenario {
     pub sack: bool,
     /// ECN on subflows (only meaningful with ECN-marking queues).
     pub ecn: bool,
-    /// Convergence tolerance: within this fraction of the LP optimum.
-    pub tolerance: f64,
-    /// How long the rate must hold inside the band to count as converged.
-    pub hold: SimDuration,
     /// Per-hop forwarding jitter (testbed kernel noise); breaks loss-phase
     /// synchronisation and gives each seed a distinct trajectory.
     pub forward_jitter: SimDuration,
@@ -85,8 +81,6 @@ impl Scenario {
             app: AppSource::Unlimited,
             sack: true,
             ecn: false,
-            tolerance: 0.15,
-            hold: SimDuration::from_secs(1),
             forward_jitter: SimDuration::from_micros(20),
             background: Vec::new(),
             faults: FaultSchedule::new(),
@@ -258,15 +252,13 @@ impl Scenario {
     }
 
     /// Fold a finished simulation into a [`RunResult`] (the tshark step,
-    /// convergence analysis, and endpoint-state extraction).
+    /// the steady-window means, and endpoint-state extraction).
     fn collect(
         &self,
         mut world: World,
         (sender, receiver): Conn,
         lp: lpsolve::MaxThroughput,
     ) -> RunResult {
-        let end = SimTime::ZERO + self.duration;
-
         let sink = world.sink_mut();
         // Order-sensitive digest of the full capture stream: two runs of
         // the same scenario + seed must produce the same hash (the
@@ -296,28 +288,9 @@ impl Scenario {
             })
             .collect();
         let total = TimeSeries::sum_of("Total", &per_path.iter().collect::<Vec<_>>());
-        // Sustained criterion: the (smoothed) total must stay inside the
-        // band from the convergence point to the end of the measurement —
-        // a slow-start overshoot that transits the band does not count.
-        let smooth_bins = (self.hold.as_nanos() / self.sample_bin.as_nanos()).max(1) as usize;
-        let min_tail = (2 * smooth_bins).max(4);
-        let convergence = ConvergenceReport::analyze_sustained(
-            &total,
-            lp.total_mbps,
-            self.tolerance,
-            smooth_bins,
-            min_tail,
-        );
-
-        // Steady-state per-path means over the post-convergence window (or
-        // the final quarter if never converged).
-        let steady_from = convergence
-            .converged_at
-            .unwrap_or(SimTime::ZERO + self.duration.mul_f64(0.75));
-        let per_path_steady_mbps: Vec<f64> = per_path
-            .iter()
-            .map(|s| s.mean_over(steady_from, end))
-            .collect();
+        let (from, to) = steady_window(&total);
+        let per_path_steady_mbps: Vec<f64> =
+            per_path.iter().map(|s| s.mean_over(from, to)).collect();
 
         // Rates are bytes-over-time: negative or non-finite values can only
         // come from arithmetic bugs in the sampler, never from the network.
@@ -343,7 +316,6 @@ impl Scenario {
             per_path,
             total,
             lp,
-            convergence,
             per_path_steady_mbps,
             drops: sim.stats().packets_dropped,
             events: sim.stats().events,
@@ -360,6 +332,14 @@ impl Scenario {
 
 /// The scenario's one connection.
 type Conn = (SenderId, ReceiverId);
+
+/// A run's steady window: the second half of the span `series` samples,
+/// `[duration/2, duration)` (DESIGN.md §6). Fixed, so a statistic over it
+/// never depends on where some other statistic decided the run settled.
+fn steady_window(series: &TimeSeries) -> (SimTime, SimTime) {
+    let span = series.bin() * series.len() as u64;
+    (series.start() + span / 2, series.start() + span)
+}
 
 /// A frozen scenario prefix that fault variants branch from.
 ///
@@ -430,9 +410,8 @@ pub struct RunResult {
     pub total: TimeSeries,
     /// The LP ground truth for the same topology and paths.
     pub lp: lpsolve::MaxThroughput,
-    /// Convergence analysis of the total against the LP optimum.
-    pub convergence: ConvergenceReport,
-    /// Steady-state mean rate per path, Mbps.
+    /// Mean rate per path over the steady window, the run's second half
+    /// `[duration/2, duration)`, Mbps.
     pub per_path_steady_mbps: Vec<f64>,
     /// Queue drops across the network.
     pub drops: u64,
@@ -475,6 +454,19 @@ impl RunResult {
     /// a violation means the simulator overcounted capacity).
     pub fn is_physically_consistent(&self, tol_mbps: f64) -> bool {
         self.lp.is_feasible(&self.per_path_steady_mbps, tol_mbps)
+    }
+
+    /// Each LP-constrained link's mean load over the steady window as a
+    /// share of its capacity, in the LP's `link_constraints` order.
+    pub fn utilisation(&self) -> Vec<(LinkId, f64)> {
+        self.lp.utilisation(&self.per_path_steady_mbps)
+    }
+
+    /// Coefficient of variation of the total over the steady window (the
+    /// paper's "unstable for short periods").
+    pub fn steady_cov(&self) -> f64 {
+        let (from, to) = steady_window(&self.total);
+        self.total.cov_over(from, to)
     }
 }
 

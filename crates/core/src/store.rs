@@ -43,7 +43,7 @@ use netsim::{
     Topology,
 };
 use simbase::{Bandwidth, Fnv64, SimDuration, SimTime};
-use simtrace::{ConvergenceReport, TimeSeries};
+use simtrace::TimeSeries;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,13 +52,18 @@ use tcpsim::{AppSource, SenderStats};
 /// Version folded into every digest. Bump whenever the canonical encoding
 /// below changes meaning, so digests from older encodings can never alias
 /// new ones. v2: the engine, region-count and region-map fields are gone
-/// from [`Scenario`] and from the encoding.
-pub const DIGEST_VERSION: u32 = 2;
+/// from [`Scenario`] and from the encoding. v3: so are the convergence
+/// band's `tolerance` and `hold`, and a run's steady state is its second
+/// half, so a v2 key names a result computed under another definition.
+pub const DIGEST_VERSION: u32 = 3;
 
 /// On-disk record format version. Bump on any codec change; records with
 /// another version are ignored (a miss), not migrated. v2: every record
-/// ends in an FNV-1a/64 checksum of all the bytes before it.
-pub const STORE_FORMAT: u32 = 2;
+/// ends in an FNV-1a/64 checksum of all the bytes before it. v3: the
+/// convergence report is gone from [`RunResult`], and
+/// `per_path_steady_mbps` is the mean over the run's second half instead
+/// of over the band analyzer's post-convergence window.
+pub const STORE_FORMAT: u32 = 3;
 
 /// Magic prefix of every store record.
 const MAGIC: &[u8; 4] = b"OVRS";
@@ -76,8 +81,8 @@ impl Scenario {
     /// declaration order, in the record codec's encoding —
     /// topology (nodes, link capacities/delays/losses/queues), paths,
     /// default path, congestion control, scheduler, timing, seed,
-    /// application model, SACK/ECN flags, convergence parameters, jitter,
-    /// cross traffic, and fault schedule.
+    /// application model, SACK/ECN flags, jitter, cross traffic, and fault
+    /// schedule.
     ///
     /// Two scenarios with equal digests run identically (a run is a pure
     /// function of these inputs), which is what lets [`RunStore`] answer a
@@ -261,28 +266,6 @@ impl<T: Get> Get for Vec<T> {
     }
 }
 
-impl<T: Put> Put for Option<T> {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            None => 0u8.put(out),
-            Some(v) => {
-                1u8.put(out);
-                v.put(out);
-            }
-        }
-    }
-}
-
-impl<T: Get> Get for Option<T> {
-    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match u8::get(d)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::get(d)?)),
-            _ => Err(CodecError::Invalid("option tag")),
-        }
-    }
-}
-
 macro_rules! tuple {
     ($($v:ident: $t:ident),*) => {
         impl<$($t: Put),*> Put for ($($t,)*) {
@@ -336,7 +319,7 @@ via_integer! {
 
 codec! { put
     Scenario { topology, paths, default_path, algo, scheduler, duration, sample_bin, seed, app,
-        sack, ecn, tolerance, hold, forward_jitter, background, faults }
+        sack, ecn, forward_jitter, background, faults }
     CrossTraffic { from, to, rate, packet_bytes }
     LinkSpec { a, b, capacity, delay, loss_rate, queue }
 }
@@ -447,11 +430,10 @@ impl Put for FaultAction {
 // The LP travels with the result: a store hit must not need the simplex
 // any more than it needs the simulator.
 codec! {
-    RunResult { per_path, total, lp, convergence, per_path_steady_mbps, drops, events,
+    RunResult { per_path, total, lp, per_path_steady_mbps, drops, events,
         events_scheduled, events_cancelled, packets_delivered, data_delivered, duplicate_bytes,
         subflow_stats, trace_hash }
     MaxThroughput { lp, per_path_mbps, total_mbps, tight_links, link_constraints }
-    ConvergenceReport { target, tolerance, converged_at, steady_mean, steady_cov, efficiency }
     SenderStats { segments_sent, retransmits, loss_events, rtos, tlp_probes, ecn_reductions,
         bytes_acked }
 }
@@ -906,20 +888,20 @@ mod tests {
         assert_results_identical(&result, &back);
     }
 
-    /// A format-2 record of `paper_scenario()`, whose digest is
+    /// A format-3 record of `paper_scenario()`, whose digest is
     /// `FIXTURE_DIGEST`. A change to `RunResult` or to its encoding stops
     /// it decoding or re-encoding byte for byte: bump `STORE_FORMAT`, write
     /// `encode_record(paper_scenario().digest(), &paper_scenario().run())`
     /// over the file, and re-pin its checksum in the test below.
     const FIXTURE: &[u8] = include_bytes!("../testdata/paper_500ms.run");
-    const FIXTURE_DIGEST: u64 = 0xd466_21c8_48c9_3cab;
+    const FIXTURE_DIGEST: u64 = 0x7e40_4f78_a9a7_9471;
 
     #[test]
     fn fixture_decodes_and_reencodes_byte_for_byte() {
         let result = decode_record(FIXTURE_DIGEST, FIXTURE).expect("decode");
         assert!(encode_record(FIXTURE_DIGEST, &result) == FIXTURE);
         let checksum = FIXTURE.last_chunk().map(|b| u64::from_be_bytes(*b));
-        assert_eq!((STORE_FORMAT, checksum), (2, Some(0x2744_c58a_afdf_d31a)));
+        assert_eq!((STORE_FORMAT, checksum), (3, Some(0xe31f_4bd8_1121_9cb0)));
     }
 
     /// Every truncation, and every single-bit flip and inverted byte, of a
@@ -1008,7 +990,7 @@ mod tests {
         store.put(V1_KEY, &result).expect("put");
 
         // Nothing asks for the old key any more: the run simulates, lands
-        // under its v2 key, and the stale record just sits there.
+        // under its current key, and the stale record just sits there.
         let rerun = run_via_store(&scenario, Some(&store), None);
         assert_eq!((store.stats().hits, store.stats().misses), (0, 1));
         assert_eq!(store.len(), 2);
@@ -1093,12 +1075,9 @@ mod tests {
     }
 
     /// Absolute digests of a paper, a failover (every fault kind), an
-    /// AQM-ablation (RED+ECN links, round-robin, ECN) and a CoDel scenario.
-    /// The paper pin was taken at PR 25's parent, when the digest was still
-    /// hashed field by field; the other three were computed by the encoder
-    /// that still had the byte drop-tail, the loss and queue faults and the
-    /// AQM setting structs, on scenarios that use none of them, so they pin
-    /// that every remaining kind encodes as it did. A change that moves one
+    /// AQM-ablation (RED+ECN links, round-robin, ECN) and a CoDel scenario,
+    /// pinned at `DIGEST_VERSION` 3, when the convergence band's
+    /// `tolerance` and `hold` left the scenario. A change that moves one
     /// turns every stored record into a miss: it must come with a
     /// `DIGEST_VERSION` bump and new pins.
     #[test]
@@ -1148,10 +1127,10 @@ mod tests {
                 codel.digest()
             ],
             [
-                0xd466_21c8_48c9_3cab,
-                0x23fc_de2b_fe01_106b,
-                0x5331_059f_92cb_85bd,
-                0x457a_8c15_f699_4ccb
+                0x7e40_4f78_a9a7_9471,
+                0x32e3_8276_35b2_2c49,
+                0xb52f_55f0_9a58_99c3,
+                0xf0b9_1d7e_7ce6_b2dd
             ]
         );
     }

@@ -63,7 +63,7 @@ pub fn solve_max_throughput(topo: &Topology, paths: &[Path]) -> MaxThroughput {
     assert!(!paths.is_empty(), "need at least one path");
     let (lp, link_constraints) = max_throughput_lp(topo, paths);
     match solve::<f64>(&lp) {
-        LpOutcome::Optimal { objective, x } => {
+        LpOutcome::Optimal { objective, x, .. } => {
             let tight_links = link_constraints
                 .iter()
                 .enumerate()
@@ -85,28 +85,39 @@ pub fn solve_max_throughput(topo: &Topology, paths: &[Path]) -> MaxThroughput {
 }
 
 impl MaxThroughput {
-    /// Shadow prices (dual values) of the link-capacity constraints,
-    /// computed by finite differences: how much the optimal total grows per
-    /// extra Mbps of capacity on each constrained link. On the paper's
-    /// network every pairwise bottleneck prices at 0.5 — relaxing any one
-    /// of the three coupled constraints buys half its slack in total
-    /// throughput, which is exactly the "decrease x2 by x to gain 2x
-    /// elsewhere" observation of Section 3.
+    /// Shadow prices (dual values) of the link-capacity constraints, one
+    /// per entry of `link_constraints`: how much the optimal total grows per
+    /// extra Mbps of capacity on each constrained link, read from the final
+    /// simplex tableau. They are dual-feasible (`≥ 0`, and every path's
+    /// prices sum to at least its objective coefficient 1) and price the
+    /// capacities at the optimum (`Σ λ_l c_l` is the optimal total). On the
+    /// paper's network every pairwise bottleneck prices at 0.5 — relaxing
+    /// any one of the three coupled constraints buys half its slack in
+    /// total throughput, which is exactly the "decrease x2 by x to gain 2x
+    /// elsewhere" observation of Section 3. Empty for an unbounded LP,
+    /// which has no dual solution (a capacity LP never is one).
     pub fn shadow_prices(&self) -> Vec<(LinkId, f64)> {
-        const EPS: f64 = 1e-3;
-        let mut out = Vec::with_capacity(self.link_constraints.len());
-        for (ci, (link, _, _)) in self.link_constraints.iter().enumerate() {
-            let mut lp = self.lp.clone();
-            lp.relax_constraint(ci, EPS);
-            let price = match solve::<f64>(&lp) {
-                LpOutcome::Optimal { objective, .. } => (objective - self.total_mbps) / EPS,
-                _ => 0.0,
-            };
-            // Clean up finite-difference noise.
-            let price = if price.abs() < 1e-6 { 0.0 } else { price };
-            out.push((*link, price));
+        match solve::<f64>(&self.lp) {
+            LpOutcome::Optimal { duals, .. } => self
+                .link_constraints
+                .iter()
+                .map(|(link, _, _)| *link)
+                .zip(duals)
+                .collect(),
+            LpOutcome::Unbounded => Vec::new(),
         }
-        out
+    }
+
+    /// Each constrained link's load under `rates` (Mbps per path) as a share
+    /// of its capacity, `Σ_{p∈users} x_p / c`, in `link_constraints` order.
+    pub fn utilisation(&self, rates: &[f64]) -> Vec<(LinkId, f64)> {
+        self.link_constraints
+            .iter()
+            .map(|(link, users, cap)| {
+                let load: f64 = users.iter().filter_map(|&p| rates.get(p)).sum();
+                (*link, load / cap.as_mbps_f64())
+            })
+            .collect()
     }
 
     /// The greedy baseline the paper contrasts with: fill paths one at a
@@ -160,6 +171,13 @@ mod tests {
     /// The paper's Figure-1 network (consistent-variant constraints:
     /// x1+x2 ≤ 40, x1+x3 ≤ 60, x2+x3 ≤ 80).
     fn paper_network() -> (Topology, Vec<Path>) {
+        paper_network_with(60, 80)
+    }
+
+    /// The Figure-1 network with the given capacities on the links Path 1
+    /// shares with Path 3 and Path 2 shares with Path 3: (60, 80) is the
+    /// consistent variant, (80, 60) the constraints as the paper prints them.
+    fn paper_network_with(cap13: u64, cap23: u64) -> (Topology, Vec<Path>) {
         let mut t = Topology::new();
         let s = t.add_node("s");
         let v1 = t.add_node("v1");
@@ -172,10 +190,10 @@ mod tests {
         let q = QueueConfig::default;
         t.add_link(s, v1, bw(40), ms(1), q()); // shared by paths 1,2
         t.add_link(v1, v4, bw(100), ms(1), q());
-        t.add_link(v4, v2, bw(60), ms(1), q()); // shared by paths 1,3
+        t.add_link(v4, v2, bw(cap13), ms(1), q()); // shared by paths 1,3
         t.add_link(v2, d, bw(100), ms(1), q());
         t.add_link(v1, v3, bw(100), ms(1), q());
-        t.add_link(v3, d, bw(80), ms(1), q()); // shared by paths 2,3
+        t.add_link(v3, d, bw(cap23), ms(1), q()); // shared by paths 2,3
         t.add_link(s, v4, bw(100), ms(1), q());
         t.add_link(v2, v3, bw(100), ms(1), q());
         let p1 = Path::from_nodes(&t, &[s, v1, v4, v2, d]).unwrap();
@@ -342,6 +360,60 @@ mod tests {
                 assert_eq!(price, 0.0, "{link:?} is slack");
             }
         }
+    }
+
+    #[test]
+    fn tableau_prices_satisfy_duality_on_both_paper_variants() {
+        for (cap13, cap23) in [(60, 80), (80, 60)] {
+            let (t, paths) = paper_network_with(cap13, cap23);
+            let sol = solve_max_throughput(&t, &paths);
+            let prices = sol.shadow_prices();
+            assert_eq!(prices.len(), sol.link_constraints.len());
+            let mut priced_capacity = 0.0;
+            let mut path_price = vec![0.0; paths.len()];
+            for ((link, price), (l, users, cap)) in prices.iter().zip(&sol.link_constraints) {
+                assert_eq!(link, l);
+                assert!(*price >= -1e-6, "{link:?} has price {price}");
+                priced_capacity += price * cap.as_mbps_f64();
+                for &p in users {
+                    path_price[p] += price;
+                }
+            }
+            for (p, price) in path_price.iter().enumerate() {
+                assert!(
+                    price - 1.0 >= -1e-6,
+                    "path {p}: reduced cost {}",
+                    price - 1.0
+                );
+            }
+            assert!(
+                (priced_capacity - sol.total_mbps).abs() < 1e-6,
+                "({cap13}, {cap23}): Σ λc = {priced_capacity}, optimum {}",
+                sol.total_mbps
+            );
+        }
+    }
+
+    #[test]
+    fn utilisation_is_each_links_load_over_its_capacity() {
+        let (t, paths) = paper_network();
+        let sol = solve_max_throughput(&t, &paths);
+        let at_optimum = sol.utilisation(&sol.per_path_mbps);
+        assert_eq!(at_optimum.len(), sol.link_constraints.len());
+        for (link, u) in &at_optimum {
+            if sol.tight_links.contains(link) {
+                assert!((u - 1.0).abs() < 1e-9, "{link:?}: {u}");
+            } else {
+                assert!(*u < 1.0, "{link:?} is slack: {u}");
+            }
+        }
+        // Greedy from Path 2, (0, 40, 40): s-v1 and v3-d full, v4-v2 at
+        // 40 of 60 (links 0, 5 and 2 in construction order).
+        let greedy = sol.utilisation(&[0.0, 40.0, 40.0]);
+        let of = |l: u32| greedy.iter().find(|(link, _)| link.0 == l).map(|(_, u)| *u);
+        assert_eq!(of(0), Some(1.0));
+        assert_eq!(of(2), Some(40.0 / 60.0));
+        assert_eq!(of(5), Some(1.0));
     }
 
     #[test]

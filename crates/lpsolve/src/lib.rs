@@ -80,8 +80,8 @@ mod proptests {
             let f = solve::<f64>(&lp);
             let r = solve::<Rational>(&lp);
             match (f, r) {
-                (LpOutcome::Optimal { objective: fo, x: fx },
-                 LpOutcome::Optimal { objective: ro, x: rx }) => {
+                (LpOutcome::Optimal { objective: fo, x: fx, .. },
+                 LpOutcome::Optimal { objective: ro, x: rx, .. }) => {
                     prop_assert!((fo - ro.to_f64()).abs() < 1e-6,
                         "objectives diverge: {fo} vs {ro:?}");
                     // Both solutions must be feasible; vertices may differ

@@ -111,13 +111,6 @@ impl LinearProgram {
         })
     }
 
-    /// Increase constraint `i`'s right-hand side by `delta` (sensitivity
-    /// analysis: what would one more unit of this resource be worth?).
-    pub fn relax_constraint(&mut self, i: usize, delta: f64) {
-        assert!(delta.is_finite());
-        self.constraints[i].rhs += delta;
-    }
-
     /// The slack `rhs - lhs` of constraint `i` at point `x`: 0 means
     /// tight, positive means loose.
     pub fn slack(&self, i: usize, x: &[f64]) -> f64 {

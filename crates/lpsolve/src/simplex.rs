@@ -22,6 +22,9 @@ pub enum LpOutcome<T> {
         objective: T,
         /// Primal solution (original variables only).
         x: Vec<T>,
+        /// Dual solution, one per constraint row: row `i`'s price, read
+        /// from the final objective row at that row's slack column.
+        duals: Vec<T>,
     },
     /// The objective is unbounded above.
     Unbounded,
@@ -156,7 +159,20 @@ pub fn solve<T: LpNum>(lp: &LinearProgram) -> LpOutcome<T> {
     for (j, &cj) in lp.objective().iter().enumerate() {
         objective = objective.add(&T::from_f64(cj).mul(&x[j]));
     }
-    LpOutcome::Optimal { objective, x }
+    // Row i's slack has cost 0 and column e_i, so its reduced cost is
+    // minus row i's dual price.
+    let duals = tab
+        .obj
+        .iter()
+        .skip(nv)
+        .take(m)
+        .map(|r| T::zero().sub(r))
+        .collect();
+    LpOutcome::Optimal {
+        objective,
+        x,
+        duals,
+    }
 }
 
 #[cfg(test)]
@@ -166,7 +182,7 @@ mod tests {
 
     fn assert_optimal_f64(lp: &LinearProgram, want_obj: f64, want_x: Option<&[f64]>) {
         match solve::<f64>(lp) {
-            LpOutcome::Optimal { objective, x } => {
+            LpOutcome::Optimal { objective, x, .. } => {
                 assert!(
                     (objective - want_obj).abs() < 1e-6,
                     "objective {objective} != {want_obj}"
@@ -194,8 +210,13 @@ mod tests {
         assert_optimal_f64(&lp, 90.0, Some(&[10.0, 30.0, 50.0]));
         // Exact arithmetic agrees.
         match solve::<Rational>(&lp) {
-            LpOutcome::Optimal { objective, x } => {
+            LpOutcome::Optimal {
+                objective,
+                x,
+                duals,
+            } => {
                 assert_eq!(objective, Rational::from_int(90));
+                assert_eq!(duals, vec![Rational::new(1, 2); 3]);
                 assert_eq!(
                     x,
                     vec![
@@ -281,9 +302,14 @@ mod tests {
         let mut lp = LinearProgram::new();
         lp.add_var("x", 0.0);
         match solve::<f64>(&lp) {
-            LpOutcome::Optimal { objective, x } => {
+            LpOutcome::Optimal {
+                objective,
+                x,
+                duals,
+            } => {
                 assert_eq!(objective, 0.0);
                 assert_eq!(x, vec![0.0]);
+                assert!(duals.is_empty());
             }
             other => panic!("{other:?}"),
         }

@@ -5,8 +5,7 @@
 //!
 //! * [`sampler`] — capture records → per-tag throughput [`TimeSeries`].
 //! * [`series`] — windowed means, smoothing, summation, CoV.
-//! * [`summary`] — convergence-to-optimum detection, stability (CoV),
-//!   Jain fairness.
+//! * [`summary`] — Jain fairness.
 //! * [`export`] — CSV output and terminal ASCII charts (the Figure-2
 //!   reproductions render directly in the console).
 //! * [`invariant`] — trace-level invariant checks and the order-sensitive
@@ -29,4 +28,4 @@ pub use invariant::{check_trace, default_invariants, InvariantViolation, Invaria
 pub use sampler::{SamplerConfig, TagBins, ThroughputSampler};
 pub use series::TimeSeries;
 pub use sink::TraceSink;
-pub use summary::{jain_fairness, ConvergenceReport};
+pub use summary::jain_fairness;

@@ -13,7 +13,7 @@ fn main() {
     println!();
 
     // (b) OLIA at 100 ms sampling over 4 s, plus the long view the paper
-    //     mentions (convergence after ~20 s).
+    //     mentions (OLIA reaching the optimum after ~20 s).
     let b = fig2b(FIG2_SEED);
     print!("{}", render_run("Figure 2b — OLIA, 100 ms bins", &b));
     println!();
@@ -26,17 +26,18 @@ fn main() {
     print!("{}", render_run("Figure 2c — CUBIC detail, 10 ms bins", &c));
 
     // Summary in the spirit of the paper's Section 3.
-    println!("\n== Section 3 summary (single seed) ==");
+    println!("\n== Section 3 summary (single seed, second half of each run) ==");
     for (name, r) in [("CUBIC", &a), ("OLIA", &b)] {
+        let busy = tight_utilisation(&r.lp, &r.per_path_steady_mbps);
         println!(
-            "{name:<6} steady {:>5.1} / {:.0} Mbps ({:.0}%), {}",
+            "{name:<6} {:>5.1} / {:.0} Mbps ({:.0}%), tight bottlenecks {} busy",
             r.steady_total_mbps(),
             r.lp.total_mbps,
             r.efficiency() * 100.0,
-            match r.convergence.converged_at {
-                Some(t) => format!("in the optimum band from t = {:.2} s", t.as_secs_f64()),
-                None => "did not reach the optimum band in this window".to_string(),
-            }
+            busy.iter()
+                .map(|u| format!("{:.0}%", u * 100.0))
+                .collect::<Vec<_>>()
+                .join(" / ")
         );
     }
 }

@@ -10,7 +10,7 @@
 //! * [`tcpsim`] — sans-IO TCP engine with pluggable congestion control.
 //! * [`mptcpsim`] — MPTCP: subflows, schedulers, coupled congestion control.
 //! * [`lpsolve`] — simplex solvers and the max-throughput LP ground truth.
-//! * [`simtrace`] — receiver-side measurement, time series, convergence.
+//! * [`simtrace`] — receiver-side measurement, time series, stability.
 //! * [`fluidsim`] — deterministic ODE fluid model: a second ground truth
 //!   for the coupled controllers' equilibria.
 //! * [`worldgen`] — internet-scale scenario library: seeded fat-tree ECMP

@@ -2,6 +2,7 @@
 //! truth and the Figure-2 measurement shapes, exercised through the public
 //! facade crate exactly as a downstream user would.
 
+use mptcp_overlap::lpsolve::MaxThroughput;
 use mptcp_overlap::overlap_core::FIG2_SEED;
 use mptcp_overlap::prelude::*;
 
@@ -56,6 +57,31 @@ fn greedy_fill_is_the_pareto_trap_the_paper_describes() {
 }
 
 #[test]
+fn the_at_optimum_criterion_rejects_every_greedy_corner_and_accepts_x_star() {
+    let at_optimum = |lp: &MaxThroughput, rates: &[f64]| {
+        tight_utilisation(lp, rates)
+            .iter()
+            .all(|&u| u >= AT_OPTIMUM_UTILISATION)
+    };
+    for variant in [ConstraintVariant::Consistent, ConstraintVariant::AsPrinted] {
+        let net = PaperNetwork::build(&PaperNetworkConfig {
+            variant,
+            ..Default::default()
+        });
+        let lp = net.lp_optimum();
+        assert!(at_optimum(&lp, &lp.per_path_mbps), "{variant:?}: x*");
+        for default_path in 0..3 {
+            let corner = net.greedy_corner(default_path);
+            assert!(
+                !at_optimum(&lp, &corner),
+                "{variant:?}: Path {} corner {corner:?}",
+                default_path + 1
+            );
+        }
+    }
+}
+
+#[test]
 fn figure_2a_cubic_approaches_the_optimum() {
     let r = fig2a(FIG2_SEED);
     assert!(
@@ -63,9 +89,13 @@ fn figure_2a_cubic_approaches_the_optimum() {
         "CUBIC efficiency {:.2}",
         r.efficiency()
     );
+    // Every bottleneck the LP optimum saturates is at least 85 % busy over
+    // the second half: the old total band's 15 % tolerance, applied per
+    // bottleneck, which no greedy corner meets.
+    let busy = tight_utilisation(&r.lp, &r.per_path_steady_mbps);
     assert!(
-        r.convergence.converged_at.is_some(),
-        "CUBIC should reach the optimum band within 4 s"
+        busy.len() == 3 && busy.iter().all(|&u| u >= 0.85),
+        "CUBIC should load every tight bottleneck within 4 s: {busy:?}"
     );
     // Physical sanity: the measured allocation is LP-feasible.
     assert!(

@@ -90,12 +90,12 @@ fn results_table_is_byte_identical_across_worker_counts() {
         assert_eq!(a.mean_total_mbps.to_bits(), b.mean_total_mbps.to_bits());
         assert_eq!(a.mean_efficiency.to_bits(), b.mean_efficiency.to_bits());
         assert_eq!(
-            a.mean_convergence_s.map(f64::to_bits),
-            b.mean_convergence_s.map(f64::to_bits)
+            a.at_optimum_fraction.to_bits(),
+            b.at_optimum_fraction.to_bits()
         );
         assert_eq!(
-            a.converged_fraction.to_bits(),
-            b.converged_fraction.to_bits()
+            a.nearer_optimum_fraction.to_bits(),
+            b.nearer_optimum_fraction.to_bits()
         );
     }
 }
