@@ -114,6 +114,7 @@ crates/ tests/ examples/*.rs | MobileNetConfig|MobilityProfile|FluidConfig|Fluid
 crates/ tests/ examples/*.rs | all_simple_paths|k_shortest_paths|pairwise_bottlenecks|SetLoss|SetQueue|set_link_queue|loss_burst|capacity_dip|DropTailBytes|RedConfig|CoDelConfig|Sense::|LpOutcome::Infeasible | deleted (DESIGN.md par 4): every path is hand-built or placed, faults are outages and capacity/delay changes, drop-tail counts packets, RED and CoDel run at fixed constants (RED's one setting is ecn_marking), and every LP row is a <= capacity row solved in one phase
 crates/ tests/ examples/*.rs | set_ecmp_group|set_ecmp_seed|ecmp_groups|ByteSize | deleted in PR 39 (DESIGN.md par 4, par 6, par 12.2): no packet is hashed; the fat tree places a subflow by arithmetic (worldgen::fattree's ecmp_select) and pins it by tag, netsim's FIB keeps tag and default routes only, and simbase's one unit type is Bandwidth
 crates/ tests/ examples/*.rs src/ | ConvergenceReport|analyze_sustained|converged_at|mean_convergence_s|converged_fraction|relax_constraint | deleted (DESIGN.md par 6, "Steady window"): a run's steady state is its second half, whether it reached the optimum is read off each LP-tight bottleneck's utilisation (MaxThroughput::utilisation), and shadow prices are the duals of one solve (LpOutcome::Optimal's duals)
+crates/ tests/ examples/*.rs src/ | NodeInfo|VecDeque<(Queued|PacketHandle)> | deleted (DESIGN.md par 4 netsim, par 15): a topology keeps no allocation per node (names in one arena, read with Topology::node_name; adjacency threaded through the link table), and a drop-tail FIFO is a list linked through the packet slab, not a buffer
 EOF
 [ "$DELETED" -eq 0 ] || exit 1
 
@@ -224,20 +225,25 @@ echo "==> perfbench smoke (the benchmark still builds against the crates and its
 # a row saying so or is a bug.
 # fabric-ecmp, churn-4k and overload-4k also have a memory ceiling: peak RSS
 # repeats to 0.1-0.2 MB on one host, so unlike wall-clock it can be gated.
-# fabric-ecmp reads 5.0-5.1 MB (5.3-5.4 MB while the fabric kept ECMP groups
-# and default routes, 7.8-8.0 MB while untagged routes were per-node B-trees
-# held twice, 14.0 MB while every wheel bucket kept its own high-water
-# allocation); churn-4k and overload-4k are the world at rest
-# (4 000 pairs assembled; on churn-4k most of them finished, on overload-4k
-# most of them mid-recovery): churn-4k reads 15.8 MB (19.1 MB while every
+# fabric-ecmp reads 4.8-4.9 MB (5.0-5.1 MB with 176-byte link-direction
+# records, 5.3-5.4 MB while the fabric kept ECMP groups and default routes,
+# 7.8-8.0 MB while untagged routes were per-node B-trees held twice, 14.0 MB
+# while every wheel bucket kept its own high-water allocation); churn-4k
+# and overload-4k are the world at rest (4 000 pairs assembled; on churn-4k
+# most of them finished, on overload-4k most of them mid-recovery):
+# churn-4k reads 13.6-13.7 MB (15.8 MB while link-direction records were
+# 176 bytes, held an RNG stream each and buffered drop-tail bursts in a
+# VecDeque, and every node owned two Strings and a Vec; 19.1 MB while every
 # subflow sender was built whole at assembly and kept whole after it
 # finished, 21.0-21.2 MB with boxed drop-tail queues, 22.9-23.0 MB while
-# every node owned a route table), overload-4k 23.8-23.9 MB (24.0 MB with whole
-# subflow senders, 25.8-26.0 MB with boxed queues, 29.1 MB while SACK
-# scoreboards and reassembly sets were B-trees). regen-service (~35 s on two
+# every node owned a route table), overload-4k 21.7 MB (23.8-23.9 MB with
+# 176-byte records, 24.0 MB with whole subflow senders, 25.8-26.0 MB with
+# boxed queues, 29.1 MB while SACK scoreboards and reassembly sets were
+# B-trees); each ceiling keeps the margin it had over the previous reading.
+# regen-service (~35 s on two
 # cores) is table regeneration end to end: runner, store, faults,
 # checkpoint/branch and a fluid solve. 0 means no ceiling.
-for smoke in paper-bulk:0 fabric-ecmp:7 churn-4k:16.8 overload-4k:27 regen-service:0; do
+for smoke in paper-bulk:0 fabric-ecmp:7 churn-4k:14.7 overload-4k:24.8 regen-service:0; do
     workload=${smoke%:*}
     limit=${smoke#*:}
     cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \

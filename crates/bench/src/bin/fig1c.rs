@@ -27,8 +27,8 @@ fn main() {
             let spec = net.topology.link(*l);
             print!(
                 "  {}-{} ({})",
-                net.topology.node(spec.a).name,
-                net.topology.node(spec.b).name,
+                net.topology.node_name(spec.a),
+                net.topology.node_name(spec.b),
                 spec.capacity
             );
         }
@@ -39,8 +39,8 @@ fn main() {
                 let spec = net.topology.link(l);
                 print!(
                     "  {}-{}: {:.2}",
-                    net.topology.node(spec.a).name,
-                    net.topology.node(spec.b).name,
+                    net.topology.node_name(spec.a),
+                    net.topology.node_name(spec.b),
                     price
                 );
             }

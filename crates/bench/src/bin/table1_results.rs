@@ -70,7 +70,7 @@ fn main() {
         .iter()
         .map(|&l| {
             let spec = net.topology.link(l);
-            let end = |n| net.topology.node(n).name.as_str();
+            let end = |n| net.topology.node_name(n);
             format!(
                 "{}-{} ({:.0})",
                 end(spec.a),

@@ -328,7 +328,7 @@ impl Put for Topology {
     fn put(&self, out: &mut Vec<u8>) {
         self.node_count().put(out);
         for n in self.node_ids() {
-            self.node(n).name.put(out);
+            self.node_name(n).put(out);
         }
         self.link_count().put(out);
         for l in self.link_ids() {

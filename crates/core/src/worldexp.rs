@@ -1076,40 +1076,24 @@ mod tests {
     /// subflow senders dormant), some are transferring (live) and some
     /// have finished (retired) resumes bit for bit, and so does the world
     /// it was taken from: no state is shared between the two. Both match a
-    /// cold run's trace and counters, except that a run stopped at `mid`
-    /// queues the TxDone of every transmission spanning `mid` instead of
-    /// eliding it (the elision needs a completion by the run's deadline);
-    /// those are compared with a straight run that also stops at `mid`.
+    /// cold run's trace and every counter.
     #[test]
     fn a_checkpoint_across_dormant_live_and_retired_senders_resumes_bit_for_bit() {
         let (mid, end) = (SimTime::from_millis(800), SimTime::from_secs(3));
         let observe = |world: &World| (world.sink().hash(), world.counters());
 
-        let (cold_hash, cold) = {
+        let expected = {
             let (mut world, _) = churn_world();
             world.run_until(end);
             observe(&world)
         };
+        // Stopping at `mid` moves no counter: a transmission that completes
+        // past it is accounted by the run that reaches its completion.
         let (mut straight, _) = churn_world();
         straight.run_until(mid);
         straight.run_until(end);
-        let expected = observe(&straight);
+        assert_eq!(observe(&straight), expected);
         drop(straight);
-        assert_eq!(expected.0, cold_hash);
-        let stepped = expected.1;
-        assert_eq!(
-            SimCounters {
-                queue_pushes: cold.queue_pushes,
-                queue_pops: cold.queue_pops,
-                tx_done_elided: cold.tx_done_elided,
-                ..stepped
-            },
-            cold,
-            "stopping at {mid} changed more than TxDone elision"
-        );
-        let queued = cold.tx_done_elided - stepped.tx_done_elided;
-        assert_eq!(stepped.queue_pushes - cold.queue_pushes, queued);
-        assert_eq!(stepped.queue_pops - cold.queue_pops, queued);
 
         let (mut prefix, conns) = churn_world();
         prefix.run_until(mid);

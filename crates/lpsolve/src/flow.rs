@@ -47,9 +47,9 @@ pub fn max_throughput_lp(
     for (link, users) in &analysis.link_users {
         let cap = topo.link(*link).capacity;
         let terms: Vec<(usize, f64)> = users.iter().map(|&u| (u, 1.0)).collect();
-        let a = topo.node(topo.link(*link).a).name.clone();
-        let b = topo.node(topo.link(*link).b).name.clone();
-        lp.add_constraint(format!("{a}-{b}"), &terms, cap.as_mbps_f64());
+        let (a, b) = (topo.link(*link).a, topo.link(*link).b);
+        let label = format!("{}-{}", topo.node_name(a), topo.node_name(b));
+        lp.add_constraint(label, &terms, cap.as_mbps_f64());
         link_constraints.push((*link, users.clone(), cap));
     }
     (lp, link_constraints)

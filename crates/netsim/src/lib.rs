@@ -46,13 +46,13 @@ pub use packet::{Dir, Ecn, LinkId, NodeId, Packet, PacketMeta, Protocol, Tag, IP
 pub use paths::{shortest_path, Path, PathError, SharingAnalysis};
 pub use payload::{Payload, INLINE_CAP};
 pub use queue::{
-    CoDel, Dequeued, DropReason, DropTail, EnqueueResult, Queue, QueueConfig, Queued, Red,
+    Aqm, CoDel, Dequeued, DropReason, DropTail, EnqueueResult, Queue, QueueConfig, Red,
 };
 pub use routing::RoutingTables;
 pub use sim::{SimSnapshot, Simulator, SNAPSHOT_VERSION};
 pub use slab::{PacketHandle, PacketSlab};
 pub use stats::{LinkDirStats, SimCounters, SimStats};
-pub use topology::{LinkSpec, NodeInfo, Topology};
+pub use topology::{LinkSpec, Topology};
 pub use traffic::{CbrSource, DatagramSink};
 
 #[cfg(test)]

@@ -153,7 +153,7 @@ impl Path {
     pub fn display(&self, topo: &Topology) -> String {
         self.nodes
             .iter()
-            .map(|&n| topo.node(n).name.clone())
+            .map(|&n| topo.node_name(n))
             .collect::<Vec<_>>()
             .join(" -> ")
     }
@@ -189,7 +189,7 @@ pub fn shortest_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> 
         if u == dst {
             break;
         }
-        for &(v, link) in topo.neighbors(u) {
+        for (v, link) in topo.neighbors(u) {
             // Cost: delay in ns, +1 so zero-delay links still count a hop
             // (keeps Dijkstra's tie-breaking meaningful on uniform graphs).
             let w = topo.link(link).delay.as_nanos().saturating_add(1);

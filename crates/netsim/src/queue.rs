@@ -9,17 +9,18 @@
 //! fixed parameter set.
 //!
 //! A queue buffers [`PacketHandle`]s, not packets: the packet stays in the
-//! simulator's [`PacketSlab`] from send to delivery, and a queue entry is
-//! the handle plus the wire size (and, for CoDel, the enqueue time) — what
-//! admission, byte accounting and the transmitter need without touching the
-//! packet again. The queue never frees a slot: whoever is handed a refused
-//! or head-dropped entry does.
+//! simulator's [`PacketSlab`] from send to delivery, with its wire size
+//! beside it. Drop-tail (and RED, which buffers in one) keeps no buffer at
+//! all: its FIFO is a list linked through the slab's slots, so a queue is
+//! a few words whatever its depth, and a burst allocates nothing. The queue
+//! never frees a slot: whoever is handed a refused or head-dropped packet
+//! does.
 
 use crate::packet::Ecn;
 use crate::slab::{PacketHandle, PacketSlab};
-use simbase::rng::{SimRng, Xoshiro256StarStar};
 use simbase::{SimDuration, SimTime};
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 /// Why a queue refused a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,32 +40,24 @@ pub enum EnqueueResult {
     Dropped(DropReason),
 }
 
-/// One buffered packet: its slab handle and the bytes it occupies on the
-/// wire (fixed at enqueue; nothing on the path resizes a packet).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Queued {
-    /// The packet's slot in the simulator's [`PacketSlab`].
-    pub pkt: PacketHandle,
-    /// [`crate::Packet::wire_size`] of that packet.
-    pub wire_size: u32,
-}
-
 /// The outcome of a dequeue: the packet to transmit (if any) plus packets
 /// the queue decided to drop at dequeue time (CoDel's head drops). The
 /// caller owns every handle returned here, dropped ones included.
 #[derive(Debug, Default)]
 pub struct Dequeued {
     /// The packet to serialize next.
-    pub pkt: Option<Queued>,
+    pub pkt: Option<PacketHandle>,
     /// Packets discarded by the AQM while finding `pkt`.
-    pub dropped: Vec<Queued>,
+    pub dropped: Vec<PacketHandle>,
 }
 
 /// A link direction's FIFO output queue: one of the three disciplines the
 /// experiments use, held by value so a simulator checkpoint copies it with
-/// `Clone`. RED (88 B) and CoDel (72 B) are boxed because they are rare
-/// (AQM ablations only) and big: inline, every link direction would pay
-/// for them. Drop-tail (48 B) is inline, so the enum is no larger than it.
+/// `Clone` (the packets it links together are in the slab, which the
+/// checkpoint copies too). The AQMs are boxed because they are rare (AQM
+/// ablations only) and big: inline, every link direction would pay for
+/// them. Drop-tail (24 B) is inline, and the enum keeps its tag in the
+/// limit's zero niche, so it is no larger than that.
 ///
 /// Every discipline is FIFO — TCP's fast-retransmit logic depends on
 /// in-order delivery within a path, and the paper's tag routing guarantees
@@ -73,38 +66,51 @@ pub struct Dequeued {
 pub enum Queue {
     /// Drop-tail: the paper's queue.
     DropTail(DropTail),
+    /// RED or CoDel.
+    Aqm(Box<Aqm>),
+}
+
+/// The two AQM disciplines, behind one box (two boxed variants would need
+/// a second niche value the drop-tail limit does not have).
+#[derive(Debug, Clone)]
+pub enum Aqm {
     /// Random Early Detection, optionally ECN-marking.
-    Red(Box<Red>),
+    Red(Red),
     /// CoDel (RFC 8289).
-    CoDel(Box<CoDel>),
+    CoDel(CoDel),
 }
 
 impl Queue {
-    /// Offer `entry`, whose packet lives in `slab`, to the queue at time
-    /// `now`. RED draws from `rng` (the link direction's stream) and, when
-    /// ECN-marking, sets CE on the packet in place. A refused handle stays
-    /// the caller's.
+    /// Offer the packet `h`, which lives in `slab`, to the queue at time
+    /// `now`. RED calls `chance(p)` for a Bernoulli draw from the link
+    /// direction's stream (only while its average sits between the two
+    /// thresholds) and, when ECN-marking, sets CE on the packet in place. A
+    /// refused handle stays the caller's.
     pub fn enqueue(
         &mut self,
         now: SimTime,
-        entry: Queued,
+        h: PacketHandle,
         slab: &mut PacketSlab,
-        rng: &mut Xoshiro256StarStar,
+        chance: &mut dyn FnMut(f64) -> bool,
     ) -> EnqueueResult {
         match self {
-            Queue::DropTail(q) => q.enqueue(entry),
-            Queue::Red(q) => q.enqueue(now, entry, slab, rng),
-            Queue::CoDel(q) => q.enqueue(now, entry),
+            Queue::DropTail(q) => q.enqueue(h, slab),
+            Queue::Aqm(aqm) => match &mut **aqm {
+                Aqm::Red(q) => q.enqueue(now, h, slab, chance),
+                Aqm::CoDel(q) => q.enqueue(now, h, slab),
+            },
         }
     }
 
     /// Remove the next packet to transmit at time `now`. CoDel may also
     /// return packets it head-dropped while deciding.
-    pub fn dequeue(&mut self, now: SimTime) -> Dequeued {
+    pub fn dequeue(&mut self, now: SimTime, slab: &PacketSlab) -> Dequeued {
         let pkt = match self {
-            Queue::DropTail(q) => q.dequeue(),
-            Queue::Red(q) => q.dequeue(now),
-            Queue::CoDel(q) => return q.dequeue(now),
+            Queue::DropTail(q) => q.dequeue(slab),
+            Queue::Aqm(aqm) => match &mut **aqm {
+                Aqm::Red(q) => q.dequeue(now, slab),
+                Aqm::CoDel(q) => return q.dequeue(now, slab),
+            },
         };
         Dequeued {
             pkt,
@@ -115,9 +121,11 @@ impl Queue {
     /// Number of packets currently buffered.
     pub fn len_packets(&self) -> usize {
         match self {
-            Queue::DropTail(q) => q.buf.len(),
-            Queue::Red(q) => q.inner.buf.len(),
-            Queue::CoDel(q) => q.buf.len(),
+            Queue::DropTail(q) => q.len as usize,
+            Queue::Aqm(aqm) => match &**aqm {
+                Aqm::Red(q) => q.inner.len as usize,
+                Aqm::CoDel(q) => q.buf.len(),
+            },
         }
     }
 
@@ -125,8 +133,10 @@ impl Queue {
     pub fn len_bytes(&self) -> u64 {
         match self {
             Queue::DropTail(q) => q.bytes,
-            Queue::Red(q) => q.inner.bytes,
-            Queue::CoDel(q) => q.bytes,
+            Queue::Aqm(aqm) => match &**aqm {
+                Aqm::Red(q) => q.inner.bytes,
+                Aqm::CoDel(q) => q.bytes,
+            },
         }
     }
 
@@ -140,7 +150,7 @@ impl Queue {
     clippy::disallowed_macros,
     reason = "evaluated at compile time: a fatter queue fails the build, not a run"
 )]
-const _: () = assert!(std::mem::size_of::<Queue>() <= 48);
+const _: () = assert!(std::mem::size_of::<Queue>() <= 24);
 
 /// Configuration for a link's output queue, chosen per link. The AQMs'
 /// parameters are fixed (see [`Red`] and [`CoDel`]): no experiment varies
@@ -165,8 +175,10 @@ impl QueueConfig {
     pub fn build(&self) -> Queue {
         match *self {
             QueueConfig::DropTailPackets(n) => Queue::DropTail(DropTail::packets(n)),
-            QueueConfig::Red { ecn_marking } => Queue::Red(Box::new(Red::new(ecn_marking))),
-            QueueConfig::CoDel => Queue::CoDel(Box::new(CoDel::new())),
+            QueueConfig::Red { ecn_marking } => {
+                Queue::Aqm(Box::new(Aqm::Red(Red::new(ecn_marking))))
+            }
+            QueueConfig::CoDel => Queue::Aqm(Box::new(Aqm::CoDel(CoDel::new()))),
         }
     }
 }
@@ -181,52 +193,71 @@ impl Default for QueueConfig {
 
 /// Drop-tail FIFO, bounded by packet count.
 ///
-/// The buffer is sized by what is queued: the dequeue that empties it gives
-/// its allocation back (DESIGN.md "Footprint"). A packet meeting an idle
-/// transmitter never enters the queue, so this costs one allocation per
-/// burst, and an access link that queued one initial window does not keep
-/// 16 packets' worth of buffer for the rest of the run.
+/// A singly linked list threaded through the [`PacketSlab`]: the queue
+/// holds its head and tail handles, and each queued packet's slot links
+/// the one behind it. Enqueue and dequeue touch only the packets' own
+/// slots, so a burst allocates nothing and a deep buffer costs nothing
+/// beyond the slots its packets already occupy.
 #[derive(Debug, Clone)]
 pub struct DropTail {
-    buf: VecDeque<Queued>,
+    head: Option<PacketHandle>,
+    tail: Option<PacketHandle>,
+    len: u32,
+    max_packets: NonZeroU32,
     bytes: u64,
-    max_packets: usize,
 }
 
 impl DropTail {
-    /// Bound by packet count.
+    /// Bound by packet count (at least one, at most `u32::MAX`).
     pub fn packets(max_packets: usize) -> Self {
-        assert!(max_packets > 0, "queue must hold at least one packet");
+        #[expect(
+            clippy::expect_used,
+            reason = "a set-up error, refused when the simulator builds its queues"
+        )]
+        let max_packets = u32::try_from(max_packets)
+            .ok()
+            .and_then(NonZeroU32::new)
+            .expect("queue must hold at least one packet and at most u32::MAX");
         DropTail {
-            buf: Default::default(),
-            bytes: 0,
+            head: None,
+            tail: None,
+            len: 0,
             max_packets,
+            bytes: 0,
         }
     }
 
-    fn enqueue(&mut self, entry: Queued) -> EnqueueResult {
-        if self.buf.len() >= self.max_packets {
+    fn enqueue(&mut self, h: PacketHandle, slab: &mut PacketSlab) -> EnqueueResult {
+        if self.len >= self.max_packets.get() {
             return EnqueueResult::Dropped(DropReason::TailDrop);
         }
-        self.bytes += entry.wire_size as u64;
-        self.buf.push_back(entry);
+        self.bytes += u64::from(slab.wire_size(h));
+        slab.set_next(h, None);
+        match self.tail {
+            Some(tail) => slab.set_next(tail, Some(h)),
+            None => self.head = Some(h),
+        }
+        self.tail = Some(h);
+        self.len += 1;
         EnqueueResult::Queued
     }
 
-    fn dequeue(&mut self) -> Option<Queued> {
-        let pkt = self.buf.pop_front()?;
-        self.bytes -= pkt.wire_size as u64;
-        if self.buf.is_empty() {
-            self.buf = VecDeque::new();
+    fn dequeue(&mut self, slab: &PacketSlab) -> Option<PacketHandle> {
+        let h = self.head?;
+        self.head = slab.next(h);
+        if self.head.is_none() {
+            self.tail = None;
         }
-        Some(pkt)
+        self.len -= 1;
+        self.bytes -= u64::from(slab.wire_size(h));
+        Some(h)
     }
 }
 
 /// Random Early Detection queue (gentle variant not implemented; classic
 /// linear ramp between [`MIN_THRESH`](Self::MIN_THRESH) and
-/// [`MAX_THRESH`](Self::MAX_THRESH)). Buffers in a [`DropTail`], so an
-/// emptied RED queue holds no allocation either.
+/// [`MAX_THRESH`](Self::MAX_THRESH)). Buffers in a [`DropTail`], so its
+/// FIFO is linked through the slab too.
 ///
 /// The parameters are constants, not settings: no experiment varies them.
 /// They are public only because they are inputs of a run, which a scenario
@@ -284,9 +315,9 @@ impl Red {
     fn enqueue(
         &mut self,
         now: SimTime,
-        entry: Queued,
+        h: PacketHandle,
         slab: &mut PacketSlab,
-        rng: &mut Xoshiro256StarStar,
+        chance: &mut dyn FnMut(f64) -> bool,
     ) -> EnqueueResult {
         // Idle-time compensation (Floyd & Jacobson 1993, §4): while the
         // buffer sat empty the EWMA saw no samples, so a stale-high `avg`
@@ -301,7 +332,7 @@ impl Red {
             }
         }
         // Update the EWMA of the instantaneous queue length.
-        self.avg = (1.0 - Self::WEIGHT) * self.avg + Self::WEIGHT * self.inner.buf.len() as f64;
+        self.avg = (1.0 - Self::WEIGHT) * self.avg + Self::WEIGHT * f64::from(self.inner.len);
 
         // Decide whether the AQM wants to signal congestion on this packet.
         let mut signal = false;
@@ -313,7 +344,7 @@ impl Red {
             let pb =
                 Self::MAX_P * (self.avg - Self::MIN_THRESH) / (Self::MAX_THRESH - Self::MIN_THRESH);
             let pa = (pb / (1.0 - (self.count as f64) * pb).max(1e-9)).clamp(0.0, 1.0);
-            if rng.chance(pa) {
+            if chance(pa) {
                 self.count = 0;
                 signal = true;
             }
@@ -321,19 +352,19 @@ impl Red {
             self.count = -1;
         }
         if signal {
-            let packet = slab.get_mut(entry.pkt);
+            let packet = slab.get_mut(h);
             if self.ecn_marking && packet.ecn == Ecn::Ect {
                 // Mark instead of dropping (RFC 3168).
                 packet.ecn = Ecn::Ce;
             } else {
-                if self.inner.buf.is_empty() {
+                if self.inner.len == 0 {
                     // The buffer stays empty: the idle period continues.
                     self.idle_since = Some(now);
                 }
                 return EnqueueResult::Dropped(DropReason::EarlyDrop);
             }
         }
-        match self.inner.enqueue(entry) {
+        match self.inner.enqueue(h, slab) {
             EnqueueResult::Queued => EnqueueResult::Queued,
             EnqueueResult::Dropped(_) => {
                 self.count = 0;
@@ -342,9 +373,9 @@ impl Red {
         }
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<Queued> {
-        let pkt = self.inner.dequeue();
-        if self.inner.buf.is_empty() && self.idle_since.is_none() {
+    fn dequeue(&mut self, now: SimTime, slab: &PacketSlab) -> Option<PacketHandle> {
+        let pkt = self.inner.dequeue(slab);
+        if self.inner.len == 0 && self.idle_since.is_none() {
             self.idle_since = Some(now);
         }
         pkt
@@ -358,9 +389,8 @@ impl Red {
 /// are RFC 8289's defaults, constants like [`Red`]'s.
 #[derive(Debug, Clone)]
 pub struct CoDel {
-    /// Entries with their enqueue times. Released when a pop empties it,
-    /// like [`DropTail`]'s.
-    buf: VecDeque<(Queued, SimTime)>,
+    /// Handles with their enqueue times. Released when a pop empties it.
+    buf: VecDeque<(PacketHandle, SimTime)>,
     bytes: u64,
     /// When the sojourn time first exceeded target (None = below target).
     first_above: Option<SimTime>,
@@ -395,9 +425,9 @@ impl CoDel {
         t + Self::INTERVAL.mul_f64(1.0 / (self.count.max(1) as f64).sqrt())
     }
 
-    fn pop(&mut self) -> Option<(Queued, SimTime)> {
+    fn pop(&mut self, slab: &PacketSlab) -> Option<(PacketHandle, SimTime)> {
         let e = self.buf.pop_front()?;
-        self.bytes -= e.0.wire_size as u64;
+        self.bytes -= u64::from(slab.wire_size(e.0));
         if self.buf.is_empty() {
             self.buf = VecDeque::new();
         }
@@ -421,18 +451,18 @@ impl CoDel {
         }
     }
 
-    fn enqueue(&mut self, now: SimTime, entry: Queued) -> EnqueueResult {
+    fn enqueue(&mut self, now: SimTime, h: PacketHandle, slab: &PacketSlab) -> EnqueueResult {
         if self.buf.len() >= Self::MAX_PACKETS {
             return EnqueueResult::Dropped(DropReason::TailDrop);
         }
-        self.bytes += entry.wire_size as u64;
-        self.buf.push_back((entry, now));
+        self.bytes += u64::from(slab.wire_size(h));
+        self.buf.push_back((h, now));
         EnqueueResult::Queued
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Dequeued {
+    fn dequeue(&mut self, now: SimTime, slab: &PacketSlab) -> Dequeued {
         let mut dropped = Vec::new();
-        let Some((pkt, enq)) = self.pop() else {
+        let Some((pkt, enq)) = self.pop(slab) else {
             self.dropping = false;
             return Dequeued::default();
         };
@@ -448,7 +478,7 @@ impl CoDel {
                     };
                     dropped.push(pkt);
                     self.count += 1;
-                    match self.pop() {
+                    match self.pop(slab) {
                         Some((p, e)) if self.ok_to_drop(e, now) => {
                             head = Some((p, e));
                             self.drop_next = self.control_law(self.drop_next);
@@ -472,7 +502,7 @@ impl CoDel {
             // RFC 8289: restart from a count related to the previous episode.
             self.count = if self.count > 2 { self.count - 2 } else { 1 };
             self.drop_next = self.control_law(now);
-            head = self.pop();
+            head = self.pop(slab);
         }
 
         Dequeued {
@@ -487,6 +517,7 @@ mod tests {
     use super::*;
     use crate::packet::{NodeId, Packet, Protocol, Tag};
     use crate::payload::Payload;
+    use simbase::rng::{SimRng, Xoshiro256StarStar};
 
     /// What the simulator does around a queue: the slab the handles point
     /// into, and freeing the slot of whatever the queue refuses or drops.
@@ -507,10 +538,9 @@ mod tests {
         /// Put `p` in the slab and offer it; a refused packet's slot is
         /// freed, as the simulator does.
         fn offer(&mut self, q: &mut Queue, now: SimTime, p: Packet) -> EnqueueResult {
-            let wire_size = p.wire_size();
             let h = self.slab.insert(p);
-            let entry = Queued { pkt: h, wire_size };
-            let r = q.enqueue(now, entry, &mut self.slab, &mut self.rng);
+            let rng = &mut self.rng;
+            let r = q.enqueue(now, h, &mut self.slab, &mut |p| rng.chance(p));
             if matches!(r, EnqueueResult::Dropped(_)) {
                 let _ = self.slab.take(h);
             }
@@ -520,19 +550,36 @@ mod tests {
         /// Dequeue, moving every returned packet out of the slab:
         /// `(delivered, head-dropped)`.
         fn pull(&mut self, q: &mut Queue, now: SimTime) -> (Option<Packet>, Vec<Packet>) {
-            let d = q.dequeue(now);
-            let dropped = d.dropped.iter().map(|e| self.slab.take(e.pkt)).collect();
-            (d.pkt.map(|e| self.slab.take(e.pkt)), dropped)
+            let d = q.dequeue(now, &self.slab);
+            let dropped = d.dropped.iter().map(|&h| self.slab.take(h)).collect();
+            (d.pkt.map(|h| self.slab.take(h)), dropped)
         }
     }
 
     impl Queue {
         /// RED's average-queue estimate, for the RED tests.
         fn avg_queue(&self) -> f64 {
-            let Queue::Red(red) = self else {
-                unreachable!("not a RED queue")
-            };
-            red.avg
+            self.red().avg
+        }
+
+        fn red(&self) -> &Red {
+            match self {
+                Queue::Aqm(aqm) => match &**aqm {
+                    Aqm::Red(red) => red,
+                    Aqm::CoDel(_) => unreachable!("not a RED queue"),
+                },
+                Queue::DropTail(_) => unreachable!("not a RED queue"),
+            }
+        }
+
+        fn codel(&self) -> &CoDel {
+            match self {
+                Queue::Aqm(aqm) => match &**aqm {
+                    Aqm::CoDel(codel) => codel,
+                    Aqm::Red(_) => unreachable!("not a CoDel queue"),
+                },
+                Queue::DropTail(_) => unreachable!("not a CoDel queue"),
+            }
         }
     }
 
@@ -720,9 +767,9 @@ mod tests {
         let q = QueueConfig::DropTailPackets(4).build();
         assert!(matches!(q, Queue::DropTail(_)) && q.is_empty());
         let q = QueueConfig::Red { ecn_marking: true }.build();
-        assert!(matches!(&q, Queue::Red(red) if red.ecn_marking) && q.is_empty());
+        assert!(q.red().ecn_marking && q.is_empty());
         let q = QueueConfig::CoDel.build();
-        assert!(matches!(q, Queue::CoDel(_)) && q.is_empty());
+        assert!(q.codel().buf.is_empty() && q.is_empty());
     }
 
     fn stamped(id: u64) -> Packet {
@@ -872,24 +919,27 @@ mod tests {
     }
 
     #[test]
-    fn droptail_releases_its_buffer_when_emptied_and_carries_on() {
+    fn droptail_holds_no_link_when_emptied_and_carries_on() {
         let mut q = QueueConfig::DropTailPackets(32).build();
         emptied_queue_carries_on(&mut q);
         let Queue::DropTail(dt) = &q else {
             unreachable!()
         };
-        assert_eq!(dt.buf.capacity(), 0);
+        assert_eq!((dt.head, dt.tail), (None, None));
         // A dequeue of the empty queue is a no-op.
-        assert!(q.dequeue(SimTime::ZERO).pkt.is_none());
+        assert!(q
+            .dequeue(SimTime::ZERO, &PacketSlab::default())
+            .pkt
+            .is_none());
         assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
     }
 
     #[test]
-    fn red_releases_its_buffer_when_emptied_and_carries_on() {
+    fn red_holds_no_link_when_emptied_and_carries_on() {
         let mut q = QueueConfig::Red { ecn_marking: false }.build();
         emptied_queue_carries_on(&mut q);
-        let Queue::Red(q) = &q else { unreachable!() };
-        assert_eq!(q.inner.buf.capacity(), 0);
+        let q = q.red();
+        assert_eq!((q.inner.head, q.inner.tail), (None, None));
         assert!(q.idle_since.is_some(), "the idle clock runs while empty");
     }
 
@@ -897,7 +947,7 @@ mod tests {
     fn codel_releases_its_buffer_when_emptied_and_carries_on() {
         let mut q = QueueConfig::CoDel.build();
         emptied_queue_carries_on(&mut q);
-        let Queue::CoDel(q) = &q else { unreachable!() };
+        let q = q.codel();
         assert_eq!(q.buf.capacity(), 0);
         // 48 packets drained at 10 ms apiece sojourn far above target: the
         // sojourn state machine dropped from the head in both bursts, and
@@ -926,12 +976,113 @@ mod tests {
             // The mark is on the slab's packet — the one delivery will
             // read — not on a copy the queue keeps.
             if q.len_packets() > 40 {
-                let out = q.dequeue(SimTime::ZERO).pkt.unwrap();
-                marked += usize::from(net.slab.take(out.pkt).ecn == Ecn::Ce);
+                let out = q.dequeue(SimTime::ZERO, &net.slab).pkt.unwrap();
+                marked += usize::from(net.slab.take(out).ecn == Ecn::Ce);
             }
         }
         assert!(q.avg_queue() > Red::MIN_THRESH);
         assert!(marked > 0, "ECT packets must be CE-marked under pressure");
         assert_eq!(dropped, 0, "marking replaces early drops for ECT traffic");
     }
+
+    #[test]
+    fn fifos_of_several_directions_share_one_slab() {
+        // Three drop-tail queues fed interleaved from one slab, as the link
+        // directions of a simulator are: each keeps its own arrival order,
+        // whatever the others hold, and the slab's slots are recycled
+        // between them.
+        let mut net = Net::new(1);
+        let mut qs: Vec<Queue> = (0..3)
+            .map(|_| QueueConfig::DropTailPackets(8).build())
+            .collect();
+        let mut expect: Vec<Vec<u64>> = vec![Vec::new(); 3];
+        let mut seen: Vec<Vec<u64>> = vec![Vec::new(); 3];
+        for round in 0..40u64 {
+            let k = (round * 7 % 3) as usize;
+            if matches!(
+                net.offer(&mut qs[k], SimTime::ZERO, pkt(round, 100)),
+                EnqueueResult::Queued
+            ) {
+                expect[k].push(round);
+            }
+            // Drain another queue every third round.
+            if round % 3 == 2 {
+                let j = (round % 2) as usize;
+                if let (Some(p), _) = net.pull(&mut qs[j], SimTime::ZERO) {
+                    seen[j].push(p.id);
+                }
+            }
+        }
+        for (k, q) in qs.iter_mut().enumerate() {
+            while let (Some(p), _) = net.pull(q, SimTime::ZERO) {
+                seen[k].push(p.id);
+            }
+            assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
+        }
+        assert_eq!(seen, expect);
+        assert!(expect.iter().all(|e| !e.is_empty()));
+        assert_eq!(net.slab.live(), 0);
+        assert!(
+            net.slab.high_water() < 40,
+            "slots were reused across queues"
+        );
+    }
+
+    /// Every decision an AQM shows the simulator over a fixed script —
+    /// admissions, early and tail drops, CE marks, deliveries, head drops,
+    /// byte counts — folded into one FNV digest.
+    fn aqm_digest(cfg: QueueConfig) -> u64 {
+        let mut net = Net::new(17);
+        let mut q = cfg.build();
+        let mut h = simbase::Fnv64::new();
+        let mut now = SimTime::ZERO;
+        for id in 0..3000u64 {
+            // Bursts of arrivals against a link that serves one packet per
+            // 1.5 arrivals, with an idle gap every 500 packets.
+            now += SimDuration::from_micros(if id % 500 == 0 { 50_000 } else { 80 });
+            let p = Packet {
+                ecn: if id % 3 == 0 { Ecn::NotEct } else { Ecn::Ect },
+                ..pkt(id, 200 + (id % 7) as u32 * 190)
+            };
+            let r = match net.offer(&mut q, now, p) {
+                EnqueueResult::Queued => 0,
+                EnqueueResult::Dropped(DropReason::TailDrop) => 1,
+                EnqueueResult::Dropped(DropReason::EarlyDrop) => 2,
+            };
+            h.write_u64(r);
+            h.write_u64(q.len_bytes());
+            if id % 3 != 1 {
+                let (out, dropped) = net.pull(&mut q, now);
+                for d in dropped {
+                    h.write_u64(d.id | 1 << 62);
+                }
+                if let Some(p) = out {
+                    h.write_u64(p.id | u64::from(p.ecn == Ecn::Ce) << 63);
+                }
+            }
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn aqm_decisions_are_pinned() {
+        // Computed with the buffers the AQMs kept before their FIFOs were
+        // linked through the slab: a change in any drop, mark or delivery
+        // moves a digest.
+        let got = [
+            aqm_digest(QueueConfig::Red { ecn_marking: false }),
+            aqm_digest(QueueConfig::Red { ecn_marking: true }),
+            aqm_digest(QueueConfig::CoDel),
+            aqm_digest(QueueConfig::DropTailPackets(16)),
+        ];
+        println!("{got:#x?}");
+        assert_eq!(got, AQM_DIGESTS);
+    }
+
+    const AQM_DIGESTS: [u64; 4] = [
+        0x9f47_cf1b_c641_0074,
+        0xea30_ccd1_9e22_d8c9,
+        0xd1ad_5ceb_2752_33c6,
+        0x985c_21f7_ae18_9e30,
+    ];
 }

@@ -1,10 +1,12 @@
 //! The discrete-event simulator.
 //!
 //! [`Simulator`] owns the topology, routing tables, one runtime record per
-//! link direction (transmitter, queue, RNG stream, counters), the slab every
-//! in-network packet lives in, registered agents, statistics, and the event
-//! queue. One event loop iteration pops the earliest event and
-//! reads what it is from the class of its canonical key (see [`order`]):
+//! link direction (transmitter, queue, counters), the directions' RNG
+//! streams (derived at the first draw), the slab every in-network packet
+//! lives in — queued ones linked into their queue's FIFO — registered
+//! agents, statistics, and the event queue. One event loop iteration pops
+//! the earliest event and reads what it is from the class of its canonical
+//! key (see [`order`]):
 //!
 //! * Arrive — a packet finished its propagation delay; deliver it to the
 //!   local agent (if it is the destination) or forward it.
@@ -41,18 +43,20 @@
 //!   none is queued unless a packet queues behind it (or a link-down aborts
 //!   it): the transmitter still counts as busy until the completion instant,
 //!   in the canonical order (a fault or start at that instant sees it busy).
-//!   Only a transmission that completes by the deadline of the run that
-//!   starts it does so: its TxDone is counted in `stats.events` and its
-//!   `on_tx` applied at once, since the run will pass the instant before
-//!   anyone can look. One that spans the deadline, or starts in a `step`,
-//!   queues its TxDone, so a checkpoint never holds a completion that is
-//!   not yet accounted. A link-down at or before the instant revokes the
-//!   queued Arrive, takes the completion back out of the accounting, queues
-//!   the TxDone (stale, still counted) and carries the drawn jitter to the
-//!   direction's next completion; a delay fault queues the Arrive again
-//!   with the new delay. RED draws at enqueue, RED and CoDel act on an
-//!   empty dequeue and a lossy link draws for corruption, so those
-//!   directions queue every TxDone.
+//!   Whether a transmission completes at its start depends on it alone, not
+//!   on where a run stops. Its accounting does: the elided TxDone is counted
+//!   in `stats.events` and `netsim.tx_done_elided` and its `on_tx` applied
+//!   by the first run (or step) whose deadline reaches the completion —
+//!   at once when that is the run that starts it. Until then the counters
+//!   read as if its TxDone had been queued at its start (one push for the
+//!   entries it holds, no elided TxDone, no `on_tx`), so a run stopped at
+//!   any deadline and resumed reads what a run straight to the end reads.
+//!   A link-down at or before the instant revokes the queued Arrive, takes
+//!   the completion back out of the accounting, queues the TxDone (stale,
+//!   still counted) and carries the drawn jitter to the direction's next
+//!   completion; a delay fault queues the Arrive again with the new delay.
+//!   RED draws at enqueue, RED and CoDel act on an empty dequeue and a lossy
+//!   link draws for corruption, so those directions queue every TxDone.
 //! * A timer re-armed to a later deadline, or cancelled, keeps its one queue
 //!   entry. When the entry pops early it is pushed again at the current
 //!   deadline under the same key, or dropped if the timer was cancelled;
@@ -66,7 +70,7 @@ use crate::agent::{Agent, AgentId, Ctx, Effect};
 use crate::capture::{BufferSink, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
 use crate::faults::{FaultAction, FaultSchedule};
 use crate::packet::{Dir, LinkId, NodeId, Packet, PacketMeta};
-use crate::queue::{EnqueueResult, Queue, Queued};
+use crate::queue::{EnqueueResult, Queue};
 use crate::routing::RoutingTables;
 use crate::slab::{PacketHandle, PacketSlab};
 use crate::stats::{LinkDirStats, SimCounters, SimStats};
@@ -194,7 +198,9 @@ const _: () = assert!(EventQueue::<Event>::ENTRY_BYTES == 32);
 /// record (`Simulator::dirs`, indexed by [`order::dir_entity`] — the entity
 /// field of the direction's `TxDone` and `Arrive` keys). The link's *spec*
 /// (endpoints, capacity, delay, loss rate, queue config) stays in the
-/// [`Topology`], so a fault has one place to change it.
+/// [`Topology`], so a fault has one place to change it; the queued packets
+/// stay in the slab, linked from `queue`; the RNG stream is in
+/// `Simulator::streams`, derived only once something draws.
 #[derive(Clone)]
 struct DirState {
     /// The packet being serialized, if any (its wire size is read from the
@@ -223,11 +229,12 @@ struct DirState {
     /// non-empty) or a link-down aborts it.
     tx_early: bool,
     jitter_carried: bool,
+    /// `tx` is early and completes past the deadline of the run that
+    /// started it: its completion is not accounted yet (it is listed in
+    /// `Simulator::owed`).
+    tx_owed: bool,
     /// Output queue behind the transmitter.
     queue: Queue,
-    /// This direction's RNG stream (queue AQM draws, corruption loss,
-    /// forwarding jitter).
-    rng: Xoshiro256StarStar,
     /// Arrivals scheduled so far — the `local` part of each `Arrive`
     /// event's canonical key.
     arrive_seq: u64,
@@ -238,10 +245,10 @@ struct DirState {
     clippy::disallowed_macros,
     reason = "evaluated at compile time: a fatter per-direction record fails the build, not a run"
 )]
-const _: () = assert!(std::mem::size_of::<DirState>() <= 176);
+const _: () = assert!(std::mem::size_of::<DirState>() <= 128);
 
 impl DirState {
-    fn new(queue: Queue, rng: Xoshiro256StarStar) -> Self {
+    fn new(queue: Queue) -> Self {
         DirState {
             tx: None,
             jitter_ns: 0,
@@ -251,11 +258,41 @@ impl DirState {
             up: true,
             tx_early: false,
             jitter_carried: false,
+            tx_owed: false,
             queue,
-            rng,
             arrive_seq: 0,
             stats: LinkDirStats::default(),
         }
+    }
+}
+
+/// The link directions' RNG streams (RED draws, corruption loss, forwarding
+/// jitter), indexed like `Simulator::dirs`. The table is derived whole at
+/// the first draw: a stream is a function of the run's seed and its
+/// direction only, so one derived late is the one derived at construction.
+/// A drop-tail, lossless, jitter-free world never derives it; a world that
+/// draws jitter at every hop derives it at its first hop.
+#[derive(Clone)]
+struct DirStreams {
+    seed: u64,
+    dirs: usize,
+    table: Vec<Xoshiro256StarStar>,
+}
+
+impl DirStreams {
+    /// Direction `i`'s stream, deriving the table if nothing drew before.
+    fn get(&mut self, i: usize) -> &mut Xoshiro256StarStar {
+        if self.table.is_empty() {
+            let seed = self.seed;
+            self.table = (0..self.dirs as u64)
+                .map(|e| Xoshiro256StarStar::new(SplitMix64::derive(seed, STREAM_DIR | e)))
+                .collect();
+        }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is the dir_index of a topology-issued LinkId, and the table holds one stream per direction"
+        )]
+        &mut self.table[i]
     }
 }
 
@@ -316,6 +353,12 @@ pub struct Simulator {
     routing: RoutingTables,
     /// One record per link direction, indexed by [`dir_index`].
     dirs: Vec<DirState>,
+    /// One RNG stream per link direction, derived at the first draw.
+    streams: DirStreams,
+    /// Directions whose early transmission completes past the deadline of
+    /// the run that started it (`DirState::tx_owed`), in no order: each run
+    /// accounts the completions its deadline reaches. Almost always empty.
+    owed: Vec<u32>,
     /// Every packet inside the network, from `Effect::Send` until delivery,
     /// drop or unroutable. Queues, transmitters and `Arrive` events hold
     /// handles into it.
@@ -358,9 +401,8 @@ pub struct Simulator {
     /// Keys of queued Arrives a fault revoked (an aborted or re-delayed
     /// early transmission's); almost always empty.
     revoked: Vec<u64>,
-    /// The deadline of the run in progress: only a transmission that
-    /// completes by then may complete at its start, so its completion is
-    /// accounted by the time the run returns.
+    /// The deadline of the run in progress: an early transmission that
+    /// completes by then is accounted at its start, a later one is owed.
     horizon: SimTime,
     /// Class of the event being executed: orders an offer at a completion
     /// instant against the TxDone it stands in for.
@@ -386,21 +428,23 @@ impl Simulator {
     /// Build a simulator over a topology with a deterministic seed.
     pub fn new(topo: Topology, routing: RoutingTables, seed: u64) -> Self {
         // `dir_entity` order: link-major, A→B before B→A.
-        let dirs = topo
+        let dirs: Vec<DirState> = topo
             .link_ids()
-            .flat_map(|l| [(l, Dir::AtoB), (l, Dir::BtoA)])
-            .map(|(l, d)| {
-                let stream = STREAM_DIR | order::dir_entity(l, d);
-                DirState::new(
-                    topo.link(l).queue.build(),
-                    Xoshiro256StarStar::new(SplitMix64::derive(seed, stream)),
-                )
+            .flat_map(|l| {
+                let queue = topo.link(l).queue.build();
+                [DirState::new(queue.clone()), DirState::new(queue)]
             })
             .collect();
         let node_agent = vec![None; topo.node_count()];
         Simulator {
             topo,
             routing,
+            streams: DirStreams {
+                seed,
+                dirs: dirs.len(),
+                table: Vec::new(),
+            },
+            owed: Vec::new(),
             dirs,
             slab: PacketSlab::default(),
             agents: Vec::new(),
@@ -545,8 +589,20 @@ impl Simulator {
 
     /// The work counters of this run so far (see [`SimCounters`]).
     pub fn counters(&self) -> SimCounters {
+        // An owed transmission with a packet behind it holds its Arrive and
+        // its TxDone; until a run reaches its completion it counts as the
+        // one TxDone it would have queued at its start (see the module docs).
+        let owed_pairs = self
+            .owed
+            .iter()
+            .filter(|&&i| {
+                self.dirs
+                    .get(i as usize)
+                    .is_some_and(|d| !d.queue.is_empty())
+            })
+            .count() as u64;
         let mut counters = SimCounters {
-            queue_pushes: self.events.total_pushed() + self.events.total_cancelled(),
+            queue_pushes: self.events.total_pushed() + self.events.total_cancelled() - owed_pairs,
             queue_pops: self.events.total_popped(),
             queue_cancels: self.events.total_cancelled(),
             queue_cascaded: self.events.total_cascaded(),
@@ -573,15 +629,15 @@ impl Simulator {
     /// Account one packet lost at link direction `i` and vacate its slot.
     /// The single site for drop bookkeeping, so the slab, `in_flight` and
     /// the drop counters cannot drift apart.
-    fn drop_at(&mut self, i: usize, lost: Queued) -> Packet {
+    fn drop_at(&mut self, i: usize, lost: PacketHandle) -> Packet {
         self.stats.packets_dropped += 1;
         self.in_flight -= 1;
         #[expect(
             clippy::indexing_slicing,
             reason = "i is dir_index of a topology-issued LinkId, or an event key's entity built from one"
         )]
-        self.dirs[i].stats.on_drop(lost.wire_size);
-        self.slab.take(lost.pkt)
+        self.dirs[i].stats.on_drop(self.slab.wire_size(lost));
+        self.slab.take(lost)
     }
 
     /// Capture records buffered so far: everything captured since
@@ -673,6 +729,8 @@ impl Simulator {
             topo: self.topo.clone(),
             routing: self.routing.clone(),
             dirs: self.dirs.clone(),
+            streams: self.streams.clone(),
+            owed: self.owed.clone(),
             slab: self.slab.clone(),
             agents,
             agent_node: self.agent_node.clone(),
@@ -750,9 +808,25 @@ impl Simulator {
 
     /// Execute every event due at or before `deadline`.
     fn run(&mut self, deadline: SimTime) {
-        self.horizon = deadline;
+        self.settle(deadline);
         while let Some(ev) = self.events.pop_at_or_before(deadline) {
             self.execute(ev);
+        }
+    }
+
+    /// Start a run to `deadline`: account every owed completion it reaches,
+    /// as its start would have if the run that started it had reached it.
+    fn settle(&mut self, deadline: SimTime) {
+        self.horizon = deadline;
+        let mut k = 0;
+        while let Some(&i) = self.owed.get(k) {
+            let i = i as usize;
+            if self.dirs.get(i).is_some_and(|d| d.tx_done <= deadline) {
+                self.owed.swap_remove(k);
+                self.account_early(i);
+            } else {
+                k += 1;
+            }
         }
     }
 
@@ -781,12 +855,13 @@ impl Simulator {
     }
 
     /// Process a single event. Returns false if the queue was empty. Queue
-    /// entries that are no event (see the module docs) are passed over, and
-    /// no transmission a step starts completes at its start: a step runs
-    /// no further than its own event.
+    /// entries that are no event (see the module docs) are passed over. A
+    /// step is a run to its own event's instant: it accounts the owed
+    /// completions that instant reaches, and a transmission it starts is
+    /// accounted by a later step or run.
     pub fn step(&mut self) -> bool {
-        self.horizon = SimTime::ZERO;
         while let Some(ev) = self.events.pop() {
+            self.settle(ev.time);
             if self.execute(ev) {
                 return true;
             }
@@ -955,14 +1030,14 @@ impl Simulator {
             state.tx = None;
             // Buffered packets are lost with the interface.
             loop {
-                let deq = self.dirs[i].queue.dequeue(self.now);
+                let deq = self.dirs[i].queue.dequeue(self.now, &self.slab);
                 let mut lost = deq.dropped;
                 lost.extend(deq.pkt);
                 if lost.is_empty() {
                     break;
                 }
-                for entry in lost {
-                    self.drop_at(i, entry);
+                for h in lost {
+                    self.drop_at(i, h);
                 }
             }
         }
@@ -973,9 +1048,10 @@ impl Simulator {
     /// even if a fresh transmission starts on this direction before it
     /// fires: it still runs (and counts) at its instant, and is ignored
     /// (see `on_tx_done`). An early transmission is undone: its Arrive is
-    /// revoked, its `on_tx` and Arrive leave the accounting, its jitter
-    /// draw is carried to the next completion, and its TxDone is queued
-    /// (unless a packet behind it already queued it).
+    /// revoked, its `on_tx` and Arrive leave the accounting (an owed one
+    /// never entered it), its jitter draw is carried to the next
+    /// completion, and its TxDone is queued (unless a packet behind it
+    /// already queued it).
     fn abort_tx(&mut self, i: usize) {
         #[expect(
             clippy::indexing_slicing,
@@ -985,16 +1061,18 @@ impl Simulator {
         let Some(h) = state.tx.take() else {
             return;
         };
-        let wire_size = self.slab.get(h).wire_size();
         if state.tx_early {
             state.jitter_carried = !self.forward_jitter.is_zero();
-            state.stats.tx_packets -= 1;
-            state.stats.tx_bytes -= u64::from(wire_size);
-            state.stats.busy_time -= state.tx_time;
-            self.scheduled -= 1;
+            if !state.tx_owed {
+                state.stats.tx_packets -= 1;
+                state.stats.tx_bytes -= u64::from(self.slab.wire_size(h));
+                state.stats.busy_time -= state.tx_time;
+                self.scheduled -= 1;
+            }
             if state.queue.is_empty() {
                 self.queue_late_tx_done(i);
             }
+            self.forgive(i);
             self.revoke_arrive(i);
         }
         #[expect(
@@ -1004,7 +1082,21 @@ impl Simulator {
         {
             self.dirs[i].epoch += 1;
         }
-        self.drop_at(i, Queued { pkt: h, wire_size });
+        self.drop_at(i, h);
+    }
+
+    /// Strike direction `i`'s transmission off the owed list, if it is on it.
+    fn forgive(&mut self, i: usize) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is dir_index of a topology-issued LinkId"
+        )]
+        let state = &mut self.dirs[i];
+        if std::mem::take(&mut state.tx_owed) {
+            if let Some(k) = self.owed.iter().position(|&o| o as usize == i) {
+                self.owed.swap_remove(k);
+            }
+        }
     }
 
     /// Revoke the queued Arrive of direction `i`'s early transmission: the
@@ -1192,10 +1284,6 @@ impl Simulator {
         let dir = if from == spec.a { Dir::AtoB } else { Dir::BtoA };
         debug_assert!(spec.touches(from), "forwarding onto a detached link");
         let i = dir_index(link, dir);
-        let entry = Queued {
-            pkt: h,
-            wire_size: self.slab.get(h).wire_size(),
-        };
         let idle = self.idle(i);
         #[expect(
             clippy::indexing_slicing,
@@ -1204,7 +1292,7 @@ impl Simulator {
         let state = &mut self.dirs[i];
         if !state.up {
             // Interface down: the packet is lost at this hop.
-            let lost = self.drop_at(i, entry);
+            let lost = self.drop_at(i, h);
             if self.capture_cfg.wants(from, CaptureKind::Dropped) {
                 self.record_meta(from, CaptureKind::Dropped, Some(link), lost.meta());
             }
@@ -1212,7 +1300,7 @@ impl Simulator {
         }
 
         if idle {
-            self.start_tx(link, dir, entry);
+            self.start_tx(link, dir, h);
         } else {
             // As offered: an AQM that marks a packet it then refuses must
             // not change what the drop record says was offered.
@@ -1220,10 +1308,10 @@ impl Simulator {
                 .capture_cfg
                 .wants(from, CaptureKind::Dropped)
                 .then(|| self.slab.get(h).meta());
-            match state
-                .queue
-                .enqueue(self.now, entry, &mut self.slab, &mut state.rng)
-            {
+            let streams = &mut self.streams;
+            match state.queue.enqueue(self.now, h, &mut self.slab, &mut |p| {
+                streams.get(i).chance(p)
+            }) {
                 EnqueueResult::Queued => {
                     self.link_enqueues += 1;
                     let (p, b) = (state.queue.len_packets(), state.queue.len_bytes());
@@ -1235,7 +1323,7 @@ impl Simulator {
                     }
                 }
                 EnqueueResult::Dropped(_) => {
-                    self.drop_at(i, entry);
+                    self.drop_at(i, h);
                     if let Some(meta) = offered {
                         self.record_meta(from, CaptureKind::Dropped, Some(link), meta);
                     }
@@ -1244,16 +1332,16 @@ impl Simulator {
         }
     }
 
-    /// Start serializing `entry` on `link`'s `dir`, now. On an idle
-    /// drop-tail direction of a lossless link, and by the run's deadline, it
-    /// completes at its start (see the module docs): the jitter is drawn
-    /// and the Arrive pushed as its TxDone would have, and the TxDone,
-    /// `on_tx` and the Arrive are accounted now. Otherwise its TxDone is
-    /// queued.
-    fn start_tx(&mut self, link: LinkId, dir: Dir, entry: Queued) {
+    /// Start serializing the packet `h` on `link`'s `dir`, now. On an idle
+    /// drop-tail direction of a lossless link it completes at its start
+    /// (see the module docs): the jitter is drawn and the Arrive pushed as
+    /// its TxDone would have, and the completion is accounted now if it
+    /// lies by the run's deadline, or owed to the run that reaches it.
+    /// Otherwise its TxDone is queued.
+    fn start_tx(&mut self, link: LinkId, dir: Dir, h: PacketHandle) {
         let spec = self.topo.link(link);
         let (delay, lossy) = (spec.delay, spec.loss_rate > 0.0);
-        let tx_time = spec.capacity.tx_time(u64::from(entry.wire_size));
+        let tx_time = spec.capacity.tx_time(u64::from(self.slab.wire_size(h)));
         let done = self.now + tx_time;
         let i = dir_index(link, dir);
         #[expect(
@@ -1261,38 +1349,64 @@ impl Simulator {
             reason = "LinkId is topology-issued and dirs holds two records per topology link"
         )]
         let state = &mut self.dirs[i];
-        state.tx = Some(entry.pkt);
+        state.tx = Some(h);
         state.tx_time = tx_time;
         state.tx_done = done;
-        state.tx_early = !lossy
-            && matches!(state.queue, Queue::DropTail(_))
-            && state.queue.is_empty()
-            && done <= self.horizon;
+        state.tx_early =
+            !lossy && matches!(state.queue, Queue::DropTail(_)) && state.queue.is_empty();
         self.scheduled += 1;
         if !state.tx_early {
             let epoch = state.epoch;
             self.push_tx_done(i, epoch, done);
             return;
         }
-        state.stats.on_tx(entry.wire_size, tx_time);
-        self.scheduled += 1;
-        self.stats.events += 1;
-        self.tx_done_elided += 1;
         let jitter = self.draw_jitter(i);
         #[expect(
             clippy::indexing_slicing,
             reason = "LinkId is topology-issued and dirs holds two records per topology link"
         )]
-        {
-            self.dirs[i].jitter_ns = jitter;
+        let state = &mut self.dirs[i];
+        state.jitter_ns = jitter;
+        if done <= self.horizon {
+            self.account_early(i);
+        } else {
+            state.tx_owed = true;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "i < 2^25 by order::pack's entity budget"
+            )]
+            self.owed.push(i as u32);
         }
         let at = done + delay + SimDuration::from_nanos(u64::from(jitter));
-        self.push_arrive(i, entry.pkt, at);
+        self.push_arrive(i, h, at);
+    }
+
+    /// Account direction `i`'s early transmission as completed: its
+    /// `on_tx`, its Arrive in the model's schedule and — unless a packet
+    /// behind it queued its TxDone, which runs as an event — its TxDone as
+    /// an elided event.
+    fn account_early(&mut self, i: usize) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is dir_index of a topology-issued LinkId"
+        )]
+        let state = &mut self.dirs[i];
+        let Some(h) = state.tx else {
+            return;
+        };
+        state.tx_owed = false;
+        state.stats.on_tx(self.slab.wire_size(h), state.tx_time);
+        self.scheduled += 1;
+        if state.queue.is_empty() {
+            self.stats.events += 1;
+            self.tx_done_elided += 1;
+        }
     }
 
     /// Queue the TxDone of direction `i`'s early transmission after all: a
     /// packet waits behind it, or a link-down aborts it. It counts in
-    /// `stats.events` when it pops, no longer as elided.
+    /// `stats.events` when it pops, no longer as elided (an owed one was
+    /// never counted so).
     fn queue_late_tx_done(&mut self, i: usize) {
         #[expect(
             clippy::indexing_slicing,
@@ -1300,8 +1414,10 @@ impl Simulator {
         )]
         let state = &self.dirs[i];
         let (epoch, done) = (state.epoch, state.tx_done);
-        self.stats.events -= 1;
-        self.tx_done_elided -= 1;
+        if !state.tx_owed {
+            self.stats.events -= 1;
+            self.tx_done_elided -= 1;
+        }
         self.push_tx_done(i, epoch, done);
     }
 
@@ -1323,7 +1439,9 @@ impl Simulator {
         if self.forward_jitter.is_zero() {
             return 0;
         }
-        state.rng.next_below(self.forward_jitter.as_nanos() + 1) as u32
+        self.streams
+            .get(i)
+            .next_below(self.forward_jitter.as_nanos() + 1) as u32
     }
 
     /// Schedule a serialization-complete event of direction `i` with its
@@ -1365,21 +1483,19 @@ impl Simulator {
         let Some(h) = state.tx.take() else {
             return;
         };
-        // An early transmission completed at its start; its TxDone only
-        // starts the packet queued behind it.
+        // An early transmission completed at its start (and was accounted
+        // by the run that reached this instant); its TxDone only starts the
+        // packet queued behind it.
+        debug_assert!(!state.tx_owed, "a TxDone ran before its run settled it");
         if !state.tx_early {
             // `tx_time` was fixed when the serialization started; a capacity
             // fault mid-transmission does not retroactively change it.
-            let entry = Queued {
-                pkt: h,
-                wire_size: self.slab.get(h).wire_size(),
-            };
-            state.stats.on_tx(entry.wire_size, state.tx_time);
+            state.stats.on_tx(self.slab.wire_size(h), state.tx_time);
             // Wireless-style random corruption loss (after serialization).
-            let corrupted = loss_rate > 0.0 && state.rng.chance(loss_rate);
+            let corrupted = loss_rate > 0.0 && self.streams.get(i).chance(loss_rate);
             let jitter = SimDuration::from_nanos(u64::from(self.draw_jitter(i)));
             if corrupted {
-                self.drop_at(i, entry);
+                self.drop_at(i, h);
             } else {
                 self.scheduled += 1;
                 self.push_arrive(i, h, self.now + delay + jitter);
@@ -1391,7 +1507,7 @@ impl Simulator {
             clippy::indexing_slicing,
             reason = "the entity of a TxDone key is the dir_index the transmission was started at"
         )]
-        let deq = self.dirs[i].queue.dequeue(self.now);
+        let deq = self.dirs[i].queue.dequeue(self.now, &self.slab);
         for dropped in deq.dropped {
             self.drop_at(i, dropped);
         }
@@ -1436,7 +1552,12 @@ impl Simulator {
 /// install index, not inside their queue entries.
 /// v4: packets in the network live in the [`PacketSlab`]; queues,
 /// transmitters and `Arrive` events hold handles into it, so a snapshot
-/// without the slab would restore dangling handles.
+/// without the slab would restore dangling handles. Still v4 now that the
+/// drop-tail FIFOs are linked through the slab's slots, the RNG streams are
+/// a table derived at the first draw and owed completions are listed: all
+/// three live in fields the deep copy takes whole (the slab, the stream
+/// table, the owed list), and a snapshot is a value of this build's
+/// `Simulator`, never read by another, so no partial state can be restored.
 pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// A versioned, self-contained copy of a simulator's full deterministic
@@ -1784,6 +1905,209 @@ mod sink_tests {
         // anywhere; one default route each way.
         assert_eq!((c.route_sets, c.tcp_segments_sent), (0, 0));
         assert_eq!(c.untagged_routes, 2);
+    }
+
+    /// Sends `BURST` 1000-byte datagrams back to back every 40 ms (a
+    /// bottleneck of 10 Mbps drains a burst in 33 ms).
+    #[derive(Clone)]
+    struct Burster {
+        dst: NodeId,
+    }
+
+    const BURST: usize = 40;
+
+    impl Agent for Burster {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.on_timer(ctx, 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            for _ in 0..BURST {
+                ctx.send(
+                    self.dst,
+                    Tag::NONE,
+                    crate::Protocol::Raw,
+                    crate::Payload::empty(),
+                    1000,
+                    7,
+                );
+            }
+            ctx.set_timer_after(SimDuration::from_millis(40), 0);
+        }
+        fn clone_boxed(&self) -> Box<dyn Agent> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// x — a — b — y: 100 Mbps access links either side of a 10 Mbps
+    /// bottleneck (link 1), every queue 64 packets deep, and a burster at
+    /// each end sending to the other, so both directions of the bottleneck
+    /// queue a burst at once in the one slab. Captures everything.
+    fn burst_sim() -> Simulator {
+        let mut t = Topology::new();
+        let names = ["x", "a", "b", "y"];
+        let n: Vec<NodeId> = names.iter().map(|name| t.add_node(name)).collect();
+        for (k, mbps) in [(0, 100), (1, 10), (2, 100)] {
+            t.add_link(
+                n[k],
+                n[k + 1],
+                Bandwidth::from_mbps(mbps),
+                SimDuration::from_micros(200),
+                QueueConfig::DropTailPackets(64),
+            );
+        }
+        let mut rt = RoutingTables::new(&t);
+        rt.install_all_default_routes(&t);
+        let mut sim = Simulator::new(t, rt, 5);
+        sim.set_capture(CaptureConfig::everything());
+        sim.add_agent(n[0], Box::new(Burster { dst: n[3] }), SimTime::ZERO);
+        sim.add_agent(n[3], Box::new(Burster { dst: n[0] }), SimTime::ZERO);
+        sim
+    }
+
+    /// Both directions of the bottleneck at 3 ms into the first burst:
+    /// `(queued a → b, queued b → a)`, both deep.
+    fn mid_burst(sim: &mut Simulator) -> (usize, usize) {
+        sim.run_until(SimTime::from_millis(3));
+        let depth = |d| sim.dirs[dir_index(LinkId(1), d)].queue.len_packets();
+        let (ab, ba) = (depth(Dir::AtoB), depth(Dir::BtoA));
+        assert!(ab > 20 && ba > 20, "{ab} and {ba} queued");
+        (ab, ba)
+    }
+
+    #[test]
+    fn bursts_sharing_one_slab_leave_each_queue_in_arrival_order() {
+        let mut sim = burst_sim();
+        mid_burst(&mut sim);
+        sim.run_until(SimTime::from_millis(90));
+        // Every packet of a burst passes the bottleneck in the order it was
+        // sent (ids are per sender and increasing), in both directions.
+        for dst in [NodeId(3), NodeId(0)] {
+            let ids: Vec<u64> = sim
+                .captures()
+                .iter()
+                .filter(|r| r.kind == CaptureKind::Delivered && r.node == dst)
+                .map(|r| r.pkt.id)
+                .collect();
+            assert!(ids.len() > BURST, "{} delivered at {dst:?}", ids.len());
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "out of order at {dst:?}"
+            );
+        }
+        for dir in [Dir::AtoB, Dir::BtoA] {
+            let stats = sim.link_stats(LinkId(1), dir);
+            assert!(stats.max_queue_packets > 30, "{stats:?}");
+            assert_eq!(stats.drops, 0);
+        }
+        assert_eq!(sim.slab.live(), sim.in_flight);
+    }
+
+    #[test]
+    fn a_link_down_mid_burst_drops_every_queued_packet() {
+        let mut sim = burst_sim();
+        let (ab, ba) = mid_burst(&mut sim);
+        let dropped = sim.stats.packets_dropped;
+        let live = sim.slab.live();
+        sim.schedule_fault(sim.now(), FaultAction::LinkDown(LinkId(1)));
+        assert!(sim.step(), "the link-down fault");
+        // Both queues and both packets being serialized are lost.
+        let lost = (ab + 1 + ba + 1) as u64;
+        assert_eq!(sim.stats.packets_dropped, dropped + lost);
+        assert_eq!(sim.slab.live(), live - lost);
+        assert_eq!(sim.slab.live(), sim.in_flight);
+        for dir in [Dir::AtoB, Dir::BtoA] {
+            let out = &sim.dirs[dir_index(LinkId(1), dir)];
+            assert!(out.tx.is_none() && out.queue.is_empty());
+            assert_eq!(
+                sim.link_stats(LinkId(1), dir).drops,
+                if dir == Dir::AtoB {
+                    ab as u64 + 1
+                } else {
+                    ba as u64 + 1
+                }
+            );
+        }
+        // The rest of the burst is dropped at the down interface, and the
+        // slab keeps balancing (run_until asserts it).
+        sim.run_until(SimTime::from_millis(10));
+        assert_eq!(sim.slab.live(), sim.in_flight);
+    }
+
+    #[test]
+    fn a_mid_burst_checkpoint_replays_byte_for_byte() {
+        let trace = |sim: &Simulator| format!("{:?}", sim.captures());
+        let end = SimTime::from_millis(90);
+        let mut cold = burst_sim();
+        cold.run_until(end);
+
+        let mut warm = burst_sim();
+        mid_burst(&mut warm);
+        let snap = warm.checkpoint();
+        warm.run_until(end);
+        assert_eq!(trace(&warm), trace(&cold));
+        for _ in 0..2 {
+            let mut branch = Simulator::restore(&snap);
+            branch.run_until(end);
+            assert_eq!(trace(&branch), trace(&cold));
+            assert_eq!(branch.counters(), cold.counters());
+            assert_eq!(branch.slab.live(), cold.slab.live());
+        }
+    }
+
+    #[test]
+    fn counters_add_up_wherever_a_run_stops() {
+        // Stops every 37 us through the first bursts: some fall while an
+        // early transmission's completion lies ahead, with or without a
+        // packet already queued behind it. At each, the queue's work and the
+        // model's schedule balance as they do at the end of a run.
+        let mut sim = burst_sim();
+        let mut owed_with_queue = 0;
+        for k in 1..=300u64 {
+            sim.run_until(SimTime::from_micros(37 * k));
+            owed_with_queue += sim
+                .owed
+                .iter()
+                .filter(|&&i| !sim.dirs[i as usize].queue.is_empty())
+                .count();
+            let c = sim.counters();
+            let s = sim.stats();
+            assert_eq!(c.queue_pops - c.timer_moves + c.tx_done_elided, s.events);
+            assert_eq!(
+                c.queue_pushes - c.queue_cancels - c.timer_moves + c.tx_done_elided,
+                sim.events_scheduled(),
+                "at {}",
+                sim.now()
+            );
+        }
+        assert!(
+            owed_with_queue > 0,
+            "no stop fell behind an owed transmission"
+        );
+        let mut straight = burst_sim();
+        straight.run_until(sim.now());
+        assert_eq!(straight.counters(), sim.counters());
+    }
+
+    #[test]
+    fn only_a_draw_derives_the_stream_table() {
+        // Drop-tail, lossless, jitter-free: nothing draws, nothing is
+        // derived.
+        let mut sim = cbr_sim();
+        sim.run_until(SimTime::from_millis(40));
+        assert!(sim.streams.table.is_empty());
+        assert!(sim.checkpoint().sim.streams.table.is_empty());
+        // Forwarding jitter draws at the first hop; a lossy link at its
+        // first completion. Either derives every direction's stream.
+        let mut jittered = cbr_sim();
+        jittered.set_forward_jitter(SimDuration::from_micros(20));
+        jittered.run_until(SimTime::from_millis(40));
+        assert_eq!(jittered.streams.table.len(), 2);
+        let mut lossy = cbr_sim();
+        lossy.topo.set_link_loss(LinkId(0), 0.1);
+        lossy.run_until(SimTime::from_millis(40));
+        assert_eq!(lossy.streams.table.len(), 2);
+        assert!(lossy.stats.packets_dropped > 0);
     }
 
     #[test]

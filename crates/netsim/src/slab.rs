@@ -11,6 +11,14 @@
 //! allocates nothing, and `live()` is exactly the number of packets inside
 //! the network: the simulator's conservation check asserts it equals its own
 //! in-flight count, so a leaked or double-freed slot fails a run.
+//!
+//! A slot also carries what a queue needs of its packet: the wire size,
+//! fixed at insert (nothing on the path resizes a packet), and a link to
+//! the next packet in the output queue it waits in. A packet waits in at
+//! most one queue at a time, so the drop-tail FIFOs of every link direction
+//! are singly linked lists threaded through the slab (see
+//! [`crate::queue::DropTail`]) and a buffered packet costs no storage
+//! beyond its slot.
 
 use crate::packet::Packet;
 use std::num::NonZeroU32;
@@ -41,11 +49,21 @@ impl PacketHandle {
     }
 }
 
+/// One slab slot: a packet, or vacant.
+#[derive(Debug, Clone)]
+struct Slot {
+    pkt: Option<Packet>,
+    /// [`Packet::wire_size`] of `pkt`, fixed at insert.
+    wire_size: u32,
+    /// The packet behind this one in its output queue, if it is queued.
+    next: Option<PacketHandle>,
+}
+
 /// Slab of the packets currently inside the network.
 #[derive(Debug, Clone, Default)]
 pub struct PacketSlab {
     /// Grows to the most packets ever in the network at once.
-    slots: Vec<Option<Packet>>,
+    slots: Vec<Slot>,
     /// Vacant `slots` indices.
     free: Vec<PacketHandle>,
 }
@@ -53,14 +71,43 @@ pub struct PacketSlab {
 impl PacketSlab {
     /// Store `pkt`; the handle stays valid until [`PacketSlab::take`].
     pub fn insert(&mut self, pkt: Packet) -> PacketHandle {
+        let slot = Slot {
+            wire_size: pkt.wire_size(),
+            pkt: Some(pkt),
+            next: None,
+        };
         if let Some(h) = self.free.pop() {
-            if let Some(slot) = self.slots.get_mut(h.index()) {
-                *slot = Some(pkt);
+            if let Some(vacant) = self.slots.get_mut(h.index()) {
+                *vacant = slot;
                 return h;
             }
         }
-        self.slots.push(Some(pkt));
+        self.slots.push(slot);
         PacketHandle::last_of(self.slots.len())
+    }
+
+    /// The occupied slot `h` names.
+    fn slot(&self, h: PacketHandle) -> &Slot {
+        #[expect(
+            clippy::expect_used,
+            reason = "a handle is held by exactly one queue entry, transmitter or Arrive event, and its slot is vacated only by the take that consumes that holder"
+        )]
+        self.slots
+            .get(h.index())
+            .filter(|slot| slot.pkt.is_some())
+            .expect("packet handle names a vacant slot")
+    }
+
+    /// The occupied slot `h` names, mutably.
+    fn slot_mut(&mut self, h: PacketHandle) -> &mut Slot {
+        #[expect(
+            clippy::expect_used,
+            reason = "a handle is held by exactly one queue entry, transmitter or Arrive event, and its slot is vacated only by the take that consumes that holder"
+        )]
+        self.slots
+            .get_mut(h.index())
+            .filter(|slot| slot.pkt.is_some())
+            .expect("packet handle names a vacant slot")
     }
 
     /// The packet `h` names.
@@ -71,11 +118,12 @@ impl PacketSlab {
         )]
         self.slots
             .get(h.index())
-            .and_then(Option::as_ref)
+            .and_then(|slot| slot.pkt.as_ref())
             .expect("packet handle names a vacant slot")
     }
 
-    /// The packet `h` names, mutably (an AQM setting its CE mark).
+    /// The packet `h` names, mutably (an AQM setting its CE mark; nothing
+    /// may change its wire size).
     pub fn get_mut(&mut self, h: PacketHandle) -> &mut Packet {
         #[expect(
             clippy::expect_used,
@@ -83,8 +131,23 @@ impl PacketSlab {
         )]
         self.slots
             .get_mut(h.index())
-            .and_then(Option::as_mut)
+            .and_then(|slot| slot.pkt.as_mut())
             .expect("packet handle names a vacant slot")
+    }
+
+    /// [`Packet::wire_size`] of the packet `h` names, as inserted.
+    pub(crate) fn wire_size(&self, h: PacketHandle) -> u32 {
+        self.slot(h).wire_size
+    }
+
+    /// The packet queued behind `h` (set by [`PacketSlab::set_next`]).
+    pub(crate) fn next(&self, h: PacketHandle) -> Option<PacketHandle> {
+        self.slot(h).next
+    }
+
+    /// Link `next` behind `h` in the queue they wait in.
+    pub(crate) fn set_next(&mut self, h: PacketHandle, next: Option<PacketHandle>) {
+        self.slot_mut(h).next = next;
     }
 
     /// Move the packet out (delivery) or let it go (drop), vacating the
@@ -97,7 +160,7 @@ impl PacketSlab {
         let pkt = self
             .slots
             .get_mut(h.index())
-            .and_then(Option::take)
+            .and_then(|slot| slot.pkt.take())
             .expect("packet handle names a vacant slot");
         self.free.push(h);
         pkt
@@ -179,5 +242,22 @@ mod tests {
     #[test]
     fn an_idle_transmitter_costs_no_extra_word() {
         assert_eq!(std::mem::size_of::<Option<PacketHandle>>(), 4);
+    }
+
+    #[test]
+    fn a_slot_keeps_its_wire_size_and_queue_link() {
+        let mut slab = PacketSlab::default();
+        let a = slab.insert(pkt(1));
+        let b = slab.insert(pkt(2));
+        assert_eq!(slab.wire_size(a), 20 + 100);
+        assert_eq!(slab.next(a), None);
+        slab.set_next(a, Some(b));
+        assert_eq!(slab.next(a), Some(b));
+        // A recycled slot starts unlinked.
+        let _ = slab.take(a);
+        let c = slab.insert(pkt(3));
+        assert_eq!((c, slab.next(c)), (a, None));
+        // The link costs the slot no more than the packet's own padding.
+        assert!(std::mem::size_of::<Slot>() <= std::mem::size_of::<Packet>() + 8);
     }
 }

@@ -9,8 +9,8 @@
 
 use crate::packet::{LinkId, NodeId};
 use crate::queue::QueueConfig;
-use simbase::{Bandwidth, SimDuration};
-use std::collections::BTreeMap;
+use simbase::{Bandwidth, Fnv64, SimDuration};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Static description of one duplex link.
@@ -49,23 +49,56 @@ impl LinkSpec {
     }
 }
 
-/// Static description of one node.
-#[derive(Debug, Clone)]
-pub struct NodeInfo {
-    /// Human-readable name (unique).
-    pub name: String,
+/// "No link": the end of an adjacency list.
+const NO_LINK: u32 = u32::MAX;
+
+/// What a topology keeps per node: no allocation of its own. The name is a
+/// range of [`Topology`]'s name arena, and the adjacency list is threaded
+/// through the link table.
+#[derive(Debug, Clone, Copy)]
+struct NodeRec {
+    /// End of the node's name in the arena; it starts where the previous
+    /// node's ends.
+    name_end: u32,
+    /// First and last link of the adjacency list (`NO_LINK` when empty).
+    first: u32,
+    last: u32,
+    /// Length of the adjacency list.
+    degree: u32,
 }
 
 /// An undirected multigraph of nodes and duplex links.
+///
+/// Nothing is allocated per node: names sit back to back in one arena,
+/// each node's adjacency list is linked through the link table in
+/// insertion order (a link is on two lists, one per endpoint), and the
+/// name index holds a fixed FNV-1a hash of each name, confirmed against
+/// the arena on lookup.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    nodes: Vec<NodeInfo>,
+    nodes: Vec<NodeRec>,
+    names: String,
     links: Vec<LinkSpec>,
-    /// adjacency[n] = (neighbor, link) pairs, in insertion order.
-    adj: Vec<Vec<(NodeId, LinkId)>>,
-    // BTreeMap: name lookups are deterministic to traverse and Topology
-    // stays free of per-process hash seeds (simlint: hash-iter).
-    by_name: BTreeMap<String, NodeId>,
+    /// `next[l]`: the link after `l` on its `a` end's list and on its `b`
+    /// end's list (`NO_LINK` at the end).
+    next: Vec<[u32; 2]>,
+    // A B-tree of (hash, node): lookups are deterministic to traverse and
+    // Topology stays free of per-process hash seeds; a hash collision only
+    // costs a second name comparison.
+    by_name: BTreeSet<(u64, NodeId)>,
+}
+
+/// The name index's key: FNV-1a of the name's bytes, the same in every
+/// process.
+fn name_key(name: &str) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_bytes(name.as_bytes());
+    h.finish()
+}
+
+/// Which of `spec`'s two adjacency threads belongs to `n`.
+fn end_of(spec: &LinkSpec, n: NodeId) -> usize {
+    usize::from(spec.a != n)
 }
 
 impl Topology {
@@ -75,10 +108,10 @@ impl Topology {
     }
 
     /// Add a node with a unique name.
-    pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
-        let name = name.into();
+    pub fn add_node(&mut self, name: impl AsRef<str>) -> NodeId {
+        let name = name.as_ref();
         assert!(
-            !self.by_name.contains_key(&name),
+            self.node_by_name(name).is_none(),
             "duplicate node name {name:?}"
         );
         #[expect(
@@ -86,9 +119,19 @@ impl Topology {
             reason = "id allocation: a topology with 2^32 nodes is out of scope by design"
         )]
         let id = NodeId(self.nodes.len() as u32);
-        self.by_name.insert(name.clone(), id);
-        self.nodes.push(NodeInfo { name });
-        self.adj.push(Vec::new());
+        self.names.push_str(name);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "arena offsets: 4 GiB of node names is out of scope by design"
+        )]
+        let name_end = self.names.len() as u32;
+        self.by_name.insert((name_key(name), id));
+        self.nodes.push(NodeRec {
+            name_end,
+            first: NO_LINK,
+            last: NO_LINK,
+            degree: 0,
+        });
         id
     }
 
@@ -118,9 +161,37 @@ impl Topology {
             queue,
             loss_rate: 0.0,
         });
-        self.adj[a.0 as usize].push((b, id));
-        self.adj[b.0 as usize].push((a, id));
+        self.next.push([NO_LINK; 2]);
+        for n in [a, b] {
+            let rec = self.rec_mut(n);
+            let last = std::mem::replace(&mut rec.last, id.0);
+            rec.degree += 1;
+            if last == NO_LINK {
+                rec.first = id.0;
+            } else {
+                let end = end_of(self.link(LinkId(last)), n);
+                if let Some(next) = self.next.get_mut(last as usize) {
+                    next[end] = id.0;
+                }
+            }
+        }
         id
+    }
+
+    fn rec(&self, n: NodeId) -> &NodeRec {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "NodeId is topology-issued: an unknown one is a caller bug"
+        )]
+        &self.nodes[n.0 as usize]
+    }
+
+    fn rec_mut(&mut self, n: NodeId) -> &mut NodeRec {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "NodeId is topology-issued: an unknown one is a caller bug"
+        )]
+        &mut self.nodes[n.0 as usize]
     }
 
     /// Number of nodes.
@@ -151,9 +222,15 @@ impl Topology {
         (0..self.links.len() as u32).map(LinkId)
     }
 
-    /// Node metadata.
-    pub fn node(&self, n: NodeId) -> &NodeInfo {
-        &self.nodes[n.0 as usize]
+    /// A node's name (unique in the topology).
+    pub fn node_name(&self, n: NodeId) -> &str {
+        let start = match n.0.checked_sub(1) {
+            Some(prev) => self.rec(NodeId(prev)).name_end,
+            None => 0,
+        };
+        // Byte offsets `add_node` took from the arena: in order, at char
+        // boundaries.
+        &self.names[start as usize..self.rec(n).name_end as usize]
     }
 
     /// Link metadata.
@@ -184,12 +261,34 @@ impl Topology {
 
     /// Look a node up by name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.by_name.get(name).copied()
+        let key = name_key(name);
+        self.by_name
+            .range((key, NodeId(0))..=(key, NodeId(u32::MAX)))
+            .map(|&(_, n)| n)
+            .find(|&n| self.node_name(n) == name)
     }
 
-    /// Neighbors of `n` as `(neighbor, link)` pairs.
-    pub fn neighbors(&self, n: NodeId) -> &[(NodeId, LinkId)] {
-        &self.adj[n.0 as usize]
+    /// Neighbors of `n` as `(neighbor, link)` pairs, in link-creation
+    /// order.
+    pub fn neighbors(&self, n: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
+        let mut at = self.rec(n).first;
+        std::iter::from_fn(move || {
+            if at == NO_LINK {
+                return None;
+            }
+            let l = LinkId(at);
+            let spec = self.link(l);
+            at = self
+                .next
+                .get(at as usize)
+                .map_or(NO_LINK, |next| next[end_of(spec, n)]);
+            Some((spec.other_end(n), l))
+        })
+    }
+
+    /// Number of links at `n` (parallel links each count).
+    fn degree(&self, n: NodeId) -> usize {
+        self.rec(n).degree as usize
     }
 
     /// The first link between `a` and `b` (the one created earliest), if
@@ -198,15 +297,14 @@ impl Topology {
     /// same link from either end — and a host hanging off a gateway with
     /// thousands of neighbours is found from the host's side.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        let (from, to) = if self.neighbors(a).len() <= self.neighbors(b).len() {
+        let (from, to) = if self.degree(a) <= self.degree(b) {
             (a, b)
         } else {
             (b, a)
         };
         self.neighbors(from)
-            .iter()
-            .find(|(nbr, _)| *nbr == to)
-            .map(|(_, l)| *l)
+            .find(|&(nbr, _)| nbr == to)
+            .map(|(_, l)| l)
     }
 
     /// Sum of one-way delays along a sequence of links.
@@ -240,8 +338,8 @@ impl fmt::Display for Topology {
                 f,
                 "  l{}: {} -- {}  {} delay={} queue={:?}",
                 i,
-                self.node(l.a).name,
-                self.node(l.b).name,
+                self.node_name(l.a),
+                self.node_name(l.b),
                 l.capacity,
                 l.delay,
                 l.queue,
@@ -285,7 +383,7 @@ mod tests {
         assert_eq!(c, NodeId(2));
         assert_eq!(t.node_count(), 3);
         assert_eq!(t.link_count(), 2);
-        assert_eq!(t.node(b).name, "b");
+        assert_eq!(t.node_name(b), "b");
     }
 
     #[test]
@@ -298,8 +396,11 @@ mod tests {
     #[test]
     fn adjacency_is_symmetric() {
         let (t, a, b, c) = line3();
-        assert_eq!(t.neighbors(a), &[(b, LinkId(0))]);
-        assert_eq!(t.neighbors(b), &[(a, LinkId(0)), (c, LinkId(1))]);
+        let nbrs = |n| t.neighbors(n).collect::<Vec<_>>();
+        assert_eq!(nbrs(a), [(b, LinkId(0))]);
+        assert_eq!(nbrs(b), [(a, LinkId(0)), (c, LinkId(1))]);
+        assert_eq!(nbrs(c), [(b, LinkId(1))]);
+        assert_eq!((t.degree(a), t.degree(b), t.degree(c)), (1, 2, 1));
         assert_eq!(t.link_between(a, b), Some(LinkId(0)));
         assert_eq!(t.link_between(b, a), Some(LinkId(0)));
         assert_eq!(t.link_between(a, c), None);
@@ -398,7 +499,8 @@ mod tests {
             QueueConfig::default(),
         );
         assert_ne!(l1, l2);
-        assert_eq!(t.neighbors(a).len(), 2);
+        assert_eq!(t.neighbors(a).collect::<Vec<_>>(), [(b, l1), (b, l2)]);
+        assert_eq!(t.degree(b), 2);
     }
 
     #[test]
@@ -427,14 +529,45 @@ mod tests {
         }
         assert_ne!(link(&mut t, x, hub), hub_x);
         assert_ne!(link(&mut t, hub, y), hub_y);
-        assert!(t.neighbors(x).len() < t.neighbors(hub).len());
-        assert!(t.neighbors(hub).len() < t.neighbors(y).len());
+        assert!(t.degree(x) < t.degree(hub));
+        assert!(t.degree(hub) < t.degree(y));
+        // Each list is in creation order, whichever end a link was added
+        // from.
+        let hub_links: Vec<LinkId> = t.neighbors(hub).map(|(_, l)| l).collect();
+        assert!(hub_links.windows(2).all(|w| w[0] < w[1]), "{hub_links:?}");
+        assert_eq!(hub_links.len(), t.degree(hub));
         for (a, b, first) in [(hub, x, hub_x), (hub, y, hub_y)] {
             assert_eq!(t.link_between(a, b), Some(first));
             assert_eq!(t.link_between(b, a), Some(first));
         }
         assert_eq!(t.link_between(x, y), None);
         assert_eq!(t.link_between(y, x), None);
+    }
+
+    #[test]
+    fn names_share_one_arena_and_resolve_by_hash() {
+        let mut t = Topology::new();
+        let names = ["s", "v1", "", "gw-0", "host-3999", "ü"];
+        let ids: Vec<NodeId> = names.iter().map(|n| t.add_node(n)).collect();
+        for (n, &id) in names.iter().zip(&ids) {
+            assert_eq!(t.node_name(id), *n);
+            assert_eq!(t.node_by_name(n), Some(id));
+        }
+        assert_eq!(t.node_by_name("v"), None);
+        assert_eq!(t.node_by_name("gw-00"), None);
+        // A clone answers the same.
+        let c = t.clone();
+        assert_eq!(c.node_name(ids[4]), "host-3999");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate node name")]
+    fn a_duplicate_name_later_in_a_big_topology_is_rejected() {
+        let mut t = Topology::new();
+        for i in 0..1000 {
+            t.add_node(format!("h{i}"));
+        }
+        t.add_node("h517");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! checkpoint taken mid-serialization into a link-down. Every pin — trace
 //! hash, events, the link's counters, cancelled timers and the model's
 //! schedule — was computed by the simulator that queued a TxDone for every
-//! transmission.
+//! transmission. And where a run stops moves no counter: a completion past
+//! a run's deadline is accounted by the run that reaches it.
 
 use netsim::{
     Agent, CaptureConfig, CaptureKind, Ctx, DatagramSink, FaultAction, LinkId, NodeId, Packet,
@@ -267,6 +268,54 @@ fn a_stale_txdone_still_ends_a_run_to_completion() {
     sim.run_to_completion();
     assert_eq!(sim.now(), t);
     assert_eq!(outcome(&sim), PINNED_LAST);
+}
+
+#[test]
+fn where_a_run_stops_moves_no_counter() {
+    // The same world run to END in one, two and seven steps, the stops at
+    // and around the completion instant and mid-serialization: a completion
+    // past a stop is accounted by the run that reaches it, so every counter
+    // — queue pushes and pops and elided TxDones included — and the outcome
+    // read the same. Also with an outage and a delay fault that strike the
+    // transmission while its completion lies past a stop.
+    let t = completion();
+    let before = SimTime::from_nanos(t.as_nanos() - 1);
+    let steps: [&[SimTime]; 3] = [
+        &[END],
+        &[t - SimDuration::from_micros(400), END],
+        &[
+            SimTime::from_millis(1),
+            t - SimDuration::from_micros(400),
+            before,
+            t,
+            t + ns(1),
+            SimTime::from_millis(21),
+            END,
+        ],
+    ];
+    let faults: [&[(SimTime, FaultAction)]; 3] = [&[], &outage(before), &delay(before)];
+    for faults in faults {
+        let runs: Vec<_> = steps
+            .iter()
+            .map(|stops| {
+                let mut sim = sim(None);
+                for &(at, action) in faults {
+                    sim.schedule_fault(at, action);
+                }
+                for &stop in *stops {
+                    sim.run_until(stop);
+                }
+                (outcome(&sim), sim.counters())
+            })
+            .collect();
+        assert!(runs[0].1.tx_done_elided > 0, "{:?}", runs[0].1);
+        assert_eq!(runs[1], runs[0], "two steps, faults {faults:?}");
+        assert_eq!(runs[2], runs[0], "seven steps, faults {faults:?}");
+    }
+    // The plain case is the first pin's run.
+    let mut plain = sim(None);
+    plain.run_until(END);
+    assert_eq!(outcome(&plain), PINS[0]);
 }
 
 /// `completion()`, and the outcome of each case in order, from the

@@ -5,7 +5,10 @@
 //! rate, run to a horizon by which every connection has finished. The
 //! counts are exact for a given build — no clocks, no `/proc` — so the
 //! assertions below are about what the packet path *holds* and how often it
-//! asks the allocator, not how fast it runs (DESIGN.md "Footprint").
+//! asks the allocator, not how fast it runs (DESIGN.md "Footprint"). The
+//! world is also weighed stage by stage as it is assembled (traffic
+//! program, topology, routes, `World::new`, agents), per pair, so a stage
+//! that grows is named by the gate that fails.
 //!
 //! One `#[test]` only: the allocator is process-global, and a second test
 //! on another harness thread would be counted into this one's numbers.
@@ -44,16 +47,20 @@ fn cell(pairs: usize) -> TrafficCell {
 /// receiver, now that it keeps no delayed-ACK state; 282 with it 16 bytes
 /// smaller again, now that it tracks no FIN; 210 with subflow senders
 /// retired to their counters and 120-byte subflow receivers kept without a
-/// second copy of their port). The scheduling scratch is allocated at
-/// assembly and given back at completion, so it counts here as a credit;
-/// what a finished connection holds in all is `FINISHED_PER_PAIR`.
+/// second copy of their port; 210 again with drop-tail FIFOs linked
+/// through the packet slab, whose slots are 8 bytes larger). The scheduling
+/// scratch is allocated at assembly and given back at completion, so it
+/// counts here as a credit; what a finished connection holds in all is
+/// `FINISHED_PER_PAIR`.
 const RETAINED_PER_CONNECTION: u64 = 221;
 /// What each further pair weighs from assembly to the horizon, finished:
 /// the measured sum of `ASSEMBLED_PER_PAIR`'s and `RETAINED_PER_CONNECTION`'s
-/// quantities + 5 % (2 753; 3 561 while every subflow sender was assembled
-/// whole and kept whole after it finished). Moving an allocation between
-/// assembly and the run moves the two parts, not this.
-const FINISHED_PER_PAIR: u64 = 2_890;
+/// quantities + 5 % (2 326; 2 753 while link-direction records were 176
+/// bytes and every node owned two copies of its name and an adjacency
+/// `Vec`, 3 561 while every subflow sender was assembled whole and kept
+/// whole after it finished). Moving an allocation between assembly and the
+/// run moves the two parts, not this.
+const FINISHED_PER_PAIR: u64 = 2_442;
 /// Peak live heap of `run_traffic(&cell(PAIRS))`: the measured value + 5 %
 /// (6 750 556 before PR 17, 3 781 600 after, 2 618 288 with the wheel's
 /// chunk pool, 2 260 128 with one 144-byte record per link direction and
@@ -64,8 +71,10 @@ const FINISHED_PER_PAIR: u64 = 2_890;
 /// options, 1 909 448 once they kept no FIN state, RTO clamps or join
 /// timing either, 1 855 624 with 176-byte link-direction records and
 /// 48-byte drop-tail queues, which carry no byte bound, 1 596 344 with
-/// subflow senders that exist only while they run).
-const PEAK_BUDGET_BYTES: u64 = 1_676_100;
+/// subflow senders that exist only while they run, 1 431 056 with drop-tail
+/// FIFOs linked through the packet slab, 120-byte link-direction records
+/// and a topology that allocates nothing per node).
+const PEAK_BUDGET_BYTES: u64 = 1_502_600;
 /// Heap bytes each further pair adds to a world that is assembled and has
 /// not run an event yet — topology, routes, the simulator's per-direction
 /// records, two agents — everything `assembled_and_retained_by` allocates
@@ -79,8 +88,16 @@ const PEAK_BUDGET_BYTES: u64 = 1_676_100;
 /// each link direction's record 8 bytes smaller, 2 543 with each subflow
 /// sender assembled dormant — its configuration, counters and sequence
 /// numbers, 128 bytes — and its controller and the coupling built when the
-/// connection starts).
-const ASSEMBLED_PER_PAIR: u64 = 2_671;
+/// connection starts, 2 116 with 120-byte link-direction records, which
+/// hold neither an RNG stream nor a queue buffer, and a topology that keeps
+/// each name once, in an arena, and no adjacency `Vec`: `STAGE_PER_PAIR`
+/// has the stages).
+const ASSEMBLED_PER_PAIR: u64 = 2_222;
+/// What each stage of assembly (`STAGES`) adds per pair: 24, 264, 204, 496
+/// and 1 127 B measured, each + 5 % (the topology was 467 B while each node
+/// owned its name, a B-tree copy of it and an adjacency `Vec`; `World::new`
+/// 720 B while each link direction's record was 176 bytes).
+const STAGE_PER_PAIR: [u64; 5] = [25, 277, 214, 521, 1_183];
 /// Allocator calls `run_traffic(&cell(PAIRS))` made at PR 17's parent
 /// commit, in the dev and the release profile alike (PR 17: 32 855).
 const PARENT_ALLOCATOR_CALLS: u64 = 94_095;
@@ -88,26 +105,54 @@ const PARENT_ALLOCATOR_CALLS: u64 = 94_095;
 /// Sorted vectors make 30 467; going back over this by more than 1 % means
 /// a container on the packet path started asking the allocator again.
 const BTREE_ALLOCATOR_CALLS: u64 = 32_482;
+/// ... and the measured value + 5 % since a drop-tail burst allocates
+/// nothing and a topology allocates nothing per node (14 684; 29 242 while
+/// each burst grew and freed a `VecDeque` and each node held two `String`s
+/// and a `Vec`).
+const ALLOCATOR_CALLS: u64 = 15_418;
 /// `run_traffic(&cell(PAIRS)).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0x9258_65b6_04ae_1d32;
 
+/// The stages of assembling `run_traffic`'s world, in order.
+const STAGES: [&str; 5] = ["program", "topology", "routes", "World::new", "agents"];
+
+/// What `assembled_and_retained_by` read of one cell.
+struct Census {
+    /// Heap each stage of assembly added, in `STAGES` order; their sum is
+    /// the world assembled and not yet run.
+    stages: [u64; 5],
+    /// Heap the run left behind.
+    retained: u64,
+    trace_hash: u64,
+}
+
 /// `run_traffic`'s world for `cell`, assembled by hand so the heap can be
-/// read before assembly, between assembly and run, and again before
-/// teardown: how much the world weighs before its first event, how much the
+/// read after each stage of assembly and again before teardown: how much
+/// the world weighs before its first event, stage by stage, how much the
 /// run left behind, and the trace hash it produced.
-fn assembled_and_retained_by(cell: &TrafficCell) -> (u64, u64, u64) {
-    let at_entry = LIVE.load(Relaxed);
+fn assembled_and_retained_by(cell: &TrafficCell) -> Census {
+    let mut stages = [0; 5];
+    let mut mark = LIVE.load(Relaxed);
+    let mut stage = |k: usize| {
+        let now = LIVE.load(Relaxed);
+        stages[k] = now - mark;
+        mark = now;
+    };
     let program = TrafficProgram::generate(&TrafficConfig {
         connections: cell.pairs,
         arrival_rate_hz: cell.arrival_rate_hz,
         seed: cell.seed,
     });
+    stage(0);
     let net = TrafficNet::build(&TrafficNetConfig { pairs: cell.pairs });
+    stage(1);
     let mut routing = RoutingTables::new(&net.topology);
     let subflows: Vec<_> = (0..cell.pairs)
         .map(|i| install_subflows(&mut routing, &net.paths(i), 1, 5000))
         .collect();
+    stage(2);
     let mut world = World::new(net.topology, routing, cell.seed, TraceSink::new());
+    stage(3);
     let mut receivers = Vec::with_capacity(cell.pairs);
     for ((conn, subflows), (&src, &dst)) in program
         .connections
@@ -122,6 +167,7 @@ fn assembled_and_retained_by(cell: &TrafficCell) -> (u64, u64, u64) {
         };
         receivers.push(world.connect(src, cfg, conn.start).1);
     }
+    stage(4);
     let at_start = LIVE.load(Relaxed);
     world.run_until(SimTime::ZERO + cell.duration);
     let at_end = LIVE.load(Relaxed);
@@ -132,11 +178,11 @@ fn assembled_and_retained_by(cell: &TrafficCell) -> (u64, u64, u64) {
             "the horizon must outlast every flow"
         );
     }
-    (
-        at_start - at_entry,
-        at_end.saturating_sub(at_start),
-        world.sink().hash(),
-    )
+    Census {
+        stages,
+        retained: at_end.saturating_sub(at_start),
+        trace_hash: world.sink().hash(),
+    }
 }
 
 #[test]
@@ -154,30 +200,46 @@ fn a_finished_connection_costs_nothing() {
     // both (the wheel's chunk pool is sized by the most events ever pending
     // at once, which the arrival rate sets, not the pair count) and the
     // difference is what the extra connections, all finished, still cost.
-    let (assembled, retained, hash) = assembled_and_retained_by(&cell(PAIRS));
+    let full = assembled_and_retained_by(&cell(PAIRS));
     assert_eq!(
-        hash, run.trace_hash,
+        full.trace_hash, run.trace_hash,
         "assembled_and_retained_by no longer builds run_traffic's world"
     );
-    let (assembled_half, retained_half, _) = assembled_and_retained_by(&cell(PAIRS / 2));
-    let each = retained.saturating_sub(retained_half) / (PAIRS / 2) as u64;
-    let each_assembled = (assembled - assembled_half) / (PAIRS / 2) as u64;
+    let half = assembled_and_retained_by(&cell(PAIRS / 2));
+    let per_pair = |full: u64, half: u64| full.saturating_sub(half) / (PAIRS / 2) as u64;
+    let each = per_pair(full.retained, half.retained);
+    let (assembled, assembled_half) = (full.stages.iter().sum(), half.stages.iter().sum());
+    let each_assembled = per_pair(assembled, assembled_half);
+    let each_stage: Vec<u64> = (0..STAGES.len())
+        .map(|k| per_pair(full.stages[k], half.stages[k]))
+        .collect();
 
     println!(
         "footprint: a finished connection retains {each} B \
-         ({retained} B after {PAIRS}, {retained_half} B after {}), \
+         ({} B after {PAIRS}, {} B after {}), \
          a pair assembled and not yet run weighs {each_assembled} B \
          ({assembled} B for {PAIRS}, {assembled_half} B for {}), \
          peak live {peak} B, {calls} allocator calls, hash {:#018x}",
+        full.retained,
+        half.retained,
         PAIRS / 2,
         PAIRS / 2,
         run.trace_hash
     );
+    for ((name, each), limit) in STAGES.iter().zip(&each_stage).zip(STAGE_PER_PAIR) {
+        println!("footprint: {name} weighs {each} B per pair (limit {limit} B)");
+    }
     assert_eq!(run.trace_hash, PARENT_TRACE_HASH);
     assert!(
         each <= RETAINED_PER_CONNECTION,
         "{each} B still held per finished connection (limit {RETAINED_PER_CONNECTION} B)"
     );
+    for ((name, &each), limit) in STAGES.iter().zip(&each_stage).zip(STAGE_PER_PAIR) {
+        assert!(
+            each <= limit,
+            "{name}: {each} B per assembled pair (limit {limit} B)"
+        );
+    }
     assert!(
         each_assembled <= ASSEMBLED_PER_PAIR,
         "{each_assembled} B per assembled pair (limit {ASSEMBLED_PER_PAIR} B)"
@@ -198,5 +260,9 @@ fn a_finished_connection_costs_nothing() {
     assert!(
         calls * 100 <= BTREE_ALLOCATOR_CALLS * 101,
         "{calls} allocator calls, {BTREE_ALLOCATOR_CALLS} with B-tree range sets"
+    );
+    assert!(
+        calls <= ALLOCATOR_CALLS,
+        "{calls} allocator calls (limit {ALLOCATOR_CALLS})"
     );
 }

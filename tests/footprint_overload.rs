@@ -24,8 +24,10 @@ use std::sync::atomic::Ordering::Relaxed;
 /// one-value options, 2 241 432 once they kept no FIN state, RTO clamps or
 /// join timing either, 2 187 608 with drop-tail queues that carry no byte
 /// bound, 2 160 840 with subflow senders that exist only while they run and
-/// 120-byte subflow receivers).
-const PEAK_BUDGET_BYTES: u64 = 2_268_900;
+/// 120-byte subflow receivers, 1 995 176 with drop-tail FIFOs linked
+/// through the packet slab, 120-byte link-direction records and a topology
+/// that allocates nothing per node).
+const PEAK_BUDGET_BYTES: u64 = 2_094_900;
 /// `run_traffic(&cell()).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0xbdf8_4980_0964_a51a;
 
