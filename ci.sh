@@ -115,6 +115,7 @@ crates/ tests/ examples/*.rs | all_simple_paths|k_shortest_paths|pairwise_bottle
 crates/ tests/ examples/*.rs | set_ecmp_group|set_ecmp_seed|ecmp_groups|ByteSize | deleted in PR 39 (DESIGN.md par 4, par 6, par 12.2): no packet is hashed; the fat tree places a subflow by arithmetic (worldgen::fattree's ecmp_select) and pins it by tag, netsim's FIB keeps tag and default routes only, and simbase's one unit type is Bandwidth
 crates/ tests/ examples/*.rs src/ | ConvergenceReport|analyze_sustained|converged_at|mean_convergence_s|converged_fraction|relax_constraint | deleted (DESIGN.md par 6, "Steady window"): a run's steady state is its second half, whether it reached the optimum is read off each LP-tight bottleneck's utilisation (MaxThroughput::utilisation), and shadow prices are the duals of one solve (LpOutcome::Optimal's duals)
 crates/ tests/ examples/*.rs src/ | NodeInfo|VecDeque<(Queued|PacketHandle)> | deleted (DESIGN.md par 4 netsim, par 15): a topology keeps no allocation per node (names in one arena, read with Topology::node_name; adjacency threaded through the link table), and a drop-tail FIFO is a list linked through the packet slab, not a buffer
+crates/ tests/ examples/*.rs src/ | impl (AgentClone|SinkClone|CcClone) for ([^T]|T[^ ])|as_any_mut|downcast_mut|fn rebind|fn rebase|deep_clone|SNAPSHOT_VERSION|WorldCheckpoint|WVegasCc | deleted (DESIGN.md par 13.3): a checkpoint is Clone; netsim::AgentClone, netsim::SinkClone and tcpsim::CcClone each have one blanket impl for every Clone type and no per-type one, a snapshot is a frozen Simulator with no version, World and Coupling clone deep, and MptcpSenderAgent's Clone rebuilds coupled controllers (wVegas's too, in CoupledCc) with Coupling::controller
 EOF
 [ "$DELETED" -eq 0 ] || exit 1
 

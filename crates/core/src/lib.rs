@@ -7,7 +7,7 @@
 //! * [`paper`] — the Figure-1 six-node network with three pairwise-
 //!   overlapping paths (both constraint variants; see DESIGN.md §2).
 //! * [`world`] — the one simulator builder every packet run below goes
-//!   through: streaming sink, typed endpoint handles, checkpoint/restore.
+//!   through: streaming sink, typed endpoint handles, `Clone` as checkpoint.
 //! * [`scenario`] — one configured run: tag routing, MPTCP endpoints,
 //!   deterministic simulation, tshark-style sampling, LP ground truth.
 //! * [`experiments`] — the catalog: Figure 2a/2b/2c and the Results-section
@@ -86,7 +86,7 @@ pub use runner::{
 };
 pub use scenario::{CrossTraffic, RunResult, Scenario, ScenarioCheckpoint};
 pub use store::{run_via_store, RunStore, StoreStats};
-pub use world::{ReceiverId, SenderId, World, WorldCheckpoint};
+pub use world::{ReceiverId, SenderId, World};
 pub use worldexp::{
     crosscheck_rows, render_worldgen, run_fabric, run_mobility, run_traffic, verify_worldgen,
     worldgen_report, worldgen_table_document, FabricCell, FabricRun, MobilityRun, SubflowSelector,

@@ -7,7 +7,7 @@
 //! run the deterministic simulation, sample the receiver-side capture per
 //! tag (the tshark step), and fold in the LP ground truth.
 
-use crate::world::{ReceiverId, SenderId, World, WorldCheckpoint};
+use crate::world::{ReceiverId, SenderId, World};
 use mptcpsim::{common_destination, install_subflows, CcAlgo, MptcpConfig, SchedulerKind};
 use netsim::{FaultSchedule, LinkId, NodeId, Path, RoutingTables, Topology};
 use simbase::Bandwidth;
@@ -155,7 +155,7 @@ impl Scenario {
         world.run_until(t);
         ScenarioCheckpoint {
             scenario: self.clone(),
-            world: world.checkpoint(),
+            world,
             conn,
         }
     }
@@ -255,16 +255,16 @@ impl Scenario {
     /// the steady-window means, and endpoint-state extraction).
     fn collect(
         &self,
-        mut world: World,
+        world: World,
         (sender, receiver): Conn,
         lp: lpsolve::MaxThroughput,
     ) -> RunResult {
-        let sink = world.sink_mut();
+        let sink = world.sink();
         // Order-sensitive digest of the full capture stream: two runs of
         // the same scenario + seed must produce the same hash (the
         // double-run harness in [`crate::determinism`] relies on this).
         let trace_hash = sink.hash();
-        let violations = sink.finish_checks();
+        let violations = sink.violations();
         assert!(
             violations.is_empty(),
             "trace invariants violated:\n{}",
@@ -343,23 +343,22 @@ fn steady_window(series: &TimeSeries) -> (SimTime, SimTime) {
 
 /// A frozen scenario prefix that fault variants branch from.
 ///
-/// Produced by [`Scenario::checkpoint_at`]. Holds the scenario and a
-/// [`WorldCheckpoint`] of its world after the common (fault-free) prefix
-/// (including the streaming capture sink's O(bins) state so far);
-/// each [`ScenarioCheckpoint::branch_run`] restores a fresh deep copy,
-/// installs one fault schedule, and runs to the scenario end. The
-/// checkpoint is reusable: branching does not consume it.
-#[derive(Debug)]
+/// Produced by [`Scenario::checkpoint_at`]. Holds the scenario and its
+/// world frozen after the common (fault-free) prefix (including the
+/// streaming capture sink's O(bins) state so far); each
+/// [`ScenarioCheckpoint::branch_run`] runs a fresh clone of that world
+/// with one fault schedule installed to the scenario end. The checkpoint
+/// is reusable: branching does not consume it.
 pub struct ScenarioCheckpoint {
     scenario: Scenario,
-    world: WorldCheckpoint,
+    world: World,
     conn: Conn,
 }
 
 impl ScenarioCheckpoint {
     /// The simulation time the prefix was frozen at.
     pub fn time(&self) -> SimTime {
-        self.world.time()
+        self.world.sim().now()
     }
 
     /// The base scenario the prefix was built from.
@@ -370,7 +369,7 @@ impl ScenarioCheckpoint {
     /// Capture records held by the frozen prefix. Zero: the prefix's
     /// measurement state is the streaming sink's hash, seen-set and bins.
     pub fn buffered_captures(&self) -> usize {
-        self.world.buffered_captures()
+        self.world.sim().captures().len()
     }
 
     /// Branch one fault variant from the frozen prefix and run it to the
@@ -394,7 +393,7 @@ impl ScenarioCheckpoint {
             );
         }
         let lp = self.scenario.solve_lp(lp_cache);
-        let mut world = World::restore(&self.world);
+        let mut world = self.world.clone();
         world.install_faults(faults);
         world.run_until(SimTime::ZERO + self.scenario.duration);
         self.scenario.collect(world, self.conn, lp)
@@ -532,11 +531,13 @@ mod tests {
         // A checkpoint taken mid-run, branched with a fault schedule, must
         // be indistinguishable from a cold run that carried the same faults
         // from time zero — trace hash, event counters, and every sampled
-        // series bin. LIA's cloned controllers re-bind to a copy of the
-        // coupling state; CUBIC's are bare and carry all their state along.
-        // The AQM cases first check that the prefix has already marked or
-        // dropped, so the copy carries RED's average and CoDel's dropping
-        // state in use (and round-robin's rotation).
+        // series bin. Every algorithm runs: a coupled one's controllers are
+        // rebuilt over a copy of the coupling state (wVegas's per-RTT
+        // adjust clock lives there too); CUBIC's and Reno's are bare and
+        // carry all their state along. The AQM cases first check that the
+        // prefix has already marked or dropped, so the copy carries RED's
+        // average and CoDel's dropping state in use (and round-robin's
+        // rotation).
         use crate::paper::PaperNetworkConfig;
         use netsim::{FaultAction, QueueConfig};
         let red_ecn = QueueConfig::Red { ecn_marking: true };
@@ -544,6 +545,10 @@ mod tests {
         let drop_tail = PaperNetworkConfig::default().queue;
         for (algo, scheduler, queue) in [
             (CcAlgo::Lia, SchedulerKind::MinRtt, drop_tail),
+            (CcAlgo::Olia, SchedulerKind::MinRtt, drop_tail),
+            (CcAlgo::Balia, SchedulerKind::MinRtt, drop_tail),
+            (CcAlgo::WVegas, SchedulerKind::MinRtt, drop_tail),
+            (CcAlgo::RenoUncoupled, SchedulerKind::MinRtt, drop_tail),
             (CcAlgo::Cubic, SchedulerKind::MinRtt, drop_tail),
             (CcAlgo::Cubic, SchedulerKind::RoundRobin, red_ecn),
             (CcAlgo::Cubic, SchedulerKind::MinRtt, codel),
@@ -568,7 +573,7 @@ mod tests {
             assert_eq!(ckpt.time(), SimTime::from_millis(1500));
             assert_eq!(ckpt.buffered_captures(), 0, "the prefix streams");
             if queue != drop_tail {
-                let prefix = World::restore(&ckpt.world);
+                let prefix = &ckpt.world;
                 let sender = prefix.sender(ckpt.conn.0);
                 let marked: u64 = (0..sender.subflow_count())
                     .map(|i| sender.subflow_sender(i).stats().ecn_reductions)

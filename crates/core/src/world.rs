@@ -14,7 +14,7 @@
 use mptcpsim::{MptcpConfig, MptcpReceiverAgent, MptcpSenderAgent};
 use netsim::{
     AgentId, CaptureConfig, CbrSource, DatagramSink, FaultSchedule, NodeId, RoutingTables,
-    SimCounters, SimSnapshot, Simulator, Tag, Topology,
+    SimCounters, Simulator, Tag, Topology,
 };
 use simbase::{Bandwidth, SimDuration, SimTime};
 use simtrace::TraceSink;
@@ -29,27 +29,12 @@ pub struct ReceiverId(AgentId);
 
 /// A simulator under construction or running, streaming its receiver-side
 /// capture into a [`TraceSink`].
+///
+/// `Clone` is a checkpoint: the copy is an independent continuation, and the
+/// handles issued before it stay valid in both.
+#[derive(Clone)]
 pub struct World {
     sim: Simulator,
-}
-
-/// A frozen [`World`]: [`World::restore`] branches any number of
-/// independent continuations from it, and the handles issued before the
-/// checkpoint stay valid in each.
-#[derive(Debug)]
-pub struct WorldCheckpoint(SimSnapshot);
-
-impl WorldCheckpoint {
-    /// The simulation time the world was frozen at.
-    pub fn time(&self) -> SimTime {
-        self.0.time()
-    }
-
-    /// Capture records held by the frozen world. Zero: its measurement
-    /// state is the streaming sink's hash, seen-set and bins.
-    pub fn buffered_captures(&self) -> usize {
-        self.0.buffered_captures()
-    }
 }
 
 impl World {
@@ -174,29 +159,6 @@ impl World {
         )]
         self.sim.sink().expect("a world streams into a TraceSink")
     }
-
-    /// The measurement sink, mutably (end-of-run invariant checks).
-    pub fn sink_mut(&mut self) -> &mut TraceSink {
-        #[expect(
-            clippy::expect_used,
-            reason = "new installs a TraceSink and nothing outside tests can replace it"
-        )]
-        self.sim
-            .sink_mut()
-            .expect("a world streams into a TraceSink")
-    }
-
-    /// Freeze the world's complete deterministic state.
-    pub fn checkpoint(&self) -> WorldCheckpoint {
-        WorldCheckpoint(self.sim.checkpoint())
-    }
-
-    /// A fresh, independent world continuing from `checkpoint`.
-    pub fn restore(checkpoint: &WorldCheckpoint) -> World {
-        World {
-            sim: Simulator::restore(&checkpoint.0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -259,9 +221,9 @@ mod tests {
         let (mut prefix, same_conns) = two_connections(sizes);
         assert_eq!(conns, same_conns);
         prefix.run_until(mid);
-        let frozen = prefix.checkpoint();
-        assert_eq!(frozen.time(), mid);
-        assert_eq!(frozen.buffered_captures(), 0);
+        let frozen = prefix.clone();
+        assert_eq!(frozen.sim().now(), mid);
+        assert!(frozen.sim().captures().is_empty());
         let at_mid = observe(&prefix, &conns);
         assert!(at_mid
             .2
@@ -271,7 +233,7 @@ mod tests {
         drop(prefix);
 
         for _ in 0..2 {
-            let mut resumed = World::restore(&frozen);
+            let mut resumed = frozen.clone();
             assert_eq!(observe(&resumed, &conns), at_mid);
             resumed.run_until(end);
             assert_eq!(observe(&resumed, &conns), observe(&cold, &conns));

@@ -1110,9 +1110,7 @@ mod tests {
             dormant > 0 && live > 0 && retired > 0,
             "{dormant} dormant, {live} live, {retired} retired"
         );
-        let frozen = prefix.checkpoint();
-
-        let mut resumed = World::restore(&frozen);
+        let mut resumed = prefix.clone();
         resumed.run_until(end);
         assert_eq!(observe(&resumed), expected);
         prefix.run_until(end);

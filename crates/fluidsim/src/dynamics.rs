@@ -21,6 +21,7 @@
 use crate::law::FluidLaw;
 use crate::model::FluidModel;
 use mptcpsim::cc::{CoupleState, SubState};
+use simbase::SimTime;
 
 /// Price adaptation gain, 1/s: `dp_l/dt = γ (y_l − c_l)/c_l`.
 const GAMMA: f64 = 2.0;
@@ -58,6 +59,7 @@ impl<'a> Dynamics<'a> {
                 mss: MSS,
                 bytes_since_loss: 0.0,
                 bytes_between_losses: 0.0,
+                next_adjust: SimTime::ZERO,
             })
             .collect();
         Dynamics {

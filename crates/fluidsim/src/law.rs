@@ -112,6 +112,7 @@ impl FluidLaw {
 mod tests {
     use super::*;
     use mptcpsim::cc::SubState;
+    use simbase::SimTime;
 
     const MSS: f64 = 1460.0;
 
@@ -128,6 +129,7 @@ mod tests {
                     mss: MSS,
                     bytes_since_loss: 100_000.0,
                     bytes_between_losses: 0.0,
+                    next_adjust: SimTime::ZERO,
                 })
                 .collect(),
         }

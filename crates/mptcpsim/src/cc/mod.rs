@@ -16,7 +16,11 @@
 //!
 //! Architecturally each coupled subflow owns a [`CoupledCc`] implementing
 //! `tcpsim::CongestionControl`; the coupled algorithms read their siblings'
-//! windows and RTTs through a shared [`CoupleState`]. It is an
+//! windows and RTTs through a shared [`CoupleState`]. A coupled controller
+//! is a function of (coupling state, subflow index, algorithm, MSS) and
+//! nothing else: [`Coupling::controller`] builds one, and a checkpoint
+//! copies the coupling and rebuilds its controllers over the copy. The
+//! state is an
 //! `Rc<RefCell<_>>`: a connection and all its subflow controllers live in
 //! one agent on one thread, and the `Rc` makes the compiler hold that —
 //! an agent carrying one cannot be sent to another thread (`netsim::Agent`
@@ -34,6 +38,7 @@ pub mod lia;
 pub mod olia;
 pub mod wvegas;
 
+use simbase::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -91,6 +96,9 @@ pub struct SubState {
     pub bytes_since_loss: f64,
     /// Bytes acked between the previous two losses (OLIA's l1_r).
     pub bytes_between_losses: f64,
+    /// wVegas: the next instant a congestion-avoidance adjustment is
+    /// allowed (once per RTT).
+    pub next_adjust: SimTime,
 }
 
 impl SubState {
@@ -102,6 +110,7 @@ impl SubState {
             mss: mss as f64,
             bytes_since_loss: 0.0,
             bytes_between_losses: 0.0,
+            next_adjust: SimTime::ZERO,
         }
     }
 
@@ -118,13 +127,13 @@ impl SubState {
 /// wherever it writes them and answers `cwnd()` / `ssthresh()` from here
 /// without borrowing the coupling state; siblings still read the shared entry.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct OwnWindow {
+struct OwnWindow {
     cwnd: f64,
     ssthresh: f64,
 }
 
 impl OwnWindow {
-    pub(crate) fn of(sub: &SubState) -> Self {
+    fn of(sub: &SubState) -> Self {
         OwnWindow {
             cwnd: sub.cwnd,
             ssthresh: sub.ssthresh,
@@ -132,7 +141,7 @@ impl OwnWindow {
     }
 
     /// The copy of subflow `idx`'s entry in `shared`.
-    pub(crate) fn load(shared: &Rc<RefCell<CoupleState>>, idx: usize) -> Self {
+    fn load(shared: &Rc<RefCell<CoupleState>>, idx: usize) -> Self {
         Self::of(&shared.borrow().subs[idx])
     }
 
@@ -145,7 +154,7 @@ impl OwnWindow {
     }
 
     /// `CongestionControl::cwnd`: never below one segment.
-    pub(crate) fn cwnd(&self, shared: &Rc<RefCell<CoupleState>>, idx: usize, mss: u32) -> u64 {
+    fn cwnd(&self, shared: &Rc<RefCell<CoupleState>>, idx: usize, mss: u32) -> u64 {
         debug_assert!(
             self.mirrors(shared, idx),
             "subflow {idx}'s window has a second writer"
@@ -154,7 +163,7 @@ impl OwnWindow {
     }
 
     /// `CongestionControl::ssthresh`: `u64::MAX` while still infinite.
-    pub(crate) fn ssthresh(&self, shared: &Rc<RefCell<CoupleState>>, idx: usize) -> u64 {
+    fn ssthresh(&self, shared: &Rc<RefCell<CoupleState>>, idx: usize) -> u64 {
         debug_assert!(
             self.mirrors(shared, idx),
             "subflow {idx}'s window has a second writer"
@@ -195,9 +204,20 @@ impl CoupleState {
 }
 
 /// Handle used to create per-subflow controllers sharing one state.
-#[derive(Debug, Clone, Default)]
+///
+/// `Clone` is a deep copy: a handle over an independent copy of the state,
+/// which the controllers built from the original never see.
+#[derive(Debug, Default)]
 pub struct Coupling {
     state: Rc<RefCell<CoupleState>>,
+}
+
+impl Clone for Coupling {
+    fn clone(&self) -> Self {
+        Coupling {
+            state: Rc::new(RefCell::new(self.state.borrow().clone())),
+        }
+    }
 }
 
 impl Coupling {
@@ -221,46 +241,6 @@ impl Coupling {
         }
     }
 
-    /// Deep copy: a new `Coupling` over an independent copy of the shared
-    /// state. Note that `#[derive(Clone)]` on `Coupling` is a *shallow*
-    /// handle clone (that is what subflow controllers want); checkpointing
-    /// must use this instead and then re-bind each controller with the
-    /// copy's `rebind`.
-    pub fn deep_clone(&self) -> Coupling {
-        let snapshot = self.state.borrow().clone();
-        Coupling {
-            state: Rc::new(RefCell::new(snapshot)),
-        }
-    }
-
-    /// Re-point `cc` — a controller [`Coupling::make_cc`] built for a
-    /// coupled algorithm, or a clone of one — at this coupling's state
-    /// (after a checkpoint deep copy). Uncoupled controllers hold no
-    /// shared state and are not re-bound.
-    pub(crate) fn rebind(&self, cc: &mut dyn CongestionControl) {
-        #[expect(
-            clippy::expect_used,
-            reason = "every controller this crate installs implements as_any_mut; a None is a snapshot-layer wiring bug worth aborting on"
-        )]
-        let cc = cc
-            .as_any_mut()
-            .expect("mptcp subflow controller lacks as_any_mut");
-        let shared = self.state.clone();
-        if let Some(m) = cc.downcast_mut::<CoupledCc>() {
-            m.rebase(shared);
-        } else if let Some(m) = cc.downcast_mut::<wvegas::WVegasCc>() {
-            m.rebase(shared);
-        } else {
-            #[expect(
-                clippy::panic,
-                reason = "make_cc builds exactly these two coupled types; anything else is a snapshot-layer wiring bug worth aborting on"
-            )]
-            {
-                panic!("unknown mptcp subflow controller type");
-            }
-        }
-    }
-
     /// Build the controller for the next subflow. Must be called in subflow
     /// id order (0, 1, 2, …). An uncoupled algorithm gets a bare `tcpsim`
     /// controller and no entry in the shared state.
@@ -268,21 +248,25 @@ impl Coupling {
         match algo {
             CcAlgo::Cubic => Box::new(Cubic::new(initial_cwnd, mss)),
             CcAlgo::RenoUncoupled => Box::new(Reno::new(initial_cwnd, mss)),
-            CcAlgo::WVegas => {
+            CcAlgo::Lia | CcAlgo::Olia | CcAlgo::Balia | CcAlgo::WVegas => {
                 let idx = self.push_sub(initial_cwnd, mss);
-                Box::new(wvegas::WVegasCc::new(self.state.clone(), idx, mss))
-            }
-            CcAlgo::Lia | CcAlgo::Olia | CcAlgo::Balia => {
-                let idx = self.push_sub(initial_cwnd, mss);
-                Box::new(CoupledCc {
-                    own: OwnWindow::load(&self.state, idx),
-                    shared: self.state.clone(),
-                    idx,
-                    algo,
-                    mss,
-                })
+                self.controller(algo, idx, mss)
             }
         }
+    }
+
+    /// The controller of subflow `idx` (its entry already added) running
+    /// the coupled `algo`. It reads and writes nothing but this coupling's
+    /// state, so one built over a copied coupling carries on exactly where
+    /// the original's controller stood.
+    pub fn controller(&self, algo: CcAlgo, idx: usize, mss: u32) -> Box<dyn CongestionControl> {
+        Box::new(CoupledCc {
+            own: OwnWindow::load(&self.state, idx),
+            shared: self.state.clone(),
+            idx,
+            algo,
+            mss,
+        })
     }
 
     /// Add the next subflow's entry to the shared state; returns its index.
@@ -319,10 +303,12 @@ impl Coupling {
 }
 
 /// The coupled controller: standard slow start and loss response, coupled
-/// congestion-avoidance increase per [`CcAlgo`].
+/// congestion-avoidance increase per [`CcAlgo`]; wVegas replaces both
+/// with its delay-based rules.
 ///
-/// `Clone` is a *shallow* copy — the clone shares the same `CoupleState`
-/// `Rc`; checkpointing re-binds it via [`CoupledCc::rebase`].
+/// `Clone` shares the connection's coupling state (the `Rc`): a checkpoint
+/// does not clone a coupled controller but rebuilds it with
+/// [`Coupling::controller`] over the copied coupling.
 #[derive(Debug, Clone)]
 pub struct CoupledCc {
     shared: Rc<RefCell<CoupleState>>,
@@ -332,61 +318,56 @@ pub struct CoupledCc {
     own: OwnWindow,
 }
 
-impl CoupledCc {
-    /// Re-point this controller at a different shared-state `Rc` (used
-    /// after a checkpoint deep copy) and take its window from there.
-    fn rebase(&mut self, shared: Rc<RefCell<CoupleState>>) {
-        self.own = OwnWindow::load(&shared, self.idx);
-        self.shared = shared;
-    }
-}
-
 impl CongestionControl for CoupledCc {
     fn on_ack(&mut self, ctx: &AckContext) {
         let mut st = self.shared.borrow_mut();
+        let (idx, acked) = (self.idx, ctx.bytes_acked as f64);
+        let sub = &mut st.subs[idx];
         if let Some(srtt) = ctx.srtt {
-            st.subs[self.idx].srtt = srtt.as_secs_f64().max(1e-6);
+            sub.srtt = srtt.as_secs_f64().max(1e-6);
         }
-        st.subs[self.idx].bytes_since_loss += ctx.bytes_acked as f64;
+        sub.bytes_since_loss += acked;
+        let in_slow_start = sub.cwnd < sub.ssthresh;
 
-        let in_ss = st.subs[self.idx].cwnd < st.subs[self.idx].ssthresh;
-        if in_ss {
+        match self.algo {
+            CcAlgo::WVegas => wvegas::on_ack(&mut st, idx, ctx, self.mss),
             // Standard per-subflow slow start (RFC 6356 couples only CA).
-            let sub = &mut st.subs[self.idx];
-            sub.cwnd += ctx.bytes_acked as f64;
-            if sub.cwnd > sub.ssthresh {
-                sub.cwnd = sub.ssthresh + sub.mss;
+            _ if in_slow_start => {
+                let sub = &mut st.subs[idx];
+                sub.cwnd += acked;
+                if sub.cwnd > sub.ssthresh {
+                    sub.cwnd = sub.ssthresh + sub.mss;
+                }
             }
-            self.own = OwnWindow::of(sub);
-            return;
+            algo => {
+                let increase = match algo {
+                    CcAlgo::Lia => lia::increase(&st, idx, acked),
+                    CcAlgo::Olia => olia::increase(&st, idx, acked),
+                    CcAlgo::Balia => balia::increase(&st, idx, acked),
+                    _ => unreachable!("Coupling::controller builds coupled algorithms only"),
+                };
+                let sub = &mut st.subs[idx];
+                sub.cwnd = (sub.cwnd + increase).max(min_cwnd(self.mss));
+            }
         }
-
-        let increase = match self.algo {
-            CcAlgo::Lia => lia::increase(&st, self.idx, ctx.bytes_acked as f64),
-            CcAlgo::Olia => olia::increase(&st, self.idx, ctx.bytes_acked as f64),
-            CcAlgo::Balia => balia::increase(&st, self.idx, ctx.bytes_acked as f64),
-            _ => unreachable!("make_cc builds a CoupledCc for LIA, OLIA and BALIA only"),
-        };
-        let sub = &mut st.subs[self.idx];
-        sub.cwnd = (sub.cwnd + increase).max(min_cwnd(self.mss));
-        self.own = OwnWindow::of(sub);
+        self.own = OwnWindow::of(&st.subs[idx]);
     }
 
     fn on_loss_event(&mut self, ctx: &LossContext) {
         let mut st = self.shared.borrow_mut();
-        let decrease = match self.algo {
-            CcAlgo::Balia => balia::decrease(&st, self.idx),
+        let (idx, half_flight) = (self.idx, ctx.flight_size as f64 / 2.0);
+        let target = match self.algo {
+            CcAlgo::Balia => st.subs[idx].cwnd - balia::decrease(&st, idx),
+            // wVegas halves the flight size.
+            CcAlgo::WVegas => half_flight,
             // LIA and OLIA halve the subflow window (RFC 6356 §3; the
             // flight size is the effective window at loss time).
-            _ => (ctx.flight_size as f64 / 2.0).max(st.subs[self.idx].cwnd / 2.0),
-        };
-        let sub = &mut st.subs[self.idx];
+            _ => half_flight.max(st.subs[idx].cwnd / 2.0),
+        }
+        .max(min_cwnd(self.mss));
+        let sub = &mut st.subs[idx];
         sub.bytes_between_losses = sub.bytes_since_loss;
         sub.bytes_since_loss = 0.0;
-        let target = match self.algo {
-            CcAlgo::Balia => (sub.cwnd - decrease).max(min_cwnd(self.mss)),
-            _ => decrease.max(min_cwnd(self.mss)),
-        };
         sub.ssthresh = target;
         sub.cwnd = target;
         self.own = OwnWindow::of(sub);
@@ -409,14 +390,6 @@ impl CongestionControl for CoupledCc {
     fn ssthresh(&self) -> u64 {
         self.own.ssthresh(&self.shared, self.idx)
     }
-
-    fn clone_boxed(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]
@@ -434,16 +407,13 @@ pub(crate) mod testutil {
         let coupling = Coupling::new();
         let mut ccs = Vec::new();
         for &(w_mss, rtt_ms) in subs {
-            let cc = coupling.make_cc(algo, (w_mss * MSS as f64) as u64, MSS);
-            ccs.push(cc);
-            let idx = ccs.len() - 1;
+            let idx = coupling.push_sub((w_mss * MSS as f64) as u64, MSS);
             {
                 let mut st = coupling.state.borrow_mut();
                 st.subs[idx].srtt = rtt_ms / 1000.0;
                 st.subs[idx].ssthresh = 1.0; // force congestion avoidance
             }
-            // The controller did not make that write: have it re-read.
-            coupling.rebind(ccs[idx].as_mut());
+            ccs.push(coupling.controller(algo, idx, MSS));
         }
         (coupling, ccs)
     }
@@ -515,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn lock_free_reads_track_every_write_and_survive_a_rebase() {
+    fn lock_free_reads_track_every_write_and_survive_a_checkpoint() {
         let loss = |flight: u64| tcpsim::cc::LossContext {
             now: SimTime::from_millis(2),
             flight_size: flight,
@@ -557,13 +527,13 @@ mod tests {
             ccs[0].on_rto(&loss(20 * MSS as u64));
             agrees(&ccs, &coupling);
 
-            // A checkpoint: clones re-bound to a deep copy carry their
-            // windows along and then evolve apart from the originals.
-            let copy = coupling.deep_clone();
-            let mut clones: Vec<_> = ccs.iter().map(|cc| cc.clone_boxed()).collect();
-            for cc in &mut clones {
-                copy.rebind(cc.as_mut());
-            }
+            // A checkpoint: controllers rebuilt over a copy of the coupling
+            // carry their windows along and then evolve apart from the
+            // originals.
+            let copy = coupling.clone();
+            let mut clones: Vec<_> = (0..ccs.len())
+                .map(|idx| copy.controller(algo, idx, MSS))
+                .collect();
             agrees(&clones, &copy);
             clones[1].on_rto(&loss(20 * MSS as u64));
             agrees(&clones, &copy);

@@ -10,17 +10,12 @@
 //! ```
 //!
 //! so subflows on less-congested paths (higher achievable rate) are allowed
-//! to keep more packets in flight, shifting traffic toward them.
-//! [`WVegasCc`] implements the coupled controller: per-subflow Vegas
-//! mechanics whose target band is re-weighted from the shared state once
-//! per RTT.
+//! to keep more packets in flight, shifting traffic toward them. The rules
+//! here run inside [`super::CoupledCc`]: per-subflow Vegas mechanics whose
+//! target band is re-weighted from the shared state once per RTT.
 
-use super::{CoupleState, OwnWindow, SubState};
-use simbase::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use tcpsim::cc::{min_cwnd, AckContext, CongestionControl, LossContext};
+use super::{CoupleState, SubState};
+use tcpsim::cc::{min_cwnd, AckContext};
 
 /// Connection-wide target queue occupancy, packets (the ICNP paper uses a
 /// total alpha of about 10 packets for the whole connection).
@@ -40,132 +35,46 @@ pub fn weighted_alpha(st: &CoupleState, idx: usize) -> f64 {
     (weight(st, idx) * TOTAL_ALPHA).max(1.0)
 }
 
-/// The coupled weighted-Vegas controller for one subflow.
-///
-/// `Clone` is a *shallow* copy — the clone shares the same `CoupleState`
-/// `Rc`; checkpointing re-binds it via [`WVegasCc::rebase`].
-#[derive(Debug, Clone)]
-pub struct WVegasCc {
-    shared: Rc<RefCell<CoupleState>>,
-    idx: usize,
-    mss: u32,
-    /// Next instant an adjustment decision is allowed (once per RTT).
-    next_adjust: SimTime,
-    own: OwnWindow,
-}
+/// wVegas's ACK rule for subflow `idx`, once its RTT and loss-interval
+/// entries are updated: Vegas slow start (half-rate growth, left on queue
+/// build-up), then at most one step per RTT toward the weighted band
+/// `alpha_r .. alpha_r + 2` packets of queue.
+pub(crate) fn on_ack(st: &mut CoupleState, idx: usize, ctx: &AckContext, mss: u32) {
+    let alpha = weighted_alpha(st, idx);
+    let sub = &mut st.subs[idx];
 
-impl WVegasCc {
-    /// Create the controller for subflow `idx` (the shared entry must
-    /// already exist).
-    pub fn new(shared: Rc<RefCell<CoupleState>>, idx: usize, mss: u32) -> Self {
-        WVegasCc {
-            own: OwnWindow::load(&shared, idx),
-            shared,
-            idx,
-            mss,
-            next_adjust: SimTime::ZERO,
+    let adjust_now = ctx.now >= sub.next_adjust;
+    if adjust_now {
+        if let Some(rtt) = ctx.latest_rtt {
+            sub.next_adjust = ctx.now + rtt;
         }
     }
 
-    /// Re-point this controller at a different shared-state `Rc` (used
-    /// after a checkpoint deep copy) and take its window from there.
-    pub(crate) fn rebase(&mut self, shared: Rc<RefCell<CoupleState>>) {
-        self.own = OwnWindow::load(&shared, self.idx);
-        self.shared = shared;
-    }
-
-    fn diff_packets(sub: &SubState, ctx: &AckContext) -> Option<f64> {
-        let rtt = ctx.latest_rtt?.as_secs_f64();
-        let base = ctx.min_rtt?.as_secs_f64();
-        if rtt <= 0.0 {
-            return None;
+    if sub.cwnd < sub.ssthresh {
+        match diff_packets(sub, ctx) {
+            Some(diff) if diff > 1.0 => sub.ssthresh = sub.cwnd,
+            _ => sub.cwnd += ctx.bytes_acked as f64 / 2.0,
         }
-        let cwnd_pkts = sub.cwnd / sub.mss;
-        Some(cwnd_pkts * (rtt - base) / rtt)
+    } else if adjust_now {
+        match diff_packets(sub, ctx) {
+            Some(diff) if diff < alpha => sub.cwnd += sub.mss,
+            Some(diff) if diff > alpha + 2.0 => {
+                sub.cwnd = (sub.cwnd - sub.mss).max(min_cwnd(mss));
+            }
+            _ => {}
+        }
     }
 }
 
-impl CongestionControl for WVegasCc {
-    fn on_ack(&mut self, ctx: &AckContext) {
-        let mut st = self.shared.borrow_mut();
-        if let Some(srtt) = ctx.srtt {
-            st.subs[self.idx].srtt = srtt.as_secs_f64().max(1e-6);
-        }
-        st.subs[self.idx].bytes_since_loss += ctx.bytes_acked as f64;
-        let alpha = weighted_alpha(&st, self.idx);
-        let sub = &mut st.subs[self.idx];
-        let mss = sub.mss;
-
-        let adjust_now = ctx.now >= self.next_adjust;
-        if adjust_now {
-            if let Some(rtt) = ctx.latest_rtt {
-                self.next_adjust = ctx.now + rtt;
-            }
-        }
-
-        'window: {
-            if sub.cwnd < sub.ssthresh {
-                // Vegas slow start: half-rate growth, exit on queue buildup.
-                if let Some(diff) = Self::diff_packets(sub, ctx) {
-                    if diff > 1.0 {
-                        sub.ssthresh = sub.cwnd;
-                        break 'window;
-                    }
-                }
-                sub.cwnd += ctx.bytes_acked as f64 / 2.0;
-                break 'window;
-            }
-            if !adjust_now {
-                break 'window;
-            }
-            // Weighted band: alpha_r .. alpha_r + 2 packets.
-            match Self::diff_packets(sub, ctx) {
-                Some(diff) if diff < alpha => sub.cwnd += mss,
-                Some(diff) if diff > alpha + 2.0 => {
-                    sub.cwnd = (sub.cwnd - mss).max(min_cwnd(self.mss));
-                }
-                _ => {}
-            }
-        }
-        self.own = OwnWindow::of(sub);
+/// Vegas's queue estimate, packets: `cwnd · (rtt − base_rtt) / rtt`.
+fn diff_packets(sub: &SubState, ctx: &AckContext) -> Option<f64> {
+    let rtt = ctx.latest_rtt?.as_secs_f64();
+    let base = ctx.min_rtt?.as_secs_f64();
+    if rtt <= 0.0 {
+        return None;
     }
-
-    fn on_loss_event(&mut self, ctx: &LossContext) {
-        let mut st = self.shared.borrow_mut();
-        let sub = &mut st.subs[self.idx];
-        sub.bytes_between_losses = sub.bytes_since_loss;
-        sub.bytes_since_loss = 0.0;
-        let target = (ctx.flight_size as f64 / 2.0).max(min_cwnd(ctx.mss));
-        sub.ssthresh = target;
-        sub.cwnd = target;
-        self.own = OwnWindow::of(sub);
-    }
-
-    fn on_rto(&mut self, ctx: &LossContext) {
-        let mut st = self.shared.borrow_mut();
-        let sub = &mut st.subs[self.idx];
-        sub.bytes_between_losses = sub.bytes_since_loss;
-        sub.bytes_since_loss = 0.0;
-        sub.ssthresh = (ctx.flight_size as f64 / 2.0).max(min_cwnd(ctx.mss));
-        sub.cwnd = ctx.mss as f64;
-        self.own = OwnWindow::of(sub);
-    }
-
-    fn cwnd(&self) -> u64 {
-        self.own.cwnd(&self.shared, self.idx, self.mss)
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.own.ssthresh(&self.shared, self.idx)
-    }
-
-    fn clone_boxed(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
+    let cwnd_pkts = sub.cwnd / sub.mss;
+    Some(cwnd_pkts * (rtt - base) / rtt)
 }
 
 #[cfg(test)]

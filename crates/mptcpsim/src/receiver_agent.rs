@@ -191,14 +191,6 @@ impl Agent for MptcpReceiverAgent {
         // Quickack mode: no delayed-ACK timers at the MPTCP receiver.
     }
 
-    fn name(&self) -> String {
-        format!("mptcp.receiver[{} subflows]", self.subs.len())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn count(&self, counters: &mut SimCounters) {
         let most = self
             .subs
@@ -207,10 +199,6 @@ impl Agent for MptcpReceiverAgent {
             .fold(self.conn.max_pending_ranges(), usize::max);
         counters.range_set_max_len = counters.range_set_max_len.max(most as u64);
         counters.rx_malformed += self.rx_malformed;
-    }
-
-    fn clone_boxed(&self) -> Box<dyn Agent> {
-        Box::new(self.clone())
     }
 }
 

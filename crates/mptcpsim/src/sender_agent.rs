@@ -13,7 +13,7 @@
 //!   and every outgoing segment carries the corresponding **DSS option**
 //!   (segments are split at mapping boundaries so one segment never mixes
 //!   two DSN ranges);
-//! * **coupled congestion control** (LIA/OLIA/BALIA) or uncoupled
+//! * **coupled congestion control** (LIA/OLIA/BALIA/wVegas) or uncoupled
 //!   CUBIC/Reno per subflow, built over one shared [`Coupling`] that lives
 //!   as long as the controllers do;
 //! * incoming ACKs are demultiplexed to subflows by destination port, and
@@ -136,12 +136,9 @@ struct Sub {
 /// all three. With ECN on it stays live (a late ECN-Echo still counts; see
 /// `TcpSender::release_finished`).
 ///
-/// Note on `Clone`: the derived clone is *shallow* with respect to the
-/// coupled congestion state — every coupled subflow controller of the clone
-/// still points at the original's `CoupleState`. Checkpointing must go
-/// through [`Agent::clone_boxed`], which deep-copies that state and
-/// re-binds each controller.
-#[derive(Clone)]
+/// `Clone` is a checkpoint's deep copy: the coupling is copied (its own
+/// `Clone`) and every live coupled controller is rebuilt over the copy
+/// ([`Coupling::controller`]), so the copy and the original share nothing.
 pub struct MptcpSenderAgent {
     cfg: MptcpConfig,
     subs: Vec<Sub>,
@@ -551,18 +548,6 @@ impl Agent for MptcpSenderAgent {
         }
     }
 
-    fn name(&self) -> String {
-        format!(
-            "mptcp.sender[{} subflows, {}]",
-            self.subs.len(),
-            self.cfg.algo.name()
-        )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn count(&self, counters: &mut SimCounters) {
         for sub in &self.subs {
             sub.sender.count(counters);
@@ -570,25 +555,35 @@ impl Agent for MptcpSenderAgent {
         counters.scheduler_picks += self.stats.chunks_assigned;
         counters.rx_malformed += self.rx_malformed;
     }
+}
 
-    fn clone_boxed(&self) -> Box<dyn Agent> {
-        // A shallow clone still shares the coupled congestion state with
-        // the original through each coupled subflow controller. Deep-copy
-        // that state and re-bind those controllers so the branch and the
-        // original cannot influence each other; uncoupled controllers own
-        // all their state and were cloned whole. A dormant or retired
-        // connection has no coupling and no controller.
-        let mut copy = self.clone();
-        if let Some(coupling) = &self.coupling {
-            let coupling = coupling.deep_clone();
-            if self.cfg.algo.is_coupled() {
-                for cc in copy.subs.iter_mut().filter_map(|s| s.sender.cc_mut()) {
-                    coupling.rebind(cc);
+impl Clone for MptcpSenderAgent {
+    fn clone(&self) -> Self {
+        let coupling = self.coupling.clone();
+        let mut subs = self.subs.clone();
+        // A cloned coupled controller still shares the original's coupling
+        // state; uncoupled controllers own theirs and were cloned whole. A
+        // dormant or retired connection has no coupling and no controller.
+        if let Some(coupling) = coupling.as_ref().filter(|_| self.cfg.algo.is_coupled()) {
+            for (idx, sub) in subs.iter_mut().enumerate() {
+                let mss = sub.sender.config().mss;
+                if let Some(cc) = sub.sender.cc_mut() {
+                    *cc = coupling.controller(self.cfg.algo, idx, mss);
                 }
             }
-            copy.coupling = Some(coupling);
         }
-        Box::new(copy)
+        MptcpSenderAgent {
+            cfg: self.cfg.clone(),
+            subs,
+            rotation: self.rotation,
+            coupling,
+            dsn_next: self.dsn_next,
+            remaining: self.remaining,
+            pending_reinject: self.pending_reinject.clone(),
+            snapshots: self.snapshots.clone(),
+            stats: self.stats,
+            rx_malformed: self.rx_malformed,
+        }
     }
 }
 

@@ -13,6 +13,7 @@ use crate::packet::{Ecn, NodeId, Packet, Protocol, Tag};
 use crate::payload::Payload;
 use crate::stats::SimCounters;
 use simbase::{SimDuration, SimTime, Xoshiro256StarStar};
+use std::any::Any;
 use std::fmt;
 
 /// Index of a registered agent.
@@ -31,7 +32,11 @@ impl fmt::Debug for AgentId {
 /// die on the thread that built them (sweep workers build their jobs
 /// themselves), so an agent may hold thread-local shared state such as an
 /// `Rc<RefCell<_>>`, and the compiler rejects moving one across threads.
-pub trait Agent {
+///
+/// A checkpoint copies an agent with its `Clone` ([`AgentClone`] comes with
+/// it), so that `Clone` must be a deep copy: nothing the copy changes may
+/// reach the original.
+pub trait Agent: AgentClone {
     /// Called once at the agent's configured start time.
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let _ = ctx;
@@ -42,22 +47,14 @@ pub trait Agent {
 
     /// A timer armed via [`Ctx::set_timer_after`] fired. Timers are
     /// one-shot, keyed by `(agent, token)`: at most one deadline is pending
-    /// per token. Re-arming a token *replaces* the pending deadline (the
-    /// old event is cancelled in the queue, never fired), and
+    /// per token. Re-arming a token *replaces* the pending deadline, which
+    /// never fires (a re-arm to an earlier time cancels the old queue
+    /// entry; a later one keeps it, and it is pushed again at the new
+    /// deadline when it pops early), and
     /// [`Ctx::cancel_timer`] revokes it outright — so a stale deadline can
     /// never fire. Engines should still poll against their current
     /// deadline on any timer; that keeps them testable standalone.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64);
-
-    /// Diagnostic name (used in panic messages).
-    fn name(&self) -> String {
-        "agent".to_string()
-    }
-
-    /// Downcast hook for post-run inspection (return `Some(self)`).
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
 
     /// Add this agent's share to the run's work counters: sums for counts,
     /// the maximum for high-water marks. Called when the counters are read
@@ -65,24 +62,42 @@ pub trait Agent {
     fn count(&self, counters: &mut SimCounters) {
         let _ = counters;
     }
+}
 
-    /// Deep-copy this agent for a simulator checkpoint.
-    ///
-    /// Every production agent implements this; the default panics so that
-    /// `Simulator::checkpoint` fails loudly (rather than silently sharing
-    /// state) if a custom test agent without an implementation is present.
+/// What every `Clone` agent has: a boxed copy for a checkpoint, and itself
+/// as `Any` for reading it back by concrete type after a run.
+pub trait AgentClone {
+    /// A boxed copy of this agent (its `Clone`).
+    fn clone_boxed(&self) -> Box<dyn Agent>;
+
+    /// This agent as `Any`. Always `Some` (the `Option` keeps the signature
+    /// callers already read it through).
+    fn as_any(&self) -> Option<&dyn Any>;
+}
+
+impl<T: Agent + Clone + 'static> AgentClone for T {
     fn clone_boxed(&self) -> Box<dyn Agent> {
-        panic!("agent {:?} does not support checkpointing", self.name())
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> Option<&dyn Any> {
+        Some(self)
+    }
+}
+
+impl Clone for Box<dyn Agent> {
+    fn clone(&self) -> Self {
+        self.clone_boxed()
     }
 }
 
 /// A send/timer effect requested by an agent.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Effect {
     /// Inject a packet into the network at the agent's node.
     Send(Packet),
     /// Arm a one-shot timer. Replaces any pending timer with the same
-    /// token for this agent (the replaced event is cancelled, not fired).
+    /// token for this agent (the replaced deadline never fires).
     SetTimer {
         /// Absolute expiry time.
         at: SimTime,

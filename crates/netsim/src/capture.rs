@@ -60,18 +60,32 @@ pub struct CaptureRecord {
 /// one installed sink, exactly once and in the order the run executes
 /// events, which is canonical `(time, key)` order. The sink is part
 /// of the simulator's deterministic state: [`crate::Simulator::checkpoint`]
-/// and [`crate::Simulator::restore`] deep-copy it through
-/// [`CaptureSink::clone_sink`]. A sink only observes; nothing it computes
-/// feeds back into the run.
+/// copies it with its `Clone` ([`SinkClone`] comes with it). A sink only
+/// observes; nothing it computes feeds back into the run.
 ///
 /// `Any` so the installer can read its results back out of the simulator by
-/// concrete type ([`crate::Simulator::sink`], [`crate::Simulator::sink_mut`]).
-pub trait CaptureSink: Any {
+/// concrete type ([`crate::Simulator::sink`]).
+pub trait CaptureSink: Any + SinkClone {
     /// Consume one record.
     fn record(&mut self, rec: &CaptureRecord);
+}
 
-    /// Deep-copy the sink's accumulated state (checkpoint/restore).
+/// What every `Clone` sink has: a boxed copy for a checkpoint.
+pub trait SinkClone {
+    /// A boxed copy of this sink (its `Clone`).
     fn clone_sink(&self) -> Box<dyn CaptureSink>;
+}
+
+impl<T: CaptureSink + Clone> SinkClone for T {
+    fn clone_sink(&self) -> Box<dyn CaptureSink> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn CaptureSink> {
+    fn clone(&self) -> Self {
+        self.clone_sink()
+    }
 }
 
 /// The buffering sink: keeps every record, O(packets) memory. Installed by
@@ -92,10 +106,6 @@ impl BufferSink {
 impl CaptureSink for BufferSink {
     fn record(&mut self, rec: &CaptureRecord) {
         self.records.push(rec.clone());
-    }
-
-    fn clone_sink(&self) -> Box<dyn CaptureSink> {
-        Box::new(self.clone())
     }
 }
 

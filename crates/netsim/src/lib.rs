@@ -39,8 +39,8 @@ pub mod stats;
 pub mod topology;
 pub mod traffic;
 
-pub use agent::{Agent, AgentId, Ctx, Effect};
-pub use capture::{BufferSink, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
+pub use agent::{Agent, AgentClone, AgentId, Ctx, Effect};
+pub use capture::{BufferSink, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink, SinkClone};
 pub use faults::{FaultAction, FaultSchedule};
 pub use packet::{Dir, Ecn, LinkId, NodeId, Packet, PacketMeta, Protocol, Tag, IP_HEADER_BYTES};
 pub use paths::{shortest_path, Path, PathError, SharingAnalysis};
@@ -49,7 +49,7 @@ pub use queue::{
     Aqm, CoDel, Dequeued, DropReason, DropTail, EnqueueResult, Queue, QueueConfig, Red,
 };
 pub use routing::RoutingTables;
-pub use sim::{SimSnapshot, Simulator, SNAPSHOT_VERSION};
+pub use sim::{SimSnapshot, Simulator};
 pub use slab::{PacketHandle, PacketSlab};
 pub use stats::{LinkDirStats, SimCounters, SimStats};
 pub use topology::{LinkSpec, Topology};
@@ -62,6 +62,7 @@ mod sim_tests {
 
     /// An agent that sends `count` raw packets of `data_len` bytes to `dst`
     /// at start, optionally paced by a timer.
+    #[derive(Clone)]
     struct Blaster {
         dst: NodeId,
         tag: Tag,
@@ -123,6 +124,7 @@ mod sim_tests {
     }
 
     /// Counts deliveries.
+    #[derive(Clone)]
     struct Sink {
         received: u64,
         last_at: SimTime,
@@ -675,6 +677,7 @@ mod sim_tests {
         let mut rt = RoutingTables::new(&topo);
         rt.install_all_default_routes(&topo);
         let mut sim = Simulator::new(topo, rt, 1);
+        #[derive(Clone)]
         struct Both {
             peer: NodeId,
             n: u32,
@@ -730,12 +733,14 @@ mod sim_tests {
     /// Records every timer delivery. A driver token fires at 5 ms and either
     /// re-arms the target token or cancels it, so the tests below can pin
     /// the *exact* replacement/cancellation semantics of `set_timer_at`.
+    #[derive(Clone)]
     struct TimerProbe {
         fired: Vec<(u64, SimTime)>,
         initial: SimTime,
         action: ProbeAction,
     }
 
+    #[derive(Clone)]
     enum ProbeAction {
         Move(SimTime),
         Cancel,
@@ -758,9 +763,6 @@ mod sim_tests {
                     ProbeAction::Cancel => ctx.cancel_timer(PROBE_TARGET),
                 }
             }
-        }
-        fn as_any(&self) -> Option<&dyn std::any::Any> {
-            Some(self)
         }
     }
 
@@ -847,6 +849,7 @@ mod proptests {
 
     /// An agent that sends a scripted list of (start_offset_us, size) raw
     /// packets to a fixed destination.
+    #[derive(Clone)]
     struct Script {
         dst: NodeId,
         sends: Vec<(u64, u32)>,
@@ -879,6 +882,8 @@ mod proptests {
             }
         }
     }
+
+    #[derive(Clone)]
 
     struct Sink;
     impl Agent for Sink {

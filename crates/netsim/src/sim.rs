@@ -348,6 +348,10 @@ const STREAM_DIR: u64 = 2 << 32;
 const PACKET_ID_SHIFT: u32 = 40;
 
 /// The packet-level network simulator.
+///
+/// `Clone` is a deep copy that evolves on its own (see
+/// [`Simulator::checkpoint`]).
+#[derive(Clone)]
 pub struct Simulator {
     topo: Topology,
     routing: RoutingTables,
@@ -416,7 +420,8 @@ pub struct Simulator {
     /// deadline or after its cancel, or an Arrive a fault revoked.
     timer_moves: u64,
     /// Recycled effect buffers (one per live dispatch depth); dispatching
-    /// an agent in steady state allocates nothing.
+    /// an agent in steady state allocates nothing. Empty between events,
+    /// so a clone copies none of their capacity.
     effect_bufs: Vec<Vec<Effect>>,
     /// Maximum uniform per-hop forwarding jitter added to each packet's
     /// propagation leg (models kernel/switch processing noise; zero by
@@ -503,11 +508,6 @@ impl Simulator {
     /// The installed capture sink, if it is a `T`.
     pub fn sink<T: CaptureSink>(&self) -> Option<&T> {
         (self.sink.as_deref()? as &dyn Any).downcast_ref()
-    }
-
-    /// The installed capture sink, mutably, if it is a `T`.
-    pub fn sink_mut<T: CaptureSink>(&mut self) -> Option<&mut T> {
-        (self.sink.as_deref_mut()? as &mut dyn Any).downcast_mut()
     }
 
     /// Add up to `jitter` of uniform random delay to every packet's
@@ -678,87 +678,39 @@ impl Simulator {
             .expect("agent is being dispatched")
     }
 
-    /// Capture the complete deterministic state of this simulator as a
+    /// Freeze this simulator's complete deterministic state as a
     /// [`SimSnapshot`] that [`Simulator::restore`] can branch from.
     ///
-    /// The snapshot is a deep copy: the event queue (pending entries,
-    /// cancellation-token table, and lifetime push/cancel counters), every
-    /// agent (via [`Agent::clone_boxed`]), per-entity RNG streams, link
-    /// transmitters and queues with the packet slab their handles point
-    /// into, the capture sink (via
-    /// [`CaptureSink::clone_sink`]), and all statistics. Because the
-    /// execution is a pure function of that state (see the module docs on schedule-independent ordering), a restored
+    /// The snapshot is the simulator's `Clone`, a deep copy: the event
+    /// queue (pending entries, cancellation-token table, and lifetime
+    /// push/cancel counters), every agent and the capture sink (each by
+    /// its own `Clone`), per-entity RNG streams, link transmitters and
+    /// queues with the packet slab their handles point into, and all
+    /// statistics. Because the execution is a pure function of that state
+    /// (see the module docs on schedule-independent ordering), a restored
     /// simulator replays the identical event sequence — trace hashes of a
     /// branched continuation match a cold run byte-for-byte.
     pub fn checkpoint(&self) -> SimSnapshot {
-        SimSnapshot {
-            version: SNAPSHOT_VERSION,
-            sim: self.deep_clone(),
+        // Between events every slot is occupied; a vacant slot means we are
+        // inside a dispatch, where the dispatched agent would be lost.
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "a checkpoint mid-dispatch would lose the dispatched agent; fail loudly"
+        )]
+        {
+            assert!(
+                self.agents.iter().all(Option::is_some),
+                "checkpoint during agent dispatch"
+            );
         }
+        SimSnapshot(self.clone())
     }
 
     /// Reconstruct an independent simulator from a snapshot. The snapshot
     /// is reusable: each call yields a fresh branch that evolves on its
     /// own (schedule different faults on each and compare).
     pub fn restore(snapshot: &SimSnapshot) -> Simulator {
-        assert_eq!(
-            snapshot.version, SNAPSHOT_VERSION,
-            "snapshot version mismatch: cannot restore v{} with a v{SNAPSHOT_VERSION} engine",
-            snapshot.version
-        );
-        snapshot.sim.deep_clone()
-    }
-
-    /// The deep copy backing [`Simulator::checkpoint`]/[`Simulator::restore`].
-    fn deep_clone(&self) -> Simulator {
-        let agents = self
-            .agents
-            .iter()
-            .map(|slot| {
-                // Between events every slot is occupied; a vacant slot means
-                // we are inside a dispatch, where checkpointing is unsound.
-                #[expect(
-                    clippy::expect_used,
-                    reason = "checkpoint mid-dispatch would lose the dispatched agent; fail loudly"
-                )]
-                let agent = slot.as_deref().expect("checkpoint during agent dispatch");
-                Some(agent.clone_boxed())
-            })
-            .collect();
-        Simulator {
-            topo: self.topo.clone(),
-            routing: self.routing.clone(),
-            dirs: self.dirs.clone(),
-            streams: self.streams.clone(),
-            owed: self.owed.clone(),
-            slab: self.slab.clone(),
-            agents,
-            agent_node: self.agent_node.clone(),
-            node_agent: self.node_agent.clone(),
-            events: self.events.clone(),
-            now: self.now,
-            seed: self.seed,
-            agent_rngs: self.agent_rngs.clone(),
-            agent_packet_seq: self.agent_packet_seq.clone(),
-            faults: self.faults.clone(),
-            capture_cfg: self.capture_cfg.clone(),
-            sink: self.sink.as_deref().map(CaptureSink::clone_sink),
-            stats: self.stats,
-            hops: self.hops,
-            link_enqueues: self.link_enqueues,
-            starts: self.starts,
-            in_flight: self.in_flight,
-            timer_keys: self.timer_keys.clone(),
-            revoked: self.revoked.clone(),
-            horizon: self.horizon,
-            class: self.class,
-            scheduled: self.scheduled,
-            tx_done_elided: self.tx_done_elided,
-            timer_moves: self.timer_moves,
-            // Scratch buffers are always empty between events.
-            effect_bufs: Vec::new(),
-            forward_jitter: self.forward_jitter,
-        }
+        snapshot.0.clone()
     }
 
     /// Schedule one fault action. Validated eagerly so a bad schedule fails
@@ -1544,58 +1496,29 @@ impl Simulator {
     }
 }
 
-/// Snapshot format version. Bumped whenever the captured state set changes
-/// meaning (restore refuses a mismatched snapshot rather than silently
-/// resuming from partial state). v2: capture state is the installed
-/// [`CaptureSink`], not a record buffer with per-record order stamps.
-/// v3: scheduled fault actions live in the simulator's fault table, keyed by
-/// install index, not inside their queue entries.
-/// v4: packets in the network live in the [`PacketSlab`]; queues,
-/// transmitters and `Arrive` events hold handles into it, so a snapshot
-/// without the slab would restore dangling handles. Still v4 now that the
-/// drop-tail FIFOs are linked through the slab's slots, the RNG streams are
-/// a table derived at the first draw and owed completions are listed: all
-/// three live in fields the deep copy takes whole (the slab, the stream
-/// table, the owed list), and a snapshot is a value of this build's
-/// `Simulator`, never read by another, so no partial state can be restored.
-pub const SNAPSHOT_VERSION: u32 = 4;
-
-/// A versioned, self-contained copy of a simulator's full deterministic
-/// state at one instant, produced by [`Simulator::checkpoint`].
+/// A frozen [`Simulator`]: its full deterministic state at one instant,
+/// produced by [`Simulator::checkpoint`]. It never leaves the process that
+/// made it, so it carries no format version.
 ///
 /// The common prefix of a family of runs (e.g. the 0–4 s warm-up before a
 /// fault study's first fault) is simulated once, checkpointed, and each
 /// variant branches from the snapshot via [`Simulator::restore`] — with
 /// byte-identical results to running each variant cold from t=0.
-pub struct SimSnapshot {
-    version: u32,
-    sim: Simulator,
-}
+pub struct SimSnapshot(Simulator);
 
 impl SimSnapshot {
-    /// The format version this snapshot was captured with.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// Simulated time at which the snapshot was taken.
-    pub fn time(&self) -> SimTime {
-        self.sim.now
-    }
-
     /// Capture records held in the snapshot: zero unless the simulator was
     /// buffering ([`Simulator::set_capture`] without a streaming sink).
     pub fn buffered_captures(&self) -> usize {
-        self.sim.captures().len()
+        self.0.captures().len()
     }
 }
 
 impl std::fmt::Debug for SimSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimSnapshot")
-            .field("version", &self.version)
-            .field("time", &self.sim.now)
-            .field("agents", &self.sim.agents.len())
+            .field("time", &self.0.now)
+            .field("agents", &self.0.agents.len())
             .finish()
     }
 }
@@ -1675,9 +1598,6 @@ mod sink_tests {
             assert!(rec.time >= self.last, "records arrive in time order");
             self.records += 1;
             self.last = rec.time;
-        }
-        fn clone_sink(&self) -> Box<dyn CaptureSink> {
-            Box::new(self.clone())
         }
     }
 
@@ -1852,9 +1772,7 @@ mod sink_tests {
         warm.set_capture(CaptureConfig::everything());
         let (live, _) = congested(&mut warm);
         let snap = warm.checkpoint();
-        assert_eq!(snap.version(), 4);
-        assert_eq!(SNAPSHOT_VERSION, 4);
-        assert_eq!(snap.sim.slab.live(), live);
+        assert_eq!(snap.0.slab.live(), live);
 
         // The original moving on (its slots are freed and reused) must not
         // reach into the snapshot's slab.
@@ -1933,9 +1851,6 @@ mod sink_tests {
                 );
             }
             ctx.set_timer_after(SimDuration::from_millis(40), 0);
-        }
-        fn clone_boxed(&self) -> Box<dyn Agent> {
-            Box::new(self.clone())
         }
     }
 
@@ -2096,7 +2011,7 @@ mod sink_tests {
         let mut sim = cbr_sim();
         sim.run_until(SimTime::from_millis(40));
         assert!(sim.streams.table.is_empty());
-        assert!(sim.checkpoint().sim.streams.table.is_empty());
+        assert!(sim.checkpoint().0.streams.table.is_empty());
         // Forwarding jitter draws at the first hop; a lossy link at its
         // first completion. Either derives every direction's stream.
         let mut jittered = cbr_sim();
@@ -2108,13 +2023,5 @@ mod sink_tests {
         lossy.run_until(SimTime::from_millis(40));
         assert_eq!(lossy.streams.table.len(), 2);
         assert!(lossy.stats.packets_dropped > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot version mismatch")]
-    fn v1_tagged_snapshot_is_refused() {
-        let mut snap = cbr_sim().checkpoint();
-        snap.version = 1;
-        let _ = Simulator::restore(&snap);
     }
 }

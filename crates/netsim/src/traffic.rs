@@ -66,12 +66,6 @@ impl Agent for CbrSource {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         self.emit(ctx);
     }
-    fn name(&self) -> String {
-        "traffic.cbr".to_string()
-    }
-    fn clone_boxed(&self) -> Box<dyn Agent> {
-        Box::new(self.clone())
-    }
 }
 
 /// A sink that counts datagrams (attach at the destination host).
@@ -89,15 +83,6 @@ impl Agent for DatagramSink {
         self.bytes += pkt.wire_size() as u64;
     }
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
-    fn name(&self) -> String {
-        "traffic.sink".to_string()
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-    fn clone_boxed(&self) -> Box<dyn Agent> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -62,12 +62,10 @@ impl Agent for Pacer {
             ctx.set_timer_after(SimDuration::from_micros(2500), SEND);
         }
     }
-    fn clone_boxed(&self) -> Box<dyn Agent> {
-        Box::new(self.clone())
-    }
 }
 
 /// Offers one 500-byte packet onto `a → b` from its start hook.
+#[derive(Clone)]
 struct Starter {
     dst: NodeId,
 }

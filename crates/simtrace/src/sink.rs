@@ -59,10 +59,9 @@ impl TraceSink {
         self.hasher.finish()
     }
 
-    /// Every violation found so far, in record order. Call once, after the
-    /// run.
-    pub fn finish_checks(&mut self) -> Vec<InvariantViolation> {
-        std::mem::take(&mut self.violations)
+    /// Every violation found so far, in record order.
+    pub fn violations(&self) -> &[InvariantViolation] {
+        &self.violations
     }
 
     /// The sampled series so far (`None` without a sampler).
@@ -85,10 +84,6 @@ impl CaptureSink for TraceSink {
         if let Some(bins) = &mut self.bins {
             bins.record(rec);
         }
-    }
-
-    fn clone_sink(&self) -> Box<dyn CaptureSink> {
-        Box::new(self.clone())
     }
 }
 
@@ -161,7 +156,7 @@ mod proptests {
 
             prop_assert_eq!(sink.hash(), TraceHasher::hash_records(&records));
             prop_assert_eq!(
-                sink.finish_checks(),
+                sink.violations(),
                 check_trace(&records, &mut default_invariants())
             );
             let streamed = sink.sampler().expect("sampler configured");
@@ -182,9 +177,9 @@ mod proptests {
             SimDuration::from_millis(100),
             SimTime::from_secs(1),
         );
-        let mut sink = TraceSink::new().with_invariants().with_sampler(cfg.clone());
+        let sink = TraceSink::new().with_invariants().with_sampler(cfg.clone());
         assert_eq!(sink.hash(), TraceHasher::hash_records(&[]));
-        assert!(sink.finish_checks().is_empty());
+        assert!(sink.violations().is_empty());
         let s = sink.sampler().expect("sampler configured");
         assert_eq!(s.total, ThroughputSampler::from_records(&[], &cfg).total);
         assert!(s.per_tag.is_empty());
@@ -211,14 +206,11 @@ mod proptests {
         };
         let mut a = TraceSink::new().with_invariants();
         a.record(&rec(1, 7));
-        let mut b = a.clone_sink();
+        let mut b = a.clone();
         // The copy carries the seen-set: a second delivery of id 7 is caught.
         b.record(&rec(2, 7));
-        let b = (&mut *b as &mut dyn std::any::Any)
-            .downcast_mut::<TraceSink>()
-            .expect("a TraceSink");
-        assert_eq!(b.finish_checks().len(), 1);
-        assert!(a.finish_checks().is_empty());
+        assert_eq!(b.violations().len(), 1);
+        assert!(a.violations().is_empty());
         assert_ne!(a.hash(), b.hash());
     }
 }

@@ -165,10 +165,6 @@ impl CongestionControl for Cubic {
             u64::MAX
         }
     }
-
-    fn clone_boxed(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -51,7 +51,12 @@ pub struct LossContext {
 }
 
 /// A congestion-control algorithm instance (one per TCP flow / subflow).
-pub trait CongestionControl: std::fmt::Debug {
+///
+/// A checkpoint copies a sender's controller with its `Clone` ([`CcClone`]
+/// comes with it). A coupled MPTCP controller's `Clone` shares its
+/// connection's coupling state; the MPTCP sender's own `Clone` copies that
+/// state and rebuilds its controllers over the copy.
+pub trait CongestionControl: std::fmt::Debug + CcClone {
     /// An ACK advanced the left window edge.
     fn on_ack(&mut self, ctx: &AckContext);
 
@@ -66,23 +71,17 @@ pub trait CongestionControl: std::fmt::Debug {
 
     /// Current slow-start threshold in bytes.
     fn ssthresh(&self) -> u64;
+}
 
-    /// Deep-copy this algorithm's state into a fresh boxed instance.
-    ///
-    /// Required for simulator checkpointing: a snapshot must own an
-    /// independent copy of every flow's congestion state so the branched
-    /// run and the original cannot influence each other. Coupled MPTCP
-    /// algorithms clone their *handle* here (the shared state is re-bound
-    /// by the owning agent after the whole bundle is copied).
+/// What every `Clone` controller has: a boxed copy.
+pub trait CcClone {
+    /// A boxed copy of this controller (its `Clone`).
     fn clone_boxed(&self) -> Box<dyn CongestionControl>;
+}
 
-    /// Downcast support for post-clone fixups.
-    ///
-    /// `mptcpsim` uses this to re-point a cloned coupled algorithm at the
-    /// snapshot's own shared-state `Arc`. Standalone algorithms keep the
-    /// default.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
+impl<T: CongestionControl + Clone + 'static> CcClone for T {
+    fn clone_boxed(&self) -> Box<dyn CongestionControl> {
+        Box::new(self.clone())
     }
 }
 

@@ -72,10 +72,6 @@ impl CongestionControl for Reno {
             u64::MAX
         }
     }
-
-    fn clone_boxed(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -153,9 +153,10 @@ pub struct SenderStats {
 /// `snd_nxt` — answers every counter and sequence query; a dormant or
 /// retired sender polls no segment, needs no timer and absorbs ACKs.
 ///
-/// `Clone` deep-copies the congestion controller via
-/// [`CongestionControl::clone_boxed`], so a cloned sender (simulator
-/// checkpoint) evolves independently of the original.
+/// `Clone` copies the congestion controller with its own `Clone`, so a
+/// cloned sender (simulator checkpoint) evolves independently of the
+/// original; a coupled MPTCP controller is the one exception, and the MPTCP
+/// sender rebuilds it over its own copy of the coupling.
 #[derive(Debug, Clone)]
 pub struct TcpSender {
     cfg: TcpConfig,
@@ -324,15 +325,11 @@ impl TcpSender {
         self.live.as_ref().map(|l| l.cc.as_ref())
     }
 
-    /// Mutable access to the congestion controller, while live.
-    ///
-    /// Needed by `mptcpsim` to re-bind a cloned coupled controller to the
-    /// clone's own shared-state handle after a checkpoint copy.
-    pub fn cc_mut(&mut self) -> Option<&mut dyn CongestionControl> {
-        match &mut self.live {
-            Some(l) => Some(l.cc.as_mut()),
-            None => None,
-        }
+    /// The congestion controller's slot, while live: `mptcpsim` puts a
+    /// coupled controller rebuilt over a copied coupling in a cloned
+    /// sender's place.
+    pub fn cc_mut(&mut self) -> Option<&mut Box<dyn CongestionControl>> {
+        self.live.as_mut().map(|l| &mut l.cc)
     }
 
     /// The RTT estimator (for inspection), while live.
@@ -1183,9 +1180,6 @@ mod tests {
             }
             fn ssthresh(&self) -> u64 {
                 u64::MAX
-            }
-            fn clone_boxed(&self) -> Box<dyn CongestionControl> {
-                Box::new(self.clone())
             }
         }
         let cfg = TcpConfig {

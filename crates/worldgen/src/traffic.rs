@@ -17,6 +17,7 @@
 
 use netsim::{NodeId, Path, QueueConfig, Topology};
 use simbase::{Bandwidth, SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar};
+use std::fmt::Write;
 
 /// Pareto tail index α of the flow sizes (smaller = heavier tail; web
 /// flows ≈ 1.1–1.5).
@@ -171,6 +172,15 @@ pub struct TrafficNet {
     pub relays: Vec<NodeId>,
 }
 
+/// Add node `{prefix}{i}`, spelling its name in `buf`: the topology copies
+/// a name into its arena, so a build needs no `String` per node.
+fn add_numbered(topo: &mut Topology, buf: &mut String, prefix: char, i: usize) -> NodeId {
+    buf.clear();
+    // Writing to a `String` cannot fail.
+    let _ = write!(buf, "{prefix}{i}");
+    topo.add_node(buf.as_str())
+}
+
 impl TrafficNet {
     /// Build the substrate: `srcs[i] — gw_a — relay_j — gw_b — dsts[i]`.
     pub fn build(cfg: &TrafficNetConfig) -> TrafficNet {
@@ -182,10 +192,11 @@ impl TrafficNet {
             assert!(cfg.pairs > 0, "need at least one pair");
         }
         let mut topo = Topology::new();
+        let mut name = String::new();
         let gw_a = topo.add_node("gwA");
         let gw_b = topo.add_node("gwB");
         let relays: Vec<NodeId> = (0..RELAYS)
-            .map(|j| topo.add_node(format!("r{j}")))
+            .map(|j| add_numbered(&mut topo, &mut name, 'r', j))
             .collect();
         for &r in &relays {
             topo.add_link(gw_a, r, BOTTLENECK_BW, BOTTLENECK_DELAY, QUEUE);
@@ -194,8 +205,8 @@ impl TrafficNet {
         let mut srcs = Vec::with_capacity(cfg.pairs);
         let mut dsts = Vec::with_capacity(cfg.pairs);
         for i in 0..cfg.pairs {
-            let s = topo.add_node(format!("s{i}"));
-            let d = topo.add_node(format!("d{i}"));
+            let s = add_numbered(&mut topo, &mut name, 's', i);
+            let d = add_numbered(&mut topo, &mut name, 'd', i);
             topo.add_link(s, gw_a, ACCESS_BW, ACCESS_DELAY, QUEUE);
             topo.add_link(gw_b, d, ACCESS_BW, ACCESS_DELAY, QUEUE);
             srcs.push(s);

@@ -106,10 +106,12 @@ const PARENT_ALLOCATOR_CALLS: u64 = 94_095;
 /// a container on the packet path started asking the allocator again.
 const BTREE_ALLOCATOR_CALLS: u64 = 32_482;
 /// ... and the measured value + 5 % since a drop-tail burst allocates
-/// nothing and a topology allocates nothing per node (14 684; 29 242 while
-/// each burst grew and freed a `VecDeque` and each node held two `String`s
-/// and a `Vec`).
-const ALLOCATOR_CALLS: u64 = 15_418;
+/// nothing, a topology allocates nothing per node and the traffic
+/// substrate spells its node names in one reused buffer (13 103; 14 684
+/// while each name was a `format!`ted `String`, 29 242 while each burst
+/// grew and freed a `VecDeque` and each node held two `String`s and a
+/// `Vec`).
+const ALLOCATOR_CALLS: u64 = 13_758;
 /// `run_traffic(&cell(PAIRS)).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0x9258_65b6_04ae_1d32;
 
