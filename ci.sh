@@ -116,6 +116,7 @@ crates/ tests/ examples/*.rs | set_ecmp_group|set_ecmp_seed|ecmp_groups|ByteSize
 crates/ tests/ examples/*.rs src/ | ConvergenceReport|analyze_sustained|converged_at|mean_convergence_s|converged_fraction|relax_constraint | deleted (DESIGN.md par 6, "Steady window"): a run's steady state is its second half, whether it reached the optimum is read off each LP-tight bottleneck's utilisation (MaxThroughput::utilisation), and shadow prices are the duals of one solve (LpOutcome::Optimal's duals)
 crates/ tests/ examples/*.rs src/ | NodeInfo|VecDeque<(Queued|PacketHandle)> | deleted (DESIGN.md par 4 netsim, par 15): a topology keeps no allocation per node (names in one arena, read with Topology::node_name; adjacency threaded through the link table), and a drop-tail FIFO is a list linked through the packet slab, not a buffer
 crates/ tests/ examples/*.rs src/ | impl (AgentClone|SinkClone|CcClone) for ([^T]|T[^ ])|as_any_mut|downcast_mut|fn rebind|fn rebase|deep_clone|SNAPSHOT_VERSION|WorldCheckpoint|WVegasCc | deleted (DESIGN.md par 13.3): a checkpoint is Clone; netsim::AgentClone, netsim::SinkClone and tcpsim::CcClone each have one blanket impl for every Clone type and no per-type one, a snapshot is a frozen Simulator with no version, World and Coupling clone deep, and MptcpSenderAgent's Clone rebuilds coupled controllers (wVegas's too, in CoupledCc) with Coupling::controller
+crates/netsim/src crates/tcpsim/src crates/mptcpsim/src tests/ | \bflow_hash\b|Repr::Heap|send_ecn|AckResult|is_retransmission|max_queue_bytes|drop_bytes|len_bytes | deleted (DESIGN.md par 4): a packet carries what the network reads (no flow hash: a subflow is pinned by its tag; the payload is one inline array; one Ctx::send takes the ECN codepoint), a link direction counts packets, not queue or drop bytes, and TcpSender::on_ack returns nothing
 EOF
 [ "$DELETED" -eq 0 ] || exit 1
 
@@ -232,15 +233,17 @@ echo "==> perfbench smoke (the benchmark still builds against the crates and its
 # while every wheel bucket kept its own high-water allocation); churn-4k
 # and overload-4k are the world at rest (4 000 pairs assembled; on churn-4k
 # most of them finished, on overload-4k most of them mid-recovery):
-# churn-4k reads 13.6-13.7 MB (15.8 MB while link-direction records were
-# 176 bytes, held an RNG stream each and buffered drop-tail bursts in a
-# VecDeque, and every node owned two Strings and a Vec; 19.1 MB while every
-# subflow sender was built whole at assembly and kept whole after it
-# finished, 21.0-21.2 MB with boxed drop-tail queues, 22.9-23.0 MB while
-# every node owned a route table), overload-4k 21.7 MB (23.8-23.9 MB with
-# 176-byte records, 24.0 MB with whole subflow senders, 25.8-26.0 MB with
-# boxed queues, 29.1 MB while SACK scoreboards and reassembly sets were
-# B-trees); each ceiling keeps the margin it had over the previous reading.
+# churn-4k reads 13.0-13.1 MB (13.6-13.7 MB with 104-byte packets and 120-byte
+# link-direction records that counted queued and dropped bytes; 15.8 MB while
+# link-direction records were 176 bytes, held an RNG stream each and buffered
+# drop-tail bursts in a VecDeque, and every node owned two Strings and a Vec;
+# 19.1 MB while every subflow sender was built whole at assembly and kept
+# whole after it finished, 21.0-21.2 MB with boxed drop-tail queues, 22.9-23.0
+# MB while every node owned a route table), overload-4k 21.0-21.1 MB (21.7 MB
+# with 104-byte packets and 120-byte records, 23.8-23.9 MB with 176-byte
+# records, 24.0 MB with whole subflow senders, 25.8-26.0 MB with boxed queues,
+# 29.1 MB while SACK scoreboards and reassembly sets were B-trees); each
+# ceiling keeps the margin it had over the previous reading.
 # regen-service (~35 s on two
 # cores) is table regeneration end to end: runner, store, faults,
 # checkpoint/branch and a fluid solve. 0 means no ceiling.

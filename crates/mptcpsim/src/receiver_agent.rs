@@ -8,7 +8,7 @@
 //! are absorbed by the interval set.
 
 use crate::dsn::IntervalSet;
-use netsim::{Agent, Ctx, NodeId, Packet, Protocol, SimCounters, Tag};
+use netsim::{Agent, Ctx, Ecn, NodeId, Packet, Protocol, SimCounters, Tag};
 use tcpsim::wire::{DssOption, TcpSegment};
 use tcpsim::{ReceiverConfig, TcpReceiver};
 
@@ -161,7 +161,7 @@ impl Agent for MptcpReceiverAgent {
         self.stats.bytes_in_order = self.conn.next_expected();
 
         // Subflow-level ACK, carrying the data ACK.
-        let ce = pkt.ecn == netsim::packet::Ecn::Ce;
+        let ce = pkt.ecn == Ecn::Ce;
         #[expect(
             clippy::indexing_slicing,
             reason = "`at` is where the search found, or this call inserted, the subflow"
@@ -182,7 +182,7 @@ impl Agent for MptcpReceiverAgent {
                 Protocol::Tcp,
                 ack.encode(),
                 0,
-                pkt.flow_hash,
+                Ecn::NotEct,
             );
         }
     }
@@ -278,8 +278,7 @@ mod tests {
                 protocol: Protocol::Tcp,
                 payload: seg.encode(),
                 data_len: 100,
-                flow_hash: u64::from(port),
-                ecn: netsim::packet::Ecn::NotEct,
+                ecn: Ecn::NotEct,
             };
             let mut ctx = Ctx::new(
                 SimTime::from_millis(i as u64),

@@ -14,10 +14,6 @@ pub struct SubflowSnapshot {
     pub idx: usize,
     /// Smoothed RTT (None before the first sample).
     pub srtt: Option<SimDuration>,
-    /// Congestion window, bytes.
-    pub cwnd: u64,
-    /// Bytes currently in flight.
-    pub flight: u64,
     /// True if the subflow can take a chunk right now (window space and an
     /// empty backlog). Work-conserving schedulers pick among eligible
     /// subflows; the redundant scheduler replicates to every active one.
@@ -112,8 +108,6 @@ mod tests {
         SubflowSnapshot {
             idx,
             srtt: srtt_ms.map(SimDuration::from_millis),
-            cwnd: 14600,
-            flight: 0,
             eligible: true,
         }
     }

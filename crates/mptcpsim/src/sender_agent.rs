@@ -39,11 +39,6 @@ const JOIN_DELAY: SimDuration = SimDuration::from_millis(100);
 /// noise; gives distinct seeds distinct trajectories).
 const JOIN_JITTER: SimDuration = SimDuration::from_millis(20);
 
-/// A stable flow hash from a subflow's port pair (for ECMP and traces).
-fn flow_hash(src_port: u16, dst_port: u16) -> u64 {
-    ((src_port as u64) << 16 | dst_port as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// Per-subflow configuration: the tag pins the route; the ports identify
 /// the subflow (ndiffports-style).
 #[derive(Debug, Clone)]
@@ -110,7 +105,6 @@ struct Sub {
     cfg: SubflowConfig,
     sender: TcpSender,
     maps: MappingTable,
-    flow_hash: u64,
     /// Memo of the armed RTO deadline. Re-arming a token replaces the
     /// pending event in the queue, so this only skips redundant re-arms
     /// when the engine's deadline has not moved.
@@ -183,7 +177,6 @@ impl MptcpSenderAgent {
                     cfg: sc.clone(),
                     sender: TcpSender::dormant(tcp_cfg),
                     maps: MappingTable::new(),
-                    flow_hash: flow_hash(sc.src_port, sc.dst_port),
                     armed: None,
                     active: false,
                     failed: false,
@@ -280,8 +273,6 @@ impl MptcpSenderAgent {
         SubflowSnapshot {
             idx: i,
             srtt: s.rtt().and_then(RttEstimator::srtt),
-            cwnd: s.cc().map_or(0, |cc| cc.cwnd()),
-            flight: s.flight_size(),
             eligible: self.eligible(i),
         }
     }
@@ -319,13 +310,12 @@ impl MptcpSenderAgent {
                     subflow_seq: u32::try_from(sseq).unwrap_or(u32::MAX),
                     data_len: u16::try_from(piece_len).unwrap_or(u16::MAX),
                 });
-                ctx.send_ecn(
+                ctx.send(
                     self.cfg.dst,
                     self.subs[i].cfg.tag,
                     Protocol::Tcp,
                     seg.encode(),
                     piece_len,
-                    self.subs[i].flow_hash,
                     ecn,
                 );
                 done += piece_len;
@@ -721,14 +711,13 @@ mod tests {
             let _ = match effect {
                 Effect::Send(p) => writeln!(
                     self.log,
-                    "send {} {:?}->{:?} tag {} {:?} {} B {:#x} {:02x?}",
+                    "send {} {:?}->{:?} tag {} {:?} {} B {:02x?}",
                     p.id,
                     p.src,
                     p.dst,
                     p.tag.0,
                     p.ecn,
                     p.data_len,
-                    p.flow_hash,
                     p.payload.as_slice()
                 ),
                 Effect::SetTimer { at, token } => writeln!(self.log, "timer {at:?} {token}"),
@@ -793,7 +782,6 @@ mod tests {
                 protocol: Protocol::Tcp,
                 payload: seg.encode(),
                 data_len: 0,
-                flow_hash: 0,
                 ecn: Ecn::NotEct,
             };
             self.at_tx(|tx, ctx| tx.on_packet(ctx, pkt));
@@ -845,7 +833,8 @@ mod tests {
     /// answered them when its finished subflow senders stayed whole: the
     /// same effects (none), stats, subflow stats, counters and
     /// `rx_malformed`, down to the byte of `log`. The digests were computed
-    /// on the tree before subflow senders retired.
+    /// on the tree before subflow senders retired (with the log line's
+    /// packet fields as they are now).
     #[test]
     fn a_retired_subflow_answers_late_acks_like_a_live_one() {
         let mut net = completed(false);
@@ -896,7 +885,7 @@ mod tests {
             ..net.ack(0, end[0])
         });
         assert_eq!(net.tx.rx_malformed(), malformed + 2);
-        assert_eq!(net.digest(), 0x6779_31c1_4312_efea);
+        assert_eq!(net.digest(), 0xab44_6e38_5fce_bb4a);
     }
 
     /// With ECN on, a finished connection stays live: a late ECN-Echo still
@@ -917,6 +906,6 @@ mod tests {
         };
         net.late(ece);
         assert_eq!(net.tx.subflow_sender(0).stats().ecn_reductions, 1);
-        assert_eq!(net.digest(), 0x2c3a_f6ad_c6c0_3461);
+        assert_eq!(net.digest(), 0x0d4c_4557_382b_638d);
     }
 }

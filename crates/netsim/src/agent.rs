@@ -161,7 +161,9 @@ impl<'a> Ctx<'a> {
         self.agent
     }
 
-    /// Send a packet from this node. Returns the assigned packet id.
+    /// Send a packet from this node with ECN codepoint `ecn` (ECN-capable
+    /// senders mark data packets ECT so queues can mark instead of drop).
+    /// Returns the assigned packet id.
     pub fn send(
         &mut self,
         dst: NodeId,
@@ -169,33 +171,6 @@ impl<'a> Ctx<'a> {
         protocol: Protocol,
         payload: Payload,
         data_len: u32,
-        flow_hash: u64,
-    ) -> u64 {
-        self.send_ecn(
-            dst,
-            tag,
-            protocol,
-            payload,
-            data_len,
-            flow_hash,
-            Ecn::NotEct,
-        )
-    }
-
-    /// Send a packet with an explicit ECN codepoint (ECN-capable senders
-    /// mark data packets ECT so queues can mark instead of drop).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one argument per header field the network reads"
-    )]
-    pub fn send_ecn(
-        &mut self,
-        dst: NodeId,
-        tag: Tag,
-        protocol: Protocol,
-        payload: Payload,
-        data_len: u32,
-        flow_hash: u64,
         ecn: Ecn,
     ) -> u64 {
         let id = *self.next_packet_id;
@@ -208,7 +183,6 @@ impl<'a> Ctx<'a> {
             protocol,
             payload,
             data_len,
-            flow_hash,
             ecn,
         }));
         id
@@ -260,8 +234,22 @@ mod tests {
     #[test]
     fn send_assigns_sequential_ids() {
         let ((id1, id2), effects, next) = with_ctx(|ctx| {
-            let a = ctx.send(NodeId(9), Tag(1), Protocol::Raw, Payload::empty(), 100, 0);
-            let b = ctx.send(NodeId(9), Tag(1), Protocol::Raw, Payload::empty(), 100, 0);
+            let a = ctx.send(
+                NodeId(9),
+                Tag(1),
+                Protocol::Raw,
+                Payload::empty(),
+                100,
+                Ecn::NotEct,
+            );
+            let b = ctx.send(
+                NodeId(9),
+                Tag(1),
+                Protocol::Raw,
+                Payload::empty(),
+                100,
+                Ecn::NotEct,
+            );
             (a, b)
         });
         assert_eq!(id1, 7);

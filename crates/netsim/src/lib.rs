@@ -83,7 +83,7 @@ mod sim_tests {
                             Protocol::Raw,
                             Payload::empty(),
                             self.data_len,
-                            1,
+                            Ecn::NotEct,
                         );
                     }
                     self.sent = self.count;
@@ -95,7 +95,7 @@ mod sim_tests {
                         Protocol::Raw,
                         Payload::empty(),
                         self.data_len,
-                        1,
+                        Ecn::NotEct,
                     );
                     self.sent = 1;
                     if self.sent < self.count {
@@ -114,7 +114,7 @@ mod sim_tests {
                 Protocol::Raw,
                 Payload::empty(),
                 self.data_len,
-                1,
+                Ecn::NotEct,
             );
             self.sent += 1;
             if self.sent < self.count {
@@ -692,7 +692,7 @@ mod sim_tests {
                         Protocol::Raw,
                         Payload::empty(),
                         1000,
-                        1,
+                        Ecn::NotEct,
                     );
                 }
             }
@@ -871,7 +871,7 @@ mod proptests {
                 Protocol::Raw,
                 Payload::empty(),
                 size,
-                1,
+                Ecn::NotEct,
             );
             self.next += 1;
             if self.next < self.sends.len() {

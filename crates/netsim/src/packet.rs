@@ -1,11 +1,14 @@
 //! Packets and their identifiers.
 //!
-//! A [`Packet`] models one IP datagram. The transport header it carries is
-//! *really encoded* (see `tcpsim::wire`) into [`Packet::payload`], but bulk
-//! application data is represented by a length only — the simulator charges
-//! links for [`Packet::wire_size`] bytes while keeping memory flat. This is
-//! the standard packet-level simulation compromise (ns-3 does the same with
-//! virtual payloads).
+//! A [`Packet`] models one IP datagram and carries only what the network
+//! and the endpoints read: id, source, destination, routing tag, protocol,
+//! ECN codepoint, the transport header and the length of the data. The
+//! header is *really encoded* (see `tcpsim::wire`) into [`Packet::payload`],
+//! but bulk application data is represented by a length only — the
+//! simulator charges links for [`Packet::wire_size`] bytes while keeping
+//! memory flat. This is the standard packet-level simulation compromise
+//! (ns-3 does the same with virtual payloads). No packet is hashed: a
+//! subflow's path is pinned by its tag.
 
 use crate::payload::Payload;
 use serde::{Deserialize, Serialize};
@@ -104,18 +107,21 @@ pub struct Packet {
     pub tag: Tag,
     /// Transport protocol of the payload.
     pub protocol: Protocol,
-    /// Encoded transport header bytes (not the bulk data). Inline up to
-    /// [`crate::payload::INLINE_CAP`] bytes, so cloning a packet in flight
-    /// does not allocate.
+    /// Encoded transport header bytes (not the bulk data), at most
+    /// [`crate::payload::INLINE_CAP`] of them, in place: cloning a packet
+    /// in flight does not allocate.
     pub payload: Payload,
     /// Bytes of *virtual* application data represented by this packet.
     pub data_len: u32,
-    /// Flow key: a stable hash identifying the 5-tuple-ish flow. No route
-    /// reads it: a subflow's path is pinned by its tag.
-    pub flow_hash: u64,
     /// ECN codepoint.
     pub ecn: Ecn,
 }
+
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter packet (and packet-slab slot) fails the build, not a run"
+)]
+const _: () = assert!(std::mem::size_of::<Packet>() <= 96);
 
 impl Packet {
     /// Total bytes this packet occupies on the wire:
@@ -215,9 +221,8 @@ mod tests {
             dst: NodeId(5),
             tag: Tag(3),
             protocol: Protocol::Tcp,
-            payload: Payload::from(vec![0u8; payload_len]),
+            payload: Payload::from_array([0; crate::payload::INLINE_CAP], payload_len),
             data_len,
-            flow_hash: 42,
             ecn: Ecn::NotEct,
         }
     }

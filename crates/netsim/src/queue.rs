@@ -12,7 +12,9 @@
 //! simulator's [`PacketSlab`] from send to delivery, with its wire size
 //! beside it. Drop-tail (and RED, which buffers in one) keeps no buffer at
 //! all: its FIFO is a list linked through the slab's slots, so a queue is
-//! a few words whatever its depth, and a burst allocates nothing. The queue
+//! a few words whatever its depth, and a burst allocates nothing. It counts
+//! packets, not bytes, so an enqueue or dequeue never reads a wire size;
+//! only CoDel, whose drop rule reads its byte backlog, keeps one. The queue
 //! never frees a slot: whoever is handed a refused or head-dropped packet
 //! does.
 
@@ -56,7 +58,7 @@ pub struct Dequeued {
 /// `Clone` (the packets it links together are in the slab, which the
 /// checkpoint copies too). The AQMs are boxed because they are rare (AQM
 /// ablations only) and big: inline, every link direction would pay for
-/// them. Drop-tail (24 B) is inline, and the enum keeps its tag in the
+/// them. Drop-tail (16 B) is inline, and the enum keeps its tag in the
 /// limit's zero niche, so it is no larger than that.
 ///
 /// Every discipline is FIFO — TCP's fast-retransmit logic depends on
@@ -129,17 +131,6 @@ impl Queue {
         }
     }
 
-    /// Bytes currently buffered (wire sizes).
-    pub fn len_bytes(&self) -> u64 {
-        match self {
-            Queue::DropTail(q) => q.bytes,
-            Queue::Aqm(aqm) => match &**aqm {
-                Aqm::Red(q) => q.inner.bytes,
-                Aqm::CoDel(q) => q.bytes,
-            },
-        }
-    }
-
     /// True if no packets are buffered.
     pub fn is_empty(&self) -> bool {
         self.len_packets() == 0
@@ -150,7 +141,7 @@ impl Queue {
     clippy::disallowed_macros,
     reason = "evaluated at compile time: a fatter queue fails the build, not a run"
 )]
-const _: () = assert!(std::mem::size_of::<Queue>() <= 24);
+const _: () = assert!(std::mem::size_of::<Queue>() <= 16);
 
 /// Configuration for a link's output queue, chosen per link. The AQMs'
 /// parameters are fixed (see [`Red`] and [`CoDel`]): no experiment varies
@@ -204,7 +195,6 @@ pub struct DropTail {
     tail: Option<PacketHandle>,
     len: u32,
     max_packets: NonZeroU32,
-    bytes: u64,
 }
 
 impl DropTail {
@@ -223,7 +213,6 @@ impl DropTail {
             tail: None,
             len: 0,
             max_packets,
-            bytes: 0,
         }
     }
 
@@ -231,7 +220,6 @@ impl DropTail {
         if self.len >= self.max_packets.get() {
             return EnqueueResult::Dropped(DropReason::TailDrop);
         }
-        self.bytes += u64::from(slab.wire_size(h));
         slab.set_next(h, None);
         match self.tail {
             Some(tail) => slab.set_next(tail, Some(h)),
@@ -249,7 +237,6 @@ impl DropTail {
             self.tail = None;
         }
         self.len -= 1;
-        self.bytes -= u64::from(slab.wire_size(h));
         Some(h)
     }
 }
@@ -391,6 +378,7 @@ impl Red {
 pub struct CoDel {
     /// Handles with their enqueue times. Released when a pop empties it.
     buf: VecDeque<(PacketHandle, SimTime)>,
+    /// Wire bytes buffered: the drop rule never drops the last MTU.
     bytes: u64,
     /// When the sojourn time first exceeded target (None = below target).
     first_above: Option<SimTime>,
@@ -592,7 +580,6 @@ mod tests {
             protocol: Protocol::Raw,
             payload: Payload::empty(),
             data_len,
-            flow_hash: id,
             ecn: crate::packet::Ecn::NotEct,
         }
     }
@@ -627,42 +614,6 @@ mod tests {
             EnqueueResult::Dropped(DropReason::TailDrop)
         ));
         assert_eq!(q.len_packets(), 3);
-    }
-
-    #[test]
-    fn droptail_counts_wire_bytes() {
-        let mut net = Net::new(1);
-        // Each pkt: 20 (IP) + 0 (hdr) + 100 data = 120 wire bytes.
-        let mut q = QueueConfig::DropTailPackets(3).build();
-        for i in 0..2 {
-            assert!(matches!(
-                net.offer(&mut q, SimTime::ZERO, pkt(i, 100)),
-                EnqueueResult::Queued
-            ));
-        }
-        assert_eq!(q.len_bytes(), 240);
-        // A tiny packet counts its 20 header bytes.
-        assert!(matches!(
-            net.offer(&mut q, SimTime::ZERO, pkt(2, 0)),
-            EnqueueResult::Queued
-        ));
-        assert_eq!(q.len_bytes(), 260);
-        // A refused packet adds nothing.
-        let _ = net.offer(&mut q, SimTime::ZERO, pkt(3, 100));
-        assert_eq!(q.len_bytes(), 260);
-    }
-
-    #[test]
-    fn droptail_byte_accounting_balances() {
-        let mut net = Net::new(1);
-        let mut q = QueueConfig::DropTailPackets(100).build();
-        for i in 0..10 {
-            let _ = net.offer(&mut q, SimTime::ZERO, pkt(i, (i as u32) * 10));
-        }
-        while net.pull(&mut q, SimTime::ZERO).0.is_some() {}
-        assert_eq!(q.len_bytes(), 0);
-        assert_eq!(q.len_packets(), 0);
-        assert!(q.is_empty());
     }
 
     /// RED under sustained overload at time zero: `n` packets offered back
@@ -860,11 +811,11 @@ mod tests {
             seen += dropped.len() + out.is_some() as usize;
         }
         assert_eq!(seen, 30);
-        assert_eq!(q.len_bytes(), 0);
+        assert_eq!(q.codel().bytes, 0);
     }
 
     /// Everything a queue shows the simulator for one op sequence: per
-    /// dequeue the delivered id, the head-dropped ids and the byte count
+    /// dequeue the delivered id, the head-dropped ids and the packet count
     /// left behind; per enqueue whether the packet was admitted.
     fn drive(
         q: &mut Queue,
@@ -872,18 +823,18 @@ mod tests {
         ids: std::ops::Range<u64>,
         start: SimTime,
         gap: SimDuration,
-    ) -> Vec<(Option<u64>, Vec<u64>, u64)> {
+    ) -> Vec<(Option<u64>, Vec<u64>, usize)> {
         let mut seen = Vec::new();
         for id in ids {
             let admitted = matches!(net.offer(q, start, pkt(id, 1000)), EnqueueResult::Queued);
-            seen.push((admitted.then_some(id), Vec::new(), q.len_bytes()));
+            seen.push((admitted.then_some(id), Vec::new(), q.len_packets()));
         }
         let mut now = start;
         while !q.is_empty() {
             now += gap;
             let (out, dropped) = net.pull(q, now);
             let dropped = dropped.iter().map(|p| p.id).collect();
-            seen.push((out.map(|p| p.id), dropped, q.len_bytes()));
+            seen.push((out.map(|p| p.id), dropped, q.len_packets()));
         }
         seen
     }
@@ -891,12 +842,12 @@ mod tests {
     /// Fill, drain to empty (slowly enough that an AQM acts), then check
     /// that the emptied queue — and a checkpoint of it — carries on exactly
     /// like one that kept its buffer: same admissions, FIFO deliveries,
-    /// head drops and byte counts, with the AQM state the first burst left.
+    /// head drops and packet counts, with the AQM state the first burst left.
     fn emptied_queue_carries_on(q: &mut Queue) {
         let mut net = Net::new(9);
         let ms = SimDuration::from_millis;
         let first = drive(q, &mut net, 0..48, SimTime::ZERO, ms(10));
-        assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
+        assert_eq!(q.len_packets(), 0);
         assert!(first.len() > 48, "the first burst was queued and drained");
 
         let mut twin = q.clone();
@@ -904,7 +855,7 @@ mod tests {
         let t = SimTime::from_secs(1);
         let second = drive(q, &mut net, 100..148, t, ms(10));
         assert_eq!(second, drive(&mut twin, &mut twin_net, 100..148, t, ms(10)));
-        assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
+        assert_eq!(q.len_packets(), 0);
         assert_eq!(net.slab.live(), 0, "every slot came back");
         // FIFO: whatever leaves (delivered or head-dropped) leaves in
         // arrival order, and every admitted packet leaves.
@@ -931,7 +882,7 @@ mod tests {
             .dequeue(SimTime::ZERO, &PacketSlab::default())
             .pkt
             .is_none());
-        assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
+        assert_eq!(q.len_packets(), 0);
     }
 
     #[test]
@@ -1017,7 +968,7 @@ mod tests {
             while let (Some(p), _) = net.pull(q, SimTime::ZERO) {
                 seen[k].push(p.id);
             }
-            assert_eq!((q.len_packets(), q.len_bytes()), (0, 0));
+            assert_eq!(q.len_packets(), 0);
         }
         assert_eq!(seen, expect);
         assert!(expect.iter().all(|e| !e.is_empty()));
@@ -1030,7 +981,7 @@ mod tests {
 
     /// Every decision an AQM shows the simulator over a fixed script —
     /// admissions, early and tail drops, CE marks, deliveries, head drops,
-    /// byte counts — folded into one FNV digest.
+    /// packet counts — folded into one FNV digest.
     fn aqm_digest(cfg: QueueConfig) -> u64 {
         let mut net = Net::new(17);
         let mut q = cfg.build();
@@ -1050,7 +1001,7 @@ mod tests {
                 EnqueueResult::Dropped(DropReason::EarlyDrop) => 2,
             };
             h.write_u64(r);
-            h.write_u64(q.len_bytes());
+            h.write_u64(q.len_packets() as u64);
             if id % 3 != 1 {
                 let (out, dropped) = net.pull(&mut q, now);
                 for d in dropped {
@@ -1066,9 +1017,11 @@ mod tests {
 
     #[test]
     fn aqm_decisions_are_pinned() {
-        // Computed with the buffers the AQMs kept before their FIFOs were
-        // linked through the slab: a change in any drop, mark or delivery
-        // moves a digest.
+        // Computed on the tree whose drop-tail FIFOs were already linked
+        // through the slab, with the digest's queue term changed from the
+        // byte count to the packet count (the values before matched the
+        // buffers the AQMs kept before that link): a change in any drop,
+        // mark or delivery moves a digest.
         let got = [
             aqm_digest(QueueConfig::Red { ecn_marking: false }),
             aqm_digest(QueueConfig::Red { ecn_marking: true }),
@@ -1080,9 +1033,9 @@ mod tests {
     }
 
     const AQM_DIGESTS: [u64; 4] = [
-        0x9f47_cf1b_c641_0074,
-        0xea30_ccd1_9e22_d8c9,
-        0xd1ad_5ceb_2752_33c6,
-        0x985c_21f7_ae18_9e30,
+        0x8827_b807_ae03_15c0,
+        0x7bcb_a754_56c4_ddfd,
+        0xcb9f_2305_a51c_1203,
+        0x4a05_1c61_48bf_a09b,
     ];
 }

@@ -299,7 +299,7 @@ mod tests {
     use simbase::{Bandwidth, SimDuration};
     use std::collections::BTreeMap;
 
-    fn pkt(dst: NodeId, tag: Tag, flow_hash: u64) -> Packet {
+    fn pkt(dst: NodeId, tag: Tag) -> Packet {
         Packet {
             id: 0,
             src: NodeId(0),
@@ -308,7 +308,6 @@ mod tests {
             protocol: Protocol::Raw,
             payload: Payload::empty(),
             data_len: 0,
-            flow_hash,
             ecn: crate::packet::Ecn::NotEct,
         }
     }
@@ -337,11 +336,11 @@ mod tests {
         rt.install_path(&via_v, Tag(7));
 
         // Untagged: default (shortest) route via u -> link 0.
-        assert_eq!(rt.route(s, &pkt(d, Tag::NONE, 1)), Some(LinkId(0)));
+        assert_eq!(rt.route(s, &pkt(d, Tag::NONE)), Some(LinkId(0)));
         // Tagged: pinned route via v -> link 2.
-        assert_eq!(rt.route(s, &pkt(d, Tag(7), 1)), Some(LinkId(2)));
+        assert_eq!(rt.route(s, &pkt(d, Tag(7))), Some(LinkId(2)));
         // Unknown tag falls back to default.
-        assert_eq!(rt.route(s, &pkt(d, Tag(9), 1)), Some(LinkId(0)));
+        assert_eq!(rt.route(s, &pkt(d, Tag(9))), Some(LinkId(0)));
     }
 
     #[test]
@@ -351,8 +350,8 @@ mod tests {
         let via_v = Path::from_nodes(&t, &[s, v, d]).unwrap();
         rt.install_path(&via_v, Tag(7));
         // ACK from d back to s with the same tag goes via v (link 3 then 2).
-        assert_eq!(rt.route(d, &pkt(s, Tag(7), 1)), Some(LinkId(3)));
-        assert_eq!(rt.route(v, &pkt(s, Tag(7), 1)), Some(LinkId(2)));
+        assert_eq!(rt.route(d, &pkt(s, Tag(7))), Some(LinkId(3)));
+        assert_eq!(rt.route(v, &pkt(s, Tag(7))), Some(LinkId(2)));
     }
 
     #[test]
@@ -362,11 +361,11 @@ mod tests {
         rt.install_all_default_routes(&t);
         for from in [s, u, v] {
             assert!(
-                rt.route(from, &pkt(d, Tag::NONE, 0)).is_some(),
+                rt.route(from, &pkt(d, Tag::NONE)).is_some(),
                 "{from:?} -> d missing"
             );
         }
-        assert!(rt.route(d, &pkt(s, Tag::NONE, 0)).is_some());
+        assert!(rt.route(d, &pkt(s, Tag::NONE)).is_some());
     }
 
     #[test]
@@ -382,7 +381,7 @@ mod tests {
             QueueConfig::default(),
         );
         let rt = RoutingTables::new(&t);
-        assert_eq!(rt.route(a, &pkt(b, Tag::NONE, 0)), None);
+        assert_eq!(rt.route(a, &pkt(b, Tag::NONE)), None);
     }
 
     #[test]
@@ -413,7 +412,7 @@ mod tests {
         rt.set_tag_route(gw, NodeId(0), Tag::NONE, LinkId(3));
         assert_eq!(rt.tag_route_count(gw), 0);
         assert_eq!(rt.route_sets(), 0);
-        assert_eq!(rt.route(gw, &pkt(NodeId(0), Tag::NONE, 0)), None);
+        assert_eq!(rt.route(gw, &pkt(NodeId(0), Tag::NONE)), None);
     }
 
     #[test]
@@ -433,10 +432,10 @@ mod tests {
         assert_eq!(rt.route_sets(), 16_000);
         for host in 0..8000u32 {
             for tag in [1u16, 2] {
-                let got = rt.route(gw, &pkt(NodeId(5 + host), Tag(tag), 0));
+                let got = rt.route(gw, &pkt(NodeId(5 + host), Tag(tag)));
                 assert_eq!(got, Some(route(host, tag)));
             }
-            assert_eq!(rt.route(gw, &pkt(NodeId(5 + host), Tag(3), 0)), None);
+            assert_eq!(rt.route(gw, &pkt(NodeId(5 + host), Tag(3))), None);
         }
     }
 
@@ -451,13 +450,13 @@ mod tests {
         rt.install_path(&via_v, Tag(7));
         assert_eq!(rt.route_sets(), 2, "three hops per direction still fit");
         // Shared nodes follow the later install, in both directions ...
-        assert_eq!(rt.route(s, &pkt(d, Tag(7), 1)), Some(LinkId(2)));
-        assert_eq!(rt.route(d, &pkt(s, Tag(7), 1)), Some(LinkId(3)));
-        assert_eq!(rt.route(v, &pkt(d, Tag(7), 1)), Some(LinkId(3)));
-        assert_eq!(rt.route(v, &pkt(s, Tag(7), 1)), Some(LinkId(2)));
+        assert_eq!(rt.route(s, &pkt(d, Tag(7))), Some(LinkId(2)));
+        assert_eq!(rt.route(d, &pkt(s, Tag(7))), Some(LinkId(3)));
+        assert_eq!(rt.route(v, &pkt(d, Tag(7))), Some(LinkId(3)));
+        assert_eq!(rt.route(v, &pkt(s, Tag(7))), Some(LinkId(2)));
         // ... and u, which only the first path visits, keeps its routes.
-        assert_eq!(rt.route(u, &pkt(d, Tag(7), 1)), Some(LinkId(1)));
-        assert_eq!(rt.route(u, &pkt(s, Tag(7), 1)), Some(LinkId(0)));
+        assert_eq!(rt.route(u, &pkt(d, Tag(7))), Some(LinkId(1)));
+        assert_eq!(rt.route(u, &pkt(s, Tag(7))), Some(LinkId(0)));
         for n in [s, u, v, d] {
             let want = if n == u || n == v { 2 } else { 1 };
             assert_eq!(rt.tag_route_count(n), want, "{n:?}");
@@ -486,9 +485,9 @@ mod tests {
         for (i, &n) in nodes.iter().enumerate() {
             let fwd = (i < 6).then_some(LinkId(i as u32));
             let rev = i.checked_sub(1).map(|l| LinkId(l as u32));
-            assert_eq!(rt.route(n, &pkt(dst, Tag(3), 0)), fwd, "{n:?} forward");
-            assert_eq!(rt.route(n, &pkt(src, Tag(3), 0)), rev, "{n:?} reverse");
-            assert_eq!(rt.route(n, &pkt(dst, Tag(4), 0)), None);
+            assert_eq!(rt.route(n, &pkt(dst, Tag(3))), fwd, "{n:?} forward");
+            assert_eq!(rt.route(n, &pkt(src, Tag(3))), rev, "{n:?} reverse");
+            assert_eq!(rt.route(n, &pkt(dst, Tag(4))), None);
         }
         // Re-installing overwrites in place, spilled hops included.
         rt.install_path(&path, Tag(3));
@@ -533,7 +532,7 @@ mod tests {
                     }
                     for tag in 0..5u16 {
                         let want = oracle.get(&(node.0, dst.0, tag)).copied().or(below);
-                        proptest::prop_assert_eq!(rt.route(node, &pkt(dst, Tag(tag), 9)), want);
+                        proptest::prop_assert_eq!(rt.route(node, &pkt(dst, Tag(tag))), want);
                     }
                 }
             }
@@ -560,7 +559,7 @@ mod tests {
                 for dst in 0..10u32 {
                     let want = defaults.get(&(node, dst)).copied();
                     for tag in [Tag::NONE, Tag(5)] {
-                        let got = rt.route(NodeId(node), &pkt(NodeId(dst), tag, 9));
+                        let got = rt.route(NodeId(node), &pkt(NodeId(dst), tag));
                         proptest::prop_assert_eq!(got, want);
                     }
                 }

@@ -245,7 +245,7 @@ struct DirState {
     clippy::disallowed_macros,
     reason = "evaluated at compile time: a fatter per-direction record fails the build, not a run"
 )]
-const _: () = assert!(std::mem::size_of::<DirState>() <= 128);
+const _: () = assert!(std::mem::size_of::<DirState>() <= 96);
 
 impl DirState {
     fn new(queue: Queue) -> Self {
@@ -636,7 +636,7 @@ impl Simulator {
             clippy::indexing_slicing,
             reason = "i is dir_index of a topology-issued LinkId, or an event key's entity built from one"
         )]
-        self.dirs[i].stats.on_drop(self.slab.wire_size(lost));
+        self.dirs[i].stats.on_drop();
         self.slab.take(lost)
     }
 
@@ -1266,8 +1266,8 @@ impl Simulator {
             }) {
                 EnqueueResult::Queued => {
                     self.link_enqueues += 1;
-                    let (p, b) = (state.queue.len_packets(), state.queue.len_bytes());
-                    state.stats.observe_queue(p, b);
+                    let p = state.queue.len_packets();
+                    state.stats.observe_queue(p);
                     // The first packet behind an early transmission needs
                     // the TxDone that will start it.
                     if state.tx_early && p == 1 {
@@ -1847,7 +1847,7 @@ mod sink_tests {
                     crate::Protocol::Raw,
                     crate::Payload::empty(),
                     1000,
-                    7,
+                    crate::Ecn::NotEct,
                 );
             }
             ctx.set_timer_after(SimDuration::from_millis(40), 0);

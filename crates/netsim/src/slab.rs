@@ -1,6 +1,6 @@
 //! The one place packets in the network live.
 //!
-//! A [`Packet`] embeds its inline transport header (104 bytes in all), and a
+//! A [`Packet`] embeds its inline transport header (96 bytes in all), and a
 //! hop used to move it three times: into the output queue, out into the
 //! transmitter, into the wire pool. [`PacketSlab`] owns every packet from
 //! `Effect::Send` until delivery, drop or unroutable — written once, never
@@ -12,9 +12,10 @@
 //! the network: the simulator's conservation check asserts it equals its own
 //! in-flight count, so a leaked or double-freed slot fails a run.
 //!
-//! A slot also carries what a queue needs of its packet: the wire size,
-//! fixed at insert (nothing on the path resizes a packet), and a link to
-//! the next packet in the output queue it waits in. A packet waits in at
+//! A slot also carries what a hop needs of its packet: the wire size,
+//! fixed at insert (nothing on the path resizes a packet), which the
+//! transmitter and CoDel read, and a link to the next packet in the output
+//! queue it waits in. A packet waits in at
 //! most one queue at a time, so the drop-tail FIFOs of every link direction
 //! are singly linked lists threaded through the slab (see
 //! [`crate::queue::DropTail`]) and a buffered packet costs no storage
@@ -192,7 +193,6 @@ mod tests {
             protocol: Protocol::Raw,
             payload: Payload::empty(),
             data_len: 100,
-            flow_hash: id,
             ecn: Ecn::NotEct,
         }
     }

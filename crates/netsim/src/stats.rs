@@ -3,7 +3,10 @@
 //! Statistics answer the questions a topology debugging session always asks:
 //! which link saturated, where did the drops happen, how full were the
 //! queues. They are cheap (a handful of integer adds per packet) and always
-//! on.
+//! on. A link direction counts what a reader reads: packets and bytes sent,
+//! busy time, packets dropped and the deepest queue in packets. It keeps no
+//! byte count of drops or of its queue, so its queue never reads a packet's
+//! wire size.
 
 use serde::Serialize;
 use simbase::SimDuration;
@@ -15,17 +18,20 @@ pub struct LinkDirStats {
     pub tx_packets: u64,
     /// Wire bytes fully serialized.
     pub tx_bytes: u64,
-    /// Packets dropped at the output queue.
+    /// Packets lost at this direction: dropped by its queue, offered to it
+    /// while down, corrupted on it, or flushed by a fault.
     pub drops: u64,
-    /// Bytes dropped at the output queue.
-    pub drop_bytes: u64,
     /// Maximum instantaneous queue depth seen (packets).
     pub max_queue_packets: usize,
-    /// Maximum instantaneous queue depth seen (bytes).
-    pub max_queue_bytes: u64,
     /// Cumulative busy time of the transmitter.
     pub busy_time: SimDuration,
 }
+
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter per-direction record fails the build, not a run"
+)]
+const _: () = assert!(std::mem::size_of::<LinkDirStats>() <= 40);
 
 impl LinkDirStats {
     /// Record a completed transmission.
@@ -35,16 +41,14 @@ impl LinkDirStats {
         self.busy_time += tx_time;
     }
 
-    /// Record a queue drop.
-    pub fn on_drop(&mut self, wire_bytes: u32) {
+    /// Record a lost packet.
+    pub fn on_drop(&mut self) {
         self.drops += 1;
-        self.drop_bytes += wire_bytes as u64;
     }
 
     /// Track the high-water mark of the queue.
-    pub fn observe_queue(&mut self, packets: usize, bytes: u64) {
+    pub fn observe_queue(&mut self, packets: usize) {
         self.max_queue_packets = self.max_queue_packets.max(packets);
-        self.max_queue_bytes = self.max_queue_bytes.max(bytes);
     }
 
     /// Link utilization over `elapsed`: busy time / wall time, in `[0, 1]`.
@@ -53,15 +57,6 @@ impl LinkDirStats {
             return 0.0;
         }
         self.busy_time.as_nanos() as f64 / elapsed.as_nanos() as f64
-    }
-
-    /// Fraction of offered packets that were dropped.
-    pub fn drop_rate(&self) -> f64 {
-        let offered = self.tx_packets + self.drops;
-        if offered == 0 {
-            return 0.0;
-        }
-        self.drops as f64 / offered as f64
     }
 }
 
@@ -219,24 +214,12 @@ mod tests {
     }
 
     #[test]
-    fn drop_rate() {
-        let mut s = LinkDirStats::default();
-        assert_eq!(s.drop_rate(), 0.0);
-        s.on_tx(100, SimDuration::from_nanos(1));
-        s.on_tx(100, SimDuration::from_nanos(1));
-        s.on_tx(100, SimDuration::from_nanos(1));
-        s.on_drop(100);
-        assert!((s.drop_rate() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn queue_high_water_mark() {
         let mut s = LinkDirStats::default();
-        s.observe_queue(3, 4500);
-        s.observe_queue(1, 1500);
-        s.observe_queue(5, 2000);
+        s.observe_queue(3);
+        s.observe_queue(1);
+        s.observe_queue(5);
         assert_eq!(s.max_queue_packets, 5);
-        assert_eq!(s.max_queue_bytes, 4500);
     }
 
     #[test]

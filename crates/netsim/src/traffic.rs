@@ -7,7 +7,7 @@
 //! bottlenecks are partially occupied?".
 
 use crate::agent::{Agent, Ctx};
-use crate::packet::{NodeId, Packet, Protocol, Tag};
+use crate::packet::{Ecn, NodeId, Packet, Protocol, Tag};
 use crate::payload::Payload;
 use simbase::{Bandwidth, SimDuration};
 
@@ -19,7 +19,6 @@ pub struct CbrSource {
     tag: Tag,
     packet_bytes: u32,
     interval: SimDuration,
-    flow_hash: u64,
     sent: u64,
 }
 
@@ -34,7 +33,6 @@ impl CbrSource {
             tag,
             packet_bytes,
             interval,
-            flow_hash: 0xC0FFEE,
             sent: 0,
         }
     }
@@ -51,7 +49,7 @@ impl CbrSource {
             Protocol::Raw,
             Payload::empty(),
             self.packet_bytes,
-            self.flow_hash,
+            Ecn::NotEct,
         );
         self.sent += 1;
         ctx.set_timer_after(self.interval, 0);

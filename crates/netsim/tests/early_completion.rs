@@ -12,7 +12,7 @@
 //! a run's deadline is accounted by the run that reaches it.
 
 use netsim::{
-    Agent, CaptureConfig, CaptureKind, Ctx, DatagramSink, FaultAction, LinkId, NodeId, Packet,
+    Agent, CaptureConfig, CaptureKind, Ctx, DatagramSink, Ecn, FaultAction, LinkId, NodeId, Packet,
     Payload, Protocol, QueueConfig, RoutingTables, Simulator, Tag, Topology,
 };
 use simbase::{Bandwidth, Fnv64, SimDuration, SimTime};
@@ -50,7 +50,7 @@ impl Agent for Pacer {
                 Protocol::Raw,
                 Payload::empty(),
                 1230,
-                1,
+                Ecn::NotEct,
             );
         }
         self.sent += 1;
@@ -72,7 +72,14 @@ struct Starter {
 
 impl Agent for Starter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.send(self.dst, Tag::NONE, Protocol::Raw, Payload::empty(), 480, 2);
+        ctx.send(
+            self.dst,
+            Tag::NONE,
+            Protocol::Raw,
+            Payload::empty(),
+            480,
+            Ecn::NotEct,
+        );
     }
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}

@@ -36,6 +36,6 @@ pub use cc::{AckContext, CcClone, CongestionControl, Cubic, LossContext, Reno};
 pub use ranges::RangeSet;
 pub use receiver::{ReceiverConfig, ReceiverStats, TcpReceiver};
 pub use rtt::RttEstimator;
-pub use sender::{AckResult, SegmentTx, SenderStats, TcpConfig, TcpSender, MSS};
+pub use sender::{SegmentTx, SenderStats, TcpConfig, TcpSender, MSS};
 pub use seq::{SeqNum, ISN};
 pub use wire::{DssOption, TcpFlags, TcpSegment, Timestamps, WireError};

@@ -101,19 +101,6 @@ pub struct SegmentTx {
     /// The header, fully populated (seq/ports/timestamps/window).
     /// Callers may add options (e.g. a DSS mapping) before encoding.
     pub seg: TcpSegment,
-    /// True if this is a retransmission.
-    pub is_retransmission: bool,
-}
-
-/// Result of processing an ACK.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AckResult {
-    /// Bytes newly acknowledged (0 for duplicates).
-    pub newly_acked: u64,
-    /// True if this ACK triggered fast retransmit.
-    pub entered_recovery: bool,
-    /// True if a recovery episode completed.
-    pub exited_recovery: bool,
 }
 
 /// Counters exposed for experiments and tests.
@@ -555,7 +542,6 @@ impl TcpSender {
                 offset: off,
                 len,
                 seg: self.make_segment(l, now, off),
-                is_retransmission: true,
             });
         }
 
@@ -573,7 +559,6 @@ impl TcpSender {
                         offset: off,
                         len,
                         seg: self.make_segment(l, now, off),
-                        is_retransmission: true,
                     });
                 }
                 // Pipe full: neither retransmissions nor new data fit.
@@ -622,7 +607,6 @@ impl TcpSender {
             offset,
             len,
             seg: self.make_segment(l, now, offset),
-            is_retransmission: false,
         })
     }
 
@@ -634,24 +618,28 @@ impl TcpSender {
     }
 
     /// Process an incoming (pure) ACK segment. One whose acknowledgement
-    /// number [`TcpSender::ack_offset`] cannot place is ignored whole, and
-    /// so is every ACK to a sender that is not live (a dormant one has sent
-    /// nothing; a retired one is owed nothing and, with ECN off, could not
-    /// count a late ACK anywhere — see [`TcpSender::release_finished`]).
-    pub fn on_ack(&mut self, now: SimTime, seg: &TcpSegment) -> AckResult {
+    /// number [`TcpSender::ack_offset`] cannot place, or that acknowledges
+    /// data never sent, is ignored whole, and so is every ACK to a sender
+    /// that is not live (a dormant one has sent nothing; a retired one is
+    /// owed nothing and, with ECN off, could not count a late ACK anywhere
+    /// — see [`TcpSender::release_finished`]).
+    pub fn on_ack(&mut self, now: SimTime, seg: &TcpSegment) {
         debug_assert!(seg.flags.ack, "non-ACK segment fed to sender");
         let Some(mut l) = self.live.take() else {
-            return AckResult::default();
+            return;
         };
-        let result = self.ack_live(&mut l, now, seg);
+        self.ack_live(&mut l, now, seg);
         self.live = Some(l);
-        result
     }
 
-    fn ack_live(&mut self, l: &mut Live, now: SimTime, seg: &TcpSegment) -> AckResult {
-        let mut result = AckResult::default();
-        let Some(ack_offset) = self.ack_offset(seg.ack) else {
-            return result;
+    fn ack_live(&mut self, l: &mut Live, now: SimTime, seg: &TcpSegment) {
+        // An ACK of data never sent is dropped whole (RFC 793 §3.9): neither
+        // its window nor its timestamp echo is believed.
+        let Some(ack_offset) = self
+            .ack_offset(seg.ack)
+            .filter(|&ack_offset| ack_offset <= self.snd_nxt)
+        else {
+            return;
         };
         l.peer_window = seg.window as u64;
 
@@ -666,11 +654,6 @@ impl TcpSender {
                         .on_sample(now, SimDuration::from_micros(sample_us as u64));
                 }
             }
-        }
-
-        if ack_offset > self.snd_nxt {
-            // ACK for data never sent; ignore (corrupted/reordered beyond reason).
-            return result;
         }
 
         // ECN: an ECN-Echo is a congestion signal equivalent to a loss,
@@ -709,7 +692,6 @@ impl TcpSender {
             self.snd_una = ack_offset;
             l.dup_acks = 0;
             self.stats.bytes_acked += newly;
-            result.newly_acked = newly;
             if self.cfg.sack {
                 l.scoreboard.trim_below(self.snd_una);
                 l.high_rtx = l.high_rtx.max(self.snd_una);
@@ -720,7 +702,6 @@ impl TcpSender {
                     // Full ACK: recovery complete.
                     l.recovery = None;
                     l.inflation = 0;
-                    result.exited_recovery = true;
                 }
                 Some(rec) => {
                     // Partial ACK: the next hole is lost too. With SACK the
@@ -754,12 +735,12 @@ impl TcpSender {
                 l.rto_deadline = None;
             }
             self.arm_tlp(l, now);
-            return result;
+            return;
         }
 
         // Duplicate ACK (no window update handling needed in the model).
         if self.flight_size() == 0 {
-            return result;
+            return;
         }
         l.dup_acks += 1;
 
@@ -767,9 +748,8 @@ impl TcpSender {
         if self.cfg.sack && !l.scoreboard.is_empty() {
             if l.recovery.is_none() && self.first_lost_hole(l, self.snd_una).is_some() {
                 self.enter_sack_recovery(l, now);
-                result.entered_recovery = true;
             }
-            return result;
+            return;
         }
 
         match &l.recovery {
@@ -785,11 +765,9 @@ impl TcpSender {
             None => {
                 if l.dup_acks == DUPACK_THRESHOLD {
                     self.enter_fast_recovery(l, now);
-                    result.entered_recovery = true;
                 }
             }
         }
-        result
     }
 
     /// Congestion-window floor: no CC algorithm may report a window below
@@ -972,8 +950,8 @@ mod tests {
         for (i, seg) in segs.iter().enumerate() {
             assert_eq!(seg.offset, i as u64 * MSS as u64);
             assert_eq!(seg.len, MSS);
-            assert!(!seg.is_retransmission);
         }
+        assert_eq!(s.stats().retransmits, 0);
         // A timer must now be armed.
         assert!(s.next_timer().is_some());
     }
@@ -986,8 +964,8 @@ mod tests {
         let segs = drain(&mut s, t0);
         let tsval = segs[0].seg.ts.unwrap().tsval;
         let t1 = SimTime::from_millis(11);
-        let r = s.on_ack(t1, &ack_seg(2 * MSS as u64, tsval));
-        assert_eq!(r.newly_acked, 2 * MSS as u64);
+        s.on_ack(t1, &ack_seg(2 * MSS as u64, tsval));
+        assert_eq!(s.snd_una(), 2 * MSS as u64);
         // Slow start: cwnd grew by the acked amount; 2 freed + 2 grown = 4.
         let more = drain(&mut s, t1);
         assert_eq!(more.len(), 4);
@@ -1026,17 +1004,16 @@ mod tests {
         // Segment at offset MSS is lost: three dup ACKs arrive.
         let t = SimTime::from_millis(20);
         for i in 0..3 {
-            let r = s.on_ack(t, &ack_seg(MSS as u64, 0));
-            assert_eq!(r.newly_acked, 0);
-            assert_eq!(r.entered_recovery, i == 2);
+            s.on_ack(t, &ack_seg(MSS as u64, 0));
+            assert_eq!(s.snd_una(), MSS as u64);
+            assert_eq!(s.in_recovery(), i == 2);
         }
-        assert!(s.in_recovery());
         assert_eq!(s.stats().loss_events, 1);
         assert!(cwnd(&s) < cwnd_before, "multiplicative decrease");
 
         // The head segment is retransmitted first.
         let seg = s.poll_segment(t).expect("retransmission due");
-        assert!(seg.is_retransmission);
+        assert_eq!(s.stats().retransmits, 1);
         assert_eq!(seg.offset, MSS as u64);
     }
 
@@ -1054,8 +1031,8 @@ mod tests {
         }
         let _rtx = s.poll_segment(t);
         // Full cumulative ACK arrives.
-        let r = s.on_ack(SimTime::from_millis(30), &ack_seg(recover_point, 0));
-        assert!(r.exited_recovery);
+        assert!(s.in_recovery());
+        s.on_ack(SimTime::from_millis(30), &ack_seg(recover_point, 0));
         assert!(!s.in_recovery());
         assert_eq!(s.send_window(), cwnd(&s)); // inflation gone
     }
@@ -1073,15 +1050,14 @@ mod tests {
         }
         let _rtx = s.poll_segment(t).unwrap();
         // Partial ACK: advances but not past recover.
-        let r = s.on_ack(SimTime::from_millis(30), &ack_seg(3 * MSS as u64, 0));
-        assert_eq!(r.newly_acked, 2 * MSS as u64);
-        assert!(!r.exited_recovery);
+        s.on_ack(SimTime::from_millis(30), &ack_seg(3 * MSS as u64, 0));
+        assert_eq!(s.snd_una(), 3 * MSS as u64);
         assert!(s.in_recovery());
         // The hole at the new snd_una is retransmitted without new dup ACKs.
         let seg = s
             .poll_segment(SimTime::from_millis(30))
             .expect("partial-ack rtx");
-        assert!(seg.is_retransmission);
+        assert_eq!(s.stats().retransmits, 2);
         assert_eq!(seg.offset, 3 * MSS as u64);
     }
 
@@ -1131,7 +1107,7 @@ mod tests {
         assert_eq!(cwnd(&s), MSS as u64);
         // Head-of-line retransmission is queued.
         let seg = s.poll_segment(deadline).unwrap();
-        assert!(seg.is_retransmission);
+        assert_eq!(s.stats().retransmits, 1);
         assert_eq!(seg.offset, 0);
         // Backoff doubled the next deadline's distance.
         let rto1 = s.next_timer().unwrap() - deadline;
@@ -1207,18 +1183,29 @@ mod tests {
         s.on_ack(SimTime::from_millis(25), &ack_seg(10 * MSS as u64, 0));
         // The queued rtx for offset 0 must be skipped, yielding new data.
         let seg = s.poll_segment(SimTime::from_millis(25)).unwrap();
-        assert!(!seg.is_retransmission);
+        assert_eq!(s.stats().retransmits, 0);
         assert!(seg.offset >= 10 * MSS as u64);
     }
 
+    /// An ACK of data never sent is dropped whole: it moves no edge, sets no
+    /// peer window and takes no RTT sample from its timestamp echo.
     #[test]
     fn ack_beyond_snd_nxt_is_ignored() {
         let mut s = sender();
-        let _ = drain(&mut s, SimTime::ZERO);
-        let bogus = ack_seg(100 * MSS as u64, 0);
-        let r = s.on_ack(SimTime::from_millis(1), &bogus);
-        assert_eq!(r.newly_acked, 0);
-        assert_eq!(s.snd_una(), 0);
+        let segs = drain(&mut s, SimTime::from_millis(1));
+        let tsval = segs[0].seg.ts.unwrap().tsval;
+        s.on_ack(SimTime::from_millis(11), &ack_seg(MSS as u64, tsval));
+        let _ = drain(&mut s, SimTime::from_millis(11));
+        let (window, srtt) = (s.send_window(), s.rtt().and_then(|r| r.srtt()));
+        assert!(srtt.is_some());
+        let bogus = TcpSegment {
+            window: 0,
+            ..ack_seg(s.snd_nxt() + 10 * MSS as u64, 1)
+        };
+        s.on_ack(SimTime::from_secs(5), &bogus);
+        assert_eq!(s.send_window(), window);
+        assert_eq!(s.rtt().and_then(|r| r.srtt()), srtt);
+        assert_eq!(s.snd_una(), MSS as u64);
     }
 
     #[test]

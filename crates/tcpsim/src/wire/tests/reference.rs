@@ -39,7 +39,7 @@ impl Writer {
         self.put_slice(&v.to_be_bytes());
     }
     fn finish(self) -> Payload {
-        Payload::from_slice(&self.0)
+        Payload::from_slice(&self.0).expect("a TCP header is at most 60 bytes")
     }
 }
 

@@ -660,7 +660,6 @@ mod tests {
             protocol: Protocol::Raw,
             payload: Payload::empty(),
             data_len: 0,
-            flow_hash: 77,
             ecn: Ecn::NotEct,
         };
         let (nodes, links) = (path.nodes(), path.links());

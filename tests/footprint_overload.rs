@@ -26,8 +26,9 @@ use std::sync::atomic::Ordering::Relaxed;
 /// bound, 2 160 840 with subflow senders that exist only while they run and
 /// 120-byte subflow receivers, 1 995 176 with drop-tail FIFOs linked
 /// through the packet slab, 120-byte link-direction records and a topology
-/// that allocates nothing per node).
-const PEAK_BUDGET_BYTES: u64 = 2_094_900;
+/// that allocates nothing per node, 1 936 280 with 96-byte packets and
+/// link-direction records that keep no byte count).
+const PEAK_BUDGET_BYTES: u64 = 2_033_100;
 /// `run_traffic(&cell()).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0xbdf8_4980_0964_a51a;
 

@@ -95,9 +95,8 @@ fn offer_data(agent: &mut dyn Agent, payload: &[u8], data_len: u32) -> usize {
         dst: NodeId(1),
         tag: Tag(1),
         protocol: Protocol::Tcp,
-        payload: Payload::from_slice(payload),
+        payload: Payload::from_slice(payload).expect("test payloads fit a packet"),
         data_len,
-        flow_hash: 0,
         ecn: Ecn::NotEct,
     };
     drive(|ctx| agent.on_packet(ctx, pkt))
