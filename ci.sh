@@ -227,27 +227,30 @@ echo "==> perfbench smoke (the benchmark still builds against the crates and its
 # a row saying so or is a bug.
 # fabric-ecmp, churn-4k and overload-4k also have a memory ceiling: peak RSS
 # repeats to 0.1-0.2 MB on one host, so unlike wall-clock it can be gated.
-# fabric-ecmp reads 4.8-4.9 MB (5.0-5.1 MB with 176-byte link-direction
-# records, 5.3-5.4 MB while the fabric kept ECMP groups and default routes,
-# 7.8-8.0 MB while untagged routes were per-node B-trees held twice, 14.0 MB
-# while every wheel bucket kept its own high-water allocation); churn-4k
-# and overload-4k are the world at rest (4 000 pairs assembled; on churn-4k
-# most of them finished, on overload-4k most of them mid-recovery):
-# churn-4k reads 13.0-13.1 MB (13.6-13.7 MB with 104-byte packets and 120-byte
-# link-direction records that counted queued and dropped bytes; 15.8 MB while
-# link-direction records were 176 bytes, held an RNG stream each and buffered
-# drop-tail bursts in a VecDeque, and every node owned two Strings and a Vec;
-# 19.1 MB while every subflow sender was built whole at assembly and kept
-# whole after it finished, 21.0-21.2 MB with boxed drop-tail queues, 22.9-23.0
-# MB while every node owned a route table), overload-4k 21.0-21.1 MB (21.7 MB
-# with 104-byte packets and 120-byte records, 23.8-23.9 MB with 176-byte
-# records, 24.0 MB with whole subflow senders, 25.8-26.0 MB with boxed queues,
-# 29.1 MB while SACK scoreboards and reassembly sets were B-trees); each
+# fabric-ecmp reads 4.6 MB (4.8-4.9 MB while every MSS chunk was a DSS
+# mapping-table entry, 5.0-5.1 MB with 176-byte link-direction records,
+# 5.3-5.4 MB while the fabric kept ECMP groups and default routes, 7.8-8.0 MB
+# while untagged routes were per-node B-trees held twice, 14.0 MB while every
+# wheel bucket kept its own high-water allocation); churn-4k and overload-4k
+# are the world at rest (4 000 pairs assembled; on churn-4k most of them
+# finished, on overload-4k most of them mid-recovery): churn-4k reads 12.9 MB
+# (13.0-13.1 MB while every MSS chunk was a mapping-table entry, 13.6-13.7 MB
+# with 104-byte packets and 120-byte link-direction records that counted
+# queued and dropped bytes; 15.8 MB while link-direction records were 176
+# bytes, held an RNG stream each and buffered drop-tail bursts in a VecDeque,
+# and every node owned two Strings and a Vec; 19.1 MB while every subflow
+# sender was built whole at assembly and kept whole after it finished,
+# 21.0-21.2 MB with boxed drop-tail queues, 22.9-23.0 MB while every node
+# owned a route table), overload-4k 19.4 MB (21.0-21.1 MB while every MSS
+# chunk was a mapping-table entry, 21.7 MB with 104-byte packets and 120-byte
+# records, 23.8-23.9 MB with 176-byte records, 24.0 MB with whole subflow
+# senders, 25.8-26.0 MB with boxed queues, 29.1 MB while SACK scoreboards and
+# reassembly sets were B-trees); each
 # ceiling keeps the margin it had over the previous reading.
 # regen-service (~35 s on two
 # cores) is table regeneration end to end: runner, store, faults,
 # checkpoint/branch and a fluid solve. 0 means no ceiling.
-for smoke in paper-bulk:0 fabric-ecmp:7 churn-4k:14.7 overload-4k:24.8 regen-service:0; do
+for smoke in paper-bulk:0 fabric-ecmp:6.7 churn-4k:14.7 overload-4k:23.1 regen-service:0; do
     workload=${smoke%:*}
     limit=${smoke#*:}
     cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \

@@ -366,11 +366,16 @@ mod e2e_tests {
             .unwrap()
             .downcast_ref::<MptcpSenderAgent>()
             .unwrap();
-        assert!(
-            sender.stats().bytes_reinjected > 0,
+        // Pinned, not only positive: the failed subflow's chunks are
+        // clipped at the data ACK one by one and re-cut into MSS chunks on
+        // the survivor, and a change to that cutting moves both numbers.
+        assert_eq!(
+            sender.stats().bytes_reinjected,
+            40_880,
             "failover must reinject the stranded bytes"
         );
         assert_eq!(sender.stats().data_acked, total_bytes);
+        assert_eq!(rig.sim.stats().events, 21_924);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * a **scheduler** assigns MSS-sized DSN chunks to subflows with window
 //!   space (default: lowest-RTT, the Linux default scheduler);
 //! * a [`MappingTable`] per subflow records subflow-offset → DSN mappings,
-//!   and every outgoing segment carries the corresponding **DSS option**
-//!   (segments are split at mapping boundaries so one segment never mixes
-//!   two DSN ranges);
+//!   one entry per run of DSN-contiguous chunks, and every outgoing segment
+//!   carries the corresponding **DSS option** (segments are split at chunk
+//!   boundaries, so one packet never carries two chunks' DSNs);
 //! * **coupled congestion control** (LIA/OLIA/BALIA/wVegas) or uncoupled
 //!   CUBIC/Reno per subflow, built over one shared [`Coupling`] that lives
 //!   as long as the controllers do;
@@ -115,6 +115,12 @@ struct Sub {
     /// scheduling until an ACK proves the path alive again.
     failed: bool,
 }
+
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter subflow record fails the build, not a run"
+)]
+const _: () = assert!(std::mem::size_of::<Sub>() <= 192);
 
 /// The MPTCP sender agent.
 ///
@@ -277,6 +283,8 @@ impl MptcpSenderAgent {
         }
     }
 
+    /// Map the chunk `[dsn, dsn + len)` (at most one MSS) onto subflow `i`'s
+    /// stream and hand its bytes to the subflow sender.
     fn allocate_chunk_to(&mut self, i: usize, dsn: u64, len: u64) {
         let sub = &mut self.subs[i];
         let sf_start = sub.sender.snd_nxt() + sub.sender.app_backlog();
@@ -290,7 +298,7 @@ impl MptcpSenderAgent {
     }
 
     /// Drain subflow `i`'s sendable segments into the network, attaching
-    /// DSS options (splitting at mapping boundaries).
+    /// DSS options (splitting at chunk boundaries).
     fn drain(&mut self, ctx: &mut Ctx<'_>, i: usize) {
         let now = ctx.now();
         while let Some(tx) = self.subs[i].sender.poll_segment(now) {

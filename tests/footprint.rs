@@ -58,14 +58,16 @@ fn cell(pairs: usize) -> TrafficCell {
 const RETAINED_PER_CONNECTION: u64 = 316;
 /// What each further pair weighs from assembly to the horizon, finished:
 /// the measured sum of `ASSEMBLED_PER_PAIR`'s and `RETAINED_PER_CONNECTION`'s
-/// quantities, less the scratch counted in both, + 5 % (2 209; 2 326 while link-direction records were 120
+/// quantities, less the scratch counted in both, + 5 % (2 193; 2 209 while
+/// each subflow's mapping table kept an `Option` for its end offset; 2 326
+/// while link-direction records were 120
 /// bytes, packets carried a flow hash and scheduler snapshots a window and a
 /// flight; 2 753 while link-direction records were 176
 /// bytes and every node owned two copies of its name and an adjacency
 /// `Vec`, 3 561 while every subflow sender was assembled whole and kept
 /// whole after it finished). Moving an allocation between assembly and the
 /// run moves the two parts, not this.
-const FINISHED_PER_PAIR: u64 = 2_319;
+const FINISHED_PER_PAIR: u64 = 2_303;
 /// Peak live heap of `run_traffic(&cell(PAIRS))`: the measured value + 5 %
 /// (6 750 556 before PR 17, 3 781 600 after, 2 618 288 with the wheel's
 /// chunk pool, 2 260 128 with one 144-byte record per link direction and
@@ -79,8 +81,10 @@ const FINISHED_PER_PAIR: u64 = 2_319;
 /// subflow senders that exist only while they run, 1 431 056 with drop-tail
 /// FIFOs linked through the packet slab, 120-byte link-direction records
 /// and a topology that allocates nothing per node, 1 370 336 with 96-byte
-/// packets and link-direction records that keep no byte count).
-const PEAK_BUDGET_BYTES: u64 = 1_438_900;
+/// packets and link-direction records that keep no byte count, 1 310 656
+/// with mapping tables that hold one entry per DSN-contiguous run of MSS
+/// chunks).
+const PEAK_BUDGET_BYTES: u64 = 1_376_200;
 /// Heap bytes each further pair adds to a world that is assembled and has
 /// not run an event yet — topology, routes, the simulator's per-direction
 /// records, two agents — everything `assembled_and_retained_by` allocates
@@ -98,15 +102,18 @@ const PEAK_BUDGET_BYTES: u64 = 1_438_900;
 /// hold neither an RNG stream nor a queue buffer, and a topology that keeps
 /// each name once, in an arena, and no adjacency `Vec`, 1 972 with 96-byte
 /// link-direction records and subflows that keep no flow hash and whose
-/// scheduler snapshots keep no window: `STAGE_PER_PAIR` has the stages).
-const ASSEMBLED_PER_PAIR: u64 = 2_071;
+/// scheduler snapshots keep no window, 1 956 with each subflow's mapping
+/// table keeping its end offset as a plain `u64`: `STAGE_PER_PAIR` has the
+/// stages).
+const ASSEMBLED_PER_PAIR: u64 = 2_054;
 /// What each stage of assembly (`STAGES`) adds per pair: 24, 264, 204, 400
-/// and 1 079 B measured, each + 5 % (the topology was 467 B while each node
+/// and 1 063 B measured, each + 5 % (the topology was 467 B while each node
 /// owned its name, a B-tree copy of it and an adjacency `Vec`; `World::new`
 /// 720 B while each link direction's record was 176 bytes and 496 B while
 /// it was 120; the agents 1 127 B while each subflow kept a flow hash and
-/// each scheduler snapshot a window and a flight).
-const STAGE_PER_PAIR: [u64; 5] = [25, 277, 214, 420, 1_133];
+/// each scheduler snapshot a window and a flight, 1 079 B while each
+/// subflow record was 200 bytes).
+const STAGE_PER_PAIR: [u64; 5] = [25, 277, 214, 420, 1_116];
 /// Allocator calls `run_traffic(&cell(PAIRS))` made at PR 17's parent
 /// commit, in the dev and the release profile alike (PR 17: 32 855).
 const PARENT_ALLOCATOR_CALLS: u64 = 94_095;
@@ -115,12 +122,14 @@ const PARENT_ALLOCATOR_CALLS: u64 = 94_095;
 /// a container on the packet path started asking the allocator again.
 const BTREE_ALLOCATOR_CALLS: u64 = 32_482;
 /// ... and the measured value + 5 % since a drop-tail burst allocates
-/// nothing, a topology allocates nothing per node and the traffic
-/// substrate spells its node names in one reused buffer (13 103; 14 684
+/// nothing, a topology allocates nothing per node, the traffic
+/// substrate spells its node names in one reused buffer and a mapping
+/// table grows by runs, not chunks (11 850; 13 103 while it grew by
+/// chunks, 14 684
 /// while each name was a `format!`ted `String`, 29 242 while each burst
 /// grew and freed a `VecDeque` and each node held two `String`s and a
 /// `Vec`).
-const ALLOCATOR_CALLS: u64 = 13_758;
+const ALLOCATOR_CALLS: u64 = 12_443;
 /// `run_traffic(&cell(PAIRS)).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0x9258_65b6_04ae_1d32;
 

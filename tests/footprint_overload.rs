@@ -27,8 +27,9 @@ use std::sync::atomic::Ordering::Relaxed;
 /// 120-byte subflow receivers, 1 995 176 with drop-tail FIFOs linked
 /// through the packet slab, 120-byte link-direction records and a topology
 /// that allocates nothing per node, 1 936 280 with 96-byte packets and
-/// link-direction records that keep no byte count).
-const PEAK_BUDGET_BYTES: u64 = 2_033_100;
+/// link-direction records that keep no byte count, 1 745 752 with mapping
+/// tables that hold one entry per DSN-contiguous run of MSS chunks).
+const PEAK_BUDGET_BYTES: u64 = 1_833_100;
 /// `run_traffic(&cell()).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0xbdf8_4980_0964_a51a;
 
