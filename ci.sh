@@ -117,6 +117,7 @@ crates/ tests/ examples/*.rs src/ | ConvergenceReport|analyze_sustained|converge
 crates/ tests/ examples/*.rs src/ | NodeInfo|VecDeque<(Queued|PacketHandle)> | deleted (DESIGN.md par 4 netsim, par 15): a topology keeps no allocation per node (names in one arena, read with Topology::node_name; adjacency threaded through the link table), and a drop-tail FIFO is a list linked through the packet slab, not a buffer
 crates/ tests/ examples/*.rs src/ | impl (AgentClone|SinkClone|CcClone) for ([^T]|T[^ ])|as_any_mut|downcast_mut|fn rebind|fn rebase|deep_clone|SNAPSHOT_VERSION|WorldCheckpoint|WVegasCc | deleted (DESIGN.md par 13.3): a checkpoint is Clone; netsim::AgentClone, netsim::SinkClone and tcpsim::CcClone each have one blanket impl for every Clone type and no per-type one, a snapshot is a frozen Simulator with no version, World and Coupling clone deep, and MptcpSenderAgent's Clone rebuilds coupled controllers (wVegas's too, in CoupledCc) with Coupling::controller
 crates/netsim/src crates/tcpsim/src crates/mptcpsim/src tests/ | \bflow_hash\b|Repr::Heap|send_ecn|AckResult|is_retransmission|max_queue_bytes|drop_bytes|len_bytes | deleted (DESIGN.md par 4): a packet carries what the network reads (no flow hash: a subflow is pinned by its tag; the payload is one inline array; one Ctx::send takes the ECN codepoint), a link direction counts packets, not queue or drop bytes, and TcpSender::on_ack returns nothing
+crates/ tests/ examples/*.rs | release_min_filter|\bmin_filter\b | deleted in PR 46 (DESIGN.md par 15): the RTT estimator is RFC 6298 only; the windowed minimum is tcpsim::rtt::MinRttFilter, held by a live sender only for a controller whose reads_min_rtt() is true
 EOF
 [ "$DELETED" -eq 0 ] || exit 1
 
@@ -227,21 +228,25 @@ echo "==> perfbench smoke (the benchmark still builds against the crates and its
 # a row saying so or is a bug.
 # fabric-ecmp, churn-4k and overload-4k also have a memory ceiling: peak RSS
 # repeats to 0.1-0.2 MB on one host, so unlike wall-clock it can be gated.
-# fabric-ecmp reads 4.6 MB (4.8-4.9 MB while every MSS chunk was a DSS
+# fabric-ecmp reads 4.4 MB (4.6 MB while every live subflow sender fed an
+# RTT min-filter its LIA controller never reads and kept a drained
+# retransmit queue's buffer, 4.8-4.9 MB while every MSS chunk was a DSS
 # mapping-table entry, 5.0-5.1 MB with 176-byte link-direction records,
 # 5.3-5.4 MB while the fabric kept ECMP groups and default routes, 7.8-8.0 MB
 # while untagged routes were per-node B-trees held twice, 14.0 MB while every
 # wheel bucket kept its own high-water allocation); churn-4k and overload-4k
 # are the world at rest (4 000 pairs assembled; on churn-4k most of them
-# finished, on overload-4k most of them mid-recovery): churn-4k reads 12.9 MB
-# (13.0-13.1 MB while every MSS chunk was a mapping-table entry, 13.6-13.7 MB
+# finished, on overload-4k most of them mid-recovery): churn-4k reads 12.7 MB
+# (12.9 MB with RTT min-filters in LIA senders, 13.0-13.1 MB while every MSS
+# chunk was a mapping-table entry, 13.6-13.7 MB
 # with 104-byte packets and 120-byte link-direction records that counted
 # queued and dropped bytes; 15.8 MB while link-direction records were 176
 # bytes, held an RNG stream each and buffered drop-tail bursts in a VecDeque,
 # and every node owned two Strings and a Vec; 19.1 MB while every subflow
 # sender was built whole at assembly and kept whole after it finished,
 # 21.0-21.2 MB with boxed drop-tail queues, 22.9-23.0 MB while every node
-# owned a route table), overload-4k 19.4 MB (21.0-21.1 MB while every MSS
+# owned a route table), overload-4k 18.2 MB (19.4 MB with RTT min-filters in
+# LIA senders and 272-byte live sender parts, 21.0-21.1 MB while every MSS
 # chunk was a mapping-table entry, 21.7 MB with 104-byte packets and 120-byte
 # records, 23.8-23.9 MB with 176-byte records, 24.0 MB with whole subflow
 # senders, 25.8-26.0 MB with boxed queues, 29.1 MB while SACK scoreboards and
@@ -250,7 +255,7 @@ echo "==> perfbench smoke (the benchmark still builds against the crates and its
 # regen-service (~35 s on two
 # cores) is table regeneration end to end: runner, store, faults,
 # checkpoint/branch and a fluid solve. 0 means no ceiling.
-for smoke in paper-bulk:0 fabric-ecmp:6.7 churn-4k:14.7 overload-4k:23.1 regen-service:0; do
+for smoke in paper-bulk:0 fabric-ecmp:6.5 churn-4k:14.5 overload-4k:21.9 regen-service:0; do
     workload=${smoke%:*}
     limit=${smoke#*:}
     cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \

@@ -1,8 +1,10 @@
-//! The work counters of the three many-connection benchmark workloads.
+//! The work counters of the paper world and of the three many-connection
+//! benchmark workloads.
 //!
-//! `examples/perfbench` times `fabric-ecmp`, `churn-4k` and `overload-4k`;
-//! this binary runs the same cells (same constructors, same seeds: workload
-//! seed `s` runs cells `s`, `s + 1`, …) once each, untimed, and prints every
+//! `examples/perfbench` times `paper-bulk`, `fabric-ecmp`, `churn-4k` and
+//! `overload-4k`; this binary runs the same scenarios and cells (same
+//! constructors, same seeds: workload seed `s` runs cells `s`, `s + 1`, …)
+//! once each, untimed, and prints every
 //! [`netsim::SimCounters`] entry summed over the workload's cells, next to
 //! the events and delivered bytes perfbench prints as `sim.events` and
 //! `sim.bytes_delivered` for the same seed. The output is deterministic, so a layout or scheduling change states its
@@ -11,9 +13,12 @@
 //!
 //! Run: `cargo run -p bench --bin sim_counters --release [seed]` (~6 s).
 
-use netsim::SimCounters;
-use overlap_core::{run_fabric, run_traffic, FabricCell, SubflowSelector, TrafficCell};
-use simbase::SimDuration;
+use mptcpsim::CcAlgo;
+use netsim::{FaultSchedule, SimCounters};
+use overlap_core::{
+    run_fabric, run_traffic, FabricCell, PaperNetwork, Scenario, SubflowSelector, TrafficCell,
+};
+use simbase::{SimDuration, SimTime};
 
 /// One line per counter, summed over a workload's cells. High-water marks
 /// and maxima are per cell, so they report their maximum instead.
@@ -40,6 +45,31 @@ fn report(workload: &str, events: u64, delivered: u64, counters: &[SimCounters])
     }
 }
 
+/// `paper-bulk`: the paper network's one three-subflow connection under
+/// CUBIC, LIA and OLIA for 30 s each. Each scenario is checkpointed at its
+/// horizon, so the checkpoint holds the whole run's counters; a branch
+/// with no faults from there simulates nothing more and reports the run's
+/// events and delivered bytes.
+fn paper(seed: u64) {
+    let net = PaperNetwork::new();
+    let base = Scenario {
+        default_path: net.default_path,
+        ..Scenario::new(net.topology, net.paths)
+    }
+    .with_seed(seed)
+    .with_timing(SimDuration::from_secs(30), SimDuration::from_millis(100));
+    let (mut events, mut delivered, mut counters) = (0, 0, Vec::new());
+    for algo in [CcAlgo::Cubic, CcAlgo::Lia, CcAlgo::Olia] {
+        let scenario = base.clone().with_algo(algo);
+        let checkpoint = scenario.checkpoint_at(SimTime::ZERO + scenario.duration);
+        let run = checkpoint.branch_run(&FaultSchedule::new(), None);
+        events += run.events;
+        delivered += run.data_delivered;
+        counters.push(checkpoint.counters());
+    }
+    report("paper-bulk", events, delivered, &counters);
+}
+
 fn traffic(workload: &str, seed: u64, cells: u64, arrival_rate_hz: f64, secs: u64) {
     let runs: Vec<_> = (seed..seed + cells)
         .map(|s| {
@@ -61,6 +91,7 @@ fn traffic(workload: &str, seed: u64, cells: u64, arrival_rate_hz: f64, secs: u6
 fn main() {
     let seed: u64 = bench::arg(1, "sim_counters [seed]").unwrap_or(1);
     println!("sim_counters: seed {seed}");
+    paper(seed);
     let fabric = run_fabric(&FabricCell {
         k: 8,
         connections: 64,

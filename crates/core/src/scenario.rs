@@ -366,6 +366,11 @@ impl ScenarioCheckpoint {
         &self.scenario
     }
 
+    /// The frozen prefix's work counters ([`World::counters`]).
+    pub fn counters(&self) -> netsim::SimCounters {
+        self.world.counters()
+    }
+
     /// Capture records held by the frozen prefix. Zero: the prefix's
     /// measurement state is the streaming sink's hash, seen-set and bins.
     pub fn buffered_captures(&self) -> usize {

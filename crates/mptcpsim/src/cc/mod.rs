@@ -390,6 +390,12 @@ impl CongestionControl for CoupledCc {
     fn ssthresh(&self) -> u64 {
         self.own.ssthresh(&self.shared, self.idx)
     }
+
+    /// wVegas is delay-based and reads the base RTT; LIA, OLIA and BALIA
+    /// are loss-based and never do.
+    fn reads_min_rtt(&self) -> bool {
+        self.algo == CcAlgo::WVegas
+    }
 }
 
 #[cfg(test)]
@@ -446,6 +452,24 @@ mod tests {
         assert!(CcAlgo::Lia.is_coupled());
         assert!(CcAlgo::Olia.is_coupled());
         assert!(CcAlgo::Balia.is_coupled());
+    }
+
+    /// Only the delay-based controllers read the base RTT, so only their
+    /// subflow senders keep a windowed-minimum filter.
+    #[test]
+    fn only_cubic_and_wvegas_read_the_min_rtt() {
+        let coupling = Coupling::new();
+        for (algo, reads) in [
+            (CcAlgo::Cubic, true),
+            (CcAlgo::RenoUncoupled, false),
+            (CcAlgo::Lia, false),
+            (CcAlgo::Olia, false),
+            (CcAlgo::Balia, false),
+            (CcAlgo::WVegas, true),
+        ] {
+            let cc = coupling.make_cc(algo, 10 * MSS as u64, MSS);
+            assert_eq!(cc.reads_min_rtt(), reads, "{algo:?}");
+        }
     }
 
     #[test]

@@ -418,9 +418,8 @@ impl MptcpSenderAgent {
     /// part ([`TcpSender::release_finished`]: the sender retires unless
     /// ECN is on), the coupling once no controller is left, and the
     /// scheduling scratch. Counters and every `subflow_sender(i)` stay
-    /// readable. Called after every `pump` of a complete connection (a late
-    /// duplicate ACK can put an RTT sample back into a sender that stays
-    /// live); all of it is a no-op the second time.
+    /// readable. Called after every `pump` of a complete connection; all of
+    /// it is a no-op the second time.
     fn release_finished(&mut self) {
         for sub in &mut self.subs {
             sub.sender.release_finished();

@@ -165,6 +165,11 @@ impl CongestionControl for Cubic {
             u64::MAX
         }
     }
+
+    /// HyStart compares each RTT sample against the windowed minimum.
+    fn reads_min_rtt(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

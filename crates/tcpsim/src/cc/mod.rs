@@ -31,7 +31,9 @@ pub struct AckContext {
     pub srtt: Option<SimDuration>,
     /// The most recent raw RTT sample.
     pub latest_rtt: Option<SimDuration>,
-    /// Minimum RTT observed on this path (base RTT).
+    /// Minimum RTT over the last [`crate::rtt::MIN_RTT_WINDOW`] on this
+    /// path (base RTT); `None` unless the controller reads it
+    /// ([`CongestionControl::reads_min_rtt`]) and a sample exists.
     pub min_rtt: Option<SimDuration>,
     /// Bytes in flight *before* this ACK was processed.
     pub flight_size: u64,
@@ -71,6 +73,15 @@ pub trait CongestionControl: std::fmt::Debug + CcClone {
 
     /// Current slow-start threshold in bytes.
     fn ssthresh(&self) -> u64;
+
+    /// Whether this controller reads [`AckContext::min_rtt`]. A sender
+    /// keeps the windowed-minimum filter ([`crate::rtt::MinRttFilter`]) only
+    /// for a controller that does, asked once when it starts: a delay-based
+    /// law (CUBIC's HyStart, wVegas) says `true`, a loss-based one keeps
+    /// the default.
+    fn reads_min_rtt(&self) -> bool {
+        false
+    }
 }
 
 /// What every `Clone` controller has: a boxed copy.

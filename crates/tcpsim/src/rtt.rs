@@ -1,18 +1,22 @@
-//! Round-trip time estimation and retransmission timeout (RFC 6298).
+//! Round-trip time estimation and retransmission timeout (RFC 6298), and
+//! the windowed-minimum base-RTT filter.
 //!
 //! Samples come from the timestamp option (`now - tsecr`), which makes every
 //! ACK a valid sample even during retransmission (Karn's problem does not
-//! arise with timestamps). The RTO follows the classic
-//! `SRTT + max(G, 4·RTTVAR)` recipe with exponential backoff, clamped to
-//! `[MIN_RTO, MAX_RTO]` — Linux's 200 ms floor, which matters at the
-//! paper's millisecond RTTs, and a 60 s ceiling.
+//! arise with timestamps). [`RttEstimator`] is RFC 6298 and nothing else:
+//! the RTO follows the classic `SRTT + max(G, 4·RTTVAR)` recipe with
+//! exponential backoff, clamped to `[MIN_RTO, MAX_RTO]` — Linux's 200 ms
+//! floor, which matters at the paper's millisecond RTTs, and a 60 s ceiling.
 //!
-//! The base-RTT estimate is a *windowed* minimum (Linux `minmax`-style):
-//! a lifetime minimum would go stale forever after a fault-induced reroute
-//! raises the propagation delay, feeding delay-based controllers (wVegas)
-//! a base RTT the path can no longer achieve and making them see permanent
-//! phantom queueing. Samples older than [`MIN_RTT_WINDOW`] are expired
-//! from the filter.
+//! The base-RTT estimate is a separate type, [`MinRttFilter`], a *windowed*
+//! minimum (Linux `minmax`-style): a lifetime minimum would go stale
+//! forever after a fault-induced reroute raises the propagation delay,
+//! feeding delay-based controllers (wVegas) a base RTT the path can no
+//! longer achieve and making them see permanent phantom queueing. Samples
+//! older than [`MIN_RTT_WINDOW`] are expired from the filter. A sender
+//! holds one only for a controller that reads it
+//! ([`crate::CongestionControl::reads_min_rtt`]: CUBIC's HyStart and
+//! wVegas); the loss-based laws never do, and their senders keep no filter.
 
 use simbase::{SimDuration, SimTime};
 
@@ -33,34 +37,21 @@ pub struct RttEstimator {
     rttvar: SimDuration,
     /// Most recent raw sample.
     latest: Option<SimDuration>,
-    /// Windowed-minimum filter for the base RTT: a deque of
-    /// `(sample_time, rtt)` kept ascending in both fields, so the front is
-    /// always the minimum over the window and the back the newest sample.
-    min_filter: std::collections::VecDeque<(SimTime, SimDuration)>,
     /// Current backoff multiplier (power of two).
     backoff: u32,
 }
 
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter estimator fails the build, not a run"
+)]
+const _: () = assert!(std::mem::size_of::<RttEstimator>() <= 48);
+
 impl RttEstimator {
-    /// Incorporate a sample taken at `now` (RFC 6298 §2) and reset
-    /// backoff — a valid sample proves the path is alive.
-    pub fn on_sample(&mut self, now: SimTime, rtt: SimDuration) {
+    /// Incorporate a sample (RFC 6298 §2) and reset backoff — a valid
+    /// sample proves the path is alive.
+    pub fn on_sample(&mut self, rtt: SimDuration) {
         self.latest = Some(rtt);
-        // Windowed minimum: expire samples beyond the horizon, then drop
-        // every queued sample >= the new one (it can never be the minimum
-        // while the newer, smaller sample is in the window). Both fields of
-        // the deque stay ascending, so the front is the window minimum.
-        while self
-            .min_filter
-            .front()
-            .is_some_and(|&(t, _)| now.saturating_since(t) > MIN_RTT_WINDOW)
-        {
-            self.min_filter.pop_front();
-        }
-        while self.min_filter.back().is_some_and(|&(_, r)| r >= rtt) {
-            self.min_filter.pop_back();
-        }
-        self.min_filter.push_back((now, rtt));
         match self.srtt {
             None => {
                 self.srtt = Some(rtt);
@@ -85,21 +76,6 @@ impl RttEstimator {
     /// Most recent raw sample.
     pub fn latest(&self) -> Option<SimDuration> {
         self.latest
-    }
-
-    /// Minimum RTT over the last [`MIN_RTT_WINDOW`] (base RTT). Unlike a lifetime
-    /// minimum, this re-learns the base RTT after a reroute: pre-fault
-    /// samples age out of the filter.
-    pub fn min_rtt(&self) -> Option<SimDuration> {
-        self.min_filter.front().map(|&(_, r)| r)
-    }
-
-    /// Forget the windowed-minimum samples and give their buffer back
-    /// ([`RttEstimator::min_rtt`] is `None` until the next sample). For a
-    /// finished connection: the filter is the one part of the estimator
-    /// that owns an allocation.
-    pub fn release_min_filter(&mut self) {
-        self.min_filter = std::collections::VecDeque::new();
     }
 
     /// Current mean deviation estimate.
@@ -129,15 +105,50 @@ impl RttEstimator {
     }
 }
 
+/// The windowed minimum RTT over the last [`MIN_RTT_WINDOW`] (the base
+/// RTT), for the controllers that read it. Unlike a lifetime minimum, it
+/// re-learns the base RTT after a reroute: pre-fault samples age out.
+#[derive(Debug, Clone, Default)]
+pub struct MinRttFilter {
+    /// `(sample_time, rtt)`, kept ascending in both fields, so the front is
+    /// always the minimum over the window and the back the newest sample.
+    samples: std::collections::VecDeque<(SimTime, SimDuration)>,
+}
+
+impl MinRttFilter {
+    /// Incorporate a sample taken at `now`: expire samples beyond the
+    /// horizon, then drop every queued sample >= the new one (it can never
+    /// be the minimum while the newer, smaller sample is in the window).
+    pub fn on_sample(&mut self, now: SimTime, rtt: SimDuration) {
+        while self
+            .samples
+            .front()
+            .is_some_and(|&(t, _)| now.saturating_since(t) > MIN_RTT_WINDOW)
+        {
+            self.samples.pop_front();
+        }
+        while self.samples.back().is_some_and(|&(_, r)| r >= rtt) {
+            self.samples.pop_back();
+        }
+        self.samples.push_back((now, rtt));
+    }
+
+    /// Minimum RTT over the last [`MIN_RTT_WINDOW`] (none before the first
+    /// sample).
+    pub fn min(&self) -> Option<SimDuration> {
+        self.samples.front().map(|&(_, r)| r)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const MS: fn(u64) -> SimDuration = SimDuration::from_millis;
 
-    /// Feed a sample at time `at_ms` milliseconds.
-    fn sample(e: &mut RttEstimator, at_ms: u64, rtt: SimDuration) {
-        e.on_sample(SimTime::from_millis(at_ms), rtt);
+    /// Feed the filter a sample taken at `at_ms` milliseconds.
+    fn sample(f: &mut MinRttFilter, at_ms: u64, rtt: SimDuration) {
+        f.on_sample(SimTime::from_millis(at_ms), rtt);
     }
 
     #[test]
@@ -145,7 +156,7 @@ mod tests {
         let mut e = RttEstimator::default();
         assert_eq!(e.srtt(), None);
         assert_eq!(e.rto(), SimDuration::from_secs(1));
-        sample(&mut e, 0, MS(100));
+        e.on_sample(MS(100));
         assert_eq!(e.srtt(), Some(MS(100)));
         assert_eq!(e.rttvar(), MS(50));
         // RTO = 100 + 4*50 = 300ms.
@@ -155,8 +166,8 @@ mod tests {
     #[test]
     fn smoothing_converges_on_constant_rtt() {
         let mut e = RttEstimator::default();
-        for i in 0..100 {
-            sample(&mut e, i * 10, MS(80));
+        for _ in 0..100 {
+            e.on_sample(MS(80));
         }
         let srtt = e.srtt().unwrap();
         assert!(srtt >= MS(79) && srtt <= MS(81), "srtt={srtt}");
@@ -167,21 +178,22 @@ mod tests {
     #[test]
     fn variance_rises_on_jitter() {
         let mut e = RttEstimator::default();
-        sample(&mut e, 0, MS(50));
+        e.on_sample(MS(50));
         let rto_stable = e.rto();
-        sample(&mut e, 50, MS(250));
+        e.on_sample(MS(250));
         assert!(e.rto() > rto_stable, "jitter must inflate RTO");
+        assert_eq!(e.latest(), Some(MS(250)));
     }
 
     #[test]
     fn backoff_doubles_and_sample_resets() {
         let mut e = RttEstimator::default();
-        sample(&mut e, 0, MS(100)); // RTO 300ms
+        e.on_sample(MS(100)); // RTO 300ms
         e.on_timeout();
         assert_eq!(e.rto(), MS(600));
         e.on_timeout();
         assert_eq!(e.rto(), MS(1200));
-        sample(&mut e, 1000, MS(100));
+        e.on_sample(MS(100));
         // rttvar decayed: 3/4·50 + 1/4·0 = 37.5 ms -> RTO 100 + 150 = 250.
         assert_eq!(e.rto(), MS(250));
         assert_eq!(e.backoff(), 0);
@@ -190,7 +202,7 @@ mod tests {
     #[test]
     fn rto_clamps_to_bounds() {
         let mut e = RttEstimator::default();
-        sample(&mut e, 0, MS(1)); // tiny RTT -> floor
+        e.on_sample(MS(1)); // tiny RTT -> floor
         assert_eq!(e.rto(), MS(200));
         // 3 ms backed off 2^16 times is 197 s: the ceiling holds it at 60 s.
         for _ in 0..20 {
@@ -201,12 +213,12 @@ mod tests {
 
     #[test]
     fn min_rtt_tracks_floor() {
-        let mut e = RttEstimator::default();
-        sample(&mut e, 0, MS(30));
-        sample(&mut e, 10, MS(10));
-        sample(&mut e, 20, MS(50));
-        assert_eq!(e.min_rtt(), Some(MS(10)));
-        assert_eq!(e.latest(), Some(MS(50)));
+        let mut f = MinRttFilter::default();
+        assert_eq!(f.min(), None);
+        sample(&mut f, 0, MS(30));
+        sample(&mut f, 10, MS(10));
+        sample(&mut f, 20, MS(50));
+        assert_eq!(f.min(), Some(MS(10)));
     }
 
     #[test]
@@ -215,15 +227,15 @@ mod tests {
         // fault-induced reroute onto a longer path the base RTT stayed
         // stale forever and delay-based CC saw phantom queueing. With the
         // windowed filter the pre-reroute sample ages out.
-        let mut e = RttEstimator::default();
-        sample(&mut e, 0, MS(10)); // short path
-        assert_eq!(e.min_rtt(), Some(MS(10)));
+        let mut f = MinRttFilter::default();
+        sample(&mut f, 0, MS(10)); // short path
+        assert_eq!(f.min(), Some(MS(10)));
         // Reroute: every sample now takes the 40 ms path.
-        sample(&mut e, 500, MS(40));
-        assert_eq!(e.min_rtt(), Some(MS(10)), "still inside the window");
-        sample(&mut e, 10_600, MS(40));
+        sample(&mut f, 500, MS(40));
+        assert_eq!(f.min(), Some(MS(10)), "still inside the window");
+        sample(&mut f, 10_600, MS(40));
         assert_eq!(
-            e.min_rtt(),
+            f.min(),
             Some(MS(40)),
             "the 10 ms sample is past the 10 s horizon and must expire"
         );
@@ -233,41 +245,26 @@ mod tests {
     fn min_rtt_window_keeps_minimum_among_live_samples() {
         // The filter must return the smallest *unexpired* sample, not just
         // the latest: a recent low reading survives later higher ones.
-        let mut e = RttEstimator::default();
-        sample(&mut e, 0, MS(30));
-        sample(&mut e, 100, MS(12));
-        sample(&mut e, 200, MS(25));
-        sample(&mut e, 300, MS(50));
-        assert_eq!(e.min_rtt(), Some(MS(12)));
+        let mut f = MinRttFilter::default();
+        sample(&mut f, 0, MS(30));
+        sample(&mut f, 100, MS(12));
+        sample(&mut f, 200, MS(25));
+        sample(&mut f, 300, MS(50));
+        assert_eq!(f.min(), Some(MS(12)));
         // At 10.15 s the 12 ms sample (taken at 0.1 s) is expired but the
         // 25 ms one (taken at 0.2 s) is still inside the 10 s window.
-        sample(&mut e, 10_150, MS(60));
-        assert_eq!(e.min_rtt(), Some(MS(25)));
-    }
-
-    #[test]
-    fn a_released_filter_holds_nothing_and_relearns() {
-        let mut e = RttEstimator::default();
-        sample(&mut e, 0, MS(30));
-        sample(&mut e, 10, MS(40));
-        e.release_min_filter();
-        assert_eq!(e.min_filter.capacity(), 0);
-        assert_eq!(e.min_rtt(), None);
-        // Everything that is not the filter is untouched.
-        assert_eq!(e.latest(), Some(MS(40)));
-        assert!(e.srtt().is_some());
-        sample(&mut e, 20, MS(35));
-        assert_eq!(e.min_rtt(), Some(MS(35)));
+        sample(&mut f, 10_150, MS(60));
+        assert_eq!(f.min(), Some(MS(25)));
     }
 
     #[test]
     fn default_window_matches_linux_style_horizon() {
         // A sample exactly 10 s old is still in the window; one older is not.
-        let mut e = RttEstimator::default();
-        sample(&mut e, 0, MS(10));
-        sample(&mut e, 10_000, MS(40));
-        assert_eq!(e.min_rtt(), Some(MS(10)));
-        sample(&mut e, 10_001, MS(40));
-        assert_eq!(e.min_rtt(), Some(MS(40)));
+        let mut f = MinRttFilter::default();
+        sample(&mut f, 0, MS(10));
+        sample(&mut f, 10_000, MS(40));
+        assert_eq!(f.min(), Some(MS(10)));
+        sample(&mut f, 10_001, MS(40));
+        assert_eq!(f.min(), Some(MS(40)));
     }
 }

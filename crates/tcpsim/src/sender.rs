@@ -25,7 +25,7 @@
 
 use crate::cc::{AckContext, CongestionControl, LossContext};
 use crate::ranges::RangeSet;
-use crate::rtt::RttEstimator;
+use crate::rtt::{MinRttFilter, RttEstimator};
 use crate::seq::{SeqNum, ISN};
 use crate::wire::{SackList, TcpFlags, TcpSegment, Timestamps};
 use netsim::SimCounters;
@@ -129,9 +129,9 @@ pub struct SenderStats {
 /// * **dormant** ([`TcpSender::dormant`]): its configuration and zero
 ///   counters, nothing else;
 /// * **live** ([`TcpSender::start`], or built live by [`TcpSender::new`]):
-///   a boxed part holds the controller, RTT estimator, application
-///   backlog, SACK scoreboard, retransmit queue, recovery, timer, TLP and
-///   ECN state;
+///   a boxed part holds the controller, RTT estimator (and the base-RTT
+///   filter, for a controller that reads it), application backlog, SACK
+///   scoreboard, retransmit queue, recovery, timer, TLP and ECN state;
 /// * **retired** ([`TcpSender::release_finished`] on a finished sender that
 ///   no later ACK can move): the boxed part is gone again.
 ///
@@ -167,6 +167,9 @@ pub struct TcpSender {
 struct Live {
     cc: Box<dyn CongestionControl>,
     rtt: RttEstimator,
+    /// The windowed base-RTT filter, present only while `cc` reads it
+    /// ([`CongestionControl::reads_min_rtt`]).
+    min_rtt: Option<Box<MinRttFilter>>,
     /// Bytes of application data available beyond `snd_nxt`.
     available: u64,
     /// If true, the application always has data (iperf model).
@@ -177,7 +180,7 @@ struct Live {
     recovery: Option<Recovery>,
     /// NewReno window inflation during fast recovery (bytes).
     inflation: u64,
-    /// Offsets queued for retransmission.
+    /// Offsets queued for retransmission; holds no buffer once drained.
     rtx_pending: std::collections::VecDeque<u64>,
     /// SACK scoreboard: received ranges above `snd_una` (stream offsets).
     scoreboard: RangeSet,
@@ -194,6 +197,12 @@ struct Live {
     /// Most recent tsval received from the peer (echoed in our segments).
     peer_tsval: u32,
 }
+
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter live part fails the build, not a run"
+)]
+const _: () = assert!(std::mem::size_of::<Live>() <= 248);
 
 impl TcpSender {
     /// Create a live sender with the given congestion controller.
@@ -223,6 +232,7 @@ impl TcpSender {
     pub fn start(&mut self, cc: Box<dyn CongestionControl>) {
         debug_assert!(self.live.is_none(), "a sender starts once");
         self.live = Some(Box::new(Live {
+            min_rtt: cc.reads_min_rtt().then(Box::default),
             cc,
             rtt: RttEstimator::default(),
             available: 0,
@@ -334,11 +344,10 @@ impl TcpSender {
     /// to nothing and it is neither new data nor a counted duplicate. With
     /// ECN on, a late ECN-Echo still counts in `ecn_reductions` (at most
     /// once per smoothed RTT), so the sender stays live and gives back only
-    /// the RTT estimator's windowed-minimum filter (`min_rtt()` is `None`
-    /// afterwards; it feeds [`AckContext`] only when an ACK newly
-    /// acknowledges data, and a finished sender has none in flight).
-    /// Idempotent; a late duplicate ACK may put one sample back, and the
-    /// owner calls this again.
+    /// the base-RTT filter, if its controller had one: the filter feeds
+    /// [`AckContext::min_rtt`] only when an ACK newly acknowledges data, and
+    /// a finished sender has none in flight, so no controller can tell.
+    /// Idempotent; a late duplicate ACK does not bring the filter back.
     pub fn release_finished(&mut self) {
         debug_assert_eq!(self.flight_size(), 0, "released with data in flight");
         let stays_live = self.cfg.ecn || self.app_backlog() > 0;
@@ -346,7 +355,7 @@ impl TcpSender {
             return;
         };
         if stays_live {
-            l.rtt.release_min_filter();
+            l.min_rtt = None;
         } else {
             self.scoreboard_max_len = l.scoreboard.max_len();
             self.live = None;
@@ -522,8 +531,12 @@ impl TcpSender {
     }
 
     fn poll_live(&mut self, l: &mut Live, now: SimTime) -> Option<SegmentTx> {
-        // 1. Pending retransmissions.
+        // 1. Pending retransmissions. The queue gives its buffer back when
+        // it drains: one allocation per retransmission episode, none at rest.
         while let Some(off) = l.rtx_pending.pop_front() {
+            if l.rtx_pending.is_empty() {
+                l.rtx_pending = std::collections::VecDeque::new();
+            }
             if off < self.snd_una {
                 continue; // already acked while queued
             }
@@ -650,8 +663,11 @@ impl TcpSender {
                 let sample_us = Timestamps::tsval_at(now).wrapping_sub(ts.tsecr);
                 // Reject absurd samples from clock wrap (> 1 hour).
                 if sample_us < 3_600_000_000 {
-                    l.rtt
-                        .on_sample(now, SimDuration::from_micros(sample_us as u64));
+                    let rtt = SimDuration::from_micros(sample_us as u64);
+                    l.rtt.on_sample(rtt);
+                    if let Some(filter) = &mut l.min_rtt {
+                        filter.on_sample(now, rtt);
+                    }
                 }
             }
         }
@@ -721,7 +737,7 @@ impl TcpSender {
                         bytes_acked: newly,
                         srtt: l.rtt.srtt(),
                         latest_rtt: l.rtt.latest(),
-                        min_rtt: l.rtt.min_rtt(),
+                        min_rtt: l.min_rtt.as_ref().and_then(|f| f.min()),
                         flight_size: flight_before,
                         mss: self.cfg.mss,
                     });
@@ -1258,6 +1274,120 @@ mod tests {
             .poll_segment(SimTime::from_millis(14))
             .expect("second segment");
         assert!(!seg2.seg.flags.cwr);
+    }
+
+    /// An ACK at `now_ms` for everything below `offset` whose timestamp
+    /// echo makes an RTT sample of `rtt_us` microseconds.
+    fn ack_with_rtt(s: &mut TcpSender, now_ms: u64, offset: u64, rtt_us: u64) {
+        let now = SimTime::from_millis(now_ms);
+        let tsecr = Timestamps::tsval_at(now - SimDuration::from_micros(rtt_us));
+        s.on_ack(now, &ack_seg(offset, tsecr));
+        let _ = drain(s, now);
+    }
+
+    /// A controller with a fixed window that records the `min_rtt` of every
+    /// `AckContext` it is given, and reads it or not as it is told.
+    #[derive(Debug, Clone)]
+    struct Recording {
+        reads: bool,
+        seen: std::rc::Rc<std::cell::RefCell<Vec<Option<SimDuration>>>>,
+    }
+
+    impl CongestionControl for Recording {
+        fn on_ack(&mut self, ctx: &AckContext) {
+            self.seen.borrow_mut().push(ctx.min_rtt);
+        }
+        fn on_loss_event(&mut self, _: &LossContext) {}
+        fn on_rto(&mut self, _: &LossContext) {}
+        fn cwnd(&self) -> u64 {
+            10 * MSS as u64
+        }
+        fn ssthresh(&self) -> u64 {
+            u64::MAX
+        }
+        fn reads_min_rtt(&self) -> bool {
+            self.reads
+        }
+    }
+
+    #[test]
+    fn only_a_controller_that_reads_it_is_given_the_min_rtt() {
+        let ms = SimDuration::from_millis;
+        for reads in [false, true] {
+            let cc = Recording {
+                reads,
+                seen: Default::default(),
+            };
+            let seen = cc.seen.clone();
+            let mut s = TcpSender::new(TcpConfig::default(), Box::new(cc));
+            s.set_unlimited();
+            let _ = drain(&mut s, SimTime::from_millis(1));
+            for (i, rtt_ms) in [30, 40, 20, 25].into_iter().enumerate() {
+                let k = i as u64 + 1;
+                ack_with_rtt(&mut s, 50 + 10 * k, k * MSS as u64, rtt_ms * 1_000);
+            }
+            let expected = if reads {
+                vec![Some(ms(30)), Some(ms(30)), Some(ms(20)), Some(ms(20))]
+            } else {
+                vec![None; 4]
+            };
+            assert_eq!(*seen.borrow(), expected, "reads_min_rtt {reads}");
+            // The RFC 6298 estimator runs either way.
+            assert_eq!(s.rtt().and_then(|r| r.latest()), Some(ms(25)));
+        }
+    }
+
+    /// HyStart through the sender: CUBIC fed RTT samples that rise by half
+    /// a millisecond an ACK leaves slow start before anything is lost,
+    /// which it can only do if the sender hands it the base RTT.
+    #[test]
+    fn cubic_leaves_slow_start_on_rising_rtt_before_any_loss() {
+        let cfg = TcpConfig::default();
+        let cc = Box::new(crate::cc::Cubic::new(cfg.initial_cwnd, cfg.mss));
+        let mut s = TcpSender::new(cfg, cc);
+        s.set_unlimited();
+        let _ = drain(&mut s, SimTime::from_millis(1));
+        let in_slow_start = |s: &TcpSender| s.cc().is_some_and(|cc| cc.cwnd() < cc.ssthresh());
+        let mut acks = 0;
+        while in_slow_start(&s) && acks < 40 {
+            acks += 1;
+            ack_with_rtt(&mut s, 20 + acks, acks * MSS as u64, 10_000 + 500 * acks);
+        }
+        assert!(!in_slow_start(&s), "still in slow start after {acks} ACKs");
+        // cwnd reaches HyStart's 16-segment floor at the seventh ACK; the
+        // ninth's 14.5 ms is the first at least 4 ms above the 10.5 ms
+        // minimum.
+        assert_eq!(acks, 9);
+        assert_eq!((s.stats().loss_events, s.stats().rtos), (0, 0));
+    }
+
+    fn rtx_capacity(s: &TcpSender) -> usize {
+        s.live.as_ref().map_or(0, |l| l.rtx_pending.capacity())
+    }
+
+    #[test]
+    fn a_drained_retransmit_queue_holds_no_buffer() {
+        // RTO: the head is queued, and polled out.
+        let mut s = sender();
+        let _ = drain(&mut s, SimTime::ZERO);
+        let deadline = s.next_timer().unwrap();
+        s.on_timer(deadline);
+        assert!(rtx_capacity(&s) > 0);
+        assert_eq!(s.poll_segment(deadline).map(|tx| tx.offset), Some(0));
+        assert_eq!(rtx_capacity(&s), 0);
+
+        // TLP: the tail is queued once an RTT sample arms the probe.
+        let mut s = sender();
+        let _ = drain(&mut s, SimTime::from_millis(1));
+        ack_with_rtt(&mut s, 11, MSS as u64, 10_000);
+        let probe = s.next_timer().unwrap();
+        s.on_timer(probe);
+        assert_eq!(s.stats().tlp_probes, 1);
+        assert!(rtx_capacity(&s) > 0);
+        let tx = s.poll_segment(probe).expect("the probe");
+        assert_eq!(tx.offset + u64::from(tx.len), s.snd_nxt());
+        assert_eq!(s.stats().retransmits, 1);
+        assert_eq!(rtx_capacity(&s), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 mod counting_alloc;
 
-use counting_alloc::{CALLS, LIVE, PEAK};
+use counting_alloc::{census_at_peak, print_census, start_peak, CALLS, LIVE, PEAK};
 use mptcp_overlap::mptcpsim::{install_subflows, MptcpConfig, SubflowSnapshot};
 use mptcp_overlap::netsim::RoutingTables;
 use mptcp_overlap::overlap_core::{run_traffic, TrafficCell, World};
@@ -83,8 +83,10 @@ const FINISHED_PER_PAIR: u64 = 2_303;
 /// and a topology that allocates nothing per node, 1 370 336 with 96-byte
 /// packets and link-direction records that keep no byte count, 1 310 656
 /// with mapping tables that hold one entry per DSN-contiguous run of MSS
-/// chunks).
-const PEAK_BUDGET_BYTES: u64 = 1_376_200;
+/// chunks, 1 272 104 with 248-byte live subflow-sender parts that keep an
+/// RTT min-filter only for a controller that reads it and a retransmit
+/// queue that holds no buffer once drained).
+const PEAK_BUDGET_BYTES: u64 = 1_335_800;
 /// Heap bytes each further pair adds to a world that is assembled and has
 /// not run an event yet — topology, routes, the simulator's per-direction
 /// records, two agents — everything `assembled_and_retained_by` allocates
@@ -123,13 +125,14 @@ const PARENT_ALLOCATOR_CALLS: u64 = 94_095;
 const BTREE_ALLOCATOR_CALLS: u64 = 32_482;
 /// ... and the measured value + 5 % since a drop-tail burst allocates
 /// nothing, a topology allocates nothing per node, the traffic
-/// substrate spells its node names in one reused buffer and a mapping
-/// table grows by runs, not chunks (11 850; 13 103 while it grew by
-/// chunks, 14 684
+/// substrate spells its node names in one reused buffer, a mapping
+/// table grows by runs, not chunks, and a LIA sender feeds no RTT
+/// min-filter (10 561; 11 850 while every sender grew one, 13 103 while
+/// mapping tables grew by chunks, 14 684
 /// while each name was a `format!`ted `String`, 29 242 while each burst
 /// grew and freed a `VecDeque` and each node held two `String`s and a
 /// `Vec`).
-const ALLOCATOR_CALLS: u64 = 12_443;
+const ALLOCATOR_CALLS: u64 = 11_090;
 /// `run_traffic(&cell(PAIRS)).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0x9258_65b6_04ae_1d32;
 
@@ -215,11 +218,12 @@ fn assembled_and_retained_by(cell: &TrafficCell) -> Census {
 #[test]
 fn a_finished_connection_costs_nothing() {
     // The library's own run of the cell: hash, peak and allocator calls.
-    let (base, calls_before) = (LIVE.load(Relaxed), CALLS.load(Relaxed));
-    PEAK.store(base, Relaxed);
+    let calls_before = CALLS.load(Relaxed);
+    let (base, base_census) = start_peak();
     let run = run_traffic(&cell(PAIRS));
     let peak = PEAK.load(Relaxed) - base;
     let calls = CALLS.load(Relaxed) - calls_before;
+    let census = census_at_peak().over(&base_census);
     assert_eq!(run.finished, PAIRS, "the horizon must outlast every flow");
 
     // What the run leaves behind, at this size and at half of it. Both
@@ -260,6 +264,7 @@ fn a_finished_connection_costs_nothing() {
     for ((name, each), limit) in STAGES.iter().zip(&each_stage).zip(STAGE_PER_PAIR) {
         println!("footprint: {name} weighs {each} B per pair (limit {limit} B)");
     }
+    print_census("footprint", &census, 8);
     assert_eq!(run.trace_hash, PARENT_TRACE_HASH);
     assert!(
         each <= RETAINED_PER_CONNECTION,

@@ -11,7 +11,7 @@
 
 mod counting_alloc;
 
-use counting_alloc::{CALLS, LIVE, PEAK};
+use counting_alloc::{census_at_peak, print_census, start_peak, CALLS, PEAK};
 use mptcp_overlap::overlap_core::{run_traffic, TrafficCell};
 use mptcp_overlap::prelude::*;
 use std::sync::atomic::Ordering::Relaxed;
@@ -28,8 +28,18 @@ use std::sync::atomic::Ordering::Relaxed;
 /// through the packet slab, 120-byte link-direction records and a topology
 /// that allocates nothing per node, 1 936 280 with 96-byte packets and
 /// link-direction records that keep no byte count, 1 745 752 with mapping
-/// tables that hold one entry per DSN-contiguous run of MSS chunks).
-const PEAK_BUDGET_BYTES: u64 = 1_833_100;
+/// tables that hold one entry per DSN-contiguous run of MSS chunks,
+/// 1 629 960 with 248-byte live subflow-sender parts that keep an RTT
+/// min-filter only for a controller that reads it and a retransmit queue
+/// that holds no buffer once drained).
+const PEAK_BUDGET_BYTES: u64 = 1_711_500;
+/// The three largest size classes of the census at the cell's peak, by the
+/// largest request in the class, each at the measured value + 5 %: 141
+/// 64-entry wheel chunks (286 912 B), 699 boxed live subflow-sender parts
+/// and the other 241–256 B requests (173 360 B; the parts were 272 B while
+/// every one held an RTT min-filter and so outside this class), and the
+/// one vector of 1 608 link-direction records (154 368 B).
+const CENSUS_PINS: [(usize, i64); 3] = [(2_048, 301_300), (256, 182_100), (262_144, 162_100)];
 /// `run_traffic(&cell()).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0xbdf8_4980_0964_a51a;
 
@@ -43,11 +53,12 @@ fn cell() -> TrafficCell {
 
 #[test]
 fn loss_recovery_state_is_pinned() {
-    let (base, calls_before) = (LIVE.load(Relaxed), CALLS.load(Relaxed));
-    PEAK.store(base, Relaxed);
+    let calls_before = CALLS.load(Relaxed);
+    let (base, base_census) = start_peak();
     let run = run_traffic(&cell());
     let peak = PEAK.load(Relaxed) - base;
     let calls = CALLS.load(Relaxed) - calls_before;
+    let census = census_at_peak().over(&base_census);
     println!(
         "footprint_overload: {} events, {} link drops, {} retransmits, most ranges in one set {}, \
          peak live {peak} B, {calls} allocator calls, hash {:#018x}",
@@ -57,6 +68,7 @@ fn loss_recovery_state_is_pinned() {
         run.counters.range_set_max_len,
         run.trace_hash
     );
+    print_census("footprint_overload", &census, 8);
     assert_eq!(run.trace_hash, PARENT_TRACE_HASH);
     // The cell must actually be on the loss path.
     assert!(
@@ -64,6 +76,16 @@ fn loss_recovery_state_is_pinned() {
         "overload leaves flows unfinished"
     );
     assert!(run.counters.tcp_retransmits > 1000, "{:?}", run.counters);
+    for (largest, budget) in CENSUS_PINS {
+        let bytes = census
+            .iter()
+            .find(|row| row.range.1 == largest)
+            .map_or(0, |row| row.bytes);
+        assert!(
+            bytes <= budget,
+            "{bytes} B of requests up to {largest} B at the peak (limit {budget} B)"
+        );
+    }
     assert!(
         peak <= PEAK_BUDGET_BYTES,
         "peak live heap {peak} B is over the {PEAK_BUDGET_BYTES} B budget"
