@@ -72,11 +72,6 @@ impl FluidLaw {
         }
     }
 
-    /// True if subflows share coupling state (mirrors `CcAlgo::is_coupled`).
-    pub fn is_coupled(&self) -> bool {
-        !matches!(self, FluidLaw::Reno | FluidLaw::CubicApprox)
-    }
-
     /// Expected congestion-avoidance window increase, in bytes, for one
     /// ACK of one MSS on subflow `idx` of the snapshot `st`. May be
     /// negative for OLIA (its α term transfers window between paths).
@@ -191,8 +186,6 @@ mod tests {
         assert_eq!(FluidLaw::from_algo(CcAlgo::Olia), Some(FluidLaw::Olia));
         assert_eq!(FluidLaw::from_algo(CcAlgo::Balia), Some(FluidLaw::Balia));
         assert_eq!(FluidLaw::from_algo(CcAlgo::WVegas), None);
-        assert!(FluidLaw::Lia.is_coupled());
-        assert!(!FluidLaw::Reno.is_coupled());
         assert_eq!(FluidLaw::ALL.len(), 5);
     }
 

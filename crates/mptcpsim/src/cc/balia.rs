@@ -49,19 +49,13 @@ pub fn decrease(st: &CoupleState, idx: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::coupled;
-    use super::super::CcAlgo;
     use super::*;
 
     const MSS: f64 = 1460.0;
 
-    fn coupling(subs: &[(f64, f64)]) -> super::super::Coupling {
-        coupled(CcAlgo::Balia, subs).0
-    }
-
     #[test]
     fn single_path_reduces_to_reno() {
-        let c = coupling(&[(10.0, 10.0)]);
-        let st = c.state();
+        let st = coupled(&[(10.0, 10.0)]);
         assert_eq!(alpha(&st, 0), 1.0);
         // (w/rtt²)/(w/rtt)² · 1 · 1 = 1/w -> increase = acked·mss/w.
         let inc = increase(&st, 0, MSS);
@@ -75,16 +69,14 @@ mod tests {
     #[test]
     fn alpha_reflects_rate_imbalance() {
         // Path 0: 10 MSS / 10 ms = fast; path 1: 10 MSS / 100 ms = slow.
-        let c = coupling(&[(10.0, 10.0), (10.0, 100.0)]);
-        let st = c.state();
+        let st = coupled(&[(10.0, 10.0), (10.0, 100.0)]);
         assert_eq!(alpha(&st, 0), 1.0);
         assert!((alpha(&st, 1) - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn slow_path_gets_boosted_increase_but_bounded_decrease() {
-        let c = coupling(&[(10.0, 10.0), (10.0, 100.0)]);
-        let st = c.state();
+        let st = coupled(&[(10.0, 10.0), (10.0, 100.0)]);
         // The (1+α)/2 · (4+α)/5 factor boosts the slow path's increase
         // relative to plain coupling.
         let base1 = (st.subs[1].cwnd / (st.subs[1].srtt * st.subs[1].srtt))
@@ -100,16 +92,14 @@ mod tests {
 
     #[test]
     fn equal_paths_are_symmetric() {
-        let c = coupling(&[(20.0, 30.0), (20.0, 30.0)]);
-        let st = c.state();
+        let st = coupled(&[(20.0, 30.0), (20.0, 30.0)]);
         assert!((increase(&st, 0, MSS) - increase(&st, 1, MSS)).abs() < 1e-12);
         assert!((decrease(&st, 0) - decrease(&st, 1)).abs() < 1e-12);
     }
 
     #[test]
     fn increase_finite_positive() {
-        let c = coupling(&[(2.0, 5.0), (80.0, 200.0), (7.0, 30.0)]);
-        let st = c.state();
+        let st = coupled(&[(2.0, 5.0), (80.0, 200.0), (7.0, 30.0)]);
         for i in 0..3 {
             let inc = increase(&st, i, MSS);
             assert!(inc.is_finite() && inc > 0.0, "path {i}: {inc}");

@@ -40,21 +40,15 @@ pub fn increase(st: &CoupleState, idx: usize, acked: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::coupled;
-    use super::super::CcAlgo;
     use super::*;
 
     const MSS: f64 = 1460.0;
-
-    fn state(subs: &[(f64, f64)]) -> super::super::Coupling {
-        coupled(CcAlgo::Lia, subs).0
-    }
 
     #[test]
     fn single_path_reduces_to_reno() {
         // With one subflow, alpha = w·(w/rtt²)/(w/rtt)² = 1, so the coupled
         // increase equals the Reno increase exactly.
-        let c = state(&[(10.0, 10.0)]);
-        let st = c.state();
+        let st = coupled(&[(10.0, 10.0)]);
         let inc = increase(&st, 0, MSS);
         let reno = MSS * MSS / (10.0 * MSS);
         assert!((inc - reno).abs() < 1e-9, "inc {inc} reno {reno}");
@@ -67,8 +61,7 @@ mod tests {
         // single Reno flow per path. Per RTT each path acks w bytes, so each
         // grows mss/4 and the aggregate grows mss/2 per RTT: strictly less
         // aggressive than one Reno flow, the RFC 6356 "do no harm" property.
-        let c = state(&[(10.0, 10.0), (10.0, 10.0)]);
-        let st = c.state();
+        let st = coupled(&[(10.0, 10.0), (10.0, 10.0)]);
         let inc0 = increase(&st, 0, MSS);
         let inc1 = increase(&st, 1, MSS);
         let reno_single = MSS * MSS / (10.0 * MSS);
@@ -82,8 +75,7 @@ mod tests {
     fn reno_cap_binds_on_the_small_window_path() {
         // A tiny window next to a huge one: the coupled term can exceed
         // per-path Reno; the min() must clamp it.
-        let c = state(&[(1.0, 10.0), (100.0, 100.0)]);
-        let st = c.state();
+        let st = coupled(&[(1.0, 10.0), (100.0, 100.0)]);
         let inc = increase(&st, 0, MSS);
         let reno_cap = MSS * MSS / (1.0 * MSS);
         assert!(inc <= reno_cap + 1e-9);
@@ -95,8 +87,7 @@ mod tests {
         // Increase on both paths is proportional to 1/w_total (coupled
         // term), so both get the same Δ (equal mss), but the total matches
         // the fast path's Reno rate.
-        let c = state(&[(10.0, 10.0), (10.0, 1000.0)]);
-        let st = c.state();
+        let st = coupled(&[(10.0, 10.0), (10.0, 1000.0)]);
         let w_total = 20.0 * MSS;
         let alpha = {
             let max_term = (10.0 * MSS) / (0.01f64 * 0.01);
@@ -110,8 +101,7 @@ mod tests {
 
     #[test]
     fn increase_is_finite_and_positive() {
-        let c = state(&[(2.0, 5.0), (50.0, 40.0), (7.0, 80.0)]);
-        let st = c.state();
+        let st = coupled(&[(2.0, 5.0), (50.0, 40.0), (7.0, 80.0)]);
         for i in 0..3 {
             let inc = increase(&st, i, MSS);
             assert!(inc.is_finite());

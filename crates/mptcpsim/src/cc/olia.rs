@@ -94,28 +94,23 @@ pub fn increase(st: &CoupleState, idx: usize, acked: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::coupled;
-    use super::super::CcAlgo;
     use super::*;
 
     const MSS: f64 = 1460.0;
 
-    fn coupling(subs: &[(f64, f64)]) -> super::super::Coupling {
-        coupled(CcAlgo::Olia, subs).0
-    }
-
-    /// Set every subflow's loss-interval estimate via the crate-level
-    /// `#[cfg(test)]` accessor on `Coupling`.
-    fn with_l(c: &super::super::Coupling, ls: &[f64]) {
-        for (i, &l) in ls.iter().enumerate() {
-            c.set_l_for_test(i, l);
+    /// Set every subflow's loss-interval estimate: `l` bytes since the
+    /// last loss, none between the two before.
+    fn with_l(st: &mut CoupleState, ls: &[f64]) {
+        for (sub, &l) in st.subs.iter_mut().zip(ls) {
+            sub.bytes_since_loss = l;
+            sub.bytes_between_losses = 0.0;
         }
     }
 
     #[test]
     fn alphas_sum_to_zero() {
-        let c = coupling(&[(30.0, 10.0), (10.0, 10.0), (5.0, 10.0)]);
-        with_l(&c, &[1000.0, 90_000.0, 1000.0]);
-        let st = c.state();
+        let mut st = coupled(&[(30.0, 10.0), (10.0, 10.0), (5.0, 10.0)]);
+        with_l(&mut st, &[1000.0, 90_000.0, 1000.0]);
         let a = alphas(&st);
         let sum: f64 = a.iter().sum();
         assert!(sum.abs() < 1e-12, "alphas must sum to 0: {a:?}");
@@ -128,18 +123,16 @@ mod tests {
     #[test]
     fn no_transfer_when_best_equals_max() {
         // The max-window path is also the best path: all alphas zero.
-        let c = coupling(&[(30.0, 10.0), (10.0, 10.0)]);
-        with_l(&c, &[90_000.0, 1000.0]);
-        let st = c.state();
+        let mut st = coupled(&[(30.0, 10.0), (10.0, 10.0)]);
+        with_l(&mut st, &[90_000.0, 1000.0]);
         let a = alphas(&st);
         assert_eq!(a, vec![0.0, 0.0]);
     }
 
     #[test]
     fn increase_can_be_negative_on_max_window_path() {
-        let c = coupling(&[(50.0, 10.0), (2.0, 10.0)]);
-        with_l(&c, &[100.0, 1_000_000.0]);
-        let st = c.state();
+        let mut st = coupled(&[(50.0, 10.0), (2.0, 10.0)]);
+        with_l(&mut st, &[100.0, 1_000_000.0]);
         // Tiny coupled term (big denominator), negative alpha on path 0.
         let inc0 = increase(&st, 0, MSS);
         let inc1 = increase(&st, 1, MSS);
@@ -156,9 +149,8 @@ mod tests {
 
     #[test]
     fn single_path_olia_is_positive_and_reno_like_scale() {
-        let c = coupling(&[(10.0, 10.0)]);
-        with_l(&c, &[10_000.0]);
-        let st = c.state();
+        let mut st = coupled(&[(10.0, 10.0)]);
+        with_l(&mut st, &[10_000.0]);
         let inc = increase(&st, 0, MSS);
         // Single path: coupled term = (w/rtt²)/(w/rtt)² = 1/w; alpha = 0
         // (B == M). So increase = acked·mss/w: exactly Reno.
@@ -168,9 +160,8 @@ mod tests {
 
     #[test]
     fn equal_paths_split_like_lia() {
-        let c = coupling(&[(10.0, 10.0), (10.0, 10.0)]);
-        with_l(&c, &[5000.0, 5000.0]);
-        let st = c.state();
+        let mut st = coupled(&[(10.0, 10.0), (10.0, 10.0)]);
+        with_l(&mut st, &[5000.0, 5000.0]);
         let inc0 = increase(&st, 0, MSS);
         let inc1 = increase(&st, 1, MSS);
         assert!((inc0 - inc1).abs() < 1e-12);
@@ -181,14 +172,11 @@ mod tests {
 
     #[test]
     fn l_r_uses_max_of_intervals() {
-        let c = coupling(&[(10.0, 10.0)]);
-        c.set_l_for_test(0, 0.0);
-        {
-            let st = c.state();
-            assert_eq!(st.subs[0].l_r(), 0.0);
-        }
-        c.set_intervals_for_test(0, 500.0, 2000.0);
-        let st = c.state();
+        let mut st = coupled(&[(10.0, 10.0)]);
+        with_l(&mut st, &[0.0]);
+        assert_eq!(st.subs[0].l_r(), 0.0);
+        st.subs[0].bytes_since_loss = 500.0;
+        st.subs[0].bytes_between_losses = 2000.0;
         assert_eq!(st.subs[0].l_r(), 2000.0);
     }
 }

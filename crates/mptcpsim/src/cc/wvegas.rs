@@ -79,22 +79,21 @@ fn diff_packets(sub: &SubState, ctx: &AckContext) -> Option<f64> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::coupled;
-    use super::super::CcAlgo;
+    use super::super::testutil::{coupled, MSS};
+    use super::super::{CcAlgo, CoupledCc};
     use super::*;
+    use tcpsim::CongestionControl;
 
     #[test]
     fn weights_sum_to_one() {
-        let c = coupled(CcAlgo::WVegas, &[(10.0, 10.0), (20.0, 40.0), (5.0, 5.0)]).0;
-        let st = c.state();
+        let st = coupled(&[(10.0, 10.0), (20.0, 40.0), (5.0, 5.0)]);
         let total: f64 = (0..3).map(|i| weight(&st, i)).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn faster_subflow_gets_larger_alpha() {
-        let c = coupled(CcAlgo::WVegas, &[(10.0, 10.0), (10.0, 100.0)]).0;
-        let st = c.state();
+        let st = coupled(&[(10.0, 10.0), (10.0, 100.0)]);
         assert!(weighted_alpha(&st, 0) > weighted_alpha(&st, 1));
     }
 
@@ -102,24 +101,21 @@ mod tests {
     fn alpha_floors_at_one_packet() {
         // A starving subflow still gets to keep one packet queued,
         // otherwise it could never probe.
-        let c = coupled(CcAlgo::WVegas, &[(1.0, 1000.0), (100.0, 1.0)]).0;
-        let st = c.state();
+        let st = coupled(&[(1.0, 1000.0), (100.0, 1.0)]);
         assert_eq!(weighted_alpha(&st, 0), 1.0);
     }
 
     #[test]
     fn equal_paths_split_alpha_evenly() {
-        let c = coupled(CcAlgo::WVegas, &[(10.0, 10.0), (10.0, 10.0)]).0;
-        let st = c.state();
+        let st = coupled(&[(10.0, 10.0), (10.0, 10.0)]);
         assert!((weighted_alpha(&st, 0) - TOTAL_ALPHA / 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn wvegas_grows_when_below_weighted_band() {
         use simbase::SimDuration;
-        let (coupling, mut ccs) = coupled(CcAlgo::WVegas, &[(10.0, 10.0), (10.0, 10.0)]);
-        let _ = coupling;
-        const MSS: u32 = 1460;
+        let mut st = coupled(&[(10.0, 10.0), (10.0, 10.0)]);
+        let mut cc = CoupledCc::new(&mut st, 0, CcAlgo::WVegas, MSS);
         // RTT == baseRTT: diff = 0 < alpha -> +1 MSS at each RTT boundary.
         let mk = |now_ms: u64| tcpsim::cc::AckContext {
             now: simbase::SimTime::from_millis(now_ms),
@@ -130,19 +126,19 @@ mod tests {
             flight_size: 10 * MSS as u64,
             mss: MSS,
         };
-        let w0 = ccs[0].cwnd();
-        ccs[0].on_ack(&mk(0));
-        ccs[0].on_ack(&mk(1)); // same RTT: no second adjustment
-        assert_eq!(ccs[0].cwnd(), w0 + MSS as u64);
-        ccs[0].on_ack(&mk(20));
-        assert_eq!(ccs[0].cwnd(), w0 + 2 * MSS as u64);
+        let w0 = cc.cwnd();
+        cc.on_ack(&mk(0));
+        cc.on_ack(&mk(1)); // same RTT: no second adjustment
+        assert_eq!(cc.cwnd(), w0 + MSS as u64);
+        cc.on_ack(&mk(20));
+        assert_eq!(cc.cwnd(), w0 + 2 * MSS as u64);
     }
 
     #[test]
     fn wvegas_shrinks_when_queueing_beyond_band() {
         use simbase::SimDuration;
-        let (_c, mut ccs) = coupled(CcAlgo::WVegas, &[(20.0, 10.0), (20.0, 10.0)]);
-        const MSS: u32 = 1460;
+        let mut st = coupled(&[(20.0, 10.0), (20.0, 10.0)]);
+        let mut cc = CoupledCc::new(&mut st, 0, CcAlgo::WVegas, MSS);
         // diff = 20 * (20-10)/20 = 10 packets; alpha = 5 -> shrink.
         let ctx = tcpsim::cc::AckContext {
             now: simbase::SimTime::from_millis(5),
@@ -153,8 +149,8 @@ mod tests {
             flight_size: 20 * MSS as u64,
             mss: MSS,
         };
-        let w0 = ccs[0].cwnd();
-        ccs[0].on_ack(&ctx);
-        assert_eq!(ccs[0].cwnd(), w0 - MSS as u64);
+        let w0 = cc.cwnd();
+        cc.on_ack(&ctx);
+        assert_eq!(cc.cwnd(), w0 - MSS as u64);
     }
 }

@@ -23,7 +23,7 @@ pub mod receiver_agent;
 pub mod scheduler;
 pub mod sender_agent;
 
-pub use cc::{CcAlgo, CoupleState, CoupledCc, Coupling, SubState};
+pub use cc::{CcAlgo, CoupleState, CoupledCc, SubState};
 pub use dsn::{IntervalSet, Mapping, MappingTable};
 pub use receiver_agent::{
     common_destination, install_subflows, MptcpReceiverAgent, MptcpReceiverStats,

@@ -14,19 +14,19 @@
 //!   carries the corresponding **DSS option** (segments are split at chunk
 //!   boundaries, so one packet never carries two chunks' DSNs);
 //! * **coupled congestion control** (LIA/OLIA/BALIA/wVegas) or uncoupled
-//!   CUBIC/Reno per subflow, built over one shared [`Coupling`] that lives
-//!   as long as the controllers do;
+//!   CUBIC/Reno per subflow: the connection owns every controller in one
+//!   `Control` and lends a subflow sender its own for each call;
 //! * incoming ACKs are demultiplexed to subflows by destination port, and
 //!   connection-level data ACKs are tracked from the DSS option.
 
-use crate::cc::{CcAlgo, Coupling};
+use crate::cc::{CcAlgo, Control};
 use crate::dsn::{Mapping, MappingTable};
 use crate::scheduler::{Assignment, SchedulerKind, SubflowSnapshot};
 use netsim::packet::Ecn;
 use netsim::{Agent, Ctx, NodeId, Packet, Protocol, SimCounters, Tag};
 use simbase::{SimDuration, SimRng, SimTime};
 use tcpsim::wire::{DssOption, TcpSegment};
-use tcpsim::{AppSource, RttEstimator, TcpConfig, TcpSender, MSS};
+use tcpsim::{AppSource, CongestionControl, RttEstimator, TcpConfig, TcpSender, MSS};
 
 /// Failover: after this many consecutive RTO backoffs on a subflow, its
 /// unacknowledged DSN ranges are reinjected on the other subflows.
@@ -127,26 +127,28 @@ const _: () = assert!(std::mem::size_of::<Sub>() <= 192);
 /// A connection is in one of three states. Assembled by
 /// [`MptcpSenderAgent::new`] it is *dormant*: configuration, dormant
 /// subflow senders, the scheduling scratch and zero counters. `on_start`
-/// makes it *live*: it builds the [`Coupling`] and each subflow's
-/// controller (in subflow order, so the coupling's indices are subflow
-/// indices). When a transfer completes with ECN off it *retires*: every
-/// subflow sender keeps only its counters and sequence numbers, and the
-/// coupling and the scheduling scratch go.
-/// `subflow_count()` and every `subflow_sender(i).stats()` read the same in
-/// all three. With ECN on it stays live (a late ECN-Echo still counts; see
-/// `TcpSender::release_finished`).
+/// makes it *live*: it builds its `Control`, one controller per subflow
+/// in subflow order, and starts every subflow sender. When a transfer
+/// completes with ECN off it *retires*: every subflow sender keeps only its
+/// counters and sequence numbers, and the controllers and the scheduling
+/// scratch go. `subflow_count()` and every `subflow_sender(i).stats()` read
+/// the same in all three. With ECN on it stays live (a late ECN-Echo still
+/// counts; see `TcpSender::release_finished`).
 ///
-/// `Clone` is a checkpoint's deep copy: the coupling is copied (its own
-/// `Clone`) and every live coupled controller is rebuilt over the copy
-/// ([`Coupling::controller`]), so the copy and the original share nothing.
+/// The agent owns its controllers and lends subflow `i`'s to its sender
+/// for each call, so no state is shared and the derived `Clone` is a
+/// checkpoint's deep copy.
+#[derive(Clone)]
 pub struct MptcpSenderAgent {
     cfg: MptcpConfig,
     subs: Vec<Sub>,
     /// Round-robin's last pick ([`SchedulerKind::assign`]).
     rotation: Option<usize>,
-    /// The live subflow controllers' shared state (`None` while dormant
-    /// and once every subflow has retired).
-    coupling: Option<Coupling>,
+    /// Every subflow's congestion controller (`None` while dormant and
+    /// once every subflow has retired: no sender is live then). Boxed, so
+    /// a dormant or retired connection — most of them on a 4 000-pair
+    /// world — pays 8 bytes for it, not 32 (DESIGN.md "Footprint").
+    control: Option<Box<Control>>,
     /// Next connection-level DSN to assign.
     dsn_next: u64,
     /// Remaining application bytes (`None` = unlimited).
@@ -165,7 +167,7 @@ pub struct MptcpSenderAgent {
 
 impl MptcpSenderAgent {
     /// Assemble the agent dormant: its subflow senders' live parts and
-    /// their shared coupling state are built when it starts.
+    /// their controllers are built when it starts.
     pub fn new(cfg: MptcpConfig) -> Self {
         assert!(!cfg.subflows.is_empty(), "need at least one subflow");
         let subs: Vec<Sub> = cfg
@@ -198,7 +200,7 @@ impl MptcpSenderAgent {
             snapshots: Vec::with_capacity(subs.len()),
             subs,
             rotation: None,
-            coupling: None,
+            control: None,
             dsn_next: 0,
             remaining,
             pending_reinject: Default::default(),
@@ -225,6 +227,13 @@ impl MptcpSenderAgent {
         &self.subs[i].sender
     }
 
+    /// Subflow `i`'s congestion window in bytes, while its sender is live.
+    pub fn subflow_cwnd(&self, i: usize) -> Option<u64> {
+        let sender = &self.subs.get(i)?.sender;
+        let control = self.control.as_ref().filter(|_| sender.is_live())?;
+        control.cwnd(i, sender.config().mss)
+    }
+
     /// Number of subflows.
     pub fn subflow_count(&self) -> usize {
         self.subs.len()
@@ -237,12 +246,14 @@ impl MptcpSenderAgent {
     }
 
     /// Can subflow `i` usefully take another chunk right now?
-    fn eligible(&self, i: usize) -> bool {
-        let s = &self.subs[i].sender;
-        self.subs[i].active
-            && !self.subs[i].failed
-            && s.app_backlog() == 0
-            && s.flight_size() < s.send_window()
+    fn eligible(&mut self, i: usize) -> bool {
+        let sub = &mut self.subs[i];
+        sub.active
+            && !sub.failed
+            && sub.sender.app_backlog() == 0
+            && lend(&mut self.control, i, &mut sub.sender, |s, cc| {
+                s.flight_size() < s.send_window(cc)
+            })
     }
 
     /// Declare subflow `i` failed and queue its unacknowledged DSN ranges
@@ -274,11 +285,10 @@ impl MptcpSenderAgent {
         }
     }
 
-    fn snapshot(&self, i: usize) -> SubflowSnapshot {
-        let s = &self.subs[i].sender;
+    fn snapshot(&mut self, i: usize) -> SubflowSnapshot {
         SubflowSnapshot {
             idx: i,
-            srtt: s.rtt().and_then(RttEstimator::srtt),
+            srtt: self.subs[i].sender.rtt().and_then(RttEstimator::srtt),
             eligible: self.eligible(i),
         }
     }
@@ -301,7 +311,9 @@ impl MptcpSenderAgent {
     /// DSS options (splitting at chunk boundaries).
     fn drain(&mut self, ctx: &mut Ctx<'_>, i: usize) {
         let now = ctx.now();
-        while let Some(tx) = self.subs[i].sender.poll_segment(now) {
+        while let Some(tx) = lend(&mut self.control, i, &mut self.subs[i].sender, |s, cc| {
+            s.poll_segment(now, cc)
+        }) {
             let mut done: u32 = 0;
             let ecn = if self.cfg.ecn { Ecn::Ect } else { Ecn::NotEct };
             for (dsn, piece_len) in self.subs[i].maps.lookup(tx.offset, tx.len) {
@@ -351,11 +363,11 @@ impl MptcpSenderAgent {
         let mut snapshots = std::mem::take(&mut self.snapshots);
         snapshots.clear();
         if self.remaining != Some(0) {
-            snapshots.extend(
-                (0..self.subs.len())
-                    .filter(|&i| self.subs[i].active)
-                    .map(|i| self.snapshot(i)),
-            );
+            for i in 0..self.subs.len() {
+                if self.subs[i].active {
+                    snapshots.push(self.snapshot(i));
+                }
+            }
         }
         while self.remaining != Some(0) && snapshots.iter().any(|s| s.eligible) {
             // Failover reinjections take priority over fresh data.
@@ -416,7 +428,7 @@ impl MptcpSenderAgent {
     /// flight, and `pump` stops before its scheduling step from now on — so
     /// give back what only a live connection reads: each subflow's live
     /// part ([`TcpSender::release_finished`]: the sender retires unless
-    /// ECN is on), the coupling once no controller is left, and the
+    /// ECN is on), the controllers once no sender is live, and the
     /// scheduling scratch. Counters and every `subflow_sender(i)` stay
     /// readable. Called after every `pump` of a complete connection; all of
     /// it is a no-op the second time.
@@ -425,7 +437,7 @@ impl MptcpSenderAgent {
             sub.sender.release_finished();
         }
         if !self.subs.iter().any(|s| s.sender.is_live()) {
-            self.coupling = None;
+            self.control = None;
         }
         self.snapshots = Vec::new();
     }
@@ -454,20 +466,37 @@ impl MptcpSenderAgent {
     }
 }
 
+/// Run `call` on subflow `i`'s `sender` with its controller in `control`
+/// lent for the call. Without controllers no sender is live, and a sender
+/// that is not live ignores every call: `call` is skipped for its default.
+fn lend<R: Default>(
+    control: &mut Option<Box<Control>>,
+    i: usize,
+    sender: &mut TcpSender,
+    call: impl FnOnce(&mut TcpSender, &mut dyn CongestionControl) -> R,
+) -> R {
+    let mss = sender.config().mss;
+    control
+        .as_mut()
+        .and_then(|control| control.lend(i, mss, |cc| call(sender, cc)))
+        .unwrap_or_default()
+}
+
 /// Timer-token namespace for subflow activations (below this are RTOs).
 const TOKEN_JOIN_BASE: u64 = 1 << 32;
 
 impl Agent for MptcpSenderAgent {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // Every subflow sender goes live now, its controller built in
-        // subflow order (the coupling's indices are subflow indices).
-        let coupling = Coupling::for_connection(self.cfg.algo, self.subs.len());
-        for sub in &mut self.subs {
+        // Every subflow sender goes live now, each for its own controller
+        // (the controllers' indices are subflow indices).
+        let windows = self.subs.iter().map(|sub| {
             let tcp = sub.sender.config();
-            let cc = coupling.make_cc(self.cfg.algo, tcp.initial_cwnd, tcp.mss);
-            sub.sender.start(cc);
+            (tcp.initial_cwnd, tcp.mss)
+        });
+        self.control = Some(Box::new(Control::new(self.cfg.algo, windows)));
+        for (i, sub) in self.subs.iter_mut().enumerate() {
+            lend(&mut self.control, i, &mut sub.sender, |s, cc| s.start(cc));
         }
-        self.coupling = Some(coupling);
         // Subflow 0 is the initial subflow; the i-th additional subflow
         // joins after i MP_JOIN-like delays (staggered, plus jitter) — in a
         // real connection address advertisement and joins are sequential.
@@ -489,16 +518,19 @@ impl Agent for MptcpSenderAgent {
             return;
         }
         // Demultiplex: the ACK's destination port is our subflow's port.
-        let Some(sub) = self
+        let Some((i, sub)) = self
             .subs
             .iter_mut()
-            .find(|s| s.cfg.src_port == seg.dst_port)
-            .filter(|s| s.sender.ack_offset(seg.ack).is_some())
+            .enumerate()
+            .find(|(_, s)| s.cfg.src_port == seg.dst_port)
+            .filter(|(_, s)| s.sender.ack_offset(seg.ack).is_some())
         else {
             self.rx_malformed += 1;
             return;
         };
-        sub.sender.on_ack(ctx.now(), &seg);
+        lend(&mut self.control, i, &mut sub.sender, |s, cc| {
+            s.on_ack(ctx.now(), &seg, cc);
+        });
         // Any ACK proves the path alive again.
         if sub.failed && sub.sender.rtt().is_some_and(|r| r.backoff() == 0) {
             sub.failed = false;
@@ -536,7 +568,9 @@ impl Agent for MptcpSenderAgent {
                 "subflow RTO fired at a stale deadline"
             );
             sub.armed = None;
-            sub.sender.on_timer(ctx.now());
+            lend(&mut self.control, i, &mut sub.sender, |s, cc| {
+                s.on_timer(ctx.now(), cc);
+            });
             let backoff = sub.sender.rtt().map_or(0, RttEstimator::backoff);
             if n_subs > 1 && backoff >= REINJECT_AFTER_BACKOFFS {
                 self.fail_and_reinject(i);
@@ -551,36 +585,6 @@ impl Agent for MptcpSenderAgent {
         }
         counters.scheduler_picks += self.stats.chunks_assigned;
         counters.rx_malformed += self.rx_malformed;
-    }
-}
-
-impl Clone for MptcpSenderAgent {
-    fn clone(&self) -> Self {
-        let coupling = self.coupling.clone();
-        let mut subs = self.subs.clone();
-        // A cloned coupled controller still shares the original's coupling
-        // state; uncoupled controllers own theirs and were cloned whole. A
-        // dormant or retired connection has no coupling and no controller.
-        if let Some(coupling) = coupling.as_ref().filter(|_| self.cfg.algo.is_coupled()) {
-            for (idx, sub) in subs.iter_mut().enumerate() {
-                let mss = sub.sender.config().mss;
-                if let Some(cc) = sub.sender.cc_mut() {
-                    *cc = coupling.controller(self.cfg.algo, idx, mss);
-                }
-            }
-        }
-        MptcpSenderAgent {
-            cfg: self.cfg.clone(),
-            subs,
-            rotation: self.rotation,
-            coupling,
-            dsn_next: self.dsn_next,
-            remaining: self.remaining,
-            pending_reinject: self.pending_reinject.clone(),
-            snapshots: self.snapshots.clone(),
-            stats: self.stats,
-            rx_malformed: self.rx_malformed,
-        }
     }
 }
 
@@ -848,7 +852,7 @@ mod tests {
         for i in 0..2 {
             assert!(!net.tx.subflow_sender(i).is_live(), "subflow {i} retired");
         }
-        assert!(net.tx.coupling.is_none(), "the coupling went with them");
+        assert!(net.tx.control.is_none(), "the controllers went with them");
         let end = [0, 1].map(|i| net.tx.subflow_sender(i).snd_nxt());
         let malformed = net.tx.rx_malformed();
 

@@ -52,13 +52,16 @@ pub struct LossContext {
     pub mss: u32,
 }
 
-/// A congestion-control algorithm instance (one per TCP flow / subflow).
+/// A congestion-control algorithm instance (one per TCP flow / subflow):
+/// the interface a [`crate::TcpSender`] calls.
 ///
-/// A checkpoint copies a sender's controller with its `Clone` ([`CcClone`]
-/// comes with it). A coupled MPTCP controller's `Clone` shares its
-/// connection's coupling state; the MPTCP sender's own `Clone` copies that
-/// state and rebuilds its controllers over the copy.
-pub trait CongestionControl: std::fmt::Debug + CcClone {
+/// A sender does not own its controller: the caller keeps it and lends it
+/// on every sender call that consults it (`poll_segment`, `on_ack`,
+/// `on_timer`, `send_window`). `mptcpsim` keeps a connection's controllers
+/// in one value and lends a coupled subflow a view over the connection's
+/// coupling state for the length of the call, so copying that value is a
+/// checkpoint of every controller.
+pub trait CongestionControl: std::fmt::Debug {
     /// An ACK advanced the left window edge.
     fn on_ack(&mut self, ctx: &AckContext);
 
@@ -81,24 +84,6 @@ pub trait CongestionControl: std::fmt::Debug + CcClone {
     /// the default.
     fn reads_min_rtt(&self) -> bool {
         false
-    }
-}
-
-/// What every `Clone` controller has: a boxed copy.
-pub trait CcClone {
-    /// A boxed copy of this controller (its `Clone`).
-    fn clone_boxed(&self) -> Box<dyn CongestionControl>;
-}
-
-impl<T: CongestionControl + Clone + 'static> CcClone for T {
-    fn clone_boxed(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn CongestionControl> {
-    fn clone(&self) -> Self {
-        self.clone_boxed()
     }
 }
 

@@ -32,7 +32,7 @@ pub mod seq;
 pub mod wire;
 
 pub use app::AppSource;
-pub use cc::{AckContext, CcClone, CongestionControl, Cubic, LossContext, Reno};
+pub use cc::{AckContext, CongestionControl, Cubic, LossContext, Reno};
 pub use ranges::RangeSet;
 pub use receiver::{ReceiverConfig, ReceiverStats, TcpReceiver};
 pub use rtt::RttEstimator;

@@ -17,7 +17,8 @@
 //! * **RTO** per RFC 6298 with exponential backoff (200 ms floor, 60 s
 //!   ceiling, [`crate::rtt`]), go-back-N recovery driven by partial ACKs;
 //! * RTT sampling from timestamps (Karn-safe);
-//! * pluggable [`CongestionControl`];
+//! * pluggable [`CongestionControl`], which the caller keeps and lends to
+//!   every call that consults it;
 //! * flow control against the peer's advertised window.
 //!
 //! Segment payload bytes are virtual: the sender tracks a byte *count*
@@ -128,10 +129,10 @@ pub struct SenderStats {
 ///
 /// * **dormant** ([`TcpSender::dormant`]): its configuration and zero
 ///   counters, nothing else;
-/// * **live** ([`TcpSender::start`], or built live by [`TcpSender::new`]):
-///   a boxed part holds the controller, RTT estimator (and the base-RTT
-///   filter, for a controller that reads it), application backlog, SACK
-///   scoreboard, retransmit queue, recovery, timer, TLP and ECN state;
+/// * **live** ([`TcpSender::start`]): a boxed part holds the RTT estimator
+///   (and the base-RTT filter, for a controller that reads it), application
+///   backlog, SACK scoreboard, retransmit queue, recovery, timer, TLP and
+///   ECN state;
 /// * **retired** ([`TcpSender::release_finished`] on a finished sender that
 ///   no later ACK can move): the boxed part is gone again.
 ///
@@ -140,10 +141,12 @@ pub struct SenderStats {
 /// `snd_nxt` — answers every counter and sequence query; a dormant or
 /// retired sender polls no segment, needs no timer and absorbs ACKs.
 ///
-/// `Clone` copies the congestion controller with its own `Clone`, so a
-/// cloned sender (simulator checkpoint) evolves independently of the
-/// original; a coupled MPTCP controller is the one exception, and the MPTCP
-/// sender rebuilds it over its own copy of the coupling.
+/// The congestion controller is not part of the sender: the caller owns
+/// it and lends it to [`TcpSender::start`], [`TcpSender::poll_segment`],
+/// [`TcpSender::on_ack`], [`TcpSender::on_timer`] and
+/// [`TcpSender::send_window`]. So `Clone` (a simulator checkpoint) is a plain
+/// copy of the sender's own state, and the caller copies its controller
+/// beside it.
 #[derive(Debug, Clone)]
 pub struct TcpSender {
     cfg: TcpConfig,
@@ -165,10 +168,9 @@ pub struct TcpSender {
 /// What only a live [`TcpSender`] reads.
 #[derive(Debug, Clone)]
 struct Live {
-    cc: Box<dyn CongestionControl>,
     rtt: RttEstimator,
-    /// The windowed base-RTT filter, present only while `cc` reads it
-    /// ([`CongestionControl::reads_min_rtt`]).
+    /// The windowed base-RTT filter, present only while the controller the
+    /// sender started with reads it ([`CongestionControl::reads_min_rtt`]).
     min_rtt: Option<Box<MinRttFilter>>,
     /// Bytes of application data available beyond `snd_nxt`.
     available: u64,
@@ -202,16 +204,9 @@ struct Live {
     clippy::disallowed_macros,
     reason = "evaluated at compile time: a fatter live part fails the build, not a run"
 )]
-const _: () = assert!(std::mem::size_of::<Live>() <= 248);
+const _: () = assert!(std::mem::size_of::<Live>() <= 232);
 
 impl TcpSender {
-    /// Create a live sender with the given congestion controller.
-    pub fn new(cfg: TcpConfig, cc: Box<dyn CongestionControl>) -> Self {
-        let mut sender = Self::dormant(cfg);
-        sender.start(cc);
-        sender
-    }
-
     /// Create a dormant sender: configuration and zero counters only,
     /// until [`TcpSender::start`].
     pub fn dormant(cfg: TcpConfig) -> Self {
@@ -226,14 +221,14 @@ impl TcpSender {
         }
     }
 
-    /// Make a dormant sender live with the given congestion controller.
-    /// Called once, before anything else reaches the sender (debug builds
-    /// assert that it is not live yet).
-    pub fn start(&mut self, cc: Box<dyn CongestionControl>) {
+    /// Make a dormant sender live for the controller `cc`, which every
+    /// later call lends it again; asked here, once, whether it reads the
+    /// base RTT. Called once, before anything else reaches the sender
+    /// (debug builds assert that it is not live yet).
+    pub fn start(&mut self, cc: &dyn CongestionControl) {
         debug_assert!(self.live.is_none(), "a sender starts once");
         self.live = Some(Box::new(Live {
             min_rtt: cc.reads_min_rtt().then(Box::default),
-            cc,
             rtt: RttEstimator::default(),
             available: 0,
             unlimited: false,
@@ -307,26 +302,14 @@ impl TcpSender {
         self.snd_nxt
     }
 
-    /// Effective send window: min(cwnd + inflation, peer window); 0
-    /// unless live.
-    pub fn send_window(&self) -> u64 {
-        self.live.as_ref().map_or(0, |l| Self::window_of(l))
+    /// Effective send window under `cc`: min(cwnd + inflation, peer
+    /// window); 0 unless live.
+    pub fn send_window(&self, cc: &dyn CongestionControl) -> u64 {
+        self.live.as_ref().map_or(0, |l| Self::window_of(l, cc))
     }
 
-    fn window_of(l: &Live) -> u64 {
-        (l.cc.cwnd() + l.inflation).min(l.peer_window)
-    }
-
-    /// The congestion controller (for inspection), while live.
-    pub fn cc(&self) -> Option<&dyn CongestionControl> {
-        self.live.as_ref().map(|l| l.cc.as_ref())
-    }
-
-    /// The congestion controller's slot, while live: `mptcpsim` puts a
-    /// coupled controller rebuilt over a copied coupling in a cloned
-    /// sender's place.
-    pub fn cc_mut(&mut self) -> Option<&mut Box<dyn CongestionControl>> {
-        self.live.as_mut().map(|l| &mut l.cc)
+    fn window_of(l: &Live, cc: &dyn CongestionControl) -> u64 {
+        (cc.cwnd() + l.inflation).min(l.peer_window)
     }
 
     /// The RTT estimator (for inspection), while live.
@@ -521,16 +504,21 @@ impl TcpSender {
     }
 
     /// Produce the next segment to transmit, if any. Call repeatedly until
-    /// `None`. Retransmissions take priority over new data. A sender that
-    /// is not live has nothing to send.
-    pub fn poll_segment(&mut self, now: SimTime) -> Option<SegmentTx> {
+    /// `None`. Retransmissions take priority over new data; `cc` says the
+    /// window. A sender that is not live has nothing to send.
+    pub fn poll_segment(&mut self, now: SimTime, cc: &dyn CongestionControl) -> Option<SegmentTx> {
         let mut l = self.live.take()?;
-        let tx = self.poll_live(&mut l, now);
+        let tx = self.poll_live(&mut l, now, cc);
         self.live = Some(l);
         tx
     }
 
-    fn poll_live(&mut self, l: &mut Live, now: SimTime) -> Option<SegmentTx> {
+    fn poll_live(
+        &mut self,
+        l: &mut Live,
+        now: SimTime,
+        cc: &dyn CongestionControl,
+    ) -> Option<SegmentTx> {
         // 1. Pending retransmissions. The queue gives its buffer back when
         // it drains: one allocation per retransmission episode, none at rest.
         while let Some(off) = l.rtx_pending.pop_front() {
@@ -563,7 +551,7 @@ impl TcpSender {
         if self.cfg.sack && matches!(l.recovery, Some(r) if r.kind == RecoveryKind::Fast) {
             let from = self.snd_una.max(l.high_rtx);
             if let Some((off, len)) = self.first_lost_hole(l, from) {
-                if self.pipe(l) + len as u64 <= l.cc.cwnd() {
+                if self.pipe(l) + len as u64 <= cc.cwnd() {
                     l.high_rtx = off + len as u64;
                     self.stats.segments_sent += 1;
                     self.stats.retransmits += 1;
@@ -583,9 +571,9 @@ impl TcpSender {
         let (used, window) = if self.cfg.sack {
             // Pipe-based accounting (SACKed and deemed-lost bytes do not
             // occupy the network); peer flow control still applies below.
-            (self.pipe(l), l.cc.cwnd().min(l.peer_window))
+            (self.pipe(l), cc.cwnd().min(l.peer_window))
         } else {
-            (self.flight_size(), Self::window_of(l))
+            (self.flight_size(), Self::window_of(l, cc))
         };
         if used >= window {
             return None;
@@ -630,22 +618,29 @@ impl TcpSender {
         ack.expand(ISN, self.snd_una)
     }
 
-    /// Process an incoming (pure) ACK segment. One whose acknowledgement
+    /// Process an incoming (pure) ACK segment, lent the controller `cc`
+    /// that it may move. One whose acknowledgement
     /// number [`TcpSender::ack_offset`] cannot place, or that acknowledges
     /// data never sent, is ignored whole, and so is every ACK to a sender
     /// that is not live (a dormant one has sent nothing; a retired one is
     /// owed nothing and, with ECN off, could not count a late ACK anywhere
     /// — see [`TcpSender::release_finished`]).
-    pub fn on_ack(&mut self, now: SimTime, seg: &TcpSegment) {
+    pub fn on_ack(&mut self, now: SimTime, seg: &TcpSegment, cc: &mut dyn CongestionControl) {
         debug_assert!(seg.flags.ack, "non-ACK segment fed to sender");
         let Some(mut l) = self.live.take() else {
             return;
         };
-        self.ack_live(&mut l, now, seg);
+        self.ack_live(&mut l, now, seg, cc);
         self.live = Some(l);
     }
 
-    fn ack_live(&mut self, l: &mut Live, now: SimTime, seg: &TcpSegment) {
+    fn ack_live(
+        &mut self,
+        l: &mut Live,
+        now: SimTime,
+        seg: &TcpSegment,
+        cc: &mut dyn CongestionControl,
+    ) {
         // An ACK of data never sent is dropped whole (RFC 793 §3.9): neither
         // its window nor its timestamp echo is believed.
         let Some(ack_offset) = self
@@ -675,13 +670,8 @@ impl TcpSender {
         // ECN: an ECN-Echo is a congestion signal equivalent to a loss,
         // reacted to at most once per RTT (RFC 3168 §6.1.2).
         if self.cfg.ecn && seg.flags.ece && now >= l.ecn_cwr_until {
-            let flight = self.flight_size();
-            l.cc.on_loss_event(&LossContext {
-                now,
-                flight_size: flight,
-                mss: self.cfg.mss,
-            });
-            self.check_cwnd_floor(l);
+            cc.on_loss_event(&self.loss_context(now));
+            self.check_cwnd_floor(cc);
             self.stats.ecn_reductions += 1;
             l.ecn_send_cwr = true;
             let rtt = l.rtt.srtt().unwrap_or(SimDuration::from_millis(100));
@@ -732,7 +722,7 @@ impl TcpSender {
                     }
                 }
                 None => {
-                    l.cc.on_ack(&AckContext {
+                    cc.on_ack(&AckContext {
                         now,
                         bytes_acked: newly,
                         srtt: l.rtt.srtt(),
@@ -741,7 +731,7 @@ impl TcpSender {
                         flight_size: flight_before,
                         mss: self.cfg.mss,
                     });
-                    self.check_cwnd_floor(l);
+                    self.check_cwnd_floor(cc);
                 }
             }
 
@@ -763,7 +753,7 @@ impl TcpSender {
         // SACK-based loss detection: a deemed-lost hole opens recovery.
         if self.cfg.sack && !l.scoreboard.is_empty() {
             if l.recovery.is_none() && self.first_lost_hole(l, self.snd_una).is_some() {
-                self.enter_sack_recovery(l, now);
+                self.enter_fast_recovery(l, now, cc, true);
             }
             return;
         }
@@ -775,12 +765,12 @@ impl TcpSender {
                 // one RTT per lost segment, and uncapped inflation (the
                 // literal RFC 5681 rule) lets the flight grow without bound
                 // against a large advertised window.
-                l.inflation = (l.inflation + self.cfg.mss as u64).min(l.cc.cwnd());
+                l.inflation = (l.inflation + self.cfg.mss as u64).min(cc.cwnd());
             }
             Some(_) => {}
             None => {
                 if l.dup_acks == DUPACK_THRESHOLD {
-                    self.enter_fast_recovery(l, now);
+                    self.enter_fast_recovery(l, now, cc, false);
                 }
             }
         }
@@ -790,49 +780,49 @@ impl TcpSender {
     /// one segment — the send loop could then never admit a full-sized
     /// segment and the flow would deadlock. Called after every CC callback
     /// (ack, loss, RTO).
-    fn check_cwnd_floor(&self, l: &Live) {
+    fn check_cwnd_floor(&self, cc: &dyn CongestionControl) {
         assert!(
-            l.cc.cwnd() >= u64::from(self.cfg.mss),
+            cc.cwnd() >= u64::from(self.cfg.mss),
             "cwnd {} below 1 MSS ({}) after CC update",
-            l.cc.cwnd(),
+            cc.cwnd(),
             self.cfg.mss,
         );
     }
 
-    fn enter_sack_recovery(&mut self, l: &mut Live, now: SimTime) {
-        let flight = self.flight_size();
-        l.cc.on_loss_event(&LossContext {
+    /// A congestion signal at `now`, with the flight as it stands.
+    fn loss_context(&self, now: SimTime) -> LossContext {
+        LossContext {
             now,
-            flight_size: flight,
+            flight_size: self.flight_size(),
             mss: self.cfg.mss,
-        });
-        self.check_cwnd_floor(l);
-        self.stats.loss_events += 1;
-        l.recovery = Some(Recovery {
-            kind: RecoveryKind::Fast,
-            recover: self.snd_nxt,
-        });
-        l.high_rtx = self.snd_una;
-        l.inflation = 0;
+        }
     }
 
-    fn enter_fast_recovery(&mut self, l: &mut Live, now: SimTime) {
-        let flight = self.flight_size();
-        l.cc.on_loss_event(&LossContext {
-            now,
-            flight_size: flight,
-            mss: self.cfg.mss,
-        });
-        self.check_cwnd_floor(l);
+    /// Enter fast recovery: one loss event for `cc`, recovering up to
+    /// `snd_nxt`. SACK-driven, the scoreboard picks the retransmissions;
+    /// otherwise (NewReno) the presumed-lost head is queued and the window
+    /// inflated for the threshold dup ACKs already seen.
+    fn enter_fast_recovery(
+        &mut self,
+        l: &mut Live,
+        now: SimTime,
+        cc: &mut dyn CongestionControl,
+        sack_driven: bool,
+    ) {
+        cc.on_loss_event(&self.loss_context(now));
+        self.check_cwnd_floor(cc);
         self.stats.loss_events += 1;
         l.recovery = Some(Recovery {
             kind: RecoveryKind::Fast,
             recover: self.snd_nxt,
         });
-        // Retransmit the presumed-lost head segment.
-        l.rtx_pending.push_back(self.snd_una);
-        // Inflation for the threshold dup ACKs already seen.
-        l.inflation = DUPACK_THRESHOLD as u64 * self.cfg.mss as u64;
+        if sack_driven {
+            l.high_rtx = self.snd_una;
+            l.inflation = 0;
+        } else {
+            l.rtx_pending.push_back(self.snd_una);
+            l.inflation = DUPACK_THRESHOLD as u64 * self.cfg.mss as u64;
+        }
     }
 
     /// Next deadline this sender needs a timer callback for (none unless
@@ -845,17 +835,17 @@ impl TcpSender {
         }
     }
 
-    /// Timer callback. Safe to call spuriously; only acts if a deadline
-    /// has actually passed.
-    pub fn on_timer(&mut self, now: SimTime) {
+    /// Timer callback, lent the controller `cc` that an RTO collapses.
+    /// Safe to call spuriously; only acts if a deadline has actually passed.
+    pub fn on_timer(&mut self, now: SimTime, cc: &mut dyn CongestionControl) {
         let Some(mut l) = self.live.take() else {
             return;
         };
-        self.timer_live(&mut l, now);
+        self.timer_live(&mut l, now, cc);
         self.live = Some(l);
     }
 
-    fn timer_live(&mut self, l: &mut Live, now: SimTime) {
+    fn timer_live(&mut self, l: &mut Live, now: SimTime, cc: &mut dyn CongestionControl) {
         // Tail loss probe: fires well before the RTO and retransmits the
         // tail segment once, converting a silent tail loss into SACK/dup-ACK
         // feedback.
@@ -877,13 +867,8 @@ impl TcpSender {
         }
         // Retransmission timeout.
         self.stats.rtos += 1;
-        let flight = self.flight_size();
-        l.cc.on_rto(&LossContext {
-            now,
-            flight_size: flight,
-            mss: self.cfg.mss,
-        });
-        self.check_cwnd_floor(l);
+        cc.on_rto(&self.loss_context(now));
+        self.check_cwnd_floor(cc);
         l.rtt.on_timeout();
         l.dup_acks = 0;
         l.inflation = 0;
@@ -926,12 +911,18 @@ mod tests {
 
     const MSS: u32 = 1460;
 
-    fn sender() -> TcpSender {
-        let cfg = TcpConfig::default();
-        let cc = Box::new(Reno::new(cfg.initial_cwnd, cfg.mss));
-        let mut s = TcpSender::new(cfg, cc);
+    /// A bulk sender started over `cfg`, and the Reno controller every
+    /// call lends it.
+    fn started(cfg: TcpConfig) -> (TcpSender, Reno) {
+        let cc = Reno::new(cfg.initial_cwnd, cfg.mss);
+        let mut s = TcpSender::dormant(cfg);
+        s.start(&cc);
         s.set_unlimited();
-        s
+        (s, cc)
+    }
+
+    fn sender() -> (TcpSender, Reno) {
+        started(TcpConfig::default())
     }
 
     fn ack_seg(offset: u64, tsecr: u32) -> TcpSegment {
@@ -949,18 +940,14 @@ mod tests {
         }
     }
 
-    fn cwnd(s: &TcpSender) -> u64 {
-        s.cc().map_or(0, |cc| cc.cwnd())
-    }
-
-    fn drain(s: &mut TcpSender, now: SimTime) -> Vec<SegmentTx> {
-        std::iter::from_fn(|| s.poll_segment(now)).collect()
+    fn drain(s: &mut TcpSender, cc: &dyn CongestionControl, now: SimTime) -> Vec<SegmentTx> {
+        std::iter::from_fn(|| s.poll_segment(now, cc)).collect()
     }
 
     #[test]
     fn initial_burst_is_limited_by_initial_cwnd() {
-        let mut s = sender();
-        let segs = drain(&mut s, SimTime::ZERO);
+        let (mut s, cc) = sender();
+        let segs = drain(&mut s, &cc, SimTime::ZERO);
         assert_eq!(segs.len(), 10); // IW10
         assert_eq!(s.flight_size(), 10 * MSS as u64);
         for (i, seg) in segs.iter().enumerate() {
@@ -974,16 +961,16 @@ mod tests {
 
     #[test]
     fn ack_frees_window_and_grows_cwnd() {
-        let mut s = sender();
+        let (mut s, mut cc) = sender();
         // Start at t=1ms so tsval != 0 (0 means "no echo" on the wire).
         let t0 = SimTime::from_millis(1);
-        let segs = drain(&mut s, t0);
+        let segs = drain(&mut s, &cc, t0);
         let tsval = segs[0].seg.ts.unwrap().tsval;
         let t1 = SimTime::from_millis(11);
-        s.on_ack(t1, &ack_seg(2 * MSS as u64, tsval));
+        s.on_ack(t1, &ack_seg(2 * MSS as u64, tsval), &mut cc);
         assert_eq!(s.snd_una(), 2 * MSS as u64);
         // Slow start: cwnd grew by the acked amount; 2 freed + 2 grown = 4.
-        let more = drain(&mut s, t1);
+        let more = drain(&mut s, &cc, t1);
         assert_eq!(more.len(), 4);
         // RTT was sampled (10 ms).
         let srtt = s.rtt().and_then(|r| r.srtt()).unwrap();
@@ -993,85 +980,94 @@ mod tests {
     #[test]
     fn bounded_transfer_sends_short_tail() {
         let cfg = TcpConfig::default();
-        let cc = Box::new(Reno::new(cfg.initial_cwnd, cfg.mss));
-        let mut s = TcpSender::new(cfg, cc);
+        let mut cc = Reno::new(cfg.initial_cwnd, cfg.mss);
+        let mut s = TcpSender::dormant(cfg);
+        s.start(&cc);
         s.push_app_data(3 * MSS as u64 + 100);
-        let segs = drain(&mut s, SimTime::ZERO);
+        let segs = drain(&mut s, &cc, SimTime::ZERO);
         assert_eq!(segs.len(), 4);
         assert_eq!(segs[3].len, 100);
         assert_eq!(s.app_backlog(), 0);
         // Everything acked -> timer disarmed.
         let total = 3 * MSS as u64 + 100;
-        s.on_ack(SimTime::from_millis(5), &ack_seg(total, 0));
+        s.on_ack(SimTime::from_millis(5), &ack_seg(total, 0), &mut cc);
         assert_eq!(s.flight_size(), 0);
         assert!(s.next_timer().is_none());
     }
 
     #[test]
     fn three_dup_acks_trigger_fast_retransmit() {
-        let mut s = sender();
+        let (mut s, mut cc) = sender();
         let t0 = SimTime::ZERO;
-        let _ = drain(&mut s, t0);
+        let _ = drain(&mut s, &cc, t0);
         // Ack first segment to establish snd_una = 1 MSS.
-        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0));
-        let _ = drain(&mut s, SimTime::from_millis(10));
-        let cwnd_before = cwnd(&s);
+        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0), &mut cc);
+        let _ = drain(&mut s, &cc, SimTime::from_millis(10));
+        let cwnd_before = cc.cwnd();
 
         // Segment at offset MSS is lost: three dup ACKs arrive.
         let t = SimTime::from_millis(20);
         for i in 0..3 {
-            s.on_ack(t, &ack_seg(MSS as u64, 0));
+            s.on_ack(t, &ack_seg(MSS as u64, 0), &mut cc);
             assert_eq!(s.snd_una(), MSS as u64);
             assert_eq!(s.in_recovery(), i == 2);
         }
         assert_eq!(s.stats().loss_events, 1);
-        assert!(cwnd(&s) < cwnd_before, "multiplicative decrease");
+        assert!(cc.cwnd() < cwnd_before, "multiplicative decrease");
 
         // The head segment is retransmitted first.
-        let seg = s.poll_segment(t).expect("retransmission due");
+        let seg = s.poll_segment(t, &cc).expect("retransmission due");
         assert_eq!(s.stats().retransmits, 1);
         assert_eq!(seg.offset, MSS as u64);
     }
 
     #[test]
     fn full_ack_exits_recovery_and_deflates() {
-        let mut s = sender();
+        let (mut s, mut cc) = sender();
         let t0 = SimTime::ZERO;
-        let _ = drain(&mut s, t0);
-        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0));
-        let _ = drain(&mut s, SimTime::from_millis(10));
+        let _ = drain(&mut s, &cc, t0);
+        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0), &mut cc);
+        let _ = drain(&mut s, &cc, SimTime::from_millis(10));
         let recover_point = s.snd_nxt();
         let t = SimTime::from_millis(20);
         for _ in 0..3 {
-            s.on_ack(t, &ack_seg(MSS as u64, 0));
+            s.on_ack(t, &ack_seg(MSS as u64, 0), &mut cc);
         }
-        let _rtx = s.poll_segment(t);
+        let _rtx = s.poll_segment(t, &cc);
         // Full cumulative ACK arrives.
         assert!(s.in_recovery());
-        s.on_ack(SimTime::from_millis(30), &ack_seg(recover_point, 0));
+        s.on_ack(
+            SimTime::from_millis(30),
+            &ack_seg(recover_point, 0),
+            &mut cc,
+        );
         assert!(!s.in_recovery());
-        assert_eq!(s.send_window(), cwnd(&s)); // inflation gone
+        assert_eq!(s.send_window(&cc), cc.cwnd()); // inflation gone
     }
 
     #[test]
     fn partial_ack_retransmits_next_hole() {
-        let mut s = sender();
+        let (mut s, mut cc) = sender();
         let t0 = SimTime::ZERO;
-        let _ = drain(&mut s, t0);
-        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0));
-        let _ = drain(&mut s, SimTime::from_millis(10));
+        let _ = drain(&mut s, &cc, t0);
+        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0), &mut cc);
+        let _ = drain(&mut s, &cc, SimTime::from_millis(10));
         let t = SimTime::from_millis(20);
         for _ in 0..3 {
-            s.on_ack(t, &ack_seg(MSS as u64, 0));
+            s.on_ack(t, &ack_seg(MSS as u64, 0), &mut cc);
         }
-        let _rtx = s.poll_segment(t).unwrap();
+        let _rtx = s.poll_segment(t, &cc).unwrap();
         // Partial ACK: advances but not past recover.
-        s.on_ack(SimTime::from_millis(30), &ack_seg(3 * MSS as u64, 0));
+        s.on_ack(
+            SimTime::from_millis(30),
+            &ack_seg(3 * MSS as u64, 0),
+            &mut cc,
+        );
         assert_eq!(s.snd_una(), 3 * MSS as u64);
         assert!(s.in_recovery());
         // The hole at the new snd_una is retransmitted without new dup ACKs.
         let seg = s
-            .poll_segment(SimTime::from_millis(30))
+            .poll_segment(SimTime::from_millis(30), &cc)
             .expect("partial-ack rtx");
         assert_eq!(s.stats().retransmits, 2);
         assert_eq!(seg.offset, 3 * MSS as u64);
@@ -1081,48 +1077,45 @@ mod tests {
     fn dup_acks_inflate_window_during_recovery() {
         // NewReno (no SACK): dup ACKs inflate the window one MSS each,
         // capped at cwnd.
-        let cfg = TcpConfig {
+        let (mut s, mut cc) = started(TcpConfig {
             sack: false,
             ..TcpConfig::default()
-        };
-        let cc = Box::new(Reno::new(cfg.initial_cwnd, cfg.mss));
-        let mut s = TcpSender::new(cfg, cc);
-        s.set_unlimited();
-        let _ = drain(&mut s, SimTime::ZERO);
-        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0));
-        let _ = drain(&mut s, SimTime::from_millis(10));
+        });
+        let _ = drain(&mut s, &cc, SimTime::ZERO);
+        s.on_ack(SimTime::from_millis(10), &ack_seg(MSS as u64, 0), &mut cc);
+        let _ = drain(&mut s, &cc, SimTime::from_millis(10));
         let t = SimTime::from_millis(20);
         for _ in 0..3 {
-            s.on_ack(t, &ack_seg(MSS as u64, 0));
+            s.on_ack(t, &ack_seg(MSS as u64, 0), &mut cc);
         }
-        let w0 = s.send_window();
+        let w0 = s.send_window(&cc);
         for _ in 0..2 {
-            s.on_ack(t, &ack_seg(MSS as u64, 0));
+            s.on_ack(t, &ack_seg(MSS as u64, 0), &mut cc);
         }
-        assert_eq!(s.send_window(), w0 + 2 * MSS as u64);
+        assert_eq!(s.send_window(&cc), w0 + 2 * MSS as u64);
         // Many more dup ACKs: the inflation saturates at cwnd (window is
         // then exactly 2x cwnd), preventing unbounded flight growth.
         for _ in 0..100 {
-            s.on_ack(t, &ack_seg(MSS as u64, 0));
+            s.on_ack(t, &ack_seg(MSS as u64, 0), &mut cc);
         }
-        assert_eq!(s.send_window(), 2 * cwnd(&s));
+        assert_eq!(s.send_window(&cc), 2 * cc.cwnd());
     }
 
     #[test]
     fn rto_fires_only_after_deadline() {
-        let mut s = sender();
-        let _ = drain(&mut s, SimTime::ZERO);
+        let (mut s, mut cc) = sender();
+        let _ = drain(&mut s, &cc, SimTime::ZERO);
         let deadline = s.next_timer().unwrap();
         // Spurious early fire: nothing happens.
-        s.on_timer(deadline - SimDuration::from_nanos(1));
+        s.on_timer(deadline - SimDuration::from_nanos(1), &mut cc);
         assert_eq!(s.stats().rtos, 0);
         // Real fire.
-        s.on_timer(deadline);
+        s.on_timer(deadline, &mut cc);
         assert_eq!(s.stats().rtos, 1);
         assert!(s.in_recovery());
-        assert_eq!(cwnd(&s), MSS as u64);
+        assert_eq!(cc.cwnd(), MSS as u64);
         // Head-of-line retransmission is queued.
-        let seg = s.poll_segment(deadline).unwrap();
+        let seg = s.poll_segment(deadline, &cc).unwrap();
         assert_eq!(s.stats().retransmits, 1);
         assert_eq!(seg.offset, 0);
         // Backoff doubled the next deadline's distance.
@@ -1135,7 +1128,7 @@ mod tests {
 
     #[test]
     fn peer_window_caps_sending() {
-        let mut s = sender();
+        let (mut s, mut cc) = sender();
         // Tell the sender the peer only has 3 MSS of buffer. Window is
         // encoded with 128-byte granularity, so use a multiple of 128.
         let small_window = 4480; // 3 * 1460 = 4380 -> round to 4480
@@ -1146,8 +1139,8 @@ mod tests {
             ..Default::default()
         };
         // A duplicate ACK with zero flight is ignored but the window sticks.
-        s.on_ack(SimTime::ZERO, &seg);
-        let segs = drain(&mut s, SimTime::ZERO);
+        s.on_ack(SimTime::ZERO, &seg, &mut cc);
+        let segs = drain(&mut s, &cc, SimTime::ZERO);
         // 3 full segments; the 100-byte sliver of window is not used
         // (silly-window avoidance).
         assert_eq!(segs.len(), 3, "window 4480 fits 3 full segments");
@@ -1178,9 +1171,10 @@ mod tests {
             assumed_peer_window: (1 << 32) + 100,
             ..TcpConfig::default()
         };
-        let mut s = TcpSender::new(cfg, Box::new(HugeWindow));
+        let mut s = TcpSender::dormant(cfg);
+        s.start(&HugeWindow);
         s.set_unlimited();
-        let seg = s.poll_segment(SimTime::ZERO);
+        let seg = s.poll_segment(SimTime::ZERO, &HugeWindow);
         assert!(
             seg.is_some_and(|t| t.len == MSS),
             "a full-MSS segment must go out when >4GiB of window is open"
@@ -1189,16 +1183,20 @@ mod tests {
 
     #[test]
     fn stale_rtx_queue_entries_are_skipped() {
-        let mut s = sender();
-        let _ = drain(&mut s, SimTime::ZERO);
+        let (mut s, mut cc) = sender();
+        let _ = drain(&mut s, &cc, SimTime::ZERO);
         let t = SimTime::from_millis(20);
         for _ in 0..3 {
-            s.on_ack(t, &ack_seg(0, 0));
+            s.on_ack(t, &ack_seg(0, 0), &mut cc);
         }
         // Before polling the retransmission, the lost segment gets acked.
-        s.on_ack(SimTime::from_millis(25), &ack_seg(10 * MSS as u64, 0));
+        s.on_ack(
+            SimTime::from_millis(25),
+            &ack_seg(10 * MSS as u64, 0),
+            &mut cc,
+        );
         // The queued rtx for offset 0 must be skipped, yielding new data.
-        let seg = s.poll_segment(SimTime::from_millis(25)).unwrap();
+        let seg = s.poll_segment(SimTime::from_millis(25), &cc).unwrap();
         assert_eq!(s.stats().retransmits, 0);
         assert!(seg.offset >= 10 * MSS as u64);
     }
@@ -1207,95 +1205,106 @@ mod tests {
     /// peer window and takes no RTT sample from its timestamp echo.
     #[test]
     fn ack_beyond_snd_nxt_is_ignored() {
-        let mut s = sender();
-        let segs = drain(&mut s, SimTime::from_millis(1));
+        let (mut s, mut cc) = sender();
+        let segs = drain(&mut s, &cc, SimTime::from_millis(1));
         let tsval = segs[0].seg.ts.unwrap().tsval;
-        s.on_ack(SimTime::from_millis(11), &ack_seg(MSS as u64, tsval));
-        let _ = drain(&mut s, SimTime::from_millis(11));
-        let (window, srtt) = (s.send_window(), s.rtt().and_then(|r| r.srtt()));
+        s.on_ack(
+            SimTime::from_millis(11),
+            &ack_seg(MSS as u64, tsval),
+            &mut cc,
+        );
+        let _ = drain(&mut s, &cc, SimTime::from_millis(11));
+        let (window, srtt) = (s.send_window(&cc), s.rtt().and_then(|r| r.srtt()));
         assert!(srtt.is_some());
         let bogus = TcpSegment {
             window: 0,
             ..ack_seg(s.snd_nxt() + 10 * MSS as u64, 1)
         };
-        s.on_ack(SimTime::from_secs(5), &bogus);
-        assert_eq!(s.send_window(), window);
+        s.on_ack(SimTime::from_secs(5), &bogus, &mut cc);
+        assert_eq!(s.send_window(&cc), window);
         assert_eq!(s.rtt().and_then(|r| r.srtt()), srtt);
         assert_eq!(s.snd_una(), MSS as u64);
     }
 
     #[test]
     fn retransmission_counts_in_stats() {
-        let mut s = sender();
-        let _ = drain(&mut s, SimTime::ZERO);
+        let (mut s, mut cc) = sender();
+        let _ = drain(&mut s, &cc, SimTime::ZERO);
         let t = SimTime::from_millis(20);
         for _ in 0..3 {
-            s.on_ack(t, &ack_seg(0, 0));
+            s.on_ack(t, &ack_seg(0, 0), &mut cc);
         }
-        let _ = s.poll_segment(t).unwrap();
+        let _ = s.poll_segment(t, &cc).unwrap();
         assert_eq!(s.stats().retransmits, 1);
         assert_eq!(s.stats().segments_sent, 11);
     }
 
     #[test]
     fn ece_halves_once_per_rtt_and_sets_cwr() {
-        let cfg = TcpConfig {
+        let (mut s, mut cc) = started(TcpConfig {
             ecn: true,
             ..TcpConfig::default()
-        };
-        let cc = Box::new(Reno::new(cfg.initial_cwnd, cfg.mss));
-        let mut s = TcpSender::new(cfg, cc);
-        s.set_unlimited();
+        });
         let t0 = SimTime::from_millis(1);
-        let _ = drain(&mut s, t0);
+        let _ = drain(&mut s, &cc, t0);
         // Establish an RTT sample.
-        s.on_ack(SimTime::from_millis(11), &ack_seg(MSS as u64, 1));
-        let w0 = cwnd(&s);
+        s.on_ack(SimTime::from_millis(11), &ack_seg(MSS as u64, 1), &mut cc);
+        let w0 = cc.cwnd();
         // ECE arrives: one reduction.
         let mut e = ack_seg(2 * MSS as u64, 0);
         e.flags.ece = true;
-        s.on_ack(SimTime::from_millis(12), &e);
-        let w1 = cwnd(&s);
+        s.on_ack(SimTime::from_millis(12), &e, &mut cc);
+        let w1 = cc.cwnd();
         assert!(w1 < w0, "ECE must shrink the window: {w0} -> {w1}");
         assert_eq!(s.stats().ecn_reductions, 1);
         // A second ECE within the same RTT is ignored.
         let mut e2 = ack_seg(3 * MSS as u64, 0);
         e2.flags.ece = true;
-        s.on_ack(SimTime::from_millis(13), &e2);
+        s.on_ack(SimTime::from_millis(13), &e2, &mut cc);
         assert_eq!(s.stats().ecn_reductions, 1);
         // Free the window (cwnd was halved below the flight size), then the
         // next data segment carries CWR exactly once.
-        s.on_ack(SimTime::from_millis(14), &ack_seg(9 * MSS as u64, 0));
+        s.on_ack(
+            SimTime::from_millis(14),
+            &ack_seg(9 * MSS as u64, 0),
+            &mut cc,
+        );
         let seg1 = s
-            .poll_segment(SimTime::from_millis(14))
+            .poll_segment(SimTime::from_millis(14), &cc)
             .expect("window reopened");
         assert!(seg1.seg.flags.cwr);
         let seg2 = s
-            .poll_segment(SimTime::from_millis(14))
+            .poll_segment(SimTime::from_millis(14), &cc)
             .expect("second segment");
         assert!(!seg2.seg.flags.cwr);
     }
 
     /// An ACK at `now_ms` for everything below `offset` whose timestamp
     /// echo makes an RTT sample of `rtt_us` microseconds.
-    fn ack_with_rtt(s: &mut TcpSender, now_ms: u64, offset: u64, rtt_us: u64) {
+    fn ack_with_rtt(
+        s: &mut TcpSender,
+        cc: &mut dyn CongestionControl,
+        now_ms: u64,
+        offset: u64,
+        rtt_us: u64,
+    ) {
         let now = SimTime::from_millis(now_ms);
         let tsecr = Timestamps::tsval_at(now - SimDuration::from_micros(rtt_us));
-        s.on_ack(now, &ack_seg(offset, tsecr));
-        let _ = drain(s, now);
+        s.on_ack(now, &ack_seg(offset, tsecr), cc);
+        let _ = drain(s, cc, now);
     }
 
     /// A controller with a fixed window that records the `min_rtt` of every
     /// `AckContext` it is given, and reads it or not as it is told.
-    #[derive(Debug, Clone)]
+    #[derive(Debug)]
     struct Recording {
         reads: bool,
-        seen: std::rc::Rc<std::cell::RefCell<Vec<Option<SimDuration>>>>,
+        seen: Vec<Option<SimDuration>>,
     }
 
     impl CongestionControl for Recording {
         fn on_ack(&mut self, ctx: &AckContext) {
-            self.seen.borrow_mut().push(ctx.min_rtt);
+            self.seen.push(ctx.min_rtt);
         }
         fn on_loss_event(&mut self, _: &LossContext) {}
         fn on_rto(&mut self, _: &LossContext) {}
@@ -1314,24 +1323,24 @@ mod tests {
     fn only_a_controller_that_reads_it_is_given_the_min_rtt() {
         let ms = SimDuration::from_millis;
         for reads in [false, true] {
-            let cc = Recording {
+            let mut cc = Recording {
                 reads,
-                seen: Default::default(),
+                seen: Vec::new(),
             };
-            let seen = cc.seen.clone();
-            let mut s = TcpSender::new(TcpConfig::default(), Box::new(cc));
+            let mut s = TcpSender::dormant(TcpConfig::default());
+            s.start(&cc);
             s.set_unlimited();
-            let _ = drain(&mut s, SimTime::from_millis(1));
+            let _ = drain(&mut s, &cc, SimTime::from_millis(1));
             for (i, rtt_ms) in [30, 40, 20, 25].into_iter().enumerate() {
                 let k = i as u64 + 1;
-                ack_with_rtt(&mut s, 50 + 10 * k, k * MSS as u64, rtt_ms * 1_000);
+                ack_with_rtt(&mut s, &mut cc, 50 + 10 * k, k * MSS as u64, rtt_ms * 1_000);
             }
             let expected = if reads {
                 vec![Some(ms(30)), Some(ms(30)), Some(ms(20)), Some(ms(20))]
             } else {
                 vec![None; 4]
             };
-            assert_eq!(*seen.borrow(), expected, "reads_min_rtt {reads}");
+            assert_eq!(cc.seen, expected, "reads_min_rtt {reads}");
             // The RFC 6298 estimator runs either way.
             assert_eq!(s.rtt().and_then(|r| r.latest()), Some(ms(25)));
         }
@@ -1343,17 +1352,24 @@ mod tests {
     #[test]
     fn cubic_leaves_slow_start_on_rising_rtt_before_any_loss() {
         let cfg = TcpConfig::default();
-        let cc = Box::new(crate::cc::Cubic::new(cfg.initial_cwnd, cfg.mss));
-        let mut s = TcpSender::new(cfg, cc);
+        let mut cc = crate::cc::Cubic::new(cfg.initial_cwnd, cfg.mss);
+        let mut s = TcpSender::dormant(cfg);
+        s.start(&cc);
         s.set_unlimited();
-        let _ = drain(&mut s, SimTime::from_millis(1));
-        let in_slow_start = |s: &TcpSender| s.cc().is_some_and(|cc| cc.cwnd() < cc.ssthresh());
+        let _ = drain(&mut s, &cc, SimTime::from_millis(1));
+        let in_slow_start = |cc: &crate::cc::Cubic| cc.cwnd() < cc.ssthresh();
         let mut acks = 0;
-        while in_slow_start(&s) && acks < 40 {
+        while in_slow_start(&cc) && acks < 40 {
             acks += 1;
-            ack_with_rtt(&mut s, 20 + acks, acks * MSS as u64, 10_000 + 500 * acks);
+            ack_with_rtt(
+                &mut s,
+                &mut cc,
+                20 + acks,
+                acks * MSS as u64,
+                10_000 + 500 * acks,
+            );
         }
-        assert!(!in_slow_start(&s), "still in slow start after {acks} ACKs");
+        assert!(!in_slow_start(&cc), "still in slow start after {acks} ACKs");
         // cwnd reaches HyStart's 16-segment floor at the seventh ACK; the
         // ninth's 14.5 ms is the first at least 4 ms above the 10.5 ms
         // minimum.
@@ -1368,23 +1384,23 @@ mod tests {
     #[test]
     fn a_drained_retransmit_queue_holds_no_buffer() {
         // RTO: the head is queued, and polled out.
-        let mut s = sender();
-        let _ = drain(&mut s, SimTime::ZERO);
+        let (mut s, mut cc) = sender();
+        let _ = drain(&mut s, &cc, SimTime::ZERO);
         let deadline = s.next_timer().unwrap();
-        s.on_timer(deadline);
+        s.on_timer(deadline, &mut cc);
         assert!(rtx_capacity(&s) > 0);
-        assert_eq!(s.poll_segment(deadline).map(|tx| tx.offset), Some(0));
+        assert_eq!(s.poll_segment(deadline, &cc).map(|tx| tx.offset), Some(0));
         assert_eq!(rtx_capacity(&s), 0);
 
         // TLP: the tail is queued once an RTT sample arms the probe.
-        let mut s = sender();
-        let _ = drain(&mut s, SimTime::from_millis(1));
-        ack_with_rtt(&mut s, 11, MSS as u64, 10_000);
+        let (mut s, mut cc) = sender();
+        let _ = drain(&mut s, &cc, SimTime::from_millis(1));
+        ack_with_rtt(&mut s, &mut cc, 11, MSS as u64, 10_000);
         let probe = s.next_timer().unwrap();
-        s.on_timer(probe);
+        s.on_timer(probe, &mut cc);
         assert_eq!(s.stats().tlp_probes, 1);
         assert!(rtx_capacity(&s) > 0);
-        let tx = s.poll_segment(probe).expect("the probe");
+        let tx = s.poll_segment(probe, &cc).expect("the probe");
         assert_eq!(tx.offset + u64::from(tx.len), s.snd_nxt());
         assert_eq!(s.stats().retransmits, 1);
         assert_eq!(rtx_capacity(&s), 0);
@@ -1392,13 +1408,13 @@ mod tests {
 
     #[test]
     fn ece_ignored_when_ecn_disabled() {
-        let mut s = sender(); // default config: ecn off
-        let _ = drain(&mut s, SimTime::ZERO);
-        let w0 = cwnd(&s);
+        let (mut s, mut cc) = sender(); // default config: ecn off
+        let _ = drain(&mut s, &cc, SimTime::ZERO);
+        let w0 = cc.cwnd();
         let mut e = ack_seg(MSS as u64, 0);
         e.flags.ece = true;
-        s.on_ack(SimTime::from_millis(5), &e);
-        assert!(cwnd(&s) >= w0);
+        s.on_ack(SimTime::from_millis(5), &e, &mut cc);
+        assert!(cc.cwnd() >= w0);
         assert_eq!(s.stats().ecn_reductions, 0);
     }
 }

@@ -37,8 +37,7 @@ fn main() {
             world.run_until(SimTime::from_millis(50 * bin as u64));
             let sender = world.sender(sender);
             for (sf, vals) in cwnds.iter_mut().enumerate() {
-                vals[bin] =
-                    sender.subflow_sender(sf).cc().map_or(0, |cc| cc.cwnd()) as f64 / 1460.0;
+                vals[bin] = sender.subflow_cwnd(sf).unwrap_or(0) as f64 / 1460.0;
             }
         }
 

@@ -23,13 +23,28 @@
 
 pub use fluidsim;
 pub use lpsolve;
-pub use mptcpsim;
 pub use netsim;
 pub use overlap_core;
 pub use simbase;
 pub use simtrace;
-pub use tcpsim;
 pub use worldgen;
+
+#[doc(hidden)]
+pub mod perfbench_compat;
+
+/// The `tcpsim` crate, with one compatibility item for perfbench.
+pub mod tcpsim {
+    #[doc(hidden)]
+    pub use crate::perfbench_compat::TcpSender;
+    pub use ::tcpsim::*;
+}
+
+/// The `mptcpsim` crate, with one compatibility item for perfbench.
+pub mod mptcpsim {
+    #[doc(hidden)]
+    pub use crate::perfbench_compat::Coupling;
+    pub use ::mptcpsim::*;
+}
 
 /// Convenient glob-import of the most frequently used types.
 pub mod prelude {

@@ -188,8 +188,8 @@ const PINNED: [(usize, &str); 5] = [
     (96, "4-`Mapping` deque"),
     // `Sub` <= 192 B (`mptcpsim/src/sender_agent.rs`).
     (192, "1-`Sub` vector"),
-    // `Live` <= 248 B (`tcpsim/src/sender.rs`).
-    (248, "boxed live sender part"),
+    // `Live` <= 232 B (`tcpsim/src/sender.rs`).
+    (232, "boxed live sender part"),
     (384, "2-`Sub` vector"),
     // An event-queue entry is 32 B (`netsim/src/sim.rs`), 64 to a chunk.
     (2048, "64-entry wheel chunk"),

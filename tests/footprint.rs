@@ -85,8 +85,11 @@ const FINISHED_PER_PAIR: u64 = 2_303;
 /// with mapping tables that hold one entry per DSN-contiguous run of MSS
 /// chunks, 1 272 104 with 248-byte live subflow-sender parts that keep an
 /// RTT min-filter only for a controller that reads it and a retransmit
-/// queue that holds no buffer once drained).
-const PEAK_BUDGET_BYTES: u64 = 1_335_800;
+/// queue that holds no buffer once drained, 1 265 024 with 232-byte live
+/// parts and a connection that owns its controllers in one box, where each
+/// live coupled subflow had a controller box and each connection a shared
+/// coupling cell).
+const PEAK_BUDGET_BYTES: u64 = 1_328_300;
 /// Heap bytes each further pair adds to a world that is assembled and has
 /// not run an event yet — topology, routes, the simulator's per-direction
 /// records, two agents — everything `assembled_and_retained_by` allocates
@@ -126,13 +129,15 @@ const BTREE_ALLOCATOR_CALLS: u64 = 32_482;
 /// ... and the measured value + 5 % since a drop-tail burst allocates
 /// nothing, a topology allocates nothing per node, the traffic
 /// substrate spells its node names in one reused buffer, a mapping
-/// table grows by runs, not chunks, and a LIA sender feeds no RTT
-/// min-filter (10 561; 11 850 while every sender grew one, 13 103 while
+/// table grows by runs, not chunks, a LIA sender feeds no RTT min-filter,
+/// and a started connection allocates one box for its controllers (9 761;
+/// 10 561 while it allocated a shared coupling cell and a box per
+/// controller, 11 850 while every sender grew a min-filter, 13 103 while
 /// mapping tables grew by chunks, 14 684
 /// while each name was a `format!`ted `String`, 29 242 while each burst
 /// grew and freed a `VecDeque` and each node held two `String`s and a
 /// `Vec`).
-const ALLOCATOR_CALLS: u64 = 11_090;
+const ALLOCATOR_CALLS: u64 = 10_249;
 /// `run_traffic(&cell(PAIRS)).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0x9258_65b6_04ae_1d32;
 
