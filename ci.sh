@@ -127,6 +127,7 @@ crates/ tests/ examples/*.rs src/ | impl (AgentClone|SinkClone|CcClone) for ([^T
 crates/netsim/src crates/tcpsim/src crates/mptcpsim/src tests/ | \bflow_hash\b|Repr::Heap|send_ecn|AckResult|is_retransmission|max_queue_bytes|drop_bytes|len_bytes | deleted (DESIGN.md par 4): a packet carries what the network reads (no flow hash: a subflow is pinned by its tag; the payload is one inline array; one Ctx::send takes the ECN codepoint), a link direction counts packets, not queue or drop bytes, and TcpSender::on_ack returns nothing
 crates/tcpsim/src crates/mptcpsim/src | Rc<RefCell|RefCell<CoupleState|OwnWindow|CcClone|clone_boxed|fn cc_mut|fn controller\( | deleted (DESIGN.md par 13.3): a connection owns its controllers in one mptcpsim::cc::Control and lends a subflow sender one per call, a coupled one as a CoupledCc view over the CoupleState, so no state is shared, no window mirrored and no controller rebuilt at a checkpoint
 crates/ tests/ examples/*.rs | release_min_filter|\bmin_filter\b | deleted in PR 46 (DESIGN.md par 15): the RTT estimator is RFC 6298 only; the windowed minimum is tcpsim::rtt::MinRttFilter, held by a live sender only for a controller whose reads_min_rtt() is true
+crates/ tests/ examples/*.rs src/ | RenoUncoupled|\bReno::new\b|cc::Reno\b|reno\.rs | deleted (DESIGN.md par 4): a connection's controllers are uncoupled CUBIC values or one CoupleState; fluidsim's FluidLaw::Reno is the fluid AIMD reference only
 EOF
 [ "$DELETED" -eq 0 ] || exit 1
 

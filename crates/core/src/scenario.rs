@@ -536,10 +536,10 @@ mod tests {
         // A checkpoint taken mid-run, branched with a fault schedule, must
         // be indistinguishable from a cold run that carried the same faults
         // from time zero — trace hash, event counters, and every sampled
-        // series bin. Every algorithm runs: a coupled one's controllers are
-        // rebuilt over a copy of the coupling state (wVegas's per-RTT
-        // adjust clock lives there too); CUBIC's and Reno's are bare and
-        // carry all their state along. The AQM cases first check that the
+        // series bin. Every algorithm runs: a coupled one's controllers
+        // are views over the coupling state the checkpoint copies (wVegas's
+        // per-RTT adjust clock lives there too); CUBIC's are plain values
+        // that carry all their state along. The AQM cases first check that the
         // prefix has already marked or dropped, so the copy carries RED's
         // average and CoDel's dropping state in use (and round-robin's
         // rotation).
@@ -553,7 +553,6 @@ mod tests {
             (CcAlgo::Olia, SchedulerKind::MinRtt, drop_tail),
             (CcAlgo::Balia, SchedulerKind::MinRtt, drop_tail),
             (CcAlgo::WVegas, SchedulerKind::MinRtt, drop_tail),
-            (CcAlgo::RenoUncoupled, SchedulerKind::MinRtt, drop_tail),
             (CcAlgo::Cubic, SchedulerKind::MinRtt, drop_tail),
             (CcAlgo::Cubic, SchedulerKind::RoundRobin, red_ecn),
             (CcAlgo::Cubic, SchedulerKind::MinRtt, codel),

@@ -355,7 +355,8 @@ impl Put for FaultSchedule {
 }
 
 /// Unit enums as one tag byte. The tags are spelled out, not `as u8`:
-/// reordering a variant must not move a digest.
+/// reordering a variant must not move a digest. `CcAlgo`'s tag 1 stays
+/// unused, so no new algorithm can alias a stored packet-level Reno run.
 macro_rules! tags {
     ($($ty:ident { $($v:ident = $tag:literal),* })*) => {$(
         impl Put for $ty {
@@ -377,7 +378,7 @@ macro_rules! tags {
     )*};
 }
 tags! {
-    CcAlgo { Cubic = 0, RenoUncoupled = 1, Lia = 2, Olia = 3, Balia = 4, WVegas = 5 }
+    CcAlgo { Cubic = 0, Lia = 2, Olia = 3, Balia = 4, WVegas = 5 }
     SchedulerKind { MinRtt = 0, RoundRobin = 1, Redundant = 2 }
 }
 
@@ -824,18 +825,17 @@ mod tests {
     fn digest_has_no_collisions_over_table1_and_worldgen_corpora() {
         let mut scenarios: Vec<Scenario> = Vec::new();
 
-        // Table-1 corpus: the paper sweep across all six algorithms, all
-        // three default paths, five seeds.
+        // Table-1 corpus: the paper sweep across all five algorithms, all
+        // three default paths, six seeds.
         let spec = SweepSpec::paper(
             &[
                 CcAlgo::Cubic,
-                CcAlgo::RenoUncoupled,
                 CcAlgo::Lia,
                 CcAlgo::Olia,
                 CcAlgo::Balia,
                 CcAlgo::WVegas,
             ],
-            0..5,
+            0..6,
             SimDuration::from_secs(4),
         );
         for cell in spec.cells() {
@@ -927,6 +927,34 @@ mod tests {
                 assert!(decoded.is_err(), "byte {i} ^ {flip:#04x} decoded");
                 garbled[i] ^= flip;
             }
+        }
+    }
+
+    /// `CcAlgo`'s tag 1, once packet-level Reno, is assigned to nothing: it
+    /// decodes to a typed error like any unknown tag, and the five laws
+    /// keep their bytes.
+    #[test]
+    fn the_freed_algorithm_tag_is_a_typed_error() {
+        for (algo, tag) in [
+            (CcAlgo::Cubic, 0u8),
+            (CcAlgo::Lia, 2),
+            (CcAlgo::Olia, 3),
+            (CcAlgo::Balia, 4),
+            (CcAlgo::WVegas, 5),
+        ] {
+            let mut out = Vec::new();
+            algo.put(&mut out);
+            assert_eq!(out, [tag], "{algo:?}");
+            assert!(matches!(CcAlgo::get(&mut Dec(&out)), Ok(a) if a == algo));
+        }
+        for tag in [1u8, 6, 0xff] {
+            assert!(
+                matches!(
+                    CcAlgo::get(&mut Dec(&[tag])),
+                    Err(CodecError::Invalid("CcAlgo"))
+                ),
+                "tag {tag}"
+            );
         }
     }
 

@@ -23,7 +23,8 @@ const CUBIC_BETA: f64 = 0.7;
 /// A window-dynamics law the fluid model can integrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FluidLaw {
-    /// Uncoupled Reno: AIMD(1 MSS per RTT, halve on loss).
+    /// Uncoupled Reno: AIMD(1 MSS per RTT, halve on loss). The fluid
+    /// model's AIMD reference only: no packet-level algorithm maps to it.
     Reno,
     /// Uncoupled CUBIC approximated by its TCP-friendly AIMD equivalent
     /// (RFC 8312 §4.2): α = 3(1−β)/(1+β), β = 0.7.
@@ -46,13 +47,12 @@ impl FluidLaw {
         FluidLaw::Balia,
     ];
 
-    /// The fluid law corresponding to a packet-simulator algorithm.
-    /// `None` for wVegas: it is delay-based, and this price model carries
-    /// loss, not queueing delay, so pretending to predict it would be
-    /// dishonest.
+    /// The fluid law corresponding to a packet-simulator algorithm (never
+    /// [`FluidLaw::Reno`]). `None` for wVegas: it is delay-based, and this
+    /// price model carries loss, not queueing delay, so pretending to
+    /// predict it would be dishonest.
     pub fn from_algo(algo: CcAlgo) -> Option<FluidLaw> {
         match algo {
-            CcAlgo::RenoUncoupled => Some(FluidLaw::Reno),
             CcAlgo::Cubic => Some(FluidLaw::CubicApprox),
             CcAlgo::Lia => Some(FluidLaw::Lia),
             CcAlgo::Olia => Some(FluidLaw::Olia),
@@ -177,10 +177,6 @@ mod tests {
         assert_eq!(
             FluidLaw::from_algo(CcAlgo::Cubic),
             Some(FluidLaw::CubicApprox)
-        );
-        assert_eq!(
-            FluidLaw::from_algo(CcAlgo::RenoUncoupled),
-            Some(FluidLaw::Reno)
         );
         assert_eq!(FluidLaw::from_algo(CcAlgo::Lia), Some(FluidLaw::Lia));
         assert_eq!(FluidLaw::from_algo(CcAlgo::Olia), Some(FluidLaw::Olia));

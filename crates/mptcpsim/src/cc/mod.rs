@@ -3,10 +3,10 @@
 //! The paper compares three configurations, all implemented here behind one
 //! interface:
 //!
-//! * **Uncoupled** — each subflow runs a standalone algorithm (CUBIC in the
-//!   paper's headline experiment, Reno as an ablation). No state is shared:
-//!   each subflow gets a bare `tcpsim` controller and competes like an
-//!   independent TCP connection, as in the kernel the paper ran.
+//! * **Uncoupled CUBIC** — each subflow runs `tcpsim`'s CUBIC, the Linux
+//!   default and the paper's headline experiment. No state is shared: each
+//!   subflow competes like an independent TCP connection, as in the kernel
+//!   the paper ran.
 //! * **LIA** (RFC 6356) — the Linked Increases Algorithm couples the
 //!   *increase* across subflows through the `alpha` aggressiveness factor.
 //! * **OLIA** (Khalili et al.) — the Opportunistic LIA adds per-path
@@ -14,10 +14,14 @@
 //!   paths.
 //! * **BALIA** and **wVegas** — extensions beyond the paper's set.
 //!
+//! These five are the Linux MPTCP kernel's laws, and the only packet-level
+//! ones: `fluidsim`'s Reno is the fluid model's AIMD reference and has no
+//! packet controller.
+//!
 //! Architecturally a connection owns its controllers in one `Control`
 //! value and lends a subflow sender one for the length of each call
-//! (`Control::lend`). An uncoupled subflow is lent its own `tcpsim`
-//! controller. A coupled one is lent a [`CoupledCc`]: a short-lived view
+//! (`Control::lend`). An uncoupled subflow is lent its own `Cubic`. A
+//! coupled one is lent a [`CoupledCc`]: a short-lived view
 //! `(&mut CoupleState, idx, algo, mss)` that implements
 //! `tcpsim::CongestionControl` and reads its siblings' windows and RTTs in
 //! the connection's [`CoupleState`]. Nothing is shared between calls, so a
@@ -32,15 +36,13 @@ pub mod wvegas;
 
 use simbase::SimTime;
 
-use tcpsim::cc::{min_cwnd, AckContext, CongestionControl, Cubic, LossContext, Reno};
+use tcpsim::cc::{min_cwnd, AckContext, CongestionControl, Cubic, LossContext};
 
 /// Which congestion-control configuration an MPTCP connection runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CcAlgo {
     /// Uncoupled CUBIC per subflow (the Linux default the paper measures).
     Cubic,
-    /// Uncoupled Reno per subflow (ablation).
-    RenoUncoupled,
     /// Linked Increases Algorithm, RFC 6356.
     Lia,
     /// Opportunistic LIA (Khalili et al., IEEE/ACM ToN 2013).
@@ -56,7 +58,6 @@ impl CcAlgo {
     pub fn name(&self) -> &'static str {
         match self {
             CcAlgo::Cubic => "CUBIC",
-            CcAlgo::RenoUncoupled => "Reno",
             CcAlgo::Lia => "LIA",
             CcAlgo::Olia => "OLIA",
             CcAlgo::Balia => "BALIA",
@@ -158,8 +159,6 @@ impl CoupleState {
 pub(crate) enum Control {
     /// Uncoupled CUBIC, by subflow index.
     Cubic(Vec<Cubic>),
-    /// Uncoupled Reno, by subflow index.
-    Reno(Vec<Reno>),
     /// A coupled algorithm over the connection's coupling state.
     Coupled {
         /// LIA, OLIA, BALIA or wVegas.
@@ -175,9 +174,6 @@ impl Control {
     pub(crate) fn new(algo: CcAlgo, subflows: impl ExactSizeIterator<Item = (u64, u32)>) -> Self {
         match algo {
             CcAlgo::Cubic => Control::Cubic(subflows.map(|(w, mss)| Cubic::new(w, mss)).collect()),
-            CcAlgo::RenoUncoupled => {
-                Control::Reno(subflows.map(|(w, mss)| Reno::new(w, mss)).collect())
-            }
             CcAlgo::Lia | CcAlgo::Olia | CcAlgo::Balia | CcAlgo::WVegas => Control::Coupled {
                 algo,
                 state: CoupleState::new(subflows),
@@ -195,7 +191,6 @@ impl Control {
     ) -> Option<R> {
         match self {
             Control::Cubic(ccs) => ccs.get_mut(idx).map(|cc| f(cc)),
-            Control::Reno(ccs) => ccs.get_mut(idx).map(|cc| f(cc)),
             Control::Coupled { algo, state } => {
                 (idx < state.subs.len()).then(|| f(&mut CoupledCc::new(state, idx, *algo, mss)))
             }
@@ -207,7 +202,6 @@ impl Control {
     pub(crate) fn cwnd(&self, idx: usize, mss: u32) -> Option<u64> {
         match self {
             Control::Cubic(ccs) => ccs.get(idx).map(Cubic::cwnd),
-            Control::Reno(ccs) => ccs.get(idx).map(Reno::cwnd),
             Control::Coupled { state, .. } => state.subs.get(idx).map(|sub| sub.cwnd_bytes(mss)),
         }
     }
@@ -355,9 +349,7 @@ pub(crate) mod testutil {
 
     pub fn loss(flight: u64) -> LossContext {
         LossContext {
-            now: SimTime::from_millis(2),
             flight_size: flight,
-            mss: MSS,
         }
     }
 }
@@ -385,7 +377,6 @@ mod tests {
     fn only_cubic_and_wvegas_read_the_min_rtt() {
         for (algo, reads) in [
             (CcAlgo::Cubic, true),
-            (CcAlgo::RenoUncoupled, false),
             (CcAlgo::Lia, false),
             (CcAlgo::Olia, false),
             (CcAlgo::Balia, false),
@@ -399,10 +390,9 @@ mod tests {
     /// A connection's controllers come in subflow order, each sized exactly.
     #[test]
     fn control_holds_one_controller_per_subflow() {
-        for algo in [CcAlgo::Cubic, CcAlgo::RenoUncoupled, CcAlgo::Lia] {
+        for algo in [CcAlgo::Cubic, CcAlgo::Lia] {
             let (len, cap) = match control(algo, 3) {
                 Control::Cubic(ccs) => (ccs.len(), ccs.capacity()),
-                Control::Reno(ccs) => (ccs.len(), ccs.capacity()),
                 Control::Coupled { state, .. } => (state.subs.len(), state.subs.capacity()),
             };
             assert_eq!((len, cap), (3, 3), "{algo:?}");

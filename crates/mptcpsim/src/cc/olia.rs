@@ -27,54 +27,40 @@
 //! the default shortest path, and very slowly (~20 s) — the α nudges are
 //! O(1/w) per ACK.
 
-use super::CoupleState;
+use super::{CoupleState, SubState};
 
 /// Fraction of `l_p²/rtt_p` within which two paths count as equally "best"
 /// (exact float equality would make the set degenerate).
 const BEST_TOL: f64 = 1e-9;
 
-/// Compute OLIA's path sets: returns (`in_m`, `in_b`) membership masks.
-pub fn path_sets(st: &CoupleState) -> (Vec<bool>, Vec<bool>) {
+/// The opportunistic term `α_r` of path `idx`. It runs on every
+/// congestion-avoidance ACK, so it counts `|M|` and `|B \ M|` and
+/// allocates nothing.
+pub fn alpha(st: &CoupleState, idx: usize) -> f64 {
     let n = st.subs.len();
-    let mut in_m = vec![false; n];
-    let mut in_b = vec![false; n];
-    if n == 0 {
-        return (in_m, in_b);
-    }
     let w_max = st.subs.iter().map(|s| s.cwnd).fold(f64::MIN, f64::max);
-    for (i, s) in st.subs.iter().enumerate() {
-        in_m[i] = (s.cwnd - w_max).abs() <= BEST_TOL * w_max.max(1.0);
-    }
-    let quality = |s: &super::SubState| {
+    let in_m = |s: &SubState| (s.cwnd - w_max).abs() <= BEST_TOL * w_max.max(1.0);
+    let quality = |s: &SubState| {
         let l = s.l_r();
         l * l / s.srtt
     };
     let q_max = st.subs.iter().map(quality).fold(f64::MIN, f64::max);
-    for (i, s) in st.subs.iter().enumerate() {
-        in_b[i] = (quality(s) - q_max).abs() <= BEST_TOL * q_max.max(1.0);
-    }
-    (in_m, in_b)
-}
-
-/// The opportunistic term `α_r` for every path.
-pub fn alphas(st: &CoupleState) -> Vec<f64> {
-    let n = st.subs.len();
-    let (in_m, in_b) = path_sets(st);
-    let b_minus_m: Vec<usize> = (0..n).filter(|&i| in_b[i] && !in_m[i]).collect();
-    let m_size = in_m.iter().filter(|&&b| b).count();
-    let mut a = vec![0.0; n];
-    if b_minus_m.is_empty() || m_size == 0 {
-        return a; // collected paths == max paths: no transfer term
-    }
-    for &i in &b_minus_m {
-        a[i] = 1.0 / (n as f64 * b_minus_m.len() as f64);
-    }
-    for i in 0..n {
-        if in_m[i] {
-            a[i] = -1.0 / (n as f64 * m_size as f64);
+    let in_b = |s: &SubState| (quality(s) - q_max).abs() <= BEST_TOL * q_max.max(1.0);
+    let (mut m_size, mut b_minus_m) = (0usize, 0usize);
+    for s in &st.subs {
+        if in_m(s) {
+            m_size += 1;
+        } else if in_b(s) {
+            b_minus_m += 1;
         }
     }
-    a
+    match st.subs.get(idx) {
+        // Collected paths == max paths: no transfer term.
+        _ if b_minus_m == 0 || m_size == 0 => 0.0,
+        Some(s) if in_m(s) => -1.0 / (n as f64 * m_size as f64),
+        Some(s) if in_b(s) => 1.0 / (n as f64 * b_minus_m as f64),
+        _ => 0.0,
+    }
 }
 
 /// Congestion-avoidance increase in bytes for subflow `idx` given `acked`
@@ -87,8 +73,8 @@ pub fn increase(st: &CoupleState, idx: usize, acked: f64) -> f64 {
         return 0.0;
     }
     let coupled = (sub.cwnd / (sub.srtt * sub.srtt)) / (sum_rate * sum_rate);
-    let alpha = alphas(st)[idx];
-    (coupled + alpha / sub.cwnd) * acked * sub.mss
+    let alpha_r = alpha(st, idx);
+    (coupled + alpha_r / sub.cwnd) * acked * sub.mss
 }
 
 #[cfg(test)]
@@ -111,7 +97,7 @@ mod tests {
     fn alphas_sum_to_zero() {
         let mut st = coupled(&[(30.0, 10.0), (10.0, 10.0), (5.0, 10.0)]);
         with_l(&mut st, &[1000.0, 90_000.0, 1000.0]);
-        let a = alphas(&st);
+        let a: Vec<f64> = (0..3).map(|i| alpha(&st, i)).collect();
         let sum: f64 = a.iter().sum();
         assert!(sum.abs() < 1e-12, "alphas must sum to 0: {a:?}");
         // Path 1 is best-but-not-max: positive. Path 0 is max: negative.
@@ -125,7 +111,7 @@ mod tests {
         // The max-window path is also the best path: all alphas zero.
         let mut st = coupled(&[(30.0, 10.0), (10.0, 10.0)]);
         with_l(&mut st, &[90_000.0, 1000.0]);
-        let a = alphas(&st);
+        let a: Vec<f64> = (0..2).map(|i| alpha(&st, i)).collect();
         assert_eq!(a, vec![0.0, 0.0]);
     }
 

@@ -6,7 +6,7 @@
 //!   connection-level reassembly.
 //! * [`scheduler`] — minRTT (Linux default), round-robin, redundant.
 //! * [`cc`] — coupled congestion control: LIA (RFC 6356), OLIA, BALIA,
-//!   wVegas, plus uncoupled CUBIC/Reno per subflow (the paper's "CUBIC").
+//!   wVegas, plus uncoupled CUBIC per subflow (the paper's "CUBIC").
 //! * [`sender_agent`] / [`receiver_agent`] — the connection endpoints,
 //!   including [`receiver_agent::install_subflows`], the tagged-ndiffports
 //!   path manager in one call.

@@ -14,7 +14,7 @@
 //!   carries the corresponding **DSS option** (segments are split at chunk
 //!   boundaries, so one packet never carries two chunks' DSNs);
 //! * **coupled congestion control** (LIA/OLIA/BALIA/wVegas) or uncoupled
-//!   CUBIC/Reno per subflow: the connection owns every controller in one
+//!   CUBIC per subflow: the connection owns every controller in one
 //!   `Control` and lends a subflow sender its own for each call;
 //! * incoming ACKs are demultiplexed to subflows by destination port, and
 //!   connection-level data ACKs are tracked from the DSS option.

@@ -3,9 +3,9 @@
 //! The sender separates *reliability* (what to retransmit) from *rate
 //! control* (how much may be in flight); this module owns the latter. The
 //! interface is deliberately event-based — `on_ack`, `on_loss_event`,
-//! `on_rto` — because both the standalone algorithms here (Reno, CUBIC)
-//! and the MPTCP *coupled* algorithms in `mptcpsim::cc` (LIA, OLIA, BALIA,
-//! wVegas) fit it: a coupled algorithm is just a `CongestionControl` whose
+//! `on_rto` — because both the standalone algorithm here (CUBIC) and the
+//! MPTCP *coupled* algorithms in `mptcpsim::cc` (LIA, OLIA, BALIA, wVegas)
+//! fit it: a coupled algorithm is just a `CongestionControl` whose
 //! increase rule reads shared state from its sibling subflows.
 //!
 //! All windows are in **bytes** at the interface (fractional growth is kept
@@ -13,10 +13,8 @@
 //! RFC 5681's minimums.
 
 pub mod cubic;
-pub mod reno;
 
 pub use cubic::Cubic;
-pub use reno::Reno;
 
 use simbase::{SimDuration, SimTime};
 
@@ -44,12 +42,8 @@ pub struct AckContext {
 /// Information accompanying a loss signal.
 #[derive(Debug, Clone, Copy)]
 pub struct LossContext {
-    /// Current simulated time.
-    pub now: SimTime,
     /// Bytes in flight when the loss was detected.
     pub flight_size: u64,
-    /// Sender maximum segment size.
-    pub mss: u32,
 }
 
 /// A congestion-control algorithm instance (one per TCP flow / subflow):
@@ -122,11 +116,9 @@ pub(crate) mod testutil {
         cc.cwnd() < cc.ssthresh()
     }
 
-    pub fn loss(now_ms: u64, flight: u64) -> LossContext {
+    pub fn loss(flight: u64) -> LossContext {
         LossContext {
-            now: SimTime::from_millis(now_ms),
             flight_size: flight,
-            mss: MSS,
         }
     }
 

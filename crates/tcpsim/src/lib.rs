@@ -5,7 +5,8 @@
 //! * [`seq`] — 32-bit wrapping sequence arithmetic over 64-bit offsets.
 //! * [`wire`] — real header encode/decode (timestamps, MSS, MPTCP DSS).
 //! * [`rtt`] — RFC 6298 estimation with Linux's 200 ms RTO floor.
-//! * [`cc`] — pluggable congestion control: Reno, CUBIC (RFC 8312).
+//! * [`cc`] — pluggable congestion control: CUBIC (RFC 8312), the uncoupled
+//!   law; `mptcpsim::cc` adds the coupled ones.
 //! * [`sender`] / [`receiver`] — sans-IO state machines: fast retransmit,
 //!   NewReno recovery, RTO go-back-N, out-of-order reassembly, an ACK per
 //!   data segment.
@@ -32,7 +33,7 @@ pub mod seq;
 pub mod wire;
 
 pub use app::AppSource;
-pub use cc::{AckContext, CongestionControl, Cubic, LossContext, Reno};
+pub use cc::{AckContext, CongestionControl, Cubic, LossContext};
 pub use ranges::RangeSet;
 pub use receiver::{ReceiverConfig, ReceiverStats, TcpReceiver};
 pub use rtt::RttEstimator;

@@ -670,7 +670,7 @@ impl TcpSender {
         // ECN: an ECN-Echo is a congestion signal equivalent to a loss,
         // reacted to at most once per RTT (RFC 3168 §6.1.2).
         if self.cfg.ecn && seg.flags.ece && now >= l.ecn_cwr_until {
-            cc.on_loss_event(&self.loss_context(now));
+            cc.on_loss_event(&self.loss_context());
             self.check_cwnd_floor(cc);
             self.stats.ecn_reductions += 1;
             l.ecn_send_cwr = true;
@@ -753,7 +753,7 @@ impl TcpSender {
         // SACK-based loss detection: a deemed-lost hole opens recovery.
         if self.cfg.sack && !l.scoreboard.is_empty() {
             if l.recovery.is_none() && self.first_lost_hole(l, self.snd_una).is_some() {
-                self.enter_fast_recovery(l, now, cc, true);
+                self.enter_fast_recovery(l, cc, true);
             }
             return;
         }
@@ -770,7 +770,7 @@ impl TcpSender {
             Some(_) => {}
             None => {
                 if l.dup_acks == DUPACK_THRESHOLD {
-                    self.enter_fast_recovery(l, now, cc, false);
+                    self.enter_fast_recovery(l, cc, false);
                 }
             }
         }
@@ -789,12 +789,10 @@ impl TcpSender {
         );
     }
 
-    /// A congestion signal at `now`, with the flight as it stands.
-    fn loss_context(&self, now: SimTime) -> LossContext {
+    /// A congestion signal, with the flight as it stands.
+    fn loss_context(&self) -> LossContext {
         LossContext {
-            now,
             flight_size: self.flight_size(),
-            mss: self.cfg.mss,
         }
     }
 
@@ -805,11 +803,10 @@ impl TcpSender {
     fn enter_fast_recovery(
         &mut self,
         l: &mut Live,
-        now: SimTime,
         cc: &mut dyn CongestionControl,
         sack_driven: bool,
     ) {
-        cc.on_loss_event(&self.loss_context(now));
+        cc.on_loss_event(&self.loss_context());
         self.check_cwnd_floor(cc);
         self.stats.loss_events += 1;
         l.recovery = Some(Recovery {
@@ -867,7 +864,7 @@ impl TcpSender {
         }
         // Retransmission timeout.
         self.stats.rtos += 1;
-        cc.on_rto(&self.loss_context(now));
+        cc.on_rto(&self.loss_context());
         self.check_cwnd_floor(cc);
         l.rtt.on_timeout();
         l.dup_acks = 0;
@@ -907,21 +904,21 @@ impl TcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::Reno;
+    use crate::cc::Cubic;
 
     const MSS: u32 = 1460;
 
-    /// A bulk sender started over `cfg`, and the Reno controller every
+    /// A bulk sender started over `cfg`, and the CUBIC controller every
     /// call lends it.
-    fn started(cfg: TcpConfig) -> (TcpSender, Reno) {
-        let cc = Reno::new(cfg.initial_cwnd, cfg.mss);
+    fn started(cfg: TcpConfig) -> (TcpSender, Cubic) {
+        let cc = Cubic::new(cfg.initial_cwnd, cfg.mss);
         let mut s = TcpSender::dormant(cfg);
         s.start(&cc);
         s.set_unlimited();
         (s, cc)
     }
 
-    fn sender() -> (TcpSender, Reno) {
+    fn sender() -> (TcpSender, Cubic) {
         started(TcpConfig::default())
     }
 
@@ -980,7 +977,7 @@ mod tests {
     #[test]
     fn bounded_transfer_sends_short_tail() {
         let cfg = TcpConfig::default();
-        let mut cc = Reno::new(cfg.initial_cwnd, cfg.mss);
+        let mut cc = Cubic::new(cfg.initial_cwnd, cfg.mss);
         let mut s = TcpSender::dormant(cfg);
         s.start(&cc);
         s.push_app_data(3 * MSS as u64 + 100);
@@ -1255,14 +1252,21 @@ mod tests {
         e.flags.ece = true;
         s.on_ack(SimTime::from_millis(12), &e, &mut cc);
         let w1 = cc.cwnd();
-        assert!(w1 < w0, "ECE must shrink the window: {w0} -> {w1}");
+        // CUBIC's multiplicative decrease (beta = 0.7), then the ACK's own
+        // congestion-avoidance growth, under one segment.
+        let cut = w0 * 7 / 10;
+        assert!(
+            (cut - 1..cut + MSS as u64).contains(&w1),
+            "ECE must cut the window to 0.7x: {w0} -> {w1}"
+        );
+        assert!(w1 < s.flight_size(), "cut below the flight size");
         assert_eq!(s.stats().ecn_reductions, 1);
         // A second ECE within the same RTT is ignored.
         let mut e2 = ack_seg(3 * MSS as u64, 0);
         e2.flags.ece = true;
         s.on_ack(SimTime::from_millis(13), &e2, &mut cc);
         assert_eq!(s.stats().ecn_reductions, 1);
-        // Free the window (cwnd was halved below the flight size), then the
+        // Free the window (cwnd was cut below the flight size), then the
         // next data segment carries CWR exactly once.
         s.on_ack(
             SimTime::from_millis(14),
@@ -1352,12 +1356,12 @@ mod tests {
     #[test]
     fn cubic_leaves_slow_start_on_rising_rtt_before_any_loss() {
         let cfg = TcpConfig::default();
-        let mut cc = crate::cc::Cubic::new(cfg.initial_cwnd, cfg.mss);
+        let mut cc = Cubic::new(cfg.initial_cwnd, cfg.mss);
         let mut s = TcpSender::dormant(cfg);
         s.start(&cc);
         s.set_unlimited();
         let _ = drain(&mut s, &cc, SimTime::from_millis(1));
-        let in_slow_start = |cc: &crate::cc::Cubic| cc.cwnd() < cc.ssthresh();
+        let in_slow_start = |cc: &Cubic| cc.cwnd() < cc.ssthresh();
         let mut acks = 0;
         while in_slow_start(&cc) && acks < 40 {
             acks += 1;

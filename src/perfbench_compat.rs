@@ -17,7 +17,7 @@ use mptcpsim::{CcAlgo, CoupleState, CoupledCc, SubState};
 use simbase::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
-use tcpsim::{AckContext, CongestionControl, Cubic, LossContext, Reno};
+use tcpsim::{AckContext, CongestionControl, Cubic, LossContext};
 use tcpsim::{SegmentTx, TcpConfig, TcpSegment};
 
 /// A live sender that owns its controller.
@@ -67,7 +67,6 @@ impl Coupling {
     pub fn make_cc(&self, algo: CcAlgo, initial_cwnd: u64, mss: u32) -> Box<dyn CongestionControl> {
         match algo {
             CcAlgo::Cubic => Box::new(Cubic::new(initial_cwnd, mss)),
-            CcAlgo::RenoUncoupled => Box::new(Reno::new(initial_cwnd, mss)),
             CcAlgo::Lia | CcAlgo::Olia | CcAlgo::Balia | CcAlgo::WVegas => {
                 let mut st = self.0.borrow_mut();
                 st.subs.push(SubState::new(initial_cwnd, mss));
@@ -164,9 +163,7 @@ mod tests {
                     mss: MSS,
                 };
                 let loss = LossContext {
-                    now: ctx.now,
                     flight_size: 20 * u64::from(MSS),
-                    mss: MSS,
                 };
                 let i = usize::try_from(k % 3).unwrap();
                 step(i, &|cc| cc.on_ack(&ctx));

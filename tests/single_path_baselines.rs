@@ -53,9 +53,7 @@ fn cubic_fills_links_across_capacities() {
 }
 
 #[test]
-fn reno_and_vegas_fill_a_moderate_link() {
-    let (_, reno) = one_path(10, drop_tail(64), CcAlgo::RenoUncoupled, false, 4);
-    assert!(reno > 8.5, "reno {reno:.2}");
+fn vegas_fills_a_moderate_link() {
     let (_, vegas) = one_path(10, drop_tail(64), CcAlgo::WVegas, false, 4);
     assert!(vegas > 8.0, "vegas {vegas:.2}");
 }
