@@ -128,6 +128,8 @@ crates/netsim/src crates/tcpsim/src crates/mptcpsim/src tests/ | \bflow_hash\b|R
 crates/tcpsim/src crates/mptcpsim/src | Rc<RefCell|RefCell<CoupleState|OwnWindow|CcClone|clone_boxed|fn cc_mut|fn controller\( | deleted (DESIGN.md par 13.3): a connection owns its controllers in one mptcpsim::cc::Control and lends a subflow sender one per call, a coupled one as a CoupledCc view over the CoupleState, so no state is shared, no window mirrored and no controller rebuilt at a checkpoint
 crates/ tests/ examples/*.rs | release_min_filter|\bmin_filter\b | deleted in PR 46 (DESIGN.md par 15): the RTT estimator is RFC 6298 only; the windowed minimum is tcpsim::rtt::MinRttFilter, held by a live sender only for a controller whose reads_min_rtt() is true
 crates/ tests/ examples/*.rs src/ | RenoUncoupled|\bReno::new\b|cc::Reno\b|reno\.rs | deleted (DESIGN.md par 4): a connection's controllers are uncoupled CUBIC values or one CoupleState; fluidsim's FluidLaw::Reno is the fluid AIMD reference only
+crates/ tests/ examples/*.rs src/ | \bReceiverStats\b|bytes_in_order|bytes_scheduled|assumed_peer_window|LossContext|OPT_MSS|MSS_LEN|\b(syn|fin|rst): |flags\.(syn|fin|rst)\b | deleted (DESIGN.md par 3, par 4): the subflow stack keeps what a run reads; no segment carries SYN, FIN, RST or an MSS option, every receiver advertises and every sender assumes tcpsim::RECEIVE_WINDOW, and a controller's loss callbacks take the flight size
+crates/netsim/src | fn step\b | deleted (DESIGN.md par 9.2): run_until is the one run loop; to pop what was just scheduled at now, run_until(now)
 EOF
 [ "$DELETED" -eq 0 ] || exit 1
 
@@ -238,38 +240,15 @@ echo "==> perfbench smoke (the benchmark still builds against the crates and its
 # a row saying so or is a bug.
 # fabric-ecmp, churn-4k and overload-4k also have a memory ceiling: peak RSS
 # repeats to 0.1-0.2 MB on one host, so unlike wall-clock it can be gated.
-# fabric-ecmp reads 4.4 MB (4.6 MB while every live subflow sender fed an
-# RTT min-filter its LIA controller never reads and kept a drained
-# retransmit queue's buffer, 4.8-4.9 MB while every MSS chunk was a DSS
-# mapping-table entry, 5.0-5.1 MB with 176-byte link-direction records,
-# 5.3-5.4 MB while the fabric kept ECMP groups and default routes, 7.8-8.0 MB
-# while untagged routes were per-node B-trees held twice, 14.0 MB while every
-# wheel bucket kept its own high-water allocation); churn-4k and overload-4k
-# are the world at rest (4 000 pairs assembled; on churn-4k most of them
-# finished, on overload-4k most of them mid-recovery): churn-4k reads 12.8 MB
-# (12.6-12.7 MB while subflow controllers were boxed and shared a cell, though
-# the live heap at a cell's peak was larger then; 12.9 MB with RTT
-# min-filters in LIA senders, 13.0-13.1 MB while every MSS
-# chunk was a mapping-table entry, 13.6-13.7 MB
-# with 104-byte packets and 120-byte link-direction records that counted
-# queued and dropped bytes; 15.8 MB while link-direction records were 176
-# bytes, held an RNG stream each and buffered drop-tail bursts in a VecDeque,
-# and every node owned two Strings and a Vec; 19.1 MB while every subflow
-# sender was built whole at assembly and kept whole after it finished,
-# 21.0-21.2 MB with boxed drop-tail queues, 22.9-23.0 MB while every node
-# owned a route table), overload-4k 17.8 MB (18.2 MB while every live coupled
-# subflow held a controller box and every connection a shared coupling cell,
-# 19.4 MB with RTT min-filters in
-# LIA senders and 272-byte live sender parts, 21.0-21.1 MB while every MSS
-# chunk was a mapping-table entry, 21.7 MB with 104-byte packets and 120-byte
-# records, 23.8-23.9 MB with 176-byte records, 24.0 MB with whole subflow
-# senders, 25.8-26.0 MB with boxed queues, 29.1 MB while SACK scoreboards and
-# reassembly sets were B-trees); each
-# ceiling keeps the margin it had over the previous reading.
-# regen-service (~35 s on two
-# cores) is table regeneration end to end: runner, store, faults,
-# checkpoint/branch and a fluid solve. 0 means no ceiling.
-for smoke in paper-bulk:0 fabric-ecmp:6.5 churn-4k:14.5 overload-4k:21.5 regen-service:0; do
+# They read 4.4, 12.7 and 17.4 MB (seed 1; churn-4k and overload-4k are the
+# world at rest, 4 000 pairs assembled, most finished on churn-4k and most
+# mid-recovery on overload-4k). Each ceiling keeps the margin it had over
+# the reading before (about 2.1, 1.7 and 3.7 MB): when a reading falls, its
+# ceiling falls by as much, and no ceiling rises. The per-PR readings are in
+# DESIGN.md par 15 and CHANGES.md. regen-service (~35 s on two cores) is
+# table regeneration end to end: runner, store, faults, checkpoint/branch
+# and a fluid solve. 0 means no ceiling.
+for smoke in paper-bulk:0 fabric-ecmp:6.5 churn-4k:14.5 overload-4k:21.1 regen-service:0; do
     workload=${smoke%:*}
     limit=${smoke#*:}
     cargo run --release --offline --quiet --manifest-path examples/perfbench/Cargo.toml -- \

@@ -22,7 +22,7 @@
 //! value and lends a subflow sender one for the length of each call
 //! (`Control::lend`). An uncoupled subflow is lent its own `Cubic`. A
 //! coupled one is lent a [`CoupledCc`]: a short-lived view
-//! `(&mut CoupleState, idx, algo, mss)` that implements
+//! `(&mut CoupleState, idx, algo)` that implements
 //! `tcpsim::CongestionControl` and reads its siblings' windows and RTTs in
 //! the connection's [`CoupleState`]. Nothing is shared between calls, so a
 //! checkpoint is `Control`'s derived `Clone`. Slow start, loss response,
@@ -36,7 +36,7 @@ pub mod wvegas;
 
 use simbase::SimTime;
 
-use tcpsim::cc::{min_cwnd, AckContext, CongestionControl, Cubic, LossContext};
+use tcpsim::cc::{AckContext, CongestionControl, Cubic};
 
 /// Which congestion-control configuration an MPTCP connection runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,8 +109,8 @@ impl SubState {
     }
 
     /// `CongestionControl::cwnd`: never below one segment.
-    fn cwnd_bytes(&self, mss: u32) -> u64 {
-        self.cwnd.max(mss as f64) as u64
+    fn cwnd_bytes(&self) -> u64 {
+        self.cwnd.max(self.mss) as u64
     }
 }
 
@@ -181,28 +181,27 @@ impl Control {
         }
     }
 
-    /// Call `f` with subflow `idx`'s controller (its MSS `mss`) lent for
-    /// the length of the call; `None` without a subflow `idx`.
+    /// Call `f` with subflow `idx`'s controller lent for the length of the
+    /// call; `None` without a subflow `idx`.
     pub(crate) fn lend<R>(
         &mut self,
         idx: usize,
-        mss: u32,
         f: impl FnOnce(&mut dyn CongestionControl) -> R,
     ) -> Option<R> {
         match self {
             Control::Cubic(ccs) => ccs.get_mut(idx).map(|cc| f(cc)),
             Control::Coupled { algo, state } => {
-                (idx < state.subs.len()).then(|| f(&mut CoupledCc::new(state, idx, *algo, mss)))
+                (idx < state.subs.len()).then(|| f(&mut CoupledCc::new(state, idx, *algo)))
             }
         }
     }
 
     /// Subflow `idx`'s congestion window in bytes, what its lent
     /// controller's `cwnd()` answers; `None` without a subflow `idx`.
-    pub(crate) fn cwnd(&self, idx: usize, mss: u32) -> Option<u64> {
+    pub(crate) fn cwnd(&self, idx: usize) -> Option<u64> {
         match self {
             Control::Cubic(ccs) => ccs.get(idx).map(Cubic::cwnd),
-            Control::Coupled { state, .. } => state.subs.get(idx).map(|sub| sub.cwnd_bytes(mss)),
+            Control::Coupled { state, .. } => state.subs.get(idx).map(SubState::cwnd_bytes),
         }
     }
 }
@@ -210,20 +209,20 @@ impl Control {
 /// The coupled controller of subflow `idx`: a view over the connection's
 /// coupling state for the length of one call. Standard slow start and loss
 /// response, coupled congestion-avoidance increase per [`CcAlgo`]; wVegas
-/// replaces both with its delay-based rules. It writes only `subs[idx]`.
+/// replaces both with its delay-based rules. It writes only `subs[idx]`,
+/// and reads its MSS there.
 #[derive(Debug)]
 pub struct CoupledCc<'a> {
     st: &'a mut CoupleState,
     idx: usize,
     algo: CcAlgo,
-    mss: u32,
 }
 
 impl<'a> CoupledCc<'a> {
     /// Subflow `idx`'s controller (its entry already in `st`) running the
     /// coupled `algo`.
-    pub fn new(st: &'a mut CoupleState, idx: usize, algo: CcAlgo, mss: u32) -> Self {
-        CoupledCc { st, idx, algo, mss }
+    pub fn new(st: &'a mut CoupleState, idx: usize, algo: CcAlgo) -> Self {
+        CoupledCc { st, idx, algo }
     }
 
     /// This subflow's entry.
@@ -244,7 +243,7 @@ impl CongestionControl for CoupledCc<'_> {
         let in_slow_start = sub.cwnd < sub.ssthresh;
 
         match self.algo {
-            CcAlgo::WVegas => wvegas::on_ack(st, idx, ctx, self.mss),
+            CcAlgo::WVegas => wvegas::on_ack(st, idx, ctx),
             // Standard per-subflow slow start (RFC 6356 couples only CA).
             _ if in_slow_start => {
                 let sub = &mut st.subs[idx];
@@ -261,14 +260,14 @@ impl CongestionControl for CoupledCc<'_> {
                     _ => unreachable!("a CoupledCc runs a coupled algorithm"),
                 };
                 let sub = &mut st.subs[idx];
-                sub.cwnd = (sub.cwnd + increase).max(min_cwnd(self.mss));
+                sub.cwnd = (sub.cwnd + increase).max(2.0 * sub.mss);
             }
         }
     }
 
-    fn on_loss_event(&mut self, ctx: &LossContext) {
+    fn on_loss_event(&mut self, flight_size: u64) {
         let st = &mut *self.st;
-        let (idx, half_flight) = (self.idx, ctx.flight_size as f64 / 2.0);
+        let (idx, half_flight) = (self.idx, flight_size as f64 / 2.0);
         let target = match self.algo {
             CcAlgo::Balia => st.subs[idx].cwnd - balia::decrease(st, idx),
             // wVegas halves the flight size.
@@ -276,25 +275,25 @@ impl CongestionControl for CoupledCc<'_> {
             // LIA and OLIA halve the subflow window (RFC 6356 §3; the
             // flight size is the effective window at loss time).
             _ => half_flight.max(st.subs[idx].cwnd / 2.0),
-        }
-        .max(min_cwnd(self.mss));
+        };
         let sub = &mut st.subs[idx];
+        let target = target.max(2.0 * sub.mss);
         sub.bytes_between_losses = sub.bytes_since_loss;
         sub.bytes_since_loss = 0.0;
         sub.ssthresh = target;
         sub.cwnd = target;
     }
 
-    fn on_rto(&mut self, ctx: &LossContext) {
+    fn on_rto(&mut self, flight_size: u64) {
         let sub = &mut self.st.subs[self.idx];
         sub.bytes_between_losses = sub.bytes_since_loss;
         sub.bytes_since_loss = 0.0;
-        sub.ssthresh = (ctx.flight_size as f64 / 2.0).max(min_cwnd(self.mss));
-        sub.cwnd = self.mss as f64;
+        sub.ssthresh = (flight_size as f64 / 2.0).max(2.0 * sub.mss);
+        sub.cwnd = sub.mss;
     }
 
     fn cwnd(&self) -> u64 {
-        self.own().cwnd_bytes(self.mss)
+        self.own().cwnd_bytes()
     }
 
     /// `u64::MAX` while still infinite.
@@ -346,12 +345,6 @@ pub(crate) mod testutil {
             mss: MSS,
         }
     }
-
-    pub fn loss(flight: u64) -> LossContext {
-        LossContext {
-            flight_size: flight,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -382,7 +375,7 @@ mod tests {
             (CcAlgo::Balia, false),
             (CcAlgo::WVegas, true),
         ] {
-            let lent = control(algo, 1).lend(0, MSS, |cc| cc.reads_min_rtt());
+            let lent = control(algo, 1).lend(0, |cc| cc.reads_min_rtt());
             assert_eq!(lent, Some(reads), "{algo:?}");
         }
     }
@@ -403,17 +396,17 @@ mod tests {
     fn coupled_slow_start_is_per_subflow_doubling() {
         let mut control = control(CcAlgo::Lia, 1);
         // ssthresh infinite -> slow start.
-        control.lend(0, MSS, |cc| cc.on_ack(&ack_ctx(MSS as u64, 10)));
-        assert_eq!(control.cwnd(0, MSS), Some(11 * MSS as u64));
+        control.lend(0, |cc| cc.on_ack(&ack_ctx(MSS as u64, 10)));
+        assert_eq!(control.cwnd(0), Some(11 * MSS as u64));
     }
 
     #[test]
     fn coupled_loss_halves_and_updates_loss_intervals() {
         let mut st = coupled(&[(20.0, 10.0)]);
-        let mut cc = CoupledCc::new(&mut st, 0, CcAlgo::Lia, MSS);
+        let mut cc = CoupledCc::new(&mut st, 0, CcAlgo::Lia);
         cc.on_ack(&ack_ctx(MSS as u64, 10));
         let w_before = cc.cwnd();
-        cc.on_loss_event(&loss(w_before));
+        cc.on_loss_event(w_before);
         assert!(cc.cwnd() <= w_before / 2 + MSS as u64);
         assert_eq!(st.subs[0].bytes_since_loss, 0.0);
         assert!(st.subs[0].bytes_between_losses > 0.0);
@@ -439,7 +432,7 @@ mod tests {
         /// reads against `subs[i]`.
         fn step(control: &mut Control, i: usize, call: impl FnOnce(&mut dyn CongestionControl)) {
             let read = control
-                .lend(i, MSS, |cc| {
+                .lend(i, |cc| {
                     call(cc);
                     (cc.cwnd(), cc.ssthresh())
                 })
@@ -458,42 +451,40 @@ mod tests {
                 (sub.cwnd.max(MSS as f64) as u64, ssthresh),
                 "{algo:?} {i}"
             );
-            assert_eq!(control.cwnd(i, MSS), Some(read.0));
+            assert_eq!(control.cwnd(i), Some(read.0));
         }
         for algo in [CcAlgo::Lia, CcAlgo::Olia, CcAlgo::Balia, CcAlgo::WVegas] {
             // Slow start on subflow 0, congestion avoidance on subflow 1.
             let mut control = control(algo, 2);
             step(&mut control, 0, |_| {});
-            step(&mut control, 1, |cc| {
-                cc.on_loss_event(&loss(10 * MSS as u64))
-            });
+            step(&mut control, 1, |cc| cc.on_loss_event(10 * MSS as u64));
             for ms in 0..50 {
                 let mut ctx = ack_ctx(MSS as u64, 10);
                 ctx.now = SimTime::from_millis(10 * ms);
                 step(&mut control, 0, |cc| cc.on_ack(&ctx));
                 step(&mut control, 1, |cc| cc.on_ack(&ctx));
             }
-            step(&mut control, 0, |cc| cc.on_rto(&loss(20 * MSS as u64)));
+            step(&mut control, 0, |cc| cc.on_rto(20 * MSS as u64));
 
             // A checkpoint carries every window along; then each copy moves
             // only its own.
             let mut copy = control.clone();
-            let windows = |c: &Control| [0, 1].map(|i| c.cwnd(i, MSS));
+            let windows = |c: &Control| [0, 1].map(|i| c.cwnd(i));
             assert_eq!(windows(&copy), windows(&control), "{algo:?}");
             let before = windows(&control);
-            step(&mut copy, 1, |cc| cc.on_rto(&loss(20 * MSS as u64)));
+            step(&mut copy, 1, |cc| cc.on_rto(20 * MSS as u64));
             assert_eq!(windows(&control), before, "{algo:?}");
-            assert_ne!(copy.cwnd(1, MSS), control.cwnd(1, MSS), "{algo:?}");
+            assert_ne!(copy.cwnd(1), control.cwnd(1), "{algo:?}");
             step(&mut control, 1, |cc| cc.on_ack(&ack_ctx(MSS as u64, 10)));
-            assert_eq!(copy.cwnd(0, MSS), control.cwnd(0, MSS), "{algo:?}");
+            assert_eq!(copy.cwnd(0), control.cwnd(0), "{algo:?}");
         }
     }
 
     #[test]
     fn rto_collapses_coupled_window() {
         let mut st = coupled(&[(20.0, 10.0)]);
-        let mut cc = CoupledCc::new(&mut st, 0, CcAlgo::Olia, MSS);
-        cc.on_rto(&loss(20 * MSS as u64));
+        let mut cc = CoupledCc::new(&mut st, 0, CcAlgo::Olia);
+        cc.on_rto(20 * MSS as u64);
         assert_eq!(cc.cwnd(), MSS as u64);
         assert_eq!(cc.ssthresh(), 10 * MSS as u64);
     }

@@ -15,7 +15,7 @@
 //! target band is re-weighted from the shared state once per RTT.
 
 use super::{CoupleState, SubState};
-use tcpsim::cc::{min_cwnd, AckContext};
+use tcpsim::cc::AckContext;
 
 /// Connection-wide target queue occupancy, packets (the ICNP paper uses a
 /// total alpha of about 10 packets for the whole connection).
@@ -39,7 +39,7 @@ pub fn weighted_alpha(st: &CoupleState, idx: usize) -> f64 {
 /// entries are updated: Vegas slow start (half-rate growth, left on queue
 /// build-up), then at most one step per RTT toward the weighted band
 /// `alpha_r .. alpha_r + 2` packets of queue.
-pub(crate) fn on_ack(st: &mut CoupleState, idx: usize, ctx: &AckContext, mss: u32) {
+pub(crate) fn on_ack(st: &mut CoupleState, idx: usize, ctx: &AckContext) {
     let alpha = weighted_alpha(st, idx);
     let sub = &mut st.subs[idx];
 
@@ -59,7 +59,7 @@ pub(crate) fn on_ack(st: &mut CoupleState, idx: usize, ctx: &AckContext, mss: u3
         match diff_packets(sub, ctx) {
             Some(diff) if diff < alpha => sub.cwnd += sub.mss,
             Some(diff) if diff > alpha + 2.0 => {
-                sub.cwnd = (sub.cwnd - sub.mss).max(min_cwnd(mss));
+                sub.cwnd = (sub.cwnd - sub.mss).max(2.0 * sub.mss);
             }
             _ => {}
         }
@@ -115,7 +115,7 @@ mod tests {
     fn wvegas_grows_when_below_weighted_band() {
         use simbase::SimDuration;
         let mut st = coupled(&[(10.0, 10.0), (10.0, 10.0)]);
-        let mut cc = CoupledCc::new(&mut st, 0, CcAlgo::WVegas, MSS);
+        let mut cc = CoupledCc::new(&mut st, 0, CcAlgo::WVegas);
         // RTT == baseRTT: diff = 0 < alpha -> +1 MSS at each RTT boundary.
         let mk = |now_ms: u64| tcpsim::cc::AckContext {
             now: simbase::SimTime::from_millis(now_ms),
@@ -138,7 +138,7 @@ mod tests {
     fn wvegas_shrinks_when_queueing_beyond_band() {
         use simbase::SimDuration;
         let mut st = coupled(&[(20.0, 10.0), (20.0, 10.0)]);
-        let mut cc = CoupledCc::new(&mut st, 0, CcAlgo::WVegas, MSS);
+        let mut cc = CoupledCc::new(&mut st, 0, CcAlgo::WVegas);
         // diff = 20 * (20-10)/20 = 10 packets; alpha = 5 -> shrink.
         let ctx = tcpsim::cc::AckContext {
             now: simbase::SimTime::from_millis(5),

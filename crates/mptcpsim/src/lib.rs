@@ -221,7 +221,6 @@ mod e2e_tests {
             .downcast_ref::<MptcpSenderAgent>()
             .unwrap();
         assert!(sender.is_complete());
-        assert_eq!(sender.stats().bytes_scheduled, total_bytes);
         assert_eq!(sender.stats().data_acked, total_bytes);
     }
 

@@ -46,7 +46,7 @@
 //!   Whether a transmission completes at its start depends on it alone, not
 //!   on where a run stops. Its accounting does: the elided TxDone is counted
 //!   in `stats.events` and `netsim.tx_done_elided` and its `on_tx` applied
-//!   by the first run (or step) whose deadline reaches the completion —
+//!   by the first run whose deadline reaches the completion —
 //!   at once when that is the run that starts it. Until then the counters
 //!   read as if its TxDone had been queued at its start (one push for the
 //!   entries it holds, no elided TxDone, no `on_tx`), so a run stopped at
@@ -804,21 +804,6 @@ impl Simulator {
             self.stats.packets_unroutable,
             self.in_flight,
         );
-    }
-
-    /// Process a single event. Returns false if the queue was empty. Queue
-    /// entries that are no event (see the module docs) are passed over. A
-    /// step is a run to its own event's instant: it accounts the owed
-    /// completions that instant reaches, and a transmission it starts is
-    /// accounted by a later step or run.
-    pub fn step(&mut self) -> bool {
-        while let Some(ev) = self.events.pop() {
-            self.settle(ev.time);
-            if self.execute(ev) {
-                return true;
-            }
-        }
-        false
     }
 
     /// Execute one popped queue entry. Returns false for an entry that was
@@ -1732,7 +1717,10 @@ mod sink_tests {
         // serialization while the aborted one's TxDone is still queued.
         sim.schedule_fault(sim.now(), FaultAction::LinkDown(LinkId(0)));
         sim.schedule_fault(sim.now(), FaultAction::LinkUp(LinkId(0)));
-        assert!(sim.step(), "the link-down fault");
+        // Everything else due by now has run: this pops the two faults.
+        let events = sim.stats.events;
+        sim.run_until(sim.now());
+        assert_eq!(sim.stats.events, events + 2, "the two faults");
         // The serializing packet and the four buffered ones are gone; the
         // ones already on the wire keep their slots.
         assert_eq!(sim.slab.live(), live - 5);
@@ -1925,7 +1913,10 @@ mod sink_tests {
         let dropped = sim.stats.packets_dropped;
         let live = sim.slab.live();
         sim.schedule_fault(sim.now(), FaultAction::LinkDown(LinkId(1)));
-        assert!(sim.step(), "the link-down fault");
+        // Everything else due by now has run: this pops the fault.
+        let events = sim.stats.events;
+        sim.run_until(sim.now());
+        assert_eq!(sim.stats.events, events + 1, "the link-down fault");
         // Both queues and both packets being serialized are lost.
         let lost = (ab + 1 + ba + 1) as u64;
         assert_eq!(sim.stats.packets_dropped, dropped + lost);

@@ -14,7 +14,7 @@
 //! Internal arithmetic is in MSS units and seconds, as in the RFC's
 //! formulas; the public interface is bytes.
 
-use super::{min_cwnd, AckContext, CongestionControl, LossContext};
+use super::{min_cwnd, AckContext, CongestionControl};
 use simbase::{SimDuration, SimTime};
 
 /// RFC 8312 constants.
@@ -144,11 +144,11 @@ impl CongestionControl for Cubic {
         }
     }
 
-    fn on_loss_event(&mut self, _ctx: &LossContext) {
+    fn on_loss_event(&mut self, _flight_size: u64) {
         self.reduce();
     }
 
-    fn on_rto(&mut self, _ctx: &LossContext) {
+    fn on_rto(&mut self, _flight_size: u64) {
         self.reduce();
         self.cwnd = 1.0;
     }
@@ -173,7 +173,7 @@ impl CongestionControl for Cubic {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{in_slow_start, loss, run_rtts, MSS};
+    use super::super::testutil::{in_slow_start, run_rtts, MSS};
     use super::*;
 
     #[test]
@@ -202,7 +202,7 @@ mod tests {
     fn loss_multiplies_by_beta() {
         let mut cc = Cubic::new(100 * MSS as u64, MSS);
         let before = cc.cwnd();
-        cc.on_loss_event(&loss(before));
+        cc.on_loss_event(before);
         let after = cc.cwnd();
         let ratio = after as f64 / before as f64;
         assert!((ratio - BETA).abs() < 0.02, "ratio {ratio}");
@@ -238,7 +238,7 @@ mod tests {
         // the signature concave region. Long RTT keeps the TCP-friendly
         // estimate out of the way.
         let mut cc = Cubic::new(100 * MSS as u64, MSS);
-        cc.on_loss_event(&loss(100 * MSS as u64)); // w_max = 100, cwnd = 70
+        cc.on_loss_event(100 * MSS as u64); // w_max = 100, cwnd = 70
         let w_loss = cc.cwnd();
         // K = cbrt(30/0.4) ≈ 4.2 s; sample two 2-second windows.
         let w1 = run_rtts_at(&mut cc, 0, 100, 20);
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn convex_probing_beyond_w_max_accelerates() {
         let mut cc = Cubic::new(100 * MSS as u64, MSS);
-        cc.on_loss_event(&loss(100 * MSS as u64));
+        cc.on_loss_event(100 * MSS as u64);
         // Ride the curve past w_max (K ≈ 4.2 s), then growth accelerates.
         let w_at_plateau = run_rtts_at(&mut cc, 0, 100, 45); // 4.5 s
         let w_probe1 = run_rtts_at(&mut cc, 4500, 100, 10);
@@ -273,12 +273,12 @@ mod tests {
         // its previous w_max. `once` starts at those same 70 MSS and loses
         // there for the first time, so its ceiling is the plain w_max = 70.
         let mut twice = Cubic::new(100 * MSS as u64, MSS);
-        twice.on_loss_event(&loss(100 * MSS as u64));
+        twice.on_loss_event(100 * MSS as u64);
         let w = twice.cwnd();
         assert_eq!(w, 70 * MSS as u64);
         let mut once = Cubic::new(w, MSS);
         for cc in [&mut twice, &mut once] {
-            cc.on_loss_event(&loss(w));
+            cc.on_loss_event(w);
         }
         // Same cwnd after the last loss...
         assert_eq!(twice.cwnd(), once.cwnd());
@@ -298,7 +298,7 @@ mod tests {
         // At short RTTs the cubic curve is slower than Reno; RFC 8312 §4.2
         // requires cwnd to follow W_est = W_max·β + 3(1−β)/(1+β)·t/RTT.
         let mut cubic = Cubic::new(10 * MSS as u64, MSS);
-        cubic.on_loss_event(&loss(10 * MSS as u64)); // w_max=10, cwnd=7
+        cubic.on_loss_event(10 * MSS as u64); // w_max=10, cwnd=7
         let rtts = 40u32;
         let w = run_rtts_at(&mut cubic, 0, 10, rtts);
         let w_mss = w as f64 / MSS as f64;
@@ -318,7 +318,7 @@ mod tests {
     #[test]
     fn rto_resets_to_one_segment() {
         let mut cc = Cubic::new(50 * MSS as u64, MSS);
-        cc.on_rto(&loss(50 * MSS as u64));
+        cc.on_rto(50 * MSS as u64);
         assert_eq!(cc.cwnd(), MSS as u64);
     }
 }

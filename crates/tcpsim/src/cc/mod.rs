@@ -39,13 +39,6 @@ pub struct AckContext {
     pub mss: u32,
 }
 
-/// Information accompanying a loss signal.
-#[derive(Debug, Clone, Copy)]
-pub struct LossContext {
-    /// Bytes in flight when the loss was detected.
-    pub flight_size: u64,
-}
-
 /// A congestion-control algorithm instance (one per TCP flow / subflow):
 /// the interface a [`crate::TcpSender`] calls.
 ///
@@ -59,11 +52,12 @@ pub trait CongestionControl: std::fmt::Debug {
     /// An ACK advanced the left window edge.
     fn on_ack(&mut self, ctx: &AckContext);
 
-    /// A loss was detected by fast retransmit (at most once per window).
-    fn on_loss_event(&mut self, ctx: &LossContext);
+    /// A loss was detected by fast retransmit (at most once per window),
+    /// with `flight_size` bytes in flight.
+    fn on_loss_event(&mut self, flight_size: u64);
 
-    /// The retransmission timer expired.
-    fn on_rto(&mut self, ctx: &LossContext);
+    /// The retransmission timer expired with `flight_size` bytes in flight.
+    fn on_rto(&mut self, flight_size: u64);
 
     /// Current congestion window in bytes.
     fn cwnd(&self) -> u64;
@@ -114,12 +108,6 @@ pub(crate) mod testutil {
     /// True while in slow start.
     pub fn in_slow_start(cc: &dyn CongestionControl) -> bool {
         cc.cwnd() < cc.ssthresh()
-    }
-
-    pub fn loss(flight: u64) -> LossContext {
-        LossContext {
-            flight_size: flight,
-        }
     }
 
     /// Drive an algorithm with one bulk ACK per `rtt_ms` for `rtts` rounds,

@@ -3,7 +3,7 @@
 //! A faithful-at-the-right-granularity TCP implementation:
 //!
 //! * [`seq`] — 32-bit wrapping sequence arithmetic over 64-bit offsets.
-//! * [`wire`] — real header encode/decode (timestamps, MSS, MPTCP DSS).
+//! * [`wire`] — real header encode/decode (timestamps, SACK, MPTCP DSS).
 //! * [`rtt`] — RFC 6298 estimation with Linux's 200 ms RTO floor.
 //! * [`cc`] — pluggable congestion control: CUBIC (RFC 8312), the uncoupled
 //!   law; `mptcpsim::cc` adds the coupled ones.
@@ -33,9 +33,9 @@ pub mod seq;
 pub mod wire;
 
 pub use app::AppSource;
-pub use cc::{AckContext, CongestionControl, Cubic, LossContext};
+pub use cc::{AckContext, CongestionControl, Cubic};
 pub use ranges::RangeSet;
-pub use receiver::{ReceiverConfig, ReceiverStats, TcpReceiver};
+pub use receiver::{ReceiverConfig, TcpReceiver, RECEIVE_WINDOW};
 pub use rtt::RttEstimator;
 pub use sender::{SegmentTx, SenderStats, TcpConfig, TcpSender, MSS};
 pub use seq::{SeqNum, ISN};

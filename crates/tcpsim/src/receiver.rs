@@ -12,6 +12,11 @@ use crate::seq::{SeqNum, ISN};
 use crate::wire::{SackList, TcpFlags, TcpSegment, Timestamps, MAX_SACK_BLOCKS};
 use simbase::SimTime;
 
+/// The receive window every subflow receiver advertises, and every sender
+/// assumes until the first ACK, in bytes: a fixed 4 MiB per subflow, not
+/// RFC 8684's connection-level window (DESIGN.md par 3).
+pub const RECEIVE_WINDOW: u32 = 4 << 20;
+
 /// Receiver configuration.
 #[derive(Debug, Clone)]
 pub struct ReceiverConfig {
@@ -19,8 +24,6 @@ pub struct ReceiverConfig {
     pub src_port: u16,
     /// Peer's port.
     pub dst_port: u16,
-    /// Advertised receive window in bytes.
-    pub window: u32,
     /// Generate SACK blocks (RFC 2018). On by default, as in every modern
     /// stack; turn off for the NewReno-only ablation.
     pub sack: bool,
@@ -31,23 +34,9 @@ impl Default for ReceiverConfig {
         ReceiverConfig {
             src_port: 5001,
             dst_port: 5000,
-            window: 4 << 20,
             sack: true,
         }
     }
-}
-
-/// Receiver counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReceiverStats {
-    /// Data segments received (any order).
-    pub segments_received: u64,
-    /// Segments that were duplicates of already-delivered data.
-    pub duplicate_segments: u64,
-    /// Segments buffered out of order.
-    pub out_of_order_segments: u64,
-    /// ACKs generated.
-    pub acks_sent: u64,
 }
 
 /// The receiver state machine.
@@ -66,8 +55,13 @@ pub struct TcpReceiver {
     /// ECN: echo ECE on every ACK until the sender answers with CWR
     /// (RFC 3168 §6.1.3).
     ece_pending: bool,
-    stats: ReceiverStats,
 }
+
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter receiver fails the build, not a run"
+)]
+const _: () = assert!(std::mem::size_of::<TcpReceiver>() <= 80);
 
 impl TcpReceiver {
     /// Create a receiver.
@@ -79,7 +73,6 @@ impl TcpReceiver {
             last_tsval: 0,
             recent_start: None,
             ece_pending: false,
-            stats: ReceiverStats::default(),
         }
     }
 
@@ -96,11 +89,6 @@ impl TcpReceiver {
     /// Number of distinct out-of-order ranges currently buffered.
     pub fn ooo_ranges(&self) -> usize {
         self.ooo.len()
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> &ReceiverStats {
-        &self.stats
     }
 
     /// The most out-of-order ranges ever buffered at once.
@@ -141,7 +129,6 @@ impl TcpReceiver {
         if seg.flags.cwr {
             self.ece_pending = false;
         }
-        self.stats.segments_received += 1;
         let end = start + data_len as u64;
 
         if let Some(ts) = &seg.ts {
@@ -155,16 +142,12 @@ impl TcpReceiver {
         if end <= self.rcv_nxt {
             // Entirely old (or zero-length) data: ACK immediately (it may be
             // a retransmission probing a lost ACK).
-            if end < self.rcv_nxt || data_len > 0 {
-                self.stats.duplicate_segments += 1;
-            }
             return Some(self.make_ack(now));
         }
 
         if start > self.rcv_nxt {
             // A hole: buffer and send an immediate duplicate ACK (fast
             // retransmit depends on these never being delayed).
-            self.stats.out_of_order_segments += 1;
             let (merged, _) = self.ooo.insert(start, end);
             self.recent_start = Some(merged.0);
             return Some(self.make_ack(now));
@@ -176,8 +159,7 @@ impl TcpReceiver {
         Some(self.make_ack(now))
     }
 
-    fn make_ack(&mut self, now: SimTime) -> TcpSegment {
-        self.stats.acks_sent += 1;
+    fn make_ack(&self, now: SimTime) -> TcpSegment {
         TcpSegment {
             src_port: self.cfg.src_port,
             dst_port: self.cfg.dst_port,
@@ -187,12 +169,11 @@ impl TcpReceiver {
                 ece: self.ece_pending,
                 ..TcpFlags::ACK
             },
-            window: self.cfg.window,
+            window: RECEIVE_WINDOW,
             ts: Some(Timestamps {
                 tsval: Timestamps::tsval_at(now),
                 tsecr: self.last_tsval,
             }),
-            mss: None,
             sack: self.sack_blocks(),
             dss: None,
         }
@@ -256,7 +237,6 @@ mod tests {
             flags: TcpFlags::default(),
             window: 0,
             ts: Some(Timestamps { tsval, tsecr: 0 }),
-            mss: None,
             sack: SackList::new(),
             dss: None,
         }
@@ -270,19 +250,22 @@ mod tests {
     fn in_order_stream_advances_and_acks_each_segment() {
         let cfg = ReceiverConfig::default();
         let mut r = TcpReceiver::new(cfg.clone());
-        for i in 0..5u64 {
-            let ack = r
-                .on_data(
+        let acks: Vec<TcpSegment> = (0..5u64)
+            .filter_map(|i| {
+                r.on_data(
                     SimTime::from_millis(i),
                     &data_seg(&cfg, i * MSS, 100 + i as u32),
                     MSS as u32,
                 )
-                .expect("quickack");
-            assert_eq!(ack_offset(&ack), (i + 1) * MSS);
+            })
+            .collect();
+        assert_eq!(acks.len(), 5, "one ACK per segment");
+        for (i, ack) in (0u64..).zip(&acks) {
+            assert_eq!(ack_offset(ack), (i + 1) * MSS);
             assert_eq!(ack.ts.unwrap().tsecr, 100 + i as u32);
+            assert!(ack.sack.is_empty());
         }
         assert_eq!(r.delivered(), 5 * MSS);
-        assert_eq!(r.stats().acks_sent, 5);
         assert_eq!(r.ooo_ranges(), 0);
     }
 
@@ -292,14 +275,19 @@ mod tests {
         let mut r = TcpReceiver::new(cfg.clone());
         let t = SimTime::ZERO;
         r.on_data(t, &data_seg(&cfg, 0, 1), MSS as u32).unwrap();
-        // Segment 1 lost; 2, 3, 4 arrive.
+        // Segment 1 lost; 2, 3, 4 arrive. Each is buffered and answered by
+        // a dup ACK whose one SACK block covers what is buffered so far.
         for i in [2u64, 3, 4] {
             let ack = r
                 .on_data(t, &data_seg(&cfg, i * MSS, 1), MSS as u32)
                 .unwrap();
             assert_eq!(ack_offset(&ack), MSS, "dup ACK at the hole");
+            let block = (
+                SeqNum::from_offset(ISN, 2 * MSS),
+                SeqNum::from_offset(ISN, (i + 1) * MSS),
+            );
+            assert_eq!(ack.sack.as_slice(), [block]);
         }
-        assert_eq!(r.stats().out_of_order_segments, 3);
         assert_eq!(r.ooo_ranges(), 1); // merged into one contiguous range
                                        // The retransmission fills the hole: cumulative ACK jumps.
         let ack = r.on_data(t, &data_seg(&cfg, MSS, 1), MSS as u32).unwrap();
@@ -329,14 +317,15 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_are_counted_and_reacked() {
+    fn duplicates_are_reacked() {
         let cfg = ReceiverConfig::default();
         let mut r = TcpReceiver::new(cfg.clone());
         let t = SimTime::ZERO;
         r.on_data(t, &data_seg(&cfg, 0, 1), MSS as u32).unwrap();
         let ack = r.on_data(t, &data_seg(&cfg, 0, 2), MSS as u32).unwrap();
         assert_eq!(ack_offset(&ack), MSS);
-        assert_eq!(r.stats().duplicate_segments, 1);
+        assert!(ack.sack.is_empty(), "nothing is buffered");
+        assert_eq!((r.delivered(), r.ooo_ranges()), (MSS, 0));
     }
 
     #[test]
@@ -354,16 +343,15 @@ mod tests {
 
     #[test]
     fn advertised_window_is_carried() {
-        let cfg = ReceiverConfig {
-            window: 1 << 20,
-            ..Default::default()
-        };
+        let cfg = ReceiverConfig::default();
         let mut r = TcpReceiver::new(cfg.clone());
         let ack = r
             .on_data(SimTime::ZERO, &data_seg(&cfg, 0, 1), MSS as u32)
             .unwrap();
-        assert_eq!(ack.window, 1 << 20);
+        assert_eq!(ack.window, RECEIVE_WINDOW);
         assert!(ack.flags.ack);
+        let wire = TcpSegment::decode(&ack.encode()).unwrap();
+        assert_eq!(wire.window, RECEIVE_WINDOW, "a whole number of granules");
     }
 
     #[test]
@@ -417,21 +405,5 @@ mod tests {
         assert_eq!(ack.sack.as_slice().last(), Some(&newest));
         let wire = TcpSegment::decode(&ack.encode()).unwrap();
         assert_eq!(wire.sack.as_slice().last(), Some(&newest));
-    }
-
-    #[test]
-    fn tiny_receive_buffer_never_advertises_zero() {
-        // Regression: a live sub-128-byte window used to encode as a zero
-        // (closed) window, parking the sender forever. After the wire
-        // clamp, the smallest live advertisement is one granule.
-        let cfg = ReceiverConfig {
-            window: 100,
-            ..Default::default()
-        };
-        let mut r = TcpReceiver::new(cfg.clone());
-        let ack = r.on_data(SimTime::ZERO, &data_seg(&cfg, 0, 1), 64).unwrap();
-        assert_eq!(ack.window, 100);
-        let wire = TcpSegment::decode(&ack.encode()).unwrap();
-        assert_eq!(wire.window, 128, "clamped up to one granule, not zero");
     }
 }

@@ -24,8 +24,9 @@
 //! Segment payload bytes are virtual: the sender tracks a byte *count*
 //! supplied by the application, not buffers.
 
-use crate::cc::{AckContext, CongestionControl, LossContext};
+use crate::cc::{AckContext, CongestionControl};
 use crate::ranges::RangeSet;
+use crate::receiver::RECEIVE_WINDOW;
 use crate::rtt::{MinRttFilter, RttEstimator};
 use crate::seq::{SeqNum, ISN};
 use crate::wire::{SackList, TcpFlags, TcpSegment, Timestamps};
@@ -47,8 +48,6 @@ pub struct TcpConfig {
     pub dst_port: u16,
     /// Initial congestion window in bytes.
     pub initial_cwnd: u64,
-    /// Peer receive window assumed before the first ACK arrives.
-    pub assumed_peer_window: u64,
     /// Use SACK-based loss recovery (RFC 6675-style scoreboard). On by
     /// default, matching the Linux kernel the paper ran on; off = plain
     /// NewReno (ablation).
@@ -66,7 +65,6 @@ impl Default for TcpConfig {
             src_port: 5000,
             dst_port: 5001,
             initial_cwnd: crate::cc::initial_window(MSS),
-            assumed_peer_window: 4 << 20,
             sack: true,
             ecn: false,
         }
@@ -176,7 +174,8 @@ struct Live {
     available: u64,
     /// If true, the application always has data (iperf model).
     unlimited: bool,
-    /// Peer's advertised window (bytes).
+    /// Peer's advertised window (bytes): [`RECEIVE_WINDOW`] until the
+    /// first ACK.
     peer_window: u64,
     dup_acks: u32,
     recovery: Option<Recovery>,
@@ -206,6 +205,12 @@ struct Live {
 )]
 const _: () = assert!(std::mem::size_of::<Live>() <= 232);
 
+#[expect(
+    clippy::disallowed_macros,
+    reason = "evaluated at compile time: a fatter sender fails the build, not a run"
+)]
+const _: () = assert!(std::mem::size_of::<TcpSender>() <= 120);
+
 impl TcpSender {
     /// Create a dormant sender: configuration and zero counters only,
     /// until [`TcpSender::start`].
@@ -232,7 +237,7 @@ impl TcpSender {
             rtt: RttEstimator::default(),
             available: 0,
             unlimited: false,
-            peer_window: self.cfg.assumed_peer_window,
+            peer_window: u64::from(RECEIVE_WINDOW),
             dup_acks: 0,
             recovery: None,
             inflation: 0,
@@ -484,7 +489,6 @@ impl TcpSender {
                 tsval: Timestamps::tsval_at(now),
                 tsecr: l.peer_tsval,
             }),
-            mss: None,
             sack: SackList::new(),
             dss: None,
         }
@@ -585,10 +589,9 @@ impl TcpSender {
         }
         if room < len as u64 {
             // Avoid silly-window segments: send only when a full segment
-            // (or the final short tail) fits. `room` must be compared at
-            // full u64 width: it exceeds u32 whenever cwnd and the peer
-            // window do, and truncating it here stalled such senders when
-            // the low 32 bits of `room` happened to fall below one MSS.
+            // (or the final short tail) fits. `room` is compared at full
+            // u64 width: truncated, a room whose low 32 bits fall below one
+            // MSS would stall the sender.
             return None;
         }
         if self.flight_size() + len as u64 > l.peer_window {
@@ -670,7 +673,7 @@ impl TcpSender {
         // ECN: an ECN-Echo is a congestion signal equivalent to a loss,
         // reacted to at most once per RTT (RFC 3168 §6.1.2).
         if self.cfg.ecn && seg.flags.ece && now >= l.ecn_cwr_until {
-            cc.on_loss_event(&self.loss_context());
+            cc.on_loss_event(self.flight_size());
             self.check_cwnd_floor(cc);
             self.stats.ecn_reductions += 1;
             l.ecn_send_cwr = true;
@@ -789,13 +792,6 @@ impl TcpSender {
         );
     }
 
-    /// A congestion signal, with the flight as it stands.
-    fn loss_context(&self) -> LossContext {
-        LossContext {
-            flight_size: self.flight_size(),
-        }
-    }
-
     /// Enter fast recovery: one loss event for `cc`, recovering up to
     /// `snd_nxt`. SACK-driven, the scoreboard picks the retransmissions;
     /// otherwise (NewReno) the presumed-lost head is queued and the window
@@ -806,7 +802,7 @@ impl TcpSender {
         cc: &mut dyn CongestionControl,
         sack_driven: bool,
     ) {
-        cc.on_loss_event(&self.loss_context());
+        cc.on_loss_event(self.flight_size());
         self.check_cwnd_floor(cc);
         self.stats.loss_events += 1;
         l.recovery = Some(Recovery {
@@ -864,7 +860,7 @@ impl TcpSender {
         }
         // Retransmission timeout.
         self.stats.rtos += 1;
-        cc.on_rto(&self.loss_context());
+        cc.on_rto(self.flight_size());
         self.check_cwnd_floor(cc);
         l.rtt.on_timeout();
         l.dup_acks = 0;
@@ -929,9 +925,8 @@ mod tests {
             seq: SeqNum(0),
             ack: SeqNum::from_offset(ISN, offset),
             flags: TcpFlags::ACK,
-            window: 4 << 20,
+            window: RECEIVE_WINDOW,
             ts: Some(Timestamps { tsval: 1, tsecr }),
-            mss: None,
             sack: SackList::new(),
             dss: None,
         }
@@ -1145,39 +1140,6 @@ mod tests {
         assert!(s.flight_size() <= small_window as u64);
     }
 
-    /// Regression: the silly-window check used to compare `room` through a
-    /// `u32` truncation, so a window whose low 32 bits fell below one MSS
-    /// (here 2^32 + 100 bytes of room) stalled the sender completely even
-    /// though gigabytes of window were open.
-    #[test]
-    fn send_window_beyond_4gib_does_not_stall() {
-        #[derive(Debug, Clone)]
-        struct HugeWindow;
-        impl CongestionControl for HugeWindow {
-            fn on_ack(&mut self, _ctx: &AckContext) {}
-            fn on_loss_event(&mut self, _ctx: &LossContext) {}
-            fn on_rto(&mut self, _ctx: &LossContext) {}
-            fn cwnd(&self) -> u64 {
-                (1 << 32) + 100
-            }
-            fn ssthresh(&self) -> u64 {
-                u64::MAX
-            }
-        }
-        let cfg = TcpConfig {
-            assumed_peer_window: (1 << 32) + 100,
-            ..TcpConfig::default()
-        };
-        let mut s = TcpSender::dormant(cfg);
-        s.start(&HugeWindow);
-        s.set_unlimited();
-        let seg = s.poll_segment(SimTime::ZERO, &HugeWindow);
-        assert!(
-            seg.is_some_and(|t| t.len == MSS),
-            "a full-MSS segment must go out when >4GiB of window is open"
-        );
-    }
-
     #[test]
     fn stale_rtx_queue_entries_are_skipped() {
         let (mut s, mut cc) = sender();
@@ -1310,8 +1272,8 @@ mod tests {
         fn on_ack(&mut self, ctx: &AckContext) {
             self.seen.push(ctx.min_rtt);
         }
-        fn on_loss_event(&mut self, _: &LossContext) {}
-        fn on_rto(&mut self, _: &LossContext) {}
+        fn on_loss_event(&mut self, _: u64) {}
+        fn on_rto(&mut self, _: u64) {}
         fn cwnd(&self) -> u64 {
             10 * MSS as u64
         }

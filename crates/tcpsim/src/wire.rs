@@ -6,7 +6,7 @@
 //!
 //! * **Timestamps** (RFC 7323): `tsval`/`tsecr`, used for RTT sampling with
 //!   Karn-safe measurements.
-//! * **MSS** (on SYN).
+//! * **SACK** (RFC 2018): up to three blocks, newest first on the wire.
 //! * **DSS** — a compact MPTCP Data Sequence Signal carrying a 64-bit data
 //!   sequence number, 64-bit data ACK, subflow-relative start and length
 //!   (modelled on RFC 8684 §3.3, with fixed-width fields for simplicity;
@@ -20,8 +20,11 @@
 //! the inline payload. [`TcpSegment::decode`] checks the length and data
 //! offset, reads the 20-byte fixed header through one array pattern, then
 //! splits each option off the front of the option region by its fixed size.
-//! Options go on the wire in the order TS, MSS, SACK, DSS, padded with
-//! `OPT_END` zeros to a 4-byte boundary.
+//! Options go on the wire in the order TS, SACK, DSS, padded with
+//! `OPT_END` zeros to a 4-byte boundary. No subflow opens, closes or
+//! resets, so no segment carries SYN, FIN, RST or an MSS option: the flags
+//! are ACK, ECE and CWR at their RFC 793 / RFC 3168 positions, the decoder
+//! ignores the other bits, and an MSS option is an unknown kind.
 
 use crate::seq::SeqNum;
 use netsim::{Payload, INLINE_CAP};
@@ -29,17 +32,12 @@ use simbase::SimTime;
 use std::fmt;
 use std::ops::Deref;
 
-/// TCP header flags (subset; no URG modelling).
+/// The TCP header flags a segment carries (no connection ever opens,
+/// closes or resets, so no SYN, FIN or RST).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpFlags {
-    /// Connection-open.
-    pub syn: bool,
     /// Acknowledgement field is valid.
     pub ack: bool,
-    /// Sender is done.
-    pub fin: bool,
-    /// Abort.
-    pub rst: bool,
     /// ECN-Echo (RFC 3168): the receiver saw a CE mark.
     pub ece: bool,
     /// Congestion Window Reduced: the sender has reacted to ECE.
@@ -49,29 +47,20 @@ pub struct TcpFlags {
 impl TcpFlags {
     /// A plain ACK.
     pub const ACK: TcpFlags = TcpFlags {
-        syn: false,
         ack: true,
-        fin: false,
-        rst: false,
         ece: false,
         cwr: false,
     };
 
     fn to_byte(self) -> u8 {
-        u8::from(self.syn)
-            | u8::from(self.ack) << 1
-            | u8::from(self.fin) << 2
-            | u8::from(self.rst) << 3
-            | u8::from(self.ece) << 4
-            | u8::from(self.cwr) << 5
+        u8::from(self.ack) << 1 | u8::from(self.ece) << 4 | u8::from(self.cwr) << 5
     }
 
+    /// The flags of a header's flag byte; the SYN, FIN and RST bits (and
+    /// the two above CWR) are ignored.
     fn from_byte(b: u8) -> TcpFlags {
         TcpFlags {
-            syn: b & 1 != 0,
             ack: b & 2 != 0,
-            fin: b & 4 != 0,
-            rst: b & 8 != 0,
             ece: b & 16 != 0,
             cwr: b & 32 != 0,
         }
@@ -273,8 +262,6 @@ pub struct TcpSegment {
     pub window: u32,
     /// Timestamps option.
     pub ts: Option<Timestamps>,
-    /// MSS option (SYN only by convention; encoded whenever present).
-    pub mss: Option<u16>,
     /// SACK blocks (RFC 2018), at most [`MAX_SACK_BLOCKS`]; stored inline.
     pub sack: SackList,
     /// MPTCP DSS option.
@@ -295,7 +282,6 @@ impl Default for TcpSegment {
             flags: TcpFlags::default(),
             window: 0,
             ts: None,
-            mss: None,
             sack: SackList::new(),
             dss: None,
         }
@@ -305,7 +291,6 @@ impl Default for TcpSegment {
 /// Option kind bytes (private wire constants).
 const OPT_END: u8 = 0;
 const OPT_TS: u8 = 8;
-const OPT_MSS: u8 = 2;
 const OPT_SACK: u8 = 5;
 const OPT_DSS: u8 = 30; // MPTCP option kind
 
@@ -316,7 +301,6 @@ const FIXED_LEN: usize = 20;
 const MAX_HEADER_LEN: usize = 60;
 /// Option lengths (the option's own length byte, kind and length included).
 const TS_LEN: u8 = 10;
-const MSS_LEN: u8 = 4;
 const SACK_BASE_LEN: usize = 2;
 const SACK_BLOCK_LEN: usize = 8;
 /// DSS: kind, length, flags, then the data ACK and the mapping if flagged.
@@ -416,10 +400,6 @@ impl TcpSegment {
             put(&ts.tsval.to_be_bytes());
             put(&ts.tsecr.to_be_bytes());
         }
-        if let Some(mss) = self.mss {
-            put(&[OPT_MSS, MSS_LEN]);
-            put(&mss.to_be_bytes());
-        }
         if !self.sack.is_empty() {
             let sack_len = SACK_BASE_LEN + SACK_BLOCK_LEN * self.sack.len();
             put(&[OPT_SACK, len_byte(sack_len)]);
@@ -471,7 +451,6 @@ impl TcpSegment {
             flags: TcpFlags::from_byte(flags),
             window: u32::from(u16::from_be_bytes([w0, w1])) << WINDOW_SHIFT,
             ts: None,
-            mss: None,
             sack: SackList::new(),
             dss: None,
         };
@@ -503,14 +482,6 @@ impl TcpSegment {
                 });
                 Some(rest)
             }
-            OPT_MSS => {
-                let (&[MSS_LEN], rest) = opts.split_first_chunk()? else {
-                    return None;
-                };
-                let (mss, rest) = rest.split_first_chunk()?;
-                self.mss = Some(u16::from_be_bytes(*mss));
-                Some(rest)
-            }
             OPT_SACK => {
                 let (&len, rest) = opts.split_first()?;
                 let body = usize::from(len).checked_sub(SACK_BASE_LEN)?;
@@ -519,7 +490,7 @@ impl TcpSegment {
                     return None;
                 }
                 // A repeated SACK option replaces the earlier one (same
-                // last-wins rule as TS/MSS/DSS) and keeps the inline list
+                // last-wins rule as TS/DSS) and keeps the inline list
                 // within capacity on adversarial inputs.
                 self.sack.clear();
                 // The wire carries blocks newest-first (RFC 2018 §4);
@@ -588,9 +559,6 @@ impl TcpSegment {
         if self.ts.is_some() {
             opts += usize::from(TS_LEN);
         }
-        if self.mss.is_some() {
-            opts += usize::from(MSS_LEN);
-        }
         if !self.sack.is_empty() {
             opts += SACK_BASE_LEN + SACK_BLOCK_LEN * self.sack.len();
         }
@@ -643,7 +611,11 @@ mod tests {
             data_len: 1448,
         };
         let mut full_mix = TcpSegment {
-            flags: TcpFlags::from_byte(0x3F),
+            flags: TcpFlags {
+                ece: true,
+                cwr: true,
+                ..TcpFlags::ACK
+            },
             ts,
             sack: sack(3),
             dss: Some(DssOption {
@@ -665,19 +637,6 @@ mod tests {
                         ..TcpFlags::ACK
                     },
                     ts,
-                    ..base.clone()
-                },
-            ),
-            (
-                "mss_on_syn",
-                TcpSegment {
-                    ack: SeqNum(0),
-                    flags: TcpFlags {
-                        syn: true,
-                        ..Default::default()
-                    },
-                    window: 29200,
-                    mss: Some(1460),
                     ..base.clone()
                 },
             ),
@@ -743,15 +702,11 @@ mod tests {
     /// What the byte-at-a-time encoder this codec replaced produced for
     /// [`golden_segments`]. Trace hashes see a packet's `wire_size`, never
     /// its header's contents, so these pin the layout field by field.
-    const GOLDEN_HEX: [(&str, &str); 10] = [
+    const GOLDEN_HEX: [(&str, &str); 9] = [
         ("bare", "1389005001020304a1b2c3d45002020000000000"),
         (
             "ts",
             "1389005001020304a1b2c3d48012020000000000080adeadbeef050607080000",
-        ),
-        (
-            "mss_on_syn",
-            "138900500102030400000000600100e400000000020405b4",
         ),
         (
             "sack_1",
@@ -782,7 +737,7 @@ mod tests {
         ),
         (
             "trimmed_full_mix",
-            "1389005001020304a1b2c3d4f03f020000000000080adeadbeef0506070805121000020010000280\
+            "1389005001020304a1b2c3d4f032020000000000080adeadbeef0506070805121000020010000280\
              10000100100001801e0b01112233445566778800",
         ),
     ];
@@ -911,21 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn mss_on_syn_roundtrips() {
-        let seg = TcpSegment {
-            flags: TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
-            mss: Some(1460),
-            ..Default::default()
-        };
-        let dec = roundtrip(&seg);
-        assert!(dec.flags.syn);
-        assert_eq!(dec.mss, Some(1460));
-    }
-
-    #[test]
     fn dss_full_roundtrips() {
         let seg = TcpSegment {
             dss: Some(DssOption {
@@ -968,15 +908,24 @@ mod tests {
         assert_eq!(roundtrip(&seg), seg);
     }
 
+    /// Every flag byte decodes to the ACK, ECE and CWR bits it carries
+    /// and encodes back with only those: SYN, FIN, RST and the bits above
+    /// CWR are ignored.
     #[test]
-    fn all_flags_roundtrip() {
-        for bits in 0..64u8 {
-            let seg = TcpSegment {
-                flags: TcpFlags::from_byte(bits),
-                ..Default::default()
-            };
-            assert_eq!(roundtrip(&seg).flags, seg.flags);
+    fn a_flag_byte_keeps_only_ack_ece_and_cwr() {
+        let mut bytes = TcpSegment::default().encode().to_vec();
+        for bits in 0..=u8::MAX {
+            bytes[13] = bits;
+            let seg = TcpSegment::decode(&bytes).unwrap();
+            assert_eq!(seg.encode()[13], bits & 0x32, "flag byte {bits:#04x}");
         }
+        bytes[13] = 0x3F;
+        let want = TcpFlags {
+            ece: true,
+            cwr: true,
+            ..TcpFlags::ACK
+        };
+        assert_eq!(TcpSegment::decode(&bytes).unwrap().flags, want);
     }
 
     #[test]
@@ -1042,6 +991,12 @@ mod tests {
             TcpSegment::decode(&bytes),
             Err(WireError::BadOption(99))
         ));
+        // An MSS option (kind 2, 1460): no segment carries one, so its kind
+        // is unknown like any other.
+        let mut bytes = TcpSegment::default().encode().to_vec();
+        bytes[12] = 6 << 4;
+        bytes.extend([2, 4, 0x05, 0xb4]);
+        assert_eq!(TcpSegment::decode(&bytes), Err(WireError::BadOption(2)));
     }
 
     #[test]
@@ -1050,10 +1005,6 @@ mod tests {
             TcpSegment::default(),
             TcpSegment {
                 ts: Some(Timestamps { tsval: 1, tsecr: 2 }),
-                ..Default::default()
-            },
-            TcpSegment {
-                mss: Some(1460),
                 ..Default::default()
             },
             TcpSegment {
@@ -1067,7 +1018,6 @@ mod tests {
             },
             TcpSegment {
                 ts: Some(Timestamps { tsval: 1, tsecr: 2 }),
-                mss: Some(536),
                 dss: Some(DssOption {
                     data_ack: None,
                     dsn: Some(2),
@@ -1093,22 +1043,11 @@ mod proptests {
     use std::collections::BTreeSet;
 
     fn arb_flags() -> impl Strategy<Value = TcpFlags> {
-        (
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-        )
-            .prop_map(|(syn, ack, fin, rst, ece, cwr)| TcpFlags {
-                syn,
-                ack,
-                fin,
-                rst,
-                ece,
-                cwr,
-            })
+        (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(ack, ece, cwr)| TcpFlags {
+            ack,
+            ece,
+            cwr,
+        })
     }
 
     fn arb_ts() -> impl Strategy<Value = Option<Timestamps>> {
@@ -1154,7 +1093,6 @@ mod proptests {
             flags in arb_flags(),
             window in 0u32..(1 << 23),
             ts in arb_ts(),
-            mss in proptest::option::of(any::<u16>()),
             sack in arb_sack(),
             dss in arb_dss(),
         ) {
@@ -1166,7 +1104,6 @@ mod proptests {
                 flags,
                 window,
                 ts,
-                mss,
                 sack,
                 dss,
             };
@@ -1225,7 +1162,6 @@ mod proptests {
             flags in arb_flags(),
             window in (any::<u32>(), 0u32..4).prop_map(|(w, scale)| w >> (10 * scale)),
             ts in arb_ts(),
-            mss in proptest::option::of(any::<u16>()),
             sack in arb_sack(),
             dss in arb_dss(),
         ) {
@@ -1237,7 +1173,6 @@ mod proptests {
                 flags,
                 window,
                 ts,
-                mss,
                 sack,
                 dss,
             };
@@ -1261,15 +1196,14 @@ mod proptests {
     /// the ways a decoder must reject (a wrong length byte, a cut body), or
     /// a stray byte of any kind.
     fn soup_option(rng: &mut TestRng) -> Vec<u8> {
-        let mut opt = match rng.next_below(7) {
+        let mut opt = match rng.next_below(6) {
             0 => vec![OPT_END],
             1 => [vec![OPT_TS, 10], random_bytes(rng, 8)].concat(),
-            2 => [vec![OPT_MSS, 4], random_bytes(rng, 2)].concat(),
-            3 => {
+            2 => {
                 let k = rng.next_below(5);
                 [vec![OPT_SACK, (2 + 8 * k) as u8], random_bytes(rng, 8 * k)].concat()
             }
-            4 => {
+            3 => {
                 let flags = rng.next_u64() as u8;
                 let need = if flags & 1 != 0 { 8 } else { 0 } + if flags & 2 != 0 { 14 } else { 0 };
                 [
@@ -1278,7 +1212,7 @@ mod proptests {
                 ]
                 .concat()
             }
-            5 => vec![rng.next_u64() as u8],
+            4 => vec![rng.next_u64() as u8],
             _ => {
                 let n = rng.next_below(4);
                 random_bytes(rng, n)
@@ -1334,9 +1268,7 @@ mod proptests {
             assert_eq!(got, reference::decode(&buf), "input {buf:02x?}");
             match got {
                 Ok(_) => decoded += 1,
-                Err(WireError::BadOption(k))
-                    if ![OPT_TS, OPT_MSS, OPT_SACK, OPT_DSS].contains(&k) =>
-                {
+                Err(WireError::BadOption(k)) if ![OPT_TS, OPT_SACK, OPT_DSS].contains(&k) => {
                     errors.insert("unknown kind".to_string());
                 }
                 Err(e) => {
@@ -1349,7 +1281,6 @@ mod proptests {
             "Truncated",
             "BadDataOffset",
             "BadOption(8)",
-            "BadOption(2)",
             "BadOption(5)",
             "BadOption(30)",
             "unknown kind",

@@ -2,7 +2,9 @@
 //! differential oracle for `wire.rs`'s tests (test builds only; nothing can
 //! select it at run time).
 //!
-//! `encode` / `decode` are the old bodies unchanged. The cursor they wrote
+//! `encode` / `decode` are the old bodies, less the MSS option no segment
+//! carries any more (the flags they read and write are `TcpFlags`' own,
+//! ACK, ECE and CWR). The cursor they wrote
 //! and read through (a fixed-capacity `BufMut` writer and `Buf` over
 //! `&[u8]`) is reproduced below with the same semantics: big-endian
 //! fields, and a read past the end panics.
@@ -83,11 +85,6 @@ pub(in crate::wire) fn encode(seg: &TcpSegment) -> Payload {
         opts.put_u8(10);
         opts.put_u32(ts.tsval);
         opts.put_u32(ts.tsecr);
-    }
-    if let Some(mss) = seg.mss {
-        opts.put_u8(OPT_MSS);
-        opts.put_u8(4);
-        opts.put_u16(mss);
     }
     if !seg.sack.is_empty() {
         assert!(seg.sack.len() <= MAX_SACK_BLOCKS, "too many SACK blocks");
@@ -180,7 +177,6 @@ pub(in crate::wire) fn decode(mut buf: &[u8]) -> Result<TcpSegment, WireError> {
         flags,
         window,
         ts: None,
-        mss: None,
         sack: SackList::new(),
         dss: None,
     };
@@ -201,16 +197,6 @@ pub(in crate::wire) fn decode(mut buf: &[u8]) -> Result<TcpSegment, WireError> {
                     tsecr: opts.get_u32(),
                 });
             }
-            OPT_MSS => {
-                if opts.remaining() < 3 {
-                    return Err(WireError::BadOption(kind));
-                }
-                let len = opts.get_u8();
-                if len != 4 {
-                    return Err(WireError::BadOption(kind));
-                }
-                seg.mss = Some(opts.get_u16());
-            }
             OPT_SACK => {
                 if !opts.has_remaining() {
                     return Err(WireError::BadOption(kind));
@@ -224,7 +210,7 @@ pub(in crate::wire) fn decode(mut buf: &[u8]) -> Result<TcpSegment, WireError> {
                     return Err(WireError::BadOption(kind));
                 }
                 // A repeated SACK option replaces the earlier one (same
-                // last-wins rule as TS/MSS/DSS) and keeps the inline
+                // last-wins rule as TS/DSS) and keeps the inline
                 // list within capacity on adversarial inputs.
                 seg.sack.clear();
                 // The wire carries blocks newest-first (RFC 2018 §4);

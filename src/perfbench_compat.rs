@@ -17,7 +17,7 @@ use mptcpsim::{CcAlgo, CoupleState, CoupledCc, SubState};
 use simbase::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
-use tcpsim::{AckContext, CongestionControl, Cubic, LossContext};
+use tcpsim::{AckContext, CongestionControl, Cubic};
 use tcpsim::{SegmentTx, TcpConfig, TcpSegment};
 
 /// A live sender that owns its controller.
@@ -71,17 +71,17 @@ impl Coupling {
                 let mut st = self.0.borrow_mut();
                 st.subs.push(SubState::new(initial_cwnd, mss));
                 let idx = st.subs.len() - 1;
-                Box::new(Shared(Rc::clone(&self.0), idx, algo, mss))
+                Box::new(Shared(Rc::clone(&self.0), idx, algo))
             }
         }
     }
 }
 
-/// A coupled subflow's controller (shared state, subflow index, algorithm,
-/// MSS): each call borrows the state for its own length and runs a
+/// A coupled subflow's controller (shared state, subflow index,
+/// algorithm): each call borrows the state for its own length and runs a
 /// `CoupledCc` over it.
 #[derive(Debug)]
-struct Shared(Rc<RefCell<CoupleState>>, usize, CcAlgo, u32);
+struct Shared(Rc<RefCell<CoupleState>>, usize, CcAlgo);
 
 impl Shared {
     fn lent<R>(&self, call: impl FnOnce(&mut CoupledCc<'_>) -> R) -> R {
@@ -89,7 +89,6 @@ impl Shared {
             &mut self.0.borrow_mut(),
             self.1,
             self.2,
-            self.3,
         ))
     }
 }
@@ -99,12 +98,12 @@ impl CongestionControl for Shared {
         self.lent(|cc| cc.on_ack(ctx));
     }
 
-    fn on_loss_event(&mut self, ctx: &LossContext) {
-        self.lent(|cc| cc.on_loss_event(ctx));
+    fn on_loss_event(&mut self, flight_size: u64) {
+        self.lent(|cc| cc.on_loss_event(flight_size));
     }
 
-    fn on_rto(&mut self, ctx: &LossContext) {
-        self.lent(|cc| cc.on_rto(ctx));
+    fn on_rto(&mut self, flight_size: u64) {
+        self.lent(|cc| cc.on_rto(flight_size));
     }
 
     fn cwnd(&self) -> u64 {
@@ -141,10 +140,10 @@ mod tests {
             let mut plain = CoupleState::new(std::iter::repeat_n((10 * u64::from(MSS), MSS), 3));
             let mut step = |i: usize, call: &dyn Fn(&mut dyn CongestionControl)| {
                 call(shared[i].as_mut());
-                let mut view = CoupledCc::new(&mut plain, i, algo, MSS);
+                let mut view = CoupledCc::new(&mut plain, i, algo);
                 call(&mut view);
                 for (j, cc) in shared.iter().enumerate() {
-                    let view = CoupledCc::new(&mut plain, j, algo, MSS);
+                    let view = CoupledCc::new(&mut plain, j, algo);
                     assert_eq!(
                         (cc.cwnd(), cc.ssthresh()),
                         (view.cwnd(), view.ssthresh()),
@@ -162,16 +161,14 @@ mod tests {
                     flight_size: 20 * u64::from(MSS),
                     mss: MSS,
                 };
-                let loss = LossContext {
-                    flight_size: 20 * u64::from(MSS),
-                };
+                let flight = 20 * u64::from(MSS);
                 let i = usize::try_from(k % 3).unwrap();
                 step(i, &|cc| cc.on_ack(&ctx));
                 if k % 41 == 40 {
-                    step(i, &|cc| cc.on_loss_event(&loss));
+                    step(i, &|cc| cc.on_loss_event(flight));
                 }
                 if k % 97 == 96 {
-                    step(i, &|cc| cc.on_rto(&loss));
+                    step(i, &|cc| cc.on_rto(flight));
                 }
             }
         }

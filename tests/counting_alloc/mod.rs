@@ -183,14 +183,18 @@ impl Census {
 /// labelled with every entry that falls in it (other allocations of those
 /// sizes share the class). `Packet` (<= 96 B, `netsim/src/packet.rs`) has
 /// no allocation of its own: packets live in the slab's one buffer.
-const PINNED: [(usize, &str); 5] = [
+const PINNED: [(usize, &str); 7] = [
     // `Mapping` == 24 B (`mptcpsim/src/dsn.rs`); a deque starts at 4.
     (96, "4-`Mapping` deque"),
-    // `Sub` <= 192 B (`mptcpsim/src/sender_agent.rs`).
-    (192, "1-`Sub` vector"),
+    // `MptcpReceiverAgent` <= 96 B (`mptcpsim/src/receiver_agent.rs`).
+    (96, "boxed receiver agent"),
+    // `TcpReceiver` <= 80 B (`tcpsim/src/receiver.rs`), one per subflow.
+    (160, "2-`TcpReceiver` vector"),
+    // `Sub` <= 184 B (`mptcpsim/src/sender_agent.rs`).
+    (184, "1-`Sub` vector"),
     // `Live` <= 232 B (`tcpsim/src/sender.rs`).
     (232, "boxed live sender part"),
-    (384, "2-`Sub` vector"),
+    (368, "2-`Sub` vector"),
     // An event-queue entry is 32 B (`netsim/src/sim.rs`), 64 to a chunk.
     (2048, "64-entry wheel chunk"),
 ];

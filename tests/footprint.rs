@@ -39,7 +39,9 @@ fn cell(pairs: usize) -> TrafficCell {
 }
 
 /// Bytes each further finished connection may leave behind in the world,
-/// its scheduling scratch included: the measured value + 5 % (301; 306
+/// its scheduling scratch included: the measured value + 5 % (256; 301
+/// while each subflow receiver kept four counters and a window and the
+/// receiver agent two counters and a window, 306
 /// while packets carried a flow hash and scheduler snapshots a window and a
 /// flight). The scratch is allocated at assembly and given back at
 /// completion; it is added back to what the run retained, so a smaller
@@ -55,10 +57,12 @@ fn cell(pairs: usize) -> TrafficCell {
 /// second copy of their port; 210 again with drop-tail FIFOs linked
 /// through the packet slab, whose slots are 8 bytes larger). What a
 /// finished connection holds in all is `FINISHED_PER_PAIR`.
-const RETAINED_PER_CONNECTION: u64 = 316;
+const RETAINED_PER_CONNECTION: u64 = 269;
 /// What each further pair weighs from assembly to the horizon, finished:
 /// the measured sum of `ASSEMBLED_PER_PAIR`'s and `RETAINED_PER_CONNECTION`'s
-/// quantities, less the scratch counted in both, + 5 % (2 193; 2 209 while
+/// quantities, less the scratch counted in both, + 5 % (2 108; 2 193 while
+/// subflow receivers were 120 bytes, the receiver agent 112 and each
+/// subflow record 192; 2 209 while
 /// each subflow's mapping table kept an `Option` for its end offset; 2 326
 /// while link-direction records were 120
 /// bytes, packets carried a flow hash and scheduler snapshots a window and a
@@ -67,8 +71,8 @@ const RETAINED_PER_CONNECTION: u64 = 316;
 /// `Vec`, 3 561 while every subflow sender was assembled whole and kept
 /// whole after it finished). Moving an allocation between assembly and the
 /// run moves the two parts, not this.
-const FINISHED_PER_PAIR: u64 = 2_303;
-/// Peak live heap of `run_traffic(&cell(PAIRS))`: the measured value + 5 %
+const FINISHED_PER_PAIR: u64 = 2_214;
+/// Peak live heap of `run_traffic(&cell(PAIRS))`: 1 233 312 B measured, + 5 %
 /// (6 750 556 before PR 17, 3 781 600 after, 2 618 288 with the wheel's
 /// chunk pool, 2 260 128 with one 144-byte record per link direction and
 /// packets in a slab, 2 048 160 with tagged routes stored by destination
@@ -88,8 +92,9 @@ const FINISHED_PER_PAIR: u64 = 2_303;
 /// queue that holds no buffer once drained, 1 265 024 with 232-byte live
 /// parts and a connection that owns its controllers in one box, where each
 /// live coupled subflow had a controller box and each connection a shared
-/// coupling cell).
-const PEAK_BUDGET_BYTES: u64 = 1_328_300;
+/// coupling cell, 1 265 924 with 120-byte subflow receivers, a 112-byte
+/// receiver agent and 192-byte subflow records).
+const PEAK_BUDGET_BYTES: u64 = 1_295_000;
 /// Heap bytes each further pair adds to a world that is assembled and has
 /// not run an event yet — topology, routes, the simulator's per-direction
 /// records, two agents — everything `assembled_and_retained_by` allocates
@@ -108,17 +113,20 @@ const PEAK_BUDGET_BYTES: u64 = 1_328_300;
 /// each name once, in an arena, and no adjacency `Vec`, 1 972 with 96-byte
 /// link-direction records and subflows that keep no flow hash and whose
 /// scheduler snapshots keep no window, 1 956 with each subflow's mapping
-/// table keeping its end offset as a plain `u64`: `STAGE_PER_PAIR` has the
-/// stages).
-const ASSEMBLED_PER_PAIR: u64 = 2_054;
+/// table keeping its end offset as a plain `u64`, 1 916 with a 208-byte
+/// MPTCP sender, 184-byte subflow records (each sender's configuration
+/// keeps no peer-window setting) and a 96-byte receiver agent:
+/// `STAGE_PER_PAIR` has the stages).
+const ASSEMBLED_PER_PAIR: u64 = 2_012;
 /// What each stage of assembly (`STAGES`) adds per pair: 24, 264, 204, 400
-/// and 1 063 B measured, each + 5 % (the topology was 467 B while each node
+/// and 1 023 B measured, each + 5 % (the topology was 467 B while each node
 /// owned its name, a B-tree copy of it and an adjacency `Vec`; `World::new`
 /// 720 B while each link direction's record was 176 bytes and 496 B while
 /// it was 120; the agents 1 127 B while each subflow kept a flow hash and
 /// each scheduler snapshot a window and a flight, 1 079 B while each
-/// subflow record was 200 bytes).
-const STAGE_PER_PAIR: [u64; 5] = [25, 277, 214, 420, 1_116];
+/// subflow record was 200 bytes, 1 063 B while it was 192, the MPTCP
+/// sender 216 and the receiver agent 112).
+const STAGE_PER_PAIR: [u64; 5] = [25, 277, 214, 420, 1_075];
 /// Allocator calls `run_traffic(&cell(PAIRS))` made at PR 17's parent
 /// commit, in the dev and the release profile alike (PR 17: 32 855).
 const PARENT_ALLOCATOR_CALLS: u64 = 94_095;

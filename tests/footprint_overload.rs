@@ -34,16 +34,19 @@ use std::sync::atomic::Ordering::Relaxed;
 /// that holds no buffer once drained, 1 585 288 with 232-byte live parts
 /// and a connection that owns its controllers in one 32-byte box, where
 /// each live coupled subflow had a 40-byte controller box and each
-/// connection a 48-byte shared coupling cell).
-const PEAK_BUDGET_BYTES: u64 = 1_664_600;
+/// connection a 48-byte shared coupling cell, 1 547 168 with 80-byte
+/// subflow receivers that keep no counters or window setting, a 96-byte
+/// receiver agent and 184-byte subflow records).
+const PEAK_BUDGET_BYTES: u64 = 1_624_600;
 /// The three largest size classes of the census at the cell's peak, by the
 /// largest request in the class, each at the measured value + 5 %: 141
 /// 64-entry wheel chunks (286 912 B), 698 boxed live subflow-sender parts
-/// and the other 225–240 B requests (201 296 B; the parts were 248 B while
+/// (161 936 B; 201 296 B while 164 two-receiver vectors of 120-byte subflow
+/// receivers shared the class, now 160 B; the parts were 248 B while
 /// they held their controller, 272 B while every one held an RTT
 /// min-filter, both outside this class), and the one vector of 1 608
 /// link-direction records (154 368 B).
-const CENSUS_PINS: [(usize, i64); 3] = [(2_048, 301_300), (240, 211_400), (262_144, 162_100)];
+const CENSUS_PINS: [(usize, i64); 3] = [(2_048, 301_300), (240, 170_100), (262_144, 162_100)];
 /// `run_traffic(&cell()).trace_hash` at the parent commit.
 const PARENT_TRACE_HASH: u64 = 0xbdf8_4980_0964_a51a;
 
